@@ -64,18 +64,20 @@ func (c *constructor) walk(h *hop.Hop) error {
 		return nil
 	}
 	c.done[h.ID] = true
-	entry, ok := c.coster.pickEntry(h)
-	if ok {
+	// The preferred entry first; when its template cannot express the
+	// region (or a gate declines it), the other templates' entries.
+	for _, entry := range c.coster.pickEntries(h) {
 		region := c.collect(h, entry)
-		if len(region.covered) >= 2 {
-			if built, leaves := c.buildAndSplice(h, entry, region); built {
-				for _, leaf := range leaves {
-					if err := c.walk(leaf); err != nil {
-						return err
-					}
+		if len(region.covered) < 2 {
+			continue
+		}
+		if built, leaves := c.buildAndSplice(h, entry, region); built {
+			for _, leaf := range leaves {
+				if err := c.walk(leaf); err != nil {
+					return err
 				}
-				return nil
 			}
+			return nil
 		}
 	}
 	for _, in := range h.Inputs {
@@ -153,7 +155,7 @@ func (c *constructor) buildAndSplice(h *hop.Hop, entry Entry, r *region) (bool, 
 	c.record(plan.Type.String(), op, len(inputs), h.Rows, h.Cols, hit)
 	spoof := c.d.NewSpoof(plan.Type.String(), op, h.Rows, h.Cols, h.Nnz, inputs...)
 	spoof.ExecType = h.ExecType
-	c.predictSpoof(spoof, entry.Type, []*region{r}, h)
+	c.predictSpoof(spoof, entry.Type, []*region{r})
 	c.splice(h, spoof)
 	return true, r.leaves
 }
@@ -524,7 +526,7 @@ func (c *constructor) buildMAggGroup(group []maggCand) bool {
 	for _, it := range group {
 		regions = append(regions, it.region)
 	}
-	c.predictSpoof(spoof, cplan.TemplateMAgg, regions, nil)
+	c.predictSpoof(spoof, cplan.TemplateMAgg, regions)
 	for k, it := range group {
 		extract := c.d.Index(spoof, 0, 1, int64(k), int64(k)+1)
 		c.splice(it.h, extract)
@@ -554,9 +556,6 @@ func (c *constructor) buildRowPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.H
 		h.Inputs[0].Inputs[0].Kind == hop.OpTranspose {
 		x := h.Inputs[0].Inputs[0].Inputs[0]
 		if r.covered[x.ID] {
-			return nil, nil
-		}
-		if !c.rowFusionProfitable(h, r, x) {
 			return nil, nil
 		}
 		plan := &cplan.Plan{
@@ -635,9 +634,6 @@ func (c *constructor) buildRowPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.H
 	if !ok {
 		return nil, nil
 	}
-	if !c.rowFusionProfitable(h, r, main) {
-		return nil, nil
-	}
 	plan := &cplan.Plan{
 		Type:      cplan.TemplateRow,
 		Row:       rowType,
@@ -646,51 +642,6 @@ func (c *constructor) buildRowPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.H
 		MainWidth: b.mainWidth,
 	}
 	return plan, append([]*hop.Hop{main}, env.sides...)
-}
-
-// rowFusionProfitable weighs a Row operator's per-row dispatch overhead
-// against what fusion saves: materialized interior intermediates and
-// repeated scans of the main input. SystemML's JIT-compiled genexec has no
-// such overhead. A Go row program usually does — unless its fingerprint
-// maps to a specialized whole-row chunk body (row.dot, row.rank1; see the
-// dispatch contract in cplan/chunks.go and runtime.execRowChunk), which
-// runs straight over the vector kernels. The gate keeps the conservative
-// interpreted-dispatch estimate because chunk applicability also depends
-// on runtime operand layout (dense, row-aligned sides) that construction
-// cannot see; fingerprinted regions that clear the gate simply run faster
-// than modeled.
-func (c *constructor) rowFusionProfitable(h *hop.Hop, r *region, main *hop.Hop) bool {
-	m := c.cfg.Costs
-	var interiorBytes float64
-	mainScans := 0
-	for id := range r.covered {
-		x := c.memo.Hop(id)
-		if x == nil {
-			continue
-		}
-		if x != h {
-			w := 1.0
-			if x.Kind == hop.OpTranspose {
-				// A materialized transpose costs far more than its bytes
-				// suggest (random-access writes, worse for sparse inputs).
-				w = 4
-			}
-			interiorBytes += w * float64(x.OutputSizeBytes())
-		}
-		for _, in := range x.Inputs {
-			if in == main || (in.Kind == hop.OpTranspose && len(in.Inputs) > 0 && in.Inputs[0] == main) {
-				mainScans++
-			}
-		}
-	}
-	extraScans := mainScans - 1
-	if extraScans < 0 {
-		extraScans = 0
-	}
-	saved := interiorBytes*(1/m.WriteBW+1/m.ReadBW) +
-		float64(main.ReadSizeBytes())*float64(extraScans)/m.ReadBW
-	overhead := float64(main.Rows) * float64(len(r.covered)) * rowDispatchFlops / m.ComputeBW
-	return overhead <= saved
 }
 
 type rowBuilder struct {

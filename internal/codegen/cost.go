@@ -7,6 +7,7 @@ import (
 
 	"sysml/internal/cplan"
 	"sysml/internal/hop"
+	"sysml/internal/matrix"
 )
 
 // flops estimates the floating-point operations of one HOP.
@@ -83,6 +84,8 @@ type Coster struct {
 
 	q map[Edge]bool // true = materialize: fusion refs over the edge invalid
 
+	roots map[int64]bool // part.Roots as a set (MPCost)
+
 	visitedMat map[int64]bool
 	visitedOp  map[[2]int64]bool
 	opSeq      int64
@@ -127,14 +130,32 @@ type opCtx struct {
 	flops  float64
 	numOps int
 	inputs map[int64]*hop.Hop
+	// denseUse marks inputs some covered operator reads element by element
+	// (anything but a matrix product, its transpose, or a sum): a Row
+	// operator cannot bind such a main input as sparse rows.
+	denseUse map[int64]bool
 }
 
-// rowDispatchFlops is the per-covered-operator, per-row dispatch overhead
-// of Row-template programs expressed in FLOP equivalents. Row programs run
-// one instruction loop per row; for narrow rows this constant cost can
-// exceed the fused work, in which case bulk kernels win and the optimizer
-// must know it.
-const rowDispatchFlops = 2000
+// rowSparseCapableUse reports whether consumer h reads its input the way a
+// Row program can serve from sparse main rows: the mirror, at HOP level, of
+// cplan.RowProgram.MainSparseCapable.
+func rowSparseCapableUse(h *hop.Hop) bool {
+	switch h.Kind {
+	case hop.OpMatMult, hop.OpTranspose:
+		return true
+	case hop.OpAggUnary:
+		return h.AggOp == matrix.AggSum || h.AggOp == matrix.AggSumSq
+	}
+	return false
+}
+
+// rowDensifySec is what a Row operator pays to run over a sparse main input
+// it cannot bind as sparse rows: every tile is written out dense and read
+// back.
+func rowDensifySec(m CostModel, main *hop.Hop) float64 {
+	dense := float64(main.Cells()) * 8
+	return dense/m.WriteBW + dense/m.ReadBW
+}
 
 func (c *Coster) costNode(h *hop.Hop) {
 	if c.exceeded || c.visitedMat[h.ID] {
@@ -159,17 +180,20 @@ func (c *Coster) costNode(h *hop.Hop) {
 	}
 	// Open a fused operator at h.
 	c.opSeq++
-	cv := &opCtx{id: c.opSeq, root: h, tmpl: entry.Type, inputs: map[int64]*hop.Hop{}}
+	cv := &opCtx{id: c.opSeq, root: h, tmpl: entry.Type,
+		inputs: map[int64]*hop.Hop{}, denseUse: map[int64]bool{}}
 	c.addToOp(h, entry, cv)
-	if entry.Type == cplan.TemplateRow {
-		cv.flops += float64(rowMainRows(h)) * float64(cv.numOps) * rowDispatchFlops
-	}
 	// Operator cost: write output once, read distinct inputs, compute.
 	var inBytes float64
+	var main *hop.Hop
 	for _, in := range cv.inputs {
 		inBytes += float64(in.ReadSizeBytes())
+		main = mainInput(main, in)
 	}
-	scale := c.sparsityScale(cv)
+	scale := sparsityScale(cv.tmpl, main, main != nil && cv.denseUse[main.ID])
+	if scale == 1 && cv.tmpl == cplan.TemplateRow && main != nil && main.IsSparse() {
+		c.total += rowDensifySec(c.cfg.Costs, main)
+	}
 	c.addOpCost(h.OutputSizeBytes(), inBytes, cv.flops, scale, h)
 	// Recurse into materialized inputs of the fused operator.
 	ids := make([]int64, 0, len(cv.inputs))
@@ -204,6 +228,9 @@ func (c *Coster) addToOp(h *hop.Hop, entry Entry, cv *opCtx) {
 			}
 		}
 		cv.inputs[in.ID] = in
+		if !rowSparseCapableUse(h) {
+			cv.denseUse[in.ID] = true
+		}
 	}
 }
 
@@ -233,30 +260,39 @@ func (c *Coster) addOpCost(outBytes int64, inBytes, fl, scale float64, h *hop.Ho
 	}
 }
 
+// mainInput folds in into the running choice of a fused operator's main
+// input as the cost model sees it: the input with the most cells (lowest ID
+// on ties).
+func mainInput(main, in *hop.Hop) *hop.Hop {
+	if main == nil || in.Cells() > main.Cells() ||
+		(in.Cells() == main.Cells() && in.ID < main.ID) {
+		return in
+	}
+	return main
+}
+
 // sparsityScale returns the factor by which sparsity exploitation scales a
 // fused operator's estimates: the main-input sparsity for Outer templates
-// and sparse-driving Cell/MAgg templates (§4.3).
-func (c *Coster) sparsityScale(cv *opCtx) float64 {
-	// Main input: the largest input by cell count; exploit its sparsity.
-	var main *hop.Hop
-	for _, in := range cv.inputs {
-		if main == nil || in.Cells() > main.Cells() {
-			main = in
-		}
-	}
+// and sparse-driving Cell/MAgg templates (§4.3). A Row operator exploits
+// it only when the program can bind sparse rows (denseMain false);
+// otherwise it computes over densified tiles at scale 1.
+func sparsityScale(t cplan.TemplateType, main *hop.Hop, denseMain bool) float64 {
 	if main == nil || !main.IsSparse() {
 		return 1
 	}
-	switch cv.tmpl {
+	switch t {
 	case cplan.TemplateOuter:
 		return main.Sparsity()
 	case cplan.TemplateRow:
+		if denseMain {
+			return 1
+		}
 		// genexecSparse binds sparse rows; dense side work per row remains,
 		// so scale conservatively.
 		return math.Max(main.Sparsity(), 0.05)
 	default:
-		// Cell/MAgg: approximate sparse-safety by the presence of the
-		// sparse main input (construction verifies exactly).
+		// Cell/MAgg/Horizontal: approximate sparse-safety by the presence
+		// of the sparse main input (construction verifies exactly).
 		return math.Max(main.Sparsity(), 0.01)
 	}
 }
@@ -269,7 +305,34 @@ func (c *Coster) pickEntry(h *hop.Hop) (Entry, bool) {
 	if g == nil {
 		return Entry{}, false
 	}
-	return c.pick(g, h, -1)
+	e, _, ok := c.pick(g, h, -1, -1)
+	return e, ok
+}
+
+// pickEntries returns the best valid entry of every template type at h,
+// best first: pickEntry's choice followed by the alternatives construction
+// falls back to when the preferred template cannot express the region.
+func (c *Coster) pickEntries(h *hop.Hop) []Entry {
+	g := c.memo.Get(h.ID)
+	if g == nil {
+		return nil
+	}
+	type scored struct {
+		e     Entry
+		score float64
+	}
+	var ranked []scored
+	for _, t := range g.Types() {
+		if e, score, ok := c.pick(g, h, -1, int(t)); ok {
+			ranked = append(ranked, scored{e, score})
+		}
+	}
+	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].score > ranked[j].score })
+	out := make([]Entry, len(ranked))
+	for i, r := range ranked {
+		out[i] = r.e
+	}
+	return out
 }
 
 func (c *Coster) pickEntryCompat(h *hop.Hop, t cplan.TemplateType) (Entry, bool) {
@@ -277,14 +340,21 @@ func (c *Coster) pickEntryCompat(h *hop.Hop, t cplan.TemplateType) (Entry, bool)
 	if g == nil {
 		return Entry{}, false
 	}
-	return c.pick(g, h, int(t))
+	e, _, ok := c.pick(g, h, int(t), -1)
+	return e, ok
 }
 
-func (c *Coster) pick(g *Group, h *hop.Hop, wantType int) (Entry, bool) {
+// pick scores the entries of g valid under q. wantType >= 0 restricts to
+// entries that can continue an enclosing operator of that type; onlyType
+// >= 0 restricts to that template type.
+func (c *Coster) pick(g *Group, h *hop.Hop, wantType, onlyType int) (Entry, float64, bool) {
 	best := Entry{}
 	bestScore := math.Inf(-1)
 	found := false
 	for _, e := range g.Entries {
+		if onlyType >= 0 && int(e.Type) != onlyType {
+			continue
+		}
 		if wantType >= 0 {
 			// Continuing inside an operator of type wantType: same type or
 			// mergeable Cell plans, and only open plans can be extended.
@@ -316,7 +386,7 @@ func (c *Coster) pick(g *Group, h *hop.Hop, wantType int) (Entry, bool) {
 			best, bestScore, found = e, score, true
 		}
 	}
-	return best, found
+	return best, bestScore, found
 }
 
 // typePreference breaks ties between templates: sparsity-exploiting Outer
@@ -371,9 +441,16 @@ func (c *Coster) StaticCost() float64 {
 
 // MPCost is the plan-dependent lower-bound component: each distinct
 // materialization target assigned true costs at least one write and one
-// read (§4.4).
+// read (§4.4). A target that is a partition root (a written block output)
+// has its write in StaticCost already and adds the read alone.
 func (c *Coster) MPCost(points []Edge, q []bool) float64 {
 	m := c.cfg.Costs
+	if c.roots == nil {
+		c.roots = map[int64]bool{}
+		for _, r := range c.part.Roots {
+			c.roots[r] = true
+		}
+	}
 	seen := map[int64]bool{}
 	var t float64
 	for i, pt := range points {
@@ -382,7 +459,10 @@ func (c *Coster) MPCost(points []Edge, q []bool) float64 {
 		}
 		seen[pt.To] = true
 		size := float64(c.memo.Hop(pt.To).OutputSizeBytes())
-		t += size/m.WriteBW + size/m.ReadBW
+		t += size / m.ReadBW
+		if !c.roots[pt.To] {
+			t += size / m.WriteBW
+		}
 	}
 	return t
 }

@@ -42,53 +42,32 @@ func predictHop(cfg *Config, h *hop.Hop, fl, inBytes, scale float64) {
 	h.PredBytes = int64(inBytes) + int64(outBytes)
 }
 
-// spoofScale mirrors Coster.sparsityScale for a constructed operator: the
-// factor by which sparsity exploitation shrinks the estimates, driven by
-// the largest input.
-func spoofScale(t cplan.TemplateType, inputs []*hop.Hop) float64 {
-	var main *hop.Hop
-	for _, in := range inputs {
-		if main == nil || in.Cells() > main.Cells() {
-			main = in
-		}
-	}
-	if main == nil || !main.IsSparse() {
-		return 1
-	}
-	switch t {
-	case cplan.TemplateOuter:
-		return main.Sparsity()
-	case cplan.TemplateRow:
-		return math.Max(main.Sparsity(), 0.05)
-	default: // Cell, MAgg, Horizontal: cell-bound scans of the main input
-		return math.Max(main.Sparsity(), 0.01)
-	}
-}
-
 // predictSpoof annotates a freshly spliced fused operator with the cost
-// vector of its covered region: summed covered-HOP FLOPs (plus the Row
-// per-row dispatch overhead the coster charges), distinct input bytes, and
-// the template's sparsity scale.
-func (c *constructor) predictSpoof(spoof *hop.Hop, t cplan.TemplateType,
-	regions []*region, rowRoot *hop.Hop) {
+// vector of its covered region: summed covered-HOP FLOPs, distinct input
+// bytes, the template's sparsity scale and, for a Row operator that must
+// densify a sparse main input, the densification the coster charges.
+func (c *constructor) predictSpoof(spoof *hop.Hop, t cplan.TemplateType, regions []*region) {
 	var fl float64
-	numOps := 0
 	for _, r := range regions {
 		for id := range r.covered {
 			if x := c.memo.Hop(id); x != nil {
 				fl += flops(x)
-				numOps++
 			}
 		}
 	}
-	if t == cplan.TemplateRow && rowRoot != nil {
-		fl += float64(rowMainRows(rowRoot)) * float64(numOps) * rowDispatchFlops
-	}
 	var inBytes float64
+	var main *hop.Hop
 	for _, in := range spoof.Inputs {
 		inBytes += float64(in.ReadSizeBytes())
+		main = mainInput(main, in)
 	}
-	predictHop(c.cfg, spoof, fl, inBytes, spoofScale(t, spoof.Inputs))
+	op, _ := spoof.Spoof.(*cplan.Operator)
+	denseMain := op != nil && op.RowProg != nil && !op.RowProg.MainSparseCapable()
+	scale := sparsityScale(t, main, denseMain)
+	predictHop(c.cfg, spoof, fl, inBytes, scale)
+	if scale == 1 && t == cplan.TemplateRow && main != nil && main.IsSparse() {
+		spoof.PredSec += rowDensifySec(c.cfg.Costs, main)
+	}
 }
 
 // AnnotatePredictions walks an optimized DAG and attaches cost predictions

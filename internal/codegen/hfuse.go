@@ -260,7 +260,7 @@ func (c *constructor) buildHorizontalGroup(main *hop.Hop, group []hfuseCand) boo
 	for _, it := range group {
 		regions = append(regions, it.region)
 	}
-	c.predictSpoof(spoof, cplan.TemplateHorizontal, regions, nil)
+	c.predictSpoof(spoof, cplan.TemplateHorizontal, regions)
 	for k, it := range group {
 		extract := c.d.SpoofOut(spoof, k, it.h.Rows, it.h.Cols, it.h.Nnz)
 		c.splice(it.h, extract)

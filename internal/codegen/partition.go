@@ -16,11 +16,17 @@ type Edge struct {
 // reachable via fusion references from other partitions, optimized and
 // costed independently (§4.2).
 type Partition struct {
-	Nodes  map[int64]bool
-	Roots  []int64 // entry points: never referenced via fusion from within
+	Nodes map[int64]bool
+	// Roots are the nodes that are materialized under every plan: entry
+	// points never referenced via fusion from within, followed by block
+	// outputs that are (a written variable is stored whether or not a
+	// consumer also fuses it). Consumers precede what they consume, so
+	// walking Roots in order constructs a fusing consumer before the
+	// output it absorbed.
+	Roots  []int64
 	Inputs []int64 // nodes read by the partition but outside it
 	// MatPoints are materialization points: partition nodes with multiple
-	// consumers (excluding roots).
+	// consumers, a block output's store counting as one.
 	MatPoints []int64
 	// Points are the interesting points M'i: materialization-point
 	// consumers and template switches.
@@ -30,6 +36,10 @@ type Partition struct {
 // BuildPartitions analyzes the populated memo table and returns the plan
 // partitions with their interesting points.
 func BuildPartitions(m *Memo, roots []*hop.Hop) []*Partition {
+	written := map[int64]bool{}
+	for _, r := range roots {
+		written[r.ID] = true
+	}
 	// Collect fusion-reference edges between groups.
 	type refEdge struct{ from, to int64 }
 	var refs []refEdge
@@ -77,7 +87,7 @@ func BuildPartitions(m *Memo, roots []*hop.Hop) []*Partition {
 	// Fill per-partition metadata.
 	var out []*Partition
 	for _, p := range comps {
-		fillPartition(p, m, referenced)
+		fillPartition(p, m, referenced, written)
 		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return minID(out[i]) < minID(out[j]) })
@@ -94,12 +104,15 @@ func minID(p *Partition) int64 {
 	return min
 }
 
-func fillPartition(p *Partition, m *Memo, referenced map[int64]bool) {
+func fillPartition(p *Partition, m *Memo, referenced, written map[int64]bool) {
 	inputSeen := map[int64]bool{}
+	var fusedOutputs []int64
 	for id := range p.Nodes {
 		h := m.Hop(id)
 		if !referenced[id] {
 			p.Roots = append(p.Roots, id)
+		} else if written[id] {
+			fusedOutputs = append(fusedOutputs, id)
 		}
 		for _, in := range h.Inputs {
 			if !p.Nodes[in.ID] && !inputSeen[in.ID] {
@@ -115,13 +128,22 @@ func fillPartition(p *Partition, m *Memo, referenced map[int64]bool) {
 	for _, r := range p.Roots {
 		rootSet[r] = true
 	}
-	// Materialization points: multiple consumers, not a root.
+	// Materialization points: multiple consumers and not an entry point
+	// (nothing fuses an entry point, so there is nothing to decide).
 	for id := range p.Nodes {
 		h := m.Hop(id)
-		if h.NumConsumers() > 1 && !rootSet[id] {
+		consumers := h.NumConsumers()
+		if written[id] {
+			consumers++
+		}
+		if consumers > 1 && !rootSet[id] {
 			p.MatPoints = append(p.MatPoints, id)
 		}
 	}
+	// HOP ids grow from inputs to consumers: descending order puts every
+	// fused output after the outputs that consume it.
+	sort.Slice(fusedOutputs, func(i, j int) bool { return fusedOutputs[i] > fusedOutputs[j] })
+	p.Roots = append(p.Roots, fusedOutputs...)
 	sort.Slice(p.MatPoints, func(i, j int) bool { return p.MatPoints[i] < p.MatPoints[j] })
 
 	// Interesting points: (1) each consumer of a materialization point with

@@ -256,7 +256,7 @@ func rowMainRows(h *hop.Hop) int64 {
 	case hop.OpAggUnary, hop.OpUnary, hop.OpIndex, hop.OpRowIndexMax:
 		return h.Inputs[0].Rows
 	case hop.OpBinary:
-		return h.Inputs[0].Rows
+		return h.Rows // either operand may be the scalar or the row vector
 	}
 	return 0
 }

@@ -140,20 +140,25 @@ func (c *cellVecCompiler) compileNode(n *CNode) (regRef, bool) {
 	return regRef{}, false
 }
 
-// CellVecBuf holds per-thread chunk registers.
+// CellVecBuf holds per-thread chunk registers: views (register 0 and flat
+// side loads alias their inputs) over owned ChunkLen-sized storage.
 type CellVecBuf struct {
-	buf RowBuf
+	vec  [][]float64
+	off  []int
+	scal []float64
+	own  [][]float64
 }
 
 // NewBuf allocates chunk registers.
 func (p *CellVecProgram) NewBuf() *CellVecBuf {
-	b := &CellVecBuf{buf: RowBuf{
-		Vec:  make([][]float64, p.NumVec),
-		Off:  make([]int, p.NumVec),
-		Scal: make([]float64, p.NumScalars),
-	}}
+	b := &CellVecBuf{
+		vec:  make([][]float64, p.NumVec),
+		off:  make([]int, p.NumVec),
+		scal: make([]float64, p.NumScalars),
+		own:  make([][]float64, p.NumVec),
+	}
 	for i := 1; i < p.NumVec; i++ {
-		b.buf.Vec[i] = make([]float64, ChunkLen)
+		b.own[i] = make([]float64, ChunkLen)
 	}
 	return b
 }
@@ -166,45 +171,49 @@ func (p *CellVecProgram) GetBuf() *CellVecBuf {
 	return p.NewBuf()
 }
 
-// PutBuf parks chunk registers for reuse, dropping the main-chunk view
-// (register 0) so the pool does not pin the input matrix.
+// PutBuf parks chunk registers for reuse, dropping the views so the pool
+// does not pin the input matrices.
 func (p *CellVecProgram) PutBuf(b *CellVecBuf) {
 	if b == nil {
 		return
 	}
-	b.buf.Vec[0], b.buf.Off[0] = nil, 0
+	clear(b.vec)
 	p.bufPool.Put(b)
 }
 
 // Exec evaluates the program over n cells starting at flat offset lo of
 // the main input (n <= ChunkLen) and returns the result chunk.
 func (p *CellVecProgram) Exec(ctx *Ctx, b *CellVecBuf, main []float64, lo, n int) ([]float64, int) {
-	buf := &b.buf
-	buf.Vec[0], buf.Off[0] = main, lo
+	b.vec[0], b.off[0] = main, lo
+	// dst points a register at its owned storage and returns it.
+	dst := func(reg int) []float64 {
+		b.vec[reg], b.off[reg] = b.own[reg], 0
+		return b.own[reg]
+	}
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		switch in.Op {
 		case RLoadSideRow: // flat chunk view of a dense, main-shaped side
-			buf.Vec[in.Dst], buf.Off[in.Dst] = ctx.Sides[in.Side].DenseData(), lo
+			b.vec[in.Dst], b.off[in.Dst] = ctx.Sides[in.Side].DenseData(), lo
 		case RLoadSideVal:
-			buf.Scal[in.Dst] = ctx.SideScalars[in.Side]
+			b.scal[in.Dst] = ctx.SideScalars[in.Side]
 		case RLit:
-			buf.Scal[in.Dst] = in.Scalar
+			b.scal[in.Dst] = in.Scalar
 		case RBinVV:
-			execBinVV(in.BinOp, buf, in.Dst, in.Src1, in.Src2, n)
+			binVV(in.BinOp, b.vec[in.Src1], b.off[in.Src1], b.vec[in.Src2], b.off[in.Src2], dst(in.Dst), n)
 		case RBinVS:
-			execBinVS(in.BinOp, buf, in.Dst, in.Src1, buf.Scal[in.Src2], n)
+			binVS(in.BinOp, b.vec[in.Src1], b.off[in.Src1], b.scal[in.Src2], dst(in.Dst), n)
 		case RBinSV:
-			execBinSV(in.BinOp, buf, in.Dst, buf.Scal[in.Src1], in.Src2, n)
+			binSV(in.BinOp, b.scal[in.Src1], b.vec[in.Src2], b.off[in.Src2], dst(in.Dst), n)
 		case RBinSS:
-			buf.Scal[in.Dst] = in.BinOp.Apply(buf.Scal[in.Src1], buf.Scal[in.Src2])
+			b.scal[in.Dst] = in.BinOp.Apply(b.scal[in.Src1], b.scal[in.Src2])
 		case RUnV:
-			execUnV(in.UnOp, buf, in.Dst, in.Src1, n)
+			unV(in.UnOp, b.vec[in.Src1], b.off[in.Src1], dst(in.Dst), n)
 		case RUnS:
-			buf.Scal[in.Dst] = in.UnOp.Apply(buf.Scal[in.Src1])
+			b.scal[in.Dst] = in.UnOp.Apply(b.scal[in.Src1])
 		}
 	}
-	return buf.Vec[p.ResultReg], buf.Off[p.ResultReg]
+	return b.vec[p.ResultReg], b.off[p.ResultReg]
 }
 
 // ChunkCompatible reports whether the bound inputs allow vectorized

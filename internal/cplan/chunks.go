@@ -271,37 +271,6 @@ func buildColSums(a, b float64) func(ctx *Ctx, main []float64, base int, part []
 	}
 }
 
-// RowChunkKind identifies a specialized whole-row body.
-type RowChunkKind int
-
-// Row chunk kinds.
-const (
-	RowChunkDot   RowChunkKind = iota // out_i = X_i · S_i (RowRowAgg)
-	RowChunkRank1                     // C += X_i ⊗ S_i   (RowColAggT)
-)
-
-// RowChunkProgram is a specialized Row-template body: the runtime rowwise
-// skeleton runs the whole row loop through vector kernels without the
-// register-machine dispatch. Side is the single side input consumed.
-type RowChunkProgram struct {
-	Class string
-	Kind  RowChunkKind
-	Side  int
-}
-
-// buildRowChunk inspects a compiled row program for a specialized body.
-func buildRowChunk(prog *RowProgram) *RowChunkProgram {
-	class, side, ok := rowChunkClass(prog)
-	if !ok {
-		return nil
-	}
-	kind := RowChunkDot
-	if class == "row.rank1" {
-		kind = RowChunkRank1
-	}
-	return &RowChunkProgram{Class: class, Kind: kind, Side: side}
-}
-
 // ChunkClasses lists the fingerprint classes of every chunk program
 // attached to the operator, in root order; empty when the operator has no
 // specialization (pure interpreted dispatch).
@@ -314,9 +283,6 @@ func (op *Operator) ChunkClasses() []string {
 		if c != nil {
 			out = append(out, c.Class)
 		}
-	}
-	if op.RowChunk != nil {
-		out = append(out, op.RowChunk.Class)
 	}
 	if op.HFused != nil {
 		out = append(out, op.HFused.Class)

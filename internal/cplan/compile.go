@@ -30,13 +30,12 @@ type Operator struct {
 	MAggVecs []*CellVecProgram
 
 	// Fingerprint is the canonical structural fingerprint (fingerprint.go)
-	// and Chunk/MAggChunks/RowChunk the specialized AOT bodies it selected
+	// and Chunk/MAggChunks the specialized AOT bodies it selected
 	// at compile time (nil entries fall back to the interpreted programs
 	// above). See chunks.go for the dispatch contract.
 	Fingerprint string
 	Chunk       *ChunkProgram
 	MAggChunks  []*ChunkProgram
-	RowChunk    *RowChunkProgram
 
 	// HFused is the whole-group fused body of a Horizontal plan: one
 	// specialized loop covering every root at once (hfused.go). Nil when any
@@ -71,7 +70,6 @@ func Compile(p *Plan, className string) *Operator {
 		op.HFused = BuildHFused(p)
 	case TemplateRow:
 		op.RowProg = compileRow(p)
-		op.RowChunk = buildRowChunk(op.RowProg)
 	}
 	op.Fingerprint = p.Fingerprint()
 	op.Source = Render(p, className)

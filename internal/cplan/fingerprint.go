@@ -337,12 +337,6 @@ func (p *Plan) Fingerprint() string {
 			}
 			fmt.Fprintf(&b, "%s/%s", p.HKinds[i], fp)
 		}
-	case TemplateRow:
-		cls, side, ok := rowChunkClass(compileRow(p))
-		if !ok {
-			return p.genericFingerprint()
-		}
-		fmt.Fprintf(&b, ":%s(S=%d)", cls, side)
 	default:
 		return p.genericFingerprint()
 	}
@@ -353,30 +347,4 @@ func (p *Plan) Fingerprint() string {
 // specialized library: unique per plan structure, never chunk-dispatched.
 func (p *Plan) genericFingerprint() string {
 	return fmt.Sprintf("generic:%016x", p.Hash())
-}
-
-// rowChunkClass inspects a compiled row program for the specialized
-// whole-row bodies: the fused dot product (out_i = X_i · S_i) and the
-// rank-1 update (C += X_i ⊗ S_i of t(X) %*% S).
-func rowChunkClass(prog *RowProgram) (class string, side int, ok bool) {
-	switch prog.RowT {
-	case RowRowAgg:
-		// [load side row rix; dot(main, side)]
-		if len(prog.Instrs) == 2 &&
-			prog.Instrs[0].Op == RLoadSideRow && !prog.Instrs[0].RowZero &&
-			prog.Instrs[1].Op == RDot && !prog.ResultVec &&
-			prog.Instrs[1].Dst == prog.ResultReg &&
-			((prog.Instrs[1].Src1 == 0 && prog.Instrs[1].Src2 == prog.Instrs[0].Dst) ||
-				(prog.Instrs[1].Src2 == 0 && prog.Instrs[1].Src1 == prog.Instrs[0].Dst)) {
-			return "row.dot", prog.Instrs[0].Side, true
-		}
-	case RowColAggT:
-		// [load side row rix] with the side row as the accumulated result.
-		if len(prog.Instrs) == 1 &&
-			prog.Instrs[0].Op == RLoadSideRow && !prog.Instrs[0].RowZero &&
-			prog.ResultVec && prog.ResultReg == prog.Instrs[0].Dst && prog.LeftReg == 0 {
-			return "row.rank1", prog.Instrs[0].Side, true
-		}
-	}
-	return "", 0, false
 }

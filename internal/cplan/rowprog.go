@@ -9,9 +9,9 @@ import (
 )
 
 // RowOpKind identifies one vector instruction of a compiled Row-template
-// program. Programs are register machines over per-thread ring-buffer
-// vectors, mirroring the generated Java methods that chain vector
-// primitives (paper §2.2, TMP25 example).
+// program. Programs are register machines over per-thread tile registers,
+// mirroring the generated Java methods that chain vector primitives (paper
+// §2.2, TMP25 example) but applied to a tile of rows at a time.
 type RowOpKind int
 
 // Row program instructions. V suffixes denote vector registers, S scalar
@@ -45,29 +45,80 @@ type RowInstr struct {
 	RowZero    bool // side row access uses row 0 (1×c row-vector side)
 	Scalar     float64
 	CL, CU     int
+	// Uniform marks an instruction whose result is the same for every row
+	// (set by compileRow, see RowProgram.VecUniform).
+	Uniform bool
 }
 
 // RowProgram is a compiled Row-template operator body: a straight-line
-// vector program executed once per input row.
+// vector program executed once per tile of consecutive input rows. Vector
+// registers hold TileRows×width tiles and scalar registers one value per
+// tile row, so the instruction dispatch is paid per tile, not per row.
 type RowProgram struct {
 	Instrs     []RowInstr
 	VecWidths  []int // width per vector register; register 0 is the main row
 	NumScalars int
 	MainWidth  int
 
+	// VecUniform and ScalUniform mark registers that hold the same value
+	// for every row (literals, scalar and row-vector sides, and whatever
+	// is computed from those alone). They are evaluated once per bound
+	// buffer, keep a single row, and enter tile operations as broadcasts.
+	VecUniform  []bool
+	ScalUniform []bool
+
 	RowT      RowType
 	OutWidth  int
 	ResultReg int  // final vector or scalar register
 	ResultVec bool // whether the result register is a vector
-	// LeftReg is the left vector of the ColAggT outer accumulation
-	// (typically register 0, the main row itself).
-	LeftReg int
 
-	// bufPool recycles ring buffers across invocations of this operator:
+	// TileRows is the number of rows per tile, sized so the registers of
+	// one tile stay cache-resident (see tileRows).
+	TileRows int
+
+	// bufPool recycles tile registers across invocations of this operator:
 	// workers GetBuf at closure entry and PutBuf on exit, so iterative
-	// workloads reuse the same scratch rings instead of reallocating them
+	// workloads reuse the same scratch tiles instead of reallocating them
 	// every call.
 	bufPool sync.Pool
+}
+
+// Tile sizing: a tile's registers should fit the core's private cache with
+// room for the side matrices an RMatMul streams against, so the budget is
+// about half of a 256 KiB L2. The row bounds keep per-tile dispatch
+// amortized for very wide programs and the per-worker footprint small for
+// very narrow ones.
+const (
+	rowTileBytes   = 128 << 10
+	rowTileMinRows = 8
+	rowTileMaxRows = 1024
+)
+
+// tileRows derives the tile height from the program's register footprint:
+// the bytes one row occupies across all per-row registers.
+func (p *RowProgram) tileRows() int {
+	perRow := 0
+	for i, w := range p.VecWidths {
+		if !p.VecUniform[i] {
+			perRow += w
+		}
+	}
+	for _, u := range p.ScalUniform {
+		if !u {
+			perRow++
+		}
+	}
+	t := rowTileBytes / (8 * max(perRow, 1))
+	return min(max(t, rowTileMinRows), rowTileMaxRows)
+}
+
+// stride is the row stride of a vector register's view: its width, or 0
+// for uniform registers (every tile row reads the same single row).
+func (p *RowProgram) stride(reg int) int {
+	if p.VecUniform[reg] {
+		return 0
+	}
+	return p.VecWidths[reg]
 }
 
 // MainSparseCapable reports whether the program can execute directly over
@@ -106,155 +157,285 @@ func (p *RowProgram) MainSparseCapable() bool {
 	return true
 }
 
-// RowBuf is the per-thread ring buffer of vector registers plus scalar
-// registers (paper: "memory for row intermediates is managed via a
-// preallocated ring buffer per thread").
+// RowBuf is the per-thread set of tile registers (paper: "memory for row
+// intermediates is managed via a preallocated ring buffer per thread").
+// Vec/Off are views: register 0 aliases the main tile, loads of dense sides
+// alias the side's rows, everything else points at storage the buffer owns.
 type RowBuf struct {
-	Vec     [][]float64
-	Off     []int // per-register view offset (register 0 aliases the main row)
-	Scal    []float64
-	scratch [][]float64 // lazily allocated densification buffers per register
+	Vec  [][]float64
+	Off  []int
+	Scal [][]float64 // one value per tile row; uniform registers use [0]
 
-	// Sparse main-row binding (genexecSparse): when SparseMain is set,
-	// register 0 is unavailable as a dense view and instructions consuming
-	// it dispatch to sparse kernels.
-	SparseMain bool
-	SparseVals []float64
-	SparseIdx  []int
+	ownVec  [][]float64 // owned tile storage, allocated on first write
+	ownScal [][]float64
+	primed  bool // uniform instructions have run for the current binding
+
+	// Sparse main binding (genexecSparse): when Sparse is set, register 0
+	// is unavailable as a dense view and instructions consuming it run the
+	// sparse kernels over the tile's CSR rows.
+	Sparse *matrix.CSR
 }
 
-// NewBuf allocates a ring buffer sized for the program.
-func (p *RowProgram) NewBuf() *RowBuf {
-	b := &RowBuf{
-		Vec:     make([][]float64, len(p.VecWidths)),
-		Off:     make([]int, len(p.VecWidths)),
-		Scal:    make([]float64, p.NumScalars),
-		scratch: make([][]float64, len(p.VecWidths)),
-	}
-	for i, w := range p.VecWidths {
-		if i == 0 {
-			continue // register 0 is a view over the main row
-		}
-		b.Vec[i] = make([]float64, w)
-	}
-	return b
-}
-
-// GetBuf returns a ring buffer from the per-program recycling pool,
-// allocating one when none is parked.
+// GetBuf returns tile registers from the per-program recycling pool,
+// allocating a set when none is parked.
 func (p *RowProgram) GetBuf() *RowBuf {
 	if b, ok := p.bufPool.Get().(*RowBuf); ok {
 		return b
 	}
-	return p.NewBuf()
+	nv := len(p.VecWidths)
+	return &RowBuf{
+		Vec:     make([][]float64, nv),
+		Off:     make([]int, nv),
+		Scal:    make([][]float64, p.NumScalars),
+		ownVec:  make([][]float64, nv),
+		ownScal: make([][]float64, p.NumScalars),
+	}
 }
 
-// PutBuf parks a ring buffer for reuse. Views into caller data are cleared
-// first so the pool does not pin input matrices: register 0 aliases the
-// main row and the sparse binding aliases the input CSR.
+// PutBuf parks tile registers for reuse. Views are cleared first so the
+// pool does not pin input matrices: register 0 and dense side loads alias
+// caller data, and the sparse binding aliases the input CSR.
 func (p *RowProgram) PutBuf(b *RowBuf) {
 	if b == nil {
 		return
 	}
-	b.Vec[0], b.Off[0] = nil, 0
-	b.SparseMain, b.SparseVals, b.SparseIdx = false, nil, nil
+	clear(b.Vec)
+	clear(b.Scal)
+	b.Sparse, b.primed = nil, false
 	p.bufPool.Put(b)
 }
 
-// ExecRow runs the program for one row. main is a dense view of the row at
-// offset mo (sparse rows are densified by the caller).
-func (p *RowProgram) ExecRow(ctx *Ctx, buf *RowBuf, main []float64, mo, rix int) {
-	buf.Vec[0], buf.Off[0] = main, mo
+// BindDense binds register 0 to a dense tile whose first row starts at
+// main[off]; rows are MainWidth apart.
+func (b *RowBuf) BindDense(main []float64, off int) {
+	b.Vec[0], b.Off[0], b.Sparse = main, off, nil
+}
+
+// BindSparse binds register 0 to rows of a CSR main input; ExecTile's r0
+// selects the tile's rows.
+func (b *RowBuf) BindSparse(main *matrix.CSR) {
+	b.Vec[0], b.Sparse = nil, main
+}
+
+// vec points register reg at owned storage for rows tile rows and returns
+// it. Storage is allocated once at full tile height.
+func (p *RowProgram) vec(b *RowBuf, reg int) []float64 {
+	if b.ownVec[reg] == nil {
+		rows := p.TileRows
+		if p.VecUniform[reg] {
+			rows = 1
+		}
+		b.ownVec[reg] = make([]float64, rows*p.VecWidths[reg])
+	}
+	b.Vec[reg], b.Off[reg] = b.ownVec[reg], 0
+	return b.ownVec[reg]
+}
+
+func (p *RowProgram) scal(b *RowBuf, reg int) []float64 {
+	if b.ownScal[reg] == nil {
+		rows := p.TileRows
+		if p.ScalUniform[reg] {
+			rows = 1
+		}
+		b.ownScal[reg] = make([]float64, rows)
+	}
+	b.Scal[reg] = b.ownScal[reg]
+	return b.ownScal[reg]
+}
+
+// Result returns the view of the result register after ExecTile: row t of
+// the tile is data[off+t*stride : +OutWidth]. Scalar results are width-1
+// rows; a uniform result has stride 0.
+func (p *RowProgram) Result(b *RowBuf) (data []float64, off, stride int) {
+	if p.ResultVec {
+		return b.Vec[p.ResultReg], b.Off[p.ResultReg], p.stride(p.ResultReg)
+	}
+	if p.ScalUniform[p.ResultReg] {
+		return b.Scal[p.ResultReg], 0, 0
+	}
+	return b.Scal[p.ResultReg], 0, 1
+}
+
+// ExecTile runs the program for the n <= TileRows rows starting at input
+// row r0. Register 0 must be bound (BindDense to the tile's first row, or
+// BindSparse); side inputs are addressed by r0. Element-wise instructions
+// make one flat pass over the n×width tile, reductions and products loop
+// over its rows inside the instruction.
+func (p *RowProgram) ExecTile(ctx *Ctx, b *RowBuf, r0, n int) {
+	first := !b.primed
+	b.primed = true
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
+		rows := n
+		if in.Uniform {
+			if !first {
+				continue
+			}
+			rows = 1
+		}
 		switch in.Op {
 		case RLoadSideRow:
-			r := rix
+			r := r0
 			if in.RowZero {
 				r = 0
 			}
 			sv := ctx.Sides[in.Side]
 			if d := sv.DenseData(); d != nil {
-				// Dense side: alias the row instead of copying.
-				buf.Vec[in.Dst], buf.Off[in.Dst] = d, r*sv.Cols()
-			} else {
-				if buf.scratch[in.Dst] == nil {
-					buf.scratch[in.Dst] = make([]float64, p.VecWidths[in.Dst])
-				}
-				sv.DensifyRow(r, buf.scratch[in.Dst])
-				buf.Vec[in.Dst], buf.Off[in.Dst] = buf.scratch[in.Dst], 0
+				// Dense side: alias the rows instead of copying.
+				b.Vec[in.Dst], b.Off[in.Dst] = d, r*sv.Cols()
+				continue
+			}
+			w := p.VecWidths[in.Dst]
+			d := p.vec(b, in.Dst)
+			for t := 0; t < rows; t++ {
+				sv.DensifyRow(r+t, d[t*w:(t+1)*w])
 			}
 		case RLoadSideVal:
-			r := rix
+			sv := ctx.Sides[in.Side]
 			if in.RowZero {
-				r = 0
+				p.scal(b, in.Dst)[0] = sv.Value(0, 0)
+				continue
 			}
-			buf.Scal[in.Dst] = ctx.Sides[in.Side].Value(r, 0)
+			if d := sv.DenseData(); d != nil && sv.Cols() == 1 {
+				b.Scal[in.Dst] = d[r0 : r0+rows]
+				continue
+			}
+			d := p.scal(b, in.Dst)
+			for t := 0; t < rows; t++ {
+				d[t] = sv.Value(r0+t, 0)
+			}
 		case RLit:
-			buf.Scal[in.Dst] = in.Scalar
+			p.scal(b, in.Dst)[0] = in.Scalar
 		case RBinVV:
-			execBinVV(in.BinOp, buf, in.Dst, in.Src1, in.Src2, p.VecWidths[in.Dst])
+			w := p.VecWidths[in.Dst]
+			a1, o1, s1 := b.Vec[in.Src1], b.Off[in.Src1], p.stride(in.Src1)
+			a2, o2, s2 := b.Vec[in.Src2], b.Off[in.Src2], p.stride(in.Src2)
+			d := p.vec(b, in.Dst)
+			if rows == 1 || (s1 == w && s2 == w) {
+				binVV(in.BinOp, a1, o1, a2, o2, d, rows*w)
+				continue
+			}
+			for t := 0; t < rows; t++ {
+				binVV(in.BinOp, a1, o1+t*s1, a2, o2+t*s2, d[t*w:], w)
+			}
 		case RBinVS:
-			execBinVS(in.BinOp, buf, in.Dst, in.Src1, buf.Scal[in.Src2], p.VecWidths[in.Dst])
+			w := p.VecWidths[in.Dst]
+			a, o, st := b.Vec[in.Src1], b.Off[in.Src1], p.stride(in.Src1)
+			sc := b.Scal[in.Src2]
+			d := p.vec(b, in.Dst)
+			if rows == 1 || (st == w && p.ScalUniform[in.Src2]) {
+				binVS(in.BinOp, a, o, sc[0], d, rows*w)
+				continue
+			}
+			binVSRows(in.BinOp, a, o, st, sc, sstride(p.ScalUniform[in.Src2]), d, rows, w)
 		case RBinSV:
-			execBinSV(in.BinOp, buf, in.Dst, buf.Scal[in.Src1], in.Src2, p.VecWidths[in.Dst])
+			w := p.VecWidths[in.Dst]
+			a, o, st := b.Vec[in.Src2], b.Off[in.Src2], p.stride(in.Src2)
+			sc := b.Scal[in.Src1]
+			d := p.vec(b, in.Dst)
+			if rows == 1 || (st == w && p.ScalUniform[in.Src1]) {
+				binSV(in.BinOp, sc[0], a, o, d, rows*w)
+				continue
+			}
+			binSVRows(in.BinOp, sc, sstride(p.ScalUniform[in.Src1]), a, o, st, d, rows, w)
 		case RBinSS:
-			buf.Scal[in.Dst] = in.BinOp.Apply(buf.Scal[in.Src1], buf.Scal[in.Src2])
+			// Scalar registers are width-1 tiles: the flat kernels apply.
+			x, y := b.Scal[in.Src1], b.Scal[in.Src2]
+			d := p.scal(b, in.Dst)
+			switch {
+			case rows == 1:
+				d[0] = in.BinOp.Apply(x[0], y[0])
+			case p.ScalUniform[in.Src1]:
+				binSV(in.BinOp, x[0], y, 0, d, rows)
+			case p.ScalUniform[in.Src2]:
+				binVS(in.BinOp, x, 0, y[0], d, rows)
+			default:
+				binVV(in.BinOp, x, 0, y, 0, d, rows)
+			}
 		case RUnV:
-			execUnV(in.UnOp, buf, in.Dst, in.Src1, p.VecWidths[in.Dst])
+			// A unary result is uniform exactly when its source is, so the
+			// source is always contiguous over the rows computed here.
+			w := p.VecWidths[in.Dst]
+			a, o := b.Vec[in.Src1], b.Off[in.Src1]
+			unV(in.UnOp, a, o, p.vec(b, in.Dst), rows*w)
 		case RUnS:
-			buf.Scal[in.Dst] = in.UnOp.Apply(buf.Scal[in.Src1])
+			unV(in.UnOp, b.Scal[in.Src1], 0, p.scal(b, in.Dst), rows)
 		case RAggV:
-			if in.Src1 == 0 && buf.SparseMain {
+			d := p.scal(b, in.Dst)
+			if in.Src1 == 0 && b.Sparse != nil {
 				// Sparse-safe sums over the non-zero values only.
-				if in.AggOp == matrix.AggSumSq {
-					buf.Scal[in.Dst] = vector.SumSq(buf.SparseVals, 0, len(buf.SparseVals))
-				} else {
-					buf.Scal[in.Dst] = vector.Sum(buf.SparseVals, 0, len(buf.SparseVals))
+				for t := 0; t < rows; t++ {
+					vals, _ := b.Sparse.Row(r0 + t)
+					if in.AggOp == matrix.AggSumSq {
+						d[t] = vector.SumSq(vals, 0, len(vals))
+					} else {
+						d[t] = vector.Sum(vals, 0, len(vals))
+					}
 				}
 				continue
 			}
-			buf.Scal[in.Dst] = execAggV(in.AggOp, buf, in.Src1, p.VecWidths[in.Src1])
+			aggRows(in.AggOp, b.Vec[in.Src1], b.Off[in.Src1], p.stride(in.Src1), d, rows, p.VecWidths[in.Src1])
 		case RMatMul:
-			side := ctx.Sides[in.Side]
-			sm := side.Matrix()
-			if in.Src1 == 0 && buf.SparseMain {
-				vector.MatMultSparse(buf.SparseVals, buf.SparseIdx, sm.Dense(), buf.Vec[in.Dst], 0, 0, sm.Cols)
-				buf.Off[in.Dst] = 0
-				continue
-			}
-			src, so := buf.Vec[in.Src1], buf.Off[in.Src1]
-			vector.MatMult(src, sm.Dense(), buf.Vec[in.Dst], so, 0, 0, sm.Rows, sm.Cols)
-			buf.Off[in.Dst] = 0
-		case RIdxV:
-			src, so := buf.Vec[in.Src1], buf.Off[in.Src1]
-			vector.CopyWrite(src, buf.Vec[in.Dst], so+in.CL, 0, in.CU-in.CL)
-			buf.Off[in.Dst] = 0
-		case RCumsumV:
-			src, so := buf.Vec[in.Src1], buf.Off[in.Src1]
-			vector.CumsumWrite(src, buf.Vec[in.Dst], so, 0, p.VecWidths[in.Dst])
-			buf.Off[in.Dst] = 0
-		case RDot:
-			if buf.SparseMain && (in.Src1 == 0 || in.Src2 == 0) {
-				other := in.Src2
-				if in.Src2 == 0 {
-					other = in.Src1
+			sm := ctx.Sides[in.Side].Matrix()
+			bd, k, m := sm.Dense(), sm.Rows, sm.Cols
+			d := p.vec(b, in.Dst)
+			if in.Src1 == 0 && b.Sparse != nil {
+				for t := 0; t < rows; t++ {
+					vals, cix := b.Sparse.Row(r0 + t)
+					vector.MatMultSparse(vals, cix, bd, d, 0, t*m, m)
 				}
-				b, bo := buf.Vec[other], buf.Off[other]
-				buf.Scal[in.Dst] = vector.DotProductSparse(buf.SparseVals, buf.SparseIdx, b[bo:], 0)
 				continue
 			}
-			a, ao := buf.Vec[in.Src1], buf.Off[in.Src1]
-			b, bo := buf.Vec[in.Src2], buf.Off[in.Src2]
-			buf.Scal[in.Dst] = vector.DotProduct(a, b, ao, bo, p.VecWidths[in.Src1])
+			clear(d[:rows*m])
+			vector.MatMultAdd(b.Vec[in.Src1], bd, d, b.Off[in.Src1], p.stride(in.Src1), 0, 0, rows, k, m)
+		case RIdxV:
+			w := p.VecWidths[in.Dst]
+			a, o, st := b.Vec[in.Src1], b.Off[in.Src1]+in.CL, p.stride(in.Src1)
+			d := p.vec(b, in.Dst)
+			for t := 0; t < rows; t++ {
+				copy(d[t*w:(t+1)*w], a[o+t*st:])
+			}
+		case RCumsumV:
+			w := p.VecWidths[in.Dst]
+			a, o, st := b.Vec[in.Src1], b.Off[in.Src1], p.stride(in.Src1)
+			d := p.vec(b, in.Dst)
+			for t := 0; t < rows; t++ {
+				vector.CumsumWrite(a, d, o+t*st, t*w, w)
+			}
+		case RDot:
+			d := p.scal(b, in.Dst)
+			if b.Sparse != nil && (in.Src1 == 0 || in.Src2 == 0) {
+				other := in.Src1 + in.Src2 // the non-main operand (0 for main·main)
+				for t := 0; t < rows; t++ {
+					vals, cix := b.Sparse.Row(r0 + t)
+					if other == 0 {
+						d[t] = vector.SumSq(vals, 0, len(vals))
+					} else {
+						d[t] = vector.DotProductSparse(vals, cix, b.Vec[other], b.Off[other]+t*p.stride(other))
+					}
+				}
+				continue
+			}
+			w := p.VecWidths[in.Src1]
+			a1, o1, s1 := b.Vec[in.Src1], b.Off[in.Src1], p.stride(in.Src1)
+			a2, o2, s2 := b.Vec[in.Src2], b.Off[in.Src2], p.stride(in.Src2)
+			for t := 0; t < rows; t++ {
+				d[t] = vector.DotProduct(a1, a2, o1+t*s1, o2+t*s2, w)
+			}
 		}
 	}
 }
 
-func execBinVV(op matrix.BinOp, b *RowBuf, dst, s1, s2, n int) {
-	d := b.Vec[dst]
-	a1, o1 := b.Vec[s1], b.Off[s1]
-	a2, o2 := b.Vec[s2], b.Off[s2]
+// sstride is the element stride of a scalar register read across tile rows.
+func sstride(uniform bool) int {
+	if uniform {
+		return 0
+	}
+	return 1
+}
+
+// binVV computes d[k] = a1[o1+k] op a2[o2+k] for k in [0,n).
+func binVV(op matrix.BinOp, a1 []float64, o1 int, a2 []float64, o2 int, d []float64, n int) {
 	switch op {
 	case matrix.BinMul:
 		vector.MultWrite(a1, a2, d, o1, o2, 0, n)
@@ -273,12 +454,10 @@ func execBinVV(op matrix.BinOp, b *RowBuf, dst, s1, s2, n int) {
 			d[k] = op.Apply(a1[o1+k], a2[o2+k])
 		}
 	}
-	b.Off[dst] = 0
 }
 
-func execBinVS(op matrix.BinOp, b *RowBuf, dst, s1 int, s float64, n int) {
-	d := b.Vec[dst]
-	a, o := b.Vec[s1], b.Off[s1]
+// binVS computes d[k] = a[o+k] op s for k in [0,n).
+func binVS(op matrix.BinOp, a []float64, o int, s float64, d []float64, n int) {
 	switch op {
 	case matrix.BinMul:
 		vector.MultScalarWrite(a, s, d, o, 0, n)
@@ -299,12 +478,10 @@ func execBinVS(op matrix.BinOp, b *RowBuf, dst, s1 int, s float64, n int) {
 			d[k] = op.Apply(a[o+k], s)
 		}
 	}
-	b.Off[dst] = 0
 }
 
-func execBinSV(op matrix.BinOp, b *RowBuf, dst int, s float64, s2, n int) {
-	d := b.Vec[dst]
-	a, o := b.Vec[s2], b.Off[s2]
+// binSV computes d[k] = s op a[o+k] for k in [0,n).
+func binSV(op matrix.BinOp, s float64, a []float64, o int, d []float64, n int) {
 	switch op {
 	case matrix.BinMul:
 		vector.MultScalarWrite(a, s, d, o, 0, n)
@@ -319,12 +496,65 @@ func execBinSV(op matrix.BinOp, b *RowBuf, dst int, s float64, s2, n int) {
 			d[k] = op.Apply(s, a[o+k])
 		}
 	}
-	b.Off[dst] = 0
 }
 
-func execUnV(op matrix.UnOp, b *RowBuf, dst, s1, n int) {
-	d := b.Vec[dst]
-	a, o := b.Vec[s1], b.Off[s1]
+// binVSRows is binVS with one scalar per tile row: row t of the n×w tile at
+// a[o] (row stride st) combines with sc[t*ss]. The four arithmetic
+// operators keep their (inlined) kernels inside the row loop, which is what
+// matters when w is 1 or 2.
+func binVSRows(op matrix.BinOp, a []float64, o, st int, sc []float64, ss int, d []float64, n, w int) {
+	switch op {
+	case matrix.BinMul:
+		for t := 0; t < n; t++ {
+			vector.MultScalarWrite(a, sc[t*ss], d, o+t*st, t*w, w)
+		}
+	case matrix.BinAdd:
+		for t := 0; t < n; t++ {
+			vector.AddScalarWrite(a, sc[t*ss], d, o+t*st, t*w, w)
+		}
+	case matrix.BinSub:
+		for t := 0; t < n; t++ {
+			vector.MinusScalarWrite(a, sc[t*ss], d, o+t*st, t*w, w)
+		}
+	case matrix.BinDiv:
+		for t := 0; t < n; t++ {
+			vector.DivScalarWrite(a, sc[t*ss], d, o+t*st, t*w, w)
+		}
+	default:
+		for t := 0; t < n; t++ {
+			binVS(op, a, o+t*st, sc[t*ss], d[t*w:], w)
+		}
+	}
+}
+
+// binSVRows is binSV with one scalar per tile row.
+func binSVRows(op matrix.BinOp, sc []float64, ss int, a []float64, o, st int, d []float64, n, w int) {
+	switch op {
+	case matrix.BinMul:
+		for t := 0; t < n; t++ {
+			vector.MultScalarWrite(a, sc[t*ss], d, o+t*st, t*w, w)
+		}
+	case matrix.BinAdd:
+		for t := 0; t < n; t++ {
+			vector.AddScalarWrite(a, sc[t*ss], d, o+t*st, t*w, w)
+		}
+	case matrix.BinSub:
+		for t := 0; t < n; t++ {
+			vector.ScalarMinusWrite(sc[t*ss], a, d, o+t*st, t*w, w)
+		}
+	case matrix.BinDiv:
+		for t := 0; t < n; t++ {
+			vector.ScalarDivWrite(sc[t*ss], a, d, o+t*st, t*w, w)
+		}
+	default:
+		for t := 0; t < n; t++ {
+			binSV(op, sc[t*ss], a, o+t*st, d[t*w:], w)
+		}
+	}
+}
+
+// unV computes d[k] = op(a[o+k]) for k in [0,n).
+func unV(op matrix.UnOp, a []float64, o int, d []float64, n int) {
 	switch op {
 	case matrix.UnExp:
 		vector.ExpWrite(a, d, o, 0, n)
@@ -345,24 +575,35 @@ func execUnV(op matrix.UnOp, b *RowBuf, dst, s1, n int) {
 			d[k] = op.Apply(a[o+k])
 		}
 	}
-	b.Off[dst] = 0
 }
 
-func execAggV(op matrix.AggOp, b *RowBuf, src, n int) float64 {
-	a, o := b.Vec[src], b.Off[src]
+// aggRows reduces each row of the n×w tile at a[o] (row stride st) to
+// d[t].
+func aggRows(op matrix.AggOp, a []float64, o, st int, d []float64, n, w int) {
 	switch op {
 	case matrix.AggSum:
-		return vector.Sum(a, o, n)
+		for t := 0; t < n; t++ {
+			d[t] = vector.Sum(a, o+t*st, w)
+		}
 	case matrix.AggSumSq:
-		return vector.SumSq(a, o, n)
+		for t := 0; t < n; t++ {
+			d[t] = vector.SumSq(a, o+t*st, w)
+		}
 	case matrix.AggMin:
-		return vector.Min(a, o, n)
+		for t := 0; t < n; t++ {
+			d[t] = vector.Min(a, o+t*st, w)
+		}
 	case matrix.AggMax:
-		return vector.Max(a, o, n)
+		for t := 0; t < n; t++ {
+			d[t] = vector.Max(a, o+t*st, w)
+		}
 	case matrix.AggMean:
-		return vector.Sum(a, o, n) / float64(n)
+		for t := 0; t < n; t++ {
+			d[t] = vector.Sum(a, o+t*st, w) / float64(w)
+		}
+	default:
+		panic("cplan: unsupported row aggregation")
 	}
-	panic("cplan: unsupported row aggregation")
 }
 
 // compileRow lowers the Row-template CNode DAG into a vector program with
@@ -370,21 +611,22 @@ func execAggV(op matrix.AggOp, b *RowBuf, src, n int) float64 {
 func compileRow(p *Plan) *RowProgram {
 	c := &rowCompiler{
 		prog: &RowProgram{
-			MainWidth: p.MainWidth,
-			RowT:      p.Row,
-			VecWidths: []int{p.MainWidth}, // register 0: main row view
+			MainWidth:  p.MainWidth,
+			RowT:       p.Row,
+			VecWidths:  []int{p.MainWidth}, // register 0: main row view
+			VecUniform: []bool{false},
 		},
 		memo: map[*CNode]regRef{},
 	}
 	res := c.compile(p.Root)
 	c.prog.ResultReg = res.idx
 	c.prog.ResultVec = res.vec
-	c.prog.LeftReg = 0
 	if res.vec {
 		c.prog.OutWidth = c.prog.VecWidths[res.idx]
 	} else {
 		c.prog.OutWidth = 1
 	}
+	c.prog.TileRows = c.prog.tileRows()
 	return c.prog
 }
 
@@ -400,15 +642,51 @@ type rowCompiler struct {
 
 func (c *rowCompiler) newVec(width int) int {
 	c.prog.VecWidths = append(c.prog.VecWidths, width)
+	c.prog.VecUniform = append(c.prog.VecUniform, false)
 	return len(c.prog.VecWidths) - 1
 }
 
 func (c *rowCompiler) newScal() int {
 	c.prog.NumScalars++
+	c.prog.ScalUniform = append(c.prog.ScalUniform, false)
 	return c.prog.NumScalars - 1
 }
 
+// emit appends the instruction and records whether its destination is
+// uniform: loads of row-independent data, and operations all of whose
+// register operands are uniform.
 func (c *rowCompiler) emit(in RowInstr) {
+	vu, su := c.prog.VecUniform, c.prog.ScalUniform
+	dstVec := true
+	switch in.Op {
+	case RLit:
+		in.Uniform, dstVec = true, false
+	case RLoadSideRow:
+		in.Uniform = in.RowZero
+	case RLoadSideVal:
+		in.Uniform, dstVec = in.RowZero, false
+	case RBinVV:
+		in.Uniform = vu[in.Src1] && vu[in.Src2]
+	case RBinVS:
+		in.Uniform = vu[in.Src1] && su[in.Src2]
+	case RBinSV:
+		in.Uniform = su[in.Src1] && vu[in.Src2]
+	case RBinSS:
+		in.Uniform, dstVec = su[in.Src1] && su[in.Src2], false
+	case RUnS:
+		in.Uniform, dstVec = su[in.Src1], false
+	case RAggV:
+		in.Uniform, dstVec = vu[in.Src1], false
+	case RDot:
+		in.Uniform, dstVec = vu[in.Src1] && vu[in.Src2], false
+	default: // RUnV, RMatMul, RIdxV, RCumsumV
+		in.Uniform = vu[in.Src1]
+	}
+	if dstVec {
+		vu[in.Dst] = in.Uniform
+	} else {
+		su[in.Dst] = in.Uniform
+	}
 	c.prog.Instrs = append(c.prog.Instrs, in)
 }
 

@@ -225,7 +225,7 @@ func CompileInterpreted(p *Plan, className string) *Operator {
 	// Interpreted operators model pre-JIT execution: drop the vectorized and
 	// specialized-chunk forms so every value goes through tree dispatch.
 	op.VecProg, op.MAggVecs = nil, make([]*CellVecProgram, len(p.Roots))
-	op.Chunk, op.MAggChunks, op.RowChunk = nil, make([]*ChunkProgram, len(p.Roots)), nil
+	op.Chunk, op.MAggChunks = nil, make([]*ChunkProgram, len(p.Roots))
 	op.HFused = nil
 	return op
 }

@@ -13,19 +13,15 @@ import (
 // (dense vs. CSR input kernels) follows the inputs; only the sparse×sparse
 // product chooses its own output format, via spspOutputSparseThreshold.
 const (
-	// mmNarrowCols: below this output width, inline scalar accumulation
-	// beats per-row vector-primitive calls (call overhead dominates).
-	mmNarrowCols = 8
-
 	// mmRowGrain is the minimum number of output rows per parallel chunk
 	// for the dense and sparse-input kernels.
 	mmRowGrain = 8
 
-	// mmKTile and mmNTile are the cache-blocking tile sizes of the dense
-	// kernel: the inner loops touch a kTile×nTile panel of B (128×1024
-	// doubles = 1 MB, sized for L2) while streaming rows of A and C.
-	mmKTile = 128
-	mmNTile = 1024
+	// mmSplitMaxRows and mmSplitMinK select the dense product's k-split:
+	// with at most this many output rows and at least this long a common
+	// dimension, workers take ranges of k instead of ranges of rows.
+	mmSplitMaxRows = 32
+	mmSplitMinK    = 8192
 
 	// spspOutputSparseThreshold: a sparse×sparse product whose estimated
 	// output sparsity is below this builds a CSR result directly (avoiding
@@ -43,8 +39,9 @@ const (
 func MatMult(a, b *Matrix) *Matrix { return Ctx{}.MatMult(a, b) }
 
 // MatMult computes C = A %*% B, dispatching on representations. Dense×dense
-// runs a cache-blocked (k- and n-tiled) rank-4 ikj loop parallelized over
-// row blocks; sparse left inputs iterate nonzeros per row. The output is
+// runs the blocked vector.MatMultAdd kernel parallelized over row blocks (or
+// over the common dimension for few long rows); sparse left inputs iterate
+// nonzeros per row. The output is
 // dense except for very sparse sparse×sparse products, which build CSR
 // directly (see spspOutputSparseThreshold).
 func (ctx Ctx) MatMult(a, b *Matrix) *Matrix {
@@ -78,57 +75,32 @@ func (ctx Ctx) matMultDenseDense(a, b, c *Matrix) {
 		})
 		return
 	}
-	if n < mmNarrowCols {
-		// Narrow outputs: inline accumulation beats per-row primitive calls.
-		ctx.Par.For(m, mmRowGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ci := i * n
-				ai := i * k
-				for kk := 0; kk < k; kk++ {
-					av := ad[ai+kk]
-					if av == 0 {
-						continue
-					}
-					bo := kk * n
-					for j := 0; j < n; j++ {
-						cd[ci+j] += av * bd[bo+j]
-					}
+	if m <= mmSplitMaxRows && k >= mmSplitMinK {
+		// Few long rows (t(X) %*% W with X tall and narrow): the rows alone
+		// cannot occupy the workers, so split the common dimension and sum
+		// per-worker partial products.
+		nw, _ := ctx.Par.Chunks(k, mmSplitMinK/2)
+		partials := make([][]float64, nw)
+		ctx.Par.ForIndexed(k, mmSplitMinK/2, func(w, lo, hi int) {
+			part := cd
+			if w > 0 {
+				if partials[w] == nil {
+					partials[w] = ctx.Buf.Get(m * n)
 				}
+				part = partials[w]
 			}
+			vector.MatMultAdd(ad, bd, part, lo, k, lo*n, 0, m, hi-lo, n)
 		})
-		return
-	}
-	// Cache-blocked ikj: tile over k (mmKTile) and n (mmNTile) so the inner
-	// loops reuse an L2-resident panel of B across the rows of the chunk,
-	// and unroll k by 4 (MultAdd4) so each C element is loaded and stored
-	// once per four multiplies.
-	ctx.Par.For(m, mmRowGrain, func(lo, hi int) {
-		for jj := 0; jj < n; jj += mmNTile {
-			jn := n - jj
-			if jn > mmNTile {
-				jn = mmNTile
-			}
-			for kk := 0; kk < k; kk += mmKTile {
-				kmax := kk + mmKTile
-				if kmax > k {
-					kmax = k
-				}
-				for i := lo; i < hi; i++ {
-					ai := i * k
-					ci := i*n + jj
-					k4 := kk
-					for ; k4+4 <= kmax; k4 += 4 {
-						vector.MultAdd4(bd,
-							ad[ai+k4], ad[ai+k4+1], ad[ai+k4+2], ad[ai+k4+3],
-							cd, k4*n+jj, (k4+1)*n+jj, (k4+2)*n+jj, (k4+3)*n+jj,
-							ci, jn)
-					}
-					for ; k4 < kmax; k4++ {
-						vector.MultAdd(bd, ad[ai+k4], cd, k4*n+jj, ci, jn)
-					}
-				}
+		for _, part := range partials {
+			if part != nil {
+				vector.Add(part, cd, 0, 0, m*n)
+				ctx.Buf.Put(part)
 			}
 		}
+		return
+	}
+	ctx.Par.For(m, mmRowGrain, func(lo, hi int) {
+		vector.MatMultAdd(ad, bd, cd, lo*k, k, 0, lo*n, hi-lo, k, n)
 	})
 }
 

@@ -67,7 +67,13 @@ func TestMatMultMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, workers := range []int{1, 2, 8} {
 		old := par.SetMaxWorkers(workers)
-		for _, c := range randCases(rng, 12) {
+		// Plus the Table-4 shapes of the narrow kernel: tall narrow X times a
+		// few columns, and t(X) times a few columns (the k-split).
+		cases := append(randCases(rng, 12),
+			propCase{m: 20000, k: 10, n: 2, spA: 1, spB: 1},
+			propCase{m: 10, k: 20000, n: 2, spA: 1, spB: 1},
+			propCase{m: 10, k: 20000, n: 7, spA: 1, spB: 1})
+		for _, c := range cases {
 			a := Rand(c.m, c.k, c.spA, -1, 1, rng.Int63())
 			b := Rand(c.k, c.n, c.spB, -1, 1, rng.Int63())
 			want := naiveMatMult(a, b)

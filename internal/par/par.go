@@ -171,22 +171,24 @@ func (p *Pool) ensureWorkers(n int) {
 }
 
 // region is one parallel-for invocation: participants claim chunk indexes
-// from next until all nchunks are taken.
+// from next until all nchunks are taken. The region is complete when all
+// nchunks have been executed, not when every enqueued helper has shown up.
 type region struct {
 	fn      func(worker, lo, hi int)
 	n       int
 	chunk   int
 	nchunks int64
 	next    atomic.Int64
-	ids     atomic.Int64 // participant id allocator (caller is 0)
-	wg      sync.WaitGroup
+	ids     atomic.Int64  // participant id allocator (caller is 0)
+	ran     atomic.Int64  // chunks whose fn has returned
+	done    chan struct{} // closed by whoever finishes the last chunk
 }
 
 // help is run by a pool worker: claim a participant id and drain chunks.
-// Exactly (participants-1) help entries are enqueued per region, so ids
-// stay within [1, participants).
+// At most (participants-1) help entries are enqueued per region, so ids
+// stay within [1, participants). A helper that dequeues the region after
+// its chunks are exhausted returns at once; nobody waits for it.
 func (r *region) help() {
-	defer r.wg.Done()
 	r.run(int(r.ids.Add(1)))
 }
 
@@ -202,6 +204,9 @@ func (r *region) run(worker int) {
 			hi = r.n
 		}
 		r.fn(worker, lo, hi)
+		if r.ran.Add(1) == r.nchunks {
+			close(r.done)
+		}
 	}
 }
 
@@ -241,25 +246,27 @@ func planFor(n, grain, limit int) (workers, chunk, nchunks int) {
 }
 
 // dispatch runs fn over the chunks of [0, n) on the worker pool, with the
-// caller participating as worker 0. Enqueueing never blocks: when the pool
-// is saturated (e.g. nested regions), the caller simply drains the chunks
-// itself, so dispatch is deadlock-free under arbitrary nesting.
+// caller participating as worker 0. Enqueueing never blocks, and the caller
+// waits for chunks, not for helpers: it drains every chunk nobody else has
+// claimed and then waits only for chunks a helper is executing right now.
+// A help entry still queued when the chunks run out (every worker busy in
+// an outer region, say) is dropped by whoever dequeues it later. A claimed
+// chunk always has a goroutine running it, so nested regions cannot wait on
+// each other in a cycle.
 func (p *Pool) dispatch(n int, workers, chunk, nchunks int, fn func(worker, lo, hi int)) {
 	p.ensureWorkers(workers - 1)
-	r := &region{fn: fn, n: n, chunk: chunk, nchunks: int64(nchunks)}
+	r := &region{fn: fn, n: n, chunk: chunk, nchunks: int64(nchunks), done: make(chan struct{})}
 	engaged := 1 // the caller
 	for i := 1; i < workers; i++ {
-		r.wg.Add(1)
 		select {
 		case p.tasks <- r:
 			engaged++
-		default:
-			r.wg.Done() // pool saturated: caller covers the work
+		default: // queue full: the caller covers the work
 		}
 	}
 	p.statGoroutines.Add(int64(engaged))
 	r.run(0)
-	r.wg.Wait()
+	<-r.done
 }
 
 // For executes fn over half-open ranges that partition [0, n) into chunks

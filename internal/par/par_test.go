@@ -1,9 +1,11 @@
 package par
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForCoversRangeExactlyOnce(t *testing.T) {
@@ -170,6 +172,46 @@ func TestNestedFor(t *testing.T) {
 	})
 	if total != 64*1000 {
 		t.Fatalf("covered %d of %d", total, 64*1000)
+	}
+}
+
+// TestNestedDepth3 nests three regions with more outer participants than
+// pool workers (the dist backend's executors over matmult over a kernel's
+// own loop), at several GOMAXPROCS. Every worker is then inside an outer
+// chunk while inner help entries sit in the queue: the join must not wait
+// for those entries to be dequeued.
+func TestNestedDepth3(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		p := NewPool(procs)
+		const outer, mid, inner = 12, 64, 512
+		var total atomic.Int64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for rep := 0; rep < 20; rep++ {
+				p.ForIndexedLimit(outer, 1, 6, func(_, lo, hi int) {
+					for i := lo; i < hi; i++ {
+						p.For(mid, 8, func(mlo, mhi int) {
+							for j := mlo; j < mhi; j++ {
+								p.For(inner, 16, func(ilo, ihi int) {
+									total.Add(int64(ihi - ilo))
+								})
+							}
+						})
+					}
+				})
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("GOMAXPROCS=%d: nested regions did not finish (covered %d)", procs, total.Load())
+		}
+		if want := int64(20 * outer * mid * inner); total.Load() != want {
+			t.Fatalf("GOMAXPROCS=%d: covered %d of %d", procs, total.Load(), want)
+		}
 	}
 }
 

@@ -557,8 +557,6 @@ func ChunkDispatched(op *cplan.Operator, ins []*matrix.Matrix) bool {
 			}
 		}
 		return false
-	case cplan.TemplateRow:
-		return rowChunkApplicable(op, main, sides)
 	}
 	return false
 }

@@ -4,6 +4,7 @@ import (
 	"sysml/internal/compress"
 	"sysml/internal/cplan"
 	"sysml/internal/matrix"
+	"sysml/internal/vector"
 )
 
 // Compressed fused skeleton: when the main input carries an attached
@@ -179,73 +180,39 @@ func execCompressedMAgg(ec matrix.Ctx, op *cplan.Operator, cm *compress.CMatrix,
 }
 
 // execCompressedRow runs the row program once per distinct dictionary tuple
-// (each tuple is a complete main row under rowGroupUsable) and combines the
-// per-tuple results: count-weighted accumulation for the aggregating
-// variants, a code-indexed scatter for the per-row outputs.
+// (each tuple is a complete main row under rowGroupUsable): the dictionary
+// is the tile executor's main input, which yields one result row per
+// tuple. The aggregating variants then take the count-weighted sum of that
+// table, the per-row variants scatter it by row code.
 func execCompressedRow(ec matrix.Ctx, op *cplan.Operator, cm *compress.CMatrix, stop StopFn) *matrix.Matrix {
 	prog := op.RowProg
 	g := cm.Groups[0]
-	proto := cplan.NewCtx(nil)
 	w := prog.OutWidth
 	nd := g.NumDistinct()
 
+	// Dictionary tuples in code order (the order ForEachDistinct visits
+	// them, matching compress.Codes) and their occurrence counts.
+	dict := make([]float64, nd*cm.Cols)
+	counts := make([]float64, 0, nd)
+	g.ForEachDistinct(func(tuple []float64, count int) {
+		copy(dict[len(counts)*cm.Cols:], tuple)
+		counts = append(counts, float64(count))
+	})
+	table := make([]float64, nd*w)
+	rowResults(ec, prog, cplan.NewCtx(nil), matrix.NewDenseData(nd, cm.Cols, dict), stop, table)
+
 	switch prog.RowT {
-	case cplan.RowFullAgg:
-		var acc float64
-		buf := prog.GetBuf()
-		defer prog.PutBuf(buf)
-		i := 0
-		g.ForEachDistinct(func(tuple []float64, count int) {
-			if pollStop(stop, i) {
-				return
-			}
-			i++
-			buf.SparseMain = false
-			prog.ExecRow(proto, buf, tuple, 0, 0)
-			acc += float64(count) * buf.Scal[prog.ResultReg]
-		})
-		return matrix.NewScalar(acc)
-
-	case cplan.RowColAgg:
+	case cplan.RowFullAgg, cplan.RowColAgg:
 		out := ec.NewDense(1, w)
-		od := out.Dense()
-		buf := prog.GetBuf()
-		defer prog.PutBuf(buf)
-		i := 0
-		g.ForEachDistinct(func(tuple []float64, count int) {
-			if pollStop(stop, i) {
-				return
-			}
-			i++
-			buf.SparseMain = false
-			prog.ExecRow(proto, buf, tuple, 0, 0)
-			src, so := buf.Vec[prog.ResultReg], buf.Off[prog.ResultReg]
-			cf := float64(count)
-			for j := 0; j < w; j++ {
-				od[j] += cf * src[so+j]
-			}
-		})
-		return out
-
-	case cplan.RowRowAgg:
-		table := make([]float64, nd)
-		runRowProgPerDistinct(prog, proto, g, stop, func(code int, buf *cplan.RowBuf) {
-			table[code] = buf.Scal[prog.ResultReg]
-		})
-		out := ec.NewDenseUninit(cm.Rows, 1)
-		od := out.Dense()
-		codes := compress.Codes(g)
-		for r, c := range codes {
-			od[r] = table[c]
+		for code, cf := range counts {
+			vector.MultAdd(table, cf, out.Dense(), code*w, 0, w)
+		}
+		if prog.RowT == cplan.RowFullAgg {
+			return matrix.NewScalar(vector.Sum(out.Dense(), 0, w))
 		}
 		return out
 
-	default: // RowNoAgg
-		table := make([]float64, nd*w)
-		runRowProgPerDistinct(prog, proto, g, stop, func(code int, buf *cplan.RowBuf) {
-			src, so := buf.Vec[prog.ResultReg], buf.Off[prog.ResultReg]
-			copy(table[code*w:(code+1)*w], src[so:so+w])
-		})
+	default: // RowRowAgg, RowNoAgg
 		out := ec.NewDenseUninit(cm.Rows, w)
 		od := out.Dense()
 		codes := compress.Codes(g)
@@ -256,25 +223,6 @@ func execCompressedRow(ec matrix.Ctx, op *cplan.Operator, cm *compress.CMatrix, 
 		})
 		return out
 	}
-}
-
-// runRowProgPerDistinct evaluates the row program on every dictionary tuple
-// and hands the per-tuple buffer to sink with the tuple's code (the index
-// ForEachDistinct visits it at, matching compress.Codes).
-func runRowProgPerDistinct(prog *cplan.RowProgram, proto *cplan.Ctx, g compress.ColGroup,
-	stop StopFn, sink func(code int, buf *cplan.RowBuf)) {
-	buf := prog.GetBuf()
-	defer prog.PutBuf(buf)
-	code := 0
-	g.ForEachDistinct(func(tuple []float64, count int) {
-		if pollStop(stop, code) {
-			return
-		}
-		buf.SparseMain = false
-		prog.ExecRow(proto, buf, tuple, 0, 0)
-		sink(code, buf)
-		code++
-	})
 }
 
 // compressedAgg serves basic (non-fused) full and column aggregates over an

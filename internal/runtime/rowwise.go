@@ -7,10 +7,11 @@ import (
 )
 
 // ExecRowwise runs a compiled Row-template operator: one pass over the
-// rows of the main input with per-thread ring buffers for row
-// intermediates (paper Fig. 3c). Sparse main rows are densified into a
-// scratch vector; side matrices consumed by inner matrix products are
-// densified once up front.
+// rows of the main input, a tile of rows at a time, with per-thread tile
+// registers for row intermediates (paper Fig. 3c). Sparse main inputs bind
+// their CSR rows directly when the program supports it and are densified
+// one tile at a time otherwise; side matrices consumed by inner matrix
+// products are densified once up front.
 func ExecRowwise(op *cplan.Operator, main *matrix.Matrix, sides []*matrix.Matrix) *matrix.Matrix {
 	return execRowwise(matrix.Ctx{}, op, main, sides, nil)
 }
@@ -28,10 +29,11 @@ func workRowwise(op *cplan.Operator, main *matrix.Matrix) float64 {
 	return elems * float64(len(prog.Instrs))
 }
 
+// rowGrain is the minimum number of rows per parallel chunk of a Row
+// operator.
+const rowGrain = 16
+
 func execRowwise(ec matrix.Ctx, op *cplan.Operator, main *matrix.Matrix, sides []*matrix.Matrix, stop StopFn) *matrix.Matrix {
-	if out, ok := execRowChunk(ec, op, main, sides, stop); ok {
-		return out
-	}
 	prog := op.RowProg
 	sides = densifyMatMulSides(prog, sides)
 	proto := cplan.NewCtx(sides)
@@ -39,255 +41,151 @@ func execRowwise(ec matrix.Ctx, op *cplan.Operator, main *matrix.Matrix, sides [
 	w := prog.OutWidth
 
 	switch prog.RowT {
-	case cplan.RowNoAgg:
-		out := ec.NewDense(rows, w)
-		od := out.Dense()
-		forEachRow(ec, main, prog, proto, stop, func(buf *cplan.RowBuf, i int) {
-			src, so := buf.Vec[prog.ResultReg], buf.Off[prog.ResultReg]
-			vector.CopyWrite(src, od, so, i*w, w)
-		})
-		return out
-
-	case cplan.RowRowAgg:
-		out := ec.NewDense(rows, 1)
-		od := out.Dense()
-		forEachRow(ec, main, prog, proto, stop, func(buf *cplan.RowBuf, i int) {
-			od[i] = buf.Scal[prog.ResultReg]
-		})
+	case cplan.RowNoAgg, cplan.RowRowAgg:
+		out := ec.NewDenseUninit(rows, w)
+		rowResults(ec, prog, proto, main, stop, out.Dense())
 		return out
 
 	case cplan.RowColAgg:
-		nw, _ := ec.Par.Chunks(rows, 16)
-		partials := make([][]float64, nw)
-		forEachRowIndexed(ec, main, prog, proto, stop, func(wk int) any {
-			if partials[wk] == nil {
-				partials[wk] = make([]float64, w)
+		// Tile column sums into a per-worker 1×w partial.
+		return rowPartials(ec, prog, proto, main, stop, 1, w, func(part []float64, t *rowTile) {
+			res, ro, rs := prog.Result(t.buf)
+			for k := 0; k < t.n; k++ {
+				vector.Add(res, part, ro+k*rs, 0, w)
 			}
-			return partials[wk]
-		}, func(state any, buf *cplan.RowBuf, i int) {
-			part := state.([]float64)
-			src, so := buf.Vec[prog.ResultReg], buf.Off[prog.ResultReg]
-			vector.Add(src, part, so, 0, w)
 		})
-		out := ec.NewDense(1, w)
-		od := out.Dense()
-		for _, part := range partials {
-			if part != nil {
-				vector.Add(part, od, 0, 0, w)
-			}
-		}
-		return out
 
 	case cplan.RowFullAgg:
-		nw, _ := ec.Par.Chunks(rows, 16)
-		partials := make([]float64, nw)
-		forEachRowIndexed(ec, main, prog, proto, stop, func(wk int) any {
-			return wk
-		}, func(state any, buf *cplan.RowBuf, i int) {
-			partials[state.(int)] += buf.Scal[prog.ResultReg]
+		out := rowPartials(ec, prog, proto, main, stop, 1, 1, func(part []float64, t *rowTile) {
+			res, ro, rs := prog.Result(t.buf)
+			if rs == w {
+				part[0] += vector.Sum(res, ro, t.n*w)
+				return
+			}
+			for k := 0; k < t.n; k++ {
+				part[0] += vector.Sum(res, ro+k*rs, w)
+			}
 		})
-		var acc float64
-		for _, v := range partials {
-			acc += v
-		}
-		return matrix.NewScalar(acc)
+		return matrix.NewScalar(out.Dense()[0])
 
-	default: // RowColAggT: C (mainWidth × w) += left_i ⊗ result_i
+	default: // RowColAggT: C (mainWidth × w) += t(main_tile) %*% result_tile
 		mw := prog.MainWidth
-		nw, _ := ec.Par.Chunks(rows, 16)
-		partials := make([][]float64, nw)
-		forEachRowIndexed(ec, main, prog, proto, stop, func(wk int) any {
-			if partials[wk] == nil {
-				partials[wk] = make([]float64, mw*w)
-			}
-			return partials[wk]
-		}, func(state any, buf *cplan.RowBuf, i int) {
-			part := state.([]float64)
-			if buf.SparseMain && prog.LeftReg == 0 {
+		return rowPartials(ec, prog, proto, main, stop, mw, w, func(part []float64, t *rowTile) {
+			res, ro, rs := prog.Result(t.buf)
+			if sp := t.buf.Sparse; sp != nil {
 				// genexecSparse: accumulate over the non-zeros of X_i only.
-				if !prog.ResultVec {
-					q := buf.Scal[prog.ResultReg]
-					for k, j := range buf.SparseIdx {
-						part[j] += q * buf.SparseVals[k]
-					}
-					return
+				for k := 0; k < t.n; k++ {
+					vals, cix := sp.Row(t.r0 + k)
+					vector.OuterMultAddSparse(vals, cix, res, part, ro+k*rs, 0, w)
 				}
-				bvec, bo := buf.Vec[prog.ResultReg], buf.Off[prog.ResultReg]
-				vector.OuterMultAddSparse(buf.SparseVals, buf.SparseIdx, bvec, part, bo, 0, w)
 				return
 			}
-			a, ao := buf.Vec[prog.LeftReg], buf.Off[prog.LeftReg]
-			if !prog.ResultVec {
-				// Scalar result q_i: C (mw×1) += q_i * left_i.
-				vector.MultAdd(a, buf.Scal[prog.ResultReg], part, ao, 0, mw)
-				return
-			}
-			bvec, bo := buf.Vec[prog.ResultReg], buf.Off[prog.ResultReg]
-			vector.OuterMultAdd(a, bvec, part, ao, bo, 0, mw, w)
+			vector.TMatMultAdd(t.buf.Vec[0], res, part, t.buf.Off[0], mw, ro, rs, 0, t.n, mw, w)
 		})
-		out := ec.NewDense(mw, w)
-		od := out.Dense()
-		for _, part := range partials {
-			if part != nil {
-				vector.Add(part, od, 0, 0, mw*w)
-			}
-		}
-		return out
 	}
 }
 
-// rowChunkApplicable reports whether the operator's specialized whole-row
-// body (fingerprint classes row.dot / row.rank1) can serve this
-// invocation: the single side input must be dense and row-aligned with
-// the main input, with the widths the class assumes.
-func rowChunkApplicable(op *cplan.Operator, main *matrix.Matrix, sides []*matrix.Matrix) bool {
-	rc := op.RowChunk
-	if rc == nil || rc.Side >= len(sides) {
-		return false
-	}
-	s := sides[rc.Side]
-	if s.IsSparse() || s.Rows != main.Rows {
-		return false
-	}
-	if rc.Kind == cplan.RowChunkDot {
-		return s.Cols == main.Cols
-	}
-	return op.RowProg.OutWidth == s.Cols && op.RowProg.MainWidth == main.Cols
+// rowTile is one executed tile handed to a sink: rows [r0, r0+n) of the
+// main input, with the program's registers (result included) in buf.
+type rowTile struct {
+	buf   *cplan.RowBuf
+	r0, n int
 }
 
-// execRowChunk runs the specialized whole-row bodies: the fused per-row
-// dot product (out_i = X_i · S_i) and the rank-1 accumulation of
-// t(X) %*% S (C += X_i ⊗ S_i), both straight over the vector kernels with
-// no register-machine dispatch. Returns ok=false to fall back to the
-// interpreted row program.
-func execRowChunk(ec matrix.Ctx, op *cplan.Operator, main *matrix.Matrix, sides []*matrix.Matrix, stop StopFn) (*matrix.Matrix, bool) {
-	if !rowChunkApplicable(op, main, sides) {
-		return nil, false
-	}
-	rc := op.RowChunk
-	rows, mc := main.Rows, main.Cols
-	sd := sides[rc.Side].Dense()
-	if rc.Kind == cplan.RowChunkDot {
-		out := ec.NewDense(rows, 1)
-		od := out.Dense()
-		if main.IsSparse() {
-			ms := main.Sparse()
-			ec.Par.For(rows, 16, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					if pollStop(stop, i-lo) {
-						return
-					}
-					vals, cix := ms.Row(i)
-					od[i] = vector.DotProductSparse(vals, cix, sd, i*mc)
-				}
-			})
-		} else {
-			md := main.Dense()
-			ec.Par.For(rows, 16, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					if pollStop(stop, i-lo) {
-						return
-					}
-					od[i] = vector.DotProduct(md, sd, i*mc, i*mc, mc)
-				}
-			})
+// rowResults runs the program over every row of main and stores row i's
+// result (OutWidth values) at od[i*OutWidth]: the NoAgg/RowAgg output, and
+// the per-tuple table of the compressed skeleton.
+func rowResults(ec matrix.Ctx, prog *cplan.RowProgram, proto *cplan.Ctx, main *matrix.Matrix,
+	stop StopFn, od []float64) {
+	w := prog.OutWidth
+	forEachTile(ec, prog, proto, main, stop, func(_ int, t *rowTile) {
+		res, ro, rs := prog.Result(t.buf)
+		if rs == w {
+			copy(od[t.r0*w:(t.r0+t.n)*w], res[ro:])
+			return
 		}
-		return out, true
-	}
-	// RowChunkRank1: per-worker mc×w partials, reduced by addition.
-	w := sides[rc.Side].Cols
-	nw, _ := ec.Par.Chunks(rows, 16)
-	partials := make([][]float64, nw)
-	ec.Par.ForIndexed(rows, 16, func(wk, lo, hi int) {
-		part := partials[wk]
-		if part == nil {
-			part = make([]float64, mc*w)
-			partials[wk] = part
-		}
-		if main.IsSparse() {
-			ms := main.Sparse()
-			for i := lo; i < hi; i++ {
-				if pollStop(stop, i-lo) {
-					return
-				}
-				vals, cix := ms.Row(i)
-				vector.OuterMultAddSparse(vals, cix, sd, part, i*w, 0, w)
-			}
-		} else {
-			md := main.Dense()
-			for i := lo; i < hi; i++ {
-				if pollStop(stop, i-lo) {
-					return
-				}
-				vector.OuterMultAdd(md, sd, part, i*mc, i*w, 0, mc, w)
-			}
+		for k := 0; k < t.n; k++ {
+			copy(od[(t.r0+k)*w:(t.r0+k+1)*w], res[ro+k*rs:])
 		}
 	})
-	out := ec.NewDense(mc, w)
+}
+
+// rowPartials runs the program with one pr×pc partial per worker, lets
+// sink fold every tile into its worker's partial, and returns the sum of
+// the partials.
+func rowPartials(ec matrix.Ctx, prog *cplan.RowProgram, proto *cplan.Ctx, main *matrix.Matrix,
+	stop StopFn, pr, pc int, sink func(part []float64, t *rowTile)) *matrix.Matrix {
+	nw, _ := ec.Par.Chunks(main.Rows, rowGrain)
+	partials := make([][]float64, nw)
+	forEachTile(ec, prog, proto, main, stop, func(wk int, t *rowTile) {
+		// A worker may claim several chunks: allocate once, accumulate.
+		if partials[wk] == nil {
+			partials[wk] = make([]float64, pr*pc)
+		}
+		sink(partials[wk], t)
+	})
+	out := ec.NewDense(pr, pc)
 	od := out.Dense()
 	for _, part := range partials {
 		if part != nil {
-			vector.Add(part, od, 0, 0, mc*w)
+			vector.Add(part, od, 0, 0, pr*pc)
 		}
 	}
-	return out, true
+	return out
 }
 
-func forEachRow(ec matrix.Ctx, main *matrix.Matrix, prog *cplan.RowProgram, proto *cplan.Ctx,
-	stop StopFn, sink func(buf *cplan.RowBuf, i int)) {
+// forEachTile streams main through the program a tile at a time, in
+// parallel over row chunks, and hands each executed tile to sink together
+// with the worker index (for per-worker state). The main tile is bound
+// sparse (genexecSparse) when the program supports it, as a view of the
+// dense rows, or as a densified copy of the tile's sparse rows.
+func forEachTile(ec matrix.Ctx, prog *cplan.RowProgram, proto *cplan.Ctx, main *matrix.Matrix,
+	stop StopFn, sink func(worker int, t *rowTile)) {
+	mc := main.Cols
 	sparseExec := main.IsSparse() && prog.MainSparseCapable()
-	ec.Par.For(main.Rows, 16, func(lo, hi int) {
+	ec.Par.ForIndexed(main.Rows, rowGrain, func(wk, lo, hi int) {
 		ctx := proto.Clone()
 		buf := prog.GetBuf()
 		defer prog.PutBuf(buf)
-		scratch := newRowScratch(ec, main)
-		defer releaseRowScratch(ec, scratch)
-		for i := lo; i < hi; i++ {
-			if pollStop(stop, i-lo) {
+		var scratch []float64
+		switch {
+		case sparseExec:
+			buf.BindSparse(main.Sparse())
+		case main.IsSparse():
+			scratch = ec.GetBuf(prog.TileRows * mc)
+			defer ec.PutBuf(scratch)
+		}
+		t := rowTile{buf: buf}
+		for t.r0 = lo; t.r0 < hi; t.r0 += t.n {
+			if stop != nil && stop() { // one poll per tile
 				return
 			}
-			execProgRow(prog, ctx, buf, main, i, scratch, sparseExec)
-			sink(buf, i)
+			t.n = min(prog.TileRows, hi-t.r0)
+			switch {
+			case sparseExec:
+			case scratch != nil:
+				densifyRows(main.Sparse(), t.r0, t.n, mc, scratch)
+				buf.BindDense(scratch, 0)
+			default:
+				buf.BindDense(main.Dense(), t.r0*mc)
+			}
+			prog.ExecTile(ctx, buf, t.r0, t.n)
+			sink(wk, &t)
 		}
 	})
 }
 
-// forEachRowIndexed streams rows through the program with per-worker state.
-// initState may be invoked several times for the same worker id (the pool
-// hands a worker multiple chunks), so it must memoize, not reallocate.
-func forEachRowIndexed(ec matrix.Ctx, main *matrix.Matrix, prog *cplan.RowProgram, proto *cplan.Ctx,
-	stop StopFn, initState func(worker int) any, sink func(state any, buf *cplan.RowBuf, i int)) {
-	sparseExec := main.IsSparse() && prog.MainSparseCapable()
-	ec.Par.ForIndexed(main.Rows, 16, func(w, lo, hi int) {
-		ctx := proto.Clone()
-		buf := prog.GetBuf()
-		defer prog.PutBuf(buf)
-		scratch := newRowScratch(ec, main)
-		defer releaseRowScratch(ec, scratch)
-		state := initState(w)
-		for i := lo; i < hi; i++ {
-			if pollStop(stop, i-lo) {
-				return
-			}
-			execProgRow(prog, ctx, buf, main, i, scratch, sparseExec)
-			sink(state, buf, i)
+// densifyRows expands CSR rows [r0, r0+n) into the row-major n×cols dense
+// tile dst.
+func densifyRows(s *matrix.CSR, r0, n, cols int, dst []float64) {
+	clear(dst[:n*cols])
+	for k := 0; k < n; k++ {
+		vals, cix := s.Row(r0 + k)
+		row := dst[k*cols : (k+1)*cols]
+		for p, j := range cix {
+			row[j] = vals[p]
 		}
-	})
-}
-
-// execProgRow runs the program on row i, binding the main row sparse
-// (genexecSparse) when the program supports it, otherwise as a dense view.
-func execProgRow(prog *cplan.RowProgram, ctx *cplan.Ctx, buf *cplan.RowBuf,
-	main *matrix.Matrix, i int, scratch []float64, sparseExec bool) {
-	if sparseExec {
-		vals, cix := main.Sparse().Row(i)
-		buf.SparseMain, buf.SparseVals, buf.SparseIdx = true, vals, cix
-		prog.ExecRow(ctx, buf, nil, 0, i)
-		return
 	}
-	row, off := denseRowView(main, i, scratch)
-	buf.SparseMain = false
-	prog.ExecRow(ctx, buf, row, off, i)
 }
 
 // densifyMatMulSides converts side inputs consumed by RMatMul instructions

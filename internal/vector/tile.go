@@ -1,0 +1,173 @@
+package vector
+
+// Tile kernels: dense products over a block of consecutive rows. They are
+// the inner kernels of matrix.MatMult (one call per parallel row chunk)
+// and of the Row template's tile executor (one call per tile of rows), so
+// both run the same blocked loops.
+
+const (
+	// narrowCols: below this output width a row's outputs are accumulated
+	// in locals and stored once (no store-to-load dependency per k, no
+	// per-row primitive call).
+	narrowCols = 8
+
+	// kTile and nTile block the wide product: the inner loops touch a
+	// kTile×nTile panel of B (128×1024 doubles = 1 MB, sized for L2) while
+	// streaming rows of A and C.
+	kTile = 128
+	nTile = 1024
+)
+
+// MatMultAdd accumulates C += A %*% B for a block of rows: A is rows×k at
+// a[ai] with row stride astride, B is k×n row-major at b[bi], C is rows×n
+// row-major at c[ci]. Callers zero C for a plain product.
+func MatMultAdd(a, b, c []float64, ai, astride, bi, ci, rows, k, n int) {
+	if n < narrowCols {
+		i := 0
+		for ; i+4 <= rows; i += 4 {
+			narrowRows4(a, b[bi:], c[ci+i*n:ci+(i+4)*n], ai+i*astride, astride, k, n)
+		}
+		for ; i < rows; i++ {
+			narrowRow(a[ai+i*astride:ai+i*astride+k], b[bi:], c[ci+i*n:ci+i*n+n], n)
+		}
+		return
+	}
+	// ikj order, tiled over n and k so a panel of B is reused across the
+	// rows of the block, and unrolled over k by 4 so each C element is
+	// loaded and stored once per four multiplies.
+	for jj := 0; jj < n; jj += nTile {
+		jn := min(n-jj, nTile)
+		for kk := 0; kk < k; kk += kTile {
+			kmax := min(kk+kTile, k)
+			for i := 0; i < rows; i++ {
+				ao := ai + i*astride
+				co := ci + i*n + jj
+				k4 := kk
+				for ; k4+4 <= kmax; k4 += 4 {
+					bo := bi + k4*n + jj
+					MultAdd4(b, a[ao+k4], a[ao+k4+1], a[ao+k4+2], a[ao+k4+3],
+						c, bo, bo+n, bo+2*n, bo+3*n, co, jn)
+				}
+				for ; k4 < kmax; k4++ {
+					MultAdd(b, a[ao+k4], c, bi+k4*n+jj, co, jn)
+				}
+			}
+		}
+	}
+}
+
+// narrowRows4 accumulates four rows of C (4×n at c[0], n < narrowCols) +=
+// four rows of A (at a[ao], astride apart, k long) %*% B (k×n at b[0]). One
+// output column at a time, its four row sums live in locals over one pass
+// of k: four independent accumulation chains and one load of B per four
+// multiplies.
+func narrowRows4(a, b, c []float64, ao, astride, k, n int) {
+	a0 := a[ao : ao+k]
+	a1 := a[ao+astride : ao+astride+k]
+	a2 := a[ao+2*astride : ao+2*astride+k]
+	a3 := a[ao+3*astride : ao+3*astride+k]
+	for j := 0; j < n; j++ {
+		var r0, r1, r2, r3 float64
+		bo := j
+		for kk, v0 := range a0 {
+			bv := b[bo]
+			r0 += v0 * bv
+			r1 += a1[kk] * bv
+			r2 += a2[kk] * bv
+			r3 += a3[kk] * bv
+			bo += n
+		}
+		c[j] += r0
+		c[n+j] += r1
+		c[2*n+j] += r2
+		c[3*n+j] += r3
+	}
+}
+
+// narrowRow accumulates c (n < narrowCols outputs) += arow %*% B, with B
+// k×n row-major at b[0]. Outputs are taken four, two and one at a time,
+// each group in local accumulators over one pass of arow.
+func narrowRow(arow, b, c []float64, n int) {
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		var c0, c1, c2, c3 float64
+		bo := j
+		for _, av := range arow {
+			bb := b[bo : bo+4]
+			c0 += av * bb[0]
+			c1 += av * bb[1]
+			c2 += av * bb[2]
+			c3 += av * bb[3]
+			bo += n
+		}
+		c[j] += c0
+		c[j+1] += c1
+		c[j+2] += c2
+		c[j+3] += c3
+	}
+	for ; j+2 <= n; j += 2 {
+		var c0, c1 float64
+		bo := j
+		for _, av := range arow {
+			bb := b[bo : bo+2]
+			c0 += av * bb[0]
+			c1 += av * bb[1]
+			bo += n
+		}
+		c[j] += c0
+		c[j+1] += c1
+	}
+	if j < n {
+		var c0 float64
+		bo := j
+		for _, av := range arow {
+			c0 += av * b[bo]
+			bo += n
+		}
+		c[j] += c0
+	}
+}
+
+// TMatMultAdd accumulates C += t(A) %*% B over a block of rows: A is
+// rows×m at a[ai] with row stride astride, B is rows×n at b[bi] with row
+// stride bstride (0 repeats one row), C is m×n row-major at c[ci]. This is
+// the tile form of the Row template's t(X) %*% W accumulation
+// (vectOuterMultAdd once per row), taking four rows per pass.
+func TMatMultAdd(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n int) {
+	i := 0
+	if n == 1 {
+		for ; i+4 <= rows; i += 4 {
+			ao, bo := ai+i*astride, bi+i*bstride
+			MultAdd4(a, b[bo], b[bo+bstride], b[bo+2*bstride], b[bo+3*bstride],
+				c, ao, ao+astride, ao+2*astride, ao+3*astride, ci, m)
+		}
+		for ; i < rows; i++ {
+			MultAdd(a, b[bi+i*bstride], c, ai+i*astride, ci, m)
+		}
+		return
+	}
+	for ; i+4 <= rows; i += 4 {
+		ao, bo := ai+i*astride, bi+i*bstride
+		if n >= narrowCols {
+			for j := 0; j < m; j++ {
+				MultAdd4(b, a[ao+j], a[ao+astride+j], a[ao+2*astride+j], a[ao+3*astride+j],
+					c, bo, bo+bstride, bo+2*bstride, bo+3*bstride, ci+j*n, n)
+			}
+			continue
+		}
+		// Narrow B rows: the rank-4 update inline, without a call per
+		// column of A.
+		b0, b1 := b[bo:bo+n], b[bo+bstride:bo+bstride+n]
+		b2, b3 := b[bo+2*bstride:bo+2*bstride+n], b[bo+3*bstride:bo+3*bstride+n]
+		for j := 0; j < m; j++ {
+			v0, v1, v2, v3 := a[ao+j], a[ao+astride+j], a[ao+2*astride+j], a[ao+3*astride+j]
+			cc := c[ci+j*n : ci+j*n+n]
+			for q := range cc {
+				cc[q] += v0*b0[q] + v1*b1[q] + v2*b2[q] + v3*b3[q]
+			}
+		}
+	}
+	for ; i < rows; i++ {
+		OuterMultAdd(a, b, c, ai+i*astride, bi+i*bstride, ci, m, n)
+	}
+}

@@ -264,6 +264,13 @@ func OuterMultAdd(a, b, c []float64, ai, bi, ci, n, m int) {
 
 // OuterMultAddSparse accumulates a sparse row (avals, aix) ⊗ b into c.
 func OuterMultAddSparse(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
+	if m == 1 {
+		bv := b[bi]
+		for k, i := range aix {
+			c[ci+i] += avals[k] * bv
+		}
+		return
+	}
 	for k, i := range aix {
 		MultAdd(b, avals[k], c, bi, ci+i*m, m)
 	}
