@@ -90,8 +90,8 @@ type Config struct {
 	DisableHFuse bool
 
 	// MaxPointsExact caps the exhaustive search: partitions with more
-	// interesting points than this fall back to the fuse-all opening
-	// heuristic for the overflowing points.
+	// interesting points than this open with fuse-all and materialize, in
+	// one pass, each point that lowers the plan cost (Enumerator.Best).
 	MaxPointsExact int
 
 	// RowTemplateMaxCols bounds the width of the second matmult input for

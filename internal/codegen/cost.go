@@ -3,6 +3,7 @@ package codegen
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sysml/internal/cplan"
@@ -130,10 +131,10 @@ type opCtx struct {
 	flops  float64
 	numOps int
 	inputs map[int64]*hop.Hop
-	// denseUse marks inputs some covered operator reads element by element
-	// (anything but a matrix product, its transpose, or a sum): a Row
-	// operator cannot bind such a main input as sparse rows.
-	denseUse map[int64]bool
+	// denseUse lists sparse inputs some covered operator reads element by
+	// element (anything but a matrix product, its transpose, or a sum): a
+	// Row operator cannot bind such a main input as sparse rows.
+	denseUse []int64
 }
 
 // rowSparseCapableUse reports whether consumer h reads its input the way a
@@ -180,8 +181,7 @@ func (c *Coster) costNode(h *hop.Hop) {
 	}
 	// Open a fused operator at h.
 	c.opSeq++
-	cv := &opCtx{id: c.opSeq, root: h, tmpl: entry.Type,
-		inputs: map[int64]*hop.Hop{}, denseUse: map[int64]bool{}}
+	cv := &opCtx{id: c.opSeq, root: h, tmpl: entry.Type, inputs: map[int64]*hop.Hop{}}
 	c.addToOp(h, entry, cv)
 	// Operator cost: write output once, read distinct inputs, compute.
 	var inBytes float64
@@ -190,7 +190,7 @@ func (c *Coster) costNode(h *hop.Hop) {
 		inBytes += float64(in.ReadSizeBytes())
 		main = mainInput(main, in)
 	}
-	scale := sparsityScale(cv.tmpl, main, main != nil && cv.denseUse[main.ID])
+	scale := sparsityScale(cv.tmpl, main, main != nil && slices.Contains(cv.denseUse, main.ID))
 	if scale == 1 && cv.tmpl == cplan.TemplateRow && main != nil && main.IsSparse() {
 		c.total += rowDensifySec(c.cfg.Costs, main)
 	}
@@ -228,8 +228,8 @@ func (c *Coster) addToOp(h *hop.Hop, entry Entry, cv *opCtx) {
 			}
 		}
 		cv.inputs[in.ID] = in
-		if !rowSparseCapableUse(h) {
-			cv.denseUse[in.ID] = true
+		if in.IsSparse() && !rowSparseCapableUse(h) {
+			cv.denseUse = append(cv.denseUse, in.ID)
 		}
 	}
 }

@@ -55,9 +55,18 @@ func (e *Enumerator) Best() map[Edge]bool {
 	e.static = e.coster.StaticCost()
 
 	if n > e.cfg.MaxPointsExact {
-		// Fall back to the fuse-all opening heuristic for oversized
-		// partitions (all dependencies fused).
-		return map[Edge]bool{}
+		// Oversized partition: the exhaustive scan is out of reach. Open
+		// with fuse-all and make one pass over the points, materializing
+		// each one that lowers the plan cost (n+1 plans costed).
+		e.evalCurrent()
+		for i := range e.cur {
+			before := e.bestC
+			e.cur[i] = true
+			if e.evalCurrent(); e.bestC >= before {
+				e.cur[i] = false
+			}
+		}
+		return e.assignment(e.bestQ)
 	}
 
 	all := make([]int, n)

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -51,13 +52,10 @@ func (e Entry) Refs() []int64 {
 	return out
 }
 
-func (e Entry) key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d:", e.Type)
-	for _, in := range e.Inputs {
-		fmt.Fprintf(&b, "%d,", in)
-	}
-	return b.String()
+// same reports whether two entries are the same plan: equal template type
+// and fusion references (the close status does not distinguish them).
+func (e Entry) same(o Entry) bool {
+	return e.Type == o.Type && slices.Equal(e.Inputs, o.Inputs)
 }
 
 // String renders the entry in the paper's notation, e.g. "R(10,9)".
@@ -162,7 +160,7 @@ func (m *Memo) add(h *hop.Hop, entries ...Entry) {
 	for _, e := range entries {
 		dup := false
 		for _, old := range g.Entries {
-			if old.key() == e.key() {
+			if old.same(e) {
 				dup = true
 				break
 			}

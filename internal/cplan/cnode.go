@@ -229,7 +229,9 @@ func (p *Plan) Hash() uint64 {
 }
 
 func writeNode(b *strings.Builder, n *CNode) {
-	fmt.Fprintf(b, "(%d:%d:%d:%d:%g:%d:%d:%d:%d", n.Kind, n.BinOp, n.UnOp, n.AggOp, n.Value, n.Side, n.Access, n.CL, n.CU)
+	// Width is part of the identity: a Row program's registers and tile
+	// size are laid out for the widths it was compiled with.
+	fmt.Fprintf(b, "(%d:%d:%d:%d:%g:%d:%d:%d:%d:%d", n.Kind, n.BinOp, n.UnOp, n.AggOp, n.Value, n.Side, n.Access, n.CL, n.CU, n.Width)
 	for _, c := range n.Children {
 		writeNode(b, c)
 	}

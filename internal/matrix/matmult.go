@@ -119,10 +119,7 @@ func (ctx Ctx) matMultSparseDense(a, b, c *Matrix) {
 	ctx.Par.For(a.Rows, mmRowGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			vals, cols := as.Row(i)
-			ci := i * n
-			for kk, j := range cols {
-				vector.MultAdd(bd, vals[kk], cd, j*n, ci, n)
-			}
+			vector.MatMultSparse(vals, cols, bd, cd, 0, i*n, n)
 		}
 	})
 }

@@ -198,47 +198,36 @@ func AddSparse(avals []float64, aix []int, c []float64, ci int) {
 	}
 }
 
-// MatMult computes the row-vector/matrix product c = a (1×n) * B (n×m),
-// with B row-major at offset bi; c must have length >= ci+m
-// (the vectMatMult primitive of the Row template).
-func MatMult(a, b, c []float64, ai, bi, ci, n, m int) {
-	for j := 0; j < m; j++ {
-		c[ci+j] = 0
-	}
-	if m < 8 {
-		// Narrow outputs: inline accumulation avoids per-row call overhead
-		// (the dominant case for Row templates with few classes/centroids).
-		for i := 0; i < n; i++ {
-			av := a[ai+i]
-			if av == 0 {
-				continue
-			}
-			bo := bi + i*m
-			for j := 0; j < m; j++ {
-				c[ci+j] += av * b[bo+j]
-			}
+// MatMultSparse computes c = a * B for a sparse row a over an n×m dense B.
+// Narrow outputs (m < 8) are accumulated in locals, two columns per pass
+// over the row's non-zeros, instead of one MultAdd call per non-zero.
+func MatMultSparse(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
+	if m >= narrowCols {
+		for j := 0; j < m; j++ {
+			c[ci+j] = 0
+		}
+		for k, i := range aix {
+			MultAdd(b, avals[k], c, bi+i*m, ci, m)
 		}
 		return
 	}
-	for i := 0; i < n; i++ {
-		MultAdd(b, a[ai+i], c, bi+i*m, ci, m)
+	j := 0
+	for ; j+2 <= m; j += 2 {
+		var c0, c1 float64
+		for k, i := range aix {
+			bb := b[bi+i*m+j : bi+i*m+j+2]
+			c0 += avals[k] * bb[0]
+			c1 += avals[k] * bb[1]
+		}
+		c[ci+j], c[ci+j+1] = c0, c1
 	}
-}
-
-// MatMultSparse computes c = a * B for a sparse row a over an n×m dense B.
-func MatMultSparse(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
-	for j := 0; j < m; j++ {
-		c[ci+j] = 0
+	if j < m {
+		var c0 float64
+		for k, i := range aix {
+			c0 += avals[k] * b[bi+i*m+j]
+		}
+		c[ci+j] = c0
 	}
-	for k, i := range aix {
-		MultAdd(b, avals[k], c, bi+i*m, ci, m)
-	}
-}
-
-// TMatMult computes c = t(B (n×m)) * a (n×1) = a^T B as a column result of
-// length m; equivalent to MatMult but kept for readability at call sites.
-func TMatMult(a, b, c []float64, ai, bi, ci, n, m int) {
-	MatMult(a, b, c, ai, bi, ci, n, m)
 }
 
 // OuterMultAdd accumulates the outer product a (len n) ⊗ b (len m) into the
@@ -264,10 +253,19 @@ func OuterMultAdd(a, b, c []float64, ai, bi, ci, n, m int) {
 
 // OuterMultAddSparse accumulates a sparse row (avals, aix) ⊗ b into c.
 func OuterMultAddSparse(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
-	if m == 1 {
+	switch m {
+	case 1:
 		bv := b[bi]
 		for k, i := range aix {
 			c[ci+i] += avals[k] * bv
+		}
+		return
+	case 2:
+		b0, b1 := b[bi], b[bi+1]
+		for k, i := range aix {
+			cc := c[ci+2*i : ci+2*i+2]
+			cc[0] += avals[k] * b0
+			cc[1] += avals[k] * b1
 		}
 		return
 	}

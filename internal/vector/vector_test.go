@@ -102,20 +102,75 @@ func TestMultAdd(t *testing.T) {
 	}
 }
 
-func TestMatMultPrimitive(t *testing.T) {
-	// a (1x3) * B (3x2) row-major.
-	a := []float64{1, 2, 3}
-	b := []float64{1, 2, 3, 4, 5, 6}
-	c := make([]float64, 2)
-	MatMult(a, b, c, 0, 0, 0, 3, 2)
-	if c[0] != 1*1+2*3+3*5 || c[1] != 1*2+2*4+3*6 {
-		t.Fatalf("MatMult = %v", c)
+// TestTileProducts checks the tile kernels against naive loops over narrow
+// and wide outputs, row counts around the 4-row blocking, a padded row
+// stride of A, and the broadcast (stride 0) right operand of TMatMultAdd.
+func TestTileProducts(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	fill := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.Float64()*2 - 1
+		}
+		return v
 	}
-	// Sparse row variant agrees.
-	cs := make([]float64, 2)
-	MatMultSparse([]float64{1, 2, 3}, []int{0, 1, 2}, b, cs, 0, 0, 2)
-	if cs[0] != c[0] || cs[1] != c[1] {
-		t.Fatalf("MatMultSparse = %v, want %v", cs, c)
+	for _, rows := range []int{1, 3, 4, 5, 9} {
+		for _, k := range []int{1, 3, 10, 131} {
+			for _, n := range []int{1, 2, 3, 5, 7, 8, 13} {
+				astride := k + 2
+				a, b := fill(rows*astride+1), fill(k*n+1)
+				got, want := fill(rows*n), make([]float64, rows*n)
+				copy(want, got)
+				for i := 0; i < rows; i++ {
+					for j := 0; j < n; j++ {
+						for kk := 0; kk < k; kk++ {
+							want[i*n+j] += a[1+i*astride+kk] * b[1+kk*n+j]
+						}
+					}
+				}
+				MatMultAdd(a, b, got, 1, astride, 1, 0, rows, k, n)
+				for i := range want {
+					if math.Abs(got[i]-want[i]) > 1e-12 {
+						t.Fatalf("MatMultAdd rows=%d k=%d n=%d: [%d] = %g, want %g", rows, k, n, i, got[i], want[i])
+					}
+				}
+				// Sparse row variant agrees with the dense first row.
+				idx := make([]int, k)
+				for kk := range idx {
+					idx[kk] = kk
+				}
+				cs, cd := make([]float64, n), make([]float64, n)
+				MatMultSparse(a[1:1+k], idx, b, cs, 1, 0, n)
+				MatMultAdd(a, b, cd, 1, astride, 1, 0, 1, k, n)
+				for j := range cs {
+					if math.Abs(cs[j]-cd[j]) > 1e-12 {
+						t.Fatalf("MatMultSparse k=%d n=%d: %v, want %v", k, n, cs, cd)
+					}
+				}
+
+				// C (k×n) += t(A rows×k) %*% B (rows×n), B strided or one
+				// repeated row.
+				for _, bstride := range []int{n, 0} {
+					bt := fill(rows*n + 1)
+					gotT, wantT := fill(k*n), make([]float64, k*n)
+					copy(wantT, gotT)
+					for i := 0; i < rows; i++ {
+						for kk := 0; kk < k; kk++ {
+							for j := 0; j < n; j++ {
+								wantT[kk*n+j] += a[1+i*astride+kk] * bt[1+i*bstride+j]
+							}
+						}
+					}
+					TMatMultAdd(a, bt, gotT, 1, astride, 1, bstride, 0, rows, k, n)
+					for i := range wantT {
+						if math.Abs(gotT[i]-wantT[i]) > 1e-12 {
+							t.Fatalf("TMatMultAdd rows=%d m=%d n=%d bstride=%d: [%d] = %g, want %g",
+								rows, k, n, bstride, i, gotT[i], wantT[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
