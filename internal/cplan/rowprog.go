@@ -73,13 +73,16 @@ type RowProgram struct {
 	ResultVec bool // whether the result register is a vector
 
 	// TileRows is the number of rows per tile, sized so the registers of
-	// one tile stay cache-resident (see tileRows).
-	TileRows int
+	// one tile stay cache-resident (see layout). ArenaFloats is the size of
+	// the storage one worker needs for all registers of a tile; vecOff and
+	// scalOff place each register in it.
+	TileRows    int
+	ArenaFloats int
+	vecOff      []int
+	scalOff     []int
 
-	// bufPool recycles tile registers across invocations of this operator:
-	// workers GetBuf at closure entry and PutBuf on exit, so iterative
-	// workloads reuse the same scratch tiles instead of reallocating them
-	// every call.
+	// bufPool recycles the register views across invocations of this
+	// operator (the arena comes from the caller's buffer pool).
 	bufPool sync.Pool
 }
 
@@ -94,9 +97,13 @@ const (
 	rowTileMaxRows = 1024
 )
 
-// tileRows derives the tile height from the program's register footprint:
-// the bytes one row occupies across all per-row registers.
-func (p *RowProgram) tileRows() int {
+// layout derives the tile height from the program's register footprint
+// (the bytes one row occupies across all per-row registers) and places the
+// registers in the arena. Register 0 gets a slot too: it holds the
+// densified tile of a sparse main input the program cannot bind sparse.
+// Arenas are rowTileBytes large whenever the registers fit, so programs
+// share one size class of the buffer pool.
+func (p *RowProgram) layout() {
 	perRow := 0
 	for i, w := range p.VecWidths {
 		if !p.VecUniform[i] {
@@ -109,7 +116,28 @@ func (p *RowProgram) tileRows() int {
 		}
 	}
 	t := rowTileBytes / (8 * max(perRow, 1))
-	return min(max(t, rowTileMinRows), rowTileMaxRows)
+	p.TileRows = min(max(t, rowTileMinRows), rowTileMaxRows)
+
+	off := 0
+	p.vecOff = make([]int, len(p.VecWidths))
+	for i, w := range p.VecWidths {
+		p.vecOff[i] = off
+		if p.VecUniform[i] {
+			off += w
+		} else {
+			off += p.TileRows * w
+		}
+	}
+	p.scalOff = make([]int, p.NumScalars)
+	for i, u := range p.ScalUniform {
+		p.scalOff[i] = off
+		if u {
+			off++
+		} else {
+			off += p.TileRows
+		}
+	}
+	p.ArenaFloats = max(off, rowTileBytes/8)
 }
 
 // stride is the row stride of a vector register's view: its width, or 0
@@ -160,15 +188,14 @@ func (p *RowProgram) MainSparseCapable() bool {
 // RowBuf is the per-thread set of tile registers (paper: "memory for row
 // intermediates is managed via a preallocated ring buffer per thread").
 // Vec/Off are views: register 0 aliases the main tile, loads of dense sides
-// alias the side's rows, everything else points at storage the buffer owns.
+// alias the side's rows, everything else points into the arena.
 type RowBuf struct {
 	Vec  [][]float64
 	Off  []int
 	Scal [][]float64 // one value per tile row; uniform registers use [0]
 
-	ownVec  [][]float64 // owned tile storage, allocated on first write
-	ownScal [][]float64
-	primed  bool // uniform instructions have run for the current binding
+	arena  []float64
+	primed bool // uniform instructions have run for the current binding
 
 	// Sparse main binding (genexecSparse): when Sparse is set, register 0
 	// is unavailable as a dense view and instructions consuming it run the
@@ -176,33 +203,33 @@ type RowBuf struct {
 	Sparse *matrix.CSR
 }
 
-// GetBuf returns tile registers from the per-program recycling pool,
-// allocating a set when none is parked.
-func (p *RowProgram) GetBuf() *RowBuf {
-	if b, ok := p.bufPool.Get().(*RowBuf); ok {
-		return b
+// GetBuf returns tile registers over arena (ArenaFloats long, contents
+// arbitrary), recycling the views from the per-program pool.
+func (p *RowProgram) GetBuf(arena []float64) *RowBuf {
+	b, ok := p.bufPool.Get().(*RowBuf)
+	if !ok {
+		nv := len(p.VecWidths)
+		b = &RowBuf{
+			Vec:  make([][]float64, nv),
+			Off:  make([]int, nv),
+			Scal: make([][]float64, p.NumScalars),
+		}
 	}
-	nv := len(p.VecWidths)
-	return &RowBuf{
-		Vec:     make([][]float64, nv),
-		Off:     make([]int, nv),
-		Scal:    make([][]float64, p.NumScalars),
-		ownVec:  make([][]float64, nv),
-		ownScal: make([][]float64, p.NumScalars),
-	}
+	b.arena = arena
+	return b
 }
 
-// PutBuf parks tile registers for reuse. Views are cleared first so the
-// pool does not pin input matrices: register 0 and dense side loads alias
-// caller data, and the sparse binding aliases the input CSR.
-func (p *RowProgram) PutBuf(b *RowBuf) {
-	if b == nil {
-		return
-	}
+// PutBuf parks the register views for reuse and hands the arena back.
+// Views are cleared first so the pool does not pin input matrices:
+// register 0 and dense side loads alias caller data, and the sparse
+// binding aliases the input CSR.
+func (p *RowProgram) PutBuf(b *RowBuf) (arena []float64) {
+	arena = b.arena
 	clear(b.Vec)
 	clear(b.Scal)
-	b.Sparse, b.primed = nil, false
+	b.arena, b.Sparse, b.primed = nil, nil, false
 	p.bufPool.Put(b)
+	return arena
 }
 
 // BindDense binds register 0 to a dense tile whose first row starts at
@@ -217,30 +244,42 @@ func (b *RowBuf) BindSparse(main *matrix.CSR) {
 	b.Vec[0], b.Sparse = nil, main
 }
 
-// vec points register reg at owned storage for rows tile rows and returns
-// it. Storage is allocated once at full tile height.
-func (p *RowProgram) vec(b *RowBuf, reg int) []float64 {
-	if b.ownVec[reg] == nil {
-		rows := p.TileRows
-		if p.VecUniform[reg] {
-			rows = 1
+// BindDensified binds register 0 to a dense copy of CSR rows [r0, r0+n),
+// for programs that are not MainSparseCapable.
+func (p *RowProgram) BindDensified(b *RowBuf, main *matrix.CSR, r0, n int) {
+	mc := p.MainWidth
+	d := p.vec(b, 0)[:n*mc]
+	clear(d)
+	for t := 0; t < n; t++ {
+		vals, cix := main.Row(r0 + t)
+		row := d[t*mc : (t+1)*mc]
+		for k, j := range cix {
+			row[j] = vals[k]
 		}
-		b.ownVec[reg] = make([]float64, rows*p.VecWidths[reg])
 	}
-	b.Vec[reg], b.Off[reg] = b.ownVec[reg], 0
-	return b.ownVec[reg]
+	b.Sparse = nil
+}
+
+// vec points vector register reg at its arena slot and returns the slot
+// (TileRows rows, one for uniform registers).
+func (p *RowProgram) vec(b *RowBuf, reg int) []float64 {
+	rows := p.TileRows
+	if p.VecUniform[reg] {
+		rows = 1
+	}
+	d := b.arena[p.vecOff[reg] : p.vecOff[reg]+rows*p.VecWidths[reg]]
+	b.Vec[reg], b.Off[reg] = d, 0
+	return d
 }
 
 func (p *RowProgram) scal(b *RowBuf, reg int) []float64 {
-	if b.ownScal[reg] == nil {
-		rows := p.TileRows
-		if p.ScalUniform[reg] {
-			rows = 1
-		}
-		b.ownScal[reg] = make([]float64, rows)
+	rows := p.TileRows
+	if p.ScalUniform[reg] {
+		rows = 1
 	}
-	b.Scal[reg] = b.ownScal[reg]
-	return b.ownScal[reg]
+	d := b.arena[p.scalOff[reg] : p.scalOff[reg]+rows]
+	b.Scal[reg] = d
+	return d
 }
 
 // Result returns the view of the result register after ExecTile: row t of
@@ -626,7 +665,7 @@ func compileRow(p *Plan) *RowProgram {
 	} else {
 		c.prog.OutWidth = 1
 	}
-	c.prog.TileRows = c.prog.tileRows()
+	c.prog.layout()
 	return c.prog
 }
 

@@ -120,7 +120,7 @@ func rowPartials(ec matrix.Ctx, prog *cplan.RowProgram, proto *cplan.Ctx, main *
 	forEachTile(ec, prog, proto, main, stop, func(wk int, t *rowTile) {
 		// A worker may claim several chunks: allocate once, accumulate.
 		if partials[wk] == nil {
-			partials[wk] = make([]float64, pr*pc)
+			partials[wk] = ec.GetBuf(pr * pc)
 		}
 		sink(partials[wk], t)
 	})
@@ -129,6 +129,7 @@ func rowPartials(ec matrix.Ctx, prog *cplan.RowProgram, proto *cplan.Ctx, main *
 	for _, part := range partials {
 		if part != nil {
 			vector.Add(part, od, 0, 0, pr*pc)
+			ec.PutBuf(part)
 		}
 	}
 	return out
@@ -141,19 +142,13 @@ func rowPartials(ec matrix.Ctx, prog *cplan.RowProgram, proto *cplan.Ctx, main *
 // dense rows, or as a densified copy of the tile's sparse rows.
 func forEachTile(ec matrix.Ctx, prog *cplan.RowProgram, proto *cplan.Ctx, main *matrix.Matrix,
 	stop StopFn, sink func(worker int, t *rowTile)) {
-	mc := main.Cols
 	sparseExec := main.IsSparse() && prog.MainSparseCapable()
 	ec.Par.ForIndexed(main.Rows, rowGrain, func(wk, lo, hi int) {
 		ctx := proto.Clone()
-		buf := prog.GetBuf()
-		defer prog.PutBuf(buf)
-		var scratch []float64
-		switch {
-		case sparseExec:
+		buf := prog.GetBuf(ec.Buf.GetUninit(prog.ArenaFloats))
+		defer func() { ec.PutBuf(prog.PutBuf(buf)) }()
+		if sparseExec {
 			buf.BindSparse(main.Sparse())
-		case main.IsSparse():
-			scratch = ec.GetBuf(prog.TileRows * mc)
-			defer ec.PutBuf(scratch)
 		}
 		t := rowTile{buf: buf}
 		for t.r0 = lo; t.r0 < hi; t.r0 += t.n {
@@ -163,29 +158,15 @@ func forEachTile(ec matrix.Ctx, prog *cplan.RowProgram, proto *cplan.Ctx, main *
 			t.n = min(prog.TileRows, hi-t.r0)
 			switch {
 			case sparseExec:
-			case scratch != nil:
-				densifyRows(main.Sparse(), t.r0, t.n, mc, scratch)
-				buf.BindDense(scratch, 0)
+			case main.IsSparse():
+				prog.BindDensified(buf, main.Sparse(), t.r0, t.n)
 			default:
-				buf.BindDense(main.Dense(), t.r0*mc)
+				buf.BindDense(main.Dense(), t.r0*main.Cols)
 			}
 			prog.ExecTile(ctx, buf, t.r0, t.n)
 			sink(wk, &t)
 		}
 	})
-}
-
-// densifyRows expands CSR rows [r0, r0+n) into the row-major n×cols dense
-// tile dst.
-func densifyRows(s *matrix.CSR, r0, n, cols int, dst []float64) {
-	clear(dst[:n*cols])
-	for k := 0; k < n; k++ {
-		vals, cix := s.Row(r0 + k)
-		row := dst[k*cols : (k+1)*cols]
-		for p, j := range cix {
-			row[j] = vals[p]
-		}
-	}
 }
 
 // densifyMatMulSides converts side inputs consumed by RMatMul instructions

@@ -57,16 +57,43 @@ func MatMultAdd(a, b, c []float64, ai, astride, bi, ci, rows, k, n int) {
 }
 
 // narrowRows4 accumulates four rows of C (4×n at c[0], n < narrowCols) +=
-// four rows of A (at a[ao], astride apart, k long) %*% B (k×n at b[0]). One
-// output column at a time, its four row sums live in locals over one pass
-// of k: four independent accumulation chains and one load of B per four
-// multiplies.
+// four rows of A (at a[ao], astride apart, k long) %*% B (k×n at b[0]).
+// Output columns are taken two at a time, their 4×2 sums living in locals
+// over one pass of k: eight independent accumulation chains, and three
+// loads per four multiplies.
 func narrowRows4(a, b, c []float64, ao, astride, k, n int) {
 	a0 := a[ao : ao+k]
 	a1 := a[ao+astride : ao+astride+k]
 	a2 := a[ao+2*astride : ao+2*astride+k]
 	a3 := a[ao+3*astride : ao+3*astride+k]
-	for j := 0; j < n; j++ {
+	j := 0
+	for ; j+2 <= n; j += 2 {
+		var r00, r01, r10, r11, r20, r21, r30, r31 float64
+		bo := j
+		for kk, v0 := range a0 {
+			bb := b[bo : bo+2]
+			b0, b1 := bb[0], bb[1]
+			v1, v2, v3 := a1[kk], a2[kk], a3[kk]
+			r00 += v0 * b0
+			r01 += v0 * b1
+			r10 += v1 * b0
+			r11 += v1 * b1
+			r20 += v2 * b0
+			r21 += v2 * b1
+			r30 += v3 * b0
+			r31 += v3 * b1
+			bo += n
+		}
+		c[j] += r00
+		c[j+1] += r01
+		c[n+j] += r10
+		c[n+j+1] += r11
+		c[2*n+j] += r20
+		c[2*n+j+1] += r21
+		c[3*n+j] += r30
+		c[3*n+j+1] += r31
+	}
+	if j < n {
 		var r0, r1, r2, r3 float64
 		bo := j
 		for kk, v0 := range a0 {
