@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the sysml repo: static checks, docs lint, full test suite
-# under the race detector, the kernel performance gates (BENCH_kernels.json
+# under the race detector, the benchmark's own checker tests (a module of
+# its own under benchmark/), the kernel performance gates (BENCH_kernels.json
 # must report "pass": true), the distributed-backend gates (BENCH_dist.json
 # likewise), the fault-tolerance gates (BENCH_fault.json likewise), the
 # multi-tenant serving gates (BENCH_serve.json likewise), the serving
@@ -20,8 +21,12 @@ go run ./cmd/docscheck
 echo "== go build =="
 go build ./...
 
+# A hang is a failure, not a ten-minute wait: every package has 120 s.
 echo "== go test -race =="
-go test -race ./...
+go test -race -timeout 120s ./...
+
+echo "== benchmark checker tests (go test -short) =="
+(cd benchmark && go test -short -timeout 120s ./...)
 
 echo "== kernel gates (fusebench -exp kernels) =="
 go run ./cmd/fusebench -exp kernels

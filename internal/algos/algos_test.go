@@ -3,9 +3,11 @@ package algos
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"sysml/internal/codegen"
+	"sysml/internal/dml"
 	"sysml/internal/matrix"
 )
 
@@ -62,6 +64,55 @@ func TestL2SVM(t *testing.T) {
 
 func TestMLogreg(t *testing.T) {
 	runModes(t, MLogreg, 400, 12, map[string]float64{"maxiter": 3, "inneriter": 4, "k": 3})
+}
+
+// TestMLogregCGBlockPlan pins the plan of MLogreg's inner CG block on the
+// Table-4 shape (150000×10, k=3): Expression (2), HS = t(X) %*% (Q - P *
+// rowSums(Q)) with Q = P * (X %*% S), is exactly one Row operator, and no
+// transpose or matrix product over X is left as a basic operator. (Q is a
+// script variable, so it is written too: by a second, NoAgg Row operator.)
+func TestMLogregCGBlockPlan(t *testing.T) {
+	s := dml.NewSession(codegen.DefaultConfig())
+	for name, m := range MLogreg.Gen(150000, 10, 7) {
+		s.Bind(name, m)
+	}
+	for name, v := range MLogreg.Scalars {
+		s.BindScalar(name, v)
+	}
+	for name, v := range map[string]float64{"maxiter": 1, "inneriter": 1, "k": 3} {
+		s.BindScalar(name, v)
+	}
+	explain, err := s.Explain(MLogreg.Script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cg string
+	for _, block := range strings.Split(explain, "# EXPLAIN block")[1:] {
+		if strings.Contains(block, "data(S)") && strings.Contains(block, "data(rsold)") {
+			cg = block
+		}
+	}
+	if cg == "" {
+		t.Fatalf("no CG block in:\n%s", explain)
+	}
+	ops, after, ok := strings.Cut(cg[strings.Index(cg, "fused operators:"):], "hops after fusion:")
+	if !ok {
+		t.Fatalf("no fused plan for the CG block:\n%s", cg)
+	}
+	hs := 0
+	for _, line := range strings.Split(ops, "\n") {
+		if strings.Contains(line, "Row TMP") && strings.Contains(line, "10x2 output") {
+			hs++
+		}
+	}
+	if hs != 1 {
+		t.Errorf("want exactly one Row operator producing the 10x2 Hessian-vector product, got %d:\n%s", hs, ops)
+	}
+	for _, basic := range []string{" r(t) ", " ba(+*) "} {
+		if strings.Contains(after, basic) {
+			t.Errorf("basic%sleft after fusion:\n%s", basic, after)
+		}
+	}
 }
 
 func TestGLM(t *testing.T) {
