@@ -445,12 +445,13 @@ func (p *RowProgram) ExecTile(ctx *Ctx, b *RowBuf, r0, n int) {
 			d := p.scal(b, in.Dst)
 			if b.Sparse != nil && (in.Src1 == 0 || in.Src2 == 0) {
 				other := in.Src1 + in.Src2 // the non-main operand (0 for main·main)
+				ob, oo, os := b.Vec[other], b.Off[other], p.stride(other)
 				for t := 0; t < rows; t++ {
 					vals, cix := b.Sparse.Row(r0 + t)
 					if other == 0 {
 						d[t] = vector.SumSq(vals, 0, len(vals))
 					} else {
-						d[t] = vector.DotProductSparse(vals, cix, b.Vec[other], b.Off[other]+t*p.stride(other))
+						d[t] = vector.DotProductSparse(vals, cix, ob, oo+t*os)
 					}
 				}
 				continue

@@ -76,7 +76,16 @@ func execRowwise(ec matrix.Ctx, op *cplan.Operator, main *matrix.Matrix, sides [
 				// genexecSparse: accumulate over the non-zeros of X_i only.
 				for k := 0; k < t.n; k++ {
 					vals, cix := sp.Row(t.r0 + k)
-					vector.OuterMultAddSparse(vals, cix, res, part, ro+k*rs, 0, w)
+					if w > 1 {
+						vector.OuterMultAddSparse(vals, cix, res, part, ro+k*rs, 0, w)
+						continue
+					}
+					// Scalar result q_i: a call per row would cost more
+					// than the few non-zeros it covers.
+					q := res[ro+k*rs]
+					for p, j := range cix {
+						part[j] += q * vals[p]
+					}
 				}
 				return
 			}

@@ -253,19 +253,20 @@ func OuterMultAdd(a, b, c []float64, ai, bi, ci, n, m int) {
 
 // OuterMultAddSparse accumulates a sparse row (avals, aix) ⊗ b into c.
 func OuterMultAddSparse(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
+	// One or two columns (t(X) %*% y, the k-1 = 2 classes of MLogreg) are
+	// too little work per non-zero for a MultAdd call.
 	switch m {
 	case 1:
-		bv := b[bi]
+		bv, cc := b[bi], c[ci:]
 		for k, i := range aix {
-			c[ci+i] += avals[k] * bv
+			cc[i] += avals[k] * bv
 		}
 		return
 	case 2:
-		b0, b1 := b[bi], b[bi+1]
+		b0, b1, cc := b[bi], b[bi+1], c[ci:]
 		for k, i := range aix {
-			cc := c[ci+2*i : ci+2*i+2]
-			cc[0] += avals[k] * b0
-			cc[1] += avals[k] * b1
+			cc[2*i] += avals[k] * b0
+			cc[2*i+1] += avals[k] * b1
 		}
 		return
 	}
