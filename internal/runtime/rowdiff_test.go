@@ -21,12 +21,12 @@ import (
 type rowSideKind int
 
 const (
-	sideScalar rowSideKind = iota // 1×1, AccessScalar
-	sideCol                       // rows×1, AccessCol
-	sideRowVec                    // 1×w, AccessRow
-	sideColAsVec                  // w×1 read as one length-w vector, AccessRow
-	sideCell                      // rows×w, AccessCell
-	sideMM                        // k×n right operand of an RMatMul
+	sideScalar   rowSideKind = iota // 1×1, AccessScalar
+	sideCol                         // rows×1, AccessCol
+	sideRowVec                      // 1×w, AccessRow
+	sideColAsVec                    // w×1 read as one length-w vector, AccessRow
+	sideCell                        // rows×w, AccessCell
+	sideMM                          // k×n right operand of an RMatMul
 	numSideKinds
 )
 
