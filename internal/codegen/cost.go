@@ -151,9 +151,12 @@ func rowSparseCapableUse(h *hop.Hop) bool {
 }
 
 // rowDensifySec is what a Row operator pays to run over a sparse main input
-// it cannot bind as sparse rows: every tile is written out dense and read
-// back.
-func rowDensifySec(m CostModel, main *hop.Hop) float64 {
+// it cannot bind as sparse rows (denseMain): every tile is written out
+// dense and read back. Zero for every other operator.
+func rowDensifySec(m CostModel, t cplan.TemplateType, main *hop.Hop, denseMain bool) float64 {
+	if t != cplan.TemplateRow || !denseMain || main == nil || !main.IsSparse() {
+		return 0
+	}
 	dense := float64(main.Cells()) * 8
 	return dense/m.WriteBW + dense/m.ReadBW
 }
@@ -190,11 +193,9 @@ func (c *Coster) costNode(h *hop.Hop) {
 		inBytes += float64(in.ReadSizeBytes())
 		main = mainInput(main, in)
 	}
-	scale := sparsityScale(cv.tmpl, main, main != nil && slices.Contains(cv.denseUse, main.ID))
-	if scale == 1 && cv.tmpl == cplan.TemplateRow && main != nil && main.IsSparse() {
-		c.total += rowDensifySec(c.cfg.Costs, main)
-	}
-	c.addOpCost(h.OutputSizeBytes(), inBytes, cv.flops, scale, h)
+	denseMain := main != nil && slices.Contains(cv.denseUse, main.ID)
+	c.total += rowDensifySec(c.cfg.Costs, cv.tmpl, main, denseMain)
+	c.addOpCost(h.OutputSizeBytes(), inBytes, cv.flops, sparsityScale(cv.tmpl, main, denseMain), h)
 	// Recurse into materialized inputs of the fused operator.
 	ids := make([]int64, 0, len(cv.inputs))
 	for id := range cv.inputs {

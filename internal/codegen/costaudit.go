@@ -63,11 +63,8 @@ func (c *constructor) predictSpoof(spoof *hop.Hop, t cplan.TemplateType, regions
 	}
 	op, _ := spoof.Spoof.(*cplan.Operator)
 	denseMain := op != nil && op.RowProg != nil && !op.RowProg.MainSparseCapable()
-	scale := sparsityScale(t, main, denseMain)
-	predictHop(c.cfg, spoof, fl, inBytes, scale)
-	if scale == 1 && t == cplan.TemplateRow && main != nil && main.IsSparse() {
-		spoof.PredSec += rowDensifySec(c.cfg.Costs, main)
-	}
+	predictHop(c.cfg, spoof, fl, inBytes, sparsityScale(t, main, denseMain))
+	spoof.PredSec += rowDensifySec(c.cfg.Costs, t, main, denseMain)
 }
 
 // AnnotatePredictions walks an optimized DAG and attaches cost predictions

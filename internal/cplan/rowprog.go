@@ -289,10 +289,7 @@ func (p *RowProgram) Result(b *RowBuf) (data []float64, off, stride int) {
 	if p.ResultVec {
 		return b.Vec[p.ResultReg], b.Off[p.ResultReg], p.stride(p.ResultReg)
 	}
-	if p.ScalUniform[p.ResultReg] {
-		return b.Scal[p.ResultReg], 0, 0
-	}
-	return b.Scal[p.ResultReg], 0, 1
+	return b.Scal[p.ResultReg], 0, sstride(p.ScalUniform[p.ResultReg])
 }
 
 // ExecTile runs the program for the n <= TileRows rows starting at input
@@ -570,14 +567,8 @@ func binVSRows(op matrix.BinOp, a []float64, o, st int, sc []float64, ss int, d 
 // binSVRows is binSV with one scalar per tile row.
 func binSVRows(op matrix.BinOp, sc []float64, ss int, a []float64, o, st int, d []float64, n, w int) {
 	switch op {
-	case matrix.BinMul:
-		for t := 0; t < n; t++ {
-			vector.MultScalarWrite(a, sc[t*ss], d, o+t*st, t*w, w)
-		}
-	case matrix.BinAdd:
-		for t := 0; t < n; t++ {
-			vector.AddScalarWrite(a, sc[t*ss], d, o+t*st, t*w, w)
-		}
+	case matrix.BinMul, matrix.BinAdd: // commutative
+		binVSRows(op, a, o, st, sc, ss, d, n, w)
 	case matrix.BinSub:
 		for t := 0; t < n; t++ {
 			vector.ScalarMinusWrite(sc[t*ss], a, d, o+t*st, t*w, w)

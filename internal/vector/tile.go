@@ -111,27 +111,10 @@ func narrowRows4(a, b, c []float64, ao, astride, k, n int) {
 	}
 }
 
-// narrowRow accumulates c (n < narrowCols outputs) += arow %*% B, with B
-// k×n row-major at b[0]. Outputs are taken four, two and one at a time,
-// each group in local accumulators over one pass of arow.
+// narrowRow is narrowRows4 for one row (the rows left over after the
+// blocks of four): c (n outputs) += arow %*% B, two outputs per pass.
 func narrowRow(arow, b, c []float64, n int) {
 	j := 0
-	for ; j+4 <= n; j += 4 {
-		var c0, c1, c2, c3 float64
-		bo := j
-		for _, av := range arow {
-			bb := b[bo : bo+4]
-			c0 += av * bb[0]
-			c1 += av * bb[1]
-			c2 += av * bb[2]
-			c3 += av * bb[3]
-			bo += n
-		}
-		c[j] += c0
-		c[j+1] += c1
-		c[j+2] += c2
-		c[j+3] += c3
-	}
 	for ; j+2 <= n; j += 2 {
 		var c0, c1 float64
 		bo := j

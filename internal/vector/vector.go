@@ -253,16 +253,9 @@ func OuterMultAdd(a, b, c []float64, ai, bi, ci, n, m int) {
 
 // OuterMultAddSparse accumulates a sparse row (avals, aix) ⊗ b into c.
 func OuterMultAddSparse(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
-	// One or two columns (t(X) %*% y, the k-1 = 2 classes of MLogreg) are
-	// too little work per non-zero for a MultAdd call.
-	switch m {
-	case 1:
-		bv, cc := b[bi], c[ci:]
-		for k, i := range aix {
-			cc[i] += avals[k] * bv
-		}
-		return
-	case 2:
+	if m == 2 {
+		// Two columns (the k-1 = 2 classes of MLogreg) are too little work
+		// per non-zero for a MultAdd call.
 		b0, b1, cc := b[bi], b[bi+1], c[ci:]
 		for k, i := range aix {
 			cc[2*i] += avals[k] * b0
