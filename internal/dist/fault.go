@@ -383,6 +383,7 @@ type panelTask struct {
 	panel, lo, hi int
 	state         atomic.Int32
 	attempts      atomic.Int32
+	fails         atomic.Int32 // transient failures drawn so far
 	startedNanos  atomic.Int64 // first attempt start, for straggler detection
 	spec          atomic.Bool  // speculative duplicate launched
 	ctx           context.Context
@@ -623,9 +624,17 @@ func (r *faultRun) attempt(e int, t *panelTask, isSpec bool) {
 			return
 		}
 		t.startedNanos.CompareAndSwap(0, int64(time.Since(r.start)))
-		if r.plan.failTransient(r.opSeq, int64(t.panel), a) {
+		// Transient failures are drawn by how often the task has failed so
+		// far, not by the attempt number: reassignments and speculative
+		// duplicates also number attempts, and when those happen is a
+		// matter of scheduling. A duplicate that draws the failure its
+		// sibling already recorded just tries again.
+		if f := t.fails.Load(); r.plan.failTransient(r.opSeq, int64(t.panel), int64(f)) {
+			if !t.fails.CompareAndSwap(f, f+1) {
+				continue
+			}
 			atomic.AddInt64(&r.c.ftTransient, 1)
-			if int(a) >= r.plan.maxTaskRetries() || !r.budgetRetry() {
+			if int(f) >= r.plan.maxTaskRetries() || !r.budgetRetry() {
 				r.degrade()
 				return
 			}
