@@ -173,12 +173,14 @@ func Serve(o Options) *Table {
 	p50, p99 := percentileMS(lats, 0.50), percentileMS(lats, 0.99)
 
 	// --- Phase 2: open-loop throughput at low contention. ---
-	// Batching off: the gate measures the un-coalesced request path.
+	// Four slots per tenant against one request in flight at a time: no
+	// tenant saturates, so nothing coalesces and the gate measures the
+	// plain request path.
 	engB := serve.NewEngine(
 		serve.WithMemoryBudget(1<<30),
 		serve.WithTenantQuota(serve.TenantQuota{MaxSessions: 4}),
 	)
-	srvB, err := serve.NewServer("127.0.0.1:0", engB, serve.WithBatchWindow(0))
+	srvB, err := serve.NewServer("127.0.0.1:0", engB)
 	if err != nil {
 		panic(fmt.Sprintf("serve bench: %v", err))
 	}
@@ -235,7 +237,7 @@ func Serve(o Options) *Table {
 		serve.WithMemoryBudget(64<<10),
 		serve.WithTenantQuota(serve.TenantQuota{MaxSessions: 16}),
 	)
-	srvC, err := serve.NewServer("127.0.0.1:0", engC, serve.WithBatchWindow(0))
+	srvC, err := serve.NewServer("127.0.0.1:0", engC)
 	if err != nil {
 		panic(fmt.Sprintf("serve bench: %v", err))
 	}
@@ -268,10 +270,26 @@ func Serve(o Options) *Table {
 	srvC.Close()
 
 	// --- Phase 4: micro-batching of same-plan requests. ---
-	engD := serve.NewEngine()
-	srvD, err := serve.NewServer("127.0.0.1:0", engD, serve.WithBatchWindow(25*time.Millisecond))
+	// Requests coalesce only while their tenant is saturated: one session
+	// slot, held by a slow request while eight same-plan requests arrive.
+	engD := serve.NewEngine(serve.WithTenantQuota(serve.TenantQuota{MaxSessions: 1}))
+	srvD, err := serve.NewServer("127.0.0.1:0", engD, serve.WithQueueWait(30*time.Second))
 	if err != nil {
 		panic(fmt.Sprintf("serve bench: %v", err))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		postScore(srvD.Addr(), &serve.RunRequest{
+			Tenant: "batch",
+			Script: "acc = 0\nfor (i in 1:200) {\n acc = acc + sum(X %*% t(X))\n}",
+			Inputs: map[string]serve.InputSpec{
+				"X": {Rows: 128, Cols: 128, Rand: &serve.RandSpec{Sparsity: 1, Lo: -1, Hi: 1, Seed: 7}},
+			},
+		})
+	}()
+	for engD.Tenant("batch").Active() == 0 { // until the holder has the slot
+		time.Sleep(100 * time.Microsecond)
 	}
 	var batchMax atomic.Int64
 	for i := 0; i < 8; i++ {

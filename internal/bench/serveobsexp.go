@@ -80,20 +80,19 @@ func ServeObs(o Options) *Table {
 
 	newEngine := func() *serve.Engine {
 		return serve.NewEngine(
-			serve.WithMemoryBudget(1 << 30),
+			serve.WithMemoryBudget(1<<30),
 			serve.WithTenantQuota(serve.TenantQuota{MaxSessions: 4}),
 		)
 	}
-	// Batching off on both: a single closed-loop client never coalesces,
-	// so the leader's batch window would only add identical constant sleep
-	// to both variants and mask the instrumentation cost being measured.
-	srvOn, err := serve.NewServer("127.0.0.1:0", newEngine(), serve.WithBatchWindow(0))
+	// A single closed-loop client never saturates its tenant, so no request
+	// coalesces or queues: the two variants differ in instrumentation only.
+	srvOn, err := serve.NewServer("127.0.0.1:0", newEngine())
 	if err != nil {
 		panic(fmt.Sprintf("serveobs bench: %v", err))
 	}
 	defer srvOn.Close()
 	srvOff, err := serve.NewServer("127.0.0.1:0", newEngine(),
-		serve.WithBatchWindow(0), serve.WithFlightRecorder(-1, 0))
+		serve.WithFlightRecorder(-1, 0))
 	if err != nil {
 		panic(fmt.Sprintf("serveobs bench: %v", err))
 	}
@@ -128,7 +127,7 @@ func ServeObs(o Options) *Table {
 
 	// --- Trace sanity: sample-everything recorder retains full trees. ---
 	srvT, err := serve.NewServer("127.0.0.1:0", newEngine(),
-		serve.WithBatchWindow(0), serve.WithFlightRecorder(16, 0))
+		serve.WithFlightRecorder(16, 0))
 	if err != nil {
 		panic(fmt.Sprintf("serveobs bench: %v", err))
 	}

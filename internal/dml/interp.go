@@ -1,6 +1,7 @@
 package dml
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"io"
@@ -71,7 +72,8 @@ type Session struct {
 	Blocks         int64
 	BlockCacheHits int64
 
-	blockCache map[string]*blockEntry
+	blockCache map[string]*blockEntry  // optimized block plans, at most maxBlockPlans
+	blockLRU   list.List               // of *blockEntry, most recently used first
 	bound      map[*matrix.Matrix]bool // matrices handed in via Bind (caller-owned)
 
 	nnzHints   map[string]int64 // sparsity estimates from BindWithNnz, dropped on divergence
@@ -85,10 +87,20 @@ type Session struct {
 // stale operator) and the calibration generation the plan was costed
 // under.
 type blockEntry struct {
+	key      string
 	dag      *hop.DAG
 	hashes   []uint64
 	calibGen uint64
+	lru      *list.Element
 }
+
+// maxBlockPlans bounds a session's block-plan cache. A session that keeps
+// seeing new scripts (a serving tenant fed ad-hoc queries) would otherwise
+// retain a HOP DAG, its key and its compiled operators per script forever;
+// past the bound the least recently used plan is discarded, so the blocks
+// that keep running stay cached through a flood of one-off ones. No
+// algorithm script comes near it (the largest has ~20 distinct blocks).
+const maxBlockPlans = 64
 
 // execCtx is the execution context threaded into every runtime call:
 // the session's own pools, or the process defaults when unset.
@@ -219,6 +231,7 @@ func (s *Session) Reset() {
 func (s *Session) Close() {
 	s.Reset()
 	s.blockCache = nil
+	s.blockLRU.Init()
 }
 
 // Run parses and executes a script against the bound inputs; results stay
@@ -759,12 +772,13 @@ func (s *Session) runBlock(ctx context.Context, root obs.Span, stmts []Stmt) err
 		blockCacheKey = key
 		entry, ok := s.blockCache[key]
 		if ok && entry.calibGen != s.calibGen {
-			s.invalidateBlock(key)
+			s.invalidateBlock(key, "reopt.invalidations")
 			s.Obs.Inc("reopt.calib")
 			ok = false
 		}
 		if ok {
 			d = entry.dag
+			s.blockLRU.MoveToFront(entry.lru)
 			s.BlockCacheHits++
 			s.Obs.Inc("block.cache.hits")
 		} else {
@@ -774,7 +788,14 @@ func (s *Session) runBlock(ctx context.Context, root obs.Span, stmts []Stmt) err
 			if s.blockCache == nil {
 				s.blockCache = map[string]*blockEntry{}
 			}
-			s.blockCache[key] = &blockEntry{dag: d, hashes: codegen.PlanHashes(d), calibGen: s.calibGen}
+			entry = &blockEntry{key: key, dag: d, hashes: codegen.PlanHashes(d), calibGen: s.calibGen}
+			entry.lru = s.blockLRU.PushFront(entry)
+			s.blockCache[key] = entry
+			if len(s.blockCache) > maxBlockPlans {
+				old := s.blockLRU.Back().Value.(*blockEntry).key
+				s.invalidateBlock(old, "block.cache.evictions")
+				delete(s.blockReopt, old)
+			}
 		}
 	} else {
 		d = optimize(d)
@@ -914,23 +935,25 @@ func (s *Session) checkReopt(key string, fb *runtime.Feedback) {
 		}
 	}
 	if diverged {
-		s.invalidateBlock(key)
+		s.invalidateBlock(key, "reopt.invalidations")
 	}
 }
 
 // invalidateBlock discards one cached block plan and invalidates its
 // compiled operators in the plan cache (all views of a shared cache stop
-// serving them).
-func (s *Session) invalidateBlock(key string) {
+// serving them), counting it under the caller's reason: a re-optimization
+// ("reopt.invalidations") or an LRU eviction ("block.cache.evictions").
+func (s *Session) invalidateBlock(key, counter string) {
 	e, ok := s.blockCache[key]
 	if !ok {
 		return
 	}
 	delete(s.blockCache, key)
+	s.blockLRU.Remove(e.lru)
 	if s.Cache != nil {
 		s.Cache.Invalidate(e.hashes...)
 	}
-	s.Obs.Inc("reopt.invalidations")
+	s.Obs.Inc(counter)
 }
 
 type printRef string

@@ -29,9 +29,9 @@ type RequestRecord struct {
 	// request that executed the batch.
 	Batch  int  `json:"batch"`
 	Leader bool `json:"leader"`
-	// QueueNS, ExecNS, and TotalNS split the request's latency:
-	// queueing (batch window + session wait), script execution, and
-	// arrival-to-completion, in nanoseconds.
+	// QueueNS, ExecNS, and TotalNS split the request's latency: arrival
+	// to start of execution (session-slot wait plus, in a batch, the jobs
+	// ahead), script execution, and arrival-to-completion, in nanoseconds.
 	QueueNS int64 `json:"queue_ns"`
 	ExecNS  int64 `json:"exec_ns"`
 	TotalNS int64 `json:"total_ns"`

@@ -6,21 +6,22 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"sysml/internal/dml"
 )
 
 // Micro-batching: scoring traffic is dominated by many small requests
 // running the same script over same-shaped inputs — i.e. resolving to the
-// same compiled plan. Executing each on its own session slot serializes on
-// the tenant quota and re-enters the block compiler per request. Instead,
-// the first request for a plan key becomes the batch leader: it holds the
-// key open for a short window, absorbs followers that arrive for the same
-// key, then executes the whole batch back-to-back on ONE session — one
-// quota slot, one warm block-plan cache, one warm operator cache — and
-// fans the results back out.
-
-// DefaultBatchWindow is how long a leader holds its batch open. Zero on a
-// Server disables batching (every request leads its own batch of one).
-const DefaultBatchWindow = 500 * time.Microsecond
+// same compiled plan. While the tenant has a free session slot every such
+// request runs at once on a slot of its own: waiting for company would only
+// add latency. Coalescing pays exactly when the tenant is at its
+// MaxSessions: the first request for a plan key that finds no slot becomes
+// the batch leader and blocks in Tenant.acquire; requests for the same key
+// that arrive while it is blocked join its group as followers instead of
+// queueing for slots of their own. Once the leader holds a session it closes
+// the group and executes the whole batch back-to-back on that ONE session —
+// one quota slot, one warm block-plan cache, one warm operator cache — and
+// fans the results back out. No request ever waits for a timer.
 
 // maxBatch caps how many requests one leader may execute back-to-back, so
 // an unlucky leader's latency stays bounded under a flood.
@@ -83,42 +84,49 @@ type batchGroup struct {
 	jobs []*batchJob
 }
 
-// batcher coalesces same-plan requests. One per Server.
+// batcher coalesces same-plan requests. One per Server. groups holds the
+// open group of each plan key whose leader is blocked waiting for a slot.
 type batcher struct {
-	window time.Duration
 	mu     sync.Mutex
 	groups map[planKey]*batchGroup
 }
 
-func newBatcher(window time.Duration) *batcher {
-	return &batcher{window: window, groups: map[planKey]*batchGroup{}}
+func newBatcher() *batcher {
+	return &batcher{groups: map[planKey]*batchGroup{}}
 }
 
-// submit enrolls a job under its plan key. The returned slice is non-nil
-// exactly when the caller is the batch leader: after the batch window it
-// holds every job (the leader's own first) to execute in order. Followers
-// get nil and wait on job.done.
-func (b *batcher) submit(key planKey, job *batchJob) []*batchJob {
-	if b.window <= 0 {
-		return []*batchJob{job}
+// submit admits a job to tenant t. jobs is non-nil exactly when the caller
+// is a batch leader: it then holds sess (or the acquire error, which sheds
+// the whole batch) and every job of its group in arrival order, its own
+// first. Followers get nil and wait on job.done.
+//
+// A free slot is taken at once and the job runs alone. Otherwise the job
+// joins the key's open group, or opens one and waits up to wait for a slot;
+// the group closes the moment the wait ends, so it is open only while its
+// leader is blocked. A full group stays with its leader and the next
+// request opens a fresh one behind it (slot waiters are served in order).
+func (b *batcher) submit(t *Tenant, key planKey, job *batchJob, wait time.Duration) (jobs []*batchJob, sess *dml.Session, err error) {
+	sess, err = t.acquire(0, false)
+	if err != ErrTenantBusy || wait <= 0 {
+		return []*batchJob{job}, sess, err
 	}
 	b.mu.Lock()
 	if g, ok := b.groups[key]; ok && len(g.jobs) < maxBatch {
 		g.jobs = append(g.jobs, job)
 		b.mu.Unlock()
-		return nil
+		return nil, nil, nil
 	}
 	g := &batchGroup{jobs: []*batchJob{job}}
 	b.groups[key] = g
 	b.mu.Unlock()
 
-	time.Sleep(b.window)
+	sess, err = t.acquire(wait, false)
 
 	b.mu.Lock()
 	if b.groups[key] == g {
 		delete(b.groups, key)
 	}
-	jobs := g.jobs
+	jobs = g.jobs
 	b.mu.Unlock()
-	return jobs
+	return jobs, sess, err
 }

@@ -147,17 +147,27 @@ func WithSLOTarget(target time.Duration) EngineOption {
 	return func(e *Engine) { e.sloTarget = target }
 }
 
+// defaultPlanCacheSize bounds the engine's shared plan cache when neither
+// Config.PlanCacheSize nor WithSharedPlanCache sizes it: a long-lived server
+// must not keep a compiled operator for every script it has ever seen.
+const defaultPlanCacheSize = 1024
+
 // NewEngine builds an engine. With no options it delegates to the process
 // defaults (worker pool, buffer pool), never sheds, and gives tenants
-// views over a fresh shared plan cache — behaviorally a superset of the
-// old one-global-everything layout, but instance-scoped.
+// views over a fresh shared plan cache of defaultPlanCacheSize operators
+// (Config.PlanCacheSize overrides) — behaviorally a superset of the old
+// one-global-everything layout, but instance-scoped.
 func NewEngine(opts ...EngineOption) *Engine {
 	e := &Engine{cfg: codegen.DefaultConfig(), tenants: map[string]*Tenant{}, obsm: obs.NewMetrics()}
 	for _, opt := range opts {
 		opt(e)
 	}
 	if e.cache == nil {
-		e.cache = codegen.NewSharedPlanCache(e.cfg.PlanCache, e.cfg.PlanCacheSize, 8, 1)
+		size := e.cfg.PlanCacheSize
+		if size == 0 {
+			size = defaultPlanCacheSize
+		}
+		e.cache = codegen.NewSharedPlanCache(e.cfg.PlanCache, size, 8, 1)
 	}
 	return e
 }
@@ -487,6 +497,12 @@ func (t *Tenant) acquire(wait time.Duration, count bool) (*dml.Session, error) {
 		return s, nil
 	}
 	t.mu.Unlock()
+	return t.newSession(), nil
+}
+
+// newSession builds a session on the engine's worker pool, the tenant's
+// buffer pool and the tenant's plan-cache view.
+func (t *Tenant) newSession() *dml.Session {
 	s := dml.NewSession(t.eng.cfg)
 	s.Par = t.eng.par
 	s.Alloc = t.alloc
@@ -495,7 +511,7 @@ func (t *Tenant) acquire(wait time.Duration, count bool) (*dml.Session, error) {
 		s.Calib = t.eng.calib
 		s.Config.Costs = t.eng.calib.Model()
 	}
-	return s, nil
+	return s
 }
 
 // Release resets the session (its pooled intermediates return to the
@@ -574,9 +590,9 @@ func (t *Tenant) Stats() TenantStats {
 		CacheHits:          hits,
 		CacheMisses:        misses,
 		CacheInvalidations: t.cache.Invalidations(),
-		P50MS:          lat.Quantile(0.50) * 1e3,
-		P95MS:          lat.Quantile(0.95) * 1e3,
-		P99MS:          lat.Quantile(0.99) * 1e3,
-		SLOBurn:        t.sloBurn.Load(),
+		P50MS:              lat.Quantile(0.50) * 1e3,
+		P95MS:              lat.Quantile(0.95) * 1e3,
+		P99MS:              lat.Quantile(0.99) * 1e3,
+		SLOBurn:            t.sloBurn.Load(),
 	}
 }

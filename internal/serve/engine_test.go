@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -216,5 +218,41 @@ func TestSessionResetReturnsBuffers(t *testing.T) {
 	tn.Release(s)
 	if live := e.LiveBytes(); live != 0 {
 		t.Errorf("%d live bytes after release, want 0", live)
+	}
+}
+
+// TestServerBoundedPlanState: a default engine fed scripts it has never
+// seen, through /v1/run, keeps a flat heap — tenant sessions bound their
+// block plans and the shared plan cache evicts at its default capacity.
+func TestServerBoundedPlanState(t *testing.T) {
+	e := NewEngine()
+	srv := startServer(t, e)
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	const scripts, tenants = 5000, 16
+	var heapAt1000 int64
+	for i := 0; i < scripts; i++ {
+		if i == 1000 {
+			heapAt1000 = liveHeap()
+		}
+		req := sumReq(fmt.Sprintf("t%d", i%tenants), 2, 1)
+		req.Script = fmt.Sprintf("s = sum(X * %d + X)\nr = rowSums(abs(X) / %d.5)", i+2, i+1)
+		if r := post(srv, "", req); r.status != http.StatusOK {
+			t.Fatalf("script %d: status %d err %v", i, r.status, r.err)
+		}
+	}
+	if grown := liveHeap() - heapAt1000; grown > 2<<20 || grown < -(2<<20) {
+		t.Errorf("live heap moved by %d KiB between script 1000 and %d, want within 2 MiB", grown>>10, scripts)
+	}
+	snap := e.Metrics()
+	if snap.Counter("plancache.evictions") == 0 {
+		t.Error("plancache.evictions = 0: the default engine's plan cache is unbounded")
+	}
+	if size := snap.Gauges["plancache.size"]; size > defaultPlanCacheSize {
+		t.Errorf("plancache.size = %g, over the default capacity %d", size, defaultPlanCacheSize)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -67,7 +68,8 @@ type RunResponse struct {
 	// alone); Leader marks the request that executed the batch.
 	Batch  int  `json:"batch"`
 	Leader bool `json:"leader"`
-	// QueueNS is time spent waiting (batch window + session queue) and
+	// QueueNS is the time from arrival to the start of execution (waiting
+	// for a tenant session slot and, in a batch, for the jobs ahead) and
 	// ExecNS the script execution time, nanoseconds.
 	QueueNS int64 `json:"queue_ns"`
 	ExecNS  int64 `json:"exec_ns"`
@@ -127,12 +129,6 @@ const DefaultDrainTimeout = 5 * time.Second
 // threshold: requests at/over it (or that failed) retain their span tree.
 const DefaultSlowThreshold = 100 * time.Millisecond
 
-// WithBatchWindow overrides how long a batch leader holds its plan key
-// open for followers (0 disables micro-batching).
-func WithBatchWindow(d time.Duration) ServerOption {
-	return func(s *Server) { s.batch = newBatcher(d) }
-}
-
 // WithQueueWait overrides the session-slot wait before shedding.
 func WithQueueWait(d time.Duration) ServerOption {
 	return func(s *Server) { s.queueWait = d }
@@ -168,7 +164,7 @@ func NewServer(addr string, e *Engine, opts ...ServerOption) (*Server, error) {
 	s := &Server{
 		eng:       e,
 		ln:        ln,
-		batch:     newBatcher(DefaultBatchWindow),
+		batch:     newBatcher(),
 		queueWait: DefaultQueueWait,
 		rec:       obs.NewFlightRecorder(obs.DefaultFlightRecorderSize, DefaultSlowThreshold),
 	}
@@ -288,11 +284,25 @@ func (s *Server) handleDebugRequest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rec)
 }
 
+// panicError is a panic recovered from one job's execution (operator,
+// kernel, rewrite): the job fails with a 500, its flight record keeps the
+// stack, and the session it ran on is discarded.
+type panicError struct {
+	value any
+	stack []byte
+}
+
+func (e *panicError) Error() string { return fmt.Sprintf("internal error: panic: %v", e.value) }
+
 // statusFor maps a run error to the HTTP status the job is answered with.
 func statusFor(err error) int {
-	switch err {
+	switch err.(type) {
 	case nil:
 		return http.StatusOK
+	case *panicError:
+		return http.StatusInternalServerError
+	}
+	switch err {
 	case ErrTenantBusy, ErrTenantOverBudget:
 		return http.StatusTooManyRequests
 	default:
@@ -353,13 +363,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	job := &batchJob{id: rid, start: start, req: &req, done: make(chan struct{})}
-	jobs := s.batch.submit(key, job)
+	jobs, sess, err := s.batch.submit(tn, key, job, s.queueWait)
 	if jobs == nil {
-		// Follower: a concurrent leader for the same compiled plan
-		// executes this job on its session.
+		// Follower: a leader for the same compiled plan, blocked on the
+		// saturated tenant, executes this job on its session.
 		<-job.done
 	} else {
-		s.runBatch(tn, key, jobs)
+		s.runBatch(tn, key, jobs, sess, err)
 	}
 	if job.err != nil {
 		switch status := statusFor(job.err); status {
@@ -373,13 +383,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, job.resp)
 }
 
-// runBatch acquires ONE session for the whole batch and executes the jobs
-// back-to-back on it: one tenant quota slot, one warm block-plan cache,
-// one warm operator cache. jobs[0] is the leader's own. Every job —
-// leader and follower alike — is counted, latency-observed, and flight-
-// recorded here, so per-tenant accounting is exact under batching.
-func (s *Server) runBatch(t *Tenant, key planKey, jobs []*batchJob) {
-	sess, err := t.acquire(s.queueWait, false)
+// runBatch executes the jobs back-to-back on the ONE session the leader
+// acquired for the whole batch: one tenant quota slot, one warm block-plan
+// cache, one warm operator cache. jobs[0] is the leader's own; a non-nil
+// err is the failed acquire and sheds every job. Every job — leader and
+// follower alike — is counted, latency-observed, and flight-recorded here,
+// so per-tenant accounting is exact under batching.
+func (s *Server) runBatch(t *Tenant, key planKey, jobs []*batchJob, sess *dml.Session, err error) {
 	if err != nil {
 		for i, job := range jobs {
 			job.err = err
@@ -401,7 +411,7 @@ func (s *Server) runBatch(t *Tenant, key planKey, jobs []*batchJob) {
 		}
 		return
 	}
-	defer t.Release(sess)
+	defer func() { t.Release(sess) }() // sess changes when a job panics
 	for i, job := range jobs {
 		t.requests.Add(1)
 		t.eng.requests.Add(1)
@@ -457,6 +467,10 @@ func (s *Server) runBatch(t *Tenant, key planKey, jobs []*batchJob) {
 		if err != nil {
 			errStr = err.Error()
 		}
+		pe, panicked := err.(*panicError)
+		if panicked {
+			errStr += "\n" + string(pe.stack)
+		}
 		s.rec.Record(obs.RequestRecord{
 			ID: job.id, Tenant: t.name, PlanKey: key.String(), Start: job.start,
 			Batch: len(jobs), Leader: i == 0,
@@ -472,6 +486,13 @@ func (s *Server) runBatch(t *Tenant, key planKey, jobs []*batchJob) {
 			ts.Reset()
 			s.sinks.Put(ts)
 		}
+		if panicked {
+			// The session's Env and buffers are in an unknown state: drop it
+			// (never Reset, never parked idle; what it held of the buffer
+			// pool stays counted live) and give the rest of the batch a
+			// fresh one under the same slot.
+			sess = t.newSession()
+		}
 		if i > 0 {
 			close(job.done)
 		}
@@ -482,7 +503,12 @@ func (s *Server) runBatch(t *Tenant, key planKey, jobs []*batchJob) {
 // span, and extracts the requested outputs. Inputs are installed directly
 // in the environment (not via Bind) so Reset returns their pooled storage
 // to the tenant.
-func runJob(ctx context.Context, sess *dml.Session, req *RunRequest, parent obs.Span) (*RunResponse, error) {
+func runJob(ctx context.Context, sess *dml.Session, req *RunRequest, parent obs.Span) (resp *RunResponse, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			resp, err = nil, &panicError{value: v, stack: debug.Stack()}
+		}
+	}()
 	ec := matrix.Ctx{Par: sess.Par, Buf: sess.Alloc}
 	for name, in := range req.Inputs {
 		var m *matrix.Matrix
@@ -500,7 +526,7 @@ func runJob(ctx context.Context, sess *dml.Session, req *RunRequest, parent obs.
 	if err := sess.RunInSpan(ctx, req.Script, parent); err != nil {
 		return nil, err
 	}
-	resp := &RunResponse{ExecNS: time.Since(execStart).Nanoseconds()}
+	resp = &RunResponse{ExecNS: time.Since(execStart).Nanoseconds()}
 	if len(req.Outputs) > 0 {
 		resp.Outputs = make(map[string]OutputMatrix, len(req.Outputs))
 		for _, name := range req.Outputs {

@@ -6,10 +6,16 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
+	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"sysml/internal/hop"
+	"sysml/internal/matrix"
+	"sysml/internal/obs"
 )
 
 func startServer(t *testing.T, e *Engine, opts ...ServerOption) *Server {
@@ -113,7 +119,7 @@ func TestServerShedsOverBudget(t *testing.T) {
 // 429 after the queue wait, not an oversubscribed session.
 func TestServerShedsAtSessionQuota(t *testing.T) {
 	e := NewEngine(WithTenantQuota(TenantQuota{MaxSessions: 1}))
-	srv := startServer(t, e, WithQueueWait(5*time.Millisecond), WithBatchWindow(0))
+	srv := startServer(t, e, WithQueueWait(5*time.Millisecond))
 	tn := e.Tenant("t1")
 	held, err := tn.Acquire(0)
 	if err != nil {
@@ -130,68 +136,11 @@ func TestServerShedsAtSessionQuota(t *testing.T) {
 	}
 }
 
-// TestServerMicroBatching: concurrent same-plan requests coalesce behind
-// one leader and all complete correctly.
-func TestServerMicroBatching(t *testing.T) {
-	e := NewEngine()
-	srv := startServer(t, e, WithBatchWindow(30*time.Millisecond))
-	const clients = 8
-	req := func(seed int64) *RunRequest {
-		return &RunRequest{
-			Tenant: "t1",
-			Script: "s = sum(X * X)",
-			Inputs: map[string]InputSpec{
-				"X": {Rows: 64, Cols: 16, Rand: &RandSpec{Sparsity: 1, Lo: -1, Hi: 1, Seed: seed}},
-			},
-			Outputs: []string{"s"},
-		}
-	}
-	var wg sync.WaitGroup
-	results := make([]*RunResponse, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, rr := postRun(t, srv, req(int64(i)))
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("client %d: status %d", i, resp.StatusCode)
-				return
-			}
-			results[i] = rr
-		}(i)
-	}
-	wg.Wait()
-	maxBatchSeen, leaders := 0, 0
-	for i, rr := range results {
-		if rr == nil {
-			continue
-		}
-		if rr.Outputs["s"].Data[0] <= 0 {
-			t.Errorf("client %d: sum(X*X) = %g, want > 0", i, rr.Outputs["s"].Data[0])
-		}
-		if rr.Batch > maxBatchSeen {
-			maxBatchSeen = rr.Batch
-		}
-		if rr.Leader {
-			leaders++
-		}
-	}
-	if maxBatchSeen < 2 {
-		t.Errorf("no request rode a batch (max batch %d of %d concurrent)", maxBatchSeen, clients)
-	}
-	if leaders == clients {
-		t.Error("every request led its own batch; coalescing never happened")
-	}
-	if st := e.Tenant("t1").Stats(); st.Batched == 0 {
-		t.Error("tenant batched counter did not move")
-	}
-}
-
 // TestServerGracefulDrain: Close must let an in-flight request finish
 // instead of cutting its connection.
 func TestServerGracefulDrain(t *testing.T) {
 	e := NewEngine()
-	srv := startServer(t, e, WithBatchWindow(0))
+	srv := startServer(t, e)
 	slow := &RunRequest{
 		Tenant: "t1",
 		Script: "acc = 0\nfor (i in 1:40) {\n acc = acc + sum(X %*% X)\n}",
@@ -235,7 +184,7 @@ func TestServerGracefulDrain(t *testing.T) {
 // TestServerTenantsEndpoint: /v1/tenants exposes per-tenant accounting.
 func TestServerTenantsEndpoint(t *testing.T) {
 	e := NewEngine()
-	srv := startServer(t, e, WithBatchWindow(0))
+	srv := startServer(t, e)
 	for i := 0; i < 3; i++ {
 		resp, _ := postRun(t, srv, &RunRequest{Tenant: "alpha", Script: "x = 1 + 1"})
 		if resp.StatusCode != http.StatusOK {
@@ -259,7 +208,7 @@ func TestServerTenantsEndpoint(t *testing.T) {
 // TestServerRequestID: the response echoes a client X-Request-ID in both
 // the header and the body, and generates one when the client sends none.
 func TestServerRequestID(t *testing.T) {
-	srv := startServer(t, NewEngine(), WithBatchWindow(0))
+	srv := startServer(t, NewEngine())
 	body, _ := json.Marshal(&RunRequest{Script: "x = 1 + 1"})
 	req, _ := http.NewRequest(http.MethodPost, "http://"+srv.Addr()+"/v1/run", bytes.NewReader(body))
 	req.Header.Set("X-Request-ID", "client-7")
@@ -291,61 +240,12 @@ func TestServerRequestID(t *testing.T) {
 	}
 }
 
-// TestServerBatchAccounting is the regression test for the leader/follower
-// accounting asymmetry: under micro-batching every request must count
-// exactly once toward the tenant and engine request totals.
-func TestServerBatchAccounting(t *testing.T) {
-	e := NewEngine()
-	srv := startServer(t, e, WithBatchWindow(30*time.Millisecond))
-	const clients = 8
-	req := &RunRequest{
-		Tenant: "acct",
-		Script: "s = sum(X)",
-		Inputs: map[string]InputSpec{
-			"X": {Rows: 32, Cols: 8, Rand: &RandSpec{Sparsity: 1, Lo: 0, Hi: 1, Seed: 3}},
-		},
-	}
-	var wg sync.WaitGroup
-	batched := false
-	var mu sync.Mutex
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, rr := postRun(t, srv, req)
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("status %d", resp.StatusCode)
-				return
-			}
-			mu.Lock()
-			if rr.Batch > 1 {
-				batched = true
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if !batched {
-		t.Skip("no batch formed; accounting not exercised under batching")
-	}
-	st := e.Tenant("acct").Stats()
-	if st.Requests != clients {
-		t.Errorf("tenant requests = %d, want %d", st.Requests, clients)
-	}
-	if e.Requests() != clients {
-		t.Errorf("engine requests = %d, want %d", e.Requests(), clients)
-	}
-	if st.Shed != 0 {
-		t.Errorf("shed = %d, want 0", st.Shed)
-	}
-}
-
 // TestServerDebugRequests: the flight recorder retains completed requests
 // and /debug/requests/{id} returns a sampled record's full span tree down
 // to per-operator execute spans.
 func TestServerDebugRequests(t *testing.T) {
 	srv := startServer(t, NewEngine(),
-		WithBatchWindow(0), WithFlightRecorder(16, 0)) // slow=0: sample all
+		WithFlightRecorder(16, 0)) // slow=0: sample all
 	resp, rr := postRun(t, srv, &RunRequest{
 		Tenant:  "dbg",
 		Script:  "Y = X %*% X",
@@ -463,7 +363,7 @@ func TestServerHealthzDrain(t *testing.T) {
 // latency quantiles in milliseconds, ordered p50 <= p95 <= p99.
 func TestServerTenantQuantiles(t *testing.T) {
 	e := NewEngine()
-	srv := startServer(t, e, WithBatchWindow(0))
+	srv := startServer(t, e)
 	for i := 0; i < 5; i++ {
 		resp, _ := postRun(t, srv, &RunRequest{
 			Tenant: "q",
@@ -498,7 +398,7 @@ func TestServerTenantQuantiles(t *testing.T) {
 // Prometheus text exposition when Accept asks for text/plain.
 func TestServerMetricsNegotiation(t *testing.T) {
 	e := NewEngine()
-	srv := startServer(t, e, WithBatchWindow(0))
+	srv := startServer(t, e)
 	resp, _ := postRun(t, srv, &RunRequest{Tenant: "m", Script: "x = 1 + 1"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -560,7 +460,7 @@ func TestServerMetricsNegotiation(t *testing.T) {
 // tenant's SLO counter.
 func TestServerSLOBurn(t *testing.T) {
 	e := NewEngine(WithSLOTarget(time.Nanosecond)) // everything burns
-	srv := startServer(t, e, WithBatchWindow(0))
+	srv := startServer(t, e)
 	for i := 0; i < 3; i++ {
 		resp, _ := postRun(t, srv, &RunRequest{Tenant: "slo", Script: "x = 1 + 1"})
 		if resp.StatusCode != http.StatusOK {
@@ -576,7 +476,7 @@ func TestServerSLOBurn(t *testing.T) {
 	}
 	// No target: no burn.
 	e2 := NewEngine()
-	srv2 := startServer(t, e2, WithBatchWindow(0))
+	srv2 := startServer(t, e2)
 	resp, _ := postRun(t, srv2, &RunRequest{Tenant: "slo", Script: "x = 1 + 1"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -590,7 +490,7 @@ func TestServerSLOBurn(t *testing.T) {
 // sampled error records.
 func TestServerShedRecorded(t *testing.T) {
 	e := NewEngine(WithTenantQuota(TenantQuota{MaxSessions: 1}))
-	srv := startServer(t, e, WithQueueWait(time.Millisecond), WithBatchWindow(0))
+	srv := startServer(t, e, WithQueueWait(time.Millisecond))
 	tn := e.Tenant("t1")
 	held, err := tn.Acquire(0)
 	if err != nil {
@@ -608,5 +508,350 @@ func TestServerShedRecorded(t *testing.T) {
 	}
 	if rec.Status != http.StatusTooManyRequests || rec.Error == "" || !rec.Sampled {
 		t.Errorf("shed record = %+v", rec)
+	}
+}
+
+// The batching tests below need no timer to form a batch: requests
+// coalesce exactly while their tenant is saturated, so each test holds the
+// one session slot of a MaxSessions-1 tenant, enrolls requests one at a time
+// (enroll returns once the server has the request in its plan key's open
+// group, which fixes the arrival order), and then releases the slot.
+
+// sumReq is a one-block scoring request; scripts differing in scale resolve
+// to different plan keys.
+func sumReq(tenant string, scale int, seed int64) *RunRequest {
+	return &RunRequest{
+		Tenant: tenant,
+		Script: fmt.Sprintf("s = sum(X * %d)", scale),
+		Inputs: map[string]InputSpec{
+			"X": {Rows: 32, Cols: 8, Rand: &RandSpec{Sparsity: 1, Lo: 0, Hi: 1, Seed: seed}},
+		},
+		Outputs: []string{"s"},
+	}
+}
+
+// reply is what one client saw of one request.
+type reply struct {
+	id     string
+	status int
+	rr     RunResponse
+	err    error
+}
+
+// post sends req under the given request ID without touching testing.T, so
+// it is safe on client goroutines.
+func post(srv *Server, id string, req *RunRequest) reply {
+	body, _ := json.Marshal(req)
+	hr, _ := http.NewRequest(http.MethodPost, "http://"+srv.Addr()+"/v1/run", bytes.NewReader(body))
+	hr.Header.Set("X-Request-ID", id)
+	resp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		return reply{id: id, err: err}
+	}
+	defer resp.Body.Close()
+	r := reply{id: id, status: resp.StatusCode}
+	if resp.StatusCode == http.StatusOK {
+		r.err = json.NewDecoder(resp.Body).Decode(&r.rr)
+	}
+	return r
+}
+
+// openGroupLen reports how many jobs the open group of req's plan key holds.
+func openGroupLen(srv *Server, req *RunRequest) int {
+	srv.batch.mu.Lock()
+	defer srv.batch.mu.Unlock()
+	if g, ok := srv.batch.groups[keyFor(req.Tenant, req.Script, req.Inputs)]; ok {
+		return len(g.jobs)
+	}
+	return 0
+}
+
+// enroll posts req on its own goroutine and returns once it sits at
+// position pos (1-based) of its key's open group; the reply goes to out.
+func enroll(t *testing.T, srv *Server, id string, req *RunRequest, pos int, out chan<- reply) {
+	t.Helper()
+	go func() { out <- post(srv, id, req) }()
+	for deadline := time.Now().Add(30 * time.Second); openGroupLen(srv, req) != pos; {
+		if time.Now().After(deadline) {
+			t.Fatalf("request %s never joined its group at position %d", id, pos)
+		}
+		runtime.Gosched()
+	}
+}
+
+// collect gathers n replies keyed by request ID.
+func collect(t *testing.T, out <-chan reply, n int) map[string]reply {
+	t.Helper()
+	got := map[string]reply{}
+	for i := 0; i < n; i++ {
+		r := <-out
+		if r.err != nil {
+			t.Fatalf("request %s: %v", r.id, r.err)
+		}
+		got[r.id] = r
+	}
+	return got
+}
+
+// executionOrder lists the request IDs with the given prefix in the order
+// the server completed them (the flight recorder lists newest first).
+func executionOrder(srv *Server, prefix string) []string {
+	var ids []string
+	for _, rec := range srv.FlightRecorder().Records() {
+		if strings.HasPrefix(rec.ID, prefix) {
+			ids = append([]string{rec.ID}, ids...)
+		}
+	}
+	return ids
+}
+
+// saturatedServer starts a server whose tenants have one session slot and
+// returns tenant "t1" with that slot held.
+func saturatedServer(t *testing.T, opts ...ServerOption) (*Engine, *Server, *Tenant, func()) {
+	t.Helper()
+	e := NewEngine(WithTenantQuota(TenantQuota{MaxSessions: 1}))
+	srv := startServer(t, e, append([]ServerOption{WithQueueWait(time.Minute)}, opts...)...)
+	tn := e.Tenant("t1")
+	held, err := tn.Acquire(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, srv, tn, func() { tn.Release(held) }
+}
+
+// TestBatchSaturatedTenantCoalesces: N same-plan requests arriving while
+// the tenant is saturated run as exactly one batch on one session slot and
+// one block-plan cache entry, in arrival order; another plan key batches on
+// its own; every request counts once.
+func TestBatchSaturatedTenantCoalesces(t *testing.T) {
+	e, srv, tn, release := saturatedServer(t)
+	const n, m = 5, 2
+	out := make(chan reply, n+m)
+	a, b := 0, 0
+	for _, k := range "abaabaa" { // interleaved arrivals
+		if k == 'a' {
+			a++
+			enroll(t, srv, fmt.Sprintf("a-%d", a), sumReq("t1", 2, int64(a)), a, out)
+		} else {
+			b++
+			enroll(t, srv, fmt.Sprintf("b-%d", b), sumReq("t1", 3, int64(b)), b, out)
+		}
+	}
+	release()
+	got := collect(t, out, n+m)
+	for id, r := range got {
+		want, leader := n, id == "a-1"
+		if id[0] == 'b' {
+			want, leader = m, id == "b-1"
+		}
+		if r.status != http.StatusOK || r.rr.Batch != want || r.rr.Leader != leader {
+			t.Errorf("%s: status %d batch %d leader %v, want 200 batch %d leader %v",
+				id, r.status, r.rr.Batch, r.rr.Leader, want, leader)
+		}
+		if s := r.rr.Outputs["s"]; len(s.Data) != 1 || s.Data[0] <= 0 {
+			t.Errorf("%s: s = %+v, want a positive scalar", id, s)
+		}
+	}
+	if order := strings.Join(executionOrder(srv, "a-"), " "); order != "a-1 a-2 a-3 a-4 a-5" {
+		t.Errorf("batch executed as %q, want arrival order", order)
+	}
+	if got := e.Metrics().Counter(`serve.tenant.batched{tenant="t1"}`); got != n-1+m-1 {
+		t.Errorf("serve.tenant.batched = %d, want %d followers", got, n-1+m-1)
+	}
+	st := tn.Stats()
+	if st.Requests != n+m+1 || st.Shed != 0 || st.ActiveSessions != 0 { // +1: the slot holder's Acquire
+		t.Errorf("requests %d shed %d active %d, want %d 0 0", st.Requests, st.Shed, st.ActiveSessions, n+m+1)
+	}
+	if len(srv.batch.groups) != 0 {
+		t.Errorf("%d groups still open", len(srv.batch.groups))
+	}
+	// One slot, one session, one optimized block per plan key.
+	if len(tn.idle) != 1 {
+		t.Fatalf("tenant holds %d sessions, want 1", len(tn.idle))
+	}
+	snap := tn.idle[0].Metrics()
+	if snap.Counter("block.optimized") != 2 || snap.Counter("block.reused") != n-1+m-1 {
+		t.Errorf("blocks optimized %d reused %d, want 2 and %d",
+			snap.Counter("block.optimized"), snap.Counter("block.reused"), n-1+m-1)
+	}
+}
+
+// TestBatchSplitsAtMaxBatch: a full group stays with its leader and the
+// next arrival opens a second one behind it.
+func TestBatchSplitsAtMaxBatch(t *testing.T) {
+	_, srv, _, release := saturatedServer(t)
+	const n = maxBatch + 3
+	out := make(chan reply, n)
+	for i := 0; i < n; i++ {
+		enroll(t, srv, fmt.Sprintf("r-%02d", i), sumReq("t1", 2, 1), i%maxBatch+1, out)
+	}
+	release()
+	sizes, leaders := map[int]int{}, 0
+	for id, r := range collect(t, out, n) {
+		if r.status != http.StatusOK {
+			t.Fatalf("%s: status %d", id, r.status)
+		}
+		sizes[r.rr.Batch]++
+		if r.rr.Leader {
+			leaders++
+		}
+	}
+	if sizes[maxBatch] != maxBatch || sizes[3] != 3 || leaders != 2 {
+		t.Errorf("batch sizes %v with %d leaders, want %d+3 with 2", sizes, leaders, maxBatch)
+	}
+	order := executionOrder(srv, "r-")
+	if !sort.StringsAreSorted(order) || len(order) != n {
+		t.Errorf("executed %v, want all %d in arrival order", order, n)
+	}
+}
+
+// TestBatchShedsWholeGroup: when the leader's queue wait expires, every job
+// of its group is shed with 429 and flight-recorded.
+func TestBatchShedsWholeGroup(t *testing.T) {
+	e, srv, tn, release := saturatedServer(t, WithQueueWait(500*time.Millisecond))
+	defer release()
+	const n = 3
+	out := make(chan reply, n)
+	for i := 1; i <= n; i++ {
+		enroll(t, srv, fmt.Sprintf("s-%d", i), sumReq("t1", 2, 1), i, out)
+	}
+	for id, r := range collect(t, out, n) {
+		if r.status != http.StatusTooManyRequests {
+			t.Errorf("%s: status %d, want 429", id, r.status)
+		}
+		rec, ok := srv.FlightRecorder().Get(id)
+		if !ok || rec.Status != http.StatusTooManyRequests || rec.Batch != n || rec.Leader != (id == "s-1") {
+			t.Errorf("%s: flight record %+v (found %v)", id, rec, ok)
+		}
+	}
+	if st := tn.Stats(); st.Shed != n || e.Shed() != n || st.Batched != 0 {
+		t.Errorf("tenant shed %d engine shed %d batched %d, want %d %d 0", st.Shed, e.Shed(), st.Batched, n, n)
+	}
+}
+
+// TestBatchUnsaturatedTenantRunsAlone: with a free slot per client nothing
+// waits and nothing coalesces, however alike the requests are.
+func TestBatchUnsaturatedTenantRunsAlone(t *testing.T) {
+	e := NewEngine(WithTenantQuota(TenantQuota{MaxSessions: 8}))
+	srv := startServer(t, e)
+	const clients, rounds = 8, 10
+	out := make(chan reply, clients*rounds)
+	for c := 0; c < clients; c++ {
+		go func(c int) {
+			for i := 0; i < rounds; i++ {
+				out <- post(srv, fmt.Sprintf("u-%d-%d", c, i), sumReq("t1", 2, 1))
+			}
+		}(c)
+	}
+	for id, r := range collect(t, out, clients*rounds) {
+		if r.status != http.StatusOK || r.rr.Batch != 1 || !r.rr.Leader {
+			t.Errorf("%s: status %d batch %d leader %v, want 200 1 true", id, r.status, r.rr.Batch, r.rr.Leader)
+		}
+	}
+	if st := e.Tenant("t1").Stats(); st.Batched != 0 || st.Requests != clients*rounds {
+		t.Errorf("batched %d requests %d, want 0 %d", st.Batched, st.Requests, clients*rounds)
+	}
+}
+
+// TestBatchHammer: 16 clients over 4 plan keys on a two-slot tenant — every
+// request is answered correctly and counted once, whether it led, followed
+// or ran alone (run under -race).
+func TestBatchHammer(t *testing.T) {
+	e := NewEngine(WithTenantQuota(TenantQuota{MaxSessions: 2}))
+	srv := startServer(t, e, WithQueueWait(time.Minute))
+	const clients, keys, rounds = 16, 4, 12
+	x := InputSpec{Rows: 4, Cols: 4, Data: make([]float64, 16)}
+	for i := range x.Data {
+		x.Data[i] = 1
+	}
+	out := make(chan reply, clients*rounds)
+	for c := 0; c < clients; c++ {
+		go func(c int) {
+			scale := 1 + c%keys
+			req := &RunRequest{Tenant: "t1", Script: fmt.Sprintf("s = sum(X * %d)", scale),
+				Inputs: map[string]InputSpec{"X": x}, Outputs: []string{"s"}}
+			for i := 0; i < rounds; i++ {
+				out <- post(srv, fmt.Sprintf("h-%d-%d", c, i), req)
+			}
+		}(c)
+	}
+	var followers int64
+	for id, r := range collect(t, out, clients*rounds) {
+		var c, i int
+		fmt.Sscanf(id, "h-%d-%d", &c, &i)
+		want := float64(16 * (1 + c%keys))
+		if r.status != http.StatusOK || r.rr.Outputs["s"].Data[0] != want {
+			t.Fatalf("%s: status %d s %v, want 200 and %g", id, r.status, r.rr.Outputs["s"].Data, want)
+		}
+		if !r.rr.Leader {
+			followers++
+		}
+	}
+	st := e.Tenant("t1").Stats()
+	if st.Requests != clients*rounds || st.Shed != 0 || st.Batched != followers || st.ActiveSessions != 0 {
+		t.Errorf("requests %d shed %d batched %d active %d, want %d 0 %d 0",
+			st.Requests, st.Shed, st.Batched, st.ActiveSessions, clients*rounds, followers)
+	}
+	if len(srv.batch.groups) != 0 {
+		t.Errorf("%d groups still open", len(srv.batch.groups))
+	}
+}
+
+// panicOnce is a distributed backend whose first Invalidate panics — a
+// stand-in for a bug in an operator, kernel or rewrite.
+type panicOnce struct{ fired atomic.Bool }
+
+func (p *panicOnce) ExecHop(*hop.Hop, []*matrix.Matrix, obs.Span) (*matrix.Matrix, bool) {
+	return nil, false
+}
+
+func (p *panicOnce) Invalidate(*matrix.Matrix) {
+	if p.fired.CompareAndSwap(false, true) {
+		panic("kernel bug")
+	}
+}
+
+// TestServerRecoversFromPanic: a panic inside one job fails that job with a
+// 500 and a flight record carrying the panic value and stack, the rest of
+// its batch and later requests succeed, and the session it ran on is dropped
+// while its slot is released.
+func TestServerRecoversFromPanic(t *testing.T) {
+	e, srv, tn, release := saturatedServer(t)
+	// Park the faulty session where the batch leader will pop it (the idle
+	// list holds MaxSessions = 1, so the released holder is not parked).
+	bad := tn.newSession()
+	bad.Dist = &panicOnce{}
+	tn.idle = append(tn.idle, bad)
+	req := sumReq("t1", 2, 1)
+	req.Script = "s = sum(X %*% t(X))" // the product is a dead intermediate: Invalidate runs
+	out := make(chan reply, 2)
+	enroll(t, srv, "p-1", req, 1, out)
+	enroll(t, srv, "p-2", req, 2, out)
+	release()
+	got := collect(t, out, 2)
+	if got["p-1"].status != http.StatusInternalServerError {
+		t.Errorf("panicking request: status %d, want 500", got["p-1"].status)
+	}
+	if r := got["p-2"]; r.status != http.StatusOK || r.rr.Batch != 2 || r.rr.Outputs["s"].Data[0] <= 0 {
+		t.Errorf("request batched behind the panic: status %d %+v", r.status, r.rr)
+	}
+	rec, ok := srv.FlightRecorder().Get("p-1")
+	if !ok || rec.Status != http.StatusInternalServerError || !rec.Sampled ||
+		!strings.Contains(rec.Error, "kernel bug") || !strings.Contains(rec.Error, "panicOnce") {
+		t.Errorf("flight record of the panic: %+v (found %v)", rec, ok)
+	}
+	if r := post(srv, "p-3", req); r.status != http.StatusOK {
+		t.Errorf("request after the panic: status %d err %v", r.status, r.err)
+	}
+	if tn.Active() != 0 {
+		t.Errorf("active sessions = %d after the panic, want 0", tn.Active())
+	}
+	for _, s := range tn.idle {
+		if s == bad {
+			t.Error("the panicking session went back to the idle list")
+		}
+	}
+	if e.Requests() != 4 { // holder + three requests, the failed one included
+		t.Errorf("engine requests = %d, want 4", e.Requests())
 	}
 }
