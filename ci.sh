@@ -12,8 +12,15 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# vet's asmdecl pass checks every TEXT frame in internal/vector/kernels_amd64.s
+# against its Go declaration (argument names, offsets, sizes).
 echo "== go vet =="
 go vet ./...
+
+# The Go loops are the only implementation off amd64: they must keep building.
+echo "== portable build (GOARCH=arm64) =="
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/vector
 
 echo "== docs lint (docscheck) =="
 go run ./cmd/docscheck
@@ -32,6 +39,11 @@ for procs in 1 2 4 8; do
   echo "== go test -short, GOMAXPROCS=$procs (par dist runtime serve) =="
   GOMAXPROCS=$procs go test -short -timeout 120s ./internal/par ./internal/dist ./internal/runtime ./internal/serve
 done
+
+# Every assembly kernel against its Go twin on generated shapes, offsets and
+# bit patterns (NaN, infinities, denormals), beyond the table tests.
+echo "== fuzz (FuzzKernels, 20 s) =="
+go test -run '^$' -fuzz FuzzKernels -fuzztime 20s ./internal/vector
 
 echo "== benchmark checker tests (go test -short) =="
 (cd benchmark && go test -short -timeout 120s ./...)

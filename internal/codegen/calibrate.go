@@ -419,9 +419,13 @@ func (c *Calibrator) State() CalibState {
 	}
 }
 
-// ProfileVersion is the calibration profile schema version; LoadProfile
-// rejects files written under a different version.
-const ProfileVersion = 1
+// ProfileVersion is the calibration profile version; LoadProfile rejects
+// files written under a different one. It counts what the fitted constants
+// mean as well as how they are laid out: version 1 profiles were fitted
+// against the scalar Go vector primitives, whose flop rate is 4-6x below
+// that of the AVX2+FMA kernels, so loading one would price every
+// compute-bound operator several times too dear.
+const ProfileVersion = 2
 
 // ProfileMaxAge is the staleness bound: profiles older than this are
 // rejected by LoadProfile (hardware and build characteristics drift; a

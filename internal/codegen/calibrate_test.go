@@ -166,6 +166,11 @@ func TestLoadProfileRejects(t *testing.T) {
 			p.Version = codegen.ProfileVersion + 1
 			return p.Save(path)
 		}},
+		{"fitted-against-scalar-kernels", func(path string) error {
+			p := good
+			p.Version = 1 // what every profile saved before the assembly kernels says
+			return p.Save(path)
+		}},
 		{"implausible-rate", func(path string) error {
 			p := good
 			p.ReadBW = -1

@@ -10,46 +10,67 @@ import (
 	"sysml/internal/matrix"
 )
 
-// The attachment registry associates compressed sidecar state with dense
-// matrices by identity: either a compressed form (the runtime executes
-// fused operators over it, the dist backend ships its encoded bytes) or a
-// decline marker recording why auto-compression passed on the input (so the
-// sampling estimator runs once per binding, not once per loop iteration).
-// The registry lives here rather than as a field on matrix.Matrix so that
-// concurrent sessions sharing bound inputs never race on matrix state: all
-// access is mutex-guarded, and a release hook drops entries when the
-// backing storage is recycled.
-type attachState struct {
-	cm     *CMatrix
-	reason string // non-empty = declined
+// The attachment registry associates a compressed form with a dense matrix
+// by identity: the runtime executes fused operators over it, the dist
+// backend ships its encoded bytes. It lives here rather than as a field on
+// matrix.Matrix because the compressed form is this package's type; all
+// access is mutex-guarded, a release hook drops the entry when the backing
+// storage is recycled, and the registry holds at most attachCap entries,
+// evicting the one used least recently. An entry keeps its matrix and the
+// compressed form reachable, which is the point: it is the bound input of a
+// session that will read it again.
+//
+// A decline (auto-compression sampled the matrix and passed, so that the
+// estimator runs once per binding and not once per loop iteration) is not a
+// registry entry: it is a note on the matrix itself. The scripts of one
+// batch_mix pass decline some 130 loop intermediates; as registry entries
+// those pushed the compressed inputs out of a shared FIFO and kept every
+// dead intermediate reachable through its map key.
+type attachment struct {
+	cm   *CMatrix
+	used int64 // attachTick at the last Attach or Of
 }
 
 const attachCap = 512
 
 var (
 	attachMu   sync.Mutex
-	attachMap  map[*matrix.Matrix]*attachState
-	attachFIFO []*matrix.Matrix // insertion order for capacity eviction
-	attachLen  atomic.Int64     // fast-path guard for the release hook
+	attached   map[*matrix.Matrix]*attachment
+	attachTick int64
+	attachLen  atomic.Int64 // fast-path guard: most matrices have no attachment
 )
 
 func init() {
-	matrix.OnRelease(func(m *matrix.Matrix) {
-		if attachLen.Load() == 0 {
-			return
-		}
-		Drop(m)
-	})
+	// Release clears the decline note itself.
+	matrix.OnRelease(detach)
 }
 
 // Attach records cm as the compressed form of m, replacing any prior
-// attachment or decline marker. The oldest entry is evicted once the
-// registry exceeds its capacity.
+// attachment or decline marker. Beyond attachCap entries the least recently
+// used one is evicted.
 func Attach(m *matrix.Matrix, cm *CMatrix) {
 	if m == nil || cm == nil {
 		return
 	}
-	setState(m, &attachState{cm: cm})
+	m.SetNote("")
+	attachMu.Lock()
+	defer attachMu.Unlock()
+	if attached == nil {
+		attached = make(map[*matrix.Matrix]*attachment)
+	}
+	attachTick++
+	attached[m] = &attachment{cm: cm, used: attachTick}
+	if len(attached) > attachCap {
+		var oldest *matrix.Matrix
+		used := attachTick
+		for k, a := range attached {
+			if a.used < used {
+				oldest, used = k, a.used
+			}
+		}
+		delete(attached, oldest)
+	}
+	attachLen.Store(int64(len(attached)))
 }
 
 // Decline marks m as not worth compressing, with a human-readable reason
@@ -61,25 +82,8 @@ func Decline(m *matrix.Matrix, reason string) {
 	if reason == "" {
 		reason = "declined"
 	}
-	setState(m, &attachState{reason: reason})
-}
-
-func setState(m *matrix.Matrix, st *attachState) {
-	attachMu.Lock()
-	defer attachMu.Unlock()
-	if attachMap == nil {
-		attachMap = make(map[*matrix.Matrix]*attachState)
-	}
-	if _, ok := attachMap[m]; !ok {
-		attachFIFO = append(attachFIFO, m)
-		for len(attachFIFO) > attachCap {
-			old := attachFIFO[0]
-			attachFIFO = attachFIFO[1:]
-			delete(attachMap, old)
-		}
-	}
-	attachMap[m] = st
-	attachLen.Store(int64(len(attachMap)))
+	detach(m)
+	m.SetNote(reason)
 }
 
 // Of returns the compressed form attached to m, or nil.
@@ -89,51 +93,51 @@ func Of(m *matrix.Matrix) *CMatrix {
 	}
 	attachMu.Lock()
 	defer attachMu.Unlock()
-	if st := attachMap[m]; st != nil {
-		return st.cm
+	if a := attached[m]; a != nil {
+		attachTick++
+		a.used = attachTick
+		return a.cm
 	}
 	return nil
 }
 
 // DeclineReason reports whether m carries a decline marker and its reason.
 func DeclineReason(m *matrix.Matrix) (string, bool) {
-	if m == nil || attachLen.Load() == 0 {
+	if m == nil {
 		return "", false
 	}
-	attachMu.Lock()
-	defer attachMu.Unlock()
-	if st := attachMap[m]; st != nil && st.cm == nil {
-		return st.reason, true
-	}
-	return "", false
+	reason := m.Note()
+	return reason, reason != ""
 }
 
 // Drop removes any attachment or decline marker for m.
 func Drop(m *matrix.Matrix) {
-	if m == nil || attachLen.Load() == 0 {
+	if m == nil {
+		return
+	}
+	m.SetNote("")
+	detach(m)
+}
+
+func detach(m *matrix.Matrix) {
+	if attachLen.Load() == 0 {
 		return
 	}
 	attachMu.Lock()
 	defer attachMu.Unlock()
-	if _, ok := attachMap[m]; !ok {
-		return
+	if _, ok := attached[m]; ok {
+		delete(attached, m)
+		attachLen.Store(int64(len(attached)))
 	}
-	delete(attachMap, m)
-	for i, e := range attachFIFO {
-		if e == m {
-			attachFIFO = append(attachFIFO[:i], attachFIFO[i+1:]...)
-			break
-		}
-	}
-	attachLen.Store(int64(len(attachMap)))
 }
 
-// DropAll clears the registry (test hygiene and session resets).
+// DropAll drops every attachment (test hygiene, and the benchmark between
+// set-ups so that one copy of its inputs is reachable). Decline markers go
+// with their matrices.
 func DropAll() {
 	attachMu.Lock()
 	defer attachMu.Unlock()
-	attachMap = nil
-	attachFIFO = nil
+	attached = nil
 	attachLen.Store(0)
 }
 

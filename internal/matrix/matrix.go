@@ -7,6 +7,7 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // SparsityThreshold is the fraction of non-zeros below which operations
@@ -40,6 +41,30 @@ type Matrix struct {
 	sparse     *CSR
 	nnzCache   int      // 0 unknown, -2 scanned-zero, >0 count; Set invalidates
 	pool       *BufPool // pool the dense storage came from (Release recycles it there)
+	note       atomic.Pointer[string]
+}
+
+// Note returns the string last hung on the matrix with SetNote, "" if none.
+// A note is a verdict about this matrix that another package wants to keep
+// exactly as long as the matrix lives (the compressor's "not worth
+// compressing, because ..."): stored here it needs no registry, so nothing
+// has to be bounded or evicted and no dead matrix is kept reachable by a
+// map key. Both methods are atomic (sessions sharing a bound input set and
+// read it concurrently); Release clears the note with the storage.
+func (m *Matrix) Note() string {
+	if s := m.note.Load(); s != nil {
+		return *s
+	}
+	return ""
+}
+
+// SetNote replaces the matrix's note; "" removes it.
+func (m *Matrix) SetNote(s string) {
+	if s == "" {
+		m.note.Store(nil)
+		return
+	}
+	m.note.Store(&s)
 }
 
 // NewDense returns an all-zero dense rows×cols matrix. Storage is drawn

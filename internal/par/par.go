@@ -19,7 +19,9 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -182,6 +184,41 @@ type region struct {
 	ids     atomic.Int64  // participant id allocator (caller is 0)
 	ran     atomic.Int64  // chunks whose fn has returned
 	done    chan struct{} // closed by whoever finishes the last chunk
+	failed  atomic.Pointer[Panic]
+}
+
+// Panic is what a parallel region panics with on its caller's goroutine
+// when fn panicked in one of its chunks: the first value any chunk panicked
+// with and the stack of the goroutine that ran that chunk, which the
+// caller's own stack does not show when a helper had claimed it.
+type Panic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *Panic) Error() string {
+	return fmt.Sprintf("%v [panic in a chunk of a parallel region]\n%s", p.Value, p.Stack)
+}
+
+// call runs fn on one chunk. A panic is caught on whichever goroutine
+// claimed the chunk (a pool worker has nobody above it to recover), the
+// first one is kept, the chunks still unclaimed are skipped, and every
+// chunk counts as run, so that the join completes and dispatch can raise
+// the panic where the region was called.
+func (r *region) call(worker, lo, hi int) {
+	if r.failed.Load() != nil {
+		return
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			p, nested := v.(*Panic) // an inner region's panic keeps its own stack
+			if !nested {
+				p = &Panic{Value: v, Stack: debug.Stack()}
+			}
+			r.failed.CompareAndSwap(nil, p)
+		}
+	}()
+	r.fn(worker, lo, hi)
 }
 
 // help is run by a pool worker: claim a participant id and drain chunks.
@@ -203,7 +240,7 @@ func (r *region) run(worker int) {
 		if hi > r.n {
 			hi = r.n
 		}
-		r.fn(worker, lo, hi)
+		r.call(worker, lo, hi)
 		if r.ran.Add(1) == r.nchunks {
 			close(r.done)
 		}
@@ -252,7 +289,9 @@ func planFor(n, grain, limit int) (workers, chunk, nchunks int) {
 // A help entry still queued when the chunks run out (every worker busy in
 // an outer region, say) is dropped by whoever dequeues it later. A claimed
 // chunk always has a goroutine running it, so nested regions cannot wait on
-// each other in a cycle.
+// each other in a cycle. If fn panicked in a chunk, on whatever goroutine,
+// dispatch panics with a *Panic once every chunk is accounted for: no
+// helper still touches the caller's buffers while the caller unwinds.
 func (p *Pool) dispatch(n int, workers, chunk, nchunks int, fn func(worker, lo, hi int)) {
 	p.ensureWorkers(workers - 1)
 	r := &region{fn: fn, n: n, chunk: chunk, nchunks: int64(nchunks), done: make(chan struct{})}
@@ -267,6 +306,9 @@ func (p *Pool) dispatch(n int, workers, chunk, nchunks int, fn func(worker, lo, 
 	p.statGoroutines.Add(int64(engaged))
 	r.run(0)
 	<-r.done
+	if p := r.failed.Load(); p != nil {
+		panic(p)
+	}
 }
 
 // For executes fn over half-open ranges that partition [0, n) into chunks

@@ -1,7 +1,9 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -232,5 +234,132 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if u.Goroutines < 1 {
 		t.Fatalf("no workers engaged: %+v", u)
+	}
+}
+
+// goid is the id of the calling goroutine, read off its stack header: the
+// only way a chunk passed to For can tell whether the region's caller or a
+// pool worker is running it.
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// recovered runs f and returns what it panicked with.
+func recovered(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// panicOffCaller is a chunk body that panics on every goroutine but the
+// region's caller, whose own chunks wait until a helper has claimed one: the
+// panic is then certain to happen where nobody but the region can recover it.
+func panicOffCaller(caller string) func(lo, hi int) {
+	helperIn := make(chan struct{})
+	var once sync.Once
+	return func(lo, hi int) {
+		if goid() != caller {
+			once.Do(func() { close(helperIn) })
+			panic(fmt.Sprintf("boom in [%d,%d)", lo, hi))
+		}
+		select {
+		case <-helperIn:
+		case <-time.After(10 * time.Second): // fail below rather than hang
+		}
+	}
+}
+
+// TestPanicInHelperChunkReachesCaller: a panic in a chunk that a pool worker
+// claimed comes out of For/ForIndexed/ForIndexedLimit on the caller's
+// goroutine, with the worker's stack, and the pool runs the next region.
+func TestPanicInHelperChunkReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	regions := map[string]func(p *Pool, fn func(lo, hi int)){
+		"For":        func(p *Pool, fn func(lo, hi int)) { p.For(4096, 16, fn) },
+		"ForIndexed": func(p *Pool, fn func(lo, hi int)) { p.ForIndexed(4096, 16, func(_, lo, hi int) { fn(lo, hi) }) },
+		"ForIndexedLimit": func(p *Pool, fn func(lo, hi int)) {
+			p.ForIndexedLimit(4096, 16, 6, func(_, lo, hi int) { fn(lo, hi) })
+		},
+	}
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		for name, region := range regions {
+			p := NewPool(4)
+			v := recovered(func() { region(p, panicOffCaller(goid())) })
+			pp, ok := v.(*Panic)
+			if !ok {
+				t.Fatalf("GOMAXPROCS=%d %s: recovered %T %v, want *Panic", procs, name, v, v)
+			}
+			if s, _ := pp.Value.(string); !strings.HasPrefix(s, "boom in [") {
+				t.Errorf("GOMAXPROCS=%d %s: value %v", procs, name, pp.Value)
+			}
+			if !strings.Contains(string(pp.Stack), "(*region).help") || !strings.Contains(string(pp.Stack), "panicOffCaller") {
+				t.Errorf("GOMAXPROCS=%d %s: not the helper's stack:\n%s", procs, name, pp.Stack)
+			}
+			var total atomic.Int64
+			p.For(100_000, 16, func(lo, hi int) { total.Add(int64(hi - lo)) })
+			if total.Load() != 100_000 {
+				t.Fatalf("GOMAXPROCS=%d %s: region after the panic covered %d of 100000", procs, name, total.Load())
+			}
+		}
+	}
+}
+
+// TestPanicNestedDepth2: two outer chunks, one of them on a helper, each
+// run an inner region that panics on an inner helper (the pool's two other
+// workers are free to be one); the outer caller sees one of those panics,
+// not wrapped twice, with the inner helper's stack.
+func TestPanicNestedDepth2(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		p := NewPool(4)
+		var inner atomic.Int64
+		v := recovered(func() {
+			p.ForIndexedLimit(2, 1, 2, func(_, lo, hi int) {
+				inner.Add(1)
+				p.For(4096, 16, panicOffCaller(goid()))
+			})
+		})
+		pp, ok := v.(*Panic)
+		if !ok || !strings.Contains(string(pp.Stack), "panicOffCaller") {
+			t.Fatalf("GOMAXPROCS=%d: recovered %T %v", procs, v, v)
+		}
+		if _, wrapped := pp.Value.(*Panic); wrapped {
+			t.Errorf("GOMAXPROCS=%d: the inner panic was wrapped again", procs)
+		}
+		if inner.Load() == 0 || inner.Load() > 2 {
+			t.Errorf("GOMAXPROCS=%d: %d outer chunks ran", procs, inner.Load())
+		}
+		var total atomic.Int64
+		p.For(100_000, 16, func(lo, hi int) { total.Add(int64(hi - lo)) })
+		if total.Load() != 100_000 {
+			t.Fatalf("GOMAXPROCS=%d: region after the panic covered %d of 100000", procs, total.Load())
+		}
+	}
+}
+
+// TestPanicOnCallerChunk: a chunk the caller ran itself fails the region the
+// same way, after the helpers' chunks are accounted for; a region too small
+// to be dispatched panics with the bare value, as any call would.
+func TestPanicOnCallerChunk(t *testing.T) {
+	p := NewPool(4)
+	caller := goid()
+	callerIn := make(chan struct{})
+	v := recovered(func() {
+		p.For(4096, 16, func(lo, hi int) {
+			if goid() == caller {
+				close(callerIn)
+				panic("caller chunk")
+			}
+			<-callerIn // hold the helpers' chunks so that some are left for the caller
+		})
+	})
+	if pp, ok := v.(*Panic); !ok || pp.Value != "caller chunk" {
+		t.Fatalf("recovered %T %v, want *Panic{caller chunk}", v, v)
+	}
+	if v := recovered(func() { p.For(8, 16, func(lo, hi int) { panic("inline") }) }); v != "inline" {
+		t.Fatalf("sequential region: recovered %T %v", v, v)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"sysml/internal/dml"
 	"sysml/internal/matrix"
 	"sysml/internal/obs"
+	"sysml/internal/par"
 )
 
 // RunRequest is the /v1/run payload: a script to execute for a tenant
@@ -506,7 +507,13 @@ func (s *Server) runBatch(t *Tenant, key planKey, jobs []*batchJob, sess *dml.Se
 func runJob(ctx context.Context, sess *dml.Session, req *RunRequest, parent obs.Span) (resp *RunResponse, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			resp, err = nil, &panicError{value: v, stack: debug.Stack()}
+			stack := debug.Stack()
+			if p, ok := v.(*par.Panic); ok {
+				// Raised in a chunk that a pool worker ran: the bug is on
+				// that goroutine's stack, this one only shows the join.
+				v, stack = p.Value, append(p.Stack, stack...)
+			}
+			resp, err = nil, &panicError{value: v, stack: stack}
 		}
 	}()
 	ec := matrix.Ctx{Par: sess.Par, Buf: sess.Alloc}

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
 	"sysml/internal/obs"
+	"sysml/internal/par"
 )
 
 func startServer(t *testing.T, e *Engine, opts ...ServerOption) *Server {
@@ -798,29 +800,53 @@ func TestBatchHammer(t *testing.T) {
 }
 
 // panicOnce is a distributed backend whose first Invalidate panics — a
-// stand-in for a bug in an operator, kernel or rewrite.
-type panicOnce struct{ fired atomic.Bool }
+// stand-in for a bug in an operator, kernel or rewrite. With a pool it
+// panics inside a parallel region, in a chunk that a pool worker claimed
+// (the caller's own chunks wait for that one), which is where a kernel's
+// bounds check fires when a helper took the chunk.
+type panicOnce struct {
+	fired atomic.Bool
+	pool  *par.Pool
+}
 
 func (p *panicOnce) ExecHop(*hop.Hop, []*matrix.Matrix, obs.Span) (*matrix.Matrix, bool) {
 	return nil, false
 }
 
 func (p *panicOnce) Invalidate(*matrix.Matrix) {
-	if p.fired.CompareAndSwap(false, true) {
+	if !p.fired.CompareAndSwap(false, true) {
+		return
+	}
+	if p.pool == nil {
 		panic("kernel bug")
 	}
+	helperIn := make(chan struct{})
+	var once sync.Once
+	p.pool.ForIndexed(4096, 16, func(worker, lo, hi int) {
+		if worker != 0 { // 0 is the region's caller
+			once.Do(func() { close(helperIn) })
+			panic("kernel bug")
+		}
+		<-helperIn
+	})
 }
 
-// TestServerRecoversFromPanic: a panic inside one job fails that job with a
-// 500 and a flight record carrying the panic value and stack, the rest of
-// its batch and later requests succeed, and the session it ran on is dropped
-// while its slot is released.
+// TestServerRecoversFromPanic: a panic inside one job, on the request's
+// goroutine or on a worker of a parallel region it started, fails that job
+// with a 500 and a flight record carrying the panic value and the stack it
+// was raised on, the rest of its batch and later requests succeed, and the
+// session it ran on is dropped while its slot is released.
 func TestServerRecoversFromPanic(t *testing.T) {
+	t.Run("request goroutine", func(t *testing.T) { recoversFromPanic(t, nil, "panicOnce") })
+	t.Run("par helper", func(t *testing.T) { recoversFromPanic(t, par.NewPool(4), "(*region).help") })
+}
+
+func recoversFromPanic(t *testing.T, pool *par.Pool, frame string) {
 	e, srv, tn, release := saturatedServer(t)
 	// Park the faulty session where the batch leader will pop it (the idle
 	// list holds MaxSessions = 1, so the released holder is not parked).
 	bad := tn.newSession()
-	bad.Dist = &panicOnce{}
+	bad.Dist = &panicOnce{pool: pool}
 	tn.idle = append(tn.idle, bad)
 	req := sumReq("t1", 2, 1)
 	req.Script = "s = sum(X %*% t(X))" // the product is a dead intermediate: Invalidate runs
@@ -837,7 +863,7 @@ func TestServerRecoversFromPanic(t *testing.T) {
 	}
 	rec, ok := srv.FlightRecorder().Get("p-1")
 	if !ok || rec.Status != http.StatusInternalServerError || !rec.Sampled ||
-		!strings.Contains(rec.Error, "kernel bug") || !strings.Contains(rec.Error, "panicOnce") {
+		!strings.Contains(rec.Error, "kernel bug") || !strings.Contains(rec.Error, frame) {
 		t.Errorf("flight record of the panic: %+v (found %v)", rec, ok)
 	}
 	if r := post(srv, "p-3", req); r.status != http.StatusOK {

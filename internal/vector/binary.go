@@ -7,6 +7,16 @@ import "math"
 // MultWrite computes c = a * b element-wise (8-fold unrolled like the
 // vectMultWrite primitive discussed in paper Fig. 10).
 func MultWrite(a, b, c []float64, ai, bi, ci, n int) {
+	if useAsm && n >= asmMin {
+		e := n - 1
+		_, _, _ = a[ai+e], b[bi+e], c[ci+e]
+		multWriteAsm(&a[ai], &b[bi], &c[ci], n)
+		return
+	}
+	multWriteGo(a, b, c, ai, bi, ci, n)
+}
+
+func multWriteGo(a, b, c []float64, ai, bi, ci, n int) {
 	k := 0
 	for ; k+8 <= n; k += 8 {
 		c[ci+k] = a[ai+k] * b[bi+k]
@@ -25,6 +35,16 @@ func MultWrite(a, b, c []float64, ai, bi, ci, n int) {
 
 // AddWrite computes c = a + b element-wise.
 func AddWrite(a, b, c []float64, ai, bi, ci, n int) {
+	if useAsm && n >= asmMin {
+		e := n - 1
+		_, _, _ = a[ai+e], b[bi+e], c[ci+e]
+		addWriteAsm(&a[ai], &b[bi], &c[ci], n)
+		return
+	}
+	addWriteGo(a, b, c, ai, bi, ci, n)
+}
+
+func addWriteGo(a, b, c []float64, ai, bi, ci, n int) {
 	for k := 0; k < n; k++ {
 		c[ci+k] = a[ai+k] + b[bi+k]
 	}
@@ -32,6 +52,16 @@ func AddWrite(a, b, c []float64, ai, bi, ci, n int) {
 
 // MinusWrite computes c = a - b element-wise (vectMinus).
 func MinusWrite(a, b, c []float64, ai, bi, ci, n int) {
+	if useAsm && n >= asmMin {
+		e := n - 1
+		_, _, _ = a[ai+e], b[bi+e], c[ci+e]
+		minusWriteAsm(&a[ai], &b[bi], &c[ci], n)
+		return
+	}
+	minusWriteGo(a, b, c, ai, bi, ci, n)
+}
+
+func minusWriteGo(a, b, c []float64, ai, bi, ci, n int) {
 	for k := 0; k < n; k++ {
 		c[ci+k] = a[ai+k] - b[bi+k]
 	}
@@ -62,6 +92,15 @@ func MaxWrite(a, b, c []float64, ai, bi, ci, n int) {
 
 // MultScalarWrite computes c = a * s.
 func MultScalarWrite(a []float64, s float64, c []float64, ai, ci, n int) {
+	if useAsm && n >= asmMin {
+		_, _ = a[ai+n-1], c[ci+n-1]
+		multScalarAsm(&a[ai], s, &c[ci], n)
+		return
+	}
+	multScalarWriteGo(a, s, c, ai, ci, n)
+}
+
+func multScalarWriteGo(a []float64, s float64, c []float64, ai, ci, n int) {
 	for k := 0; k < n; k++ {
 		c[ci+k] = a[ai+k] * s
 	}
@@ -69,20 +108,36 @@ func MultScalarWrite(a []float64, s float64, c []float64, ai, ci, n int) {
 
 // AddScalarWrite computes c = a + s.
 func AddScalarWrite(a []float64, s float64, c []float64, ai, ci, n int) {
+	if useAsm && n >= asmMin {
+		_, _ = a[ai+n-1], c[ci+n-1]
+		addScalarAsm(&a[ai], s, &c[ci], n)
+		return
+	}
+	addScalarWriteGo(a, s, c, ai, ci, n)
+}
+
+func addScalarWriteGo(a []float64, s float64, c []float64, ai, ci, n int) {
 	for k := 0; k < n; k++ {
 		c[ci+k] = a[ai+k] + s
 	}
 }
 
-// MinusScalarWrite computes c = a - s.
+// MinusScalarWrite computes c = a - s, as a + (-s): the same IEEE operation.
 func MinusScalarWrite(a []float64, s float64, c []float64, ai, ci, n int) {
-	for k := 0; k < n; k++ {
-		c[ci+k] = a[ai+k] - s
-	}
+	AddScalarWrite(a, -s, c, ai, ci, n)
 }
 
 // ScalarMinusWrite computes c = s - a.
 func ScalarMinusWrite(s float64, a, c []float64, ai, ci, n int) {
+	if useAsm && n >= asmMin {
+		_, _ = a[ai+n-1], c[ci+n-1]
+		scalarMinusAsm(&a[ai], s, &c[ci], n)
+		return
+	}
+	scalarMinusWriteGo(s, a, c, ai, ci, n)
+}
+
+func scalarMinusWriteGo(s float64, a, c []float64, ai, ci, n int) {
 	for k := 0; k < n; k++ {
 		c[ci+k] = s - a[ai+k]
 	}
@@ -90,10 +145,7 @@ func ScalarMinusWrite(s float64, a, c []float64, ai, ci, n int) {
 
 // DivScalarWrite computes c = a / s.
 func DivScalarWrite(a []float64, s float64, c []float64, ai, ci, n int) {
-	inv := 1 / s
-	for k := 0; k < n; k++ {
-		c[ci+k] = a[ai+k] * inv
-	}
+	MultScalarWrite(a, 1/s, c, ai, ci, n)
 }
 
 // ScalarDivWrite computes c = s / a.

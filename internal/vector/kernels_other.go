@@ -1,0 +1,26 @@
+//go:build !amd64
+
+package vector
+
+// Only amd64 has assembly kernels: with useAsm constant false the compiler
+// drops every call below, the declarations just let the wrappers compile.
+const useAsm = false
+
+func dotAsm(a, b *float64, n int) float64                 { panic("vector: no assembly kernels") }
+func sumAsm(a *float64, n int) float64                    { panic("vector: no assembly kernels") }
+func multAddAsm(a *float64, b float64, c *float64, n int) { panic("vector: no assembly kernels") }
+func multAdd4Asm(a0, a1, a2, a3 *float64, b0, b1, b2, b3 float64, c *float64, n int) {
+	panic("vector: no assembly kernels")
+}
+func multAdd8Asm(a0, a1, a2, a3, a4, a5, a6, a7 *float64, b0, b1, b2, b3, b4, b5, b6, b7 float64, c *float64, n int) {
+	panic("vector: no assembly kernels")
+}
+func narrowAsm(a *float64, arow, ak int, b *float64, bstride int, c *float64, cstride, rows, k int, mask *[4]int64) {
+	panic("vector: no assembly kernels")
+}
+func multWriteAsm(a, b, c *float64, n int)                    { panic("vector: no assembly kernels") }
+func addWriteAsm(a, b, c *float64, n int)                     { panic("vector: no assembly kernels") }
+func minusWriteAsm(a, b, c *float64, n int)                   { panic("vector: no assembly kernels") }
+func multScalarAsm(a *float64, s float64, c *float64, n int)  { panic("vector: no assembly kernels") }
+func addScalarAsm(a *float64, s float64, c *float64, n int)   { panic("vector: no assembly kernels") }
+func scalarMinusAsm(a *float64, s float64, c *float64, n int) { panic("vector: no assembly kernels") }

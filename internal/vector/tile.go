@@ -22,6 +22,14 @@ const (
 // a[ai] with row stride astride, B is k×n row-major at b[bi], C is rows×n
 // row-major at c[ci]. Callers zero C for a plain product.
 func MatMultAdd(a, b, c []float64, ai, astride, bi, ci, rows, k, n int) {
+	if n < narrowCols && useAsm && rows > 0 && k > 0 {
+		narrow(a, b, c, ai, astride, 1, bi, n, ci, rows, k, n)
+		return
+	}
+	matMultAddGo(a, b, c, ai, astride, bi, ci, rows, k, n)
+}
+
+func matMultAddGo(a, b, c []float64, ai, astride, bi, ci, rows, k, n int) {
 	if n < narrowCols {
 		i := 0
 		for ; i+4 <= rows; i += 4 {
@@ -53,6 +61,24 @@ func MatMultAdd(a, b, c []float64, ai, astride, bi, ci, rows, k, n int) {
 				}
 			}
 		}
+	}
+}
+
+// laneMask[4-w:] is the VMASKMOVPD mask of the first w of four lanes.
+var laneMask = [8]int64{-1, -1, -1, -1, 0, 0, 0, 0}
+
+// narrow runs the assembly narrow product C (rows×n at c[ci], n <
+// narrowCols) += A %*% B, A's element (i, kk) at a[ai+i*arow+kk*ak], B's
+// row kk at b[bi+kk*bstride]: one kernel call per panel of four output
+// columns, after checking the last element of every operand.
+func narrow(a, b, c []float64, ai, arow, ak, bi, bstride, ci, rows, k, n int) {
+	if arow < 0 || ak < 0 || bstride < 0 {
+		panic("vector: negative stride")
+	}
+	_, _, _ = a[ai+(rows-1)*arow+(k-1)*ak], b[bi+(k-1)*bstride+n-1], c[ci+rows*n-1]
+	for j := 0; j < n; j += 4 {
+		mask := (*[4]int64)(laneMask[4-min(4, n-j):])
+		narrowAsm(&a[ai], arow, ak, &b[bi+j], bstride, &c[ci+j], n, rows, k, mask)
 	}
 }
 
@@ -144,6 +170,15 @@ func narrowRow(arow, b, c []float64, n int) {
 // the tile form of the Row template's t(X) %*% W accumulation
 // (vectOuterMultAdd once per row), taking four rows per pass.
 func TMatMultAdd(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n int) {
+	if 1 < n && n < narrowCols && useAsm && rows > 0 && m > 0 {
+		// t(A) %*% B is the narrow product with A read down its columns.
+		narrow(a, b, c, ai, 1, astride, bi, bstride, ci, m, rows, n)
+		return
+	}
+	tMatMultAddGo(a, b, c, ai, astride, bi, bstride, ci, rows, m, n)
+}
+
+func tMatMultAddGo(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n int) {
 	i := 0
 	if n == 1 {
 		for ; i+4 <= rows; i += 4 {

@@ -6,6 +6,15 @@
 // operator instruction footprint small (paper §5.2, Fig. 10); the hot loops
 // here are written with 8-fold unrolling like their Java counterparts.
 //
+// The primitives that hold the profile (reductions, rank-k updates, the
+// narrow product, the + - * maps) have two implementations: the portable Go
+// loop named xxxGo, which is also the reference in tests, and an AVX2+FMA
+// assembly kernel named xxxAsm (kernels_amd64.s). The exported function
+// picks the kernel when useAsm is set and the call has at least asmMin
+// elements; it checks the last index of every operand before it hands raw
+// pointers over, because the kernels check nothing. FMA and four-lane
+// summation change low-order bits against the Go loops, never NaN-ness.
+//
 // Conventions: dense vectors are slices with an explicit offset and length so
 // that rows of a row-major matrix can be addressed without sub-slicing;
 // sparse rows are (values, indexes) pairs relative to a column offset.
@@ -13,8 +22,20 @@ package vector
 
 import "math"
 
+// asmMin is the inline cutoff: below it a kernel's call and its vector
+// set-up cost more than the Go loop they replace.
+const asmMin = 8
+
 // DotProduct returns sum(a[ai+k]*b[bi+k]) for k in [0,n).
 func DotProduct(a, b []float64, ai, bi, n int) float64 {
+	if useAsm && n >= asmMin {
+		_, _ = a[ai+n-1], b[bi+n-1]
+		return dotAsm(&a[ai], &b[bi], n)
+	}
+	return dotProductGo(a, b, ai, bi, n)
+}
+
+func dotProductGo(a, b []float64, ai, bi, n int) float64 {
 	var v0, v1, v2, v3 float64
 	k := 0
 	for ; k+8 <= n; k += 8 {
@@ -42,6 +63,14 @@ func DotProductSparse(avals []float64, aix []int, b []float64, bi int) float64 {
 
 // Sum returns the sum of a[ai:ai+n].
 func Sum(a []float64, ai, n int) float64 {
+	if useAsm && n >= asmMin {
+		_ = a[ai+n-1]
+		return sumAsm(&a[ai], n)
+	}
+	return sumGo(a, ai, n)
+}
+
+func sumGo(a []float64, ai, n int) float64 {
 	var v0, v1, v2, v3 float64
 	k := 0
 	for ; k+8 <= n; k += 8 {
@@ -59,6 +88,14 @@ func Sum(a []float64, ai, n int) float64 {
 
 // SumSq returns the sum of squares of a[ai:ai+n].
 func SumSq(a []float64, ai, n int) float64 {
+	if useAsm && n >= asmMin {
+		_ = a[ai+n-1]
+		return dotAsm(&a[ai], &a[ai], n)
+	}
+	return sumSqGo(a, ai, n)
+}
+
+func sumSqGo(a []float64, ai, n int) float64 {
 	var s float64
 	for k := 0; k < n; k++ {
 		s += a[ai+k] * a[ai+k]
@@ -69,9 +106,9 @@ func SumSq(a []float64, ai, n int) float64 {
 // Min returns the minimum of a[ai:ai+n]; +Inf for n == 0.
 func Min(a []float64, ai, n int) float64 {
 	m := math.Inf(1)
-	for k := 0; k < n; k++ {
-		if a[ai+k] < m {
-			m = a[ai+k]
+	for _, v := range a[ai : ai+n] {
+		if v < m {
+			m = v
 		}
 	}
 	return m
@@ -80,9 +117,9 @@ func Min(a []float64, ai, n int) float64 {
 // Max returns the maximum of a[ai:ai+n]; -Inf for n == 0.
 func Max(a []float64, ai, n int) float64 {
 	m := math.Inf(-1)
-	for k := 0; k < n; k++ {
-		if a[ai+k] > m {
-			m = a[ai+k]
+	for _, v := range a[ai : ai+n] {
+		if v > m {
+			m = v
 		}
 	}
 	return m
@@ -120,6 +157,15 @@ func MultAdd(a []float64, bval float64, c []float64, ai, ci, n int) {
 	if bval == 0 {
 		return
 	}
+	if useAsm && n >= asmMin {
+		_, _ = a[ai+n-1], c[ci+n-1]
+		multAddAsm(&a[ai], bval, &c[ci], n)
+		return
+	}
+	multAddGo(a, bval, c, ai, ci, n)
+}
+
+func multAddGo(a []float64, bval float64, c []float64, ai, ci, n int) {
 	if n < 8 {
 		for k := 0; k < n; k++ {
 			c[ci+k] += bval * a[ai+k]
@@ -154,6 +200,16 @@ func MultAdd4(a []float64, b0, b1, b2, b3 float64, c []float64, a0, a1, a2, a3, 
 	if b0 == 0 && b1 == 0 && b2 == 0 && b3 == 0 {
 		return
 	}
+	if useAsm && n >= asmMin {
+		e := n - 1
+		_, _, _, _, _ = a[a0+e], a[a1+e], a[a2+e], a[a3+e], c[ci+e]
+		multAdd4Asm(&a[a0], &a[a1], &a[a2], &a[a3], b0, b1, b2, b3, &c[ci], n)
+		return
+	}
+	multAdd4Go(a, b0, b1, b2, b3, c, a0, a1, a2, a3, ci, n)
+}
+
+func multAdd4Go(a []float64, b0, b1, b2, b3 float64, c []float64, a0, a1, a2, a3, ci, n int) {
 	k := 0
 	for ; k+4 <= n; k += 4 {
 		s0 := b0*a[a0+k] + b1*a[a1+k] + b2*a[a2+k] + b3*a[a3+k]
@@ -175,6 +231,18 @@ func MultAdd4(a []float64, b0, b1, b2, b3 float64, c []float64, a0, a1, a2, a3, 
 // once per eight multiplies. The pre-sliced row views let the compiler
 // eliminate bounds checks in the hot loop.
 func MultAdd8(a []float64, b0, b1, b2, b3, b4, b5, b6, b7 float64, c []float64, a0, a1, a2, a3, a4, a5, a6, a7, ci, n int) {
+	if useAsm && n >= asmMin {
+		e := n - 1
+		_, _, _, _, _ = a[a0+e], a[a1+e], a[a2+e], a[a3+e], c[ci+e]
+		_, _, _, _ = a[a4+e], a[a5+e], a[a6+e], a[a7+e]
+		multAdd8Asm(&a[a0], &a[a1], &a[a2], &a[a3], &a[a4], &a[a5], &a[a6], &a[a7],
+			b0, b1, b2, b3, b4, b5, b6, b7, &c[ci], n)
+		return
+	}
+	multAdd8Go(a, b0, b1, b2, b3, b4, b5, b6, b7, c, a0, a1, a2, a3, a4, a5, a6, a7, ci, n)
+}
+
+func multAdd8Go(a []float64, b0, b1, b2, b3, b4, b5, b6, b7 float64, c []float64, a0, a1, a2, a3, a4, a5, a6, a7, ci, n int) {
 	r0, r1, r2, r3 := a[a0:a0+n], a[a1:a1+n], a[a2:a2+n], a[a3:a3+n]
 	r4, r5, r6, r7 := a[a4:a4+n], a[a5:a5+n], a[a6:a6+n], a[a7:a7+n]
 	cc := c[ci : ci+n]
@@ -184,11 +252,11 @@ func MultAdd8(a []float64, b0, b1, b2, b3, b4, b5, b6, b7 float64, c []float64, 
 	}
 }
 
-// Add computes c[ci+k] += a[ai+k] for k in [0,n).
+// Add computes c[ci+k] += a[ai+k] for k in [0,n): MultAdd with a factor of
+// 1, which is exact in either implementation (1*a is a, and fma(1, a, c)
+// rounds once like c + a).
 func Add(a, c []float64, ai, ci, n int) {
-	for k := 0; k < n; k++ {
-		c[ci+k] += a[ai+k]
-	}
+	MultAdd(a, 1, c, ai, ci, n)
 }
 
 // AddSparse computes c[ci+j] += avals[k] for each sparse entry (j, avals[k]).
