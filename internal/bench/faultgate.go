@@ -151,11 +151,7 @@ func Fault(o Options) *Table {
 	chaosPass := equal && injected
 
 	// --- Gates 2+3 share the workload: a broadcast mapmm. ---
-	// 80000 rows keep the operator at the 20-30 ms it took when the gates
-	// were set (20000 rows before the assembly kernels made the product
-	// 4x faster): the scheduler's fixed cost per operator is a fraction of
-	// a millisecond, and the 3% limit is about operators of that size.
-	a := matrix.Rand(o.rows(80000), 100, 1, -1, 1, 26)
+	a := matrix.Rand(o.rows(20000), 100, 1, -1, 1, 26)
 	b := matrix.Rand(100, 50, 1, -1, 1, 27)
 	mm := &hop.Hop{Kind: hop.OpMatMult, Rows: int64(a.Rows), Cols: int64(b.Cols)}
 	run := func(cl *dist.Cluster) {
@@ -172,7 +168,7 @@ func Fault(o Options) *Table {
 	run(plain)
 	run(inert)
 	offMin, onMin := time.Duration(1<<62), time.Duration(1<<62)
-	for i := 0; i < reps*6; i++ {
+	for i := 0; i < reps*3; i++ {
 		start := time.Now()
 		run(plain)
 		if d := time.Since(start); d < offMin {

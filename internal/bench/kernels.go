@@ -36,7 +36,7 @@ const (
 	mmMaxRegressionPct = 2.0
 
 	// asmMinSpeedup: at asmGateN elements each vector primitive must beat
-	// the retained Go loop by this factor. The assembly kernels measure 3.5x
+	// its portable Go loop by this factor. The assembly kernels measure 3.5x
 	// to 6x there; a dispatch that silently fell back to Go measures 1x.
 	// (A host without AVX2+FMA runs the Go loops by design and fails this
 	// gate: the gates describe the CI host.)
@@ -44,8 +44,8 @@ const (
 	asmGateN      = 64
 )
 
-// AsmRow is one primitive at one size: the retained Go loop against the
-// exported primitive, which dispatches to assembly.
+// AsmRow is one primitive at one size: vector's portable Go loop against
+// the exported primitive, which dispatches to assembly.
 type AsmRow struct {
 	Kernel  string  `json:"kernel"`
 	N       int     `json:"n"`
@@ -73,49 +73,9 @@ type KernelsResult struct {
 	Pass           bool     `json:"pass"`
 }
 
-// The Go loops of DotProduct, MultAdd4 and the narrow product as they were
-// before the assembly kernels, retained as the baseline of the asm rows.
-
-func dotReference(a, b []float64, n int) float64 {
-	var v0, v1, v2, v3 float64
-	k := 0
-	for ; k+4 <= n; k += 4 {
-		v0 += a[k] * b[k]
-		v1 += a[k+1] * b[k+1]
-		v2 += a[k+2] * b[k+2]
-		v3 += a[k+3] * b[k+3]
-	}
-	s := v0 + v1 + v2 + v3
-	for ; k < n; k++ {
-		s += a[k] * b[k]
-	}
-	return s
-}
-
-func multAdd4Reference(a0, a1, a2, a3 []float64, b0, b1, b2, b3 float64, c []float64) {
-	for k := range c {
-		c[k] += b0*a0[k] + b1*a1[k] + b2*a2[k] + b3*a3[k]
-	}
-}
-
-// narrowReference is C (rows×2) += A (rows×k) %*% B (k×2), both sums of a
-// row in locals.
-func narrowReference(a, b, c []float64, rows, k int) {
-	for i := 0; i < rows; i++ {
-		var c0, c1 float64
-		for kk, av := range a[i*k : i*k+k] {
-			c0 += av * b[2*kk]
-			c1 += av * b[2*kk+1]
-		}
-		c[2*i] += c0
-		c[2*i+1] += c1
-	}
-}
-
-var asmSink float64
-
 // asmRows times the three primitives the profile leans on at n = 10, 64 and
-// 784 (the feature counts of the syn, autoencoder-hidden and Mnist inputs).
+// 784 (the feature counts of the syn, autoencoder-hidden and Mnist inputs):
+// vector's own portable loop against its exported, dispatching function.
 func asmRows(reps int) []AsmRow {
 	var rows []AsmRow
 	perCall := func(calls int, fn func()) float64 {
@@ -126,24 +86,11 @@ func asmRows(reps int) []AsmRow {
 		}).Nanoseconds()) / float64(calls)
 	}
 	for _, n := range []int{10, 64, 784} {
-		const narrowRowsN = 64
-		a := matrix.Rand(narrowRowsN, n, 1, -1, 1, 7).Dense()
-		b := matrix.Rand(n, 4, 1, -1, 1, 8).Dense()
-		c := make([]float64, n)
-		c2 := make([]float64, 2*narrowRowsN)
-		calls := 200000 / n
-		add := func(kernel string, goNS, asmNS float64) {
-			rows = append(rows, AsmRow{Kernel: kernel, N: n, GoNS: goNS, AsmNS: asmNS, Speedup: goNS / asmNS})
+		for _, tw := range vector.KernelTwins(n) {
+			calls := 2000000/tw.Flops + 1
+			goNS, asmNS := perCall(calls, tw.Go), perCall(calls, tw.Export)
+			rows = append(rows, AsmRow{Kernel: tw.Name, N: n, GoNS: goNS, AsmNS: asmNS, Speedup: goNS / asmNS})
 		}
-		add("dot",
-			perCall(calls, func() { asmSink += dotReference(a, b, n) }),
-			perCall(calls, func() { asmSink += vector.DotProduct(a, b, 0, 0, n) }))
-		add("rank-4 update",
-			perCall(calls, func() { multAdd4Reference(a[:n], a[n:2*n], a[2*n:3*n], a[3*n:4*n], 1e-9, 2e-9, 3e-9, 4e-9, c) }),
-			perCall(calls, func() { vector.MultAdd4(a, 1e-9, 2e-9, 3e-9, 4e-9, c, 0, n, 2*n, 3*n, 0, n) }))
-		add("narrow product 64xNx2",
-			perCall(calls/16+1, func() { narrowReference(a, b, c2, narrowRowsN, n) }),
-			perCall(calls/16+1, func() { vector.MatMultAdd(a, b, c2, 0, n, 0, 0, narrowRowsN, n, 2) }))
 	}
 	return rows
 }
@@ -216,7 +163,7 @@ func minTime(reps int, fn func()) time.Duration {
 //  3. Dense matmult, single worker: blocked kernel vs unblocked reference
 //     (gate: < 2% regression; blocking should win outright).
 //  4. Vector primitives: dot, rank-4 update and narrow product at n = 10,
-//     64, 784, exported primitive vs the retained Go loop (gate: >= 2x at
+//     64, 784, exported primitive vs its portable Go loop (gate: >= 2x at
 //     n = 64, so an assembly dispatch that silently fails is a red build).
 //
 // The baselines of gates 1 and 3 call vector.MultAdd, which has an assembly

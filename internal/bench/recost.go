@@ -22,16 +22,11 @@ const recostFile = "BENCH_recost.json"
 const (
 	// recostMaxMedianRatio gates the calibration fit: the median |relative
 	// error| of cost predictions after fitting from the audit ledger must be
-	// at most half the median under the paper defaults — or, when the
-	// defaults are already close, no worse than them and within
-	// recostCalibratedErr. Since the assembly vector kernels the paper's
-	// flop-to-byte ratio is near this host's (docs/COST_MODEL.md §2): the
-	// defaults read 0.25-0.65 here where they read 0.75 against the scalar
-	// kernels, the fit lands at 0.16-0.34 as it did then (0.20-0.29), and a
-	// third is the run-to-run spread of a millisecond operator on a shared
-	// host, so halving is no longer always there to be had.
+	// at most half the median under the paper defaults. When the defaults
+	// already predict within recostCalibratedErr the machine happens to match
+	// the paper constants and halving is neither possible nor needed.
 	recostMaxMedianRatio = 0.5
-	recostCalibratedErr  = 0.35
+	recostCalibratedErr  = 0.10
 
 	// recostMaxIter2Ratio gates mid-script re-optimization: after binding a
 	// 2%-sparse matrix with a claimed-dense nonzero hint, the second
@@ -88,7 +83,7 @@ func recostWorkload(o Options, costs codegen.CostModel, reps int) obs.AuditSumma
 	cfg.Costs = costs
 	s := dml.NewSession(cfg)
 	s.Out = io.Discard
-	n := o.rows(32768)
+	n := o.rows(8192)
 	s.Bind("X", matrix.Rand(n, 128, 1, -1, 1, 21))
 	s.Bind("Y", matrix.Rand(n, 128, 1, -1, 1, 22))
 	s.Bind("Z", matrix.Rand(n, 128, 1, -1, 1, 23))
@@ -140,8 +135,8 @@ func mergedRelErr(sum obs.AuditSummary) obs.RelErrHist {
 //  1. Calibration: run a mixed-template workload under the paper-default
 //     cost constants, fit the calibrator from the resulting audit ledger,
 //     and re-run the workload under the fitted constants. The median
-//     |relative error| of the predictions must at least halve (or not grow
-//     and sit within 35%, meaning the defaults were already close).
+//     |relative error| of the predictions must at least halve (or already
+//     sit within 10%, meaning the machine matches the defaults).
 //  2. Re-optimization: bind a 2%-sparse matrix with a claimed-dense nonzero
 //     hint, forcing the optimizer into a dense plan for
 //     sum(X*log(U%*%t(V)+eps)). The runtime feedback must detect the
@@ -168,7 +163,7 @@ func Recost(o Options) *Table {
 	if pre > 0 {
 		medianRatio = post / pre
 	}
-	calibPass := post <= recostMaxMedianRatio*pre || (post <= pre && post <= recostCalibratedErr)
+	calibPass := post <= recostMaxMedianRatio*pre || post <= recostCalibratedErr
 
 	// --- Gate 2: a lying sparsity hint is corrected within one iteration. ---
 	n := o.rows(1024)
@@ -306,7 +301,7 @@ func Recost(o Options) *Table {
 		Columns: []string{"gate", "metric", "threshold", "pass"},
 	}
 	t.Add("calibration", fmt.Sprintf("median rel-err %.3f -> %.3f", pre, post),
-		fmt.Sprintf("<=%.1fx pre, or <=pre and <=%.2f", recostMaxMedianRatio, recostCalibratedErr),
+		fmt.Sprintf("<=%.1fx pre or <=%.2f", recostMaxMedianRatio, recostCalibratedErr),
 		fmt.Sprintf("%v", calibPass))
 	t.Add("re-optimization",
 		fmt.Sprintf("iter2/iter1 %.2f, reopts %d, invals %d, outer %v",

@@ -22,7 +22,7 @@ import (
 //
 // A decline (auto-compression sampled the matrix and passed, so that the
 // estimator runs once per binding and not once per loop iteration) is not a
-// registry entry: it is a note on the matrix itself. The scripts of one
+// registry entry: it is a field of the matrix itself (Matrix.CompressDeclined). The scripts of one
 // batch_mix pass decline some 130 loop intermediates; as registry entries
 // those pushed the compressed inputs out of a shared FIFO and kept every
 // dead intermediate reachable through its map key.
@@ -41,7 +41,7 @@ var (
 )
 
 func init() {
-	// Release clears the decline note itself.
+	// Release clears the decline verdict itself.
 	matrix.OnRelease(detach)
 }
 
@@ -52,7 +52,7 @@ func Attach(m *matrix.Matrix, cm *CMatrix) {
 	if m == nil || cm == nil {
 		return
 	}
-	m.SetNote("")
+	m.SetCompressDeclined("")
 	attachMu.Lock()
 	defer attachMu.Unlock()
 	if attached == nil {
@@ -83,7 +83,7 @@ func Decline(m *matrix.Matrix, reason string) {
 		reason = "declined"
 	}
 	detach(m)
-	m.SetNote(reason)
+	m.SetCompressDeclined(reason)
 }
 
 // Of returns the compressed form attached to m, or nil.
@@ -106,7 +106,7 @@ func DeclineReason(m *matrix.Matrix) (string, bool) {
 	if m == nil {
 		return "", false
 	}
-	reason := m.Note()
+	reason := m.CompressDeclined()
 	return reason, reason != ""
 }
 
@@ -115,7 +115,7 @@ func Drop(m *matrix.Matrix) {
 	if m == nil {
 		return
 	}
-	m.SetNote("")
+	m.SetCompressDeclined("")
 	detach(m)
 }
 
@@ -132,8 +132,9 @@ func detach(m *matrix.Matrix) {
 }
 
 // DropAll drops every attachment (test hygiene, and the benchmark between
-// set-ups so that one copy of its inputs is reachable). Decline markers go
-// with their matrices.
+// set-ups so that one copy of its inputs is reachable). Decline verdicts
+// survive it: they are fields of their matrices, cleared by Release, Drop
+// or Attach, so a matrix declined before DropAll is not estimated again.
 func DropAll() {
 	attachMu.Lock()
 	defer attachMu.Unlock()

@@ -370,9 +370,9 @@ const (
 )
 
 // idlePoll is how often an out-of-work executor rescans for speculation
-// candidates or run completion. Short enough that speculation reacts
-// within a straggler delay, long enough to stay invisible next to real
-// panel kernels.
+// candidates. Short enough that speculation reacts within a straggler
+// delay, long enough to stay invisible next to real panel kernels. The end
+// of the run does not wait for a poll: faultRun.stop wakes idle executors.
 const idlePoll = 50 * time.Microsecond
 
 // panelTask is one row-panel map task tracked by the fault scheduler: its
@@ -412,6 +412,8 @@ type faultRun struct {
 	durs     []time.Duration // completed first-result durations (median)
 	retries  int             // operator-level retry budget consumed
 	degraded atomic.Bool
+	stop     chan struct{} // closed when the last task completes or the run degrades
+	stopOnce sync.Once
 }
 
 // runPanelsFaulty executes fn once per panel under the fault-tolerant
@@ -437,6 +439,7 @@ func (c *Cluster) runPanelsFaulty(sp obs.Span, ps [][2]int, fn func(panel, lo, h
 		queues: make(map[int][]*panelTask, len(live)),
 		live:   live,
 		tasks:  make([]*panelTask, len(ps)),
+		stop:   make(chan struct{}),
 	}
 	for p, span := range ps {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -450,14 +453,17 @@ func (c *Cluster) runPanelsFaulty(sp obs.Span, ps [][2]int, fn func(panel, lo, h
 			t.cancel()
 		}
 	}()
+	// The caller is the first executor's scheduler: it would only block in
+	// the join otherwise, and waking it is latency a short operator sees.
 	var wg sync.WaitGroup
-	for _, e := range live {
+	for _, e := range live[1:] {
 		wg.Add(1)
 		go func(e int) {
 			defer wg.Done()
 			r.executorLoop(e)
 		}(e)
 	}
+	r.executorLoop(live[0])
 	wg.Wait()
 	return !r.degraded.Load()
 }
@@ -485,7 +491,7 @@ func (r *faultRun) executorLoop(e int) {
 			r.attempt(e, t, true)
 			continue
 		}
-		time.Sleep(idlePoll)
+		sleepUnless(idlePoll, r.stop)
 	}
 }
 
@@ -515,7 +521,11 @@ func (r *faultRun) complete(t *panelTask) {
 	r.mu.Lock()
 	r.done++
 	r.durs = append(r.durs, d)
+	last := r.done == len(r.tasks)
 	r.mu.Unlock()
+	if last {
+		r.halt()
+	}
 }
 
 // evacuate reassigns a dead executor's queued panels to survivors —
@@ -556,7 +566,13 @@ func (r *faultRun) reassign(t *panelTask) {
 	r.mu.Unlock()
 }
 
-func (r *faultRun) degrade() { r.degraded.Store(true) }
+func (r *faultRun) degrade() {
+	r.degraded.Store(true)
+	r.halt()
+}
+
+// halt wakes the executors that are idling between speculation scans.
+func (r *faultRun) halt() { r.stopOnce.Do(func() { close(r.stop) }) }
 
 // specCandidate finds a task whose first attempt has run longer than
 // specMultiple × the median completed-task duration and claims the right
@@ -648,14 +664,14 @@ func (r *faultRun) attempt(e int, t *panelTask, isSpec bool) {
 					obs.KV("executor", e),
 					obs.KV("backoff.ns", int64(d))).End()
 			}
-			if !sleepCtx(d, t.ctx) {
+			if !sleepUnless(d, t.ctx.Done()) {
 				return // task finished elsewhere while we backed off
 			}
 			continue
 		}
 		if r.plan.straggle(r.opSeq, int64(t.panel), a) {
 			atomic.AddInt64(&r.c.ftStragglers, 1)
-			if !sleepCtx(r.plan.stragglerDelay(), t.ctx) {
+			if !sleepUnless(r.plan.stragglerDelay(), t.ctx.Done()) {
 				return // speculative sibling won; we are the cancelled loser
 			}
 			if r.c.execDead(e) {
@@ -688,18 +704,23 @@ func (r *faultRun) budgetRetry() bool {
 	return r.retries <= r.plan.retryBudget()
 }
 
-// sleepCtx sleeps for d unless the context is cancelled first; it reports
-// whether the full sleep elapsed.
-func sleepCtx(d time.Duration, ctx context.Context) bool {
+// sleepUnless sleeps for d unless done closes first; it reports whether the
+// full sleep elapsed.
+func sleepUnless(d time.Duration, done <-chan struct{}) bool {
 	if d <= 0 {
-		return ctx.Err() == nil
+		select {
+		case <-done:
+			return false
+		default:
+			return true
+		}
 	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
 	case <-timer.C:
 		return true
-	case <-ctx.Done():
+	case <-done:
 		return false
 	}
 }

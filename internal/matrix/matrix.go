@@ -39,32 +39,32 @@ type Matrix struct {
 	Rows, Cols int
 	dense      []float64
 	sparse     *CSR
-	nnzCache   int      // 0 unknown, -2 scanned-zero, >0 count; Set invalidates
-	pool       *BufPool // pool the dense storage came from (Release recycles it there)
-	note       atomic.Pointer[string]
+	nnzCache   int                    // 0 unknown, -2 scanned-zero, >0 count; Set invalidates
+	pool       *BufPool               // pool the dense storage came from (Release recycles it there)
+	declined   atomic.Pointer[string] // see CompressDeclined
 }
 
-// Note returns the string last hung on the matrix with SetNote, "" if none.
-// A note is a verdict about this matrix that another package wants to keep
-// exactly as long as the matrix lives (the compressor's "not worth
-// compressing, because ..."): stored here it needs no registry, so nothing
-// has to be bounded or evicted and no dead matrix is kept reachable by a
-// map key. Both methods are atomic (sessions sharing a bound input set and
-// read it concurrently); Release clears the note with the storage.
-func (m *Matrix) Note() string {
-	if s := m.note.Load(); s != nil {
+// CompressDeclined returns why internal/compress last declined to compress
+// this matrix, "" if it has not. The verdict lives here, not in a registry
+// of compress, so that it lasts exactly as long as the matrix: nothing has
+// to be bounded or evicted, and no dead matrix is kept reachable by a map
+// key. compress is the only writer. Both methods are atomic (sessions
+// sharing a bound input set and read it concurrently); Release clears the
+// verdict with the storage.
+func (m *Matrix) CompressDeclined() string {
+	if s := m.declined.Load(); s != nil {
 		return *s
 	}
 	return ""
 }
 
-// SetNote replaces the matrix's note; "" removes it.
-func (m *Matrix) SetNote(s string) {
-	if s == "" {
-		m.note.Store(nil)
+// SetCompressDeclined records the verdict; "" removes it.
+func (m *Matrix) SetCompressDeclined(reason string) {
+	if reason == "" {
+		m.declined.Store(nil)
 		return
 	}
-	m.note.Store(&s)
+	m.declined.Store(&reason)
 }
 
 // NewDense returns an all-zero dense rows×cols matrix. Storage is drawn

@@ -289,5 +289,5 @@ func (m *Matrix) Release() {
 		m.pool.Put(m.dense)
 	}
 	m.dense, m.sparse, m.pool = nil, nil, nil
-	m.note.Store(nil)
+	m.declined.Store(nil)
 }

@@ -21,6 +21,12 @@ const (
 // MatMultAdd accumulates C += A %*% B for a block of rows: A is rows×k at
 // a[ai] with row stride astride, B is k×n row-major at b[bi], C is rows×n
 // row-major at c[ci]. Callers zero C for a plain product.
+//
+// The narrow product (n < narrowCols), Go loop and kernel alike, multiplies
+// every element: a zero in A is not skipped, so it meets an Inf or NaN in B
+// as NaN. (The wide product goes through MultAdd, which skips a zero
+// multiplier.) The sign of a zero result is not specified: the kernel sums
+// from +0 and adds the sum to C, the Go loop of t(A) %*% B adds into C.
 func MatMultAdd(a, b, c []float64, ai, astride, bi, ci, rows, k, n int) {
 	if n < narrowCols && useAsm && rows > 0 && k > 0 {
 		narrow(a, b, c, ai, astride, 1, bi, n, ci, rows, k, n)
@@ -168,7 +174,8 @@ func narrowRow(arow, b, c []float64, n int) {
 // rows×m at a[ai] with row stride astride, B is rows×n at b[bi] with row
 // stride bstride (0 repeats one row), C is m×n row-major at c[ci]. This is
 // the tile form of the Row template's t(X) %*% W accumulation
-// (vectOuterMultAdd once per row), taking four rows per pass.
+// (vectOuterMultAdd once per row), taking four rows per pass. For 1 < n <
+// narrowCols it is a narrow product (see MatMultAdd).
 func TMatMultAdd(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n int) {
 	if 1 < n && n < narrowCols && useAsm && rows > 0 && m > 0 {
 		// t(A) %*% B is the narrow product with A read down its columns.
@@ -213,6 +220,20 @@ func tMatMultAddGo(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n i
 		}
 	}
 	for ; i < rows; i++ {
-		OuterMultAdd(a, b, c, ai+i*astride, bi+i*bstride, ci, m, n)
+		ao, bo := ai+i*astride, bi+i*bstride
+		if n >= narrowCols {
+			OuterMultAdd(a, b, c, ao, bo, ci, m, n)
+			continue
+		}
+		// As the blocks of four and the kernel: no skip of a zero in A, so
+		// 0 * Inf is NaN in every row.
+		bb := b[bo : bo+n]
+		for j := 0; j < m; j++ {
+			v := a[ao+j]
+			cc := c[ci+j*n : ci+j*n+n]
+			for q := range cc {
+				cc[q] += v * bb[q]
+			}
+		}
 	}
 }

@@ -13,7 +13,10 @@
 // picks the kernel when useAsm is set and the call has at least asmMin
 // elements; it checks the last index of every operand before it hands raw
 // pointers over, because the kernels check nothing. FMA and four-lane
-// summation change low-order bits against the Go loops, never NaN-ness.
+// summation change low-order bits against the Go loops, never NaN-ness:
+// the rank-k updates return early when every multiplier is zero, before the
+// dispatch, and the narrow product (MatMultAdd) skips nothing in either
+// form.
 //
 // Conventions: dense vectors are slices with an explicit offset and length so
 // that rows of a row-major matrix can be addressed without sub-slicing;
