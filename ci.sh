@@ -1,14 +1,10 @@
 #!/usr/bin/env bash
 # CI gate for the sysml repo: static checks, docs lint, full test suite
 # under the race detector, the benchmark's own checker tests (a module of
-# its own under benchmark/), the kernel performance gates (BENCH_kernels.json
-# must report "pass": true), the distributed-backend gates (BENCH_dist.json
-# likewise), the fault-tolerance gates (BENCH_fault.json likewise), the
-# multi-tenant serving gates (BENCH_serve.json likewise), the serving
-# observability gates (BENCH_serveobs.json likewise), the
-# horizontal-fusion gates (BENCH_hfuse.json likewise), the
-# compressed-execution gates (BENCH_cla.json likewise), and the
-# feedback/re-optimization gates (BENCH_recost.json likewise).
+# its own under benchmark/), and the performance gates: kernels, distributed
+# backend, fault tolerance, multi-tenant serving, serving observability,
+# horizontal fusion, compressed execution, feedback/re-optimization (each
+# experiment's BENCH_<id>.json must report "pass": true).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -48,60 +44,18 @@ go test -run '^$' -fuzz FuzzKernels -fuzztime 20s ./internal/vector
 echo "== benchmark checker tests (go test -short) =="
 (cd benchmark && go test -short -timeout 120s ./...)
 
-echo "== kernel gates (fusebench -exp kernels) =="
-go run ./cmd/fusebench -exp kernels
-if ! grep -q '"pass": true' BENCH_kernels.json; then
-  echo "FAIL: BENCH_kernels.json gates did not pass" >&2
-  cat BENCH_kernels.json >&2
-  exit 1
-fi
-echo "== distributed gates (fusebench -exp dist) =="
-go run ./cmd/fusebench -exp dist
-if ! grep -q '"pass": true' BENCH_dist.json; then
-  echo "FAIL: BENCH_dist.json gates did not pass" >&2
-  cat BENCH_dist.json >&2
-  exit 1
-fi
-echo "== fault-tolerance gates (fusebench -exp fault) =="
-go run ./cmd/fusebench -exp fault
-if ! grep -q '"pass": true' BENCH_fault.json; then
-  echo "FAIL: BENCH_fault.json gates did not pass" >&2
-  cat BENCH_fault.json >&2
-  exit 1
-fi
-echo "== serving gates (fusebench -exp serve) =="
-go run ./cmd/fusebench -exp serve
-if ! grep -q '"pass": true' BENCH_serve.json; then
-  echo "FAIL: BENCH_serve.json gates did not pass" >&2
-  cat BENCH_serve.json >&2
-  exit 1
-fi
-echo "== serving observability gates (fusebench -exp serveobs) =="
-go run ./cmd/fusebench -exp serveobs
-if ! grep -q '"pass": true' BENCH_serveobs.json; then
-  echo "FAIL: BENCH_serveobs.json gates did not pass" >&2
-  cat BENCH_serveobs.json >&2
-  exit 1
-fi
-echo "== horizontal fusion gates (fusebench -exp hfuse) =="
-go run ./cmd/fusebench -exp hfuse
-if ! grep -q '"pass": true' BENCH_hfuse.json; then
-  echo "FAIL: BENCH_hfuse.json gates did not pass" >&2
-  cat BENCH_hfuse.json >&2
-  exit 1
-fi
-echo "== compressed execution gates (fusebench -exp cla) =="
-go run ./cmd/fusebench -exp cla
-if ! grep -q '"pass": true' BENCH_cla.json; then
-  echo "FAIL: BENCH_cla.json gates did not pass" >&2
-  cat BENCH_cla.json >&2
-  exit 1
-fi
-echo "== feedback/re-optimization gates (fusebench -exp recost) =="
-go run ./cmd/fusebench -exp recost
-if ! grep -q '"pass": true' BENCH_recost.json; then
-  echo "FAIL: BENCH_recost.json gates did not pass" >&2
-  cat BENCH_recost.json >&2
-  exit 1
-fi
+# The performance gates, in this order: experiment <id> writes
+# BENCH_<id>.json, whose "pass" field must be true. docscheck reads the list
+# from this line and requires an EXPERIMENTS.md section and a row of the CI
+# gate summary table for every entry.
+gates="kernels dist fault serve serveobs hfuse cla recost"
+for id in $gates; do
+  echo "== $id gates (fusebench -exp $id) =="
+  go run ./cmd/fusebench -exp "$id"
+  if ! grep -q '"pass": true' "BENCH_$id.json"; then
+    echo "FAIL: BENCH_$id.json gates did not pass" >&2
+    cat "BENCH_$id.json" >&2
+    exit 1
+  fi
+done
 echo "OK: all CI gates passed"

@@ -8,9 +8,11 @@
 //  3. Experiment coverage: every fusebench experiment ID must appear in
 //     EXPERIMENTS.md, so the reproduction manual cannot silently fall
 //     behind the harness.
-//  4. CI gate coverage: every `fusebench -exp <id>` ci.sh runs must have a
-//     matching EXPERIMENTS.md section heading, and every BENCH_*.json
-//     artifact ci.sh gates on must appear in the "CI gate summary" table.
+//  4. CI gate coverage: every experiment in ci.sh's gate list must have a
+//     matching EXPERIMENTS.md section heading, and its BENCH_<id>.json
+//     artifact must appear in the "CI gate summary" table.
+//  5. Cited files: every backticked file path in README.md, DESIGN.md,
+//     EXPERIMENTS.md and docs/*.md must name a file of the repository.
 //
 // Exit status 1 with one line per violation; silent success otherwise.
 package main
@@ -20,7 +22,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -31,13 +35,6 @@ import (
 // docPackages are the directories whose exported identifiers must be
 // documented, beyond the sysml.go facade.
 var docPackages = []string{".", "internal/dist", "internal/codegen", "internal/obs"}
-
-// mdFiles returns the markdown files the link check covers.
-func mdFiles() []string {
-	files := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "CHANGES.md"}
-	docs, _ := filepath.Glob("docs/*.md")
-	return append(files, docs...)
-}
 
 // linkRe matches inline markdown links [text](target); images share the
 // syntax and are checked the same way.
@@ -154,18 +151,15 @@ func checkExperimentCoverage() []string {
 	return bad
 }
 
-// ciExpRe matches the experiment IDs ci.sh runs through fusebench;
-// ciGateRe matches the JSON artifacts it greps for a "pass" field.
-var (
-	ciExpRe  = regexp.MustCompile(`fusebench -exp ([a-z0-9_]+)`)
-	ciGateRe = regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json`)
-)
+// ciGatesRe matches the list of gated experiments ci.sh loops over:
+// experiment <id> writes BENCH_<id>.json.
+var ciGatesRe = regexp.MustCompile(`(?m)^gates="([a-z0-9_ ]+)"$`)
 
 // checkCIGateCoverage cross-checks ci.sh against EXPERIMENTS.md: each
-// experiment the CI script runs needs its own section heading (the
-// "### `id` — ..." convention), and each gate artifact it greps must be a
-// row of the "## CI gate summary" table. This is what keeps the threshold
-// table from drifting when a new gate lands.
+// experiment the CI script gates on needs its own section heading (the
+// "### `id` — ..." convention), and its artifact must be a row of the
+// "## CI gate summary" table. This is what keeps the threshold table from
+// drifting when a new gate lands.
 func checkCIGateCoverage() []string {
 	ci, err := os.ReadFile("ci.sh")
 	if err != nil {
@@ -175,18 +169,9 @@ func checkCIGateCoverage() []string {
 	if err != nil {
 		return []string{fmt.Sprintf("EXPERIMENTS.md: %v", err)}
 	}
-	var bad []string
-	seenID := map[string]bool{}
-	for _, m := range ciExpRe.FindAllStringSubmatch(string(ci), -1) {
-		id := m[1]
-		if seenID[id] {
-			continue
-		}
-		seenID[id] = true
-		headingRe := regexp.MustCompile("(?m)^#{1,6} .*`" + regexp.QuoteMeta(id) + "`")
-		if !headingRe.Match(exp) {
-			bad = append(bad, fmt.Sprintf("EXPERIMENTS.md: no section heading for ci.sh experiment %q", id))
-		}
+	m := ciGatesRe.FindSubmatch(ci)
+	if m == nil {
+		return []string{`ci.sh: no gates="..." list of gated experiments`}
 	}
 	// The gate table: the "## CI gate summary" section up to the next H2.
 	table := string(exp)
@@ -196,16 +181,69 @@ func checkCIGateCoverage() []string {
 			table = table[:2+j]
 		}
 	} else {
-		return append(bad, `EXPERIMENTS.md: missing "## CI gate summary" section`)
+		return []string{`EXPERIMENTS.md: missing "## CI gate summary" section`}
 	}
-	seenGate := map[string]bool{}
-	for _, g := range ciGateRe.FindAllString(string(ci), -1) {
-		if seenGate[g] {
-			continue
+	var bad []string
+	for _, id := range strings.Fields(string(m[1])) {
+		headingRe := regexp.MustCompile("(?m)^#{1,6} .*`" + regexp.QuoteMeta(id) + "`")
+		if !headingRe.Match(exp) {
+			bad = append(bad, fmt.Sprintf("EXPERIMENTS.md: no section heading for ci.sh experiment %q", id))
 		}
-		seenGate[g] = true
-		if !strings.Contains(table, g) {
+		if g := "BENCH_" + id + ".json"; !strings.Contains(table, g) {
 			bad = append(bad, fmt.Sprintf("EXPERIMENTS.md: gate artifact %s missing from the CI gate summary table", g))
+		}
+	}
+	return bad
+}
+
+// citedRe matches a backticked token that names a file by its extension.
+var citedRe = regexp.MustCompile("`([A-Za-z0-9_./*-]+\\.(go|md|sh|s|txt|json|jsonl|mod|dml))`")
+
+// checkCitedPaths requires every file the manuals cite in backticks to
+// exist: as the path itself, or as the tail of one (the text shortens
+// `internal/cplan/lower.go` to `cplan/lower.go` or `lower.go`). Files the
+// build generates (.gitignore), absolute paths, and bare data-file names,
+// which examples let the user choose, are not repository files.
+func checkCitedPaths(files []string) []string {
+	var repo []string
+	_ = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && p != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case !d.IsDir():
+			repo = append(repo, "/"+filepath.ToSlash(p))
+		}
+		return nil
+	})
+	ignore, _ := os.ReadFile(".gitignore")
+	var bad []string
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			return []string{fmt.Sprintf("%s: %v", file, err)}
+		}
+	cited:
+		for _, m := range citedRe.FindAllStringSubmatch(string(data), -1) {
+			tok, source := m[1], m[2] != "json" && m[2] != "jsonl"
+			if strings.HasPrefix(tok, "/") || (!source && !strings.Contains(tok, "/")) {
+				continue
+			}
+			for _, pat := range strings.Fields(string(ignore)) {
+				if ok, _ := path.Match(pat, path.Base(tok)); ok {
+					continue cited
+				}
+			}
+			if g, _ := filepath.Glob(tok); strings.Contains(tok, "*") && len(g) > 0 {
+				continue
+			}
+			for _, p := range repo {
+				if strings.HasSuffix(p, "/"+path.Clean(tok)) {
+					continue cited
+				}
+			}
+			bad = append(bad, fmt.Sprintf("%s: cited file %q does not exist", file, tok))
 		}
 	}
 	return bad
@@ -213,7 +251,8 @@ func checkCIGateCoverage() []string {
 
 func main() {
 	var bad []string
-	for _, f := range mdFiles() {
+	docs, _ := filepath.Glob("docs/*.md")
+	for _, f := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "CHANGES.md"}, docs...) {
 		bad = append(bad, checkLinks(f)...)
 	}
 	for _, dir := range docPackages {
@@ -221,6 +260,7 @@ func main() {
 	}
 	bad = append(bad, checkExperimentCoverage()...)
 	bad = append(bad, checkCIGateCoverage()...)
+	bad = append(bad, checkCitedPaths(append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...))...)
 	if len(bad) > 0 {
 		for _, b := range bad {
 			fmt.Fprintln(os.Stderr, b)

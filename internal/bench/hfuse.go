@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"strings"
+	"time"
 
 	"sysml/internal/codegen"
 	"sysml/internal/cplan"
@@ -33,33 +34,41 @@ const (
 	// the flagship sibling script (warm plan cache).
 	hfuseMinSpeedup = 1.5
 
-	// hfuseChunkMaxGapPct: the fingerprint-dispatched chunk programs of the
-	// merged operator may be at most this much slower than a hand-written
-	// ideal fused loop over the same data (the JIT-ideal Fig. 10 analog).
-	hfuseChunkMaxGapPct = 10.0
+	// hfuseMergedMaxGapPct: the merged operator — one pass of the cell
+	// skeleton running each root's dense program — may be at most this much
+	// slower than a hand-written ideal fused loop over the same data (the
+	// JIT-ideal Fig. 10 analog).
+	hfuseMergedMaxGapPct = 10.0
 
 	// hfuseMaxRelErr: merged execution must match unfused Base-mode results
 	// within this relative tolerance.
 	hfuseMaxRelErr = 1e-9
 )
 
-// HFuseResult is the serialized outcome of the horizontal-fusion gates.
-type HFuseResult struct {
+// HFuseShape holds the timing gates of one input shape.
+type HFuseShape struct {
+	Rows         int     `json:"rows"`
+	Cols         int     `json:"cols"`
 	BaselineMS   float64 `json:"baseline_ms"` // Gen with DisableHFuse
 	MergedMS     float64 `json:"merged_ms"`   // Gen with horizontal fusion
 	Speedup      float64 `json:"speedup"`
 	SpeedupPass  bool    `json:"speedup_pass"` // >= 1.5x
 	IdealMS      float64 `json:"ideal_ms"`     // hand-written fused loop
-	ChunkMS      float64 `json:"chunk_ms"`     // Horizontal skeleton, chunk programs
+	MergedOpMS   float64 `json:"merged_op_ms"` // the merged operator alone
 	InterpMS     float64 `json:"interp_ms"`    // interpreted genexec reference
-	ChunkGapPct  float64 `json:"chunk_gap_pct"`
-	ChunkPass    bool    `json:"chunk_pass"` // gap < 10%
-	MaxRelErr    float64 `json:"max_rel_err"`
-	EquivPass    bool    `json:"equiv_pass"`     // fused == unfused within 1e-9
-	PlanPass     bool    `json:"plan_pass"`      // merged at scale, declined on tiny input
-	MergedPlan   bool    `json:"merged_plan"`    // flagship explain shows a Horizontal operator
-	DeclinedTiny bool    `json:"declined_tiny"`  // adversarial explain keeps vertical-only plan
-	Pass         bool    `json:"pass"`
+	MergedGapPct float64 `json:"merged_gap_pct"`
+	MergedPass   bool    `json:"merged_pass"` // gap < 10%
+}
+
+// HFuseResult is the serialized outcome of the horizontal-fusion gates.
+type HFuseResult struct {
+	Shapes       []HFuseShape `json:"shapes"`
+	MaxRelErr    float64      `json:"max_rel_err"`
+	EquivPass    bool         `json:"equiv_pass"`    // fused == unfused within 1e-9
+	PlanPass     bool         `json:"plan_pass"`     // merged at scale, declined on tiny input
+	MergedPlan   bool         `json:"merged_plan"`   // flagship explain shows a Horizontal operator
+	DeclinedTiny bool         `json:"declined_tiny"` // adversarial explain keeps vertical-only plan
+	Pass         bool         `json:"pass"`
 }
 
 // hfuseSession builds a warm session over x for the flagship script.
@@ -89,7 +98,7 @@ func hfusePlan() *cplan.Plan {
 	}
 }
 
-// hfuseIdeal is the hand-written ideal fused loop the chunk programs are
+// hfuseIdeal is the hand-written ideal fused loop the merged operator is
 // measured against: one parallel pass producing column sums, the squared
 // sum, and the mapped output.
 func hfuseIdeal(x *matrix.Matrix) {
@@ -154,30 +163,26 @@ func maxRelDiffHF(a, b *matrix.Matrix) float64 {
 	return worst
 }
 
-// HFuse measures the horizontal-fusion tentpole and writes
-// BENCH_hfuse.json:
-//
-//  1. End-to-end speedup of the merged single-scan plan over the same
-//     optimizer with horizontal fusion disabled, flagship sibling script,
-//     warm plan cache (gate: >= 1.5x).
-//  2. The merged operator's fingerprint-dispatched chunk programs vs a
-//     hand-written ideal fused loop (gate: < 10% gap); the interpreted
-//     genexec-style program is reported for reference (the pre-JIT
-//     analog, not gated).
-//  3. Merged results vs unfused Base-mode results (gate: max relative
-//     error < 1e-9).
-//  4. Plan quality: the flagship script at scale must merge (EXPLAIN
-//     shows a Horizontal operator) while an adversarial tiny shared input
-//     must keep the vertical-only plan.
-func HFuse(o Options) *Table {
-	reps := o.Reps
-	if reps < 3 {
-		reps = 3
+// interleavedMin runs the variants in turn — two warm-up rounds, then
+// rounds timed ones — and returns each variant's minimum wall time:
+// scheduler noise and host drift hit all variants alike.
+func interleavedMin(rounds int, fns ...func()) []time.Duration {
+	best := make([]time.Duration, len(fns))
+	for r := -2; r < rounds; r++ {
+		for i, fn := range fns {
+			start := time.Now()
+			fn()
+			if d := time.Since(start); r >= 0 && (best[i] == 0 || d < best[i]) {
+				best[i] = d
+			}
+		}
 	}
-	rows := o.rows(2048)
-	x := matrix.Rand(rows, 2048, 1, -1, 1, 41)
+	return best
+}
 
-	// --- Gate 1: end-to-end speedup, warm sessions. ---
+// hfuseShape measures the two timing gates on one rows×cols input.
+func hfuseShape(rounds, rows, cols int) HFuseShape {
+	x := matrix.Rand(rows, cols, 1, -1, 1, 41)
 	run := func(s *dml.Session) func() {
 		return func() {
 			if err := s.Run(hfuseScript); err != nil {
@@ -185,14 +190,7 @@ func HFuse(o Options) *Table {
 			}
 		}
 	}
-	merged := minTime(reps, run(hfuseSession(x, false)))
-	baseline := minTime(reps, run(hfuseSession(x, true)))
-	speedup := float64(baseline) / float64(merged)
-
-	// --- Gate 2: chunk programs vs the ideal fused loop. ---
 	plan := hfusePlan()
-	chunkOp := cplan.Compile(plan, "TMP_HF")
-	interpOp := cplan.CompileInterpreted(plan, "TMP_HFI")
 	execH := func(op *cplan.Operator) func() {
 		return func() {
 			for _, m := range runtime.ExecHorizontal(op, x, nil) {
@@ -200,17 +198,55 @@ func HFuse(o Options) *Table {
 			}
 		}
 	}
-	chunk := minTime(reps, execH(chunkOp))
-	interp := minTime(reps, execH(interpOp))
-	ideal := minTime(reps, func() { hfuseIdeal(x) })
-	chunkGap := 100 * (float64(chunk) - float64(ideal)) / float64(ideal)
+	e2e := interleavedMin(rounds, run(hfuseSession(x, false)), run(hfuseSession(x, true)))
+	ops := interleavedMin(rounds, execH(cplan.Compile(plan, "TMP_HF")), func() { hfuseIdeal(x) })
+	interp := interleavedMin(1, execH(cplan.CompileInterpreted(plan, "TMP_HFI")))
+	msf := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+	r := HFuseShape{
+		Rows: rows, Cols: cols,
+		MergedMS: msf(e2e[0]), BaselineMS: msf(e2e[1]), Speedup: float64(e2e[1]) / float64(e2e[0]),
+		MergedOpMS: msf(ops[0]), IdealMS: msf(ops[1]), InterpMS: msf(interp[0]),
+		MergedGapPct: 100 * (float64(ops[0]) - float64(ops[1])) / float64(ops[1]),
+	}
+	r.SpeedupPass = r.Speedup >= hfuseMinSpeedup
+	r.MergedPass = r.MergedGapPct < hfuseMergedMaxGapPct
+	return r
+}
+
+// HFuse measures horizontal fusion and writes BENCH_hfuse.json:
+//
+//  1. End-to-end speedup of the merged single-scan plan over the same
+//     optimizer with horizontal fusion disabled, flagship sibling script,
+//     warm plan cache (gate: >= 1.5x).
+//  2. The merged operator vs a hand-written ideal fused loop (gate: < 10%
+//     gap); the interpreted genexec-style program is reported for
+//     reference (the pre-JIT analog, not gated).
+//  3. Merged results vs unfused Base-mode results (gate: max relative
+//     error < 1e-9).
+//  4. Plan quality: the flagship script at scale must merge (EXPLAIN
+//     shows a Horizontal operator) while an adversarial tiny shared input
+//     must keep the vertical-only plan.
+//
+// Gates 1 and 2 run on two shapes: rows×2048, where a row is four steps of a
+// dense program, and the benchmark's 100000×100, where per-row dispatch
+// would show.
+func HFuse(o Options) *Table {
+	rounds := 10 * max(o.Reps, 3)
+	shapes := []HFuseShape{
+		hfuseShape(rounds, o.rows(2048), 2048),
+		hfuseShape(rounds, o.rows(100000), 100),
+	}
+	x := matrix.Rand(o.rows(2048), 2048, 1, -1, 1, 41)
 
 	// --- Gate 3: merged vs unfused results. ---
 	sGen := hfuseSession(x, false)
 	sBase := hfuseSession(x, false)
 	sBase.Config.Mode = codegen.ModeBase
-	run(sGen)()
-	run(sBase)()
+	for _, s := range []*dml.Session{sGen, sBase} {
+		if err := s.Run(hfuseScript); err != nil {
+			panic(fmt.Sprintf("hfuse bench failed: %v", err))
+		}
+	}
 	worst := 0.0
 	for _, name := range []string{"C", "s", "Y"} {
 		a, b := sGen.Env[name], sBase.Env[name]
@@ -237,22 +273,17 @@ func HFuse(o Options) *Table {
 	declinedTiny := !strings.Contains(explain(tiny), "Horizontal TMP")
 
 	res := HFuseResult{
-		BaselineMS:   float64(baseline.Nanoseconds()) / 1e6,
-		MergedMS:     float64(merged.Nanoseconds()) / 1e6,
-		Speedup:      speedup,
-		SpeedupPass:  speedup >= hfuseMinSpeedup,
-		IdealMS:      float64(ideal.Nanoseconds()) / 1e6,
-		ChunkMS:      float64(chunk.Nanoseconds()) / 1e6,
-		InterpMS:     float64(interp.Nanoseconds()) / 1e6,
-		ChunkGapPct:  chunkGap,
-		ChunkPass:    chunkGap < hfuseChunkMaxGapPct,
+		Shapes:       shapes,
 		MaxRelErr:    worst,
 		EquivPass:    worst < hfuseMaxRelErr,
 		MergedPlan:   mergedPlan,
 		DeclinedTiny: declinedTiny,
 	}
 	res.PlanPass = res.MergedPlan && res.DeclinedTiny
-	res.Pass = res.SpeedupPass && res.ChunkPass && res.EquivPass && res.PlanPass
+	res.Pass = res.EquivPass && res.PlanPass
+	for _, sh := range shapes {
+		res.Pass = res.Pass && sh.SpeedupPass && sh.MergedPass
+	}
 	if data, err := json.MarshalIndent(res, "", "  "); err == nil {
 		if err := os.WriteFile(hfuseFile, append(data, '\n'), 0o644); err != nil {
 			fmt.Fprintf(o.Out, "hfuse: cannot write %s: %v\n", hfuseFile, err)
@@ -260,14 +291,17 @@ func HFuse(o Options) *Table {
 	}
 
 	t := &Table{
-		Title:   "Horizontal fusion gates: sibling merge speedup, chunk programs, equivalence, plan quality",
+		Title:   "Horizontal fusion gates: sibling merge speedup, merged operator vs ideal loop, equivalence, plan quality",
 		Columns: []string{"gate", "baseline", "new", "delta", "pass"},
 	}
-	t.Add("sibling merge", ms(baseline), ms(merged),
-		fmt.Sprintf("%.2fx (need >=%.1fx)", speedup, hfuseMinSpeedup), fmt.Sprintf("%v", res.SpeedupPass))
-	t.Add("chunk vs ideal loop", ms(ideal), ms(chunk),
-		fmt.Sprintf("%+.1f%% (limit <%.0f%%; interp %s)", chunkGap, hfuseChunkMaxGapPct, ms(interp)),
-		fmt.Sprintf("%v", res.ChunkPass))
+	for _, sh := range shapes {
+		dims := fmt.Sprintf(" %dx%d", sh.Rows, sh.Cols)
+		t.Add("sibling merge"+dims, fmt.Sprintf("%.2f", sh.BaselineMS), fmt.Sprintf("%.2f", sh.MergedMS),
+			fmt.Sprintf("%.2fx (need >=%.1fx)", sh.Speedup, hfuseMinSpeedup), fmt.Sprintf("%v", sh.SpeedupPass))
+		t.Add("merged operator vs ideal loop"+dims, fmt.Sprintf("%.2f", sh.IdealMS), fmt.Sprintf("%.2f", sh.MergedOpMS),
+			fmt.Sprintf("%+.1f%% (limit <%.0f%%; interp %.2f)", sh.MergedGapPct, hfuseMergedMaxGapPct, sh.InterpMS),
+			fmt.Sprintf("%v", sh.MergedPass))
+	}
 	t.Add("fused == unfused", "Base", "Gen",
 		fmt.Sprintf("maxrel %.2g (limit <%.0g)", worst, hfuseMaxRelErr), fmt.Sprintf("%v", res.EquivPass))
 	t.Add("plan quality", fmt.Sprintf("tiny declined=%v", declinedTiny),

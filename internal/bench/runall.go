@@ -83,7 +83,7 @@ var Experiments = []struct {
 	{"serveobs", "Serving observability gates: flight-recorder p99 overhead, trace retention (emits BENCH_serveobs.json)", func(o Options) {
 		ServeObs(o).Print(o.Out)
 	}},
-	{"hfuse", "Horizontal fusion gates: sibling merge speedup, chunk programs vs ideal loop, equivalence, plan quality (emits BENCH_hfuse.json)", func(o Options) {
+	{"hfuse", "Horizontal fusion gates: sibling merge speedup, merged operator vs ideal loop, equivalence, plan quality (emits BENCH_hfuse.json)", func(o Options) {
 		HFuse(o).Print(o.Out)
 	}},
 	{"cla", "Compressed execution gates: fused-over-groups speedup, compressed wire bytes, equivalence, decline overhead (emits BENCH_cla.json)", func(o Options) {

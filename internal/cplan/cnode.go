@@ -1,9 +1,10 @@
 // Package cplan implements code generation plans (CPlans): the backend-
 // independent representation of fused operators (paper §2.2). A CPlan is a
 // DAG of CNodes under a template node; "code generation" compiles the CNode
-// DAG into executable Go closures (Cell/MAgg/Outer genexec functions) or a
-// register-based vector program (Row template), plus a readable Go source
-// artifact mirroring the Java classes SystemML emits.
+// DAG into executable Go closures (Cell/MAgg/Outer genexec functions) and a
+// register-based vector program (Row bodies, and the dense form of cell
+// bodies), plus a readable Go source artifact mirroring the Java classes
+// SystemML emits.
 package cplan
 
 import (
@@ -206,6 +207,15 @@ type Plan struct {
 
 	// OuterRank is the common rank of U and V for Outer templates.
 	OuterRank int
+}
+
+// RootKind is the output kind of root q of a MAgg or Horizontal plan; every
+// MAgg root is a full aggregate.
+func (p *Plan) RootKind(q int) CellType {
+	if q < len(p.HKinds) {
+		return p.HKinds[q]
+	}
+	return CellFullAgg
 }
 
 // Hash returns a structural hash identifying equivalent CPlans; the plan

@@ -23,25 +23,11 @@ type Operator struct {
 	CellFn  CellFunc   // Cell and Outer genexec
 	MAggFns []CellFunc // MAgg/Horizontal: one genexec per output
 	RowProg *RowProgram
-	// VecProg is the vectorized chunk form of a Cell plan and MAggVecs the
-	// per-output forms of a MAgg/Horizontal plan (nil when the access
-	// pattern requires per-cell evaluation).
+	// VecProg is the dense form of a Cell plan and MAggVecs the per-output
+	// forms of a MAgg/Horizontal plan (nil when the access pattern requires
+	// per-cell evaluation).
 	VecProg  *CellVecProgram
 	MAggVecs []*CellVecProgram
-
-	// Fingerprint is the canonical structural fingerprint (fingerprint.go)
-	// and Chunk/MAggChunks the specialized AOT bodies it selected
-	// at compile time (nil entries fall back to the interpreted programs
-	// above). See chunks.go for the dispatch contract.
-	Fingerprint string
-	Chunk       *ChunkProgram
-	MAggChunks  []*ChunkProgram
-
-	// HFused is the whole-group fused body of a Horizontal plan: one
-	// specialized loop covering every root at once (hfused.go). Nil when any
-	// root falls outside the affine normal form; the skeleton then uses the
-	// per-root programs above.
-	HFused *HFusedProgram
 }
 
 // Compile translates a CPlan into an executable Operator. This is the fast
@@ -49,31 +35,41 @@ type Operator struct {
 func Compile(p *Plan, className string) *Operator {
 	op := &Operator{Plan: p, Hash: p.Hash(), ClassName: className}
 	switch p.Type {
-	case TemplateCell, TemplateOuter:
+	case TemplateCell:
 		op.CellFn = compileCell(p.Root)
-		if p.Type == TemplateCell {
-			op.VecProg = CompileCellVec(p.Root)
-			op.Chunk = BuildChunk(p.Root, p.Cell, p.AggOp)
-		}
-	case TemplateMAgg:
-		for _, r := range p.Roots {
+		op.VecProg = CompileCellVec(p.Root, p.Cell, p.AggOp)
+	case TemplateOuter:
+		op.CellFn = compileCell(p.Root)
+	case TemplateMAgg, TemplateHorizontal:
+		for q, r := range p.Roots {
 			op.MAggFns = append(op.MAggFns, compileCell(r))
-			op.MAggVecs = append(op.MAggVecs, CompileCellVec(r))
-			op.MAggChunks = append(op.MAggChunks, BuildChunk(r, CellFullAgg, p.AggOps[len(op.MAggFns)-1]))
+			op.MAggVecs = append(op.MAggVecs, CompileCellVec(r, p.RootKind(q), p.AggOps[q]))
 		}
-	case TemplateHorizontal:
-		for i, r := range p.Roots {
-			op.MAggFns = append(op.MAggFns, compileCell(r))
-			op.MAggVecs = append(op.MAggVecs, CompileCellVec(r))
-			op.MAggChunks = append(op.MAggChunks, BuildChunk(r, p.HKinds[i], p.AggOps[i]))
-		}
-		op.HFused = BuildHFused(p)
 	case TemplateRow:
 		op.RowProg = compileRow(p)
 	}
-	op.Fingerprint = p.Fingerprint()
 	op.Source = Render(p, className)
 	return op
+}
+
+// Tier names the body dense inputs run through for the cell-bound templates:
+// "vec" when every root has a dense program, "cell" when any root needs the
+// per-cell closures. Row and Outer operators have a single body and report
+// "".
+func (op *Operator) Tier() string {
+	vecs := op.MAggVecs
+	switch op.Plan.Type {
+	case TemplateCell:
+		vecs = []*CellVecProgram{op.VecProg}
+	case TemplateRow, TemplateOuter:
+		return ""
+	}
+	for _, v := range vecs {
+		if v == nil {
+			return "cell"
+		}
+	}
+	return "vec"
 }
 
 // Ctx is the per-worker execution context of a fused operator: side-input

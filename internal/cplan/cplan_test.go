@@ -128,36 +128,79 @@ func TestCellVecProgram(t *testing.T) {
 	// (main * side + 3) vectorizes.
 	root := Binary(matrix.BinAdd,
 		Binary(matrix.BinMul, Main(0), Side(0, AccessCell, 0)), Lit(3))
-	prog := CompileCellVec(root)
+	prog := CompileCellVec(root, CellNoAgg, matrix.AggSum)
 	if prog == nil {
 		t.Fatal("expected vectorizable program")
 	}
 	main := matrix.Rand(4, 300, 1, -1, 1, 1)
 	side := matrix.Rand(4, 300, 1, -1, 1, 2)
 	ctx := NewCtx([]*matrix.Matrix{side})
-	if !prog.ChunkCompatible(main, []*matrix.Matrix{side}) {
-		t.Fatal("dense same-shape side must be chunk compatible")
+	if !prog.Usable(main, []*matrix.Matrix{side}) {
+		t.Fatal("dense same-shape side must be usable")
 	}
-	buf := prog.NewBuf()
+	buf := prog.GetBuf()
 	md := main.Dense()
-	res, ro := prog.Exec(ctx, buf, md, 0, ChunkLen)
+	res := make([]float64, len(md))
+	prog.Exec(ctx, buf, md, 0, 4, 300, res)
 	fn := compileCell(root)
-	for k := 0; k < ChunkLen; k++ {
-		want := fn(ctx, md[k], 0, k)
-		if res[ro+k] != want {
-			t.Fatalf("chunk[%d] = %v, want %v", k, res[ro+k], want)
+	for k := range md {
+		if want := fn(ctx, md[k], 0, k); res[k] != want {
+			t.Fatalf("cell[%d] = %v, want %v", k, res[k], want)
 		}
 	}
 	// Column-broadcast sides refuse vectorization.
-	if CompileCellVec(Binary(matrix.BinMul, Main(0), Side(0, AccessCol, 0))) != nil {
+	if CompileCellVec(Binary(matrix.BinMul, Main(0), Side(0, AccessCol, 0)), CellNoAgg, matrix.AggSum) != nil {
 		t.Fatal("column broadcast must not vectorize")
 	}
 	// Shape mismatch falls back at bind time.
-	if prog.ChunkCompatible(main, []*matrix.Matrix{matrix.Rand(4, 2, 1, 0, 1, 3)}) {
-		t.Fatal("mismatched side must not be chunk compatible")
+	if prog.Usable(main, []*matrix.Matrix{matrix.Rand(4, 2, 1, 0, 1, 3)}) {
+		t.Fatal("mismatched side must not be usable")
 	}
-	if prog.ChunkCompatible(main.ToSparse(), []*matrix.Matrix{side}) {
-		t.Fatal("sparse main must not be chunk compatible")
+	if prog.Usable(main.ToSparse(), []*matrix.Matrix{side}) {
+		t.Fatal("sparse main must not be usable")
+	}
+}
+
+// TestLoweringPeepholes: both execution forms share one lowering, so the
+// sum(a*b) -> dot and x^2 -> x*x rewrites apply to Row and cell bodies alike.
+func TestLoweringPeepholes(t *testing.T) {
+	count := func(instrs []RowInstr, op RowOpKind, bin matrix.BinOp) (n int) {
+		for _, in := range instrs {
+			if in.Op == op && (op != RBinVV && op != RBinVS || in.BinOp == bin) {
+				n++
+			}
+		}
+		return n
+	}
+	sq := func(w int) *CNode { return Binary(matrix.BinPow, Main(w), Lit(2)) }
+
+	row := compileRow(&Plan{Type: TemplateRow, Row: RowNoAgg, MainWidth: 8, Root: sq(8)})
+	if count(row.Instrs, RBinVV, matrix.BinMul) != 1 || count(row.Instrs, RBinVS, matrix.BinPow) != 0 {
+		t.Fatalf("row x^2 must lower to x*x: %+v", row.Instrs)
+	}
+	rowDot := compileRow(&Plan{Type: TemplateRow, Row: RowRowAgg, MainWidth: 8, Root: Agg(matrix.AggSum, sq(8))})
+	if count(rowDot.Instrs, RDot, 0) != 1 || len(rowDot.Instrs) != 1 {
+		t.Fatalf("row sum(x^2) must lower to one dot: %+v", rowDot.Instrs)
+	}
+
+	cell := CompileCellVec(sq(0), CellNoAgg, matrix.AggSum)
+	if count(cell.Instrs, RBinVV, matrix.BinMul) != 1 || count(cell.Instrs, RBinVS, matrix.BinPow) != 0 {
+		t.Fatalf("cell x^2 must lower to x*x: %+v", cell.Instrs)
+	}
+	xy := Binary(matrix.BinMul, Main(0), Side(0, AccessCell, 0))
+	for _, kind := range []CellType{CellRowAgg, CellFullAgg} {
+		p := CompileCellVec(xy, kind, matrix.AggSum)
+		if p.Red.Op != RDot || count(p.Instrs, RBinVV, matrix.BinMul) != 0 {
+			t.Fatalf("%s sum(x*y) must reduce by dot without the product: %+v red %+v", kind, p.Instrs, p.Red)
+		}
+	}
+	// Other aggregates and kinds keep the product and reduce it.
+	if p := CompileCellVec(xy, CellFullAgg, matrix.AggMax); p.Red.Op != RAggV || count(p.Instrs, RBinVV, matrix.BinMul) != 1 {
+		t.Fatalf("max(x*y) must reduce the product: %+v red %+v", p.Instrs, p.Red)
+	}
+	// A constant body has nothing to reduce and keeps the closures.
+	if CompileCellVec(Lit(3), CellFullAgg, matrix.AggSum) != nil {
+		t.Fatal("constant body must not vectorize")
 	}
 }
 

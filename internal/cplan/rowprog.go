@@ -1,7 +1,6 @@
 package cplan
 
 import (
-	"fmt"
 	"sync"
 
 	"sysml/internal/matrix"
@@ -46,7 +45,7 @@ type RowInstr struct {
 	Scalar     float64
 	CL, CU     int
 	// Uniform marks an instruction whose result is the same for every row
-	// (set by compileRow, see RowProgram.VecUniform).
+	// (set by the lowering, see RowProgram.VecUniform).
 	Uniform bool
 }
 
@@ -637,193 +636,28 @@ func aggRows(op matrix.AggOp, a []float64, o, st int, d []float64, n, w int) {
 	}
 }
 
-// compileRow lowers the Row-template CNode DAG into a vector program with
-// register allocation and common-subexpression sharing.
+// compileRow lowers the Row-template CNode DAG into a tile program.
 func compileRow(p *Plan) *RowProgram {
-	c := &rowCompiler{
-		prog: &RowProgram{
-			MainWidth:  p.MainWidth,
-			RowT:       p.Row,
-			VecWidths:  []int{p.MainWidth}, // register 0: main row view
-			VecUniform: []bool{false},
-		},
-		memo: map[*CNode]regRef{},
+	c := newLowering(p.MainWidth, false)
+	res, ok := c.lower(p.Root)
+	if !ok {
+		panic("cplan: CNode DAG does not lower to a row program")
 	}
-	res := c.compile(p.Root)
-	c.prog.ResultReg = res.idx
-	c.prog.ResultVec = res.vec
+	prog := &RowProgram{
+		Instrs:      c.instrs,
+		VecWidths:   c.vecWidths,
+		NumScalars:  len(c.scalUniform),
+		MainWidth:   p.MainWidth,
+		VecUniform:  c.vecUniform,
+		ScalUniform: c.scalUniform,
+		RowT:        p.Row,
+		OutWidth:    1,
+		ResultReg:   res.idx,
+		ResultVec:   res.vec,
+	}
 	if res.vec {
-		c.prog.OutWidth = c.prog.VecWidths[res.idx]
-	} else {
-		c.prog.OutWidth = 1
+		prog.OutWidth = c.vecWidths[res.idx]
 	}
-	c.prog.layout()
-	return c.prog
-}
-
-type regRef struct {
-	idx int
-	vec bool
-}
-
-type rowCompiler struct {
-	prog *RowProgram
-	memo map[*CNode]regRef
-}
-
-func (c *rowCompiler) newVec(width int) int {
-	c.prog.VecWidths = append(c.prog.VecWidths, width)
-	c.prog.VecUniform = append(c.prog.VecUniform, false)
-	return len(c.prog.VecWidths) - 1
-}
-
-func (c *rowCompiler) newScal() int {
-	c.prog.NumScalars++
-	c.prog.ScalUniform = append(c.prog.ScalUniform, false)
-	return c.prog.NumScalars - 1
-}
-
-// emit appends the instruction and records whether its destination is
-// uniform: loads of row-independent data, and operations all of whose
-// register operands are uniform.
-func (c *rowCompiler) emit(in RowInstr) {
-	vu, su := c.prog.VecUniform, c.prog.ScalUniform
-	dstVec := true
-	switch in.Op {
-	case RLit:
-		in.Uniform, dstVec = true, false
-	case RLoadSideRow:
-		in.Uniform = in.RowZero
-	case RLoadSideVal:
-		in.Uniform, dstVec = in.RowZero, false
-	case RBinVV:
-		in.Uniform = vu[in.Src1] && vu[in.Src2]
-	case RBinVS:
-		in.Uniform = vu[in.Src1] && su[in.Src2]
-	case RBinSV:
-		in.Uniform = su[in.Src1] && vu[in.Src2]
-	case RBinSS:
-		in.Uniform, dstVec = su[in.Src1] && su[in.Src2], false
-	case RUnS:
-		in.Uniform, dstVec = su[in.Src1], false
-	case RAggV:
-		in.Uniform, dstVec = vu[in.Src1], false
-	case RDot:
-		in.Uniform, dstVec = vu[in.Src1] && vu[in.Src2], false
-	default: // RUnV, RMatMul, RIdxV, RCumsumV
-		in.Uniform = vu[in.Src1]
-	}
-	if dstVec {
-		vu[in.Dst] = in.Uniform
-	} else {
-		su[in.Dst] = in.Uniform
-	}
-	c.prog.Instrs = append(c.prog.Instrs, in)
-}
-
-func (c *rowCompiler) compile(n *CNode) regRef {
-	if r, ok := c.memo[n]; ok {
-		return r
-	}
-	r := c.compileNode(n)
-	c.memo[n] = r
-	return r
-}
-
-func (c *rowCompiler) compileNode(n *CNode) regRef {
-	switch n.Kind {
-	case NodeMain:
-		return regRef{0, true}
-	case NodeLit:
-		d := c.newScal()
-		c.emit(RowInstr{Op: RLit, Dst: d, Scalar: n.Value})
-		return regRef{d, false}
-	case NodeSide:
-		switch n.Access {
-		case AccessScalar, AccessCol:
-			d := c.newScal()
-			c.emit(RowInstr{Op: RLoadSideVal, Dst: d, Side: n.Side, RowZero: n.Access == AccessScalar})
-			return regRef{d, false}
-		case AccessRow:
-			d := c.newVec(n.Width)
-			c.emit(RowInstr{Op: RLoadSideRow, Dst: d, Side: n.Side, RowZero: true})
-			return regRef{d, true}
-		default: // full matrix side: row rix
-			d := c.newVec(n.Width)
-			c.emit(RowInstr{Op: RLoadSideRow, Dst: d, Side: n.Side})
-			return regRef{d, true}
-		}
-	case NodeBinary:
-		l := c.compile(n.Children[0])
-		r := c.compile(n.Children[1])
-		switch {
-		case l.vec && r.vec:
-			d := c.newVec(n.Width)
-			c.emit(RowInstr{Op: RBinVV, BinOp: n.BinOp, Dst: d, Src1: l.idx, Src2: r.idx})
-			return regRef{d, true}
-		case l.vec:
-			d := c.newVec(n.Width)
-			c.emit(RowInstr{Op: RBinVS, BinOp: n.BinOp, Dst: d, Src1: l.idx, Src2: r.idx})
-			return regRef{d, true}
-		case r.vec:
-			d := c.newVec(n.Width)
-			c.emit(RowInstr{Op: RBinSV, BinOp: n.BinOp, Dst: d, Src1: l.idx, Src2: r.idx})
-			return regRef{d, true}
-		default:
-			d := c.newScal()
-			c.emit(RowInstr{Op: RBinSS, BinOp: n.BinOp, Dst: d, Src1: l.idx, Src2: r.idx})
-			return regRef{d, false}
-		}
-	case NodeUnary:
-		s := c.compile(n.Children[0])
-		if s.vec {
-			d := c.newVec(n.Width)
-			c.emit(RowInstr{Op: RUnV, UnOp: n.UnOp, Dst: d, Src1: s.idx})
-			return regRef{d, true}
-		}
-		d := c.newScal()
-		c.emit(RowInstr{Op: RUnS, UnOp: n.UnOp, Dst: d, Src1: s.idx})
-		return regRef{d, false}
-	case NodeAgg:
-		// Peephole: sum(a * b) over two vectors compiles to a fused dot
-		// product (sparse-capable over the main row).
-		if ch := n.Children[0]; n.AggOp == matrix.AggSum && ch.Kind == NodeBinary &&
-			ch.BinOp == matrix.BinMul {
-			if _, done := c.memo[ch]; !done {
-				l := c.compile(ch.Children[0])
-				r := c.compile(ch.Children[1])
-				if l.vec && r.vec {
-					d := c.newScal()
-					c.emit(RowInstr{Op: RDot, Dst: d, Src1: l.idx, Src2: r.idx})
-					return regRef{d, false}
-				}
-			}
-		}
-		s := c.compile(n.Children[0])
-		if !s.vec {
-			return s
-		}
-		d := c.newScal()
-		c.emit(RowInstr{Op: RAggV, AggOp: n.AggOp, Dst: d, Src1: s.idx})
-		return regRef{d, false}
-	case NodeMatMult:
-		s := c.compile(n.Children[0])
-		d := c.newVec(n.Width)
-		c.emit(RowInstr{Op: RMatMul, Dst: d, Src1: s.idx, Side: n.Side})
-		return regRef{d, true}
-	case NodeIdx:
-		s := c.compile(n.Children[0])
-		d := c.newVec(n.Width)
-		c.emit(RowInstr{Op: RIdxV, Dst: d, Src1: s.idx, CL: n.CL, CU: n.CU})
-		return regRef{d, true}
-	case NodeCumsum:
-		s := c.compile(n.Children[0])
-		if !s.vec {
-			return s
-		}
-		d := c.newVec(n.Width)
-		c.emit(RowInstr{Op: RCumsumV, Dst: d, Src1: s.idx})
-		return regRef{d, true}
-	}
-	panic(fmt.Sprintf("cplan: CNode kind %s not valid in row context", nodeKindName(n.Kind)))
+	prog.layout()
+	return prog
 }

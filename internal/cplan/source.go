@@ -222,11 +222,9 @@ func CompileInterpreted(p *Plan, className string) *Operator {
 			return interpretCell(root, ctx, a, rix, cix)
 		}
 	}
-	// Interpreted operators model pre-JIT execution: drop the vectorized and
-	// specialized-chunk forms so every value goes through tree dispatch.
+	// Interpreted operators model pre-JIT execution: drop the dense programs
+	// so every value goes through tree dispatch.
 	op.VecProg, op.MAggVecs = nil, make([]*CellVecProgram, len(p.Roots))
-	op.Chunk, op.MAggChunks = nil, make([]*ChunkProgram, len(p.Roots))
-	op.HFused = nil
 	return op
 }
 

@@ -540,13 +540,6 @@ func (s *Session) Metrics() obs.Snapshot {
 			snap.Gauges["plancache.hitrate"] = float64(hits) / float64(lookups)
 		}
 		snap.Gauges["plancache.size"] = float64(s.Cache.Size())
-		// Chunk-program admission: compiles whose fingerprint resolved to a
-		// specialized chunk body, by fingerprint class, vs generic fallbacks.
-		byClass, chunkMisses := s.Cache.ChunkCounters()
-		for class, n := range byClass {
-			snap.Counters["codegen.chunk.hit."+class] = n
-		}
-		snap.Counters["codegen.chunk.miss"] = chunkMisses
 	}
 	snap.Counters["block.optimized"] = s.Blocks
 	snap.Counters["block.reused"] = s.BlockCacheHits

@@ -55,7 +55,7 @@ partition 1: 3 nodes, 0 interesting points
   plans: evaluated 0 of 1 hypothetical, materialized 0 points
   estimated cost: #
 fused operators: 2 (Cell, Row)
-  Cell TMP#: 1 inputs, 1x1 output chunks [agg.sumsq]
+  Cell TMP#: 1 inputs, 1x1 output tier vec
   Row TMP#: 2 inputs, 100x1 output
 plan cache: 0 hits, 2 misses, 0 evictions
 hops after fusion:

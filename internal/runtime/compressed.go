@@ -100,7 +100,7 @@ func execCompressedCell(ec matrix.Ctx, op *cplan.Operator, cm *compress.CMatrix,
 
 	switch p.Cell {
 	case cplan.CellFullAgg:
-		acc := aggInit(p.AggOp)
+		acc := cplan.AggInit(p.AggOp)
 		for gi, g := range cm.Groups {
 			if pollStop(stop, gi) {
 				break
@@ -118,7 +118,7 @@ func execCompressedCell(ec matrix.Ctx, op *cplan.Operator, cm *compress.CMatrix,
 		out := ec.NewDenseUninit(1, cm.Cols)
 		od := out.Dense()
 		for j := range od {
-			od[j] = aggInit(p.AggOp)
+			od[j] = cplan.AggInit(p.AggOp)
 		}
 		for gi, g := range cm.Groups {
 			if pollStop(stop, gi) {
@@ -160,7 +160,7 @@ func execCompressedMAgg(ec matrix.Ctx, op *cplan.Operator, cm *compress.CMatrix,
 	out := ec.NewDenseUninit(1, k)
 	od := out.Dense()
 	for q := 0; q < k; q++ {
-		od[q] = aggInit(p.AggOps[q])
+		od[q] = cplan.AggInit(p.AggOps[q])
 	}
 	for gi, g := range cm.Groups {
 		if pollStop(stop, gi) {
@@ -239,7 +239,7 @@ func compressedAgg(ec matrix.Ctx, aop matrix.AggOp, dir matrix.AggDir, m *matrix
 	}
 	switch dir {
 	case matrix.DirAll:
-		acc := aggInit(base)
+		acc := cplan.AggInit(base)
 		for _, g := range cm.Groups {
 			g.ForEachDistinct(func(vals []float64, count int) {
 				for _, v := range vals {
@@ -255,7 +255,7 @@ func compressedAgg(ec matrix.Ctx, aop matrix.AggOp, dir matrix.AggDir, m *matrix
 		out := ec.NewDenseUninit(1, cm.Cols)
 		od := out.Dense()
 		for j := range od {
-			od[j] = aggInit(base)
+			od[j] = cplan.AggInit(base)
 		}
 		for _, g := range cm.Groups {
 			cols := g.Cols()

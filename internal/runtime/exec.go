@@ -201,7 +201,9 @@ func ExecuteDAG(d *hop.DAG, env Env, opts Options) (Env, error) {
 			// Horizontal fused operators always execute locally: the one
 			// shared pass over the main input produces every sibling output.
 			op := h.Spoof.(*cplan.Operator)
-			bundles[h.ID] = execHorizontal(opts.Exec, op, ins[0], ins[1:], stop)
+			var tier Tier
+			bundles[h.ID], tier = execCells(opts.Exec, op, ins[0], ins[1:], stop)
+			opts.Metrics.Inc(string(tier))
 			m = matrix.NewScalar(0)
 		default:
 			m, err = evalHop(h, ins, env, opts, stop, sp)
@@ -292,16 +294,6 @@ func observeHop(opts *Options, h *hop.Hop, ins []*matrix.Matrix, out *matrix.Mat
 		m.Inc("spoof.invocations")
 		m.Inc("spoof." + h.SpoofType)
 		m.ObserveDuration("op.spoof."+h.SpoofType, d)
-		// Runtime chunk-dispatch attribution: did this invocation run on a
-		// specialized AOT chunk program (admission-time counters live in the
-		// plan cache; these count actual executions).
-		if op, ok := h.Spoof.(*cplan.Operator); ok && len(op.ChunkClasses()) > 0 {
-			if ChunkDispatched(op, ins) {
-				m.Inc("spoof.chunk.hit")
-			} else {
-				m.Inc("spoof.chunk.miss")
-			}
-		}
 		// Compressed-dispatch attribution: the main input carried a
 		// compressed form — did the skeleton run over it or fall back?
 		if op, ok := h.Spoof.(*cplan.Operator); ok && h.ExecType != hop.ExecDist &&
@@ -395,18 +387,12 @@ func ActualFlops(h *hop.Hop, ins []*matrix.Matrix, out *matrix.Matrix) float64 {
 			return 0
 		}
 		switch op.Plan.Type {
-		case cplan.TemplateCell:
-			return workCellwise(op, ins[0])
-		case cplan.TemplateMAgg:
-			return workMAgg(op, ins[0])
 		case cplan.TemplateRow:
 			return workRowwise(op, ins[0])
 		case cplan.TemplateOuter:
 			return workOuter(op, ins[0])
-		case cplan.TemplateHorizontal:
-			return workHorizontal(op, ins[0])
 		}
-		return 0
+		return workCells(op, ins[0])
 	}
 	switch h.Kind {
 	case hop.OpBinary, hop.OpUnary, hop.OpCumsum:
@@ -478,10 +464,11 @@ func evalHop(h *hop.Hop, ins []*matrix.Matrix, env Env, opts Options, stop StopF
 			return m, nil
 		}
 	}
-	return evalLocal(opts.Exec, h, ins, env, stop)
+	return evalLocal(opts, h, ins, env, stop)
 }
 
-func evalLocal(ec matrix.Ctx, h *hop.Hop, ins []*matrix.Matrix, env Env, stop StopFn) (*matrix.Matrix, error) {
+func evalLocal(opts Options, h *hop.Hop, ins []*matrix.Matrix, env Env, stop StopFn) (*matrix.Matrix, error) {
+	ec := opts.Exec
 	switch h.Kind {
 	case hop.OpData:
 		m, ok := env[h.Name]
@@ -526,7 +513,7 @@ func evalLocal(ec matrix.Ctx, h *hop.Hop, ins []*matrix.Matrix, env Env, stop St
 	case hop.OpCumsum:
 		return ec.Cumsum(ins[0]), nil
 	case hop.OpSpoof:
-		return execSpoofStop(ec, h, ins, stop)
+		return execSpoofStop(ec, opts.Metrics, h, ins, stop)
 	}
 	return nil, fmt.Errorf("runtime: unsupported hop kind %v", h.Kind)
 }
@@ -542,10 +529,13 @@ func ExecSpoof(h *hop.Hop, ins []*matrix.Matrix) (*matrix.Matrix, error) {
 // skeleton loops; a canceled operator returns a partial (invalid) result,
 // so callers must check cancellation before using it.
 func ExecSpoofStop(h *hop.Hop, ins []*matrix.Matrix, stop StopFn) (*matrix.Matrix, error) {
-	return execSpoofStop(matrix.Ctx{}, h, ins, stop)
+	return execSpoofStop(matrix.Ctx{}, nil, h, ins, stop)
 }
 
-func execSpoofStop(ec matrix.Ctx, h *hop.Hop, ins []*matrix.Matrix, stop StopFn) (*matrix.Matrix, error) {
+// execSpoofStop counts in m which of their two bodies the Cell and MAgg
+// skeletons ran (spoof.exec.vec / spoof.exec.cell), from the decision they
+// return; m may be nil.
+func execSpoofStop(ec matrix.Ctx, m *obs.Metrics, h *hop.Hop, ins []*matrix.Matrix, stop StopFn) (*matrix.Matrix, error) {
 	op, ok := h.Spoof.(*cplan.Operator)
 	if !ok {
 		return nil, fmt.Errorf("runtime: spoof hop %d has no compiled operator", h.ID)
@@ -560,10 +550,14 @@ func execSpoofStop(ec matrix.Ctx, h *hop.Hop, ins []*matrix.Matrix, stop StopFn)
 		}
 	}
 	switch op.Plan.Type {
-	case cplan.TemplateCell:
-		return execCellwise(ec, op, ins[0], ins[1:], stop), nil
-	case cplan.TemplateMAgg:
-		return execMAgg(ec, op, ins[0], ins[1:], stop), nil
+	case cplan.TemplateCell, cplan.TemplateMAgg:
+		exec := execCellwise
+		if op.Plan.Type == cplan.TemplateMAgg {
+			exec = execMAgg
+		}
+		out, tier := exec(ec, op, ins[0], ins[1:], stop)
+		m.Inc(string(tier))
+		return out, nil
 	case cplan.TemplateRow:
 		return execRowwise(ec, op, ins[0], ins[1:], stop), nil
 	case cplan.TemplateOuter:

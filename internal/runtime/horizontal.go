@@ -6,117 +6,70 @@ import (
 	"sysml/internal/vector"
 )
 
-// The Horizontal skeleton executes a multi-output fused operator: sibling
-// cell-bound plans over one shared main input, evaluated in a single pass
-// that writes several destinations (a NoAgg map, row/col sums, full
-// aggregates — one per root, see Plan.HKinds). Each root dispatches
-// independently to the tightest available body — specialized AOT chunk
-// program, vectorized chunk program, or per-cell genexec closure — and a
-// sparse-safe sparse main keeps non-zero iteration with same-pattern CSR
-// outputs for NoAgg roots.
+// The cell-bound skeleton executes Cell, MAgg and Horizontal operators as
+// one pass over the main input that feeds every root's destination — a
+// NoAgg map, row or column aggregates, a full aggregate (a Cell plan has
+// one root, MAgg roots are all full aggregates, Horizontal roots mix the
+// kinds, see Plan.HKinds). Each root runs one of two bodies, chosen from
+// the bound inputs: its dense program over a dense main with main-shaped
+// dense flat sides, a tile of rows at a time, and the per-cell closure
+// otherwise. A sparse-safe sparse main is visited non-zero by non-zero, with
+// same-pattern CSR outputs for NoAgg roots.
 
-// ExecHorizontal runs a compiled Horizontal-template operator, returning
-// one output matrix per plan root (in root order).
-func ExecHorizontal(op *cplan.Operator, main *matrix.Matrix, sides []*matrix.Matrix) []*matrix.Matrix {
-	return execHorizontal(matrix.Ctx{}, op, main, sides, nil)
-}
+// cellTileCells sizes the row tiles of the pass (in cells): each root's
+// program runs once per tile, which has to be long enough that the call is
+// not felt by a root that is a single reduction (sum(X*Y): one dot product
+// per tile) and short enough that the tile of the main input (64 KiB) and
+// of a few main-shaped sides stay in the L2 cache while every sibling root
+// consumes them.
+const cellTileCells = 8192
 
-// Per-root dispatch modes of the dense path.
-const (
-	hModeCell  = iota // per-cell genexec closure
-	hModeVec          // vectorized chunk program
-	hModeChunk        // specialized AOT chunk program
-)
+// cellGrainCells is the least work, in cells, worth a parallel task.
+const cellGrainCells = 4096
 
-// chunkUsable reports whether a specialized chunk program can be
-// dispatched for the bound inputs: per the contract in cplan/chunks.go it
-// needs a dense main and each referenced side dense and exactly
-// main-shaped (same condition as CellVecProgram.ChunkCompatible).
-func chunkUsable(c *cplan.ChunkProgram, main *matrix.Matrix, sides []*matrix.Matrix) bool {
-	if c == nil || main.IsSparse() {
-		return false
-	}
-	for _, si := range c.Sides {
-		s := sides[si]
-		if s.IsSparse() || s.Rows != main.Rows || s.Cols != main.Cols {
-			return false
-		}
-	}
-	return true
-}
-
-// horizontalSparseIter mirrors the Cell skeleton's sparse decision per
-// root: non-zero iteration needs every root sparse-safe and every
-// aggregating root sum-style (min/max must see implicit zeros).
-func horizontalSparseIter(p *cplan.Plan, main *matrix.Matrix) bool {
-	if !p.SparseSafe || !main.IsSparse() {
-		return false
-	}
-	for q := range p.Roots {
-		if p.HKinds[q] != cplan.CellNoAgg && !aggIsSum(p.AggOps[q]) {
-			return false
-		}
-	}
-	return true
-}
-
-// horizontalVecOK reports whether root q can run its vectorized chunk
-// program inside the horizontal pass (dense-compatible accesses and a
-// sum-style aggregation the skeleton can combine).
-func horizontalVecOK(p *cplan.Plan, op *cplan.Operator, q int, main *matrix.Matrix, sides []*matrix.Matrix) bool {
-	if !op.MAggVecs[q].ChunkCompatible(main, sides) {
-		return false
-	}
-	if p.HKinds[q] == cplan.CellNoAgg {
-		return true
-	}
-	return p.AggOps[q] == matrix.AggSum || p.AggOps[q] == matrix.AggSumSq
-}
-
-// hstate is one worker's per-root accumulation state.
-type hstate struct {
+// cellState is one worker's state: cloned side cursors, one set of program
+// registers per dense root, and one partial per folding root (w column
+// partials for ColAgg, one scalar for FullAgg).
+type cellState struct {
 	ctx  *cplan.Ctx
 	bufs []*cplan.CellVecBuf
-	col  [][]float64 // ColAgg roots: per-column partials
-	full []float64   // FullAgg roots: scalar partials
+	acc  [][]float64
+	cix  []int // the columns of a whole row, 0..cols-1, for the closure roots
 }
 
-func execHorizontal(ec matrix.Ctx, op *cplan.Operator, main *matrix.Matrix, sides []*matrix.Matrix, stop StopFn) []*matrix.Matrix {
-	p := op.Plan
-	k := len(p.Roots)
+func execCells(ec matrix.Ctx, op *cplan.Operator, main *matrix.Matrix, sides []*matrix.Matrix, stop StopFn) ([]*matrix.Matrix, Tier) {
+	roots := cellRoots(op)
 	rows, cols := main.Rows, main.Cols
 	proto := cplan.NewCtx(sides)
-	if horizontalSparseIter(p, main) {
-		return execHorizontalSparse(ec, op, main, proto, stop)
-	}
-	if hf := op.HFused; hf != nil && !main.IsSparse() {
-		return execHorizontalFused(ec, hf, main, stop)
-	}
-
-	modes := make([]int, k)
-	for q := 0; q < k; q++ {
-		switch {
-		case chunkUsable(op.MAggChunks[q], main, sides):
-			modes[q] = hModeChunk
-		case horizontalVecOK(p, op, q, main, sides):
-			modes[q] = hModeVec
-		default:
-			modes[q] = hModeCell
+	sparse := sparseIter(op.Plan, roots, main)
+	tier := TierVec
+	for q := range roots {
+		if sparse || !roots[q].vec.Usable(main, sides) {
+			roots[q].vec, tier = nil, TierCell
 		}
 	}
 
-	outs := make([]*matrix.Matrix, k)
-	dsts := make([][]float64, k)
-	for q := 0; q < k; q++ {
-		switch p.HKinds[q] {
-		case cplan.CellNoAgg:
-			// Every cell is written below; eliding the pool's zeroing pass
-			// saves a full write over the (large) map output.
+	// Destinations. Every dense output is written in full, so the pool's
+	// zeroing pass over recycled storage would be a wasted write. Under
+	// non-zero iteration a NoAgg output keeps main's sparsity pattern.
+	outs := make([]*matrix.Matrix, len(roots))
+	dsts := make([][]float64, len(roots))
+	var ms *matrix.CSR
+	if sparse {
+		ms = main.Sparse()
+	}
+	for q, r := range roots {
+		switch {
+		case r.kind == cplan.CellNoAgg && sparse:
+			dsts[q] = make([]float64, len(ms.Values))
+		case r.kind == cplan.CellNoAgg:
 			outs[q] = ec.NewDenseUninit(rows, cols)
-		case cplan.CellRowAgg:
-			outs[q] = ec.NewDense(rows, 1) // hRowVec accumulates (+=): keep zeroed
-		case cplan.CellColAgg:
-			outs[q] = ec.NewDense(1, cols)
+		case r.kind == cplan.CellRowAgg:
+			outs[q] = ec.NewDenseUninit(rows, 1)
+		case r.kind == cplan.CellColAgg:
+			outs[q] = ec.NewDenseUninit(1, cols)
+		default:
+			dsts[q] = make([]float64, 1)
 		}
 		if outs[q] != nil {
 			dsts[q] = outs[q].Dense()
@@ -127,407 +80,159 @@ func execHorizontal(ec matrix.Ctx, op *cplan.Operator, main *matrix.Matrix, side
 	if !main.IsSparse() {
 		md = main.Dense()
 	}
-	// Tile the row loop so each root's dispatch runs once per tile, not once
-	// per row: chunk-mode NoAgg/FullAgg roots take one flat-span call over
-	// the whole tile, and the tile size keeps the shared main slice
-	// cache-resident across the sibling roots.
-	tile := hTileCells / cols
-	if tile < 1 {
-		tile = 1
-	}
-	nw, _ := ec.Par.Chunks(rows, 64)
-	states := make([]*hstate, nw)
-	ec.Par.ForIndexed(rows, 64, func(w, lo, hi int) {
+	tile := max(cellTileCells/max(cols, 1), 1)
+	grain := max(cellGrainCells/max(cols, 1), 1)
+	nw, _ := ec.Par.Chunks(rows, grain)
+	states := make([]*cellState, nw)
+	ec.Par.ForIndexed(rows, grain, func(w, lo, hi int) {
+		// Per-worker state is lazily initialized and accumulated: a worker
+		// id may be handed several chunks by the pool.
 		st := states[w]
 		if st == nil {
-			st = &hstate{ctx: proto.Clone(), bufs: make([]*cplan.CellVecBuf, k),
-				col: make([][]float64, k), full: make([]float64, k)}
-			for q := 0; q < k; q++ {
-				if modes[q] == hModeVec {
-					st.bufs[q] = op.MAggVecs[q].GetBuf()
+			st = &cellState{ctx: proto, bufs: make([]*cplan.CellVecBuf, len(roots)), acc: make([][]float64, len(roots))}
+			if w > 0 {
+				st.ctx = proto.Clone()
+			}
+			for q, r := range roots {
+				if r.vec != nil {
+					st.bufs[q] = r.vec.GetBuf()
 				}
-				switch p.HKinds[q] {
-				case cplan.CellColAgg:
-					st.col[q] = make([]float64, cols)
-					for j := range st.col[q] {
-						st.col[q][j] = aggInit(p.AggOps[q])
-					}
-				case cplan.CellFullAgg:
-					st.full[q] = aggInit(p.AggOps[q])
+				if n := len(foldDst(r.kind, dsts[q])); n > 0 {
+					st.acc[q] = make([]float64, n)
+					vector.Fill(st.acc[q], cplan.AggInit(r.agg), 0, n)
+				}
+			}
+			if tier == TierCell && !sparse {
+				st.cix = make([]int, cols)
+				for j := range st.cix {
+					st.cix[j] = j
 				}
 			}
 			states[w] = st
 		}
-		scratch := newRowScratch(ec, main)
-		defer releaseRowScratch(ec, scratch)
+		var scratch []float64
+		if tier == TierCell && !sparse {
+			scratch = newRowScratch(ec, main)
+			defer releaseRowScratch(ec, scratch)
+		}
 		for i0 := lo; i0 < hi; i0 += tile {
 			if pollStop(stop, i0-lo) {
 				break
 			}
-			i1 := i0 + tile
-			if i1 > hi {
-				i1 = hi
+			i1 := min(i0+tile, hi)
+			for q := range roots {
+				r := &roots[q]
+				if r.vec == nil {
+					continue
+				}
+				dst := st.acc[q]
+				switch r.kind {
+				case cplan.CellNoAgg:
+					dst = dsts[q][i0*cols : i1*cols]
+				case cplan.CellRowAgg:
+					dst = dsts[q][i0:i1]
+				}
+				r.vec.Exec(st.ctx, st.bufs[q], md, i0*cols, i1-i0, cols, dst)
 			}
-			for q := 0; q < k; q++ {
-				switch modes[q] {
-				case hModeChunk:
-					hTileChunk(op.MAggChunks[q], p, st, md, dsts[q], i0, i1, cols, q)
-				case hModeVec:
-					for i := i0; i < i1; i++ {
-						hRowVec(op.MAggVecs[q], p, st, md, dsts[q], i, cols, q)
-					}
-				default:
-					for i := i0; i < i1; i++ {
-						row, off := denseRowView(main, i, scratch)
-						hRowCell(op.MAggFns[q], p, st, row, dsts[q], off, i, cols, q)
+			// The closure roots take the tile row by row in turn: the row is
+			// fetched once, and their gathers from different sides overlap.
+			for i := i0; tier == TierCell && i < i1; i++ {
+				vals, cix, base := []float64(nil), st.cix, i*cols
+				if sparse {
+					vals, cix = ms.Row(i)
+					base = ms.RowPtr[i]
+				} else {
+					row, off := denseRowView(main, i, scratch)
+					vals = row[off : off+cols]
+				}
+				for q := range roots {
+					if r := &roots[q]; r.vec == nil {
+						r.row(st.ctx, vals, cix, i, base, dsts[q], st.acc[q])
 					}
 				}
 			}
 		}
 	})
 
-	// Reduce worker partials into the aggregate outputs.
-	for q := 0; q < k; q++ {
-		switch p.HKinds[q] {
-		case cplan.CellColAgg:
-			od := dsts[q]
-			for j := 0; j < cols; j++ {
-				od[j] = aggInit(p.AggOps[q])
-			}
+	// Merge the workers' partials into the folding outputs and wrap up.
+	for q, r := range roots {
+		if od := foldDst(r.kind, dsts[q]); od != nil {
+			vector.Fill(od, cplan.AggInit(r.agg), 0, len(od))
 			for _, st := range states {
 				if st == nil {
 					continue
 				}
-				for j := 0; j < cols; j++ {
-					od[j] = aggMerge(p.AggOps[q], od[j], st.col[q][j])
+				for j, v := range st.acc[q] {
+					od[j] = cplan.AggMerge(r.agg, od[j], v)
 				}
 			}
-		case cplan.CellFullAgg:
-			acc := aggInit(p.AggOps[q])
-			for _, st := range states {
-				if st != nil {
-					acc = aggMerge(p.AggOps[q], acc, st.full[q])
-				}
-			}
-			outs[q] = matrix.NewScalar(acc)
+		}
+		switch {
+		case r.kind == cplan.CellFullAgg:
+			outs[q] = matrix.NewScalar(dsts[q][0])
+		case r.kind == cplan.CellNoAgg && sparse:
+			outs[q] = matrix.NewSparseCSR(rows, cols, &matrix.CSR{
+				RowPtr: append([]int(nil), ms.RowPtr...),
+				ColIdx: append([]int(nil), ms.ColIdx...),
+				Values: dsts[q],
+			})
 		}
 	}
 	for _, st := range states {
 		if st == nil {
 			continue
 		}
-		for q := 0; q < k; q++ {
-			if st.bufs[q] != nil {
-				op.MAggVecs[q].PutBuf(st.bufs[q])
+		for q, b := range st.bufs {
+			if b != nil {
+				roots[q].vec.PutBuf(b)
 			}
 		}
 	}
-	return outs
+	return outs, tier
 }
 
-// hTileCells sizes the horizontal pass's row tiles (in cells): big enough
-// to amortize per-root dispatch and keep the vector kernels in long runs,
-// small enough that the tile stays cache-resident while every sibling root
-// consumes it.
-const hTileCells = 8 * 1024
+// foldDst returns the part of a root's destination that workers fold
+// partials into (the column or full aggregate), nil for per-cell and
+// per-row outputs.
+func foldDst(kind cplan.CellType, dst []float64) []float64 {
+	if kind == cplan.CellColAgg || kind == cplan.CellFullAgg {
+		return dst
+	}
+	return nil
+}
 
-// hTileChunk applies root q's specialized chunk program to main rows
-// [i0,i1): NoAgg and FullAgg bodies are position-independent flat spans, so
-// the whole tile goes through one call; RowAgg and ColAgg keep per-row
-// calls for their row-aligned destinations.
-func hTileChunk(c *cplan.ChunkProgram, p *cplan.Plan, st *hstate, md, dst []float64, i0, i1, cols, q int) {
-	base := i0 * cols
-	switch p.HKinds[q] {
+// row evaluates the root per cell over main row i — the closure body, for
+// the access patterns and inputs the dense programs cannot take. The row's
+// cells are vals[t] at columns cix[t]: all columns, or the stored values
+// under non-zero iteration. A NoAgg root writes cell t to dst[base+t].
+func (r *cellRoot) row(ctx *cplan.Ctx, vals []float64, cix []int, i, base int, dst, acc []float64) {
+	fn := r.fn
+	switch r.kind {
 	case cplan.CellNoAgg:
-		c.Map(st.ctx, md, dst, base, base, (i1-i0)*cols)
-	case cplan.CellRowAgg:
-		for i := i0; i < i1; i++ {
-			dst[i] = c.Agg(st.ctx, md, i*cols, cols)
-		}
-	case cplan.CellColAgg:
-		for i := i0; i < i1; i++ {
-			c.Col(st.ctx, md, i*cols, st.col[q], cols)
-		}
-	default: // CellFullAgg
-		st.full[q] += c.Agg(st.ctx, md, base, (i1-i0)*cols)
-	}
-}
-
-// execHorizontalFused runs the whole-group fused body of a Horizontal
-// operator: one specialized loop per row computes the shared power sums
-// S1/S2, the column partials, and the map outputs in a single read of the
-// main input; every aggregate root is then a closed form A·S1+B·S2+C·n
-// (see cplan/hfused.go). This is the Fig. 10 "ideal generated code" analog:
-// per-root dispatch re-reads the main once per root, which on compute-bound
-// scalar loops costs a full pass per sibling.
-func execHorizontalFused(ec matrix.Ctx, hf *cplan.HFusedProgram, main *matrix.Matrix, stop StopFn) []*matrix.Matrix {
-	k := len(hf.Cols) + len(hf.Aggs) + len(hf.Maps)
-	rows, cols := main.Rows, main.Cols
-	md := main.Dense()
-	outs := make([]*matrix.Matrix, k)
-
-	// Map destinations, in hfMap slot order (full-write: uninit pool alloc).
-	mapDsts := make([][]float64, len(hf.Maps))
-	for mi, m := range hf.Maps {
-		outs[m.Root] = ec.NewDenseUninit(rows, cols)
-		mapDsts[mi] = outs[m.Root].Dense()
-	}
-	// Row-aggregate destinations with precomputed closed-form coefficients
-	// (C folds in the per-row cell count).
-	var rowDst [][]float64
-	var rowA, rowB, rowC []float64
-	for _, a := range hf.Aggs {
-		if !a.Row {
-			continue
-		}
-		outs[a.Root] = ec.NewDenseUninit(rows, 1)
-		rowDst = append(rowDst, outs[a.Root].Dense())
-		rowA, rowB, rowC = append(rowA, a.A), append(rowB, a.B), append(rowC, a.C*float64(cols))
-	}
-
-	hasCol := len(hf.Cols) == 1
-	nw, _ := ec.Par.Chunks(rows, 64)
-	colP := make([][]float64, nw)
-	s1P := make([]float64, nw)
-	s2P := make([]float64, nw)
-	row := hf.Row
-	ec.Par.ForIndexed(rows, 64, func(w, lo, hi int) {
-		var cp []float64
-		if hasCol {
-			cp = colP[w]
-			if cp == nil {
-				cp = make([]float64, cols)
-				colP[w] = cp
-			}
-		}
-		ws1, ws2 := 0.0, 0.0
-		for i := lo; i < hi; i++ {
-			if pollStop(stop, i-lo) {
-				break
-			}
-			rs1, rs2 := row(md, i*cols, cols, cp, mapDsts)
-			ws1 += rs1
-			ws2 += rs2
-			for t := range rowDst {
-				rowDst[t][i] = rowA[t]*rs1 + rowB[t]*rs2 + rowC[t]
-			}
-		}
-		s1P[w] += ws1
-		s2P[w] += ws2
-	})
-
-	// Reduce worker partials: grand power sums for the full aggregates,
-	// column partial sums for the column root.
-	s1, s2 := 0.0, 0.0
-	for w := 0; w < nw; w++ {
-		s1 += s1P[w]
-		s2 += s2P[w]
-	}
-	n := float64(rows) * float64(cols)
-	for _, a := range hf.Aggs {
-		if !a.Row {
-			outs[a.Root] = matrix.NewScalar(a.A*s1 + a.B*s2 + a.C*n)
-		}
-	}
-	if hasCol {
-		out := ec.NewDense(1, cols)
-		od := out.Dense()
-		for _, cp := range colP {
-			if cp != nil {
-				vector.Add(cp, od, 0, 0, cols)
-			}
-		}
-		outs[hf.Cols[0].Root] = out
-	}
-	return outs
-}
-
-// hRowVec runs root q's vectorized chunk program over main row i in
-// ChunkLen slices, steering each result chunk to the root's destination.
-// Aggregating roots are sum-style by horizontalVecOK, so plain additive
-// accumulation into the (zero-initialized) destinations is exact.
-func hRowVec(prog *cplan.CellVecProgram, p *cplan.Plan, st *hstate, md, dst []float64, i, cols, q int) {
-	base := i * cols
-	kind := p.HKinds[q]
-	sumsq := kind != cplan.CellNoAgg && p.AggOps[q] == matrix.AggSumSq
-	for o := 0; o < cols; o += cplan.ChunkLen {
-		n := cplan.ChunkLen
-		if o+n > cols {
-			n = cols - o
-		}
-		res, ro := prog.Exec(st.ctx, st.bufs[q], md, base+o, n)
-		switch kind {
-		case cplan.CellNoAgg:
-			copy(dst[base+o:base+o+n], res[ro:ro+n])
-		case cplan.CellRowAgg:
-			if sumsq {
-				for t := 0; t < n; t++ {
-					dst[i] += res[ro+t] * res[ro+t]
-				}
-			} else {
-				dst[i] += cplan.SumChunk(res, ro, n)
-			}
-		case cplan.CellColAgg:
-			col := st.col[q]
-			if sumsq {
-				for t := 0; t < n; t++ {
-					col[o+t] += res[ro+t] * res[ro+t]
-				}
-			} else {
-				vector.Add(res, col, ro, o, n)
-			}
-		default: // CellFullAgg
-			if sumsq {
-				for t := 0; t < n; t++ {
-					st.full[q] += res[ro+t] * res[ro+t]
-				}
-			} else {
-				st.full[q] += cplan.SumChunk(res, ro, n)
-			}
-		}
-	}
-}
-
-// hRowCell evaluates root q per cell over main row i (the genexec
-// fallback for access patterns the chunk forms cannot express).
-func hRowCell(fn cplan.CellFunc, p *cplan.Plan, st *hstate, row, dst []float64, off, i, cols, q int) {
-	switch p.HKinds[q] {
-	case cplan.CellNoAgg:
-		base := i * cols
-		for j := 0; j < cols; j++ {
-			dst[base+j] = fn(st.ctx, row[off+j], i, j)
+		for t, v := range vals {
+			dst[base+t] = fn(ctx, v, i, cix[t])
 		}
 	case cplan.CellRowAgg:
-		acc := aggInit(p.AggOps[q])
-		for j := 0; j < cols; j++ {
-			acc = aggStep(p.AggOps[q], acc, fn(st.ctx, row[off+j], i, j))
+		a := cplan.AggInit(r.agg)
+		for t, v := range vals {
+			a = aggStep(r.agg, a, fn(ctx, v, i, cix[t]))
 		}
-		dst[i] = acc
+		dst[i] = a
 	case cplan.CellColAgg:
-		col := st.col[q]
-		for j := 0; j < cols; j++ {
-			col[j] = aggStep(p.AggOps[q], col[j], fn(st.ctx, row[off+j], i, j))
+		for t, v := range vals {
+			acc[cix[t]] = aggStep(r.agg, acc[cix[t]], fn(ctx, v, i, cix[t]))
 		}
 	default: // CellFullAgg
-		acc := st.full[q]
-		for j := 0; j < cols; j++ {
-			acc = aggStep(p.AggOps[q], acc, fn(st.ctx, row[off+j], i, j))
+		a := acc[0]
+		if r.agg == matrix.AggSum {
+			for t, v := range vals {
+				a += fn(ctx, v, i, cix[t])
+			}
+		} else {
+			for t, v := range vals {
+				a = aggStep(r.agg, a, fn(ctx, v, i, cix[t]))
+			}
 		}
-		st.full[q] = acc
+		acc[0] = a
 	}
-}
-
-// execHorizontalSparse is the sparse-safe non-zero iteration path: NoAgg
-// outputs clone the main input's CSR pattern, aggregating roots are
-// sum-style (checked by horizontalSparseIter) so implicit zeros
-// contribute nothing.
-func execHorizontalSparse(ec matrix.Ctx, op *cplan.Operator, main *matrix.Matrix, proto *cplan.Ctx, stop StopFn) []*matrix.Matrix {
-	p := op.Plan
-	k := len(p.Roots)
-	rows, cols := main.Rows, main.Cols
-	ms := main.Sparse()
-	outs := make([]*matrix.Matrix, k)
-	csrs := make([]*matrix.CSR, k)
-	dsts := make([][]float64, k)
-	for q := 0; q < k; q++ {
-		switch p.HKinds[q] {
-		case cplan.CellNoAgg:
-			csrs[q] = &matrix.CSR{
-				RowPtr: append([]int(nil), ms.RowPtr...),
-				ColIdx: append([]int(nil), ms.ColIdx...),
-				Values: make([]float64, len(ms.Values)),
-			}
-		case cplan.CellRowAgg:
-			outs[q] = ec.NewDense(rows, 1)
-			dsts[q] = outs[q].Dense()
-		}
-	}
-	nw, _ := ec.Par.Chunks(rows, 64)
-	states := make([]*hstate, nw)
-	ec.Par.ForIndexed(rows, 64, func(w, lo, hi int) {
-		st := states[w]
-		if st == nil {
-			st = &hstate{ctx: proto.Clone(), col: make([][]float64, k), full: make([]float64, k)}
-			for q := 0; q < k; q++ {
-				if p.HKinds[q] == cplan.CellColAgg {
-					st.col[q] = make([]float64, cols)
-				}
-			}
-			states[w] = st
-		}
-		for i := lo; i < hi; i++ {
-			if pollStop(stop, i-lo) {
-				break
-			}
-			vals, cix := ms.Row(i)
-			base := ms.RowPtr[i]
-			for q := 0; q < k; q++ {
-				fn := op.MAggFns[q]
-				switch p.HKinds[q] {
-				case cplan.CellNoAgg:
-					ov := csrs[q].Values
-					for t := range cix {
-						ov[base+t] = fn(st.ctx, vals[t], i, cix[t])
-					}
-				case cplan.CellRowAgg:
-					acc := 0.0
-					for t := range cix {
-						acc = aggStep(p.AggOps[q], acc, fn(st.ctx, vals[t], i, cix[t]))
-					}
-					dsts[q][i] = acc
-				case cplan.CellColAgg:
-					col := st.col[q]
-					for t := range cix {
-						j := cix[t]
-						col[j] = aggStep(p.AggOps[q], col[j], fn(st.ctx, vals[t], i, j))
-					}
-				default: // CellFullAgg
-					acc := st.full[q]
-					for t := range cix {
-						acc = aggStep(p.AggOps[q], acc, fn(st.ctx, vals[t], i, cix[t]))
-					}
-					st.full[q] = acc
-				}
-			}
-		}
-	})
-	for q := 0; q < k; q++ {
-		switch p.HKinds[q] {
-		case cplan.CellNoAgg:
-			outs[q] = matrix.NewSparseCSR(rows, cols, csrs[q])
-		case cplan.CellColAgg:
-			out := ec.NewDense(1, cols)
-			od := out.Dense()
-			for _, st := range states {
-				if st == nil {
-					continue
-				}
-				for j := 0; j < cols; j++ {
-					od[j] += st.col[q][j]
-				}
-			}
-			outs[q] = out
-		case cplan.CellFullAgg:
-			acc := 0.0
-			for _, st := range states {
-				if st != nil {
-					acc += st.full[q]
-				}
-			}
-			outs[q] = matrix.NewScalar(acc)
-		}
-	}
-	return outs
-}
-
-// workHorizontal measures the data-touch work of one Horizontal
-// invocation: cells the single shared pass visits times the covered
-// operations across all root expressions. Feeds the cost-audit ledger.
-func workHorizontal(op *cplan.Operator, main *matrix.Matrix) float64 {
-	p := op.Plan
-	visited := float64(main.Rows) * float64(main.Cols)
-	if horizontalSparseIter(p, main) {
-		visited = storedCells(main)
-	}
-	return visited * float64(p.NumNodes())
 }

@@ -62,9 +62,6 @@ func checkHorizontalOuts(t *testing.T, tag string, got, want []*matrix.Matrix) {
 func TestHorizontalMatchesPerMember(t *testing.T) {
 	p := hfuseGroupPlan()
 	op := cplan.Compile(p, "TMPH")
-	if op.HFused == nil {
-		t.Fatal("flagship affine group must select the fused body")
-	}
 	shapes := [][2]int{{1, 1}, {1, 64}, {64, 1}, {17, 31}, {128, 200}, {3, 1000}}
 	for _, sh := range shapes {
 		for _, sp := range []float64{1, 0.3, 0.01} {
@@ -72,7 +69,7 @@ func TestHorizontalMatchesPerMember(t *testing.T) {
 			want := hfuseGroupWant(x)
 			for _, workers := range []int{1, 2, 7} {
 				ec := matrix.Ctx{Par: par.NewPool(workers)}
-				got := execHorizontal(ec, op, x, nil, nil)
+				got, _ := execCells(ec, op, x, nil, nil)
 				checkHorizontalOuts(t, "dense", got, want)
 			}
 		}
@@ -115,31 +112,8 @@ func TestHorizontalSparseIteration(t *testing.T) {
 	checkHorizontalOuts(t, "sparse", got, want)
 }
 
-// TestHorizontalFusedMatchesInterpreted pins the fused whole-group body
-// against the interpreted genexec reference (which drops every specialized
-// form, HFused included).
-func TestHorizontalFusedMatchesInterpreted(t *testing.T) {
-	p := hfuseGroupPlan()
-	fused := cplan.Compile(p, "TMPF")
-	interp := cplan.CompileInterpreted(p, "TMPI")
-	if fused.HFused == nil {
-		t.Fatal("compiled operator must carry the fused body")
-	}
-	if interp.HFused != nil {
-		t.Fatal("interpreted operator must not carry the fused body")
-	}
-	for _, workers := range []int{1, 3, 8} {
-		ec := matrix.Ctx{Par: par.NewPool(workers)}
-		x := matrix.Rand(97, 113, 1, -1, 1, int64(workers))
-		got := execHorizontal(ec, fused, x, nil, nil)
-		want := execHorizontal(ec, interp, x, nil, nil)
-		checkHorizontalOuts(t, "fused-vs-interp", got, want)
-	}
-}
-
-// TestHorizontalRowAggFusedClosedForm exercises the per-row closed form
-// dst[i] = A*S1 + B*S2 + C*n: rowSums(X*2+1) alongside sum(X^2) and a map.
-func TestHorizontalRowAggFusedClosedForm(t *testing.T) {
+// TestHorizontalRowAgg: rowSums(X*2+1) alongside sum(X^2) and a map.
+func TestHorizontalRowAgg(t *testing.T) {
 	roots := []*cplan.CNode{
 		cplan.Binary(matrix.BinAdd,
 			cplan.Binary(matrix.BinMul, cplan.Main(0), cplan.Lit(2)), cplan.Lit(1)),
@@ -153,9 +127,6 @@ func TestHorizontalRowAggFusedClosedForm(t *testing.T) {
 		HKinds: []cplan.CellType{cplan.CellRowAgg, cplan.CellFullAgg, cplan.CellNoAgg},
 	}
 	op := cplan.Compile(p, "TMPR")
-	if op.HFused == nil {
-		t.Fatal("row-aggregate affine group must select the fused body")
-	}
 	x := matrix.Rand(53, 29, 1, -3, 3, 11)
 	got := ExecHorizontal(op, x, nil)
 	want := []*matrix.Matrix{
@@ -167,43 +138,15 @@ func TestHorizontalRowAggFusedClosedForm(t *testing.T) {
 	checkHorizontalOuts(t, "rowagg", got, want)
 }
 
-// TestHorizontalFusedDeclinesNonAffine: a non-affine root (exp) keeps the
-// per-root dispatch path, and results still match the reference.
-func TestHorizontalFusedDeclinesNonAffine(t *testing.T) {
-	roots := []*cplan.CNode{
-		cplan.Main(0),
-		cplan.Unary(matrix.UnExp, cplan.Main(0)),
-	}
-	p := &cplan.Plan{
-		Type:   cplan.TemplateHorizontal,
-		Roots:  roots,
-		AggOps: []matrix.AggOp{matrix.AggSum, matrix.AggSum},
-		HKinds: []cplan.CellType{cplan.CellColAgg, cplan.CellFullAgg},
-	}
-	op := cplan.Compile(p, "TMPE")
-	if op.HFused != nil {
-		t.Fatal("exp root must decline the fused body")
-	}
-	x := matrix.Rand(40, 25, 1, -1, 1, 13)
-	got := ExecHorizontal(op, x, nil)
-	want := []*matrix.Matrix{
-		matrix.Agg(matrix.AggSum, matrix.DirCol, x),
-		matrix.NewScalar(matrix.Agg(matrix.AggSum, matrix.DirAll, matrix.Unary(matrix.UnExp, x)).Scalar()),
-	}
-	checkHorizontalOuts(t, "nonaffine", got, want)
-}
-
-// TestHorizontalChunkDispatched pins the dispatch counter classification:
-// the fused group reports a chunk dispatch on dense input and none under
-// sparse non-zero iteration.
-func TestHorizontalChunkDispatched(t *testing.T) {
-	p := hfuseGroupPlan()
-	op := cplan.Compile(p, "TMPD")
-	dense := matrix.Rand(32, 32, 1, -1, 1, 3)
-	if !ChunkDispatched(op, []*matrix.Matrix{dense}) {
-		t.Fatal("dense fused group must report chunk dispatch")
-	}
-	if ChunkDispatched(cplan.CompileInterpreted(p, "TMPDI"), []*matrix.Matrix{dense}) {
-		t.Fatal("interpreted operator must not report chunk dispatch")
+// TestMAggMinMaxSeeImplicitZeros: min and max over a sparse-safe body must
+// visit the implicit zeros of a sparse main, in a MAgg plan as in a Cell one.
+func TestMAggMinMaxSeeImplicitZeros(t *testing.T) {
+	x2 := cplan.Binary(matrix.BinMul, cplan.Main(0), cplan.Lit(2))
+	p := &cplan.Plan{Type: cplan.TemplateMAgg, Roots: []*cplan.CNode{x2, x2},
+		AggOps: []matrix.AggOp{matrix.AggMin, matrix.AggMax}, SparseSafe: true}
+	x := matrix.Rand(60, 40, 0.05, 1, 2, 3).ToSparse()
+	got := ExecMAgg(cplan.Compile(p, "TMPZ"), x, nil).Dense()
+	if want := 2 * matrix.Agg(matrix.AggMax, matrix.DirAll, x).Scalar(); got[0] != 0 || got[1] != want {
+		t.Fatalf("min, max of 2*X over positive sparse X = %v, want [0 %v]", got, want)
 	}
 }

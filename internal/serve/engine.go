@@ -339,11 +339,6 @@ func (e *Engine) Metrics() obs.Snapshot {
 		snap.Gauges["calib.broadcast_bw"] = st.Model.BroadcastBW
 	}
 	snap.Gauges["plancache.size"] = float64(e.cache.Size())
-	byClass, chunkMisses := e.cache.ChunkCounters()
-	for class, n := range byClass {
-		snap.Counters["codegen.chunk.hit."+class] = n
-	}
-	snap.Counters["codegen.chunk.miss"] = chunkMisses
 	pu := e.alloc.Stats()
 	snap.Counters["pool.gets"] = pu.Gets
 	snap.Counters["pool.hits"] = pu.Hits
