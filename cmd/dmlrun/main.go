@@ -161,9 +161,9 @@ func main() {
 			st := s.Calib.State()
 			fmt.Printf("# CALIBRATION source=%s gen=%d refits=%d samples=%d skipped=%d\n",
 				st.Source, st.Gen, st.Refits, st.Samples, st.Skipped)
-			fmt.Printf("  read=%.3g write=%.3g flop=%.3g bcast=%.3g (priors %.3g/%.3g/%.3g/%.3g)\n",
-				st.Model.ReadBW, st.Model.WriteBW, st.Model.ComputeBW, st.Model.BroadcastBW,
-				st.Prior.ReadBW, st.Prior.WriteBW, st.Prior.ComputeBW, st.Prior.BroadcastBW)
+			fmt.Printf("  read=%.3g write=%.3g flop=%.3g bcast=%.3g compress=%.3g (priors %.3g/%.3g/%.3g/%.3g/%.3g)\n",
+				st.Model.ReadBW, st.Model.WriteBW, st.Model.ComputeBW, st.Model.BroadcastBW, st.Model.CompressBW,
+				st.Prior.ReadBW, st.Prior.WriteBW, st.Prior.ComputeBW, st.Prior.BroadcastBW, st.Prior.CompressBW)
 		}
 	}
 	if *explain {
@@ -202,20 +202,23 @@ func printPool(before, after matrix.PoolUsage) {
 	fmt.Fprintf(os.Stderr, "  bytes recycled:     %d (hit rate %.1f%%)\n", recycled, rate)
 }
 
-// printCompress writes the compressed-linear-algebra summary: inputs the
-// auto-compress pass compressed or declined, the achieved compression
-// ratio, and how many fused operators executed directly over column groups
-// versus falling back to dense.
+// printCompress writes the compressed-linear-algebra summary: the values
+// the compression pass compressed, the ones the estimator declined, the
+// reads of script-produced values it never sampled, the achieved
+// compression ratio, and how many fused operators executed directly over
+// column groups versus falling back to dense.
 func printCompress(snap obs.Snapshot) {
 	ac := snap.Counters["compress.auto.compressed"]
 	ad := snap.Counters["compress.auto.declined"]
+	skipped := snap.Counters["compress.plan.skipped"]
 	hit := snap.Counters["compress.exec.hit"]
 	fb := snap.Counters["compress.exec.fallback"]
-	if ac+ad+hit+fb == 0 {
+	if ac+ad+skipped+hit+fb == 0 {
 		return
 	}
 	fmt.Fprintln(os.Stderr, "# compressed linear algebra")
-	fmt.Fprintf(os.Stderr, "  inputs compressed:  %d (declined %d)\n", ac, ad)
+	fmt.Fprintf(os.Stderr, "  inputs compressed:  %d (declined %d from %d estimates, %d reads never sampled)\n",
+		ac, ad, snap.Counters["compress.auto.sampled"], skipped)
 	if r, ok := snap.Gauges["compress.ratio"]; ok {
 		fmt.Fprintf(os.Stderr, "  compression ratio:  %.2f\n", r)
 	}

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"sysml/internal/codegen"
+	"sysml/internal/compress"
+	"sysml/internal/data"
 	"sysml/internal/dml"
 	"sysml/internal/matrix"
 )
@@ -187,4 +189,74 @@ func TestAutoEncoder(t *testing.T) {
 	if math.IsNaN(obj) || obj <= 0 {
 		t.Fatalf("implausible AutoEncoder objective %v", obj)
 	}
+}
+
+// TestAutoEncoderReusesBlockPlans: the mini-batch block is one plan whose
+// slice offsets are parameters, not one plan per batch position. The time
+// trigger of re-optimization is off so that the count repeats.
+func TestAutoEncoderReusesBlockPlans(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		inputs map[string]*matrix.Matrix
+	}{
+		{"dense", AutoEncoder.Gen(2100, 20, 6)},
+		{"sparse", map[string]*matrix.Matrix{"X": data.Sparse(2100, 20, 0.1, 7)}},
+	} {
+		cfg := codegen.DefaultConfig()
+		cfg.Reopt.MinSec = math.Inf(1)
+		s, err := AutoEncoder.Run(cfg, tc.inputs,
+			map[string]float64{"epochs": 2, "batch": 128, "H1": 16, "H2": 2}, nil, &bytes.Buffer{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The initialization block, the mini-batch block, and at most one
+		// more of it (the first batch reads obj = 0, a sparse scalar).
+		if s.Blocks > 3 {
+			t.Errorf("%s: %d blocks optimized over 32 mini-batches, want <= 3", tc.name, s.Blocks)
+		}
+		if s.BlockCacheHits < 30 {
+			t.Errorf("%s: %d block plans reused over 32 mini-batches", tc.name, s.BlockCacheHits)
+		}
+	}
+}
+
+// TestAlgorithmsSampleOnlyTheirInputs: in all six algorithms the ratio
+// estimator runs on the bound inputs only — once each, when first read. No
+// value the scripts produce is sampled: most have no operator that could
+// use a compressed form (t(X) under matrix products, the 150000x1 vectors
+// that are sides of Row operators), and the ones that have (MLogreg's P under
+// sum(P*P)) are rewritten before the plan reads them a second time.
+func TestAlgorithmsSampleOnlyTheirInputs(t *testing.T) {
+	overrides := map[string]map[string]float64{
+		"L2SVM": {"maxiter": 3}, "MLogreg": {"maxiter": 2, "inneriter": 3, "k": 3},
+		"GLM": {"maxiter": 2, "inneriter": 3}, "KMeans": {"maxiter": 3},
+		"ALS-CG": {"maxiter": 1, "rank": 4}, "AutoEncoder": {"epochs": 1, "batch": 2048, "H1": 16, "H2": 2},
+	}
+	for _, a := range All {
+		rows, cols := 10000, 10 // 10000x1 intermediates are compression candidates
+		if a.Name == "ALS-CG" {
+			rows, cols = 3000, 3000
+		}
+		inputs := a.Gen(rows, cols, 11)
+		cfg := codegen.DefaultConfig()
+		cfg.Reopt.MinSec = math.Inf(1)
+		s, err := a.Run(cfg, inputs, overrides[a.Name], nil, &bytes.Buffer{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		candidates := int64(0)
+		for _, m := range inputs {
+			if m.Rows > 1 && m.SizeBytes() >= cfg.CompressMinBytes {
+				candidates++
+			}
+		}
+		c := s.Metrics().Counters
+		if got := c["compress.auto.sampled"]; got > candidates {
+			t.Errorf("%s: estimator ran %d times for %d candidate inputs", a.Name, got, candidates)
+		}
+		if a.Name != "AutoEncoder" && c["compress.plan.skipped"] == 0 {
+			t.Errorf("%s: no read of a script-produced value was counted as skipped", a.Name)
+		}
+	}
+	compress.DropAll()
 }

@@ -155,14 +155,19 @@ func PhaseBreakdown(mode codegen.Mode, script string, inputs map[string]*matrix.
 	if err != nil {
 		return nil, err
 	}
-	snap := s.Metrics()
+	return sessionPhases(s), nil
+}
+
+// sessionPhases reads the phase times a session recorded, keyed by phase
+// name.
+func sessionPhases(s *dml.Session) map[string]time.Duration {
 	out := map[string]time.Duration{}
-	for name, h := range snap.Hists {
+	for name, h := range s.Metrics().Hists {
 		if phase, ok := strings.CutPrefix(name, "phase."); ok {
 			out[phase] = time.Duration(h.Sum * float64(time.Second))
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Options configures the harness scale; Scale multiplies default row

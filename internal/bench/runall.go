@@ -57,8 +57,9 @@ var Experiments = []struct {
 	{"table6", "Table 6: distributed algorithms", func(o Options) {
 		Table6Distributed(o).Print(o.Out)
 	}},
-	{"phases", "Phase attribution: codegen vs kernel time per mode", func(o Options) {
+	{"phases", "Phase attribution: compile, compress, codegen vs kernel time per mode and per algorithm", func(o Options) {
 		PhaseAttribution(o).Print(o.Out)
+		PhaseAttributionAlgorithms(o).Print(o.Out)
 	}},
 	{"ablation", "Ablations: linearization order, MAgg fusion, dominance pruning", func(o Options) {
 		AblationOrder(o).Print(o.Out)

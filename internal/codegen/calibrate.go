@@ -19,8 +19,9 @@ import (
 // follow. The Calibrator closes the loop: it consumes the cost-audit
 // ledger's measured bytes/flops-vs-wall-time observations, fits the four
 // constants by robust regression, and republishes them so the interpreter
-// can re-optimize cached block plans under the corrected model. Fitted
-// constants persist to a small per-machine JSON profile (Profile) that
+// can re-optimize cached block plans under the corrected model. A fifth
+// constant, CompressBW, is the median rate of the compressions the
+// interpreter timed (ObserveCompress). Fitted constants persist to a small per-machine JSON profile (Profile) that
 // NewSession/NewEngine callers can load to start warm.
 
 // Calibration tuning constants. The floors guard the fit against clock
@@ -51,6 +52,11 @@ const (
 	// calibMinDistObs is the minimum number of distributed observations
 	// with broadcast traffic required before BroadcastBW is refit.
 	calibMinDistObs = 3
+	// calibMinCompressObs is the number of timed compressions required
+	// before CompressBW leaves its prior; calibCompressCap bounds the
+	// retained window of their rates.
+	calibMinCompressObs = 3
+	calibCompressCap    = 64
 )
 
 // Bandwidth/compute plausibility bounds: fitted constants outside
@@ -87,7 +93,9 @@ type Calibrator struct {
 	source  string // "defaults", "profile <path>", or "summary"
 
 	obs      []calObs
-	next     int // ring write index once the reservoir is full
+	next     int       // ring write index once the reservoir is full
+	compress []float64 // bytes/s of the last timed compressions (ObserveCompress)
+	compNext int
 	fresh    int // accepted observations since the last refit
 	seenOps  map[string]int64
 	profiled int64 // pseudo-samples carried in from an applied profile
@@ -128,6 +136,36 @@ func (c *Calibrator) Observe(e obs.AuditEntry) {
 	if c.fresh >= calibRefitEvery && len(c.obs) >= calibMinSamples {
 		c.refitLocked()
 	}
+}
+
+// ObserveCompress feeds one timed compress.Compress call (the bytes of the
+// matrix it read, the wall seconds it took) into the calibrator. CompressBW
+// is the median of the retained rates once calibMinCompressObs of them
+// exist; it prices a decision the interpreter takes per value, not a plan,
+// so a change of it never bumps the generation. Nil-safe.
+func (c *Calibrator) ObserveCompress(bytes int64, sec float64) {
+	if c == nil || bytes <= 0 || sec < calibMinSec {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rate := float64(bytes) / sec
+	if len(c.compress) < calibCompressCap {
+		c.compress = append(c.compress, rate)
+	} else {
+		c.compress[c.compNext] = rate
+		c.compNext = (c.compNext + 1) % calibCompressCap
+	}
+	c.model.CompressBW = c.compressBWLocked()
+}
+
+// compressBWLocked is the fitted CompressBW: the median observed rate, or
+// the prior while there are too few observations.
+func (c *Calibrator) compressBWLocked() float64 {
+	if len(c.compress) < calibMinCompressObs {
+		return c.prior.CompressBW
+	}
+	return clampRate(median(append([]float64(nil), c.compress...)), c.prior.CompressBW)
 }
 
 // FitSummary fits the constants directly from a cost-audit ledger roll-up:
@@ -309,6 +347,7 @@ func (c *Calibrator) refitLocked() {
 		WriteBW:     clampRate(1/x[1], c.prior.WriteBW),
 		ComputeBW:   clampRate(1/x[2], c.prior.ComputeBW),
 		BroadcastBW: clampRate(1/xb, c.prior.BroadcastBW),
+		CompressBW:  c.compressBWLocked(),
 	}
 	if materialChange(c.model, fitted) {
 		c.gen++
@@ -424,15 +463,16 @@ func (c *Calibrator) State() CalibState {
 // mean as well as how they are laid out: version 1 profiles were fitted
 // against the scalar Go vector primitives, whose flop rate is 4-6x below
 // that of the AVX2+FMA kernels, so loading one would price every
-// compute-bound operator several times too dear.
-const ProfileVersion = 2
+// compute-bound operator several times too dear. Version 3 added
+// compress_bw, which a version 2 file does not carry.
+const ProfileVersion = 3
 
 // ProfileMaxAge is the staleness bound: profiles older than this are
 // rejected by LoadProfile (hardware and build characteristics drift; a
 // months-old fit is worse than re-measuring).
 const ProfileMaxAge = 90 * 24 * time.Hour
 
-// Profile is the persisted per-machine calibration result: the four fitted
+// Profile is the persisted per-machine calibration result: the five fitted
 // cost-model constants plus provenance (schema version, creation time,
 // sample count). See docs/COST_MODEL.md for the on-disk contract.
 type Profile struct {
@@ -443,11 +483,13 @@ type Profile struct {
 	WriteBW     float64 `json:"write_bw"`
 	FlopRate    float64 `json:"flop_rate"`
 	BroadcastBW float64 `json:"broadcast_bw"`
+	CompressBW  float64 `json:"compress_bw"`
 }
 
 // CostModel converts the profile to optimizer constants.
 func (p Profile) CostModel() CostModel {
-	return CostModel{ReadBW: p.ReadBW, WriteBW: p.WriteBW, ComputeBW: p.FlopRate, BroadcastBW: p.BroadcastBW}
+	return CostModel{ReadBW: p.ReadBW, WriteBW: p.WriteBW, ComputeBW: p.FlopRate,
+		BroadcastBW: p.BroadcastBW, CompressBW: p.CompressBW}
 }
 
 // Validate checks the profile's schema version and that every constant is
@@ -462,6 +504,7 @@ func (p Profile) Validate() error {
 	}{
 		{"read_bw", p.ReadBW}, {"write_bw", p.WriteBW},
 		{"flop_rate", p.FlopRate}, {"broadcast_bw", p.BroadcastBW},
+		{"compress_bw", p.CompressBW},
 	} {
 		if math.IsNaN(c.v) || c.v < calibMinRate || c.v > calibMaxRate {
 			return fmt.Errorf("calibration profile %s %g outside [%g, %g]", c.name, c.v, float64(calibMinRate), float64(calibMaxRate))
@@ -515,6 +558,7 @@ func (c *Calibrator) Profile() Profile {
 		WriteBW:     c.model.WriteBW,
 		FlopRate:    c.model.ComputeBW,
 		BroadcastBW: c.model.BroadcastBW,
+		CompressBW:  c.model.CompressBW,
 	}
 }
 

@@ -143,6 +143,41 @@ func TestProfileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompressBWFit: CompressBW stays at its prior until three compressions
+// were timed, then is their median rate, survives a refit of the other
+// constants, never bumps the generation, and lands in the profile.
+func TestCompressBWFit(t *testing.T) {
+	prior := codegen.DefaultCostModel()
+	cal := codegen.NewCalibrator(prior)
+	gen := cal.Gen()
+	cal.ObserveCompress(1<<20, 0.01)  // ~105 MB/s
+	cal.ObserveCompress(1<<20, 0.005) // ~210 MB/s
+	cal.ObserveCompress(1<<20, 1e-9)  // below the clock floor: dropped
+	if got := cal.Model().CompressBW; got != prior.CompressBW {
+		t.Fatalf("CompressBW %g left its prior %g after two observations", got, prior.CompressBW)
+	}
+	cal.ObserveCompress(1<<20, 0.02) // ~52 MB/s
+	want := float64(1<<20) / 0.01
+	if got := cal.Model().CompressBW; got != want {
+		t.Fatalf("CompressBW %g, want the median rate %g", got, want)
+	}
+	feedSynthetic(cal, codegen.CostModel{ReadBW: 8e9, WriteBW: 4e9, ComputeBW: 2e10, BroadcastBW: 1e9})
+	cal.Refit()
+	if got := cal.Model().CompressBW; got != want {
+		t.Errorf("refit moved CompressBW to %g", got)
+	}
+	if p := cal.Profile(); p.CompressBW != want {
+		t.Errorf("profile carries compress_bw %g, want %g", p.CompressBW, want)
+	}
+	fresh := codegen.NewCalibrator(prior)
+	fresh.ObserveCompress(1<<20, 0.01)
+	fresh.ObserveCompress(1<<20, 0.01)
+	fresh.ObserveCompress(1<<20, 0.01)
+	if fresh.Gen() != gen {
+		t.Error("a compression rate bumped the plan generation")
+	}
+}
+
 // TestLoadProfileRejects: unreadable files, corrupt JSON, schema version
 // mismatches, implausible constants, and stale profiles must all fail
 // LoadProfile so callers fall back to defaults.
@@ -151,7 +186,7 @@ func TestLoadProfileRejects(t *testing.T) {
 	now := time.Now().Unix()
 	good := codegen.Profile{
 		Version: codegen.ProfileVersion, CreatedUnix: now, Samples: 10,
-		ReadBW: 8e9, WriteBW: 4e9, FlopRate: 2e10, BroadcastBW: 1e9,
+		ReadBW: 8e9, WriteBW: 4e9, FlopRate: 2e10, BroadcastBW: 1e9, CompressBW: 1e8,
 	}
 	cases := []struct {
 		name    string
@@ -164,6 +199,11 @@ func TestLoadProfileRejects(t *testing.T) {
 		{"wrong-version", func(path string) error {
 			p := good
 			p.Version = codegen.ProfileVersion + 1
+			return p.Save(path)
+		}},
+		{"without-compress-bw", func(path string) error {
+			p := good
+			p.Version, p.CompressBW = 2, 0 // a version 2 file
 			return p.Save(path)
 		}},
 		{"fitted-against-scalar-kernels", func(path string) error {

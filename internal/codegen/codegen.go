@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"sort"
@@ -126,9 +127,10 @@ func OptimizeTraced(d *hop.DAG, cfg *Config, cache *PlanCache, stats *Stats, rep
 	return d
 }
 
-// compressedInputs collects the bound inputs the interpreter's
-// auto-compress pass annotated before optimization, in name order, for the
-// COMPRESSED EXPLAIN section.
+// compressedInputs collects the reads annotated with a compressed size
+// before optimization, in name order, for the COMPRESSED EXPLAIN section.
+// (The interpreter replaces the list with its own, which also holds the
+// reads it considered and left uncompressed.)
 func compressedInputs(d *hop.DAG) []CompressedInput {
 	var out []CompressedInput
 	seen := map[string]bool{}
@@ -137,18 +139,20 @@ func compressedInputs(d *hop.DAG) []CompressedInput {
 			continue
 		}
 		seen[h.Name] = true
-		ratio := 0.0
-		if h.CompressedBytes > 0 {
-			ratio = float64(h.OutputSizeBytes()) / float64(h.CompressedBytes)
-		}
 		out = append(out, CompressedInput{
 			Name: h.Name, Rows: h.Rows, Cols: h.Cols,
-			Encodings: h.CompressedDesc, Ratio: ratio,
-			CompressedBytes: h.CompressedBytes,
+			Verdict: CompressedVerdict(h.OutputSizeBytes(), h.CompressedBytes, h.CompressedDesc),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// CompressedVerdict renders the verdict of a read that has a compressed
+// form: its ratio, encoding mix (e.g. "DDC×12 RLE×3") and size.
+func CompressedVerdict(bytes, compressedBytes int64, encodings string) string {
+	return fmt.Sprintf("compressed %.2f× (%s, %d bytes)",
+		float64(bytes)/float64(compressedBytes), encodings, compressedBytes)
 }
 
 // partitionReport summarizes the chosen plan of one partition, recosting

@@ -194,16 +194,20 @@ type CostModel struct {
 	WriteBW     float64 // bytes/s peak write
 	ComputeBW   float64 // FLOP/s peak
 	BroadcastBW float64 // bytes/s for distributed side-input broadcast
+	CompressBW  float64 // bytes/s compress.Compress turns a matrix into column groups at
 }
 
 // DefaultCostModel mirrors the paper's per-node constants (32 GB/s read,
 // 115 GFLOP/s) with a write bandwidth of half the read bandwidth and a
-// broadcast bandwidth an order of magnitude below local reads.
+// broadcast bandwidth an order of magnitude below local reads. CompressBW
+// has no counterpart in the paper: building the dictionaries is one hash
+// insert per cell on one core, 70-140 MB/s on the reference host.
 func DefaultCostModel() CostModel {
 	return CostModel{
 		ReadBW:      32e9,
 		WriteBW:     16e9,
 		ComputeBW:   115.2e9,
 		BroadcastBW: 1.25e9, // ~10 Gb Ethernet
+		CompressBW:  100e6,
 	}
 }

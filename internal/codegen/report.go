@@ -24,10 +24,12 @@ type PlanReport struct {
 	// fusion pass: merged groups, and declined groups with the cost-gate
 	// reason.
 	Horizontal []HorizontalGroup
-	// Compressed lists the bound inputs that carried an attached compressed
-	// form when this DAG was optimized (annotated by the interpreter's
-	// auto-compress pass). Non-empty Compressed also switches the operator
-	// lines to include per-operator compressed-eligibility.
+	// Compressed lists the reads of this block the interpreter's compression
+	// pass considered, each with what was decided about it and why (filled
+	// by the interpreter after the plan is chosen: the decision for a value
+	// the script produced depends on the plan's operators). Non-empty
+	// Compressed also switches the operator lines to include per-operator
+	// compressed-eligibility.
 	Compressed []CompressedInput
 	// Plan-cache activity attributable to this Optimize call (deltas of the
 	// session cache's lifetime counters).
@@ -75,14 +77,19 @@ type OperatorReport struct {
 	CompressedWhy string
 }
 
-// CompressedInput describes one bound input the auto-compress pass attached
-// a compressed form to (or annotated from an existing attachment).
+// CompressedInput is one read the compression pass considered: Verdict says
+// what was decided and why, e.g. "compressed 4.35× (DDC×12 RLE×3, 12345
+// bytes)", "estimated ratio 1.86 < 3.00", "no compressed consumer", "second
+// read pending", "benefit 0.4 ms < cost 11 ms (...)".
 type CompressedInput struct {
-	Name            string
-	Rows, Cols      int64
-	Encodings       string // e.g. "DDC×12 RLE×3"
-	Ratio           float64
-	CompressedBytes int64
+	Name       string
+	Rows, Cols int64
+	Verdict    string
+}
+
+// String renders the read as its line of the COMPRESSED section.
+func (ci CompressedInput) String() string {
+	return fmt.Sprintf("  %s %dx%d: %s\n", ci.Name, ci.Rows, ci.Cols, ci.Verdict)
 }
 
 // HorizontalGroup is one sibling-group decision of the horizontal fusion
@@ -145,10 +152,9 @@ func (r *PlanReport) String() string {
 		}
 	}
 	if len(r.Compressed) > 0 {
-		fmt.Fprintf(&b, "COMPRESSED: %d inputs\n", len(r.Compressed))
+		fmt.Fprintf(&b, "COMPRESSED: %d inputs considered\n", len(r.Compressed))
 		for _, ci := range r.Compressed {
-			fmt.Fprintf(&b, "  %s %dx%d: %s, ratio %.2f, %d bytes\n",
-				ci.Name, ci.Rows, ci.Cols, ci.Encodings, ci.Ratio, ci.CompressedBytes)
+			b.WriteString(ci.String())
 		}
 	}
 	fmt.Fprintf(&b, "fused operators: %s\n", r.FusedOperators())

@@ -35,6 +35,11 @@ type ColGroup interface {
 type CMatrix struct {
 	Rows, Cols int
 	Groups     []ColGroup
+	// size is SizeBytes as Compress computed it once: the interpreter asks
+	// on every block that reads the matrix, and a wide OLE matrix (784
+	// groups of 255 offset lists) takes 0.5 ms to add up. Zero for a matrix
+	// assembled by hand or decoded from the wire, which is summed per call.
+	size int64
 }
 
 // DDCGroup is dense dictionary coding: one code per row indexing a
@@ -295,6 +300,7 @@ func Compress(m *matrix.Matrix, opts Options) *CMatrix {
 	for _, gc := range groupCols {
 		cm.Groups = append(cm.Groups, buildGroup(gc, cols, m.Rows, opts))
 	}
+	cm.size = cm.SizeBytes()
 	return cm
 }
 
@@ -419,6 +425,9 @@ func buildGroup(gc []int, cols [][]float64, rows int, opts Options) ColGroup {
 
 // SizeBytes returns the compressed size of the matrix.
 func (cm *CMatrix) SizeBytes() int64 {
+	if cm.size != 0 {
+		return cm.size
+	}
 	var s int64
 	for _, g := range cm.Groups {
 		s += g.SizeBytes()

@@ -3,10 +3,13 @@ package dml
 import (
 	"container/list"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -74,7 +77,13 @@ type Session struct {
 
 	blockCache map[string]*blockEntry  // optimized block plans, at most maxBlockPlans
 	blockLRU   list.List               // of *blockEntry, most recently used first
+	keyBuf     []byte                  // blockKey's scratch, reused across blocks
 	bound      map[*matrix.Matrix]bool // matrices handed in via Bind (caller-owned)
+	// produced holds the compression candidates the script itself produced
+	// (setEnvAll wrote them as new results) and that are still bound: their
+	// compression is decided by the block plans that read them (compress.go).
+	// A value Bind or a serving request put into Env is in no such set.
+	produced map[*matrix.Matrix]struct{}
 
 	nnzHints   map[string]int64 // sparsity estimates from BindWithNnz, dropped on divergence
 	calibGen   uint64           // calibrator generation Config.Costs was last synced to
@@ -86,12 +95,22 @@ type Session struct {
 // hashes (invalidated when the entry is discarded, so no view serves a
 // stale operator) and the calibration generation the plan was costed
 // under.
+//
+// The plan has parameters. slices are the DAG's partial row-range index
+// hops in topological order: the key holds their extent, not their offsets,
+// and every reuse writes the current RL/RU into them (X[lo:hi,] in a
+// mini-batch loop is one plan). reads are the compression decisions the
+// plan takes for its transient reads (compress.go); replanned says the
+// entry was already optimized once more because one of them was compressed.
 type blockEntry struct {
-	key      string
-	dag      *hop.DAG
-	hashes   []uint64
-	calibGen uint64
-	lru      *list.Element
+	key       string
+	dag       *hop.DAG
+	hashes    []uint64
+	calibGen  uint64
+	lru       *list.Element
+	slices    []*hop.Hop
+	reads     []*readPlan
+	replanned bool
 }
 
 // maxBlockPlans bounds a session's block-plan cache. A session that keeps
@@ -168,6 +187,7 @@ func (s *Session) setEnv(name string, m *matrix.Matrix) {
 			s.Dist.Invalidate(old)
 		}
 		if !s.bound[old] && !s.envRefs(name, old) {
+			delete(s.produced, old)
 			old.Release()
 		}
 	}
@@ -179,7 +199,21 @@ func (s *Session) setEnv(name string, m *matrix.Matrix) {
 // must run after every assignment: an output may itself be the previous
 // matrix of a different name (tmp = Y alongside Y = Y + 1), so releasing
 // per-assignment could recycle storage a pending binding still needs.
+//
+// A compression candidate among the outputs that no variable held before
+// the block is a value the script produced; an output that passes an
+// existing binding on (Y = X) stays what it was.
 func (s *Session) setEnvAll(out map[string]*matrix.Matrix) {
+	if s.Config.Compress != codegen.CompressOff {
+		for _, m := range out {
+			if s.compressCandidate(m) && !s.envRefs("", m) {
+				if s.produced == nil {
+					s.produced = map[*matrix.Matrix]struct{}{}
+				}
+				s.produced[m] = struct{}{}
+			}
+		}
+	}
 	orphans := map[*matrix.Matrix]bool{}
 	for name, m := range out {
 		if old, ok := s.Env[name]; ok && old != m {
@@ -194,6 +228,7 @@ func (s *Session) setEnvAll(out map[string]*matrix.Matrix) {
 	}
 	for old := range orphans {
 		if !s.envRefs("", old) {
+			delete(s.produced, old)
 			old.Release()
 		}
 	}
@@ -223,6 +258,7 @@ func (s *Session) Reset() {
 		delete(s.Env, name)
 	}
 	s.bound = nil
+	s.produced = nil
 }
 
 // Close is Reset plus dropping the block-plan cache: full teardown of the
@@ -321,6 +357,10 @@ func (s *Session) Explain(script string) (string, error) {
 	for k, v := range s.nnzHints {
 		hints[k] = v
 	}
+	produced := make(map[*matrix.Matrix]struct{}, len(s.produced))
+	for m := range s.produced {
+		produced[m] = struct{}{}
+	}
 	shadow := &Session{
 		Config:   s.Config,
 		Cache:    codegen.NewPlanCacheSized(s.Config.PlanCache, s.Config.PlanCacheSize),
@@ -335,6 +375,7 @@ func (s *Session) Explain(script string) (string, error) {
 		Sink:     col,
 		Calib:    s.Calib,
 		nnzHints: hints,
+		produced: produced,
 	}
 	before := s.Alloc.Stats()
 	var db distExplainDeltas
@@ -367,13 +408,30 @@ func (s *Session) Explain(script string) (string, error) {
 	cs := shadow.Obs.Snapshot()
 	hit, fb := cs.Counters["compress.exec.hit"], cs.Counters["compress.exec.fallback"]
 	ac, ad := cs.Counters["compress.auto.compressed"], cs.Counters["compress.auto.declined"]
-	if hit+fb+ac+ad > 0 {
+	skipped := cs.Counters["compress.plan.skipped"]
+	if hit+fb+ac+ad+skipped > 0 {
 		b.WriteString("\nCOMPRESSED (this run)\n")
-		fmt.Fprintf(&b, "  inputs compressed:  %d (declined %d)\n", ac, ad)
+		fmt.Fprintf(&b, "  inputs compressed:  %d (declined %d from %d estimates, %d reads never sampled)\n",
+			ac, ad, cs.Counters["compress.auto.sampled"], skipped)
 		if r, ok := cs.Gauges["compress.ratio"]; ok {
 			fmt.Fprintf(&b, "  compression ratio:  %.2f\n", r)
 		}
 		fmt.Fprintf(&b, "  operator execution: %d compressed, %d fallback\n", hit, fb)
+		// Where the cached plans' decisions stood when the run ended (a
+		// block's own report shows them as of its optimization).
+		seen := map[string]bool{}
+		var lines []string
+		for e := shadow.blockLRU.Front(); e != nil; e = e.Next() {
+			for _, ci := range shadow.compressReport(e.Value.(*blockEntry).reads) {
+				line := ci.String()
+				if !seen[line] {
+					seen[line] = true
+					lines = append(lines, line)
+				}
+			}
+		}
+		sort.Strings(lines)
+		b.WriteString(strings.Join(lines, ""))
 	}
 	db.report(&b, s.Dist)
 	// Cost-model calibration state: the constants the shadow run's plans
@@ -387,6 +445,7 @@ func (s *Session) Explain(script string) (string, error) {
 		fmt.Fprintf(&b, "  write bandwidth:    %.3g B/s (prior %.3g)\n", st.Model.WriteBW, st.Prior.WriteBW)
 		fmt.Fprintf(&b, "  flop rate:          %.3g FLOP/s (prior %.3g)\n", st.Model.ComputeBW, st.Prior.ComputeBW)
 		fmt.Fprintf(&b, "  broadcast bandwidth: %.3g B/s (prior %.3g)\n", st.Model.BroadcastBW, st.Prior.BroadcastBW)
+		fmt.Fprintf(&b, "  compression rate:   %.3g B/s (prior %.3g)\n", st.Model.CompressBW, st.Prior.CompressBW)
 	}
 	return b.String(), nil
 }
@@ -553,6 +612,7 @@ func (s *Session) Metrics() obs.Snapshot {
 		snap.Gauges["calib.write_bw"] = st.Model.WriteBW
 		snap.Gauges["calib.flop_rate"] = st.Model.ComputeBW
 		snap.Gauges["calib.broadcast_bw"] = st.Model.BroadcastBW
+		snap.Gauges["calib.compress_bw"] = st.Model.CompressBW
 	}
 	u := s.Par.Stats()
 	snap.Counters["par.calls"] = u.Calls
@@ -734,65 +794,91 @@ func (s *Session) runBlock(ctx context.Context, root obs.Span, stmts []Stmt) err
 		}
 	}
 	d, _ := rewrite.Apply(c.d)
+	topo := hop.TopoOrder(d.Roots())
+	// Look the block's cached plan up while the structure, sizes and
+	// sparsity it was optimized for are unchanged (SystemML recompiles only
+	// dirty blocks). An entry optimized under an older calibration
+	// generation is discarded here — lazily, on its next use — and
+	// re-optimized under the current constants.
+	var entry *blockEntry
+	if s.Config.ReuseBlockPlans {
+		s.keyBuf = appendBlockKey(s.keyBuf[:0], d, topo)
+		if entry = s.blockCache[string(s.keyBuf)]; entry != nil && entry.calibGen != s.calibGen {
+			s.invalidateBlock(entry.key, "reopt.invalidations")
+			s.Obs.Inc("reopt.calib")
+			entry = nil
+		}
+	}
 	spc.End()
 
-	// Compression pass: attach/reuse compressed forms on loop-invariant
-	// bound inputs and annotate their OpData hops so the optimizer's read
-	// terms see compressed sizes. Runs before the block cache key is used so
-	// a cached plan was optimized under the same annotations it would get
-	// fresh (attachments persist across iterations).
+	// Compression pass: reuse or decide compressed forms of the block's
+	// reads and annotate their OpData hops, so that a block optimized below
+	// sees compressed sizes in its read terms. A cached plan that compressed
+	// a script-produced value just now is optimized once more, under the
+	// annotation, and keeps the value's read history.
 	spz := root.Phase(s.Obs, "compress")
-	s.autoCompress(d)
+	var carry []*readPlan
+	if s.compressPass(d, topo, entry) && !entry.replanned {
+		carry = entry.reads
+		s.invalidateBlock(entry.key, "reopt.invalidations")
+		s.Obs.Inc("reopt.compress")
+		entry = nil
+	}
 	spz.End()
 
 	spo := root.Phase(s.Obs, "optimize")
 	wantExplain := s.Sink != nil || s.ExplainOut != nil
 	var rep *codegen.PlanReport
-	optimize := func(d0 *hop.DAG) *hop.DAG {
+	var blockCacheKey string
+	if entry != nil {
+		// The offsets of the block's row slices are parameters of the plan.
+		slices := entry.slices
+		for _, h := range topo {
+			if isRowSlice(h) {
+				slices[0].RL, slices[0].RU = h.RL, h.RU
+				slices = slices[1:]
+			}
+		}
+		d, blockCacheKey = entry.dag, entry.key
+		s.blockLRU.MoveToFront(entry.lru)
+		s.BlockCacheHits++
+		s.Obs.Inc("block.cache.hits")
+	} else {
 		if wantExplain {
 			rep = &codegen.PlanReport{}
 		}
-		return codegen.OptimizeTraced(d0, &s.Config, s.Cache, s.Stats, rep, spo)
-	}
-	// Reuse the optimized plan while the block's structure, sizes, and
-	// sparsity are unchanged (SystemML recompiles only dirty blocks). An
-	// entry optimized under an older calibration generation is discarded
-	// here — lazily, on its next use — and re-optimized under the current
-	// constants.
-	var blockCacheKey string
-	if s.Config.ReuseBlockPlans {
-		key := blockKey(d)
-		blockCacheKey = key
-		entry, ok := s.blockCache[key]
-		if ok && entry.calibGen != s.calibGen {
-			s.invalidateBlock(key, "reopt.invalidations")
-			s.Obs.Inc("reopt.calib")
-			ok = false
+		d = codegen.OptimizeTraced(d, &s.Config, s.Cache, s.Stats, rep, spo)
+		s.Blocks++
+		var reads []*readPlan
+		if s.Config.ReuseBlockPlans || rep != nil {
+			reads = s.planReads(d, carry)
 		}
-		if ok {
-			d = entry.dag
-			s.blockLRU.MoveToFront(entry.lru)
-			s.BlockCacheHits++
-			s.Obs.Inc("block.cache.hits")
-		} else {
-			d = optimize(d)
-			s.Blocks++
+		if rep != nil {
+			rep.Compressed = s.compressReport(reads)
+		}
+		if s.Config.ReuseBlockPlans {
 			s.Obs.Inc("block.cache.misses")
 			if s.blockCache == nil {
 				s.blockCache = map[string]*blockEntry{}
 			}
-			entry = &blockEntry{key: key, dag: d, hashes: codegen.PlanHashes(d), calibGen: s.calibGen}
+			blockCacheKey = string(s.keyBuf)
+			entry = &blockEntry{
+				key: blockCacheKey, dag: d, hashes: codegen.PlanHashes(d), calibGen: s.calibGen,
+				reads: reads, replanned: carry != nil,
+			}
+			for _, h := range topo {
+				if isRowSlice(h) {
+					entry.slices = append(entry.slices, h)
+				}
+			}
 			entry.lru = s.blockLRU.PushFront(entry)
-			s.blockCache[key] = entry
+			s.blockCache[blockCacheKey] = entry
 			if len(s.blockCache) > maxBlockPlans {
 				old := s.blockLRU.Back().Value.(*blockEntry).key
 				s.invalidateBlock(old, "block.cache.evictions")
 				delete(s.blockReopt, old)
 			}
 		}
-	} else {
-		d = optimize(d)
-		s.Blocks++
 	}
 	spo.End()
 	if rep != nil {
@@ -951,24 +1037,59 @@ func (s *Session) invalidateBlock(key, counter string) {
 
 type printRef string
 
-// blockKey fingerprints a rewritten block DAG: operator structure, input
-// names, dimensions, format, and bucketed sparsity, plus the output
-// binding. Matching keys produce identical optimized plans.
-func blockKey(d *hop.DAG) string {
-	var b strings.Builder
-	for _, h := range hop.TopoOrder(d.Roots()) {
-		fmt.Fprintf(&b, "%d:%d:%d:%d:%d:%g:%s:%d:%d:%v:%.1f:%d:%d:%d:%d:%v",
-			h.ID, h.Kind, h.BinOp, h.UnOp, h.AggOp, h.Value, h.Name,
-			h.Rows, h.Cols, h.IsSparse(), h.Sparsity(), h.RL, h.RU, h.CL, h.CU, h.GenArgs)
-		for _, in := range h.Inputs {
-			fmt.Fprintf(&b, ",%d", in.ID)
+// isRowSlice reports whether h selects a proper part of its input's rows.
+// No template takes such a hop (they open and fuse an index only over the
+// full row range), so it always runs as its own IndexRange and a cached
+// plan can take its offsets as parameters.
+func isRowSlice(h *hop.Hop) bool {
+	return h.Kind == hop.OpIndex && (h.RL != 0 || h.RU != h.Inputs[0].Rows)
+}
+
+// appendBlockKey appends the fingerprint of a rewritten block DAG to buf:
+// operator structure, input names, dimensions, format, and bucketed
+// sparsity, plus the output binding; topo is the DAG in topological order.
+// Matching keys produce identical optimized plans up to the row offsets of
+// row slices: a slice contributes its extent (its row count) and that it is
+// one, not where it starts. Column bounds are compiled into fused operators
+// and stay in the key.
+func appendBlockKey(buf []byte, d *hop.DAG, topo []*hop.Hop) []byte {
+	for _, h := range topo {
+		buf = binary.AppendVarint(buf, h.ID)
+		buf = append(buf, byte(h.Kind), byte(h.BinOp), byte(h.UnOp), byte(h.AggOp), byte(h.AggDir), byte(h.Gen))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.Value))
+		buf = binary.AppendUvarint(buf, uint64(len(h.Name)))
+		buf = append(buf, h.Name...)
+		buf = binary.AppendVarint(buf, h.Rows)
+		buf = binary.AppendVarint(buf, h.Cols)
+		if h.IsSparse() {
+			buf = append(buf, 's')
 		}
-		b.WriteByte('|')
+		// One decimal of sparsity, as %.1f rounds it.
+		buf = append(strconv.AppendFloat(buf, h.Sparsity(), 'f', 1, 64), 0)
+		if h.Kind == hop.OpIndex {
+			if isRowSlice(h) {
+				buf = append(buf, 'p')
+			} else {
+				buf = append(buf, 'f')
+			}
+			buf = binary.AppendVarint(buf, h.CL)
+			buf = binary.AppendVarint(buf, h.CU)
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(h.GenArgs)))
+		for _, a := range h.GenArgs {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a))
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(h.Inputs)))
+		for _, in := range h.Inputs {
+			buf = binary.AppendVarint(buf, in.ID)
+		}
 	}
 	for _, name := range d.OutputNames() {
-		fmt.Fprintf(&b, "%s=%d;", name, d.Outputs[name].ID)
+		buf = binary.AppendUvarint(buf, uint64(len(name)))
+		buf = append(buf, name...)
+		buf = binary.AppendVarint(buf, d.Outputs[name].ID)
 	}
-	return b.String()
+	return buf
 }
 
 // flattenConcat splits a "+"-chain mixing strings and expressions into

@@ -106,10 +106,11 @@ type Hop struct {
 	PredBytes int64   // predicted IO volume (input reads + output write)
 
 	// Compressed-input annotation (OpData hops whose bound matrix carries
-	// an attached compressed form, set by the interpreter's auto-compress
+	// an attached compressed form, set by the interpreter's compression
 	// pass): the compressed size replaces the dense size wherever the cost
 	// model charges for *reading* this node's output, and the encoding
-	// summary feeds the EXPLAIN report. 0/"" = not compressed.
+	// summary, where the annotator gives one, feeds the EXPLAIN report.
+	// 0/"" = not compressed.
 	CompressedBytes int64
 	CompressedDesc  string
 }

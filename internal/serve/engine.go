@@ -337,6 +337,7 @@ func (e *Engine) Metrics() obs.Snapshot {
 		snap.Gauges["calib.write_bw"] = st.Model.WriteBW
 		snap.Gauges["calib.flop_rate"] = st.Model.ComputeBW
 		snap.Gauges["calib.broadcast_bw"] = st.Model.BroadcastBW
+		snap.Gauges["calib.compress_bw"] = st.Model.CompressBW
 	}
 	snap.Gauges["plancache.size"] = float64(e.cache.Size())
 	pu := e.alloc.Stats()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -14,6 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"sysml/internal/codegen"
+	"sysml/internal/compress"
+	"sysml/internal/dml"
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
 	"sysml/internal/obs"
@@ -880,4 +884,33 @@ func recoversFromPanic(t *testing.T, pool *par.Pool, frame string) {
 	if e.Requests() != 4 { // holder + three requests, the failed one included
 		t.Errorf("engine requests = %d, want 4", e.Requests())
 	}
+}
+
+// TestRequestInputsSampledPerRequest pins the carve-out of ISSUE 18 (c) at
+// the place it is for: runJob writes a request's inputs into Env directly,
+// and the compression pass samples each of them at its first read, request
+// after request on the same pooled session — also when the script's plan has
+// no operator that could use a compressed form — while what the script
+// itself produces from them is left to the plan and never sampled here.
+func TestRequestInputsSampledPerRequest(t *testing.T) {
+	sess := dml.NewSession(codegen.DefaultConfig())
+	data := make([]float64, 128*64) // exactly CompressMinBytes, as serve_mix sends
+	for i := range data {
+		data[i] = float64(i % 4)
+	}
+	req := &RunRequest{
+		Script:  "T = X * 2\nG = t(T) %*% X\ns = sum(G)",
+		Inputs:  map[string]InputSpec{"X": {Rows: 128, Cols: 64, Data: data}},
+		Outputs: []string{"s"},
+	}
+	for i := 1; i <= 3; i++ {
+		if _, err := runJob(context.Background(), sess, req, obs.Span{}); err != nil {
+			t.Fatal(err)
+		}
+		sess.Reset()
+		if got := sess.Obs.Counter("compress.auto.sampled"); got != int64(i) {
+			t.Fatalf("after %d requests the estimator ran %d times, want once per request input", i, got)
+		}
+	}
+	compress.DropAll()
 }
