@@ -18,6 +18,7 @@ import (
 	"sysml/internal/data"
 	"sysml/internal/dist"
 	"sysml/internal/dml"
+	"sysml/internal/hop"
 	"sysml/internal/matrix"
 	"sysml/internal/runtime"
 )
@@ -129,9 +130,14 @@ func BenchmarkFig9CLA(b *testing.B) {
 		}
 	})
 	b.Run("CLA/Gen", func(b *testing.B) {
-		fn := op.CellFn
+		// The product's dictionary binding over the attached compressed form.
+		compress.Attach(x, cm)
+		defer compress.Drop(x)
+		h := &hop.Hop{Kind: hop.OpSpoof, Spoof: op}
 		for i := 0; i < b.N; i++ {
-			_ = cm.AggCell(func(v float64) float64 { return fn(nil, v, 0, 0) })
+			if _, _, err := runtime.ExecSpoof(matrix.Ctx{}, h, []*matrix.Matrix{x}, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -150,10 +156,7 @@ func BenchmarkFig10Footprint(b *testing.B) {
 	}
 	rowOp := cplan.Compile(&cplan.Plan{Type: cplan.TemplateRow, Row: cplan.RowFullAgg,
 		Root: cplan.Agg(matrix.AggSum, chain), MainWidth: cols}, "T")
-	inlined := cplan.Compile(&cplan.Plan{Type: cplan.TemplateCell, Cell: cplan.CellFullAgg,
-		AggOp: matrix.AggSum, Root: cell}, "T")
-	interp := cplan.CompileInterpreted(&cplan.Plan{Type: cplan.TemplateCell,
-		Cell: cplan.CellFullAgg, AggOp: matrix.AggSum, Root: cell}, "T")
+	inlined, interp := bench.PerCellSum(cell, false), bench.PerCellSum(cell, true)
 	b.Run("Gen", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = runtime.ExecRowwise(rowOp, x, []*matrix.Matrix{rs})
@@ -161,12 +164,12 @@ func BenchmarkFig10Footprint(b *testing.B) {
 	})
 	b.Run("GenInlined", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = runtime.ExecCellwise(inlined, x, []*matrix.Matrix{rs})
+			_ = inlined(x, []*matrix.Matrix{rs})
 		}
 	})
 	b.Run("GenInlinedNoJIT", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = runtime.ExecCellwise(interp, x, []*matrix.Matrix{rs})
+			_ = interp(x, []*matrix.Matrix{rs})
 		}
 	})
 }

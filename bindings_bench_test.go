@@ -1,0 +1,78 @@
+package sysml
+
+import (
+	"testing"
+
+	"sysml/internal/compress"
+	"sysml/internal/cplan"
+	"sysml/internal/data"
+	"sysml/internal/hop"
+	"sysml/internal/matrix"
+	"sysml/internal/runtime"
+)
+
+// BenchmarkCellBindings times one operator per binding of the cell-bound
+// skeleton (see cplan.Cells), at the benchmark's sizes: every register a view
+// of its input; a column side filled into a register, for rows of 100 cells
+// and of 2; the stored cells of a sparse main; the dictionaries of a
+// compressed main, few large and many small; and the Outer dot leaf at two
+// sparsities of the driver.
+// To time one alone and single-threaded:
+//
+//	GOMAXPROCS=1 go test -run '^$' -bench 'CellBindings/nnz' -benchtime 20x .
+func BenchmarkCellBindings(b *testing.B) {
+	x, y, c := cplan.Main(0), cplan.Side(0, cplan.AccessCell, 0), cplan.Side(0, cplan.AccessCol, 0)
+	xyz := cplan.Binary(matrix.BinMul, cplan.Binary(matrix.BinMul, x, y), cplan.Side(1, cplan.AccessCell, 0))
+	sumXYZ := cplan.Compile(&cplan.Plan{Type: cplan.TemplateCell, Cell: cplan.CellFullAgg, AggOp: matrix.AggSum,
+		Root: xyz, NumSides: 2, SparseSafe: true}, "TMP_XYZ")
+	divCol := cplan.Compile(&cplan.Plan{Type: cplan.TemplateCell, Cell: cplan.CellNoAgg,
+		Root: cplan.Binary(matrix.BinDiv, x, c), NumSides: 1}, "TMP_DIV")
+	sumSq := cplan.Compile(&cplan.Plan{Type: cplan.TemplateCell, Cell: cplan.CellFullAgg, AggOp: matrix.AggSum,
+		Root: cplan.Binary(matrix.BinPow, x, cplan.Lit(2)), SparseSafe: true}, "TMP_SQ")
+	const rank = 100
+	outer := cplan.Compile(&cplan.Plan{Type: cplan.TemplateOuter, Out: cplan.OuterAgg, SparseSafe: true, OuterRank: rank,
+		Root: cplan.Binary(matrix.BinMul, x, cplan.Unary(matrix.UnLog,
+			cplan.Binary(matrix.BinAdd, cplan.Dot(), cplan.Lit(1e-15))))}, "TMP_OUT")
+
+	cell := func(op *cplan.Operator, main *matrix.Matrix, sides ...*matrix.Matrix) func(*testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runtime.ExecCellwise(op, main, sides).Release()
+			}
+		}
+	}
+	const rows, cols = 100000, 100
+	ys, zs := matrix.Rand(rows, cols, 1, -1, 1, 2), matrix.Rand(rows, cols, 1, -1, 1, 3)
+	b.Run("view", cell(sumXYZ, matrix.Rand(rows, cols, 1, -1, 1, 1), ys, zs))
+	b.Run("fill/col100", cell(divCol, matrix.Rand(rows, cols, 1, -1, 1, 4), matrix.Rand(rows, 1, 1, 1, 2, 5)))
+	b.Run("fill/col2", cell(divCol, matrix.Rand(150000, 2, 1, -1, 1, 6), matrix.Rand(150000, 1, 1, 1, 2, 7)))
+	b.Run("nnz", cell(sumXYZ, matrix.Rand(rows, cols, 0.1, -1, 1, 8), ys, zs))
+	dict := func(m *matrix.Matrix) func(*testing.B) {
+		return func(b *testing.B) {
+			compress.Attach(m, compress.Compress(m, compress.DefaultOptions()))
+			defer compress.Drop(m)
+			h := &hop.Hop{Kind: hop.OpSpoof, Spoof: sumSq}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := runtime.ExecSpoof(matrix.Ctx{}, h, []*matrix.Matrix{m}, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.Run("dict/ddc", dict(data.AirlineLike(rows, 9)))           // 29 dictionary-coded groups
+	b.Run("dict/ole", dict(data.MnistLike(rows/5, 9).ToDense())) // 784 offset-list groups
+	const n = 2000
+	u, v := matrix.Rand(n, rank, 1, 0.1, 1, 10), matrix.Rand(n, rank, 1, 0.1, 1, 11)
+	for _, sp := range []struct {
+		name string
+		sp   float64
+	}{{"outer/sp0.1", 0.1}, {"outer/sp0.001", 0.001}} {
+		xo := matrix.Rand(n, n, sp.sp, 1, 2, 12)
+		b.Run(sp.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runtime.ExecOuter(outer, xo, u, v, nil)
+			}
+		})
+	}
+}

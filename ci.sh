@@ -18,6 +18,18 @@ echo "== portable build (GOARCH=arm64) =="
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/vector
 
+# One body per fused operator: the per-cell closure tree, the planner gate
+# that worked around it and the dispatch mirrors are gone, and stay gone
+# (internal/bench keeps a closure chain as the comparator of Fig. 10).
+echo "== one body per fused operator (no closure tier) =="
+if git grep -nE 'CellFunc|CellFn|MAggFns|compileCell|CompileInterpreted|cellDispatchFlops|TierCell|CompressedDispatched|iterateOuterTransposed' -- '*.go' ':!internal/bench'; then
+  echo "FAIL: the closure tier is referenced again" >&2
+  exit 1
+fi
+# Net LOC is a tracked number (ROADMAP): non-test Go lines, benchmark/ aside.
+loc() { git ls-files -- "$@" | grep '\.go$' | grep -v '_test\.go$' | xargs cat | wc -l; }
+echo "non-test Go lines: internal/cplan + internal/runtime $(loc internal/cplan internal/runtime), root module $(loc . ':!benchmark')"
+
 echo "== docs lint (docscheck) =="
 go run ./cmd/docscheck
 

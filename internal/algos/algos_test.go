@@ -3,6 +3,7 @@ package algos
 import (
 	"bytes"
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -259,4 +260,146 @@ func TestAlgorithmsSampleOnlyTheirInputs(t *testing.T) {
 		}
 	}
 	compress.DropAll()
+}
+
+// variantInputs are an algorithm's inputs over a dense synthetic X, a sparse
+// Mnist-like one and a table of small integer codes that auto-compresses —
+// the three ways the benchmark stores X.
+func variantInputs(a Algorithm, seed int64) map[string]map[string]*matrix.Matrix {
+	codes := matrix.Rand(600, 29, 1, 0, 1, seed+1)
+	for k, v := range codes.Dense() {
+		codes.Dense()[k] = float64(int(v * float64(4+k%29)))
+	}
+	xs := map[string]*matrix.Matrix{
+		"dense": data.Dense(400, 10, seed+2), "sparse": data.MnistLike(300, seed+3), "codes": codes,
+	}
+	if a.Name == "ALS-CG" {
+		return map[string]map[string]*matrix.Matrix{"sparse": a.Gen(200, 150, seed)}
+	}
+	out := map[string]map[string]*matrix.Matrix{}
+	for name, x := range xs {
+		in := map[string]*matrix.Matrix{"X": x}
+		switch a.Name {
+		case "L2SVM":
+			in["Y"] = data.BinaryLabels(x, 0.05, seed+4)
+		case "GLM":
+			in["Y"] = data.ZeroOneLabels(data.BinaryLabels(x, 0.05, seed+4))
+		case "MLogreg":
+			in["Yfull"] = data.MultiClassIndicator(x, 3, seed+4)
+		case "KMeans":
+			in["C0"] = matrix.Rand(5, x.Cols, 1, -1, 1, seed+4)
+		}
+		out[name] = in
+	}
+	return out
+}
+
+// TestGenMatchesBaseOnEveryStorage: the six algorithms under Gen against
+// Base over dense, sparse and compressible inputs, so that the view, fill and
+// nnz bindings of their fused operators are held to the scripts' answers.
+// (None of their operators over the codes table is eligible for the dict
+// binding — ROADMAP item 8c; runtime and dml test that one.)
+func TestGenMatchesBaseOnEveryStorage(t *testing.T) {
+	overrides := map[string]map[string]float64{
+		"L2SVM": {"maxiter": 3}, "MLogreg": {"maxiter": 2, "inneriter": 3, "k": 3},
+		"GLM": {"maxiter": 2, "inneriter": 3}, "KMeans": {"maxiter": 3},
+		"ALS-CG": {"maxiter": 1, "rank": 4}, "AutoEncoder": {"epochs": 1, "batch": 64, "H1": 16, "H2": 2},
+	}
+	binds := map[string]int64{}
+	for _, a := range All {
+		for storage, in := range variantInputs(a, 23) {
+			outs := map[codegen.Mode]*dml.Session{}
+			for _, mode := range []codegen.Mode{codegen.ModeBase, codegen.ModeGen} {
+				cfg := codegen.DefaultConfig()
+				cfg.Mode = mode
+				s, err := a.Run(cfg, in, overrides[a.Name], nil, &bytes.Buffer{})
+				if err != nil {
+					t.Fatalf("%s/%s/%v: %v", a.Name, storage, mode, err)
+				}
+				outs[mode] = s
+			}
+			for _, name := range a.Outputs {
+				got, _ := outs[codegen.ModeGen].Get(name)
+				want, _ := outs[codegen.ModeBase].Get(name)
+				if got == nil || want == nil || !got.EqualsApprox(want, 1e-4) {
+					t.Errorf("%s over %s X: output %s under Gen differs from Base", a.Name, storage, name)
+				}
+			}
+			for name, n := range outs[codegen.ModeGen].Metrics().Counters {
+				if strings.HasPrefix(name, "spoof.bind.") {
+					binds[name] += n
+				}
+			}
+		}
+	}
+	compress.DropAll()
+	for _, name := range []string{"spoof.bind.view", "spoof.bind.fill", "spoof.bind.nnz"} {
+		if binds[name] == 0 {
+			t.Errorf("no fused operator of the six algorithms ran under %s", name)
+		}
+	}
+}
+
+// TestBroadcastRegionsFuse: element-wise regions over row and column vectors
+// are fused whatever the vector (construction used to decline the Cell plans
+// among them, because it costed the per-cell closures they would have run).
+// A vector that enters the region from outside makes a Cell operator with a
+// filled register — KMeans' distances, n×5 over the 1×5 centroid norms. A
+// column vector computed next to the matrix it is combined with is a row
+// aggregate, and the Row template, which fuses the aggregate too, goes first
+// (Coster.overRowAggregate): MLogreg's softmax is two Row operators that
+// read nothing but X %*% B, with no rowMaxs or rowSums left beside them,
+// and KMeans' P / rowSums(P) is one.
+func TestBroadcastRegionsFuse(t *testing.T) {
+	for _, c := range []struct {
+		a          Algorithm
+		ov         map[string]float64
+		want, deny []string
+	}{
+		{MLogreg, map[string]float64{"maxiter": 2, "inneriter": 2, "k": 3},
+			[]string{"Row TMP# 1 inputs, 400x2 output"}, []string{" ua(Rmax) ", " ua(Rsum) "}},
+		{KMeans, map[string]float64{"maxiter": 2},
+			[]string{"Cell TMP# 2 inputs, 400x5 output", "Row TMP# 1 inputs, 400x5 output"}, []string{" ua(Rsum) "}},
+	} {
+		s := dml.NewSession(codegen.DefaultConfig())
+		s.Out = &bytes.Buffer{}
+		for name, m := range c.a.Gen(400, 12, 3) {
+			s.Bind(name, m)
+		}
+		for name, v := range c.a.Scalars {
+			s.BindScalar(name, v)
+		}
+		for name, v := range c.ov {
+			s.BindScalar(name, v)
+		}
+		explain, err := s.Explain(c.a.Script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The block of the loop body, with operator class numbers blanked.
+		var body string
+		for _, block := range strings.Split(explain, "# EXPLAIN block")[1:] {
+			block = regexp.MustCompile(`TMP\d+:`).ReplaceAllString(block, "TMP#")
+			if body == "" && strings.Contains(block, c.want[0]) {
+				body = block
+			}
+		}
+		for _, op := range c.want {
+			if !strings.Contains(body, op) {
+				t.Errorf("%s: no operator %q in the loop body:\n%s", c.a.Name, op, body)
+			}
+		}
+		_, after, _ := strings.Cut(body, "hops after fusion:")
+		for _, basic := range c.deny {
+			if strings.Contains(after, basic) {
+				t.Errorf("%s: basic%sleft after fusion:\n%s", c.a.Name, basic, after)
+			}
+		}
+		if err := s.Run(c.a.Script); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Metrics().Counter("spoof.bind.fill"); (n > 0) != (c.a.Name == "KMeans") {
+			t.Errorf("%s: %d fused operators ran under spoof.bind.fill", c.a.Name, n)
+		}
+	}
 }

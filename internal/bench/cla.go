@@ -207,13 +207,10 @@ func CLA(o Options) *Table {
 	cm := compress.Compress(air, compress.DefaultOptions())
 	compress.Attach(air, cm)
 	h := &hop.Hop{Kind: hop.OpSpoof, Spoof: ops["sumsq"]}
-	if !runtime.CompressedDispatched(ops["sumsq"], []*matrix.Matrix{air}) {
-		panic("cla bench: sum(X^2) did not dispatch compressed")
-	}
 	compressed := minTime(reps, func() {
-		out, err := runtime.ExecSpoof(h, []*matrix.Matrix{air})
-		if err != nil {
-			panic(err)
+		out, bind, err := runtime.ExecSpoof(matrix.Ctx{}, h, []*matrix.Matrix{air}, nil)
+		if err != nil || bind != runtime.BindDict {
+			panic(fmt.Sprintf("cla bench: sum(X^2) ran under %q (%v), want the dictionary binding", bind, err))
 		}
 		out.Release()
 	})
@@ -243,12 +240,9 @@ func CLA(o Options) *Table {
 			compress.Attach(m, compress.Compress(m, compress.DefaultOptions()))
 		}
 		for opn, op := range ops {
-			if !runtime.CompressedDispatched(op, []*matrix.Matrix{m}) {
-				panic(fmt.Sprintf("cla bench: %s/%s did not dispatch compressed", dn, opn))
-			}
-			got, err := runtime.ExecSpoof(&hop.Hop{Kind: hop.OpSpoof, Spoof: op}, []*matrix.Matrix{m})
-			if err != nil {
-				panic(err)
+			got, bind, err := runtime.ExecSpoof(matrix.Ctx{}, &hop.Hop{Kind: hop.OpSpoof, Spoof: op}, []*matrix.Matrix{m}, nil)
+			if err != nil || bind != runtime.BindDict {
+				panic(fmt.Sprintf("cla bench: %s/%s ran under %q (%v), want the dictionary binding", dn, opn, bind, err))
 			}
 			want := runtime.ExecCellwise(op, m, nil)
 			if d := maxRelDiffHF(got, want); d > worst {

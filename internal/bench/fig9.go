@@ -7,7 +7,9 @@ import (
 	"sysml/internal/compress"
 	"sysml/internal/cplan"
 	"sysml/internal/data"
+	"sysml/internal/hop"
 	"sysml/internal/matrix"
+	"sysml/internal/runtime"
 )
 
 // Fig9CLA reproduces Fig. 9: sum(X^2) over uncompressed (ULA) and
@@ -17,7 +19,9 @@ import (
 // ULA Base materializes X^2 and sums it; ULA Fused/Gen run the fused
 // sum-of-squares in one pass. On CLA, Base/Fused compute over the
 // dictionary of distinct values (a shallow-copy special case, per §5.2),
-// and Gen calls the generated genexec once per distinct value.
+// and Gen runs the generated operator under the product's dictionary
+// binding: the body once over each column group's dictionary, weighed by
+// the occurrence counts.
 func Fig9CLA(o Options) *Table {
 	t := &Table{
 		Title:   "Fig 9 CLA: sum(X^2), ULA vs CLA (ms; ratio = compression)",
@@ -55,10 +59,14 @@ func Fig9CLA(o Options) *Table {
 		cm := compress.Compress(x, compress.DefaultOptions())
 		claBase := Median(o.Reps, func() { _ = cm.SumSq() })
 		claFused := claBase
-		fn := genOp.CellFn
+		compress.Attach(x, cm)
+		h := &hop.Hop{Kind: hop.OpSpoof, Spoof: genOp}
 		claGen := Median(o.Reps, func() {
-			_ = cm.AggCell(func(v float64) float64 { return fn(nil, v, 0, 0) })
+			if _, bind, err := runtime.ExecSpoof(matrix.Ctx{}, h, []*matrix.Matrix{x}, nil); err != nil || bind != runtime.BindDict {
+				panic(fmt.Sprintf("fig9: CLA/Gen ran under %q (%v), want the dictionary binding", bind, err))
+			}
 		})
+		compress.Drop(x)
 		t.Add(ds.name, "CLA", ms(claBase), ms(time.Duration(claFused)), ms(claGen),
 			fmt.Sprintf("%.2f", cm.CompressionRatio()))
 	}

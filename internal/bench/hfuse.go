@@ -98,6 +98,21 @@ func hfusePlan() *cplan.Plan {
 	}
 }
 
+// hfuseInterpreted is the merged plan as generated code that is not compiled
+// at all: one sequential pass that walks every root's CNode tree per cell
+// (cplan.InterpretCell) and folds by hand. Reported for reference only.
+func hfuseInterpreted(plan *cplan.Plan, x *matrix.Matrix) {
+	ctx, cols := cplan.NewCtx(nil), x.Cols
+	colSums, y, sum := make([]float64, cols), matrix.NewDenseUninit(x.Rows, cols), 0.0
+	for k, a := range x.Dense() {
+		colSums[k%cols] += cplan.InterpretCell(plan.Roots[0], ctx, a, 0, k/cols, k%cols)
+		sum += cplan.InterpretCell(plan.Roots[1], ctx, a, 0, k/cols, k%cols)
+		y.Dense()[k] = cplan.InterpretCell(plan.Roots[2], ctx, a, 0, k/cols, k%cols)
+	}
+	_ = sum
+	y.Release()
+}
+
 // hfuseIdeal is the hand-written ideal fused loop the merged operator is
 // measured against: one parallel pass producing column sums, the squared
 // sum, and the mapped output.
@@ -200,7 +215,7 @@ func hfuseShape(rounds, rows, cols int) HFuseShape {
 	}
 	e2e := interleavedMin(rounds, run(hfuseSession(x, false)), run(hfuseSession(x, true)))
 	ops := interleavedMin(rounds, execH(cplan.Compile(plan, "TMP_HF")), func() { hfuseIdeal(x) })
-	interp := interleavedMin(1, execH(cplan.CompileInterpreted(plan, "TMP_HFI")))
+	interp := interleavedMin(1, func() { hfuseInterpreted(plan, x) })
 	msf := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 	r := HFuseShape{
 		Rows: rows, Cols: cols,

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"sysml/internal/codegen"
+	"sysml/internal/cplan"
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
+	"sysml/internal/obs"
 	"sysml/internal/rewrite"
 	"sysml/internal/runtime"
 )
@@ -394,6 +396,50 @@ func TestPlanCacheReuse(t *testing.T) {
 	}
 	if stats2.OperatorsCompiled != 3 || stats2.CacheHits != 0 {
 		t.Fatalf("disabled cache: compiled=%d hits=%d", stats2.OperatorsCompiled, stats2.CacheHits)
+	}
+}
+
+// TestCellPlanServesEveryWidth: a Cell plan's hash carries no shape, and its
+// one body is compiled once for any — a region over column vectors that enter
+// it from outside (construction used to decline it) is the same operator at
+// a serve request's 128×64 and at an n×2 of MLogreg's, and runs over both.
+// (The serve path's plan cache depends on it.)
+func TestCellPlanServesEveryWidth(t *testing.T) {
+	cfg := codegen.DefaultConfig()
+	cache, stats := codegen.NewPlanCache(true), codegen.NewStats()
+	var ops []*cplan.Operator
+	for _, sh := range [][2]int{{128, 64}, {3000, 2}} {
+		rows, cols := sh[0], sh[1]
+		d := hop.NewDAG()
+		x := d.Read("X", int64(rows), int64(cols), -1)
+		e := d.Unary(matrix.UnExp, d.Binary(matrix.BinSub, x, d.Read("m", int64(rows), 1, -1)))
+		d.Output("P", d.Binary(matrix.BinDiv, e, d.Binary(matrix.BinAdd, d.Read("c", int64(rows), 1, -1), d.Lit(1))))
+		d, _ = rewrite.Apply(d)
+		d = codegen.Optimize(d, &cfg, cache, stats)
+		env := runtime.Env{"X": matrix.Rand(rows, cols, 1, -1, 1, 5), "c": matrix.Rand(rows, 1, 1, 1, 2, 6)}
+		env["m"] = matrix.Agg(matrix.AggMax, matrix.DirRow, env["X"])
+		metrics := obs.NewMetrics()
+		got, err := runtime.ExecuteDAG(d, env, runtime.Options{Metrics: metrics})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hop.TopoOrder(d.Roots()) {
+			if op, ok := h.Spoof.(*cplan.Operator); ok && op.Plan.Type == cplan.TemplateCell && h.Cols == int64(cols) {
+				ops = append(ops, op)
+			}
+		}
+		if metrics.Snapshot().Counter(string(runtime.BindFill)) == 0 {
+			t.Fatalf("%dx%d: the column sides must be filled registers:\n%s", rows, cols, hop.Explain(d.Roots()))
+		}
+		x0, c0, rowMax := env["X"], env["c"], env["m"]
+		want := matrix.Binary(matrix.BinDiv, matrix.Unary(matrix.UnExp, matrix.Binary(matrix.BinSub, x0, rowMax)),
+			matrix.ScalarRight(matrix.BinAdd, c0, 1))
+		if !got["P"].EqualsApprox(want, 1e-12) {
+			t.Fatalf("%dx%d: fused result differs from the basic operators", rows, cols)
+		}
+	}
+	if len(ops) != 2 || ops[0] != ops[1] || ops[0].Hash != ops[1].Plan.Hash() {
+		t.Fatalf("want one compiled Cell operator serving both shapes, got %v", ops)
 	}
 }
 

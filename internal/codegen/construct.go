@@ -184,7 +184,7 @@ func (c *constructor) record(template string, op *cplan.Operator, inputs int, ro
 	cok, cwhy := cplan.CompressedEligible(op.Plan)
 	c.rep.Operators = append(c.rep.Operators, OperatorReport{
 		Template: template, ClassName: op.ClassName, NumInputs: inputs,
-		Rows: rows, Cols: cols, CacheHit: hit, Tier: op.Tier(),
+		Rows: rows, Cols: cols, CacheHit: hit,
 		CompressedOK: cok, CompressedWhy: cwhy,
 	})
 }
@@ -273,30 +273,8 @@ func (c *constructor) buildCellPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.
 		NumSides:   len(env.sides),
 		SparseSafe: cplan.ProbeSparseSafe(root),
 	}
-	// Cell plans that cannot vectorize (row/column-broadcast sides) run
-	// per-cell closures; decline fusion when that dispatch overhead
-	// exceeds the intermediates it saves (the sparse-safe sparse path
-	// iterates non-zeros and keeps its own advantage).
-	if !(plan.SparseSafe && main.IsSparse()) && cplan.CompileCellVec(root, cellType, aggOp) == nil {
-		m := c.cfg.Costs
-		var interiorBytes float64
-		for id := range r.covered {
-			if x := c.memo.Hop(id); x != nil && x != h {
-				interiorBytes += float64(x.OutputSizeBytes())
-			}
-		}
-		overhead := float64(main.Cells()) * float64(len(r.covered)) * cellDispatchFlops / m.ComputeBW
-		saved := interiorBytes * (1/m.WriteBW + 1/m.ReadBW)
-		if overhead > saved {
-			return nil, nil
-		}
-	}
 	return plan, append([]*hop.Hop{main}, env.sides...)
 }
-
-// cellDispatchFlops is the per-cell closure-dispatch overhead (FLOP
-// equivalents) of non-vectorized Cell operators.
-const cellDispatchFlops = 400
 
 func pickMain(leaves []*hop.Hop, rows, cols int64) *hop.Hop {
 	var main *hop.Hop

@@ -87,6 +87,8 @@ type Coster struct {
 
 	roots map[int64]bool // part.Roots as a set (MPCost)
 
+	rowAgg map[int64]bool // overRowAggregate by hop, independent of q
+
 	visitedMat map[int64]bool
 	visitedOp  map[[2]int64]bool
 	opSeq      int64
@@ -376,7 +378,7 @@ func (c *Coster) pick(g *Group, h *hop.Hop, wantType, onlyType int) (Entry, floa
 		if !valid {
 			continue
 		}
-		score := float64(e.RefCount())*10 + typePreference(e.Type, h)
+		score := float64(e.RefCount())*10 + c.typePreference(e.Type, h)
 		if wantType >= 0 && int(e.Type) == wantType {
 			// Continuing the enclosing operator's own template keeps its
 			// chain (e.g. the Dot of an Outer plan) intact; merged Cell
@@ -391,8 +393,10 @@ func (c *Coster) pick(g *Group, h *hop.Hop, wantType, onlyType int) (Entry, floa
 }
 
 // typePreference breaks ties between templates: sparsity-exploiting Outer
-// templates first when the inputs are sparse, then MAgg, Row, Cell.
-func typePreference(t cplan.TemplateType, h *hop.Hop) float64 {
+// templates first when the inputs are sparse, then MAgg, Row, Cell — except
+// over a row aggregate of the partition (overRowAggregate), where Row goes
+// first.
+func (c *Coster) typePreference(t cplan.TemplateType, h *hop.Hop) float64 {
 	sparseIn := false
 	for _, in := range h.Inputs {
 		if in.IsSparse() {
@@ -409,10 +413,40 @@ func typePreference(t cplan.TemplateType, h *hop.Hop) float64 {
 	case cplan.TemplateMAgg:
 		return 2
 	case cplan.TemplateRow:
+		if h.Cols > 1 && c.overRowAggregate(h) {
+			return 3.5
+		}
 		return 2.5
 	default:
 		return 3 // Cell: the canonical template for element-wise chains
 	}
+}
+
+// overRowAggregate reports whether the element-wise chain at h, inside the
+// partition, reaches a row aggregate (M / rowSums(exp(M - rowMaxs(M)))): only
+// a Row operator fuses the aggregate with the matrix it is combined with, in
+// one pass over M, where Cell operators need every such vector materialized
+// and a pass each. Over a vector that enters the partition from outside
+// both templates cover the same operators.
+func (c *Coster) overRowAggregate(h *hop.Hop) bool {
+	if v, ok := c.rowAgg[h.ID]; ok {
+		return v
+	}
+	v := false
+	switch {
+	case !c.part.Nodes[h.ID]:
+	case h.Kind == hop.OpAggUnary:
+		v = h.AggDir == matrix.DirRow
+	case h.Kind == hop.OpBinary || h.Kind == hop.OpUnary:
+		for _, in := range h.Inputs {
+			v = v || (in.Rows == h.Rows && c.overRowAggregate(in))
+		}
+	}
+	if c.rowAgg == nil {
+		c.rowAgg = map[int64]bool{}
+	}
+	c.rowAgg[h.ID] = v
+	return v
 }
 
 // StaticCost is the lower-bound component C_Pi independent of q: reading

@@ -37,14 +37,21 @@ func optimizeSiblings(rows, cols int64, disable bool) []*hop.Hop {
 }
 
 // TestHorizontalConstruction: the sibling group merges into exactly one
-// Horizontal operator at scale, every root of which has a dense program.
+// Horizontal operator at scale with one program per root, each of which can
+// bind its leaf registers as views (no broadcast side).
 func TestHorizontalConstruction(t *testing.T) {
 	spoofs := optimizeSiblings(4096, 2048, false)
 	if len(spoofs) != 1 {
 		t.Fatalf("expected one Horizontal operator, got %d", len(spoofs))
 	}
-	if tier := spoofs[0].Spoof.(*cplan.Operator).Tier(); tier != "vec" {
-		t.Fatalf("merged operator tier = %q, want vec", tier)
+	op := spoofs[0].Spoof.(*cplan.Operator)
+	if len(op.Cells) != 3 {
+		t.Fatalf("merged operator has %d programs, want one per root (3)", len(op.Cells))
+	}
+	for q, r := range op.Cells {
+		if r.Bcast || len(r.FlatSides) != 0 {
+			t.Fatalf("root %d reads sides (%v, broadcast %v): dense X must bind as views", q, r.FlatSides, r.Bcast)
+		}
 	}
 }
 

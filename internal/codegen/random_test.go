@@ -8,6 +8,7 @@ import (
 	"sysml/internal/codegen"
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
+	"sysml/internal/obs"
 	"sysml/internal/rewrite"
 	"sysml/internal/runtime"
 )
@@ -22,6 +23,7 @@ func randomDAG(seed int64) (*hop.DAG, runtime.Env) {
 		"A": matrix.Rand(n, m, 1, 0.2, 2, seed+1),
 		"B": matrix.Rand(n, m, 0.15, 0.2, 2, seed+2),
 		"c": matrix.Rand(n, 1, 1, 0.2, 2, seed+3),
+		"r": matrix.Rand(1, m, 1, 0.2, 2, seed+7),
 		"w": matrix.Rand(m, 1, 1, 0.2, 2, seed+4),
 		"U": matrix.Rand(n, r, 1, 0.2, 1, seed+5),
 		"V": matrix.Rand(m, r, 1, 0.2, 1, seed+6),
@@ -30,6 +32,7 @@ func randomDAG(seed int64) (*hop.DAG, runtime.Env) {
 		d.Read("A", n, m, -1),
 		d.Read("B", n, m, int64(env["B"].Nnz())),
 		d.Read("c", n, 1, -1),
+		d.Read("r", 1, m, -1),
 		d.Read("w", m, 1, -1),
 		d.Read("U", n, r, -1),
 		d.Read("V", m, r, -1),
@@ -54,12 +57,15 @@ func randomDAG(seed int64) (*hop.DAG, runtime.Env) {
 	anyMatrix := func(h *hop.Hop) bool { return !h.IsScalar() }
 	nSteps := 4 + rng.Intn(8)
 	for i := 0; i < nSteps; i++ {
-		switch rng.Intn(6) {
-		case 0: // binary same shape / broadcast
+		switch rng.Intn(7) {
+		case 0, 6: // binary same shape / column- or row-vector broadcast
 			a := pick(anyMatrix)
+			if i%2 == 1 {
+				a = pool[1] // the sparse leaf as the (sparse-safe, under *) main input
+			}
 			b := pick(func(h *hop.Hop) bool {
 				return h.Rows == a.Rows && h.Cols == a.Cols ||
-					h.Cols == 1 && h.Rows == a.Rows || h.IsScalar()
+					h.Cols == 1 && h.Rows == a.Rows || h.Rows == 1 && h.Cols == a.Cols || h.IsScalar()
 			})
 			if b == nil {
 				continue
@@ -113,6 +119,7 @@ func randomDAG(seed int64) (*hop.DAG, runtime.Env) {
 
 func TestRandomDAGEquivalenceAcrossModes(t *testing.T) {
 	modes := []codegen.Mode{codegen.ModeFused, codegen.ModeGen, codegen.ModeGenFA, codegen.ModeGenFNR}
+	metrics := obs.NewMetrics()
 	for seed := int64(0); seed < 60; seed++ {
 		build, env := randomDAG(seed)
 		refDAG, _ := rewrite.Apply(build)
@@ -127,7 +134,7 @@ func TestRandomDAGEquivalenceAcrossModes(t *testing.T) {
 			cfg := codegen.DefaultConfig()
 			cfg.Mode = mode
 			dd = codegen.Optimize(dd, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
-			got, err := runtime.ExecuteDAG(dd, env, runtime.Options{})
+			got, err := runtime.ExecuteDAG(dd, env, runtime.Options{Metrics: metrics})
 			if err != nil {
 				t.Fatalf("seed %d mode %v: %v\n%s", seed, mode, err, hop.Explain(dd.Roots()))
 			}
@@ -137,6 +144,12 @@ func TestRandomDAGEquivalenceAcrossModes(t *testing.T) {
 						seed, mode, name, hop.Explain(dd.Roots()))
 				}
 			}
+		}
+	} // The generator is only worth its time if the fused operators it leads
+	// to load their registers every way the skeleton knows.
+	for _, bind := range []runtime.Binding{runtime.BindView, runtime.BindFill, runtime.BindNnz} {
+		if metrics.Snapshot().Counter(string(bind)) == 0 {
+			t.Errorf("no generated DAG ran a cell body under %s", bind)
 		}
 	}
 }

@@ -59,16 +59,13 @@ type PartitionReport struct {
 	EstCost float64
 }
 
-// OperatorReport describes one constructed fused operator. Tier is the body
-// a Cell, MAgg or Horizontal operator runs over dense inputs ("vec": the
-// dense programs, "cell": per-cell closures; see cplan.Operator.Tier).
+// OperatorReport describes one constructed fused operator.
 type OperatorReport struct {
 	Template   string
 	ClassName  string
 	NumInputs  int
 	Rows, Cols int64
 	CacheHit   bool
-	Tier       string
 	// CompressedOK / CompressedWhy record the compressed-execution
 	// eligibility probe: whether the operator's body can run per distinct
 	// dictionary tuple over a compressed main input, and the fallback
@@ -165,9 +162,6 @@ func (r *PlanReport) String() string {
 		}
 		fmt.Fprintf(&b, "  %s %s: %d inputs, %dx%d output%s",
 			op.Template, op.ClassName, op.NumInputs, op.Rows, op.Cols, hit)
-		if op.Tier != "" {
-			fmt.Fprintf(&b, " tier %s", op.Tier)
-		}
 		if len(r.Compressed) > 0 {
 			if op.CompressedOK {
 				b.WriteString(" compressed: eligible")

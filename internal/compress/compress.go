@@ -49,6 +49,7 @@ type DDCGroup struct {
 	dict   [][]float64 // tuple per code
 	codes  []uint16
 	counts []int
+	flat   flatDict
 }
 
 // Cols implements ColGroup.
@@ -82,6 +83,7 @@ type RLEGroup struct {
 	rows   int
 	// rowCode caches a decompressed code vector for random access.
 	rowCode []uint16
+	flat    flatDict
 }
 
 // Cols implements ColGroup.
@@ -134,6 +136,7 @@ type OLEGroup struct {
 	zeroCount int
 	zeroTuple []float64
 	rowCode   []int32 // lazily built for random access; -1 = zero tuple
+	flat      flatDict
 }
 
 // Cols implements ColGroup.
@@ -487,22 +490,6 @@ func (cm *CMatrix) SumSq() float64 {
 		g.ForEachDistinct(func(vals []float64, count int) {
 			for _, v := range vals {
 				s += v * v * float64(count)
-			}
-		})
-	}
-	return s
-}
-
-// AggCell evaluates a generated cell function as a full aggregate over the
-// compressed data, calling it once per distinct value and scaling by the
-// occurrence count — the Gen-over-CLA path of Fig. 9. Valid for sparse-safe
-// single-input cell functions.
-func (cm *CMatrix) AggCell(fn func(v float64) float64) float64 {
-	var s float64
-	for _, g := range cm.Groups {
-		g.ForEachDistinct(func(vals []float64, count int) {
-			for _, v := range vals {
-				s += fn(v) * float64(count)
 			}
 		})
 	}

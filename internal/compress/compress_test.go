@@ -79,17 +79,31 @@ func TestSumAndSumSq(t *testing.T) {
 	}
 }
 
+// aggCell is sum(f(X)) over the dictionaries, the way the runtime's
+// dictionary binding aggregates a cell body: f once per tuple value (Dict),
+// weighed by the tuple's count.
+func aggCell(cm *CMatrix, f func(float64) float64) (s float64) {
+	for _, g := range cm.Groups {
+		values, counts := Dict(g)
+		w := len(g.Cols())
+		for k, v := range values {
+			s += f(v) * counts[k/w]
+		}
+	}
+	return s
+}
+
 func TestAggCellMatchesDense(t *testing.T) {
 	m := lowCardinality(400, 6, 9, 6)
 	cm := Compress(m, DefaultOptions())
-	got := cm.AggCell(func(v float64) float64 { return v*v + 2*v })
+	got := aggCell(cm, func(v float64) float64 { return v*v + 2*v })
 	var want float64
 	md := m.ToDense().Dense()
 	for _, v := range md {
 		want += v*v + 2*v
 	}
 	if math.Abs(got-want) > 1e-6*math.Abs(want) {
-		t.Fatalf("AggCell = %v, want %v", got, want)
+		t.Fatalf("fold over Dict = %v, want %v", got, want)
 	}
 }
 
@@ -184,10 +198,10 @@ func TestOLESelectionForSparse(t *testing.T) {
 	}
 	// Non-sparse-safe function over the dictionary must include the
 	// implicit zero tuple.
-	got := cm.AggCell(func(v float64) float64 { return v + 1 })
+	got := aggCell(cm, func(v float64) float64 { return v + 1 })
 	want := float64(md.Rows*md.Cols) + wantSum
 	if math.Abs(got-want) > 1e-9*math.Abs(want) {
-		t.Fatalf("OLE AggCell with zeros = %v, want %v", got, want)
+		t.Fatalf("OLE fold over Dict with zeros = %v, want %v", got, want)
 	}
 	// Sparse data compresses far better than dense codes.
 	if cm.CompressionRatio() < 3 {

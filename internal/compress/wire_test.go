@@ -164,27 +164,47 @@ func TestSummary(t *testing.T) {
 	}
 }
 
+// mapInto writes fn of every value of the group's columns into the full-width
+// row-major dst, the way the runtime's dictionary binding maps a cell body:
+// fn once per dictionary value (Dict), the results scattered by row code
+// (Codes, Scatter) in two row ranges.
+func mapInto(t *testing.T, g ColGroup, dst []float64, rows, stride int, fn func(float64) float64) {
+	cols := g.Cols()
+	values, counts := Dict(g)
+	var covered float64
+	for _, c := range counts {
+		covered += c
+	}
+	if len(values) != len(counts)*len(cols) || int(covered) != rows {
+		t.Fatalf("Dict holds %d values, %d tuples covering %v of %d rows", len(values), len(counts), covered, rows)
+	}
+	table := make([]float64, len(values)) // Dict's arrays are shared: map into a copy
+	for k, v := range values {
+		table[k] = fn(v)
+	}
+	codes := Codes(g)
+	Scatter(codes, table, len(cols), dst, stride, cols, 0, rows/2)
+	Scatter(codes, table, len(cols), dst, stride, cols, rows/2, rows)
+}
+
 func TestMapIntoAndCodesMatchValueAt(t *testing.T) {
-	fn := func(v float64, c int) float64 { return 2*v + 1 } // not sparse safe
+	fn := func(v float64) float64 { return 2*v + 1 } // not sparse safe
 	for name, m := range wireCases() {
 		cm := Compress(m, DefaultOptions())
 		for _, g := range cm.Groups {
 			cols := g.Cols()
-			// dst is the full-width output: MapInto writes at the group's
-			// absolute column positions.
 			dst := make([]float64, cm.Rows*cm.Cols)
-			MapInto(g, dst, cm.Cols, 0, cm.Rows, fn)
+			mapInto(t, g, dst, cm.Rows, cm.Cols, fn)
 			for r := 0; r < cm.Rows; r++ {
 				for j, c := range cols {
-					want := fn(g.ValueAt(r, j), c)
-					if dst[r*cm.Cols+c] != want {
-						t.Fatalf("%s: MapInto(%d,%d) = %v, want %v", name, r, c, dst[r*cm.Cols+c], want)
+					if want := fn(g.ValueAt(r, j)); dst[r*cm.Cols+c] != want {
+						t.Fatalf("%s: mapped (%d,%d) = %v, want %v", name, r, c, dst[r*cm.Cols+c], want)
 					}
 				}
 			}
 			codes := Codes(g)
 			if codes == nil {
-				continue // UC has no dictionary
+				continue // UC has no dictionary: row r is tuple r
 			}
 			// Codes must index tuples in ForEachDistinct order.
 			var tuples [][]float64

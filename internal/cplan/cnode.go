@@ -1,10 +1,10 @@
 // Package cplan implements code generation plans (CPlans): the backend-
 // independent representation of fused operators (paper §2.2). A CPlan is a
-// DAG of CNodes under a template node; "code generation" compiles the CNode
-// DAG into executable Go closures (Cell/MAgg/Outer genexec functions) and a
-// register-based vector program (Row bodies, and the dense form of cell
-// bodies), plus a readable Go source artifact mirroring the Java classes
-// SystemML emits.
+// DAG of CNodes under a template node; "code generation" lowers the CNode
+// DAG of every root into one register-based vector program (tiles of rows
+// for Row bodies, spans of cells for Cell/MAgg/Outer/Horizontal bodies),
+// plus a readable Go source artifact mirroring the Java classes SystemML
+// emits.
 package cplan
 
 import (

@@ -125,40 +125,46 @@ func TestMainSparseCapable(t *testing.T) {
 }
 
 func TestCellVecProgram(t *testing.T) {
-	// (main * side + 3) vectorizes.
+	// (main * side + 3), every leaf a view of its input.
 	root := Binary(matrix.BinAdd,
 		Binary(matrix.BinMul, Main(0), Side(0, AccessCell, 0)), Lit(3))
 	prog := CompileCellVec(root, CellNoAgg, matrix.AggSum)
-	if prog == nil {
-		t.Fatal("expected vectorizable program")
-	}
 	main := matrix.Rand(4, 300, 1, -1, 1, 1)
 	side := matrix.Rand(4, 300, 1, -1, 1, 2)
-	ctx := NewCtx([]*matrix.Matrix{side})
-	if !prog.Usable(main, []*matrix.Matrix{side}) {
-		t.Fatal("dense same-shape side must be usable")
+	if !prog.Views(NewCells(main, []*matrix.Matrix{side})) {
+		t.Fatal("dense same-shape side must bind as a view")
 	}
-	buf := prog.GetBuf()
-	md := main.Dense()
-	res := make([]float64, len(md))
-	prog.Exec(ctx, buf, md, 0, 4, 300, res)
-	fn := compileCell(root)
-	for k := range md {
-		if want := fn(ctx, md[k], 0, k); res[k] != want {
-			t.Fatalf("cell[%d] = %v, want %v", k, res[k], want)
+	run := func(p *CellVecProgram, s *Cells) []float64 {
+		res := make([]float64, main.Rows*main.Cols)
+		p.Exec(s, p.GetBuf(), 0, main.Rows, res, nil)
+		return res
+	}
+	check := func(tag string, n *CNode, sides []*matrix.Matrix, res []float64) {
+		t.Helper()
+		ctx := NewCtx(sides)
+		for k, a := range main.Dense() {
+			if want := InterpretCell(n, ctx, a, 0, k/300, k%300); res[k] != want {
+				t.Fatalf("%s: cell[%d] = %v, want %v", tag, k, res[k], want)
+			}
 		}
 	}
-	// Column-broadcast sides refuse vectorization.
-	if CompileCellVec(Binary(matrix.BinMul, Main(0), Side(0, AccessCol, 0)), CellNoAgg, matrix.AggSum) != nil {
-		t.Fatal("column broadcast must not vectorize")
+	s := NewCells(main, []*matrix.Matrix{side})
+	s.Flat = true
+	check("view", root, []*matrix.Matrix{side}, run(prog, s))
+	// The same program over a side one column too wide fills the register.
+	wide := matrix.Rand(4, 301, 1, -1, 1, 3)
+	if prog.Views(NewCells(main, []*matrix.Matrix{wide})) || prog.Views(NewCells(main.ToSparse(), []*matrix.Matrix{side})) {
+		t.Fatal("a mis-shaped side or a sparse main must not bind as a view")
 	}
-	// Shape mismatch falls back at bind time.
-	if prog.Usable(main, []*matrix.Matrix{matrix.Rand(4, 2, 1, 0, 1, 3)}) {
-		t.Fatal("mismatched side must not be usable")
+	check("fill", root, []*matrix.Matrix{wide}, run(prog, NewCells(main, []*matrix.Matrix{wide})))
+	// Column and row sides lower to filled leaf registers.
+	bc := Binary(matrix.BinMul, Binary(matrix.BinSub, Main(0), Side(0, AccessCol, 0)), Side(1, AccessRow, 0))
+	bprog := CompileCellVec(bc, CellNoAgg, matrix.AggSum)
+	bsides := []*matrix.Matrix{matrix.Rand(4, 1, 1, -1, 1, 4), matrix.Rand(1, 300, 1, -1, 1, 5)}
+	if !bprog.Bcast || bprog.Views(NewCells(main, bsides)) {
+		t.Fatal("a body reading broadcast sides must not bind as a view")
 	}
-	if prog.Usable(main.ToSparse(), []*matrix.Matrix{side}) {
-		t.Fatal("sparse main must not be usable")
-	}
+	check("broadcast", bc, bsides, run(bprog, NewCells(main, bsides)))
 }
 
 // TestLoweringPeepholes: both execution forms share one lowering, so the
@@ -198,9 +204,9 @@ func TestLoweringPeepholes(t *testing.T) {
 	if p := CompileCellVec(xy, CellFullAgg, matrix.AggMax); p.Red.Op != RAggV || count(p.Instrs, RBinVV, matrix.BinMul) != 1 {
 		t.Fatalf("max(x*y) must reduce the product: %+v red %+v", p.Instrs, p.Red)
 	}
-	// A constant body has nothing to reduce and keeps the closures.
-	if CompileCellVec(Lit(3), CellFullAgg, matrix.AggSum) != nil {
-		t.Fatal("constant body must not vectorize")
+	// A constant body yields its scalar once per cell and reduces that.
+	if p := CompileCellVec(Lit(3), CellFullAgg, matrix.AggSum); p.Red.Op != RAggV || count(p.Instrs, RSplat, 0) != 1 {
+		t.Fatalf("sum(3) must splat and reduce: %+v red %+v", p.Instrs, p.Red)
 	}
 }
 
@@ -250,10 +256,10 @@ func TestSparseSafetyRules(t *testing.T) {
 
 func TestInterpretedOuterDot(t *testing.T) {
 	root := Binary(matrix.BinMul, Main(0), Dot())
-	op := CompileInterpreted(&Plan{Type: TemplateOuter, Out: OuterAgg, Root: root}, "T")
-	ctx := NewCtx(nil)
-	ctx.Dot = 3
-	if got := op.CellFn(ctx, 2, 0, 0); got != 6 {
+	if got := InterpretCell(root, NewCtx(nil), 2, 3, 0, 0); got != 6 {
 		t.Fatalf("interpreted dot = %v", got)
+	}
+	if p := CompileCellVec(root, CellNoAgg, matrix.AggSum); !p.Bcast || p.Instrs[0].Op != RLoadDot {
+		t.Fatalf("the dot must lower to a leaf register: %+v", p.Instrs)
 	}
 }

@@ -2,12 +2,13 @@ package cplan
 
 import "sysml/internal/matrix"
 
-// lowering translates a CNode DAG into the register program both dense
-// execution forms run — RowProgram for Row bodies, CellVecProgram for the
-// roots of Cell, MAgg and Horizontal plans — with register allocation and
+// lowering translates a CNode DAG into the register program every fused body
+// runs — RowProgram for Row bodies, CellVecProgram for the roots of Cell,
+// MAgg, Horizontal and Outer plans — with register allocation and
 // common-subexpression sharing. A Row body binds one main row per vector
-// register; a cell body binds a flat span of cells, so its sides must be
-// main-shaped or scalar.
+// register; a cell body binds a span of cells, and every matrix it reads —
+// the main input, a side of any access, the Outer dot — is a vector leaf
+// the skeleton's binding loads.
 type lowering struct {
 	instrs      []RowInstr
 	vecWidths   []int // register 0 is the main input
@@ -15,8 +16,9 @@ type lowering struct {
 	scalUniform []bool
 	memo        map[*CNode]regRef
 
-	cell      bool  // cell body: vectors are flat spans of cells
-	flatSides []int // cell body: sides read as flat spans
+	cell      bool  // cell body: vectors are spans of cells
+	flatSides []int // cell body: sides read cell by cell (AccessCell)
+	bcast     int   // cell body: leaf registers of row and column sides and the Outer dot
 }
 
 type regRef struct {
@@ -42,6 +44,7 @@ func (c *lowering) emit(in RowInstr, vec bool, width int) regRef {
 	switch in.Op {
 	case RLit:
 		in.Uniform = true
+	case RLoadDot:
 	case RLoadSideRow, RLoadSideVal:
 		in.Uniform = in.RowZero
 	case RBinVV, RDot:
@@ -52,7 +55,7 @@ func (c *lowering) emit(in RowInstr, vec bool, width int) regRef {
 		in.Uniform = su[in.Src1] && vu[in.Src2]
 	case RBinSS:
 		in.Uniform = su[in.Src1] && su[in.Src2]
-	case RUnS:
+	case RUnS, RSplat:
 		in.Uniform = su[in.Src1]
 	default: // RUnV, RAggV, RMatMul, RIdxV, RCumsumV
 		in.Uniform = vu[in.Src1]
@@ -98,7 +101,14 @@ func (c *lowering) lowerNode(n *CNode) (regRef, bool) {
 			}
 			return c.emit(RowInstr{Op: RLoadSideRow, Side: n.Side}, true, n.Width), true
 		case c.cell:
-			return regRef{}, false // row and column broadcasts need the cell's coordinates
+			// A column side is its row's value once per cell (RLoadSideVal into
+			// a vector register), a row side its column range per row.
+			c.bcast++
+			op := RLoadSideRow
+			if n.Access == AccessCol {
+				op = RLoadSideVal
+			}
+			return c.emit(RowInstr{Op: op, Side: n.Side, RowZero: n.Access == AccessRow}, true, 0), true
 		case n.Access == AccessCol:
 			return c.emit(RowInstr{Op: RLoadSideVal, Side: n.Side}, false, 0), true
 		}
@@ -135,7 +145,11 @@ func (c *lowering) lowerNode(n *CNode) (regRef, bool) {
 		return c.emit(RowInstr{Op: op, UnOp: n.UnOp, Src1: s.idx}, s.vec, n.Width), true
 	}
 	if c.cell {
-		return regRef{}, false // per-row operations and the Outer dot have no flat form
+		if n.Kind != NodeDot {
+			return regRef{}, false // per-row operations have no cell form
+		}
+		c.bcast++
+		return c.emit(RowInstr{Op: RLoadDot}, true, 0), true
 	}
 	switch n.Kind {
 	case NodeAgg:
@@ -189,8 +203,20 @@ func (c *lowering) reduce(agg matrix.AggOp, n *CNode) (regRef, bool) {
 		}
 	}
 	s, ok := c.lower(n)
+	if ok && c.cell {
+		s = c.perCell(s)
+	}
 	if !ok || !s.vec {
 		return s, ok // the aggregate of a scalar is the scalar
 	}
 	return c.emit(RowInstr{Op: RAggV, AggOp: agg, Src1: s.idx}, false, 0), true
+}
+
+// perCell returns the value of a cell body as a vector register: a body
+// without a vector leaf (a constant) yields its scalar once per visited cell.
+func (c *lowering) perCell(r regRef) regRef {
+	if r.vec {
+		return r
+	}
+	return c.emit(RowInstr{Op: RSplat, Src1: r.idx}, true, 0)
 }

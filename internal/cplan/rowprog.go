@@ -17,7 +17,7 @@ type RowOpKind int
 // registers.
 const (
 	RLoadSideRow RowOpKind = iota // vec[dst] = side[Side] row (rix or row 0)
-	RLoadSideVal                  // scal[dst] = side[Side].Value(rix,0) or (0,0)
+	RLoadSideVal                  // scal[dst] = side[Side].Value(rix,0) or (0,0); cell bodies: vec[dst], (rix,0) per cell
 	RLit                          // scal[dst] = Scalar
 	RBinVV                        // vec[dst] = vec[src1] op vec[src2]
 	RBinVS                        // vec[dst] = vec[src1] op scal[src2]
@@ -30,6 +30,8 @@ const (
 	RIdxV                         // vec[dst] = vec[src1][CL:CU)
 	RDot                          // scal[dst] = dot(vec[src1], vec[src2])
 	RCumsumV                      // vec[dst] = cumsum(vec[src1])
+	RLoadDot                      // cell bodies: vec[dst] = U_i·V_j per cell (Outer)
+	RSplat                        // cell bodies: vec[dst] = scal[src1] per cell
 )
 
 // RowInstr is one instruction of a Row program.
@@ -315,9 +317,9 @@ func (p *RowProgram) ExecTile(ctx *Ctx, b *RowBuf, r0, n int) {
 				r = 0
 			}
 			sv := ctx.Sides[in.Side]
-			if d := sv.DenseData(); d != nil {
+			if d := sv.dense; d != nil {
 				// Dense side: alias the rows instead of copying.
-				b.Vec[in.Dst], b.Off[in.Dst] = d, r*sv.Cols()
+				b.Vec[in.Dst], b.Off[in.Dst] = d, r*sv.cols
 				continue
 			}
 			w := p.VecWidths[in.Dst]
@@ -331,7 +333,7 @@ func (p *RowProgram) ExecTile(ctx *Ctx, b *RowBuf, r0, n int) {
 				p.scal(b, in.Dst)[0] = sv.Value(0, 0)
 				continue
 			}
-			if d := sv.DenseData(); d != nil && sv.Cols() == 1 {
+			if d := sv.dense; d != nil && sv.cols == 1 {
 				b.Scal[in.Dst] = d[r0 : r0+rows]
 				continue
 			}
@@ -411,7 +413,7 @@ func (p *RowProgram) ExecTile(ctx *Ctx, b *RowBuf, r0, n int) {
 			}
 			aggRows(in.AggOp, b.Vec[in.Src1], b.Off[in.Src1], p.stride(in.Src1), d, rows, p.VecWidths[in.Src1])
 		case RMatMul:
-			sm := ctx.Sides[in.Side].Matrix()
+			sm := ctx.Sides[in.Side].m
 			bd, k, m := sm.Dense(), sm.Rows, sm.Cols
 			d := p.vec(b, in.Dst)
 			if in.Src1 == 0 && b.Sparse != nil {

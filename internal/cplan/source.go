@@ -11,9 +11,10 @@ import (
 
 // Render produces a readable Go source artifact for a fused operator,
 // mirroring the generated Java classes of SystemML (paper §2.2 examples
-// TMP4/TMP10/TMP25). The artifact is informational for Cell/MAgg/Outer
-// (execution uses the compiled closures) and doubles as the input of the
-// slow "javac"-analog compile path.
+// TMP4/TMP10/TMP25). The artifact is informational (every template executes
+// its lowered register program; the scalar genexec text of Cell/MAgg/Outer
+// shows the function that program computes per cell) and doubles as the
+// input of the slow "javac"-analog compile path.
 func Render(p *Plan, className string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "// Code generated by sysml codegen. Template %s.\n", p.Type)
@@ -184,7 +185,7 @@ func aggCamel(op matrix.AggOp) string {
 
 // CompileSlow is the "javac" analog: it renders the full source artifact,
 // lexes and parses it with go/parser (structural validation of the
-// generated code), and only then assembles the executable closures. The
+// generated code), and only then lowers the executable programs. The
 // extra parse work makes this path substantially slower than Compile,
 // mirroring javac vs janino in Figure 11.
 func CompileSlow(p *Plan, className string) (*Operator, error) {
@@ -204,38 +205,18 @@ func CompileSlow(p *Plan, className string) (*Operator, error) {
 	return op, nil
 }
 
-// CompileInterpreted compiles the plan but substitutes a tree-walking
-// interpreter for the genexec closures. It models generated code that no
-// longer JIT-compiles (the 8 KB JVM threshold in Figure 10): correct but
-// slow per-value dispatch.
-func CompileInterpreted(p *Plan, className string) *Operator {
-	op := Compile(p, className)
-	if p.Root != nil && (p.Type == TemplateCell || p.Type == TemplateOuter) {
-		root := p.Root
-		op.CellFn = func(ctx *Ctx, a float64, rix, cix int) float64 {
-			return interpretCell(root, ctx, a, rix, cix)
-		}
-	}
-	for i, r := range p.Roots {
-		root := r
-		op.MAggFns[i] = func(ctx *Ctx, a float64, rix, cix int) float64 {
-			return interpretCell(root, ctx, a, rix, cix)
-		}
-	}
-	// Interpreted operators model pre-JIT execution: drop the dense programs
-	// so every value goes through tree dispatch.
-	op.VecProg, op.MAggVecs = nil, make([]*CellVecProgram, len(p.Roots))
-	return op
-}
-
-func interpretCell(n *CNode, ctx *Ctx, a float64, rix, cix int) float64 {
+// InterpretCell walks a cell body's CNode tree for one cell: main value a,
+// Outer dot product dot, coordinates (rix, cix). It is the reference the
+// register programs are tested against, and what the Fig. 10 experiment
+// times as generated code that no longer JIT-compiles.
+func InterpretCell(n *CNode, ctx *Ctx, a, dot float64, rix, cix int) float64 {
 	switch n.Kind {
 	case NodeLit:
 		return n.Value
 	case NodeMain:
 		return a
 	case NodeDot:
-		return ctx.Dot
+		return dot
 	case NodeSide:
 		switch n.Access {
 		case AccessScalar:
@@ -248,11 +229,11 @@ func interpretCell(n *CNode, ctx *Ctx, a float64, rix, cix int) float64 {
 			return ctx.Sides[n.Side].Value(rix, cix)
 		}
 	case NodeUnary:
-		return n.UnOp.Apply(interpretCell(n.Children[0], ctx, a, rix, cix))
+		return n.UnOp.Apply(InterpretCell(n.Children[0], ctx, a, dot, rix, cix))
 	case NodeBinary:
 		return n.BinOp.Apply(
-			interpretCell(n.Children[0], ctx, a, rix, cix),
-			interpretCell(n.Children[1], ctx, a, rix, cix))
+			InterpretCell(n.Children[0], ctx, a, dot, rix, cix),
+			InterpretCell(n.Children[1], ctx, a, dot, rix, cix))
 	}
 	return 0
 }

@@ -710,7 +710,7 @@ func (c *Cluster) spoof(h *hop.Hop, inputs []*matrix.Matrix, sp obs.Span) (*matr
 		parts := make([]*matrix.Matrix, len(ps))
 		var bad atomic.Bool
 		_, ok := c.runPanels(sp, main.Rows, func(p, lo, hi int) {
-			res, err := rt.ExecSpoof(h, slicedInputs(lo, hi))
+			res, _, err := rt.ExecSpoof(matrix.Ctx{}, h, slicedInputs(lo, hi), nil)
 			if err != nil {
 				bad.Store(true)
 				return
@@ -741,7 +741,7 @@ func (c *Cluster) spoof(h *hop.Hop, inputs []*matrix.Matrix, sp obs.Span) (*matr
 	parts := make([]*matrix.Matrix, len(c.panels(main.Rows)))
 	var bad atomic.Bool
 	n, ok := c.runPanels(sp, main.Rows, func(p, lo, hi int) {
-		res, err := rt.ExecSpoof(h, slicedInputs(lo, hi))
+		res, _, err := rt.ExecSpoof(matrix.Ctx{}, h, slicedInputs(lo, hi), nil)
 		if err != nil {
 			bad.Store(true)
 			return

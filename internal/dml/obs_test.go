@@ -57,7 +57,7 @@ partition 1: 3 nodes, 0 interesting points
 COMPRESSED: 1 inputs considered
   X 2000x100: estimated ratio 1.00 < 3.00
 fused operators: 2 (Cell, Row)
-  Cell TMP#: 1 inputs, 1x1 output tier vec compressed: eligible
+  Cell TMP#: 1 inputs, 1x1 output compressed: eligible
   Row TMP#: 2 inputs, 100x1 output compressed: fallback (row template reads matrix side inputs per row)
 plan cache: 0 hits, 2 misses, 0 evictions
 hops after fusion:

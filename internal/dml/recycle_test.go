@@ -60,7 +60,7 @@ func TestEnvRecyclingKeepsBoundInputs(t *testing.T) {
 // TestHorizontalEndToEnd runs the flagship sibling script through the full
 // session path: merged results must match Base mode, EXPLAIN must show the
 // merged Horizontal operator at scale and decline it on a tiny input, and
-// the execution-tier counters must attribute the run to the dense programs.
+// the binding counters must attribute the run to views of the dense input.
 func TestHorizontalEndToEnd(t *testing.T) {
 	script := "C = colSums(X)\ns = sum(X^2)\nY = X*3+1\n"
 	x := matrix.Rand(1024, 1024, 1, -1, 1, 17)
@@ -85,9 +85,9 @@ func TestHorizontalEndToEnd(t *testing.T) {
 	}
 
 	snap := gen.Metrics()
-	if snap.Counter("spoof.exec.vec") == 0 || snap.Counter("spoof.exec.cell") != 0 {
-		t.Errorf("dense horizontal run must count under spoof.exec.vec only: vec %d cell %d",
-			snap.Counter("spoof.exec.vec"), snap.Counter("spoof.exec.cell"))
+	if snap.Counter("spoof.bind.view") == 0 || snap.Counter("spoof.bind.fill")+snap.Counter("spoof.bind.nnz")+snap.Counter("spoof.bind.dict") != 0 {
+		t.Errorf("dense horizontal run must count under spoof.bind.view only: view %d fill %d nnz %d dict %d",
+			snap.Counter("spoof.bind.view"), snap.Counter("spoof.bind.fill"), snap.Counter("spoof.bind.nnz"), snap.Counter("spoof.bind.dict"))
 	}
 
 	explain := func(m *matrix.Matrix) string {
@@ -104,8 +104,8 @@ func TestHorizontalEndToEnd(t *testing.T) {
 	if !strings.Contains(big, "HORIZONTAL") || !strings.Contains(big, "Horizontal TMP") {
 		t.Fatalf("EXPLAIN at scale must show the merged Horizontal operator:\n%s", big)
 	}
-	if !strings.Contains(big, "1x3 output tier vec") {
-		t.Fatalf("EXPLAIN must report the merged operator's tier:\n%s", big)
+	if strings.Contains(big, " tier ") {
+		t.Fatalf("EXPLAIN still reports a compile-time tier (an operator has one body):\n%s", big)
 	}
 	tiny := explain(matrix.Rand(50, 50, 1, -1, 1, 18))
 	if strings.Contains(tiny, "Horizontal TMP") {

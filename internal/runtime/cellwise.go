@@ -7,47 +7,44 @@
 package runtime
 
 import (
-	"math"
-
 	"sysml/internal/cplan"
 	"sysml/internal/matrix"
 )
 
-// Tier names the body the cell-bound skeleton ran for one invocation.
-type Tier string
+// Binding names how a skeleton loaded the leaf registers of a fused body for
+// one invocation (see cplan.Cells); the value is the counter the executor
+// increments. Row operators report BindDict over a compressed main input and
+// nothing otherwise.
+type Binding string
 
-// The two bodies of a Cell, MAgg or Horizontal operator; the value is the
-// counter the executor increments.
+// The bindings of a cell body.
 const (
-	TierVec  Tier = "spoof.exec.vec"  // every root ran its dense program
-	TierCell Tier = "spoof.exec.cell" // some root ran the per-cell closures
+	BindView Binding = "spoof.bind.view" // every register a view of its input
+	BindFill Binding = "spoof.bind.fill" // some register written: broadcast, mis-shaped or sparse inputs
+	BindNnz  Binding = "spoof.bind.nnz"  // sparse-safe iteration over main's stored cells
+	BindDict Binding = "spoof.bind.dict" // the dictionaries of a compressed main input
 )
 
 // ExecCellwise runs a compiled Cell-template operator over the main input.
 func ExecCellwise(op *cplan.Operator, main *matrix.Matrix, sides []*matrix.Matrix) *matrix.Matrix {
-	out, _ := execCellwise(matrix.Ctx{}, op, main, sides, nil)
-	return out
-}
-
-func execCellwise(ec matrix.Ctx, op *cplan.Operator, main *matrix.Matrix, sides []*matrix.Matrix, stop StopFn) (*matrix.Matrix, Tier) {
-	outs, tier := execCells(ec, op, main, sides, stop)
-	return outs[0], tier
+	outs, _ := execCells(matrix.Ctx{}, op, main, sides, nil)
+	return outs[0]
 }
 
 // ExecMAgg runs a compiled multi-aggregate operator, producing a 1×k row
 // of aggregate values in one pass over the shared main input.
 func ExecMAgg(op *cplan.Operator, main *matrix.Matrix, sides []*matrix.Matrix) *matrix.Matrix {
-	out, _ := execMAgg(matrix.Ctx{}, op, main, sides, nil)
-	return out
+	outs, _ := execCells(matrix.Ctx{}, op, main, sides, nil)
+	return packMAgg(matrix.Ctx{}, outs)
 }
 
-func execMAgg(ec matrix.Ctx, op *cplan.Operator, main *matrix.Matrix, sides []*matrix.Matrix, stop StopFn) (*matrix.Matrix, Tier) {
-	outs, tier := execCells(ec, op, main, sides, stop)
+// packMAgg packs the scalar outputs of a MAgg operator into its 1×k row.
+func packMAgg(ec matrix.Ctx, outs []*matrix.Matrix) *matrix.Matrix {
 	out := ec.NewDenseUninit(1, len(outs))
 	for q, m := range outs {
 		out.Dense()[q] = m.Scalar()
 	}
-	return out, tier
+	return out
 }
 
 // ExecHorizontal runs a compiled Horizontal-template operator, returning
@@ -57,99 +54,31 @@ func ExecHorizontal(op *cplan.Operator, main *matrix.Matrix, sides []*matrix.Mat
 	return outs
 }
 
-// cellRoot is one output of a cell-bound operator: the single root of a
-// Cell plan, or one root of a MAgg or Horizontal plan. vec is nil when the
-// root runs the per-cell closure.
-type cellRoot struct {
-	kind cplan.CellType
-	agg  matrix.AggOp
-	fn   cplan.CellFunc
-	vec  *cplan.CellVecProgram
-}
-
-func cellRoots(op *cplan.Operator) []cellRoot {
-	p := op.Plan
-	if p.Type == cplan.TemplateCell {
-		return []cellRoot{{p.Cell, p.AggOp, op.CellFn, op.VecProg}}
-	}
-	roots := make([]cellRoot, len(p.Roots))
-	for q := range roots {
-		roots[q] = cellRoot{p.RootKind(q), p.AggOps[q], op.MAggFns[q], op.MAggVecs[q]}
-	}
-	return roots
-}
-
 // sparseIter reports whether the skeleton visits only the stored cells of
 // main: every root must be sparse-safe and every aggregating root
 // sum-style (min/max must see the implicit zeros).
-func sparseIter(p *cplan.Plan, roots []cellRoot, main *matrix.Matrix) bool {
-	if !p.SparseSafe || !main.IsSparse() {
+func sparseIter(op *cplan.Operator, main *matrix.Matrix) bool {
+	if !op.Plan.SparseSafe || !main.IsSparse() {
 		return false
 	}
-	for _, r := range roots {
-		if r.kind != cplan.CellNoAgg && !aggIsSum(r.agg) {
+	for _, r := range op.Cells {
+		if r.Kind != cplan.CellNoAgg && r.Agg != matrix.AggSum && r.Agg != matrix.AggSumSq {
 			return false
 		}
 	}
 	return true
 }
 
-// workCells measures the data-touch work of one Cell, MAgg or Horizontal
-// invocation: the cells the single shared pass visits (stored entries under
-// sparse-safe non-zero iteration, all cells otherwise) times the covered
-// operations across all root expressions. Feeds the cost-audit ledger's
-// "actual FLOPs".
+// workCells measures the data-touch work of one Cell, MAgg, Horizontal or
+// Outer invocation: the cells the single shared pass visits (stored entries
+// under sparse-safe non-zero iteration, all cells otherwise) times the
+// covered operations across all root expressions, plus, per cell of an Outer
+// operator, its rank-r dot product. Feeds the cost-audit ledger's "actual
+// FLOPs".
 func workCells(op *cplan.Operator, main *matrix.Matrix) float64 {
 	visited := float64(main.Rows) * float64(main.Cols)
-	if sparseIter(op.Plan, cellRoots(op), main) {
+	if sparseIter(op, main) {
 		visited = storedCells(main)
 	}
-	return visited * float64(op.Plan.NumNodes())
-}
-
-func aggIsSum(op matrix.AggOp) bool {
-	return op == matrix.AggSum || op == matrix.AggSumSq
-}
-
-// aggStep folds one cell value into an accumulator.
-func aggStep(op matrix.AggOp, acc, v float64) float64 {
-	switch op {
-	case matrix.AggMin:
-		return math.Min(acc, v)
-	case matrix.AggMax:
-		return math.Max(acc, v)
-	case matrix.AggSumSq:
-		return acc + v*v
-	}
-	return acc + v
-}
-
-// newRowScratch returns a densification scratch row for sparse main inputs
-// (nil for dense ones), drawn from the matrix buffer pool. Callers release
-// it with releaseRowScratch when the worker closure finishes.
-func newRowScratch(ec matrix.Ctx, m *matrix.Matrix) []float64 {
-	if m.IsSparse() {
-		return ec.GetBuf(m.Cols)
-	}
-	return nil
-}
-
-func releaseRowScratch(ec matrix.Ctx, s []float64) {
-	if s != nil {
-		ec.PutBuf(s)
-	}
-}
-
-func denseRowView(m *matrix.Matrix, i int, scratch []float64) ([]float64, int) {
-	if !m.IsSparse() {
-		return m.Dense(), i * m.Cols
-	}
-	for j := range scratch {
-		scratch[j] = 0
-	}
-	vals, cix := m.Sparse().Row(i)
-	for k, j := range cix {
-		scratch[j] = vals[k]
-	}
-	return scratch, 0
+	return visited * float64(op.Plan.OuterRank+op.Plan.NumNodes())
 }

@@ -10,24 +10,12 @@ import (
 
 // Compressed fused skeleton: when the main input carries an attached
 // compressed form (compress.Of), eligible Cell/MAgg/Row operators execute
-// directly over the column groups — the CPlan body is evaluated once per
-// distinct dictionary tuple and the result scaled by the tuple's occurrence
-// count, turning O(rows) genexec work into O(distinct) (paper Fig. 9,
-// Gen-over-CLA). Ineligible bodies fall back transparently to the dense
-// skeletons; the executor attributes the decision via the
-// compress.exec.hit/fallback counters.
-
-// CompressedDispatched mirrors the skeleton dispatch decision exactly: it
-// reports whether this invocation of the fused operator runs over the
-// compressed form of its main input. The executor uses it for counter
-// attribution without instrumenting the hot loops.
-func CompressedDispatched(op *cplan.Operator, ins []*matrix.Matrix) bool {
-	if len(ins) == 0 {
-		return false
-	}
-	cm := compress.Of(ins[0])
-	return cm != nil && compressedUsable(op, cm)
-}
+// directly over the column groups — the dictionary binding: the body runs
+// once over each group's dictionary and the results are weighed by the
+// tuples' occurrence counts or scattered by row code, turning O(rows)
+// genexec work into O(distinct) (paper Fig. 9, Gen-over-CLA). Ineligible
+// bodies fall back transparently to the dense skeletons; the executor
+// attributes the decision via the compress.exec.hit/fallback counters.
 
 // CompressedConsumer reports whether operator h of an optimized DAG would
 // use a compressed form of its input in, were one attached — the question
@@ -110,112 +98,94 @@ func execCompressed(ec matrix.Ctx, op *cplan.Operator, cm *compress.CMatrix, sid
 	}
 	switch op.Plan.Type {
 	case cplan.TemplateCell:
-		return execCompressedCell(ec, op, cm, sides, stop), true
+		return execDict(ec, op.Cells, cm, sides, stop)[0], true
 	case cplan.TemplateMAgg:
-		return execCompressedMAgg(ec, op, cm, sides, stop), true
+		return packMAgg(ec, execDict(ec, op.Cells, cm, sides, stop)), true
 	case cplan.TemplateRow:
 		return execCompressedRow(ec, op, cm, stop), true
 	}
 	return nil, false
 }
 
-// aggStepCount folds one per-distinct result r occurring count times into
-// the accumulator. Sum-style aggregates scale by the count; min/max ignore
-// it (counts are always >= 1).
-func aggStepCount(op matrix.AggOp, acc, r float64, count int) float64 {
-	switch op {
-	case matrix.AggMin, matrix.AggMax:
-		return aggStep(op, acc, r)
-	case matrix.AggSumSq:
-		return acc + r*r*float64(count)
+// dictSpan, when set (by tests), is told every run of a body over a
+// dictionary: the group and the number of cells the program was run over.
+var dictSpan func(group, cells int)
+
+// execDict is the dictionary binding of cell bodies: per column group, the
+// dictionary (one tuple per row, mapped once per invocation) is the main
+// input of every root's program. A NoAgg root's table of results is
+// scattered by row code; column and full aggregates weigh each value by the
+// occurrence count of its tuple inside the program's own fold.
+func execDict(ec matrix.Ctx, roots []*cplan.CellVecProgram, cm *compress.CMatrix, sides []*matrix.Matrix, stop StopFn) []*matrix.Matrix {
+	outs := make([]*matrix.Matrix, len(roots))
+	for q, r := range roots {
+		switch r.Kind {
+		case cplan.CellNoAgg:
+			outs[q] = ec.NewDenseUninit(cm.Rows, cm.Cols)
+		case cplan.CellColAgg:
+			outs[q] = ec.NewDenseUninit(1, cm.Cols)
+		default:
+			outs[q] = matrix.NewScalar(cplan.AggInit(r.Agg))
+		}
 	}
-	return acc + r*float64(count)
-}
-
-func execCompressedCell(ec matrix.Ctx, op *cplan.Operator, cm *compress.CMatrix, sides []*matrix.Matrix, stop StopFn) *matrix.Matrix {
-	p := op.Plan
-	fn := op.CellFn
-	ctx := cplan.NewCtx(sides)
-
-	switch p.Cell {
-	case cplan.CellFullAgg:
-		acc := cplan.AggInit(p.AggOp)
-		for gi, g := range cm.Groups {
-			if pollStop(stop, gi) {
-				break
-			}
-			cols := g.Cols()
-			g.ForEachDistinct(func(vals []float64, count int) {
-				for j, v := range vals {
-					acc = aggStepCount(p.AggOp, acc, fn(ctx, v, 0, cols[j]), count)
-				}
-			})
-		}
-		return matrix.NewScalar(acc)
-
-	case cplan.CellColAgg:
-		out := ec.NewDenseUninit(1, cm.Cols)
-		od := out.Dense()
-		for j := range od {
-			od[j] = cplan.AggInit(p.AggOp)
-		}
-		for gi, g := range cm.Groups {
-			if pollStop(stop, gi) {
-				break
-			}
-			cols := g.Cols()
-			g.ForEachDistinct(func(vals []float64, count int) {
-				for j, v := range vals {
-					c := cols[j]
-					od[c] = aggStepCount(p.AggOp, od[c], fn(ctx, v, 0, c), count)
-				}
-			})
-		}
-		return out
-
-	default: // CellNoAgg: map each group's dictionary once, scatter by row.
-		out := ec.NewDenseUninit(cm.Rows, cm.Cols)
-		od := out.Dense()
-		for _, g := range cm.Groups {
-			g := g
-			ec.Par.For(cm.Rows, 512, func(lo, hi int) {
-				if stop != nil && stop() {
-					return
-				}
-				wctx := ctx.Clone()
-				compress.MapInto(g, od, cm.Cols, lo, hi, func(v float64, c int) float64 {
-					return fn(wctx, v, 0, c)
-				})
-			})
-		}
-		return out
+	// Every leaf is register 0 or a scalar (CompressedEligible): views.
+	bind := cplan.NewCells(nil, sides)
+	bind.Flat = true
+	bufs := make([]*cplan.CellVecBuf, len(roots))
+	for q, r := range roots {
+		bufs[q] = r.GetBuf()
+		defer r.PutBuf(bufs[q])
 	}
-}
-
-func execCompressedMAgg(ec matrix.Ctx, op *cplan.Operator, cm *compress.CMatrix, sides []*matrix.Matrix, stop StopFn) *matrix.Matrix {
-	p := op.Plan
-	k := len(op.MAggFns)
-	ctx := cplan.NewCtx(sides)
-	out := ec.NewDenseUninit(1, k)
-	od := out.Dense()
-	for q := 0; q < k; q++ {
-		od[q] = cplan.AggInit(p.AggOps[q])
-	}
+	var table, part []float64
 	for gi, g := range cm.Groups {
-		if pollStop(stop, gi) {
+		if stop.stopped() {
 			break
 		}
 		cols := g.Cols()
-		g.ForEachDistinct(func(vals []float64, count int) {
-			for j, v := range vals {
-				c := cols[j]
-				for q := 0; q < k; q++ {
-					od[q] = aggStepCount(p.AggOps[q], od[q], op.MAggFns[q](ctx, v, 0, c), count)
-				}
+		dict, counts := compress.Dict(g)
+		nd, gc := len(counts), len(cols)
+		bind.Main = matrix.NewDenseData(nd, gc, dict)
+		if gc > 1 { // one weight per value: the tuple's count
+			tuples := counts
+			counts = make([]float64, nd*gc)
+			for k := range counts {
+				counts[k] = tuples[k/gc]
 			}
-		})
+		}
+		var codes []int32
+		for q, r := range roots {
+			if dictSpan != nil {
+				dictSpan(gi, nd*gc)
+			}
+			od := outs[q].Dense()
+			switch r.Kind {
+			case cplan.CellNoAgg:
+				if codes == nil {
+					codes = compress.Codes(g)
+				}
+				if cap(table) < nd*gc {
+					table = make([]float64, nd*gc)
+				}
+				r.Exec(bind, bufs[q], 0, nd, table[:nd*gc], nil)
+				ec.Par.For(cm.Rows, 512, func(lo, hi int) {
+					compress.Scatter(codes, table, gc, od, cm.Cols, cols, lo, hi)
+				})
+			case cplan.CellColAgg:
+				// Each column lies in one group: its partial is the output.
+				part = part[:0]
+				for range cols {
+					part = append(part, cplan.AggInit(r.Agg))
+				}
+				r.Exec(bind, bufs[q], 0, nd, part, counts)
+				for j, c := range cols {
+					od[c] = part[j]
+				}
+			default:
+				r.Exec(bind, bufs[q], 0, nd, od, counts)
+			}
+		}
 	}
-	return out
+	return outs
 }
 
 // execCompressedRow runs the row program once per distinct dictionary tuple
@@ -227,18 +197,9 @@ func execCompressedRow(ec matrix.Ctx, op *cplan.Operator, cm *compress.CMatrix, 
 	prog := op.RowProg
 	g := cm.Groups[0]
 	w := prog.OutWidth
-	nd := g.NumDistinct()
-
-	// Dictionary tuples in code order (the order ForEachDistinct visits
-	// them, matching compress.Codes) and their occurrence counts.
-	dict := make([]float64, nd*cm.Cols)
-	counts := make([]float64, 0, nd)
-	g.ForEachDistinct(func(tuple []float64, count int) {
-		copy(dict[len(counts)*cm.Cols:], tuple)
-		counts = append(counts, float64(count))
-	})
-	table := make([]float64, nd*w)
-	rowResults(ec, prog, cplan.NewCtx(nil), matrix.NewDenseData(nd, cm.Cols, dict), stop, table)
+	dict, counts := compress.Dict(g)
+	table := make([]float64, len(counts)*w)
+	rowResults(ec, prog, cplan.NewCtx(nil), matrix.NewDenseData(len(counts), cm.Cols, dict), stop, table)
 
 	switch prog.RowT {
 	case cplan.RowFullAgg, cplan.RowColAgg:
@@ -253,64 +214,37 @@ func execCompressedRow(ec matrix.Ctx, op *cplan.Operator, cm *compress.CMatrix, 
 
 	default: // RowRowAgg, RowNoAgg
 		out := ec.NewDenseUninit(cm.Rows, w)
-		od := out.Dense()
 		codes := compress.Codes(g)
 		ec.Par.For(cm.Rows, 512, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				copy(od[r*w:(r+1)*w], table[int(codes[r])*w:])
-			}
+			compress.Scatter(codes, table, w, out.Dense(), w, nil, lo, hi)
 		})
 		return out
 	}
 }
 
 // compressedAgg serves basic (non-fused) full and column aggregates over an
-// attached compressed form — the Base-mode analog of the fused path.
+// attached compressed form — the Base-mode analog of the fused path: the
+// aggregate of the main input itself is a cell body like any other.
 func compressedAgg(ec matrix.Ctx, aop matrix.AggOp, dir matrix.AggDir, m *matrix.Matrix) (*matrix.Matrix, bool) {
 	cm := compress.Of(m)
 	if cm == nil || !compressedAggUsable(aop, dir) {
 		return nil, false
 	}
-	cells := float64(cm.Rows) * float64(cm.Cols)
-	base := aop
-	if base == matrix.AggMean {
+	kind, base, n := cplan.CellFullAgg, aop, float64(cm.Rows)*float64(cm.Cols)
+	if dir == matrix.DirCol { // compressedAggUsable admits only All/Col
+		kind, n = cplan.CellColAgg, float64(cm.Rows)
+	}
+	if aop == matrix.AggMean {
 		base = matrix.AggSum
 	}
-	switch dir {
-	case matrix.DirAll:
-		acc := cplan.AggInit(base)
-		for _, g := range cm.Groups {
-			g.ForEachDistinct(func(vals []float64, count int) {
-				for _, v := range vals {
-					acc = aggStepCount(base, acc, v, count)
-				}
-			})
+	root := cplan.CompileCellVec(cplan.Main(0), kind, base)
+	out := execDict(ec, []*cplan.CellVecProgram{root}, cm, nil, nil)[0]
+	if aop == matrix.AggMean {
+		for j := range out.Dense() {
+			out.Dense()[j] /= n
 		}
-		if aop == matrix.AggMean {
-			acc /= cells
-		}
-		return matrix.NewScalar(acc), true
-	default: // DirCol (compressedAggUsable admits only All/Col)
-		out := ec.NewDenseUninit(1, cm.Cols)
-		od := out.Dense()
-		for j := range od {
-			od[j] = cplan.AggInit(base)
-		}
-		for _, g := range cm.Groups {
-			cols := g.Cols()
-			g.ForEachDistinct(func(vals []float64, count int) {
-				for j, v := range vals {
-					od[cols[j]] = aggStepCount(base, od[cols[j]], v, count)
-				}
-			})
-		}
-		if aop == matrix.AggMean {
-			for j := range od {
-				od[j] /= float64(cm.Rows)
-			}
-		}
-		return out, true
 	}
+	return out, true
 }
 
 // compressedAggUsable reports whether the basic aggregate (aop, dir) can be

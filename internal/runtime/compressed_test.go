@@ -186,13 +186,13 @@ func TestCompressedIneligibleFallsBack(t *testing.T) {
 	y := matrix.Rand(300, 3, 1, -1, 1, 401)
 	attached(x)
 	defer compress.Drop(x)
-	if CompressedDispatched(op, []*matrix.Matrix{x, y}) {
-		t.Fatal("dispatch mirror disagrees with eligibility")
-	}
 	h := &hop.Hop{Kind: hop.OpSpoof, Spoof: op}
-	got, err := ExecSpoof(h, []*matrix.Matrix{x, y})
+	got, bind, err := ExecSpoof(matrix.Ctx{}, h, []*matrix.Matrix{x, y}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if bind != BindView {
+		t.Fatalf("ineligible body ran under %s, want the dense skeleton's view binding", bind)
 	}
 	want := matrix.Sum(matrix.Binary(matrix.BinMul, x, y))
 	if math.Abs(got.Scalar()-want) > 1e-9*math.Abs(want) {
@@ -211,13 +211,13 @@ func TestCompressedDispatchThroughExecSpoof(t *testing.T) {
 	want := matrix.Sum(matrix.Binary(matrix.BinMul, x, x))
 	attached(x)
 	defer compress.Drop(x)
-	if !CompressedDispatched(op, []*matrix.Matrix{x}) {
-		t.Fatal("eligible attached input should dispatch compressed")
-	}
 	h := &hop.Hop{Kind: hop.OpSpoof, Spoof: op}
-	got, err := ExecSpoof(h, []*matrix.Matrix{x})
+	got, bind, err := ExecSpoof(matrix.Ctx{}, h, []*matrix.Matrix{x}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if bind != BindDict {
+		t.Fatalf("eligible attached input ran under %s, want the dictionary binding", bind)
 	}
 	if math.Abs(got.Scalar()-want) > 1e-9*math.Abs(want) {
 		t.Fatalf("compressed dispatch: got %v want %v", got.Scalar(), want)

@@ -92,18 +92,12 @@ type InputFeedback struct {
 	ActualNnz  int64
 }
 
-// StopFn polls for cancellation; fused-operator loops call it at chunk
-// boundaries and every stopCheckMask+1 rows. A nil StopFn never stops.
+// StopFn polls for cancellation; the fused-operator skeletons call it once
+// per tile of rows (per column group over a compressed input). A nil StopFn
+// never stops.
 type StopFn func() bool
 
-// stopCheckMask throttles cancellation polls inside row loops: a check
-// every 1024 rows keeps the overhead unmeasurable while bounding the
-// cancellation latency of even the largest fused operators.
-const stopCheckMask = 1023
-
-func pollStop(stop StopFn, i int) bool {
-	return stop != nil && i&stopCheckMask == 0 && stop()
-}
+func (stop StopFn) stopped() bool { return stop != nil && stop() }
 
 // DistBackend abstracts the simulated distributed runtime (implemented in
 // internal/dist; injected here to avoid a dependency cycle).
@@ -168,7 +162,7 @@ func ExecuteDAG(d *hop.DAG, env Env, opts Options) (Env, error) {
 	bundles := map[int64][]*matrix.Matrix{}
 	observed := opts.Metrics != nil || opts.Audit != nil || opts.Calib != nil || opts.Feedback != nil
 	for _, h := range topo {
-		if stop != nil && stop() {
+		if stop.stopped() {
 			return nil, opts.Ctx.Err()
 		}
 		ins, err := gatherInputs(h, cache)
@@ -200,10 +194,9 @@ func ExecuteDAG(d *hop.DAG, env Env, opts Options) (Env, error) {
 		case h.Kind == hop.OpSpoof && isHorizontalSpoof(h):
 			// Horizontal fused operators always execute locally: the one
 			// shared pass over the main input produces every sibling output.
-			op := h.Spoof.(*cplan.Operator)
-			var tier Tier
-			bundles[h.ID], tier = execCells(opts.Exec, op, ins[0], ins[1:], stop)
-			opts.Metrics.Inc(string(tier))
+			var bind Binding
+			bundles[h.ID], bind = execCells(opts.Exec, h.Spoof.(*cplan.Operator), ins[0], ins[1:], stop)
+			countBinding(opts.Metrics, h, ins, bind, false)
 			m = matrix.NewScalar(0)
 		default:
 			m, err = evalHop(h, ins, env, opts, stop, sp)
@@ -216,7 +209,7 @@ func ExecuteDAG(d *hop.DAG, env Env, opts Options) (Env, error) {
 			observeHop(&opts, h, ins, m, time.Since(start))
 		}
 		sp.End()
-		if stop != nil && stop() {
+		if stop.stopped() {
 			// A canceled skeleton returns a partial result: discard it.
 			return nil, opts.Ctx.Err()
 		}
@@ -294,24 +287,6 @@ func observeHop(opts *Options, h *hop.Hop, ins []*matrix.Matrix, out *matrix.Mat
 		m.Inc("spoof.invocations")
 		m.Inc("spoof." + h.SpoofType)
 		m.ObserveDuration("op.spoof."+h.SpoofType, d)
-		// Compressed-dispatch attribution: the main input carried a
-		// compressed form — did the skeleton run over it or fall back?
-		if op, ok := h.Spoof.(*cplan.Operator); ok && h.ExecType != hop.ExecDist &&
-			len(ins) > 0 && compress.Of(ins[0]) != nil {
-			if CompressedDispatched(op, ins) {
-				m.Inc("compress.exec.hit")
-			} else {
-				m.Inc("compress.exec.fallback")
-			}
-		}
-	}
-	if h.Kind == hop.OpAggUnary && h.ExecType != hop.ExecDist &&
-		len(ins) > 0 && compress.Of(ins[0]) != nil {
-		if compressedAggUsable(h.AggOp, h.AggDir) {
-			m.Inc("compress.exec.hit")
-		} else {
-			m.Inc("compress.exec.fallback")
-		}
 	}
 	if h.ExecType == hop.ExecDist {
 		m.Inc("exec.dist.ops")
@@ -386,11 +361,8 @@ func ActualFlops(h *hop.Hop, ins []*matrix.Matrix, out *matrix.Matrix) float64 {
 		if !ok || len(ins) == 0 {
 			return 0
 		}
-		switch op.Plan.Type {
-		case cplan.TemplateRow:
+		if op.Plan.Type == cplan.TemplateRow {
 			return workRowwise(op, ins[0])
-		case cplan.TemplateOuter:
-			return workOuter(op, ins[0])
 		}
 		return workCells(op, ins[0])
 	}
@@ -492,7 +464,9 @@ func evalLocal(opts Options, h *hop.Hop, ins []*matrix.Matrix, env Env, stop Sto
 	case hop.OpUnary:
 		return ec.Unary(h.UnOp, ins[0]), nil
 	case hop.OpAggUnary:
-		if m, done := compressedAgg(ec, h.AggOp, h.AggDir, ins[0]); done {
+		m, done := compressedAgg(ec, h.AggOp, h.AggDir, ins[0])
+		countBinding(opts.Metrics, h, ins, "", done)
+		if done {
 			return m, nil
 		}
 		return ec.Agg(h.AggOp, h.AggDir, ins[0]), nil
@@ -513,60 +487,70 @@ func evalLocal(opts Options, h *hop.Hop, ins []*matrix.Matrix, env Env, stop Sto
 	case hop.OpCumsum:
 		return ec.Cumsum(ins[0]), nil
 	case hop.OpSpoof:
-		return execSpoofStop(ec, opts.Metrics, h, ins, stop)
+		m, bind, err := ExecSpoof(ec, h, ins, stop)
+		countBinding(opts.Metrics, h, ins, bind, bind == BindDict)
+		return m, err
 	}
 	return nil, fmt.Errorf("runtime: unsupported hop kind %v", h.Kind)
 }
 
-// ExecSpoof dispatches a fused operator to its template skeleton. Input
-// conventions: Cell/MAgg/Row operators receive [main, sides...]; Outer
-// operators receive [X, U, V, sides...].
-func ExecSpoof(h *hop.Hop, ins []*matrix.Matrix) (*matrix.Matrix, error) {
-	return ExecSpoofStop(h, ins, nil)
+// countBinding counts one fused invocation under the binding its skeleton
+// reports having taken (spoof.bind.view|fill|nnz|dict), and attributes an
+// operator whose main input carries a compressed form: did it run over the
+// dictionaries (compress.exec.hit) or fall back to the uncompressed data
+// (compress.exec.fallback)? Basic aggregates report no binding, only
+// overDict.
+func countBinding(m *obs.Metrics, h *hop.Hop, ins []*matrix.Matrix, bind Binding, overDict bool) {
+	if bind != "" {
+		m.Inc(string(bind))
+	}
+	switch {
+	case h.ExecType == hop.ExecDist || len(ins) == 0 || compress.Of(ins[0]) == nil:
+	case overDict:
+		m.Inc("compress.exec.hit")
+	default:
+		m.Inc("compress.exec.fallback")
+	}
 }
 
-// ExecSpoofStop is ExecSpoof with a cancellation poll threaded into the
-// skeleton loops; a canceled operator returns a partial (invalid) result,
-// so callers must check cancellation before using it.
-func ExecSpoofStop(h *hop.Hop, ins []*matrix.Matrix, stop StopFn) (*matrix.Matrix, error) {
-	return execSpoofStop(matrix.Ctx{}, nil, h, ins, stop)
-}
-
-// execSpoofStop counts in m which of their two bodies the Cell and MAgg
-// skeletons ran (spoof.exec.vec / spoof.exec.cell), from the decision they
-// return; m may be nil.
-func execSpoofStop(ec matrix.Ctx, m *obs.Metrics, h *hop.Hop, ins []*matrix.Matrix, stop StopFn) (*matrix.Matrix, error) {
+// ExecSpoof dispatches a fused operator to its template skeleton and reports
+// the binding the skeleton took. Input conventions: Cell/MAgg/Row operators
+// receive [main, sides...]; Outer operators receive [X, U, V, sides...]. ec
+// is the execution context (the zero value uses the process-wide pools);
+// stop, when non-nil, is polled inside the skeleton loops — a canceled
+// operator returns a partial (invalid) result, so callers must check
+// cancellation before using it.
+func ExecSpoof(ec matrix.Ctx, h *hop.Hop, ins []*matrix.Matrix, stop StopFn) (*matrix.Matrix, Binding, error) {
 	op, ok := h.Spoof.(*cplan.Operator)
 	if !ok {
-		return nil, fmt.Errorf("runtime: spoof hop %d has no compiled operator", h.ID)
+		return nil, "", fmt.Errorf("runtime: spoof hop %d has no compiled operator", h.ID)
 	}
-	// Compressed fast path: eligible bodies run once per distinct
-	// dictionary tuple when the main input has an attached compressed form.
+	// Dictionary binding: eligible bodies run once per distinct dictionary
+	// tuple when the main input has an attached compressed form.
 	if len(ins) > 0 {
 		if cm := compress.Of(ins[0]); cm != nil {
 			if out, done := execCompressed(ec, op, cm, ins[1:], stop); done {
-				return out, nil
+				return out, BindDict, nil
 			}
 		}
 	}
 	switch op.Plan.Type {
 	case cplan.TemplateCell, cplan.TemplateMAgg:
-		exec := execCellwise
+		outs, bind := execCells(ec, op, ins[0], ins[1:], stop)
 		if op.Plan.Type == cplan.TemplateMAgg {
-			exec = execMAgg
+			return packMAgg(ec, outs), bind, nil
 		}
-		out, tier := exec(ec, op, ins[0], ins[1:], stop)
-		m.Inc(string(tier))
-		return out, nil
+		return outs[0], bind, nil
 	case cplan.TemplateRow:
-		return execRowwise(ec, op, ins[0], ins[1:], stop), nil
+		return execRowwise(ec, op, ins[0], ins[1:], stop), "", nil
 	case cplan.TemplateOuter:
 		if len(ins) < 3 {
-			return nil, fmt.Errorf("runtime: outer operator needs X, U, V inputs, got %d", len(ins))
+			return nil, "", fmt.Errorf("runtime: outer operator needs X, U, V inputs, got %d", len(ins))
 		}
-		return execOuter(ec, op, ins[0], ins[1], ins[2], ins[3:], stop), nil
+		out, bind := execOuter(ec, op, ins[0], ins[1], ins[2], ins[3:], stop)
+		return out, bind, nil
 	case cplan.TemplateHorizontal:
-		return nil, fmt.Errorf("runtime: horizontal operator %d is multi-output; execute via ExecuteDAG or ExecHorizontal", h.ID)
+		return nil, "", fmt.Errorf("runtime: horizontal operator %d is multi-output; execute via ExecuteDAG or ExecHorizontal", h.ID)
 	}
-	return nil, fmt.Errorf("runtime: unknown template %v", op.Plan.Type)
+	return nil, "", fmt.Errorf("runtime: unknown template %v", op.Plan.Type)
 }

@@ -11,197 +11,55 @@ import (
 // sparsity: the genexec body runs only for non-zero cells of X (paper
 // Fig. 3a). Dense X falls back to full iteration.
 func ExecOuter(op *cplan.Operator, x, u, v *matrix.Matrix, sides []*matrix.Matrix) *matrix.Matrix {
-	return execOuter(matrix.Ctx{}, op, x, u, v, sides, nil)
+	out, _ := execOuter(matrix.Ctx{}, op, x, u, v, sides, nil)
+	return out
 }
 
-// workOuter measures the data-touch work of one Outer invocation: the
-// driver cells the skeleton visits (non-zeros when sparse-safe) times the
-// per-cell cost of the rank-r dot product plus the genexec body. Feeds the
-// cost-audit ledger.
-func workOuter(op *cplan.Operator, x *matrix.Matrix) float64 {
+// execOuter is the cell pass with one more leaf register, U_i·V_j per
+// visited cell: the full aggregate and the map are the Cell kinds of the
+// same name, and the two matrix products consume the body's values a tile
+// at a time.
+func execOuter(ec matrix.Ctx, op *cplan.Operator, x, u, v *matrix.Matrix, sides []*matrix.Matrix, stop StopFn) (*matrix.Matrix, Binding) {
 	p := op.Plan
-	visited := float64(x.Rows) * float64(x.Cols)
-	if p.SparseSafe && x.IsSparse() {
-		visited = storedCells(x)
+	ud, vd, r := u.ToDense().Dense(), v.ToDense().Dense(), u.Cols
+	swap := p.Out == cplan.OuterLeftMM
+	if swap {
+		// C (n×r) with C_j += w_ij * U_i is the right product over the
+		// transposed driver, whose output rows are again disjoint across
+		// workers: U and V trade places, and so do the coordinates at which
+		// the body reads its sides.
+		x, ud, vd = ec.Transpose(x), vd, ud
+		sides = append([]*matrix.Matrix(nil), sides...)
+		for k, s := range sides {
+			if s.IsSparse() && s.Rows > 1 && s.Cols > 1 {
+				sides[k] = ec.Transpose(s)
+			}
+		}
 	}
-	return visited * float64(p.OuterRank+p.NumNodes())
-}
-
-func execOuter(ec matrix.Ctx, op *cplan.Operator, x, u, v *matrix.Matrix, sides []*matrix.Matrix, stop StopFn) *matrix.Matrix {
-	p := op.Plan
-	ud, vd := u.ToDense().Dense(), v.ToDense().Dense()
-	r := u.Cols
-	proto := cplan.NewCtx(sides)
-
-	switch p.Out {
-	case cplan.OuterRightMM:
-		// C (m×r): C_i += w_ij * V_j, row-disjoint across workers.
-		out := ec.NewDense(x.Rows, r)
-		od := out.Dense()
-		iterateOuter(ec, x, proto, ud, vd, r, op.CellFn, p.SparseSafe, stop,
-			func(_ *cplan.Ctx, w float64, i, j int) {
-				vector.MultAdd(vd, w, od, j*r, i*r, r)
-			})
-		return out
-
-	case cplan.OuterLeftMM:
-		// C (n×r): C_j += w_ij * U_i. Iterate the transposed driver so that
-		// output rows are again disjoint across workers.
-		xt := ec.Transpose(x)
-		out := ec.NewDense(x.Cols, r)
-		od := out.Dense()
-		// Note the swapped roles: iterating X^T at (j, i) must still present
-		// genexec with rix=i, cix=j and U_i, V_j.
-		iterateOuterTransposed(ec, xt, proto, ud, vd, r, op.CellFn, p.SparseSafe, stop,
-			func(_ *cplan.Ctx, w float64, i, j int) {
-				vector.MultAdd(ud, w, od, i*r, j*r, r)
-			})
-		return out
-
-	case cplan.OuterNoAgg:
-		if x.IsSparse() && p.SparseSafe {
-			xs := x.Sparse()
-			outCSR := &matrix.CSR{
-				RowPtr: append([]int(nil), xs.RowPtr...),
-				ColIdx: append([]int(nil), xs.ColIdx...),
-				Values: make([]float64, len(xs.Values)),
-			}
-			ec.Par.For(x.Rows, 32, func(lo, hi int) {
-				ctx := proto.Clone()
-				for i := lo; i < hi; i++ {
-					if pollStop(stop, i-lo) {
-						return
-					}
-					vals, cix := xs.Row(i)
-					base := xs.RowPtr[i]
-					for k, j := range cix {
-						ctx.Dot = vector.DotProduct(ud, vd, i*r, j*r, r)
-						outCSR.Values[base+k] = op.CellFn(ctx, vals[k], i, j)
-					}
-				}
-			})
-			return matrix.NewSparseCSR(x.Rows, x.Cols, outCSR)
-		}
-		out := ec.NewDense(x.Rows, x.Cols)
-		od := out.Dense()
-		cols := x.Cols
-		iterateOuter(ec, x, proto, ud, vd, r, op.CellFn, false, stop,
-			func(_ *cplan.Ctx, w float64, i, j int) { od[i*cols+j] = w })
-		return out
-
-	default: // OuterAgg
-		nw, _ := ec.Par.Chunks(x.Rows, 32)
-		partials := make([]float64, nw)
-		cols := x.Cols
-		ec.Par.ForIndexed(x.Rows, 32, func(wk, lo, hi int) {
-			ctx := proto.Clone()
-			var acc float64
-			if x.IsSparse() && p.SparseSafe {
-				xs := x.Sparse()
-				for i := lo; i < hi; i++ {
-					if pollStop(stop, i-lo) {
-						break
-					}
-					vals, cix := xs.Row(i)
-					for k, j := range cix {
-						ctx.Dot = vector.DotProduct(ud, vd, i*r, j*r, r)
-						acc += op.CellFn(ctx, vals[k], i, j)
-					}
-				}
-			} else {
-				scratch := newRowScratch(ec, x)
-				defer releaseRowScratch(ec, scratch)
-				for i := lo; i < hi; i++ {
-					if pollStop(stop, i-lo) {
-						break
-					}
-					row, off := denseRowView(x, i, scratch)
-					for j := 0; j < cols; j++ {
-						ctx.Dot = vector.DotProduct(ud, vd, i*r, j*r, r)
-						acc += op.CellFn(ctx, row[off+j], i, j)
-					}
-				}
-			}
-			partials[wk] += acc // accumulate: a worker may claim several chunks
-		})
-		var acc float64
-		for _, v := range partials {
-			acc += v
-		}
-		return matrix.NewScalar(acc)
+	bind := cplan.NewCells(x, sides)
+	bind.U, bind.V, bind.Rank, bind.Swap = ud, vd, r, swap
+	if p.Out == cplan.OuterAgg || p.Out == cplan.OuterNoAgg {
+		outs, b := cellPass(ec, op, bind, stop, nil)
+		return outs[0], b
 	}
-}
-
-// iterateOuter visits cells of x (non-zeros only when sparseSafe and x is
-// sparse), computing the genexec value w with ctx.Dot preset, and hands
-// (w, i, j) to the sink. Parallel over row ranges.
-func iterateOuter(ec matrix.Ctx, x *matrix.Matrix, proto *cplan.Ctx, ud, vd []float64, r int,
-	fn cplan.CellFunc, sparseSafe bool, stop StopFn, sink func(ctx *cplan.Ctx, w float64, i, j int)) {
-	cols := x.Cols
-	ec.Par.For(x.Rows, 32, func(lo, hi int) {
-		ctx := proto.Clone()
-		if x.IsSparse() && sparseSafe {
-			xs := x.Sparse()
-			for i := lo; i < hi; i++ {
-				if pollStop(stop, i-lo) {
-					return
+	// C (m×r): C_i += w_ij * V_j, row-disjoint across workers.
+	out := ec.NewDense(x.Rows, r)
+	od, xs := out.Dense(), x.Sparse()
+	_, b := cellPass(ec, op, bind, stop, func(w []float64, i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			if !bind.Nnz { // decided by the pass: every cell of the row
+				for j, wj := range w[:x.Cols] {
+					vector.MultAdd(vd, wj, od, j*r, i*r, r)
 				}
-				vals, cix := xs.Row(i)
-				for k, j := range cix {
-					ctx.Dot = vector.DotProduct(ud, vd, i*r, j*r, r)
-					sink(ctx, fn(ctx, vals[k], i, j), i, j)
-				}
+				w = w[x.Cols:]
+				continue
 			}
-			return
-		}
-		scratch := newRowScratch(ec, x)
-		defer releaseRowScratch(ec, scratch)
-		for i := lo; i < hi; i++ {
-			if pollStop(stop, i-lo) {
-				return
+			_, cix := xs.Row(i)
+			for k, j := range cix {
+				vector.MultAdd(vd, w[k], od, j*r, i*r, r)
 			}
-			row, off := denseRowView(x, i, scratch)
-			for j := 0; j < cols; j++ {
-				ctx.Dot = vector.DotProduct(ud, vd, i*r, j*r, r)
-				sink(ctx, fn(ctx, row[off+j], i, j), i, j)
-			}
+			w = w[len(cix):]
 		}
 	})
-}
-
-// iterateOuterTransposed is iterateOuter over X^T: the iteration row is j
-// (a column of X) and the inner index is i, preserving genexec's (i, j)
-// coordinate contract.
-func iterateOuterTransposed(ec matrix.Ctx, xt *matrix.Matrix, proto *cplan.Ctx, ud, vd []float64, r int,
-	fn cplan.CellFunc, sparseSafe bool, stop StopFn, sink func(ctx *cplan.Ctx, w float64, i, j int)) {
-	cols := xt.Cols
-	ec.Par.For(xt.Rows, 32, func(lo, hi int) {
-		ctx := proto.Clone()
-		if xt.IsSparse() && sparseSafe {
-			xs := xt.Sparse()
-			for j := lo; j < hi; j++ {
-				if pollStop(stop, j-lo) {
-					return
-				}
-				vals, iix := xs.Row(j)
-				for k, i := range iix {
-					ctx.Dot = vector.DotProduct(ud, vd, i*r, j*r, r)
-					sink(ctx, fn(ctx, vals[k], i, j), i, j)
-				}
-			}
-			return
-		}
-		scratch := newRowScratch(ec, xt)
-		defer releaseRowScratch(ec, scratch)
-		for j := lo; j < hi; j++ {
-			if pollStop(stop, j-lo) {
-				return
-			}
-			row, off := denseRowView(xt, j, scratch)
-			for i := 0; i < cols; i++ {
-				ctx.Dot = vector.DotProduct(ud, vd, i*r, j*r, r)
-				sink(ctx, fn(ctx, row[off+i], i, j), i, j)
-			}
-		}
-	})
+	return out, b
 }

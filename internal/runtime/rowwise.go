@@ -161,7 +161,7 @@ func forEachTile(ec matrix.Ctx, prog *cplan.RowProgram, proto *cplan.Ctx, main *
 		}
 		t := rowTile{buf: buf}
 		for t.r0 = lo; t.r0 < hi; t.r0 += t.n {
-			if stop != nil && stop() { // one poll per tile
+			if stop.stopped() { // one poll per tile
 				return
 			}
 			t.n = min(prog.TileRows, hi-t.r0)

@@ -344,14 +344,14 @@ func TestInterpretedMatchesCompiled(t *testing.T) {
 		cplan.Unary(matrix.UnExp, cplan.Main(0)),
 		cplan.Binary(matrix.BinMul, cplan.Side(0, cplan.AccessCell, 0), cplan.Lit(2)))
 	p := &cplan.Plan{Type: cplan.TemplateCell, Cell: cplan.CellNoAgg, Root: root}
-	fast := cplan.Compile(p, "F")
-	slow := cplan.CompileInterpreted(p, "S")
 	x := matrix.Rand(20, 20, 1, -1, 1, 34)
 	y := matrix.Rand(20, 20, 1, -1, 1, 35)
-	a := ExecCellwise(fast, x, []*matrix.Matrix{y})
-	b := ExecCellwise(slow, x, []*matrix.Matrix{y})
-	if !a.EqualsApprox(b, 0) {
-		t.Fatal("interpreted and compiled genexec disagree")
+	got := ExecCellwise(cplan.Compile(p, "F"), x, []*matrix.Matrix{y})
+	ctx := cplan.NewCtx([]*matrix.Matrix{y})
+	for k, a := range x.Dense() {
+		if want := cplan.InterpretCell(root, ctx, a, 0, k/20, k%20); got.Dense()[k] != want {
+			t.Fatalf("cell %d: compiled %v, interpreted %v", k, got.Dense()[k], want)
+		}
 	}
 }
 
