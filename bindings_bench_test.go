@@ -76,3 +76,38 @@ func BenchmarkCellBindings(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRowNarrow times the Row bodies whose intermediates are narrower
+// than a vector kernel call is worth per row — what the data-intensive
+// algorithms produce (MLogreg's n×2 class scores, KMeans' n×5 distances,
+// the n×1 margins of L2SVM) — at the benchmark's row count, plus one wide
+// sigmoid. Each is a chain of tile kernels (vector.RowReduce, ScalarRows,
+// ExpWrite) over TileRows rows at a time. To profile one:
+//
+//	GOMAXPROCS=1 go test -run '^$' -bench 'RowNarrow/softmax' -benchtime 200x -cpuprofile /root/scratch/cpu.out .
+func BenchmarkRowNarrow(b *testing.B) {
+	const rows = 150000
+	row := func(w int, root *cplan.CNode, sides int) *cplan.Operator {
+		return cplan.Compile(&cplan.Plan{Type: cplan.TemplateRow, Row: cplan.RowNoAgg, Root: root, NumSides: sides, MainWidth: w}, "TMP_ROW")
+	}
+	run := func(op *cplan.Operator, main *matrix.Matrix, sides ...*matrix.Matrix) func(*testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(int64(8 * main.Rows * main.Cols))
+			for i := 0; i < b.N; i++ {
+				runtime.ExecRowwise(op, main, sides).Release()
+			}
+		}
+	}
+	m2 := cplan.Main(2)
+	e := cplan.Unary(matrix.UnExp, cplan.Binary(matrix.BinSub, m2, cplan.Agg(matrix.AggMax, m2)))
+	b.Run("softmax/w2", run(row(2, cplan.Binary(matrix.BinDiv, e, cplan.Agg(matrix.AggSum, e)), 0),
+		matrix.Rand(rows, 2, 1, -3, 3, 1)))
+	m5 := cplan.Main(5)
+	hit := cplan.Binary(matrix.BinLe, m5, cplan.Agg(matrix.AggMin, m5))
+	b.Run("assign/w5", run(row(5, cplan.Binary(matrix.BinDiv, hit, cplan.Agg(matrix.AggSum, hit)), 0),
+		matrix.Rand(rows, 5, 1, 0, 9, 2)))
+	hinge := cplan.Binary(matrix.BinGt, cplan.Binary(matrix.BinSub, cplan.Lit(1),
+		cplan.Binary(matrix.BinMul, cplan.Side(0, cplan.AccessCol, 0), cplan.Main(1))), cplan.Lit(0))
+	b.Run("hinge/w1", run(row(1, hinge, 1), matrix.Rand(rows, 1, 1, -2, 2, 3), matrix.Rand(rows, 1, 1, -1, 1, 4)))
+	b.Run("sigmoid/w64", run(row(64, cplan.Unary(matrix.UnSigmoid, cplan.Main(64)), 0), matrix.Rand(512, 64, 1, -4, 4, 5)))
+}

@@ -52,6 +52,7 @@ type AsmRow struct {
 	GoNS    float64 `json:"go_ns"`
 	AsmNS   float64 `json:"asm_ns"`
 	Speedup float64 `json:"speedup"`
+	GBps    float64 `json:"gbps,omitempty"` // tile kernels: bytes read and written per second by the exported primitive
 }
 
 // KernelsResult is the serialized outcome of the kernel-overhaul gates.
@@ -74,8 +75,10 @@ type KernelsResult struct {
 }
 
 // asmRows times the three primitives the profile leans on at n = 10, 64 and
-// 784 (the feature counts of the syn, autoencoder-hidden and Mnist inputs):
-// vector's own portable loop against its exported, dispatching function.
+// 784 (the feature counts of the syn, autoencoder-hidden and Mnist inputs),
+// and one kernel per family of the narrow Row bodies at a tile's shape
+// (vector.TileTwins, N = cells per call): vector's own portable loop against
+// its exported, dispatching function.
 func asmRows(reps int) []AsmRow {
 	var rows []AsmRow
 	perCall := func(calls int, fn func()) float64 {
@@ -91,6 +94,12 @@ func asmRows(reps int) []AsmRow {
 			goNS, asmNS := perCall(calls, tw.Go), perCall(calls, tw.Export)
 			rows = append(rows, AsmRow{Kernel: tw.Name, N: n, GoNS: goNS, AsmNS: asmNS, Speedup: goNS / asmNS})
 		}
+	}
+	for _, tw := range vector.TileTwins() {
+		calls := 2000000/tw.Flops + 1
+		goNS, asmNS := perCall(calls, tw.Go), perCall(calls, tw.Export)
+		rows = append(rows, AsmRow{Kernel: tw.Name, N: tw.Flops, GoNS: goNS, AsmNS: asmNS, Speedup: goNS / asmNS,
+			GBps: float64(tw.Bytes) / asmNS})
 	}
 	return rows
 }
@@ -163,8 +172,11 @@ func minTime(reps int, fn func()) time.Duration {
 //  3. Dense matmult, single worker: blocked kernel vs unblocked reference
 //     (gate: < 2% regression; blocking should win outright).
 //  4. Vector primitives: dot, rank-4 update and narrow product at n = 10,
-//     64, 784, exported primitive vs its portable Go loop (gate: >= 2x at
-//     n = 64, so an assembly dispatch that silently fails is a red build).
+//     64, 784, and the tile kernels of the narrow Row bodies (row sum and
+//     row scaling at 1024x2 and 1024x5, a comparison and exp over 4096
+//     cells), exported primitive vs its portable Go loop (gate: >= 2x at
+//     n = 64 and for every tile kernel, so an assembly dispatch that
+//     silently fails is a red build).
 //
 // The baselines of gates 1 and 3 call vector.MultAdd, which has an assembly
 // kernel too: both sides of those gates got faster, what the gates measure
@@ -248,7 +260,7 @@ func Kernels(o Options) *Table {
 	asm := asmRows(reps * 3)
 	asmPass := true
 	for _, r := range asm {
-		if r.N == asmGateN && r.Speedup < asmMinSpeedup {
+		if (r.N == asmGateN || r.GBps > 0) && r.Speedup < asmMinSpeedup {
 			asmPass = false
 		}
 	}
@@ -289,12 +301,15 @@ func Kernels(o Options) *Table {
 	t.Add("matmult 1w", ms(mmRef), ms(mmNew),
 		fmt.Sprintf("%+.2f%% (limit <%.0f%%)", mmRegression, mmMaxRegressionPct), fmt.Sprintf("%v", res.MMPass))
 	for _, r := range asm {
-		need, pass := "", ""
-		if r.N == asmGateN {
+		need, pass, rate := "", "", ""
+		if r.N == asmGateN || r.GBps > 0 {
 			need, pass = fmt.Sprintf(" (need >=%.1fx)", asmMinSpeedup), fmt.Sprintf("%v", r.Speedup >= asmMinSpeedup)
 		}
+		if r.GBps > 0 {
+			rate = fmt.Sprintf(" (%.1f GB/s)", r.GBps)
+		}
 		t.Add(fmt.Sprintf("%s n=%d, Go loop vs asm", r.Kernel, r.N), fmt.Sprintf("%.1f ns", r.GoNS),
-			fmt.Sprintf("%.1f ns", r.AsmNS), fmt.Sprintf("%.2fx%s", r.Speedup, need), pass)
+			fmt.Sprintf("%.1f ns%s", r.AsmNS, rate), fmt.Sprintf("%.2fx%s", r.Speedup, need), pass)
 	}
 	return t
 }

@@ -556,6 +556,9 @@ func (c *constructor) buildRowPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.H
 		case matrix.DirAll:
 			rowType = cplan.RowFullAgg
 		case matrix.DirCol:
+			if h.AggOp == matrix.AggMin || h.AggOp == matrix.AggMax {
+				return nil, nil // the skeleton folds row results into columns by adding
+			}
 			rowType = cplan.RowColAgg
 		case matrix.DirRow:
 			rowType = cplan.RowRowAgg

@@ -292,15 +292,15 @@ func (p *CellVecProgram) body(s *Cells, b *CellVecBuf, n int, out []float64) {
 		case RSplat:
 			vector.Fill(p.dst(b, in.Dst, out), b.scal[in.Src1], 0, n)
 		case RBinVV:
-			binVV(in.BinOp, b.vec[in.Src1], b.off[in.Src1], b.vec[in.Src2], b.off[in.Src2], p.dst(b, in.Dst, out), n)
+			vector.Binary(in.BinOp.Kernel(), b.vec[in.Src1], b.vec[in.Src2], p.dst(b, in.Dst, out), b.off[in.Src1], b.off[in.Src2], 0, n)
 		case RBinVS:
-			binVS(in.BinOp, b.vec[in.Src1], b.off[in.Src1], b.scal[in.Src2], p.dst(b, in.Dst, out), n)
+			vector.Scalar(in.BinOp.Kernel(), false, b.vec[in.Src1], b.scal[in.Src2], p.dst(b, in.Dst, out), b.off[in.Src1], 0, n)
 		case RBinSV:
-			binSV(in.BinOp, b.scal[in.Src1], b.vec[in.Src2], b.off[in.Src2], p.dst(b, in.Dst, out), n)
+			vector.Scalar(in.BinOp.Kernel(), true, b.vec[in.Src2], b.scal[in.Src1], p.dst(b, in.Dst, out), b.off[in.Src2], 0, n)
 		case RBinSS:
 			b.scal[in.Dst] = in.BinOp.Apply(b.scal[in.Src1], b.scal[in.Src2])
 		case RUnV:
-			unV(in.UnOp, b.vec[in.Src1], b.off[in.Src1], p.dst(b, in.Dst, out), n)
+			in.UnOp.Write(b.vec[in.Src1], p.dst(b, in.Dst, out), b.off[in.Src1], 0, n)
 		case RUnS:
 			b.scal[in.Dst] = in.UnOp.Apply(b.scal[in.Src1])
 		}
@@ -328,13 +328,11 @@ func (p *CellVecProgram) dst(b *CellVecBuf, reg int, out []float64) []float64 {
 // maximum does not care how often it occurs.
 func (p *CellVecProgram) reduce(b *CellVecBuf, o, n int, wts []float64, wo int) float64 {
 	a, ao := b.vec[p.Red.Src1], b.off[p.Red.Src1]+o
-	if p.Agg == matrix.AggMin || p.Agg == matrix.AggMax {
-		// Both propagate NaN, which vector.Min/Max (compare and keep) do not.
-		m := AggInit(p.Agg)
-		for _, v := range a[ao : ao+n] {
-			m = AggMerge(p.Agg, m, v)
-		}
-		return m
+	switch p.Agg {
+	case matrix.AggMin:
+		return vector.Min(a, ao, n)
+	case matrix.AggMax:
+		return vector.Max(a, ao, n)
 	}
 	y, yo := a, ao
 	if p.Red.Op == RDot {
@@ -343,7 +341,7 @@ func (p *CellVecProgram) reduce(b *CellVecBuf, o, n int, wts []float64, wo int) 
 	switch product := p.Red.Op == RDot || p.Agg == matrix.AggSumSq; {
 	case wts != nil && product:
 		t := b.Scratch(n)
-		vector.MultWrite(a, y, t, ao, yo, 0, n)
+		vector.Binary(vector.OpMul, a, y, t, ao, yo, 0, n)
 		return vector.DotProduct(t, wts, 0, wo, n)
 	case wts != nil:
 		return vector.DotProduct(a, wts, ao, wo, n)
@@ -366,12 +364,12 @@ func foldCols(agg matrix.AggOp, a []float64, ao, rows, n int, part, wts []float6
 		vector.TMatMultAdd(a, wts, part, ao, n, wo, ws, 0, rows, n, 1)
 		return
 	}
+	k := vector.OpMin
+	if agg == matrix.AggMax {
+		k = vector.OpMax
+	}
 	for t := 0; t < rows; t++ {
-		if agg == matrix.AggMin {
-			vector.MinWrite(part, a, part, 0, ao+t*n, 0, n)
-		} else {
-			vector.MaxWrite(part, a, part, 0, ao+t*n, 0, n)
-		}
+		vector.Binary(k, part, a, part, 0, ao+t*n, 0, n)
 	}
 }
 
@@ -391,9 +389,9 @@ func AggInit(op matrix.AggOp) float64 {
 func AggMerge(op matrix.AggOp, acc, partial float64) float64 {
 	switch op {
 	case matrix.AggMin:
-		return math.Min(acc, partial)
+		return vector.Min2(acc, partial)
 	case matrix.AggMax:
-		return math.Max(acc, partial)
+		return vector.Max2(acc, partial)
 	}
 	return acc + partial
 }

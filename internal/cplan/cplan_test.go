@@ -1,6 +1,9 @@
 package cplan
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -262,4 +265,144 @@ func TestInterpretedOuterDot(t *testing.T) {
 	if p := CompileCellVec(root, CellNoAgg, matrix.AggSum); !p.Bcast || p.Instrs[0].Op != RLoadDot {
 		t.Fatalf("the dot must lower to a leaf register: %+v", p.Instrs)
 	}
+}
+
+// TestExecTileNarrowMatchesOracle runs generated Row programs whose
+// intermediate has width 1..9 — a strided view of the main row, so that
+// neither the flat nor the narrow tile kernels see the easy case alone —
+// through every BinOp against a per-row or a uniform scalar (both operand
+// orders), a row vector and a tile of side rows, and then through every
+// AggOp, at tile heights 1, 7, TileRows and TileRows+1 (a second tile of one
+// row). The oracle evaluates op.Apply cell by cell and folds naively: the
+// tile kernels are one IEEE operation per cell, so maps and min/max agree
+// to the bit (a vector divided by a scalar is multiplied by its reciprocal),
+// sums within the tolerance of a reordered sum.
+func TestExecTileNarrowMatchesOracle(t *testing.T) {
+	const mainW = 11
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 2}
+	rng := rand.New(rand.NewSource(20))
+	value := func() float64 {
+		if rng.Intn(12) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return math.Round(rng.NormFloat64()*8) / 4
+	}
+	fill := func(rows, cols int) *matrix.Matrix {
+		m := matrix.NewDense(rows, cols)
+		for i := range m.Dense() {
+			m.Dense()[i] = value()
+		}
+		return m
+	}
+	binOps := []matrix.BinOp{matrix.BinAdd, matrix.BinSub, matrix.BinMul, matrix.BinDiv, matrix.BinPow, matrix.BinMin, matrix.BinMax,
+		matrix.BinEq, matrix.BinNeq, matrix.BinLt, matrix.BinLe, matrix.BinGt, matrix.BinGe, matrix.BinAnd, matrix.BinOr}
+	aggOps := []matrix.AggOp{matrix.AggSum, matrix.AggMin, matrix.AggMax, matrix.AggMean, matrix.AggSumSq}
+	same := func(g, w float64) bool {
+		return math.Float64bits(g) == math.Float64bits(w) || (math.IsNaN(g) && math.IsNaN(w))
+	}
+	for w := 1; w <= 9; w++ {
+		v := Idx(Main(mainW), 1, 1+w)
+		// The second operand: 0 a scalar per row, 1 one scalar for all rows,
+		// 2 a row vector, 3 a tile of side rows.
+		operands := []*CNode{Side(0, AccessCol, 0), Side(1, AccessScalar, 0), Side(2, AccessRow, w), Side(3, AccessCell, w)}
+		for _, op := range binOps {
+			for kind, y := range operands {
+				for _, left := range []bool{false, true} {
+					body := Binary(op, v, y)
+					if left {
+						body = Binary(op, y, v)
+					}
+					prog := compileRow(&Plan{Type: TemplateRow, Row: RowNoAgg, Root: body, NumSides: 4, MainWidth: mainW})
+					aggs := make([]*RowProgram, len(aggOps))
+					for i, agg := range aggOps {
+						aggs[i] = compileRow(&Plan{Type: TemplateRow, Row: RowRowAgg, Root: Agg(agg, body), NumSides: 4, MainWidth: mainW})
+					}
+					for _, rows := range []int{1, 7, prog.TileRows, prog.TileRows + 1} {
+						main := fill(rows, mainW)
+						sides := []*matrix.Matrix{fill(rows, 1), fill(1, 1), fill(1, w), fill(rows, w)}
+						want := make([]float64, rows*w)
+						for i := range want {
+							r, j := i/w, i%w
+							x := main.Dense()[r*mainW+1+j]
+							var s float64
+							switch kind {
+							case 0:
+								s = sides[0].Dense()[r]
+							case 1:
+								s = sides[1].Dense()[0]
+							case 2:
+								s = sides[2].Dense()[j]
+							case 3:
+								s = sides[3].Dense()[i]
+							}
+							switch {
+							case left:
+								want[i] = op.Apply(s, x)
+							case op == matrix.BinDiv && kind < 2:
+								want[i] = x * (1 / s)
+							default:
+								want[i] = op.Apply(x, s)
+							}
+						}
+						what := fmt.Sprintf("w=%d %v operand %d left=%v rows=%d", w, op, kind, left, rows)
+						for i, g := range execRows(prog, main, sides) {
+							if !same(g, want[i]) {
+								t.Fatalf("%s: cell %d = %v, oracle %v", what, i, g, want[i])
+							}
+						}
+						for a, agg := range aggOps {
+							got := execRows(aggs[a], main, sides)
+							for r := 0; r < rows; r++ {
+								row := want[r*w : (r+1)*w]
+								acc, scale := 0.0, 0.0
+								switch agg {
+								case matrix.AggMin:
+									acc = math.Inf(1)
+								case matrix.AggMax:
+									acc = math.Inf(-1)
+								}
+								for _, e := range row {
+									switch agg {
+									case matrix.AggSumSq:
+										acc, scale = acc+e*e, scale+e*e
+									case matrix.AggMin:
+										acc = matrix.BinMin.Apply(acc, e)
+									case matrix.AggMax:
+										acc = matrix.BinMax.Apply(acc, e)
+									default:
+										acc, scale = acc+e, scale+math.Abs(e)
+									}
+								}
+								if agg == matrix.AggMean {
+									acc /= float64(w)
+								}
+								if g := got[r]; !same(g, acc) && !(math.Abs(g-acc) <= 1e-12*scale) {
+									t.Fatalf("%s: %v of row %d = %v, oracle %v", what, agg, r, g, acc)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// execRows runs a Row program tile by tile over every row of main, the way
+// the skeleton does, and returns the result rows back to back.
+func execRows(p *RowProgram, main *matrix.Matrix, sides []*matrix.Matrix) []float64 {
+	ctx := NewCtx(sides)
+	b := p.GetBuf(make([]float64, p.ArenaFloats))
+	defer p.PutBuf(b)
+	var out []float64
+	for r0 := 0; r0 < main.Rows; r0 += p.TileRows {
+		n := min(p.TileRows, main.Rows-r0)
+		b.BindDense(main.Dense(), r0*p.MainWidth)
+		p.ExecTile(ctx, b, r0, n)
+		res, off, stride := p.Result(b)
+		for k := 0; k < n; k++ {
+			out = append(out, res[off+k*stride:][:p.OutWidth]...)
+		}
+	}
+	return out
 }

@@ -295,9 +295,10 @@ func (p *RowProgram) Result(b *RowBuf) (data []float64, off, stride int) {
 
 // ExecTile runs the program for the n <= TileRows rows starting at input
 // row r0. Register 0 must be bound (BindDense to the tile's first row, or
-// BindSparse); side inputs are addressed by r0. Element-wise instructions
-// make one flat pass over the n×width tile, reductions and products loop
-// over its rows inside the instruction.
+// BindSparse); side inputs are addressed by r0. An instruction is one call
+// of a vector kernel per tile wherever the kernel takes a tile: element-wise
+// operations (vector.BinaryRows/ScalarRows flatten a tile that is one run of
+// cells), row aggregates and products.
 func (p *RowProgram) ExecTile(ctx *Ctx, b *RowBuf, r0, n int) {
 	first := !b.primed
 	b.primed = true
@@ -344,59 +345,24 @@ func (p *RowProgram) ExecTile(ctx *Ctx, b *RowBuf, r0, n int) {
 		case RLit:
 			p.scal(b, in.Dst)[0] = in.Scalar
 		case RBinVV:
-			w := p.VecWidths[in.Dst]
-			a1, o1, s1 := b.Vec[in.Src1], b.Off[in.Src1], p.stride(in.Src1)
-			a2, o2, s2 := b.Vec[in.Src2], b.Off[in.Src2], p.stride(in.Src2)
-			d := p.vec(b, in.Dst)
-			if rows == 1 || (s1 == w && s2 == w) {
-				binVV(in.BinOp, a1, o1, a2, o2, d, rows*w)
-				continue
-			}
-			for t := 0; t < rows; t++ {
-				binVV(in.BinOp, a1, o1+t*s1, a2, o2+t*s2, d[t*w:], w)
-			}
+			vector.BinaryRows(in.BinOp.Kernel(), b.Vec[in.Src1], b.Off[in.Src1], p.stride(in.Src1),
+				b.Vec[in.Src2], b.Off[in.Src2], p.stride(in.Src2), p.vec(b, in.Dst), 0, rows, p.VecWidths[in.Dst])
 		case RBinVS:
-			w := p.VecWidths[in.Dst]
-			a, o, st := b.Vec[in.Src1], b.Off[in.Src1], p.stride(in.Src1)
-			sc := b.Scal[in.Src2]
-			d := p.vec(b, in.Dst)
-			if rows == 1 || (st == w && p.ScalUniform[in.Src2]) {
-				binVS(in.BinOp, a, o, sc[0], d, rows*w)
-				continue
-			}
-			binVSRows(in.BinOp, a, o, st, sc, sstride(p.ScalUniform[in.Src2]), d, rows, w)
+			vector.ScalarRows(in.BinOp.Kernel(), false, b.Vec[in.Src1], b.Off[in.Src1], p.stride(in.Src1),
+				b.Scal[in.Src2], 0, sstride(p.ScalUniform[in.Src2]), p.vec(b, in.Dst), 0, rows, p.VecWidths[in.Dst])
 		case RBinSV:
-			w := p.VecWidths[in.Dst]
-			a, o, st := b.Vec[in.Src2], b.Off[in.Src2], p.stride(in.Src2)
-			sc := b.Scal[in.Src1]
-			d := p.vec(b, in.Dst)
-			if rows == 1 || (st == w && p.ScalUniform[in.Src1]) {
-				binSV(in.BinOp, sc[0], a, o, d, rows*w)
-				continue
-			}
-			binSVRows(in.BinOp, sc, sstride(p.ScalUniform[in.Src1]), a, o, st, d, rows, w)
+			vector.ScalarRows(in.BinOp.Kernel(), true, b.Vec[in.Src2], b.Off[in.Src2], p.stride(in.Src2),
+				b.Scal[in.Src1], 0, sstride(p.ScalUniform[in.Src1]), p.vec(b, in.Dst), 0, rows, p.VecWidths[in.Dst])
 		case RBinSS:
-			// Scalar registers are width-1 tiles: the flat kernels apply.
-			x, y := b.Scal[in.Src1], b.Scal[in.Src2]
-			d := p.scal(b, in.Dst)
-			switch {
-			case rows == 1:
-				d[0] = in.BinOp.Apply(x[0], y[0])
-			case p.ScalUniform[in.Src1]:
-				binSV(in.BinOp, x[0], y, 0, d, rows)
-			case p.ScalUniform[in.Src2]:
-				binVS(in.BinOp, x, 0, y[0], d, rows)
-			default:
-				binVV(in.BinOp, x, 0, y, 0, d, rows)
-			}
+			// Scalar registers are tiles of width 1.
+			vector.BinaryRows(in.BinOp.Kernel(), b.Scal[in.Src1], 0, sstride(p.ScalUniform[in.Src1]),
+				b.Scal[in.Src2], 0, sstride(p.ScalUniform[in.Src2]), p.scal(b, in.Dst), 0, rows, 1)
 		case RUnV:
 			// A unary result is uniform exactly when its source is, so the
 			// source is always contiguous over the rows computed here.
-			w := p.VecWidths[in.Dst]
-			a, o := b.Vec[in.Src1], b.Off[in.Src1]
-			unV(in.UnOp, a, o, p.vec(b, in.Dst), rows*w)
+			in.UnOp.Write(b.Vec[in.Src1], p.vec(b, in.Dst), b.Off[in.Src1], 0, rows*p.VecWidths[in.Dst])
 		case RUnS:
-			unV(in.UnOp, b.Scal[in.Src1], 0, p.scal(b, in.Dst), rows)
+			in.UnOp.Write(b.Scal[in.Src1], p.scal(b, in.Dst), 0, 0, rows)
 		case RAggV:
 			d := p.scal(b, in.Dst)
 			if in.Src1 == 0 && b.Sparse != nil {
@@ -411,7 +377,7 @@ func (p *RowProgram) ExecTile(ctx *Ctx, b *RowBuf, r0, n int) {
 				}
 				continue
 			}
-			aggRows(in.AggOp, b.Vec[in.Src1], b.Off[in.Src1], p.stride(in.Src1), d, rows, p.VecWidths[in.Src1])
+			in.AggOp.Rows(b.Vec[in.Src1], b.Off[in.Src1], p.stride(in.Src1), d, rows, p.VecWidths[in.Src1])
 		case RMatMul:
 			sm := ctx.Sides[in.Side].m
 			bd, k, m := sm.Dense(), sm.Rows, sm.Cols
@@ -470,172 +436,6 @@ func sstride(uniform bool) int {
 		return 0
 	}
 	return 1
-}
-
-// binVV computes d[k] = a1[o1+k] op a2[o2+k] for k in [0,n).
-func binVV(op matrix.BinOp, a1 []float64, o1 int, a2 []float64, o2 int, d []float64, n int) {
-	switch op {
-	case matrix.BinMul:
-		vector.MultWrite(a1, a2, d, o1, o2, 0, n)
-	case matrix.BinAdd:
-		vector.AddWrite(a1, a2, d, o1, o2, 0, n)
-	case matrix.BinSub:
-		vector.MinusWrite(a1, a2, d, o1, o2, 0, n)
-	case matrix.BinDiv:
-		vector.DivWrite(a1, a2, d, o1, o2, 0, n)
-	case matrix.BinMin:
-		vector.MinWrite(a1, a2, d, o1, o2, 0, n)
-	case matrix.BinMax:
-		vector.MaxWrite(a1, a2, d, o1, o2, 0, n)
-	default:
-		for k := 0; k < n; k++ {
-			d[k] = op.Apply(a1[o1+k], a2[o2+k])
-		}
-	}
-}
-
-// binVS computes d[k] = a[o+k] op s for k in [0,n).
-func binVS(op matrix.BinOp, a []float64, o int, s float64, d []float64, n int) {
-	switch op {
-	case matrix.BinMul:
-		vector.MultScalarWrite(a, s, d, o, 0, n)
-	case matrix.BinAdd:
-		vector.AddScalarWrite(a, s, d, o, 0, n)
-	case matrix.BinSub:
-		vector.MinusScalarWrite(a, s, d, o, 0, n)
-	case matrix.BinDiv:
-		vector.DivScalarWrite(a, s, d, o, 0, n)
-	case matrix.BinPow:
-		vector.PowScalarWrite(a, s, d, o, 0, n)
-	case matrix.BinGt:
-		vector.GreaterScalarWrite(a, s, d, o, 0, n)
-	case matrix.BinNeq:
-		vector.NotEqualScalarWrite(a, s, d, o, 0, n)
-	default:
-		for k := 0; k < n; k++ {
-			d[k] = op.Apply(a[o+k], s)
-		}
-	}
-}
-
-// binSV computes d[k] = s op a[o+k] for k in [0,n).
-func binSV(op matrix.BinOp, s float64, a []float64, o int, d []float64, n int) {
-	switch op {
-	case matrix.BinMul:
-		vector.MultScalarWrite(a, s, d, o, 0, n)
-	case matrix.BinAdd:
-		vector.AddScalarWrite(a, s, d, o, 0, n)
-	case matrix.BinSub:
-		vector.ScalarMinusWrite(s, a, d, o, 0, n)
-	case matrix.BinDiv:
-		vector.ScalarDivWrite(s, a, d, o, 0, n)
-	default:
-		for k := 0; k < n; k++ {
-			d[k] = op.Apply(s, a[o+k])
-		}
-	}
-}
-
-// binVSRows is binVS with one scalar per tile row: row t of the n×w tile at
-// a[o] (row stride st) combines with sc[t*ss]. The four arithmetic
-// operators keep their (inlined) kernels inside the row loop, which is what
-// matters when w is 1 or 2.
-func binVSRows(op matrix.BinOp, a []float64, o, st int, sc []float64, ss int, d []float64, n, w int) {
-	switch op {
-	case matrix.BinMul:
-		for t := 0; t < n; t++ {
-			vector.MultScalarWrite(a, sc[t*ss], d, o+t*st, t*w, w)
-		}
-	case matrix.BinAdd:
-		for t := 0; t < n; t++ {
-			vector.AddScalarWrite(a, sc[t*ss], d, o+t*st, t*w, w)
-		}
-	case matrix.BinSub:
-		for t := 0; t < n; t++ {
-			vector.MinusScalarWrite(a, sc[t*ss], d, o+t*st, t*w, w)
-		}
-	case matrix.BinDiv:
-		for t := 0; t < n; t++ {
-			vector.DivScalarWrite(a, sc[t*ss], d, o+t*st, t*w, w)
-		}
-	default:
-		for t := 0; t < n; t++ {
-			binVS(op, a, o+t*st, sc[t*ss], d[t*w:], w)
-		}
-	}
-}
-
-// binSVRows is binSV with one scalar per tile row.
-func binSVRows(op matrix.BinOp, sc []float64, ss int, a []float64, o, st int, d []float64, n, w int) {
-	switch op {
-	case matrix.BinMul, matrix.BinAdd: // commutative
-		binVSRows(op, a, o, st, sc, ss, d, n, w)
-	case matrix.BinSub:
-		for t := 0; t < n; t++ {
-			vector.ScalarMinusWrite(sc[t*ss], a, d, o+t*st, t*w, w)
-		}
-	case matrix.BinDiv:
-		for t := 0; t < n; t++ {
-			vector.ScalarDivWrite(sc[t*ss], a, d, o+t*st, t*w, w)
-		}
-	default:
-		for t := 0; t < n; t++ {
-			binSV(op, sc[t*ss], a, o+t*st, d[t*w:], w)
-		}
-	}
-}
-
-// unV computes d[k] = op(a[o+k]) for k in [0,n).
-func unV(op matrix.UnOp, a []float64, o int, d []float64, n int) {
-	switch op {
-	case matrix.UnExp:
-		vector.ExpWrite(a, d, o, 0, n)
-	case matrix.UnLog:
-		vector.LogWrite(a, d, o, 0, n)
-	case matrix.UnSqrt:
-		vector.SqrtWrite(a, d, o, 0, n)
-	case matrix.UnAbs:
-		vector.AbsWrite(a, d, o, 0, n)
-	case matrix.UnSign:
-		vector.SignWrite(a, d, o, 0, n)
-	case matrix.UnNeg:
-		vector.NegWrite(a, d, o, 0, n)
-	case matrix.UnSigmoid:
-		vector.SigmoidWrite(a, d, o, 0, n)
-	default:
-		for k := 0; k < n; k++ {
-			d[k] = op.Apply(a[o+k])
-		}
-	}
-}
-
-// aggRows reduces each row of the n×w tile at a[o] (row stride st) to
-// d[t].
-func aggRows(op matrix.AggOp, a []float64, o, st int, d []float64, n, w int) {
-	switch op {
-	case matrix.AggSum:
-		for t := 0; t < n; t++ {
-			d[t] = vector.Sum(a, o+t*st, w)
-		}
-	case matrix.AggSumSq:
-		for t := 0; t < n; t++ {
-			d[t] = vector.SumSq(a, o+t*st, w)
-		}
-	case matrix.AggMin:
-		for t := 0; t < n; t++ {
-			d[t] = vector.Min(a, o+t*st, w)
-		}
-	case matrix.AggMax:
-		for t := 0; t < n; t++ {
-			d[t] = vector.Max(a, o+t*st, w)
-		}
-	case matrix.AggMean:
-		for t := 0; t < n; t++ {
-			d[t] = vector.Sum(a, o+t*st, w) / float64(w)
-		}
-	default:
-		panic("cplan: unsupported row aggregation")
-	}
 }
 
 // compileRow lowers the Row-template CNode DAG into a tile program.

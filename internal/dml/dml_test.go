@@ -389,3 +389,72 @@ func TestCumsumBuiltin(t *testing.T) {
 		t.Fatalf("Y = %v", y)
 	}
 }
+
+// TestMinMaxPropagateNaN pins the one NaN contract of min and max
+// (SystemML's Math.min: a NaN operand makes the result NaN) across every
+// place that computes one — the full, row and column aggregates of the
+// matrix package, the Row template's row aggregates, the cell bodies'
+// folds and their partial merges — so that a fused and an unfused plan of
+// one script never differ by a NaN. Before the contract, min(X*2) over an
+// input with one NaN cell was a number under Base and NaN under Gen.
+func TestMinMaxPropagateNaN(t *testing.T) {
+	script := `
+		a1 = min(X); a2 = max(X)
+		r1 = rowMins(X); r2 = rowMaxs(X)
+		c1 = colMins(X); c2 = colMaxs(X)
+		b1 = min(X * 2 + 1); b2 = max(X * 2 + 1)
+		s1 = rowMins(X * 2 + 1); s2 = rowMaxs(X * 2 + 1)
+		d1 = colMins(X * 2 + 1); d2 = colMaxs(X * 2 + 1)
+	`
+	outs := []string{"a1", "a2", "r1", "r2", "c1", "c2", "b1", "b2", "s1", "s2", "d1", "d2"}
+	const rows, cols, col = 2000, 6, 3
+	for _, sparsity := range []float64{1, 0.3} {
+		for _, nanRow := range []int{0, rows / 2, rows - 1} {
+			x := matrix.Rand(rows, cols, sparsity, -1, 1, 9).ToDense()
+			x.Set(nanRow, col, math.NaN())
+			if sparsity < 1 {
+				x = x.ToSparse()
+			}
+			var ref map[string]*matrix.Matrix
+			for _, mode := range []codegen.Mode{codegen.ModeBase, codegen.ModeGen, codegen.ModeGenFA, codegen.ModeGenFNR} {
+				s := newTestSession(mode)
+				s.Bind("X", x)
+				if err := s.Run(script); err != nil {
+					t.Fatalf("%v: %v", mode, err)
+				}
+				got := map[string]*matrix.Matrix{}
+				for _, name := range outs {
+					m, _ := s.Get(name)
+					got[name] = m.ToDense().Clone()
+				}
+				if ref == nil {
+					ref = got
+					// The contract itself, on the reference: every aggregate that
+					// covers the NaN cell is NaN, and no other is.
+					for _, name := range outs {
+						for i, v := range got[name].Dense() {
+							covers := true
+							switch name[0] {
+							case 'r', 's':
+								covers = i == nanRow
+							case 'c', 'd':
+								covers = i == col
+							}
+							if math.IsNaN(v) != covers {
+								t.Errorf("sparsity %v, NaN in row %d: Base %s[%d] = %v", sparsity, nanRow, name, i, v)
+							}
+						}
+					}
+					continue
+				}
+				for _, name := range outs {
+					for i, w := range ref[name].Dense() {
+						if g := got[name].Dense()[i]; math.IsNaN(g) != math.IsNaN(w) || math.Abs(g-w) > 1e-12 {
+							t.Errorf("sparsity %v, NaN in row %d, mode %v: %s[%d] = %v, Base %v", sparsity, nanRow, mode, name, i, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}

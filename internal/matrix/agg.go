@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"fmt"
-	"math"
 
 	"sysml/internal/vector"
 )
@@ -67,9 +66,9 @@ func (ctx Ctx) aggAll(op AggOp, a *Matrix) float64 {
 			}
 			if len(vals) < nCells { // implicit zeros participate
 				if op == AggMin {
-					m = math.Min(m, 0)
+					m = vector.Min2(m, 0)
 				} else {
-					m = math.Max(m, 0)
+					m = vector.Max2(m, 0)
 				}
 			}
 		} else {
@@ -95,88 +94,112 @@ func (ctx Ctx) aggRows(op AggOp, a *Matrix) *Matrix {
 func (ctx Ctx) aggRowsInto(od []float64, op AggOp, a *Matrix) {
 	n := a.Cols
 	ctx.Par.For(a.Rows, 64, func(lo, hi int) {
+		if !a.IsSparse() {
+			op.Rows(a.dense, lo*n, n, od[lo:hi], hi-lo, n)
+			return
+		}
 		for i := lo; i < hi; i++ {
-			var vals []float64
-			var nvals int
-			if a.IsSparse() {
-				vals, _ = a.sparse.Row(i)
-				nvals = len(vals)
-			} else {
-				vals = a.dense[i*n : (i+1)*n]
-				nvals = n
-			}
+			vals, _ := a.sparse.Row(i)
 			switch op {
 			case AggSum:
-				od[i] = vector.Sum(vals, 0, nvals)
+				od[i] = vector.Sum(vals, 0, len(vals))
 			case AggSumSq:
-				od[i] = vector.SumSq(vals, 0, nvals)
+				od[i] = vector.SumSq(vals, 0, len(vals))
 			case AggMean:
-				od[i] = vector.Sum(vals, 0, nvals) / float64(n)
+				od[i] = vector.Sum(vals, 0, len(vals)) / float64(n)
 			case AggMin:
-				m := vector.Min(vals, 0, nvals)
-				if nvals < n {
-					m = math.Min(m, 0)
+				od[i] = vector.Min(vals, 0, len(vals))
+				if len(vals) < n { // implicit zeros participate
+					od[i] = vector.Min2(od[i], 0)
 				}
-				od[i] = m
 			case AggMax:
-				m := vector.Max(vals, 0, nvals)
-				if nvals < n {
-					m = math.Max(m, 0)
+				od[i] = vector.Max(vals, 0, len(vals))
+				if len(vals) < n {
+					od[i] = vector.Max2(od[i], 0)
 				}
-				od[i] = m
 			}
 		}
 	})
 }
 
+var one = []float64{1}
+
 func (ctx Ctx) aggCols(op AggOp, a *Matrix) *Matrix {
 	n := a.Cols
 	out := ctx.NewDense(1, n)
 	od := out.dense
-	switch op {
-	case AggSum, AggSumSq, AggMean:
-		if a.IsSparse() {
-			for i := 0; i < a.Rows; i++ {
-				vals, cols := a.sparse.Row(i)
-				for k, j := range cols {
-					if op == AggSumSq {
-						od[j] += vals[k] * vals[k]
-					} else {
-						od[j] += vals[k]
-					}
-				}
-			}
-		} else {
-			for i := 0; i < a.Rows; i++ {
-				off := i * n
-				for j := 0; j < n; j++ {
-					if op == AggSumSq {
-						od[j] += a.dense[off+j] * a.dense[off+j]
-					} else {
-						od[j] += a.dense[off+j]
-					}
-				}
-			}
-		}
-		if op == AggMean {
-			for j := 0; j < n; j++ {
-				od[j] /= float64(a.Rows)
-			}
-		}
-	case AggMin, AggMax:
+	switch {
+	case a.Rows == 0 || n == 0:
+	case op == AggMin || op == AggMax:
 		ad := a.ToDense().dense
-		for j := 0; j < n; j++ {
-			m := ad[j]
-			for i := 1; i < a.Rows; i++ {
-				v := ad[i*n+j]
-				if (op == AggMin && v < m) || (op == AggMax && v > m) {
-					m = v
+		k := vector.OpMin
+		if op == AggMax {
+			k = vector.OpMax
+		}
+		ctx.foldRows(a.Rows, n, od, func(part []float64, lo, hi int) {
+			copy(part, ad[lo*n:(lo+1)*n])
+			for i := lo + 1; i < hi; i++ {
+				vector.Binary(k, part, ad, part, 0, i*n, 0, n)
+			}
+		}, func(part []float64) { vector.Binary(k, od, part, od, 0, 0, 0, n) })
+	case a.IsSparse():
+		for i := 0; i < a.Rows; i++ {
+			vals, cols := a.sparse.Row(i)
+			for k, j := range cols {
+				if op == AggSumSq {
+					od[j] += vals[k] * vals[k]
+				} else {
+					od[j] += vals[k]
 				}
 			}
-			od[j] = m
+		}
+	default:
+		ctx.foldRows(a.Rows, n, od, func(part []float64, lo, hi int) {
+			switch {
+			case op == AggSumSq:
+				sq := make([]float64, n)
+				for i := lo; i < hi; i++ {
+					vector.Binary(vector.OpMul, a.dense, a.dense, sq, i*n, i*n, 0, n)
+					vector.Add(sq, part, 0, 0, n)
+				}
+			case n == 1:
+				part[0] = vector.Sum(a.dense, lo, hi-lo)
+			default:
+				// Column sums are t(ones) %*% block: four rows per pass, and
+				// the narrow product when there are few columns.
+				vector.TMatMultAdd(one, a.dense, part, 0, 0, lo*n, n, 0, hi-lo, 1, n)
+			}
+		}, func(part []float64) { vector.Add(part, od, 0, 0, n) })
+	}
+	if op == AggMean {
+		for j := range od {
+			od[j] /= float64(a.Rows)
 		}
 	}
 	return out
+}
+
+// foldRows folds the rows of an n-column matrix into od: fold reduces rows
+// [lo, hi) into a partial of its own (zeroed), merge folds a partial into
+// od, the first one by copy. Chunks are fixed by the row count and merged
+// in row order, so the result does not depend on scheduling.
+func (ctx Ctx) foldRows(rows, n int, od []float64, fold func(part []float64, lo, hi int), merge func(part []float64)) {
+	nc, _ := ctx.Par.Chunks(rows, max(64, 16384/n))
+	if nc <= 1 {
+		fold(od, 0, rows)
+		return
+	}
+	size := (rows + nc - 1) / nc
+	parts := make([]float64, nc*n)
+	ctx.Par.For(nc, 1, func(lo, hi int) {
+		for c := lo; c < hi && c*size < rows; c++ {
+			fold(parts[c*n:(c+1)*n], c*size, min(rows, (c+1)*size))
+		}
+	})
+	copy(od, parts[:n])
+	for c := 1; c*size < rows; c++ {
+		merge(parts[c*n : (c+1)*n])
+	}
 }
 
 // RowIndexMax returns rowIndexMax(A) on the default execution context.

@@ -1,6 +1,10 @@
 package matrix
 
-import "fmt"
+import (
+	"fmt"
+
+	"sysml/internal/vector"
+)
 
 // Binary evaluates C = A op B on the default execution context.
 func Binary(op BinOp, a, b *Matrix) *Matrix { return Ctx{}.Binary(op, a, b) }
@@ -46,9 +50,7 @@ func (ctx Ctx) ScalarRight(op BinOp, a *Matrix, s float64) *Matrix {
 	ad := a.ToDense().dense
 	out := ctx.NewDense(a.Rows, a.Cols)
 	ctx.Par.For(len(ad), 4096, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			out.dense[k] = op.Apply(ad[k], s)
-		}
+		vector.Scalar(op.Kernel(), false, ad, s, out.dense, lo, lo, hi-lo)
 	})
 	return out
 }
@@ -70,9 +72,7 @@ func (ctx Ctx) ScalarLeft(op BinOp, s float64, b *Matrix) *Matrix {
 	bd := b.ToDense().dense
 	out := ctx.NewDense(b.Rows, b.Cols)
 	ctx.Par.For(len(bd), 4096, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			out.dense[k] = op.Apply(s, bd[k])
-		}
+		vector.Scalar(op.Kernel(), true, bd, s, out.dense, lo, lo, hi-lo)
 	})
 	return out
 }
@@ -91,9 +91,7 @@ func (ctx Ctx) binarySameShape(op BinOp, a, b *Matrix) *Matrix {
 	ad, bd := a.ToDense().dense, b.ToDense().dense
 	out := ctx.NewDense(a.Rows, a.Cols)
 	ctx.Par.For(len(ad), 4096, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			out.dense[k] = op.Apply(ad[k], bd[k])
-		}
+		vector.Binary(op.Kernel(), ad, bd, out.dense, lo, lo, lo, hi-lo)
 	})
 	return out
 }
@@ -183,17 +181,7 @@ func (ctx Ctx) binaryColVector(op BinOp, a, v *Matrix, swap bool) *Matrix {
 	out := ctx.NewDense(a.Rows, a.Cols)
 	n := a.Cols
 	ctx.Par.For(a.Rows, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := vd[i]
-			off := i * n
-			for j := 0; j < n; j++ {
-				if swap {
-					out.dense[off+j] = op.Apply(s, ad[off+j])
-				} else {
-					out.dense[off+j] = op.Apply(ad[off+j], s)
-				}
-			}
-		}
+		vector.ScalarRows(op.Kernel(), swap, ad, lo*n, n, vd, lo, 1, out.dense, lo*n, hi-lo, n)
 	})
 	return out
 }
@@ -227,16 +215,11 @@ func (ctx Ctx) binaryRowVector(op BinOp, a, v *Matrix, swap bool) *Matrix {
 	out := ctx.NewDense(a.Rows, a.Cols)
 	n := a.Cols
 	ctx.Par.For(a.Rows, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			off := i * n
-			for j := 0; j < n; j++ {
-				if swap {
-					out.dense[off+j] = op.Apply(vd[j], ad[off+j])
-				} else {
-					out.dense[off+j] = op.Apply(ad[off+j], vd[j])
-				}
-			}
+		x, xo, xs, y, yo, ys := ad, lo*n, n, vd, 0, 0
+		if swap {
+			x, xo, xs, y, yo, ys = y, yo, ys, x, xo, xs
 		}
+		vector.BinaryRows(op.Kernel(), x, xo, xs, y, yo, ys, out.dense, lo*n, hi-lo, n)
 	})
 	return out
 }
@@ -258,9 +241,7 @@ func (ctx Ctx) Unary(op UnOp, a *Matrix) *Matrix {
 	ad := a.ToDense().dense
 	out := ctx.NewDense(a.Rows, a.Cols)
 	ctx.Par.For(len(ad), 4096, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			out.dense[k] = op.Apply(ad[k])
-		}
+		op.Write(ad, out.dense, lo, lo, hi-lo)
 	})
 	return out
 }

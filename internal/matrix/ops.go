@@ -1,72 +1,48 @@
 package matrix
 
-import "math"
+import (
+	"math"
 
-// BinOp identifies an element-wise binary operation.
+	"sysml/internal/vector"
+)
+
+// BinOp identifies an element-wise binary operation. It is vector.Op under
+// the names scripts and plans use: Kernel converts, and the dense
+// element-wise paths of this package, the Row tile executor and the cell
+// bodies all hand it to the same vector kernels (vector.Binary, Scalar,
+// BinaryRows, ScalarRows).
 type BinOp int
 
 // Supported element-wise binary operations.
 const (
-	BinAdd BinOp = iota
-	BinSub
-	BinMul
-	BinDiv
-	BinPow
-	BinMin
-	BinMax
-	BinEq
-	BinNeq
-	BinLt
-	BinLe
-	BinGt
-	BinGe
-	BinAnd
-	BinOr
+	BinAdd = BinOp(vector.OpAdd)
+	BinSub = BinOp(vector.OpSub)
+	BinMul = BinOp(vector.OpMul)
+	BinDiv = BinOp(vector.OpDiv)
+	BinPow = BinOp(vector.OpPow)
+	BinMin = BinOp(vector.OpMin)
+	BinMax = BinOp(vector.OpMax)
+	BinEq  = BinOp(vector.OpEq)
+	BinNeq = BinOp(vector.OpNeq)
+	BinLt  = BinOp(vector.OpLt)
+	BinLe  = BinOp(vector.OpLe)
+	BinGt  = BinOp(vector.OpGt)
+	BinGe  = BinOp(vector.OpGe)
+	BinAnd = BinOp(vector.OpAnd)
+	BinOr  = BinOp(vector.OpOr)
 )
 
-var binNames = [...]string{"+", "-", "*", "/", "^", "min", "max", "==", "!=", "<", "<=", ">", ">=", "&", "|"}
+var binNames = [...]string{BinAdd: "+", BinSub: "-", BinMul: "*", BinDiv: "/", BinPow: "^", BinMin: "min", BinMax: "max",
+	BinEq: "==", BinNeq: "!=", BinLt: "<", BinLe: "<=", BinGt: ">", BinGe: ">=", BinAnd: "&", BinOr: "|"}
 
 func (op BinOp) String() string { return binNames[op] }
 
-// Apply evaluates the binary operation on two scalars.
-func (op BinOp) Apply(a, b float64) float64 {
-	switch op {
-	case BinAdd:
-		return a + b
-	case BinSub:
-		return a - b
-	case BinMul:
-		return a * b
-	case BinDiv:
-		return a / b
-	case BinPow:
-		if b == 2 {
-			return a * a
-		}
-		return math.Pow(a, b)
-	case BinMin:
-		return math.Min(a, b)
-	case BinMax:
-		return math.Max(a, b)
-	case BinEq:
-		return b2f(a == b)
-	case BinNeq:
-		return b2f(a != b)
-	case BinLt:
-		return b2f(a < b)
-	case BinLe:
-		return b2f(a <= b)
-	case BinGt:
-		return b2f(a > b)
-	case BinGe:
-		return b2f(a >= b)
-	case BinAnd:
-		return b2f(a != 0 && b != 0)
-	case BinOr:
-		return b2f(a != 0 || b != 0)
-	}
-	panic("matrix: unknown binary op")
-}
+// Kernel is the operation as the vector kernels name it.
+func (op BinOp) Kernel() vector.Op { return vector.Op(op) }
+
+// Apply evaluates the binary operation on two scalars (min and max
+// propagate NaN, see vector.Min2).
+func (op BinOp) Apply(a, b float64) float64 { return op.Kernel().Apply(a, b) }
 
 func b2f(b bool) float64 {
 	if b {
@@ -156,6 +132,38 @@ func (op UnOp) Apply(a float64) float64 {
 	panic("matrix: unknown unary op")
 }
 
+// Write computes c[ci+k] = op(a[ai+k]) for k in [0,n): the one dispatch of
+// unary operations onto the vector primitives, for this package's dense
+// path and the fused bodies alike.
+func (op UnOp) Write(a, c []float64, ai, ci, n int) {
+	switch op {
+	case UnExp:
+		vector.ExpWrite(a, c, ai, ci, n)
+	case UnLog:
+		vector.LogWrite(a, c, ai, ci, n)
+	case UnSqrt:
+		vector.SqrtWrite(a, c, ai, ci, n)
+	case UnAbs:
+		vector.AbsWrite(a, c, ai, ci, n)
+	case UnSign:
+		vector.SignWrite(a, c, ai, ci, n)
+	case UnRound:
+		vector.RoundWrite(a, c, ai, ci, n)
+	case UnFloor:
+		vector.FloorWrite(a, c, ai, ci, n)
+	case UnCeil:
+		vector.CeilWrite(a, c, ai, ci, n)
+	case UnNeg:
+		vector.NegWrite(a, c, ai, ci, n)
+	case UnSigmoid:
+		vector.SigmoidWrite(a, c, ai, ci, n)
+	default:
+		for k := 0; k < n; k++ {
+			c[ci+k] = op.Apply(a[ai+k])
+		}
+	}
+}
+
 // SparseSafe reports whether f(0) == 0, allowing sparse outputs for sparse
 // inputs.
 func (op UnOp) SparseSafe() bool {
@@ -182,6 +190,28 @@ const (
 var aggNames = [...]string{"sum", "min", "max", "mean", "sumsq"}
 
 func (op AggOp) String() string { return aggNames[op] }
+
+// Rows writes d[t] = op(a[ai+t*astride : +w]) for t in [0, rows): the row
+// aggregation of a dense block, shared with the Row tile executor.
+func (op AggOp) Rows(a []float64, ai, astride int, d []float64, rows, w int) {
+	switch op {
+	case AggSum, AggMean:
+		vector.RowReduce(vector.ReduceSum, a, ai, astride, d, rows, w)
+		if op == AggMean {
+			for t := range d[:rows] {
+				d[t] /= float64(w)
+			}
+		}
+	case AggSumSq:
+		vector.RowReduce(vector.ReduceSumSq, a, ai, astride, d, rows, w)
+	case AggMin:
+		vector.RowReduce(vector.ReduceMin, a, ai, astride, d, rows, w)
+	case AggMax:
+		vector.RowReduce(vector.ReduceMax, a, ai, astride, d, rows, w)
+	default:
+		panic("matrix: unsupported row aggregation")
+	}
+}
 
 // AggDir identifies the aggregation direction.
 type AggDir int

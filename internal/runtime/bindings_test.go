@@ -271,9 +271,9 @@ func oracle(roots []oracleRoot, in *tierInput, dot func(i, j int) float64) (outs
 			case r.agg == matrix.AggSum:
 				od[k], sd[k] = od[k]+v, sd[k]+math.Abs(v)
 			case r.agg == matrix.AggMin:
-				od[k] = math.Min(od[k], v)
+				od[k] = matrix.BinMin.Apply(od[k], v) // NaN propagates, also past an infinity
 			default:
-				od[k] = math.Max(od[k], v)
+				od[k] = matrix.BinMax.Apply(od[k], v)
 			}
 		})
 		if r.kind == cplan.CellNoAgg && nnz {

@@ -260,9 +260,9 @@ func refEval(n *cplan.CNode, x *matrix.Matrix, sides []*matrix.Matrix, memo map[
 				case matrix.AggSumSq:
 					acc += e * e
 				case matrix.AggMin:
-					acc = math.Min(acc, e)
+					acc = matrix.BinMin.Apply(acc, e)
 				case matrix.AggMax:
-					acc = math.Max(acc, e)
+					acc = matrix.BinMax.Apply(acc, e)
 				default:
 					acc += e
 				}

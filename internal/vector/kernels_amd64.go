@@ -25,20 +25,34 @@ func multAdd8Asm(a0, a1, a2, a3, a4, a5, a6, a7 *float64, b0, b1, b2, b3, b4, b5
 //go:noescape
 func narrowAsm(a *float64, arow, ak int, b *float64, bstride int, c *float64, cstride, rows, k int, mask *[4]int64)
 
-//go:noescape
-func multWriteAsm(a, b, c *float64, n int)
+// The tile kernels compute c (rows×w, row-major) = a (rows astride apart) op
+// b, b a tile like a (rows bstride apart, 0 repeats one row) or one value per
+// row (sstride apart, 0 repeats one value); mask covers the last w%4 cells of
+// a row. Each family has one entry point that jumps to the kernel of op —
+// a direct call of a noescape function, so the operands, and Scalar's
+// scalar, stay off the heap. op must be in vvOps, vsOps, or numOps + an
+// operation of svOps (s op a).
 
 //go:noescape
-func addWriteAsm(a, b, c *float64, n int)
+func tileVV(op int, a *float64, astride int, b *float64, bstride int, c *float64, rows, w int, mask *[4]int64)
 
 //go:noescape
-func minusWriteAsm(a, b, c *float64, n int)
+func tileVS(op int, a *float64, astride int, s *float64, sstride int, c *float64, rows, w int, mask *[4]int64)
 
 //go:noescape
-func multScalarAsm(a *float64, s float64, c *float64, n int)
+func rowReduceAsm(op int, a *float64, astride int, d *float64, rows int, lo, hi, tail *[4]int64)
 
 //go:noescape
-func addScalarAsm(a *float64, s float64, c *float64, n int)
+func minAsm(a *float64, n int) float64
 
 //go:noescape
-func scalarMinusAsm(a *float64, s float64, c *float64, n int)
+func maxAsm(a *float64, n int) float64
+
+//go:noescape
+func expAsm(a, c *float64, n int, tail *[4]int64) (group, bad int)
+
+//go:noescape
+func sigmoidAsm(a, c *float64, n int, tail *[4]int64) (group, bad int)
+
+//go:noescape
+func logAsm(a, c *float64, n int, tail *[4]int64) (group, bad int)

@@ -2,10 +2,19 @@
 // kernel works on raw pointers (the Go wrappers check the last index
 // first), reads and writes exactly [p, p+n), and has a portable Go twin
 // that it is tested against. Unaligned loads throughout; tails of 1-3
-// elements run scalar VEX code and the narrow product masks its loads and
-// stores, so no kernel touches an element it was not given.
+// elements run scalar VEX code in the reductions and rank-k updates and
+// masked loads and stores everywhere else (the narrow product, the tile
+// kernels, exp/log/sigmoid), so no kernel touches an element it was not
+// given.
 
 #include "textflag.h"
+
+// 1.0 and the NaN math.NaN returns, +Inf and the sign bit.
+DATA kconst<>+0(SB)/8, $0x3ff0000000000000
+DATA kconst<>+8(SB)/8, $0x7ff8000000000001
+DATA kconst<>+16(SB)/8, $0x7ff0000000000000
+DATA kconst<>+24(SB)/8, $0x8000000000000000
+GLOBL kconst<>(SB), RODATA|NOPTR, $32
 
 // The macros come first: go vet reads a #define between two TEXT blocks as
 // part of the function above it.
@@ -119,84 +128,390 @@ c1: \
 	CMPQ    BX, $4; \
 	CMOVQLT R8, R11
 
-// BINARY is c = a OP b element-wise: 8 per pass, then 4, then 1.
-#define BINARY(OPPD, OPSD) \
-	MOVQ a+0(FP), SI; \
-	MOVQ b+8(FP), DX; \
-	MOVQ c+16(FP), DI; \
-	MOVQ n+24(FP), CX; \
+// TILE is c = a OP b over a rows x w tile, c row-major, a's rows R8 bytes
+// apart: 8 elements of a row per pass, then 4, then the last w%4 under the
+// mask in Y15. VV forms read b like a (LOADV*, rows R9 bytes apart, into
+// Y2/Y3); VS forms broadcast one b per row into Y12 (ROWS*, R9 bytes apart)
+// and read nothing else. OP(b, r, t, u) is r = r OP b with scratch t, u.
+#define TILE(ROWB, LOADB8, LOADB4, LOADBT, B0, B1, OP) \
+	MOVQ         a+8(FP), SI; \
+	MOVQ         astride+16(FP), R8; \
+	SHLQ         $3, R8; \
+	MOVQ         b+24(FP), DX; \
+	MOVQ         bstride+32(FP), R9; \
+	SHLQ         $3, R9; \
+	MOVQ         c+40(FP), DI; \
+	MOVQ         rows+48(FP), R10; \
+	MOVQ         w+56(FP), CX; \
+	MOVQ         mask+64(FP), AX; \
+	VMOVDQU      (AX), Y15; \
+	VBROADCASTSD kconst<>+0(SB), Y14; \
+	VBROADCASTSD kconst<>+8(SB), Y13; \
+	MOVQ         CX, R11; \
+	ANDQ         $-8, R11; \
+	MOVQ         CX, R12; \
+	ANDQ         $-4, R12; \
+row: \
+	ROWB; \
 	XORQ AX, AX; \
-	MOVQ CX, BX; \
-	ANDQ $-8, BX; \
 	JMP  c8; \
 b8: \
 	VMOVUPD (SI)(AX*8), Y0; \
 	VMOVUPD 32(SI)(AX*8), Y1; \
-	OPPD    (DX)(AX*8), Y0, Y0; \
-	OPPD    32(DX)(AX*8), Y1, Y1; \
+	LOADB8; \
+	OP(B0, Y0, Y4, Y5); \
+	OP(B1, Y1, Y6, Y7); \
 	VMOVUPD Y0, (DI)(AX*8); \
 	VMOVUPD Y1, 32(DI)(AX*8); \
 	ADDQ    $8, AX; \
 c8: \
-	CMPQ AX, BX; \
+	CMPQ AX, R11; \
 	JLT  b8; \
-	MOVQ CX, BX; \
-	ANDQ $-4, BX; \
-	CMPQ AX, BX; \
-	JGE  c1; \
+	CMPQ AX, R12; \
+	JGE  tail; \
 	VMOVUPD (SI)(AX*8), Y0; \
-	OPPD    (DX)(AX*8), Y0, Y0; \
+	LOADB4; \
+	OP(B0, Y0, Y4, Y5); \
 	VMOVUPD Y0, (DI)(AX*8); \
 	ADDQ    $4, AX; \
-	JMP     c1; \
-b1: \
-	VMOVSD (SI)(AX*8), X0; \
-	OPSD   (DX)(AX*8), X0, X0; \
-	VMOVSD X0, (DI)(AX*8); \
-	INCQ   AX; \
-c1: \
+tail: \
 	CMPQ AX, CX; \
-	JLT  b1; \
+	JGE  next; \
+	VMASKMOVPD (SI)(AX*8), Y15, Y0; \
+	LOADBT; \
+	OP(B0, Y0, Y4, Y5); \
+	VMASKMOVPD Y0, Y15, (DI)(AX*8); \
+next: \
+	ADDQ R8, SI; \
+	ADDQ R9, DX; \
+	LEAQ (DI)(CX*8), DI; \
+	DECQ R10; \
+	JNZ  row; \
 	VZEROUPPER; \
 	RET
 
-// SCALAR is c = s OP a element-wise with s broadcast in Y15; + and * are
-// commutative, so the same operand order serves a OP s and s - a.
-#define SCALAR(OPPD, OPSD) \
+#define NONE
+#define LOADV8 \
+	VMOVUPD (DX)(AX*8), Y2; \
+	VMOVUPD 32(DX)(AX*8), Y3
+#define LOADV4 VMOVUPD (DX)(AX*8), Y2
+#define LOADVT VMASKMOVPD (DX)(AX*8), Y15, Y2
+#define ROWS VBROADCASTSD (DX), Y12
+// a / s is a * (1/s): one scalar division per row.
+#define ROWSRECIP \
+	VMOVSD       (DX), X12; \
+	VDIVSD       X12, X14, X12; \
+	VBROADCASTSD X12, Y12
+
+#define TILEVV(OP) TILE(NONE, LOADV8, LOADV4, LOADVT, Y2, Y3, OP)
+#define TILEVS(ROWB, OP) TILE(ROWB, NONE, NONE, NONE, Y12, Y12, OP)
+
+// The operations. Comparisons select the bits of 1.0 (Y14) under the
+// predicate's mask, with the predicates that are Go's operators on NaN.
+// Min and max are Min2/Max2: both operand orders of VMINPD/VMAXPD (which
+// return their second operand for zeros and NaN) combined, so that -0 < +0,
+// then the canonical NaN (Y13) wherever an operand was one.
+#define ADDOP(b, r, t, u) VADDPD b, r, r
+#define SUBOP(b, r, t, u) VSUBPD b, r, r
+#define RSUBOP(b, r, t, u) VSUBPD r, b, r
+#define MULOP(b, r, t, u) VMULPD b, r, r
+#define DIVOP(b, r, t, u) VDIVPD b, r, r
+#define RDIVOP(b, r, t, u) VDIVPD r, b, r
+#define EQOP(b, r, t, u) \
+	VCMPPD $0x00, b, r, r; \
+	VANDPD Y14, r, r
+#define NEQOP(b, r, t, u) \
+	VCMPPD $0x04, b, r, r; \
+	VANDPD Y14, r, r
+#define LTOP(b, r, t, u) \
+	VCMPPD $0x11, b, r, r; \
+	VANDPD Y14, r, r
+#define LEOP(b, r, t, u) \
+	VCMPPD $0x12, b, r, r; \
+	VANDPD Y14, r, r
+#define GTOP(b, r, t, u) \
+	VCMPPD $0x1E, b, r, r; \
+	VANDPD Y14, r, r
+#define GEOP(b, r, t, u) \
+	VCMPPD $0x1D, b, r, r; \
+	VANDPD Y14, r, r
+#define MINOP(b, r, t, u) \
+	VCMPPD    $3, b, r, u; \
+	VMINPD    b, r, t; \
+	VMINPD    r, b, r; \
+	VORPD     t, r, r; \
+	VBLENDVPD u, Y13, r, r
+#define MAXOP(b, r, t, u) \
+	VCMPPD    $3, b, r, u; \
+	VMAXPD    b, r, t; \
+	VMAXPD    r, b, r; \
+	VANDPD    t, r, r; \
+	VBLENDVPD u, Y13, r, r
+
+// MIN3 is r = Min2(r, b) short of the canonical NaN: a NaN operand leaves
+// some NaN in r, and keeps doing so down a chain of MIN3s (FIXNAN ends it).
+// Max is the same chain over negated values.
+#define MIN3(b, r, t) \
+	VMINPD b, r, t; \
+	VMINPD r, b, r; \
+	VORPD  t, r, r
+#define ADD3(b, r, t) VADDPD b, r, r
+#define FIXNAN \
+	VCMPPD    $3, Y0, Y0, Y2; \
+	VBLENDVPD Y2, Y13, Y0, Y0
+#define NEGFIXNAN \
+	VXORPD Y11, Y0, Y0; \
+	FIXNAN
+
+// ROWRED reduces each row of a narrow tile (w < 8, rows CX bytes apart:
+// lanes 0-3 under the mask in Y15, lanes 4-7, when there are any, under
+// Y14) to d[t], four rows per pass: each row's two halves are combined,
+// then a transposing reduction leaves the four results in the lanes of Y0.
+// PREP(r, m) readies the loaded lanes and makes the lanes outside m neutral
+// (the masked load left them 0); FIN finishes Y0. A last group of fewer than
+// four rows reads its first row in place of the missing ones and stores
+// under the mask in Y10.
+#define ROWRED(PREP, OP, FIN) \
+	MOVQ         a+8(FP), SI; \
+	MOVQ         astride+16(FP), CX; \
+	SHLQ         $3, CX; \
+	MOVQ         d+24(FP), DI; \
+	MOVQ         rows+32(FP), BX; \
+	MOVQ         lo+40(FP), AX; \
+	VMOVDQU      (AX), Y15; \
+	MOVQ         hi+48(FP), AX; \
+	VMOVDQU      (AX), Y14; \
+	MOVQ         (AX), R12; \
+	MOVQ         tail+56(FP), AX; \
+	VMOVDQU      (AX), Y10; \
+	VBROADCASTSD kconst<>+8(SB), Y13; \
+	VBROADCASTSD kconst<>+16(SB), Y12; \
+	VBROADCASTSD kconst<>+24(SB), Y11; \
+group: \
+	ROWPTRS(SI, CX); \
+	VMASKMOVPD (R8), Y15, Y0; \
+	VMASKMOVPD (R9), Y15, Y1; \
+	VMASKMOVPD (R10), Y15, Y2; \
+	VMASKMOVPD (R11), Y15, Y3; \
+	PREP(Y0, Y15); \
+	PREP(Y1, Y15); \
+	PREP(Y2, Y15); \
+	PREP(Y3, Y15); \
+	TESTQ      R12, R12; \
+	JZ         fold; \
+	VMASKMOVPD 32(R8), Y14, Y4; \
+	VMASKMOVPD 32(R9), Y14, Y5; \
+	VMASKMOVPD 32(R10), Y14, Y6; \
+	VMASKMOVPD 32(R11), Y14, Y7; \
+	PREP(Y4, Y14); \
+	PREP(Y5, Y14); \
+	PREP(Y6, Y14); \
+	PREP(Y7, Y14); \
+	OP(Y4, Y0, Y8); \
+	OP(Y5, Y1, Y8); \
+	OP(Y6, Y2, Y8); \
+	OP(Y7, Y3, Y8); \
+fold: \
+	VUNPCKLPD  Y1, Y0, Y4; \
+	VUNPCKHPD  Y1, Y0, Y5; \
+	VUNPCKLPD  Y3, Y2, Y6; \
+	VUNPCKHPD  Y3, Y2, Y7; \
+	OP(Y5, Y4, Y8); \
+	OP(Y7, Y6, Y8); \
+	VPERM2F128 $0x20, Y6, Y4, Y0; \
+	VPERM2F128 $0x31, Y6, Y4, Y1; \
+	OP(Y1, Y0, Y8); \
+	FIN; \
+	CMPQ       BX, $4; \
+	JLT        last; \
+	VMOVUPD    Y0, (DI); \
+	LEAQ       (SI)(CX*4), SI; \
+	ADDQ       $32, DI; \
+	SUBQ       $4, BX; \
+	JGT        group; \
+	VZEROUPPER; \
+	RET; \
+last: \
+	VMASKMOVPD Y0, Y10, (DI); \
+	VZEROUPPER; \
+	RET
+
+#define ASIS(r, m)
+#define SQUARE(r, m) VMULPD r, r, r
+#define ORINF(r, m) VBLENDVPD m, r, Y12, r
+#define NEGORINF(r, m) \
+	VXORPD    Y11, r, r; \
+	VBLENDVPD m, r, Y12, r
+
+// MINMAX is the minimum of n >= 8 elements: two accumulators of four
+// lanes, 8 elements per pass, and the last 8 once more in place of a tail
+// (a minimum does not mind seeing an element twice).
+#define MINMAX(LOAD, FIN) \
 	MOVQ         a+0(FP), SI; \
-	VBROADCASTSD s+8(FP), Y15; \
-	MOVQ         c+16(FP), DI; \
-	MOVQ         n+24(FP), CX; \
-	XORQ         AX, AX; \
+	MOVQ         n+8(FP), CX; \
+	VBROADCASTSD kconst<>+8(SB), Y13; \
+	VBROADCASTSD kconst<>+24(SB), Y11; \
+	LOAD(0(SI), Y0); \
+	LOAD(32(SI), Y1); \
+	MOVQ         $8, AX; \
 	MOVQ         CX, BX; \
 	ANDQ         $-8, BX; \
 	JMP          c8; \
 b8: \
-	OPPD    (SI)(AX*8), Y15, Y0; \
-	OPPD    32(SI)(AX*8), Y15, Y1; \
-	VMOVUPD Y0, (DI)(AX*8); \
-	VMOVUPD Y1, 32(DI)(AX*8); \
-	ADDQ    $8, AX; \
+	LOAD(0(SI)(AX*8), Y2); \
+	LOAD(32(SI)(AX*8), Y3); \
+	MIN3(Y2, Y0, Y4); \
+	MIN3(Y3, Y1, Y5); \
+	ADDQ $8, AX; \
 c8: \
 	CMPQ AX, BX; \
 	JLT  b8; \
-	MOVQ CX, BX; \
-	ANDQ $-4, BX; \
-	CMPQ AX, BX; \
-	JGE  c1; \
-	OPPD    (SI)(AX*8), Y15, Y0; \
-	VMOVUPD Y0, (DI)(AX*8); \
-	ADDQ    $4, AX; \
-	JMP     c1; \
-b1: \
-	OPSD   (SI)(AX*8), X15, X0; \
-	VMOVSD X0, (DI)(AX*8); \
-	INCQ   AX; \
-c1: \
-	CMPQ AX, CX; \
-	JLT  b1; \
+	LEAQ -64(SI)(CX*8), SI; \
+	LOAD(0(SI), Y2); \
+	LOAD(32(SI), Y3); \
+	MIN3(Y2, Y0, Y4); \
+	MIN3(Y3, Y1, Y5); \
+	MIN3(Y1, Y0, Y4); \
+	VEXTRACTF128 $1, Y0, X1; \
+	MIN3(X1, X0, X2); \
+	VUNPCKHPD    X0, X0, X1; \
+	MIN3(X1, X0, X2); \
+	FIN; \
+	VZEROUPPER; \
+	VMOVSD X0, ret+16(FP); \
+	RET
+
+#define LOADPOS(m, r) VMOVUPD m, r
+#define LOADNEG(m, r) \
+	VMOVUPD m, r; \
+	VXORPD  Y11, r, r
+
+// UNARY maps n elements four lanes at a time, the last n%4 under the tail
+// mask (see laneKernel in unary.go). CORE computes Y1 = f(Y0) with the
+// constants at R11 and sets Y7 in the lanes it declines, which keep their
+// argument; the group that has such lanes is the last one done.
+#define UNARY(TAB, CORE) \
+	MOVQ     a+0(FP), SI; \
+	MOVQ     c+8(FP), DI; \
+	MOVQ     n+16(FP), CX; \
+	MOVQ     tail+24(FP), DX; \
+	MOVQ     TAB, R11; \
+	VPCMPEQD Y15, Y15, Y15; \
+	XORQ     AX, AX; \
+	XORQ     BX, BX; \
+lanes: \
+	MOVQ    CX, R8; \
+	SUBQ    AX, R8; \
+	JLE     done; \
+	CMPQ    R8, $4; \
+	JGE     full; \
+	VMOVDQU (DX), Y15; \
+full: \
+	VMASKMOVPD (SI)(AX*8), Y15, Y0; \
+	CORE; \
+	VANDPD     Y15, Y7, Y7; \
+	VBLENDVPD  Y7, Y0, Y1, Y1; \
+	VMASKMOVPD Y1, Y15, (DI)(AX*8); \
+	VMOVMSKPD  Y7, BX; \
+	TESTQ      BX, BX; \
+	JNZ        done; \
+	ADDQ       $4, AX; \
+	JMP        lanes; \
+done: \
+	MOVQ AX, group+32(FP); \
+	MOVQ BX, bad+40(FP); \
 	VZEROUPPER; \
 	RET
+
+// EXPCORE is Y1 = exp(x) for |x| <= 708 (expTab in unary.go): k = round(x
+// log2 e), r = (x - k ln2) / 16 by two FMAs, P = r (1 + r/2 + ... + r^7/8!)
+// = e^r - 1, squared up four times as P (P + 2), and k added to the exponent.
+#define EXPCORE(x) \
+	VANDPD       0(R11), x, Y2; \
+	VCMPPD       $6, 32(R11), Y2, Y7; \
+	VMULPD       64(R11), x, Y2; \
+	VCVTPD2DQY   Y2, X2; \
+	VCVTDQ2PD    X2, Y3; \
+	VMOVAPD      x, Y4; \
+	VFNMADD231PD 96(R11), Y3, Y4; \
+	VFNMADD231PD 128(R11), Y3, Y4; \
+	VMULPD       160(R11), Y4, Y4; \
+	VMOVUPD      192(R11), Y1; \
+	VFMADD213PD  224(R11), Y4, Y1; \
+	VFMADD213PD  256(R11), Y4, Y1; \
+	VFMADD213PD  288(R11), Y4, Y1; \
+	VFMADD213PD  320(R11), Y4, Y1; \
+	VFMADD213PD  352(R11), Y4, Y1; \
+	VFMADD213PD  384(R11), Y4, Y1; \
+	VFMADD213PD  416(R11), Y4, Y1; \
+	VMULPD       Y1, Y4, Y4; \
+	VADDPD       448(R11), Y4, Y1; \
+	VMULPD       Y1, Y4, Y4; \
+	VADDPD       448(R11), Y4, Y1; \
+	VMULPD       Y1, Y4, Y4; \
+	VADDPD       448(R11), Y4, Y1; \
+	VMULPD       Y1, Y4, Y4; \
+	VADDPD       448(R11), Y4, Y1; \
+	VFMADD213PD  416(R11), Y1, Y4; \
+	VPMOVSXDQ    X2, Y2; \
+	VPSLLQ       $52, Y2, Y2; \
+	VPADDQ       Y2, Y4, Y1
+
+#define EXPOF EXPCORE(Y0)
+#define SIGMOIDOF \
+	VXORPD  480(R11), Y0, Y6; \
+	EXPCORE(Y6); \
+	VADDPD  416(R11), Y1, Y1; \
+	VMOVUPD 416(R11), Y2; \
+	VDIVPD  Y1, Y2, Y1
+
+// LOGOF is Y1 = ln(Y0) for positive normal arguments (logTab in unary.go),
+// fdlibm's evaluation in math.Log's order of operations: x = 2^k (1 + f)
+// with 1 + f in [sqrt(1/2), sqrt 2), s = f / (2 + f), R = s^2 L(s^4) + s^4
+// L'(s^4), ln x = k ln2hi - ((f^2/2 - (s (f^2/2 + R) + k ln2lo)) - f).
+#define LOGOF \
+	VCMPPD  $0x09, 0(R11), Y0, Y7; \
+	VCMPPD  $0x05, 32(R11), Y0, Y2; \
+	VORPD   Y2, Y7, Y7; \
+	VANDPD  64(R11), Y0, Y2; \
+	VORPD   96(R11), Y2, Y2; \
+	VPSRLQ  $52, Y0, Y3; \
+	VPOR    128(R11), Y3, Y3; \
+	VSUBPD  160(R11), Y3, Y3; \
+	VMOVUPD 192(R11), Y4; \
+	VCMPPD  $5, Y2, Y4, Y4; \
+	VANDPD  224(R11), Y4, Y4; \
+	VSUBPD  Y4, Y3, Y3; \
+	VADDPD  224(R11), Y4, Y4; \
+	VMULPD  Y4, Y2, Y2; \
+	VSUBPD  224(R11), Y2, Y2; \
+	VADDPD  256(R11), Y2, Y4; \
+	VDIVPD  Y4, Y2, Y4; \
+	VMULPD  Y4, Y4, Y5; \
+	VMULPD  Y5, Y5, Y6; \
+	VMULPD  288(R11), Y6, Y1; \
+	VADDPD  320(R11), Y1, Y1; \
+	VMULPD  Y6, Y1, Y1; \
+	VADDPD  352(R11), Y1, Y1; \
+	VMULPD  Y6, Y1, Y1; \
+	VADDPD  384(R11), Y1, Y1; \
+	VMULPD  Y1, Y5, Y5; \
+	VMULPD  416(R11), Y6, Y1; \
+	VADDPD  448(R11), Y1, Y1; \
+	VMULPD  Y6, Y1, Y1; \
+	VADDPD  480(R11), Y1, Y1; \
+	VMULPD  Y1, Y6, Y6; \
+	VADDPD  Y6, Y5, Y5; \
+	VMULPD  96(R11), Y2, Y1; \
+	VMULPD  Y2, Y1, Y1; \
+	VADDPD  Y1, Y5, Y5; \
+	VMULPD  Y5, Y4, Y4; \
+	VMULPD  512(R11), Y3, Y5; \
+	VADDPD  Y5, Y4, Y4; \
+	VSUBPD  Y4, Y1, Y1; \
+	VSUBPD  Y2, Y1, Y1; \
+	VMULPD  544(R11), Y3, Y3; \
+	VSUBPD  Y1, Y3, Y1
 
 // func cpuHasAVX2FMA() bool
 // CPUID.1:ECX FMA(12) OSXSAVE(27) AVX(28), XCR0 bits 1-2 (the OS saves
@@ -454,26 +769,170 @@ store:
 	VZEROUPPER
 	RET
 
-// func multWriteAsm(a, b, c *float64, n int)
-TEXT ·multWriteAsm(SB), NOSPLIT, $0-32
-	BINARY(VMULPD, VMULSD)
+// The tile kernels are reached through three entry points that jump to the
+// kernel of an operation: the arguments stay where the caller put them, with
+// the operation in front of them.
 
-// func addWriteAsm(a, b, c *float64, n int)
-TEXT ·addWriteAsm(SB), NOSPLIT, $0-32
-	BINARY(VADDPD, VADDSD)
+// func tileVV(op int, a *float64, astride int, b *float64, bstride int, c *float64, rows, w int, mask *[4]int64)
+// c = a op b, b a tile like a; op is a vector.Op that has a kernel (vvOps).
+TEXT ·tileVV(SB), NOSPLIT, $0-72
+	MOVQ op+0(FP), AX
+	LEAQ vvtab<>(SB), BX
+	MOVQ (BX)(AX*8), BX
+	JMP  BX
 
-// func minusWriteAsm(a, b, c *float64, n int)
-TEXT ·minusWriteAsm(SB), NOSPLIT, $0-32
-	BINARY(VSUBPD, VSUBSD)
+// func tileVS(op int, a *float64, astride int, s *float64, sstride int, c *float64, rows, w int, mask *[4]int64)
+// c = a op s, one s per row (vsOps), or s op a for op = numOps + Op (svOps).
+TEXT ·tileVS(SB), NOSPLIT, $0-72
+	MOVQ op+0(FP), AX
+	LEAQ vstab<>(SB), BX
+	MOVQ (BX)(AX*8), BX
+	JMP  BX
 
-// func multScalarAsm(a *float64, s float64, c *float64, n int)
-TEXT ·multScalarAsm(SB), NOSPLIT, $0-32
-	SCALAR(VMULPD, VMULSD)
+// func rowReduceAsm(op int, a *float64, astride int, d *float64, rows int, lo, hi, tail *[4]int64)
+// d[t] = the op (a vector.Reduce) of row t.
+TEXT ·rowReduceAsm(SB), NOSPLIT, $0-64
+	MOVQ op+0(FP), AX
+	LEAQ redtab<>(SB), BX
+	MOVQ (BX)(AX*8), BX
+	JMP  BX
 
-// func addScalarAsm(a *float64, s float64, c *float64, n int)
-TEXT ·addScalarAsm(SB), NOSPLIT, $0-32
-	SCALAR(VADDPD, VADDSD)
+// Indexed by vector.Op: + - * / ^ min max == != < <= > >= & |.
+DATA vvtab<>+0(SB)/8, $·addVV<>(SB)
+DATA vvtab<>+8(SB)/8, $·subVV<>(SB)
+DATA vvtab<>+16(SB)/8, $·mulVV<>(SB)
+DATA vvtab<>+24(SB)/8, $·divVV<>(SB)
+DATA vvtab<>+40(SB)/8, $·minVV<>(SB)
+DATA vvtab<>+48(SB)/8, $·maxVV<>(SB)
+DATA vvtab<>+56(SB)/8, $·eqVV<>(SB)
+DATA vvtab<>+64(SB)/8, $·neqVV<>(SB)
+DATA vvtab<>+72(SB)/8, $·ltVV<>(SB)
+DATA vvtab<>+80(SB)/8, $·leVV<>(SB)
+GLOBL vvtab<>(SB), RODATA, $120
 
-// func scalarMinusAsm(a *float64, s float64, c *float64, n int)
-TEXT ·scalarMinusAsm(SB), NOSPLIT, $0-32
-	SCALAR(VSUBPD, VSUBSD)
+DATA vstab<>+0(SB)/8, $·addVS<>(SB)
+DATA vstab<>+8(SB)/8, $·subVS<>(SB)
+DATA vstab<>+16(SB)/8, $·mulVS<>(SB)
+DATA vstab<>+24(SB)/8, $·divVS<>(SB)
+DATA vstab<>+40(SB)/8, $·minVS<>(SB)
+DATA vstab<>+48(SB)/8, $·maxVS<>(SB)
+DATA vstab<>+56(SB)/8, $·eqVS<>(SB)
+DATA vstab<>+64(SB)/8, $·neqVS<>(SB)
+DATA vstab<>+72(SB)/8, $·ltVS<>(SB)
+DATA vstab<>+80(SB)/8, $·leVS<>(SB)
+DATA vstab<>+88(SB)/8, $·gtVS<>(SB)
+DATA vstab<>+96(SB)/8, $·geVS<>(SB)
+DATA vstab<>+128(SB)/8, $·rsubVS<>(SB)
+DATA vstab<>+144(SB)/8, $·rdivVS<>(SB)
+GLOBL vstab<>(SB), RODATA, $240
+
+DATA redtab<>+0(SB)/8, $·rowSumAsm<>(SB)
+DATA redtab<>+8(SB)/8, $·rowSumSqAsm<>(SB)
+DATA redtab<>+16(SB)/8, $·rowMinAsm<>(SB)
+DATA redtab<>+24(SB)/8, $·rowMaxAsm<>(SB)
+GLOBL redtab<>(SB), RODATA, $32
+
+TEXT ·addVV<>(SB), NOSPLIT, $0-72
+	TILEVV(ADDOP)
+
+TEXT ·subVV<>(SB), NOSPLIT, $0-72
+	TILEVV(SUBOP)
+
+TEXT ·mulVV<>(SB), NOSPLIT, $0-72
+	TILEVV(MULOP)
+
+TEXT ·divVV<>(SB), NOSPLIT, $0-72
+	TILEVV(DIVOP)
+
+TEXT ·minVV<>(SB), NOSPLIT, $0-72
+	TILEVV(MINOP)
+
+TEXT ·maxVV<>(SB), NOSPLIT, $0-72
+	TILEVV(MAXOP)
+
+TEXT ·eqVV<>(SB), NOSPLIT, $0-72
+	TILEVV(EQOP)
+
+TEXT ·neqVV<>(SB), NOSPLIT, $0-72
+	TILEVV(NEQOP)
+
+TEXT ·ltVV<>(SB), NOSPLIT, $0-72
+	TILEVV(LTOP)
+
+TEXT ·leVV<>(SB), NOSPLIT, $0-72
+	TILEVV(LEOP)
+
+// One b per row; rsubVS and rdivVS are b - a and b / a.
+TEXT ·addVS<>(SB), NOSPLIT, $0-72
+	TILEVS(ROWS, ADDOP)
+
+TEXT ·subVS<>(SB), NOSPLIT, $0-72
+	TILEVS(ROWS, SUBOP)
+
+TEXT ·rsubVS<>(SB), NOSPLIT, $0-72
+	TILEVS(ROWS, RSUBOP)
+
+TEXT ·mulVS<>(SB), NOSPLIT, $0-72
+	TILEVS(ROWS, MULOP)
+
+TEXT ·divVS<>(SB), NOSPLIT, $0-72
+	TILEVS(ROWSRECIP, MULOP)
+
+TEXT ·rdivVS<>(SB), NOSPLIT, $0-72
+	TILEVS(ROWS, RDIVOP)
+
+TEXT ·minVS<>(SB), NOSPLIT, $0-72
+	TILEVS(ROWS, MINOP)
+
+TEXT ·maxVS<>(SB), NOSPLIT, $0-72
+	TILEVS(ROWS, MAXOP)
+
+TEXT ·eqVS<>(SB), NOSPLIT, $0-72
+	TILEVS(ROWS, EQOP)
+
+TEXT ·neqVS<>(SB), NOSPLIT, $0-72
+	TILEVS(ROWS, NEQOP)
+
+TEXT ·ltVS<>(SB), NOSPLIT, $0-72
+	TILEVS(ROWS, LTOP)
+
+TEXT ·leVS<>(SB), NOSPLIT, $0-72
+	TILEVS(ROWS, LEOP)
+
+TEXT ·gtVS<>(SB), NOSPLIT, $0-72
+	TILEVS(ROWS, GTOP)
+
+TEXT ·geVS<>(SB), NOSPLIT, $0-72
+	TILEVS(ROWS, GEOP)
+
+TEXT ·rowSumAsm<>(SB), NOSPLIT, $0-64
+	ROWRED(ASIS, ADD3, NONE)
+
+TEXT ·rowSumSqAsm<>(SB), NOSPLIT, $0-64
+	ROWRED(SQUARE, ADD3, NONE)
+
+TEXT ·rowMinAsm<>(SB), NOSPLIT, $0-64
+	ROWRED(ORINF, MIN3, FIXNAN)
+
+TEXT ·rowMaxAsm<>(SB), NOSPLIT, $0-64
+	ROWRED(NEGORINF, MIN3, NEGFIXNAN)
+
+// func minAsm(a *float64, n int) float64
+TEXT ·minAsm(SB), NOSPLIT, $0-24
+	MINMAX(LOADPOS, FIXNAN)
+
+// func maxAsm(a *float64, n int) float64
+TEXT ·maxAsm(SB), NOSPLIT, $0-24
+	MINMAX(LOADNEG, NEGFIXNAN)
+
+// func expAsm(a, c *float64, n int, tail *[4]int64) (group, bad int)
+TEXT ·expAsm(SB), NOSPLIT, $0-48
+	UNARY(·expTab(SB), EXPOF)
+
+// func sigmoidAsm(a, c *float64, n int, tail *[4]int64) (group, bad int)
+TEXT ·sigmoidAsm(SB), NOSPLIT, $0-48
+	UNARY(·expTab(SB), SIGMOIDOF)
+
+// func logAsm(a, c *float64, n int, tail *[4]int64) (group, bad int)
+TEXT ·logAsm(SB), NOSPLIT, $0-48
+	UNARY(·logTab(SB), LOGOF)

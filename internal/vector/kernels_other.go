@@ -18,9 +18,17 @@ func multAdd8Asm(a0, a1, a2, a3, a4, a5, a6, a7 *float64, b0, b1, b2, b3, b4, b5
 func narrowAsm(a *float64, arow, ak int, b *float64, bstride int, c *float64, cstride, rows, k int, mask *[4]int64) {
 	panic("vector: no assembly kernels")
 }
-func multWriteAsm(a, b, c *float64, n int)                    { panic("vector: no assembly kernels") }
-func addWriteAsm(a, b, c *float64, n int)                     { panic("vector: no assembly kernels") }
-func minusWriteAsm(a, b, c *float64, n int)                   { panic("vector: no assembly kernels") }
-func multScalarAsm(a *float64, s float64, c *float64, n int)  { panic("vector: no assembly kernels") }
-func addScalarAsm(a *float64, s float64, c *float64, n int)   { panic("vector: no assembly kernels") }
-func scalarMinusAsm(a *float64, s float64, c *float64, n int) { panic("vector: no assembly kernels") }
+func minAsm(a *float64, n int) float64 { panic("vector: no assembly kernels") }
+func maxAsm(a *float64, n int) float64 { panic("vector: no assembly kernels") }
+
+func tileVV(op int, a *float64, astride int, b *float64, bstride int, c *float64, rows, w int, mask *[4]int64) {
+	panic("vector: no assembly kernels")
+}
+func tileVS(op int, a *float64, astride int, s *float64, sstride int, c *float64, rows, w int, mask *[4]int64) {
+	panic("vector: no assembly kernels")
+}
+func rowReduceAsm(op int, a *float64, astride int, d *float64, rows int, lo, hi, tail *[4]int64) {
+	panic("vector: no assembly kernels")
+}
+
+var expAsm, sigmoidAsm, logAsm laneKernel

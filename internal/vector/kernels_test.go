@@ -132,6 +132,40 @@ func checkVec(t *testing.T, what string, got, want operand, scale func(i int) fl
 	}
 }
 
+// vvKernel and vsKernel call the tile kernel of an operation directly and
+// report whether it has one.
+func vvKernel(op Op, a *float64, astride int, b *float64, bstride int, c *float64, rows, w int, mask *[4]int64) bool {
+	if vvOps>>op&1 == 0 {
+		return false
+	}
+	tileVV(int(op), a, astride, b, bstride, c, rows, w, mask)
+	return true
+}
+
+func vsKernel(op Op, left bool, a *float64, astride int, s *float64, sstride int, c *float64, rows, w int, mask *[4]int64) bool {
+	k, ok := scalarKernel(op, left)
+	if ok {
+		tileVS(k, a, astride, s, sstride, c, rows, w, mask)
+	}
+	return ok
+}
+
+// checkMap compares the destination of an element-wise kernel with the
+// twin's, bit for bit; a NaN of an arithmetic operation matches any NaN.
+func checkMap(t *testing.T, what string, op Op, got, want operand) {
+	t.Helper()
+	if !got.intact(marker) {
+		t.Fatalf("%s: wrote outside its destination", what)
+	}
+	strictNaN := op == OpMin || op == OpMax
+	for i, w := range want.vals() {
+		g := got.vals()[i]
+		if !sameBits(g, w) && (strictNaN || !math.IsNaN(g) || !math.IsNaN(w)) {
+			t.Fatalf("%s: [%d] = %v (%#x), portable %v (%#x)", what, i, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
 // oneD runs every one-dimensional kernel on n elements at the given source
 // and destination offsets.
 func oneD(t *testing.T, rng *rand.Rand, n, so, do int, salt []float64) {
@@ -162,48 +196,39 @@ func oneD(t *testing.T, rng *rand.Rand, n, so, do int, salt []float64) {
 		t.Fatalf("%s: %v, portable %v", what("sumsq"), got, want)
 	}
 
-	// Maps: one IEEE operation per element, so bit-for-bit (NaN for NaN).
-	exact := func(int) float64 { return 0 }
-	type binary struct {
-		name string
-		asm  func(a, b, c *float64, n int)
-		twin func(a, b, c []float64, ai, bi, ci, n int)
-	}
-	for _, k := range []binary{
-		{"multWrite", multWriteAsm, multWriteGo},
-		{"addWrite", addWriteAsm, addWriteGo},
-		{"minusWrite", minusWriteAsm, minusWriteGo},
-	} {
-		got, want := newOperand(do, n, marker, fill), newOperand(do, n, marker, fill)
-		k.asm(a.ptr(), b.ptr(), got.ptr(), n)
-		k.twin(a.buf, b.buf, want.buf, a.off, b.off, want.off, n)
-		checkVec(t, what(k.name), got, want, exact, 1)
-		// In place, as the Row tile executor does when a register is reused.
-		gi, wi := a.clone(), a.clone()
-		k.asm(gi.ptr(), b.ptr(), gi.ptr(), n)
-		k.twin(wi.buf, b.buf, wi.buf, wi.off, b.off, wi.off, n)
-		for i, w := range wi.buf {
-			if g := gi.buf[i]; !sameBits(g, w) && !(math.IsNaN(g) && math.IsNaN(w)) {
-				t.Fatalf("%s in place: buf[%d] = %v, portable %v", what(k.name), i, g, w)
-			}
+	if n >= asmMin { // the kernels read the first and the last eight elements unconditionally
+		if got, want := minAsm(a.ptr(), n), minGo(a.buf, a.off, n); !sameBits(got, want) {
+			t.Fatalf("%s: %v (%#x), portable %v (%#x)", what("min"), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if got, want := maxAsm(a.ptr(), n), maxGo(a.buf, a.off, n); !sameBits(got, want) {
+			t.Fatalf("%s: %v (%#x), portable %v (%#x)", what("max"), got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
-	type scalar struct {
-		name string
-		asm  func(a *float64, s float64, c *float64, n int)
-		twin func(a []float64, s float64, c []float64, ai, ci, n int)
-	}
-	for _, k := range []scalar{
-		{"multScalar", multScalarAsm, multScalarWriteGo},
-		{"addScalar", addScalarAsm, addScalarWriteGo},
-		{"scalarMinus", scalarMinusAsm, func(a []float64, s float64, c []float64, ai, ci, n int) {
-			scalarMinusWriteGo(s, a, c, ai, ci, n)
-		}},
-	} {
+
+	// Maps as tiles of one row: one IEEE operation per element, so bit for
+	// bit; an arithmetic NaN is any NaN (the payload of NaN + NaN depends on
+	// the operand order the compiler picked), a min/max NaN is math.NaN's.
+	for op := Op(0); op < numOps && n > 0; op++ {
 		got, want := newOperand(do, n, marker, fill), newOperand(do, n, marker, fill)
-		k.asm(a.ptr(), s, got.ptr(), n)
-		k.twin(a.buf, s, want.buf, a.off, want.off, n)
-		checkVec(t, what(k.name), got, want, exact, 1)
+		if vvKernel(op, a.ptr(), n, b.ptr(), n, got.ptr(), 1, n, tailMask(n)) {
+			binaryRowsGo(op, a.buf, a.off, n, b.buf, b.off, n, want.buf, want.off, 1, n)
+			checkMap(t, what(fmt.Sprintf("vv %d", op)), op, got, want)
+			// In place, as the Row tile executor does when a register is reused.
+			gi, wi := a.clone(), a.clone()
+			vvKernel(op, gi.ptr(), n, b.ptr(), n, gi.ptr(), 1, n, tailMask(n))
+			binaryRowsGo(op, wi.buf, wi.off, n, b.buf, b.off, n, wi.buf, wi.off, 1, n)
+			gi.off, wi.off, gi.n, wi.n = 0, 0, len(gi.buf), len(wi.buf) // the padding too
+			checkMap(t, what(fmt.Sprintf("vv %d in place", op)), op, gi, wi)
+		}
+		for _, left := range []bool{false, true} {
+			sv := newOperand(so, 1, nan, func(int) float64 { return s })
+			got, want := newOperand(do, n, marker, fill), newOperand(do, n, marker, fill)
+			if !vsKernel(op, left, a.ptr(), n, sv.ptr(), 0, got.ptr(), 1, n, tailMask(n)) {
+				continue
+			}
+			scalarRowsGo(op, left, a.buf, a.off, n, sv.buf, sv.off, 0, want.buf, want.off, 1, n)
+			checkMap(t, what(fmt.Sprintf("vs %d left=%v", op, left)), op, got, want)
+		}
 	}
 
 	// Rank-k updates: c += sum of b_r * a_r over r rows of one buffer.
@@ -328,31 +353,367 @@ func TestNarrowProductDifferential(t *testing.T) {
 	}
 }
 
+// tile runs every tile kernel — the maps with a tile or a scalar per row as
+// second operand, the row reductions — on a rows×w tile whose source rows
+// are w+slack apart, against the Go twins.
+func tile(t *testing.T, rng *rand.Rand, rows, w, slack, off int, salt []float64) {
+	fill := filler(rng, salt)
+	nan := math.NaN()
+	astride := w + slack
+	a := newOperand(off, (rows-1)*astride+w, nan, fill)
+	for _, bstride := range []int{w, w + slack, 0} {
+		what := func(k string, op int) string {
+			return fmt.Sprintf("%s %d rows=%d w=%d astride=%d bstride=%d off=%d salted=%v", k, op, rows, w, astride, bstride, off, salt != nil)
+		}
+		b := newOperand((off+5)&7, (rows-1)*bstride+w, nan, fill)
+		for op := Op(0); op < numOps; op++ {
+			got, want := newOperand((off+2)&7, rows*w, marker, fill), newOperand((off+2)&7, rows*w, marker, fill)
+			if !vvKernel(op, a.ptr(), astride, b.ptr(), bstride, got.ptr(), rows, w, tailMask(w)) {
+				continue
+			}
+			binaryRowsGo(op, a.buf, a.off, astride, b.buf, b.off, bstride, want.buf, want.off, rows, w)
+			checkMap(t, what("vv", int(op)), op, got, want)
+		}
+		if !a.intact(nan) || !b.intact(nan) {
+			t.Fatalf("%s: a kernel wrote to a source", what("vv", -1))
+		}
+	}
+	for _, sstride := range []int{1, 0} {
+		what := func(k string, op int, left bool) string {
+			return fmt.Sprintf("%s %d left=%v rows=%d w=%d astride=%d sstride=%d off=%d salted=%v", k, op, left, rows, w, astride, sstride, off, salt != nil)
+		}
+		sc := newOperand((off+3)&7, (rows-1)*sstride+1, nan, fill)
+		for op := Op(0); op < numOps; op++ {
+			for _, left := range []bool{false, true} {
+				got, want := newOperand((off+2)&7, rows*w, marker, fill), newOperand((off+2)&7, rows*w, marker, fill)
+				if !vsKernel(op, left, a.ptr(), astride, sc.ptr(), sstride, got.ptr(), rows, w, tailMask(w)) {
+					continue
+				}
+				scalarRowsGo(op, left, a.buf, a.off, astride, sc.buf, sc.off, sstride, want.buf, want.off, rows, w)
+				checkMap(t, what("vs", int(op), left), op, got, want)
+				if slack == 0 { // in place: a tile of its own rows
+					gi, wi := a.clone(), a.clone()
+					vsKernel(op, left, gi.ptr(), w, sc.ptr(), sstride, gi.ptr(), rows, w, tailMask(w))
+					scalarRowsGo(op, left, wi.buf, wi.off, w, sc.buf, sc.off, sstride, wi.buf, wi.off, rows, w)
+					gi.off, wi.off, gi.n, wi.n = 0, 0, len(gi.buf), len(wi.buf)
+					checkMap(t, what("vs in place", int(op), left), op, gi, wi)
+				}
+			}
+		}
+		if !a.intact(nan) || !sc.intact(nan) {
+			t.Fatalf("%s: a kernel wrote to a source", what("vs", -1, false))
+		}
+	}
+	if w >= narrowCols {
+		return
+	}
+	lo, hi := (*[4]int64)(laneMask[4-min(w, 4):]), (*[4]int64)(laneMask[4-max(w-4, 0):])
+	for op := Reduce(0); op < numReduces; op++ {
+		got, want := newOperand(off, rows, marker, fill), newOperand(off, rows, marker, fill)
+		rowReduceAsm(int(op), a.ptr(), astride, got.ptr(), rows, lo, hi, tailMask(rows))
+		rowReduceGo(op, a.buf, a.off, astride, want.buf[want.off:], rows, w)
+		what := fmt.Sprintf("row reduce %d rows=%d w=%d astride=%d off=%d salted=%v", op, rows, w, astride, off, salt != nil)
+		if op == ReduceMin || op == ReduceMax {
+			checkMap(t, what, OpMin, got, want)
+			continue
+		}
+		checkVec(t, what, got, want, func(i int) float64 {
+			terms := append([]float64(nil), a.buf[a.off+i*astride:][:w]...)
+			for j, v := range terms {
+				if terms[j] = v; op == ReduceSumSq {
+					terms[j] = prod(v, v)
+				}
+			}
+			return magnitude(terms...)
+		}, w)
+	}
+	if !a.intact(nan) {
+		t.Fatal("a row reduction wrote to its source")
+	}
+}
+
+// TestTileKernelsDifferential: rows 1..70 (the flat passes of a tile that
+// is one run of cells, and row by row) × widths 1..9 (every tail mask, one
+// width past the narrow ones) × source strides w and w+3 × every offset.
+func TestTileKernelsDifferential(t *testing.T) {
+	needAsm(t)
+	rng := rand.New(rand.NewSource(20))
+	for rows := 1; rows <= 70; rows++ {
+		for w := 1; w <= 9; w++ {
+			for _, slack := range []int{0, 3} {
+				salt := special
+				if (rows+w)%3 != 0 {
+					salt = nil
+				}
+				tile(t, rng, rows, w, slack, (rows*w+slack)&7, salt)
+			}
+		}
+	}
+	for off := 0; off < 8; off++ {
+		for w := 1; w <= 9; w++ {
+			tile(t, rng, 5, w, off%2*3, off, special)
+		}
+	}
+}
+
+// ulps is the distance between two finite values of one sign in units of
+// the last place.
+func ulps(x, y float64) uint64 {
+	a, b := math.Float64bits(x), math.Float64bits(y)
+	if a < b {
+		a, b = b, a
+	}
+	return a - b
+}
+
+var laneFuncs = []struct {
+	name   string
+	kernel func(a, c []float64, ai, ci, n int)
+	ref    func(float64) float64
+}{
+	{"exp", ExpWrite, math.Exp},
+	{"log", LogWrite, math.Log},
+	{"sigmoid", SigmoidWrite, sigmoid},
+}
+
+// lanes runs exp, log and sigmoid on n elements: within 2 ulp of the
+// scalar function, the same bits for everything outside the kernels'
+// domains, nothing written outside the destination, and in place.
+func lanes(t *testing.T, rng *rand.Rand, n, so, do int, salt []float64) {
+	fill := filler(rng, salt)
+	for _, f := range laneFuncs {
+		a := newOperand(so, n, math.NaN(), func(i int) float64 {
+			switch v := fill(i); rng.Intn(4) {
+			case 0:
+				return v * 300 // both tails of exp, the sign of log's argument
+			case 1:
+				return math.Abs(v)
+			default:
+				return v
+			}
+		})
+		got := newOperand(do, n, marker, fill)
+		f.kernel(a.buf, got.buf, a.off, got.off, n)
+		in := a.clone()
+		f.kernel(in.buf, in.buf, in.off, in.off, n)
+		if !got.intact(marker) || !in.intact(math.NaN()) {
+			t.Fatalf("%s n=%d src+%d dst+%d: wrote outside its destination", f.name, n, so, do)
+		}
+		for i, x := range a.vals() {
+			g, w := got.vals()[i], f.ref(x)
+			if !sameBits(g, in.vals()[i]) {
+				t.Fatalf("%s(%v) = %v, in place %v", f.name, x, g, in.vals()[i])
+			}
+			if sameBits(g, w) {
+				continue
+			}
+			if math.IsNaN(w) || math.IsInf(w, 0) || w == 0 || math.Abs(w) < 0x1p-1022 || math.Signbit(g) != math.Signbit(w) || ulps(g, w) > 2 {
+				t.Fatalf("%s(%v) [%d of %d] = %v (%#x), scalar %v (%#x)", f.name, x, i, n, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
+func TestLaneKernelsDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for n := 0; n <= 40; n++ {
+		for so := 0; so < 8; so++ {
+			lanes(t, rng, n, so, (so*3+n)&7, nil)
+		}
+		lanes(t, rng, n, n&7, (n>>3)&7, append([]float64{709, -709, 708, -708, 710, -745, -746, 1e-300, -1e-300, 0x1p-1022, 0x1p-1023}, special...))
+	}
+}
+
+// TestExpLogAccuracy is the accuracy and purity contract of the four-lane
+// kernels: 10^6 arguments across the whole finite range within 2 ulp of
+// math.Exp/math.Log (the histogram is logged), the special values bit for
+// bit, and the same bits for an argument at every offset and length.
+func TestExpLogAccuracy(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	const n = 1 << 20
+	arg := map[string]func() float64{
+		"exp":     func() float64 { return (rng.Float64()*2 - 1) * 745 },
+		"sigmoid": func() float64 { return (rng.Float64()*2 - 1) * 745 },
+		// Every exponent and mantissa of the positive finite doubles.
+		"log": func() float64 { return math.Float64frombits(rng.Uint64() % 0x7FF0000000000000) },
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -1, -5e-324, 5e-324, 0x1p-1022,
+		math.MaxFloat64, -math.MaxFloat64, 709.782712893384, 709.79, -708.4, -745.13, -745.14, 1, math.E, 0.5, 2}
+	a, c := make([]float64, n), make([]float64, n)
+	for _, f := range laneFuncs {
+		for i := range a {
+			a[i] = arg[f.name]()
+		}
+		copy(a, specials)
+		f.kernel(a, c, 0, 0, n)
+		var hist [3]int
+		for i, x := range a {
+			w := f.ref(x)
+			switch {
+			case sameBits(c[i], w):
+				hist[0]++
+			case i < len(specials):
+				t.Fatalf("%s(%v) = %v (%#x), scalar %v (%#x): special values are bit for bit", f.name, x, c[i], math.Float64bits(c[i]), w, math.Float64bits(w))
+			case math.IsNaN(w) || math.Signbit(w) != math.Signbit(c[i]) || ulps(c[i], w) > 2:
+				t.Fatalf("%s(%v) = %v, scalar %v: more than 2 ulp", f.name, x, c[i], w)
+			default:
+				hist[ulps(c[i], w)]++
+			}
+		}
+		t.Logf("%s: %d arguments, %d equal to the scalar function, %d at 1 ulp, %d at 2 ulp", f.name, n, hist[0], hist[1], hist[2])
+
+		// Position independence: one argument per lane pattern, every offset
+		// 0..7 and length 1..9 around it.
+		for trial := 0; trial < 200; trial++ {
+			x := a[rng.Intn(n)]
+			buf, out := make([]float64, 32), make([]float64, 32)
+			var want float64
+			for off := 0; off < 8; off++ {
+				for length := 1; length <= 9; length++ {
+					for pos := 0; pos < length; pos++ {
+						for i := range buf {
+							buf[i] = a[rng.Intn(n)]
+						}
+						buf[off+pos] = x
+						f.kernel(buf, out, off, off, length)
+						if off+length+pos == 1 {
+							want = out[off+pos]
+						} else if !sameBits(out[off+pos], want) {
+							t.Fatalf("%s(%v) = %#x at offset %d, element %d of %d; %#x alone", f.name, x, math.Float64bits(out[off+pos]), off, pos, length, math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPortableLoopsMatchOracle: the Go loops are what runs off amd64 and
+// below the kernels' cutoffs, so the exported functions are checked against
+// a per-element oracle (Op.Apply, Min2/Max2, math.Exp) with the kernels on
+// and — withoutAsm flips the package's dispatch variable — off.
+func TestPortableLoopsMatchOracle(t *testing.T) {
+	check := func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		for trial := 0; trial < 400; trial++ {
+			rows, w, slack := 1+rng.Intn(12), 1+rng.Intn(11), rng.Intn(3)
+			fill := filler(rng, special)
+			astride := w + slack
+			a := newOperand(rng.Intn(8), (rows-1)*astride+w, math.NaN(), fill)
+			bstride := []int{w, w + slack, 0}[rng.Intn(3)]
+			b := newOperand(rng.Intn(8), (rows-1)*bstride+w, math.NaN(), fill)
+			sstride := rng.Intn(2)
+			sc := newOperand(rng.Intn(8), (rows-1)*sstride+1, math.NaN(), fill)
+			same := func(what string, op Op, g, want float64) {
+				t.Helper()
+				if !sameBits(g, want) && (op == OpMin || op == OpMax || !math.IsNaN(g) || !math.IsNaN(want)) {
+					t.Fatalf("%s op=%d rows=%d w=%d astride=%d: %v (%#x), oracle %v (%#x)", what, op, rows, w, astride, g, math.Float64bits(g), want, math.Float64bits(want))
+				}
+			}
+			for op := Op(0); op < numOps; op++ {
+				got := newOperand(rng.Intn(8), rows*w, marker, fill)
+				BinaryRows(op, a.buf, a.off, astride, b.buf, b.off, bstride, got.buf, got.off, rows, w)
+				for i, g := range got.vals() {
+					same("BinaryRows", op, g, op.Apply(a.buf[a.off+i/w*astride+i%w], b.buf[b.off+i/w*bstride+i%w]))
+				}
+				for _, left := range []bool{false, true} {
+					ScalarRows(op, left, a.buf, a.off, astride, sc.buf, sc.off, sstride, got.buf, got.off, rows, w)
+					for i, g := range got.vals() {
+						x, s := a.buf[a.off+i/w*astride+i%w], sc.buf[sc.off+i/w*sstride]
+						want := op.Apply(x, s)
+						switch {
+						case left:
+							want = op.Apply(s, x)
+						case op == OpDiv:
+							want = x * (1 / s)
+						}
+						same(fmt.Sprintf("ScalarRows left=%v", left), op, g, want)
+					}
+				}
+				if !got.intact(marker) {
+					t.Fatalf("op %d wrote outside its destination", op)
+				}
+			}
+			d := newOperand(rng.Intn(8), rows, marker, fill)
+			for op := Reduce(0); op < numReduces; op++ {
+				RowReduce(op, a.buf, a.off, astride, d.buf[d.off:], rows, w)
+				for r, g := range d.vals() {
+					row := a.buf[a.off+r*astride:][:w]
+					var want float64
+					terms := append([]float64(nil), row...)
+					switch op {
+					case ReduceSum:
+						for _, v := range row {
+							want += v
+						}
+					case ReduceSumSq:
+						for j, v := range row {
+							want += v * v
+							terms[j] = prod(v, v)
+						}
+					case ReduceMin:
+						want = math.Inf(1)
+						for _, v := range row {
+							want = Min2(want, v)
+						}
+					case ReduceMax:
+						want = math.Inf(-1)
+						for _, v := range row {
+							want = Max2(want, v)
+						}
+					}
+					if op == ReduceMin || op == ReduceMax {
+						same("RowReduce", OpMin, g, want)
+					} else if !agree(g, want, magnitude(terms...), w) {
+						t.Fatalf("RowReduce %d rows=%d w=%d: [%d] = %v, oracle %v", op, rows, w, r, g, want)
+					}
+				}
+			}
+			n := (rows-1)*astride + w
+			same("Min", OpMin, Min(a.buf, a.off, n), minGo(a.buf, a.off, n))
+			same("Max", OpMax, Max(a.buf, a.off, n), maxGo(a.buf, a.off, n))
+		}
+	}
+	t.Run("dispatched", check)
+	t.Run("portable", func(t *testing.T) { withoutAsm(func() { check(t) }) })
+}
+
 // TestWrappersCheckBounds: the kernels check nothing, so a call whose last
 // element lies outside a slice must panic in the wrapper, like the Go loop
 // it replaces, and must leave the destination alone.
 func TestWrappersCheckBounds(t *testing.T) {
 	short, long := make([]float64, 15), make([]float64, 64)
 	calls := map[string]func(){
-		"DotProduct":       func() { DotProduct(long, short, 0, 0, 16) },
-		"Sum":              func() { Sum(short, 4, 12) },
-		"SumSq":            func() { SumSq(short, 0, 16) },
-		"MultAdd":          func() { MultAdd(long, 2, short, 0, 0, 16) },
-		"MultAdd4":         func() { MultAdd4(long, 1, 1, 1, 1, long, 0, 16, 32, 49, 0, 16) },
-		"MultAdd8":         func() { MultAdd8(long, 1, 1, 1, 1, 1, 1, 1, 1, short, 0, 8, 16, 24, 32, 40, 48, 49, 0, 16) },
-		"Add":              func() { Add(long, short, 0, 0, 16) },
-		"MultWrite":        func() { MultWrite(long, long, short, 0, 0, 0, 16) },
-		"AddWrite":         func() { AddWrite(long, short, long, 0, 0, 0, 16) },
-		"MinusWrite":       func() { MinusWrite(short, long, long, 0, 0, 0, 16) },
-		"MultScalarWrite":  func() { MultScalarWrite(long, 2, short, 0, 0, 16) },
-		"AddScalarWrite":   func() { AddScalarWrite(short, 2, long, 0, 0, 16) },
-		"MinusScalarWrite": func() { MinusScalarWrite(long, 2, short, 0, 0, 16) },
-		"ScalarMinusWrite": func() { ScalarMinusWrite(2, long, short, 0, 0, 16) },
-		"DivScalarWrite":   func() { DivScalarWrite(long, 2, short, 0, 0, 16) },
-		"negative offset":  func() { DotProduct(long, long, -1, 0, 16) },
-		"MatMultAdd A":     func() { MatMultAdd(long, long, long, 0, 10, 0, 0, 7, 10, 2) },
-		"MatMultAdd C":     func() { MatMultAdd(long, long, short, 0, 8, 0, 0, 8, 8, 2) },
-		"TMatMultAdd B":    func() { TMatMultAdd(long, short, long, 0, 4, 0, 2, 0, 8, 4, 2) },
+		"DotProduct":      func() { DotProduct(long, short, 0, 0, 16) },
+		"Sum":             func() { Sum(short, 4, 12) },
+		"SumSq":           func() { SumSq(short, 0, 16) },
+		"MultAdd":         func() { MultAdd(long, 2, short, 0, 0, 16) },
+		"MultAdd4":        func() { MultAdd4(long, 1, 1, 1, 1, long, 0, 16, 32, 49, 0, 16) },
+		"MultAdd8":        func() { MultAdd8(long, 1, 1, 1, 1, 1, 1, 1, 1, short, 0, 8, 16, 24, 32, 40, 48, 49, 0, 16) },
+		"Add":             func() { Add(long, short, 0, 0, 16) },
+		"Binary c":        func() { Binary(OpMul, long, long, short, 0, 0, 0, 16) },
+		"Binary b":        func() { Binary(OpLe, long, short, long, 0, 0, 0, 16) },
+		"Binary a":        func() { Binary(OpGt, short, long, long, 0, 0, 0, 16) },
+		"BinaryRows a":    func() { BinaryRows(OpAdd, long, 0, 9, long, 0, 0, long, 0, 8, 2) },
+		"BinaryRows b":    func() { BinaryRows(OpMin, long, 0, 2, short, 0, 2, long, 0, 8, 2) },
+		"BinaryRows c":    func() { BinaryRows(OpSub, long, 0, 0, long, 0, 2, short, 0, 8, 2) },
+		"Scalar c":        func() { Scalar(OpMul, false, long, 2, short, 0, 0, 16) },
+		"Scalar a":        func() { Scalar(OpSub, true, short, 2, long, 0, 0, 16) },
+		"ScalarRows a":    func() { ScalarRows(OpDiv, false, long, 0, 9, long, 0, 1, long, 0, 8, 2) },
+		"ScalarRows s":    func() { ScalarRows(OpLt, true, long, 0, 2, short, 0, 1, long, 0, 16, 2) },
+		"ScalarRows c":    func() { ScalarRows(OpAdd, false, long, 0, 0, long, 0, 1, short, 0, 8, 2) },
+		"RowReduce a":     func() { RowReduce(ReduceSum, long, 0, 9, long, 8, 2) },
+		"RowReduce d":     func() { RowReduce(ReduceMin, long, 0, 2, short, 16, 2) },
+		"Min":             func() { Min(short, 4, 12) },
+		"Max":             func() { Max(short, 0, 16) },
+		"ExpWrite":        func() { ExpWrite(long, short, 0, 0, 16) },
+		"LogWrite":        func() { LogWrite(short, long, 0, 0, 16) },
+		"SigmoidWrite":    func() { SigmoidWrite(long, short, 0, 14, 2) },
+		"negative offset": func() { DotProduct(long, long, -1, 0, 16) },
+		"negative stride": func() { BinaryRows(OpAdd, long, 32, -2, long, 0, 2, long, 0, 8, 2) },
+		"MatMultAdd A":    func() { MatMultAdd(long, long, long, 0, 10, 0, 0, 7, 10, 2) },
+		"MatMultAdd C":    func() { MatMultAdd(long, long, short, 0, 8, 0, 0, 8, 8, 2) },
+		"TMatMultAdd B":   func() { TMatMultAdd(long, short, long, 0, 4, 0, 2, 0, 8, 4, 2) },
 	}
 	for name, call := range calls {
 		func() {
@@ -385,7 +746,7 @@ func TestExportedMatchPortable(t *testing.T) {
 			t.Fatalf("DotProduct n=%d: %v, portable %v", n, got, want)
 		}
 		got := newOperand(1, n, marker, filler(rng, nil))
-		MinusScalarWrite(a.buf, 0.75, got.buf, a.off, got.off, n)
+		Scalar(OpSub, false, a.buf, 0.75, got.buf, a.off, got.off, n)
 		sum := b.clone()
 		Add(a.buf, sum.buf, a.off, sum.off, n)
 		if !got.intact(marker) || !sum.intact(math.NaN()) {
@@ -393,7 +754,7 @@ func TestExportedMatchPortable(t *testing.T) {
 		}
 		for i, v := range a.vals() {
 			if g := got.vals()[i]; g != v-0.75 {
-				t.Fatalf("MinusScalarWrite n=%d: [%d] = %v, want %v", n, i, g, v-0.75)
+				t.Fatalf("Scalar(OpSub) n=%d: [%d] = %v, want %v", n, i, g, v-0.75)
 			}
 			if g := sum.vals()[i]; g != b.vals()[i]+v {
 				t.Fatalf("Add n=%d: [%d] = %v, want %v", n, i, g, b.vals()[i]+v)
@@ -403,7 +764,8 @@ func TestExportedMatchPortable(t *testing.T) {
 }
 
 // FuzzKernels decodes a shape, offsets and values from the input and runs
-// the one-dimensional kernels and the narrow product against their twins.
+// the one-dimensional kernels, the narrow product, the tile kernels (maps,
+// comparisons, row reductions) and exp/log/sigmoid against their twins.
 // Values come from raw bit patterns, so NaNs, infinities, denormals and
 // signed zeros arrive without being listed.
 func FuzzKernels(f *testing.F) {
@@ -438,5 +800,7 @@ func FuzzKernels(f *testing.F) {
 		}
 		oneD(t, rng, n, so, do, salt)
 		product(t, rng, rows, k, w, int(in[1])%3, do, salt)
+		tile(t, rng, rows+k, 1+int(in[5])%9, int(in[1])%4, so, salt)
+		lanes(t, rng, n, so, do, salt)
 	})
 }

@@ -237,3 +237,79 @@ func tMatMultAddGo(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n i
 		}
 	}
 }
+
+// Reduce names a reduction of RowReduce.
+type Reduce uint8
+
+// The row reductions.
+const (
+	ReduceSum Reduce = iota
+	ReduceSumSq
+	ReduceMin
+	ReduceMax
+	numReduces
+)
+
+// RowReduce writes d[t] = reduce(a[ai+t*astride : +w]) for t in [0, rows):
+// one call per tile of a Row program. Rows narrower than narrowCols — the
+// class scores of MLogreg, the centroid distances of KMeans — are reduced
+// inside one kernel call, wider ones by one call each of Sum, SumSq, Min
+// or Max.
+func RowReduce(op Reduce, a []float64, ai, astride int, d []float64, rows, w int) {
+	if rows <= 0 {
+		return
+	}
+	if 0 < w && w < narrowCols {
+		if astride < 0 {
+			panic("vector: negative stride")
+		}
+		_, _ = a[ai+(rows-1)*astride+w-1], d[rows-1]
+		if useAsm {
+			lo, hi := (*[4]int64)(laneMask[4-min(w, 4):]), (*[4]int64)(laneMask[4-max(w-4, 0):])
+			rowReduceAsm(int(op), &a[ai], astride, &d[0], rows, lo, hi, tailMask(rows))
+			return
+		}
+		rowReduceGo(op, a, ai, astride, d, rows, w)
+		return
+	}
+	for t := 0; t < rows; t++ {
+		switch op {
+		case ReduceSum:
+			d[t] = Sum(a, ai+t*astride, w)
+		case ReduceSumSq:
+			d[t] = SumSq(a, ai+t*astride, w)
+		case ReduceMin:
+			d[t] = Min(a, ai+t*astride, w)
+		case ReduceMax:
+			d[t] = Max(a, ai+t*astride, w)
+		}
+	}
+}
+
+func rowReduceGo(op Reduce, a []float64, ai, astride int, d []float64, rows, w int) {
+	for t := 0; t < rows; t++ {
+		x := a[ai+t*astride:][:w]
+		var r float64
+		switch op {
+		case ReduceSum:
+			for _, v := range x {
+				r += v
+			}
+		case ReduceSumSq:
+			for _, v := range x {
+				r += v * v
+			}
+		case ReduceMin:
+			r = x[0]
+			for _, v := range x {
+				r = Min2(r, v)
+			}
+		case ReduceMax:
+			r = x[0]
+			for _, v := range x {
+				r = Max2(r, v)
+			}
+		}
+		d[t] = r
+	}
+}

@@ -1,5 +1,7 @@
 package vector
 
+import "math"
+
 // KernelTwin is one primitive on fixed operands of length n, once as the
 // portable Go loop and once as the exported function that dispatches to the
 // assembly kernel. fusebench -exp kernels times the two and gates on their
@@ -7,6 +9,7 @@ package vector
 type KernelTwin struct {
 	Name       string
 	Flops      int // per call
+	Bytes      int // read and written per call; set by TileTwins, whose kernels move data more than they compute
 	Go, Export func()
 }
 
@@ -29,14 +32,52 @@ func KernelTwins(n int) []KernelTwin {
 	c := make([]float64, n)
 	c2 := make([]float64, 2*twinRows)
 	return []KernelTwin{
-		{"dot", 2 * n,
+		{"dot", 2 * n, 0,
 			func() { twinSink += dotProductGo(a, b, 0, 0, n) },
 			func() { twinSink += DotProduct(a, b, 0, 0, n) }},
-		{"rank-4 update", 8 * n,
+		{"rank-4 update", 8 * n, 0,
 			func() { multAdd4Go(a, 1e-9, 2e-9, 3e-9, 4e-9, c, 0, n, 2*n, 3*n, 0, n) },
 			func() { MultAdd4(a, 1e-9, 2e-9, 3e-9, 4e-9, c, 0, n, 2*n, 3*n, 0, n) }},
-		{"narrow product 64xNx2", 4 * twinRows * n,
+		{"narrow product 64xNx2", 4 * twinRows * n, 0,
 			func() { matMultAddGo(a, b, c2, 0, n, 0, 0, twinRows, n, 2) },
 			func() { MatMultAdd(a, b, c2, 0, n, 0, 0, twinRows, n, 2) }},
 	}
+}
+
+// TileTwins returns one twin per kernel family of the narrow Row bodies, at
+// the shapes a tile has there: the row sum and the row scaling (each row
+// times its own scalar) of a 1024×2 and a 1024×5 tile, and a comparison
+// against a scalar and exp over 4096 cells.
+func TileTwins() []KernelTwin {
+	const rows, n = 1024, 4096
+	a := make([]float64, 5*rows)
+	for i := range a {
+		a[i] = float64(i%17-8) / 4
+	}
+	s, d, c := make([]float64, rows), make([]float64, rows), make([]float64, 5*rows)
+	for i := range s {
+		s[i] = float64(i%13+1) / 4
+	}
+	var twins []KernelTwin
+	for _, w := range []int{2, 5} {
+		twins = append(twins,
+			KernelTwin{"row sum 1024x" + string(rune('0'+w)), rows * w, 8 * rows * (w + 1),
+				func() { rowReduceGo(ReduceSum, a, 0, w, d, rows, w) },
+				func() { RowReduce(ReduceSum, a, 0, w, d, rows, w) }},
+			KernelTwin{"row scale 1024x" + string(rune('0'+w)), rows * w, 8 * rows * (2*w + 1),
+				func() { scalarRowsGo(OpMul, false, a, 0, w, s, 0, 1, c, 0, rows, w) },
+				func() { ScalarRows(OpMul, false, a, 0, w, s, 0, 1, c, 0, rows, w) }})
+	}
+	half := [1]float64{0.5}
+	return append(twins,
+		KernelTwin{"greater than a scalar", n, 16 * n,
+			func() { scalarRowsGo(OpGt, false, a, 0, n, half[:], 0, 0, c, 0, 1, n) },
+			func() { Scalar(OpGt, false, a, 0.5, c, 0, 0, n) }},
+		KernelTwin{"exp", n, 16 * n,
+			func() {
+				for k, x := range a[:n] {
+					c[k] = math.Exp(x)
+				}
+			},
+			func() { ExpWrite(a, c, 0, 0, n) }})
 }

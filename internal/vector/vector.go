@@ -7,16 +7,20 @@
 // here are written with 8-fold unrolling like their Java counterparts.
 //
 // The primitives that hold the profile (reductions, rank-k updates, the
-// narrow product, the + - * maps) have two implementations: the portable Go
+// narrow product, the element-wise maps and comparisons, row reductions of
+// narrow tiles, exp/log/sigmoid) have two implementations: the portable Go
 // loop named xxxGo, which is also the reference in tests, and an AVX2+FMA
-// assembly kernel named xxxAsm (kernels_amd64.s). The exported function
-// picks the kernel when useAsm is set and the call has at least asmMin
-// elements; it checks the last index of every operand before it hands raw
-// pointers over, because the kernels check nothing. FMA and four-lane
-// summation change low-order bits against the Go loops, never NaN-ness:
-// the rank-k updates return early when every multiplier is zero, before the
-// dispatch, and the narrow product (MatMultAdd) skips nothing in either
-// form.
+// assembly kernel (kernels_amd64.s). The exported function picks the kernel
+// when useAsm is set and the call has at least asmMin elements — two
+// families take it at any size: the reductions of rows narrower than
+// narrowCols (RowReduce: one call covers a tile of rows) and exp/log/sigmoid
+// (a result must not depend on the length of the call it was part of). It
+// checks the last index of every operand before it hands raw pointers over,
+// because the kernels check nothing. FMA and four-lane summation change
+// low-order bits against the Go loops, never NaN-ness: the rank-k updates
+// return early when every multiplier is zero, before the dispatch, and the
+// narrow product (MatMultAdd) skips nothing in either form. The element-wise
+// maps, comparisons, minima and maxima are the same bits in both forms.
 //
 // Conventions: dense vectors are slices with an explicit offset and length so
 // that rows of a row-major matrix can be addressed without sub-slicing;
@@ -106,24 +110,38 @@ func sumSqGo(a []float64, ai, n int) float64 {
 	return s
 }
 
-// Min returns the minimum of a[ai:ai+n]; +Inf for n == 0.
+// Min returns the minimum of a[ai:ai+n] under Min2's contract (a NaN
+// anywhere makes the result NaN); +Inf for n == 0.
 func Min(a []float64, ai, n int) float64 {
+	if useAsm && n >= asmMin {
+		_ = a[ai+n-1]
+		return minAsm(&a[ai], n)
+	}
+	return minGo(a, ai, n)
+}
+
+func minGo(a []float64, ai, n int) float64 {
 	m := math.Inf(1)
 	for _, v := range a[ai : ai+n] {
-		if v < m {
-			m = v
-		}
+		m = Min2(m, v)
 	}
 	return m
 }
 
-// Max returns the maximum of a[ai:ai+n]; -Inf for n == 0.
+// Max returns the maximum of a[ai:ai+n] under Max2's contract; -Inf for
+// n == 0.
 func Max(a []float64, ai, n int) float64 {
+	if useAsm && n >= asmMin {
+		_ = a[ai+n-1]
+		return maxAsm(&a[ai], n)
+	}
+	return maxGo(a, ai, n)
+}
+
+func maxGo(a []float64, ai, n int) float64 {
 	m := math.Inf(-1)
 	for _, v := range a[ai : ai+n] {
-		if v > m {
-			m = v
-		}
+		m = Max2(m, v)
 	}
 	return m
 }

@@ -198,29 +198,29 @@ func TestBinaryWritePrimitives(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	b := []float64{2, 2, 2, 2, 2, 2, 2, 2, 2, 2}
 	c := make([]float64, 10)
-	MultWrite(a, b, c, 0, 0, 0, 10)
+	Binary(OpMul, a, b, c, 0, 0, 0, 10)
 	for i := range a {
 		if c[i] != a[i]*2 {
 			t.Fatalf("MultWrite c[%d] = %v", i, c[i])
 		}
 	}
-	AddWrite(a, b, c, 0, 0, 0, 10)
+	Binary(OpAdd, a, b, c, 0, 0, 0, 10)
 	if c[0] != 3 {
 		t.Fatalf("AddWrite = %v", c[0])
 	}
-	MinusWrite(a, b, c, 0, 0, 0, 10)
+	Binary(OpSub, a, b, c, 0, 0, 0, 10)
 	if c[0] != -1 {
 		t.Fatalf("MinusWrite = %v", c[0])
 	}
-	DivWrite(a, b, c, 0, 0, 0, 10)
+	Binary(OpDiv, a, b, c, 0, 0, 0, 10)
 	if c[3] != 2 {
 		t.Fatalf("DivWrite = %v", c[3])
 	}
-	MinWrite(a, b, c, 0, 0, 0, 10)
+	Binary(OpMin, a, b, c, 0, 0, 0, 10)
 	if c[0] != 1 || c[9] != 2 {
 		t.Fatalf("MinWrite = %v", c)
 	}
-	MaxWrite(a, b, c, 0, 0, 0, 10)
+	Binary(OpMax, a, b, c, 0, 0, 0, 10)
 	if c[0] != 2 || c[9] != 10 {
 		t.Fatalf("MaxWrite = %v", c)
 	}
@@ -229,43 +229,43 @@ func TestBinaryWritePrimitives(t *testing.T) {
 func TestScalarWritePrimitives(t *testing.T) {
 	a := []float64{1, 4, 9}
 	c := make([]float64, 3)
-	MultScalarWrite(a, 3, c, 0, 0, 3)
+	Scalar(OpMul, false, a, 3, c, 0, 0, 3)
 	if c[1] != 12 {
 		t.Fatal("MultScalarWrite")
 	}
-	AddScalarWrite(a, 1, c, 0, 0, 3)
+	Scalar(OpAdd, false, a, 1, c, 0, 0, 3)
 	if c[2] != 10 {
 		t.Fatal("AddScalarWrite")
 	}
-	MinusScalarWrite(a, 1, c, 0, 0, 3)
+	Scalar(OpSub, false, a, 1, c, 0, 0, 3)
 	if c[0] != 0 {
 		t.Fatal("MinusScalarWrite")
 	}
-	ScalarMinusWrite(10, a, c, 0, 0, 3)
+	Scalar(OpSub, true, a, 10, c, 0, 0, 3)
 	if c[2] != 1 {
 		t.Fatal("ScalarMinusWrite")
 	}
-	DivScalarWrite(a, 2, c, 0, 0, 3)
+	Scalar(OpDiv, false, a, 2, c, 0, 0, 3)
 	if c[1] != 2 {
 		t.Fatal("DivScalarWrite")
 	}
-	ScalarDivWrite(36, a, c, 0, 0, 3)
+	Scalar(OpDiv, true, a, 36, c, 0, 0, 3)
 	if c[2] != 4 {
 		t.Fatal("ScalarDivWrite")
 	}
-	PowScalarWrite(a, 2, c, 0, 0, 3)
+	Scalar(OpPow, false, a, 2, c, 0, 0, 3)
 	if c[1] != 16 {
 		t.Fatal("PowScalarWrite^2")
 	}
-	PowScalarWrite(a, 0.5, c, 0, 0, 3)
+	Scalar(OpPow, false, a, 0.5, c, 0, 0, 3)
 	if c[2] != 3 {
 		t.Fatal("PowScalarWrite^0.5")
 	}
-	GreaterScalarWrite(a, 3, c, 0, 0, 3)
+	Scalar(OpGt, false, a, 3, c, 0, 0, 3)
 	if c[0] != 0 || c[1] != 1 {
 		t.Fatal("GreaterScalarWrite")
 	}
-	NotEqualScalarWrite(a, 4, c, 0, 0, 3)
+	Scalar(OpNeq, false, a, 4, c, 0, 0, 3)
 	if c[0] != 1 || c[1] != 0 {
 		t.Fatal("NotEqualScalarWrite")
 	}
