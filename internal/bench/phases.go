@@ -62,16 +62,17 @@ func phaseRow(row []string, phases map[string]time.Duration) []string {
 	return append(row, ms(phaseTotal(phases)))
 }
 
-// PhaseAttributionAlgorithms is the phase breakdown of the six algorithms
-// under Gen, each in a fresh session on its synthetic input at the size the
-// benchmark's batch_mix runs it (the <algo>.syn programs, alscg.amazon),
-// with the share of the session that is not execution: what an iteration
-// pays on top of its operators. Each row is the fastest of o.Reps runs.
-func PhaseAttributionAlgorithms(o Options) *Table {
-	t := &Table{
-		Title:   "Phase attribution per algorithm under Gen, batch_mix sizes [ms]",
-		Columns: append(append([]string{"algorithm", "data"}, phaseNames...), "total", "non-execute %"),
-	}
+// batchMixAlgorithm is one of the six algorithms on its synthetic input at
+// the size the benchmark's batch_mix runs it (the <algo>.syn programs,
+// alscg.amazon).
+type batchMixAlgorithm struct {
+	a      algos.Algorithm
+	data   string
+	inputs map[string]*matrix.Matrix
+	ov     map[string]float64
+}
+
+func batchMixAlgorithms(o Options) []batchMixAlgorithm {
 	dense := data.Dense(o.rows(150000), 10, 3001)
 	amazon := data.AmazonLike(o.rows(10000), o.rows(4000), 3065)
 	const rank = 10
@@ -80,12 +81,7 @@ func PhaseAttributionAlgorithms(o Options) *Table {
 	if aeRows < 2048 {
 		batch = float64(aeRows / 4)
 	}
-	for _, job := range []struct {
-		a      algos.Algorithm
-		data   string
-		inputs map[string]*matrix.Matrix
-		ov     map[string]float64
-	}{
+	return []batchMixAlgorithm{
 		{algos.L2SVM, "dense", map[string]*matrix.Matrix{"X": dense, "Y": data.BinaryLabels(dense, 0.05, 3010)},
 			map[string]float64{"maxiter": 10}},
 		{algos.MLogreg, "dense", map[string]*matrix.Matrix{"X": dense, "Yfull": data.MultiClassIndicator(dense, 3, 3010)},
@@ -99,7 +95,19 @@ func PhaseAttributionAlgorithms(o Options) *Table {
 			map[string]float64{"maxiter": 2, "rank": rank}},
 		{algos.AutoEncoder, "dense", map[string]*matrix.Matrix{"X": data.Dense(aeRows, 50, 3066)},
 			map[string]float64{"epochs": 1, "batch": batch, "H1": 64, "H2": 2}},
-	} {
+	}
+}
+
+// PhaseAttributionAlgorithms is the phase breakdown of the six algorithms
+// under Gen, each in a fresh session on its batch_mix input, with the share
+// of the session that is not execution: what an iteration pays on top of its
+// operators. Each row is the fastest of o.Reps runs.
+func PhaseAttributionAlgorithms(o Options) *Table {
+	t := &Table{
+		Title:   "Phase attribution per algorithm under Gen, batch_mix sizes [ms]",
+		Columns: append(append([]string{"algorithm", "data"}, phaseNames...), "total", "non-execute %"),
+	}
+	for _, job := range batchMixAlgorithms(o) {
 		var best map[string]time.Duration
 		for rep := 0; rep < max(o.Reps, 1); rep++ {
 			s, err := job.a.Run(codegen.DefaultConfig(), job.inputs, job.ov, nil, io.Discard)

@@ -113,10 +113,11 @@ type Config struct {
 	CompressMinRatio float64
 	CompressMinBytes int64
 
-	// Reopt controls mid-script re-optimization: when a block's observed
-	// sparsity or wall time diverges from its prediction beyond the
-	// configured thresholds, the interpreter invalidates the block's cached
-	// plan and re-optimizes with corrected estimates.
+	// Reopt controls mid-script re-optimization: when an input's observed
+	// sparsity diverges from its estimate beyond the configured threshold,
+	// the interpreter invalidates the block's cached plan and re-optimizes
+	// with the corrected estimate; when a block's wall time diverges from its
+	// prediction, it has an attached calibrator refit the cost constants.
 	Reopt ReoptConfig
 }
 
@@ -136,19 +137,15 @@ type ReoptConfig struct {
 	// MinCells is the matrix size floor for the sparsity check.
 	MinCells int64
 
-	// TimeFactor triggers re-optimization when a block's measured wall
+	// TimeFactor triggers a calibrator refit when a block's measured wall
 	// time diverges from the optimizer prediction by more than this factor
 	// while the block ran for at least MinSec (sub-millisecond blocks are
-	// dominated by dispatch, not plan quality).
+	// dominated by dispatch, not plan quality). The block's plan stays:
+	// under unchanged constants it would only be derived again, and a refit
+	// that moves them invalidates every plan of the older generation.
 	TimeFactor float64
 	// MinSec is the wall-time floor for the time-divergence check.
 	MinSec float64
-
-	// MaxPerBlock caps how many times a single block may be re-optimized
-	// by the time trigger, so a fundamentally hard-to-predict block can't
-	// thrash the plan cache. Sparsity-triggered re-optimization is exempt:
-	// corrected estimates converge on their own.
-	MaxPerBlock int
 }
 
 // DefaultReoptConfig enables re-optimization with conservative thresholds:
@@ -160,7 +157,6 @@ func DefaultReoptConfig() ReoptConfig {
 		MinCells:       256,
 		TimeFactor:     8,
 		MinSec:         1e-3,
-		MaxPerBlock:    2,
 	}
 }
 

@@ -18,7 +18,7 @@ func liveHeap() uint64 {
 }
 
 // TestBlockCacheBounded: a session fed a stream of scripts it has never
-// seen keeps at most maxBlockPlans block plans and a flat heap, and a script
+// seen keeps at most MaxBlockPlans block plans and a flat heap, and a script
 // that keeps running between them stays cached throughout.
 func TestBlockCacheBounded(t *testing.T) {
 	cfg := codegen.DefaultConfig()
@@ -44,9 +44,9 @@ func TestBlockCacheBounded(t *testing.T) {
 		if err := s.Run(cold); err != nil {
 			t.Fatalf("script %d: %v", i, err)
 		}
-		if len(s.blockCache) > maxBlockPlans || s.blockLRU.Len() != len(s.blockCache) {
-			t.Fatalf("script %d: %d cached plans (%d in LRU order), bound %d",
-				i, len(s.blockCache), s.blockLRU.Len(), maxBlockPlans)
+		if s.blockLRU.Len() > MaxBlockPlans || len(s.blockCache) > s.blockLRU.Len() || len(s.programs) > MaxPrograms {
+			t.Fatalf("script %d: %d cached plans of %d blocks (bound %d), %d parsed scripts (bound %d)",
+				i, s.blockLRU.Len(), len(s.blockCache), MaxBlockPlans, len(s.programs), MaxPrograms)
 		}
 	}
 	grown := int64(liveHeap()) - int64(heapAt1000)
@@ -57,13 +57,13 @@ func TestBlockCacheBounded(t *testing.T) {
 	if got := snap.Counter("block.cache.hits"); got != hotRuns-1 {
 		t.Errorf("block.cache.hits = %d, want %d (the repeated script, every run after its first)", got, hotRuns-1)
 	}
-	if got, want := snap.Counter("block.cache.evictions"), int64(scripts+1-maxBlockPlans); got != want {
+	if got, want := snap.Counter("block.cache.evictions"), int64(scripts+1-MaxBlockPlans); got != want {
 		t.Errorf("block.cache.evictions = %d, want %d", got, want)
 	}
 	if got := snap.Counter("reopt.invalidations"); got != 0 {
 		t.Errorf("reopt.invalidations = %d: an eviction is not a re-optimization", got)
 	}
-	if size := s.Cache.Size(); size > 4*maxBlockPlans {
-		t.Errorf("plan cache holds %d operators for %d cached blocks", size, len(s.blockCache))
+	if size := s.Cache.Size(); size > 4*MaxBlockPlans {
+		t.Errorf("plan cache holds %d operators for %d cached blocks", size, s.blockLRU.Len())
 	}
 }

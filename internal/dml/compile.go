@@ -9,22 +9,31 @@ import (
 // blockCompiler translates one statement block into a HOP DAG, using the
 // current symbol table for input dimensions (sizes are known at block
 // compile time, mirroring SystemML's dynamic recompilation).
+//
+// The DAG is a function of the statements and of what the compiler learns
+// from the symbol table, and it reaches the symbol table only through
+// varHop, dims and site, which append what they learned to log (access.go):
+// a later execution of the same statements that replays the log against its
+// own symbol table and finds every observation unchanged would compile the
+// same DAG, and takes the cached plan instead.
 type blockCompiler struct {
 	d         *hop.DAG
 	env       runtime.Env
 	nnzHints  map[string]int64    // caller-supplied sparsity estimates (BindWithNnz)
 	vars      map[string]*hop.Hop // assigned within the block
 	reads     map[string]*hop.Hop
-	constVals map[string]float64 // block-local compile-time constants
+	constVals map[string]Expr // block-local compile-time constants, resolved (constEval)
+	log       []access
 }
 
-func newBlockCompiler(env runtime.Env) *blockCompiler {
+func newBlockCompiler(env runtime.Env, nnzHints map[string]int64) *blockCompiler {
 	return &blockCompiler{
 		d:         hop.NewDAG(),
 		env:       env,
+		nnzHints:  nnzHints,
 		vars:      map[string]*hop.Hop{},
 		reads:     map[string]*hop.Hop{},
-		constVals: map[string]float64{},
+		constVals: map[string]Expr{},
 	}
 }
 
@@ -35,7 +44,7 @@ func (c *blockCompiler) assign(name string, e Expr) error {
 	}
 	// Track compile-time constant scalars so later index bounds and
 	// datagen arguments in the same block can resolve them.
-	if v, ok := c.constEval(e); ok {
+	if v := c.constEval(e); v != nil {
 		c.constVals[name] = v
 	} else {
 		delete(c.constVals, name)
@@ -60,12 +69,46 @@ func (c *blockCompiler) varHop(name string, line int) (*hop.Hop, error) {
 	// scan; the re-optimization check drops hints the runtime observes to
 	// be wrong, so a bad estimate costs at most one mis-planned execution.
 	nnz := int64(m.Nnz())
-	if hint, ok := c.nnzHints[name]; ok {
+	hint, hinted := c.nnzHints[name]
+	if hinted {
 		nnz = hint
 	}
 	h := c.d.Read(name, int64(m.Rows), int64(m.Cols), nnz)
 	c.reads[name] = h
+	a := access{kind: accShape, name: name, rows: m.Rows, cols: m.Cols, bound: true, hinted: hinted, hint: hint}
+	a.sparse, a.bucket = sparsityClass(m.Rows, m.Cols, nnz)
+	c.log = append(c.log, a)
 	return h, nil
+}
+
+// dims probes the symbol table for a variable's dimensions on behalf of
+// constEval (is it a scalar? how many rows?).
+func (c *blockCompiler) dims(name string) (rows, cols int, ok bool) {
+	m, ok := c.env[name]
+	if ok {
+		rows, cols = m.Rows, m.Cols
+	}
+	for i := range c.log {
+		if a := &c.log[i]; a.name == name && (a.kind == accShape || a.kind == accDims) {
+			return rows, cols, ok
+		}
+	}
+	c.log = append(c.log, access{kind: accDims, name: name, rows: rows, cols: cols, bound: ok})
+	return rows, cols, ok
+}
+
+// site resolves the constant a datagen argument or an index bound needs to
+// its value. A constant that depends on the symbol table is logged with it.
+func (c *blockCompiler) site(e Expr) (float64, bool) {
+	r := c.constEval(e)
+	if r == nil {
+		return 0, false
+	}
+	v, _ := evalConst(r, c.env)
+	if _, lit := r.(*Num); !lit {
+		c.log = append(c.log, access{kind: accConst, lo: r, value: v})
+	}
+	return v, true
 }
 
 var binOps = map[string]matrix.BinOp{
@@ -282,12 +325,12 @@ func (c *blockCompiler) compileCall(n *Call) (*hop.Hop, error) {
 		if len(n.Args) < 2 {
 			return nil, parseErrf(n.Line, "seq needs from, to")
 		}
-		from, ok1 := c.constEval(n.Args[0])
-		to, ok2 := c.constEval(n.Args[1])
+		from, ok1 := c.site(n.Args[0])
+		to, ok2 := c.site(n.Args[1])
 		incr := 1.0
 		ok3 := true
 		if len(n.Args) > 2 {
-			incr, ok3 = c.constEval(n.Args[2])
+			incr, ok3 = c.site(n.Args[2])
 		}
 		if !ok1 || !ok2 || !ok3 {
 			return nil, parseErrf(n.Line, "seq arguments must be compile-time constants")
@@ -318,7 +361,7 @@ func (c *blockCompiler) constArg(n *Call, pos int, name string) (float64, error)
 	if e == nil {
 		return 0, parseErrf(n.Line, "%s missing argument %s", n.Name, name)
 	}
-	v, ok := c.constEval(e)
+	v, ok := c.site(e)
 	if !ok {
 		return 0, parseErrf(n.Line, "argument %s of %s must be a compile-time constant", name, n.Name)
 	}
@@ -330,67 +373,96 @@ func (c *blockCompiler) constArgOr(n *Call, name string, def float64) float64 {
 	if e == nil {
 		return def
 	}
-	if v, ok := c.constEval(e); ok {
+	if v, ok := c.site(e); ok {
 		return v
 	}
 	return def
 }
 
-// constEval resolves compile-time scalar constants: literals, arithmetic
-// over constants, scalars already bound in the environment, and nrow/ncol
-// of known variables.
-func (c *blockCompiler) constEval(e Expr) (float64, bool) {
+// constEval resolves a compile-time scalar constant to an expression over
+// literals and the scalars bound in the environment, with the block's own
+// constants and every nrow/ncol substituted and literal arithmetic folded: a
+// *Num, or *Ident, negation and binOps arithmetic over them. It returns nil
+// when e is not constant. The value is evalConst's, taken when a site needs
+// it, so a constant that is only passed on costs a later execution nothing.
+func (c *blockCompiler) constEval(e Expr) Expr {
+	switch n := e.(type) {
+	case *Num:
+		return n
+	case *Ident:
+		if v, ok := c.constVals[n.Name]; ok {
+			return v
+		}
+		if h, ok := c.vars[n.Name]; ok {
+			if h.Kind == hop.OpLiteral {
+				return &Num{Value: h.Value}
+			}
+			return nil
+		}
+		if rows, cols, ok := c.dims(n.Name); ok && rows == 1 && cols == 1 {
+			return n
+		}
+	case *UnExpr:
+		if n.Op != "-" {
+			return nil
+		}
+		v := c.constEval(n.E)
+		if lit, ok := v.(*Num); ok {
+			return &Num{Value: -lit.Value}
+		}
+		if v != nil {
+			return &UnExpr{Op: "-", E: v}
+		}
+	case *BinExpr:
+		l, r := c.constEval(n.L), c.constEval(n.R)
+		op, ok := binOps[n.Op]
+		if l == nil || r == nil || !ok {
+			return nil
+		}
+		if lv, ok := l.(*Num); ok {
+			if rv, ok := r.(*Num); ok {
+				return &Num{Value: op.Apply(lv.Value, rv.Value)}
+			}
+		}
+		return &BinExpr{Op: n.Op, L: l, R: r}
+	case *Call:
+		if (n.Name != "nrow" && n.Name != "ncol") || len(n.Args) != 1 {
+			return nil
+		}
+		id, ok := n.Args[0].(*Ident)
+		if !ok {
+			return nil
+		}
+		var rows, cols int
+		if h, ok := c.vars[id.Name]; ok {
+			rows, cols = int(h.Rows), int(h.Cols)
+		} else if rows, cols, ok = c.dims(id.Name); !ok {
+			return nil
+		}
+		if n.Name == "nrow" {
+			return &Num{Value: float64(rows)}
+		}
+		return &Num{Value: float64(cols)}
+	}
+	return nil
+}
+
+// evalConst is the value of a constant constEval resolved, under env.
+func evalConst(e Expr, env runtime.Env) (float64, bool) {
 	switch n := e.(type) {
 	case *Num:
 		return n.Value, true
 	case *Ident:
-		if v, ok := c.constVals[n.Name]; ok {
-			return v, true
-		}
-		if h, ok := c.vars[n.Name]; ok {
-			if h.Kind == hop.OpLiteral {
-				return h.Value, true
-			}
-			return 0, false
-		}
-		if m, ok := c.env[n.Name]; ok && m.Rows == 1 && m.Cols == 1 {
+		if m, ok := env[n.Name]; ok && m.Rows == 1 && m.Cols == 1 {
 			return m.Scalar(), true
 		}
-		return 0, false
 	case *UnExpr:
-		if n.Op == "-" {
-			v, ok := c.constEval(n.E)
-			return -v, ok
-		}
+		v, ok := evalConst(n.E, env)
+		return -v, ok
 	case *BinExpr:
-		l, ok1 := c.constEval(n.L)
-		r, ok2 := c.constEval(n.R)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		if op, ok := binOps[n.Op]; ok {
-			return op.Apply(l, r), true
-		}
-	case *Call:
-		if n.Name == "nrow" || n.Name == "ncol" {
-			if id, ok := n.Args[0].(*Ident); ok {
-				var h *hop.Hop
-				if v, ok := c.vars[id.Name]; ok {
-					h = v
-				} else if m, ok := c.env[id.Name]; ok {
-					if n.Name == "nrow" {
-						return float64(m.Rows), true
-					}
-					return float64(m.Cols), true
-				}
-				if h != nil {
-					if n.Name == "nrow" {
-						return float64(h.Rows), true
-					}
-					return float64(h.Cols), true
-				}
-			}
-		}
+		l, ok1 := evalConst(n.L, env)
+		r, ok2 := evalConst(n.R, env)
+		return binOps[n.Op].Apply(l, r), ok1 && ok2
 	}
 	return 0, false
 }
@@ -400,32 +472,34 @@ func (c *blockCompiler) compileIndex(n *IndexExpr) (*hop.Hop, error) {
 	if err != nil {
 		return nil, err
 	}
-	bound := func(e Expr, def int64) (int64, error) {
-		if e == nil {
-			return def, nil
-		}
-		v, ok := c.constEval(e)
-		if !ok {
-			return 0, shapeErrf(n.Line, "index bounds must be compile-time constants")
-		}
-		return int64(v), nil
+	// Bounds are 1-based inclusive; nil selects the full range. The column
+	// bounds are sites; the row bounds are logged as one access, which lets
+	// a cached plan take them as parameters where they select a proper part
+	// of the rows (access.go).
+	cl, ok1 := 1.0, true
+	if n.CL != nil {
+		cl, ok1 = c.site(n.CL)
 	}
-	rl, err := bound(n.RL, 1)
-	if err != nil {
-		return nil, err
+	cu, ok2 := float64(x.Cols), true
+	if n.CU != nil {
+		cu, ok2 = c.site(n.CU)
 	}
-	ru, err := bound(n.RU, x.Rows)
-	if err != nil {
-		return nil, err
+	var lo, hi Expr = &Num{Value: 1}, &Num{Value: float64(x.Rows)}
+	if n.RL != nil {
+		lo = c.constEval(n.RL)
 	}
-	cl, err := bound(n.CL, 1)
-	if err != nil {
-		return nil, err
+	if n.RU != nil {
+		hi = c.constEval(n.RU)
 	}
-	cu, err := bound(n.CU, x.Cols)
-	if err != nil {
-		return nil, err
+	if !ok1 || !ok2 || lo == nil || hi == nil {
+		return nil, shapeErrf(n.Line, "index bounds must be compile-time constants")
 	}
-	// 1-based inclusive -> 0-based half-open.
-	return c.d.Index(x, rl-1, ru, cl-1, cu), nil
+	a := access{kind: accRows, lo: lo, hi: hi, of: x.Rows}
+	a.rowRange(c.env)
+	a.extent = a.ru - a.rl
+	a.same = sameRows(c.log, a.rl, a.ru)
+	if n.RL != nil || n.RU != nil {
+		c.log = append(c.log, a)
+	}
+	return c.d.Index(x, a.rl, a.ru, int64(cl)-1, int64(cu)), nil
 }

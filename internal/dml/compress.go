@@ -62,58 +62,57 @@ func (s *Session) compressCandidate(m *matrix.Matrix) bool {
 	return m != nil && m.Rows > 1 && m.Cols >= 1 && m.SizeBytes() >= s.Config.CompressMinBytes
 }
 
-// compressPass is the interpreter's compression pass over one freshly
-// compiled block: every transient read that is not also a block output (the
+// compressPass is the interpreter's compression pass over one block about
+// to run: every transient read that is not also a block output (reads; the
 // binding survives the block, so a compressed form amortizes across
 // executions) either carries an attached compressed form already, or is
 // decided by compressInput (outside values) or by the read plan of the
-// block's cached entry (script-produced values; entry is nil on a
-// block-cache miss, which is the value's first read by that plan). It
-// reports whether a script-produced value was compressed just now, in which
-// case the caller plans the block once more under the annotation.
-func (s *Session) compressPass(d *hop.DAG, topo []*hop.Hop, entry *blockEntry) (compressed bool) {
+// block's cached entry (script-produced values; entry is nil for a block
+// being planned, which is the value's first read by that plan). It reports
+// whether a script-produced value was compressed just now, in which case the
+// caller plans the block once more under the annotation.
+func (s *Session) compressPass(reads []*hop.Hop, entry *blockEntry) (compressed bool) {
 	if s.Config.Compress == codegen.CompressOff {
 		return false
 	}
-	var denseTotal, compTotal, skipped int64
-	for _, h := range topo {
-		if h.Kind != hop.OpData {
-			continue
-		}
-		if _, out := d.Outputs[h.Name]; out {
-			continue
-		}
+	var skipped int64
+	for _, h := range reads {
 		m := s.Env[h.Name]
-		if !s.compressCandidate(m) {
+		if !s.compressCandidate(m) || compress.Of(m) != nil {
 			continue
 		}
-		cm := compress.Of(m)
-		if cm == nil {
-			if _, produced := s.produced[m]; !produced || s.Config.Compress == codegen.CompressOn {
-				cm = s.compressInput(m)
-			} else {
-				var unsampled bool
-				cm, unsampled = s.compressProduced(entry, h.Name, m)
-				if unsampled {
-					skipped++
-				}
-				compressed = compressed || cm != nil
-			}
-		}
-		if cm == nil {
+		if _, produced := s.produced[m]; !produced || s.Config.Compress == codegen.CompressOn {
+			s.compressInput(m)
 			continue
 		}
-		h.CompressedBytes = cm.SizeBytes()
-		denseTotal += m.SizeBytes()
-		compTotal += h.CompressedBytes
-	}
-	if compTotal > 0 {
-		s.Obs.SetGauge("compress.ratio", float64(denseTotal)/float64(compTotal))
+		cm, unsampled := s.compressProduced(entry, h.Name, m)
+		if unsampled {
+			skipped++
+		}
+		compressed = compressed || cm != nil
 	}
 	if skipped > 0 {
 		s.Obs.Add("compress.plan.skipped", skipped)
 	}
+	s.annotateReads(reads)
 	return compressed
+}
+
+// annotateReads writes the size of the compressed form a read's value
+// carries into its hop and publishes the block's compression ratio.
+func (s *Session) annotateReads(reads []*hop.Hop) {
+	var denseTotal, compTotal int64
+	for _, h := range reads {
+		m := s.Env[h.Name]
+		if cm := compress.Of(m); cm != nil && s.compressCandidate(m) {
+			h.CompressedBytes = cm.SizeBytes()
+			denseTotal += m.SizeBytes()
+			compTotal += h.CompressedBytes
+		}
+	}
+	if compTotal > 0 {
+		s.Obs.SetGauge("compress.ratio", float64(denseTotal)/float64(compTotal))
+	}
 }
 
 // compressInput decides whether to compress one value from outside the

@@ -206,7 +206,9 @@ func TestProducedLoopInvariantIsCompressedWhenItPays(t *testing.T) {
 	if compress.Of(xc) != nil {
 		t.Error("Xc was compressed after 40 reads")
 	}
-	if v := short.verdict(findRead(short.blockLRU.Front().Value.(*blockEntry).reads, "Xc")); !strings.HasPrefix(v, "benefit ") {
+	// The loop body is the plan that ran last (the predicate after it).
+	body := short.blockLRU.Front().Next().Value.(*blockEntry)
+	if v := short.verdict(findRead(body.reads, "Xc")); !strings.HasPrefix(v, "benefit ") {
 		t.Errorf("verdict %q, want the benefit/cost inequality", v)
 	}
 

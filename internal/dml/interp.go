@@ -3,13 +3,11 @@ package dml
 import (
 	"container/list"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -75,9 +73,9 @@ type Session struct {
 	Blocks         int64
 	BlockCacheHits int64
 
-	blockCache map[string]*blockEntry  // optimized block plans, at most maxBlockPlans
+	blockCache map[any][]*blockEntry   // cached plans by block, at most MaxBlockPlans in all
 	blockLRU   list.List               // of *blockEntry, most recently used first
-	keyBuf     []byte                  // blockKey's scratch, reused across blocks
+	programs   []program               // parsed scripts, most recently run first, at most MaxPrograms
 	bound      map[*matrix.Matrix]bool // matrices handed in via Bind (caller-owned)
 	// produced holds the compression candidates the script itself produced
 	// (setEnvAll wrote them as new results) and that are still bound: their
@@ -85,41 +83,72 @@ type Session struct {
 	// A value Bind or a serving request put into Env is in no such set.
 	produced map[*matrix.Matrix]struct{}
 
-	nnzHints   map[string]int64 // sparsity estimates from BindWithNnz, dropped on divergence
-	calibGen   uint64           // calibrator generation Config.Costs was last synced to
-	blockReopt map[string]int   // time-triggered re-optimizations per block key (capped)
+	nnzHints map[string]int64 // sparsity estimates from BindWithNnz, dropped on divergence
+	calibGen uint64           // calibrator generation Config.Costs was last synced to
+	feedback runtime.Feedback // of the block in execution
+	orphans  []*matrix.Matrix // setEnvAll's scratch
 }
 
-// blockEntry is one cached optimized block plan plus the bookkeeping
-// mid-script re-optimization needs: the compiled operators' plan-cache
-// hashes (invalidated when the entry is discarded, so no view serves a
-// stale operator) and the calibration generation the plan was costed
-// under.
+// blockEntry is one planned statement block (or loop predicate): what a
+// compile of its statements produced under one set of observations of the
+// symbol table, and all an execution needs.
 //
-// The plan has parameters. slices are the DAG's partial row-range index
-// hops in topological order: the key holds their extent, not their offsets,
-// and every reuse writes the current RL/RU into them (X[lo:hi,] in a
-// mini-batch loop is one plan). reads are the compression decisions the
-// plan takes for its transient reads (compress.go); replanned says the
-// entry was already optimized once more because one of them was compressed.
+// A block is identified by its first statement (a predicate by its
+// expression) in a parsed script the session keeps, so the identity survives
+// a re-run of the same script text. One block can have several plans — the
+// same statements compiled under other shapes, sparsities or constants;
+// lookup takes the one whose access log replays unchanged (access.go),
+// before any hop is built.
+//
+// The plan has parameters: slices are the DAG's partial row-range index hops
+// in topological order, sites the accRows of log that give each its current
+// bounds (X[lo:hi,] in a mini-batch loop is one plan). inputs are the
+// transient reads that are not also outputs and reads the compression
+// decisions the plan takes for them (compress.go); replanned says the entry
+// was already optimized once more because one of them was compressed.
+// hashes are the compiled operators' plan-cache hashes (invalidated when the
+// entry is discarded, so no view serves a stale operator), calibGen the
+// calibration generation the plan was costed under, prints the block's print
+// statements: string literals and printRefs, names of DAG outputs.
 type blockEntry struct {
-	key       string
+	id        any
+	log       []access
 	dag       *hop.DAG
+	sched     *runtime.Schedule
+	prints    [][]any
+	inputs    []*hop.Hop
 	hashes    []uint64
 	calibGen  uint64
 	lru       *list.Element
 	slices    []*hop.Hop
+	sites     []int
 	reads     []*readPlan
 	replanned bool
 }
 
-// maxBlockPlans bounds a session's block-plan cache. A session that keeps
-// seeing new scripts (a serving tenant fed ad-hoc queries) would otherwise
-// retain a HOP DAG, its key and its compiled operators per script forever;
-// past the bound the least recently used plan is discarded, so the blocks
-// that keep running stay cached through a flood of one-off ones. No
-// algorithm script comes near it (the largest has ~20 distinct blocks).
-const maxBlockPlans = 64
+type printRef string
+
+// program is a parsed script a session keeps, so that running the same text
+// again finds the blocks it planned (serving sessions and prepared scripts
+// re-run one script).
+type program struct {
+	text  string
+	stmts []Stmt
+}
+
+// MaxBlockPlans bounds a session's block-plan cache (the "block.cache.size"
+// gauge). A session that keeps seeing new scripts (a serving tenant fed
+// ad-hoc queries) would otherwise retain a HOP DAG, its access log and its
+// compiled operators per script forever; past the bound the least recently
+// used plan is discarded, so the blocks that keep running stay cached
+// through a flood of one-off ones. No algorithm script comes near it (the
+// largest has ~20 distinct blocks and a dozen predicates).
+const MaxBlockPlans = 64
+
+// MaxPrograms bounds the parsed scripts a session keeps (the
+// "program.cache.size" gauge), least recently run discarded first. The
+// plans of a discarded script age out of the block-plan cache on their own.
+const MaxPrograms = 32
 
 // execCtx is the execution context threaded into every runtime call:
 // the session's own pools, or the process defaults when unset.
@@ -203,7 +232,7 @@ func (s *Session) setEnv(name string, m *matrix.Matrix) {
 // A compression candidate among the outputs that no variable held before
 // the block is a value the script produced; an output that passes an
 // existing binding on (Y = X) stays what it was.
-func (s *Session) setEnvAll(out map[string]*matrix.Matrix) {
+func (s *Session) setEnvAll(names []string, out []*matrix.Matrix) {
 	if s.Config.Compress != codegen.CompressOff {
 		for _, m := range out {
 			if s.compressCandidate(m) && !s.envRefs("", m) {
@@ -214,24 +243,27 @@ func (s *Session) setEnvAll(out map[string]*matrix.Matrix) {
 			}
 		}
 	}
-	orphans := map[*matrix.Matrix]bool{}
-	for name, m := range out {
+	orphans := s.orphans[:0]
+	for i, name := range names {
+		m := out[i]
 		if old, ok := s.Env[name]; ok && old != m {
 			if s.Dist != nil {
 				s.Dist.Invalidate(old)
 			}
-			if !s.bound[old] {
-				orphans[old] = true
+			if !s.bound[old] && !slices.Contains(orphans, old) {
+				orphans = append(orphans, old)
 			}
 		}
 		s.Env[name] = m
 	}
-	for old := range orphans {
+	for _, old := range orphans {
 		if !s.envRefs("", old) {
 			delete(s.produced, old)
 			old.Release()
 		}
 	}
+	clear(orphans)
+	s.orphans = orphans[:0]
 }
 
 // envRefs reports whether any variable other than name is bound to m (an
@@ -261,13 +293,14 @@ func (s *Session) Reset() {
 	s.produced = nil
 }
 
-// Close is Reset plus dropping the block-plan cache: full teardown of the
-// session's pooled state. Close is idempotent and the session may be
-// reused afterwards with fresh bindings.
+// Close is Reset plus dropping the block plans and parsed scripts: full
+// teardown of the session's pooled state. Close is idempotent and the
+// session may be reused afterwards with fresh bindings.
 func (s *Session) Close() {
 	s.Reset()
 	s.blockCache = nil
 	s.blockLRU.Init()
+	s.programs = nil
 }
 
 // Run parses and executes a script against the bound inputs; results stay
@@ -309,12 +342,34 @@ func (s *Session) RunInSpan(ctx context.Context, script string, parent obs.Span)
 	}
 	defer root.End()
 	sp := root.Phase(s.Obs, "parse")
-	prog, err := Parse(script)
+	stmts, err := s.parse(script)
 	sp.End()
 	if err != nil {
 		return err
 	}
-	return s.exec(ctx, root, prog.Stmts)
+	return s.exec(ctx, root, stmts)
+}
+
+// parse returns the statements of a script, parsed once per text the
+// session keeps.
+func (s *Session) parse(script string) ([]Stmt, error) {
+	for i, p := range s.programs {
+		if p.text == script {
+			copy(s.programs[1:i+1], s.programs[:i])
+			s.programs[0] = p
+			return p.stmts, nil
+		}
+	}
+	prog, err := Parse(script)
+	if err != nil {
+		return nil, err
+	}
+	if len(s.programs) < MaxPrograms {
+		s.programs = append(s.programs, program{})
+	}
+	copy(s.programs[1:], s.programs)
+	s.programs[0] = program{text: script, stmts: prog.Stmts}
+	return prog.Stmts, nil
 }
 
 // Get returns a variable from the environment, or an *UnboundVarError if
@@ -602,6 +657,8 @@ func (s *Session) Metrics() obs.Snapshot {
 	}
 	snap.Counters["block.optimized"] = s.Blocks
 	snap.Counters["block.reused"] = s.BlockCacheHits
+	snap.Gauges["block.cache.size"] = float64(s.blockLRU.Len())
+	snap.Gauges["program.cache.size"] = float64(len(s.programs))
 	if s.Calib != nil {
 		st := s.Calib.State()
 		snap.Counters["calib.samples"] = st.Samples
@@ -671,24 +728,25 @@ func (s *Session) CostAudit() obs.AuditSummary {
 }
 
 func (s *Session) exec(ctx context.Context, root obs.Span, stmts []Stmt) error {
-	var pending []Stmt
-	flush := func() error {
-		if len(pending) == 0 {
+	// A statement block is a maximal run of assignments and prints.
+	start := 0
+	flush := func(end int) error {
+		block := stmts[start:end]
+		start = end + 1
+		if len(block) == 0 {
 			return nil
 		}
-		err := s.runBlock(ctx, root, pending)
-		pending = pending[:0]
-		return err
+		return s.runBlock(ctx, root, block)
 	}
-	for _, st := range stmts {
+	for i, st := range stmts {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		switch n := st.(type) {
 		case *Assign, *PrintStmt:
-			pending = append(pending, st)
+			continue
 		case *IfStmt:
-			if err := flush(); err != nil {
+			if err := flush(i); err != nil {
 				return err
 			}
 			cond, err := s.evalScalar(ctx, root, n.Cond)
@@ -705,7 +763,7 @@ func (s *Session) exec(ctx context.Context, root obs.Span, stmts []Stmt) error {
 				}
 			}
 		case *WhileStmt:
-			if err := flush(); err != nil {
+			if err := flush(i); err != nil {
 				return err
 			}
 			for iter := 0; ; iter++ {
@@ -727,7 +785,7 @@ func (s *Session) exec(ctx context.Context, root obs.Span, stmts []Stmt) error {
 				}
 			}
 		case *ForStmt:
-			if err := flush(); err != nil {
+			if err := flush(i); err != nil {
 				return err
 			}
 			from, err := s.evalScalar(ctx, root, n.From)
@@ -749,67 +807,132 @@ func (s *Session) exec(ctx context.Context, root obs.Span, stmts []Stmt) error {
 			}
 		}
 	}
-	return flush()
+	return flush(len(stmts))
 }
 
-// runBlock compiles, optimizes, and executes one statement block,
-// recording a trace span per phase and emitting an EXPLAIN report for
-// every fresh optimization when a sink or ExplainOut is attached.
-func (s *Session) runBlock(ctx context.Context, root obs.Span, stmts []Stmt) error {
-	s.syncCalibration()
-	spc := root.Phase(s.Obs, "compile")
-	c := newBlockCompiler(s.Env)
-	c.nnzHints = s.nnzHints
-	type printOut struct {
-		line  int
-		parts []any // string literals and output variable names
+// lookup returns the cached plan of a block whose access log replays
+// unchanged against the current symbol table, or nil. Plans of one block
+// differ in an observation both logged, so at most one matches.
+func (s *Session) lookup(id any) *blockEntry {
+	if !s.Config.ReuseBlockPlans {
+		return nil
 	}
-	var prints []printOut
-	npr := 0
+	for _, e := range s.blockCache[id] {
+		if replay(e.log, s.Env, s.nnzHints) {
+			// The offsets of the block's row slices are parameters of the plan.
+			for i, h := range e.slices {
+				a := &e.log[e.sites[i]]
+				h.RL, h.RU = a.rl, a.ru
+			}
+			s.blockLRU.MoveToFront(e.lru)
+			return e
+		}
+	}
+	return nil
+}
+
+// compile translates a block's statements, or a predicate's expression, into
+// its rewritten HOP DAG: an entry that is not planned yet.
+func (s *Session) compile(stmts []Stmt, cond Expr) (*blockEntry, error) {
+	c := newBlockCompiler(s.Env, s.nnzHints)
+	e := &blockEntry{id: cond, calibGen: s.calibGen}
+	if cond == nil {
+		e.id = stmts[0]
+	}
+	prints := 0
 	for _, st := range stmts {
 		switch n := st.(type) {
 		case *Assign:
 			if err := c.assign(n.Target, n.Value); err != nil {
-				spc.End()
-				return err
+				return nil, err
 			}
 		case *PrintStmt:
-			po := printOut{line: n.Line}
+			var po []any
 			for _, part := range flattenConcat(n.Value) {
 				if str, ok := part.(*Str); ok {
-					po.parts = append(po.parts, str.Value)
+					po = append(po, str.Value)
 					continue
 				}
 				h, err := c.compile(part)
 				if err != nil {
-					spc.End()
-					return err
+					return nil, err
 				}
-				name := fmt.Sprintf("__print%d", npr)
-				npr++
+				name := fmt.Sprintf("__print%d", prints)
+				prints++
 				c.d.Output(name, h)
-				po.parts = append(po.parts, printRef(name))
+				po = append(po, printRef(name))
 			}
-			prints = append(prints, po)
+			e.prints = append(e.prints, po)
 		}
 	}
-	d, _ := rewrite.Apply(c.d)
-	topo := hop.TopoOrder(d.Roots())
-	// Look the block's cached plan up while the structure, sizes and
-	// sparsity it was optimized for are unchanged (SystemML recompiles only
-	// dirty blocks). An entry optimized under an older calibration
-	// generation is discarded here — lazily, on its next use — and
-	// re-optimized under the current constants.
-	var entry *blockEntry
-	if s.Config.ReuseBlockPlans {
-		s.keyBuf = appendBlockKey(s.keyBuf[:0], d, topo)
-		if entry = s.blockCache[string(s.keyBuf)]; entry != nil && entry.calibGen != s.calibGen {
-			s.invalidateBlock(entry.key, "reopt.invalidations")
-			s.Obs.Inc("reopt.calib")
-			entry = nil
+	if cond != nil {
+		h, err := c.compile(cond)
+		if err != nil {
+			return nil, err
 		}
+		c.d.Output("__cond", h)
+	}
+	e.dag, _ = rewrite.Apply(c.d)
+	e.log = c.log
+	for _, h := range hop.TopoOrder(e.dag.Roots()) {
+		if _, out := e.dag.Outputs[h.Name]; h.Kind == hop.OpData && !out {
+			e.inputs = append(e.inputs, h)
+		}
+		if isRowSlice(h) {
+			e.slices = append(e.slices, h)
+			e.sites = append(e.sites, sameRows(e.log, h.RL, h.RU))
+		}
+	}
+	return e, nil
+}
+
+// remember makes a freshly planned entry executable and, when block plans
+// are reused, caches it, discarding the least recently used plan past the
+// bound.
+func (s *Session) remember(e *blockEntry) {
+	e.sched = runtime.NewSchedule(e.dag)
+	// A row slice that no logged index accounts for could not be given its
+	// offsets on a reuse: such a plan runs once.
+	if !s.Config.ReuseBlockPlans || slices.Contains(e.sites, -1) {
+		return
+	}
+	e.hashes = codegen.PlanHashes(e.dag)
+	if s.blockCache == nil {
+		s.blockCache = map[any][]*blockEntry{}
+	}
+	s.blockCache[e.id] = append(s.blockCache[e.id], e)
+	e.lru = s.blockLRU.PushFront(e)
+	if s.blockLRU.Len() > MaxBlockPlans {
+		s.invalidateBlock(s.blockLRU.Back().Value.(*blockEntry), "block.cache.evictions")
+	}
+}
+
+// runBlock plans — or finds planned — and executes one statement block,
+// recording a trace span per phase and emitting an EXPLAIN report for every
+// fresh optimization when a sink or ExplainOut is attached.
+func (s *Session) runBlock(ctx context.Context, root obs.Span, stmts []Stmt) error {
+	s.syncCalibration()
+	// Look the block's cached plan up while the sizes, sparsity and constants
+	// it was compiled for are unchanged (SystemML recompiles only dirty
+	// blocks). An entry optimized under an older calibration generation is
+	// discarded here — lazily, on its next use — and re-optimized under the
+	// current constants.
+	spc := root.Phase(s.Obs, "compile")
+	entry := s.lookup(stmts[0])
+	if entry != nil && entry.calibGen != s.calibGen {
+		s.invalidateBlock(entry, "reopt.invalidations")
+		s.Obs.Inc("reopt.calib")
+		entry = nil
+	}
+	var fresh *blockEntry
+	var err error
+	if entry == nil {
+		fresh, err = s.compile(stmts, nil)
 	}
 	spc.End()
+	if err != nil {
+		return err
+	}
 
 	// Compression pass: reuse or decide compressed forms of the block's
 	// reads and annotate their OpData hops, so that a block optimized below
@@ -817,67 +940,42 @@ func (s *Session) runBlock(ctx context.Context, root obs.Span, stmts []Stmt) err
 	// a script-produced value just now is optimized once more, under the
 	// annotation, and keeps the value's read history.
 	spz := root.Phase(s.Obs, "compress")
-	var carry []*readPlan
-	if s.compressPass(d, topo, entry) && !entry.replanned {
-		carry = entry.reads
-		s.invalidateBlock(entry.key, "reopt.invalidations")
+	if entry == nil {
+		s.compressPass(fresh.inputs, nil)
+	} else if s.compressPass(entry.inputs, entry) && !entry.replanned {
+		s.invalidateBlock(entry, "reopt.invalidations")
 		s.Obs.Inc("reopt.compress")
+		if fresh, err = s.compile(stmts, nil); err != nil {
+			spz.End()
+			return err
+		}
+		s.annotateReads(fresh.inputs)
+		fresh.reads, fresh.replanned = entry.reads, true
 		entry = nil
 	}
 	spz.End()
 
 	spo := root.Phase(s.Obs, "optimize")
-	wantExplain := s.Sink != nil || s.ExplainOut != nil
 	var rep *codegen.PlanReport
-	var blockCacheKey string
 	if entry != nil {
-		// The offsets of the block's row slices are parameters of the plan.
-		slices := entry.slices
-		for _, h := range topo {
-			if isRowSlice(h) {
-				slices[0].RL, slices[0].RU = h.RL, h.RU
-				slices = slices[1:]
-			}
-		}
-		d, blockCacheKey = entry.dag, entry.key
-		s.blockLRU.MoveToFront(entry.lru)
 		s.BlockCacheHits++
 		s.Obs.Inc("block.cache.hits")
 	} else {
-		if wantExplain {
+		entry = fresh
+		if s.Sink != nil || s.ExplainOut != nil {
 			rep = &codegen.PlanReport{}
 		}
-		d = codegen.OptimizeTraced(d, &s.Config, s.Cache, s.Stats, rep, spo)
+		entry.dag = codegen.OptimizeTraced(entry.dag, &s.Config, s.Cache, s.Stats, rep, spo)
 		s.Blocks++
-		var reads []*readPlan
+		s.remember(entry)
 		if s.Config.ReuseBlockPlans || rep != nil {
-			reads = s.planReads(d, carry)
+			entry.reads = s.planReads(entry.dag, entry.reads)
 		}
 		if rep != nil {
-			rep.Compressed = s.compressReport(reads)
+			rep.Compressed = s.compressReport(entry.reads)
 		}
 		if s.Config.ReuseBlockPlans {
 			s.Obs.Inc("block.cache.misses")
-			if s.blockCache == nil {
-				s.blockCache = map[string]*blockEntry{}
-			}
-			blockCacheKey = string(s.keyBuf)
-			entry = &blockEntry{
-				key: blockCacheKey, dag: d, hashes: codegen.PlanHashes(d), calibGen: s.calibGen,
-				reads: reads, replanned: carry != nil,
-			}
-			for _, h := range topo {
-				if isRowSlice(h) {
-					entry.slices = append(entry.slices, h)
-				}
-			}
-			entry.lru = s.blockLRU.PushFront(entry)
-			s.blockCache[blockCacheKey] = entry
-			if len(s.blockCache) > maxBlockPlans {
-				old := s.blockLRU.Back().Value.(*blockEntry).key
-				s.invalidateBlock(old, "block.cache.evictions")
-				delete(s.blockReopt, old)
-			}
 		}
 	}
 	spo.End()
@@ -903,29 +1001,28 @@ func (s *Session) runBlock(ctx context.Context, root obs.Span, stmts []Stmt) err
 	if s.Calib != nil {
 		opts.Calib = s.Calib
 	}
-	var fb *runtime.Feedback
 	if s.Config.Reopt.Enabled {
-		fb = &runtime.Feedback{}
+		s.feedback = runtime.Feedback{Inputs: s.feedback.Inputs[:0]}
 		if len(s.nnzHints) > 0 {
-			fb.Track = make(map[string]bool, len(s.nnzHints))
+			s.feedback.Track = make(map[string]bool, len(s.nnzHints))
 			for name := range s.nnzHints {
-				fb.Track[name] = true
+				s.feedback.Track[name] = true
 			}
 		}
-		opts.Feedback = fb
+		opts.Feedback = &s.feedback
 	}
-	out, err := runtime.ExecuteDAG(d, s.Env, opts)
+	out, err := entry.sched.Run(s.Env, opts)
 	spe.End()
 	if err != nil {
 		return err
 	}
-	if fb != nil {
-		s.checkReopt(blockCacheKey, fb)
+	if opts.Feedback != nil {
+		s.checkReopt(entry, opts.Feedback)
 	}
-	s.setEnvAll(out)
-	for _, po := range prints {
+	s.setEnvAll(entry.dag.OutputNames(), out)
+	for _, po := range entry.prints {
 		line := ""
-		for _, part := range po.parts {
+		for _, part := range po {
 			switch v := part.(type) {
 			case string:
 				line += v
@@ -959,22 +1056,22 @@ func (s *Session) syncCalibration() {
 }
 
 // checkReopt inspects one block execution's feedback for divergence
-// between the optimizer's assumptions and observed reality, and discards
-// the block's cached plan when re-optimizing would plausibly pick a better
-// one:
+// between the optimizer's assumptions and observed reality:
 //
 //   - sparsity: a tracked input's actual nonzero count differs from its
 //     compile-time estimate by more than Reopt.SparsityFactor. The stale
-//     hint is dropped, so the recompiled block keys on (and optimizes
-//     under) the exact count — the divergence cannot recur.
+//     hint is dropped and the block's plan discarded, so the next execution
+//     compiles (and optimizes) under the exact count — the divergence
+//     cannot recur.
 //   - time: the block's measured operator seconds diverge from the
 //     predicted seconds by more than Reopt.TimeFactor. Estimates don't
-//     change by themselves, so this only helps alongside a calibrator
-//     (whose refit repriced the plan space); it is capped at
-//     Reopt.MaxPerBlock per block either way.
-func (s *Session) checkReopt(key string, fb *runtime.Feedback) {
+//     change by themselves: re-optimizing under the same constants
+//     re-derives the same plan, so the plan stays. What the evidence can
+//     change is the constants — with a calibrator attached it is folded in
+//     now rather than at the refit cadence, and a refit that moves them
+//     invalidates every plan of the older generation at its next lookup.
+func (s *Session) checkReopt(entry *blockEntry, fb *runtime.Feedback) {
 	r := s.Config.Reopt
-	diverged := false
 	for _, in := range fb.Inputs {
 		cells := in.Rows * in.Cols
 		if cells < r.MinCells {
@@ -994,27 +1091,17 @@ func (s *Session) checkReopt(key string, fb *runtime.Feedback) {
 		if ratio := act / est; ratio > r.SparsityFactor || ratio < 1/r.SparsityFactor {
 			delete(s.nnzHints, in.Name)
 			s.Obs.Inc("reopt.sparsity")
-			diverged = true
+			s.invalidateBlock(entry, "reopt.invalidations")
 		}
 	}
-	if fb.ActualSec >= r.MinSec && fb.PredSec > 0 && s.blockReopt[key] < r.MaxPerBlock {
+	if fb.ActualSec >= r.MinSec && fb.PredSec > 0 {
 		if ratio := fb.PredSec / fb.ActualSec; ratio > r.TimeFactor || ratio < 1/r.TimeFactor {
-			if s.blockReopt == nil {
-				s.blockReopt = map[string]int{}
-			}
-			s.blockReopt[key]++
 			s.Obs.Inc("reopt.time")
-			diverged = true
 			if s.Calib != nil {
-				// Fold the divergence evidence into the constants now rather
-				// than waiting for the refit cadence.
 				s.Calib.Refit()
 				s.syncCalibration()
 			}
 		}
-	}
-	if diverged {
-		s.invalidateBlock(key, "reopt.invalidations")
 	}
 }
 
@@ -1022,20 +1109,23 @@ func (s *Session) checkReopt(key string, fb *runtime.Feedback) {
 // compiled operators in the plan cache (all views of a shared cache stop
 // serving them), counting it under the caller's reason: a re-optimization
 // ("reopt.invalidations") or an LRU eviction ("block.cache.evictions").
-func (s *Session) invalidateBlock(key, counter string) {
-	e, ok := s.blockCache[key]
-	if !ok {
+func (s *Session) invalidateBlock(e *blockEntry, counter string) {
+	if e.lru == nil {
 		return
 	}
-	delete(s.blockCache, key)
 	s.blockLRU.Remove(e.lru)
+	e.lru = nil
+	i := slices.Index(s.blockCache[e.id], e)
+	if plans := slices.Delete(s.blockCache[e.id], i, i+1); len(plans) == 0 {
+		delete(s.blockCache, e.id)
+	} else {
+		s.blockCache[e.id] = plans
+	}
 	if s.Cache != nil {
 		s.Cache.Invalidate(e.hashes...)
 	}
 	s.Obs.Inc(counter)
 }
-
-type printRef string
 
 // isRowSlice reports whether h selects a proper part of its input's rows.
 // No template takes such a hop (they open and fuse an index only over the
@@ -1043,53 +1133,6 @@ type printRef string
 // plan can take its offsets as parameters.
 func isRowSlice(h *hop.Hop) bool {
 	return h.Kind == hop.OpIndex && (h.RL != 0 || h.RU != h.Inputs[0].Rows)
-}
-
-// appendBlockKey appends the fingerprint of a rewritten block DAG to buf:
-// operator structure, input names, dimensions, format, and bucketed
-// sparsity, plus the output binding; topo is the DAG in topological order.
-// Matching keys produce identical optimized plans up to the row offsets of
-// row slices: a slice contributes its extent (its row count) and that it is
-// one, not where it starts. Column bounds are compiled into fused operators
-// and stay in the key.
-func appendBlockKey(buf []byte, d *hop.DAG, topo []*hop.Hop) []byte {
-	for _, h := range topo {
-		buf = binary.AppendVarint(buf, h.ID)
-		buf = append(buf, byte(h.Kind), byte(h.BinOp), byte(h.UnOp), byte(h.AggOp), byte(h.AggDir), byte(h.Gen))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.Value))
-		buf = binary.AppendUvarint(buf, uint64(len(h.Name)))
-		buf = append(buf, h.Name...)
-		buf = binary.AppendVarint(buf, h.Rows)
-		buf = binary.AppendVarint(buf, h.Cols)
-		if h.IsSparse() {
-			buf = append(buf, 's')
-		}
-		// One decimal of sparsity, as %.1f rounds it.
-		buf = append(strconv.AppendFloat(buf, h.Sparsity(), 'f', 1, 64), 0)
-		if h.Kind == hop.OpIndex {
-			if isRowSlice(h) {
-				buf = append(buf, 'p')
-			} else {
-				buf = append(buf, 'f')
-			}
-			buf = binary.AppendVarint(buf, h.CL)
-			buf = binary.AppendVarint(buf, h.CU)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(h.GenArgs)))
-		for _, a := range h.GenArgs {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a))
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(h.Inputs)))
-		for _, in := range h.Inputs {
-			buf = binary.AppendVarint(buf, in.ID)
-		}
-	}
-	for _, name := range d.OutputNames() {
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-		buf = binary.AppendVarint(buf, d.Outputs[name].ID)
-	}
-	return buf
 }
 
 // flattenConcat splits a "+"-chain mixing strings and expressions into
@@ -1112,18 +1155,19 @@ func containsStr(e Expr) bool {
 }
 
 // evalScalar evaluates a predicate or loop-bound expression through the
-// regular block pipeline (a one-output DAG), mirroring SystemML's handling
-// of scalar instructions.
+// regular block pipeline (a one-output DAG, not optimized), mirroring
+// SystemML's handling of scalar instructions.
 func (s *Session) evalScalar(ctx context.Context, root obs.Span, e Expr) (float64, error) {
-	c := newBlockCompiler(s.Env)
-	h, err := c.compile(e)
-	if err != nil {
-		return 0, err
+	entry := s.lookup(e)
+	if entry == nil {
+		var err error
+		if entry, err = s.compile(nil, e); err != nil {
+			return 0, err
+		}
+		s.remember(entry)
 	}
-	c.d.Output("__cond", h)
-	d, _ := rewrite.Apply(c.d)
 	sp := root.Child("evalScalar")
-	out, err := runtime.ExecuteDAG(d, s.Env, runtime.Options{
+	out, err := entry.sched.Run(s.Env, runtime.Options{
 		Dist: s.Dist, Ctx: ctx, Metrics: s.Obs, Trace: sp, Audit: s.Audit,
 		Exec: s.execCtx(),
 	})
@@ -1131,7 +1175,7 @@ func (s *Session) evalScalar(ctx context.Context, root obs.Span, e Expr) (float6
 	if err != nil {
 		return 0, err
 	}
-	m := out["__cond"]
+	m := out[0]
 	if m.Rows != 1 || m.Cols != 1 {
 		return 0, shapeErrf(0, "condition is not scalar (%dx%d)", m.Rows, m.Cols)
 	}

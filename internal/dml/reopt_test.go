@@ -113,6 +113,87 @@ func TestReoptAccurateHintStable(t *testing.T) {
 	}
 }
 
+// timeDivergent is a script whose loop body the cost model mis-predicts by
+// far more than Reopt.TimeFactor once MinSec is out of the way.
+const timeDivergent = `
+	acc = 0
+	i = 0
+	while (i < 6) {
+		acc = acc + sum(X * Y + abs(X - Y))
+		i = i + 1
+	}`
+
+func timeTriggerSession(calib *codegen.Calibrator) *Session {
+	cfg := codegen.DefaultConfig()
+	cfg.Reopt.MinSec = 0
+	cfg.Reopt.TimeFactor = 1 + 1e-9 // every execution diverges
+	s := newTestSessionCfg(cfg)
+	s.Calib = calib
+	s.Bind("X", matrix.Rand(2000, 16, 1, -1, 1, 4))
+	s.Bind("Y", matrix.Rand(2000, 16, 1, -1, 1, 5))
+	return s
+}
+
+// TestReoptTimeKeepsThePlan: without a calibrator the constants cannot move,
+// so re-optimizing a block whose time diverged could only derive its plan
+// again. The trigger counts the divergence and leaves the plan cached: the
+// optimizer's work repeats exactly from run to run, whatever the clock says.
+func TestReoptTimeKeepsThePlan(t *testing.T) {
+	var first [3]int64
+	for run := 0; run < 3; run++ {
+		s := timeTriggerSession(nil)
+		if err := s.Run(timeDivergent); err != nil {
+			t.Fatal(err)
+		}
+		snap := s.Metrics()
+		if snap.Counters["reopt.time"] == 0 {
+			t.Fatal("reopt.time = 0: the trigger never fired, the test shows nothing")
+		}
+		if n := snap.Counters["reopt.invalidations"]; n != 0 {
+			t.Errorf("reopt.invalidations = %d: a time divergence discarded a plan", n)
+		}
+		// The block before the loop, the body twice (acc and i leave zero),
+		// and the iterations after that find it planned.
+		if s.Blocks != 3 || s.BlockCacheHits != 4 {
+			t.Errorf("%d blocks optimized, %d found planned, want 3 and 4", s.Blocks, s.BlockCacheHits)
+		}
+		got := [3]int64{s.Blocks, s.Stats.PlansEvaluated, s.Stats.OperatorsCompiled}
+		if run == 0 {
+			first = got
+		} else if got != first {
+			t.Errorf("run %d: blocks, plans evaluated, operators compiled = %v, first run %v", run, got, first)
+		}
+	}
+}
+
+// TestReoptTimeRefitsTheCalibrator: with a calibrator the divergence is
+// evidence about the constants. It is folded in at once; when the refit
+// moves them, the plans of the older generation are re-optimized at their
+// next lookup (reopt.calib), never by the trigger itself.
+func TestReoptTimeRefitsTheCalibrator(t *testing.T) {
+	prior := codegen.DefaultCostModel()
+	prior.ReadBW, prior.WriteBW, prior.ComputeBW = prior.ReadBW*1e3, prior.WriteBW*1e3, prior.ComputeBW*1e3
+	cal := codegen.NewCalibrator(prior)
+	s := timeTriggerSession(cal)
+	s.Config.Costs = prior
+	for i := 0; i < 8; i++ {
+		if err := s.Run(timeDivergent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := s.Metrics()
+	if snap.Counters["reopt.time"] == 0 || snap.Counters["calib.refits"] == 0 {
+		t.Fatalf("reopt.time = %d, calib.refits = %d: the divergence did not reach the calibrator",
+			snap.Counters["reopt.time"], snap.Counters["calib.refits"])
+	}
+	if snap.Counters["calib.gen"] == 0 {
+		t.Fatal("constants a thousand times too fast survived the refits")
+	}
+	if calibs, invals := snap.Counters["reopt.calib"], snap.Counters["reopt.invalidations"]; calibs == 0 || invals != calibs {
+		t.Errorf("reopt.calib = %d, reopt.invalidations = %d: plans are discarded by a new generation only", calibs, invals)
+	}
+}
+
 // newTestSessionCfg builds a quiet session from an explicit config.
 func newTestSessionCfg(cfg codegen.Config) *Session {
 	s := NewSession(cfg)

@@ -1,13 +1,13 @@
 package dml
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"sysml/internal/codegen"
-	"sysml/internal/hop"
 	"sysml/internal/matrix"
-	"sysml/internal/rewrite"
+	"sysml/internal/obs"
 )
 
 // Row-slice offsets are parameters of a cached block plan: the key holds a
@@ -189,47 +189,54 @@ func TestSlicePlanColumnBoundsStayLiteral(t *testing.T) {
 	p.plans(2, 1)
 }
 
-// BenchmarkBlockKey fingerprints the rewritten inner block of MLogreg (the
-// CG step over a 150000x10 X), which is what every execution of the block
-// pays before it finds its cached plan.
-func BenchmarkBlockKey(b *testing.B) {
-	s := newTestSession(codegen.ModeGen)
-	s.Bind("X", matrix.NewDense(150000, 10))
-	for _, name := range []string{"P", "Q"} {
-		s.Bind(name, matrix.NewDense(150000, 2))
-	}
-	for _, name := range []string{"S", "R", "D", "HS"} {
-		s.Bind(name, matrix.NewDense(10, 2))
+// mlogregInner is the CG step of algos.MLogreg, the block the six
+// algorithms execute most often.
+const mlogregInner = `
+	Q = P * (X %*% S)
+	HS = t(X) %*% (Q - P * rowSums(Q)) + lambda * S
+	alpha = rsold / max(sum(S * HS), eps)
+	D = D + alpha * S
+	R = R - alpha * HS
+	rsnew = sum(R * R)
+	S = R + (rsnew / max(rsold, eps)) * S
+	rsold = rsnew
+`
+
+// warmInnerBlock returns a session that has planned mlogregInner over an X
+// small enough that an execution is mostly what surrounds the operators.
+func warmInnerBlock(tb testing.TB) (*Session, []Stmt) {
+	cfg := codegen.DefaultConfig()
+	cfg.Reopt.MinSec = math.Inf(1)
+	s := newTestSessionCfg(cfg)
+	s.Bind("X", matrix.Rand(64, 10, 1, -1, 1, 1))
+	s.Bind("P", matrix.Rand(64, 2, 1, 0.1, 0.5, 2))
+	for i, name := range []string{"S", "R", "D"} {
+		s.Bind(name, matrix.Rand(10, 2, 1, -1, 1, int64(3+i)))
 	}
 	for _, name := range []string{"lambda", "eps", "rsold"} {
 		s.BindScalar(name, 1)
 	}
-	prog, err := Parse(`
-		Q = P * (X %*% S)
-		HS = t(X) %*% (Q - P * rowSums(Q)) + lambda * S
-		alpha = rsold / max(sum(S * HS), eps)
-		D = D + alpha * S
-		R = R - alpha * HS
-		rsnew = sum(R * R)
-		S = R + (rsnew / max(rsold, eps)) * S
-		rsold = rsnew
-	`)
+	prog, err := Parse(mlogregInner)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	c := newBlockCompiler(s.Env)
-	for _, st := range prog.Stmts {
-		a := st.(*Assign)
-		if err := c.assign(a.Target, a.Value); err != nil {
-			b.Fatal(err)
+	for i := 0; i < 3; i++ {
+		if err := s.exec(context.Background(), obs.Span{}, prog.Stmts); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	d, _ := rewrite.Apply(c.d)
-	topo := hop.TopoOrder(d.Roots())
+	return s, prog.Stmts
+}
+
+// BenchmarkBlockHit executes the planned inner block of MLogreg: what an
+// iteration pays around its operators once the block has its plan.
+func BenchmarkBlockHit(b *testing.B) {
+	s, stmts := warmInnerBlock(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var buf []byte
 	for i := 0; i < b.N; i++ {
-		buf = appendBlockKey(buf[:0], d, topo)
+		if err := s.exec(context.Background(), obs.Span{}, stmts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package hop
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"sysml/internal/matrix"
 )
@@ -17,8 +18,16 @@ type DAG struct {
 
 // NewDAG returns an empty DAG builder.
 func NewDAG() *DAG {
+	dagsBuilt.Add(1)
 	return &DAG{Outputs: make(map[string]*Hop)}
 }
+
+var dagsBuilt atomic.Int64
+
+// DAGsBuilt counts the NewDAG calls of the process. Tests take its
+// difference around code that must build no hops: the execution of a
+// statement block that has its plan.
+func DAGsBuilt() int64 { return dagsBuilt.Load() }
 
 func (d *DAG) newHop(kind OpKind, inputs ...*Hop) *Hop {
 	d.nextID++

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"sysml/internal/compress"
@@ -116,8 +117,104 @@ type DistBackend interface {
 }
 
 // ExecuteDAG evaluates all outputs of a HOP DAG against the environment
-// and returns the named results.
+// and returns the named results: NewSchedule and Run for a DAG executed once.
 func ExecuteDAG(d *hop.DAG, env Env, opts Options) (Env, error) {
+	vals, err := NewSchedule(d).Run(env, opts)
+	if err != nil {
+		return nil, err
+	}
+	out := make(Env, len(vals))
+	for i, name := range d.OutputNames() {
+		out[name] = vals[i]
+	}
+	return out, nil
+}
+
+// Schedule is what executing a HOP DAG needs beyond the values it runs
+// over, computed once: the interpreter keeps one per cached block plan. It
+// also owns the scratch state of its run in progress, so it executes on one
+// goroutine at a time (a block plan belongs to one session).
+type Schedule struct {
+	steps   []step  // topological order, inputs before consumers
+	outs    []int32 // steps of the DAG's OutputNames
+	results []*matrix.Matrix
+}
+
+// step is one operator of a schedule; positions index Schedule.steps.
+type step struct {
+	h  *hop.Hop
+	in []int32 // positions of h.Inputs
+	// kill are the inputs this is the last consumer of, in the order of
+	// their last occurrence (lineage-aware buffer recycling: a dead
+	// intermediate's storage returns to the matrix buffer pool, where the
+	// next NewDense of the same shape picks it up). A named DAG output never
+	// dies.
+	kill []int32
+	// The strings the operator is observed under: trace span and audit
+	// group, "op.<kind>", and for fused operators "spoof.<template>" and
+	// "op.spoof.<template>".
+	label, op, spoof, opSpoof string
+
+	// Run state. val is the result, nil once dead; owned says its storage
+	// is the executor's to recycle — ops such as ToDense can return an input
+	// unchanged, and OpData results belong to the caller's environment.
+	// bundle is the output set of a multi-output (Horizontal-template)
+	// fused operator, whose val is a dummy scalar: OpSpoofOut extractors hand
+	// each output to its consumers, and the bundle dies with its operator
+	// (every extractor is a consumer).
+	ins    []*matrix.Matrix
+	val    *matrix.Matrix
+	owned  bool
+	bundle []*matrix.Matrix
+}
+
+// NewSchedule computes the execution schedule of d. The DAG's structure
+// must not change afterwards; operator parameters (index bounds) may.
+func NewSchedule(d *hop.DAG) *Schedule {
+	topo := hop.TopoOrder(d.Roots())
+	s := &Schedule{steps: make([]step, len(topo))}
+	pos := make(map[*hop.Hop]int32, len(topo))
+	last := make([]int, len(topo)) // last consumer of each position
+	for p, h := range topo {
+		pos[h] = int32(p)
+		st := &s.steps[p]
+		*st = step{h: h, label: h.String(), op: "op." + h.Kind.String(), ins: make([]*matrix.Matrix, len(h.Inputs))}
+		if h.Kind == hop.OpSpoof {
+			st.spoof, st.opSpoof = "spoof."+h.SpoofType, "op.spoof."+h.SpoofType
+		}
+		for _, in := range h.Inputs {
+			st.in = append(st.in, pos[in])
+			last[pos[in]] = p
+		}
+	}
+	for _, name := range d.OutputNames() {
+		s.outs = append(s.outs, pos[d.Outputs[name]])
+		last[pos[d.Outputs[name]]] = -1
+	}
+	for p := range s.steps {
+		st := &s.steps[p]
+		for i, q := range st.in {
+			if last[q] == p && !slices.Contains(st.in[i+1:], q) {
+				st.kill = append(st.kill, q)
+			}
+		}
+	}
+	s.results = make([]*matrix.Matrix, len(s.outs))
+	return s
+}
+
+// Run evaluates the DAG against the environment and returns its outputs in
+// the order of the DAG's OutputNames. The slice is the schedule's and valid
+// until its next Run.
+func (s *Schedule) Run(env Env, opts Options) ([]*matrix.Matrix, error) {
+	// Forget the run's matrices afterwards: an idle plan pins none.
+	defer func() {
+		for p := range s.steps {
+			st := &s.steps[p]
+			clear(st.ins)
+			st.val, st.owned, st.bundle = nil, false, nil
+		}
+	}()
 	var stop StopFn
 	if opts.Ctx != nil {
 		ctx := opts.Ctx
@@ -130,48 +227,19 @@ func ExecuteDAG(d *hop.DAG, env Env, opts Options) (Env, error) {
 			}
 		}
 	}
-	topo := hop.TopoOrder(d.Roots())
-
-	// Lineage-aware buffer recycling: refs[id] counts the remaining readers
-	// of each hop's result (one per consumer occurrence, plus one if the hop
-	// is a named DAG output). When the count hits zero the intermediate is
-	// dead and its backing storage returns to the matrix buffer pool, where
-	// the next NewDense of the same shape picks it up.
-	refs := make(map[int64]int, len(topo))
-	for _, h := range topo {
-		for _, in := range h.Inputs {
-			refs[in.ID]++
-		}
-	}
-	for _, name := range d.OutputNames() {
-		refs[d.Outputs[name].ID]++
-	}
-	// held counts live cache entries per matrix pointer and owned marks
-	// results whose storage the executor may recycle — both guard against
-	// aliasing: ops such as ToDense can return an input unchanged, and
-	// OpData results belong to the caller's environment, never to us.
-	held := map[*matrix.Matrix]int{}
-	owned := map[*matrix.Matrix]bool{}
-
-	cache := map[int64]*matrix.Matrix{}
-	// bundles holds the output sets of multi-output (Horizontal-template)
-	// fused operators, keyed by spoof hop ID. The spoof hop's own cache
-	// entry is a dummy scalar; OpSpoofOut extractors hand each bundled
-	// output to its consumers. A bundle dies with its spoof hop (every
-	// extractor is a consumer, so all outputs are extracted before then).
-	bundles := map[int64][]*matrix.Matrix{}
 	observed := opts.Metrics != nil || opts.Audit != nil || opts.Calib != nil || opts.Feedback != nil
-	for _, h := range topo {
+	for p := range s.steps {
+		st := &s.steps[p]
+		h, ins := st.h, st.ins
 		if stop.stopped() {
 			return nil, opts.Ctx.Err()
 		}
-		ins, err := gatherInputs(h, cache)
-		if err != nil {
-			return nil, err
+		for i, q := range st.in {
+			ins[i] = s.steps[q].val
 		}
 		var sp obs.Span
 		if opts.Trace.Active() {
-			sp = opts.Trace.Child(h.String(),
+			sp = opts.Trace.Child(st.label,
 				obs.KV("hop", h.ID),
 				obs.KV("rows", h.Rows),
 				obs.KV("cols", h.Cols),
@@ -184,7 +252,7 @@ func ExecuteDAG(d *hop.DAG, env Env, opts Options) (Env, error) {
 		var m *matrix.Matrix
 		switch {
 		case h.Kind == hop.OpSpoofOut:
-			b := bundles[h.Inputs[0].ID]
+			b := s.steps[st.in[0]].bundle
 			if h.OutIdx >= len(b) {
 				sp.End()
 				return nil, fmt.Errorf("runtime: spoofOut %d references missing output %d of hop %d",
@@ -195,10 +263,11 @@ func ExecuteDAG(d *hop.DAG, env Env, opts Options) (Env, error) {
 			// Horizontal fused operators always execute locally: the one
 			// shared pass over the main input produces every sibling output.
 			var bind Binding
-			bundles[h.ID], bind = execCells(opts.Exec, h.Spoof.(*cplan.Operator), ins[0], ins[1:], stop)
+			st.bundle, bind = execCells(opts.Exec, h.Spoof.(*cplan.Operator), ins[0], ins[1:], stop)
 			countBinding(opts.Metrics, h, ins, bind, false)
 			m = matrix.NewScalar(0)
 		default:
+			var err error
 			m, err = evalHop(h, ins, env, opts, stop, sp)
 			if err != nil {
 				sp.End()
@@ -206,51 +275,47 @@ func ExecuteDAG(d *hop.DAG, env Env, opts Options) (Env, error) {
 			}
 		}
 		if observed {
-			observeHop(&opts, h, ins, m, time.Since(start))
+			observeHop(&opts, st, m, time.Since(start))
 		}
 		sp.End()
 		if stop.stopped() {
 			// A canceled skeleton returns a partial result: discard it.
 			return nil, opts.Ctx.Err()
 		}
-		cache[h.ID] = m
-		held[m]++
-		if h.Kind != hop.OpData && !aliasesAny(m, ins) {
-			owned[m] = true
-		}
+		st.val, st.owned = m, h.Kind != hop.OpData && !aliasesAny(m, ins)
 		// This hop has consumed its inputs; release the ones it killed.
-		for _, in := range h.Inputs {
-			refs[in.ID]--
-			if refs[in.ID] > 0 {
-				continue
-			}
-			im := cache[in.ID]
-			delete(cache, in.ID)
-			delete(bundles, in.ID)
-			if im == nil {
-				continue
-			}
-			held[im]--
-			if held[im] > 0 {
-				continue
-			}
-			delete(held, im)
-			if owned[im] {
-				delete(owned, im)
-				if opts.Dist != nil {
-					// The pool may hand im's storage to the next allocation;
-					// a broadcast handle for it would go stale.
-					opts.Dist.Invalidate(im)
-				}
-				im.Release()
-			}
+		for _, q := range st.kill {
+			s.release(&s.steps[q], opts.Dist)
 		}
 	}
-	out := Env{}
-	for _, name := range d.OutputNames() {
-		out[name] = cache[d.Outputs[name].ID]
+	for i, q := range s.outs {
+		s.results[i] = s.steps[q].val
 	}
-	return out, nil
+	return s.results, nil
+}
+
+// release drops a dead result and recycles its storage, unless another live
+// step holds the same matrix (an alias), which then inherits the ownership.
+func (s *Schedule) release(dead *step, dist DistBackend) {
+	im, owned := dead.val, dead.owned
+	dead.val, dead.owned, dead.bundle = nil, false, nil
+	if im == nil {
+		return
+	}
+	for p := range s.steps {
+		if st := &s.steps[p]; st.val == im {
+			st.owned = st.owned || owned
+			return
+		}
+	}
+	if owned {
+		if dist != nil {
+			// The pool may hand im's storage to the next allocation; a
+			// broadcast handle for it would go stale.
+			dist.Invalidate(im)
+		}
+		im.Release()
+	}
 }
 
 // isHorizontalSpoof reports whether a spoof hop carries a multi-output
@@ -266,7 +331,8 @@ func isHorizontalSpoof(h *hop.Hop) bool {
 // bytes and measured work, fused-operator invocation counts per template,
 // predicted-vs-measured entries for the audit ledger and the calibrator,
 // and input-sparsity/time feedback for the re-optimization check.
-func observeHop(opts *Options, h *hop.Hop, ins []*matrix.Matrix, out *matrix.Matrix, d time.Duration) {
+func observeHop(opts *Options, st *step, out *matrix.Matrix, d time.Duration) {
+	h, ins := st.h, st.ins
 	m, audit := opts.Metrics, opts.Audit
 	if fb := opts.Feedback; fb != nil && h.Kind == hop.OpData && fb.Track[h.Name] && out != nil {
 		fb.Inputs = append(fb.Inputs, InputFeedback{
@@ -276,7 +342,7 @@ func observeHop(opts *Options, h *hop.Hop, ins []*matrix.Matrix, out *matrix.Mat
 	}
 	actualFlops := ActualFlops(h, ins, out)
 	m.Inc("exec.ops")
-	m.ObserveDuration("op."+h.Kind.String(), d)
+	m.ObserveDuration(st.op, d)
 	m.Add("exec.est.flops", int64(EstFlops(h)))
 	m.Add("exec.est.bytes", h.OutputSizeBytes())
 	m.Add("exec.actual.flops", int64(actualFlops))
@@ -285,8 +351,8 @@ func observeHop(opts *Options, h *hop.Hop, ins []*matrix.Matrix, out *matrix.Mat
 	}
 	if h.Kind == hop.OpSpoof {
 		m.Inc("spoof.invocations")
-		m.Inc("spoof." + h.SpoofType)
-		m.ObserveDuration("op.spoof."+h.SpoofType, d)
+		m.Inc(st.spoof)
+		m.ObserveDuration(st.opSpoof, d)
 	}
 	if h.ExecType == hop.ExecDist {
 		m.Inc("exec.dist.ops")
@@ -316,7 +382,7 @@ func observeHop(opts *Options, h *hop.Hop, ins []*matrix.Matrix, out *matrix.Mat
 				bcast = inBytes - maxIn
 			}
 			e := obs.AuditEntry{
-				Op:             h.String(),
+				Op:             st.label,
 				Template:       h.SpoofType,
 				PredSec:        h.PredSec,
 				PredFlops:      h.PredFlops,
@@ -416,18 +482,6 @@ func aliasesAny(m *matrix.Matrix, ins []*matrix.Matrix) bool {
 		}
 	}
 	return false
-}
-
-func gatherInputs(h *hop.Hop, cache map[int64]*matrix.Matrix) ([]*matrix.Matrix, error) {
-	ins := make([]*matrix.Matrix, len(h.Inputs))
-	for i, in := range h.Inputs {
-		m, ok := cache[in.ID]
-		if !ok {
-			return nil, fmt.Errorf("runtime: input %v of %v not yet computed", in, h)
-		}
-		ins[i] = m
-	}
-	return ins, nil
 }
 
 func evalHop(h *hop.Hop, ins []*matrix.Matrix, env Env, opts Options, stop StopFn, sp obs.Span) (*matrix.Matrix, error) {

@@ -3,11 +3,11 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"sysml/internal/dml"
 	"sysml/internal/matrix"
 )
 
@@ -222,31 +222,52 @@ func TestSessionResetReturnsBuffers(t *testing.T) {
 }
 
 // TestServerBoundedPlanState: a default engine fed scripts it has never
-// seen, through /v1/run, keeps a flat heap — tenant sessions bound their
-// block plans and the shared plan cache evicts at its default capacity.
+// seen, through /v1/run, keeps bounded state — every tenant session holds at
+// most its bound of block plans and of parsed scripts, the shared plan cache
+// evicts at its default capacity, and no request leaves pool bytes live.
+// (What the sessions hold is asserted directly: the live heap of the test
+// process moves by more than any sensible bound with the collector's
+// timing.)
 func TestServerBoundedPlanState(t *testing.T) {
 	e := NewEngine()
 	srv := startServer(t, e)
-	liveHeap := func() int64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
 	const scripts, tenants = 5000, 16
-	var heapAt1000 int64
 	for i := 0; i < scripts; i++ {
-		if i == 1000 {
-			heapAt1000 = liveHeap()
-		}
 		req := sumReq(fmt.Sprintf("t%d", i%tenants), 2, 1)
 		req.Script = fmt.Sprintf("s = sum(X * %d + X)\nr = rowSums(abs(X) / %d.5)", i+2, i+1)
 		if r := post(srv, "", req); r.status != http.StatusOK {
 			t.Fatalf("script %d: status %d err %v", i, r.status, r.err)
 		}
 	}
-	if grown := liveHeap() - heapAt1000; grown > 2<<20 || grown < -(2<<20) {
-		t.Errorf("live heap moved by %d KiB between script 1000 and %d, want within 2 MiB", grown>>10, scripts)
+	sessions, fullPlans, fullPrograms := 0, 0, 0
+	e.mu.Lock()
+	for _, tn := range e.tenants {
+		tn.mu.Lock()
+		for _, sess := range tn.idle {
+			g := sess.Metrics().Gauges
+			plans, programs := int(g["block.cache.size"]), int(g["program.cache.size"])
+			if plans > dml.MaxBlockPlans || programs > dml.MaxPrograms {
+				t.Errorf("tenant %s: a session holds %d block plans (bound %d) and %d parsed scripts (bound %d)",
+					tn.name, plans, dml.MaxBlockPlans, programs, dml.MaxPrograms)
+			}
+			sessions++
+			if plans == dml.MaxBlockPlans {
+				fullPlans++
+			}
+			if programs == dml.MaxPrograms {
+				fullPrograms++
+			}
+		}
+		tn.mu.Unlock()
+	}
+	e.mu.Unlock()
+	// 312 scripts per tenant: the bounds were reached, and held.
+	if sessions == 0 || fullPlans == 0 || fullPrograms == 0 {
+		t.Errorf("%d idle sessions, %d at the block-plan bound, %d at the parsed-script bound: the bounds were never exercised",
+			sessions, fullPlans, fullPrograms)
+	}
+	if live := e.LiveBytes(); live != 0 {
+		t.Errorf("%d pool bytes live with every request answered", live)
 	}
 	snap := e.Metrics()
 	if snap.Counter("plancache.evictions") == 0 {
