@@ -554,6 +554,9 @@ func (c *constructor) buildRowPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.H
 	case h.Kind == hop.OpAggUnary:
 		switch h.AggDir {
 		case matrix.DirAll:
+			if h.AggOp == matrix.AggMin || h.AggOp == matrix.AggMax {
+				return nil, nil // the skeleton folds row results into one by adding
+			}
 			rowType = cplan.RowFullAgg
 		case matrix.DirCol:
 			if h.AggOp == matrix.AggMin || h.AggOp == matrix.AggMax {
