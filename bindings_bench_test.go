@@ -11,10 +11,12 @@ import (
 	"sysml/internal/runtime"
 )
 
-// BenchmarkCellBindings times one operator per binding of the cell-bound
-// skeleton (see cplan.Cells), at the benchmark's sizes: every register a view
-// of its input; a column side filled into a register, for rows of 100 cells
-// and of 2; the stored cells of a sparse main; the dictionaries of a
+// BenchmarkCellBindings times one cell-bodied operator per way the tile pass
+// loads its registers (see cplan.BindMain, cplan.Buf), at the benchmark's
+// sizes: every register a view of its input; a column side, for rows of 100
+// cells and of 2 (a scalar register per row since ISSUE 22, a register filled
+// cell by cell before — the sub-benchmarks keep their names so that the two
+// compare); the stored cells of a sparse main; the dictionaries of a
 // compressed main, few large and many small; and the Outer dot leaf at two
 // sparsities of the driver.
 // To time one alone and single-threaded:
@@ -82,7 +84,7 @@ func BenchmarkCellBindings(b *testing.B) {
 // algorithms produce (MLogreg's n×2 class scores, KMeans' n×5 distances,
 // the n×1 margins of L2SVM) — at the benchmark's row count, plus one wide
 // sigmoid. Each is a chain of tile kernels (vector.RowReduce, ScalarRows,
-// ExpWrite) over TileRows rows at a time. To profile one:
+// ExpWrite) over one tile of rows (Program.TileSize) at a time. To profile one:
 //
 //	GOMAXPROCS=1 go test -run '^$' -bench 'RowNarrow/softmax' -benchtime 200x -cpuprofile /root/scratch/cpu.out .
 func BenchmarkRowNarrow(b *testing.B) {

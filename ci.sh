@@ -26,9 +26,28 @@ if git grep -nE 'CellFunc|CellFn|MAggFns|compileCell|CompileInterpreted|cellDisp
   echo "FAIL: the closure tier is referenced again" >&2
   exit 1
 fi
+# One program, one executor, one tile pass for every fused body: the cell
+# executor, its register store and stepping loops and the Row skeleton's own
+# loops are gone, and stay gone; only cplan.Program.Exec executes RowInstrs
+# (lower.go emits them, source.go renders them).
+echo "== one executor of fused bodies =="
+if git grep -nE 'CellVecProgram|CellVecBuf|ExecNnz|BindDensified|rowPartials|cellPass|forEachTile|cellTileCells' -- '*.go'; then
+  echo "FAIL: a second executor or skeleton loop is referenced again" >&2
+  exit 1
+fi
+executors=$(git grep -l 'case RBinVV' -- internal/cplan internal/runtime ':!*_test.go' ':!internal/cplan/lower.go' ':!internal/cplan/source.go' | wc -l)
+if [ "$executors" -gt 1 ]; then
+  echo "FAIL: $executors files of internal/cplan + internal/runtime switch on RowInstr.Op to execute it" >&2
+  exit 1
+fi
 # Net LOC is a tracked number (ROADMAP): non-test Go lines, benchmark/ aside.
 loc() { git ls-files -- "$@" | grep '\.go$' | grep -v '_test\.go$' | xargs cat | wc -l; }
-echo "non-test Go lines: internal/cplan + internal/runtime $(loc internal/cplan internal/runtime), root module $(loc . ':!benchmark')"
+fused=$(loc internal/cplan internal/runtime)
+echo "non-test Go lines: internal/cplan + internal/runtime $fused, root module $(loc . ':!benchmark')"
+if [ "$fused" -gt 3200 ]; then
+  echo "FAIL: internal/cplan + internal/runtime grew past 3200 non-test lines" >&2
+  exit 1
+fi
 
 echo "== docs lint (docscheck) =="
 go run ./cmd/docscheck

@@ -428,8 +428,8 @@ func TestCellPlanServesEveryWidth(t *testing.T) {
 				ops = append(ops, op)
 			}
 		}
-		if metrics.Snapshot().Counter(string(runtime.BindFill)) == 0 {
-			t.Fatalf("%dx%d: the column sides must be filled registers:\n%s", rows, cols, hop.Explain(d.Roots()))
+		if snap := metrics.Snapshot(); snap.Counter(string(runtime.BindFill)) != 0 || snap.Counter(string(runtime.BindView)) == 0 {
+			t.Fatalf("%dx%d: the column sides must be scalar registers, not filled ones:\n%s", rows, cols, hop.Explain(d.Roots()))
 		}
 		x0, c0, rowMax := env["X"], env["c"], env["m"]
 		want := matrix.Binary(matrix.BinDiv, matrix.Unary(matrix.UnExp, matrix.Binary(matrix.BinSub, x0, rowMax)),

@@ -94,12 +94,6 @@ type Config struct {
 	// one pass, each point that lowers the plan cost (Enumerator.Best).
 	MaxPointsExact int
 
-	// RowTemplateMaxCols bounds the width of the second matmult input for
-	// Row-template B1 binding.
-	RowTemplateMaxCols int
-	// OuterMaxRank bounds the inner dimension of outer-product templates.
-	OuterMaxRank int
-
 	Exec hop.ExecConfig
 
 	// Costs holds the analytical cost model constants.
@@ -164,22 +158,20 @@ func DefaultReoptConfig() ReoptConfig {
 // cache, both prunings on).
 func DefaultConfig() Config {
 	return Config{
-		Mode:               ModeGen,
-		Compiler:           CompilerJanino,
-		PlanCache:          true,
-		ReuseBlockPlans:    true,
-		EnablePartition:    true,
-		EnableCostPrune:    true,
-		EnableStructPrune:  true,
-		MaxPointsExact:     12,
-		RowTemplateMaxCols: 128,
-		OuterMaxRank:       256,
-		Exec:               hop.DefaultExecConfig(),
-		Costs:              DefaultCostModel(),
-		Compress:           CompressAuto,
-		CompressMinRatio:   3.0,
-		CompressMinBytes:   1 << 16,
-		Reopt:              DefaultReoptConfig(),
+		Mode:              ModeGen,
+		Compiler:          CompilerJanino,
+		PlanCache:         true,
+		ReuseBlockPlans:   true,
+		EnablePartition:   true,
+		EnableCostPrune:   true,
+		EnableStructPrune: true,
+		MaxPointsExact:    12,
+		Exec:              hop.DefaultExecConfig(),
+		Costs:             DefaultCostModel(),
+		Compress:          CompressAuto,
+		CompressMinRatio:  3.0,
+		CompressMinBytes:  1 << 16,
+		Reopt:             DefaultReoptConfig(),
 	}
 }
 
@@ -207,3 +199,12 @@ func DefaultCostModel() CostModel {
 		CompressBW:  100e6,
 	}
 }
+
+// Template bounds no experiment varies.
+const (
+	// rowTemplateMaxCols bounds the width of the second matmult input for
+	// Row-template B1 binding.
+	rowTemplateMaxCols = 128
+	// outerMaxRank bounds the inner dimension of outer-product templates.
+	outerMaxRank = 256
+)

@@ -181,11 +181,10 @@ func (c *constructor) record(template string, op *cplan.Operator, inputs int, ro
 	if c.rep == nil {
 		return
 	}
-	cok, cwhy := cplan.CompressedEligible(op.Plan)
 	c.rep.Operators = append(c.rep.Operators, OperatorReport{
 		Template: template, ClassName: op.ClassName, NumInputs: inputs,
 		Rows: rows, Cols: cols, CacheHit: hit,
-		CompressedOK: cok, CompressedWhy: cwhy,
+		CompressedOK: op.Compressed, CompressedWhy: op.NotCompressed,
 	})
 }
 
@@ -554,14 +553,8 @@ func (c *constructor) buildRowPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.H
 	case h.Kind == hop.OpAggUnary:
 		switch h.AggDir {
 		case matrix.DirAll:
-			if h.AggOp == matrix.AggMin || h.AggOp == matrix.AggMax {
-				return nil, nil // the skeleton folds row results into one by adding
-			}
 			rowType = cplan.RowFullAgg
 		case matrix.DirCol:
-			if h.AggOp == matrix.AggMin || h.AggOp == matrix.AggMax {
-				return nil, nil // the skeleton folds row results into columns by adding
-			}
 			rowType = cplan.RowColAgg
 		case matrix.DirRow:
 			rowType = cplan.RowRowAgg
@@ -623,6 +616,11 @@ func (c *constructor) buildRowPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.H
 		Root:      root,
 		NumSides:  len(env.sides),
 		MainWidth: b.mainWidth,
+	}
+	if h.Kind == hop.OpAggUnary && (h.AggOp == matrix.AggMin || h.AggOp == matrix.AggMax) {
+		// The skeleton folds the result rows of a column or full aggregate
+		// by the aggregate's own function (sums, and the row sums of squares, add).
+		plan.AggOp = h.AggOp
 	}
 	return plan, append([]*hop.Hop{main}, env.sides...)
 }
@@ -733,7 +731,7 @@ func (c *constructor) buildOuterPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop
 	var mm *hop.Hop
 	for id := range r.covered {
 		x := c.memo.Hop(id)
-		if x.Kind == hop.OpMatMult && x.Inputs[0].Cols <= int64(c.cfg.OuterMaxRank) &&
+		if x.Kind == hop.OpMatMult && x.Inputs[0].Cols <= outerMaxRank &&
 			x.Inputs[0].Cols == x.Inputs[1].Rows && x.Cells() > x.Inputs[0].Cols*x.Inputs[0].Cols {
 			if mm == nil || x.Cells() > mm.Cells() {
 				mm = x

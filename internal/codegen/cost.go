@@ -141,7 +141,7 @@ type opCtx struct {
 
 // rowSparseCapableUse reports whether consumer h reads its input the way a
 // Row program can serve from sparse main rows: the mirror, at HOP level, of
-// cplan.RowProgram.MainSparseCapable.
+// cplan.Program.MainSparseCapable.
 func rowSparseCapableUse(h *hop.Hop) bool {
 	switch h.Kind {
 	case hop.OpMatMult, hop.OpTranspose:

@@ -62,7 +62,7 @@ func (c *constructor) predictSpoof(spoof *hop.Hop, t cplan.TemplateType, regions
 		main = mainInput(main, in)
 	}
 	op, _ := spoof.Spoof.(*cplan.Operator)
-	denseMain := op != nil && op.RowProg != nil && !op.RowProg.MainSparseCapable()
+	denseMain := op != nil && op.Plan.Type == cplan.TemplateRow && !op.Progs[0].MainSparseCapable()
 	predictHop(c.cfg, spoof, fl, inBytes, sparsityScale(t, main, denseMain))
 	spoof.PredSec += rowDensifySec(c.cfg.Costs, t, main, denseMain)
 }

@@ -151,7 +151,7 @@ func (f *fusedCompiler) tryWdivmm(h *hop.Hop) bool {
 		return false
 	}
 	u := uvt.Inputs[0]
-	if u.Cols > int64(f.cfg.OuterMaxRank) {
+	if u.Cols > outerMaxRank {
 		return false
 	}
 	// Mask: X != 0 or plain X.
@@ -203,7 +203,7 @@ func (f *fusedCompiler) tryWsloss(h *hop.Hop) bool {
 		return false
 	}
 	u, v := uvt.Inputs[0], uvt.Inputs[1].Inputs[0]
-	if u.Cols > int64(f.cfg.OuterMaxRank) || x.Rows != uvt.Rows || x.Cols != uvt.Cols {
+	if u.Cols > outerMaxRank || x.Rows != uvt.Rows || x.Cols != uvt.Cols {
 		return false
 	}
 	inner := cplan.Binary(matrix.BinAdd, cplan.Dot(), cplan.Lit(eps))

@@ -45,12 +45,14 @@ func TestHorizontalConstruction(t *testing.T) {
 		t.Fatalf("expected one Horizontal operator, got %d", len(spoofs))
 	}
 	op := spoofs[0].Spoof.(*cplan.Operator)
-	if len(op.Cells) != 3 {
-		t.Fatalf("merged operator has %d programs, want one per root (3)", len(op.Cells))
+	if len(op.Progs) != 3 {
+		t.Fatalf("merged operator has %d programs, want one per root (3)", len(op.Progs))
 	}
-	for q, r := range op.Cells {
-		if r.Bcast || len(r.FlatSides) != 0 {
-			t.Fatalf("root %d reads sides (%v, broadcast %v): dense X must bind as views", q, r.FlatSides, r.Bcast)
+	for q, r := range op.Progs {
+		for _, in := range r.Instrs {
+			if in.Op == cplan.RLoadSideRow || in.Op == cplan.RLoadSideVal && !in.RowZero {
+				t.Fatalf("root %d reads a matrix side (%+v): dense X must bind as views", q, in)
+			}
 		}
 	}
 }

@@ -39,7 +39,7 @@ func templates(cfg *Config) []Template {
 		cellTemplate{},
 		rowTemplate{cfg},
 		maggTemplate{},
-		outerTemplate{cfg},
+		outerTemplate{},
 	}
 }
 
@@ -161,7 +161,7 @@ func (t rowTemplate) Open(h *hop.Hop) bool {
 	case hop.OpMatMult:
 		a, b := h.Inputs[0], h.Inputs[1]
 		// X %*% v and X %*% V with a narrow right-hand side (B1 binding).
-		if a.Rows > 1 && a.Cols > 1 && b.Cols <= int64(t.cfg.RowTemplateMaxCols) {
+		if a.Rows > 1 && a.Cols > 1 && b.Cols <= rowTemplateMaxCols {
 			return true
 		}
 		return false
@@ -214,15 +214,15 @@ func (t rowTemplate) Fuse(h, in *hop.Hop) bool {
 	case hop.OpMatMult:
 		a, b := h.Inputs[0], h.Inputs[1]
 		// Fuse the left branch through a transpose: t(X) %*% W.
-		if a == in && a.Kind == hop.OpTranspose && b.Cols <= int64(t.cfg.RowTemplateMaxCols) {
+		if a == in && a.Kind == hop.OpTranspose && b.Cols <= rowTemplateMaxCols {
 			return true
 		}
 		// Fuse the right branch W of t(X) %*% W.
-		if b == in && a.Kind == hop.OpTranspose && b.Cols <= int64(t.cfg.RowTemplateMaxCols) {
+		if b == in && a.Kind == hop.OpTranspose && b.Cols <= rowTemplateMaxCols {
 			return true
 		}
 		// Fuse the left branch of X %*% V (V narrow, materialized).
-		if a == in && a.Cols > 1 && b.Cols <= int64(t.cfg.RowTemplateMaxCols) {
+		if a == in && a.Cols > 1 && b.Cols <= rowTemplateMaxCols {
 			return true
 		}
 		return false
@@ -306,7 +306,7 @@ func (maggTemplate) Close(h *hop.Hop) CloseStatus { return StatusClosedValid }
 
 // --------------------------------------------------------------- Outer --
 
-type outerTemplate struct{ cfg *Config }
+type outerTemplate struct{}
 
 func (outerTemplate) Type() cplan.TemplateType { return cplan.TemplateOuter }
 
@@ -318,7 +318,7 @@ func (t outerTemplate) Open(h *hop.Hop) bool {
 	}
 	a, b := h.Inputs[0], h.Inputs[1]
 	rank := a.Cols
-	return rank >= 1 && rank <= int64(t.cfg.OuterMaxRank) &&
+	return rank >= 1 && rank <= outerMaxRank &&
 		a.Rows > rank && b.Cols > rank &&
 		h.Cells() >= 4*rank*rank
 }
@@ -335,11 +335,11 @@ func (t outerTemplate) Fuse(h, in *hop.Hop) bool {
 	case hop.OpMatMult:
 		a, b := h.Inputs[0], h.Inputs[1]
 		// Right MM: O %*% V.
-		if a == in && b.Cols <= int64(t.cfg.OuterMaxRank) && b.Cols < in.Cols {
+		if a == in && b.Cols <= outerMaxRank && b.Cols < in.Cols {
 			return true
 		}
 		// Left MM: t(O) %*% U (in is the transpose marker).
-		if a == in && in.Kind == hop.OpTranspose && b.Cols <= int64(t.cfg.OuterMaxRank) {
+		if a == in && in.Kind == hop.OpTranspose && b.Cols <= outerMaxRank {
 			return true
 		}
 		return false
@@ -364,7 +364,7 @@ func (t outerTemplate) Close(h *hop.Hop) CloseStatus {
 		// The final left/right matrix multiply (wide inner dimension over
 		// the fused outer expression) ends the operator; the opening
 		// outer-product multiplication (small rank) stays open.
-		if h.Inputs[0].Cols > int64(t.cfg.OuterMaxRank) {
+		if h.Inputs[0].Cols > outerMaxRank {
 			return StatusClosedValid
 		}
 		return StatusOpen

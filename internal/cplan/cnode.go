@@ -1,10 +1,10 @@
 // Package cplan implements code generation plans (CPlans): the backend-
 // independent representation of fused operators (paper §2.2). A CPlan is a
 // DAG of CNodes under a template node; "code generation" lowers the CNode
-// DAG of every root into one register-based vector program (tiles of rows
-// for Row bodies, spans of cells for Cell/MAgg/Outer/Horizontal bodies),
-// plus a readable Go source artifact mirroring the Java classes SystemML
-// emits.
+// DAG of every root into one register-based vector program (Program: run a
+// tile of rows of the main input at a time by one executor, whatever the
+// template), plus a readable Go source artifact mirroring the Java classes
+// SystemML emits.
 package cplan
 
 import (

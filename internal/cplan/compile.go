@@ -12,10 +12,15 @@ type Operator struct {
 	ClassName string
 	Source    string
 
-	RowProg *RowProgram
-	// Cells holds the body of every cell-bound root: the root of a Cell or
-	// Outer plan, the roots of a MAgg or Horizontal plan in order.
-	Cells []*CellVecProgram
+	// Progs holds the body of every root: the root of a Row, Cell or Outer
+	// plan, the roots of a MAgg or Horizontal plan in order.
+	Progs []*Program
+
+	// Compressed records, once per operator, whether the plan can run over
+	// the dictionaries of a compressed main input (CompressedEligible), and
+	// NotCompressed the reason when it cannot.
+	Compressed    bool
+	NotCompressed string
 }
 
 // Compile translates a CPlan into an executable Operator. This is the fast
@@ -24,43 +29,59 @@ func Compile(p *Plan, className string) *Operator {
 	op := &Operator{Plan: p, Hash: p.Hash(), ClassName: className}
 	switch p.Type {
 	case TemplateRow:
-		op.RowProg = compileRow(p)
+		op.Progs = []*Program{compileRow(p)}
 	case TemplateCell:
-		op.Cells = []*CellVecProgram{CompileCellVec(p.Root, p.Cell, p.AggOp)}
+		op.Progs = []*Program{CompileCell(p.Root, p.Cell, p.AggOp)}
 	case TemplateOuter:
 		// The products consume the body's value per visited cell.
 		kind := CellNoAgg
 		if p.Out == OuterAgg {
 			kind = CellFullAgg
 		}
-		op.Cells = []*CellVecProgram{CompileCellVec(p.Root, kind, matrix.AggSum)}
+		op.Progs = []*Program{CompileCell(p.Root, kind, matrix.AggSum)}
 	default: // TemplateMAgg, TemplateHorizontal
 		for q, r := range p.Roots {
-			op.Cells = append(op.Cells, CompileCellVec(r, p.RootKind(q), p.AggOps[q]))
+			op.Progs = append(op.Progs, CompileCell(r, p.RootKind(q), p.AggOps[q]))
 		}
 	}
+	op.Compressed, op.NotCompressed = CompressedEligible(p)
 	op.Source = Render(p, className)
 	return op
 }
 
 // Ctx is the per-worker execution context of a fused operator: side-input
 // views with stateful row cursors (the paper's stateful iterators under the
-// stateless getValue abstraction) and pre-read scalar sides.
+// stateless getValue abstraction), pre-read scalar sides, and the factors
+// behind the Outer dot leaf — cell (i, j) reads U_i·V_j, Rank values each.
 type Ctx struct {
 	Sides       []*SideView
 	SideScalars []float64
+	U, V        []float64
+	Rank        int
 }
 
-// NewCtx builds a context over the side inputs.
-func NewCtx(sides []*matrix.Matrix) *Ctx {
+// NewCtx builds a context over the side inputs of progs. Sparse vectors among
+// them are densified (a broadcast side is read once per row or column), and
+// so are the operands of inner matrix products, which stream dense rows.
+func NewCtx(sides []*matrix.Matrix, progs ...*Program) *Ctx {
 	c := &Ctx{
 		Sides:       make([]*SideView, len(sides)),
 		SideScalars: make([]float64, len(sides)),
 	}
 	for i, m := range sides {
+		if m.IsSparse() && (m.Rows == 1 || m.Cols == 1) {
+			m = m.ToDense()
+		}
 		c.Sides[i] = NewSideView(m)
 		if m.Rows == 1 && m.Cols == 1 {
 			c.SideScalars[i] = m.At(0, 0)
+		}
+	}
+	for _, p := range progs {
+		for _, in := range p.Instrs {
+			if in.Op == RMatMul && c.Sides[in.Side].dense == nil {
+				c.Sides[in.Side] = NewSideView(sides[in.Side].ToDense())
+			}
 		}
 	}
 	return c
@@ -68,14 +89,12 @@ func NewCtx(sides []*matrix.Matrix) *Ctx {
 
 // Clone returns an independent context for another worker thread.
 func (c *Ctx) Clone() *Ctx {
-	n := &Ctx{
-		Sides:       make([]*SideView, len(c.Sides)),
-		SideScalars: append([]float64(nil), c.SideScalars...),
-	}
+	n := *c
+	n.Sides = make([]*SideView, len(c.Sides))
 	for i, s := range c.Sides {
 		n.Sides[i] = NewSideView(s.m)
 	}
-	return n
+	return &n
 }
 
 // SideView wraps one side input with a row cursor so that sparse sides are
@@ -124,18 +143,6 @@ func (v *SideView) sparseValue(r, c int) float64 {
 		return v.vals[v.pos]
 	}
 	return 0
-}
-
-// DensifyRow expands sparse row r into dst (which must have length >= the
-// side's column count).
-func (v *SideView) DensifyRow(r int, dst []float64) {
-	for i := range dst[:v.cols] {
-		dst[i] = 0
-	}
-	vals, cix := v.m.Sparse().Row(r)
-	for k, j := range cix {
-		dst[j] = vals[k]
-	}
 }
 
 // ProbeSparseSafe analyzes structurally whether the cell function is

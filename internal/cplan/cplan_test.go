@@ -127,47 +127,103 @@ func TestMainSparseCapable(t *testing.T) {
 	}
 }
 
-func TestCellVecProgram(t *testing.T) {
+// TestCellProgram: one cell program under every way its registers load — a
+// dense main-shaped side is a view (of wider rows too: a stride), a column
+// side a scalar per tile row, a row side one row for all, a sparse main a
+// densified tile — against the tree walker.
+func TestCellProgram(t *testing.T) {
 	// (main * side + 3), every leaf a view of its input.
 	root := Binary(matrix.BinAdd,
 		Binary(matrix.BinMul, Main(0), Side(0, AccessCell, 0)), Lit(3))
-	prog := CompileCellVec(root, CellNoAgg, matrix.AggSum)
+	prog := CompileCell(root, CellNoAgg, matrix.AggSum)
 	main := matrix.Rand(4, 300, 1, -1, 1, 1)
 	side := matrix.Rand(4, 300, 1, -1, 1, 2)
-	if !prog.Views(NewCells(main, []*matrix.Matrix{side})) {
-		t.Fatal("dense same-shape side must bind as a view")
-	}
-	run := func(p *CellVecProgram, s *Cells) []float64 {
-		res := make([]float64, main.Rows*main.Cols)
-		p.Exec(s, p.GetBuf(), 0, main.Rows, res, nil)
-		return res
-	}
-	check := func(tag string, n *CNode, sides []*matrix.Matrix, res []float64) {
+	check := func(tag string, p *Program, n *CNode, main *matrix.Matrix, sides []*matrix.Matrix, filled bool) {
 		t.Helper()
-		ctx := NewCtx(sides)
-		for k, a := range main.Dense() {
-			if want := InterpretCell(n, ctx, a, 0, k/300, k%300); res[k] != want {
+		res, b := execRows(p, main, sides)
+		if b != filled {
+			t.Fatalf("%s: some register filled = %v, want %v", tag, b, filled)
+		}
+		ctx, md := NewCtx(sides), main.ToDense().Dense()
+		for k, a := range md {
+			if want := InterpretCell(n, ctx, a, 0, k/main.Cols, k%main.Cols); res[k] != want {
 				t.Fatalf("%s: cell[%d] = %v, want %v", tag, k, res[k], want)
 			}
 		}
 	}
-	s := NewCells(main, []*matrix.Matrix{side})
-	s.Flat = true
-	check("view", root, []*matrix.Matrix{side}, run(prog, s))
-	// The same program over a side one column too wide fills the register.
+	check("view", prog, root, main, []*matrix.Matrix{side}, false)
+	// The same program over a side one column too wide views it by stride.
 	wide := matrix.Rand(4, 301, 1, -1, 1, 3)
-	if prog.Views(NewCells(main, []*matrix.Matrix{wide})) || prog.Views(NewCells(main.ToSparse(), []*matrix.Matrix{side})) {
-		t.Fatal("a mis-shaped side or a sparse main must not bind as a view")
+	check("wide side", prog, root, main, []*matrix.Matrix{wide}, false)
+	check("sparse main", prog, root, main.ToSparse(), []*matrix.Matrix{side}, true)
+	check("sparse side", prog, root, main, []*matrix.Matrix{matrix.Rand(4, 300, 0.3, -1, 1, 2).ToSparse()}, true)
+	// Column, row and main-shaped sides in one expression: a scalar register
+	// per row, a uniform register and a view — nothing is filled.
+	bc := Binary(matrix.BinMul, Binary(matrix.BinSub, Main(0), Side(0, AccessCol, 0)),
+		Binary(matrix.BinAdd, Side(1, AccessRow, 0), Side(2, AccessCell, 0)))
+	bprog := CompileCell(bc, CellNoAgg, matrix.AggSum)
+	for _, in := range bprog.Instrs {
+		if in.Op == RLoadSideVal && (in.Uniform || bprog.ScalUniform[in.Dst]) ||
+			in.Op == RLoadSideRow && in.RowZero != bprog.VecUniform[in.Dst] {
+			t.Fatalf("a column side must be a scalar per row, a row side a uniform vector: %+v", in)
+		}
 	}
-	check("fill", root, []*matrix.Matrix{wide}, run(prog, NewCells(main, []*matrix.Matrix{wide})))
-	// Column and row sides lower to filled leaf registers.
-	bc := Binary(matrix.BinMul, Binary(matrix.BinSub, Main(0), Side(0, AccessCol, 0)), Side(1, AccessRow, 0))
-	bprog := CompileCellVec(bc, CellNoAgg, matrix.AggSum)
-	bsides := []*matrix.Matrix{matrix.Rand(4, 1, 1, -1, 1, 4), matrix.Rand(1, 300, 1, -1, 1, 5)}
-	if !bprog.Bcast || bprog.Views(NewCells(main, bsides)) {
-		t.Fatal("a body reading broadcast sides must not bind as a view")
+	bsides := []*matrix.Matrix{matrix.Rand(4, 1, 1, -1, 1, 4), matrix.Rand(1, 300, 1, -1, 1, 5), side}
+	check("broadcast", bprog, bc, main, bsides, false)
+	check("broadcast, sparse main", bprog, bc, main.ToSparse(), bsides, true)
+	check("broadcast, sparse vectors", bprog, bc, main,
+		[]*matrix.Matrix{bsides[0].ToSparse(), bsides[1].ToSparse(), side}, false)
+	// Rows wider than a step run a column range at a time.
+	for _, sh := range [][2]int{{1, 100000}, {8, 20000}} {
+		wm := matrix.Rand(sh[0], sh[1], 1, -1, 1, 6)
+		ws := []*matrix.Matrix{matrix.Rand(sh[0], 1, 1, -1, 1, 7), matrix.Rand(1, sh[1], 1, -1, 1, 8), matrix.Rand(sh[0], sh[1], 1, -1, 1, 9)}
+		if _, cols := bprog.TileSize(sh[1], MainView); cols >= sh[1] {
+			t.Fatalf("%dx%d: the step takes whole rows", sh[0], sh[1])
+		}
+		check("wide main", bprog, bc, wm, ws, false)
+		check("wide sparse main", bprog, bc, matrix.Rand(sh[0], sh[1], 0.2, -1, 1, 6).ToSparse(), ws, true)
 	}
-	check("broadcast", bc, bsides, run(bprog, NewCells(main, bsides)))
+}
+
+// TestUniformInstructionsRunOncePerBuffer: the sub-expression of a row side
+// and scalars is evaluated once for all tiles a worker's buffer runs, and
+// once per column range where the rows are wider than a step.
+func TestUniformInstructionsRunOncePerBuffer(t *testing.T) {
+	defer func() { uniformRan = nil }()
+	body := Binary(matrix.BinMul, Main(0),
+		Unary(matrix.UnExp, Binary(matrix.BinMul, Side(0, AccessRow, 0), Side(1, AccessScalar, 0))))
+	prog := CompileCell(body, CellNoAgg, matrix.AggSum)
+	uniform := 0
+	for _, in := range prog.Instrs {
+		if in.Uniform {
+			uniform++
+		}
+	}
+	if uniform != 4 { // the row side, the scalar, their product, exp
+		t.Fatalf("want 4 uniform instructions, got %d: %+v", uniform, prog.Instrs)
+	}
+	for _, sh := range [][3]int{{5000, 7, 1}, {3, 40000, 0}} {
+		rows, cols := sh[0], sh[1]
+		_, step := prog.TileSize(cols, MainView)
+		ranges := (cols + step - 1) / step
+		if sh[2] == 1 && ranges != 1 || sh[2] == 0 && ranges < 2 {
+			t.Fatalf("%dx%d runs %d column ranges", rows, cols, ranges)
+		}
+		ran := 0
+		uniformRan = func(*RowInstr) { ran++ }
+		main := matrix.Rand(rows, cols, 1, -1, 1, 1)
+		sides := []*matrix.Matrix{matrix.Rand(1, cols, 1, -1, 1, 2), matrix.NewScalar(0.5)}
+		res, _ := execRows(prog, main, sides)
+		if ran != uniform*ranges {
+			t.Fatalf("%dx%d: %d uniform evaluations over all tiles, want %d for each of %d column ranges", rows, cols, ran, uniform, ranges)
+		}
+		ctx := NewCtx(sides)
+		for k, a := range main.Dense() {
+			if want := InterpretCell(body, ctx, a, 0, k/cols, k%cols); res[k] != want {
+				t.Fatalf("%dx%d: cell[%d] = %v, want %v", rows, cols, k, res[k], want)
+			}
+		}
+	}
 }
 
 // TestLoweringPeepholes: both execution forms share one lowering, so the
@@ -192,24 +248,30 @@ func TestLoweringPeepholes(t *testing.T) {
 		t.Fatalf("row sum(x^2) must lower to one dot: %+v", rowDot.Instrs)
 	}
 
-	cell := CompileCellVec(sq(0), CellNoAgg, matrix.AggSum)
+	cell := CompileCell(sq(0), CellNoAgg, matrix.AggSum)
 	if count(cell.Instrs, RBinVV, matrix.BinMul) != 1 || count(cell.Instrs, RBinVS, matrix.BinPow) != 0 {
 		t.Fatalf("cell x^2 must lower to x*x: %+v", cell.Instrs)
 	}
 	xy := Binary(matrix.BinMul, Main(0), Side(0, AccessCell, 0))
 	for _, kind := range []CellType{CellRowAgg, CellFullAgg} {
-		p := CompileCellVec(xy, kind, matrix.AggSum)
-		if p.Red.Op != RDot || count(p.Instrs, RBinVV, matrix.BinMul) != 0 {
-			t.Fatalf("%s sum(x*y) must reduce by dot without the product: %+v red %+v", kind, p.Instrs, p.Red)
+		p := CompileCell(xy, kind, matrix.AggSum)
+		if p.DotReg < 0 || p.ResultReg != 0 || count(p.Instrs, RBinVV, matrix.BinMul) != 0 {
+			t.Fatalf("%s sum(x*y) must fold the factors without the product: %+v", kind, p.Instrs)
+		}
+		if p = CompileCell(Main(0), kind, matrix.AggSumSq); p.DotReg != 0 || p.Agg != matrix.AggSum || len(p.Instrs) != 0 {
+			t.Fatalf("%s sumsq(x) must fold x with itself: %+v", kind, p)
 		}
 	}
 	// Other aggregates and kinds keep the product and reduce it.
-	if p := CompileCellVec(xy, CellFullAgg, matrix.AggMax); p.Red.Op != RAggV || count(p.Instrs, RBinVV, matrix.BinMul) != 1 {
-		t.Fatalf("max(x*y) must reduce the product: %+v red %+v", p.Instrs, p.Red)
+	if p := CompileCell(xy, CellFullAgg, matrix.AggMax); p.DotReg >= 0 || count(p.Instrs, RBinVV, matrix.BinMul) != 1 {
+		t.Fatalf("max(x*y) must reduce the product: %+v", p.Instrs)
+	}
+	if p := CompileCell(xy, CellColAgg, matrix.AggSum); p.DotReg >= 0 || count(p.Instrs, RBinVV, matrix.BinMul) != 1 {
+		t.Fatalf("colSums(x*y) must fold the product: %+v", p.Instrs)
 	}
 	// A constant body yields its scalar once per cell and reduces that.
-	if p := CompileCellVec(Lit(3), CellFullAgg, matrix.AggSum); p.Red.Op != RAggV || count(p.Instrs, RSplat, 0) != 1 {
-		t.Fatalf("sum(3) must splat and reduce: %+v red %+v", p.Instrs, p.Red)
+	if p := CompileCell(Lit(3), CellFullAgg, matrix.AggSum); p.DotReg >= 0 || !p.ResultVec || count(p.Instrs, RSplat, 0) != 1 {
+		t.Fatalf("sum(3) must splat and reduce: %+v", p.Instrs)
 	}
 }
 
@@ -262,7 +324,7 @@ func TestInterpretedOuterDot(t *testing.T) {
 	if got := InterpretCell(root, NewCtx(nil), 2, 3, 0, 0); got != 6 {
 		t.Fatalf("interpreted dot = %v", got)
 	}
-	if p := CompileCellVec(root, CellNoAgg, matrix.AggSum); !p.Bcast || p.Instrs[0].Op != RLoadDot {
+	if p := CompileCell(root, CellNoAgg, matrix.AggSum); p.Instrs[0].Op != RLoadDot {
 		t.Fatalf("the dot must lower to a leaf register: %+v", p.Instrs)
 	}
 }
@@ -272,7 +334,7 @@ func TestInterpretedOuterDot(t *testing.T) {
 // neither the flat nor the narrow tile kernels see the easy case alone —
 // through every BinOp against a per-row or a uniform scalar (both operand
 // orders), a row vector and a tile of side rows, and then through every
-// AggOp, at tile heights 1, 7, TileRows and TileRows+1 (a second tile of one
+// AggOp, at heights 1, 7, one tile and one tile + 1 (a second tile of one
 // row). The oracle evaluates op.Apply cell by cell and folds naively: the
 // tile kernels are one IEEE operation per cell, so maps and min/max agree
 // to the bit (a vector divided by a scalar is multiplied by its reciprocal),
@@ -313,11 +375,12 @@ func TestExecTileNarrowMatchesOracle(t *testing.T) {
 						body = Binary(op, y, v)
 					}
 					prog := compileRow(&Plan{Type: TemplateRow, Row: RowNoAgg, Root: body, NumSides: 4, MainWidth: mainW})
-					aggs := make([]*RowProgram, len(aggOps))
+					aggs := make([]*Program, len(aggOps))
 					for i, agg := range aggOps {
 						aggs[i] = compileRow(&Plan{Type: TemplateRow, Row: RowRowAgg, Root: Agg(agg, body), NumSides: 4, MainWidth: mainW})
 					}
-					for _, rows := range []int{1, 7, prog.TileRows, prog.TileRows + 1} {
+					tile, _ := prog.TileSize(mainW, MainView)
+					for _, rows := range []int{1, 7, tile, tile + 1} {
 						main := fill(rows, mainW)
 						sides := []*matrix.Matrix{fill(rows, 1), fill(1, 1), fill(1, w), fill(rows, w)}
 						want := make([]float64, rows*w)
@@ -345,13 +408,14 @@ func TestExecTileNarrowMatchesOracle(t *testing.T) {
 							}
 						}
 						what := fmt.Sprintf("w=%d %v operand %d left=%v rows=%d", w, op, kind, left, rows)
-						for i, g := range execRows(prog, main, sides) {
+						got, _ := execRows(prog, main, sides)
+						for i, g := range got {
 							if !same(g, want[i]) {
 								t.Fatalf("%s: cell %d = %v, oracle %v", what, i, g, want[i])
 							}
 						}
 						for a, agg := range aggOps {
-							got := execRows(aggs[a], main, sides)
+							got, _ := execRows(aggs[a], main, sides)
 							for r := 0; r < rows; r++ {
 								row := want[r*w : (r+1)*w]
 								acc, scale := 0.0, 0.0
@@ -388,21 +452,27 @@ func TestExecTileNarrowMatchesOracle(t *testing.T) {
 	}
 }
 
-// execRows runs a Row program tile by tile over every row of main, the way
-// the skeleton does, and returns the result rows back to back.
-func execRows(p *RowProgram, main *matrix.Matrix, sides []*matrix.Matrix) []float64 {
-	ctx := NewCtx(sides)
-	b := p.GetBuf(make([]float64, p.ArenaFloats))
+// execRows runs a program step by step over main, the way the tile pass does,
+// and returns the result rows back to back, and whether a load wrote a
+// register it could not view.
+func execRows(p *Program, main *matrix.Matrix, sides []*matrix.Matrix) ([]float64, bool) {
+	ctx := NewCtx(sides, p)
+	bind := BindMain(false, []*Program{p}, main)[0]
+	rows, cols := p.TileSize(main.Cols, bind)
+	b := p.GetBuf(bind, main, rows, cols, func(n int) []float64 { return make([]float64, n) })
 	defer p.PutBuf(b)
-	var out []float64
-	for r0 := 0; r0 < main.Rows; r0 += p.TileRows {
-		n := min(p.TileRows, main.Rows-r0)
-		b.BindDense(main.Dense(), r0*p.MainWidth)
-		p.ExecTile(ctx, b, r0, n)
-		res, off, stride := p.Result(b)
-		for k := 0; k < n; k++ {
-			out = append(out, res[off+k*stride:][:p.OutWidth]...)
+	oc := p.OutCols(main.Cols)
+	out := make([]float64, main.Rows*oc)
+	for c := 0; c < main.Cols; c += cols {
+		for i := 0; i < main.Rows; i += rows {
+			n := min(rows, main.Rows-i)
+			b.Tile(i, n, c, min(cols, main.Cols-c))
+			p.Exec(ctx, b, nil)
+			res, off, stride, w := p.Result(b)
+			for k := 0; k < n; k++ {
+				copy(out[(i+k)*oc+c:][:w], res[off+k*stride:])
+			}
 		}
 	}
-	return out
+	return out, b.Filled
 }

@@ -3,22 +3,17 @@ package cplan
 import "sysml/internal/matrix"
 
 // lowering translates a CNode DAG into the register program every fused body
-// runs — RowProgram for Row bodies, CellVecProgram for the roots of Cell,
-// MAgg, Horizontal and Outer plans — with register allocation and
-// common-subexpression sharing. A Row body binds one main row per vector
-// register; a cell body binds a span of cells, and every matrix it reads —
-// the main input, a side of any access, the Outer dot — is a vector leaf
-// the skeleton's binding loads.
+// runs (Program), with register allocation and common-subexpression sharing.
+// Vector registers hold one row of a tile of the main input — a whole row of
+// the widths the CNodes carry for a Row body, a column range as wide as the
+// tile (width 0) for a cell body — and every side reads the same way in
+// both: a column side is a scalar per tile row, a row side one row for all.
 type lowering struct {
 	instrs      []RowInstr
 	vecWidths   []int // register 0 is the main input
 	vecUniform  []bool
 	scalUniform []bool
 	memo        map[*CNode]regRef
-
-	cell      bool  // cell body: vectors are spans of cells
-	flatSides []int // cell body: sides read cell by cell (AccessCell)
-	bcast     int   // cell body: leaf registers of row and column sides and the Outer dot
 }
 
 type regRef struct {
@@ -26,19 +21,29 @@ type regRef struct {
 	vec bool
 }
 
-func newLowering(mainWidth int, cell bool) *lowering {
+func newLowering(mainWidth int) *lowering {
 	return &lowering{
 		vecWidths:  []int{mainWidth},
 		vecUniform: []bool{false},
 		memo:       map[*CNode]regRef{},
-		cell:       cell,
 	}
+}
+
+// program wraps up the lowered instructions with res as the result.
+func (c *lowering) program(res regRef, kind CellType, agg matrix.AggOp) *Program {
+	p := &Program{Instrs: c.instrs, VecWidths: c.vecWidths, NumScalars: len(c.scalUniform),
+		VecUniform: c.vecUniform, ScalUniform: c.scalUniform,
+		Kind: kind, Agg: agg, ResultReg: res.idx, ResultVec: res.vec, DotReg: -1, OutWidth: 1}
+	if res.vec {
+		p.OutWidth = c.vecWidths[res.idx]
+	}
+	return p
 }
 
 // emit allocates the destination register, appends the instruction and
 // records whether its result is uniform, that is, the same for every row:
 // loads of row-independent data, and operations all of whose register
-// operands are uniform (see RowProgram.VecUniform).
+// operands are uniform (see Program.VecUniform).
 func (c *lowering) emit(in RowInstr, vec bool, width int) regRef {
 	vu, su := c.vecUniform, c.scalUniform
 	switch in.Op {
@@ -92,24 +97,12 @@ func (c *lowering) lowerNode(n *CNode) (regRef, bool) {
 	case NodeLit:
 		return c.emit(RowInstr{Op: RLit, Scalar: n.Value}, false, 0), true
 	case NodeSide:
-		switch {
-		case n.Access == AccessScalar:
+		switch n.Access {
+		case AccessScalar:
 			return c.emit(RowInstr{Op: RLoadSideVal, Side: n.Side, RowZero: true}, false, 0), true
-		case n.Access == AccessCell:
-			if c.cell {
-				c.flatSides = append(c.flatSides, n.Side)
-			}
+		case AccessCell:
 			return c.emit(RowInstr{Op: RLoadSideRow, Side: n.Side}, true, n.Width), true
-		case c.cell:
-			// A column side is its row's value once per cell (RLoadSideVal into
-			// a vector register), a row side its column range per row.
-			c.bcast++
-			op := RLoadSideRow
-			if n.Access == AccessCol {
-				op = RLoadSideVal
-			}
-			return c.emit(RowInstr{Op: op, Side: n.Side, RowZero: n.Access == AccessRow}, true, 0), true
-		case n.Access == AccessCol:
+		case AccessCol:
 			return c.emit(RowInstr{Op: RLoadSideVal, Side: n.Side}, false, 0), true
 		}
 		return c.emit(RowInstr{Op: RLoadSideRow, Side: n.Side, RowZero: true}, true, n.Width), true
@@ -144,14 +137,9 @@ func (c *lowering) lowerNode(n *CNode) (regRef, bool) {
 		}
 		return c.emit(RowInstr{Op: op, UnOp: n.UnOp, Src1: s.idx}, s.vec, n.Width), true
 	}
-	if c.cell {
-		if n.Kind != NodeDot {
-			return regRef{}, false // per-row operations have no cell form
-		}
-		c.bcast++
-		return c.emit(RowInstr{Op: RLoadDot}, true, 0), true
-	}
 	switch n.Kind {
+	case NodeDot:
+		return c.emit(RowInstr{Op: RLoadDot}, true, 0), true
 	case NodeAgg:
 		return c.reduce(n.AggOp, n.Children[0])
 	case NodeMatMult, NodeIdx, NodeCumsum:
@@ -180,32 +168,35 @@ func square(n *CNode) (*CNode, bool) {
 	return nil, false
 }
 
-// reduce lowers agg over the value of n into a scalar register. A sum over
-// a product of two vectors (x^2 included) becomes a dot product, which never
-// materializes the product and runs over sparse main rows.
+// factors lowers the two vector operands of n = a*b (x^2 included), whose
+// sum is a dot product that never materializes the product; ok is false for
+// every other n, one already lowered for another consumer included.
+func (c *lowering) factors(n *CNode) (l, r regRef, ok bool) {
+	if _, done := c.memo[n]; n.Kind != NodeBinary || done {
+		return l, r, false
+	}
+	var a, b *CNode
+	if x, sq := square(n); sq {
+		a, b = x, x
+	} else if n.BinOp == matrix.BinMul {
+		a, b = n.Children[0], n.Children[1]
+	} else {
+		return l, r, false
+	}
+	l, ok1 := c.lower(a)
+	r, ok2 := c.lower(b)
+	return l, r, ok1 && ok2 && l.vec && r.vec
+}
+
+// reduce lowers agg over the value of n into a scalar register; the sum of a
+// product runs as a dot product, over sparse main rows too.
 func (c *lowering) reduce(agg matrix.AggOp, n *CNode) (regRef, bool) {
-	if _, done := c.memo[n]; agg == matrix.AggSum && n.Kind == NodeBinary && !done {
-		var a, b *CNode
-		if x, ok := square(n); ok {
-			a, b = x, x
-		} else if n.BinOp == matrix.BinMul {
-			a, b = n.Children[0], n.Children[1]
-		}
-		if a != nil {
-			l, ok1 := c.lower(a)
-			r, ok2 := c.lower(b)
-			if !ok1 || !ok2 {
-				return regRef{}, false
-			}
-			if l.vec && r.vec {
-				return c.emit(RowInstr{Op: RDot, Src1: l.idx, Src2: r.idx}, false, 0), true
-			}
+	if agg == matrix.AggSum {
+		if l, r, ok := c.factors(n); ok {
+			return c.emit(RowInstr{Op: RDot, Src1: l.idx, Src2: r.idx}, false, 0), true
 		}
 	}
 	s, ok := c.lower(n)
-	if ok && c.cell {
-		s = c.perCell(s)
-	}
 	if !ok || !s.vec {
 		return s, ok // the aggregate of a scalar is the scalar
 	}

@@ -51,7 +51,7 @@ func Render(p *Plan, className string) string {
 		for i, in := range prog.Instrs {
 			fmt.Fprintf(&b, "\t%s\n", renderRowInstr(i, in))
 		}
-		fmt.Fprintf(&b, "\t_ = TMP%d // result (%s)\n", prog.ResultReg, prog.RowT)
+		fmt.Fprintf(&b, "\t_ = TMP%d // result (%s)\n", prog.ResultReg, p.Row)
 		b.WriteString("}\n")
 	}
 	return b.String()

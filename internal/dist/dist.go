@@ -691,7 +691,7 @@ func (c *Cluster) spoof(h *hop.Hop, inputs []*matrix.Matrix, sp obs.Span) (*matr
 	rowAligned := op.Plan.Type == cplan.TemplateCell &&
 		(op.Plan.Cell == cplan.CellNoAgg || op.Plan.Cell == cplan.CellRowAgg) ||
 		op.Plan.Type == cplan.TemplateRow &&
-			(op.RowProg.RowT == cplan.RowNoAgg || op.RowProg.RowT == cplan.RowRowAgg) ||
+			(op.Plan.Row == cplan.RowNoAgg || op.Plan.Row == cplan.RowRowAgg) ||
 		op.Plan.Type == cplan.TemplateOuter && op.Plan.Out == cplan.OuterRightMM
 
 	slicedInputs := func(lo, hi int) []*matrix.Matrix {

@@ -458,3 +458,61 @@ func TestMinMaxPropagateNaN(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnMinMaxFuse: colMins and colMaxs over a fused expression are Row
+// operators — the skeleton's one column fold knows min and max, with the NaN
+// contract above (the planner used to decline them, because the Row skeleton
+// folded row results into columns by adding) — and equal the basic operators
+// over a dense and a sparse X with a NaN cell and an all-negative column.
+func TestColumnMinMaxFuse(t *testing.T) {
+	script := `
+		c1 = colMins(X * 2 + 1)
+		c2 = colMaxs(abs(X) - Y)
+	`
+	const rows, cols = 3000, 7
+	for _, sparsity := range []float64{1, 0.3} {
+		x := matrix.Rand(rows, cols, sparsity, -1, 1, 21).ToDense()
+		for i := 0; i < rows; i++ {
+			x.Set(i, 2, -1-x.At(i, 2)*x.At(i, 2)) // an all-negative column
+		}
+		x.Set(rows/3, 5, math.NaN())
+		if sparsity < 1 {
+			x = x.ToSparse()
+		}
+		y := matrix.Rand(rows, cols, 1, 2, 3, 22) // abs(X) - Y < 0 everywhere
+		outs := map[codegen.Mode]map[string]*matrix.Matrix{}
+		for _, mode := range []codegen.Mode{codegen.ModeBase, codegen.ModeGen, codegen.ModeGenFA, codegen.ModeGenFNR} {
+			s := newTestSession(mode)
+			s.Bind("X", x)
+			s.Bind("Y", y)
+			if mode != codegen.ModeBase {
+				explain, err := s.Explain(script)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, after, _ := strings.Cut(explain, "hops after fusion:")
+				if strings.Contains(after, "ua(Cmin)") || strings.Contains(after, "ua(Cmax)") || !strings.Contains(after, "spoof(") {
+					t.Errorf("sparsity %v, %v: column min/max left beside the fused operators:\n%s", sparsity, mode, after)
+				}
+			}
+			if err := s.Run(script); err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
+			outs[mode] = map[string]*matrix.Matrix{}
+			for _, name := range []string{"c1", "c2"} {
+				m, _ := s.Get(name)
+				outs[mode][name] = m.ToDense().Clone()
+			}
+			for name, want := range outs[codegen.ModeBase] {
+				for j, w := range want.Dense() {
+					if g := outs[mode][name].Dense()[j]; math.IsNaN(g) != math.IsNaN(w) || math.Abs(g-w) > 1e-12 {
+						t.Errorf("sparsity %v, mode %v: %s[%d] = %v, Base %v", sparsity, mode, name, j, g, w)
+					}
+					if nan := j == 5; math.IsNaN(w) != nan || (!nan && name == "c2" && w >= 0) || (j == 2 && name == "c1" && w >= 0) {
+						t.Errorf("sparsity %v: Base %s[%d] = %v", sparsity, name, j, w)
+					}
+				}
+			}
+		}
+	}
+}

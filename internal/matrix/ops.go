@@ -8,9 +8,9 @@ import (
 
 // BinOp identifies an element-wise binary operation. It is vector.Op under
 // the names scripts and plans use: Kernel converts, and the dense
-// element-wise paths of this package, the Row tile executor and the cell
-// bodies all hand it to the same vector kernels (vector.Binary, Scalar,
-// BinaryRows, ScalarRows).
+// element-wise paths of this package and the executor of fused bodies
+// (cplan.Program.Exec) hand it to the same vector kernels (vector.Binary,
+// Scalar, BinaryRows, ScalarRows).
 type BinOp int
 
 // Supported element-wise binary operations.
@@ -192,7 +192,7 @@ var aggNames = [...]string{"sum", "min", "max", "mean", "sumsq"}
 func (op AggOp) String() string { return aggNames[op] }
 
 // Rows writes d[t] = op(a[ai+t*astride : +w]) for t in [0, rows): the row
-// aggregation of a dense block, shared with the Row tile executor.
+// aggregation of a dense block, shared with the executor of fused bodies.
 func (op AggOp) Rows(a []float64, ai, astride int, d []float64, rows, w int) {
 	switch op {
 	case AggSum, AggMean:

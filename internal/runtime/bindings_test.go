@@ -18,8 +18,8 @@ import (
 // the root's aggregation in a plain loop. Values must agree within 1e-12
 // with NaN and ±Inf in the same places, the output must have the oracle's
 // form (main's CSR pattern under non-zero iteration), and the binding taken
-// is pinned, so that a body that silently fills registers on inputs it could
-// view fails here rather than in a benchmark.
+// is pinned, so that a body that silently gathers registers on inputs it
+// could view fails here rather than in a benchmark.
 
 // Side inputs of every test plan: 0 read cell by cell (main-shaped), 1
 // scalar, 2 column vector, 3 row vector.
@@ -47,7 +47,7 @@ func tierBodies() map[string]*cplan.CNode {
 		"exp(x)*s":  tBin(matrix.BinMul, cplan.Unary(matrix.UnExp, x), tS),
 		"log(x)":    cplan.Unary(matrix.UnLog, x), // NaN for negative cells
 		"(x*3+1)/y": tBin(matrix.BinDiv, axpy, tY),
-		"x*col":     tBin(matrix.BinMul, x, tCol), // broadcasts: filled registers
+		"x*col":     tBin(matrix.BinMul, x, tCol), // broadcasts: a scalar per row, one row for all
 		"x+row":     tBin(matrix.BinAdd, x, tRow),
 		"x/col-row": tBin(matrix.BinSub, tBin(matrix.BinDiv, x, tCol), tRow),
 		"row":       tRow,
@@ -87,26 +87,26 @@ func tierBodies() map[string]*cplan.CNode {
 	return bodies
 }
 
-// leaves reports whether a body reads the side addressed cell by cell, and a
-// row or column side.
-func leaves(n *cplan.CNode) (flat, bcast bool) {
-	if n.Kind == cplan.NodeSide {
-		return n.Access == cplan.AccessCell, n.Access == cplan.AccessCol || n.Access == cplan.AccessRow
+// leaves reports whether a body reads the side addressed cell by cell, and
+// the main input.
+func leaves(n *cplan.CNode) (flat, main bool) {
+	if n.Kind == cplan.NodeSide || n.Kind == cplan.NodeMain {
+		return n.Kind == cplan.NodeSide && n.Access == cplan.AccessCell, n.Kind == cplan.NodeMain
 	}
 	for _, c := range n.Children {
-		f, b := leaves(c)
-		flat, bcast = flat || f, bcast || b
+		f, m := leaves(c)
+		flat, main = flat || f, main || m
 	}
-	return flat, bcast
+	return flat, main
 }
 
 // tierInput is one set of inputs of a rows×cols plan.
 type tierInput struct {
-	name         string
-	main         *matrix.Matrix
-	sides        []*matrix.Matrix
-	flatMatching bool // side 0 is dense and main-shaped
-	memo         map[oracleKey][]float64
+	name       string
+	main       *matrix.Matrix
+	sides      []*matrix.Matrix
+	sparseSide bool // side 0 is bound sparse: read cell by cell it is densified or gathered
+	memo       map[oracleKey][]float64
 }
 
 // tierInputs returns the inputs of one shape (the same ones every time, so
@@ -140,27 +140,27 @@ func tierInputs(rows, cols int, seed int64) []*tierInput {
 	sparseSides := sides(cols)
 	sparseSides[0] = matrix.Rand(rows, cols, 0.3, -1, 2, seed+1).ToSparse()
 	sparseSides[2] = sparseSides[2].ToSparse() // a sparse column vector
-	vec := rows == 1 || cols == 1              // a sparse vector is densified when bound and may then be viewed
+	vec := rows == 1 || cols == 1              // a sparse vector is densified when bound and then viewed
 	tierInputCache[key] = []*tierInput{
-		{name: "dense", main: dense(), sides: sides(cols), flatMatching: true},
-		{name: "dense+nan+inf", main: special, sides: sides(cols), flatMatching: true},
-		{name: "sparse-main", main: matrix.Rand(rows, cols, 0.3, -1, 2, seed).ToSparse(), sides: sides(cols), flatMatching: true},
-		{name: "sparse-main-long-and-empty-rows", main: long.ToSparse(), sides: sides(cols), flatMatching: true},
-		{name: "sparse-main+sparse-side", main: matrix.Rand(rows, cols, 0.3, -1, 2, seed).ToSparse(), sides: sparseSides, flatMatching: vec},
-		{name: "sparse-side", main: dense(), sides: sparseSides, flatMatching: vec},
-		{name: "wide-side", main: dense(), sides: sides(cols + 1)},
+		{name: "dense", main: dense(), sides: sides(cols)},
+		{name: "dense+nan+inf", main: special, sides: sides(cols)},
+		{name: "sparse-main", main: matrix.Rand(rows, cols, 0.3, -1, 2, seed).ToSparse(), sides: sides(cols)},
+		{name: "sparse-main-long-and-empty-rows", main: long.ToSparse(), sides: sides(cols)},
+		{name: "sparse-main+sparse-side", main: matrix.Rand(rows, cols, 0.3, -1, 2, seed).ToSparse(), sides: sparseSides, sparseSide: !vec},
+		{name: "sparse-side", main: dense(), sides: sparseSides, sparseSide: !vec},
+		{name: "wide-side", main: dense(), sides: sides(cols + 1)}, // viewed by its own row stride
 	}
 	return tierInputCache[key]
 }
 
 var tierInputCache = map[[3]int][]*tierInput{}
 
-// tierShapes: 1, 511, 512 and 513 cells as one column and as one row, and
-// 100-column rows around the step (5 rows), tile and ChunkLen boundaries,
-// plus rows wider than one step.
+// tierShapes: 1, 511, 512 and 513 cells as one column and as one row, a few
+// 100-column rows and more of them than one tile holds, rows of an odd
+// width, and a column longer than the steps over its stored cells.
 var tierShapes = [][2]int{
 	{1, 1}, {511, 1}, {512, 1}, {513, 1}, {1, 511}, {1, 512}, {1, 513},
-	{1, 100}, {5, 100}, {6, 100}, {cellTileCells/100 + 2, 100}, {3, 513}, {2, 1100},
+	{1, 100}, {5, 100}, {6, 100}, {8192/100 + 2, 100}, {3, 513}, {2, 1100}, {9000, 1},
 }
 
 var tierAggs = []matrix.AggOp{matrix.AggSum, matrix.AggSumSq, matrix.AggMin, matrix.AggMax}
@@ -305,17 +305,19 @@ func checkOuts(t *testing.T, tag string, got, want, scales []*matrix.Matrix) {
 func checkBindings(t *testing.T, tag string, op *cplan.Operator, roots []oracleRoot, in *tierInput) (want, scales []*matrix.Matrix) {
 	t.Helper()
 	want, scales, nnz := oracle(roots, in, nil)
+	// A dense side of any shape is viewed; what is written are the tile of
+	// a sparse main a root reads and the rows of a sparse side.
 	wantBind := BindView
+	if in.main.IsSparse() {
+		wantBind = BindNnz // no root reads main: the tiles are only counted out
+	}
 	for _, r := range roots {
-		if flat, bcast := leaves(r.body); bcast || in.main.IsSparse() || (flat && !in.flatMatching) {
+		if flat, main := leaves(r.body); !nnz && (main && in.main.IsSparse() || flat && in.sparseSide) {
 			wantBind = BindFill
 		}
 	}
-	if nnz {
-		wantBind = BindNnz
-	}
 	for _, workers := range []int{1, 3} {
-		got, bind := execCells(matrix.Ctx{Par: tierPools[workers]}, op, in.main, in.sides, nil)
+		got, bind := execRoots(matrix.Ctx{Par: tierPools[workers]}, op, in.main, in.sides, nil)
 		if bind != wantBind {
 			t.Fatalf("%s: ran under %s, want %s", tag, bind, wantBind)
 		}
@@ -390,12 +392,13 @@ func TestCellBindingPinned(t *testing.T) {
 		{"sumsq(X)", cplan.CellFullAgg, matrix.AggSumSq, "x", ins[0], BindView},
 		{"sum(X*Y*Z), sparse X", cplan.CellFullAgg, matrix.AggSum, "x*y*y", ins[2], BindNnz},
 		{"max(X*Y*Z), sparse X", cplan.CellFullAgg, matrix.AggMax, "x*y*y", ins[2], BindFill},
-		{"X/c-r", cplan.CellNoAgg, matrix.AggSum, "x/col-row", ins[0], BindFill},
+		{"X/c-r", cplan.CellNoAgg, matrix.AggSum, "x/col-row", ins[0], BindView}, // no register is filled for a dense column or row side
+		{"X*Y, sparse Y", cplan.CellNoAgg, matrix.AggSum, "col*y", ins[5], BindFill},
 	} {
 		body := bodies[c.body]
 		p := &cplan.Plan{Type: cplan.TemplateCell, Cell: c.kind, AggOp: c.agg, Root: body, NumSides: 4,
 			SparseSafe: cplan.ProbeSparseSafe(body)}
-		if _, bind := execCells(matrix.Ctx{}, cplan.Compile(p, "TMPP"), c.in.main, c.in.sides, nil); bind != c.want {
+		if _, bind := execRoots(matrix.Ctx{}, cplan.Compile(p, "TMPP"), c.in.main, c.in.sides, nil); bind != c.want {
 			t.Errorf("%s on %s inputs ran under %s, want %s", c.name, c.in.name, bind, c.want)
 		}
 	}
@@ -627,7 +630,7 @@ func TestDictBindingMatchesDecompressed(t *testing.T) {
 				if !done {
 					t.Fatalf("%s %s: not run over the dictionaries", dn, pn)
 				}
-				outs, _ := execCells(ec, op, dec, sides, nil)
+				outs, _ := execRoots(ec, op, dec, sides, nil)
 				want := outs[0]
 				if p.Type == cplan.TemplateMAgg {
 					want = packMAgg(ec, outs)
@@ -640,9 +643,9 @@ func TestDictBindingMatchesDecompressed(t *testing.T) {
 					if tuples == 0 {
 						tuples = cm.Rows // uncompressed: one tuple per row
 					}
-					if limit := tuples * len(g.Cols()) * len(op.Cells); evals[gi] == 0 || evals[gi] > limit {
+					if limit := tuples * len(g.Cols()) * len(op.Progs); evals[gi] == 0 || evals[gi] > limit {
 						t.Fatalf("%s %s group %d: body run over %d cells, want at most %d (%d tuples × %d columns × %d roots)",
-							dn, pn, gi, evals[gi], limit, tuples, len(g.Cols()), len(op.Cells))
+							dn, pn, gi, evals[gi], limit, tuples, len(g.Cols()), len(op.Progs))
 					}
 				}
 			}

@@ -45,28 +45,18 @@ func CompressedConsumer(h, in *hop.Hop, dist bool) (ok, shipped bool) {
 		if !isOp || h.Inputs[0] != in {
 			return false, false
 		}
-		if eligible, _ := cplan.CompressedEligible(op.Plan); !eligible {
-			return false, false
-		}
-		return op.Plan.Type != cplan.TemplateRow || in.Cols <= 2, false
+		return op.Compressed && (op.Plan.Type != cplan.TemplateRow || in.Cols <= 2), false
 	case hop.OpAggUnary:
 		return compressedAggUsable(h.AggOp, h.AggDir), false
 	}
 	return false, false
 }
 
-// compressedUsable combines the plan-level eligibility probe with the
-// invocation-level conditions the skeleton needs (Row requires one
-// dictionary-coded group covering every column in order).
+// compressedUsable combines the plan-level eligibility the operator was
+// compiled with and the invocation-level conditions the skeleton needs (Row
+// requires one dictionary-coded group covering every column in order).
 func compressedUsable(op *cplan.Operator, cm *compress.CMatrix) bool {
-	ok, _ := cplan.CompressedEligible(op.Plan)
-	if !ok {
-		return false
-	}
-	if op.Plan.Type == cplan.TemplateRow {
-		return rowGroupUsable(cm)
-	}
-	return true
+	return op.Compressed && (op.Plan.Type != cplan.TemplateRow || rowGroupUsable(cm))
 }
 
 // rowGroupUsable reports whether the compressed matrix is a single
@@ -96,135 +86,109 @@ func execCompressed(ec matrix.Ctx, op *cplan.Operator, cm *compress.CMatrix, sid
 	if !compressedUsable(op, cm) {
 		return nil, false
 	}
-	switch op.Plan.Type {
-	case cplan.TemplateCell:
-		return execDict(ec, op.Cells, cm, sides, stop)[0], true
-	case cplan.TemplateMAgg:
-		return packMAgg(ec, execDict(ec, op.Cells, cm, sides, stop)), true
-	case cplan.TemplateRow:
-		return execCompressedRow(ec, op, cm, stop), true
+	outs := execDict(ec, op.Progs, cm, sides, stop)
+	if op.Plan.Type == cplan.TemplateMAgg {
+		return packMAgg(ec, outs), true
 	}
-	return nil, false
+	return outs[0], true
 }
 
 // dictSpan, when set (by tests), is told every run of a body over a
 // dictionary: the group and the number of cells the program was run over.
 var dictSpan func(group, cells int)
 
-// execDict is the dictionary binding of cell bodies: per column group, the
-// dictionary (one tuple per row, mapped once per invocation) is the main
-// input of every root's program. A NoAgg root's table of results is
-// scattered by row code; column and full aggregates weigh each value by the
-// occurrence count of its tuple inside the program's own fold.
-func execDict(ec matrix.Ctx, roots []*cplan.CellVecProgram, cm *compress.CMatrix, sides []*matrix.Matrix, stop StopFn) []*matrix.Matrix {
-	outs := make([]*matrix.Matrix, len(roots))
-	for q, r := range roots {
-		switch r.Kind {
-		case cplan.CellNoAgg:
-			outs[q] = ec.NewDenseUninit(cm.Rows, cm.Cols)
-		case cplan.CellColAgg:
-			outs[q] = ec.NewDenseUninit(1, cm.Cols)
-		default:
-			outs[q] = matrix.NewScalar(cplan.AggInit(r.Agg))
-		}
+// execDict is the dictionary binding: per column group, the dictionary (one
+// tuple per row, mapped once per invocation) is the main input of the tile
+// pass — for a Row program the one group that holds whole rows
+// (rowGroupUsable). Result rows a root keeps are a table scattered by row
+// code; column and full aggregates weigh each tuple by its occurrence count
+// inside the pass's own sinks.
+func execDict(ec matrix.Ctx, progs []*cplan.Program, cm *compress.CMatrix, sides []*matrix.Matrix, stop StopFn) []*matrix.Matrix {
+	width := 0
+	for _, g := range cm.Groups {
+		width = max(width, len(g.Cols()))
 	}
 	// Every leaf is register 0 or a scalar (CompressedEligible): views.
-	bind := cplan.NewCells(nil, sides)
-	bind.Flat = true
-	bufs := make([]*cplan.CellVecBuf, len(roots))
-	for q, r := range roots {
-		bufs[q] = r.GetBuf()
-		defer r.PutBuf(bufs[q])
+	ps := newPass(ec, false, progs, nil, width, cplan.NewCtx(sides, progs...), stop)
+	outs := make([]*matrix.Matrix, len(progs))
+	for q, p := range progs {
+		switch p.Kind {
+		case cplan.CellNoAgg:
+			outs[q] = ec.NewDenseUninit(cm.Rows, p.OutCols(cm.Cols))
+		case cplan.CellColAgg:
+			outs[q], ps.parts[q] = ec.NewDenseUninit(1, p.OutCols(cm.Cols)), p.OutCols(width)
+		default:
+			outs[q], ps.parts[q] = matrix.NewScalar(cplan.AggInit(p.Agg)), 1
+		}
 	}
-	var table, part []float64
+	st := ps.newWorker()
+	defer ps.release(st)
+	var table []float64
 	for gi, g := range cm.Groups {
 		if stop.stopped() {
 			break
 		}
 		cols := g.Cols()
 		dict, counts := compress.Dict(g)
-		nd, gc := len(counts), len(cols)
-		bind.Main = matrix.NewDenseData(nd, gc, dict)
-		if gc > 1 { // one weight per value: the tuple's count
-			tuples := counts
-			counts = make([]float64, nd*gc)
-			for k := range counts {
-				counts[k] = tuples[k/gc]
-			}
-		}
+		nd := len(counts)
+		ps.cols, ps.wts = len(cols), counts
 		var codes []int32
-		for q, r := range roots {
+		for q, p := range progs {
 			if dictSpan != nil {
-				dictSpan(gi, nd*gc)
+				dictSpan(gi, nd*len(cols))
 			}
-			od := outs[q].Dense()
-			switch r.Kind {
-			case cplan.CellNoAgg:
+			b, ow, od := st.bufs[q], p.OutCols(len(cols)), outs[q].Dense()
+			b.Dense, b.Cols = dict, len(cols)
+			if p.Kind == cplan.CellNoAgg {
+				if cap(table) < nd*ow {
+					table = make([]float64, nd*ow)
+				}
+				ps.dsts[q] = table[:nd*ow]
+			} else {
+				vector.Fill(st.acc[q], cplan.AggInit(p.Agg), 0, len(st.acc[q]))
+			}
+			ps.runRoot(st, q, 0, nd)
+			switch {
+			case p.Kind == cplan.CellNoAgg:
 				if codes == nil {
 					codes = compress.Codes(g)
 				}
-				if cap(table) < nd*gc {
-					table = make([]float64, nd*gc)
+				into := cols // a cell body's columns are the group's
+				if p.OutWidth > 0 {
+					into = nil
 				}
-				r.Exec(bind, bufs[q], 0, nd, table[:nd*gc], nil)
 				ec.Par.For(cm.Rows, 512, func(lo, hi int) {
-					compress.Scatter(codes, table, gc, od, cm.Cols, cols, lo, hi)
+					compress.Scatter(codes, table, ow, od, p.OutCols(cm.Cols), into, lo, hi)
 				})
-			case cplan.CellColAgg:
+			case p.Kind == cplan.CellColAgg && p.OutWidth > 0:
+				copy(od, st.acc[q])
+			case p.Kind == cplan.CellColAgg:
 				// Each column lies in one group: its partial is the output.
-				part = part[:0]
-				for range cols {
-					part = append(part, cplan.AggInit(r.Agg))
-				}
-				r.Exec(bind, bufs[q], 0, nd, part, counts)
 				for j, c := range cols {
-					od[c] = part[j]
+					od[c] = st.acc[q][j]
 				}
 			default:
-				r.Exec(bind, bufs[q], 0, nd, od, counts)
+				od[0] = cplan.AggMerge(p.Agg, od[0], st.acc[q][0])
 			}
 		}
 	}
 	return outs
 }
 
-// execCompressedRow runs the row program once per distinct dictionary tuple
-// (each tuple is a complete main row under rowGroupUsable): the dictionary
-// is the tile executor's main input, which yields one result row per
-// tuple. The aggregating variants then take the count-weighted sum of that
-// table, the per-row variants scatter it by row code.
-func execCompressedRow(ec matrix.Ctx, op *cplan.Operator, cm *compress.CMatrix, stop StopFn) *matrix.Matrix {
-	prog := op.RowProg
-	g := cm.Groups[0]
-	w := prog.OutWidth
-	dict, counts := compress.Dict(g)
-	table := make([]float64, len(counts)*w)
-	rowResults(ec, prog, cplan.NewCtx(nil), matrix.NewDenseData(len(counts), cm.Cols, dict), stop, table)
-
-	switch prog.RowT {
-	case cplan.RowFullAgg, cplan.RowColAgg:
-		out := ec.NewDense(1, w)
-		for code, cf := range counts {
-			vector.MultAdd(table, cf, out.Dense(), code*w, 0, w)
+// aggProgs are the bodies of the basic aggregates served from dictionaries:
+// the aggregate of the main input itself is a cell body like any other.
+var aggProgs = func() map[[2]int]*cplan.Program {
+	progs := map[[2]int]*cplan.Program{}
+	for _, kind := range []cplan.CellType{cplan.CellFullAgg, cplan.CellColAgg} {
+		for _, agg := range []matrix.AggOp{matrix.AggSum, matrix.AggSumSq, matrix.AggMin, matrix.AggMax} {
+			progs[[2]int{int(kind), int(agg)}] = cplan.CompileCell(cplan.Main(0), kind, agg)
 		}
-		if prog.RowT == cplan.RowFullAgg {
-			return matrix.NewScalar(vector.Sum(out.Dense(), 0, w))
-		}
-		return out
-
-	default: // RowRowAgg, RowNoAgg
-		out := ec.NewDenseUninit(cm.Rows, w)
-		codes := compress.Codes(g)
-		ec.Par.For(cm.Rows, 512, func(lo, hi int) {
-			compress.Scatter(codes, table, w, out.Dense(), w, nil, lo, hi)
-		})
-		return out
 	}
-}
+	return progs
+}()
 
 // compressedAgg serves basic (non-fused) full and column aggregates over an
-// attached compressed form — the Base-mode analog of the fused path: the
-// aggregate of the main input itself is a cell body like any other.
+// attached compressed form — the Base-mode analog of the fused path.
 func compressedAgg(ec matrix.Ctx, aop matrix.AggOp, dir matrix.AggDir, m *matrix.Matrix) (*matrix.Matrix, bool) {
 	cm := compress.Of(m)
 	if cm == nil || !compressedAggUsable(aop, dir) {
@@ -237,8 +201,7 @@ func compressedAgg(ec matrix.Ctx, aop matrix.AggOp, dir matrix.AggDir, m *matrix
 	if aop == matrix.AggMean {
 		base = matrix.AggSum
 	}
-	root := cplan.CompileCellVec(cplan.Main(0), kind, base)
-	out := execDict(ec, []*cplan.CellVecProgram{root}, cm, nil, nil)[0]
+	out := execDict(ec, []*cplan.Program{aggProgs[[2]int{int(kind), int(base)}]}, cm, nil, nil)[0]
 	if aop == matrix.AggMean {
 		for j := range out.Dense() {
 			out.Dense()[j] /= n

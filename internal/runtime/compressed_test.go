@@ -254,13 +254,16 @@ func TestCompressedConsumer(t *testing.T) {
 	x := d.Read("X", 5000, 8, -1)
 	y := d.Read("Y", 5000, 8, -1)
 	v := d.Read("v", 5000, 1, -1)
-	// The question is answered from the plan; no operator body is needed.
-	eligible := &cplan.Operator{Plan: &cplan.Plan{Type: cplan.TemplateCell, Cell: cplan.CellFullAgg, AggOp: matrix.AggSum,
-		Root: cplan.Binary(matrix.BinMul, cplan.Main(0), cplan.Main(0))}}
-	perCell := &cplan.Operator{Plan: &cplan.Plan{Type: cplan.TemplateCell, Cell: cplan.CellFullAgg, AggOp: matrix.AggSum, NumSides: 1,
-		Root: cplan.Binary(matrix.BinMul, cplan.Main(0), cplan.Side(0, cplan.AccessCell, 0))}}
-	rowOp := &cplan.Operator{Plan: &cplan.Plan{Type: cplan.TemplateRow, Row: cplan.RowRowAgg,
-		Root: cplan.Agg(matrix.AggSum, cplan.Main(8)), MainWidth: 8}}
+	// The question is answered from the verdict the operator was compiled with.
+	eligible := cplan.Compile(&cplan.Plan{Type: cplan.TemplateCell, Cell: cplan.CellFullAgg, AggOp: matrix.AggSum,
+		Root: cplan.Binary(matrix.BinMul, cplan.Main(0), cplan.Main(0))}, "TMPe")
+	perCell := cplan.Compile(&cplan.Plan{Type: cplan.TemplateCell, Cell: cplan.CellFullAgg, AggOp: matrix.AggSum, NumSides: 1,
+		Root: cplan.Binary(matrix.BinMul, cplan.Main(0), cplan.Side(0, cplan.AccessCell, 0))}, "TMPc")
+	rowOp := cplan.Compile(&cplan.Plan{Type: cplan.TemplateRow, Row: cplan.RowRowAgg,
+		Root: cplan.Agg(matrix.AggSum, cplan.Main(8)), MainWidth: 8}, "TMPr")
+	if eligible.NotCompressed != "" || perCell.Compressed || perCell.NotCompressed == "" {
+		t.Fatalf("verdicts: eligible %q, per cell %v %q", eligible.NotCompressed, perCell.Compressed, perCell.NotCompressed)
+	}
 
 	for _, tc := range []struct {
 		name        string

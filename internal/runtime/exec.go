@@ -263,7 +263,7 @@ func (s *Schedule) Run(env Env, opts Options) ([]*matrix.Matrix, error) {
 			// Horizontal fused operators always execute locally: the one
 			// shared pass over the main input produces every sibling output.
 			var bind Binding
-			st.bundle, bind = execCells(opts.Exec, h.Spoof.(*cplan.Operator), ins[0], ins[1:], stop)
+			st.bundle, bind = execRoots(opts.Exec, h.Spoof.(*cplan.Operator), ins[0], ins[1:], stop)
 			countBinding(opts.Metrics, h, ins, bind, false)
 			m = matrix.NewScalar(0)
 		default:
@@ -427,9 +427,6 @@ func ActualFlops(h *hop.Hop, ins []*matrix.Matrix, out *matrix.Matrix) float64 {
 		if !ok || len(ins) == 0 {
 			return 0
 		}
-		if op.Plan.Type == cplan.TemplateRow {
-			return workRowwise(op, ins[0])
-		}
 		return workCells(op, ins[0])
 	}
 	switch h.Kind {
@@ -589,14 +586,12 @@ func ExecSpoof(ec matrix.Ctx, h *hop.Hop, ins []*matrix.Matrix, stop StopFn) (*m
 		}
 	}
 	switch op.Plan.Type {
-	case cplan.TemplateCell, cplan.TemplateMAgg:
-		outs, bind := execCells(ec, op, ins[0], ins[1:], stop)
+	case cplan.TemplateCell, cplan.TemplateMAgg, cplan.TemplateRow:
+		outs, bind := execRoots(ec, op, ins[0], ins[1:], stop)
 		if op.Plan.Type == cplan.TemplateMAgg {
 			return packMAgg(ec, outs), bind, nil
 		}
 		return outs[0], bind, nil
-	case cplan.TemplateRow:
-		return execRowwise(ec, op, ins[0], ins[1:], stop), "", nil
 	case cplan.TemplateOuter:
 		if len(ins) < 3 {
 			return nil, "", fmt.Errorf("runtime: outer operator needs X, U, V inputs, got %d", len(ins))

@@ -69,7 +69,7 @@ func TestHorizontalMatchesPerMember(t *testing.T) {
 			want := hfuseGroupWant(x)
 			for _, workers := range []int{1, 2, 7} {
 				ec := matrix.Ctx{Par: par.NewPool(workers)}
-				got, _ := execCells(ec, op, x, nil, nil)
+				got, _ := execRoots(ec, op, x, nil, nil)
 				checkHorizontalOuts(t, "dense", got, want)
 			}
 		}

@@ -172,10 +172,12 @@ func genRowBody(rng *rand.Rand, w int, rowT cplan.RowType, capable, densify bool
 			root = cplan.Agg(matrix.AggSum, root)
 		}
 	}
-	return rowBody{
-		plan:  &cplan.Plan{Type: cplan.TemplateRow, Row: rowT, Root: root, NumSides: len(g.sides), MainWidth: w},
-		sides: g.sides,
+	plan := &cplan.Plan{Type: cplan.TemplateRow, Row: rowT, Root: root, NumSides: len(g.sides), MainWidth: w}
+	if rowT == cplan.RowColAgg || rowT == cplan.RowFullAgg {
+		// colMins/colMaxs/min/max of the body: the plan names the fold.
+		plan.AggOp = []matrix.AggOp{matrix.AggSum, matrix.AggMin, matrix.AggMax}[rng.Intn(3)]
 	}
+	return rowBody{plan: plan, sides: g.sides}
 }
 
 // refVal is a materialized CNode: rows×w cells (w == 1 for scalars).
@@ -319,16 +321,19 @@ func refRow(p *cplan.Plan, x *matrix.Matrix, sides []*matrix.Matrix) *matrix.Mat
 		return matrix.NewDenseData(rows, w, r.d)
 	case cplan.RowColAgg:
 		out := matrix.NewDense(1, w)
+		for j := range out.Dense() {
+			out.Dense()[j] = cplan.AggInit(p.AggOp)
+		}
 		for i := 0; i < rows; i++ {
 			for j := 0; j < w; j++ {
-				out.Dense()[j] += r.d[i*w+j]
+				out.Dense()[j] = cplan.AggMerge(p.AggOp, out.Dense()[j], r.d[i*w+j])
 			}
 		}
 		return out
 	case cplan.RowFullAgg:
-		var acc float64
+		acc := cplan.AggInit(p.AggOp)
 		for _, e := range r.d {
-			acc += e
+			acc = cplan.AggMerge(p.AggOp, acc, e)
 		}
 		return matrix.NewScalar(acc)
 	default: // RowColAggT: t(X) %*% R
@@ -403,14 +408,14 @@ func TestRowTileMatchesBase(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				body := genRowBody(rng, w, rowT, mainKind == "sparse-capable", mainKind == "sparse-densified", &kinds)
 				op := cplan.Compile(body.plan, "TMPdiff")
-				prog := op.RowProg
+				prog := op.Progs[0]
 				for _, in := range prog.Instrs {
 					ops[in.Op]++
 				}
 				if capable := prog.MainSparseCapable(); mainKind != "dense" && capable != (mainKind == "sparse-capable") {
 					t.Fatalf("w=%d %v %s: MainSparseCapable = %v", w, rowT, mainKind, capable)
 				}
-				T := prog.TileRows
+				T, _ := prog.TileSize(w, cplan.MainView)
 				for _, rows := range []int{1, T - 1, T, T + 1, 3*T + 5} {
 					x := matrix.Rand(rows, w, 1, 0.2, 2, seed+7)
 					if mainKind != "dense" {

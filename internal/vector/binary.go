@@ -140,8 +140,8 @@ const (
 func tailMask(n int) *[4]int64 { return (*[4]int64)(laneMask[4-n&3:]) }
 
 // Binary writes c[ci+k] = a[ai+k] op b[bi+k] for k in [0,n): BinaryRows for
-// one row, without its shape logic (a cell body calls it per instruction and
-// step of 512 cells).
+// one row, without its shape logic (the skeleton's min/max column fold calls
+// it per row of a tile).
 func Binary(op Op, a, b, c []float64, ai, bi, ci, n int) {
 	if n <= 0 {
 		return

@@ -2,7 +2,7 @@ package vector
 
 // Tile kernels: dense products over a block of consecutive rows. They are
 // the inner kernels of matrix.MatMult (one call per parallel row chunk)
-// and of the Row template's tile executor (one call per tile of rows), so
+// and of the fused bodies' tile executor (one call per tile of rows), so
 // both run the same blocked loops.
 
 const (
