@@ -111,5 +111,9 @@ func BenchmarkRowNarrow(b *testing.B) {
 	hinge := cplan.Binary(matrix.BinGt, cplan.Binary(matrix.BinSub, cplan.Lit(1),
 		cplan.Binary(matrix.BinMul, cplan.Side(0, cplan.AccessCol, 0), cplan.Main(1))), cplan.Lit(0))
 	b.Run("hinge/w1", run(row(1, hinge, 1), matrix.Rand(rows, 1, 1, -2, 2, 3), matrix.Rand(rows, 1, 1, -1, 1, 4)))
+	// X %*% v at 10 columns (L2SVM's and GLM's margin): one dot per row.
+	xv := cplan.Agg(matrix.AggSum, cplan.Binary(matrix.BinMul, cplan.Main(10), cplan.Side(0, cplan.AccessRow, 10)))
+	b.Run("mv/w10", run(cplan.Compile(&cplan.Plan{Type: cplan.TemplateRow, Row: cplan.RowRowAgg, Root: xv, NumSides: 1, MainWidth: 10}, "TMP_ROW"),
+		matrix.Rand(rows, 10, 1, -1, 1, 6), matrix.Rand(10, 1, 1, -1, 1, 7)))
 	b.Run("sigmoid/w64", run(row(64, cplan.Unary(matrix.UnSigmoid, cplan.Main(64)), 0), matrix.Rand(512, 64, 1, -4, 4, 5)))
 }

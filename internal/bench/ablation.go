@@ -2,11 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"sysml/internal/codegen"
-	"sysml/internal/dml"
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
 	"sysml/internal/rewrite"
@@ -127,28 +124,4 @@ func countEntries(m *codegen.Memo) int {
 		n += len(g.Entries)
 	}
 	return n
-}
-
-// timeScriptCfg is timeScript with an explicit config.
-func timeScriptCfg(cfg codegen.Config, reps int, script string,
-	inputs map[string]*matrix.Matrix, scalars map[string]float64) time.Duration {
-	s := newSessionCfg(cfg, inputs, scalars)
-	return Median(reps, func() {
-		if err := s.Run(script); err != nil {
-			panic(err)
-		}
-	})
-}
-
-func newSessionCfg(cfg codegen.Config, inputs map[string]*matrix.Matrix,
-	scalars map[string]float64) *dml.Session {
-	s := dml.NewSession(cfg)
-	s.Out = io.Discard
-	for n, m := range inputs {
-		s.Bind(n, m)
-	}
-	for n, v := range scalars {
-		s.BindScalar(n, v)
-	}
-	return s
 }

@@ -105,12 +105,10 @@ func secs(d time.Duration) string {
 	return fmt.Sprintf("%.3f", d.Seconds())
 }
 
-// runScript executes a script once through a fresh session configured for
-// the mode, binding the given inputs; it returns the session.
-func runScript(mode codegen.Mode, script string, inputs map[string]*matrix.Matrix,
-	scalars map[string]float64) (*dml.Session, error) {
-	cfg := codegen.DefaultConfig()
-	cfg.Mode = mode
+// newSessionCfg returns a session under cfg with the inputs and scalars
+// bound and nothing printed.
+func newSessionCfg(cfg codegen.Config, inputs map[string]*matrix.Matrix,
+	scalars map[string]float64) *dml.Session {
 	s := dml.NewSession(cfg)
 	s.Out = io.Discard
 	for n, m := range inputs {
@@ -119,6 +117,21 @@ func runScript(mode codegen.Mode, script string, inputs map[string]*matrix.Matri
 	for n, v := range scalars {
 		s.BindScalar(n, v)
 	}
+	return s
+}
+
+// modeConfig is the default configuration under a mode.
+func modeConfig(mode codegen.Mode) codegen.Config {
+	cfg := codegen.DefaultConfig()
+	cfg.Mode = mode
+	return cfg
+}
+
+// runScript executes a script once through a fresh session configured for
+// the mode, binding the given inputs; it returns the session.
+func runScript(mode codegen.Mode, script string, inputs map[string]*matrix.Matrix,
+	scalars map[string]float64) (*dml.Session, error) {
+	s := newSessionCfg(modeConfig(mode), inputs, scalars)
 	return s, s.Run(script)
 }
 
@@ -127,19 +140,16 @@ func runScript(mode codegen.Mode, script string, inputs map[string]*matrix.Matri
 // after the first run, mirroring §5.2's setup).
 func timeScript(mode codegen.Mode, reps int, script string,
 	inputs map[string]*matrix.Matrix, scalars map[string]float64) time.Duration {
-	cfg := codegen.DefaultConfig()
-	cfg.Mode = mode
-	s := dml.NewSession(cfg)
-	s.Out = io.Discard
-	for n, m := range inputs {
-		s.Bind(n, m)
-	}
-	for n, v := range scalars {
-		s.BindScalar(n, v)
-	}
+	return timeScriptCfg(modeConfig(mode), reps, script, inputs, scalars)
+}
+
+// timeScriptCfg is timeScript with an explicit config.
+func timeScriptCfg(cfg codegen.Config, reps int, script string,
+	inputs map[string]*matrix.Matrix, scalars map[string]float64) time.Duration {
+	s := newSessionCfg(cfg, inputs, scalars)
 	return Median(reps, func() {
 		if err := s.Run(script); err != nil {
-			panic(fmt.Sprintf("bench script failed (%v): %v", mode, err))
+			panic(fmt.Sprintf("bench script failed (%v): %v", cfg.Mode, err))
 		}
 	})
 }

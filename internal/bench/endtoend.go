@@ -39,29 +39,43 @@ func endToEndRow(t *Table, a algos.Algorithm, in namedInput, overrides map[strin
 	t.Add(row...)
 }
 
+// labelled pairs x with what algorithm a reads beside it: labels, a class
+// indicator, or initial centroids.
+func labelled(a algos.Algorithm, x *matrix.Matrix, seed int64) map[string]*matrix.Matrix {
+	in := map[string]*matrix.Matrix{"X": x}
+	switch a.Name {
+	case "L2SVM":
+		in["Y"] = data.BinaryLabels(x, 0.05, seed)
+	case "GLM":
+		in["Y"] = data.ZeroOneLabels(data.BinaryLabels(x, 0.05, seed))
+	case "MLogreg":
+		in["Yfull"] = data.MultiClassIndicator(x, 3, seed)
+	case "KMeans":
+		in["C0"] = matrix.Rand(5, x.Cols, 1, -1, 1, seed)
+	}
+	return in
+}
+
 // classificationInputs builds the Table 4 dataset list for one algorithm:
 // synthetic dense (two scales), Airline78-like, and Mnist-like.
 func classificationInputs(o Options, a algos.Algorithm) []namedInput {
-	withLabels := func(name string, x *matrix.Matrix, seed int64) namedInput {
-		in := map[string]*matrix.Matrix{"X": x}
-		switch a.Name {
-		case "L2SVM":
-			in["Y"] = data.BinaryLabels(x, 0.05, seed)
-		case "GLM":
-			in["Y"] = data.ZeroOneLabels(data.BinaryLabels(x, 0.05, seed))
-		case "MLogreg":
-			in["Yfull"] = data.MultiClassIndicator(x, 3, seed)
-		case "KMeans":
-			in["C0"] = matrix.Rand(5, x.Cols, 1, -1, 1, seed)
-		}
-		return namedInput{name, in}
-	}
 	return []namedInput{
-		withLabels(fmt.Sprintf("%dx10 dense", o.rows(100000)), data.Dense(o.rows(100000), 10, 31), 41),
-		withLabels(fmt.Sprintf("%dx10 dense", o.rows(300000)), data.Dense(o.rows(300000), 10, 32), 42),
-		withLabels("Airline78-like", data.AirlineLike(o.rows(50000), 33), 43),
-		withLabels("Mnist-like", data.MnistLike(o.rows(8000), 34), 44),
+		{fmt.Sprintf("%dx10 dense", o.rows(100000)), labelled(a, data.Dense(o.rows(100000), 10, 31), 41)},
+		{fmt.Sprintf("%dx10 dense", o.rows(300000)), labelled(a, data.Dense(o.rows(300000), 10, 32), 42)},
+		{"Airline78-like", labelled(a, data.AirlineLike(o.rows(50000), 33), 43)},
+		{"Mnist-like", labelled(a, data.MnistLike(o.rows(8000), 34), 44)},
 	}
+}
+
+// table4Jobs are the data-intensive algorithms with their iteration counts.
+var table4Jobs = []struct {
+	a         algos.Algorithm
+	overrides map[string]float64
+}{
+	{algos.L2SVM, map[string]float64{"maxiter": 10}},
+	{algos.MLogreg, map[string]float64{"maxiter": 5, "inneriter": 5, "k": 3}},
+	{algos.GLM, map[string]float64{"maxiter": 5, "inneriter": 5}},
+	{algos.KMeans, map[string]float64{"maxiter": 10}},
 }
 
 // Table4DataIntensive reproduces Table 4: end-to-end runtimes of the four
@@ -71,16 +85,7 @@ func Table4DataIntensive(o Options) *Table {
 		Title:   "Table 4: Runtime of Data-Intensive Algorithms [s]",
 		Columns: append([]string{"algorithm", "data"}, ModeNames()...),
 	}
-	jobs := []struct {
-		a         algos.Algorithm
-		overrides map[string]float64
-	}{
-		{algos.L2SVM, map[string]float64{"maxiter": 10}},
-		{algos.MLogreg, map[string]float64{"maxiter": 5, "inneriter": 5, "k": 3}},
-		{algos.GLM, map[string]float64{"maxiter": 5, "inneriter": 5}},
-		{algos.KMeans, map[string]float64{"maxiter": 10}},
-	}
-	for _, job := range jobs {
+	for _, job := range table4Jobs {
 		for _, in := range classificationInputs(o, job.a) {
 			endToEndRow(t, job.a, in, job.overrides)
 		}
@@ -94,49 +99,23 @@ func Table4DataIntensive(o Options) *Table {
 func Fig13Hybrid(o Options) []*Table {
 	rows, cols := o.rows(50000), 100
 	x := data.Dense(rows, cols, 51)
-	ml := &Table{
-		Title:   "Fig 13a: MLogreg, increasing #classes",
-		Columns: append([]string{"k"}, ModeNames()...),
-	}
-	for _, k := range []int{2, 4, 8, 16, 32} {
-		inputs := map[string]*matrix.Matrix{
-			"X":     x,
-			"Yfull": data.MultiClassIndicator(x, k, 52),
+	sweep := func(title string, a algos.Algorithm, inputs func(k int) map[string]*matrix.Matrix, ov map[string]float64) *Table {
+		t := &Table{Title: title, Columns: append([]string{"k"}, ModeNames()...)}
+		for _, k := range []int{2, 4, 8, 16, 32} {
+			ov["k"] = float64(k)
+			endToEndRow(t, a, namedInput{fmt.Sprintf("%d", k), inputs(k)}, ov)
+			t.Rows[len(t.Rows)-1] = t.Rows[len(t.Rows)-1][1:] // no algorithm column
 		}
-		row := []string{fmt.Sprintf("%d", k)}
-		for _, mode := range Modes {
-			d, err := timeAlgo(algos.MLogreg, mode, inputs,
-				map[string]float64{"maxiter": 3, "inneriter": 4, "k": float64(k)})
-			if err != nil {
-				row = append(row, "ERR")
-				continue
-			}
-			row = append(row, secs(d))
-		}
-		ml.Add(row...)
+		return t
 	}
-	km := &Table{
-		Title:   "Fig 13b: KMeans, increasing #centroids",
-		Columns: append([]string{"k"}, ModeNames()...),
+	return []*Table{
+		sweep("Fig 13a: MLogreg, increasing #classes", algos.MLogreg, func(k int) map[string]*matrix.Matrix {
+			return map[string]*matrix.Matrix{"X": x, "Yfull": data.MultiClassIndicator(x, k, 52)}
+		}, map[string]float64{"maxiter": 3, "inneriter": 4}),
+		sweep("Fig 13b: KMeans, increasing #centroids", algos.KMeans, func(k int) map[string]*matrix.Matrix {
+			return map[string]*matrix.Matrix{"X": x, "C0": matrix.Rand(k, cols, 1, -1, 1, 53)}
+		}, map[string]float64{"maxiter": 5}),
 	}
-	for _, k := range []int{2, 4, 8, 16, 32} {
-		inputs := map[string]*matrix.Matrix{
-			"X":  x,
-			"C0": matrix.Rand(k, cols, 1, -1, 1, 53),
-		}
-		row := []string{fmt.Sprintf("%d", k)}
-		for _, mode := range Modes {
-			d, err := timeAlgo(algos.KMeans, mode, inputs,
-				map[string]float64{"maxiter": 5, "k": float64(k)})
-			if err != nil {
-				row = append(row, "ERR")
-				continue
-			}
-			row = append(row, secs(d))
-		}
-		km.Add(row...)
-	}
-	return []*Table{ml, km}
 }
 
 // Table5ComputeIntensive reproduces Table 5: ALS-CG over synthetic sparse,

@@ -2,12 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"io"
+	"slices"
+	"strings"
 	"time"
 
-	"sysml/internal/algos"
 	"sysml/internal/codegen"
-	"sysml/internal/data"
 	"sysml/internal/matrix"
 )
 
@@ -62,40 +61,12 @@ func phaseRow(row []string, phases map[string]time.Duration) []string {
 	return append(row, ms(phaseTotal(phases)))
 }
 
-// batchMixAlgorithm is one of the six algorithms on its synthetic input at
-// the size the benchmark's batch_mix runs it (the <algo>.syn programs,
-// alscg.amazon).
-type batchMixAlgorithm struct {
-	a      algos.Algorithm
-	data   string
-	inputs map[string]*matrix.Matrix
-	ov     map[string]float64
-}
-
-func batchMixAlgorithms(o Options) []batchMixAlgorithm {
-	dense := data.Dense(o.rows(150000), 10, 3001)
-	amazon := data.AmazonLike(o.rows(10000), o.rows(4000), 3065)
-	const rank = 10
-	batch := 512.0
-	aeRows := o.rows(10000)
-	if aeRows < 2048 {
-		batch = float64(aeRows / 4)
-	}
-	return []batchMixAlgorithm{
-		{algos.L2SVM, "dense", map[string]*matrix.Matrix{"X": dense, "Y": data.BinaryLabels(dense, 0.05, 3010)},
-			map[string]float64{"maxiter": 10}},
-		{algos.MLogreg, "dense", map[string]*matrix.Matrix{"X": dense, "Yfull": data.MultiClassIndicator(dense, 3, 3010)},
-			map[string]float64{"maxiter": 5, "inneriter": 5, "k": 3}},
-		{algos.GLM, "dense", map[string]*matrix.Matrix{"X": dense, "Y": data.ZeroOneLabels(data.BinaryLabels(dense, 0.05, 3010))},
-			map[string]float64{"maxiter": 5, "inneriter": 5}},
-		{algos.KMeans, "dense", map[string]*matrix.Matrix{"X": dense, "C0": matrix.Rand(5, 10, 1, -1, 1, 3010)},
-			map[string]float64{"maxiter": 10}},
-		{algos.ALSCG, "Amazon-like", map[string]*matrix.Matrix{"X": amazon,
-			"U0": matrix.Rand(amazon.Rows, rank, 1, 0.01, 0.1, 3061), "V0": matrix.Rand(amazon.Cols, rank, 1, 0.01, 0.1, 3062)},
-			map[string]float64{"maxiter": 2, "rank": rank}},
-		{algos.AutoEncoder, "dense", map[string]*matrix.Matrix{"X": data.Dense(aeRows, 50, 3066)},
-			map[string]float64{"epochs": 1, "batch": batch, "H1": 64, "H2": 2}},
-	}
+// sixAlgorithms are the batch_mix programs that run each of the six
+// algorithms on its synthetic input (alscg.amazon for ALS-CG).
+func sixAlgorithms(o Options) []mixProgram {
+	return slices.DeleteFunc(batchMixAlgorithms(o), func(p mixProgram) bool {
+		return p.name != "alscg.amazon" && (p.name == "alscg.syn" || !strings.HasSuffix(p.name, ".syn"))
+	})
 }
 
 // PhaseAttributionAlgorithms is the phase breakdown of the six algorithms
@@ -107,19 +78,19 @@ func PhaseAttributionAlgorithms(o Options) *Table {
 		Title:   "Phase attribution per algorithm under Gen, batch_mix sizes [ms]",
 		Columns: append(append([]string{"algorithm", "data"}, phaseNames...), "total", "non-execute %"),
 	}
-	for _, job := range batchMixAlgorithms(o) {
+	for _, job := range sixAlgorithms(o) {
 		var best map[string]time.Duration
 		for rep := 0; rep < max(o.Reps, 1); rep++ {
-			s, err := job.a.Run(codegen.DefaultConfig(), job.inputs, job.ov, nil, io.Discard)
-			if err != nil {
-				panic(fmt.Sprintf("phase breakdown failed (%s): %v", job.a.Name, err))
+			s := job.session(codegen.DefaultConfig())
+			if err := s.Run(job.script); err != nil {
+				panic(fmt.Sprintf("phase breakdown failed (%s): %v", job.name, err))
 			}
 			if phases := sessionPhases(s); best == nil || phaseTotal(phases) < phaseTotal(best) {
 				best = phases
 			}
 		}
 		x := job.inputs["X"]
-		row := phaseRow([]string{job.a.Name, fmt.Sprintf("%dx%d %s", x.Rows, x.Cols, job.data)}, best)
+		row := phaseRow([]string{job.name, fmt.Sprintf("%dx%d", x.Rows, x.Cols)}, best)
 		total := phaseTotal(best)
 		t.Add(append(row, fmt.Sprintf("%.1f", 100*float64(total-best["execute"])/float64(total)))...)
 	}

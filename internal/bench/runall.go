@@ -61,6 +61,9 @@ var Experiments = []struct {
 		PhaseAttribution(o).Print(o.Out)
 		PhaseAttributionAlgorithms(o).Print(o.Out)
 	}},
+	{"regret", "Plan regret: the batch_mix programs under five interleaved modes, t(Gen)/best and a class per regretted program", func(o Options) {
+		Regret(o).Print(o.Out)
+	}},
 	{"ablation", "Ablations: linearization order, MAgg fusion, dominance pruning", func(o Options) {
 		AblationOrder(o).Print(o.Out)
 		AblationMAgg(o).Print(o.Out)

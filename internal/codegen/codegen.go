@@ -65,6 +65,9 @@ func OptimizeTraced(d *hop.DAG, cfg *Config, cache *PlanCache, stats *Stats, rep
 	}
 
 	stats.DAGsOptimized++
+	if searchHook != nil {
+		searchHook(d, cfg)
+	}
 	esp := sp.Child("explore")
 	memo := Explore(d.Roots(), cfg)
 	esp.End()
@@ -122,10 +125,13 @@ func OptimizeTraced(d *hop.DAG, cfg *Config, cache *PlanCache, stats *Stats, rep
 		}
 	}
 	csp := sp.Child("construct")
-	_ = construct(d, memo, parts, q, cfg, cache, stats, rep)
+	construct(d, memo, parts, q, cfg, cache, stats, rep)
 	csp.End()
 	return d
 }
+
+// searchHook, set by tests alone, sees every DAG a plan search is about to modify.
+var searchHook func(d *hop.DAG, cfg *Config)
 
 // compressedInputs collects the reads annotated with a compressed size
 // before optimization, in name order, for the COMPRESSED EXPLAIN section.
@@ -163,20 +169,15 @@ func partitionReport(memo *Memo, p *Partition, q map[Edge]bool, cfg *Config,
 		Nodes:          len(p.Nodes),
 		PlansEvaluated: evaluated,
 		Hypothetical:   hypothetical,
-		EstCost:        math.NaN(),
+		EstCost:        NewCoster(cfg, memo, p).PlanCost(q, math.Inf(1)),
 	}
-	qp := map[Edge]bool{}
 	for _, pt := range p.Points {
 		pr.Points = append(pr.Points, pointLabel(memo, pt))
 		if q[pt] {
-			qp[pt] = true
 			pr.Materialized++
 		}
 	}
 	sort.Strings(pr.Points)
-	if cost := NewCoster(cfg, memo, p).PlanCost(qp, math.Inf(1)); !math.IsInf(cost, 1) {
-		pr.EstCost = cost
-	}
 	return pr
 }
 

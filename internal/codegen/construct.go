@@ -1,7 +1,9 @@
 package codegen
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"sysml/internal/cplan"
@@ -21,49 +23,53 @@ type constructor struct {
 	rep   *PlanReport // optional EXPLAIN record (nil when not observing)
 
 	coster *Coster // reused for its entry-pick rule
-	done   map[int64]bool
+	// wanted holds the hops the plan materializes, as construction finds
+	// them: partition roots, the leaves of every built operator, the inputs
+	// of every hop left a basic operator.
+	wanted map[int64]bool
 	inMAgg map[int64]bool
 }
 
 func construct(d *hop.DAG, m *Memo, parts []*Partition, q map[Edge]bool,
-	cfg *Config, cache *PlanCache, stats *Stats, rep *PlanReport) error {
+	cfg *Config, cache *PlanCache, stats *Stats, rep *PlanReport) {
 	// Multi-aggregates combine across partitions: their fusion opportunity
 	// is a *shared input*, which creates no fusion reference and therefore
 	// no partition connectivity.
 	merged := mergePartitions(parts)
 	c := &constructor{
 		cfg: cfg, memo: m, d: d, q: q, cache: cache, stats: stats, rep: rep,
-		coster: &Coster{cfg: cfg, memo: m, part: merged, q: q},
-		done:   map[int64]bool{},
+		coster: NewCoster(cfg, m, merged),
+		wanted: map[int64]bool{},
 		inMAgg: map[int64]bool{},
 	}
+	c.coster.assign(q)
+	order := hop.TopoOrder(d.Roots())
 	// Horizontal sibling fusion runs first: it can claim row/column
 	// aggregates and cellwise maps the multi-aggregate pass cannot, and it
 	// deliberately leaves pure full-aggregate groups to combineMulti-
 	// Aggregates (which owns the paper's 1×k layout).
 	c.combineHorizontal()
 	c.combineMultiAggregates(merged)
-	for _, p := range parts {
-		for _, r := range p.Roots {
-			if err := c.walk(m.Hop(r)); err != nil {
-				return err
-			}
+	for _, r := range merged.Roots {
+		c.wanted[r] = true
+	}
+	// Consumers first: an operator that fuses a hop is built before the hop
+	// is built (and spliced out of its consumers) as an operator of its own,
+	// which a block output or a second, materializing consumer asks for.
+	for i := len(order) - 1; i >= 0; i-- {
+		if h := order[i]; c.wanted[h.ID] && !c.inMAgg[h.ID] {
+			c.build(h)
 		}
 	}
-	return nil
 }
 
 func (c *constructor) nextClass() string {
 	return fmt.Sprintf("TMP%d", c.cache.NextClassID())
 }
 
-// walk visits a node top-down, constructing a fused operator when a valid
-// entry is selected, and recursing into the materialized inputs.
-func (c *constructor) walk(h *hop.Hop) error {
-	if c.done[h.ID] || c.inMAgg[h.ID] {
-		return nil
-	}
-	c.done[h.ID] = true
+// build constructs a fused operator at a materialized hop when a valid
+// entry is selected, and marks what the result reads as materialized.
+func (c *constructor) build(h *hop.Hop) {
 	// The preferred entry first; when its template cannot express the
 	// region (or a gate declines it), the other templates' entries.
 	for _, entry := range c.coster.pickEntries(h) {
@@ -71,21 +77,18 @@ func (c *constructor) walk(h *hop.Hop) error {
 		if len(region.covered) < 2 {
 			continue
 		}
-		if built, leaves := c.buildAndSplice(h, entry, region); built {
-			for _, leaf := range leaves {
-				if err := c.walk(leaf); err != nil {
-					return err
-				}
-			}
-			return nil
+		if c.buildAndSplice(h, entry, region) {
+			c.want(region.leaves)
+			return
 		}
 	}
-	for _, in := range h.Inputs {
-		if err := c.walk(in); err != nil {
-			return err
-		}
+	c.want(h.Inputs)
+}
+
+func (c *constructor) want(hops []*hop.Hop) {
+	for _, h := range hops {
+		c.wanted[h.ID] = true
 	}
-	return nil
 }
 
 // region is the set of hops covered by one fused operator plus its
@@ -128,10 +131,10 @@ func (c *constructor) collectInto(h *hop.Hop, entry Entry, r *region) {
 }
 
 // buildAndSplice constructs the template-specific CPlan; on success it
-// compiles the operator, splices a spoof HOP, and returns the materialized
-// leaves to continue walking. Construction bails out (returning false) on
-// patterns the backend cannot express, falling back to basic operators.
-func (c *constructor) buildAndSplice(h *hop.Hop, entry Entry, r *region) (bool, []*hop.Hop) {
+// compiles the operator and splices a spoof HOP. Construction bails out
+// (returning false) on patterns the backend cannot express, falling back to
+// basic operators.
+func (c *constructor) buildAndSplice(h *hop.Hop, entry Entry, r *region) bool {
 	var plan *cplan.Plan
 	var inputs []*hop.Hop
 	switch entry.Type {
@@ -146,18 +149,18 @@ func (c *constructor) buildAndSplice(h *hop.Hop, entry Entry, r *region) (bool, 
 		plan, inputs = c.buildCellPlan(h, r)
 	}
 	if plan == nil {
-		return false, nil
+		return false
 	}
 	op, hit, err := c.compile(plan)
 	if err != nil {
-		return false, nil
+		return false
 	}
 	c.record(plan.Type.String(), op, len(inputs), h.Rows, h.Cols, hit)
 	spoof := c.d.NewSpoof(plan.Type.String(), op, h.Rows, h.Cols, h.Nnz, inputs...)
 	spoof.ExecType = h.ExecType
 	c.predictSpoof(spoof, entry.Type, []*region{r})
 	c.splice(h, spoof)
-	return true, r.leaves
+	return true
 }
 
 func (c *constructor) compile(p *cplan.Plan) (*cplan.Operator, bool, error) {
@@ -347,8 +350,8 @@ func (c *constructor) combineMultiAggregates(p *Partition) {
 	}
 	var cands []*hop.Hop
 	for id := range p.Nodes {
-		if c.done[id] || c.inMAgg[id] {
-			continue // already claimed (e.g. by a horizontal sibling group)
+		if c.inMAgg[id] {
+			continue // already claimed by a horizontal sibling group
 		}
 		h := c.memo.Hop(id)
 		g := c.memo.Get(id)
@@ -363,6 +366,9 @@ func (c *constructor) combineMultiAggregates(p *Partition) {
 	if len(cands) < 2 {
 		return
 	}
+	// By hop ID: which aggregates share an operator, and the order of its
+	// roots and sides, must not depend on map iteration.
+	slices.SortFunc(cands, func(a, b *hop.Hop) int { return cmp.Compare(a.ID, b.ID) })
 	// Group by shared leaf inputs.
 	var items []maggCand
 	for _, h := range cands {
@@ -506,12 +512,8 @@ func (c *constructor) buildMAggGroup(group []maggCand) bool {
 	for k, it := range group {
 		extract := c.d.Index(spoof, 0, 1, int64(k), int64(k)+1)
 		c.splice(it.h, extract)
-		c.done[extract.ID] = true
 	}
-	// Continue walking from the leaves.
-	for _, l := range allLeaves {
-		_ = c.walk(l)
-	}
+	c.want(allLeaves)
 	return true
 }
 

@@ -1,7 +1,7 @@
 package codegen
 
 import (
-	"math"
+	"slices"
 
 	"sysml/internal/cplan"
 	"sysml/internal/hop"
@@ -15,56 +15,43 @@ import (
 // reality — the prerequisite for feeding measured calibration constants
 // back into CostParams.
 
-// predictHop fills h's prediction fields from the model inputs: fl raw
-// FLOPs, inBytes distinct input bytes, and scale the sparsity-exploitation
-// factor. Mirrors Coster.addOpCost (Tw + max(Tr·scale, Tc), with side
-// inputs of distributed operators charged at broadcast bandwidth).
-func predictHop(cfg *Config, h *hop.Hop, fl, inBytes, scale float64) {
-	m := cfg.Costs
-	outBytes := float64(h.OutputSizeBytes())
-	tw := outBytes / m.WriteBW
-	tr := inBytes / m.ReadBW
-	if h.ExecType == hop.ExecDist {
-		var largest float64
-		for _, in := range h.Inputs {
-			if s := float64(in.ReadSizeBytes()); s > largest {
-				largest = s
-			}
-		}
-		side := inBytes - largest
-		if side > 0 {
-			tr = largest/m.ReadBW + side/m.BroadcastBW
-		}
-	}
-	tc := fl * scale / m.ComputeBW
-	h.PredSec = tw + math.Max(tr*scale, tc)
-	h.PredFlops = fl * scale
-	h.PredBytes = int64(inBytes) + int64(outBytes)
+// predictHop fills h's prediction fields from the model inputs: fl FLOPs
+// after sparsity exploitation and inBytes distinct input bytes, priced by
+// the function that prices plans (opSec).
+func predictHop(cfg *Config, h *hop.Hop, fl, inBytes float64) {
+	h.PredSec = opSec(cfg.Costs, h, inBytes, fl)
+	h.PredFlops = fl
+	h.PredBytes = int64(inBytes) + h.OutputSizeBytes()
 }
 
 // predictSpoof annotates a freshly spliced fused operator with the cost
 // vector of its covered region: summed covered-HOP FLOPs, distinct input
-// bytes, the template's sparsity scale and, for a Row operator that must
-// densify a sparse main input, the densification the coster charges.
+// bytes, the template's sparsity scale and, for a Row operator, the walk
+// per consumer of the main input and the densification the coster charges.
 func (c *constructor) predictSpoof(spoof *hop.Hop, t cplan.TemplateType, regions []*region) {
-	var fl float64
-	for _, r := range regions {
-		for id := range r.covered {
-			if x := c.memo.Hop(id); x != nil {
-				fl += flops(x)
-			}
-		}
-	}
 	var inBytes float64
 	var main *hop.Hop
 	for _, in := range spoof.Inputs {
 		inBytes += float64(in.ReadSizeBytes())
 		main = mainInput(main, in)
 	}
+	var fl float64
+	uses := 0
+	for _, r := range regions {
+		for id := range r.covered {
+			if x := c.memo.Hop(id); x != nil {
+				fl += flops(x)
+				if rowSparseCapableUse(x) && slices.Contains(x.Inputs, main) {
+					uses++
+				}
+			}
+		}
+	}
 	op, _ := spoof.Spoof.(*cplan.Operator)
-	denseMain := op != nil && op.Plan.Type == cplan.TemplateRow && !op.Progs[0].MainSparseCapable()
-	predictHop(c.cfg, spoof, fl, inBytes, sparsityScale(t, main, denseMain))
-	spoof.PredSec += rowDensifySec(c.cfg.Costs, t, main, denseMain)
+	denseMain := op != nil && (op.Plan.Type == cplan.TemplateRow && !op.Progs[0].MainSparseCapable() ||
+		op.Plan.Type != cplan.TemplateRow && !op.Plan.SparseSafe)
+	predictHop(c.cfg, spoof, fl*sparsityScale(t, main, denseMain), inBytes)
+	spoof.PredSec += rowMainSec(c.cfg.Costs, t, main, denseMain, uses)
 }
 
 // AnnotatePredictions walks an optimized DAG and attaches cost predictions
@@ -90,7 +77,7 @@ func AnnotatePredictions(d *hop.DAG, cfg *Config) {
 		if h.PredSec > 0 {
 			return
 		}
-		predictHop(cfg, h, flops(h), float64(h.ReadInputSizeBytes()), 1)
+		predictHop(cfg, h, flops(h), float64(h.ReadInputSizeBytes()))
 	}
 	for _, r := range d.Roots() {
 		walk(r)

@@ -15,10 +15,9 @@ type Enumerator struct {
 	part   *Partition
 	coster *Coster
 
-	static float64
-	cur    []bool
-	bestQ  []bool
-	bestC  float64
+	cur   []bool
+	bestQ []bool
+	bestC float64
 
 	// InvertOrder flips the search-space linearization to positive-to-
 	// negative assignments (an ablation of the paper's claim that the
@@ -37,7 +36,6 @@ func NewEnumerator(cfg *Config, m *Memo, p *Partition) *Enumerator {
 		cfg:          cfg,
 		memo:         m,
 		part:         p,
-		coster:       NewCoster(cfg, m, p),
 		Hypothetical: new(big.Int).Lsh(big.NewInt(1), uint(len(p.Points))),
 	}
 }
@@ -49,22 +47,20 @@ func (e *Enumerator) Best() map[Edge]bool {
 	if n == 0 {
 		return map[Edge]bool{}
 	}
+	e.coster = NewCoster(e.cfg, e.memo, e.part)
 	e.cur = make([]bool, n)
 	e.bestQ = make([]bool, n)
 	e.bestC = math.Inf(1)
-	e.static = e.coster.StaticCost()
 
 	if n > e.cfg.MaxPointsExact {
-		// Oversized partition: the exhaustive scan is out of reach. Open
-		// with fuse-all and make one pass over the points, materializing
-		// each one that lowers the plan cost (n+1 plans costed).
-		e.evalCurrent()
-		for i := range e.cur {
-			before := e.bestC
-			e.cur[i] = true
-			if e.evalCurrent(); e.bestC >= before {
-				e.cur[i] = false
+		// Oversized partition: the exhaustive scan is out of reach. Descend
+		// from each heuristic's assignment, fuse-all and then fuse-no-
+		// redundancy, so that what is returned is never dearer than either.
+		for _, fnr := range []bool{false, true} {
+			for i, pt := range e.part.Points {
+				e.cur[i] = fnr && e.memo.Hop(pt.To).NumConsumers() > 1
 			}
+			e.descend()
 		}
 		return e.assignment(e.bestQ)
 	}
@@ -75,8 +71,7 @@ func (e *Enumerator) Best() map[Edge]bool {
 	}
 	var cut *CutSet
 	if e.cfg.EnableStructPrune {
-		rg := BuildReachGraph(e.memo, e.part)
-		if cuts := FindCutSets(e.memo, e.part, rg); len(cuts) > 0 {
+		if cuts := FindCutSets(e.memo, e.part); len(cuts) > 0 {
 			cut = &cuts[0]
 		}
 	}
@@ -90,24 +85,31 @@ func (e *Enumerator) Best() map[Edge]bool {
 	cs := cut.Points
 	rest := append(append([]int(nil), cut.S1...), cut.S2...)
 	totalCS := int64(1) << len(cs)
-	for a := int64(1); a <= totalCS; a++ {
+	for a := int64(1); a < totalCS; a++ {
 		for i, idx := range cs {
 			e.cur[idx] = (a-1)>>(len(cs)-1-i)&1 == 1
 		}
-		allTrue := a == totalCS
-		if allTrue {
-			for _, idx := range rest {
-				e.cur[idx] = false
-			}
-			e.linearScan(cut.S1)
-			// Fix S1 at the best found so far, then optimize S2.
-			for _, idx := range cut.S1 {
-				e.cur[idx] = e.bestQ[idx]
-			}
-			e.linearScan(cut.S2)
-		} else {
-			e.linearScan(rest)
-		}
+		e.linearScan(rest)
+	}
+	for _, idx := range cs {
+		e.cur[idx] = true
+	}
+	for _, idx := range rest {
+		e.cur[idx] = false
+	}
+	// The two scans look for the best plan under this cut assignment, not
+	// for one that beats the plans of the others: S1 is fixed at its best
+	// with S2 fused, which a bound or budget taken from another cut
+	// assignment would hide.
+	sofarC, sofarQ := e.bestC, append([]bool(nil), e.bestQ...)
+	e.bestC = math.Inf(1)
+	e.linearScan(cut.S1)
+	for _, idx := range cut.S1 {
+		e.cur[idx] = e.bestQ[idx]
+	}
+	e.linearScan(cut.S2)
+	if sofarC <= e.bestC {
+		e.bestC, e.bestQ = sofarC, sofarQ
 	}
 	return e.assignment(e.bestQ)
 }
@@ -118,7 +120,7 @@ func (e *Enumerator) Best() map[Edge]bool {
 func (e *Enumerator) linearScan(idxs []int) {
 	n := len(idxs)
 	if n == 0 {
-		e.evalCurrent()
+		e.eval(e.bestC)
 		return
 	}
 	total := int64(1) << n
@@ -133,8 +135,7 @@ func (e *Enumerator) linearScan(idxs []int) {
 			e.cur[idxs[i]] = bits>>(n-1-i)&1 == 1
 		}
 		if e.cfg.EnableCostPrune {
-			lb := e.static + e.coster.MPCost(e.part.Points, e.cur)
-			if lb >= e.bestC {
+			if e.coster.LowerBound(e.cur) >= e.bestC {
 				if e.InvertOrder {
 					// The skip-ahead arithmetic depends on the canonical
 					// layout; the inverted ablation only prunes per plan.
@@ -155,17 +156,37 @@ func (e *Enumerator) linearScan(idxs []int) {
 				}
 			}
 		}
-		e.evalCurrent()
+		e.eval(e.bestC)
 	}
 }
 
-func (e *Enumerator) evalCurrent() {
+// descend lowers the cost of e.cur one flipped point at a time, pass after
+// pass over the points, until a pass finds no flip that helps.
+func (e *Enumerator) descend() {
+	local := e.eval(math.Inf(1))
+	for improved := true; improved; {
+		improved = false
+		for i := range e.cur {
+			e.cur[i] = !e.cur[i]
+			if c := e.eval(local); c < local {
+				local, improved = c, true
+			} else {
+				e.cur[i] = !e.cur[i]
+			}
+		}
+	}
+}
+
+// eval costs e.cur (+Inf once the cost passes budget) and keeps it if it is
+// the cheapest plan so far.
+func (e *Enumerator) eval(budget float64) float64 {
 	e.Evaluated++
-	cost := e.coster.PlanCost(e.assignment(e.cur), e.bestC)
+	cost := e.coster.cost(e.cur, budget)
 	if cost < e.bestC {
 		e.bestC = cost
 		copy(e.bestQ, e.cur)
 	}
+	return cost
 }
 
 func (e *Enumerator) assignment(q []bool) map[Edge]bool {

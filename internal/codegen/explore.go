@@ -1,6 +1,8 @@
 package codegen
 
 import (
+	"slices"
+
 	"sysml/internal/cplan"
 	"sysml/internal/hop"
 )
@@ -123,67 +125,32 @@ func (e *Explorer) pruneRedundant(h *hop.Hop) {
 	})
 }
 
-// PruneDominated removes dominated plans: an entry is dominated if all its
-// references point to operators consumed exactly once and another entry of
-// the same type has a strict superset of references (§3.2). Only valid for
-// selection policies that consider materialization points with multiple
-// consumers, i.e. the heuristics.
+// PruneDominated removes dominated plans: an entry is dominated if another
+// entry of the same type has a strict superset of its references and every
+// reference it adds points to an operator consumed exactly once, which no
+// plan has a reason to materialize (§3.2). Only valid for selection policies
+// that consider materialization points with multiple consumers, i.e. the
+// heuristics.
 func PruneDominated(m *Memo) {
-	for id, g := range m.Groups {
-		h := g.Hop
-		dominated := map[int]bool{}
-		for i, a := range g.Entries {
-			if !allRefsSingleConsumer(m, a) {
-				continue
-			}
-			for j, b := range g.Entries {
-				if i == j || a.Type != b.Type || a.Closed != b.Closed {
-					continue
-				}
-				if strictSupersetRefs(b, a, h) {
-					dominated[i] = true
-					break
-				}
-			}
-		}
-		if len(dominated) == 0 {
-			continue
-		}
-		kept := g.Entries[:0]
-		for i, en := range g.Entries {
-			if !dominated[i] {
-				kept = append(kept, en)
-			}
-		}
-		g.Entries = kept
-		_ = id
+	for _, g := range m.Groups {
+		g.Entries = slices.DeleteFunc(slices.Clone(g.Entries), func(a Entry) bool {
+			return slices.ContainsFunc(g.Entries, func(b Entry) bool {
+				return a.Type == b.Type && a.Closed == b.Closed && dominates(b, a, g.Hop)
+			})
+		})
 	}
 }
 
-func allRefsSingleConsumer(m *Memo, e Entry) bool {
-	for _, ref := range e.Refs() {
-		if h := m.Hop(ref); h != nil && h.NumConsumers() > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// strictSupersetRefs reports whether b's reference positions strictly
-// contain a's.
-func strictSupersetRefs(b, a Entry, h *hop.Hop) bool {
-	if len(a.Inputs) != len(b.Inputs) {
-		return false
-	}
+// dominates reports whether b's reference positions strictly contain a's
+// and the inputs of h that only b references have a single consumer.
+func dominates(b, a Entry, h *hop.Hop) bool {
 	strict := false
 	for j := range a.Inputs {
 		aRef, bRef := a.Inputs[j] >= 0, b.Inputs[j] >= 0
-		if aRef && !bRef {
+		if aRef && !bRef || bRef && !aRef && h.Inputs[j].NumConsumers() > 1 {
 			return false
 		}
-		if bRef && !aRef {
-			strict = true
-		}
+		strict = strict || bRef && !aRef
 	}
 	return strict
 }

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"slices"
 	"sort"
 
 	"sysml/internal/cplan"
@@ -69,9 +70,6 @@ func (c *constructor) combineHorizontal() {
 	var cands []hfuseCand
 	for _, id := range ids {
 		h := hops[id]
-		if c.done[id] || c.inMAgg[id] {
-			continue
-		}
 		cand, ok := c.hfuseCandidate(h)
 		if !ok || c.verticallyClaimed(cand.h) {
 			continue
@@ -264,22 +262,15 @@ func (c *constructor) buildHorizontalGroup(main *hop.Hop, group []hfuseCand) boo
 	for k, it := range group {
 		extract := c.d.SpoofOut(spoof, k, it.h.Rows, it.h.Cols, it.h.Nnz)
 		c.splice(it.h, extract)
-		c.done[extract.ID] = true
 	}
 	c.recordHorizontal(main, group, true, "")
 	// Continue fusing below the merged group's materialized inputs.
-	seen := map[int64]bool{}
 	for _, it := range group {
-		for _, l := range it.region.leaves {
-			if !seen[l.ID] {
-				seen[l.ID] = true
-				_ = c.walk(l)
-			}
-		}
+		c.want(it.region.leaves)
 	}
 	// Member interiors that stay live — block outputs, or consumers outside
 	// the merged regions — still need their own plans: their partition
-	// roots were claimed by the merge, so the main walk won't reach them.
+	// roots were claimed by the merge, so the main sweep would not build them.
 	coveredAll := map[int64]bool{}
 	for _, it := range group {
 		for id := range it.region.covered {
@@ -292,31 +283,16 @@ func (c *constructor) buildHorizontalGroup(main *hop.Hop, group []hfuseCand) boo
 			outIDs[o.ID] = true
 		}
 	}
-	var live []int64
 	for _, it := range group {
 		for id := range it.region.covered {
-			if id == it.h.ID {
-				continue
-			}
 			x := c.memo.Hop(id)
-			if x == nil {
+			if id == it.h.ID || x == nil {
 				continue
 			}
-			keep := outIDs[x.ID]
-			for _, p := range x.Parents {
-				if !coveredAll[p.ID] {
-					keep = true
-					break
-				}
-			}
-			if keep {
-				live = append(live, id)
+			if outIDs[id] || slices.ContainsFunc(x.Parents, func(p *hop.Hop) bool { return !coveredAll[p.ID] }) {
+				c.wanted[id] = true
 			}
 		}
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
-	for _, id := range live {
-		_ = c.walk(c.memo.Hop(id))
 	}
 	return true
 }

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"slices"
 	"sort"
 
 	"sysml/internal/hop"
@@ -18,11 +19,12 @@ type Edge struct {
 type Partition struct {
 	Nodes map[int64]bool
 	// Roots are the nodes that are materialized under every plan: entry
-	// points never referenced via fusion from within, followed by block
-	// outputs that are (a written variable is stored whether or not a
-	// consumer also fuses it). Consumers precede what they consume, so
-	// walking Roots in order constructs a fusing consumer before the
-	// output it absorbed.
+	// points never referenced via fusion from within, followed by the nodes
+	// that are, and are block outputs (a written variable is stored whether
+	// or not a consumer also fuses it) or are read by an operator outside
+	// the partition, which no plan of this partition fuses them into.
+	// Consumers precede what they consume, so walking Roots in order
+	// constructs a fusing consumer before the output it absorbed.
 	Roots  []int64
 	Inputs []int64 // nodes read by the partition but outside it
 	// MatPoints are materialization points: partition nodes with multiple
@@ -111,7 +113,7 @@ func fillPartition(p *Partition, m *Memo, referenced, written map[int64]bool) {
 		h := m.Hop(id)
 		if !referenced[id] {
 			p.Roots = append(p.Roots, id)
-		} else if written[id] {
+		} else if written[id] || slices.ContainsFunc(h.Parents, func(c *hop.Hop) bool { return !p.Nodes[c.ID] }) {
 			fusedOutputs = append(fusedOutputs, id)
 		}
 		for _, in := range h.Inputs {
@@ -213,159 +215,95 @@ func hasTypeSwitch(consumer, input *Group) bool {
 	return false
 }
 
-// ReachGraph captures reachability between interesting points for
-// structural pruning (§4.4): point b is below point a if b's target is
-// reachable from a's target through partition-internal inputs.
-type ReachGraph struct {
-	below [][]bool // below[i][j]: j strictly below i
-	n     int
-}
-
-// BuildReachGraph computes the reachability relation over the partition's
-// interesting points.
-func BuildReachGraph(m *Memo, p *Partition) *ReachGraph {
-	n := len(p.Points)
-	rg := &ReachGraph{n: n, below: make([][]bool, n)}
-	// Node reachability within partition by DFS over inputs.
-	reach := map[int64]map[int64]bool{}
-	var dfs func(id int64) map[int64]bool
-	dfs = func(id int64) map[int64]bool {
-		if r, ok := reach[id]; ok {
-			return r
-		}
-		r := map[int64]bool{}
-		reach[id] = r
-		h := m.Hop(id)
-		if h == nil {
-			return r
-		}
-		for _, in := range h.Inputs {
-			if !p.Nodes[in.ID] {
-				continue
-			}
-			r[in.ID] = true
-			for x := range dfs(in.ID) {
-				r[x] = true
-			}
-		}
-		return r
-	}
-	for i := range p.Points {
-		rg.below[i] = make([]bool, n)
-		ri := dfs(p.Points[i].To)
-		for j := range p.Points {
-			if i == j {
-				continue
-			}
-			if ri[p.Points[j].To] {
-				rg.below[i][j] = true
-			}
-		}
-	}
-	return rg
-}
-
-// CutSet is a candidate fusion barrier: assigning all its points true
-// splits the remaining points into independent subproblems S1 (above) and
-// S2 (below).
+// CutSet is a fusion barrier: a set of partition nodes all of whose
+// consumers above it are interesting points. Assigning those points
+// (Points) true splits the remaining ones into independent subproblems S1
+// (above the barrier) and S2 (at and below it).
 type CutSet struct {
 	Points []int // indexes into Partition.Points
 	S1, S2 []int
 	Score  float64
 }
 
-// FindCutSets returns valid cut sets ordered by ascending score (Eq. 5):
-// candidates are single points, composite points with equivalent targets,
-// and non-overlapping pairs.
-func FindCutSets(m *Memo, p *Partition, rg *ReachGraph) []CutSet {
+// FindCutSets returns the valid cut sets ordered by ascending score (Eq. 5).
+// Candidates are the targets of the interesting points, alone and in pairs.
+// One is valid if nothing below it is reachable from the partition's roots
+// around it: then no operator opened above the barrier covers a node below
+// it once its points are materialized, none opened below covers one above,
+// and no node is materialized on behalf of both sides, so the cost of a plan
+// is a sum of a term in S1's points and a term in S2's (§4.4).
+func FindCutSets(m *Memo, p *Partition) []CutSet {
 	n := len(p.Points)
 	if n < 3 {
 		return nil
 	}
-	var candidates [][]int
-	for i := 0; i < n; i++ {
-		candidates = append(candidates, []int{i})
-	}
-	// Composite points over the same target node.
-	byTarget := map[int64][]int{}
-	for i, pt := range p.Points {
-		byTarget[pt.To] = append(byTarget[pt.To], i)
-	}
-	for _, idxs := range byTarget {
-		if len(idxs) > 1 {
-			candidates = append(candidates, idxs)
+	var targets []int64
+	for _, pt := range p.Points {
+		if !slices.Contains(targets, pt.To) {
+			targets = append(targets, pt.To)
 		}
 	}
-	// Non-overlapping pairs of the above.
-	base := append([][]int(nil), candidates...)
-	for i := 0; i < len(base) && len(candidates) < 64; i++ {
-		for j := i + 1; j < len(base); j++ {
-			if overlaps(base[i], base[j]) {
-				continue
+	slices.Sort(targets)
+	candidates := make([][]int64, 0, 64)
+	for _, t := range targets {
+		candidates = append(candidates, []int64{t})
+	}
+	for i := 0; i < len(targets) && len(candidates) < 64; i++ {
+		for _, u := range targets[i+1:] {
+			candidates = append(candidates, []int64{targets[i], u})
+		}
+	}
+	// reach marks the partition nodes reachable from the given ones without
+	// descending through a barrier node.
+	reach := func(from []int64, barrier []int64, seen map[int64]bool) {
+		var visit func(id int64)
+		visit = func(id int64) {
+			if seen[id] || !p.Nodes[id] {
+				return
 			}
-			candidates = append(candidates, append(append([]int(nil), base[i]...), base[j]...))
+			seen[id] = true
+			if !slices.Contains(barrier, id) {
+				for _, in := range m.Hop(id).Inputs {
+					visit(in.ID)
+				}
+			}
+		}
+		for _, id := range from {
+			visit(id)
 		}
 	}
 	var out []CutSet
-	for _, cs := range candidates {
-		inCS := map[int]bool{}
-		for _, i := range cs {
-			inCS[i] = true
+	above, below := map[int64]bool{}, map[int64]bool{}
+	for _, barrier := range candidates {
+		clear(above)
+		clear(below)
+		reach(p.Roots, barrier, above)
+		for _, t := range barrier {
+			for _, in := range m.Hop(t).Inputs {
+				reach([]int64{in.ID}, nil, below)
+			}
 		}
-		var s1, s2 []int
-		for j := 0; j < n; j++ {
-			if inCS[j] {
-				continue
-			}
-			// j is below the cut set if reachable from any cut point.
-			below := false
-			for _, c := range cs {
-				if rg.below[c][j] {
-					below = true
-					break
-				}
-			}
-			if below {
+		valid := true
+		for id := range below {
+			valid = valid && !above[id]
+		}
+		var cs, s1, s2 []int
+		for j, pt := range p.Points {
+			switch onBarrier := slices.Contains(barrier, pt.To); {
+			case !above[pt.From] || slices.Contains(barrier, pt.From):
 				s2 = append(s2, j)
-			} else {
+			case onBarrier:
+				cs = append(cs, j)
+			default:
 				s1 = append(s1, j)
 			}
 		}
-		// Validity: S1 and S2 non-empty and disjoint by construction; also
-		// require that no S2 point reaches an S1 point (true independence).
-		if len(s1) == 0 || len(s2) == 0 {
-			continue
+		if valid && len(cs) > 0 && len(s1) > 0 && len(s2) > 0 {
+			out = append(out, CutSet{Points: cs, S1: s1, S2: s2, Score: cutScore(len(cs), len(s1), len(s2), n)})
 		}
-		indep := true
-		for _, a := range s2 {
-			for _, b := range s1 {
-				if rg.below[a][b] {
-					indep = false
-					break
-				}
-			}
-			if !indep {
-				break
-			}
-		}
-		if !indep {
-			continue
-		}
-		out = append(out, CutSet{Points: cs, S1: s1, S2: s2, Score: cutScore(len(cs), len(s1), len(s2), n)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Score < out[j].Score })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Score < out[j].Score })
 	return out
-}
-
-func overlaps(a, b []int) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // cutScore implements Eq. (5): (2^|cs|-1)/2^|cs| * 2^|M'| + 1/2^|cs| *
@@ -373,11 +311,4 @@ func overlaps(a, b []int) bool {
 func cutScore(cs, s1, s2, m int) float64 {
 	p2 := func(k int) float64 { return float64(int64(1) << uint(min(k, 62))) }
 	return (p2(cs)-1)/p2(cs)*p2(m) + 1/p2(cs)*(p2(s1)+p2(s2))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

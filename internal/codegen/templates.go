@@ -217,9 +217,10 @@ func (t rowTemplate) Fuse(h, in *hop.Hop) bool {
 		if a == in && a.Kind == hop.OpTranspose && b.Cols <= rowTemplateMaxCols {
 			return true
 		}
-		// Fuse the right branch W of t(X) %*% W.
+		// Fuse the right branch W of t(X) %*% W — unless W is X: the rows
+		// the operator iterates over are read, not computed in it.
 		if b == in && a.Kind == hop.OpTranspose && b.Cols <= rowTemplateMaxCols {
-			return true
+			return a.Inputs[0] != b
 		}
 		// Fuse the left branch of X %*% V (V narrow, materialized).
 		if a == in && a.Cols > 1 && b.Cols <= rowTemplateMaxCols {
@@ -233,9 +234,11 @@ func (t rowTemplate) Fuse(h, in *hop.Hop) bool {
 func (rowTemplate) Merge(h, in *hop.Hop) bool {
 	// Row templates absorb Cell plans over per-row compatible inputs:
 	// column vectors aligned with the iterated rows or same-row matrices
-	// (e.g. X^T(y ⊙ z) merging the cell plan over y ⊙ z).
-	if in.IsScalar() {
-		return false
+	// (e.g. X^T(y ⊙ z) merging the cell plan over y ⊙ z). A transpose takes
+	// the main input itself: no Row plan expresses t(f(X)) %*% W.
+	if in.IsScalar() || h.Kind == hop.OpTranspose ||
+		h.Kind == hop.OpMatMult && h.Inputs[0].Kind == hop.OpTranspose && h.Inputs[0].Inputs[0] == in {
+		return false // the same for t(X) %*% X
 	}
 	rows := rowMainRows(h)
 	return rows > 0 && in.Rows == rows

@@ -618,6 +618,10 @@ func (p *Program) Exec(ctx *Ctx, b *Buf, out []float64) {
 			w := p.VecWidths[in.Src1]
 			a1, o1, s1 := b.Vec[in.Src1], b.Off[in.Src1], b.Str[in.Src1]
 			a2, o2, s2 := b.Vec[in.Src2], b.Off[in.Src2], b.Str[in.Src2]
+			if s2 == 0 { // against one vector for all rows: a matrix-vector product
+				vector.DotRows(a1, a2, d, o1, s1, o2, rows, w)
+				continue
+			}
 			for t := 0; t < rows; t++ {
 				d[t] = vector.DotProduct(a1, a2, o1+t*s1, o2+t*s2, w)
 			}

@@ -167,3 +167,17 @@ func MultiClassIndicator(x *matrix.Matrix, k int, seed int64) *matrix.Matrix {
 	}
 	return out
 }
+
+// CodesLike generates a table of 29 dense columns of small integer codes
+// (4..127 distinct values each), the kind of input auto-compression accepts
+// (the benchmark's <algo>.codes programs).
+func CodesLike(rows int, seed int64) *matrix.Matrix {
+	const cols = 29
+	card := matrix.Rand(1, cols, 1, 4, 128, seed).Dense()
+	m := matrix.Rand(rows, cols, 1, 0, 1, seed+1)
+	d := m.Dense()
+	for k := range d {
+		d[k] = float64(int(d[k] * float64(int(card[k%cols]))))
+	}
+	return m
+}

@@ -692,7 +692,8 @@ func (c *Cluster) spoof(h *hop.Hop, inputs []*matrix.Matrix, sp obs.Span) (*matr
 		(op.Plan.Cell == cplan.CellNoAgg || op.Plan.Cell == cplan.CellRowAgg) ||
 		op.Plan.Type == cplan.TemplateRow &&
 			(op.Plan.Row == cplan.RowNoAgg || op.Plan.Row == cplan.RowRowAgg) ||
-		op.Plan.Type == cplan.TemplateOuter && op.Plan.Out == cplan.OuterRightMM
+		op.Plan.Type == cplan.TemplateOuter &&
+			(op.Plan.Out == cplan.OuterRightMM || op.Plan.Out == cplan.OuterNoAgg)
 
 	slicedInputs := func(lo, hi int) []*matrix.Matrix {
 		ins := append([]*matrix.Matrix(nil), inputs...)

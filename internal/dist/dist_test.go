@@ -90,6 +90,23 @@ func TestDistributedMatchesLocal(t *testing.T) {
 				"V": matrix.Rand(200, 10, 1, -1, 1, 8),
 			},
 		},
+		{
+			// The Outer operator with a matrix result: row panels are
+			// concatenated, not added up like the aggregating variants'.
+			name: "outer-noagg",
+			build: func() *hop.DAG {
+				d := hop.NewDAG()
+				x := d.Read("X", 300, 200, 3000)
+				uv := d.MatMult(d.Read("U", 300, 10, -1), d.Transpose(d.Read("V", 200, 10, -1)))
+				d.Output("O", d.Binary(matrix.BinMul, d.Binary(matrix.BinNeq, x, d.Lit(0)), uv))
+				return d
+			},
+			env: rt.Env{
+				"X": matrix.Rand(300, 200, 0.05, 1, 2, 6),
+				"U": matrix.Rand(300, 10, 1, -1, 1, 7),
+				"V": matrix.Rand(200, 10, 1, -1, 1, 8),
+			},
+		},
 	}
 	for _, pat := range patterns {
 		refDAG, _ := rewrite.Apply(pat.build())

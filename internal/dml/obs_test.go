@@ -57,14 +57,14 @@ partition 1: 3 nodes, 0 interesting points
 COMPRESSED: 1 inputs considered
   X 2000x100: estimated ratio 1.00 < 3.00
 fused operators: 2 (Cell, Row)
-  Cell TMP#: 1 inputs, 1x1 output compressed: eligible
   Row TMP#: 2 inputs, 100x1 output compressed: fallback (row template reads matrix side inputs per row)
+  Cell TMP#: 1 inputs, 1x1 output compressed: eligible
 plan cache: 0 hits, 2 misses, 0 evictions
 hops after fusion:
   1 data(X) [] 2000x100 nnz=200000 LOCAL
-  8 spoof(Cell) [1] 1x1 nnz=1 LOCAL
   5 data(v) [] 100x1 nnz=100 LOCAL
-  9 spoof(Row) [1,5] 100x1 nnz=100 LOCAL
+  8 spoof(Row) [1,5] 100x1 nnz=100 LOCAL
+  9 spoof(Cell) [1] 1x1 nnz=1 LOCAL
 `
 	if got := normalizeExplain(text); got != want {
 		t.Errorf("explain mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)

@@ -69,9 +69,7 @@ func (ctx Ctx) matMultDenseDense(a, b, c *Matrix) {
 	if n == 1 {
 		// Matrix-vector: per-row dot products.
 		ctx.Par.For(m, 32, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				cd[i] = vector.DotProduct(ad, bd, i*k, 0, k)
-			}
+			vector.DotRows(ad, bd, cd[lo:], lo*k, k, 0, hi-lo, k)
 		})
 		return
 	}

@@ -313,6 +313,16 @@ func product(t *testing.T, rng *rand.Rand, rows, k, n, slack, off int, salt []fl
 	// stride n+slack, or 0: one row repeated). TMatMultAdd keeps n == 1 on
 	// the rank-4 update, zero skip and all.
 	if n == 1 {
+		// DotRows is the same kernel over a destination it clears, where the
+		// Go loops take a DotProduct per row (sign of a zero sum aside: one
+		// sums from +0 in two chains, the other in four lanes).
+		got, want = c0.clone(), c0.clone()
+		DotRows(a.buf, b.buf, got.vals(), a.off, astride, b.off, rows, k)
+		for i := range want.vals() {
+			want.vals()[i] = dotProductGo(a.buf, b.buf, a.off+i*astride, b.off, k)
+		}
+		sc := scale(a, b, func(i, kk int) int { return a.off + i*astride + kk }, n, operand{buf: make([]float64, rows), n: rows})
+		checkVec(t, what("DotRows"), got, want, func(p int) float64 { return sc(p) + 5e-324 }, k)
 		return
 	}
 	astride = rows + slack

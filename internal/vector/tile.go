@@ -70,6 +70,22 @@ func matMultAddGo(a, b, c []float64, ai, astride, bi, ci, rows, k, n int) {
 	}
 }
 
+// DotRows writes d[t] = the inner product of row t of A (rows×k at a[ai],
+// astride apart) with v[vi:vi+k], t in [0,rows): a matrix-vector product.
+// Rows shorter than 16 take the narrow product (four rows interleaved, one
+// call per block of rows: 1.3-2.6x a DotProduct call per row at 2-15
+// columns, level with it from 16).
+func DotRows(a, v, d []float64, ai, astride, vi, rows, k int) {
+	if k < 16 && useAsm && rows > 0 && k > 0 {
+		clear(d[:rows])
+		narrow(a, v, d, ai, astride, 1, vi, 1, 0, rows, k, 1)
+		return
+	}
+	for t := range d[:rows] {
+		d[t] = DotProduct(a, v, ai+t*astride, vi, k)
+	}
+}
+
 // laneMask[4-w:] is the VMASKMOVPD mask of the first w of four lanes.
 var laneMask = [8]int64{-1, -1, -1, -1, 0, 0, 0, 0}
 
