@@ -1,10 +1,7 @@
 #!/usr/bin/env bash
-# CI gate for the sysml repo: static checks, docs lint, full test suite
-# under the race detector, the benchmark's own checker tests (a module of
-# its own under benchmark/), and the performance gates: kernels, distributed
-# backend, fault tolerance, multi-tenant serving, serving observability,
-# horizontal fusion, compressed execution, feedback/re-optimization (each
-# experiment's BENCH_<id>.json must report "pass": true).
+# CI for the sysml repo: static checks, docs lint, full test suite under the
+# race detector, the benchmark's own checker tests (a module of its own under
+# benchmark/), and the performance gates (internal/bench.Gates).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -75,18 +72,8 @@ go test -run '^$' -fuzz FuzzKernels -fuzztime 20s ./internal/vector
 echo "== benchmark checker tests (go test -short) =="
 (cd benchmark && go test -short -timeout 120s ./...)
 
-# The performance gates, in this order: experiment <id> writes
-# BENCH_<id>.json, whose "pass" field must be true. docscheck reads the list
-# from this line and requires an EXPERIMENTS.md section and a row of the CI
-# gate summary table for every entry.
-gates="kernels dist fault serve serveobs hfuse cla recost"
-for id in $gates; do
-  echo "== $id gates (fusebench -exp $id) =="
-  go run ./cmd/fusebench -exp "$id"
-  if ! grep -q '"pass": true' "BENCH_$id.json"; then
-    echo "FAIL: BENCH_$id.json gates did not pass" >&2
-    cat "BENCH_$id.json" >&2
-    exit 1
-  fi
-done
+# Every gate runs, every failing check is printed, BENCH.json is the report
+# and the exit status the verdict.
+echo "== performance gates (fusebench -exp gates) =="
+go run ./cmd/fusebench -exp gates
 echo "OK: all CI gates passed"

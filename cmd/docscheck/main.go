@@ -8,9 +8,9 @@
 //  3. Experiment coverage: every fusebench experiment ID must appear in
 //     EXPERIMENTS.md, so the reproduction manual cannot silently fall
 //     behind the harness.
-//  4. CI gate coverage: every experiment in ci.sh's gate list must have a
-//     matching EXPERIMENTS.md section heading, and its BENCH_<id>.json
-//     artifact must appear in the "CI gate summary" table.
+//  4. CI gate coverage: every gate of bench.Gates must have a matching
+//     EXPERIMENTS.md section heading, and each of its checks a row of the
+//     "CI gate summary" table.
 //  5. Cited files: every backticked file path in README.md, DESIGN.md,
 //     EXPERIMENTS.md and docs/*.md must name a file of the repository.
 //
@@ -151,27 +151,15 @@ func checkExperimentCoverage() []string {
 	return bad
 }
 
-// ciGatesRe matches the list of gated experiments ci.sh loops over:
-// experiment <id> writes BENCH_<id>.json.
-var ciGatesRe = regexp.MustCompile(`(?m)^gates="([a-z0-9_ ]+)"$`)
-
-// checkCIGateCoverage cross-checks ci.sh against EXPERIMENTS.md: each
-// experiment the CI script gates on needs its own section heading (the
-// "### `id` — ..." convention), and its artifact must be a row of the
-// "## CI gate summary" table. This is what keeps the threshold table from
-// drifting when a new gate lands.
+// checkCIGateCoverage cross-checks the gate registry against EXPERIMENTS.md:
+// each gate needs its own section heading (the "### `id` — ..." convention),
+// and each of its checks a row "| ... | <check> | ..." of the "## CI gate
+// summary" table. This is what keeps the threshold table from drifting when
+// a check lands.
 func checkCIGateCoverage() []string {
-	ci, err := os.ReadFile("ci.sh")
-	if err != nil {
-		return []string{fmt.Sprintf("ci.sh: %v", err)}
-	}
 	exp, err := os.ReadFile("EXPERIMENTS.md")
 	if err != nil {
 		return []string{fmt.Sprintf("EXPERIMENTS.md: %v", err)}
-	}
-	m := ciGatesRe.FindSubmatch(ci)
-	if m == nil {
-		return []string{`ci.sh: no gates="..." list of gated experiments`}
 	}
 	// The gate table: the "## CI gate summary" section up to the next H2.
 	table := string(exp)
@@ -184,13 +172,15 @@ func checkCIGateCoverage() []string {
 		return []string{`EXPERIMENTS.md: missing "## CI gate summary" section`}
 	}
 	var bad []string
-	for _, id := range strings.Fields(string(m[1])) {
-		headingRe := regexp.MustCompile("(?m)^#{1,6} .*`" + regexp.QuoteMeta(id) + "`")
+	for _, g := range bench.Gates {
+		headingRe := regexp.MustCompile("(?m)^#{1,6} .*`" + regexp.QuoteMeta(g.ID) + "`")
 		if !headingRe.Match(exp) {
-			bad = append(bad, fmt.Sprintf("EXPERIMENTS.md: no section heading for ci.sh experiment %q", id))
+			bad = append(bad, fmt.Sprintf("EXPERIMENTS.md: no section heading for gate %q", g.ID))
 		}
-		if g := "BENCH_" + id + ".json"; !strings.Contains(table, g) {
-			bad = append(bad, fmt.Sprintf("EXPERIMENTS.md: gate artifact %s missing from the CI gate summary table", g))
+		for _, c := range g.Checks {
+			if !strings.Contains(table, "| "+c+" |") {
+				bad = append(bad, fmt.Sprintf("EXPERIMENTS.md: check %q of gate %q missing from the CI gate summary table", c, g.ID))
+			}
 		}
 	}
 	return bad

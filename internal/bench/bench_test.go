@@ -3,7 +3,9 @@ package bench
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -78,10 +80,57 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Fatalf("missing experiment %s", want)
 		}
 	}
-	if !Run("nonexistent", DefaultOptions(&bytes.Buffer{})) {
-		// expected false
-	} else {
-		t.Fatal("unknown experiment should return false")
+	for _, g := range Gates {
+		if ids[g.ID] {
+			t.Fatalf("duplicate experiment ID %s", g.ID)
+		}
+		ids[g.ID] = true
+		if g.Measure == nil || g.Desc == "" || len(g.Checks) == 0 {
+			t.Fatalf("incomplete gate %s", g.ID)
+		}
+	}
+	if Run("nonexistent", DefaultOptions(&bytes.Buffer{})) == nil {
+		t.Fatal("unknown experiment should fail")
+	}
+}
+
+// TestGateRunner: a failing check fails the run and the report, and the gates
+// after it still run and are reported.
+func TestGateRunner(t *testing.T) {
+	ran := 0
+	gate := func(id string, c Check) Gate {
+		return Gate{id, id, []string{c.Name}, func(Options) []Check { ran++; return []Check{c} }}
+	}
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	var out bytes.Buffer
+	err := RunGates(Options{Out: &out}, path,
+		gate("a", Check{Name: "fast enough", Measured: 1.5, Limit: 2, Cmp: ">=", Unit: "x"}),
+		gate("b", Check{Name: "small enough", Measured: 3, Limit: 3, Cmp: "<=", Unit: "ms"}),
+		gate("c", Check{Name: "no NaN", Measured: math.NaN(), Limit: 1, Cmp: "<", Unit: "%"}))
+	if err == nil || ran != 3 {
+		t.Fatalf("err %v after %d gates, want a failure after 3", err, ran)
+	}
+	if !strings.Contains(out.String(), "FAIL a/fast enough") || strings.Contains(out.String(), "FAIL b/") ||
+		!strings.Contains(out.String(), "FAIL c/no NaN") {
+		t.Fatalf("output does not name exactly the failing checks:\n%s", out.String())
+	}
+	data, _ := os.ReadFile(path)
+	var report struct {
+		Pass  bool
+		Gates []struct {
+			ID     string
+			Checks []struct{ Pass bool }
+		}
+	}
+	if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatal(err)
+	}
+	if report.Pass || len(report.Gates) != 3 || report.Gates[1].ID != "b" || !report.Gates[1].Checks[0].Pass ||
+		report.Gates[0].Checks[0].Pass {
+		t.Fatalf("report = %s", data)
+	}
+	if RunGates(Options{Out: &out}, path, gate("b", Check{Name: "ok", Measured: 0, Cmp: "=="})) != nil {
+		t.Fatal("a passing gate failed the run")
 	}
 }
 
@@ -100,15 +149,23 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		t.Skip("experiment smoke test skipped in short mode")
 	}
 	o := Options{Scale: 0.01, Reps: 1, Out: &bytes.Buffer{}}
+	ids := []string{}
 	for _, e := range Experiments {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
+		if e.ID != "gates" { // every gate runs below on its own
+			ids = append(ids, e.ID)
+		}
+	}
+	for _, g := range Gates {
+		ids = append(ids, g.ID)
+	}
+	for _, id := range ids {
+		t.Run(id, func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("experiment %s panicked: %v", e.ID, r)
+					t.Fatalf("experiment %s panicked: %v", id, r)
 				}
 			}()
-			e.Run(o)
+			Run(id, o) // at this scale a gate's checks may fail; only a panic is an error
 		})
 	}
 }

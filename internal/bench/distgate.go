@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"time"
 
 	"sysml/internal/codegen"
 	"sysml/internal/dist"
@@ -15,10 +12,6 @@ import (
 	"sysml/internal/obs"
 )
 
-// distFile is the JSON artifact Dist writes next to the harness output; CI
-// gates on its "pass" field.
-const distFile = "BENCH_dist.json"
-
 // Distributed-backend gate thresholds.
 const (
 	// bcastMinRatio: a 10-iteration loop re-using one loop-invariant side
@@ -27,68 +20,43 @@ const (
 	bcastMinRatio = 5.0
 
 	// shuffleMinRatio: tree aggregation must ship at least this factor
-	// fewer bytes than the retained seed model (every map partition's
-	// densified partial to a single reducer).
+	// fewer bytes than the seed model (every map partition's densified
+	// partial to a single reducer).
 	shuffleMinRatio = 1.5
 
 	// distMaxRegressionPct: the pooled zero-copy panel executor at ONE
 	// executor may not regress wall-clock by more than this vs the
 	// seed-style extract/allocate/copy-back executor.
 	distMaxRegressionPct = 2.0
-
-	// distEqTol: distributed results must match local execution within
-	// this absolute tolerance.
-	distEqTol = 1e-9
 )
 
-// DistResult is the serialized outcome of the distributed-backend gates.
-type DistResult struct {
-	BcastUncachedB int64   `json:"bcast_uncached_bytes"` // cache off: re-broadcast per iteration
-	BcastCachedB   int64   `json:"bcast_cached_bytes"`   // cache on: one shipment per side
-	BcastRatio     float64 `json:"bcast_ratio"`
-	BcastHits      int64   `json:"bcast_hits"`
-	BcastMisses    int64   `json:"bcast_misses"`
-	BcastPass      bool    `json:"bcast_pass"` // ratio >= 5.0
-
-	ShuffleSeedB int64   `json:"shuffle_seed_bytes"` // retained seed model: partial-per-panel star
-	ShuffleTreeB int64   `json:"shuffle_tree_bytes"` // tree aggregation, per-executor pre-reduce
-	ShuffleRatio float64 `json:"shuffle_ratio"`
-	ShufflePass  bool    `json:"shuffle_pass"`  // ratio >= 1.5
-	ResultsEqual bool    `json:"results_equal"` // dist vs local within 1e-9
-	EqualChecked int     `json:"equal_checked"` // comparisons performed
-	MapmmRefMS   float64 `json:"mapmm_ref_ms"`  // seed-style panel executor, 1 executor
-	MapmmNewMS   float64 `json:"mapmm_new_ms"`  // zero-copy pooled executor, 1 executor
-	MapmmRegrPct float64 `json:"mapmm_regression_pct"`
-	MapmmPass    bool    `json:"mapmm_pass"` // regression < 2%
-	Pass         bool    `json:"pass"`
-}
-
-// distIterSession runs a 10-iteration loop whose matmult re-uses the
-// loop-invariant broadcast side W on every iteration, with the broadcast
-// handle cache toggled, and reports the broadcast volume and cache
-// counters. Base mode keeps the operator mix fixed across both runs.
-func distIterSession(o Options, cached bool) (bytes, hits, misses int64) {
-	x := matrix.Rand(o.rows(20000), 100, 1, -1, 1, 21)
-	w := matrix.Rand(100, 50, 1, -1, 1, 22)
+// distSession is a Base-mode session over x and w whose X operators run on cl.
+func distSession(cl *dist.Cluster, x, w *matrix.Matrix) *dml.Session {
 	cfg := codegen.DefaultConfig()
 	cfg.Mode = codegen.ModeBase
 	cfg.Exec.MemBudgetBytes = x.SizeBytes() / 2 // force X operators distributed
-	cl := dist.NewCluster()
-	cl.SetBroadcastCache(cached)
 	s := dml.NewSession(cfg)
 	s.Dist = cl
 	s.Out = io.Discard
 	s.Bind("X", x)
-	s.Bind("W", w)
-	script := `acc = X %*% W
-for (i in 1:9) {
-  acc = acc + X %*% W
-}`
-	if err := s.Run(script); err != nil {
+	if w != nil {
+		s.Bind("W", w)
+	}
+	return s
+}
+
+// distIterBytes runs a 10-iteration loop whose matmult re-uses the
+// loop-invariant broadcast side W on every iteration, with the broadcast
+// handle cache toggled, and returns the broadcast volume. Base mode keeps the
+// operator mix fixed across both runs.
+func distIterBytes(o Options, cached bool) float64 {
+	cl := dist.NewCluster()
+	cl.SetBroadcastCache(cached)
+	s := distSession(cl, matrix.Rand(o.rows(20000), 100, 1, -1, 1, 21), matrix.Rand(100, 50, 1, -1, 1, 22))
+	if err := s.Run("acc = X %*% W\nfor (i in 1:9) {\n  acc = acc + X %*% W\n}"); err != nil {
 		panic(fmt.Sprintf("dist bench failed: %v", err))
 	}
-	h, m, _ := cl.BroadcastCacheStats()
-	return cl.BytesBroadcast(), h, m
+	return float64(cl.BytesBroadcast())
 }
 
 // seedPanelMatMultReference is the pre-overhaul panel executor retained as
@@ -114,137 +82,60 @@ func seedPanelMatMultReference(a, b *matrix.Matrix, blocksize int) *matrix.Matri
 	return out
 }
 
-// Dist measures the distributed-backend overhaul against retained seed
-// behavior and writes BENCH_dist.json:
+// Dist measures the distributed-backend overhaul against seed behavior:
 //
 //  1. Broadcast: a 10-iteration loop with a loop-invariant side input,
 //     handle cache on vs off (gate: >= 5x fewer broadcast bytes — the side
 //     ships once per cluster lifetime instead of once per operator).
-//  2. Shuffle: aggregation-heavy colSums/sum over a tall matrix, tree
-//     aggregation vs the seed model of one densified partial per map
-//     partition to a single reducer (gate: >= 1.5x fewer bytes), with the
-//     distributed results checked against local execution within 1e-9.
+//  2. Shuffle: colSums and sum over a tall matrix, tree aggregation vs the
+//     seed's star shuffle, one densified partial per map panel to a single
+//     reducer (gate: >= 1.5x fewer bytes). The seed's bytes are counted from
+//     the panels the shuffle spans report.
 //  3. Wall-clock: the zero-copy pooled panel executor at ONE executor vs
 //     the seed-style extract/allocate/copy-back executor (gate: < 2%
 //     regression; removing the double allocation should win outright).
-func Dist(o Options) *Table {
-	reps := o.Reps
-	if reps < 3 {
-		reps = 3
-	}
+//
+// That distributed results equal local ones is a Tier-1 test
+// (EXPERIMENTS.md, "dist").
+func Dist(o Options) []Check {
+	reps := max(o.Reps, 3)
 
 	// --- Gate 1: broadcast handle cache on the iterative loop. ---
-	bytesOff, _, _ := distIterSession(o, false)
-	bytesOn, hits, misses := distIterSession(o, true)
-	bcastRatio := 0.0
-	if bytesOn > 0 {
-		bcastRatio = float64(bytesOff) / float64(bytesOn)
-	}
+	checks := []Check{ratio("broadcast cache", distIterBytes(o, false), distIterBytes(o, true), bcastMinRatio, "B",
+		"cache off vs on, 10 iterations: ")}
 
 	// --- Gate 2: tree aggregation vs the seed star shuffle. ---
 	x := matrix.Rand(o.rows(200000), 50, 1, -1, 1, 23)
-	cfg := codegen.DefaultConfig()
-	cfg.Mode = codegen.ModeBase
-	cfg.Exec.MemBudgetBytes = x.SizeBytes() / 2
 	cl := dist.NewCluster()
-	s := dml.NewSession(cfg)
-	s.Dist = cl
-	s.Out = io.Discard
-	s.Bind("X", x)
+	s := distSession(cl, x, nil)
+	spans := &obs.Collector{}
+	s.Sink = spans
 	if err := s.Run("cs = colSums(X)\nts = sum(X)"); err != nil {
 		panic(fmt.Sprintf("dist bench failed: %v", err))
 	}
-	shuffleTree := cl.BytesShuffled()
-	shuffleSeed := cl.BytesShuffledBaseline()
-	shuffleRatio := 0.0
-	if shuffleTree > 0 {
-		shuffleRatio = float64(shuffleSeed) / float64(shuffleTree)
+	panels := 0
+	for _, e := range spans.Events() {
+		for _, a := range e.Attrs {
+			if a.Key == "partitions" && e.Name == "dist.shuffle" {
+				panels = a.Value.(int) // both aggregates split X alike
+			}
+		}
 	}
-	equal, checked := true, 0
-	if cs, err := s.Get("cs"); err == nil {
-		equal = equal && cs.EqualsApprox(matrix.Agg(matrix.AggSum, matrix.DirCol, x), distEqTol)
-		checked++
-	}
-	if ts, err := s.Get("ts"); err == nil {
-		equal = equal && ts.EqualsApprox(matrix.Agg(matrix.AggSum, matrix.DirAll, x), distEqTol)
-		checked++
-	}
+	seed := float64(panels * (x.Cols + 1) * 8) // a 1×cols and a 1×1 dense partial per panel
+	checks = append(checks, ratio("tree shuffle", seed, float64(cl.BytesShuffled()), shuffleMinRatio, "B",
+		fmt.Sprintf("seed star model (%d panels) vs tree: ", panels)))
 
 	// --- Gate 3: single-executor wall-clock, zero-copy vs seed-style. ---
 	a := matrix.Rand(o.rows(20000), 100, 1, -1, 1, 24)
 	b := matrix.Rand(100, 50, 1, -1, 1, 25)
-	one := dist.NewCluster()
-	one.NumExecutors = 1
+	one := dist.NewCluster(dist.WithExecutors(1))
 	mm := &hop.Hop{Kind: hop.OpMatMult, Rows: int64(a.Rows), Cols: int64(b.Cols)}
-	newRun := func() {
+	d := interleavedMin(reps*3, func() { seedPanelMatMultReference(a, b, one.Blocksize).Release() }, func() {
 		out, ok := one.ExecHop(mm, []*matrix.Matrix{a, b}, obs.Span{})
 		if !ok {
 			panic("dist bench: matmult fell back to local")
 		}
 		out.Release()
-	}
-	refRun := func() { seedPanelMatMultReference(a, b, one.Blocksize).Release() }
-	// Correctness before timing: both paths vs the local kernel.
-	want := matrix.MatMult(a, b)
-	got, ok := one.ExecHop(mm, []*matrix.Matrix{a, b}, obs.Span{})
-	equal = equal && ok && got.EqualsApprox(want, distEqTol)
-	checked++
-	got.Release()
-	want.Release()
-	// Interleaved minimums: scheduler noise hits both variants alike.
-	refMin, newMin := time.Duration(1<<62), time.Duration(1<<62)
-	newRun()
-	refRun()
-	for i := 0; i < reps*3; i++ {
-		start := time.Now()
-		newRun()
-		if d := time.Since(start); d < newMin {
-			newMin = d
-		}
-		start = time.Now()
-		refRun()
-		if d := time.Since(start); d < refMin {
-			refMin = d
-		}
-	}
-	regression := 100 * (float64(newMin) - float64(refMin)) / float64(refMin)
-
-	res := DistResult{
-		BcastUncachedB: bytesOff,
-		BcastCachedB:   bytesOn,
-		BcastRatio:     bcastRatio,
-		BcastHits:      hits,
-		BcastMisses:    misses,
-		BcastPass:      bcastRatio >= bcastMinRatio,
-		ShuffleSeedB:   shuffleSeed,
-		ShuffleTreeB:   shuffleTree,
-		ShuffleRatio:   shuffleRatio,
-		ShufflePass:    shuffleRatio >= shuffleMinRatio,
-		ResultsEqual:   equal,
-		EqualChecked:   checked,
-		MapmmRefMS:     float64(refMin.Nanoseconds()) / 1e6,
-		MapmmNewMS:     float64(newMin.Nanoseconds()) / 1e6,
-		MapmmRegrPct:   regression,
-		MapmmPass:      regression < distMaxRegressionPct,
-	}
-	res.Pass = res.BcastPass && res.ShufflePass && res.MapmmPass && res.ResultsEqual
-	if data, err := json.MarshalIndent(res, "", "  "); err == nil {
-		if err := os.WriteFile(distFile, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(o.Out, "dist: cannot write %s: %v\n", distFile, err)
-		}
-	}
-
-	t := &Table{
-		Title:   "Distributed backend gates: broadcast cache, tree shuffle, zero-copy panels",
-		Columns: []string{"gate", "baseline", "new", "delta", "pass"},
-	}
-	t.Add("broadcast 10-iter", fmt.Sprintf("%d", bytesOff), fmt.Sprintf("%d", bytesOn),
-		fmt.Sprintf("%.1fx (need >=%.0fx)", bcastRatio, bcastMinRatio), fmt.Sprintf("%v", res.BcastPass))
-	t.Add("shuffle colSums", fmt.Sprintf("%d", shuffleSeed), fmt.Sprintf("%d", shuffleTree),
-		fmt.Sprintf("%.1fx (need >=%.1fx)", shuffleRatio, shuffleMinRatio), fmt.Sprintf("%v", res.ShufflePass))
-	t.Add("mapmm 1 executor", ms(refMin), ms(newMin),
-		fmt.Sprintf("%+.2f%% (limit <%.0f%%)", regression, distMaxRegressionPct), fmt.Sprintf("%v", res.MapmmPass))
-	t.Add("dist == local", fmt.Sprintf("%d checks", checked), fmt.Sprintf("tol %g", distEqTol),
-		"", fmt.Sprintf("%v", res.ResultsEqual))
-	return t
+	})
+	return append(checks, overhead("1-executor regression", d[0], d[1], distMaxRegressionPct, "seed-style vs zero-copy mapmm: "))
 }

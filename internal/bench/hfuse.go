@@ -1,13 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"os"
-	"strings"
-	"time"
 
 	"sysml/internal/codegen"
 	"sysml/internal/cplan"
@@ -17,10 +12,6 @@ import (
 	"sysml/internal/runtime"
 	"sysml/internal/vector"
 )
-
-// hfuseFile is the JSON artifact HFuse writes next to the harness output;
-// CI gates on its "pass" field.
-const hfuseFile = "BENCH_hfuse.json"
 
 // hfuseScript is the flagship sibling workload: three consumers of X that
 // horizontal fusion merges into one scan (column aggregate, full
@@ -43,39 +34,10 @@ const (
 	// hfuseMergedMaxGapPct: the merged operator — one pass of the cell
 	// skeleton running each root's dense program — may be at most this much
 	// slower than a hand-written ideal fused loop over the same data (the
-	// JIT-ideal Fig. 10 analog).
+	// JIT-ideal Fig. 10 analog). The only check that caught ISSUE 22's
+	// sibling roots re-reading main from L3 at 2048 columns.
 	hfuseMergedMaxGapPct = 10.0
-
-	// hfuseMaxRelErr: merged execution must match unfused Base-mode results
-	// within this relative tolerance.
-	hfuseMaxRelErr = 1e-9
 )
-
-// HFuseShape holds the timing gates of one input shape.
-type HFuseShape struct {
-	Rows         int     `json:"rows"`
-	Cols         int     `json:"cols"`
-	BaselineMS   float64 `json:"baseline_ms"` // Gen with DisableHFuse
-	MergedMS     float64 `json:"merged_ms"`   // Gen with horizontal fusion
-	Speedup      float64 `json:"speedup"`
-	SpeedupPass  bool    `json:"speedup_pass"` // >= hfuseMinSpeedup
-	IdealMS      float64 `json:"ideal_ms"`     // hand-written fused loop
-	MergedOpMS   float64 `json:"merged_op_ms"` // the merged operator alone
-	InterpMS     float64 `json:"interp_ms"`    // interpreted genexec reference
-	MergedGapPct float64 `json:"merged_gap_pct"`
-	MergedPass   bool    `json:"merged_pass"` // gap < 10%
-}
-
-// HFuseResult is the serialized outcome of the horizontal-fusion gates.
-type HFuseResult struct {
-	Shapes       []HFuseShape `json:"shapes"`
-	MaxRelErr    float64      `json:"max_rel_err"`
-	EquivPass    bool         `json:"equiv_pass"`    // fused == unfused within 1e-9
-	PlanPass     bool         `json:"plan_pass"`     // merged at scale, declined on tiny input
-	MergedPlan   bool         `json:"merged_plan"`   // flagship explain shows a Horizontal operator
-	DeclinedTiny bool         `json:"declined_tiny"` // adversarial explain keeps vertical-only plan
-	Pass         bool         `json:"pass"`
-}
 
 // hfuseSession builds a warm session over x for the flagship script.
 func hfuseSession(x *matrix.Matrix, disable bool) *dml.Session {
@@ -102,21 +64,6 @@ func hfusePlan() *cplan.Plan {
 		AggOps: []matrix.AggOp{matrix.AggSum, matrix.AggSum, matrix.AggSum},
 		HKinds: []cplan.CellType{cplan.CellColAgg, cplan.CellFullAgg, cplan.CellNoAgg},
 	}
-}
-
-// hfuseInterpreted is the merged plan as generated code that is not compiled
-// at all: one sequential pass that walks every root's CNode tree per cell
-// (cplan.InterpretCell) and folds by hand. Reported for reference only.
-func hfuseInterpreted(plan *cplan.Plan, x *matrix.Matrix) {
-	ctx, cols := cplan.NewCtx(nil), x.Cols
-	colSums, y, sum := make([]float64, cols), matrix.NewDenseUninit(x.Rows, cols), 0.0
-	for k, a := range x.Dense() {
-		colSums[k%cols] += cplan.InterpretCell(plan.Roots[0], ctx, a, 0, k/cols, k%cols)
-		sum += cplan.InterpretCell(plan.Roots[1], ctx, a, 0, k/cols, k%cols)
-		y.Dense()[k] = cplan.InterpretCell(plan.Roots[2], ctx, a, 0, k/cols, k%cols)
-	}
-	_ = sum
-	y.Release()
 }
 
 // hfuseIdeal is the hand-written ideal fused loop the merged operator is
@@ -164,45 +111,8 @@ func hfuseIdeal(x *matrix.Matrix) {
 	y.Release()
 }
 
-// maxRelDiffHF returns the maximum relative element difference of two
-// same-shaped dense results.
-func maxRelDiffHF(a, b *matrix.Matrix) float64 {
-	ad, bd := a.ToDense().Dense(), b.ToDense().Dense()
-	worst := 0.0
-	for i := range ad {
-		d := math.Abs(ad[i] - bd[i])
-		if d == 0 {
-			continue
-		}
-		if s := math.Abs(ad[i]); s > 1 {
-			d /= s
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// interleavedMin runs the variants in turn — two warm-up rounds, then
-// rounds timed ones — and returns each variant's minimum wall time:
-// scheduler noise and host drift hit all variants alike.
-func interleavedMin(rounds int, fns ...func()) []time.Duration {
-	best := make([]time.Duration, len(fns))
-	for r := -2; r < rounds; r++ {
-		for i, fn := range fns {
-			start := time.Now()
-			fn()
-			if d := time.Since(start); r >= 0 && (best[i] == 0 || d < best[i]) {
-				best[i] = d
-			}
-		}
-	}
-	return best
-}
-
-// hfuseShape measures the two timing gates on one rows×cols input.
-func hfuseShape(rounds, rows, cols int) HFuseShape {
+// hfuseShape measures both checks on one rows×cols input.
+func hfuseShape(rounds, rows, cols int) []Check {
 	x := matrix.Rand(rows, cols, 1, -1, 1, 41)
 	run := func(s *dml.Session) func() {
 		return func() {
@@ -211,121 +121,33 @@ func hfuseShape(rounds, rows, cols int) HFuseShape {
 			}
 		}
 	}
-	plan := hfusePlan()
-	execH := func(op *cplan.Operator) func() {
-		return func() {
-			for _, m := range runtime.ExecHorizontal(op, x, nil) {
-				m.Release()
-			}
+	op := cplan.Compile(hfusePlan(), "TMP_HF")
+	e2e := interleavedMin(rounds, run(hfuseSession(x, true)), run(hfuseSession(x, false)))
+	ops := interleavedMin(rounds, func() { hfuseIdeal(x) }, func() {
+		for _, m := range runtime.ExecHorizontal(op, x, nil) {
+			m.Release()
 		}
+	})
+	dims := fmt.Sprintf("%dx%d, ", rows, cols)
+	return []Check{
+		ratio("sibling merge speedup", msec(e2e[0]), msec(e2e[1]), hfuseMinSpeedup, "ms", dims+"DisableHFuse vs merged: "),
+		overhead("merged operator vs ideal fused loop", ops[0], ops[1], hfuseMergedMaxGapPct, dims+"ideal loop vs merged operator: "),
 	}
-	e2e := interleavedMin(rounds, run(hfuseSession(x, false)), run(hfuseSession(x, true)))
-	ops := interleavedMin(rounds, execH(cplan.Compile(plan, "TMP_HF")), func() { hfuseIdeal(x) })
-	interp := interleavedMin(1, func() { hfuseInterpreted(plan, x) })
-	msf := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-	r := HFuseShape{
-		Rows: rows, Cols: cols,
-		MergedMS: msf(e2e[0]), BaselineMS: msf(e2e[1]), Speedup: float64(e2e[1]) / float64(e2e[0]),
-		MergedOpMS: msf(ops[0]), IdealMS: msf(ops[1]), InterpMS: msf(interp[0]),
-		MergedGapPct: 100 * (float64(ops[0]) - float64(ops[1])) / float64(ops[1]),
-	}
-	r.SpeedupPass = r.Speedup >= hfuseMinSpeedup
-	r.MergedPass = r.MergedGapPct < hfuseMergedMaxGapPct
-	return r
 }
 
-// HFuse measures horizontal fusion and writes BENCH_hfuse.json:
+// HFuse measures horizontal fusion on the flagship sibling script:
 //
 //  1. End-to-end speedup of the merged single-scan plan over the same
-//     optimizer with horizontal fusion disabled, flagship sibling script,
-//     warm plan cache (gate: >= 1.0x, see hfuseMinSpeedup).
+//     optimizer with horizontal fusion disabled, warm plan cache (gate:
+//     >= 1.0x, see hfuseMinSpeedup).
 //  2. The merged operator vs a hand-written ideal fused loop (gate: < 10%
-//     gap); the interpreted genexec-style program is reported for
-//     reference (the pre-JIT analog, not gated).
-//  3. Merged results vs unfused Base-mode results (gate: max relative
-//     error < 1e-9).
-//  4. Plan quality: the flagship script at scale must merge (EXPLAIN
-//     shows a Horizontal operator) while an adversarial tiny shared input
-//     must keep the vertical-only plan.
+//     gap).
 //
-// Gates 1 and 2 run on two shapes: rows×2048, where a row is four steps of a
-// dense program, and the benchmark's 100000×100, where per-row dispatch
-// would show.
-func HFuse(o Options) *Table {
+// Both run on two shapes: rows×2048, where a row is wider than a step of the
+// map root's registers, and the benchmark's 100000×100, where per-row dispatch
+// would show. That merged results equal unfused ones and that the plan merges
+// at scale only are Tier-1 tests (EXPERIMENTS.md, "hfuse").
+func HFuse(o Options) []Check {
 	rounds := 10 * max(o.Reps, 3)
-	shapes := []HFuseShape{
-		hfuseShape(rounds, o.rows(2048), 2048),
-		hfuseShape(rounds, o.rows(100000), 100),
-	}
-	x := matrix.Rand(o.rows(2048), 2048, 1, -1, 1, 41)
-
-	// --- Gate 3: merged vs unfused results. ---
-	sGen := hfuseSession(x, false)
-	sBase := hfuseSession(x, false)
-	sBase.Config.Mode = codegen.ModeBase
-	for _, s := range []*dml.Session{sGen, sBase} {
-		if err := s.Run(hfuseScript); err != nil {
-			panic(fmt.Sprintf("hfuse bench failed: %v", err))
-		}
-	}
-	worst := 0.0
-	for _, name := range []string{"C", "s", "Y"} {
-		a, b := sGen.Env[name], sBase.Env[name]
-		if a == nil || b == nil {
-			worst = math.Inf(1)
-			break
-		}
-		if d := maxRelDiffHF(a, b); d > worst {
-			worst = d
-		}
-	}
-
-	// --- Gate 4: merged at scale, declined on a tiny shared input. ---
-	explain := func(m *matrix.Matrix) string {
-		s := hfuseSession(m, false)
-		text, err := s.Explain(hfuseScript)
-		if err != nil {
-			panic(fmt.Sprintf("hfuse explain failed: %v", err))
-		}
-		return text
-	}
-	mergedPlan := strings.Contains(explain(x), "Horizontal TMP")
-	tiny := matrix.Rand(100, 100, 1, -1, 1, 42)
-	declinedTiny := !strings.Contains(explain(tiny), "Horizontal TMP")
-
-	res := HFuseResult{
-		Shapes:       shapes,
-		MaxRelErr:    worst,
-		EquivPass:    worst < hfuseMaxRelErr,
-		MergedPlan:   mergedPlan,
-		DeclinedTiny: declinedTiny,
-	}
-	res.PlanPass = res.MergedPlan && res.DeclinedTiny
-	res.Pass = res.EquivPass && res.PlanPass
-	for _, sh := range shapes {
-		res.Pass = res.Pass && sh.SpeedupPass && sh.MergedPass
-	}
-	if data, err := json.MarshalIndent(res, "", "  "); err == nil {
-		if err := os.WriteFile(hfuseFile, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(o.Out, "hfuse: cannot write %s: %v\n", hfuseFile, err)
-		}
-	}
-
-	t := &Table{
-		Title:   "Horizontal fusion gates: sibling merge speedup, merged operator vs ideal loop, equivalence, plan quality",
-		Columns: []string{"gate", "baseline", "new", "delta", "pass"},
-	}
-	for _, sh := range shapes {
-		dims := fmt.Sprintf(" %dx%d", sh.Rows, sh.Cols)
-		t.Add("sibling merge"+dims, fmt.Sprintf("%.2f", sh.BaselineMS), fmt.Sprintf("%.2f", sh.MergedMS),
-			fmt.Sprintf("%.2fx (need >=%.1fx)", sh.Speedup, hfuseMinSpeedup), fmt.Sprintf("%v", sh.SpeedupPass))
-		t.Add("merged operator vs ideal loop"+dims, fmt.Sprintf("%.2f", sh.IdealMS), fmt.Sprintf("%.2f", sh.MergedOpMS),
-			fmt.Sprintf("%+.1f%% (limit <%.0f%%; interp %.2f)", sh.MergedGapPct, hfuseMergedMaxGapPct, sh.InterpMS),
-			fmt.Sprintf("%v", sh.MergedPass))
-	}
-	t.Add("fused == unfused", "Base", "Gen",
-		fmt.Sprintf("maxrel %.2g (limit <%.0g)", worst, hfuseMaxRelErr), fmt.Sprintf("%v", res.EquivPass))
-	t.Add("plan quality", fmt.Sprintf("tiny declined=%v", declinedTiny),
-		fmt.Sprintf("scale merged=%v", mergedPlan), "", fmt.Sprintf("%v", res.PlanPass))
-	return t
+	return append(hfuseShape(rounds, o.rows(2048), 2048), hfuseShape(rounds, o.rows(100000), 100)...)
 }

@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
-	"time"
 
 	"sysml/internal/codegen"
 	"sysml/internal/dml"
@@ -14,10 +11,6 @@ import (
 	"sysml/internal/par"
 	"sysml/internal/vector"
 )
-
-// kernelsFile is the JSON artifact Kernels writes next to the harness
-// output; CI gates on its "pass" field.
-const kernelsFile = "BENCH_kernels.json"
 
 // Kernel-gate thresholds.
 const (
@@ -44,64 +37,47 @@ const (
 	asmGateN      = 64
 )
 
-// AsmRow is one primitive at one size: vector's portable Go loop against
-// the exported primitive, which dispatches to assembly.
-type AsmRow struct {
-	Kernel  string  `json:"kernel"`
-	N       int     `json:"n"`
-	GoNS    float64 `json:"go_ns"`
-	AsmNS   float64 `json:"asm_ns"`
-	Speedup float64 `json:"speedup"`
-	GBps    float64 `json:"gbps,omitempty"` // tile kernels: bytes read and written per second by the exported primitive
-}
-
-// KernelsResult is the serialized outcome of the kernel-overhaul gates.
-type KernelsResult struct {
-	TSMMSeqMS      float64  `json:"tsmm_seq_ms"`      // pre-overhaul sequential reference
-	TSMM8MS        float64  `json:"tsmm_8workers_ms"` // new kernel, 8 workers
-	TSMMSpeedup    float64  `json:"tsmm_speedup"`     // seq / 8-workers
-	TSMMPass       bool     `json:"tsmm_pass"`        // speedup >= 2.0
-	AllocUnpooledB int64    `json:"alloc_unpooled_bytes"`
-	AllocPooledB   int64    `json:"alloc_pooled_bytes"`
-	AllocReduction float64  `json:"alloc_reduction_pct"`
-	AllocPass      bool     `json:"alloc_pass"` // reduction >= 50%
-	MMRefMS        float64  `json:"mm_ref_ms"`  // pre-overhaul row-at-a-time kernel
-	MMNewMS        float64  `json:"mm_new_ms"`  // blocked kernel, 1 worker
-	MMRegression   float64  `json:"mm_regression_pct"`
-	MMPass         bool     `json:"mm_pass"` // regression < 2%
-	Asm            []AsmRow `json:"asm"`
-	AsmPass        bool     `json:"asm_pass"` // every primitive >= 2x at n = 64
-	Pass           bool     `json:"pass"`
-}
-
-// asmRows times the three primitives the profile leans on at n = 10, 64 and
+// asmChecks times the three primitives the profile leans on at n = 10, 64 and
 // 784 (the feature counts of the syn, autoencoder-hidden and Mnist inputs),
-// and one kernel per family of the narrow Row bodies at a tile's shape
-// (vector.TileTwins, N = cells per call): vector's own portable loop against
-// its exported, dispatching function.
-func asmRows(reps int) []AsmRow {
-	var rows []AsmRow
-	perCall := func(calls int, fn func()) float64 {
-		return float64(minTime(reps, func() {
-			for i := 0; i < calls; i++ {
-				fn()
+// gating n = 64 and reporting the others in its detail, and one kernel per
+// family of the narrow Row bodies at a tile's shape (vector.TileTwins, N =
+// cells per call, with the GB/s the primitive moves): vector's own portable
+// loop against its exported, dispatching function, in ns per call.
+func asmChecks(reps int) []Check {
+	perCall := func(tw vector.KernelTwin) (goNS, asmNS float64) {
+		calls := 2000000/tw.Flops + 1
+		loop := func(fn func()) func() {
+			return func() {
+				for i := 0; i < calls; i++ {
+					fn()
+				}
 			}
-		}).Nanoseconds()) / float64(calls)
-	}
-	for _, n := range []int{10, 64, 784} {
-		for _, tw := range vector.KernelTwins(n) {
-			calls := 2000000/tw.Flops + 1
-			goNS, asmNS := perCall(calls, tw.Go), perCall(calls, tw.Export)
-			rows = append(rows, AsmRow{Kernel: tw.Name, N: n, GoNS: goNS, AsmNS: asmNS, Speedup: goNS / asmNS})
 		}
+		d := interleavedMin(reps, loop(tw.Go), loop(tw.Export))
+		return float64(d[0].Nanoseconds()) / float64(calls), float64(d[1].Nanoseconds()) / float64(calls)
+	}
+	sizes := []int{asmGateN, 10, 784}
+	twins := make([][]vector.KernelTwin, len(sizes))
+	for i, n := range sizes {
+		twins[i] = vector.KernelTwins(n)
+	}
+	var checks []Check
+	for k, tw := range twins[0] {
+		goNS, asmNS := perCall(tw)
+		c := ratio("assembly primitives", goNS, asmNS, asmMinSpeedup, "ns",
+			fmt.Sprintf("%s n=%d, Go loop vs asm: ", tw.Name, asmGateN))
+		for i, n := range sizes[1:] {
+			g, a := perCall(twins[i+1][k])
+			c.Detail += fmt.Sprintf("; n=%d %.2fx", n, g/a)
+		}
+		checks = append(checks, c)
 	}
 	for _, tw := range vector.TileTwins() {
-		calls := 2000000/tw.Flops + 1
-		goNS, asmNS := perCall(calls, tw.Go), perCall(calls, tw.Export)
-		rows = append(rows, AsmRow{Kernel: tw.Name, N: tw.Flops, GoNS: goNS, AsmNS: asmNS, Speedup: goNS / asmNS,
-			GBps: float64(tw.Bytes) / asmNS})
+		goNS, asmNS := perCall(tw)
+		checks = append(checks, ratio("assembly primitives", goNS, asmNS, asmMinSpeedup, "ns",
+			fmt.Sprintf("%s (%.1f GB/s), Go loop vs asm: ", tw.Name, float64(tw.Bytes)/asmNS)))
 	}
-	return rows
+	return checks
 }
 
 // tsmmSeqReference is the pre-overhaul TSMM retained as the benchmark
@@ -146,23 +122,8 @@ func mmSeqReference(a, b *matrix.Matrix) *matrix.Matrix {
 	return out
 }
 
-// minTime returns the minimum wall time of fn over reps runs (after one
-// warmup); the minimum is far more stable than a mean on shared machines.
-func minTime(reps int, fn func()) time.Duration {
-	fn()
-	best := time.Duration(1 << 62)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		fn()
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
 // Kernels measures the kernel-and-memory overhaul against retained
-// pre-overhaul baselines and writes BENCH_kernels.json:
+// pre-overhaul baselines:
 //
 //  1. TSMM: new rank-4 blocked parallel kernel at 8 workers vs the
 //     sequential row-at-a-time reference (gate: >= 2x).
@@ -181,26 +142,26 @@ func minTime(reps int, fn func()) time.Duration {
 // The baselines of gates 1 and 3 call vector.MultAdd, which has an assembly
 // kernel too: both sides of those gates got faster, what the gates measure
 // is still the blocking.
-func Kernels(o Options) *Table {
-	reps := o.Reps
-	if reps < 3 {
-		reps = 3
-	}
-
-	// --- Gate 1: TSMM, 8 workers vs sequential reference. ---
-	x := matrix.Rand(o.rows(2000), 200, 1, -1, 1, 1)
+func Kernels(o Options) []Check {
+	reps := max(o.Reps, 3)
 	oldProcs := runtime.GOMAXPROCS(8)
 	oldWorkers := par.SetMaxWorkers(8)
-	tsmmNew := minTime(reps, func() { matrix.TSMM(x).Release() })
-	par.SetMaxWorkers(1)
-	tsmmSeq := minTime(reps, func() { tsmmSeqReference(x).Release() })
-	tsmmSpeedup := float64(tsmmSeq) / float64(tsmmNew)
+	defer func() {
+		par.SetMaxWorkers(oldWorkers)
+		runtime.GOMAXPROCS(oldProcs)
+	}()
+
+	// --- Gate 1: TSMM, 8 workers vs the sequential reference. ---
+	x := matrix.Rand(o.rows(2000), 200, 1, -1, 1, 1)
+	tsmm := interleavedMin(reps, func() { matrix.TSMM(x).Release() }, func() { tsmmSeqReference(x).Release() })
+	checks := []Check{ratio("TSMM speedup", msec(tsmm[1]), msec(tsmm[0]), tsmmMinSpeedup, "ms", "seq vs 8 workers: ")}
 
 	// --- Gate 2: allocation reduction on the cellwise microbench. ---
 	// Base mode materializes every intermediate of sum(X*Y*Z), which the
 	// lineage-refcounting executor can recycle the moment its consumer runs.
-	par.SetMaxWorkers(8)
-	allocSession := func() func() {
+	measureAlloc := func(pooled bool) float64 {
+		old := matrix.SetPoolEnabled(pooled)
+		defer matrix.SetPoolEnabled(old)
 		cfg := codegen.DefaultConfig()
 		cfg.Mode = codegen.ModeBase
 		s := dml.NewSession(cfg)
@@ -208,108 +169,30 @@ func Kernels(o Options) *Table {
 		s.Bind("X", matrix.Rand(o.rows(2000), 100, 1, -1, 1, 2))
 		s.Bind("Y", matrix.Rand(o.rows(2000), 100, 1, -1, 1, 3))
 		s.Bind("Z", matrix.Rand(o.rows(2000), 100, 1, -1, 1, 4))
-		return func() {
+		var before, after runtime.MemStats
+		for i := 0; i < 11; i++ { // the first run warms parse caches and the pool
+			if i == 1 {
+				runtime.ReadMemStats(&before)
+			}
 			if err := s.Run(`s = sum(X * Y * Z)`); err != nil {
 				panic(fmt.Sprintf("kernels bench failed: %v", err))
 			}
 		}
-	}
-	measureAlloc := func(pooled bool) int64 {
-		old := matrix.SetPoolEnabled(pooled)
-		defer matrix.SetPoolEnabled(old)
-		run := allocSession()
-		run() // warm: parse caches, pool population
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 10; i++ {
-			run()
-		}
 		runtime.ReadMemStats(&after)
-		return int64(after.TotalAlloc - before.TotalAlloc)
+		return float64(after.TotalAlloc - before.TotalAlloc)
 	}
-	allocUnpooled := measureAlloc(false)
-	allocPooled := measureAlloc(true)
-	allocReduction := 0.0
-	if allocUnpooled > 0 {
-		allocReduction = 100 * float64(allocUnpooled-allocPooled) / float64(allocUnpooled)
-	}
+	unpooled, pooled := measureAlloc(false), measureAlloc(true)
+	checks = append(checks, Check{Name: "cellwise alloc cut (pooling)", Measured: 100 * (unpooled - pooled) / unpooled,
+		Baseline: unpooled, Limit: allocMinReductionPct, Cmp: ">=", Unit: "%",
+		Detail: fmt.Sprintf("unpooled %.0f B → pooled %.0f B", unpooled, pooled)})
 
 	// --- Gate 3: single-worker dense matmult, blocked vs reference. ---
 	par.SetMaxWorkers(1)
 	a := matrix.Rand(256, 256, 1, -1, 1, 5)
 	b := matrix.Rand(256, 256, 1, -1, 1, 6)
-	// Interleaved minimums: scheduler noise hits both variants alike.
-	mmRef, mmNew := time.Duration(1<<62), time.Duration(1<<62)
-	matrix.MatMult(a, b).Release()
-	mmSeqReference(a, b).Release()
-	for i := 0; i < reps*3; i++ {
-		start := time.Now()
-		matrix.MatMult(a, b).Release()
-		if d := time.Since(start); d < mmNew {
-			mmNew = d
-		}
-		start = time.Now()
-		mmSeqReference(a, b).Release()
-		if d := time.Since(start); d < mmRef {
-			mmRef = d
-		}
-	}
-	mmRegression := 100 * (float64(mmNew) - float64(mmRef)) / float64(mmRef)
+	mm := interleavedMin(reps*3, func() { mmSeqReference(a, b).Release() }, func() { matrix.MatMult(a, b).Release() })
+	checks = append(checks, overhead("dense matmult regression", mm[0], mm[1], mmMaxRegressionPct, "row-at-a-time vs blocked, 1 worker: "))
 
 	// --- Gate 4: assembly primitives vs the retained Go loops. ---
-	asm := asmRows(reps * 3)
-	asmPass := true
-	for _, r := range asm {
-		if (r.N == asmGateN || r.GBps > 0) && r.Speedup < asmMinSpeedup {
-			asmPass = false
-		}
-	}
-	par.SetMaxWorkers(oldWorkers)
-	runtime.GOMAXPROCS(oldProcs)
-
-	res := KernelsResult{
-		TSMMSeqMS:      float64(tsmmSeq.Nanoseconds()) / 1e6,
-		TSMM8MS:        float64(tsmmNew.Nanoseconds()) / 1e6,
-		TSMMSpeedup:    tsmmSpeedup,
-		TSMMPass:       tsmmSpeedup >= tsmmMinSpeedup,
-		AllocUnpooledB: allocUnpooled,
-		AllocPooledB:   allocPooled,
-		AllocReduction: allocReduction,
-		AllocPass:      allocReduction >= allocMinReductionPct,
-		MMRefMS:        float64(mmRef.Nanoseconds()) / 1e6,
-		MMNewMS:        float64(mmNew.Nanoseconds()) / 1e6,
-		MMRegression:   mmRegression,
-		MMPass:         mmRegression < mmMaxRegressionPct,
-		Asm:            asm,
-		AsmPass:        asmPass,
-	}
-	res.Pass = res.TSMMPass && res.AllocPass && res.MMPass && res.AsmPass
-	if data, err := json.MarshalIndent(res, "", "  "); err == nil {
-		if err := os.WriteFile(kernelsFile, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(o.Out, "kernels: cannot write %s: %v\n", kernelsFile, err)
-		}
-	}
-
-	t := &Table{
-		Title:   "Kernel overhaul gates: TSMM speedup, pooled allocations, matmult regression",
-		Columns: []string{"gate", "baseline", "new", "delta", "pass"},
-	}
-	t.Add("tsmm 8w vs seq", ms(tsmmSeq), ms(tsmmNew),
-		fmt.Sprintf("%.2fx (need >=%.1fx)", tsmmSpeedup, tsmmMinSpeedup), fmt.Sprintf("%v", res.TSMMPass))
-	t.Add("alloc bytes (pool)", fmt.Sprintf("%d", allocUnpooled), fmt.Sprintf("%d", allocPooled),
-		fmt.Sprintf("-%.1f%% (need >=%.0f%%)", allocReduction, allocMinReductionPct), fmt.Sprintf("%v", res.AllocPass))
-	t.Add("matmult 1w", ms(mmRef), ms(mmNew),
-		fmt.Sprintf("%+.2f%% (limit <%.0f%%)", mmRegression, mmMaxRegressionPct), fmt.Sprintf("%v", res.MMPass))
-	for _, r := range asm {
-		need, pass, rate := "", "", ""
-		if r.N == asmGateN || r.GBps > 0 {
-			need, pass = fmt.Sprintf(" (need >=%.1fx)", asmMinSpeedup), fmt.Sprintf("%v", r.Speedup >= asmMinSpeedup)
-		}
-		if r.GBps > 0 {
-			rate = fmt.Sprintf(" (%.1f GB/s)", r.GBps)
-		}
-		t.Add(fmt.Sprintf("%s n=%d, Go loop vs asm", r.Kernel, r.N), fmt.Sprintf("%.1f ns", r.GoNS),
-			fmt.Sprintf("%.1f ns%s", r.AsmNS, rate), fmt.Sprintf("%.2fx%s", r.Speedup, need), pass)
-	}
-	return t
+	return append(checks, asmChecks(reps*3)...)
 }

@@ -1,13 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"sysml/internal/codegen"
@@ -15,10 +12,6 @@ import (
 	"sysml/internal/matrix"
 	"sysml/internal/obs"
 )
-
-// recostFile is the JSON artifact Recost writes next to the harness
-// output; CI gates on its "pass" field.
-const recostFile = "BENCH_recost.json"
 
 const (
 	// recostMaxMedianRatio gates the calibration fit: the median |relative
@@ -48,35 +41,6 @@ const (
 	// vs disabled must differ by less than this on the cellwise microbench.
 	recostMaxOverheadPct = 2.0
 )
-
-// RecostResult is the serialized outcome of the calibration and
-// re-optimization experiment.
-type RecostResult struct {
-	// Gate 1: cost-model calibration from the audit ledger.
-	PreMedianRelErr  float64 `json:"pre_median_rel_err"`
-	PostMedianRelErr float64 `json:"post_median_rel_err"`
-	MedianRatio      float64 `json:"median_ratio"`
-	NoiseFloor       float64 `json:"noise_floor"`
-	FitObservations  int     `json:"fit_observations"`
-	CalibPass        bool    `json:"calib_pass"`
-
-	// Gate 2: adversarial sparsity hint and mid-script re-optimization.
-	Iter1MS        float64 `json:"iter1_ms"`
-	Iter2MS        float64 `json:"iter2_ms"`
-	Iter2Ratio     float64 `json:"iter2_ratio"`
-	SparsityReopts int64   `json:"sparsity_reopts"`
-	Invalidations  int64   `json:"invalidations"`
-	OuterAfter     bool    `json:"outer_after"`
-	ReoptPass      bool    `json:"reopt_pass"`
-
-	// Gate 3: overhead of the feedback path with calibration off.
-	ReoptOnMS    float64 `json:"reopt_on_ms"`
-	ReoptOffMS   float64 `json:"reopt_off_ms"`
-	OverheadPct  float64 `json:"overhead_pct"` // above the noise floor
-	OverheadPass bool    `json:"overhead_pass"`
-
-	Pass bool `json:"pass"`
-}
 
 // recostMinOpSec floors the per-execution mean runtime of an operator
 // group for inclusion in the gate: dispatch-dominated micro-ops (scalar
@@ -155,7 +119,7 @@ func medianOf(m map[string]float64) float64 {
 	return (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
 }
 
-// Recost measures the feedback loop end to end and writes BENCH_recost.json:
+// Recost measures the feedback loop end to end:
 //
 //  1. Calibration: run a mixed-template workload under the paper-default
 //     cost constants for a fit window, fit the calibrator from its audit
@@ -168,19 +132,17 @@ func medianOf(m map[string]float64) float64 {
 //     to the evaluation window under the same constants.
 //  2. Re-optimization: bind a 2%-sparse matrix with a claimed-dense nonzero
 //     hint, forcing the optimizer into a dense plan for
-//     sum(X*log(U%*%t(V)+eps)). The runtime feedback must detect the
-//     divergence after the first execution, invalidate the cached block
-//     plan, and pick the sparsity-exploiting Outer plan, making the second
-//     execution at most 70% of the first.
+//     sum(X*log(U%*%t(V)+eps)). Once the runtime feedback has corrected the
+//     plan after the first execution, the later executions must run in at
+//     most 70% of the first's time. That the feedback detects the lie,
+//     invalidates the plan and picks Outer is a Tier-1 test (EXPERIMENTS.md,
+//     "recost").
 //  3. Overhead: with no calibrator attached, enabling re-optimization
 //     (the shipped default) must cost under 2% versus disabling it on the
 //     cellwise microbench, above what two sessions with it disabled differ
 //     by in the same rotation.
-func Recost(o Options) *Table {
-	reps := o.Reps
-	if reps < 3 {
-		reps = 3
-	}
+func Recost(o Options) []Check {
+	reps := max(o.Reps, 3)
 
 	// --- Gate 1: calibration halves the cost-prediction error. ---
 	defaults := codegen.DefaultCostModel()
@@ -208,11 +170,9 @@ func Recost(o Options) *Table {
 		}
 	}
 	pre, post, noise := medianOf(preErr), medianOf(postErr), medianOf(drift)
-	medianRatio := 0.0
-	if pre > 0 {
-		medianRatio = post / pre
+	if len(postErr) == 0 {
+		post = math.NaN() // no operator group to judge: fail
 	}
-	calibPass := len(postErr) > 0 && (post-noise <= recostMaxMedianRatio*pre || post-noise <= recostCalibratedErr)
 
 	// --- Gate 2: a lying sparsity hint is corrected within one iteration. ---
 	n := o.rows(1024)
@@ -223,38 +183,18 @@ func Recost(o Options) *Table {
 	rs.BindWithNnz("X", x, int64(n)*int64(n)) // claim dense: forces a dense plan
 	rs.Bind("U", matrix.Rand(n, rank, 1, 0.1, 1, 32))
 	rs.Bind("V", matrix.Rand(n, rank, 1, 0.1, 1, 33))
-	adversarial := `s = sum(X * log(U %*% t(V) + 1e-15))`
-	runOnce := func() time.Duration {
-		start := time.Now()
-		if err := rs.Run(adversarial); err != nil {
+	run := func() {
+		if err := rs.Run(`s = sum(X * log(U %*% t(V) + 1e-15))`); err != nil {
 			panic(fmt.Sprintf("recost adversarial script failed: %v", err))
 		}
-		return time.Since(start)
 	}
-	iter1 := runOnce()
+	start := time.Now()
+	run()
+	iter1 := time.Since(start)
 	// The divergence was detected at the end of iteration 1; iteration 2
-	// compiles and runs the corrected plan. Take the best of a few reps so
+	// compiles and runs the corrected plan. The best of the later runs, so
 	// scheduler noise can only hurt, not help, the gate.
-	iter2 := runOnce()
-	for i := 0; i < reps-1; i++ {
-		if d := runOnce(); d < iter2 {
-			iter2 = d
-		}
-	}
-	snap := rs.Metrics()
-	sparsityReopts := snap.Counters["reopt.sparsity"]
-	invalidations := snap.Counters["reopt.invalidations"]
-	expl, err := rs.Explain(adversarial)
-	if err != nil {
-		panic(fmt.Sprintf("recost explain failed: %v", err))
-	}
-	outerAfter := strings.Contains(expl, "Outer")
-	iter2Ratio := 0.0
-	if iter1 > 0 {
-		iter2Ratio = float64(iter2) / float64(iter1)
-	}
-	reoptPass := sparsityReopts >= 1 && invalidations >= 1 && outerAfter &&
-		iter2Ratio <= recostMaxIter2Ratio
+	iter2 := interleavedMin(reps, run)[0]
 
 	// --- Gate 3: the feedback path is ~free with calibration off. ---
 	session := func(reopt bool) func() {
@@ -271,89 +211,34 @@ func Recost(o Options) *Table {
 			}
 		}
 	}
-	// Interleaved minimums per trial (scheduler noise hits every variant
-	// alike), median across trials: a single disturbed trial on a shared
-	// machine cannot swing a millisecond-scale 2% gate. A second session with
-	// re-optimization off runs in the same rotation: by how much the two
-	// identical sessions differ is the trial's noise floor, and the overhead
-	// is taken above it.
-	trial := func() (on, off, floor time.Duration) {
-		runs := []func(){session(true), session(false), session(false)}
-		best := make([]time.Duration, len(runs))
-		for k, run := range runs {
-			run()
-			best[k] = time.Duration(1 << 62)
-		}
-		for i := 0; i < reps*10; i++ {
-			// Rotate which variant runs first so GC debt left by one run is
-			// not always collected on the same variant's clock.
-			for j := range runs {
-				k := (i + j) % len(runs)
-				start := time.Now()
-				runs[k]()
-				best[k] = min(best[k], time.Since(start))
-			}
-		}
-		off = min(best[1], best[2])
-		return best[0], off, max(best[1], best[2]) - off
-	}
-	overheads := make([]float64, 0, 3)
+	// Interleaved minimums per trial, median across trials: a single
+	// disturbed trial on a shared machine cannot swing a millisecond-scale 2%
+	// gate. A second session with re-optimization off runs in the same
+	// rotation: by how much the two identical sessions differ is the trial's
+	// noise floor, and the overhead is taken above it.
+	overheads := make([]float64, 3)
 	var onBest, offBest time.Duration
-	for i := 0; i < 3; i++ {
-		on, off, floor := trial()
+	for i := range overheads {
+		best := interleavedMin(reps*10, session(true), session(false), session(false))
+		on, off := best[0], min(best[1], best[2])
+		floor := max(best[1], best[2]) - off
+		overheads[i] = 100 * float64(on-off-floor) / float64(off)
 		if i == 0 || on < onBest {
 			onBest = on
 		}
 		if i == 0 || off < offBest {
 			offBest = off
 		}
-		overheads = append(overheads, 100*float64(on-off-floor)/float64(off))
 	}
 	sort.Float64s(overheads)
-	overhead := overheads[1]
-	overheadPass := overhead < recostMaxOverheadPct
 
-	res := RecostResult{
-		PreMedianRelErr:  pre,
-		PostMedianRelErr: post,
-		MedianRatio:      medianRatio,
-		NoiseFloor:       noise,
-		FitObservations:  fitObs,
-		CalibPass:        calibPass,
-		Iter1MS:          float64(iter1.Nanoseconds()) / 1e6,
-		Iter2MS:          float64(iter2.Nanoseconds()) / 1e6,
-		Iter2Ratio:       iter2Ratio,
-		SparsityReopts:   sparsityReopts,
-		Invalidations:    invalidations,
-		OuterAfter:       outerAfter,
-		ReoptPass:        reoptPass,
-		ReoptOnMS:        float64(onBest.Nanoseconds()) / 1e6,
-		ReoptOffMS:       float64(offBest.Nanoseconds()) / 1e6,
-		OverheadPct:      overhead,
-		OverheadPass:     overheadPass,
-		Pass:             calibPass && reoptPass && overheadPass,
+	return []Check{
+		{Name: "calibration accuracy", Measured: post - noise, Baseline: pre,
+			Limit: max(recostMaxMedianRatio*pre, recostCalibratedErr), Cmp: "<=", Unit: "rel err",
+			Detail: fmt.Sprintf("median rel-err %.3f → %.3f above a noise floor of %.3f, %d fit observations", pre, post, noise, fitObs)},
+		{Name: "adversarial re-optimization", Measured: float64(iter2) / float64(iter1), Baseline: msec(iter1),
+			Limit: recostMaxIter2Ratio, Cmp: "<=", Unit: "x", Detail: fmt.Sprintf("iter1 %.2f → iter2 %.2f ms", msec(iter1), msec(iter2))},
+		{Name: "feedback overhead", Measured: overheads[1], Baseline: msec(offBest), Limit: recostMaxOverheadPct, Cmp: "<", Unit: "%",
+			Detail: fmt.Sprintf("reopt off %.3f → on %.3f ms, median of 3 trials above the A/A floor", msec(offBest), msec(onBest))},
 	}
-	if data, err := json.MarshalIndent(res, "", "  "); err == nil {
-		if err := os.WriteFile(recostFile, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(o.Out, "recost: cannot write %s: %v\n", recostFile, err)
-		}
-	}
-
-	t := &Table{
-		Title:   "Recost: calibration fit, mid-script re-optimization, feedback overhead",
-		Columns: []string{"gate", "metric", "threshold", "pass"},
-	}
-	t.Add("calibration", fmt.Sprintf("median rel-err %.3f -> %.3f (noise floor %.3f)", pre, post, noise),
-		fmt.Sprintf("<=%.1fx pre or <=%.2f, above the floor", recostMaxMedianRatio, recostCalibratedErr),
-		fmt.Sprintf("%v", calibPass))
-	t.Add("re-optimization",
-		fmt.Sprintf("iter2/iter1 %.2f, reopts %d, invals %d, outer %v",
-			iter2Ratio, sparsityReopts, invalidations, outerAfter),
-		fmt.Sprintf("ratio<=%.1f, counters>=1", recostMaxIter2Ratio),
-		fmt.Sprintf("%v", reoptPass))
-	t.Add("overhead", fmt.Sprintf("reopt on %s ms vs off %s ms (%.2f%% above the noise floor)",
-		ms(onBest), ms(offBest), overhead),
-		fmt.Sprintf("<%.0f%%", recostMaxOverheadPct),
-		fmt.Sprintf("%v", overheadPass))
-	return t
 }

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,9 +13,6 @@ import (
 
 	"sysml/internal/serve"
 )
-
-// serveFile is the JSON artifact Serve writes; CI gates on its "pass".
-const serveFile = "BENCH_serve.json"
 
 // Serving gate thresholds.
 const (
@@ -36,58 +33,26 @@ const (
 	serveMinCompleted = 0.95
 )
 
-// ServeResult is the serialized outcome of the serving gates.
-type ServeResult struct {
-	Tenants  int `json:"tenants"`
-	Requests int `json:"requests"` // closed-loop latency-phase requests
-
-	P50MS   float64 `json:"p50_ms"`
-	P99MS   float64 `json:"p99_ms"`
-	P99Pass bool    `json:"p99_pass"` // < 250 ms at N=8 tenants
-
-	ShedNominal     int64 `json:"shed_nominal"`
-	ShedNominalPass bool  `json:"shed_nominal_pass"` // 0 at nominal load
-
-	CapacityRPS   float64 `json:"capacity_rps"` // single-tenant closed loop
-	OfferedRPS    float64 `json:"offered_rps"`  // open-loop aggregate across N tenants
-	CompletedRPS  float64 `json:"completed_rps"`
-	CompletedFrac float64 `json:"completed_frac"`
-	ScalePass     bool    `json:"scale_pass"` // >= 95% of offered completed
-
-	ShedPressure     int64 `json:"shed_pressure"`
-	Got429           bool  `json:"got_429"`
-	ShedPressurePass bool  `json:"shed_pressure_pass"` // backpressure actually fires
-
-	BatchMax  int   `json:"batch_max"`
-	Batched   int64 `json:"batched_requests"`
-	BatchPass bool  `json:"batch_pass"` // same-plan requests coalesce
-
-	Pass bool `json:"pass"`
-}
-
-// serveClient is shared across phases: enough idle conns for the widest
+// serveHTTP is shared across phases: enough idle conns for the widest
 // concurrent phase.
 var serveHTTP = &http.Client{
 	Transport: &http.Transport{MaxIdleConnsPerHost: 64},
 	Timeout:   30 * time.Second,
 }
 
-// postScore submits one /v1/run and returns (status, batch size, err).
-func postScore(addr string, req *serve.RunRequest) (int, int, error) {
+// postScore submits one /v1/run and returns its status.
+func postScore(addr string, req *serve.RunRequest) (int, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	resp, err := serveHTTP.Post("http://"+addr+"/v1/run", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	var rr serve.RunResponse
-	if resp.StatusCode == http.StatusOK {
-		json.NewDecoder(resp.Body).Decode(&rr)
-	}
-	return resp.StatusCode, rr.Batch, nil
+	io.Copy(io.Discard, resp.Body) // a drained body keeps the connection alive
+	return resp.StatusCode, nil
 }
 
 // scoreReq is the scoring request every phase issues: a small dense
@@ -111,12 +76,10 @@ func percentileMS(durs []time.Duration, p float64) float64 {
 	}
 	sorted := append([]time.Duration(nil), durs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return float64(sorted[idx].Nanoseconds()) / 1e6
+	return msec(sorted[int(p*float64(len(sorted)-1))])
 }
 
-// Serve measures the multi-tenant scoring frontend and writes
-// BENCH_serve.json:
+// Serve measures the multi-tenant scoring frontend:
 //
 //  1. Latency: N=8 tenants × 2 closed-loop clients against one engine —
 //     p99 must stay under 250 ms and the engine must shed nothing (the
@@ -124,11 +87,9 @@ func percentileMS(durs []time.Duration, p float64) float64 {
 //  2. Throughput: measure single-tenant capacity, then offer ~25% of it
 //     as aggregate open-loop load spread over 8 tenants — ≥95% of offered
 //     requests must complete (low-contention scaling gate).
-//  3. Backpressure: a 64 KiB-budget engine under 16 concurrent heavy
-//     requests must actually shed with 429 + Retry-After.
-//  4. Micro-batching: 8 concurrent same-plan requests must coalesce
-//     behind a batch leader.
-func Serve(o Options) *Table {
+//
+// Backpressure and micro-batching are Tier-1 tests (EXPERIMENTS.md, "serve").
+func Serve(o Options) []Check {
 	reqsPerClient := 25
 	if o.Reps > 3 {
 		reqsPerClient = 25 * o.Reps / 3
@@ -155,7 +116,7 @@ func Serve(o Options) *Table {
 				defer wg.Done()
 				for r := 0; r < reqsPerClient; r++ {
 					start := time.Now()
-					status, _, err := postScore(srvA.Addr(), req)
+					status, err := postScore(srvA.Addr(), req)
 					d := time.Since(start)
 					if err != nil || status != http.StatusOK {
 						panic(fmt.Sprintf("serve bench latency phase: status %d err %v", status, err))
@@ -184,6 +145,7 @@ func Serve(o Options) *Table {
 	if err != nil {
 		panic(fmt.Sprintf("serve bench: %v", err))
 	}
+	defer srvB.Close()
 	capReq := scoreReq(o, "cap", 99)
 	for i := 0; i < 5; i++ { // warm plan + block caches
 		postScore(srvB.Addr(), capReq)
@@ -191,7 +153,7 @@ func Serve(o Options) *Table {
 	capN := 50
 	capStart := time.Now()
 	for i := 0; i < capN; i++ {
-		if status, _, err := postScore(srvB.Addr(), capReq); err != nil || status != http.StatusOK {
+		if status, err := postScore(srvB.Addr(), capReq); err != nil || status != http.StatusOK {
 			panic(fmt.Sprintf("serve bench capacity phase: status %d err %v", status, err))
 		}
 	}
@@ -200,10 +162,7 @@ func Serve(o Options) *Table {
 	// Offer ~25% of capacity, split evenly across N open-loop tenants.
 	offeredRPS := capacityRPS / 4
 	interval := time.Duration(float64(time.Second) * float64(serveTenants) / offeredRPS)
-	perTenant := capN / serveTenants
-	if perTenant < 4 {
-		perTenant = 4
-	}
+	perTenant := max(capN/serveTenants, 4)
 	var completed atomic.Int64
 	openStart := time.Now()
 	for ti := 0; ti < serveTenants; ti++ {
@@ -216,7 +175,7 @@ func Serve(o Options) *Table {
 				inner.Add(1)
 				go func() { // open loop: fire on schedule, don't wait
 					defer inner.Done()
-					if status, _, err := postScore(srvB.Addr(), req); err == nil && status == http.StatusOK {
+					if status, err := postScore(srvB.Addr(), req); err == nil && status == http.StatusOK {
 						completed.Add(1)
 					}
 				}()
@@ -226,131 +185,16 @@ func Serve(o Options) *Table {
 		}(ti)
 	}
 	wg.Wait()
-	openElapsed := time.Since(openStart).Seconds()
-	offered := int64(serveTenants * perTenant)
-	completedFrac := float64(completed.Load()) / float64(offered)
-	completedRPS := float64(completed.Load()) / openElapsed
-	srvB.Close()
+	offered := serveTenants * perTenant
+	completedRPS := float64(completed.Load()) / time.Since(openStart).Seconds()
 
-	// --- Phase 3: backpressure under a starved memory budget. ---
-	engC := serve.NewEngine(
-		serve.WithMemoryBudget(64<<10),
-		serve.WithTenantQuota(serve.TenantQuota{MaxSessions: 16}),
-	)
-	srvC, err := serve.NewServer("127.0.0.1:0", engC)
-	if err != nil {
-		panic(fmt.Sprintf("serve bench: %v", err))
+	return []Check{
+		{Name: "multi-tenant p99", Measured: p99, Limit: serveMaxP99MS, Cmp: "<", Unit: "ms",
+			Detail: fmt.Sprintf("%d tenants × %d clients, %d requests, p50 %.1f ms", serveTenants, serveClients, len(lats), p50)},
+		{Name: "shed at nominal load", Measured: float64(shedNominal), Cmp: "==", Unit: "requests",
+			Detail: fmt.Sprintf("of %d", len(lats))},
+		{Name: "open-loop completion", Measured: 100 * float64(completed.Load()) / float64(offered),
+			Limit: 100 * serveMinCompleted, Cmp: ">=", Unit: "%",
+			Detail: fmt.Sprintf("%.0f of %.0f rps offered (capacity %.0f rps)", completedRPS, offeredRPS, capacityRPS)},
 	}
-	var got429 atomic.Bool
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Staggered arrivals: later requests reach admission control
-			// while earlier ones still hold their 128 KiB inputs (over
-			// the 64 KiB budget) through a multi-iteration script, so
-			// backpressure demonstrably fires.
-			time.Sleep(time.Duration(i) * 2 * time.Millisecond)
-			req := &serve.RunRequest{
-				Tenant: "pressure",
-				Script: "acc = 0\nfor (i in 1:20) {\n acc = acc + sum(X %*% t(X))\n}",
-				Inputs: map[string]serve.InputSpec{
-					"X": {Rows: 128, Cols: 128,
-						Rand: &serve.RandSpec{Sparsity: 1, Lo: -1, Hi: 1, Seed: int64(i)}},
-				},
-				Outputs: []string{"acc"},
-			}
-			if status, _, err := postScore(srvC.Addr(), req); err == nil && status == http.StatusTooManyRequests {
-				got429.Store(true)
-			}
-		}(i)
-	}
-	wg.Wait()
-	shedPressure := engC.Shed()
-	srvC.Close()
-
-	// --- Phase 4: micro-batching of same-plan requests. ---
-	// Requests coalesce only while their tenant is saturated: one session
-	// slot, held by a slow request while eight same-plan requests arrive.
-	engD := serve.NewEngine(serve.WithTenantQuota(serve.TenantQuota{MaxSessions: 1}))
-	srvD, err := serve.NewServer("127.0.0.1:0", engD, serve.WithQueueWait(30*time.Second))
-	if err != nil {
-		panic(fmt.Sprintf("serve bench: %v", err))
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		postScore(srvD.Addr(), &serve.RunRequest{
-			Tenant: "batch",
-			Script: "acc = 0\nfor (i in 1:200) {\n acc = acc + sum(X %*% t(X))\n}",
-			Inputs: map[string]serve.InputSpec{
-				"X": {Rows: 128, Cols: 128, Rand: &serve.RandSpec{Sparsity: 1, Lo: -1, Hi: 1, Seed: 7}},
-			},
-		})
-	}()
-	for engD.Tenant("batch").Active() == 0 { // until the holder has the slot
-		time.Sleep(100 * time.Microsecond)
-	}
-	var batchMax atomic.Int64
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			status, batch, err := postScore(srvD.Addr(), scoreReq(o, "batch", 42))
-			if err == nil && status == http.StatusOK && int64(batch) > batchMax.Load() {
-				batchMax.Store(int64(batch))
-			}
-		}()
-	}
-	wg.Wait()
-	var batched int64
-	if st, ok := engD.Tenants()["batch"]; ok {
-		batched = st.Batched
-	}
-	srvD.Close()
-
-	res := ServeResult{
-		Tenants:          serveTenants,
-		Requests:         len(lats),
-		P50MS:            p50,
-		P99MS:            p99,
-		P99Pass:          p99 < serveMaxP99MS,
-		ShedNominal:      shedNominal,
-		ShedNominalPass:  shedNominal == 0,
-		CapacityRPS:      capacityRPS,
-		OfferedRPS:       offeredRPS,
-		CompletedRPS:     completedRPS,
-		CompletedFrac:    completedFrac,
-		ScalePass:        completedFrac >= serveMinCompleted,
-		ShedPressure:     shedPressure,
-		Got429:           got429.Load(),
-		ShedPressurePass: shedPressure > 0 && got429.Load(),
-		BatchMax:         int(batchMax.Load()),
-		Batched:          batched,
-		BatchPass:        batchMax.Load() >= 2 && batched > 0,
-	}
-	res.Pass = res.P99Pass && res.ShedNominalPass && res.ScalePass &&
-		res.ShedPressurePass && res.BatchPass
-	if data, err := json.MarshalIndent(res, "", "  "); err == nil {
-		if err := os.WriteFile(serveFile, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(o.Out, "serve: cannot write %s: %v\n", serveFile, err)
-		}
-	}
-
-	t := &Table{
-		Title:   "Serving gates: multi-tenant latency, scaling, backpressure, micro-batching",
-		Columns: []string{"gate", "measured", "limit", "pass"},
-	}
-	t.Add("p99 @ 8 tenants", fmt.Sprintf("%.1f ms (p50 %.1f)", p99, p50),
-		fmt.Sprintf("< %.0f ms", serveMaxP99MS), fmt.Sprintf("%v", res.P99Pass))
-	t.Add("shed @ nominal", fmt.Sprintf("%d of %d", shedNominal, len(lats)),
-		"0", fmt.Sprintf("%v", res.ShedNominalPass))
-	t.Add("open-loop completion", fmt.Sprintf("%.1f%% (%.0f of %.0f rps)",
-		100*completedFrac, completedRPS, offeredRPS),
-		fmt.Sprintf(">= %.0f%%", 100*serveMinCompleted), fmt.Sprintf("%v", res.ScalePass))
-	t.Add("backpressure", fmt.Sprintf("shed %d, 429 %v", shedPressure, got429.Load()),
-		"> 0 with 429", fmt.Sprintf("%v", res.ShedPressurePass))
-	t.Add("micro-batching", fmt.Sprintf("max batch %d, %d batched", res.BatchMax, batched),
-		">= 2", fmt.Sprintf("%v", res.BatchPass))
-	return t
 }

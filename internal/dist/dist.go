@@ -60,11 +60,6 @@ type Cluster struct {
 	bytesShuffled  int64
 	netNanos       int64
 
-	// shuffledSeedModel accumulates what the pre-overhaul backend would
-	// have shuffled (one densified partial per panel to a single reducer);
-	// the bench dist gates use it as the traffic baseline.
-	shuffledSeedModel int64
-
 	// The broadcast handle cache. Keys are matrix identities (*Matrix
 	// pointers are unique while referenced); values are the bytes charged
 	// at first broadcast. bcastOrder is FIFO eviction order and may hold
@@ -161,12 +156,6 @@ func (c *Cluster) BytesBroadcast() int64 { return atomic.LoadInt64(&c.bytesBroad
 // BytesShuffled returns the accumulated shuffle volume.
 func (c *Cluster) BytesShuffled() int64 { return atomic.LoadInt64(&c.bytesShuffled) }
 
-// BytesShuffledBaseline returns the shuffle volume the pre-overhaul
-// per-panel star shuffle would have shipped for the same operators: one
-// densified partial per map partition to a single reducer. The bench dist
-// gates compare BytesShuffled against it.
-func (c *Cluster) BytesShuffledBaseline() int64 { return atomic.LoadInt64(&c.shuffledSeedModel) }
-
 // NetTime returns the simulated network time implied by the traffic.
 // Transfers of one tree-reduction level overlap (disjoint executor pairs),
 // so a level costs its largest transfer, not the sum.
@@ -225,10 +214,10 @@ func (c *Cluster) Invalidate(m *matrix.Matrix) {
 	c.bcastMu.Unlock()
 }
 
-// Reset clears the traffic counters, cache statistics, fault/recovery
-// counters, and the seed-model baseline. Cached broadcast handles and dead
-// executors survive — they are cluster state, not statistics (drop handles
-// via SetBroadcastCache(false) + (true)).
+// Reset clears the traffic counters, cache statistics and fault/recovery
+// counters. Cached broadcast handles and dead executors survive — they are
+// cluster state, not statistics (drop handles via SetBroadcastCache(false) +
+// (true)).
 func (c *Cluster) Reset() {
 	atomic.StoreInt64(&c.ftTransient, 0)
 	atomic.StoreInt64(&c.ftStragglers, 0)
@@ -244,7 +233,6 @@ func (c *Cluster) Reset() {
 	atomic.StoreInt64(&c.bytesBroadcast, 0)
 	atomic.StoreInt64(&c.bytesShuffled, 0)
 	atomic.StoreInt64(&c.netNanos, 0)
-	atomic.StoreInt64(&c.shuffledSeedModel, 0)
 	atomic.StoreInt64(&c.bcastHits, 0)
 	atomic.StoreInt64(&c.bcastMisses, 0)
 	atomic.StoreInt64(&c.bcastInvals, 0)
@@ -483,12 +471,9 @@ func (c *Cluster) broadcastCached(m *matrix.Matrix) bool {
 // treeReduce combines per-executor partials along a binary tree, charging
 // each cross-executor transfer at the shipped partial's actual (possibly
 // sparse) size and each level's wire time at its largest transfer. The
-// panelCount parameterizes the retained seed model: the pre-overhaul
-// backend shipped one densified partial per panel to a single reducer.
+// shuffle span reports panelCount, the map partitions the partials came from.
 func (c *Cluster) treeReduce(sp obs.Span, stage string, parts []*matrix.Matrix, panelCount int,
 	combine func(acc, p *matrix.Matrix) *matrix.Matrix) *matrix.Matrix {
-	densePartial := int64(parts[0].Rows) * int64(parts[0].Cols) * 8
-	atomic.AddInt64(&c.shuffledSeedModel, int64(panelCount)*densePartial)
 	var total int64
 	levels := 0
 	for len(parts) > 1 {

@@ -23,7 +23,7 @@ func fastBackoff(p *FaultPlan) *FaultPlan {
 }
 
 // chaosOps runs one operator of every scheduler shape (pure map, map with
-// broadcast side, tree-reduced aggregate, broadcast mapmm) on cl and
+// broadcast side, tree-reduced aggregates, broadcast mapmm) on cl and
 // checks each distributed result against the local kernel within 1e-9.
 // ok=false results (degradation) are tolerated when allowDegrade is set —
 // the runtime would recompute locally — but silent corruption never is.
@@ -43,6 +43,8 @@ func chaosOps(t *testing.T, tag string, cl *Cluster, x *matrix.Matrix, allowDegr
 			[]*matrix.Matrix{x, rv}, matrix.Binary(matrix.BinDiv, x, rv)},
 		{"sum", &hop.Hop{Kind: hop.OpAggUnary, AggOp: matrix.AggSum, AggDir: matrix.DirAll},
 			[]*matrix.Matrix{x}, matrix.Agg(matrix.AggSum, matrix.DirAll, x)},
+		{"colSums", &hop.Hop{Kind: hop.OpAggUnary, AggOp: matrix.AggSum, AggDir: matrix.DirCol},
+			[]*matrix.Matrix{x}, matrix.Agg(matrix.AggSum, matrix.DirCol, x)},
 		{"mapmm", &hop.Hop{Kind: hop.OpMatMult, Rows: int64(x.Rows), Cols: 4},
 			[]*matrix.Matrix{x, w}, matrix.MatMult(x, w)},
 	}
@@ -61,34 +63,38 @@ func chaosOps(t *testing.T, tag string, cl *Cluster, x *matrix.Matrix, allowDegr
 }
 
 // TestChaosMatchesLocal is the chaos property sweep: seeds × executor
-// counts × kill points × transient rates, every combination required to
-// produce results identical to local execution (within 1e-9 — map-only
-// stages are bit-identical; tree reductions reassociate). The sweep also
-// asserts the injection actually happened: a chaos suite that never
+// counts × kill points × transient and straggler rates, every combination
+// required to produce results identical to local execution (within 1e-9 —
+// map-only stages are bit-identical; tree reductions reassociate). The sweep
+// also asserts the injection actually happened: a chaos suite that never
 // injects a fault tests nothing.
 func TestChaosMatchesLocal(t *testing.T) {
 	x := matrix.Rand(257, 12, 1, -2, 2, 42)
-	var transients, kills, reassigned, retries int64
+	var transients, stragglers, kills, reassigned, retries int64
+	type rates struct{ transient, straggler float64 }
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, execs := range []int{3, 6} {
 			for _, kill := range []struct{ exec, at int }{{-1, 0}, {0, 1}, {1, 5}, {2, 12}} {
-				for _, rate := range []float64{0, 0.2} {
-					if rate == 0 && kill.at == 0 {
+				for _, rate := range []rates{{0, 0}, {0.2, 0}, {0.1, 0.1}} {
+					if rate == (rates{}) && kill.at == 0 {
 						continue // nothing injected; covered by overhead tests
 					}
 					plan := fastBackoff(&FaultPlan{
-						Seed:          seed,
-						TransientRate: rate,
-						KillExecutor:  kill.exec,
-						KillAtTask:    int64(kill.at),
+						Seed:           seed,
+						TransientRate:  rate.transient,
+						StragglerRate:  rate.straggler,
+						StragglerDelay: 20 * time.Microsecond,
+						KillExecutor:   kill.exec,
+						KillAtTask:     int64(kill.at),
 					})
 					cl := NewCluster(WithFaultPlan(plan), WithExecutors(execs))
 					cl.Blocksize = 16
-					tag := fmt.Sprintf("seed=%d e=%d kill=%d@%d rate=%.1f",
-						seed, execs, kill.exec, kill.at, rate)
+					tag := fmt.Sprintf("seed=%d e=%d kill=%d@%d rate=%.1f straggle=%.1f",
+						seed, execs, kill.exec, kill.at, rate.transient, rate.straggler)
 					chaosOps(t, tag, cl, x, false)
 					st := cl.FaultStats()
 					transients += st.TransientInjected
+					stragglers += st.StragglersInjected
 					kills += st.Kills
 					reassigned += st.Reassigned
 					retries += st.Retries
@@ -106,9 +112,9 @@ func TestChaosMatchesLocal(t *testing.T) {
 			}
 		}
 	}
-	if transients == 0 || kills == 0 || reassigned == 0 || retries == 0 {
-		t.Fatalf("chaos sweep injected nothing: transients=%d kills=%d reassigned=%d retries=%d",
-			transients, kills, reassigned, retries)
+	if transients == 0 || stragglers == 0 || kills == 0 || reassigned == 0 || retries == 0 {
+		t.Fatalf("chaos sweep injected nothing: transients=%d stragglers=%d kills=%d reassigned=%d retries=%d",
+			transients, stragglers, kills, reassigned, retries)
 	}
 }
 

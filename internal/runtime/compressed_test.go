@@ -1,11 +1,13 @@
 package runtime
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"sysml/internal/compress"
 	"sysml/internal/cplan"
+	"sysml/internal/data"
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
 	"sysml/internal/par"
@@ -55,29 +57,33 @@ func TestCompressedCellMatchesDense(t *testing.T) {
 			t.Fatalf("cell %v/%v should be eligible: %s", v.cell, v.aop, why)
 		}
 		op := cplan.Compile(p, "CC1")
+		check := func(tag string, x *matrix.Matrix, workers int) {
+			s := matrix.NewScalar(1.5)
+			cm := attached(x)
+			ec := matrix.Ctx{Par: par.NewPool(workers)}
+			got, ok := execCompressed(ec, op, cm, []*matrix.Matrix{s}, nil)
+			if !ok {
+				t.Fatalf("cell %v/%v: compressed skeleton declined", v.cell, v.aop)
+			}
+			want := ExecCellwise(op, x, []*matrix.Matrix{s})
+			if !got.EqualsApprox(want, 1e-9) {
+				t.Fatalf("cell %v/%v %s w=%d: mismatch", v.cell, v.aop, tag, workers)
+			}
+			compress.Drop(x)
+		}
 		for _, sh := range shapes {
 			for _, sp := range []float64{1, 0.3} {
 				for _, card := range []int{1, 4, 40} {
 					for _, workers := range []int{1, 4} {
 						seed++
-						x := claMatrix(sh[0], sh[1], card, sp, seed)
-						s := matrix.NewScalar(1.5)
-						cm := attached(x)
-						ec := matrix.Ctx{Par: par.NewPool(workers)}
-						got, ok := execCompressed(ec, op, cm, []*matrix.Matrix{s}, nil)
-						if !ok {
-							t.Fatalf("cell %v/%v: compressed skeleton declined", v.cell, v.aop)
-						}
-						want := ExecCellwise(op, x, []*matrix.Matrix{s})
-						if !got.EqualsApprox(want, 1e-9) {
-							t.Fatalf("cell %v/%v %dx%d sp=%v card=%d w=%d: mismatch",
-								v.cell, v.aop, sh[0], sh[1], sp, card, workers)
-						}
-						compress.Drop(x)
+						check(fmt.Sprintf("%dx%d sp=%v card=%d", sh[0], sh[1], sp, card),
+							claMatrix(sh[0], sh[1], card, sp, seed), workers)
 					}
 				}
 			}
 		}
+		// Mixed cardinalities and co-coded column groups, as the CLA gate's data.
+		check("airline", data.AirlineLike(2000, 61), 4)
 	}
 }
 

@@ -120,17 +120,25 @@ func (ps *pass) run() []*worker {
 		perRow = max(len(ps.main.Sparse().Values)/rows, 1)
 	}
 	// A tile is as many rows as the root with the lightest registers takes
-	// in one step; its siblings run it in steps of their own.
-	tile := 1
+	// in one step; its siblings run it in steps of their own, so each finds
+	// the tile in the cache. A root that steps column ranges of one row sets
+	// no tile: it runs a tile's rows a range at a time, and alone every row a
+	// worker gets, where its uniform registers are primed once per range.
+	tile, ranged := 0, false
 	for q, p := range ps.progs {
 		n, cols := p.TileSize(ps.cols, ps.binds[q])
 		if ps.binds[q] == cplan.MainNnz {
 			n /= perRow // its steps are cells
 		} else if cols < ps.cols {
-			n = rows // a column range at a time, of every row a worker gets: uniform registers hold the range
+			ranged = true
+			continue
 		}
 		tile = max(tile, n)
 	}
+	if tile == 0 && ranged {
+		tile = rows
+	}
+	tile = max(tile, 1)
 	// A cell of an Outer body costs a rank-r dot product on top of the body.
 	grain := max(grainCells/(perRow*(1+ps.ctx.Rank/4)), 1)
 	nw, _ := ps.ec.Par.Chunks(rows, grain)

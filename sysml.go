@@ -369,20 +369,6 @@ type MetricsSnapshot = obs.Snapshot
 // execution per fused-operator template; returned by Session.CostAudit.
 type CostAuditSummary = obs.AuditSummary
 
-// ObsServer is a live metrics HTTP server started by Serve.
-type ObsServer = obs.Server
-
-// Serve starts an HTTP server on addr (e.g. "localhost:9090", or
-// "127.0.0.1:0" for an ephemeral port) exposing the session's live
-// observability state as JSON: /metrics (full snapshot), /audit
-// (cost-audit summary), /plancache (plan-cache statistics), /healthz.
-// Close the returned server to stop it (in-flight requests drain).
-//
-// Deprecated: single-session observability remains available, but the
-// serving path is ServeEngine, which adds /v1/run scoring, tenants,
-// quotas, micro-batching, and load shedding on top of metrics exposure.
-func Serve(addr string, s *Session) (*ObsServer, error) { return obs.Serve(addr, s) }
-
 // Typed errors returned by sessions: match with errors.As for field
 // access, or errors.Is against a zero value for class-level tests, e.g.
 // errors.Is(err, &sysml.ParseError{}).
