@@ -37,10 +37,18 @@ if [ "$executors" -gt 1 ]; then
   echo "FAIL: $executors files of internal/cplan + internal/runtime switch on RowInstr.Op to execute it" >&2
   exit 1
 fi
+# One panel scheduler: with or without a fault plan, every map stage claims
+# panels from one task list; the no-plan fast path and the per-executor
+# queues it ran beside are gone, and stay gone.
+echo "== one panel scheduler =="
+if git grep -nE 'runPanelsFaulty|evacuate' -- '*.go'; then
+  echo "FAIL: a second panel scheduler is referenced again" >&2
+  exit 1
+fi
 # Net LOC is a tracked number (ROADMAP): non-test Go lines, benchmark/ aside.
 loc() { git ls-files -- "$@" | grep '\.go$' | grep -v '_test\.go$' | xargs cat | wc -l; }
 fused=$(loc internal/cplan internal/runtime)
-echo "non-test Go lines: internal/cplan + internal/runtime $fused, root module $(loc . ':!benchmark')"
+echo "non-test Go lines: internal/cplan + internal/runtime $fused, internal/dist $(loc internal/dist), root module $(loc . ':!benchmark')"
 if [ "$fused" -gt 3200 ]; then
   echo "FAIL: internal/cplan + internal/runtime grew past 3200 non-test lines" >&2
   exit 1

@@ -33,7 +33,7 @@ func main() {
 		}
 		return
 	}
-	o := bench.Options{Scale: *scale, Reps: *reps, Out: os.Stdout}
+	o := bench.Options{Scale: *scale, Reps: *reps, Out: os.Stdout, Report: "BENCH.json"}
 	run := bench.RunAll
 	if *exp != "" {
 		run = func(o bench.Options) error { return bench.Run(*exp, o) }

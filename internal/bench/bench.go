@@ -181,11 +181,13 @@ func sessionPhases(s *dml.Session) map[string]time.Duration {
 }
 
 // Options configures the harness scale; Scale multiplies default row
-// counts (1.0 = laptop default documented in EXPERIMENTS.md).
+// counts (1.0 = laptop default documented in EXPERIMENTS.md). Report is the
+// file gate runs write their report to; empty writes none.
 type Options struct {
-	Scale float64
-	Reps  int
-	Out   io.Writer
+	Scale  float64
+	Reps   int
+	Out    io.Writer
+	Report string
 }
 
 // DefaultOptions returns laptop-scale defaults.

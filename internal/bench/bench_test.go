@@ -103,7 +103,7 @@ func TestGateRunner(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "BENCH.json")
 	var out bytes.Buffer
-	err := RunGates(Options{Out: &out}, path,
+	err := RunGates(Options{Out: &out, Report: path},
 		gate("a", Check{Name: "fast enough", Measured: 1.5, Limit: 2, Cmp: ">=", Unit: "x"}),
 		gate("b", Check{Name: "small enough", Measured: 3, Limit: 3, Cmp: "<=", Unit: "ms"}),
 		gate("c", Check{Name: "no NaN", Measured: math.NaN(), Limit: 1, Cmp: "<", Unit: "%"}))
@@ -129,7 +129,7 @@ func TestGateRunner(t *testing.T) {
 		report.Gates[0].Checks[0].Pass {
 		t.Fatalf("report = %s", data)
 	}
-	if RunGates(Options{Out: &out}, path, gate("b", Check{Name: "ok", Measured: 0, Cmp: "=="})) != nil {
+	if RunGates(Options{Out: &out, Report: path}, gate("b", Check{Name: "ok", Measured: 0, Cmp: "=="})) != nil {
 		t.Fatal("a passing gate failed the run")
 	}
 }
@@ -148,7 +148,7 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test skipped in short mode")
 	}
-	o := Options{Scale: 0.01, Reps: 1, Out: &bytes.Buffer{}}
+	o := Options{Scale: 0.01, Reps: 1, Out: &bytes.Buffer{}, Report: filepath.Join(t.TempDir(), "BENCH.json")}
 	ids := []string{}
 	for _, e := range Experiments {
 		if e.ID != "gates" { // every gate runs below on its own

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -65,14 +66,11 @@ var Gates = []Gate{
 		[]string{"calibration accuracy", "adversarial re-optimization", "feedback overhead"}, Recost},
 }
 
-// benchFile is the report fusebench's gate runs write.
-const benchFile = "BENCH.json"
-
 // RunGates runs the gates in order, decides every check, prints one table of
-// them, writes the report to path — {"pass", "gates": [{"id", "checks"}]} —
-// and returns an error naming each failing check. A failing check does not
-// stop the gates after it.
-func RunGates(o Options, path string, gates ...Gate) error {
+// them, writes the report to o.Report — {"pass", "gates": [{"id",
+// "checks"}]} — and returns an error naming each failing check. A failing
+// check does not stop the gates after it.
+func RunGates(o Options, gates ...Gate) error {
 	type gateReport struct {
 		ID     string  `json:"id"`
 		Checks []Check `json:"checks"`
@@ -109,15 +107,17 @@ func RunGates(o Options, path string, gates ...Gate) error {
 	for _, f := range failed {
 		fmt.Fprintln(o.Out, "FAIL", f)
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err == nil {
-		err = os.WriteFile(path, append(data, '\n'), 0o644)
-	}
-	if err != nil {
-		return err
+	if o.Report != "" {
+		data, err := json.MarshalIndent(report, "", "  ")
+		if err == nil {
+			err = os.WriteFile(o.Report, append(data, '\n'), 0o644)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	if len(failed) > 0 {
-		return fmt.Errorf("%d gate check(s) failed; see %s", len(failed), path)
+		return fmt.Errorf("%d gate check(s) failed", len(failed))
 	}
 	return nil
 }
@@ -156,4 +156,19 @@ func ratio(name string, base, new, limit float64, unit, detail string) Check {
 func overhead(name string, base, new time.Duration, limit float64, detail string) Check {
 	return Check{Name: name, Measured: 100 * (float64(new) - float64(base)) / float64(base), Baseline: msec(base),
 		Limit: limit, Cmp: "<", Unit: "%", Detail: fmt.Sprintf("%s%.3f → %.3f ms", detail, msec(base), msec(new))}
+}
+
+// medianOverhead is the overhead check of the median of three interleavedMin
+// trials of base against new, as recost's feedback check reads it: on a
+// shared host one trial's minimum can catch a quiet moment the other variant
+// never saw, and one such trial must not decide the check.
+func medianOverhead(name string, rounds int, base, new func(), limit float64, detail string) Check {
+	trials := make([]Check, 3)
+	for i := range trials {
+		d := interleavedMin(rounds, base, new)
+		trials[i] = overhead(name, d[0], d[1], limit, detail)
+	}
+	slices.SortFunc(trials, func(a, b Check) int { return cmp.Compare(a.Measured, b.Measured) })
+	trials[1].Detail += ", median of 3 trials"
+	return trials[1]
 }

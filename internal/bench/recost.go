@@ -197,14 +197,22 @@ func Recost(o Options) []Check {
 	iter2 := interleavedMin(reps, run)[0]
 
 	// --- Gate 3: the feedback path is ~free with calibration off. ---
+	// At 80000 rows an execution streams 192 MB in milliseconds, the scale
+	// the limit was written for; at 10000 rows it took 0.4-0.5 ms, and tens
+	// of µs of host noise decided the check. Every session reads the same
+	// matrices.
+	xyz := make([]*matrix.Matrix, 3)
+	for i := range xyz {
+		xyz[i] = matrix.Rand(o.rows(80000), 100, 1, -1, 1, int64(41+i))
+	}
 	session := func(reopt bool) func() {
 		cfg := codegen.DefaultConfig()
 		cfg.Reopt.Enabled = reopt
 		s := dml.NewSession(cfg)
 		s.Out = io.Discard
-		s.Bind("X", matrix.Rand(o.rows(10000), 100, 1, -1, 1, 41))
-		s.Bind("Y", matrix.Rand(o.rows(10000), 100, 1, -1, 1, 42))
-		s.Bind("Z", matrix.Rand(o.rows(10000), 100, 1, -1, 1, 43))
+		for i, name := range []string{"X", "Y", "Z"} {
+			s.Bind(name, xyz[i])
+		}
 		return func() {
 			if err := s.Run(`s = sum(X * Y * Z)`); err != nil {
 				panic(fmt.Sprintf("recost overhead bench failed: %v", err))

@@ -56,7 +56,7 @@ var Experiments = []struct {
 	{"ablation", "Ablations: linearization order, MAgg fusion, dominance pruning",
 		show(AblationOrder, AblationMAgg, AblationDominance)},
 	{"gates", "Every CI gate in ci.sh's order: one table, one BENCH.json, failing when any check fails", func(o Options) error {
-		return RunGates(o, benchFile, Gates...)
+		return RunGates(o, Gates...)
 	}},
 }
 
@@ -80,7 +80,7 @@ func Run(id string, o Options) error {
 	}
 	for _, g := range Gates {
 		if g.ID == id {
-			return RunGates(o, benchFile, g)
+			return RunGates(o, g)
 		}
 	}
 	return fmt.Errorf("unknown experiment %q; use -list", id)

@@ -99,7 +99,7 @@ func Serve(o Options) []Check {
 	engA := serve.NewEngine(
 		serve.WithMemoryBudget(1<<30),
 		serve.WithTenantQuota(serve.TenantQuota{MaxSessions: serveClients + 1}),
-		serve.WithSharedPlanCache(0, 8, 1),
+		serve.WithSharedPlanCache(0, 8),
 	)
 	srvA, err := serve.NewServer("127.0.0.1:0", engA)
 	if err != nil {

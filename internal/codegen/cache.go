@@ -15,11 +15,11 @@ import (
 // recompilation (§2.1).
 //
 // Internally a PlanCache is a view over a shared cacheCore: the core owns
-// the sharded operator store, the eviction policy, the admission counters,
-// and the compiled-class name sequence; each view carries its own hit/miss
-// counters. A single-tenant session uses one view over its private core;
-// a serving engine hands every tenant its own View() over one shared core,
-// which gives tenants shared compiled plans but isolated accounting.
+// the sharded operator store, the eviction policy and the compiled-class
+// name sequence; each view carries its own hit/miss counters. A
+// single-tenant session uses one view over its private core; a serving
+// engine hands every tenant its own View() over one shared core, which
+// gives tenants shared compiled plans but isolated accounting.
 type PlanCache struct {
 	core *cacheCore
 
@@ -33,15 +33,13 @@ type PlanCache struct {
 type cacheShard struct {
 	mu    sync.Mutex
 	ops   map[uint64]*cplan.Operator
-	order []uint64       // insertion order for FIFO eviction when bounded
-	seen  map[uint64]int // compile attempts of not-yet-admitted plans
+	order []uint64 // insertion order for FIFO eviction when bounded
 }
 
 type cacheCore struct {
-	enabled    bool
-	shardMax   int // per-shard entry bound (0 = unbounded)
-	admitAfter int // admit a plan on its Nth compile (1 = always admit)
-	shards     []*cacheShard
+	enabled  bool
+	shardMax int // per-shard entry bound (0 = unbounded)
+	shards   []*cacheShard
 
 	classSeq      atomic.Int64 // compiled-class name sequence (TMP%d)
 	hits          atomic.Int64 // aggregated across all views
@@ -49,12 +47,6 @@ type cacheCore struct {
 	evictions     atomic.Int64
 	invalidations atomic.Int64
 }
-
-// seenTrackCap bounds the admission bookkeeping per shard: when the map of
-// not-yet-admitted plan hashes outgrows it, the shard forgets and restarts
-// (one-off plans then need admitAfter fresh sightings again — exactly the
-// plans admission control exists to keep out).
-const seenTrackCap = 4096
 
 // NewPlanCache returns an unbounded single-shard plan cache; when disabled
 // it compiles every request fresh (the Fig. 11 "without plan cache"
@@ -65,40 +57,35 @@ func NewPlanCache(enabled bool) *PlanCache {
 
 // NewPlanCacheSized returns a single-shard plan cache holding at most
 // maxEntries compiled operators (0 = unbounded); when full, the oldest
-// entry is evicted. Every plan is admitted on first compile.
+// entry is evicted.
 func NewPlanCacheSized(enabled bool, maxEntries int) *PlanCache {
-	return NewSharedPlanCache(enabled, maxEntries, 1, 1)
+	return NewSharedPlanCache(enabled, maxEntries, 1)
 }
 
 // NewSharedPlanCache returns a plan cache built for concurrent multi-tenant
 // use: the store is split across shards lock domains (rounded up to at
-// least 1), bounded to maxEntries total (0 = unbounded, distributed evenly
-// across shards), and a plan is only admitted to the store on its
-// admitAfter-th compile (1 = always admit; 2 = admit on the second compile,
-// keeping one-off plans from evicting hot tenants' operators). Tenants
-// should each take a View for isolated hit/miss accounting.
-func NewSharedPlanCache(enabled bool, maxEntries, shards, admitAfter int) *PlanCache {
+// least 1) and bounded to maxEntries total (0 = unbounded, distributed
+// evenly across shards). Tenants should each take a View for isolated
+// hit/miss accounting.
+func NewSharedPlanCache(enabled bool, maxEntries, shards int) *PlanCache {
 	if shards < 1 {
 		shards = 1
-	}
-	if admitAfter < 1 {
-		admitAfter = 1
 	}
 	shardMax := 0
 	if maxEntries > 0 {
 		shardMax = (maxEntries + shards - 1) / shards
 	}
-	core := &cacheCore{enabled: enabled, shardMax: shardMax, admitAfter: admitAfter}
+	core := &cacheCore{enabled: enabled, shardMax: shardMax}
 	core.shards = make([]*cacheShard, shards)
 	for i := range core.shards {
-		core.shards[i] = &cacheShard{ops: map[uint64]*cplan.Operator{}, seen: map[uint64]int{}}
+		core.shards[i] = &cacheShard{ops: map[uint64]*cplan.Operator{}}
 	}
 	return &PlanCache{core: core}
 }
 
 // View returns a new view over the same underlying store with fresh
-// hit/miss counters. Views share compiled operators, eviction, admission
-// state, and the class-name sequence; only the accounting is per-view.
+// hit/miss counters. Views share compiled operators, eviction and the
+// class-name sequence; only the accounting is per-view.
 func (pc *PlanCache) View() *PlanCache { return &PlanCache{core: pc.core} }
 
 // NextClassID returns the next compiled-class sequence number, unique
@@ -142,7 +129,7 @@ func (pc *PlanCache) GetOrCompile(p *cplan.Plan, cfg *Config, nextClass func() s
 	}
 	if core.enabled {
 		sh.mu.Lock()
-		if _, exists := sh.ops[h]; !exists && sh.admit(h, core.admitAfter) {
+		if _, exists := sh.ops[h]; !exists {
 			if core.shardMax > 0 {
 				for len(sh.order) >= core.shardMax {
 					delete(sh.ops, sh.order[0])
@@ -158,34 +145,16 @@ func (pc *PlanCache) GetOrCompile(p *cplan.Plan, cfg *Config, nextClass func() s
 	return op, false, nil
 }
 
-// admit records one compile of plan h and reports whether it may enter the
-// store. Called with the shard lock held.
-func (sh *cacheShard) admit(h uint64, admitAfter int) bool {
-	if admitAfter <= 1 {
-		return true
-	}
-	if len(sh.seen) >= seenTrackCap {
-		sh.seen = map[uint64]int{}
-	}
-	sh.seen[h]++
-	if sh.seen[h] >= admitAfter {
-		delete(sh.seen, h)
-		return true
-	}
-	return false
-}
-
 // Invalidate removes the compiled operators for the given plan hashes from
 // the shared store, returning how many were actually present. Used by
 // mid-script re-optimization: when a block's plan is recompiled under
 // corrected estimates, its stale operators must not be served to any view.
 //
-// Removal is symmetric across the shard's three structures — ops, the FIFO
-// order, and the admission (seen) counters. Dropping only the ops entry
-// would leave a ghost hash in order that a later eviction pass "evicts"
-// (inflating the eviction counter shown in per-tenant stats) while
-// silently shrinking the shard's effective capacity; leaving the seen
-// counter would let a re-admitted plan skip admission control.
+// Removal is symmetric across the shard's two structures — ops and the FIFO
+// order. Dropping only the ops entry would leave a ghost hash in order that
+// a later eviction pass "evicts" (inflating the eviction counter shown in
+// per-tenant stats) while silently shrinking the shard's effective
+// capacity.
 func (pc *PlanCache) Invalidate(hashes ...uint64) int {
 	core := pc.core
 	if !core.enabled {
@@ -205,7 +174,6 @@ func (pc *PlanCache) Invalidate(hashes ...uint64) int {
 			}
 			removed++
 		}
-		delete(sh.seen, h)
 		sh.mu.Unlock()
 	}
 	if removed > 0 {
@@ -222,8 +190,8 @@ func (pc *PlanCache) Invalidations() int64 { return pc.invals.Load() }
 // the underlying store.
 func (pc *PlanCache) TotalInvalidations() int64 { return pc.core.invalidations.Load() }
 
-// Contains reports whether an operator for plan hash h is currently
-// admitted to the store.
+// Contains reports whether an operator for plan hash h is currently in
+// the store.
 func (pc *PlanCache) Contains(h uint64) bool {
 	sh := pc.core.shardFor(h)
 	sh.mu.Lock()

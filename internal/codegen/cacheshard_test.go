@@ -20,7 +20,7 @@ func litPlan(v float64) *cplan.Plan {
 func TestSharedPlanCacheConcurrentViews(t *testing.T) {
 	const tenants, plans, reps = 8, 16, 10
 	cfg := codegen.DefaultConfig()
-	shared := codegen.NewSharedPlanCache(true, 0, 4, 1)
+	shared := codegen.NewSharedPlanCache(true, 0, 4)
 	views := make([]*codegen.PlanCache, tenants)
 	for i := range views {
 		views[i] = shared.View()
@@ -77,7 +77,7 @@ func TestSharedPlanCacheConcurrentViews(t *testing.T) {
 // another view's counters, even though the store is shared.
 func TestPlanCacheViewIsolation(t *testing.T) {
 	cfg := codegen.DefaultConfig()
-	shared := codegen.NewSharedPlanCache(true, 0, 2, 1)
+	shared := codegen.NewSharedPlanCache(true, 0, 2)
 	a, b := shared.View(), shared.View()
 	for i := 0; i < 5; i++ {
 		a.GetOrCompile(litPlan(1), &cfg, func() string { return "T" })
@@ -96,38 +96,17 @@ func TestPlanCacheViewIsolation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheAdmission: with admitAfter=2 a plan enters the store only
-// on its second compile, keeping one-off plans out.
-func TestPlanCacheAdmission(t *testing.T) {
-	cfg := codegen.DefaultConfig()
-	pc := codegen.NewSharedPlanCache(true, 0, 1, 2)
-	p := litPlan(7)
-	pc.GetOrCompile(p, &cfg, func() string { return "T" })
-	if pc.Contains(p.Hash()) {
-		t.Error("plan admitted on first compile despite admitAfter=2")
-	}
-	pc.GetOrCompile(p, &cfg, func() string { return "T" })
-	if !pc.Contains(p.Hash()) {
-		t.Error("plan not admitted on second compile")
-	}
-	if _, hit, _ := pc.GetOrCompile(p, &cfg, func() string { return "T" }); !hit {
-		t.Error("admitted plan not served from the store")
-	}
-}
-
 // TestPlanCacheInvalidate: invalidation must remove the entry from the
-// store, the FIFO order, and the admission ledger symmetrically — a ghost
-// order entry would shrink the effective capacity and a surviving
-// admission count would readmit a stale plan on its next first compile.
+// store and the FIFO order symmetrically — a ghost order entry would shrink
+// the effective capacity.
 func TestPlanCacheInvalidate(t *testing.T) {
 	cfg := codegen.DefaultConfig()
 	const maxEntries = 8
-	pc := codegen.NewSharedPlanCache(true, maxEntries, 1, 2)
+	pc := codegen.NewSharedPlanCache(true, maxEntries, 1)
 	p := litPlan(3)
 	pc.GetOrCompile(p, &cfg, func() string { return "T" })
-	pc.GetOrCompile(p, &cfg, func() string { return "T" })
 	if !pc.Contains(p.Hash()) {
-		t.Fatal("plan not admitted after two compiles")
+		t.Fatal("plan not in the store after its compile")
 	}
 
 	v := pc.View()
@@ -146,14 +125,8 @@ func TestPlanCacheInvalidate(t *testing.T) {
 	if got := pc.TotalInvalidations(); got != 1 {
 		t.Errorf("store counted %d invalidations, want 1", got)
 	}
-	// Admission ledger cleared: the plan must earn admission from scratch.
-	pc.GetOrCompile(p, &cfg, func() string { return "T" })
-	if pc.Contains(p.Hash()) {
-		t.Error("invalidated plan readmitted on its first recompile (seen not cleared)")
-	}
-	pc.GetOrCompile(p, &cfg, func() string { return "T" })
-	if !pc.Contains(p.Hash()) {
-		t.Error("plan not readmitted on its second recompile")
+	if _, hit, _ := pc.GetOrCompile(p, &cfg, func() string { return "T" }); hit || !pc.Contains(p.Hash()) {
+		t.Error("an invalidated plan must compile afresh and re-enter the store")
 	}
 	// Unknown hashes are a no-op, not a phantom removal.
 	if removed := v.Invalidate(0xdead); removed != 0 {
@@ -162,7 +135,7 @@ func TestPlanCacheInvalidate(t *testing.T) {
 
 	// No phantom capacity loss: fill the bounded store, invalidate half,
 	// refill — the freed slots must absorb the new plans without evictions.
-	pc2 := codegen.NewSharedPlanCache(true, maxEntries, 1, 1)
+	pc2 := codegen.NewSharedPlanCache(true, maxEntries, 1)
 	hashes := make([]uint64, maxEntries)
 	for i := 0; i < maxEntries; i++ {
 		p := litPlan(float64(100 + i))
@@ -188,7 +161,7 @@ func TestPlanCacheInvalidate(t *testing.T) {
 // move only on the invoking view, mirroring hit/miss isolation.
 func TestPlanCacheInvalidateViewIsolation(t *testing.T) {
 	cfg := codegen.DefaultConfig()
-	shared := codegen.NewSharedPlanCache(true, 0, 2, 1)
+	shared := codegen.NewSharedPlanCache(true, 0, 2)
 	a, b := shared.View(), shared.View()
 	p := litPlan(9)
 	a.GetOrCompile(p, &cfg, func() string { return "T" })
@@ -209,7 +182,7 @@ func TestPlanCacheInvalidateViewIsolation(t *testing.T) {
 func TestPlanCacheBounded(t *testing.T) {
 	cfg := codegen.DefaultConfig()
 	const maxEntries, shards = 8, 4
-	pc := codegen.NewSharedPlanCache(true, maxEntries, shards, 1)
+	pc := codegen.NewSharedPlanCache(true, maxEntries, shards)
 	for i := 0; i < 100; i++ {
 		pc.GetOrCompile(litPlan(float64(i)), &cfg, func() string { return "T" })
 	}

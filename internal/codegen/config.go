@@ -115,43 +115,23 @@ type Config struct {
 	Reopt ReoptConfig
 }
 
-// ReoptConfig holds the divergence thresholds for mid-script
-// re-optimization (see docs/COST_MODEL.md for how they interact with the
-// plan cache and the calibration generation counter).
+// ReoptConfig switches mid-script re-optimization (see docs/COST_MODEL.md
+// for its fixed divergence factors and how they interact with the plan
+// cache and the calibration generation counter).
 type ReoptConfig struct {
 	// Enabled turns the divergence checks on; when false the interpreter
 	// never revisits a cached block plan (pre-calibration behavior).
 	Enabled bool
 
-	// SparsityFactor triggers re-optimization when an input's actual
-	// nonzero count differs from its compile-time estimate by more than
-	// this factor in either direction (and the matrix has at least
-	// MinCells cells — tiny inputs can't change a plan choice).
-	SparsityFactor float64
-	// MinCells is the matrix size floor for the sparsity check.
-	MinCells int64
-
-	// TimeFactor triggers a calibrator refit when a block's measured wall
-	// time diverges from the optimizer prediction by more than this factor
-	// while the block ran for at least MinSec (sub-millisecond blocks are
-	// dominated by dispatch, not plan quality). The block's plan stays:
-	// under unchanged constants it would only be derived again, and a refit
-	// that moves them invalidates every plan of the older generation.
-	TimeFactor float64
-	// MinSec is the wall-time floor for the time-divergence check.
+	// MinSec is the wall-time floor of the time-divergence check:
+	// sub-millisecond blocks are dominated by dispatch, not plan quality.
 	MinSec float64
 }
 
-// DefaultReoptConfig enables re-optimization with conservative thresholds:
-// a 4x sparsity mismatch or an 8x time mismatch on a >=1ms block.
+// DefaultReoptConfig enables re-optimization: a 4x sparsity mismatch or an
+// 8x time mismatch on a >=1ms block.
 func DefaultReoptConfig() ReoptConfig {
-	return ReoptConfig{
-		Enabled:        true,
-		SparsityFactor: 4,
-		MinCells:       256,
-		TimeFactor:     8,
-		MinSec:         1e-3,
-	}
+	return ReoptConfig{Enabled: true, MinSec: 1e-3}
 }
 
 // DefaultConfig returns the production defaults (cost-based optimizer, plan

@@ -14,9 +14,10 @@
 //     buffer pool reclaims an intermediate and by the interpreter when a
 //     write rebinds a variable.
 //   - Pooled, zero-copy panel execution: map stages run on the internal/par
-//     worker pool (capped at the simulated executor count) and panel
-//     kernels write directly into row views of the pooled output instead
-//     of materializing a per-panel intermediate and copying it back.
+//     worker pool (one participant per live executor, claiming panels from
+//     one task list; fault.go) and panel kernels write directly into row
+//     views of the pooled output instead of materializing a per-panel
+//     intermediate and copying it back.
 //   - Tree aggregation: partial aggregates are pre-reduced locally per
 //     executor (no network) and then combined along a binary tree, so
 //     shuffle volume scales with the executor count — not the partition
@@ -25,6 +26,7 @@
 package dist
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,7 +35,6 @@ import (
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
 	"sysml/internal/obs"
-	"sysml/internal/par"
 	rt "sysml/internal/runtime"
 )
 
@@ -79,7 +80,7 @@ type Cluster struct {
 
 	// Fault injection and recovery state (fault.go). fault is attached
 	// before the cluster is shared and never mutated afterwards; nil
-	// bypasses the fault-tolerant scheduler entirely.
+	// injects nothing, like the zero plan.
 	fault           *FaultPlan
 	faultOpSeq      int64 // operator sequence number (injection hash input)
 	faultTaskStarts int64 // global task-attempt counter (kill trigger)
@@ -119,9 +120,9 @@ type Cluster struct {
 // Option configures a Cluster at construction time.
 type Option func(*Cluster)
 
-// WithFaultPlan attaches a deterministic fault-injection plan: every map
-// stage then runs under the fault-tolerant scheduler, which injects the
-// plan's faults and recovers from them (see fault.go).
+// WithFaultPlan attaches a deterministic fault-injection plan: the panel
+// scheduler every map stage runs injects the plan's faults and recovers
+// from them (see fault.go).
 func WithFaultPlan(p *FaultPlan) Option {
 	return func(c *Cluster) { c.fault = p }
 }
@@ -294,13 +295,13 @@ func (c *Cluster) ExecHop(h *hop.Hop, inputs []*matrix.Matrix, sp obs.Span) (*ma
 	return nil, false
 }
 
-// panels splits [0, rows) into map-task row ranges. The split starts from
+// Panels splits [0, rows) into map-task row ranges. The split starts from
 // the distributed blocksize and re-chunks toward panelsPerExecutor tasks
 // per executor (mirroring internal/par's chunks-per-worker rule): fewer
 // blocks than executors split below the blocksize so every executor gets
 // work; thousands of tiny blocks coalesce into multi-block tasks so task
 // dispatch does not dominate.
-func (c *Cluster) panels(rows int) [][2]int {
+func (c *Cluster) Panels(rows int) [][2]int {
 	bs := c.Blocksize
 	if bs < 1 {
 		bs = rows
@@ -328,10 +329,9 @@ func (c *Cluster) panels(rows int) [][2]int {
 	return out
 }
 
-// runPanels executes fn per panel, capped at the simulated executor count,
-// under a "dist.map" span carrying the partition count. With no fault plan
-// attached it runs on the internal/par worker pool; with one it runs under
-// the fault-tolerant scheduler (fault.go), which injects the plan's faults
+// runPanels executes fn per panel on the live executors under a "dist.map"
+// span carrying the partition count. Every map stage runs the one panel
+// scheduler (fault.go), which injects the attached plan's faults, if any,
 // and recovers from them. Panels are claimed dynamically, so fn must not
 // assume any panel→goroutine assignment; per-executor state is modeled by
 // the static owner mapping instead. Returns the panel count and whether
@@ -339,25 +339,17 @@ func (c *Cluster) panels(rows int) [][2]int {
 // survivor floor exhausted) and the caller must discard partial output so
 // the runtime recomputes locally.
 func (c *Cluster) runPanels(sp obs.Span, rows int, fn func(panel, lo, hi int)) (int, bool) {
-	ps := c.panels(rows)
+	ps := c.Panels(rows)
 	msp := sp.Child("dist.map",
 		obs.KV("partitions", len(ps)),
 		obs.KV("rows", rows),
 		obs.KV("executors", c.executors()))
 	defer msp.End()
-	if c.fault != nil {
-		if !c.runPanelsFaulty(msp, ps, fn) {
-			atomic.AddInt64(&c.ftDegraded, 1)
-			msp.Annotate(obs.KV("degraded", true))
-			return len(ps), false
-		}
-		return len(ps), true
+	if !c.schedule(msp, ps, fn) {
+		atomic.AddInt64(&c.ftDegraded, 1)
+		msp.Annotate(obs.KV("degraded", true))
+		return len(ps), false
 	}
-	par.ForIndexedLimit(len(ps), 1, c.executors(), func(_, plo, phi int) {
-		for p := plo; p < phi; p++ {
-			fn(p, ps[p][0], ps[p][1])
-		}
-	})
 	return len(ps), true
 }
 
@@ -599,7 +591,7 @@ func (c *Cluster) aggOp(h *hop.Hop, inputs []*matrix.Matrix, sp obs.Span) (*matr
 		// Per-panel partials, pre-reduced locally on each hosting executor
 		// (no network); only the per-executor results enter the shuffle
 		// tree.
-		parts := make([]*matrix.Matrix, len(c.panels(main.Rows)))
+		parts := make([]*matrix.Matrix, len(c.Panels(main.Rows)))
 		n, ok := c.runPanels(sp, main.Rows, func(p, lo, hi int) {
 			parts[p] = matrix.Agg(h.AggOp, h.AggDir, main.RowView(lo, hi))
 		})
@@ -652,14 +644,9 @@ func (c *Cluster) spoof(h *hop.Hop, inputs []*matrix.Matrix, sp obs.Span) (*matr
 		return nil, false
 	}
 	// Aggregated variants reduce partials by addition: only sums are safe.
+	cellRows := op.Plan.Type == cplan.TemplateCell && (op.Plan.Cell == cplan.CellNoAgg || op.Plan.Cell == cplan.CellRowAgg)
 	for _, a := range append([]matrix.AggOp{op.Plan.AggOp}, op.Plan.AggOps...) {
-		if a != matrix.AggSum && a != matrix.AggSumSq {
-			if op.Plan.Type == cplan.TemplateCell && op.Plan.Cell == cplan.CellNoAgg {
-				continue
-			}
-			if op.Plan.Type == cplan.TemplateCell && op.Plan.Cell == cplan.CellRowAgg {
-				continue
-			}
+		if a != matrix.AggSum && a != matrix.AggSumSq && !cellRows {
 			return nil, false
 		}
 	}
@@ -673,45 +660,29 @@ func (c *Cluster) spoof(h *hop.Hop, inputs []*matrix.Matrix, sp obs.Span) (*matr
 	}
 	c.broadcastAll(bcast, sp)
 
-	rowAligned := op.Plan.Type == cplan.TemplateCell &&
-		(op.Plan.Cell == cplan.CellNoAgg || op.Plan.Cell == cplan.CellRowAgg) ||
-		op.Plan.Type == cplan.TemplateRow &&
-			(op.Plan.Row == cplan.RowNoAgg || op.Plan.Row == cplan.RowRowAgg) ||
-		op.Plan.Type == cplan.TemplateOuter &&
-			(op.Plan.Out == cplan.OuterRightMM || op.Plan.Out == cplan.OuterNoAgg)
-
-	slicedInputs := func(lo, hi int) []*matrix.Matrix {
+	ps := c.Panels(main.Rows)
+	parts := make([]*matrix.Matrix, len(ps))
+	var bad atomic.Bool
+	n, ok := c.runPanels(sp, main.Rows, func(p, lo, hi int) {
 		ins := append([]*matrix.Matrix(nil), inputs...)
-		ins[0] = main.RowView(lo, hi)
-		for i := 1; i < len(ins); i++ {
-			if coPartitioned(ins[i], main) {
-				ins[i] = ins[i].RowView(lo, hi)
+		for i, in := range ins {
+			if i == 0 || coPartitioned(in, main) {
+				ins[i] = in.RowView(lo, hi)
 			}
 		}
-		return ins
+		res, _, err := rt.ExecSpoof(matrix.Ctx{}, h, ins, nil)
+		if err != nil {
+			bad.Store(true)
+			return
+		}
+		parts[p] = res
+	})
+	if !ok || bad.Load() || slices.Contains(parts, nil) {
+		releaseParts(parts)
+		return nil, false
 	}
-
-	if rowAligned {
-		ps := c.panels(main.Rows)
-		parts := make([]*matrix.Matrix, len(ps))
-		var bad atomic.Bool
-		_, ok := c.runPanels(sp, main.Rows, func(p, lo, hi int) {
-			res, _, err := rt.ExecSpoof(matrix.Ctx{}, h, slicedInputs(lo, hi), nil)
-			if err != nil {
-				bad.Store(true)
-				return
-			}
-			parts[p] = res
-		})
-		if !ok || bad.Load() {
-			releaseParts(parts)
-			return nil, false
-		}
-		for _, p := range parts {
-			if p == nil {
-				return nil, false
-			}
-		}
+	if cellRows || op.Plan.Type == cplan.TemplateRow && (op.Plan.Row == cplan.RowNoAgg || op.Plan.Row == cplan.RowRowAgg) ||
+		op.Plan.Type == cplan.TemplateOuter && (op.Plan.Out == cplan.OuterRightMM || op.Plan.Out == cplan.OuterNoAgg) {
 		// Row-aligned results concatenate in panel order: each part lands
 		// in its row range of one pooled output (the seed's repeated RBind
 		// chain copied the accumulated prefix once per panel).
@@ -724,28 +695,8 @@ func (c *Cluster) spoof(h *hop.Hop, inputs []*matrix.Matrix, sp obs.Span) (*matr
 	}
 	// Aggregated variants: per-panel partials pre-reduced locally on their
 	// hosting executor, tree-combined by addition.
-	parts := make([]*matrix.Matrix, len(c.panels(main.Rows)))
-	var bad atomic.Bool
-	n, ok := c.runPanels(sp, main.Rows, func(p, lo, hi int) {
-		res, _, err := rt.ExecSpoof(matrix.Ctx{}, h, slicedInputs(lo, hi), nil)
-		if err != nil {
-			bad.Store(true)
-			return
-		}
-		parts[p] = res
-	})
-	if !ok || bad.Load() {
-		releaseParts(parts)
-		return nil, false
-	}
-	for _, p := range parts {
-		if p == nil {
-			return nil, false
-		}
-	}
 	combine := func(a, p *matrix.Matrix) *matrix.Matrix {
 		return combineBinary(matrix.BinAdd, a, p)
 	}
-	out := c.treeReduce(sp, "spoof", c.localReduce(parts, combine), n, combine)
-	return out, true
+	return c.treeReduce(sp, "spoof", c.localReduce(parts, combine), n, combine), true
 }

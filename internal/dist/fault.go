@@ -1,50 +1,47 @@
 package dist
 
 import (
-	"context"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sysml/internal/obs"
+	"sysml/internal/par"
 )
 
-// This file implements the fault-injection and recovery layer of the
-// simulated cluster (DESIGN.md §11). The real Spark stack the paper runs on
-// survives executor loss through RDD lineage (Zaharia et al., NSDI 2012)
-// and hides stragglers through speculative execution (Dean & Barroso, "The
-// Tail at Scale"); this layer reproduces both behaviours over the panel
-// scheduler so chaos tests can assert that distributed results stay
-// bit-compatible with local execution under injected failures:
+// This file implements the panel scheduler of the simulated cluster and its
+// fault-injection and recovery layer (DESIGN.md §11). The real Spark stack
+// the paper runs on survives executor loss through RDD lineage (Zaharia et
+// al., NSDI 2012) and hides stragglers through speculative execution (Dean &
+// Barroso, "The Tail at Scale"); this layer reproduces both behaviours so
+// chaos tests can assert that distributed results stay bit-compatible with
+// local execution under injected failures:
 //
 //   - A FaultPlan deterministically injects transient task failures,
 //     one permanent executor kill, and straggler slowdowns, all derived
 //     from a seed (reproducible chaos — same plan, same faults).
-//   - Failed task attempts retry with capped exponential backoff under a
-//     per-task cap and a per-operator retry budget.
-//   - A killed executor's not-yet-executed panels (queued, or sleeping in
-//     backoff/straggler delays) are reassigned to survivors — the panel
-//     lineage (operator + row range) is enough to recompute them anywhere.
-//     Completed panels are durable: kernels write zero-copy into the
+//   - Every map stage runs one scheduler, with or without a plan: the
+//     panels form one task list, and the live executors claim tasks from a
+//     shared cursor. A task comes back to the end of that list by one route
+//     (requeue) on three events: a transient failure, after its capped
+//     exponential backoff; an executor dying while it holds the task; and a
+//     straggler getting a speculative duplicate. The panel lineage
+//     (operator + row range) is enough to recompute a task anywhere.
+//   - Completed panels are durable: kernels write zero-copy into the
 //     driver-side output buffer, so death after a kernel finishes loses
 //     nothing. Broadcast blocks lost with the executor are re-shipped,
 //     charged against the traffic counters.
-//   - A panel running slower than specMultiple × the median completed
-//     task time gets a speculative duplicate on an idle executor;
-//     whichever attempt finishes first wins and cancels the loser through
-//     its task context.
-//   - When the retry budget is exhausted or live executors drop below
-//     MinSurvivors, the operator degrades gracefully: runPanels reports
+//   - When the retry budget is exhausted or no executor of the stage is
+//     left alive, the operator degrades gracefully: runPanels reports
 //     failure, ExecHop answers ok=false, and the runtime transparently
 //     recomputes the operator on the local backend (counted in
 //     dist.degraded) instead of erroring the run.
 
 // FaultPlan configures deterministic, seedable fault injection for a
-// Cluster. The zero value injects nothing but still routes execution
-// through the fault-tolerant scheduler (the <3% overhead bench gate runs
-// exactly that configuration); a nil plan on the Cluster bypasses the
-// scheduler entirely. Every injection decision is a pure function of
+// Cluster. A nil plan and the zero value inject nothing; the scheduler is
+// the same either way. Transient failures are drawn as a pure function of
+// (Seed, operator sequence, panel, failures drawn so far) and stragglers of
 // (Seed, operator sequence, panel, attempt), so a plan replays identically
 // across runs regardless of goroutine scheduling.
 type FaultPlan struct {
@@ -76,53 +73,43 @@ type FaultPlan struct {
 	// lifetime, so the kill fires once, at a reproducible point.
 	KillAtTask int64
 
-	// MaxTaskRetries caps transient retries of one task before the
-	// operator degrades; 0 defaults to 4.
-	MaxTaskRetries int
-
 	// RetryBudget caps total transient retries per operator before it
 	// degrades; 0 defaults to 64.
 	RetryBudget int
 
-	// MinSurvivors is the live-executor floor: an operator starting (or a
-	// reassignment landing) below it degrades to local execution instead
-	// of running on a cluster too small to be credible; 0 defaults to 1.
-	MinSurvivors int
-
 	// SpecMultiple is the straggler threshold: a task whose first attempt
-	// has been running longer than SpecMultiple × the median completed
+	// has been straggling longer than SpecMultiple × the median completed
 	// task duration gets a speculative duplicate; 0 defaults to 3.
 	SpecMultiple float64
 
 	// BackoffBase and BackoffCap bound the capped exponential backoff
-	// between transient retries (base·2^attempt, clamped to cap). Zero
+	// between transient retries (base·2^failures, clamped to cap). Zero
 	// values default to 100µs and 5ms.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
 }
 
+const (
+	// maxTaskRetries caps the transient retries of one task: its next
+	// failure degrades the operator.
+	maxTaskRetries = 4
+
+	// minSurvivors is the live-executor floor of a map stage: with fewer
+	// executors alive the operator degrades to local execution.
+	minSurvivors = 1
+)
+
+// noFaults is the plan a cluster without one schedules under.
+var noFaults FaultPlan
+
 // Defaulted knob accessors: the zero value of every tuning field maps to a
 // documented default so FaultPlan literals stay terse in tests and flags.
-
-func (p *FaultPlan) maxTaskRetries() int {
-	if p.MaxTaskRetries <= 0 {
-		return 4
-	}
-	return p.MaxTaskRetries
-}
 
 func (p *FaultPlan) retryBudget() int {
 	if p.RetryBudget <= 0 {
 		return 64
 	}
 	return p.RetryBudget
-}
-
-func (p *FaultPlan) minSurvivors() int {
-	if p.MinSurvivors <= 0 {
-		return 1
-	}
-	return p.MinSurvivors
 }
 
 func (p *FaultPlan) specMultiple() float64 {
@@ -139,28 +126,22 @@ func (p *FaultPlan) stragglerDelay() time.Duration {
 	return p.StragglerDelay
 }
 
-func (p *FaultPlan) backoff(attempt int) time.Duration {
-	base := p.BackoffBase
+// backoff is the sleep before the retry of a task that has failed
+// failures+1 times (failures < maxTaskRetries).
+func (p *FaultPlan) backoff(failures int) time.Duration {
+	base, cap := p.BackoffBase, p.BackoffCap
 	if base <= 0 {
 		base = 100 * time.Microsecond
 	}
-	cap := p.BackoffCap
 	if cap <= 0 {
 		cap = 5 * time.Millisecond
 	}
-	d := base
-	for i := 0; i < attempt && d < cap; i++ {
-		d *= 2
-	}
-	if d > cap {
-		d = cap
-	}
-	return d
+	return min(base<<failures, cap)
 }
 
 // killArmed reports whether the plan schedules a permanent executor kill.
 func (p *FaultPlan) killArmed() bool {
-	return p != nil && p.KillExecutor >= 0 && p.KillAtTask > 0
+	return p.KillExecutor >= 0 && p.KillAtTask > 0
 }
 
 // Injection decision domains: mixed into the hash so the transient and
@@ -170,15 +151,15 @@ const (
 	faultDomainStraggler = 0x7374
 )
 
-// chance maps (seed, domain, op, panel, attempt) to a uniform [0,1) draw
-// via a splitmix64-style finalizer. Purely functional: injection does not
-// depend on which goroutine claims which panel first.
-func (p *FaultPlan) chance(domain, op, panel, attempt int64) float64 {
+// chance maps (seed, domain, op, panel, draw) to a uniform [0,1) draw via a
+// splitmix64-style finalizer. Purely functional: injection does not depend
+// on which goroutine claims which panel first.
+func (p *FaultPlan) chance(domain, op, panel, draw int64) float64 {
 	x := uint64(p.Seed)*0x9E3779B97F4A7C15 +
 		uint64(domain)*0xBF58476D1CE4E5B9 +
 		uint64(op)*0x94D049BB133111EB +
 		uint64(panel)*0xD6E8FEB86659FD93 +
-		uint64(attempt)*0xA3EC647659359ACD
+		uint64(draw)*0xA3EC647659359ACD
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -187,8 +168,8 @@ func (p *FaultPlan) chance(domain, op, panel, attempt int64) float64 {
 	return float64(x>>11) / (1 << 53)
 }
 
-func (p *FaultPlan) failTransient(op, panel, attempt int64) bool {
-	return p.TransientRate > 0 && p.chance(faultDomainTransient, op, panel, attempt) < p.TransientRate
+func (p *FaultPlan) failTransient(op, panel, failures int64) bool {
+	return p.TransientRate > 0 && p.chance(faultDomainTransient, op, panel, failures) < p.TransientRate
 }
 
 func (p *FaultPlan) straggle(op, panel, attempt int64) bool {
@@ -204,7 +185,8 @@ type FaultStats struct {
 	StragglersInjected int64
 	// Kills counts permanent executor kills (0 or 1 per cluster).
 	Kills int64
-	// Reassigned counts panels moved from a dead executor to survivors.
+	// Reassigned counts panels whose owner (the executor the static owner
+	// mapping gives them) died before they ran.
 	Reassigned int64
 	// Retries counts task re-executions after transient failures.
 	Retries int64
@@ -261,8 +243,7 @@ func (c *Cluster) FaultCounters() map[string]int64 {
 	}
 }
 
-// FaultActive reports whether a fault plan is attached (execution routes
-// through the fault-tolerant scheduler).
+// FaultActive reports whether a fault plan is attached.
 func (c *Cluster) FaultActive() bool { return c.fault != nil }
 
 // DeadExecutors returns the ids of permanently killed executors.
@@ -273,7 +254,7 @@ func (c *Cluster) DeadExecutors() []int {
 	for e := range c.deadExec {
 		out = append(out, e)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -287,29 +268,6 @@ func (c *Cluster) execDead(e int) bool {
 	dead := c.deadExec[e]
 	c.execMu.Unlock()
 	return dead
-}
-
-// liveExecutorIDs returns the ids of executors still alive, in order.
-func (c *Cluster) liveExecutorIDs() []int {
-	n := c.NumExecutors
-	if n < 1 {
-		n = 1
-	}
-	out := make([]int, 0, n)
-	if atomic.LoadInt64(&c.deadCount) == 0 {
-		for e := 0; e < n; e++ {
-			out = append(out, e)
-		}
-		return out
-	}
-	c.execMu.Lock()
-	for e := 0; e < n; e++ {
-		if !c.deadExec[e] {
-			out = append(out, e)
-		}
-	}
-	c.execMu.Unlock()
-	return out
 }
 
 // maybeKill fires the plan's scheduled executor kill when the global
@@ -370,32 +328,35 @@ const (
 )
 
 // idlePoll is how often an out-of-work executor rescans for speculation
-// candidates. Short enough that speculation reacts within a straggler
-// delay, long enough to stay invisible next to real panel kernels. The end
-// of the run does not wait for a poll: faultRun.stop wakes idle executors.
+// candidates while the plan can inject stragglers. Short enough that
+// speculation reacts within a straggler delay.
 const idlePoll = 50 * time.Microsecond
 
-// panelTask is one row-panel map task tracked by the fault scheduler: its
-// lineage (panel index + row range, enough to recompute it anywhere), its
-// lifecycle state, and the cancellation context that lets the winner of a
-// speculative race cancel the loser.
+// panelTask is one row-panel map task: its lineage (panel index + row
+// range, enough to recompute it anywhere), the executor the static owner
+// mapping gives it, and its lifecycle.
 type panelTask struct {
 	panel, lo, hi int
+	owner         int
 	state         atomic.Int32
 	attempts      atomic.Int32
-	fails         atomic.Int32 // transient failures drawn so far
-	startedNanos  atomic.Int64 // first attempt start, for straggler detection
-	spec          atomic.Bool  // speculative duplicate launched
-	ctx           context.Context
-	cancel        context.CancelFunc
+	fails         atomic.Int32  // transient failures drawn so far
+	straggling    atomic.Int32  // attempts sleeping in a straggler delay
+	startedNanos  atomic.Int64  // first attempt start, for straggler detection
+	spec          atomic.Bool   // speculative duplicate launched
+	done          chan struct{} // closed once the kernel ran: wakes sleeping attempts
 }
 
-// faultRun schedules one operator's panels across simulated executors with
-// retry, reassignment, and speculation. Tasks are queued per executor
-// following the same static owner mapping the shuffle accounting uses;
-// each live executor runs one scheduler goroutine that drains its own
-// queue, then speculates on stragglers, until every task is done or the
-// run degrades.
+// entry is one entry of the task list: a task, and whether it was put there
+// as a speculative duplicate.
+type entry struct {
+	t    *panelTask
+	spec bool
+}
+
+// faultRun schedules one operator's panels across the live executors. Each
+// executor claims the next entry of the task list, runs it, and claims
+// again, until nothing is left to claim or the run degrades.
 type faultRun struct {
 	c     *Cluster
 	plan  *FaultPlan
@@ -403,117 +364,128 @@ type faultRun struct {
 	sp    obs.Span
 	fn    func(panel, lo, hi int)
 	start time.Time
+	tasks []panelTask
 
 	mu       sync.Mutex
-	queues   map[int][]*panelTask
-	live     []int // executor ids participating in this run
-	tasks    []*panelTask
+	list     []entry // every panel once, then every task made claimable again
+	cursor   int     // the next entry of list to claim
 	done     int
 	durs     []time.Duration // completed first-result durations (median)
 	retries  int             // operator-level retry budget consumed
 	degraded atomic.Bool
-	stop     chan struct{} // closed when the last task completes or the run degrades
-	stopOnce sync.Once
 }
 
-// runPanelsFaulty executes fn once per panel under the fault-tolerant
-// scheduler. It returns false when the operator degraded (retry budget or
-// survivor floor exhausted); the caller then discards partial output and
-// reports ok=false so the runtime recomputes locally.
-func (c *Cluster) runPanelsFaulty(sp obs.Span, ps [][2]int, fn func(panel, lo, hi int)) bool {
+// liveExecutors returns the ids of the executors still alive, at most n.
+func (c *Cluster) liveExecutors(n int) []int {
+	var live []int
+	for e := 0; e < c.executors() && len(live) < n; e++ {
+		if !c.execDead(e) {
+			live = append(live, e)
+		}
+	}
+	return live
+}
+
+// schedule executes fn once per panel on the live executors. It returns
+// false when the operator degraded (retry budget exhausted, or no executor
+// left alive); the caller then discards partial output and reports
+// ok=false so the runtime recomputes locally.
+func (c *Cluster) schedule(sp obs.Span, ps [][2]int, fn func(panel, lo, hi int)) bool {
 	plan := c.fault
-	live := c.liveExecutorIDs()
-	if len(live) < plan.minSurvivors() {
+	if plan == nil {
+		plan = &noFaults
+	}
+	live := c.liveExecutors(len(ps))
+	if len(live) < minSurvivors {
 		return false
 	}
-	if len(live) > len(ps) {
-		live = live[:len(ps)]
-	}
 	r := &faultRun{
-		c:      c,
-		plan:   plan,
-		opSeq:  atomic.AddInt64(&c.faultOpSeq, 1),
-		sp:     sp,
-		fn:     fn,
-		start:  time.Now(),
-		queues: make(map[int][]*panelTask, len(live)),
-		live:   live,
-		tasks:  make([]*panelTask, len(ps)),
-		stop:   make(chan struct{}),
+		c:     c,
+		plan:  plan,
+		opSeq: atomic.AddInt64(&c.faultOpSeq, 1),
+		sp:    sp,
+		fn:    fn,
+		start: time.Now(),
+		tasks: make([]panelTask, len(ps)),
+		list:  make([]entry, len(ps)),
 	}
 	for p, span := range ps {
-		ctx, cancel := context.WithCancel(context.Background())
-		t := &panelTask{panel: p, lo: span[0], hi: span[1], ctx: ctx, cancel: cancel}
-		r.tasks[p] = t
-		e := live[owner(p, len(ps), len(live))]
-		r.queues[e] = append(r.queues[e], t)
+		t := &r.tasks[p]
+		t.panel, t.lo, t.hi = p, span[0], span[1]
+		t.owner = live[owner(p, len(ps), len(live))]
+		t.done = make(chan struct{})
+		r.list[p] = entry{t: t}
 	}
-	defer func() {
-		for _, t := range r.tasks {
-			t.cancel()
+	// Rounds of one participant per live executor on the internal/par pool,
+	// the caller first (a panic in a kernel reaches it as a *par.Panic). A
+	// round ends when no executor finds an entry to claim; a task that came
+	// back after its executor left (it died holding the task) is claimed in
+	// the next round.
+	for {
+		par.ForIndexedLimit(len(live), 1, len(live), func(_, lo, hi int) {
+			for _, e := range live[lo:hi] {
+				r.executorLoop(e)
+			}
+		})
+		if r.done == len(r.tasks) || r.degraded.Load() {
+			return !r.degraded.Load()
 		}
-	}()
-	// The caller is the first executor's scheduler: it would only block in
-	// the join otherwise, and waking it is latency a short operator sees.
-	var wg sync.WaitGroup
-	for _, e := range live[1:] {
-		wg.Add(1)
-		go func(e int) {
-			defer wg.Done()
-			r.executorLoop(e)
-		}(e)
+		if live = c.liveExecutors(len(r.list) - r.cursor); len(live) < minSurvivors {
+			return false
+		}
 	}
-	r.executorLoop(live[0])
-	wg.Wait()
-	return !r.degraded.Load()
 }
 
-// executorLoop is the scheduler body of one simulated executor: drain own
-// queue, then speculate on stragglers, until completion, degradation, or
-// death (a dead executor evacuates its queue to survivors and stops).
+// executorLoop is the body of one simulated executor: claim, attempt,
+// repeat, until nothing is left to claim, the run is over or the executor
+// is dead.
 func (r *faultRun) executorLoop(e int) {
 	for {
-		if r.degraded.Load() {
+		next, ok := r.claim(e)
+		if !ok {
 			return
 		}
-		if r.c.execDead(e) {
-			r.evacuate(e)
-			return
+		r.attempt(e, next)
+	}
+}
+
+// claim returns executor e's next entry of the task list. With the list
+// drained, e leaves — unless the plan can inject stragglers: then it stays
+// until every task is done, to launch their speculative duplicates.
+func (r *faultRun) claim(e int) (entry, bool) {
+	for !r.c.execDead(e) && !r.degraded.Load() {
+		r.mu.Lock()
+		if r.cursor < len(r.list) {
+			next := r.list[r.cursor]
+			r.cursor++
+			r.mu.Unlock()
+			return next, true
 		}
-		if t := r.next(e); t != nil {
-			r.attempt(e, t, false)
-			continue
-		}
-		if r.finished() {
-			return
+		watch := r.plan.StragglerRate > 0 && r.done < len(r.tasks)
+		r.mu.Unlock()
+		if !watch {
+			break
 		}
 		if t := r.specCandidate(); t != nil {
-			r.attempt(e, t, true)
-			continue
+			r.requeue(t, true)
+		} else {
+			time.Sleep(idlePoll)
 		}
-		sleepUnless(idlePoll, r.stop)
 	}
+	return entry{}, false
 }
 
-func (r *faultRun) next(e int) *panelTask {
+// requeue puts t back at the end of the task list, where any live executor
+// claims it: the one route back for a transient failure after its backoff,
+// a task whose executor died holding it, and a straggler's speculative
+// duplicate.
+func (r *faultRun) requeue(t *panelTask, spec bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	q := r.queues[e]
-	if len(q) == 0 {
-		return nil
-	}
-	t := q[0]
-	r.queues[e] = q[1:]
-	return t
+	r.list = append(r.list, entry{t, spec})
+	r.mu.Unlock()
 }
 
-func (r *faultRun) finished() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.done == len(r.tasks)
-}
-
-// complete records a finished task and its duration (attempt start to
+// complete records a finished task and its duration (first attempt start to
 // completion, injected delays included — exactly what a straggler inflates
 // and speculation must beat).
 func (r *faultRun) complete(t *panelTask) {
@@ -521,60 +493,10 @@ func (r *faultRun) complete(t *panelTask) {
 	r.mu.Lock()
 	r.done++
 	r.durs = append(r.durs, d)
-	last := r.done == len(r.tasks)
-	r.mu.Unlock()
-	if last {
-		r.halt()
-	}
-}
-
-// evacuate reassigns a dead executor's queued panels to survivors —
-// lineage-based recovery: a panel is recomputed from its row range on any
-// executor, so the queue simply moves.
-func (r *faultRun) evacuate(e int) {
-	r.mu.Lock()
-	orphans := r.queues[e]
-	r.queues[e] = nil
-	r.mu.Unlock()
-	for _, t := range orphans {
-		r.reassign(t)
-	}
-}
-
-// reassign moves one panel to a surviving executor's queue (round-robin by
-// panel index). With no survivors left above the floor the run degrades.
-func (r *faultRun) reassign(t *panelTask) {
-	var survivors []int
-	for _, s := range r.live {
-		if !r.c.execDead(s) {
-			survivors = append(survivors, s)
-		}
-	}
-	if len(survivors) < r.plan.minSurvivors() {
-		r.degrade()
-		return
-	}
-	s := survivors[t.panel%len(survivors)]
-	atomic.AddInt64(&r.c.ftReassigned, 1)
-	if r.sp.Active() {
-		r.sp.Child("dist.reassign",
-			obs.KV("panel", t.panel),
-			obs.KV("to.executor", s)).End()
-	}
-	r.mu.Lock()
-	r.queues[s] = append(r.queues[s], t)
 	r.mu.Unlock()
 }
 
-func (r *faultRun) degrade() {
-	r.degraded.Store(true)
-	r.halt()
-}
-
-// halt wakes the executors that are idling between speculation scans.
-func (r *faultRun) halt() { r.stopOnce.Do(func() { close(r.stop) }) }
-
-// specCandidate finds a task whose first attempt has run longer than
+// specCandidate finds a pending task that has been straggling longer than
 // specMultiple × the median completed-task duration and claims the right
 // to launch its (single) speculative duplicate.
 func (r *faultRun) specCandidate() *panelTask {
@@ -583,23 +505,16 @@ func (r *faultRun) specCandidate() *panelTask {
 		r.mu.Unlock()
 		return nil
 	}
-	med := append([]time.Duration(nil), r.durs...)
+	med := slices.Clone(r.durs)
 	r.mu.Unlock()
-	sort.Slice(med, func(i, j int) bool { return med[i] < med[j] })
-	threshold := time.Duration(float64(med[len(med)/2]) * r.plan.specMultiple())
-	if threshold < time.Millisecond {
-		threshold = time.Millisecond // floor: don't speculate on noise
-	}
+	slices.Sort(med)
+	// The 1ms floor keeps speculation off noise.
+	threshold := max(time.Duration(float64(med[len(med)/2])*r.plan.specMultiple()), time.Millisecond)
 	elapsed := time.Since(r.start)
-	for _, t := range r.tasks {
-		started := t.startedNanos.Load()
-		if t.state.Load() == taskDone || started == 0 {
-			continue
-		}
-		if elapsed-time.Duration(started) <= threshold {
-			continue
-		}
-		if !t.spec.CompareAndSwap(false, true) {
+	for i := range r.tasks {
+		t := &r.tasks[i]
+		if t.straggling.Load() == 0 || t.state.Load() != taskPending ||
+			elapsed-time.Duration(t.startedNanos.Load()) <= threshold || !t.spec.CompareAndSwap(false, true) {
 			continue
 		}
 		atomic.AddInt64(&r.c.ftSpecLaunched, 1)
@@ -613,108 +528,107 @@ func (r *faultRun) specCandidate() *panelTask {
 	return nil
 }
 
-// attempt runs one (possibly retried, possibly speculative) execution of a
-// task on executor e. The injected fault sequence per attempt is: executor
-// death (reassign), transient failure (backoff + retry in place),
-// straggler delay (cancellable sleep), then the kernel, guarded by the
-// pending→executing CAS so the kernel runs at most once per task even
-// while a speculative duplicate races the original. Running at most once
-// matters beyond mutual exclusion: panel kernels accumulate into the
-// zero-initialized output window (C += A·B), so a second execution would
-// double the panel. That is also why executor death is checked only
+// attempt runs one claim of a task on executor e. The injected fault
+// sequence is: executor death (requeue), transient failure (backoff, then
+// requeue), straggler delay (a sleep a speculative duplicate can end), then
+// the kernel, guarded by the pending→executing CAS so the kernel runs at
+// most once per task even while a duplicate races the original. Running at
+// most once matters beyond mutual exclusion: panel kernels accumulate into
+// the zero-initialized output window (C += A·B), so a second execution
+// would double the panel. That is also why executor death is checked only
 // BEFORE the CAS: outputs are written zero-copy into the driver-side
 // buffer, so once the kernel has run the result is durable — a kill can
 // only orphan tasks that have not executed yet.
-func (r *faultRun) attempt(e int, t *panelTask, isSpec bool) {
-	for {
-		if r.degraded.Load() || t.state.Load() == taskDone {
-			return
-		}
-		a := int64(t.attempts.Add(1) - 1)
-		n := atomic.AddInt64(&r.c.faultTaskStarts, 1)
-		r.c.maybeKill(r.plan, n)
-		if r.c.execDead(e) {
-			// This executor died holding the task: hand it to a survivor.
-			// The executor loop will notice death and evacuate the rest.
-			r.reassign(t)
-			return
-		}
-		t.startedNanos.CompareAndSwap(0, int64(time.Since(r.start)))
-		// Transient failures are drawn by how often the task has failed so
-		// far, not by the attempt number: reassignments and speculative
-		// duplicates also number attempts, and when those happen is a
-		// matter of scheduling. A duplicate that draws the failure its
-		// sibling already recorded just tries again.
-		if f := t.fails.Load(); r.plan.failTransient(r.opSeq, int64(t.panel), int64(f)) {
-			if !t.fails.CompareAndSwap(f, f+1) {
-				continue
-			}
-			atomic.AddInt64(&r.c.ftTransient, 1)
-			if int(f) >= r.plan.maxTaskRetries() || !r.budgetRetry() {
-				r.degrade()
-				return
-			}
-			atomic.AddInt64(&r.c.ftRetries, 1)
-			d := r.plan.backoff(int(a))
-			atomic.AddInt64(&r.c.ftBackoffNanos, int64(d))
-			if r.sp.Active() {
-				r.sp.Child("dist.retry",
-					obs.KV("panel", t.panel),
-					obs.KV("attempt", a+1),
-					obs.KV("executor", e),
-					obs.KV("backoff.ns", int64(d))).End()
-			}
-			if !sleepUnless(d, t.ctx.Done()) {
-				return // task finished elsewhere while we backed off
-			}
-			continue
-		}
-		if r.plan.straggle(r.opSeq, int64(t.panel), a) {
-			atomic.AddInt64(&r.c.ftStragglers, 1)
-			if !sleepUnless(r.plan.stragglerDelay(), t.ctx.Done()) {
-				return // speculative sibling won; we are the cancelled loser
-			}
-			if r.c.execDead(e) {
-				// Killed while straggling: the kernel never ran here, so the
-				// task is genuinely lost with this executor — reassign it.
-				r.reassign(t)
-				return
-			}
-		}
-		if !t.state.CompareAndSwap(taskPending, taskExecuting) {
-			return // sibling attempt is executing or already done
-		}
-		r.fn(t.panel, t.lo, t.hi)
-		t.state.Store(taskDone)
-		t.cancel()
-		if isSpec {
-			atomic.AddInt64(&r.c.ftSpecWins, 1)
-		}
-		r.complete(t)
+func (r *faultRun) attempt(e int, c entry) {
+	t := c.t
+	if r.degraded.Load() || t.state.Load() != taskPending {
+		return // the run is over, or a sibling claim runs or ran the kernel
+	}
+	a := int64(t.attempts.Add(1) - 1)
+	r.c.maybeKill(r.plan, atomic.AddInt64(&r.c.faultTaskStarts, 1))
+	if r.c.execDead(e) {
+		r.requeue(t, false) // e died holding the task
 		return
 	}
+	t.startedNanos.CompareAndSwap(0, int64(time.Since(r.start)))
+	// Transient failures are drawn by how often the task has failed so far,
+	// not by the attempt number: requeues and speculative duplicates also
+	// number attempts, and when those happen is a matter of scheduling. A
+	// duplicate that draws the failure its sibling already recorded leaves
+	// the retry to that sibling.
+	if f := t.fails.Load(); r.plan.failTransient(r.opSeq, int64(t.panel), int64(f)) {
+		if t.fails.CompareAndSwap(f, f+1) && r.backoff(e, t, int(f)) {
+			r.requeue(t, false)
+		}
+		return
+	}
+	if r.plan.straggle(r.opSeq, int64(t.panel), a) {
+		atomic.AddInt64(&r.c.ftStragglers, 1)
+		t.straggling.Add(1)
+		slept := sleepUnless(r.plan.stragglerDelay(), t.done)
+		t.straggling.Add(-1)
+		if !slept {
+			return // the speculative duplicate ran the kernel
+		}
+		if r.c.execDead(e) {
+			// Killed while straggling: the kernel never ran here, so the
+			// task is lost with this executor.
+			r.requeue(t, false)
+			return
+		}
+	}
+	if r.degraded.Load() || !t.state.CompareAndSwap(taskPending, taskExecuting) {
+		return
+	}
+	if r.c.execDead(t.owner) {
+		atomic.AddInt64(&r.c.ftReassigned, 1)
+		if r.sp.Active() {
+			r.sp.Child("dist.reassign",
+				obs.KV("panel", t.panel),
+				obs.KV("from.executor", t.owner),
+				obs.KV("to.executor", e)).End()
+		}
+	}
+	r.fn(t.panel, t.lo, t.hi)
+	t.state.Store(taskDone)
+	close(t.done)
+	if c.spec {
+		atomic.AddInt64(&r.c.ftSpecWins, 1)
+	}
+	r.complete(t)
 }
 
-// budgetRetry consumes one unit of the operator's retry budget; false
-// means the budget is exhausted and the operator must degrade.
-func (r *faultRun) budgetRetry() bool {
+// backoff accounts the transient failure number f+1 of task t on executor e
+// and sleeps its backoff. It reports whether the task is to be retried:
+// false when the failure exhausted the per-task cap or the operator's retry
+// budget (the run degrades), or when a duplicate finished the task during
+// the backoff.
+func (r *faultRun) backoff(e int, t *panelTask, f int) bool {
+	atomic.AddInt64(&r.c.ftTransient, 1)
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.retries++
-	return r.retries <= r.plan.retryBudget()
+	budget := r.retries <= r.plan.retryBudget()
+	r.mu.Unlock()
+	if f >= maxTaskRetries || !budget {
+		r.degraded.Store(true)
+		return false
+	}
+	atomic.AddInt64(&r.c.ftRetries, 1)
+	d := r.plan.backoff(f)
+	atomic.AddInt64(&r.c.ftBackoffNanos, int64(d))
+	if r.sp.Active() {
+		r.sp.Child("dist.retry",
+			obs.KV("panel", t.panel),
+			obs.KV("attempt", f+1),
+			obs.KV("executor", e),
+			obs.KV("backoff.ns", int64(d))).End()
+	}
+	return sleepUnless(d, t.done)
 }
 
 // sleepUnless sleeps for d unless done closes first; it reports whether the
 // full sleep elapsed.
 func sleepUnless(d time.Duration, done <-chan struct{}) bool {
-	if d <= 0 {
-		select {
-		case <-done:
-			return false
-		default:
-			return true
-		}
-	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {

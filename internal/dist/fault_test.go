@@ -26,8 +26,9 @@ func fastBackoff(p *FaultPlan) *FaultPlan {
 // broadcast side, tree-reduced aggregates, broadcast mapmm) on cl and
 // checks each distributed result against the local kernel within 1e-9.
 // ok=false results (degradation) are tolerated when allowDegrade is set —
-// the runtime would recompute locally — but silent corruption never is.
-func chaosOps(t *testing.T, tag string, cl *Cluster, x *matrix.Matrix, allowDegrade bool) {
+// the runtime would recompute locally — but silent corruption never is. It
+// returns the results in case order, nil where an operator degraded.
+func chaosOps(t *testing.T, tag string, cl *Cluster, x *matrix.Matrix, allowDegrade bool) []*matrix.Matrix {
 	t.Helper()
 	w := matrix.Rand(x.Cols, 4, 1, -1, 1, 99)
 	rv := matrix.Rand(1, x.Cols, 1, 1, 2, 98)
@@ -48,7 +49,8 @@ func chaosOps(t *testing.T, tag string, cl *Cluster, x *matrix.Matrix, allowDegr
 		{"mapmm", &hop.Hop{Kind: hop.OpMatMult, Rows: int64(x.Rows), Cols: 4},
 			[]*matrix.Matrix{x, w}, matrix.MatMult(x, w)},
 	}
-	for _, tc := range cases {
+	results := make([]*matrix.Matrix, len(cases))
+	for i, tc := range cases {
 		got, ok := cl.ExecHop(tc.h, tc.ins, obs.Span{})
 		if !ok {
 			if allowDegrade {
@@ -59,6 +61,36 @@ func chaosOps(t *testing.T, tag string, cl *Cluster, x *matrix.Matrix, allowDegr
 		if !got.EqualsApprox(tc.want, 1e-9) {
 			t.Fatalf("%s %s: faulty distributed result differs from local", tag, tc.name)
 		}
+		results[i] = got
+	}
+	return results
+}
+
+// TestNoPlanAndZeroPlanRunOneScheduler: a cluster without a plan and one
+// with the zero plan run the same scheduler with nothing injected, so every
+// operator kind gives bit-identical results and all-zero FaultStats. A kill
+// at the first task moves the dead executor's panels to survivors, with
+// results equal to local within 1e-9.
+func TestNoPlanAndZeroPlanRunOneScheduler(t *testing.T) {
+	x := matrix.Rand(257, 12, 1, -2, 2, 71)
+	var runs [][]*matrix.Matrix
+	for _, cl := range []*Cluster{NewCluster(), NewCluster(WithFaultPlan(&FaultPlan{}))} {
+		cl.Blocksize = 16
+		runs = append(runs, chaosOps(t, fmt.Sprintf("plan=%v", cl.FaultActive()), cl, x, false))
+		if st := cl.FaultStats(); st != (FaultStats{}) {
+			t.Fatalf("plan=%v: nothing injected, yet %+v", cl.FaultActive(), st)
+		}
+	}
+	for i := range runs[0] {
+		if !runs[0][i].EqualsApprox(runs[1][i], 0) {
+			t.Fatalf("operator %d: the nil and the zero plan disagree", i)
+		}
+	}
+	cl := NewCluster(WithFaultPlan(&FaultPlan{KillExecutor: 3, KillAtTask: 1}))
+	cl.Blocksize = 16
+	chaosOps(t, "kill=3@1", cl, x, false)
+	if st := cl.FaultStats(); st.Kills != 1 || st.Reassigned == 0 || st.Degraded != 0 {
+		t.Fatalf("kill at the first task: %+v, want one kill, reassigned panels, no degradation", st)
 	}
 }
 
@@ -115,6 +147,28 @@ func TestChaosMatchesLocal(t *testing.T) {
 	if transients == 0 || stragglers == 0 || kills == 0 || reassigned == 0 || retries == 0 {
 		t.Fatalf("chaos sweep injected nothing: transients=%d stragglers=%d kills=%d reassigned=%d retries=%d",
 			transients, stragglers, kills, reassigned, retries)
+	}
+}
+
+// TestPanickingKernelReachesTheCaller: a panel kernel that panics ends its
+// stage — the executors waiting for that task stop — and the panic reaches
+// the caller of runPanels instead of leaving the stage hung.
+func TestPanickingKernelReachesTheCaller(t *testing.T) {
+	for _, execs := range []int{1, 6} {
+		cl := NewCluster(WithExecutors(execs))
+		cl.Blocksize = 16
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d executors: the kernel's panic was lost", execs)
+				}
+			}()
+			cl.runPanels(obs.Span{}, 400, func(p, _, _ int) {
+				if p == 3 {
+					panic("kernel")
+				}
+			})
+		}()
 	}
 }
 

@@ -187,7 +187,7 @@ func (s *Session) BindScalar(name string, v float64) { s.setEnv(name, matrix.New
 // scanned count (SystemML's metadata-driven compilation — exact counts are
 // not always available at bind time). A wrong estimate is self-correcting
 // when Config.Reopt is enabled: the executed block measures the actual
-// nonzero count, and on divergence beyond Reopt.SparsityFactor the hint is
+// nonzero count, and on divergence beyond reoptSparsityFactor the hint is
 // dropped and the block's cached plan invalidated, so the next execution
 // (e.g. the next loop iteration) runs a plan optimized with exact counts.
 func (s *Session) BindWithNnz(name string, m *matrix.Matrix, nnz int64) {
@@ -1055,26 +1055,39 @@ func (s *Session) syncCalibration() {
 	}
 }
 
+// The divergence factors of mid-script re-optimization (Config.Reopt).
+const (
+	// reoptSparsityFactor: an input's actual nonzero count beyond this
+	// factor of its estimate, in either direction, discards the plan.
+	reoptSparsityFactor = 4
+	// reoptMinCells: smaller inputs never trigger (they cannot change a
+	// plan choice).
+	reoptMinCells = 256
+	// reoptTimeFactor: a block's measured time beyond this factor of its
+	// prediction, in either direction, is evidence for the calibrator.
+	reoptTimeFactor = 8
+)
+
 // checkReopt inspects one block execution's feedback for divergence
 // between the optimizer's assumptions and observed reality:
 //
 //   - sparsity: a tracked input's actual nonzero count differs from its
-//     compile-time estimate by more than Reopt.SparsityFactor. The stale
+//     compile-time estimate by more than reoptSparsityFactor. The stale
 //     hint is dropped and the block's plan discarded, so the next execution
 //     compiles (and optimizes) under the exact count — the divergence
 //     cannot recur.
 //   - time: the block's measured operator seconds diverge from the
-//     predicted seconds by more than Reopt.TimeFactor. Estimates don't
+//     predicted seconds by more than reoptTimeFactor, on a block that ran
+//     at least Reopt.MinSec. Estimates don't
 //     change by themselves: re-optimizing under the same constants
 //     re-derives the same plan, so the plan stays. What the evidence can
 //     change is the constants — with a calibrator attached it is folded in
 //     now rather than at the refit cadence, and a refit that moves them
 //     invalidates every plan of the older generation at its next lookup.
 func (s *Session) checkReopt(entry *blockEntry, fb *runtime.Feedback) {
-	r := s.Config.Reopt
 	for _, in := range fb.Inputs {
 		cells := in.Rows * in.Cols
-		if cells < r.MinCells {
+		if cells < reoptMinCells {
 			continue
 		}
 		est := float64(in.EstNnz)
@@ -1088,14 +1101,14 @@ func (s *Session) checkReopt(entry *blockEntry, fb *runtime.Feedback) {
 		if act < 1 {
 			act = 1
 		}
-		if ratio := act / est; ratio > r.SparsityFactor || ratio < 1/r.SparsityFactor {
+		if ratio := act / est; ratio > reoptSparsityFactor || ratio < 1.0/reoptSparsityFactor {
 			delete(s.nnzHints, in.Name)
 			s.Obs.Inc("reopt.sparsity")
 			s.invalidateBlock(entry, "reopt.invalidations")
 		}
 	}
-	if fb.ActualSec >= r.MinSec && fb.PredSec > 0 {
-		if ratio := fb.PredSec / fb.ActualSec; ratio > r.TimeFactor || ratio < 1/r.TimeFactor {
+	if fb.ActualSec >= s.Config.Reopt.MinSec && fb.PredSec > 0 {
+		if ratio := fb.PredSec / fb.ActualSec; ratio > reoptTimeFactor || ratio < 1.0/reoptTimeFactor {
 			s.Obs.Inc("reopt.time")
 			if s.Calib != nil {
 				s.Calib.Refit()

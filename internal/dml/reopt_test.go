@@ -113,8 +113,9 @@ func TestReoptAccurateHintStable(t *testing.T) {
 	}
 }
 
-// timeDivergent is a script whose loop body the cost model mis-predicts by
-// far more than Reopt.TimeFactor once MinSec is out of the way.
+// timeDivergent is a script whose loop body a cost model a thousand times
+// too fast mis-predicts by far more than the time factor (8x) once MinSec is
+// out of the way.
 const timeDivergent = `
 	acc = 0
 	i = 0
@@ -123,10 +124,19 @@ const timeDivergent = `
 		i = i + 1
 	}`
 
+// tooFast is the default cost model with every rate a thousand times too
+// high: every prediction diverges from the measured time. Only ratios of the
+// constants choose plans, so the plans are the default ones.
+func tooFast() codegen.CostModel {
+	m := codegen.DefaultCostModel()
+	m.ReadBW, m.WriteBW, m.ComputeBW = m.ReadBW*1e3, m.WriteBW*1e3, m.ComputeBW*1e3
+	return m
+}
+
 func timeTriggerSession(calib *codegen.Calibrator) *Session {
 	cfg := codegen.DefaultConfig()
 	cfg.Reopt.MinSec = 0
-	cfg.Reopt.TimeFactor = 1 + 1e-9 // every execution diverges
+	cfg.Costs = tooFast()
 	s := newTestSessionCfg(cfg)
 	s.Calib = calib
 	s.Bind("X", matrix.Rand(2000, 16, 1, -1, 1, 4))
@@ -171,11 +181,7 @@ func TestReoptTimeKeepsThePlan(t *testing.T) {
 // moves them, the plans of the older generation are re-optimized at their
 // next lookup (reopt.calib), never by the trigger itself.
 func TestReoptTimeRefitsTheCalibrator(t *testing.T) {
-	prior := codegen.DefaultCostModel()
-	prior.ReadBW, prior.WriteBW, prior.ComputeBW = prior.ReadBW*1e3, prior.WriteBW*1e3, prior.ComputeBW*1e3
-	cal := codegen.NewCalibrator(prior)
-	s := timeTriggerSession(cal)
-	s.Config.Costs = prior
+	s := timeTriggerSession(codegen.NewCalibrator(tooFast()))
 	for i := 0; i < 8; i++ {
 		if err := s.Run(timeDivergent); err != nil {
 			t.Fatal(err)

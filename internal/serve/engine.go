@@ -105,13 +105,12 @@ func WithTenantQuota(q TenantQuota) EngineOption {
 }
 
 // WithSharedPlanCache sizes the engine's shared compiled-plan cache:
-// maxEntries total (0 = unbounded) split across shards lock domains, with
-// a plan admitted on its admitAfter-th compile (1 = always). It also makes
-// Engine.NewSession hand out views of this cache, so direct sessions share
-// compiled operators with the serving path.
-func WithSharedPlanCache(maxEntries, shards, admitAfter int) EngineOption {
+// maxEntries total (0 = unbounded) split across shards lock domains. It also
+// makes Engine.NewSession hand out views of this cache, so direct sessions
+// share compiled operators with the serving path.
+func WithSharedPlanCache(maxEntries, shards int) EngineOption {
 	return func(e *Engine) {
-		e.cache = codegen.NewSharedPlanCache(e.cfg.PlanCache, maxEntries, shards, admitAfter)
+		e.cache = codegen.NewSharedPlanCache(e.cfg.PlanCache, maxEntries, shards)
 		e.shareSessions = true
 	}
 }
@@ -167,7 +166,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 		if size == 0 {
 			size = defaultPlanCacheSize
 		}
-		e.cache = codegen.NewSharedPlanCache(e.cfg.PlanCache, size, 8, 1)
+		e.cache = codegen.NewSharedPlanCache(e.cfg.PlanCache, size, 8)
 	}
 	return e
 }
@@ -289,7 +288,7 @@ func (e *Engine) newTenantLocked(name string, q TenantQuota) *Tenant {
 		t.alloc = matrix.NewBufPool(q.MemBytes)
 	}
 	if q.MaxPlans > 0 {
-		t.cache = codegen.NewSharedPlanCache(e.cfg.PlanCache, q.MaxPlans, 1, 1)
+		t.cache = codegen.NewSharedPlanCache(e.cfg.PlanCache, q.MaxPlans, 1)
 	}
 	return t
 }

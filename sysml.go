@@ -208,8 +208,8 @@ func WithTenantQuota(q TenantQuota) EngineOption { return serve.WithTenantQuota(
 // WithSharedPlanCache sizes the engine's sharded compiled-plan cache and
 // makes Engine.NewSession hand out views of it (shared operators,
 // per-view hit/miss counters).
-func WithSharedPlanCache(maxEntries, shards, admitAfter int) EngineOption {
-	return serve.WithSharedPlanCache(maxEntries, shards, admitAfter)
+func WithSharedPlanCache(maxEntries, shards int) EngineOption {
+	return serve.WithSharedPlanCache(maxEntries, shards)
 }
 
 // WithEngineConfig replaces the optimizer configuration the engine's
@@ -411,11 +411,12 @@ func WithExecutors(n int) ClusterOption { return dist.WithExecutors(n) }
 
 // WithFaultPlan attaches a deterministic fault-injection plan to the
 // cluster: seeded transient task failures, a scheduled executor kill, and
-// straggler slowdowns. The fault-tolerant panel scheduler recovers via
-// retries with backoff, lineage-based reassignment, and speculative
-// execution; results are unchanged, and recovery activity is surfaced in
-// Session.Metrics ("dist.fault.*", "dist.retry.*", "dist.spec.*") and the
-// EXPLAIN report's FAULTS subsection.
+// straggler slowdowns. The panel scheduler every map stage runs, with or
+// without a plan, recovers via retries with backoff, lineage-based
+// reassignment, and speculative execution; results are unchanged, and
+// recovery activity is surfaced in Session.Metrics ("dist.fault.*",
+// "dist.retry.*", "dist.spec.*") and the EXPLAIN report's FAULTS
+// subsection.
 func WithFaultPlan(p *FaultPlan) ClusterOption { return dist.WithFaultPlan(p) }
 
 // FaultPlan is a deterministic, seedable fault-injection plan for a
