@@ -247,7 +247,7 @@ func TestAlgorithmsSampleOnlyTheirInputs(t *testing.T) {
 		}
 		candidates := int64(0)
 		for _, m := range inputs {
-			if m.Rows > 1 && m.SizeBytes() >= cfg.CompressMinBytes {
+			if m.Rows > 1 && m.SizeBytes() >= 1<<16 { // the interpreter's compression floor, 64 KiB
 				candidates++
 			}
 		}

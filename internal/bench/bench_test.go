@@ -2,9 +2,8 @@ package bench
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
-	"fmt"
+	"flag"
 	"math"
 	"os"
 	"path/filepath"
@@ -170,22 +169,15 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	}
 }
 
-// recordedPlans are the SHA-256 prefixes of Session.Explain of the six
-// algorithms at batch_mix sizes (every optimized block's report, TMP class
-// numbers normalized, time trigger off), recorded with ISSUE 23 (which moved
-// them on purpose: EXPERIMENTS.md "ISSUE 23" lists old and new operators): the
-// plans these programs run under. A change that claims to leave plan choice
-// alone keeps them; one that moves it on purpose records them again and
-// says which blocks changed (EXPERIMENTS.md).
-var recordedPlans = map[string]string{
-	"l2svm.syn":    "46bfb5800eefc3ba",
-	"mlogreg.syn":  "e8acb18b43dcc776",
-	"glm.syn":      "1aac7176124e3053",
-	"kmeans.syn":   "a14b21d4a9cde327",
-	"alscg.amazon": "eecda2a6b7c42571",
-	"autoenc.syn":  "71b72044f5b5721c",
-}
+// update rewrites the golden plans under testdata/plans from this checkout.
+var update = flag.Bool("update", false, "rewrite testdata/plans/*.txt with this checkout's EXPLAIN texts")
 
+// TestAlgorithmPlansAreTheRecordedOnes holds Session.Explain of the six
+// algorithms at batch_mix sizes (every optimized block's report, TMP class
+// numbers normalized, time trigger off) to the texts under testdata/plans:
+// the plans these programs run under. A change that claims to leave plan
+// choice alone keeps them; one that moves a plan on purpose rewrites them with
+// -update, and the diff shows which blocks changed.
 func TestAlgorithmPlansAreTheRecordedOnes(t *testing.T) {
 	tmp := regexp.MustCompile(`TMP\d+`)
 	for _, job := range sixAlgorithms(Options{Scale: 1}) {
@@ -195,12 +187,20 @@ func TestAlgorithmPlansAreTheRecordedOnes(t *testing.T) {
 		}
 		// The sections after the blocks' reports count buffers and bytes.
 		text, _, _ = strings.Cut(tmp.ReplaceAllString(text, "TMP"), "\nBUFFER POOL")
-		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(text)))[:16]; got != recordedPlans[job.name] {
-			t.Errorf("%s: EXPLAIN hashes to %s, recorded %s; set EXPLAIN_DIR to write the text and diff it against the parent's",
-				job.name, got, recordedPlans[job.name])
+		path := filepath.Join("testdata", "plans", job.name+".txt")
+		if *update {
+			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
-		if dir := os.Getenv("EXPLAIN_DIR"); dir != "" {
-			os.WriteFile(filepath.Join(dir, job.name+".txt"), []byte(text), 0o644)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if text != string(want) {
+			t.Errorf("%s: EXPLAIN differs from %s; run go test -run %s -update and review the diff",
+				job.name, path, t.Name())
 		}
 	}
 }

@@ -136,18 +136,20 @@ var eqPatterns = []struct {
 		name: "multiAgg",
 		build: func() *hop.DAG {
 			d := hop.NewDAG()
-			x := d.Read("X", 200, 50, -1)
-			y := d.Read("Y", 200, 50, -1)
-			z := d.Read("Z", 200, 50, -1)
+			// 400 KB of X: above the sibling gate's ~320 KB at the
+			// default ReadBW, below it the two sums stay two Cell operators.
+			x := d.Read("X", 1000, 50, -1)
+			y := d.Read("Y", 1000, 50, -1)
+			z := d.Read("Z", 1000, 50, -1)
 			d.Output("s1", d.Sum(d.Binary(matrix.BinMul, x, y)))
 			d.Output("s2", d.Sum(d.Binary(matrix.BinMul, x, z)))
 			return d
 		},
 		env: func() runtime.Env {
 			return runtime.Env{
-				"X": matrix.Rand(200, 50, 1, -1, 1, 7),
-				"Y": matrix.Rand(200, 50, 1, -1, 1, 8),
-				"Z": matrix.Rand(200, 50, 1, -1, 1, 9),
+				"X": matrix.Rand(1000, 50, 1, -1, 1, 7),
+				"Y": matrix.Rand(1000, 50, 1, -1, 1, 8),
+				"Z": matrix.Rand(1000, 50, 1, -1, 1, 9),
 			}
 		},
 	},

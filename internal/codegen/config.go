@@ -81,12 +81,13 @@ type Config struct {
 	EnableCostPrune   bool
 	EnableStructPrune bool
 
-	// DisableMAgg turns off multi-aggregate combining (ablation).
+	// DisableMAgg turns off multi-aggregate combining (ablation): the
+	// sibling pass drops its groups of full aggregates only.
 	DisableMAgg bool
 
-	// DisableHFuse turns off horizontal sibling fusion (ablation): sibling
-	// operators sharing a dominant input then execute as separate scans
-	// (full aggregates may still combine via the multi-aggregate pass).
+	// DisableHFuse turns off horizontal sibling fusion (ablation): the
+	// sibling pass groups full aggregates only, into MAgg operators, and the
+	// other siblings sharing a dominant input execute as separate scans.
 	DisableHFuse bool
 
 	// MaxPointsExact caps the exhaustive search: partitions with more
@@ -101,11 +102,9 @@ type Config struct {
 
 	// Compress selects the compressed-linear-algebra policy for bound
 	// inputs; CompressMinRatio is the sampled-estimate threshold below
-	// which Auto declines, and CompressMinBytes the dense size below which
-	// compression is never attempted (the bookkeeping would dominate).
+	// which Auto declines.
 	Compress         CompressMode
 	CompressMinRatio float64
-	CompressMinBytes int64
 
 	// Reopt controls mid-script re-optimization: when an input's observed
 	// sparsity diverges from its estimate beyond the configured threshold,
@@ -150,7 +149,6 @@ func DefaultConfig() Config {
 		Costs:             DefaultCostModel(),
 		Compress:          CompressAuto,
 		CompressMinRatio:  3.0,
-		CompressMinBytes:  1 << 16,
 		Reopt:             DefaultReoptConfig(),
 	}
 }

@@ -1,9 +1,7 @@
 package codegen
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"time"
 
 	"sysml/internal/cplan"
@@ -27,37 +25,34 @@ type constructor struct {
 	// them: partition roots, the leaves of every built operator, the inputs
 	// of every hop left a basic operator.
 	wanted map[int64]bool
-	inMAgg map[int64]bool
+	// siblingMerged holds the members of the sibling groups combineSiblings
+	// merged: the walk below must not build them again.
+	siblingMerged map[int64]bool
 }
 
 func construct(d *hop.DAG, m *Memo, parts []*Partition, q map[Edge]bool,
 	cfg *Config, cache *PlanCache, stats *Stats, rep *PlanReport) {
-	// Multi-aggregates combine across partitions: their fusion opportunity
-	// is a *shared input*, which creates no fusion reference and therefore
-	// no partition connectivity.
-	merged := mergePartitions(parts)
+	// Siblings combine across partitions: their fusion opportunity is a
+	// *shared input*, which creates no fusion reference and therefore no
+	// partition connectivity.
+	all := mergePartitions(parts)
 	c := &constructor{
 		cfg: cfg, memo: m, d: d, q: q, cache: cache, stats: stats, rep: rep,
-		coster: NewCoster(cfg, m, merged),
-		wanted: map[int64]bool{},
-		inMAgg: map[int64]bool{},
+		coster:        NewCoster(cfg, m, all),
+		wanted:        map[int64]bool{},
+		siblingMerged: map[int64]bool{},
 	}
 	c.coster.assign(q)
 	order := hop.TopoOrder(d.Roots())
-	// Horizontal sibling fusion runs first: it can claim row/column
-	// aggregates and cellwise maps the multi-aggregate pass cannot, and it
-	// deliberately leaves pure full-aggregate groups to combineMulti-
-	// Aggregates (which owns the paper's 1×k layout).
-	c.combineHorizontal()
-	c.combineMultiAggregates(merged)
-	for _, r := range merged.Roots {
+	c.combineSiblings(order)
+	for _, r := range all.Roots {
 		c.wanted[r] = true
 	}
 	// Consumers first: an operator that fuses a hop is built before the hop
 	// is built (and spliced out of its consumers) as an operator of its own,
 	// which a block output or a second, materializing consumer asks for.
 	for i := len(order) - 1; i >= 0; i-- {
-		if h := order[i]; c.wanted[h.ID] && !c.inMAgg[h.ID] {
+		if h := order[i]; c.wanted[h.ID] && !c.siblingMerged[h.ID] {
 			c.build(h)
 		}
 	}
@@ -205,9 +200,8 @@ func (c *constructor) splice(h, spoof *hop.Hop) {
 // ------------------------------------------------------------- Cell ----
 
 type sideEnv struct {
-	sides    []*hop.Hop
-	sideIdx  map[int64]int
-	nodeMemo map[int64]*cplan.CNode
+	sides   []*hop.Hop
+	sideIdx map[int64]int
 }
 
 func (e *sideEnv) idx(h *hop.Hop) int {
@@ -256,14 +250,13 @@ func (c *constructor) buildCellPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.
 			return nil, nil
 		}
 	}
-	outRows, outCols := exprRoot.Rows, exprRoot.Cols
 	// Main input: a leaf with the output's dimensions, preferring sparse.
-	main := pickMain(r.leaves, outRows, outCols)
+	main := pickMain(r.leaves, exprRoot.Rows, exprRoot.Cols)
 	if main == nil {
 		return nil, nil
 	}
-	env := newSideEnv()
-	root, ok := c.buildCellNode(exprRoot, r, main, env, outRows, outCols)
+	b := newCellBody(main, nil, main.Rows, main.Cols)
+	root, ok := b.build(exprRoot, r)
 	if !ok {
 		return nil, nil
 	}
@@ -272,10 +265,10 @@ func (c *constructor) buildCellPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.
 		Cell:       cellType,
 		AggOp:      aggOp,
 		Root:       root,
-		NumSides:   len(env.sides),
+		NumSides:   len(b.env.sides),
 		SparseSafe: cplan.ProbeSparseSafe(root),
 	}
-	return plan, append([]*hop.Hop{main}, env.sides...)
+	return plan, b.inputs()
 }
 
 func pickMain(leaves []*hop.Hop, rows, cols int64) *hop.Hop {
@@ -290,141 +283,68 @@ func pickMain(leaves []*hop.Hop, rows, cols int64) *hop.Hop {
 	return main
 }
 
-func (c *constructor) buildCellNode(x *hop.Hop, r *region, main *hop.Hop,
-	env *sideEnv, outRows, outCols int64) (*cplan.CNode, bool) {
-	if env.nodeMemo == nil {
-		env.nodeMemo = map[int64]*cplan.CNode{}
-	}
-	if n, ok := env.nodeMemo[x.ID]; ok {
+// cellBody builds the bodies of one cell-bound operator (Cell, MAgg,
+// Horizontal, Outer) over a rows×cols cell space: main is read as Main(0),
+// dot (Outer's U %*% t(V); nil elsewhere) as the Dot register, every other
+// leaf as a side. Nodes are memoized per hop, across the bodies of a
+// multi-root operator too, so CSEs share one CNode.
+type cellBody struct {
+	main, dot  *hop.Hop
+	rows, cols int64
+	env        *sideEnv
+	memo       map[int64]*cplan.CNode
+}
+
+func newCellBody(main, dot *hop.Hop, rows, cols int64) *cellBody {
+	return &cellBody{main: main, dot: dot, rows: rows, cols: cols, env: newSideEnv(), memo: map[int64]*cplan.CNode{}}
+}
+
+// inputs is the operator's input list: main, then the sides in body order.
+func (b *cellBody) inputs() []*hop.Hop { return append([]*hop.Hop{b.main}, b.env.sides...) }
+
+func (b *cellBody) build(x *hop.Hop, r *region) (*cplan.CNode, bool) {
+	if n, ok := b.memo[x.ID]; ok {
 		return n, true
 	}
-	n, ok := c.buildCellNodeUncached(x, r, main, env, outRows, outCols)
+	n, ok := b.node(x, r)
 	if ok {
-		env.nodeMemo[x.ID] = n
+		b.memo[x.ID] = n
 	}
 	return n, ok
 }
 
-func (c *constructor) buildCellNodeUncached(x *hop.Hop, r *region, main *hop.Hop,
-	env *sideEnv, outRows, outCols int64) (*cplan.CNode, bool) {
-	if !r.covered[x.ID] {
-		if x == main {
-			return cplan.Main(0), true
-		}
-		if x.Kind == hop.OpLiteral {
-			return cplan.Lit(x.Value), true
-		}
-		access, ok := accessFor(x, outRows, outCols)
+func (b *cellBody) node(x *hop.Hop, r *region) (*cplan.CNode, bool) {
+	switch {
+	case x == b.dot:
+		return cplan.Dot(), true
+	case r.covered[x.ID]:
+	case x == b.main:
+		return cplan.Main(0), true
+	case x.Kind == hop.OpLiteral:
+		return cplan.Lit(x.Value), true
+	default:
+		access, ok := accessFor(x, b.rows, b.cols)
 		if !ok {
 			return nil, false
 		}
-		return cplan.Side(env.idx(x), access, 0), true
+		return cplan.Side(b.env.idx(x), access, 0), true
 	}
 	switch x.Kind {
 	case hop.OpBinary:
-		l, ok1 := c.buildCellNode(x.Inputs[0], r, main, env, outRows, outCols)
-		rr, ok2 := c.buildCellNode(x.Inputs[1], r, main, env, outRows, outCols)
+		l, ok1 := b.build(x.Inputs[0], r)
+		rr, ok2 := b.build(x.Inputs[1], r)
 		if !ok1 || !ok2 {
 			return nil, false
 		}
 		return cplan.Binary(x.BinOp, l, rr), true
 	case hop.OpUnary:
-		in, ok := c.buildCellNode(x.Inputs[0], r, main, env, outRows, outCols)
+		in, ok := b.build(x.Inputs[0], r)
 		if !ok {
 			return nil, false
 		}
 		return cplan.Unary(x.UnOp, in), true
 	}
 	return nil, false
-}
-
-// ------------------------------------------------------------- MAgg ----
-
-// combineMultiAggregates finds selected multi-aggregate candidates sharing
-// inputs and fuses up to three of them into one SpoofMultiAggregate with a
-// 1×k output, rewiring consumers through indexing extractors (paper §2.2,
-// Fig. 1c).
-func (c *constructor) combineMultiAggregates(p *Partition) {
-	if c.cfg.DisableMAgg {
-		return
-	}
-	var cands []*hop.Hop
-	for id := range p.Nodes {
-		if c.inMAgg[id] {
-			continue // already claimed by a horizontal sibling group
-		}
-		h := c.memo.Hop(id)
-		g := c.memo.Get(id)
-		if g == nil || !g.HasType(cplan.TemplateMAgg) {
-			continue
-		}
-		// Only full aggregates with a fusable cell expression below.
-		if h.Kind == hop.OpAggUnary && h.AggDir == matrix.DirAll {
-			cands = append(cands, h)
-		}
-	}
-	if len(cands) < 2 {
-		return
-	}
-	// By hop ID: which aggregates share an operator, and the order of its
-	// roots and sides, must not depend on map iteration.
-	slices.SortFunc(cands, func(a, b *hop.Hop) int { return cmp.Compare(a.ID, b.ID) })
-	// Group by shared leaf inputs.
-	var items []maggCand
-	for _, h := range cands {
-		entry, ok := c.coster.pickEntry(h)
-		if !ok {
-			continue
-		}
-		items = append(items, maggCand{h: h, expr: h.Inputs[0], region: c.collect(h, entry)})
-	}
-	used := map[int64]bool{}
-	for i := 0; i < len(items); i++ {
-		if used[items[i].h.ID] {
-			continue
-		}
-		group := []maggCand{items[i]}
-		leafIDs := map[int64]bool{}
-		for _, l := range items[i].region.leaves {
-			leafIDs[l.ID] = true
-		}
-		for j := i + 1; j < len(items) && len(group) < 3; j++ {
-			if used[items[j].h.ID] {
-				continue
-			}
-			shared := false
-			for _, l := range items[j].region.leaves {
-				if leafIDs[l.ID] {
-					shared = true
-					break
-				}
-			}
-			// Combining aggregates that transitively depend on each other
-			// would create a cycle through the shared operator.
-			indep := true
-			for _, g := range group {
-				if dependsOn(items[j].h, g.h) || dependsOn(g.h, items[j].h) {
-					indep = false
-					break
-				}
-			}
-			if shared && indep {
-				group = append(group, items[j])
-				for _, l := range items[j].region.leaves {
-					leafIDs[l.ID] = true
-				}
-			}
-		}
-		if len(group) < 2 {
-			continue
-		}
-		if c.buildMAggGroup(group) {
-			for _, it := range group {
-				used[it.h.ID] = true
-				c.inMAgg[it.h.ID] = true
-			}
-		}
-	}
 }
 
 // dependsOn reports whether hop a transitively consumes hop b.
@@ -447,74 +367,6 @@ func dependsOn(a, b *hop.Hop) bool {
 		return false
 	}
 	return dfs(a)
-}
-
-// maggCand is one full-aggregate candidate for multi-aggregate fusion.
-type maggCand struct {
-	h      *hop.Hop
-	expr   *hop.Hop
-	region *region
-}
-
-func (c *constructor) buildMAggGroup(group []maggCand) bool {
-	// Shared main input: prefer a sparse leaf common to all aggregates.
-	var allLeaves []*hop.Hop
-	counts := map[int64]int{}
-	for _, it := range group {
-		for _, l := range it.region.leaves {
-			if counts[l.ID] == 0 {
-				allLeaves = append(allLeaves, l)
-			}
-			counts[l.ID]++
-		}
-	}
-	var main *hop.Hop
-	for _, l := range allLeaves {
-		if counts[l.ID] == len(group) && l.Cols > 1 {
-			if main == nil || (l.IsSparse() && !main.IsSparse()) || l.Cells() > main.Cells() {
-				main = l
-			}
-		}
-	}
-	if main == nil {
-		return false
-	}
-	env := newSideEnv()
-	var roots []*cplan.CNode
-	var aggOps []matrix.AggOp
-	for _, it := range group {
-		root, ok := c.buildCellNode(it.expr, it.region, main, env, main.Rows, main.Cols)
-		if !ok {
-			return false
-		}
-		roots = append(roots, root)
-		aggOps = append(aggOps, it.h.AggOp)
-	}
-	plan := &cplan.Plan{
-		Type:       cplan.TemplateMAgg,
-		Roots:      roots,
-		AggOps:     aggOps,
-		NumSides:   len(env.sides),
-		SparseSafe: cplan.ProbeSparseSafe(roots...),
-	}
-	op, hit, err := c.compile(plan)
-	if err != nil {
-		return false
-	}
-	inputs := append([]*hop.Hop{main}, env.sides...)
-	c.record("MAgg", op, len(inputs), 1, int64(len(roots)), hit)
-	spoof := c.d.NewSpoof("MAgg", op, 1, int64(len(roots)), int64(len(roots)), inputs...)
-	regions := make([]*region, 0, len(group))
-	for _, it := range group {
-		regions = append(regions, it.region)
-	}
-	c.predictSpoof(spoof, cplan.TemplateMAgg, regions)
-	for k, it := range group {
-		extract := c.d.Index(spoof, 0, 1, int64(k), int64(k)+1)
-		c.splice(it.h, extract)
-	}
-	c.want(allLeaves)
-	return true
 }
 
 // -------------------------------------------------------------- Row ----
@@ -787,76 +639,23 @@ func (c *constructor) buildOuterPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop
 			}
 		}
 	}
-	env := newSideEnv()
-	root, ok := c.buildOuterNode(exprRoot, r, mm, mainX, env)
+	if mainX == nil {
+		// No main input of the outer dimensions: the operator would run
+		// densely over them; basic execution serves that instead.
+		return nil, nil
+	}
+	b := newCellBody(mainX, mm, mm.Rows, mm.Cols)
+	root, ok := b.build(exprRoot, r)
 	if !ok {
 		return nil, nil
 	}
-	sparseSafe := mainX != nil && cplan.ProbeSparseSafe(root)
 	plan := &cplan.Plan{
 		Type:       cplan.TemplateOuter,
 		Out:        outType,
 		Root:       root,
-		NumSides:   len(env.sides),
-		SparseSafe: sparseSafe,
+		NumSides:   len(b.env.sides),
+		SparseSafe: cplan.ProbeSparseSafe(root),
 		OuterRank:  int(u.Cols),
 	}
-	if mainX == nil {
-		// No driver: execute densely over the outer dimensions using a
-		// synthetic dense main (fall back to basic execution instead).
-		return nil, nil
-	}
-	inputs := append([]*hop.Hop{mainX, u, v}, env.sides...)
-	return plan, inputs
-}
-
-func (c *constructor) buildOuterNode(x *hop.Hop, r *region, mm, mainX *hop.Hop,
-	env *sideEnv) (*cplan.CNode, bool) {
-	if env.nodeMemo == nil {
-		env.nodeMemo = map[int64]*cplan.CNode{}
-	}
-	if n, ok := env.nodeMemo[x.ID]; ok {
-		return n, true
-	}
-	n, ok := c.buildOuterNodeUncached(x, r, mm, mainX, env)
-	if ok {
-		env.nodeMemo[x.ID] = n
-	}
-	return n, ok
-}
-
-func (c *constructor) buildOuterNodeUncached(x *hop.Hop, r *region, mm, mainX *hop.Hop,
-	env *sideEnv) (*cplan.CNode, bool) {
-	if x == mm {
-		return cplan.Dot(), true
-	}
-	if !r.covered[x.ID] {
-		if x == mainX {
-			return cplan.Main(0), true
-		}
-		if x.Kind == hop.OpLiteral {
-			return cplan.Lit(x.Value), true
-		}
-		access, ok := accessFor(x, mm.Rows, mm.Cols)
-		if !ok {
-			return nil, false
-		}
-		return cplan.Side(env.idx(x), access, 0), true
-	}
-	switch x.Kind {
-	case hop.OpBinary:
-		l, ok1 := c.buildOuterNode(x.Inputs[0], r, mm, mainX, env)
-		rr, ok2 := c.buildOuterNode(x.Inputs[1], r, mm, mainX, env)
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		return cplan.Binary(x.BinOp, l, rr), true
-	case hop.OpUnary:
-		in, ok := c.buildOuterNode(x.Inputs[0], r, mm, mainX, env)
-		if !ok {
-			return nil, false
-		}
-		return cplan.Unary(x.UnOp, in), true
-	}
-	return nil, false
+	return plan, append([]*hop.Hop{mainX, u, v}, b.env.sides...)
 }

@@ -293,19 +293,21 @@ func (c *Coster) costNode(i int32) {
 	}
 	if !ok {
 		c.ins = c.ins[:base]
-		c.addOpCost(h, float64(h.ReadInputSizeBytes()), n.flops)
+		inBytes, largest := readBytes(h.Inputs)
+		c.addOpCost(h, inBytes, largest, n.flops)
 		for _, in := range n.ins {
 			c.costNode(in)
 		}
 		return
 	}
 	// Operator cost: write output once, read distinct inputs, compute.
-	var inBytes float64
+	var inBytes, largest float64
 	var main *hop.Hop
 	mainAt := int32(-1)
 	for _, in := range c.ins[base:] {
 		x := c.nodes[in].h
-		inBytes += float64(x.ReadSizeBytes())
+		b := float64(x.ReadSizeBytes())
+		inBytes, largest = inBytes+b, math.Max(largest, b)
 		if m := mainInput(main, x); m != main {
 			main, mainAt = m, in
 		}
@@ -318,7 +320,7 @@ func (c *Coster) costNode(i int32) {
 		}
 	}
 	c.total += rowMainSec(c.cfg.Costs, entry.Type, main, denseMain, uses)
-	c.addOpCost(h, inBytes, fl*sparsityScale(entry.Type, main, denseMain))
+	c.addOpCost(h, inBytes, largest, fl*sparsityScale(entry.Type, main, denseMain))
 	// Recurse into materialized inputs of the fused operator.
 	for k, end := base, len(c.ins); k < end; k++ {
 		c.costNode(c.ins[k])
@@ -377,24 +379,29 @@ func (c *Coster) materialized(n *cnode, j int) bool {
 // opSec is the model's price of one operator, fused or basic: Tw + max(Tr,
 // Tc) over its output bytes, the bytes of its distinct inputs as stored (a
 // sparse input's CSR size: sparsity is in the bytes already) and its flops
-// after sparsity exploitation. A distributed operator receives all but its
-// largest input at broadcast bandwidth.
-func opSec(m CostModel, h *hop.Hop, inBytes, fl float64) float64 {
+// after sparsity exploitation. A distributed operator (h, its root hop,
+// carries the exec type) receives all but its largest input, of largest
+// bytes, at broadcast bandwidth.
+func opSec(m CostModel, h *hop.Hop, inBytes, largest, fl float64) float64 {
 	tr := inBytes / m.ReadBW
-	if h.ExecType == hop.ExecDist {
-		var largest float64
-		for _, in := range h.Inputs {
-			largest = math.Max(largest, float64(in.ReadSizeBytes()))
-		}
-		if side := inBytes - largest; side > 0 {
-			tr = largest/m.ReadBW + side/m.BroadcastBW
-		}
+	if side := inBytes - largest; h.ExecType == hop.ExecDist && side > 0 {
+		tr = largest/m.ReadBW + side/m.BroadcastBW
 	}
 	return float64(h.OutputSizeBytes())/m.WriteBW + math.Max(tr, fl/m.ComputeBW)
 }
 
-func (c *Coster) addOpCost(h *hop.Hop, inBytes, fl float64) {
-	c.total += opSec(c.cfg.Costs, h, inBytes, fl)
+// readBytes is what an operator over ins reads: the bytes of all of them as
+// stored, and of the largest.
+func readBytes(ins []*hop.Hop) (total, largest float64) {
+	for _, in := range ins {
+		b := float64(in.ReadSizeBytes())
+		total, largest = total+b, math.Max(largest, b)
+	}
+	return total, largest
+}
+
+func (c *Coster) addOpCost(h *hop.Hop, inBytes, largest, fl float64) {
+	c.total += opSec(c.cfg.Costs, h, inBytes, largest, fl)
 	if c.total > c.budget {
 		c.exceeded = true
 	}

@@ -16,10 +16,11 @@ import (
 // back into CostParams.
 
 // predictHop fills h's prediction fields from the model inputs: fl FLOPs
-// after sparsity exploitation and inBytes distinct input bytes, priced by
-// the function that prices plans (opSec).
-func predictHop(cfg *Config, h *hop.Hop, fl, inBytes float64) {
-	h.PredSec = opSec(cfg.Costs, h, inBytes, fl)
+// after sparsity exploitation and the bytes of h's inputs, priced by the
+// function that prices plans (opSec).
+func predictHop(cfg *Config, h *hop.Hop, fl float64) {
+	inBytes, largest := readBytes(h.Inputs)
+	h.PredSec = opSec(cfg.Costs, h, inBytes, largest, fl)
 	h.PredFlops = fl
 	h.PredBytes = int64(inBytes) + h.OutputSizeBytes()
 }
@@ -29,10 +30,8 @@ func predictHop(cfg *Config, h *hop.Hop, fl, inBytes float64) {
 // bytes, the template's sparsity scale and, for a Row operator, the walk
 // per consumer of the main input and the densification the coster charges.
 func (c *constructor) predictSpoof(spoof *hop.Hop, t cplan.TemplateType, regions []*region) {
-	var inBytes float64
 	var main *hop.Hop
 	for _, in := range spoof.Inputs {
-		inBytes += float64(in.ReadSizeBytes())
 		main = mainInput(main, in)
 	}
 	var fl float64
@@ -50,7 +49,7 @@ func (c *constructor) predictSpoof(spoof *hop.Hop, t cplan.TemplateType, regions
 	op, _ := spoof.Spoof.(*cplan.Operator)
 	denseMain := op != nil && (op.Plan.Type == cplan.TemplateRow && !op.Progs[0].MainSparseCapable() ||
 		op.Plan.Type != cplan.TemplateRow && !op.Plan.SparseSafe)
-	predictHop(c.cfg, spoof, fl*sparsityScale(t, main, denseMain), inBytes)
+	predictHop(c.cfg, spoof, fl*sparsityScale(t, main, denseMain))
 	spoof.PredSec += rowMainSec(c.cfg.Costs, t, main, denseMain, uses)
 }
 
@@ -77,7 +76,7 @@ func AnnotatePredictions(d *hop.DAG, cfg *Config) {
 		if h.PredSec > 0 {
 			return
 		}
-		predictHop(cfg, h, flops(h), float64(h.ReadInputSizeBytes()))
+		predictHop(cfg, h, flops(h))
 	}
 	for _, r := range d.Roots() {
 		walk(r)

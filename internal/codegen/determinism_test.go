@@ -15,9 +15,9 @@ import (
 
 // TestExplainIsByteIdentical is ROADMAP 11c: the plans of a script do not
 // depend on map iteration order. Twenty sessions of each of the six algorithm
-// scripts, and of a pair of aggregates the multi-aggregate pass combines
-// (whose roots and sides it used to number in the order a map yielded
-// them), report the same EXPLAIN text, operator class numbers aside.
+// scripts, and of aggregates the sibling pass combines over a 400 KB X (whose
+// roots and sides the multi-aggregate pass used to number in the order a map
+// yielded them), report the same EXPLAIN text, operator class numbers aside.
 func TestExplainIsByteIdentical(t *testing.T) {
 	type script struct {
 		name, text string
@@ -26,8 +26,8 @@ func TestExplainIsByteIdentical(t *testing.T) {
 	}
 	scripts := []script{{
 		name: "magg pair", text: "s = sum(X * Y) + sum(abs(X - Y))\nq = sum(X * Z)\nr = sum(Y * Z) + sum(X)",
-		in: map[string]*matrix.Matrix{"X": matrix.Rand(300, 20, 1, -1, 1, 1),
-			"Y": matrix.Rand(300, 20, 1, -1, 1, 2), "Z": matrix.Rand(300, 20, 1, -1, 1, 3)},
+		in: map[string]*matrix.Matrix{"X": matrix.Rand(2500, 20, 1, -1, 1, 1),
+			"Y": matrix.Rand(2500, 20, 1, -1, 1, 2), "Z": matrix.Rand(2500, 20, 1, -1, 1, 3)},
 	}}
 	for _, a := range algos.All {
 		sc := map[string]float64{"maxiter": 2, "inneriter": 2, "rank": 2, "batch": 100}

@@ -13,7 +13,7 @@ import (
 // modelCost is the model's price of a constructed plan: the predictions the
 // optimizer leaves on the operators of the DAG it returns, fused operators
 // priced over the regions construction gave them (after declines, template
-// fallbacks, multi-aggregate and horizontal merging), basic operators as the
+// fallbacks, sibling merging), basic operators as the
 // search prices them — one pricing function (opSec) behind all of it.
 func modelCost(d *hop.DAG) float64 {
 	var sec float64
@@ -37,8 +37,8 @@ func merged(d *hop.DAG) (n int) {
 // dearer under the model than Gen-FA's or Gen-FNR's, but for the one cause
 // the search cannot see: the heuristic's assignment left more sibling
 // aggregates to merge into one scan of their shared input after selection
-// (combineMultiAggregates, combineHorizontal), which the search prices as
-// the separate operators they are in the memo. It returns 1 for such a case.
+// (combineSiblings), which the search prices as the separate operators they
+// are in the memo. It returns 1 for such a case.
 func dominates(t *testing.T, where string, plans [3]*hop.DAG) (mergeCases int) {
 	t.Helper()
 	gen := modelCost(plans[0])

@@ -1,25 +1,24 @@
 package codegen
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"sysml/internal/cplan"
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
 )
 
-// Horizontal fusion merges sibling operators that each scan the same
-// dominant input — e.g. colSums(X), sum(X^2), and a cellwise map over X —
-// into one multi-output Horizontal operator: one pass over X producing
-// several outputs. It generalizes the paper's multi-aggregate combining
-// (§2.2, Fig. 1c) beyond full aggregates: row/column aggregates and NoAgg
-// cellwise maps join the same scan, each root keeping its own output kind
-// (cplan.Plan.HKinds). The pass runs before the vertical construction walk
-// and before combineMultiAggregates; merged members are marked so neither
-// re-fuses them. Pure full-aggregate groups are deliberately left to the
-// multi-aggregate pass, which owns the paper's 1×k SpoofMultiAggregate
-// layout.
+// Sibling fusion merges operators that each scan the same dominant input —
+// e.g. colSums(X), sum(X^2), and a cellwise map over X — into one
+// multi-output operator: one pass over X producing several outputs. It is
+// the paper's multi-aggregate combining (§2.2, Fig. 1c), generalized beyond
+// full aggregates. One pass, combineSiblings, runs before the vertical
+// construction walk, with one candidate rule, one grouping rule, one cost gate
+// and one builder; merged members are marked so the walk does not build them
+// again. A group of full aggregates only becomes a MAgg operator, the paper's
+// 1×k SpoofMultiAggregate layout; any other group becomes a Horizontal
+// operator, each root keeping its own output kind (cplan.Plan.HKinds).
 
 // hfuseMaxGroup caps the sibling group size: each extra root adds per-row
 // register and buffer pressure, and past a handful of outputs the shared
@@ -39,85 +38,49 @@ type hfuseCand struct {
 	expr   *hop.Hop
 }
 
-// combineHorizontal finds sibling fusion groups over the whole DAG and
-// splices one multi-output Horizontal operator per profitable group,
-// rewiring each member's consumers through an OpSpoofOut extractor. It
-// sweeps the DAG rather than the plan partitions because bare aggregates
-// over a shared leaf (e.g. colSums(X)) carry no fusion reference and
-// therefore appear in no partition.
-func (c *constructor) combineHorizontal() {
-	if c.cfg.DisableHFuse {
-		return
-	}
-	// Deterministic candidate order: ascending hop ID (creation order).
-	hops := map[int64]*hop.Hop{}
-	var ids []int64
-	var dfs func(h *hop.Hop)
-	dfs = func(h *hop.Hop) {
-		if _, ok := hops[h.ID]; ok {
-			return
-		}
-		hops[h.ID] = h
-		ids = append(ids, h.ID)
-		for _, in := range h.Inputs {
-			dfs(in)
-		}
-	}
-	for _, r := range c.d.Roots() {
-		dfs(r)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// combineSiblings finds sibling groups over the whole DAG and splices one
+// multi-output operator per profitable group. It sweeps the DAG (order, a
+// topological order of it) rather than the plan partitions because bare
+// aggregates over a shared leaf (e.g. colSums(X)) carry no fusion reference
+// and therefore appear in no partition. A group is candidates with the same
+// main input that do not consume each other, at most hfuseMaxGroup of them,
+// led by the first unmerged candidate in hop-ID (creation) order.
+// DisableHFuse leaves only the full aggregates to group, and DisableMAgg
+// drops the groups that hold nothing else.
+func (c *constructor) combineSiblings(order []*hop.Hop) {
+	byID := slices.Clone(order)
+	slices.SortFunc(byID, func(a, b *hop.Hop) int { return cmp.Compare(a.ID, b.ID) })
 	var cands []hfuseCand
-	for _, id := range ids {
-		h := hops[id]
+	for _, h := range byID {
 		cand, ok := c.hfuseCandidate(h)
-		if !ok || c.verticallyClaimed(cand.h) {
+		if !ok || c.verticallyClaimed(h) || c.cfg.DisableHFuse && cand.kind != cplan.CellFullAgg {
 			continue
 		}
 		cands = append(cands, cand)
 	}
-	used := map[int64]bool{}
-	for i := 0; i < len(cands); i++ {
-		if used[cands[i].h.ID] {
+	for i, lead := range cands {
+		if c.siblingMerged[lead.h.ID] {
 			continue
 		}
-		group := []hfuseCand{cands[i]}
-		for j := i + 1; j < len(cands) && len(group) < hfuseMaxGroup; j++ {
-			cj := cands[j]
-			if used[cj.h.ID] || cj.main != cands[i].main {
-				continue
+		group := []hfuseCand{lead}
+		for _, cj := range cands[i+1:] {
+			if len(group) == hfuseMaxGroup {
+				break
 			}
 			// Members that transitively consume each other cannot share one
 			// scan (the merge would create a cycle through the spoof).
-			indep := true
-			for _, g := range group {
-				if dependsOn(cj.h, g.h) || dependsOn(g.h, cj.h) {
-					indep = false
-					break
-				}
-			}
-			if indep {
+			if !c.siblingMerged[cj.h.ID] && cj.main == lead.main && !slices.ContainsFunc(group, func(g hfuseCand) bool {
+				return dependsOn(cj.h, g.h) || dependsOn(g.h, cj.h)
+			}) {
 				group = append(group, cj)
 			}
 		}
-		if len(group) < 2 {
+		full := !slices.ContainsFunc(group, func(g hfuseCand) bool { return g.kind != cplan.CellFullAgg })
+		if len(group) < 2 || full && c.cfg.DisableMAgg || !c.buildSiblingGroup(lead.main, group, full) {
 			continue
 		}
-		pureFull := true
 		for _, g := range group {
-			if g.kind != cplan.CellFullAgg {
-				pureFull = false
-				break
-			}
-		}
-		if pureFull {
-			continue // combineMultiAggregates owns these
-		}
-		if c.buildHorizontalGroup(cands[i].main, group) {
-			for _, g := range group {
-				used[g.h.ID] = true
-				c.inMAgg[g.h.ID] = true
-			}
+			c.siblingMerged[g.h.ID] = true
 		}
 	}
 }
@@ -177,7 +140,7 @@ func (c *constructor) hfuseCandidate(h *hop.Hop) (hfuseCand, bool) {
 }
 
 // verticallyClaimed reports whether some parent's selected plan fuses h
-// into its own region: stealing h into a horizontal group would break the
+// into its own region: stealing h into a sibling group would break the
 // larger vertical fusion the enumerator already paid for, so such
 // candidates are left alone. Mirrors the collectInto fuse rule (a
 // non-materialized fusion reference with a compatible child entry).
@@ -200,35 +163,31 @@ func (c *constructor) verticallyClaimed(h *hop.Hop) bool {
 	return false
 }
 
-// buildHorizontalGroup constructs, cost-gates, compiles, and splices one
-// sibling group. On any construction failure it returns false and the
-// members stay available for vertical fusion; on a cost-gate decline the
-// decision is recorded in the EXPLAIN report.
-func (c *constructor) buildHorizontalGroup(main *hop.Hop, group []hfuseCand) bool {
-	env := newSideEnv()
-	var roots []*cplan.CNode
-	var aggOps []matrix.AggOp
-	var kinds []cplan.CellType
-	for _, it := range group {
-		var root *cplan.CNode
-		if it.expr == nil || it.expr == main {
-			root = cplan.Main(0)
-		} else {
+// buildSiblingGroup constructs, cost-gates, compiles, and splices one
+// sibling group: a MAgg operator when every member is a full aggregate
+// (full), its 1×k output read through Index extractors, a Horizontal one
+// otherwise, each output read through its SpoofOut extractor. On any
+// construction failure it returns false and the members stay available for
+// vertical fusion; on a cost-gate decline the decision is recorded in the
+// EXPLAIN report.
+func (c *constructor) buildSiblingGroup(main *hop.Hop, group []hfuseCand, full bool) bool {
+	b := newCellBody(main, nil, main.Rows, main.Cols)
+	plan := &cplan.Plan{Type: cplan.TemplateHorizontal}
+	numOps := make([]int, len(group))
+	safe := make([]bool, len(group))
+	regions := make([]*region, len(group))
+	for i, it := range group {
+		root := cplan.Main(0)
+		if it.expr != nil && it.expr != main {
 			var ok bool
-			root, ok = c.buildCellNode(it.expr, it.region, main, env, main.Rows, main.Cols)
-			if !ok {
+			if root, ok = b.build(it.expr, it.region); !ok {
 				return false
 			}
 		}
-		roots = append(roots, root)
-		aggOps = append(aggOps, it.agg)
-		kinds = append(kinds, it.kind)
-	}
-	numOps := make([]int, len(group))
-	safe := make([]bool, len(roots))
-	for i, r := range roots {
-		numOps[i] = len(group[i].region.covered)
-		safe[i] = cplan.ProbeSparseSafe(r)
+		plan.Roots = append(plan.Roots, root)
+		plan.AggOps = append(plan.AggOps, it.agg)
+		plan.HKinds = append(plan.HKinds, it.kind)
+		numOps[i], safe[i], regions[i] = len(it.region.covered), cplan.ProbeSparseSafe(root), it.region
 	}
 	m := c.cfg.Costs
 	saved := horizontalSavings(m, len(group), float64(main.ReadSizeBytes()))
@@ -237,31 +196,26 @@ func (c *constructor) buildHorizontalGroup(main *hop.Hop, group []hfuseCand) boo
 		c.recordHorizontal(main, group, false, declineReason(saved, gate))
 		return false
 	}
-	plan := &cplan.Plan{
-		Type:       cplan.TemplateHorizontal,
-		Roots:      roots,
-		AggOps:     aggOps,
-		HKinds:     kinds,
-		NumSides:   len(env.sides),
-		SparseSafe: cplan.ProbeSparseSafe(roots...),
+	plan.NumSides, plan.SparseSafe = len(b.env.sides), cplan.ProbeSparseSafe(plan.Roots...)
+	k := int64(len(group))
+	cols := int64(1) // a Horizontal operator's own result is a dummy scalar
+	if full {
+		plan.Type, plan.HKinds, cols = cplan.TemplateMAgg, nil, k
 	}
 	op, hit, err := c.compile(plan)
 	if err != nil {
 		return false
 	}
-	inputs := append([]*hop.Hop{main}, env.sides...)
-	c.record("Horizontal", op, len(inputs), 1, int64(len(roots)), hit)
-	// The spoof's own result is a dummy scalar; each output travels through
-	// its OpSpoofOut extractor with the member's real dimensions.
-	spoof := c.d.NewSpoof("Horizontal", op, 1, 1, 1, inputs...)
-	regions := make([]*region, 0, len(group))
-	for _, it := range group {
-		regions = append(regions, it.region)
-	}
-	c.predictSpoof(spoof, cplan.TemplateHorizontal, regions)
-	for k, it := range group {
-		extract := c.d.SpoofOut(spoof, k, it.h.Rows, it.h.Cols, it.h.Nnz)
-		c.splice(it.h, extract)
+	inputs := b.inputs()
+	c.record(plan.Type.String(), op, len(inputs), 1, k, hit)
+	spoof := c.d.NewSpoof(plan.Type.String(), op, 1, cols, cols, inputs...)
+	c.predictSpoof(spoof, plan.Type, regions)
+	for i, it := range group {
+		if full {
+			c.splice(it.h, c.d.Index(spoof, 0, 1, int64(i), int64(i)+1))
+		} else {
+			c.splice(it.h, c.d.SpoofOut(spoof, i, it.h.Rows, it.h.Cols, it.h.Nnz))
+		}
 	}
 	c.recordHorizontal(main, group, true, "")
 	// Continue fusing below the merged group's materialized inputs.

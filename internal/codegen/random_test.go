@@ -18,12 +18,15 @@ import (
 // dagShape configures the generator: the shape of the matrix leaves, how the
 // leaf A is stored ("dense", "csr", or "cla": low-cardinality values with a
 // compressed form attached), whether A carries a NaN, a +Inf and a -Inf, and
-// whether aggregates draw min and max besides the sum.
+// whether aggregates draw min and max besides the sum. slowRead has every
+// mode price reads at 1/100 of the default ReadBW, which puts the generated
+// mains above the sibling-merge gate.
 type dagShape struct {
 	rows, cols int
 	storage    string
 	salt       bool
 	minmax     bool
+	slowRead   bool
 }
 
 // randomDAG is the generator at the shape it has always had.
@@ -227,6 +230,9 @@ func checkModes(t *testing.T, seed int64, sh dagShape, eps float64, metrics *obs
 		dd, _ := rewrite.Apply(d2)
 		cfg := codegen.DefaultConfig()
 		cfg.Mode = mode
+		if sh.slowRead {
+			cfg.Costs.ReadBW /= 100
+		}
 		dd = codegen.Optimize(dd, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
 		got, err := runtime.ExecuteDAG(dd, env, runtime.Options{Metrics: metrics})
 		if err != nil {
@@ -261,7 +267,10 @@ func TestRandomDAGEquivalenceAcrossModes(t *testing.T) {
 // under the column- and row-vector sides of the cell bodies, a main input
 // stored dense, as CSR, or with a compressed form attached, and a NaN, a +Inf
 // and a -Inf in it (NaN must come out as NaN, in the same cells). Base ==
-// Fused == Gen == Gen-FA == Gen-FNR within 1e-9.
+// Fused == Gen == Gen-FA == Gen-FNR within 1e-9. The mains of at most
+// ~160 KB sit under the sibling-merge gate, so every DAG also runs with reads
+// priced 100× slower, where sibling groups form MAgg and Horizontal
+// operators.
 func TestRandomDAGShapesStoragesAndSalt(t *testing.T) {
 	metrics := obs.NewMetrics()
 	for _, cols := range []int{2, 7, 100} {
@@ -271,18 +280,20 @@ func TestRandomDAGShapesStoragesAndSalt(t *testing.T) {
 					continue // see leafA
 				}
 				for seed := int64(0); seed < 24; seed++ {
-					sh := dagShape{rows: 45, cols: cols, storage: storage, salt: salt, minmax: true}
-					if seed%3 == 0 {
-						sh.rows = 20000/cols + 3 // several tiles of every skeleton
+					for _, slow := range []bool{false, true} {
+						sh := dagShape{rows: 45, cols: cols, storage: storage, salt: salt, minmax: true, slowRead: slow}
+						if seed%3 == 0 {
+							sh.rows = 20000/cols + 3 // several tiles of every skeleton
+						}
+						checkModes(t, 100+seed, sh, 1e-9, metrics)
 					}
-					checkModes(t, 100+seed, sh, 1e-9, metrics)
 				}
 			}
 		}
 	}
 	snap := metrics.Snapshot()
 	for _, name := range []string{string(runtime.BindView), string(runtime.BindFill), string(runtime.BindNnz),
-		string(runtime.BindDict), "compress.exec.hit"} {
+		string(runtime.BindDict), "compress.exec.hit", "spoof.MAgg", "spoof.Horizontal"} {
 		if snap.Counter(name) == 0 {
 			t.Errorf("no generated DAG counted %s", name)
 		}

@@ -101,3 +101,34 @@ func TestTransposedProductOfAComputedMatrix(t *testing.T) {
 	}
 	t.Errorf("no Row operator over the materialized product; fused operators: %v", spoofs)
 }
+
+// TestDistributedOperatorIsPricedOnItsOwnInputs: X * log(U %*% t(V) + 1e-15)
+// over a sparse X runs distributed under a 1 MiB budget. The root hop's
+// largest input is the 32 MB dense log(...), which the Outer operator never
+// builds; its own inputs are X (656 KB as CSR), U and V. Taking the largest
+// input from the root hop left nothing to broadcast, and the search priced
+// the operator at a quarter of what EXPLAIN predicts for it.
+func TestDistributedOperatorIsPricedOnItsOwnInputs(t *testing.T) {
+	d := hop.NewDAG()
+	uv := d.MatMult(d.Read("U", 2000, 10, -1), d.Transpose(d.Read("V", 2000, 10, -1)))
+	d.Output("P", d.Binary(matrix.BinMul, d.Read("X", 2000, 2000, 40000),
+		d.Unary(matrix.UnLog, d.Binary(matrix.BinAdd, uv, d.Lit(1e-15)))))
+	d, _ = rewrite.Apply(d)
+	cfg := codegen.DefaultConfig()
+	cfg.Exec.MemBudgetBytes = 1 << 20
+	rep := &codegen.PlanReport{}
+	d = codegen.OptimizeReport(d, &cfg, codegen.NewPlanCache(true), codegen.NewStats(), rep)
+	op := d.Outputs["P"]
+	if op.Kind != hop.OpSpoof || op.SpoofType != "Outer" || op.ExecType != hop.ExecDist {
+		t.Fatalf("want one distributed Outer operator:\n%s", hop.Explain(d.Roots()))
+	}
+	var searched codegen.PartitionReport
+	for _, p := range rep.Partitions {
+		if p.Nodes > searched.Nodes {
+			searched = p
+		}
+	}
+	if math.Abs(searched.EstCost-op.PredSec) > 0.01*op.PredSec {
+		t.Errorf("the search prices the operator's partition at %.4g s, EXPLAIN predicts %.4g s", searched.EstCost, op.PredSec)
+	}
+}

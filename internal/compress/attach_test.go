@@ -24,7 +24,7 @@ func TestDeclinesNeitherEvictNorPin(t *testing.T) {
 	Attach(in, Compress(in, DefaultOptions()))
 	before := liveHeap()
 	for i := 0; i < 2000; i++ {
-		tmp := matrix.Rand(128, 64, 1, -1, 1, int64(i)) // 64 KB, CompressMinBytes
+		tmp := matrix.Rand(128, 64, 1, -1, 1, int64(i)) // 64 KiB, the interpreter's compression floor
 		Decline(tmp, "estimated ratio 1.00 < 3.00")
 		if _, ok := DeclineReason(tmp); !ok {
 			t.Fatal("a decline did not stick to its matrix")

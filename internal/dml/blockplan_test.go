@@ -143,7 +143,7 @@ func TestReusedPlansMatchFreshCompiles(t *testing.T) {
 	}{
 		{"dense", func() *matrix.Matrix { return matrix.Rand(300, 12, 1, -1, 1, 31) }},
 		{"sparse", func() *matrix.Matrix { return matrix.Rand(300, 12, 0.05, 1, 2, 32) }},
-		{"compressed", func() *matrix.Matrix { return codesTable(300, 12, 33) }},
+		{"compressed", func() *matrix.Matrix { return codesTable(700, 12, 33) }}, // 67 KB: at least compressMinBytes
 	}
 	for _, tc := range lookupCases {
 		for _, in := range inputs {
@@ -155,7 +155,6 @@ func TestReusedPlansMatchFreshCompiles(t *testing.T) {
 						cfg.Mode = mode
 						cfg.ReuseBlockPlans = reuse
 						cfg.Reopt.MinSec = math.Inf(1)
-						cfg.CompressMinBytes = 1 << 10 // the codes table is 28 KB
 						s := newTestSessionCfg(cfg)
 						s.Par = par.NewPool(1) // one worker: reductions add up in one order
 						tc.bind(s, in.x())

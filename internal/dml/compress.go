@@ -55,11 +55,15 @@ type readHistory struct {
 	benefit, cost float64
 }
 
+// compressMinBytes is the dense size below which compression is never
+// attempted: the bookkeeping would dominate.
+const compressMinBytes = 1 << 16
+
 // compressCandidate reports whether a bound matrix is one the compression
 // pass considers at all: a matrix (not a scalar or a single row) of at least
-// CompressMinBytes.
+// compressMinBytes.
 func (s *Session) compressCandidate(m *matrix.Matrix) bool {
-	return m != nil && m.Rows > 1 && m.Cols >= 1 && m.SizeBytes() >= s.Config.CompressMinBytes
+	return m != nil && m.Rows > 1 && m.Cols >= 1 && m.SizeBytes() >= compressMinBytes
 }
 
 // compressPass is the interpreter's compression pass over one block about

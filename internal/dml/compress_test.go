@@ -304,7 +304,7 @@ func TestOutsideInputsAreSampledAtFirstRead(t *testing.T) {
 
 	r := newTestSession(codegen.ModeGen)
 	for i := 0; i < 3; i++ {
-		r.Env["X"] = claInput(128, 64, 4, int64(50+i))  // exactly CompressMinBytes, as a serve_mix request
+		r.Env["X"] = claInput(128, 64, 4, int64(50+i))  // exactly compressMinBytes, as a serve_mix request
 		if err := r.Run("a = t(X) %*% X"); err != nil { // no compressed consumer in the plan
 			t.Fatal(err)
 		}

@@ -241,10 +241,11 @@ func TestAuditTemplateCoverage(t *testing.T) {
 			"X": matrix.Rand(400, 40, 1, -1, 1, 3),
 			"v": matrix.Rand(40, 1, 1, -1, 1, 4),
 		}, `w = t(X) %*% (X %*% v)`},
+		// 400 KB of X: above the sibling gate (~320 KB at the default ReadBW).
 		{"MAgg", map[string]*matrix.Matrix{
-			"X": matrix.Rand(400, 40, 1, -1, 1, 5),
-			"Y": matrix.Rand(400, 40, 1, -1, 1, 6),
-			"Z": matrix.Rand(400, 40, 1, -1, 1, 7),
+			"X": matrix.Rand(1000, 50, 1, -1, 1, 5),
+			"Y": matrix.Rand(1000, 50, 1, -1, 1, 6),
+			"Z": matrix.Rand(1000, 50, 1, -1, 1, 7),
 		}, "s1 = sum(X * Y)\ns2 = sum(X * Z)"},
 		{"Outer", map[string]*matrix.Matrix{
 			"X": matrix.Rand(300, 300, 0.05, 1, 2, 8),

@@ -894,7 +894,7 @@ func recoversFromPanic(t *testing.T, pool *par.Pool, frame string) {
 // itself produces from them is left to the plan and never sampled here.
 func TestRequestInputsSampledPerRequest(t *testing.T) {
 	sess := dml.NewSession(codegen.DefaultConfig())
-	data := make([]float64, 128*64) // exactly CompressMinBytes, as serve_mix sends
+	data := make([]float64, 128*64) // exactly the interpreter's 64 KiB compression floor, as serve_mix sends
 	for i := range data {
 		data[i] = float64(i % 4)
 	}
