@@ -53,10 +53,19 @@ if git grep -nE 'combineMultiAggregates|buildMAggGroup|maggCand|buildOuterNode|C
   echo "FAIL: a second sibling pass, body builder or the compression-floor knob is referenced again" >&2
   exit 1
 fi
+# One compressor: columns are coded through per-column tables and groups
+# store flat dictionaries; the distinct-count map, the second flat copy of a
+# dictionary and the string-keyed tuple map are gone, and stay gone (the
+# test's compressReference keeps the old compressor to compare against).
+echo "== one compressor, flat dictionaries =="
+if git grep -nE 'countDistinct|flatDict|keyBuf' -- '*.go' ':!internal/compress/compress_test.go'; then
+  echo "FAIL: the map-based compressor or the flat-dictionary copy is referenced again" >&2
+  exit 1
+fi
 # Net LOC is a tracked number (ROADMAP): non-test Go lines, benchmark/ aside.
 loc() { git ls-files -- "$@" | grep '\.go$' | grep -v '_test\.go$' | xargs cat | wc -l; }
 fused=$(loc internal/cplan internal/runtime)
-echo "non-test Go lines: internal/cplan + internal/runtime $fused, internal/codegen $(loc internal/codegen), internal/dist $(loc internal/dist), root module $(loc . ':!benchmark')"
+echo "non-test Go lines: internal/cplan + internal/runtime $fused, internal/codegen $(loc internal/codegen), internal/dist $(loc internal/dist), internal/compress $(loc internal/compress), root module $(loc . ':!benchmark')"
 if [ "$fused" -gt 3200 ]; then
   echo "FAIL: internal/cplan + internal/runtime grew past 3200 non-test lines" >&2
   exit 1
@@ -76,14 +85,19 @@ go test -race -timeout 120s ./...
 # that only works with spare cores, or a batching test that only coalesces
 # when the scheduler cooperates, fails here.
 for procs in 1 2 4 8; do
-  echo "== go test -short, GOMAXPROCS=$procs (par dist runtime serve) =="
-  GOMAXPROCS=$procs go test -short -timeout 120s ./internal/par ./internal/dist ./internal/runtime ./internal/serve
+  echo "== go test -short, GOMAXPROCS=$procs (par dist runtime serve compress) =="
+  GOMAXPROCS=$procs go test -short -timeout 120s ./internal/par ./internal/dist ./internal/runtime ./internal/serve ./internal/compress
 done
 
 # Every assembly kernel against its Go twin on generated shapes, offsets and
 # bit patterns (NaN, infinities, denormals), beyond the table tests.
 echo "== fuzz (FuzzKernels, 20 s) =="
 go test -run '^$' -fuzz FuzzKernels -fuzztime 20s ./internal/vector
+
+# Compress on salted small matrices (NaN, ±Inf, ±0): bit-exact round trips,
+# directly and through the wire, and the same groups on one and two workers.
+echo "== fuzz (FuzzCompress, 20 s) =="
+go test -run '^$' -fuzz FuzzCompress -fuzztime 20s ./internal/compress
 
 echo "== benchmark checker tests (go test -short) =="
 (cd benchmark && go test -short -timeout 120s ./...)

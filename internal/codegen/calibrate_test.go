@@ -206,6 +206,11 @@ func TestLoadProfileRejects(t *testing.T) {
 			p.Version, p.CompressBW = 2, 0 // a version 2 file
 			return p.Save(path)
 		}},
+		{"old-compressor-rate", func(path string) error {
+			p := good
+			p.Version = 3 // compress_bw timed the map-based compressor
+			return p.Save(path)
+		}},
 		{"fitted-against-scalar-kernels", func(path string) error {
 			p := good
 			p.Version = 1 // what every profile saved before the assembly kernels says

@@ -1,58 +1,26 @@
 package compress
 
-import "sync"
-
 // Execution helpers for the runtime's dictionary binding: a fused body runs
 // once over a group's dictionary and the results are then weighed by the
 // occurrence counts or fanned out by row code. These helpers keep the
 // encoding-specific iteration (codes, runs, offset lists) inside the
 // package, next to the group representations.
 
-// Dict returns the group's dictionary, once: its tuples row-major in code
-// order (tuple k at values[k*len(g.Cols()):]) and their occurrence counts.
-// OLE's implicit zero tuple is the last one; an uncompressed group is its
-// own dictionary, one tuple of count 1 per row. A dictionary-coded group
-// lays the two arrays out on first use and keeps them — they are shared
-// between callers and read-only.
+// Dict returns the group's dictionary: its tuples row-major in code order
+// (tuple k at values[k*len(g.Cols()):]) and their occurrence counts. OLE's
+// implicit zero tuple is the last one; an uncompressed group is its own
+// dictionary, one tuple of count 1 per row. A dictionary-coded group hands
+// out the arrays it stores — they are shared between callers and read-only.
 func Dict(g ColGroup) (values, counts []float64) {
-	switch g := g.(type) {
-	case *DDCGroup:
-		return g.flat.get(g.dict, g.counts, 0, len(g.cols))
-	case *RLEGroup:
-		return g.flat.get(g.dict, g.counts, 0, len(g.cols))
-	case *OLEGroup:
-		return g.flat.get(g.dict, g.counts, g.zeroCount, len(g.cols))
+	if d, ok := g.(interface{ tuples() *dictionary }); ok {
+		t := d.tuples()
+		return t.dict, t.counts
 	}
 	g.ForEachDistinct(func(tuple []float64, count int) {
 		values = append(values, tuple...)
 		counts = append(counts, float64(count))
 	})
 	return values, counts
-}
-
-// flatDict is a group's dictionary as Dict returns it: contiguous, where
-// the group's own tuples are a slice each.
-type flatDict struct {
-	once           sync.Once
-	values, counts []float64
-}
-
-func (f *flatDict) get(dict [][]float64, cnt []int, zeros, w int) (values, counts []float64) {
-	f.once.Do(func() {
-		n := len(dict)
-		if zeros > 0 {
-			n++
-		}
-		f.values, f.counts = make([]float64, n*w), make([]float64, n)
-		for k, tuple := range dict {
-			copy(f.values[k*w:], tuple)
-			f.counts[k] = float64(cnt[k])
-		}
-		if zeros > 0 {
-			f.counts[n-1] = float64(zeros)
-		}
-	})
-	return f.values, f.counts
 }
 
 // Scatter fans a per-tuple table (w values per tuple, in Dict order) out by
@@ -101,7 +69,7 @@ func Codes(g ColGroup) []int32 {
 		}
 		return out
 	case *OLEGroup:
-		zeroCode := int32(len(g.dict))
+		zeroCode := int32(len(g.offsets))
 		out := make([]int32, g.rows)
 		for i := range out {
 			out[i] = zeroCode

@@ -40,14 +40,14 @@ func Encode(cm *CMatrix) []byte {
 		case *DDCGroup:
 			buf = append(buf, wireKindDDC)
 			buf = putCols(buf, g.cols)
-			buf = putDict(buf, g.dict)
+			buf = putDict(buf, len(g.counts), g.dict)
 			for _, c := range g.codes {
 				buf = binary.LittleEndian.AppendUint16(buf, c)
 			}
 		case *RLEGroup:
 			buf = append(buf, wireKindRLE)
 			buf = putCols(buf, g.cols)
-			buf = putDict(buf, g.dict)
+			buf = putDict(buf, len(g.counts), g.dict)
 			for _, runs := range g.runs {
 				buf = putI32(buf, int32(len(runs)/2))
 				for _, v := range runs {
@@ -57,7 +57,7 @@ func Encode(cm *CMatrix) []byte {
 		case *OLEGroup:
 			buf = append(buf, wireKindOLE)
 			buf = putCols(buf, g.cols)
-			buf = putDict(buf, g.dict)
+			buf = putDict(buf, len(g.offsets), g.dict[:len(g.offsets)*len(g.cols)])
 			for _, offs := range g.offsets {
 				buf = putI32(buf, int32(len(offs)))
 				for _, v := range offs {
@@ -85,14 +85,14 @@ func WireSizeBytes(cm *CMatrix) int64 {
 		s += 1 + 4 + int64(len(g.Cols()))*4
 		switch g := g.(type) {
 		case *DDCGroup:
-			s += 4 + int64(len(g.dict)*len(g.cols))*8 + int64(len(g.codes))*2
+			s += 4 + int64(len(g.dict))*8 + int64(len(g.codes))*2
 		case *RLEGroup:
-			s += 4 + int64(len(g.dict)*len(g.cols))*8
+			s += 4 + int64(len(g.dict))*8
 			for _, runs := range g.runs {
 				s += 4 + int64(len(runs))*4
 			}
 		case *OLEGroup:
-			s += 4 + int64(len(g.dict)*len(g.cols))*8
+			s += 4 + int64(len(g.offsets)*len(g.cols))*8
 			for _, offs := range g.offsets {
 				s += 4 + int64(len(offs))*4
 			}
@@ -116,22 +116,22 @@ func Decode(b []byte) (*CMatrix, error) {
 		cols := r.cols()
 		switch kind {
 		case wireKindDDC:
-			dict := r.dict(len(cols))
+			dict, n := r.dict(len(cols))
 			codes := make([]uint16, cm.Rows)
 			for j := range codes {
 				codes[j] = r.u16()
 			}
-			counts := make([]int, len(dict))
+			counts := make([]float64, n)
 			for _, c := range codes {
-				if int(c) < len(counts) {
+				if int(c) < n {
 					counts[c]++
 				}
 			}
-			cm.Groups = append(cm.Groups, &DDCGroup{cols: cols, dict: dict, codes: codes, counts: counts})
+			cm.Groups = append(cm.Groups, &DDCGroup{dictionary: dictionary{cols, dict, counts}, codes: codes})
 		case wireKindRLE:
-			dict := r.dict(len(cols))
-			runs := make([][]int32, len(dict))
-			counts := make([]int, len(dict))
+			dict, n := r.dict(len(cols))
+			runs := make([][]int32, n)
+			counts := make([]float64, n)
 			for t := range runs {
 				nr := int(r.i32())
 				runs[t] = make([]int32, 2*nr)
@@ -139,14 +139,14 @@ func Decode(b []byte) (*CMatrix, error) {
 					runs[t][k] = r.i32()
 				}
 				for k := 1; k < len(runs[t]); k += 2 {
-					counts[t] += int(runs[t][k])
+					counts[t] += float64(runs[t][k])
 				}
 			}
-			cm.Groups = append(cm.Groups, &RLEGroup{cols: cols, dict: dict, runs: runs, counts: counts, rows: cm.Rows})
+			cm.Groups = append(cm.Groups, &RLEGroup{dictionary: dictionary{cols, dict, counts}, runs: runs, rows: cm.Rows})
 		case wireKindOLE:
-			dict := r.dict(len(cols))
-			offsets := make([][]int32, len(dict))
-			counts := make([]int, len(dict))
+			dict, n := r.dict(len(cols))
+			offsets := make([][]int32, n)
+			counts := make([]float64, n)
 			nonZero := 0
 			for t := range offsets {
 				no := int(r.i32())
@@ -154,14 +154,13 @@ func Decode(b []byte) (*CMatrix, error) {
 				for k := range offsets[t] {
 					offsets[t][k] = r.i32()
 				}
-				counts[t] = no
+				counts[t] = float64(no)
 				nonZero += no
 			}
-			cm.Groups = append(cm.Groups, &OLEGroup{
-				cols: cols, dict: dict, offsets: offsets, counts: counts,
-				rows: cm.Rows, zeroCount: cm.Rows - nonZero,
-				zeroTuple: make([]float64, len(cols)),
-			})
+			if zeros := cm.Rows - nonZero; zeros > 0 {
+				dict, counts = append(dict, make([]float64, len(cols))...), append(counts, float64(zeros))
+			}
+			cm.Groups = append(cm.Groups, &OLEGroup{dictionary: dictionary{cols, dict, counts}, offsets: offsets, rows: cm.Rows})
 		case wireKindUC:
 			data := make([]float64, len(cols)*cm.Rows)
 			for j := range data {
@@ -213,20 +212,18 @@ func (r *wireReader) cols() []int {
 	return cols
 }
 
-func (r *wireReader) dict(ncols int) [][]float64 {
-	n := int(r.i32())
-	if r.err != nil || n < 0 || n > 1<<16 {
+// dict reads a dictionary of n tuples of ncols values, flat.
+func (r *wireReader) dict(ncols int) (dict []float64, n int) {
+	n = int(r.i32())
+	if r.err != nil || n < 0 || n > 1<<16 || n*ncols*8 > len(r.b) {
 		r.err = fmt.Errorf("compress: implausible dictionary size in wire payload")
-		return nil
+		return nil, 0
 	}
-	dict := make([][]float64, n)
+	dict = make([]float64, n*ncols)
 	for i := range dict {
-		dict[i] = make([]float64, ncols)
-		for j := range dict[i] {
-			dict[i][j] = r.f64()
-		}
+		dict[i] = r.f64()
 	}
-	return dict
+	return dict, n
 }
 
 func putI32(b []byte, v int32) []byte { return binary.LittleEndian.AppendUint32(b, uint32(v)) }
@@ -239,12 +236,11 @@ func putCols(b []byte, cols []int) []byte {
 	return b
 }
 
-func putDict(b []byte, dict [][]float64) []byte {
-	b = putI32(b, int32(len(dict)))
-	for _, tuple := range dict {
-		for _, v := range tuple {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
+// putDict writes a dictionary of n tuples, flat.
+func putDict(b []byte, n int, dict []float64) []byte {
+	b = putI32(b, int32(n))
+	for _, v := range dict {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
 	return b
 }

@@ -156,7 +156,9 @@ func (s *Session) sample(m *matrix.Matrix) (est compress.Estimate, ok bool) {
 // attempt is not repeated).
 func (s *Session) compressAndAttach(m *matrix.Matrix) *compress.CMatrix {
 	start := time.Now()
-	cm := compress.Compress(m, compress.DefaultOptions())
+	opts := compress.DefaultOptions()
+	opts.Pool = s.Par
+	cm := compress.Compress(m, opts)
 	s.Calib.ObserveCompress(m.SizeBytes(), time.Since(start).Seconds())
 	realRatio := float64(m.SizeBytes()) / float64(cm.SizeBytes())
 	if s.Config.Compress == codegen.CompressAuto && realRatio < 1.2 {
