@@ -62,6 +62,15 @@ if git grep -nE 'countDistinct|flatDict|keyBuf' -- '*.go' ':!internal/compress/c
   echo "FAIL: the map-based compressor or the flat-dictionary copy is referenced again" >&2
   exit 1
 fi
+# One metrics surface: each component writes its own instruments into a
+# snapshot, and one renderer (Session.RunReport) prints the run sections of
+# EXPLAIN and dmlrun from two snapshots; the before/after copies, the four
+# dist interfaces and dmlrun's own printers are gone, and stay gone.
+echo "== one metrics surface =="
+if git grep -nE 'distExplainDeltas|distDetail|distFaults|distCompress|printPool|printCompress|printDist' -- '*.go'; then
+  echo "FAIL: a second metrics reader or run-section printer is referenced again" >&2
+  exit 1
+fi
 # Net LOC is a tracked number (ROADMAP): non-test Go lines, benchmark/ aside.
 loc() { git ls-files -- "$@" | grep '\.go$' | grep -v '_test\.go$' | xargs cat | wc -l; }
 fused=$(loc internal/cplan internal/runtime)
@@ -98,6 +107,11 @@ go test -run '^$' -fuzz FuzzKernels -fuzztime 20s ./internal/vector
 # directly and through the wire, and the same groups on one and two workers.
 echo "== fuzz (FuzzCompress, 20 s) =="
 go test -run '^$' -fuzz FuzzCompress -fuzztime 20s ./internal/compress
+
+# Decode on arbitrary payloads: never a panic, no allocation the payload
+# cannot back, and what it accepts re-encodes to itself.
+echo "== fuzz (FuzzWireDecode, 20 s) =="
+go test -run '^$' -fuzz FuzzWireDecode -fuzztime 20s ./internal/compress
 
 echo "== benchmark checker tests (go test -short) =="
 (cd benchmark && go test -short -timeout 120s ./...)

@@ -10,7 +10,10 @@
 // compile/optimize/execute phase-time breakdown. -trace out.json exports
 // the run's hierarchical spans as Chrome trace-event JSON (load in
 // chrome://tracing or Perfetto). -audit prints the cost-audit ledger:
-// predicted vs measured cost per fused-operator template. -calibrate auto
+// predicted vs measured cost per fused-operator template. -explain and
+// -audit end with the run report on stderr (BUFFER POOL, COMPRESSED,
+// DISTRIBUTED, CALIBRATION: Session.RunReport over metrics snapshots taken
+// around the run, the sections Session.Explain appends). -calibrate auto
 // fits the cost-model constants online from this run's measurements;
 // -calibrate file additionally loads/saves a per-machine profile JSON (see
 // docs/COST_MODEL.md). Input matrices can be generated inside the script
@@ -28,7 +31,6 @@ import (
 	"sysml/internal/codegen"
 	"sysml/internal/dist"
 	"sysml/internal/dml"
-	"sysml/internal/matrix"
 	"sysml/internal/obs"
 )
 
@@ -135,7 +137,7 @@ func main() {
 	if len(sinks) > 0 {
 		s.Sink = sinks
 	}
-	poolBefore := matrix.PoolStats()
+	before := s.Metrics()
 	if err := s.Run(string(src)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -155,25 +157,15 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote calibration profile to %s\n", saveProfile)
 	}
+	after := s.Metrics()
 	if *audit {
 		fmt.Print(s.CostAudit())
-		if s.Calib != nil {
-			st := s.Calib.State()
-			fmt.Printf("# CALIBRATION source=%s gen=%d refits=%d samples=%d skipped=%d\n",
-				st.Source, st.Gen, st.Refits, st.Samples, st.Skipped)
-			fmt.Printf("  read=%.3g write=%.3g flop=%.3g bcast=%.3g compress=%.3g (priors %.3g/%.3g/%.3g/%.3g/%.3g)\n",
-				st.Model.ReadBW, st.Model.WriteBW, st.Model.ComputeBW, st.Model.BroadcastBW, st.Model.CompressBW,
-				st.Prior.ReadBW, st.Prior.WriteBW, st.Prior.ComputeBW, st.Prior.BroadcastBW, st.Prior.CompressBW)
-		}
 	}
 	if *explain {
-		snap := s.Metrics()
-		printPhases(snap)
-		printPool(poolBefore, matrix.PoolStats())
-		printCompress(snap)
-		if cluster != nil {
-			printDist(cluster)
-		}
+		printPhases(after)
+	}
+	if *explain || *audit {
+		fmt.Fprint(os.Stderr, s.RunReport(before, after))
 	}
 	if *stats {
 		st := s.Stats
@@ -182,83 +174,8 @@ func main() {
 			st.CacheHits, st.PlansEvaluated, st.CodegenTime, st.CompileTime)
 	}
 	if *metrics {
-		fmt.Print(s.Metrics())
+		fmt.Print(after)
 	}
-}
-
-// printPool writes the buffer-pool delta over the run: how many
-// intermediate allocations the lineage refcounting turned into recycled
-// buffers.
-func printPool(before, after matrix.PoolUsage) {
-	gets, hits, puts := after.Gets-before.Gets, after.Hits-before.Hits, after.Puts-before.Puts
-	recycled := after.BytesRecycled - before.BytesRecycled
-	rate := 0.0
-	if gets > 0 {
-		rate = 100 * float64(hits) / float64(gets)
-	}
-	fmt.Fprintln(os.Stderr, "# buffer pool")
-	fmt.Fprintf(os.Stderr, "  pooled allocations: %d (hits %d, misses %d)\n", gets, hits, gets-hits)
-	fmt.Fprintf(os.Stderr, "  buffers returned:   %d\n", puts)
-	fmt.Fprintf(os.Stderr, "  bytes recycled:     %d (hit rate %.1f%%)\n", recycled, rate)
-}
-
-// printCompress writes the compressed-linear-algebra summary: the values
-// the compression pass compressed, the ones the estimator declined, the
-// reads of script-produced values it never sampled, the achieved
-// compression ratio, and how many fused operators executed directly over
-// column groups versus falling back to dense.
-func printCompress(snap obs.Snapshot) {
-	ac := snap.Counters["compress.auto.compressed"]
-	ad := snap.Counters["compress.auto.declined"]
-	skipped := snap.Counters["compress.plan.skipped"]
-	hit := snap.Counters["compress.exec.hit"]
-	fb := snap.Counters["compress.exec.fallback"]
-	if ac+ad+skipped+hit+fb == 0 {
-		return
-	}
-	fmt.Fprintln(os.Stderr, "# compressed linear algebra")
-	fmt.Fprintf(os.Stderr, "  inputs compressed:  %d (declined %d from %d estimates, %d reads never sampled)\n",
-		ac, ad, snap.Counters["compress.auto.sampled"], skipped)
-	if r, ok := snap.Gauges["compress.ratio"]; ok {
-		fmt.Fprintf(os.Stderr, "  compression ratio:  %.2f\n", r)
-	}
-	fmt.Fprintf(os.Stderr, "  operator execution: %d compressed, %d fallback\n", hit, fb)
-}
-
-// printDist writes the distributed backend's traffic summary: broadcast
-// and shuffle volumes, the simulated network time they imply, broadcast
-// handle-cache effectiveness, and shuffle bytes per reduction stage.
-func printDist(c *dist.Cluster) {
-	hits, misses, invals := c.BroadcastCacheStats()
-	fmt.Fprintln(os.Stderr, "# distributed")
-	fmt.Fprintf(os.Stderr, "  executors:          %d\n", c.NumExecutors)
-	fmt.Fprintf(os.Stderr, "  bytes broadcast:    %d\n", c.BytesBroadcast())
-	fmt.Fprintf(os.Stderr, "  bytes shuffled:     %d\n", c.BytesShuffled())
-	fmt.Fprintf(os.Stderr, "  simulated net time: %v\n", c.NetTime())
-	fmt.Fprintf(os.Stderr, "  broadcast cache:    hits %d, misses %d, invalidations %d\n", hits, misses, invals)
-	if cb, cs, sb, ss := c.CompressedWireStats(); cb+cs+sb+ss > 0 {
-		fmt.Fprintf(os.Stderr, "  compressed wire:    bcast %d B (saved %d), shuffle %d B (saved %d)\n", cb, cs, sb, ss)
-	}
-	stages := c.ShuffleStageBytes()
-	var names []string
-	for stage := range stages {
-		names = append(names, stage)
-	}
-	sort.Strings(names)
-	for _, stage := range names {
-		fmt.Fprintf(os.Stderr, "  shuffle[%-5s]:     %d\n", stage, stages[stage])
-	}
-	if !c.FaultActive() {
-		return
-	}
-	ft := c.FaultStats()
-	fmt.Fprintln(os.Stderr, "  faults")
-	fmt.Fprintf(os.Stderr, "    injected:         transient %d, stragglers %d, kills %d (dead executors %v)\n",
-		ft.TransientInjected, ft.StragglersInjected, ft.Kills, c.DeadExecutors())
-	fmt.Fprintf(os.Stderr, "    recovered:        retries %d, reassigned %d, broadcasts re-shipped %d (%d B)\n",
-		ft.Retries, ft.Reassigned, ft.BcastReships, ft.BcastReshipBytes)
-	fmt.Fprintf(os.Stderr, "    speculation:      launched %d, wins %d\n", ft.SpecLaunched, ft.SpecWins)
-	fmt.Fprintf(os.Stderr, "    degraded to local: %d\n", ft.Degraded)
 }
 
 // printPhases writes the compile/optimize/execute wall-time breakdown

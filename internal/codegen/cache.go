@@ -8,6 +8,7 @@ import (
 
 	"sysml/internal/cplan"
 	"sysml/internal/hop"
+	"sysml/internal/obs"
 )
 
 // A PlanCache caches compiled fused operators keyed by CPlan hash, avoiding
@@ -186,10 +187,6 @@ func (pc *PlanCache) Invalidate(hashes ...uint64) int {
 // Invalidations returns the number of operators this view invalidated.
 func (pc *PlanCache) Invalidations() int64 { return pc.invals.Load() }
 
-// TotalInvalidations returns invalidations aggregated across every view of
-// the underlying store.
-func (pc *PlanCache) TotalInvalidations() int64 { return pc.core.invalidations.Load() }
-
 // Contains reports whether an operator for plan hash h is currently in
 // the store.
 func (pc *PlanCache) Contains(h uint64) bool {
@@ -218,11 +215,28 @@ func (pc *PlanCache) Counters() (hits, misses, evictions int64) {
 	return pc.hits.Load(), pc.misses.Load(), pc.core.evictions.Load()
 }
 
-// TotalCounters returns hit/miss/eviction counts aggregated across every
-// view of the underlying store — the engine-wide cache picture.
-func (pc *PlanCache) TotalCounters() (hits, misses, evictions int64) {
+// WriteMetrics writes this view's plancache.* instruments into snap (the
+// evictions and size are the shared store's).
+func (pc *PlanCache) WriteMetrics(snap obs.Snapshot) {
+	pc.writeMetrics(snap, pc.hits.Load(), pc.misses.Load(), pc.invals.Load())
+}
+
+// WriteTotalMetrics writes the plancache.* instruments aggregated across
+// every view of the underlying store: the engine-wide cache picture.
+func (pc *PlanCache) WriteTotalMetrics(snap obs.Snapshot) {
 	c := pc.core
-	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
+	pc.writeMetrics(snap, c.hits.Load(), c.misses.Load(), c.invalidations.Load())
+}
+
+func (pc *PlanCache) writeMetrics(snap obs.Snapshot, hits, misses, invals int64) {
+	snap.Counters["plancache.hits"] = hits
+	snap.Counters["plancache.misses"] = misses
+	snap.Counters["plancache.evictions"] = pc.core.evictions.Load()
+	snap.Counters["plancache.invalidations"] = invals
+	if lookups := hits + misses; lookups > 0 {
+		snap.Gauges["plancache.hitrate"] = float64(hits) / float64(lookups)
+	}
+	snap.Gauges["plancache.size"] = float64(pc.Size())
 }
 
 // PlanHashes collects the CPlan hashes of every fused operator spliced

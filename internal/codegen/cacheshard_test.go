@@ -6,6 +6,7 @@ import (
 
 	"sysml/internal/codegen"
 	"sysml/internal/cplan"
+	"sysml/internal/obs"
 )
 
 // litPlan builds a minimal distinct Cell plan (hash varies with v).
@@ -55,7 +56,9 @@ func TestSharedPlanCacheConcurrentViews(t *testing.T) {
 		sumHits += hits
 		sumMisses += misses
 	}
-	hits, misses, _ := shared.TotalCounters()
+	total := obs.NewMetrics().Snapshot()
+	shared.WriteTotalMetrics(total)
+	hits, misses := total.Counters["plancache.hits"], total.Counters["plancache.misses"]
 	if hits != sumHits || misses != sumMisses {
 		t.Errorf("aggregate (%d, %d) != per-view sums (%d, %d)", hits, misses, sumHits, sumMisses)
 	}
@@ -122,7 +125,9 @@ func TestPlanCacheInvalidate(t *testing.T) {
 	if got := v.Invalidations(); got != 1 {
 		t.Errorf("view counted %d invalidations, want 1", got)
 	}
-	if got := pc.TotalInvalidations(); got != 1 {
+	total := obs.NewMetrics().Snapshot()
+	pc.WriteTotalMetrics(total)
+	if got := total.Counters["plancache.invalidations"]; got != 1 {
 		t.Errorf("store counted %d invalidations, want 1", got)
 	}
 	if _, hit, _ := pc.GetOrCompile(p, &cfg, func() string { return "T" }); hit || !pc.Contains(p.Hash()) {
@@ -172,7 +177,9 @@ func TestPlanCacheInvalidateViewIsolation(t *testing.T) {
 	if got := b.Invalidations(); got != 1 {
 		t.Errorf("invoking view counted %d invalidations, want 1", got)
 	}
-	if got := shared.TotalInvalidations(); got != 1 {
+	total := obs.NewMetrics().Snapshot()
+	shared.WriteTotalMetrics(total)
+	if got := total.Counters["plancache.invalidations"]; got != 1 {
 		t.Errorf("aggregate %d invalidations, want 1", got)
 	}
 }

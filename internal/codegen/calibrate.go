@@ -434,9 +434,9 @@ func (c *Calibrator) Gen() uint64 {
 	return c.gen
 }
 
-// CalibState is a point-in-time snapshot of a calibrator, surfaced in
-// session metrics (calib.* counters and gauges) and the EXPLAIN
-// CALIBRATION section.
+// CalibState is a point-in-time snapshot of a calibrator; WriteMetrics
+// writes it as the calib.* instruments the run report's CALIBRATION
+// section renders.
 type CalibState struct {
 	Model   CostModel
 	Prior   CostModel
@@ -456,6 +456,28 @@ func (c *Calibrator) State() CalibState {
 		Samples: c.samples, Skipped: c.skipped, Refits: c.refits,
 		Source: c.source,
 	}
+}
+
+// WriteMetrics writes the calibrator's calib.* instruments into snap: its
+// counters, the fitted constants, their priors (calib.prior.*), and where
+// the constants came from as calib.source{source="..."} = 1.
+func (c *Calibrator) WriteMetrics(snap obs.Snapshot) {
+	st := c.State()
+	snap.Counters["calib.samples"] = st.Samples
+	snap.Counters["calib.skipped"] = st.Skipped
+	snap.Counters["calib.refits"] = st.Refits
+	snap.Counters["calib.gen"] = int64(st.Gen)
+	for _, m := range []struct {
+		prefix string
+		cm     CostModel
+	}{{"calib.", st.Model}, {"calib.prior.", st.Prior}} {
+		snap.Gauges[m.prefix+"read_bw"] = m.cm.ReadBW
+		snap.Gauges[m.prefix+"write_bw"] = m.cm.WriteBW
+		snap.Gauges[m.prefix+"flop_rate"] = m.cm.ComputeBW
+		snap.Gauges[m.prefix+"broadcast_bw"] = m.cm.BroadcastBW
+		snap.Gauges[m.prefix+"compress_bw"] = m.cm.CompressBW
+	}
+	snap.Gauges[obs.LabeledName("calib.source", "source", st.Source)] = 1
 }
 
 // ProfileVersion is the calibration profile version; LoadProfile rejects

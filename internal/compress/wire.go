@@ -103,7 +103,10 @@ func WireSizeBytes(cm *CMatrix) int64 {
 	return s
 }
 
-// Decode reconstructs a compressed matrix from its wire form.
+// Decode reconstructs a compressed matrix from its wire form. A payload
+// that is not one Encode can produce is an error, never a panic: every
+// length is checked against the bytes left before anything is allocated,
+// and every column index, code, run and offset against the dimensions.
 func Decode(b []byte) (*CMatrix, error) {
 	r := &wireReader{b: b}
 	if string(r.bytes(4)) != wireMagic {
@@ -111,21 +114,25 @@ func Decode(b []byte) (*CMatrix, error) {
 	}
 	cm := &CMatrix{Rows: int(r.i32()), Cols: int(r.i32())}
 	ng := int(r.i32())
+	if cm.Rows < 0 || cm.Cols < 0 {
+		r.fail("negative dimensions")
+	}
 	for i := 0; i < ng && r.err == nil; i++ {
 		kind := r.u8()
-		cols := r.cols()
+		cols := r.cols(cm.Cols)
 		switch kind {
 		case wireKindDDC:
 			dict, n := r.dict(len(cols))
-			codes := make([]uint16, cm.Rows)
-			for j := range codes {
-				codes[j] = r.u16()
-			}
+			codes := make([]uint16, r.count(cm.Rows, 2))
 			counts := make([]float64, n)
-			for _, c := range codes {
-				if int(c) < n {
-					counts[c]++
+			for j := range codes {
+				c := r.u16()
+				if int(c) >= n {
+					r.fail("DDC code beyond its dictionary")
+					break
 				}
+				codes[j] = c
+				counts[c]++
 			}
 			cm.Groups = append(cm.Groups, &DDCGroup{dictionary: dictionary{cols, dict, counts}, codes: codes})
 		case wireKindRLE:
@@ -133,13 +140,14 @@ func Decode(b []byte) (*CMatrix, error) {
 			runs := make([][]int32, n)
 			counts := make([]float64, n)
 			for t := range runs {
-				nr := int(r.i32())
-				runs[t] = make([]int32, 2*nr)
-				for k := range runs[t] {
-					runs[t][k] = r.i32()
-				}
-				for k := 1; k < len(runs[t]); k += 2 {
-					counts[t] += float64(runs[t][k])
+				runs[t] = make([]int32, 2*r.count(int(r.i32()), 8))
+				for k := 0; k < len(runs[t]); k += 2 {
+					start, length := r.i32(), r.i32()
+					if start < 0 || length < 0 || int(start)+int(length) > cm.Rows {
+						r.fail("RLE run outside the rows")
+					}
+					runs[t][k], runs[t][k+1] = start, length
+					counts[t] += float64(length)
 				}
 			}
 			cm.Groups = append(cm.Groups, &RLEGroup{dictionary: dictionary{cols, dict, counts}, runs: runs, rows: cm.Rows})
@@ -149,27 +157,34 @@ func Decode(b []byte) (*CMatrix, error) {
 			counts := make([]float64, n)
 			nonZero := 0
 			for t := range offsets {
-				no := int(r.i32())
-				offsets[t] = make([]int32, no)
+				offsets[t] = make([]int32, r.count(int(r.i32()), 4))
 				for k := range offsets[t] {
-					offsets[t][k] = r.i32()
+					if offsets[t][k] = r.i32(); offsets[t][k] < 0 || int(offsets[t][k]) >= cm.Rows {
+						r.fail("OLE offset outside the rows")
+					}
 				}
-				counts[t] = float64(no)
-				nonZero += no
+				counts[t] = float64(len(offsets[t]))
+				nonZero += len(offsets[t])
+			}
+			if nonZero > cm.Rows {
+				r.fail("more OLE offsets than rows")
 			}
 			if zeros := cm.Rows - nonZero; zeros > 0 {
 				dict, counts = append(dict, make([]float64, len(cols))...), append(counts, float64(zeros))
 			}
 			cm.Groups = append(cm.Groups, &OLEGroup{dictionary: dictionary{cols, dict, counts}, offsets: offsets, rows: cm.Rows})
 		case wireKindUC:
-			data := make([]float64, len(cols)*cm.Rows)
+			data := make([]float64, r.count(len(cols)*cm.Rows, 8))
 			for j := range data {
 				data[j] = r.f64()
 			}
 			cm.Groups = append(cm.Groups, &UCGroup{cols: cols, data: data, rows: cm.Rows})
 		default:
-			return nil, fmt.Errorf("compress: unknown wire group kind %d", kind)
+			r.fail(fmt.Sprintf("unknown group kind %d", kind))
 		}
+	}
+	if r.err == nil && len(r.b) > 0 {
+		r.fail("trailing bytes")
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -182,14 +197,32 @@ type wireReader struct {
 	err error
 }
 
+// fail records the first error of a payload; reads after it return zeros.
+func (r *wireReader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("compress: invalid wire payload: %s", what)
+	}
+}
+
 func (r *wireReader) bytes(n int) []byte {
 	if r.err != nil || len(r.b) < n {
-		r.err = fmt.Errorf("compress: truncated wire payload")
+		r.fail("truncated")
 		return make([]byte, n)
 	}
 	out := r.b[:n]
 	r.b = r.b[n:]
 	return out
+}
+
+// count returns n when n items of size bytes each fit into what is left of
+// the payload, and 0 after recording an error otherwise: a length field
+// never allocates more than the payload can back.
+func (r *wireReader) count(n, size int) int {
+	if r.err != nil || n < 0 || n > len(r.b)/size {
+		r.fail("length beyond the payload")
+		return 0
+	}
+	return n
 }
 
 func (r *wireReader) u8() byte    { return r.bytes(1)[0] }
@@ -199,15 +232,16 @@ func (r *wireReader) f64() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(r.bytes(8)))
 }
 
-func (r *wireReader) cols() []int {
-	n := int(r.i32())
-	if r.err != nil || n < 0 || n > 1<<20 {
-		r.err = fmt.Errorf("compress: implausible column count in wire payload")
-		return nil
+// cols reads a group's column indexes: at least one, each below ncols.
+func (r *wireReader) cols(ncols int) []int {
+	cols := make([]int, r.count(int(r.i32()), 4))
+	if len(cols) == 0 {
+		r.fail("group without columns")
 	}
-	cols := make([]int, n)
 	for i := range cols {
-		cols[i] = int(r.i32())
+		if cols[i] = int(r.i32()); cols[i] < 0 || cols[i] >= ncols {
+			r.fail("column index outside the matrix")
+		}
 	}
 	return cols
 }
@@ -215,13 +249,16 @@ func (r *wireReader) cols() []int {
 // dict reads a dictionary of n tuples of ncols values, flat.
 func (r *wireReader) dict(ncols int) (dict []float64, n int) {
 	n = int(r.i32())
-	if r.err != nil || n < 0 || n > 1<<16 || n*ncols*8 > len(r.b) {
-		r.err = fmt.Errorf("compress: implausible dictionary size in wire payload")
+	if n < 0 || n > 1<<16 {
+		r.fail("dictionary size outside 0..65536")
 		return nil, 0
 	}
-	dict = make([]float64, n*ncols)
+	dict = make([]float64, r.count(n*ncols, 8))
 	for i := range dict {
 		dict[i] = r.f64()
+	}
+	if r.err != nil {
+		return nil, 0
 	}
 	return dict, n
 }

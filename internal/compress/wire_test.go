@@ -1,7 +1,9 @@
 package compress
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"sysml/internal/matrix"
@@ -60,6 +62,8 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		"empty":     nil,
 		"magic":     []byte("NOPE"),
 		"truncated": Encode(Compress(lowCardinality(100, 2, 4, 43), DefaultOptions()))[:20],
+		"rows -1":   []byte(hostileNegativeRows),
+		"2^31 rows": []byte(hostileHugeUC),
 	} {
 		if _, err := Decode(b); err == nil {
 			t.Fatalf("%s: Decode accepted invalid payload", name)
@@ -221,4 +225,42 @@ func TestMapIntoAndCodesMatchValueAt(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Two 25-byte headers that once crashed Decode: rows = -1 (makeslice
+// panic) and 2^31 rows claimed for one uncompressed group (out of memory).
+const (
+	hostileNegativeRows = "CLA1\xff\xff\xff\xff\x01\x00\x00\x00\x01\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"
+	hostileHugeUC       = "CLA1\x00\x00\x00\x7f\x01\x00\x00\x00\x01\x00\x00\x00\x03\x01\x00\x00\x00\x00\x00\x00\x00"
+)
+
+// FuzzWireDecode feeds Decode arbitrary payloads, seeded with the wire form
+// of every group kind and the hostile headers: it never panics, it
+// allocates no more than the payload can back, and a payload it accepts
+// re-encodes to itself and decompresses.
+func FuzzWireDecode(f *testing.F) {
+	for _, m := range wireCases() {
+		f.Add(Encode(Compress(m, DefaultOptions())))
+	}
+	f.Add([]byte(hostileNegativeRows))
+	f.Add([]byte(hostileHugeUC))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		cm, err := Decode(b)
+		runtime.ReadMemStats(&ms)
+		if grew := ms.TotalAlloc - before; grew > 64*uint64(len(b))+1<<16 {
+			t.Fatalf("Decode of %d bytes allocated %d", len(b), grew)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(Encode(cm), b) {
+			t.Fatal("Decode accepted a payload that does not re-encode to itself")
+		}
+		if cm.Rows*cm.Cols <= 1<<16 {
+			cm.Decompress()
+		}
+	})
 }

@@ -31,8 +31,7 @@ func (c *Cluster) SetCompressedWire(on bool) bool {
 
 // CompressedWireStats returns the compressed shipping counters: bytes that
 // actually crossed the simulated wire in compressed form, and the bytes
-// saved versus shipping the dense blocks. Satisfies the interpreter's
-// distCompress metrics slice.
+// saved versus shipping the dense blocks.
 func (c *Cluster) CompressedWireStats() (bcastBytes, bcastSaved, shuffleBytes, shuffleSaved int64) {
 	return atomic.LoadInt64(&c.cwBcastBytes), atomic.LoadInt64(&c.cwBcastSaved),
 		atomic.LoadInt64(&c.cwShuffleBytes), atomic.LoadInt64(&c.cwShufSaved)

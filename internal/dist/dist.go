@@ -170,15 +170,40 @@ func (c *Cluster) BroadcastCacheStats() (hits, misses, invalidations int64) {
 		atomic.LoadInt64(&c.bcastInvals) + atomic.LoadInt64(&c.bcastEvicted)
 }
 
-// ShuffleStageBytes returns shuffle volume per reduction stage kind.
-func (c *Cluster) ShuffleStageBytes() map[string]int64 {
-	c.stageMu.Lock()
-	defer c.stageMu.Unlock()
-	out := make(map[string]int64, len(c.stageBytes))
-	for k, v := range c.stageBytes {
-		out[k] = v
+// WriteMetrics writes the cluster's dist.* instruments into snap: traffic
+// volumes and the simulated network time, the broadcast handle cache,
+// shuffle bytes per stage, the executor count and how many of them are
+// dead, the compressed-wire volumes once any shipped and, while a fault
+// plan is attached, the fault and recovery counters.
+func (c *Cluster) WriteMetrics(snap obs.Snapshot) {
+	snap.Counters["dist.bytes.broadcast"] = c.BytesBroadcast()
+	snap.Counters["dist.bytes.shuffled"] = c.BytesShuffled()
+	snap.Gauges["dist.net.seconds"] = c.NetTime().Seconds()
+	hits, misses, invals := c.BroadcastCacheStats()
+	snap.Counters["dist.bcast.hits"] = hits
+	snap.Counters["dist.bcast.misses"] = misses
+	snap.Counters["dist.bcast.invalidations"] = invals
+	if lookups := hits + misses; lookups > 0 {
+		snap.Gauges["dist.bcast.hitrate"] = float64(hits) / float64(lookups)
 	}
-	return out
+	c.stageMu.Lock()
+	for stage, bytes := range c.stageBytes {
+		snap.Counters["dist.shuffle.bytes."+stage] = bytes
+	}
+	c.stageMu.Unlock()
+	snap.Gauges["dist.executors"] = float64(c.NumExecutors)
+	snap.Gauges["dist.executors.dead"] = float64(atomic.LoadInt64(&c.deadCount))
+	if cb, cs, sb, ss := c.CompressedWireStats(); cb+cs+sb+ss > 0 {
+		snap.Counters["dist.bcast.compressed_bytes"] = cb
+		snap.Counters["dist.bcast.saved_bytes"] = cs
+		snap.Counters["dist.shuffle.compressed_bytes"] = sb
+		snap.Counters["dist.shuffle.saved_bytes"] = ss
+	}
+	if c.FaultActive() {
+		for k, v := range c.FaultCounters() {
+			snap.Counters["dist."+k] = v
+		}
+	}
 }
 
 // SetBroadcastCache toggles the broadcast handle cache and returns the

@@ -223,9 +223,8 @@ func (c *Cluster) FaultStats() FaultStats {
 }
 
 // FaultCounters returns the fault and recovery counters keyed by metric
-// suffix ("fault.transient" → Session.Metrics "dist.fault.transient"); the
-// interpreter merges them into metric snapshots through a small interface,
-// keeping internal/dml decoupled from this package.
+// suffix ("fault.transient" → the "dist.fault.transient" WriteMetrics
+// writes).
 func (c *Cluster) FaultCounters() map[string]int64 {
 	s := c.FaultStats()
 	return map[string]int64{

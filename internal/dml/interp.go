@@ -5,11 +5,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"slices"
-	"sort"
 	"strings"
-	"time"
 
 	"sysml/internal/codegen"
 	"sysml/internal/hop"
@@ -63,10 +62,6 @@ type Session struct {
 	// next use. A serving engine shares one calibrator across all tenant
 	// sessions (the per-machine profile is an engine-level property).
 	Calib *codegen.Calibrator
-
-	// ExplainOut, when set, receives the textual EXPLAIN report of every
-	// freshly optimized block (SystemML's EXPLAIN hops output).
-	ExplainOut io.Writer
 
 	// Blocks counts compiled statement blocks (optimized HOP DAGs);
 	// BlockCacheHits counts reuses of previously optimized blocks.
@@ -404,23 +399,11 @@ func (s *Session) Scalar(name string) (float64, error) {
 // fused operators. The receiving session is left untouched.
 func (s *Session) Explain(script string) (string, error) {
 	col := &obs.Collector{}
-	env := runtime.Env{}
-	for k, v := range s.Env {
-		env[k] = v
-	}
-	hints := make(map[string]int64, len(s.nnzHints))
-	for k, v := range s.nnzHints {
-		hints[k] = v
-	}
-	produced := make(map[*matrix.Matrix]struct{}, len(s.produced))
-	for m := range s.produced {
-		produced[m] = struct{}{}
-	}
 	shadow := &Session{
 		Config:   s.Config,
 		Cache:    codegen.NewPlanCacheSized(s.Config.PlanCache, s.Config.PlanCacheSize),
 		Stats:    codegen.NewStats(),
-		Env:      env,
+		Env:      maps.Clone(s.Env),
 		Out:      io.Discard,
 		Dist:     s.Dist,
 		Par:      s.Par,
@@ -429,204 +412,33 @@ func (s *Session) Explain(script string) (string, error) {
 		Audit:    obs.NewAudit(),
 		Sink:     col,
 		Calib:    s.Calib,
-		nnzHints: hints,
-		produced: produced,
+		nnzHints: maps.Clone(s.nnzHints),
+		produced: maps.Clone(s.produced),
 	}
-	before := s.Alloc.Stats()
-	var db distExplainDeltas
-	db.capture(s.Dist)
+	before := shadow.Metrics()
 	if err := shadow.Run(script); err != nil {
 		return "", err
 	}
-	after := s.Alloc.Stats()
+	after := shadow.Metrics()
 	var b strings.Builder
 	for _, e := range col.Events() {
 		if e.Kind == obs.EventExplain {
 			b.WriteString(e.Text)
 		}
 	}
-	// Buffer-pool lifecycle over the shadow run: how many intermediate
-	// allocations the lineage refcounting turned into recycled buffers.
-	gets, hits, puts := after.Gets-before.Gets, after.Hits-before.Hits, after.Puts-before.Puts
-	recycled := after.BytesRecycled - before.BytesRecycled
-	b.WriteString("\nBUFFER POOL (this run)\n")
-	fmt.Fprintf(&b, "  pooled allocations: %d (hits %d, misses %d)\n", gets, hits, gets-hits)
-	fmt.Fprintf(&b, "  buffers returned:   %d\n", puts)
-	rate := 0.0
-	if gets > 0 {
-		rate = float64(hits) / float64(gets) * 100
-	}
-	fmt.Fprintf(&b, "  bytes recycled:     %d (hit rate %.1f%%)\n", recycled, rate)
-	// Compression activity over the shadow run. The shadow shares this
-	// session's input bindings, so attachments made here persist and warm
-	// the real session, mirroring the broadcast handle cache.
-	cs := shadow.Obs.Snapshot()
-	hit, fb := cs.Counters["compress.exec.hit"], cs.Counters["compress.exec.fallback"]
-	ac, ad := cs.Counters["compress.auto.compressed"], cs.Counters["compress.auto.declined"]
-	skipped := cs.Counters["compress.plan.skipped"]
-	if hit+fb+ac+ad+skipped > 0 {
-		b.WriteString("\nCOMPRESSED (this run)\n")
-		fmt.Fprintf(&b, "  inputs compressed:  %d (declined %d from %d estimates, %d reads never sampled)\n",
-			ac, ad, cs.Counters["compress.auto.sampled"], skipped)
-		if r, ok := cs.Gauges["compress.ratio"]; ok {
-			fmt.Fprintf(&b, "  compression ratio:  %.2f\n", r)
-		}
-		fmt.Fprintf(&b, "  operator execution: %d compressed, %d fallback\n", hit, fb)
-		// Where the cached plans' decisions stood when the run ended (a
-		// block's own report shows them as of its optimization).
-		seen := map[string]bool{}
-		var lines []string
-		for e := shadow.blockLRU.Front(); e != nil; e = e.Next() {
-			for _, ci := range shadow.compressReport(e.Value.(*blockEntry).reads) {
-				line := ci.String()
-				if !seen[line] {
-					seen[line] = true
-					lines = append(lines, line)
-				}
-			}
-		}
-		sort.Strings(lines)
-		b.WriteString(strings.Join(lines, ""))
-	}
-	db.report(&b, s.Dist)
-	// Cost-model calibration state: the constants the shadow run's plans
-	// were priced under, next to the paper-default priors.
-	if s.Calib != nil {
-		st := s.Calib.State()
-		b.WriteString("\nCALIBRATION\n")
-		fmt.Fprintf(&b, "  source: %s  generation: %d  refits: %d\n", st.Source, st.Gen, st.Refits)
-		fmt.Fprintf(&b, "  observations:       %d accepted, %d skipped (warm-up/floor)\n", st.Samples, st.Skipped)
-		fmt.Fprintf(&b, "  read bandwidth:     %.3g B/s (prior %.3g)\n", st.Model.ReadBW, st.Prior.ReadBW)
-		fmt.Fprintf(&b, "  write bandwidth:    %.3g B/s (prior %.3g)\n", st.Model.WriteBW, st.Prior.WriteBW)
-		fmt.Fprintf(&b, "  flop rate:          %.3g FLOP/s (prior %.3g)\n", st.Model.ComputeBW, st.Prior.ComputeBW)
-		fmt.Fprintf(&b, "  broadcast bandwidth: %.3g B/s (prior %.3g)\n", st.Model.BroadcastBW, st.Prior.BroadcastBW)
-		fmt.Fprintf(&b, "  compression rate:   %.3g B/s (prior %.3g)\n", st.Model.CompressBW, st.Prior.CompressBW)
-	}
+	// The shadow shares this session's pools, cluster, calibrator and input
+	// bindings, so the run sections show what this run caused, and
+	// compressed attachments and broadcast handles it made warm the real
+	// session.
+	b.WriteString(shadow.RunReport(before, after))
 	return b.String(), nil
 }
 
-// distExplainDeltas snapshots the distributed backend's cumulative traffic
-// counters around an Explain shadow run, so the DISTRIBUTED section shows
-// only the traffic this run caused. The shadow session shares the cluster,
-// so the broadcast handle cache behaves exactly as it would live (a side
-// already cached by earlier real runs stays a hit).
-type distExplainDeltas struct {
-	active                   bool
-	bcastBytes, shuffleBytes int64
-	hits, misses, invals     int64
-	netNanos                 int64
-	stages                   map[string]int64
-	faults                   map[string]int64
-	cwBcast, cwBcastSaved    int64
-	cwShuffle, cwShufSaved   int64
-}
-
-func (d *distExplainDeltas) capture(b runtime.DistBackend) {
-	st, ok := b.(distStats)
-	if !ok {
-		return
-	}
-	d.active = true
-	d.bcastBytes, d.shuffleBytes = st.BytesBroadcast(), st.BytesShuffled()
-	d.netNanos = int64(st.NetTime())
-	if det, ok := b.(distDetail); ok {
-		d.hits, d.misses, d.invals = det.BroadcastCacheStats()
-		d.stages = det.ShuffleStageBytes()
-	}
-	if ft, ok := b.(distFaults); ok && ft.FaultActive() {
-		d.faults = ft.FaultCounters()
-	}
-	if cw, ok := b.(distCompress); ok {
-		d.cwBcast, d.cwBcastSaved, d.cwShuffle, d.cwShufSaved = cw.CompressedWireStats()
-	}
-}
-
-func (d *distExplainDeltas) report(w io.Writer, b runtime.DistBackend) {
-	st, ok := b.(distStats)
-	if !ok || !d.active {
-		return
-	}
-	fmt.Fprintf(w, "\nDISTRIBUTED (this run)\n")
-	fmt.Fprintf(w, "  bytes broadcast:    %d\n", st.BytesBroadcast()-d.bcastBytes)
-	fmt.Fprintf(w, "  bytes shuffled:     %d\n", st.BytesShuffled()-d.shuffleBytes)
-	fmt.Fprintf(w, "  simulated net time: %v\n", st.NetTime()-time.Duration(d.netNanos))
-	if cw, ok := b.(distCompress); ok {
-		cb, cbs, sb, sbs := cw.CompressedWireStats()
-		if dcb, dsb := cb-d.cwBcast, sb-d.cwShuffle; dcb+dsb > 0 {
-			fmt.Fprintf(w, "  compressed wire:    bcast %d B (saved %d), shuffle %d B (saved %d)\n",
-				dcb, cbs-d.cwBcastSaved, dsb, sbs-d.cwShufSaved)
-		}
-	}
-	det, ok := b.(distDetail)
-	if !ok {
-		return
-	}
-	hits, misses, invals := det.BroadcastCacheStats()
-	fmt.Fprintf(w, "  broadcast cache:    hits %d, misses %d, invalidations %d\n",
-		hits-d.hits, misses-d.misses, invals-d.invals)
-	stages := det.ShuffleStageBytes()
-	names := make([]string, 0, len(stages))
-	for stage := range stages {
-		names = append(names, stage)
-	}
-	sort.Strings(names)
-	for _, stage := range names {
-		fmt.Fprintf(w, "  shuffle[%s]:%s%d\n", stage,
-			strings.Repeat(" ", max(1, 8-len(stage))), stages[stage]-d.stages[stage])
-	}
-	ft, ok := b.(distFaults)
-	if !ok || !ft.FaultActive() {
-		return
-	}
-	cur := ft.FaultCounters()
-	fmt.Fprintf(w, "  FAULTS\n")
-	fmt.Fprintf(w, "    injected:         transient %d, stragglers %d, kills %d\n",
-		cur["fault.transient"]-d.faults["fault.transient"],
-		cur["fault.stragglers"]-d.faults["fault.stragglers"],
-		cur["fault.kills"]-d.faults["fault.kills"])
-	fmt.Fprintf(w, "    recovered:        retries %d (backoff %v), reassigned %d, re-shipped %d (%d B)\n",
-		cur["retry.attempts"]-d.faults["retry.attempts"],
-		time.Duration(cur["retry.backoff.ns"]-d.faults["retry.backoff.ns"]),
-		cur["fault.reassigned"]-d.faults["fault.reassigned"],
-		cur["bcast.reships"]-d.faults["bcast.reships"],
-		cur["bcast.reship.bytes"]-d.faults["bcast.reship.bytes"])
-	fmt.Fprintf(w, "    speculation:      launched %d, wins %d\n",
-		cur["spec.launched"]-d.faults["spec.launched"],
-		cur["spec.wins"]-d.faults["spec.wins"])
-	fmt.Fprintf(w, "    degraded to local: %d\n", cur["degraded"]-d.faults["degraded"])
-}
-
-// distStats is the slice of the distributed backend the metrics layer
-// reads; internal/dist.Cluster satisfies it (declared here to avoid a
-// package dependency cycle through internal/runtime).
-type distStats interface {
-	BytesBroadcast() int64
-	BytesShuffled() int64
-	NetTime() time.Duration
-}
-
-// distDetail is the optional richer slice of the backend: broadcast
-// handle-cache counters and per-stage shuffle volumes (the overhauled
-// internal/dist.Cluster satisfies it; simpler backends need not).
-type distDetail interface {
-	BroadcastCacheStats() (hits, misses, invalidations int64)
-	ShuffleStageBytes() map[string]int64
-}
-
-// distFaults is the fault-tolerance slice of the backend: injection and
-// recovery counters, merged into metrics as dist.fault.* / dist.retry.* /
-// dist.spec.* / dist.degraded only while a fault plan is attached.
-type distFaults interface {
-	FaultActive() bool
-	FaultCounters() map[string]int64
-}
-
-// distCompress is the compressed-wire slice of the backend: bytes actually
-// shipped in compressed form for broadcasts and shuffle partials, and the
-// bytes saved versus shipping the dense blocks.
-type distCompress interface {
-	CompressedWireStats() (bcastBytes, bcastSaved, shuffleBytes, shuffleSaved int64)
-}
+// metricsWriter is the one view the session takes of its distributed
+// backend beyond runtime.DistBackend: internal/dist.Cluster writes its own
+// dist.* instruments (declared here to keep internal/dml independent of
+// internal/dist).
+type metricsWriter interface{ WriteMetrics(obs.Snapshot) }
 
 // Metrics returns a point-in-time snapshot of all session metrics:
 // runtime counters and histograms from execution, codegen optimizer
@@ -645,76 +457,19 @@ func (s *Session) Metrics() obs.Snapshot {
 		snap.Gauges["codegen.compile.seconds"] = s.Stats.CompileTime.Seconds()
 	}
 	if s.Cache != nil {
-		hits, misses, evictions := s.Cache.Counters()
-		snap.Counters["plancache.hits"] = hits
-		snap.Counters["plancache.misses"] = misses
-		snap.Counters["plancache.evictions"] = evictions
-		snap.Counters["plancache.invalidations"] = s.Cache.Invalidations()
-		if lookups := hits + misses; lookups > 0 {
-			snap.Gauges["plancache.hitrate"] = float64(hits) / float64(lookups)
-		}
-		snap.Gauges["plancache.size"] = float64(s.Cache.Size())
+		s.Cache.WriteMetrics(snap)
 	}
 	snap.Counters["block.optimized"] = s.Blocks
 	snap.Counters["block.reused"] = s.BlockCacheHits
 	snap.Gauges["block.cache.size"] = float64(s.blockLRU.Len())
 	snap.Gauges["program.cache.size"] = float64(len(s.programs))
 	if s.Calib != nil {
-		st := s.Calib.State()
-		snap.Counters["calib.samples"] = st.Samples
-		snap.Counters["calib.skipped"] = st.Skipped
-		snap.Counters["calib.refits"] = st.Refits
-		snap.Counters["calib.gen"] = int64(st.Gen)
-		snap.Gauges["calib.read_bw"] = st.Model.ReadBW
-		snap.Gauges["calib.write_bw"] = st.Model.WriteBW
-		snap.Gauges["calib.flop_rate"] = st.Model.ComputeBW
-		snap.Gauges["calib.broadcast_bw"] = st.Model.BroadcastBW
-		snap.Gauges["calib.compress_bw"] = st.Model.CompressBW
+		s.Calib.WriteMetrics(snap)
 	}
-	u := s.Par.Stats()
-	snap.Counters["par.calls"] = u.Calls
-	snap.Counters["par.goroutines"] = u.Goroutines
-	snap.Counters["par.sequential"] = u.Sequential
-	snap.Gauges["par.utilization"] = u.Utilization(s.Par.MaxWorkers())
-	pu := s.Alloc.Stats()
-	snap.Counters["pool.gets"] = pu.Gets
-	snap.Counters["pool.hits"] = pu.Hits
-	snap.Counters["pool.misses"] = pu.Misses
-	snap.Counters["pool.puts"] = pu.Puts
-	snap.Counters["pool.bytes.recycled"] = pu.BytesRecycled
-	snap.Gauges["pool.hitrate"] = pu.HitRate()
-	snap.Gauges["pool.bytes.parked"] = float64(pu.BytesParked)
-	snap.Gauges["pool.bytes.live"] = float64(pu.BytesLive)
-	if d, ok := s.Dist.(distStats); ok {
-		snap.Counters["dist.bytes.broadcast"] = d.BytesBroadcast()
-		snap.Counters["dist.bytes.shuffled"] = d.BytesShuffled()
-		snap.Gauges["dist.net.seconds"] = d.NetTime().Seconds()
-	}
-	if d, ok := s.Dist.(distDetail); ok {
-		hits, misses, invals := d.BroadcastCacheStats()
-		snap.Counters["dist.bcast.hits"] = hits
-		snap.Counters["dist.bcast.misses"] = misses
-		snap.Counters["dist.bcast.invalidations"] = invals
-		if lookups := hits + misses; lookups > 0 {
-			snap.Gauges["dist.bcast.hitrate"] = float64(hits) / float64(lookups)
-		}
-		for stage, bytes := range d.ShuffleStageBytes() {
-			snap.Counters["dist.shuffle.bytes."+stage] = bytes
-		}
-	}
-	if d, ok := s.Dist.(distFaults); ok && d.FaultActive() {
-		for k, v := range d.FaultCounters() {
-			snap.Counters["dist."+k] = v
-		}
-	}
-	if d, ok := s.Dist.(distCompress); ok {
-		cb, cs, sb, ss := d.CompressedWireStats()
-		if cb+cs+sb+ss > 0 {
-			snap.Counters["dist.bcast.compressed_bytes"] = cb
-			snap.Counters["dist.bcast.saved_bytes"] = cs
-			snap.Counters["dist.shuffle.compressed_bytes"] = sb
-			snap.Counters["dist.shuffle.saved_bytes"] = ss
-		}
+	s.Par.WriteMetrics(snap)
+	s.Alloc.WriteMetrics(snap)
+	if d, ok := s.Dist.(metricsWriter); ok {
+		d.WriteMetrics(snap)
 	}
 	return snap
 }
@@ -909,7 +664,7 @@ func (s *Session) remember(e *blockEntry) {
 
 // runBlock plans — or finds planned — and executes one statement block,
 // recording a trace span per phase and emitting an EXPLAIN report for every
-// fresh optimization when a sink or ExplainOut is attached.
+// fresh optimization when a sink is attached.
 func (s *Session) runBlock(ctx context.Context, root obs.Span, stmts []Stmt) error {
 	s.syncCalibration()
 	// Look the block's cached plan up while the sizes, sparsity and constants
@@ -962,7 +717,7 @@ func (s *Session) runBlock(ctx context.Context, root obs.Span, stmts []Stmt) err
 		s.Obs.Inc("block.cache.hits")
 	} else {
 		entry = fresh
-		if s.Sink != nil || s.ExplainOut != nil {
+		if s.Sink != nil {
 			rep = &codegen.PlanReport{}
 		}
 		entry.dag = codegen.OptimizeTraced(entry.dag, &s.Config, s.Cache, s.Stats, rep, spo)
@@ -980,17 +735,11 @@ func (s *Session) runBlock(ctx context.Context, root obs.Span, stmts []Stmt) err
 	}
 	spo.End()
 	if rep != nil {
-		text := fmt.Sprintf("# EXPLAIN block %d\n%s", s.Blocks, rep.String())
-		if s.ExplainOut != nil {
-			io.WriteString(s.ExplainOut, text)
-		}
-		if s.Sink != nil {
-			s.Sink.Emit(obs.Event{
-				Kind: obs.EventExplain,
-				Name: fmt.Sprintf("block %d", s.Blocks),
-				Text: text,
-			})
-		}
+		s.Sink.Emit(obs.Event{
+			Kind: obs.EventExplain,
+			Name: fmt.Sprintf("block %d", s.Blocks),
+			Text: fmt.Sprintf("# EXPLAIN block %d\n%s", s.Blocks, rep.String()),
+		})
 	}
 
 	spe := root.Phase(s.Obs, "execute")

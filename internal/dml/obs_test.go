@@ -5,11 +5,13 @@ import (
 	"errors"
 	"io"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"sysml/internal/codegen"
+	"sysml/internal/dist"
 	"sysml/internal/matrix"
 )
 
@@ -83,6 +85,47 @@ func TestExplainBufferPoolSection(t *testing.T) {
 	for _, want := range []string{"BUFFER POOL (this run)", "pooled allocations:", "buffers returned:", "bytes recycled:"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("explain output missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestExplainRunSectionsReportThisRun: two Explains of one script against
+// one cluster and one buffer pool each report their own run's shuffle
+// volume and pooled allocations, not the totals since the cluster and the
+// pool began.
+func TestExplainRunSectionsReportThisRun(t *testing.T) {
+	cl := dist.NewCluster(dist.WithExecutors(3))
+	x := matrix.Rand(900, 14, 1, -1, 1, 61)
+	cfg := codegen.DefaultConfig()
+	cfg.Exec.MemBudgetBytes = x.SizeBytes() / 2
+	s := NewSession(cfg)
+	s.Dist = cl
+	s.Alloc = matrix.NewBufPool(0)
+	s.Bind("X", x)
+	s.Bind("W", matrix.Rand(20, 20, 1, -1, 1, 62)) // W %*% W runs locally, from s.Alloc
+	field := func(text, label string) int64 {
+		m := regexp.MustCompile(label + `\s+(\d+)`).FindStringSubmatch(text)
+		if m == nil {
+			t.Fatalf("report lacks %q:\n%s", label, text)
+		}
+		v, _ := strconv.ParseInt(m[1], 10, 64)
+		return v
+	}
+	for run := 1; run <= 2; run++ {
+		shuffled, gets := cl.BytesShuffled(), s.Alloc.Stats().Gets
+		text, err := s.Explain("Y = abs(X) * 2\nz = colSums(Y)\nV = W %*% W\nprint(sum(z) + sum(V))")
+		if err != nil {
+			t.Fatal(err)
+		}
+		shuffled, gets = cl.BytesShuffled()-shuffled, s.Alloc.Stats().Gets-gets
+		if shuffled == 0 || gets == 0 {
+			t.Fatalf("run %d shuffled %d bytes and made %d pooled allocations; the test needs both", run, shuffled, gets)
+		}
+		if got := field(text, "bytes shuffled:"); got != shuffled {
+			t.Errorf("run %d: report says %d bytes shuffled, the run shuffled %d", run, got, shuffled)
+		}
+		if got := field(text, "pooled allocations:"); got != gets {
+			t.Errorf("run %d: report says %d pooled allocations, the run made %d", run, got, gets)
 		}
 	}
 }

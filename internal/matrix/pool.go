@@ -3,6 +3,8 @@ package matrix
 import (
 	"sync"
 	"sync/atomic"
+
+	"sysml/internal/obs"
 )
 
 // A BufPool is a size-keyed free list of float64 backing slices. NewDense
@@ -207,14 +209,6 @@ type PoolUsage struct {
 	BytesLive     int64 // pool-eligible bytes handed out, not yet returned
 }
 
-// HitRate returns Hits/Gets (0 when no requests were made).
-func (u PoolUsage) HitRate() float64 {
-	if u.Gets == 0 {
-		return 0
-	}
-	return float64(u.Hits) / float64(u.Gets)
-}
-
 // Stats returns the pool's current counters.
 func (p *BufPool) Stats() PoolUsage {
 	p = p.orDefault()
@@ -235,15 +229,22 @@ func (p *BufPool) Stats() PoolUsage {
 	}
 }
 
-// ResetStats zeroes the pool's counters (parked buffers and the live-bytes
-// gauge stay).
-func (p *BufPool) ResetStats() {
-	p = p.orDefault()
-	p.gets.Store(0)
-	p.hits.Store(0)
-	p.puts.Store(0)
-	p.discards.Store(0)
-	p.bytesRecycled.Store(0)
+// WriteMetrics writes the pool's pool.* instruments into snap: the one
+// place they are named, for every surface that reports them.
+func (p *BufPool) WriteMetrics(snap obs.Snapshot) {
+	u := p.Stats()
+	snap.Counters["pool.gets"] = u.Gets
+	snap.Counters["pool.hits"] = u.Hits
+	snap.Counters["pool.misses"] = u.Misses
+	snap.Counters["pool.puts"] = u.Puts
+	snap.Counters["pool.discards"] = u.Discards
+	snap.Counters["pool.bytes.recycled"] = u.BytesRecycled
+	snap.Gauges["pool.hitrate"] = 0
+	if u.Gets > 0 {
+		snap.Gauges["pool.hitrate"] = float64(u.Hits) / float64(u.Gets)
+	}
+	snap.Gauges["pool.bytes.parked"] = float64(u.BytesParked)
+	snap.Gauges["pool.bytes.live"] = float64(u.BytesLive)
 }
 
 // PoolEnabled reports whether the DefaultPool serves allocations.
@@ -260,9 +261,6 @@ func PoolPut(s []float64) { DefaultPool.Put(s) }
 
 // PoolStats returns the DefaultPool's counters.
 func PoolStats() PoolUsage { return DefaultPool.Stats() }
-
-// ResetPoolStats zeroes the DefaultPool's counters (parked buffers stay).
-func ResetPoolStats() { DefaultPool.ResetStats() }
 
 // releaseHooks are invoked on every Release with the matrix being cleared.
 // Hooks must be registered at package init time (before any concurrent

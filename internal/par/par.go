@@ -24,6 +24,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+
+	"sysml/internal/obs"
 )
 
 // DefaultGrain is the minimum number of work items per chunk. Work smaller
@@ -135,6 +137,17 @@ func (p *Pool) Stats() Usage {
 		Goroutines: p.statGoroutines.Load(),
 		Sequential: p.statSequential.Load(),
 	}
+}
+
+// WriteMetrics writes the pool's par.* instruments into snap: its
+// utilization counters and its worker cap.
+func (p *Pool) WriteMetrics(snap obs.Snapshot) {
+	u, workers := p.Stats(), p.MaxWorkers()
+	snap.Counters["par.calls"] = u.Calls
+	snap.Counters["par.goroutines"] = u.Goroutines
+	snap.Counters["par.sequential"] = u.Sequential
+	snap.Gauges["par.utilization"] = u.Utilization(workers)
+	snap.Gauges["par.workers"] = float64(workers)
 }
 
 // ResetStats zeroes the pool's utilization counters.

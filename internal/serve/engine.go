@@ -295,17 +295,23 @@ func (e *Engine) newTenantLocked(name string, q TenantQuota) *Tenant {
 
 // Tenants snapshots per-tenant serving statistics, keyed by tenant name.
 func (e *Engine) Tenants() map[string]TenantStats {
-	e.mu.Lock()
-	names := make([]*Tenant, 0, len(e.tenants))
-	for _, t := range e.tenants {
-		names = append(names, t)
-	}
-	e.mu.Unlock()
-	out := make(map[string]TenantStats, len(names))
-	for _, t := range names {
+	tenants := e.tenantList()
+	out := make(map[string]TenantStats, len(tenants))
+	for _, t := range tenants {
 		out[t.name] = t.Stats()
 	}
 	return out
+}
+
+// tenantList returns the engine's tenants, read under the lock.
+func (e *Engine) tenantList() []*Tenant {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	tenants := make([]*Tenant, 0, len(e.tenants))
+	for _, t := range e.tenants {
+		tenants = append(tenants, t)
+	}
+	return tenants
 }
 
 // SLOTarget reports the per-request total-latency SLO (0 = no SLO).
@@ -321,40 +327,17 @@ func (e *Engine) Metrics() obs.Snapshot {
 	snap := e.obsm.Snapshot()
 	snap.Counters["serve.requests"] = e.Requests()
 	snap.Counters["serve.shed"] = e.Shed()
-	hits, misses, evictions := e.cache.TotalCounters()
-	snap.Counters["plancache.hits"] = hits
-	snap.Counters["plancache.misses"] = misses
-	snap.Counters["plancache.evictions"] = evictions
-	snap.Counters["plancache.invalidations"] = e.cache.TotalInvalidations()
+	e.cache.WriteTotalMetrics(snap)
 	if e.calib != nil {
-		st := e.calib.State()
-		snap.Counters["calib.samples"] = st.Samples
-		snap.Counters["calib.skipped"] = st.Skipped
-		snap.Counters["calib.refits"] = st.Refits
-		snap.Counters["calib.gen"] = int64(st.Gen)
-		snap.Gauges["calib.read_bw"] = st.Model.ReadBW
-		snap.Gauges["calib.write_bw"] = st.Model.WriteBW
-		snap.Gauges["calib.flop_rate"] = st.Model.ComputeBW
-		snap.Gauges["calib.broadcast_bw"] = st.Model.BroadcastBW
-		snap.Gauges["calib.compress_bw"] = st.Model.CompressBW
+		e.calib.WriteMetrics(snap)
 	}
-	snap.Gauges["plancache.size"] = float64(e.cache.Size())
-	pu := e.alloc.Stats()
-	snap.Counters["pool.gets"] = pu.Gets
-	snap.Counters["pool.hits"] = pu.Hits
-	snap.Counters["pool.misses"] = pu.Misses
-	snap.Counters["pool.puts"] = pu.Puts
-	snap.Counters["pool.discards"] = pu.Discards
-	snap.Gauges["pool.bytes.parked"] = float64(pu.BytesParked)
+	e.par.WriteMetrics(snap)
+	e.alloc.WriteMetrics(snap)
+	// Engine-level overrides: live bytes span every tenant's private pool,
+	// and the budget they are shed against.
 	snap.Gauges["pool.bytes.live"] = float64(e.LiveBytes())
 	snap.Gauges["pool.bytes.budget"] = float64(e.budget)
-	snap.Gauges["par.workers"] = float64(e.MaxWorkers())
-	e.mu.Lock()
-	tenants := make([]*Tenant, 0, len(e.tenants))
-	for _, t := range e.tenants {
-		tenants = append(tenants, t)
-	}
-	e.mu.Unlock()
+	tenants := e.tenantList()
 	snap.Gauges["serve.tenants"] = float64(len(tenants))
 	for _, t := range tenants {
 		snap.Counters[obs.LabeledName("serve.tenant.requests", "tenant", t.name)] = t.requests.Load()
@@ -376,12 +359,7 @@ func (e *Engine) Shed() int64 { return e.shed.Load() }
 // pool. In-flight sessions are unaffected (their Release returns slots as
 // usual); the engine may keep serving afterwards.
 func (e *Engine) Close() {
-	e.mu.Lock()
-	tenants := make([]*Tenant, 0, len(e.tenants))
-	for _, t := range e.tenants {
-		tenants = append(tenants, t)
-	}
-	e.mu.Unlock()
+	tenants := e.tenantList()
 	for _, t := range tenants {
 		t.drainIdle()
 	}

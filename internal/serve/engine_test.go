@@ -74,8 +74,8 @@ func TestTwoEnginesConcurrentIsolation(t *testing.T) {
 		if e.Shed() != 0 {
 			t.Errorf("engine %s shed %d requests at nominal load", name, e.Shed())
 		}
-		hits, misses, _ := e.Cache().TotalCounters()
-		if hits+misses == 0 {
+		snap := e.Metrics()
+		if snap.Counters["plancache.hits"]+snap.Counters["plancache.misses"] == 0 {
 			t.Errorf("engine %s: plan cache saw no traffic", name)
 		}
 		// All sessions were released: nothing may still hold pooled bytes.
@@ -173,7 +173,8 @@ func TestTenantCacheAccountingIsolation(t *testing.T) {
 		t.Errorf("tenant b: (%d hits, %d misses), want >=1 hit and 0 misses",
 			bs.CacheHits, bs.CacheMisses)
 	}
-	hits, misses, _ := e.Cache().TotalCounters()
+	snap := e.Metrics()
+	hits, misses := snap.Counters["plancache.hits"], snap.Counters["plancache.misses"]
 	if hits != as.CacheHits+bs.CacheHits || misses != as.CacheMisses+bs.CacheMisses {
 		t.Errorf("aggregate (%d, %d) != tenant sums (%d, %d)",
 			hits, misses, as.CacheHits+bs.CacheHits, as.CacheMisses+bs.CacheMisses)
