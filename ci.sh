@@ -103,6 +103,10 @@ done
 echo "== fuzz (FuzzKernels, 20 s) =="
 go test -run '^$' -fuzz FuzzKernels -fuzztime 20s ./internal/vector
 
+# The parser on arbitrary text: never a panic, every error a *ParseError.
+echo "== fuzz (FuzzParse, 20 s) =="
+go test -run '^$' -fuzz FuzzParse -fuzztime 20s ./internal/dml
+
 # Compress on salted small matrices (NaN, ±Inf, ±0): bit-exact round trips,
 # directly and through the wire, and the same groups on one and two workers.
 echo "== fuzz (FuzzCompress, 20 s) =="

@@ -2,6 +2,7 @@ package codegen_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,20 +88,27 @@ func TestGenDominatesTheHeuristics(t *testing.T) {
 		t.Errorf("%d blocks of the algorithms lose to a heuristic's merged operator", mergeCases)
 	}
 	t.Logf("algorithms done after %v", time.Since(start))
-	for seed := int64(0); seed < 200; seed++ {
-		sh := dagShape{rows: 60, cols: 24, storage: "dense"}
-		if seed >= 100 {
-			sh = dagShape{rows: 2000, cols: []int{2, 7, 100}[seed%3], storage: []string{"dense", "csr"}[seed%2], minmax: true}
+	// The generated DAGs are independent cases: parallel subtests.
+	var lost atomic.Int64
+	t.Run("generated", func(t *testing.T) {
+		for seed := int64(0); seed < 200; seed++ {
+			t.Run(fmt.Sprint(seed), func(t *testing.T) {
+				t.Parallel()
+				sh := dagShape{rows: 60, cols: 24, storage: "dense"}
+				if seed >= 100 {
+					sh = dagShape{rows: 2000, cols: []int{2, 7, 100}[seed%3], storage: []string{"dense", "csr"}[seed%2], minmax: true}
+				}
+				var plans [3]*hop.DAG
+				for m, mode := range modes {
+					d, _ := randomDAGOf(seed, sh)
+					dd, _ := rewrite.Apply(d)
+					cfg := codegen.DefaultConfig()
+					cfg.Mode = mode
+					plans[m] = codegen.Optimize(dd, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
+				}
+				lost.Add(int64(dominates(t, fmt.Sprintf("random DAG %d %+v", seed, sh), plans)))
+			})
 		}
-		var plans [3]*hop.DAG
-		for m, mode := range modes {
-			d, _ := randomDAGOf(seed, sh)
-			dd, _ := rewrite.Apply(d)
-			cfg := codegen.DefaultConfig()
-			cfg.Mode = mode
-			plans[m] = codegen.Optimize(dd, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
-		}
-		mergeCases += dominates(t, fmt.Sprintf("random DAG %d %+v", seed, sh), plans)
-	}
-	t.Logf("%d algorithm blocks and 200 generated DAGs; %d generated DAGs lose to a sibling merge after selection", blocks, mergeCases)
+	})
+	t.Logf("%d algorithm blocks and 200 generated DAGs; %d generated DAGs lose to a sibling merge after selection", blocks, lost.Load())
 }

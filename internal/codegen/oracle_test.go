@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"testing"
 
 	"sysml/internal/algos"
@@ -234,17 +235,34 @@ func TestSearchReturnsTheOptimum(t *testing.T) {
 		})
 	}
 	fromScripts := st.partitions
-	cfg := codegen.DefaultConfig()
-	for seed := int64(0); seed < 200; seed++ {
-		sh := dagShape{rows: 60, cols: 24, storage: "dense"}
-		if seed >= 100 {
-			sh = dagShape{rows: 2000, cols: []int{2, 7, 100}[seed%3], storage: []string{"dense", "csr"}[seed%2], minmax: true}
+	// The generated DAGs are independent cases: parallel subtests, each
+	// adding its counts to st when it is done.
+	var mu sync.Mutex
+	t.Run("generated", func(t *testing.T) {
+		for seed := int64(0); seed < 200; seed++ {
+			t.Run(fmt.Sprint(seed), func(t *testing.T) {
+				t.Parallel()
+				sh := dagShape{rows: 60, cols: 24, storage: "dense"}
+				if seed >= 100 {
+					sh = dagShape{rows: 2000, cols: []int{2, 7, 100}[seed%3], storage: []string{"dense", "csr"}[seed%2], minmax: true}
+				}
+				cfg := codegen.DefaultConfig()
+				d, _ := randomDAGOf(seed, sh)
+				dd, _ := rewrite.Apply(d)
+				hop.AssignExecTypes(dd.Roots(), cfg.Exec)
+				var one oracleStats
+				checkSearch(t, fmt.Sprintf("random DAG %d %+v", seed, sh), dd, &cfg, &one)
+				mu.Lock()
+				defer mu.Unlock()
+				st.partitions += one.partitions
+				st.plans += one.plans
+				st.scanned += one.scanned
+				st.greedyLost += one.greedyLost
+				st.greedyLoss += one.greedyLoss
+				st.greedyWorst = math.Max(st.greedyWorst, one.greedyWorst)
+			})
 		}
-		d, _ := randomDAGOf(seed, sh)
-		dd, _ := rewrite.Apply(d)
-		hop.AssignExecTypes(dd.Roots(), cfg.Exec)
-		checkSearch(t, fmt.Sprintf("random DAG %d %+v", seed, sh), dd, &cfg, &st)
-	}
+	})
 	t.Logf("%d partitions of the algorithms and %d of generated DAGs: %d plans costed where the scans cost %d",
 		fromScripts, st.partitions-fromScripts, st.plans, st.scanned)
 	t.Logf("descent from the heuristics (MaxPointsExact exceeded) on the same partitions: above the optimum on %d, by %.1f%% on average and %.1f%% at worst",

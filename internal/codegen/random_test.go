@@ -273,24 +273,29 @@ func TestRandomDAGEquivalenceAcrossModes(t *testing.T) {
 // operators.
 func TestRandomDAGShapesStoragesAndSalt(t *testing.T) {
 	metrics := obs.NewMetrics()
-	for _, cols := range []int{2, 7, 100} {
-		for _, storage := range []string{"dense", "csr", "cla"} {
-			for _, salt := range []bool{false, true} {
-				if salt && storage == "csr" {
-					continue // see leafA
-				}
-				for seed := int64(0); seed < 24; seed++ {
-					for _, slow := range []bool{false, true} {
-						sh := dagShape{rows: 45, cols: cols, storage: storage, salt: salt, minmax: true, slowRead: slow}
-						if seed%3 == 0 {
-							sh.rows = 20000/cols + 3 // several tiles of every skeleton
-						}
-						checkModes(t, 100+seed, sh, 1e-9, metrics)
+	t.Run("generated", func(t *testing.T) { // parallel subtests, one per shape and seed
+		for _, cols := range []int{2, 7, 100} {
+			for _, storage := range []string{"dense", "csr", "cla"} {
+				for _, salt := range []bool{false, true} {
+					if salt && storage == "csr" {
+						continue // see leafA
+					}
+					for seed := int64(0); seed < 24; seed++ {
+						t.Run(fmt.Sprintf("%d/%s/salt=%v/%d", cols, storage, salt, seed), func(t *testing.T) {
+							t.Parallel()
+							for _, slow := range []bool{false, true} {
+								sh := dagShape{rows: 45, cols: cols, storage: storage, salt: salt, minmax: true, slowRead: slow}
+								if seed%3 == 0 {
+									sh.rows = 20000/cols + 3 // several tiles of every skeleton
+								}
+								checkModes(t, 100+seed, sh, 1e-9, metrics)
+							}
+						})
 					}
 				}
 			}
 		}
-	}
+	})
 	snap := metrics.Snapshot()
 	for _, name := range []string{string(runtime.BindView), string(runtime.BindFill), string(runtime.BindNnz),
 		string(runtime.BindDict), "compress.exec.hit", "spoof.MAgg", "spoof.Horizontal"} {

@@ -2,10 +2,11 @@
 // kernel works on raw pointers (the Go wrappers check the last index
 // first), reads and writes exactly [p, p+n), and has a portable Go twin
 // that it is tested against. Unaligned loads throughout; tails of 1-3
-// elements run scalar VEX code in the reductions and rank-k updates and
-// masked loads and stores everywhere else (the narrow product, the tile
-// kernels, exp/log/sigmoid), so no kernel touches an element it was not
-// given.
+// elements run scalar VEX code in the reductions and rank-k updates, the
+// CSR-row kernels read and write rows of 1-7 cells as exact pieces of 4, 2
+// and 1 lanes, and masked loads and stores cover the tails everywhere else
+// (the narrow products, the tile kernels, exp/log/sigmoid), so no kernel
+// touches an element it was not given.
 
 #include "textflag.h"
 
@@ -513,6 +514,301 @@ done: \
 	VMULPD  544(R11), Y3, Y3; \
 	VSUBPD  Y1, Y3, Y1
 
+// CH1-CH8 walk the four-lane chunks of a row of at most 32 cells: F(off, r,
+// r2) for every full chunk and M(off, r, r2) for the last one (1-4 lanes
+// under the mask in Y15), off the chunk's byte offset, r = Y<chunk> and r2 =
+// Y<chunk+4> while there are at most four chunks (r2 = r past that).
+#define CH1(F, M) M(0, Y0, Y4)
+#define CH2(F, M) F(0, Y0, Y4); M(32, Y1, Y5)
+#define CH3(F, M) F(0, Y0, Y4); F(32, Y1, Y5); M(64, Y2, Y6)
+#define CH4(F, M) F(0, Y0, Y4); F(32, Y1, Y5); F(64, Y2, Y6); M(96, Y3, Y7)
+#define CH5(F, M) F(0, Y0, Y0); F(32, Y1, Y1); F(64, Y2, Y2); F(96, Y3, Y3); M(128, Y4, Y4)
+#define CH6(F, M) F(0, Y0, Y0); F(32, Y1, Y1); F(64, Y2, Y2); F(96, Y3, Y3); F(128, Y4, Y4); M(160, Y5, Y5)
+#define CH7(F, M) F(0, Y0, Y0); F(32, Y1, Y1); F(64, Y2, Y2); F(96, Y3, Y3); F(128, Y4, Y4); F(160, Y5, Y5); M(192, Y6, Y6)
+#define CH8(F, M) F(0, Y0, Y0); F(32, Y1, Y1); F(64, Y2, Y2); F(96, Y3, Y3); F(128, Y4, Y4); F(160, Y5, Y5); F(192, Y6, Y6); M(224, Y7, Y7)
+
+// DOTROWS is d[t] += row t of A . v for rows of the cells CH covers: v lives
+// in Y0-Y7 for the whole call; four rows per pass, each summed in one
+// accumulator (Y8-Y11), then a transposing reduction and one add to d for
+// the four. A last group of fewer than four rows reads its first row in
+// place of the missing ones and adds under the mask in Y14.
+#define VLOAD(off, r, r2) VMOVUPD off(SI), r
+#define VLOADM(off, r, r2) VMASKMOVPD off(SI), Y15, r
+#define DOT4(off, r, r2) \
+	VFMADD231PD off(R8), r, Y8; \
+	VFMADD231PD off(R9), r, Y9; \
+	VFMADD231PD off(R10), r, Y10; \
+	VFMADD231PD off(R11), r, Y11
+#define DOT4M(off, r, r2) \
+	VMASKMOVPD  off(R8), Y15, Y12; \
+	VMASKMOVPD  off(R9), Y15, Y13; \
+	VFMADD231PD Y12, r, Y8; \
+	VFMADD231PD Y13, r, Y9; \
+	VMASKMOVPD  off(R10), Y15, Y12; \
+	VMASKMOVPD  off(R11), Y15, Y13; \
+	VFMADD231PD Y12, r, Y10; \
+	VFMADD231PD Y13, r, Y11
+#define DOTROWS(CH) \
+	MOVQ    a+8(FP), R13; \
+	MOVQ    astride+16(FP), AX; \
+	SHLQ    $3, AX; \
+	MOVQ    v+24(FP), SI; \
+	MOVQ    d+32(FP), DI; \
+	MOVQ    rows+40(FP), BX; \
+	MOVQ    mask+48(FP), CX; \
+	VMOVDQU (CX), Y15; \
+	MOVQ    tail+56(FP), CX; \
+	VMOVDQU (CX), Y14; \
+	CH(VLOAD, VLOADM); \
+group: \
+	ROWPTRS(R13, AX); \
+	VXORPD     Y8, Y8, Y8; \
+	VXORPD     Y9, Y9, Y9; \
+	VXORPD     Y10, Y10, Y10; \
+	VXORPD     Y11, Y11, Y11; \
+	CH(DOT4, DOT4M); \
+	VUNPCKLPD  Y9, Y8, Y12; \
+	VUNPCKHPD  Y9, Y8, Y13; \
+	VADDPD     Y13, Y12, Y12; \
+	VUNPCKLPD  Y11, Y10, Y8; \
+	VUNPCKHPD  Y11, Y10, Y9; \
+	VADDPD     Y9, Y8, Y8; \
+	VPERM2F128 $0x20, Y8, Y12, Y9; \
+	VPERM2F128 $0x31, Y8, Y12, Y10; \
+	VADDPD     Y10, Y9, Y8; \
+	CMPQ       BX, $4; \
+	JLT        last; \
+	VADDPD     (DI), Y8, Y8; \
+	VMOVUPD    Y8, (DI); \
+	LEAQ       (R13)(AX*4), R13; \
+	ADDQ       $32, DI; \
+	SUBQ       $4, BX; \
+	JGT        group; \
+	VZEROUPPER; \
+	RET; \
+last: \
+	VMASKMOVPD (DI), Y14, Y9; \
+	VADDPD     Y9, Y8, Y8; \
+	VMASKMOVPD Y8, Y14, (DI); \
+	VZEROUPPER; \
+	RET
+
+// TDOT is c[0:m) += t(A) %*% b for rows of the m cells CH covers: the sums
+// live in Y0-Y7 for the whole tile, and b's value for a row is broadcast
+// once for all its chunks. Rows go two per pass; up to four chunks the
+// second row adds into a second set of sums (r2, Y4-Y7), which FOLD adds to
+// the first at the end, so that two rows' FMA chains run side by side.
+#define TZERO(off, r, r2) \
+	VXORPD r, r, r; \
+	VXORPD r2, r2, r2
+#define TROW2(off, r, r2) \
+	VFMADD231PD off(R8), Y8, r; \
+	VFMADD231PD off(R9), Y9, r2
+#define TROW2M(off, r, r2) \
+	VMASKMOVPD  off(R8), Y15, Y10; \
+	VMASKMOVPD  off(R9), Y15, Y11; \
+	VFMADD231PD Y10, Y8, r; \
+	VFMADD231PD Y11, Y9, r2
+#define TROW1(off, r, r2) VFMADD231PD off(R8), Y8, r
+#define TROW1M(off, r, r2) \
+	VMASKMOVPD  off(R8), Y15, Y10; \
+	VFMADD231PD Y10, Y8, r
+#define TFOLD(off, r, r2) VADDPD r2, r, r
+#define NOFOLD(off, r, r2)
+#define TSTORE(off, r, r2) \
+	VADDPD  off(DI), r, r; \
+	VMOVUPD r, off(DI)
+#define TSTOREM(off, r, r2) \
+	VMASKMOVPD off(DI), Y15, Y10; \
+	VADDPD     Y10, r, r; \
+	VMASKMOVPD r, Y15, off(DI)
+#define TDOT(CH, FOLD) \
+	MOVQ    a+8(FP), R8; \
+	MOVQ    astride+16(FP), AX; \
+	SHLQ    $3, AX; \
+	MOVQ    b+24(FP), SI; \
+	MOVQ    bstride+32(FP), DX; \
+	SHLQ    $3, DX; \
+	MOVQ    c+40(FP), DI; \
+	MOVQ    rows+48(FP), BX; \
+	MOVQ    mask+56(FP), CX; \
+	VMOVDQU (CX), Y15; \
+	CH(TZERO, TZERO); \
+	SUBQ    $2, BX; \
+	JLT     odd; \
+pair: \
+	LEAQ         (R8)(AX*1), R9; \
+	VBROADCASTSD (SI), Y8; \
+	VBROADCASTSD (SI)(DX*1), Y9; \
+	CH(TROW2, TROW2M); \
+	LEAQ         (R8)(AX*2), R8; \
+	LEAQ         (SI)(DX*2), SI; \
+	SUBQ         $2, BX; \
+	JGE          pair; \
+odd: \
+	CMPQ         BX, $-1; \
+	JNE          sum; \
+	VBROADCASTSD (SI), Y8; \
+	CH(TROW1, TROW1M); \
+sum: \
+	CH(FOLD, FOLD); \
+	CH(TSTORE, TSTOREM); \
+	VZEROUPPER; \
+	RET
+
+// The CSR-row kernels, one per m < 8 (the width of the dense operand): a
+// row of m cells is read and written as exact pieces of 4, 2 and 1 lanes
+// (Pm(Y, X, S, ry, rx, rs) applies Y, X and S to them, with the registers
+// of each), never wider, so that rows m apart do not overlap and a store
+// forwards to the next load. MULm(r) turns row index r into the index of
+// the row's first element.
+#define P1(Y, X, S, ry, rx, rs) S(0, rs)
+#define P2(Y, X, S, ry, rx, rs) X(0, rx)
+#define P3(Y, X, S, ry, rx, rs) X(0, rx); S(16, rs)
+#define P4(Y, X, S, ry, rx, rs) Y(0, ry)
+#define P5(Y, X, S, ry, rx, rs) Y(0, ry); S(32, rs)
+#define P6(Y, X, S, ry, rx, rs) Y(0, ry); X(32, rx)
+#define P7(Y, X, S, ry, rx, rs) Y(0, ry); X(32, rx); S(48, rs)
+#define MUL1(r)
+#define MUL2(r) ADDQ r, r
+#define MUL3(r) LEAQ (r)(r*2), r
+#define MUL4(r) SHLQ $2, r
+#define MUL5(r) LEAQ (r)(r*4), r
+#define MUL6(r) LEAQ (r)(r*2), r; ADDQ r, r
+#define MUL7(r) IMUL3Q $7, r, r
+
+// CELL reads cell AX of the row (index at SI, value at R10), leaves the
+// element index of its row in R8 and stops at bad when that is past the
+// last row, R11 (unsigned: a negative index is past it too), and its value
+// broadcast in Y8.
+#define CELL(MUL) \
+	MOVQ         (SI)(AX*8), R8; \
+	MUL(R8); \
+	CMPQ         R8, R11; \
+	JA           bad; \
+	VBROADCASTSD (R10)(AX*8), Y8
+
+// SPMAT is c[0:m) = the sum over the row's cells of value times its row of
+// B (at BX): four cells per pass into four sets of sums (Y0-Y3, X4-X7,
+// X12-X15 for the pieces of 4, 2 and 1 lanes), then the sets are added.
+#define MY(off, r) VFMADD231PD off(BX)(R8*8), Y8, r
+#define MX(off, r) VFMADD231PD off(BX)(R8*8), X8, r
+#define MS(off, r) VFMADD231SD off(BX)(R8*8), X8, r
+#define FY(off, r) \
+	VADDPD  Y1, Y0, Y0; \
+	VADDPD  Y3, Y2, Y2; \
+	VADDPD  Y2, Y0, Y0; \
+	VMOVUPD Y0, off(DI)
+#define FX(off, r) \
+	VADDPD  X5, X4, X4; \
+	VADDPD  X7, X6, X6; \
+	VADDPD  X6, X4, X4; \
+	VMOVUPD X4, off(DI)
+#define FS(off, r) \
+	VADDSD X13, X12, X12; \
+	VADDSD X15, X14, X14; \
+	VADDSD X14, X12, X12; \
+	VMOVSD X12, off(DI)
+#define Z(off, r) VXORPD r, r, r
+#define SPMAT(P, MUL) \
+	MOVQ vals+8(FP), R10; \
+	MOVQ ix+16(FP), SI; \
+	MOVQ nnz+24(FP), CX; \
+	MOVQ b+32(FP), BX; \
+	MOVQ last+40(FP), R11; \
+	P(Z, Z, Z, Y0, X4, X12); \
+	P(Z, Z, Z, Y1, X5, X13); \
+	P(Z, Z, Z, Y2, X6, X14); \
+	P(Z, Z, Z, Y3, X7, X15); \
+	XORQ AX, AX; \
+	MOVQ   CX, R9; \
+	ANDQ   $-4, R9; \
+	JMP    c4; \
+b4: \
+	CELL(MUL); \
+	P(MY, MX, MS, Y0, X4, X12); \
+	INCQ AX; \
+	CELL(MUL); \
+	P(MY, MX, MS, Y1, X5, X13); \
+	INCQ AX; \
+	CELL(MUL); \
+	P(MY, MX, MS, Y2, X6, X14); \
+	INCQ AX; \
+	CELL(MUL); \
+	P(MY, MX, MS, Y3, X7, X15); \
+	INCQ AX; \
+c4: \
+	CMPQ AX, R9; \
+	JLT  b4; \
+	JMP  c1; \
+b1: \
+	CELL(MUL); \
+	P(MY, MX, MS, Y0, X4, X12); \
+	INCQ AX; \
+c1: \
+	CMPQ AX, CX; \
+	JLT  b1; \
+	MOVQ c+48(FP), DI; \
+	P(FY, FX, FS, Y0, X4, X12); \
+bad: \
+	MOVQ AX, ret+56(FP); \
+	VZEROUPPER; \
+	RET
+
+// SPOUTER is, for each cell of the row, its row of C (at DI) += value times
+// b (pieces in Y9, X10, X11): a load, FMA and store per piece and cell. The
+// cells' rows are distinct, so the cells are independent.
+#define LY(off, r) VMOVUPD off(BX), r
+#define LX(off, r) VMOVUPD off(BX), r
+#define LS(off, r) VMOVSD off(BX), r
+#define OY(off, r) \
+	VMOVUPD     off(DI)(R8*8), Y12; \
+	VFMADD231PD r, Y8, Y12; \
+	VMOVUPD     Y12, off(DI)(R8*8)
+#define OX(off, r) \
+	VMOVUPD     off(DI)(R8*8), X13; \
+	VFMADD231PD r, X8, X13; \
+	VMOVUPD     X13, off(DI)(R8*8)
+#define OS(off, r) \
+	VMOVSD      off(DI)(R8*8), X14; \
+	VFMADD231SD r, X8, X14; \
+	VMOVSD      X14, off(DI)(R8*8)
+#define SPOUTER(P, MUL) \
+	MOVQ vals+8(FP), R10; \
+	MOVQ ix+16(FP), SI; \
+	MOVQ nnz+24(FP), CX; \
+	MOVQ b+32(FP), BX; \
+	MOVQ last+40(FP), R11; \
+	MOVQ c+48(FP), DI; \
+	P(LY, LX, LS, Y9, X10, X11); \
+	XORQ AX, AX; \
+cell: \
+	CELL(MUL); \
+	P(OY, OX, OS, Y9, X10, X11); \
+	INCQ AX; \
+	CMPQ AX, CX; \
+	JLT  cell; \
+bad: \
+	MOVQ AX, ret+56(FP); \
+	VZEROUPPER; \
+	RET
+
+// VARIANT(tab, off, sym, body) is the kernel sym, entry off of the jump
+// table tab: it finds its arguments where the entry point found them.
+#define VARIANT(tab, off, sym, body) \
+	DATA tab+off(SB)/8, $sym(SB); \
+	TEXT sym(SB), NOSPLIT, $0-64; \
+	body
+
+// NSTEP8 is one step of the common dimension for the output row at p in
+// narrow8Asm: its A element broadcast once, times both lane groups of the
+// B row (Y8, Y9).
+#define NSTEP8(p, lo, hi) \
+	VBROADCASTSD (p), Y10; \
+	VFMADD231PD  Y8, Y10, lo; \
+	VFMADD231PD  Y9, Y10, hi; \
+	ADDQ         R12, p
+
 // func cpuHasAVX2FMA() bool
 // CPUID.1:ECX FMA(12) OSXSAVE(27) AVX(28), XCR0 bits 1-2 (the OS saves
 // YMM state), CPUID.7:EBX AVX2(5).
@@ -769,6 +1065,115 @@ store:
 	VZEROUPPER
 	RET
 
+// func narrow8Asm(a *float64, arow, ak int, b *float64, bstride int, c *float64, cstride, rows, k int, hi *[4]int64)
+// narrowAsm for 5-7 output columns in one pass: lanes 0-3 whole and lanes
+// 4-6 under the mask hi share each broadcast of an A element. Four output
+// rows at a time, their eight sums in registers over the whole common
+// dimension (eight FMA chains, one step of it per pass); C's loads, stores
+// and spare rows as in narrowAsm.
+TEXT ·narrow8Asm(SB), NOSPLIT, $0-80
+	MOVQ    a+0(FP), R13
+	MOVQ    arow+8(FP), AX
+	SHLQ    $3, AX
+	MOVQ    ak+16(FP), R12
+	SHLQ    $3, R12
+	MOVQ    bstride+32(FP), DX
+	SHLQ    $3, DX
+	MOVQ    c+40(FP), DI
+	MOVQ    hi+72(FP), BX
+	VMOVDQU (BX), Y15
+	MOVQ    rows+56(FP), BX
+group:
+	ROWPTRS(R13, AX)
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   b+24(FP), SI
+	MOVQ   k+64(FP), CX
+step:
+	VMOVUPD    (SI), Y8
+	VMASKMOVPD 32(SI), Y15, Y9
+	NSTEP8(R8, Y0, Y4)
+	NSTEP8(R9, Y1, Y5)
+	NSTEP8(R10, Y2, Y6)
+	NSTEP8(R11, Y3, Y7)
+	ADDQ       DX, SI
+	DECQ       CX
+	JNZ        step
+	MOVQ       cstride+48(FP), CX
+	SHLQ       $3, CX
+	ROWPTRS(DI, CX)
+	VMASKMOVPD 32(R8), Y15, Y8
+	VMASKMOVPD 32(R9), Y15, Y9
+	VMASKMOVPD 32(R10), Y15, Y10
+	VMASKMOVPD 32(R11), Y15, Y11
+	VADDPD     (R8), Y0, Y0
+	VADDPD     (R9), Y1, Y1
+	VADDPD     (R10), Y2, Y2
+	VADDPD     (R11), Y3, Y3
+	VADDPD     Y8, Y4, Y4
+	VADDPD     Y9, Y5, Y5
+	VADDPD     Y10, Y6, Y6
+	VADDPD     Y11, Y7, Y7
+	VMOVUPD    Y3, (R11)
+	VMASKMOVPD Y7, Y15, 32(R11)
+	VMOVUPD    Y2, (R10)
+	VMASKMOVPD Y6, Y15, 32(R10)
+	VMOVUPD    Y1, (R9)
+	VMASKMOVPD Y5, Y15, 32(R9)
+	VMOVUPD    Y0, (R8)
+	VMASKMOVPD Y4, Y15, 32(R8)
+	LEAQ       (DI)(CX*4), DI
+	LEAQ       (R13)(AX*4), R13
+	SUBQ       $4, BX
+	JGT        group
+	VZEROUPPER
+	RET
+
+// func dotRowsAsm(chunks int, a *float64, astride int, v, d *float64, rows int, mask, tail *[4]int64)
+// d[t] += row t of A (rows astride apart) . v for rows of at most 32 cells
+// in chunks of four lanes, the last one under mask; tail covers rows%4.
+TEXT ·dotRowsAsm(SB), NOSPLIT, $0-64
+	MOVQ chunks+0(FP), AX
+	LEAQ dottab<>(SB), BX
+	MOVQ -8(BX)(AX*8), BX
+	JMP  BX
+
+// func tDotAsm(chunks int, a *float64, astride int, b *float64, bstride int, c *float64, rows int, mask *[4]int64)
+// c[0:m) += t(A) %*% b: A is rows x m, astride apart, m cells in chunks of
+// four lanes, the last one under mask; b has one value per row, bstride
+// apart (0 repeats one value).
+TEXT ·tDotAsm(SB), NOSPLIT, $0-64
+	MOVQ chunks+0(FP), AX
+	LEAQ tdottab<>(SB), BX
+	MOVQ -8(BX)(AX*8), BX
+	JMP  BX
+
+// func spMatAsm(m int, vals *float64, ix *int, nnz int, b *float64, last int, c *float64) (done int)
+// c[0:m) = the CSR row (vals, ix) %*% B, B's rows m apart, 0 < m < 8;
+// returns nnz, or the position of the first index past the last row (its
+// first element at last) having written nothing.
+TEXT ·spMatAsm(SB), NOSPLIT, $0-64
+	MOVQ m+0(FP), AX
+	LEAQ spmattab<>(SB), BX
+	MOVQ -8(BX)(AX*8), BX
+	JMP  BX
+
+// func spOuterAsm(m int, vals *float64, ix *int, nnz int, b *float64, last int, c *float64) (done int)
+// Row ix[k] of C (rows m apart, 0 < m < 8) += vals[k] * b[0:m) for each
+// cell; returns nnz, or the position of the first index past the last row,
+// the cells before it done.
+TEXT ·spOuterAsm(SB), NOSPLIT, $0-64
+	MOVQ m+0(FP), AX
+	LEAQ spoutertab<>(SB), BX
+	MOVQ -8(BX)(AX*8), BX
+	JMP  BX
+
 // The tile kernels are reached through three entry points that jump to the
 // kernel of an operation: the arguments stay where the caller put them, with
 // the operation in front of them.
@@ -936,3 +1341,41 @@ TEXT ·sigmoidAsm(SB), NOSPLIT, $0-48
 // func logAsm(a, c *float64, n int, tail *[4]int64) (group, bad int)
 TEXT ·logAsm(SB), NOSPLIT, $0-48
 	UNARY(·logTab(SB), LOGOF)
+
+// The kernels behind dotRowsAsm and tDotAsm, by number of chunks, and behind
+// spMatAsm and spOuterAsm, by m. Up to four chunks tDot's odd rows sum into
+// a second set of registers.
+VARIANT(dottab<>, 0, ·dotRows1<>, DOTROWS(CH1))
+VARIANT(dottab<>, 8, ·dotRows2<>, DOTROWS(CH2))
+VARIANT(dottab<>, 16, ·dotRows3<>, DOTROWS(CH3))
+VARIANT(dottab<>, 24, ·dotRows4<>, DOTROWS(CH4))
+VARIANT(dottab<>, 32, ·dotRows5<>, DOTROWS(CH5))
+VARIANT(dottab<>, 40, ·dotRows6<>, DOTROWS(CH6))
+VARIANT(dottab<>, 48, ·dotRows7<>, DOTROWS(CH7))
+VARIANT(dottab<>, 56, ·dotRows8<>, DOTROWS(CH8))
+GLOBL dottab<>(SB), RODATA, $64
+VARIANT(tdottab<>, 0, ·tDot1<>, TDOT(CH1, TFOLD))
+VARIANT(tdottab<>, 8, ·tDot2<>, TDOT(CH2, TFOLD))
+VARIANT(tdottab<>, 16, ·tDot3<>, TDOT(CH3, TFOLD))
+VARIANT(tdottab<>, 24, ·tDot4<>, TDOT(CH4, TFOLD))
+VARIANT(tdottab<>, 32, ·tDot5<>, TDOT(CH5, NOFOLD))
+VARIANT(tdottab<>, 40, ·tDot6<>, TDOT(CH6, NOFOLD))
+VARIANT(tdottab<>, 48, ·tDot7<>, TDOT(CH7, NOFOLD))
+VARIANT(tdottab<>, 56, ·tDot8<>, TDOT(CH8, NOFOLD))
+GLOBL tdottab<>(SB), RODATA, $64
+VARIANT(spmattab<>, 0, ·spMat1<>, SPMAT(P1, MUL1))
+VARIANT(spmattab<>, 8, ·spMat2<>, SPMAT(P2, MUL2))
+VARIANT(spmattab<>, 16, ·spMat3<>, SPMAT(P3, MUL3))
+VARIANT(spmattab<>, 24, ·spMat4<>, SPMAT(P4, MUL4))
+VARIANT(spmattab<>, 32, ·spMat5<>, SPMAT(P5, MUL5))
+VARIANT(spmattab<>, 40, ·spMat6<>, SPMAT(P6, MUL6))
+VARIANT(spmattab<>, 48, ·spMat7<>, SPMAT(P7, MUL7))
+GLOBL spmattab<>(SB), RODATA, $56
+VARIANT(spoutertab<>, 0, ·spOuter1<>, SPOUTER(P1, MUL1))
+VARIANT(spoutertab<>, 8, ·spOuter2<>, SPOUTER(P2, MUL2))
+VARIANT(spoutertab<>, 16, ·spOuter3<>, SPOUTER(P3, MUL3))
+VARIANT(spoutertab<>, 24, ·spOuter4<>, SPOUTER(P4, MUL4))
+VARIANT(spoutertab<>, 32, ·spOuter5<>, SPOUTER(P5, MUL5))
+VARIANT(spoutertab<>, 40, ·spOuter6<>, SPOUTER(P6, MUL6))
+VARIANT(spoutertab<>, 48, ·spOuter7<>, SPOUTER(P7, MUL7))
+GLOBL spoutertab<>(SB), RODATA, $56

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -309,29 +310,41 @@ func product(t *testing.T, rng *rand.Rand, rows, k, n, slack, off int, salt []fl
 	matMultAddGo(a.buf, b.buf, want.buf, a.off, astride, b.off, want.off, rows, k, n)
 	checkVec(t, what("A%*%B"), got, want, scale(a, b, func(i, kk int) int { return a.off + i*astride + kk }, n, c0), k+1)
 
-	// C (rows x n) += t(A) (A is k x rows, stride rows+slack) %*% B (k x n,
-	// stride n+slack, or 0: one row repeated). TMatMultAdd keeps n == 1 on
-	// the rank-4 update, zero skip and all.
 	if n == 1 {
-		// DotRows is the same kernel over a destination it clears, where the
-		// Go loops take a DotProduct per row (sign of a zero sum aside: one
-		// sums from +0 in two chains, the other in four lanes).
+		// One column over rows of at most shortRow cells is the short-row
+		// kernel, through MatMultAdd (adding to C) and DotRows (over a
+		// destination it clears, where the Go loops take a DotProduct per
+		// row; the sign of a zero sum aside).
+		got, want = c0.clone(), c0.clone()
+		MatMultAdd(a.buf, b.buf, got.buf, a.off, astride, b.off, got.off, rows, k, n)
+		Portable(func() { MatMultAdd(a.buf, b.buf, want.buf, a.off, astride, b.off, want.off, rows, k, n) })
+		sc := scale(a, b, func(i, kk int) int { return a.off + i*astride + kk }, n, c0)
+		checkVec(t, what("MatMultAdd"), got, want, func(p int) float64 { return sc(p) + 5e-324 }, k+1)
 		got, want = c0.clone(), c0.clone()
 		DotRows(a.buf, b.buf, got.vals(), a.off, astride, b.off, rows, k)
 		for i := range want.vals() {
 			want.vals()[i] = dotProductGo(a.buf, b.buf, a.off+i*astride, b.off, k)
 		}
-		sc := scale(a, b, func(i, kk int) int { return a.off + i*astride + kk }, n, operand{buf: make([]float64, rows), n: rows})
+		sc = scale(a, b, func(i, kk int) int { return a.off + i*astride + kk }, n, operand{buf: make([]float64, rows), n: rows})
 		checkVec(t, what("DotRows"), got, want, func(p int) float64 { return sc(p) + 5e-324 }, k)
-		return
 	}
+
+	// C (rows x n) += t(A) (A is k x rows, stride rows+slack) %*% B (k x n,
+	// stride n+slack, or 0: one row repeated): the narrow kernel, or with
+	// one column TMatMultAdd (the short-row kernel up to shortRow outputs,
+	// the rank-4 update past them; no zero skip in either) against the Go
+	// loops.
 	astride = rows + slack
 	a = newOperand(off, (k-1)*astride+rows, nan, fill)
 	for _, bstride := range []int{n + slack, 0} {
 		b = newOperand((off+5)&7, (k-1)*bstride+n, nan, fill)
 		got, want = c0.clone(), c0.clone()
-		narrow(a.buf, b.buf, got.buf, a.off, 1, astride, b.off, bstride, got.off, rows, k, n)
-		tMatMultAddGo(a.buf, b.buf, want.buf, a.off, astride, b.off, bstride, want.off, k, rows, n)
+		if n == 1 {
+			TMatMultAdd(a.buf, b.buf, got.buf, a.off, astride, b.off, bstride, got.off, k, rows, n)
+		} else {
+			narrow(a.buf, b.buf, got.buf, a.off, 1, astride, b.off, bstride, got.off, rows, k, n)
+		}
+		Portable(func() { tMatMultAddGo(a.buf, b.buf, want.buf, a.off, astride, b.off, bstride, want.off, k, rows, n) })
 		// The kernel sums from +0 and adds the sum to C, like narrowRows4;
 		// the Go t(A) loop adds each product to C, so a C of -0 under
 		// products of -0 stays -0 there. A zero's sign is not compared here.
@@ -340,6 +353,104 @@ func product(t *testing.T, rng *rand.Rand, rows, k, n, slack, off int, salt []fl
 			func(p int) float64 { return sc(p) + 5e-324 }, k+1)
 		if !a.intact(nan) || !b.intact(nan) {
 			t.Fatalf("%s: the kernel wrote to a source", what("t(A)%*%B"))
+		}
+	}
+}
+
+// csr runs the CSR-row kernels on one row of nnz stored cells over n rows
+// of a dense operand of m columns — the product with B (MatMultSparse) and
+// the outer product into C
+// (OuterMultAddSparse) — against their Go loops.
+func csr(t *testing.T, rng *rand.Rand, nnz, m, off int, salt []float64) {
+	fill := filler(rng, salt)
+	nan := math.NaN()
+	n := nnz + rng.Intn(8)
+	ix := rng.Perm(n)[:nnz]
+	sort.Ints(ix)
+	what := func(o string) string {
+		return fmt.Sprintf("%s nnz=%d m=%d n=%d off=%d salted=%v", o, nnz, m, n, off, salt != nil)
+	}
+	vals := newOperand(off, nnz, nan, fill)
+	b := newOperand((off+3)&7, n*m, nan, fill)
+	c0 := newOperand((off+5)&7, m, marker, fill)
+	got, want := c0.clone(), c0.clone()
+	MatMultSparse(vals.vals(), ix, b.buf, got.buf, b.off, got.off, m)
+	matMultSparseGo(vals.vals(), ix, b.buf, want.buf, b.off, want.off, m)
+	scale := func(j int) float64 {
+		terms := []float64{}
+		for k, i := range ix {
+			terms = append(terms, prod(vals.vals()[k], b.vals()[i*m+j]))
+		}
+		return magnitude(terms...) + 5e-324
+	}
+	checkVec(t, what("X%*%B"), got, want, scale, nnz)
+	bv := newOperand((off+1)&7, m, nan, fill)
+	c0 = newOperand((off+6)&7, n*m, marker, fill)
+	got, want = c0.clone(), c0.clone()
+	OuterMultAddSparse(vals.vals(), ix, bv.buf, got.buf, bv.off, got.off, m)
+	outerMultAddSparseGo(vals.vals(), ix, bv.buf, want.buf, bv.off, want.off, m)
+	checkVec(t, what("t(X)%*%D"), got, want, func(p int) float64 {
+		terms := []float64{c0.vals()[p]}
+		if k := sort.SearchInts(ix, p/m); k < nnz && ix[k] == p/m {
+			terms = append(terms, prod(vals.vals()[k], bv.vals()[p%m]))
+		}
+		return magnitude(terms...)
+	}, 2)
+	if !vals.intact(nan) || !b.intact(nan) || !bv.intact(nan) {
+		t.Fatalf("%s: a kernel wrote to a source", what("csr"))
+	}
+}
+
+func TestCSRKernelsDifferential(t *testing.T) {
+	needAsm(t)
+	rng := rand.New(rand.NewSource(32))
+	for nnz := 0; nnz <= 40; nnz++ { // both sides of asmMin, every remainder of four
+		for m := 1; m < narrowCols; m++ {
+			csr(t, rng, nnz, m, (nnz+m)&7, nil)
+			csr(t, rng, nnz, m, nnz&7, special)
+		}
+	}
+}
+
+// TestCSRKernelsHandOverABadIndex: the kernels check every column index
+// against the rows of the dense operand and stop at the first one outside
+// them; the Go loop then takes the row, so an index its arithmetic accepts
+// (negative, over an offset B) gives its result, and one it does not
+// panics there.
+func TestCSRKernelsHandOverABadIndex(t *testing.T) {
+	for m := 1; m < narrowCols; m++ {
+		vals := make([]float64, 2*asmMin) // past the cutoff of every kernel
+		ix := make([]int, 2*asmMin)
+		for k := range ix {
+			vals[k], ix[k] = float64(k+1), k
+		}
+		ix[5] = -1
+		b := make([]float64, 24*m)
+		for i := range b {
+			b[i] = float64(i%7) - 3
+		}
+		got, want := make([]float64, m), make([]float64, m)
+		MatMultSparse(vals, ix, b, got, 2*m, 0, m)
+		matMultSparseGo(vals, ix, b, want, 2*m, 0, m)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("MatMultSparse m=%d: [%d] = %v, Go loop %v", m, i, got[i], want[i])
+			}
+		}
+		ix[5] = 40
+		c := make([]float64, 24*m)
+		for name, call := range map[string]func(){
+			"MatMultSparse":      func() { MatMultSparse(vals, ix, b, got, 0, 0, m) },
+			"OuterMultAddSparse": func() { OuterMultAddSparse(vals, ix, b, c, 0, 0, m) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s m=%d: an index past the operand did not panic", name, m)
+					}
+				}()
+				call()
+			}()
 		}
 	}
 }
@@ -601,7 +712,7 @@ func TestExpLogAccuracy(t *testing.T) {
 // TestPortableLoopsMatchOracle: the Go loops are what runs off amd64 and
 // below the kernels' cutoffs, so the exported functions are checked against
 // a per-element oracle (Op.Apply, Min2/Max2, math.Exp) with the kernels on
-// and — withoutAsm flips the package's dispatch variable — off.
+// and — Portable flips the package's dispatch variable — off.
 func TestPortableLoopsMatchOracle(t *testing.T) {
 	check := func(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
@@ -685,7 +796,7 @@ func TestPortableLoopsMatchOracle(t *testing.T) {
 		}
 	}
 	t.Run("dispatched", check)
-	t.Run("portable", func(t *testing.T) { withoutAsm(func() { check(t) }) })
+	t.Run("portable", func(t *testing.T) { Portable(func() { check(t) }) })
 }
 
 // TestWrappersCheckBounds: the kernels check nothing, so a call whose last
@@ -774,8 +885,10 @@ func TestExportedMatchPortable(t *testing.T) {
 }
 
 // FuzzKernels decodes a shape, offsets and values from the input and runs
-// the one-dimensional kernels, the narrow product, the tile kernels (maps,
-// comparisons, row reductions) and exp/log/sigmoid against their twins.
+// the one-dimensional kernels, the narrow product (with the short-row
+// kernels at one column), the CSR-row kernels (rows of 0-40 stored cells),
+// the tile kernels (maps, comparisons, row reductions) and exp/log/sigmoid
+// against their twins.
 // Values come from raw bit patterns, so NaNs, infinities, denormals and
 // signed zeros arrive without being listed.
 func FuzzKernels(f *testing.F) {
@@ -788,7 +901,7 @@ func FuzzKernels(f *testing.F) {
 			return
 		}
 		n, so, do := int(in[0])%131, int(in[1])&7, int(in[2])&7
-		rows, k, w := 1+int(in[3])%12, 1+int(in[4])%40, 1+int(in[5])%(narrowCols-1)
+		rows, k, w := 1+int(in[3])%36, 1+int(in[4])%40, 1+int(in[5])%(narrowCols-1)
 		var salt []float64
 		if in[6]&1 == 1 {
 			salt = append(salt, special...)
@@ -810,6 +923,7 @@ func FuzzKernels(f *testing.F) {
 		}
 		oneD(t, rng, n, so, do, salt)
 		product(t, rng, rows, k, w, int(in[1])%3, do, salt)
+		csr(t, rng, int(in[4])%41, w, so, salt)
 		tile(t, rng, rows+k, 1+int(in[5])%9, int(in[1])%4, so, salt)
 		lanes(t, rng, n, so, do, salt)
 	})

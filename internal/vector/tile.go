@@ -11,6 +11,11 @@ const (
 	// per-row primitive call).
 	narrowCols = 8
 
+	// shortRow: a row of at most this many cells fits in eight YMM
+	// registers, where the short-row kernels keep v (X %*% v) or the sums
+	// (t(X) %*% y) for a whole call.
+	shortRow = 32
+
 	// kTile and nTile block the wide product: the inner loops touch a
 	// kTile×nTile panel of B (128×1024 doubles = 1 MB, sized for L2) while
 	// streaming rows of A and C.
@@ -27,8 +32,13 @@ const (
 // as NaN. (The wide product goes through MultAdd, which skips a zero
 // multiplier.) The sign of a zero result is not specified: the kernel sums
 // from +0 and adds the sum to C, the Go loop of t(A) %*% B adds into C.
+// One column over rows of at most shortRow cells is DotRows' kernel.
 func MatMultAdd(a, b, c []float64, ai, astride, bi, ci, rows, k, n int) {
 	if n < narrowCols && useAsm && rows > 0 && k > 0 {
+		if n == 1 && k <= shortRow {
+			dotRows(a, b, c, ai, astride, bi, ci, rows, k)
+			return
+		}
 		narrow(a, b, c, ai, astride, 1, bi, n, ci, rows, k, n)
 		return
 	}
@@ -72,13 +82,13 @@ func matMultAddGo(a, b, c []float64, ai, astride, bi, ci, rows, k, n int) {
 
 // DotRows writes d[t] = the inner product of row t of A (rows×k at a[ai],
 // astride apart) with v[vi:vi+k], t in [0,rows): a matrix-vector product.
-// Rows shorter than 16 take the narrow product (four rows interleaved, one
-// call per block of rows: 1.3-2.6x a DotProduct call per row at 2-15
-// columns, level with it from 16).
+// Rows of at most shortRow cells take one kernel call for the block: v
+// stays in registers, four rows per pass, one transposing reduction and one
+// store per four results. Longer rows take a DotProduct call each.
 func DotRows(a, v, d []float64, ai, astride, vi, rows, k int) {
-	if k < 16 && useAsm && rows > 0 && k > 0 {
+	if k <= shortRow && useAsm && rows > 0 && k > 0 {
 		clear(d[:rows])
-		narrow(a, v, d, ai, astride, 1, vi, 1, 0, rows, k, 1)
+		dotRows(a, v, d, ai, astride, vi, 0, rows, k)
 		return
 	}
 	for t := range d[:rows] {
@@ -86,22 +96,39 @@ func DotRows(a, v, d []float64, ai, astride, vi, rows, k int) {
 	}
 }
 
+// dotRows runs the assembly d[di+t] += row t of A . v[vi:vi+k] (0 < k <=
+// shortRow) after checking the last element of every operand.
+func dotRows(a, v, d []float64, ai, astride, vi, di, rows, k int) {
+	if astride < 0 {
+		panic("vector: negative stride")
+	}
+	_, _, _ = a[ai+(rows-1)*astride+k-1], v[vi+k-1], d[di+rows-1]
+	ch := (k + 3) / 4
+	dotRowsAsm(ch, &a[ai], astride, &v[vi], &d[di], rows, chunkMask(k), tailMask(rows))
+}
+
+// chunkMask is the mask of the last chunk of four lanes of a row of k > 0
+// cells: 1-4 lanes.
+func chunkMask(k int) *[4]int64 { return (*[4]int64)(laneMask[3-(k-1)&3:]) }
+
 // laneMask[4-w:] is the VMASKMOVPD mask of the first w of four lanes.
 var laneMask = [8]int64{-1, -1, -1, -1, 0, 0, 0, 0}
 
 // narrow runs the assembly narrow product C (rows×n at c[ci], n <
 // narrowCols) += A %*% B, A's element (i, kk) at a[ai+i*arow+kk*ak], B's
-// row kk at b[bi+kk*bstride]: one kernel call per panel of four output
-// columns, after checking the last element of every operand.
+// row kk at b[bi+kk*bstride]: one kernel call, the 5-7 column kernel
+// sharing each broadcast of A between two lane groups, after checking the
+// last element of every operand.
 func narrow(a, b, c []float64, ai, arow, ak, bi, bstride, ci, rows, k, n int) {
 	if arow < 0 || ak < 0 || bstride < 0 {
 		panic("vector: negative stride")
 	}
 	_, _, _ = a[ai+(rows-1)*arow+(k-1)*ak], b[bi+(k-1)*bstride+n-1], c[ci+rows*n-1]
-	for j := 0; j < n; j += 4 {
-		mask := (*[4]int64)(laneMask[4-min(4, n-j):])
-		narrowAsm(&a[ai], arow, ak, &b[bi+j], bstride, &c[ci+j], n, rows, k, mask)
+	if n > 4 {
+		narrow8Asm(&a[ai], arow, ak, &b[bi], bstride, &c[ci], n, rows, k, (*[4]int64)(laneMask[8-n:]))
+		return
 	}
+	narrowAsm(&a[ai], arow, ak, &b[bi], bstride, &c[ci], n, rows, k, (*[4]int64)(laneMask[4-n:]))
 }
 
 // narrowRows4 accumulates four rows of C (4×n at c[0], n < narrowCols) +=
@@ -190,13 +217,25 @@ func narrowRow(arow, b, c []float64, n int) {
 // rows×m at a[ai] with row stride astride, B is rows×n at b[bi] with row
 // stride bstride (0 repeats one row), C is m×n row-major at c[ci]. This is
 // the tile form of the Row template's t(X) %*% W accumulation
-// (vectOuterMultAdd once per row), taking four rows per pass. For 1 < n <
-// narrowCols it is a narrow product (see MatMultAdd).
+// (vectOuterMultAdd once per row), taking four rows per pass. For n <
+// narrowCols it is a narrow product (see MatMultAdd): with one column and
+// rows of at most shortRow cells, one kernel call keeps the m sums in
+// registers for the whole block.
 func TMatMultAdd(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n int) {
-	if 1 < n && n < narrowCols && useAsm && rows > 0 && m > 0 {
-		// t(A) %*% B is the narrow product with A read down its columns.
-		narrow(a, b, c, ai, 1, astride, bi, bstride, ci, m, rows, n)
-		return
+	if n < narrowCols && useAsm && rows > 0 && m > 0 {
+		switch {
+		case n > 1:
+			// t(A) %*% B is the narrow product with A read down its columns.
+			narrow(a, b, c, ai, 1, astride, bi, bstride, ci, m, rows, n)
+			return
+		case m <= shortRow:
+			if astride < 0 || bstride < 0 {
+				panic("vector: negative stride")
+			}
+			_, _, _ = a[ai+(rows-1)*astride+m-1], b[bi+(rows-1)*bstride], c[ci+m-1]
+			tDotAsm((m+3)/4, &a[ai], astride, &b[bi], bstride, &c[ci], rows, chunkMask(m))
+			return
+		}
 	}
 	tMatMultAddGo(a, b, c, ai, astride, bi, bstride, ci, rows, m, n)
 }
@@ -204,13 +243,21 @@ func TMatMultAdd(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n int
 func tMatMultAddGo(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n int) {
 	i := 0
 	if n == 1 {
+		// The rank-k updates without their zero skip (MultAdd4's body,
+		// multAdd): a narrow product.
 		for ; i+4 <= rows; i += 4 {
 			ao, bo := ai+i*astride, bi+i*bstride
-			MultAdd4(a, b[bo], b[bo+bstride], b[bo+2*bstride], b[bo+3*bstride],
-				c, ao, ao+astride, ao+2*astride, ao+3*astride, ci, m)
+			b0, b1, b2, b3 := b[bo], b[bo+bstride], b[bo+2*bstride], b[bo+3*bstride]
+			if useAsm && m >= asmMin {
+				e := m - 1
+				_, _, _, _, _ = a[ao+e], a[ao+astride+e], a[ao+2*astride+e], a[ao+3*astride+e], c[ci+e]
+				multAdd4Asm(&a[ao], &a[ao+astride], &a[ao+2*astride], &a[ao+3*astride], b0, b1, b2, b3, &c[ci], m)
+				continue
+			}
+			multAdd4Go(a, b0, b1, b2, b3, c, ao, ao+astride, ao+2*astride, ao+3*astride, ci, m)
 		}
 		for ; i < rows; i++ {
-			MultAdd(a, b[bi+i*bstride], c, ai+i*astride, ci, m)
+			multAdd(a, b[bi+i*bstride], c, ai+i*astride, ci, m)
 		}
 		return
 	}

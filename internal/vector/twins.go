@@ -18,19 +18,29 @@ var twinSink float64
 // twinRows is the row count of the narrow product twin.
 const twinRows = 64
 
-// KernelTwins returns the twins of the dot product, the rank-4 update and
-// the narrow product (twinRows×n %*% n×2).
+// KernelTwins returns the twins of the dot product, the rank-4 update, the
+// narrow product (twinRows×n %*% n×2 and n×5), the short-row kernels (X %*%
+// v and t(X) %*% y over n and 4n rows of 10 cells) and the CSR-row kernels
+// (a row of n stored cells %*% a 784×5 B, and its outer product with 5
+// values into a 784×5 C).
 func KernelTwins(n int) []KernelTwin {
 	a := make([]float64, twinRows*n)
 	for i := range a {
 		a[i] = float64(i%17-8) / 8
 	}
-	b := make([]float64, 2*n)
+	b := make([]float64, 5*n)
 	for i := range b {
 		b[i] = float64(i%13-6) / 4
 	}
 	c := make([]float64, n)
-	c2 := make([]float64, 2*twinRows)
+	c2 := make([]float64, 5*twinRows)
+	// The short-row twins: 4n rows of 10 cells in a, y one value per row.
+	const k, m = 10, 5
+	y := a[:4*n]
+	vals, ix, dense := a[:n], make([]int, n), make([]float64, 784*m)
+	for i := range ix {
+		ix[i] = i * 784 / n
+	}
 	return []KernelTwin{
 		{"dot", 2 * n, 0,
 			func() { twinSink += dotProductGo(a, b, 0, 0, n) },
@@ -41,6 +51,29 @@ func KernelTwins(n int) []KernelTwin {
 		{"narrow product 64xNx2", 4 * twinRows * n, 0,
 			func() { matMultAddGo(a, b, c2, 0, n, 0, 0, twinRows, n, 2) },
 			func() { MatMultAdd(a, b, c2, 0, n, 0, 0, twinRows, n, 2) }},
+		{"narrow product 64xNx5", 10 * twinRows * n, 0,
+			func() { matMultAddGo(a, b, c2, 0, n, 0, 0, twinRows, n, 5) },
+			func() { MatMultAdd(a, b, c2, 0, n, 0, 0, twinRows, n, 5) }},
+		{"X %*% v Nx10", 2 * k * n, 0,
+			func() {
+				for t := range c {
+					c[t] = dotProductGo(a, b, t*k, 0, k)
+				}
+			},
+			func() { DotRows(a, b, c, 0, k, 0, n, k) }},
+		{"t(X) %*% y 4Nx10", 8 * k * n, 0,
+			func() {
+				for i := 0; i < 4*n; i += 4 {
+					multAdd4Go(a, y[i], y[i+1], y[i+2], y[i+3], c, i*k, (i+1)*k, (i+2)*k, (i+3)*k, 0, k)
+				}
+			},
+			func() { TMatMultAdd(a, y, c, 0, k, 0, 1, 0, 4*n, k, 1) }},
+		{"CSR row %*% B 784x5", 2 * m * n, 0,
+			func() { matMultSparseGo(vals, ix, dense, c, 0, 0, m) },
+			func() { MatMultSparse(vals, ix, dense, c, 0, 0, m) }},
+		{"CSR row outer product 784x5", 2 * m * n, 0,
+			func() { outerMultAddSparseGo(vals, ix, b, dense, 0, 0, m) },
+			func() { OuterMultAddSparse(vals, ix, b, dense, 0, 0, m) }},
 	}
 }
 

@@ -7,20 +7,26 @@
 // here are written with 8-fold unrolling like their Java counterparts.
 //
 // The primitives that hold the profile (reductions, rank-k updates, the
-// narrow product, the element-wise maps and comparisons, row reductions of
+// narrow products, the element-wise maps and comparisons, row reductions of
 // narrow tiles, exp/log/sigmoid) have two implementations: the portable Go
 // loop named xxxGo, which is also the reference in tests, and an AVX2+FMA
 // assembly kernel (kernels_amd64.s). The exported function picks the kernel
-// when useAsm is set and the call has at least asmMin elements — two
-// families take it at any size: the reductions of rows narrower than
-// narrowCols (RowReduce: one call covers a tile of rows) and exp/log/sigmoid
-// (a result must not depend on the length of the call it was part of). It
-// checks the last index of every operand before it hands raw pointers over,
-// because the kernels check nothing. FMA and four-lane summation change
-// low-order bits against the Go loops, never NaN-ness: the rank-k updates
-// return early when every multiplier is zero, before the dispatch, and the
-// narrow product (MatMultAdd) skips nothing in either form. The element-wise
-// maps, comparisons, minima and maxima are the same bits in both forms.
+// when useAsm is set and the call has at least asmMin elements — three
+// families take it at any size: the narrow products over rows of at most
+// shortRow cells (X %*% v and t(X) %*% y keep the short dimension in
+// registers for a whole block of rows), the reductions of rows narrower
+// than narrowCols (RowReduce: one call covers a tile of rows) and
+// exp/log/sigmoid (a result must not depend on the length of the call it
+// was part of); the CSR-row kernels take rows of asmMin stored cells and
+// more. It checks the last index of every operand before it hands raw
+// pointers over, because the kernels check nothing (the CSR-row kernels
+// check each column index and hand a row they cannot finish back to the Go
+// loop). FMA and four-lane summation change low-order bits against the Go
+// loops, never NaN-ness: the rank-k updates return early when every
+// multiplier is zero, before the dispatch, and the narrow products — dense
+// (MatMultAdd, TMatMultAdd, DotRows) and CSR rows against fewer than
+// narrowCols columns — skip nothing in either form. The element-wise maps,
+// comparisons, minima and maxima are the same bits in both forms.
 //
 // Conventions: dense vectors are slices with an explicit offset and length so
 // that rows of a row-major matrix can be addressed without sub-slicing;
@@ -59,7 +65,11 @@ func dotProductGo(a, b []float64, ai, bi, n int) float64 {
 }
 
 // DotProductSparse returns the inner product of a sparse row (avals over
-// column indexes aix) with a dense vector b starting at bi.
+// column indexes aix) with a dense vector b starting at bi. It stays the Go
+// loop, inlined into its callers' loops over rows: behind the dispatch it
+// is not inlined, which costs the ~10-cell rows of a sparse Row body more
+// than the kernel saves on long rows (MatMultSparse with one column takes
+// the kernel from 2*asmMin stored cells).
 func DotProductSparse(avals []float64, aix []int, b []float64, bi int) float64 {
 	var s float64
 	for k, j := range aix {
@@ -175,9 +185,13 @@ func CountNnz(a []float64, ai, n int) int {
 // MultAdd computes c[ci+k] += bval * a[ai+k] for k in [0,n)
 // (the vectMultAdd primitive used by the Outer template).
 func MultAdd(a []float64, bval float64, c []float64, ai, ci, n int) {
-	if bval == 0 {
-		return
+	if bval != 0 {
+		multAdd(a, bval, c, ai, ci, n)
 	}
+}
+
+// multAdd is MultAdd without the zero skip.
+func multAdd(a []float64, bval float64, c []float64, ai, ci, n int) {
 	if useAsm && n >= asmMin {
 		_, _ = a[ai+n-1], c[ci+n-1]
 		multAddAsm(&a[ai], bval, &c[ci], n)
@@ -288,9 +302,18 @@ func AddSparse(avals []float64, aix []int, c []float64, ci int) {
 }
 
 // MatMultSparse computes c = a * B for a sparse row a over an n×m dense B.
-// Narrow outputs (m < 8) are accumulated in locals, two columns per pass
-// over the row's non-zeros, instead of one MultAdd call per non-zero.
+// Narrow outputs (m < narrowCols) take one kernel call per row (each stored
+// cell broadcast once against its row of B), or, with fewer than asmMin
+// stored cells (2*asmMin at one column), accumulate in locals two columns
+// per pass; neither skips a stored zero.
 func MatMultSparse(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
+	if useAsm && len(aix) >= asmMin && m < narrowCols && csrRow(false, avals, aix, b, c, bi, ci, m) > 0 {
+		return
+	}
+	matMultSparseGo(avals, aix, b, c, bi, ci, m)
+}
+
+func matMultSparseGo(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
 	if m >= narrowCols {
 		for j := 0; j < m; j++ {
 			c[ci+j] = 0
@@ -319,6 +342,39 @@ func MatMultSparse(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
 	}
 }
 
+// csrRow runs a CSR-row kernel on a row of at least asmMin stored cells
+// (the callers check, so that a short row costs no call) against a dense
+// operand of m < narrowCols columns: c[ci:ci+m) = the row %*% B (B's rows
+// m apart at b[bi]), or with outer C's rows (m apart at c[ci]) += each
+// cell times b[bi:bi+m). It returns the cells done: all, or 0 where the Go
+// loop takes the row, or with outer those before the first index outside
+// C, which the Go loop takes from there. A product with one column is a
+// dot product, whose Go loop keeps up with the call up to 2*asmMin stored
+// cells (one chain of scalar multiply-adds, no set-up).
+func csrRow(outer bool, avals []float64, aix []int, b, c []float64, bi, ci, m int) int {
+	if m <= 0 || !outer && m == 1 && len(aix) < 2*asmMin {
+		return 0
+	}
+	_ = avals[len(aix)-1]
+	var last int // the first element of the last row of the indexed operand
+	if outer {
+		_, last = b[bi+m-1], len(c)-ci-m
+	} else {
+		_, last = c[ci+m-1], len(b)-bi-m
+	}
+	if last < 0 {
+		return 0
+	}
+	if outer {
+		return spOuterAsm(m, &avals[0], &aix[0], len(aix), &b[bi], last, &c[ci])
+	}
+	n := spMatAsm(m, &avals[0], &aix[0], len(aix), &b[bi], last, &c[ci])
+	if n < len(aix) {
+		return 0 // the product writes nothing before its last cell
+	}
+	return n
+}
+
 // OuterMultAdd accumulates the outer product a (len n) ⊗ b (len m) into the
 // row-major n×m matrix c (the vectOuterMultAdd primitive).
 func OuterMultAdd(a, b, c []float64, ai, bi, ci, n, m int) {
@@ -340,19 +396,30 @@ func OuterMultAdd(a, b, c []float64, ai, bi, ci, n, m int) {
 	}
 }
 
-// OuterMultAddSparse accumulates a sparse row (avals, aix) ⊗ b into c.
+// OuterMultAddSparse accumulates a sparse row (avals, aix) ⊗ b into c. For
+// m < narrowCols it is the narrow product with the row as A: one kernel call
+// per row, or with fewer than asmMin stored cells the Go loop, and no
+// stored zero skipped; wider b go through MultAdd per stored cell.
 func OuterMultAddSparse(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
-	if m == 2 {
-		// Two columns (the k-1 = 2 classes of MLogreg) are too little work
-		// per non-zero for a MultAdd call.
-		b0, b1, cc := b[bi], b[bi+1], c[ci:]
+	if m >= narrowCols {
 		for k, i := range aix {
-			cc[2*i] += avals[k] * b0
-			cc[2*i+1] += avals[k] * b1
+			MultAdd(b, avals[k], c, bi, ci+i*m, m)
 		}
 		return
 	}
+	done := 0
+	if useAsm && len(aix) >= asmMin {
+		done = csrRow(true, avals, aix, b, c, bi, ci, m)
+	}
+	outerMultAddSparseGo(avals[done:], aix[done:], b, c, bi, ci, m)
+}
+
+func outerMultAddSparseGo(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
+	bb := b[bi : bi+m]
 	for k, i := range aix {
-		MultAdd(b, avals[k], c, bi, ci+i*m, m)
+		v, cc := avals[k], c[ci+i*m:ci+i*m+m]
+		for j, x := range bb {
+			cc[j] += v * x
+		}
 	}
 }
