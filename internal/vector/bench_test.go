@@ -10,9 +10,8 @@ import (
 // benchmark's algorithms run — X %*% V and t(X) %*% V over dense rows of 10
 // and 29 cells with 1, 2 and 5 columns, and Mnist-like CSR rows (784
 // columns, ~160 stored cells clustered in the middle) against dense
-// operands of 1, 2 and 5 columns (MatMultSparse, also at one column, where
-// the programs call DotProductSparse, the same Go loop as the parent's
-// MatMultSparse) — each on a 32 KiB tile (cache-resident)
+// operands of 1, 2 and 5 columns (at one column both take the Go loop) —
+// each on a 32 KiB tile (cache-resident)
 // and on a 12 MB stream (memory), through the exported functions. ns/row
 // (dense) and ns/nnz (CSR) sit next to Sum over the same bytes, the read
 // roofline:

@@ -3,7 +3,7 @@
 // first), reads and writes exactly [p, p+n), and has a portable Go twin
 // that it is tested against. Unaligned loads throughout; tails of 1-3
 // elements run scalar VEX code in the reductions and rank-k updates, the
-// CSR-row kernels read and write rows of 1-7 cells as exact pieces of 4, 2
+// CSR-row kernels read and write rows of 2-7 cells as exact pieces of 4, 2
 // and 1 lanes, and masked loads and stores cover the tails everywhere else
 // (the narrow products, the tile kernels, exp/log/sigmoid), so no kernel
 // touches an element it was not given.
@@ -263,6 +263,12 @@ next: \
 #define NEGFIXNAN \
 	VXORPD Y11, Y0, Y0; \
 	FIXNAN
+
+// PLUSZERO adds +0 to the sums, as the Go loop starts from it: a row of
+// four -0 lanes (w = 4, no masked lane to add a +0) sums to +0.
+#define PLUSZERO \
+	VXORPD Y2, Y2, Y2; \
+	VADDPD Y2, Y0, Y0
 
 // ROWRED reduces each row of a narrow tile (w < 8, rows CX bytes apart:
 // lanes 0-3 under the mask in Y15, lanes 4-7, when there are any, under
@@ -656,20 +662,18 @@ sum: \
 	VZEROUPPER; \
 	RET
 
-// The CSR-row kernels, one per m < 8 (the width of the dense operand): a
+// The CSR-row kernels, one per 1 < m < 8 (the width of the dense operand): a
 // row of m cells is read and written as exact pieces of 4, 2 and 1 lanes
 // (Pm(Y, X, S, ry, rx, rs) applies Y, X and S to them, with the registers
 // of each), never wider, so that rows m apart do not overlap and a store
 // forwards to the next load. MULm(r) turns row index r into the index of
 // the row's first element.
-#define P1(Y, X, S, ry, rx, rs) S(0, rs)
 #define P2(Y, X, S, ry, rx, rs) X(0, rx)
 #define P3(Y, X, S, ry, rx, rs) X(0, rx); S(16, rs)
 #define P4(Y, X, S, ry, rx, rs) Y(0, ry)
 #define P5(Y, X, S, ry, rx, rs) Y(0, ry); S(32, rs)
 #define P6(Y, X, S, ry, rx, rs) Y(0, ry); X(32, rx)
 #define P7(Y, X, S, ry, rx, rs) Y(0, ry); X(32, rx); S(48, rs)
-#define MUL1(r)
 #define MUL2(r) ADDQ r, r
 #define MUL3(r) LEAQ (r)(r*2), r
 #define MUL4(r) SHLQ $2, r
@@ -1155,23 +1159,23 @@ TEXT ·tDotAsm(SB), NOSPLIT, $0-64
 	JMP  BX
 
 // func spMatAsm(m int, vals *float64, ix *int, nnz int, b *float64, last int, c *float64) (done int)
-// c[0:m) = the CSR row (vals, ix) %*% B, B's rows m apart, 0 < m < 8;
+// c[0:m) = the CSR row (vals, ix) %*% B, B's rows m apart, 1 < m < 8;
 // returns nnz, or the position of the first index past the last row (its
 // first element at last) having written nothing.
 TEXT ·spMatAsm(SB), NOSPLIT, $0-64
 	MOVQ m+0(FP), AX
 	LEAQ spmattab<>(SB), BX
-	MOVQ -8(BX)(AX*8), BX
+	MOVQ -16(BX)(AX*8), BX
 	JMP  BX
 
 // func spOuterAsm(m int, vals *float64, ix *int, nnz int, b *float64, last int, c *float64) (done int)
-// Row ix[k] of C (rows m apart, 0 < m < 8) += vals[k] * b[0:m) for each
+// Row ix[k] of C (rows m apart, 1 < m < 8) += vals[k] * b[0:m) for each
 // cell; returns nnz, or the position of the first index past the last row,
 // the cells before it done.
 TEXT ·spOuterAsm(SB), NOSPLIT, $0-64
 	MOVQ m+0(FP), AX
 	LEAQ spoutertab<>(SB), BX
-	MOVQ -8(BX)(AX*8), BX
+	MOVQ -16(BX)(AX*8), BX
 	JMP  BX
 
 // The tile kernels are reached through three entry points that jump to the
@@ -1311,7 +1315,7 @@ TEXT ·geVS<>(SB), NOSPLIT, $0-72
 	TILEVS(ROWS, GEOP)
 
 TEXT ·rowSumAsm<>(SB), NOSPLIT, $0-64
-	ROWRED(ASIS, ADD3, NONE)
+	ROWRED(ASIS, ADD3, PLUSZERO)
 
 TEXT ·rowSumSqAsm<>(SB), NOSPLIT, $0-64
 	ROWRED(SQUARE, ADD3, NONE)
@@ -1363,19 +1367,17 @@ VARIANT(tdottab<>, 40, ·tDot6<>, TDOT(CH6, NOFOLD))
 VARIANT(tdottab<>, 48, ·tDot7<>, TDOT(CH7, NOFOLD))
 VARIANT(tdottab<>, 56, ·tDot8<>, TDOT(CH8, NOFOLD))
 GLOBL tdottab<>(SB), RODATA, $64
-VARIANT(spmattab<>, 0, ·spMat1<>, SPMAT(P1, MUL1))
-VARIANT(spmattab<>, 8, ·spMat2<>, SPMAT(P2, MUL2))
-VARIANT(spmattab<>, 16, ·spMat3<>, SPMAT(P3, MUL3))
-VARIANT(spmattab<>, 24, ·spMat4<>, SPMAT(P4, MUL4))
-VARIANT(spmattab<>, 32, ·spMat5<>, SPMAT(P5, MUL5))
-VARIANT(spmattab<>, 40, ·spMat6<>, SPMAT(P6, MUL6))
-VARIANT(spmattab<>, 48, ·spMat7<>, SPMAT(P7, MUL7))
-GLOBL spmattab<>(SB), RODATA, $56
-VARIANT(spoutertab<>, 0, ·spOuter1<>, SPOUTER(P1, MUL1))
-VARIANT(spoutertab<>, 8, ·spOuter2<>, SPOUTER(P2, MUL2))
-VARIANT(spoutertab<>, 16, ·spOuter3<>, SPOUTER(P3, MUL3))
-VARIANT(spoutertab<>, 24, ·spOuter4<>, SPOUTER(P4, MUL4))
-VARIANT(spoutertab<>, 32, ·spOuter5<>, SPOUTER(P5, MUL5))
-VARIANT(spoutertab<>, 40, ·spOuter6<>, SPOUTER(P6, MUL6))
-VARIANT(spoutertab<>, 48, ·spOuter7<>, SPOUTER(P7, MUL7))
-GLOBL spoutertab<>(SB), RODATA, $56
+VARIANT(spmattab<>, 0, ·spMat2<>, SPMAT(P2, MUL2))
+VARIANT(spmattab<>, 8, ·spMat3<>, SPMAT(P3, MUL3))
+VARIANT(spmattab<>, 16, ·spMat4<>, SPMAT(P4, MUL4))
+VARIANT(spmattab<>, 24, ·spMat5<>, SPMAT(P5, MUL5))
+VARIANT(spmattab<>, 32, ·spMat6<>, SPMAT(P6, MUL6))
+VARIANT(spmattab<>, 40, ·spMat7<>, SPMAT(P7, MUL7))
+GLOBL spmattab<>(SB), RODATA, $48
+VARIANT(spoutertab<>, 0, ·spOuter2<>, SPOUTER(P2, MUL2))
+VARIANT(spoutertab<>, 8, ·spOuter3<>, SPOUTER(P3, MUL3))
+VARIANT(spoutertab<>, 16, ·spOuter4<>, SPOUTER(P4, MUL4))
+VARIANT(spoutertab<>, 24, ·spOuter5<>, SPOUTER(P5, MUL5))
+VARIANT(spoutertab<>, 32, ·spOuter6<>, SPOUTER(P6, MUL6))
+VARIANT(spoutertab<>, 40, ·spOuter7<>, SPOUTER(P7, MUL7))
+GLOBL spoutertab<>(SB), RODATA, $48

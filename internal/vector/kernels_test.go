@@ -317,7 +317,7 @@ func product(t *testing.T, rng *rand.Rand, rows, k, n, slack, off int, salt []fl
 		// row; the sign of a zero sum aside).
 		got, want = c0.clone(), c0.clone()
 		MatMultAdd(a.buf, b.buf, got.buf, a.off, astride, b.off, got.off, rows, k, n)
-		Portable(func() { MatMultAdd(a.buf, b.buf, want.buf, a.off, astride, b.off, want.off, rows, k, n) })
+		matMultAddGo(a.buf, b.buf, want.buf, a.off, astride, b.off, want.off, rows, k, n)
 		sc := scale(a, b, func(i, kk int) int { return a.off + i*astride + kk }, n, c0)
 		checkVec(t, what("MatMultAdd"), got, want, func(p int) float64 { return sc(p) + 5e-324 }, k+1)
 		got, want = c0.clone(), c0.clone()
@@ -344,7 +344,7 @@ func product(t *testing.T, rng *rand.Rand, rows, k, n, slack, off int, salt []fl
 		} else {
 			narrow(a.buf, b.buf, got.buf, a.off, 1, astride, b.off, bstride, got.off, rows, k, n)
 		}
-		Portable(func() { tMatMultAddGo(a.buf, b.buf, want.buf, a.off, astride, b.off, bstride, want.off, k, rows, n) })
+		tMatMultAddGo(a.buf, b.buf, want.buf, a.off, astride, b.off, bstride, want.off, k, rows, n)
 		// The kernel sums from +0 and adds the sum to C, like narrowRows4;
 		// the Go t(A) loop adds each product to C, so a C of -0 under
 		// products of -0 stays -0 there. A zero's sign is not compared here.

@@ -103,8 +103,7 @@ func dotRows(a, v, d []float64, ai, astride, vi, di, rows, k int) {
 		panic("vector: negative stride")
 	}
 	_, _, _ = a[ai+(rows-1)*astride+k-1], v[vi+k-1], d[di+rows-1]
-	ch := (k + 3) / 4
-	dotRowsAsm(ch, &a[ai], astride, &v[vi], &d[di], rows, chunkMask(k), tailMask(rows))
+	dotRowsAsm((k+3)/4, &a[ai], astride, &v[vi], &d[di], rows, chunkMask(k), tailMask(rows))
 }
 
 // chunkMask is the mask of the last chunk of four lanes of a row of k > 0
@@ -223,19 +222,32 @@ func narrowRow(arow, b, c []float64, n int) {
 // registers for the whole block.
 func TMatMultAdd(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n int) {
 	if n < narrowCols && useAsm && rows > 0 && m > 0 {
-		switch {
-		case n > 1:
+		if n > 1 {
 			// t(A) %*% B is the narrow product with A read down its columns.
 			narrow(a, b, c, ai, 1, astride, bi, bstride, ci, m, rows, n)
 			return
-		case m <= shortRow:
-			if astride < 0 || bstride < 0 {
-				panic("vector: negative stride")
-			}
-			_, _, _ = a[ai+(rows-1)*astride+m-1], b[bi+(rows-1)*bstride], c[ci+m-1]
+		}
+		if astride < 0 || bstride < 0 {
+			panic("vector: negative stride")
+		}
+		_, _, _ = a[ai+(rows-1)*astride+m-1], b[bi+(rows-1)*bstride], c[ci+m-1]
+		if m <= shortRow {
 			tDotAsm((m+3)/4, &a[ai], astride, &b[bi], bstride, &c[ci], rows, chunkMask(m))
 			return
 		}
+		// Longer rows: a rank-4 update per four rows (m > asmMin), without
+		// MultAdd4's zero skip. (tDotAsm per panel of shortRow outputs
+		// strides across pages and is slower on wide blocks.)
+		i := 0
+		for ; i+4 <= rows; i += 4 {
+			ao, bo := ai+i*astride, bi+i*bstride
+			multAdd4Asm(&a[ao], &a[ao+astride], &a[ao+2*astride], &a[ao+3*astride],
+				b[bo], b[bo+bstride], b[bo+2*bstride], b[bo+3*bstride], &c[ci], m)
+		}
+		for ; i < rows; i++ {
+			multAddAsm(&a[ai+i*astride], b[bi+i*bstride], &c[ci], m)
+		}
+		return
 	}
 	tMatMultAddGo(a, b, c, ai, astride, bi, bstride, ci, rows, m, n)
 }
@@ -243,21 +255,15 @@ func TMatMultAdd(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n int
 func tMatMultAddGo(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n int) {
 	i := 0
 	if n == 1 {
-		// The rank-k updates without their zero skip (MultAdd4's body,
-		// multAdd): a narrow product.
+		// Four rows per rank-4 update, no multiplier skipped: a narrow
+		// product.
 		for ; i+4 <= rows; i += 4 {
 			ao, bo := ai+i*astride, bi+i*bstride
-			b0, b1, b2, b3 := b[bo], b[bo+bstride], b[bo+2*bstride], b[bo+3*bstride]
-			if useAsm && m >= asmMin {
-				e := m - 1
-				_, _, _, _, _ = a[ao+e], a[ao+astride+e], a[ao+2*astride+e], a[ao+3*astride+e], c[ci+e]
-				multAdd4Asm(&a[ao], &a[ao+astride], &a[ao+2*astride], &a[ao+3*astride], b0, b1, b2, b3, &c[ci], m)
-				continue
-			}
-			multAdd4Go(a, b0, b1, b2, b3, c, ao, ao+astride, ao+2*astride, ao+3*astride, ci, m)
+			multAdd4Go(a, b[bo], b[bo+bstride], b[bo+2*bstride], b[bo+3*bstride],
+				c, ao, ao+astride, ao+2*astride, ao+3*astride, ci, m)
 		}
 		for ; i < rows; i++ {
-			multAdd(a, b[bi+i*bstride], c, ai+i*astride, ci, m)
+			multAddGo(a, b[bi+i*bstride], c, ai+i*astride, ci, m)
 		}
 		return
 	}

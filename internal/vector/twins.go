@@ -62,11 +62,7 @@ func KernelTwins(n int) []KernelTwin {
 			},
 			func() { DotRows(a, b, c, 0, k, 0, n, k) }},
 		{"t(X) %*% y 4Nx10", 8 * k * n, 0,
-			func() {
-				for i := 0; i < 4*n; i += 4 {
-					multAdd4Go(a, y[i], y[i+1], y[i+2], y[i+3], c, i*k, (i+1)*k, (i+2)*k, (i+3)*k, 0, k)
-				}
-			},
+			func() { tMatMultAddGo(a, y, c, 0, k, 0, 1, 0, 4*n, k, 1) },
 			func() { TMatMultAdd(a, y, c, 0, k, 0, 1, 0, 4*n, k, 1) }},
 		{"CSR row %*% B 784x5", 2 * m * n, 0,
 			func() { matMultSparseGo(vals, ix, dense, c, 0, 0, m) },

@@ -12,20 +12,20 @@
 // loop named xxxGo, which is also the reference in tests, and an AVX2+FMA
 // assembly kernel (kernels_amd64.s). The exported function picks the kernel
 // when useAsm is set and the call has at least asmMin elements — three
-// families take it at any size: the narrow products over rows of at most
-// shortRow cells (X %*% v and t(X) %*% y keep the short dimension in
-// registers for a whole block of rows), the reductions of rows narrower
-// than narrowCols (RowReduce: one call covers a tile of rows) and
-// exp/log/sigmoid (a result must not depend on the length of the call it
-// was part of); the CSR-row kernels take rows of asmMin stored cells and
-// more. It checks the last index of every operand before it hands raw
-// pointers over, because the kernels check nothing (the CSR-row kernels
-// check each column index and hand a row they cannot finish back to the Go
-// loop). FMA and four-lane summation change low-order bits against the Go
-// loops, never NaN-ness: the rank-k updates return early when every
-// multiplier is zero, before the dispatch, and the narrow products — dense
-// (MatMultAdd, TMatMultAdd, DotRows) and CSR rows against fewer than
-// narrowCols columns — skip nothing in either form. The element-wise maps,
+// families take it at any size: the one-column narrow products over rows
+// of at most shortRow cells (X %*% v and t(X) %*% y keep the short
+// dimension in registers for a whole block of rows), the reductions of
+// rows narrower than narrowCols (RowReduce: one call covers a tile of rows)
+// and exp/log/sigmoid (a result must not depend on the length of the call
+// it was part of); the CSR-row kernels take rows of asmMin stored cells
+// and more, against 2-7 dense columns. It checks the last index of every
+// operand before it hands raw pointers over, because the kernels check
+// nothing (the CSR-row kernels check each column index and hand a row they
+// cannot finish back to the Go loop). FMA and four-lane summation change
+// low-order bits against the Go loops, never NaN-ness: the rank-k updates
+// return early when every multiplier is zero, before the dispatch, and the
+// narrow products — dense (MatMultAdd, TMatMultAdd, DotRows) and CSR rows
+// against fewer than narrowCols columns — skip nothing in either form. The element-wise maps,
 // comparisons, minima and maxima are the same bits in both forms.
 //
 // Conventions: dense vectors are slices with an explicit offset and length so
@@ -65,11 +65,7 @@ func dotProductGo(a, b []float64, ai, bi, n int) float64 {
 }
 
 // DotProductSparse returns the inner product of a sparse row (avals over
-// column indexes aix) with a dense vector b starting at bi. It stays the Go
-// loop, inlined into its callers' loops over rows: behind the dispatch it
-// is not inlined, which costs the ~10-cell rows of a sparse Row body more
-// than the kernel saves on long rows (MatMultSparse with one column takes
-// the kernel from 2*asmMin stored cells).
+// column indexes aix) with a dense vector b starting at bi.
 func DotProductSparse(avals []float64, aix []int, b []float64, bi int) float64 {
 	var s float64
 	for k, j := range aix {
@@ -185,13 +181,9 @@ func CountNnz(a []float64, ai, n int) int {
 // MultAdd computes c[ci+k] += bval * a[ai+k] for k in [0,n)
 // (the vectMultAdd primitive used by the Outer template).
 func MultAdd(a []float64, bval float64, c []float64, ai, ci, n int) {
-	if bval != 0 {
-		multAdd(a, bval, c, ai, ci, n)
+	if bval == 0 {
+		return
 	}
-}
-
-// multAdd is MultAdd without the zero skip.
-func multAdd(a []float64, bval float64, c []float64, ai, ci, n int) {
 	if useAsm && n >= asmMin {
 		_, _ = a[ai+n-1], c[ci+n-1]
 		multAddAsm(&a[ai], bval, &c[ci], n)
@@ -302,12 +294,12 @@ func AddSparse(avals []float64, aix []int, c []float64, ci int) {
 }
 
 // MatMultSparse computes c = a * B for a sparse row a over an n×m dense B.
-// Narrow outputs (m < narrowCols) take one kernel call per row (each stored
-// cell broadcast once against its row of B), or, with fewer than asmMin
-// stored cells (2*asmMin at one column), accumulate in locals two columns
-// per pass; neither skips a stored zero.
+// Narrow outputs (1 < m < narrowCols) take one kernel call per row (each
+// stored cell broadcast once against its row of B), or, with fewer than
+// asmMin stored cells or one column, accumulate in locals two columns per
+// pass; neither skips a stored zero.
 func MatMultSparse(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
-	if useAsm && len(aix) >= asmMin && m < narrowCols && csrRow(false, avals, aix, b, c, bi, ci, m) > 0 {
+	if useAsm && len(aix) >= asmMin && 1 < m && m < narrowCols && csrRow(false, avals, aix, b, c, bi, ci, m) > 0 {
 		return
 	}
 	matMultSparseGo(avals, aix, b, c, bi, ci, m)
@@ -344,17 +336,13 @@ func matMultSparseGo(avals []float64, aix []int, b, c []float64, bi, ci, m int) 
 
 // csrRow runs a CSR-row kernel on a row of at least asmMin stored cells
 // (the callers check, so that a short row costs no call) against a dense
-// operand of m < narrowCols columns: c[ci:ci+m) = the row %*% B (B's rows
-// m apart at b[bi]), or with outer C's rows (m apart at c[ci]) += each
-// cell times b[bi:bi+m). It returns the cells done: all, or 0 where the Go
-// loop takes the row, or with outer those before the first index outside
-// C, which the Go loop takes from there. A product with one column is a
-// dot product, whose Go loop keeps up with the call up to 2*asmMin stored
-// cells (one chain of scalar multiply-adds, no set-up).
+// operand of 1 < m < narrowCols columns (the callers check m too):
+// c[ci:ci+m) = the row %*% B (B's rows m apart at b[bi]), or with outer C's
+// rows (m apart at c[ci]) += each cell times b[bi:bi+m). It returns the
+// cells done: all, or 0 where the Go loop takes the row, or with outer
+// those before the first index outside C, which the Go loop takes from
+// there.
 func csrRow(outer bool, avals []float64, aix []int, b, c []float64, bi, ci, m int) int {
-	if m <= 0 || !outer && m == 1 && len(aix) < 2*asmMin {
-		return 0
-	}
 	_ = avals[len(aix)-1]
 	var last int // the first element of the last row of the indexed operand
 	if outer {
@@ -398,8 +386,9 @@ func OuterMultAdd(a, b, c []float64, ai, bi, ci, n, m int) {
 
 // OuterMultAddSparse accumulates a sparse row (avals, aix) ⊗ b into c. For
 // m < narrowCols it is the narrow product with the row as A: one kernel call
-// per row, or with fewer than asmMin stored cells the Go loop, and no
-// stored zero skipped; wider b go through MultAdd per stored cell.
+// per row from two columns, or with fewer than asmMin stored cells or one
+// column the Go loop, and no stored zero skipped; wider b go through MultAdd
+// per stored cell.
 func OuterMultAddSparse(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
 	if m >= narrowCols {
 		for k, i := range aix {
@@ -408,7 +397,7 @@ func OuterMultAddSparse(avals []float64, aix []int, b, c []float64, bi, ci, m in
 		return
 	}
 	done := 0
-	if useAsm && len(aix) >= asmMin {
+	if useAsm && len(aix) >= asmMin && m > 1 {
 		done = csrRow(true, avals, aix, b, c, bi, ci, m)
 	}
 	outerMultAddSparseGo(avals[done:], aix[done:], b, c, bi, ci, m)
