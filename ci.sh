@@ -15,60 +15,53 @@ echo "== portable build (GOARCH=arm64) =="
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/vector
 
-# One body per fused operator: the per-cell closure tree, the planner gate
-# that worked around it and the dispatch mirrors are gone, and stay gone
-# (internal/bench keeps a closure chain as the comparator of Fig. 10).
-echo "== one body per fused operator (no closure tier) =="
-if git grep -nE 'CellFunc|CellFn|MAggFns|compileCell|CompileInterpreted|cellDispatchFlops|TierCell|CompressedDispatched|iterateOuterTransposed' -- '*.go' ':!internal/bench'; then
-  echo "FAIL: the closure tier is referenced again" >&2
-  exit 1
-fi
-# One program, one executor, one tile pass for every fused body: the cell
-# executor, its register store and stepping loops and the Row skeleton's own
-# loops are gone, and stay gone; only cplan.Program.Exec executes RowInstrs
-# (lower.go emits them, source.go renders them).
-echo "== one executor of fused bodies =="
-if git grep -nE 'CellVecProgram|CellVecBuf|ExecNnz|BindDensified|rowPartials|cellPass|forEachTile|cellTileCells' -- '*.go'; then
-  echo "FAIL: a second executor or skeleton loop is referenced again" >&2
-  exit 1
-fi
+# Replaced designs stay gone. One row per replacement: the section, the
+# identifiers that must not come back in any Go file, the one path exempt
+# from the check (- for none), and what came back if they do.
+#  - One body per fused operator: the per-cell closure tree, the planner gate
+#    that worked around it and the dispatch mirrors (internal/bench keeps a
+#    closure chain as the comparator of Fig. 10).
+#  - One program, one executor, one tile pass for every fused body: the cell
+#    executor, its register store and stepping loops and the Row skeleton's
+#    own loops.
+#  - One panel scheduler: with or without a fault plan, every map stage
+#    claims panels from one task list; the no-plan fast path and the
+#    per-executor queues it ran beside.
+#  - One sibling-merge pass and one cell-body builder: the multi-aggregate
+#    pass beside combineSiblings, the Outer body builder beside cellBody, and
+#    the compression floor that became a constant.
+#  - One compressor: columns are coded through per-column tables and groups
+#    store flat dictionaries; the distinct-count map, the second flat copy of
+#    a dictionary and the string-keyed tuple map (the test's
+#    compressReference keeps the old compressor to compare against).
+#  - One metrics surface: each component writes its own instruments into a
+#    snapshot, and one renderer (Session.RunReport) prints the run sections
+#    of EXPLAIN and dmlrun from two snapshots; the before/after copies, the
+#    four dist interfaces and dmlrun's own printers.
+#  - A matrix owns its compression state: the process-wide attachment
+#    registry, its LRU and release hook, and the -compress on mode.
+while IFS=';' read -r section pattern exempt what; do
+  echo "== $section =="
+  spec=('*.go')
+  [ "$exempt" = - ] || spec+=(":!$exempt")
+  if git grep -nE "$pattern" -- "${spec[@]}"; then
+    echo "FAIL: $what is referenced again" >&2
+    exit 1
+  fi
+done <<'ROWS'
+one body per fused operator (no closure tier);CellFunc|CellFn|MAggFns|compileCell|CompileInterpreted|cellDispatchFlops|TierCell|CompressedDispatched|iterateOuterTransposed;internal/bench;the closure tier
+one executor of fused bodies;CellVecProgram|CellVecBuf|ExecNnz|BindDensified|rowPartials|cellPass|forEachTile|cellTileCells;-;a second executor or skeleton loop
+one panel scheduler;runPanelsFaulty|evacuate;-;a second panel scheduler
+one sibling pass, one cell-body builder;combineMultiAggregates|buildMAggGroup|maggCand|buildOuterNode|CompressMinBytes;-;a second sibling pass, body builder or the compression-floor knob
+one compressor, flat dictionaries;countDistinct|flatDict|keyBuf;internal/compress/compress_test.go;the map-based compressor or the flat-dictionary copy
+one metrics surface;distExplainDeltas|distDetail|distFaults|distCompress|printPool|printCompress|printDist;-;a second metrics reader or run-section printer
+one compression state per matrix;attachMu|attachCap|attachTick|releaseHooks|OnRelease|CompressOn;-;the attachment registry or the forced compression mode
+ROWS
+# Only cplan.Program.Exec executes RowInstrs (lower.go emits them, source.go
+# renders them).
 executors=$(git grep -l 'case RBinVV' -- internal/cplan internal/runtime ':!*_test.go' ':!internal/cplan/lower.go' ':!internal/cplan/source.go' | wc -l)
 if [ "$executors" -gt 1 ]; then
   echo "FAIL: $executors files of internal/cplan + internal/runtime switch on RowInstr.Op to execute it" >&2
-  exit 1
-fi
-# One panel scheduler: with or without a fault plan, every map stage claims
-# panels from one task list; the no-plan fast path and the per-executor
-# queues it ran beside are gone, and stay gone.
-echo "== one panel scheduler =="
-if git grep -nE 'runPanelsFaulty|evacuate' -- '*.go'; then
-  echo "FAIL: a second panel scheduler is referenced again" >&2
-  exit 1
-fi
-# One sibling-merge pass and one cell-body builder: the multi-aggregate pass
-# beside combineSiblings, the Outer body builder beside cellBody, and the
-# compression floor that became a constant are gone, and stay gone.
-echo "== one sibling pass, one cell-body builder =="
-if git grep -nE 'combineMultiAggregates|buildMAggGroup|maggCand|buildOuterNode|CompressMinBytes' -- '*.go'; then
-  echo "FAIL: a second sibling pass, body builder or the compression-floor knob is referenced again" >&2
-  exit 1
-fi
-# One compressor: columns are coded through per-column tables and groups
-# store flat dictionaries; the distinct-count map, the second flat copy of a
-# dictionary and the string-keyed tuple map are gone, and stay gone (the
-# test's compressReference keeps the old compressor to compare against).
-echo "== one compressor, flat dictionaries =="
-if git grep -nE 'countDistinct|flatDict|keyBuf' -- '*.go' ':!internal/compress/compress_test.go'; then
-  echo "FAIL: the map-based compressor or the flat-dictionary copy is referenced again" >&2
-  exit 1
-fi
-# One metrics surface: each component writes its own instruments into a
-# snapshot, and one renderer (Session.RunReport) prints the run sections of
-# EXPLAIN and dmlrun from two snapshots; the before/after copies, the four
-# dist interfaces and dmlrun's own printers are gone, and stay gone.
-echo "== one metrics surface =="
-if git grep -nE 'distExplainDeltas|distDetail|distFaults|distCompress|printPool|printCompress|printDist' -- '*.go'; then
-  echo "FAIL: a second metrics reader or run-section printer is referenced again" >&2
   exit 1
 fi
 # Net LOC is a tracked number (ROADMAP): non-test Go lines, benchmark/ aside.

@@ -47,7 +47,7 @@ func main() {
 	faultSeed := flag.Int64("faultseed", 0, "fault-injection seed for -dist (0 with -faultrate 0 and -killexec -1 disables injection)")
 	faultRate := flag.Float64("faultrate", 0, "per-task transient-failure probability for -dist fault injection")
 	killExec := flag.Int("killexec", -1, "executor id to kill permanently at the first task of the run (-1 disables)")
-	compressFlag := flag.String("compress", "auto", "compressed linear algebra: auto (sampled-ratio heuristic) | on (always compress inputs) | off")
+	compressFlag := flag.String("compress", "auto", "compressed linear algebra: auto (sampled-ratio heuristic) | off")
 	calibrate := flag.String("calibrate", "off", "cost-model calibration: auto (fit constants online from this run) | off | file (load the -profile JSON, fit online, save back on exit)")
 	profile := flag.String("profile", "", "calibration profile JSON path for -calibrate file")
 	flag.Parse()
@@ -78,12 +78,10 @@ func main() {
 	switch *compressFlag {
 	case "auto":
 		cfg.Compress = codegen.CompressAuto
-	case "on":
-		cfg.Compress = codegen.CompressOn
 	case "off":
 		cfg.Compress = codegen.CompressOff
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -compress %q (want auto|on|off)\n", *compressFlag)
+		fmt.Fprintf(os.Stderr, "unknown -compress %q (want auto|off)\n", *compressFlag)
 		os.Exit(2)
 	}
 	s := dml.NewSession(cfg)

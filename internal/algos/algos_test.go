@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"sysml/internal/codegen"
-	"sysml/internal/compress"
 	"sysml/internal/data"
 	"sysml/internal/dml"
 	"sysml/internal/matrix"
@@ -259,7 +258,6 @@ func TestAlgorithmsSampleOnlyTheirInputs(t *testing.T) {
 			t.Errorf("%s: no read of a script-produced value was counted as skipped", a.Name)
 		}
 	}
-	compress.DropAll()
 }
 
 // variantInputs are an algorithm's inputs over a dense synthetic X, a sparse
@@ -332,7 +330,6 @@ func TestGenMatchesBaseOnEveryStorage(t *testing.T) {
 			}
 		}
 	}
-	compress.DropAll()
 	for _, name := range []string{"spoof.bind.view", "spoof.bind.fill", "spoof.bind.nnz"} {
 		if binds[name] == 0 {
 			t.Errorf("no fused operator of the six algorithms ran under %s", name)

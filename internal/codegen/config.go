@@ -41,19 +41,17 @@ const (
 // inputs (the dmlrun -compress flag).
 type CompressMode int
 
-// Compression policies: Auto compresses loop-invariant read-only inputs
-// whose sampled compression-ratio estimate clears CompressMinRatio, On
-// compresses every large enough input unconditionally, Off disables the
-// compressed path entirely.
+// Compression policies: Auto compresses the inputs whose sampled
+// compression-ratio estimate clears the interpreter's threshold, Off
+// disables the compressed path entirely.
 const (
 	CompressAuto CompressMode = iota
-	CompressOn
 	CompressOff
 )
 
-var compressNames = [...]string{"auto", "on", "off"}
+var compressNames = [...]string{"auto", "off"}
 
-// String returns the flag spelling of the mode (auto, on, off).
+// String returns the flag spelling of the mode (auto, off).
 func (c CompressMode) String() string { return compressNames[c] }
 
 // Config controls the codegen optimizer.
@@ -101,10 +99,8 @@ type Config struct {
 	Costs CostModel
 
 	// Compress selects the compressed-linear-algebra policy for bound
-	// inputs; CompressMinRatio is the sampled-estimate threshold below
-	// which Auto declines.
-	Compress         CompressMode
-	CompressMinRatio float64
+	// inputs.
+	Compress CompressMode
 
 	// Reopt controls mid-script re-optimization: when an input's observed
 	// sparsity diverges from its estimate beyond the configured threshold,
@@ -148,7 +144,6 @@ func DefaultConfig() Config {
 		Exec:              hop.DefaultExecConfig(),
 		Costs:             DefaultCostModel(),
 		Compress:          CompressAuto,
-		CompressMinRatio:  3.0,
 		Reopt:             DefaultReoptConfig(),
 	}
 }

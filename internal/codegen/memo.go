@@ -81,16 +81,6 @@ type Group struct {
 	Entries []Entry
 }
 
-// HasType reports whether the group contains an entry of template type t.
-func (g *Group) HasType(t cplan.TemplateType) bool {
-	for _, e := range g.Entries {
-		if e.Type == t {
-			return true
-		}
-	}
-	return false
-}
-
 // HasOpenType reports whether the group contains an open (not closed)
 // entry of type t, i.e. a plan that can still be extended by consumers.
 func (g *Group) HasOpenType(t cplan.TemplateType) bool {

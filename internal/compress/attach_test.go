@@ -2,6 +2,7 @@ package compress
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"sysml/internal/matrix"
@@ -16,10 +17,9 @@ func liveHeap() uint64 {
 
 // TestDeclinesNeitherEvictNorPin: the loop intermediates that
 // auto-compression declines (some 130 per batch_mix pass) must not push a
-// bound input's compressed form out of the registry, and must not stay
-// reachable once the script has dropped them.
+// bound input's compressed form out, and must not stay reachable once the
+// script has dropped them.
 func TestDeclinesNeitherEvictNorPin(t *testing.T) {
-	defer DropAll()
 	in := lowCardinality(2000, 8, 5, 1)
 	Attach(in, Compress(in, DefaultOptions()))
 	before := liveHeap()
@@ -41,31 +41,82 @@ func TestDeclinesNeitherEvictNorPin(t *testing.T) {
 	runtime.KeepAlive(in)
 }
 
-// TestAttachmentsEvictLeastRecentlyUsed: the registry is bounded on its
-// own, and a form that operators keep reading outlives newer ones that
-// nobody reads.
-func TestAttachmentsEvictLeastRecentlyUsed(t *testing.T) {
-	defer DropAll()
-	cm := Compress(lowCardinality(64, 2, 3, 2), DefaultOptions())
-	hot := matrix.NewDense(1, 1)
-	Attach(hot, cm)
-	var cold []*matrix.Matrix
-	for i := 0; i < attachCap+10; i++ {
-		m := matrix.NewDense(1, 1)
-		cold = append(cold, m)
-		Attach(m, cm)
-		if Of(hot) == nil {
-			t.Fatalf("the form read before every Attach was evicted at %d", i)
+// TestAttachmentsDieWithTheirMatrices: a compressed form lives exactly as
+// long as its matrix, so forms attached to transients the caller then drops
+// leave the live heap flat.
+func TestAttachmentsDieWithTheirMatrices(t *testing.T) {
+	before := liveHeap()
+	for i := 0; i < 2000; i++ {
+		tmp := lowCardinality(1024, 8, 5, int64(i)) // 64 KiB
+		Attach(tmp, Compress(tmp, DefaultOptions()))
+		if Of(tmp) == nil {
+			t.Fatal("an attachment did not stick to its matrix")
 		}
 	}
-	if n := attachLen.Load(); n != attachCap {
-		t.Fatalf("registry holds %d entries, cap %d", n, attachCap)
+	// 2000 transients are 125 MiB; a 512-entry registry kept 32 MiB of
+	// them and their forms alive.
+	if grown := int64(liveHeap()) - int64(before); grown > 4<<20 {
+		t.Fatalf("live heap grew by %d KiB over 2000 attached transients", grown>>10)
 	}
-	if Of(cold[0]) != nil || Of(cold[len(cold)-1]) == nil {
-		t.Fatal("eviction did not take the oldest unread entries")
+}
+
+// TestAttachmentsAreNotShared: one engine's attachments cannot evict
+// another's. A form attached to a matrix of one engine's pool survives 600
+// attachments made later on another engine's matrices.
+func TestAttachmentsAreNotShared(t *testing.T) {
+	engA, engB := matrix.NewBufPool(0), matrix.NewBufPool(0)
+	cm := Compress(lowCardinality(64, 2, 3, 2), DefaultOptions())
+	bound := engA.NewDense(64, 2)
+	Attach(bound, cm)
+	session := make([]*matrix.Matrix, 600)
+	for i := range session {
+		session[i] = engB.NewDense(64, 2)
+		Attach(session[i], cm)
 	}
-	cold[len(cold)-1].Release()
-	if Of(cold[len(cold)-1]) != nil {
-		t.Fatal("Release left the attachment behind")
+	if Of(bound) != cm {
+		t.Fatal("600 attachments of one session evicted another engine's form")
 	}
+	for _, m := range session {
+		if Of(m) != cm {
+			t.Fatal("a session's own attachment was lost")
+		}
+	}
+}
+
+// TestStateConcurrent: sessions sharing a bound input attach, read and
+// decline it concurrently (run under -race). Each of 8 goroutines attaches,
+// reads and declines; one of them also releases the matrix, since Release
+// recycles the storage and has a single caller by contract.
+func TestStateConcurrent(t *testing.T) {
+	cm := Compress(lowCardinality(64, 2, 3, 4), DefaultOptions())
+	m := matrix.NewDense(64, 2)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				switch (g + i) % 3 {
+				case 0:
+					Attach(m, cm)
+				case 1:
+					Decline(m, "declined")
+				default:
+					Drop(m)
+				}
+				if got := Of(m); got != nil && got != cm {
+					t.Error("Of returned a form nobody attached")
+					return
+				}
+				if reason, ok := DeclineReason(m); ok && reason != "declined" {
+					t.Errorf("DeclineReason returned %q", reason)
+					return
+				}
+				if g == 0 && i%100 == 99 {
+					m.Release()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -158,6 +158,12 @@ func TestReleaseDropsAttachment(t *testing.T) {
 	if Of(m) != nil {
 		t.Fatal("Release must drop the attachment (storage is recycled)")
 	}
+	d := matrix.NewDense(300, 2)
+	Decline(d, "estimated ratio 1.00 < 3.00")
+	d.Release()
+	if _, ok := DeclineReason(d); ok {
+		t.Fatal("Release must drop the decline")
+	}
 }
 
 func TestSummary(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"sysml/internal/codegen"
-	"sysml/internal/compress"
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
 	"sysml/internal/obs"
@@ -149,7 +148,6 @@ func TestReusedPlansMatchFreshCompiles(t *testing.T) {
 		for _, in := range inputs {
 			for _, mode := range []codegen.Mode{codegen.ModeGen, codegen.ModeBase} {
 				t.Run(fmt.Sprintf("%s/%s/%v", tc.name, in.name, mode), func(t *testing.T) {
-					defer compress.DropAll()
 					run := func(reuse bool) *Session {
 						cfg := codegen.DefaultConfig()
 						cfg.Mode = mode

@@ -17,7 +17,7 @@ import (
 //
 //   - A value that entered the session from outside (Bind, or a serving
 //     request writing Env directly) is sampled when it is first read:
-//     compressInput, the ratio estimator and, above CompressMinRatio, the
+//     compressInput, the ratio estimator and, above compressMinRatio, the
 //     compression, with the verdict cached on the matrix.
 //   - A value the script produced (setEnvAll wrote it) is decided by the
 //     block plan that reads it: readPlan, filled when the block is
@@ -56,8 +56,12 @@ type readHistory struct {
 }
 
 // compressMinBytes is the dense size below which compression is never
-// attempted: the bookkeeping would dominate.
-const compressMinBytes = 1 << 16
+// attempted: the bookkeeping would dominate. compressMinRatio is the sampled
+// compression-ratio estimate below which auto-compression declines.
+const (
+	compressMinBytes = 1 << 16
+	compressMinRatio = 3.0
+)
 
 // compressCandidate reports whether a bound matrix is one the compression
 // pass considers at all: a matrix (not a scalar or a single row) of at least
@@ -85,7 +89,7 @@ func (s *Session) compressPass(reads []*hop.Hop, entry *blockEntry) (compressed 
 		if !s.compressCandidate(m) || compress.Of(m) != nil {
 			continue
 		}
-		if _, produced := s.produced[m]; !produced || s.Config.Compress == codegen.CompressOn {
+		if _, produced := s.produced[m]; !produced {
 			s.compressInput(m)
 			continue
 		}
@@ -124,26 +128,23 @@ func (s *Session) annotateReads(reads []*hop.Hop) {
 // (the decline is cached on the matrix so loop iterations pay one lookup,
 // not a re-sample).
 func (s *Session) compressInput(m *matrix.Matrix) *compress.CMatrix {
-	mode := s.Config.Compress
-	if _, declined := compress.DeclineReason(m); declined && mode != codegen.CompressOn {
+	if _, declined := compress.DeclineReason(m); declined {
 		return nil
 	}
-	if mode == codegen.CompressAuto {
-		if _, ok := s.sample(m); !ok {
-			return nil
-		}
+	if _, ok := s.sample(m); !ok {
+		return nil
 	}
 	return s.compressAndAttach(m)
 }
 
-// sample runs the ratio estimator on m. Below CompressMinRatio the decline
+// sample runs the ratio estimator on m. Below compressMinRatio the decline
 // is cached on the matrix and ok is false.
 func (s *Session) sample(m *matrix.Matrix) (est compress.Estimate, ok bool) {
 	s.Obs.Inc("compress.auto.sampled")
 	est = compress.EstimateRatio(m, 0)
 	ratio := float64(m.SizeBytes()) / float64(est.CompressedBytes)
-	if ratio < s.Config.CompressMinRatio {
-		compress.Decline(m, fmt.Sprintf("estimated ratio %.2f < %.2f", ratio, s.Config.CompressMinRatio))
+	if ratio < compressMinRatio {
+		compress.Decline(m, fmt.Sprintf("estimated ratio %.2f < %.2f", ratio, compressMinRatio))
 		s.Obs.Inc("compress.auto.declined")
 		return est, false
 	}
@@ -161,7 +162,7 @@ func (s *Session) compressAndAttach(m *matrix.Matrix) *compress.CMatrix {
 	cm := compress.Compress(m, opts)
 	s.Calib.ObserveCompress(m.SizeBytes(), time.Since(start).Seconds())
 	realRatio := float64(m.SizeBytes()) / float64(cm.SizeBytes())
-	if s.Config.Compress == codegen.CompressAuto && realRatio < 1.2 {
+	if realRatio < 1.2 {
 		compress.Decline(m, fmt.Sprintf("actual ratio %.2f too low", realRatio))
 		s.Obs.Inc("compress.auto.declined")
 		return nil

@@ -97,20 +97,6 @@ func TestAutoCompressDeclinesIncompressible(t *testing.T) {
 	compress.Drop(x)
 }
 
-func TestCompressOnForcesCompression(t *testing.T) {
-	x := claInput(3000, 4, 5, 13)
-	s := newTestSession(codegen.ModeGen)
-	s.Config.Compress = codegen.CompressOn
-	s.Bind("X", x)
-	if err := s.Run("s = sum(X)"); err != nil {
-		t.Fatal(err)
-	}
-	if compress.Of(x) == nil {
-		t.Fatal("CompressOn must attach")
-	}
-	compress.Drop(x)
-}
-
 func TestExplainCompressedSection(t *testing.T) {
 	x := claInput(4000, 5, 6, 14)
 	s := newTestSession(codegen.ModeGen)
@@ -131,10 +117,12 @@ func TestExplainCompressedSection(t *testing.T) {
 func TestRebindReleasesAttachment(t *testing.T) {
 	x := claInput(3000, 4, 5, 15)
 	s := newTestSession(codegen.ModeGen)
-	s.Config.Compress = codegen.CompressOn
 	s.Bind("X", x)
 	if err := s.Run("s = sum(X)\nX = X + 1\nt = sum(X)"); err != nil {
 		t.Fatal(err)
+	}
+	if compress.Of(s.Env["X"]) != nil {
+		t.Fatal("the rebound X inherited a compressed form")
 	}
 	// The block output X is rebound; its new matrix must not inherit the old
 	// attachment, and results must stay consistent.
@@ -234,7 +222,6 @@ func TestProducedLoopInvariantIsCompressedWhenItPays(t *testing.T) {
 	if math.Abs(a-b) > 1e-9*math.Abs(b) {
 		t.Errorf("s = %v with the value compressed mid-loop, %v without compression", a, b)
 	}
-	compress.DropAll()
 }
 
 // TestProducedValuesWithoutSecondReadOrConsumerAreNeverSampled: a value
@@ -314,7 +301,6 @@ func TestOutsideInputsAreSampledAtFirstRead(t *testing.T) {
 	if sampled, compressed, _, skipped, _ := compressCounters(r); sampled != 3 || compressed != 3 || skipped != 0 {
 		t.Errorf("request inputs: sampled %d, compressed %d, skipped %d; want 3, 3, 0", sampled, compressed, skipped)
 	}
-	compress.DropAll()
 }
 
 // TestSparseRandomInputDeclinedFromEstimate: a random sparse input (the Xs

@@ -7,7 +7,6 @@ package hop
 type ExecConfig struct {
 	MemBudgetBytes int64
 	Blocksize      int64
-	ForceLocal     bool
 }
 
 // DefaultExecConfig mirrors the paper's driver setup scaled to a single
@@ -21,7 +20,7 @@ func DefaultExecConfig() ExecConfig {
 // its memory estimate, like SystemML's operator selection step.
 func AssignExecTypes(roots []*Hop, cfg ExecConfig) {
 	for _, h := range TopoOrder(roots) {
-		if cfg.ForceLocal || h.MemEstimate() <= cfg.MemBudgetBytes {
+		if h.MemEstimate() <= cfg.MemBudgetBytes {
 			h.ExecType = ExecLocal
 		} else {
 			h.ExecType = ExecDist

@@ -170,15 +170,6 @@ func (h *Hop) ReadSizeBytes() int64 {
 	return h.OutputSizeBytes()
 }
 
-// ReadInputSizeBytes sums the read sizes of all inputs.
-func (h *Hop) ReadInputSizeBytes() int64 {
-	var s int64
-	for _, in := range h.Inputs {
-		s += in.ReadSizeBytes()
-	}
-	return s
-}
-
 // MemEstimate returns the operation's memory estimate: inputs + output
 // (intermediates of basic operators are the output itself).
 func (h *Hop) MemEstimate() int64 { return h.InputSizeBytes() + h.OutputSizeBytes() }

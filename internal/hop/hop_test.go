@@ -151,10 +151,6 @@ func TestExecTypeAssignment(t *testing.T) {
 	if s.ExecType != ExecLocal {
 		t.Fatal("op within budget must be local")
 	}
-	AssignExecTypes(d.Roots(), ExecConfig{MemBudgetBytes: 1, ForceLocal: true})
-	if s.ExecType != ExecLocal {
-		t.Fatal("ForceLocal must win")
-	}
 }
 
 func TestExplain(t *testing.T) {

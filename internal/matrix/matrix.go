@@ -39,32 +39,35 @@ type Matrix struct {
 	Rows, Cols int
 	dense      []float64
 	sparse     *CSR
-	nnzCache   int                    // 0 unknown, -2 scanned-zero, >0 count; Set invalidates
-	pool       *BufPool               // pool the dense storage came from (Release recycles it there)
-	declined   atomic.Pointer[string] // see CompressDeclined
+	nnzCache   int                 // 0 unknown, -2 scanned-zero, >0 count; Set invalidates
+	pool       *BufPool            // pool the dense storage came from (Release recycles it there)
+	compressed atomic.Pointer[any] // see CompressState
 }
 
-// CompressDeclined returns why internal/compress last declined to compress
-// this matrix, "" if it has not. The verdict lives here, not in a registry
-// of compress, so that it lasts exactly as long as the matrix: nothing has
-// to be bounded or evicted, and no dead matrix is kept reachable by a map
-// key. compress is the only writer. Both methods are atomic (sessions
-// sharing a bound input set and read it concurrently); Release clears the
-// verdict with the storage.
-func (m *Matrix) CompressDeclined() string {
-	if s := m.declined.Load(); s != nil {
+// CompressState returns what internal/compress last stored on this matrix:
+// nil (never considered), a decline verdict, or an attached compressed
+// form. The state lives here, not in a registry of compress, so that it
+// lasts exactly as long as the matrix: nothing has to be bounded or
+// evicted, no dead matrix is kept reachable by a map key, and one engine's
+// attachments cannot push out another's. The value is opaque to this
+// package (matrix does not import compress) and compress is its only
+// writer. Both methods are one atomic operation (sessions sharing a bound
+// input set and read it concurrently); Release clears the state with the
+// storage.
+func (m *Matrix) CompressState() any {
+	if s := m.compressed.Load(); s != nil {
 		return *s
 	}
-	return ""
+	return nil
 }
 
-// SetCompressDeclined records the verdict; "" removes it.
-func (m *Matrix) SetCompressDeclined(reason string) {
-	if reason == "" {
-		m.declined.Store(nil)
+// SetCompressState replaces the state; nil removes it.
+func (m *Matrix) SetCompressState(s any) {
+	if s == nil {
+		m.compressed.Store(nil)
 		return
 	}
-	m.declined.Store(&reason)
+	m.compressed.Store(&s)
 }
 
 // NewDense returns an all-zero dense rows×cols matrix. Storage is drawn

@@ -57,9 +57,8 @@ type BufPool struct {
 	bytesRecycled              atomic.Int64 // bytes served from the free list
 }
 
-// DefaultPool is the process-wide buffer pool backing the package-level
-// PoolGet/PoolPut helpers, any nil *BufPool receiver, and matrices
-// allocated outside an engine.
+// DefaultPool is the process-wide buffer pool backing any nil *BufPool
+// receiver and matrices allocated outside an engine.
 var DefaultPool = NewBufPool(DefaultPoolCapBytes)
 
 // NewBufPool returns an enabled pool retaining at most capBytes of parked
@@ -177,9 +176,6 @@ func (p *BufPool) Put(s []float64) {
 // are later returned; callers should clamp at zero.
 func (p *BufPool) LiveBytes() int64 { return p.orDefault().live.Load() }
 
-// CapBytes reports the pool's parked-byte retention bound.
-func (p *BufPool) CapBytes() int64 { return p.orDefault().capBytes }
-
 // NewDense returns an all-zero dense rows×cols matrix whose storage is
 // drawn from this pool; Release returns the storage here.
 func (p *BufPool) NewDense(rows, cols int) *Matrix {
@@ -247,31 +243,11 @@ func (p *BufPool) WriteMetrics(snap obs.Snapshot) {
 	snap.Gauges["pool.bytes.live"] = float64(u.BytesLive)
 }
 
-// PoolEnabled reports whether the DefaultPool serves allocations.
-func PoolEnabled() bool { return DefaultPool.Enabled() }
-
 // SetPoolEnabled toggles the DefaultPool and returns the previous setting.
 func SetPoolEnabled(on bool) bool { return DefaultPool.SetEnabled(on) }
 
-// PoolGet returns a zeroed slice of exactly n float64s from the DefaultPool.
-func PoolGet(n int) []float64 { return DefaultPool.Get(n) }
-
-// PoolPut parks a slice in the DefaultPool for reuse.
-func PoolPut(s []float64) { DefaultPool.Put(s) }
-
 // PoolStats returns the DefaultPool's counters.
 func PoolStats() PoolUsage { return DefaultPool.Stats() }
-
-// releaseHooks are invoked on every Release with the matrix being cleared.
-// Hooks must be registered at package init time (before any concurrent
-// Release) — registration is not synchronized. The compress package uses
-// this to drop sidecar state (attached compressed forms) keyed by matrix
-// identity when the backing storage is recycled.
-var releaseHooks []func(*Matrix)
-
-// OnRelease registers fn to run at the start of every Matrix.Release. Call
-// only from package init functions.
-func OnRelease(fn func(*Matrix)) { releaseHooks = append(releaseHooks, fn) }
 
 // Release returns the matrix's backing storage to the buffer pool it was
 // drawn from and clears the matrix; the caller asserts nothing references
@@ -280,12 +256,9 @@ func OnRelease(fn func(*Matrix)) { releaseHooks = append(releaseHooks, fn) }
 // (NewDenseData) and CSR storage are simply dropped. Safe to call on an
 // already released matrix.
 func (m *Matrix) Release() {
-	for _, fn := range releaseHooks {
-		fn(m)
-	}
 	if m.pool != nil && m.dense != nil {
 		m.pool.Put(m.dense)
 	}
 	m.dense, m.sparse, m.pool = nil, nil, nil
-	m.declined.Store(nil)
+	m.compressed.Store(nil)
 }

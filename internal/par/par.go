@@ -383,7 +383,7 @@ func (p *Pool) Chunks(n, grain int) (count, size int) {
 // SetMaxWorkers cap. Unlike the pool cap it may exceed GOMAXPROCS: callers
 // like the simulated distributed backend model external concurrency
 // (executors), where oversubscribing cores is exactly the point. Worker
-// indexes are dense in [0, count) with count as reported by ChunksLimit.
+// indexes are dense in [0, count).
 func (p *Pool) ForIndexedLimit(n, grain, limit int, fn func(worker, lo, hi int)) {
 	p = p.orDefault()
 	if n <= 0 {
@@ -399,17 +399,6 @@ func (p *Pool) ForIndexedLimit(n, grain, limit int, fn func(worker, lo, hi int))
 	p.dispatch(n, workers, chunk, nchunks, fn)
 }
 
-// ChunksLimit reports how many workers ForIndexedLimit will use for n items
-// with the given grain and participant cap — the size needed for
-// per-worker state arrays.
-func (p *Pool) ChunksLimit(n, grain, limit int) (count, size int) {
-	if n <= 0 {
-		return 0, 0
-	}
-	count, size, _ = planFor(n, grain, limit)
-	return count, size
-}
-
 // For executes fn over chunked ranges of [0, n) on the Default pool.
 func For(n, grain int, fn func(lo, hi int)) { Default.For(n, grain, fn) }
 
@@ -423,10 +412,4 @@ func Chunks(n, grain int) (count, size int) { return Default.Chunks(n, grain) }
 // Default pool.
 func ForIndexedLimit(n, grain, limit int, fn func(worker, lo, hi int)) {
 	Default.ForIndexedLimit(n, grain, limit, fn)
-}
-
-// ChunksLimit reports how many workers ForIndexedLimit will use on the
-// Default pool.
-func ChunksLimit(n, grain, limit int) (count, size int) {
-	return Default.ChunksLimit(n, grain, limit)
 }

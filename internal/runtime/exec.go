@@ -327,7 +327,7 @@ func isHorizontalSpoof(h *hop.Hop) bool {
 }
 
 // observeHop records one executed operator: wall time per operator kind,
-// the analytical FLOP and output-byte estimates next to the actual output
+// the cost model's FLOP estimate and the output-byte estimate next to the actual output
 // bytes and measured work, fused-operator invocation counts per template,
 // predicted-vs-measured entries for the audit ledger and the calibrator,
 // and input-sparsity/time feedback for the re-optimization check.
@@ -343,7 +343,7 @@ func observeHop(opts *Options, st *step, out *matrix.Matrix, d time.Duration) {
 	actualFlops := ActualFlops(h, ins, out)
 	m.Inc("exec.ops")
 	m.ObserveDuration(st.op, d)
-	m.Add("exec.est.flops", int64(EstFlops(h)))
+	m.Add("exec.est.flops", int64(h.PredFlops))
 	m.Add("exec.est.bytes", h.OutputSizeBytes())
 	m.Add("exec.actual.flops", int64(actualFlops))
 	if out != nil {
@@ -417,8 +417,8 @@ func storedCells(m *matrix.Matrix) float64 {
 }
 
 // ActualFlops measures the data-touch work of one executed operator from
-// its realized inputs and output. Unlike EstFlops (the static estimate
-// from size metadata), it reflects the kernel's actual iteration strategy:
+// its realized inputs and output. Unlike h.PredFlops (the cost model's
+// estimate from size metadata), it reflects the kernel's actual iteration strategy:
 // sparse non-zero iteration counts stored entries, dense scans count
 // cells. Fused operators dispatch to per-skeleton work measures.
 func ActualFlops(h *hop.Hop, ins []*matrix.Matrix, out *matrix.Matrix) float64 {
@@ -442,30 +442,6 @@ func ActualFlops(h *hop.Hop, ins []*matrix.Matrix, out *matrix.Matrix) float64 {
 		}
 	case hop.OpTranspose, hop.OpIndex, hop.OpCBind, hop.OpRBind, hop.OpDiag:
 		return storedCells(out)
-	}
-	return 0
-}
-
-// EstFlops is the analytical floating-point-operation estimate of one
-// operator, mirroring the optimizer's cost model at the granularity the
-// metrics layer needs (estimate vs. actual attribution, not plan choice).
-func EstFlops(h *hop.Hop) float64 {
-	cells := float64(h.Cells())
-	switch h.Kind {
-	case hop.OpBinary, hop.OpUnary, hop.OpCumsum:
-		return cells
-	case hop.OpAggUnary:
-		return float64(h.Inputs[0].Cells())
-	case hop.OpMatMult:
-		if len(h.Inputs) == 2 {
-			return 2 * float64(h.Inputs[0].Rows) * float64(h.Inputs[0].Cols) * float64(h.Inputs[1].Cols)
-		}
-	case hop.OpSpoof:
-		// One pass over the main input per covered operator is a lower
-		// bound; the invocation count is what the metrics layer tracks.
-		if len(h.Inputs) > 0 {
-			return float64(h.Inputs[0].Cells())
-		}
 	}
 	return 0
 }

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"sysml/internal/codegen"
-	"sysml/internal/compress"
 	"sysml/internal/dml"
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
@@ -912,5 +911,4 @@ func TestRequestInputsSampledPerRequest(t *testing.T) {
 			t.Fatalf("after %d requests the estimator ran %d times, want once per request input", i, got)
 		}
 	}
-	compress.DropAll()
 }
