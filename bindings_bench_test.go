@@ -32,7 +32,7 @@ func BenchmarkCellBindings(b *testing.B) {
 	sumSq := cplan.Compile(&cplan.Plan{Type: cplan.TemplateCell, Cell: cplan.CellFullAgg, AggOp: matrix.AggSum,
 		Root: cplan.Binary(matrix.BinPow, x, cplan.Lit(2)), SparseSafe: true}, "TMP_SQ")
 	const rank = 100
-	outer := cplan.Compile(&cplan.Plan{Type: cplan.TemplateOuter, Out: cplan.OuterAgg, SparseSafe: true, OuterRank: rank,
+	outer := cplan.Compile(&cplan.Plan{Type: cplan.TemplateOuter, Out: cplan.OuterAgg, SparseSafe: true,
 		Root: cplan.Binary(matrix.BinMul, x, cplan.Unary(matrix.UnLog,
 			cplan.Binary(matrix.BinAdd, cplan.Dot(), cplan.Lit(1e-15))))}, "TMP_OUT")
 

@@ -40,6 +40,11 @@ GOARCH=arm64 go vet ./internal/vector
 #    four dist interfaces and dmlrun's own printers.
 #  - A matrix owns its compression state: the process-wide attachment
 #    registry, its LRU and release hook, and the -compress on mode.
+#  - Re-optimization stays in the interpreter: the plan cache is one store
+#    nothing invalidates (its shards, the hash collector that fed
+#    invalidation, the shard-count constructor, and the CPlan field its hash
+#    omitted), and the executor hands out one observation callback instead
+#    of the calibration sink and the feedback records.
 while IFS=';' read -r section pattern exempt what; do
   echo "== $section =="
   spec=('*.go')
@@ -56,6 +61,7 @@ one sibling pass, one cell-body builder;combineMultiAggregates|buildMAggGroup|ma
 one compressor, flat dictionaries;countDistinct|flatDict|keyBuf;internal/compress/compress_test.go;the map-based compressor or the flat-dictionary copy
 one metrics surface;distExplainDeltas|distDetail|distFaults|distCompress|printPool|printCompress|printDist;-;a second metrics reader or run-section printer
 one compression state per matrix;attachMu|attachCap|attachTick|releaseHooks|OnRelease|CompressOn;-;the attachment registry or the forced compression mode
+one plan-cache store, one observation callback;cacheShard|shardFor|PlanHashes|NewSharedPlanCache|CalibSink|InputFeedback|OuterRank;-;plan-cache invalidation, the shard layer or the executor's feedback records
 ROWS
 # Only cplan.Program.Exec executes RowInstrs (lower.go emits them, source.go
 # renders them).

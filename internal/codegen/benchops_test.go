@@ -66,7 +66,7 @@ func TestBenchmarkSiblingOperatorsArePinned(t *testing.T) {
 		tc.build(d)
 		d, _ = rewrite.Apply(d)
 		cfg := codegen.DefaultConfig()
-		d = codegen.Optimize(d, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
+		d = codegen.Optimize(d, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats())
 		var spoofs []*hop.Hop
 		for _, h := range hop.TopoOrder(d.Roots()) {
 			if h.Kind == hop.OpSpoof {

@@ -291,7 +291,7 @@ func TestOptimizeEquivalenceAcrossModes(t *testing.T) {
 		for _, mode := range modes {
 			cfg := codegen.DefaultConfig()
 			cfg.Mode = mode
-			cache := codegen.NewPlanCache(true)
+			cache := codegen.NewPlanCacheSized(true, 0)
 			stats := codegen.NewStats()
 			d, _ := rewrite.Apply(pat.build())
 			d = codegen.Optimize(d, &cfg, cache, stats)
@@ -320,7 +320,7 @@ func TestGenProducesFusedOperators(t *testing.T) {
 			continue
 		}
 		cfg := codegen.DefaultConfig()
-		cache := codegen.NewPlanCache(true)
+		cache := codegen.NewPlanCacheSized(true, 0)
 		stats := codegen.NewStats()
 		d, _ := rewrite.Apply(pat.build())
 		d = codegen.Optimize(d, &cfg, cache, stats)
@@ -341,7 +341,7 @@ func TestGenSelectsExpectedTemplates(t *testing.T) {
 	check := func(name string, idx int, want string) {
 		cfg := codegen.DefaultConfig()
 		d, _ := rewrite.Apply(eqPatterns[idx].build())
-		d = codegen.Optimize(d, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
+		d = codegen.Optimize(d, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats())
 		var types []string
 		for _, h := range hop.TopoOrder(d.Roots()) {
 			if h.Kind == hop.OpSpoof {
@@ -364,7 +364,7 @@ func TestGenSelectsExpectedTemplates(t *testing.T) {
 	d.Output("w", d.MatMult(d.Transpose(x), d.MatMult(x, v)))
 	cfg := codegen.DefaultConfig()
 	dd, _ := rewrite.Apply(d)
-	dd = codegen.Optimize(dd, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
+	dd = codegen.Optimize(dd, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats())
 	foundRow := false
 	for _, h := range hop.TopoOrder(dd.Roots()) {
 		if h.Kind == hop.OpSpoof && h.SpoofType == "Row" {
@@ -378,7 +378,7 @@ func TestGenSelectsExpectedTemplates(t *testing.T) {
 
 func TestPlanCacheReuse(t *testing.T) {
 	cfg := codegen.DefaultConfig()
-	cache := codegen.NewPlanCache(true)
+	cache := codegen.NewPlanCacheSized(true, 0)
 	stats := codegen.NewStats()
 	for i := 0; i < 3; i++ {
 		d, _ := rewrite.Apply(eqPatterns[0].build())
@@ -391,7 +391,7 @@ func TestPlanCacheReuse(t *testing.T) {
 		t.Fatalf("expected >=2 cache hits, got %d", stats.CacheHits)
 	}
 	// Disabled cache compiles every time.
-	cache2 := codegen.NewPlanCache(false)
+	cache2 := codegen.NewPlanCacheSized(false, 0)
 	stats2 := codegen.NewStats()
 	for i := 0; i < 3; i++ {
 		d, _ := rewrite.Apply(eqPatterns[0].build())
@@ -409,7 +409,7 @@ func TestPlanCacheReuse(t *testing.T) {
 // (The serve path's plan cache depends on it.)
 func TestCellPlanServesEveryWidth(t *testing.T) {
 	cfg := codegen.DefaultConfig()
-	cache, stats := codegen.NewPlanCache(true), codegen.NewStats()
+	cache, stats := codegen.NewPlanCacheSized(true, 0), codegen.NewStats()
 	var ops []*cplan.Operator
 	for _, sh := range [][2]int{{128, 64}, {3000, 2}} {
 		rows, cols := sh[0], sh[1]
@@ -485,7 +485,7 @@ func TestEnumerationCountersAndPruning(t *testing.T) {
 func TestJavacCompilerPath(t *testing.T) {
 	cfg := codegen.DefaultConfig()
 	cfg.Compiler = codegen.CompilerJavac
-	cache := codegen.NewPlanCache(true)
+	cache := codegen.NewPlanCacheSized(true, 0)
 	stats := codegen.NewStats()
 	d, _ := rewrite.Apply(eqPatterns[0].build())
 	d = codegen.Optimize(d, &cfg, cache, stats)
@@ -524,7 +524,7 @@ func TestFusedModeMMChainPattern(t *testing.T) {
 	cfg := codegen.DefaultConfig()
 	cfg.Mode = codegen.ModeFused
 	dv, _ := rewrite.Apply(eqPatterns[3].build()) // mvchain
-	dv = codegen.Optimize(dv, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
+	dv = codegen.Optimize(dv, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats())
 	foundRow := false
 	for _, h := range hop.TopoOrder(dv.Roots()) {
 		if h.Kind == hop.OpSpoof && h.SpoofType == "Row" {
@@ -540,7 +540,7 @@ func TestFusedModeMMChainPattern(t *testing.T) {
 	v := d.Read("V", 30, 2, -1)
 	d.Output("W", d.MatMult(d.Transpose(x), d.MatMult(x, v)))
 	dd, _ := rewrite.Apply(d)
-	dd = codegen.Optimize(dd, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
+	dd = codegen.Optimize(dd, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats())
 	for _, h := range hop.TopoOrder(dd.Roots()) {
 		if h.Kind == hop.OpSpoof {
 			t.Fatal("Fused mode must not cover the matrix-matrix chain")
@@ -565,7 +565,7 @@ func TestCumsumRowPattern(t *testing.T) {
 	}
 	cfg := codegen.DefaultConfig()
 	d, _ := rewrite.Apply(build())
-	d = codegen.Optimize(d, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
+	d = codegen.Optimize(d, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats())
 	foundRow := false
 	for _, h := range hop.TopoOrder(d.Roots()) {
 		if h.Kind == hop.OpSpoof && h.SpoofType == "Row" {

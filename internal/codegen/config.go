@@ -60,8 +60,10 @@ type Config struct {
 	Compiler CompilerKind
 
 	// PlanCache enables reuse of compiled operators across DAGs keyed by
-	// CPlan hash. PlanCacheSize bounds the number of cached operators
-	// (0 = unbounded); when full, the oldest entry is evicted.
+	// CPlan hash. PlanCacheSize bounds the number of cached operators; when
+	// full, the oldest entry is evicted. At 0 a script session bounds its
+	// own cache at four operators per block plan it keeps and a serving
+	// engine its shared one at its default size.
 	PlanCache     bool
 	PlanCacheSize int
 

@@ -655,7 +655,6 @@ func (c *constructor) buildOuterPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop
 		Root:       root,
 		NumSides:   len(b.env.sides),
 		SparseSafe: cplan.ProbeSparseSafe(root),
-		OuterRank:  int(u.Cols),
 	}
 	return plan, append([]*hop.Hop{mainX, u, v}, b.env.sides...)
 }

@@ -104,7 +104,7 @@ func TestGenDominatesTheHeuristics(t *testing.T) {
 					dd, _ := rewrite.Apply(d)
 					cfg := codegen.DefaultConfig()
 					cfg.Mode = mode
-					plans[m] = codegen.Optimize(dd, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
+					plans[m] = codegen.Optimize(dd, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats())
 				}
 				lost.Add(int64(dominates(t, fmt.Sprintf("random DAG %d %+v", seed, sh), plans)))
 			})

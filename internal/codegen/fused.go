@@ -169,7 +169,7 @@ func (f *fusedCompiler) tryWdivmm(h *hop.Hop) bool {
 		return false
 	}
 	p := &cplan.Plan{Type: cplan.TemplateOuter, Out: cplan.OuterRightMM,
-		Root: root, SparseSafe: true, OuterRank: int(u.Cols)}
+		Root: root, SparseSafe: true}
 	return f.compileAndSplice(h, p, []*hop.Hop{x, u, v})
 }
 
@@ -209,6 +209,6 @@ func (f *fusedCompiler) tryWsloss(h *hop.Hop) bool {
 	inner := cplan.Binary(matrix.BinAdd, cplan.Dot(), cplan.Lit(eps))
 	root := cplan.Binary(matrix.BinMul, cplan.Main(0), cplan.Unary(matrix.UnLog, inner))
 	p := &cplan.Plan{Type: cplan.TemplateOuter, Out: cplan.OuterAgg,
-		Root: root, SparseSafe: true, OuterRank: int(u.Cols)}
+		Root: root, SparseSafe: true}
 	return f.compileAndSplice(h, p, []*hop.Hop{x, u, v})
 }

@@ -26,7 +26,7 @@ func optimizeSiblings(rows, cols int64, disable bool) []*hop.Hop {
 	cfg := codegen.DefaultConfig()
 	cfg.DisableHFuse = disable
 	d, _ := rewrite.Apply(siblingDAG(rows, cols))
-	d = codegen.Optimize(d, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
+	d = codegen.Optimize(d, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats())
 	var spoofs []*hop.Hop
 	for _, h := range hop.TopoOrder(d.Roots()) {
 		if h.Kind == hop.OpSpoof && h.SpoofType == "Horizontal" {
@@ -79,7 +79,7 @@ func TestHorizontalDeclinesMeans(t *testing.T) {
 	d.Output("s", d.Sum(d.Binary(matrix.BinMul, x, x)))
 	cfg := codegen.DefaultConfig()
 	d, _ = rewrite.Apply(d)
-	d = codegen.Optimize(d, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
+	d = codegen.Optimize(d, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats())
 	for _, h := range hop.TopoOrder(d.Roots()) {
 		if h.Kind == hop.OpAggUnary && h.AggOp == matrix.AggMean {
 			return // colMeans survived as a basic operator

@@ -233,7 +233,7 @@ func checkModes(t *testing.T, seed int64, sh dagShape, eps float64, metrics *obs
 		if sh.slowRead {
 			cfg.Costs.ReadBW /= 100
 		}
-		dd = codegen.Optimize(dd, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
+		dd = codegen.Optimize(dd, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats())
 		got, err := runtime.ExecuteDAG(dd, env, runtime.Options{Metrics: metrics})
 		if err != nil {
 			t.Fatalf("seed %d %+v mode %v: %v\n%s", seed, sh, mode, err, hop.Explain(dd.Roots()))

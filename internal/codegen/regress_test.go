@@ -14,7 +14,7 @@ import (
 func optimized(d *hop.DAG) (*hop.DAG, []*hop.Hop) {
 	d, _ = rewrite.Apply(d)
 	cfg := codegen.DefaultConfig()
-	d = codegen.Optimize(d, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
+	d = codegen.Optimize(d, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats())
 	var spoofs []*hop.Hop
 	for _, h := range hop.TopoOrder(d.Roots()) {
 		if h.Kind == hop.OpSpoof {
@@ -117,7 +117,7 @@ func TestDistributedOperatorIsPricedOnItsOwnInputs(t *testing.T) {
 	cfg := codegen.DefaultConfig()
 	cfg.Exec.MemBudgetBytes = 1 << 20
 	rep := &codegen.PlanReport{}
-	d = codegen.OptimizeReport(d, &cfg, codegen.NewPlanCache(true), codegen.NewStats(), rep)
+	d = codegen.OptimizeReport(d, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats(), rep)
 	op := d.Outputs["P"]
 	if op.Kind != hop.OpSpoof || op.SpoofType != "Outer" || op.ExecType != hop.ExecDist {
 		t.Fatalf("want one distributed Outer operator:\n%s", hop.Explain(d.Roots()))

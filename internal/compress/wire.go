@@ -114,8 +114,9 @@ func Decode(b []byte) (*CMatrix, error) {
 	}
 	cm := &CMatrix{Rows: int(r.i32()), Cols: int(r.i32())}
 	ng := int(r.i32())
-	if cm.Rows < 0 || cm.Cols < 0 || ng < 0 {
-		r.fail("negative dimensions or group count")
+	// A matrix has at least one row and one column (matrix.NewDense).
+	if cm.Rows <= 0 || cm.Cols <= 0 || ng < 0 {
+		r.fail("empty dimensions or negative group count")
 	}
 	for i := 0; i < ng && r.err == nil; i++ {
 		kind := r.u8()

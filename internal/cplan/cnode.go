@@ -204,9 +204,6 @@ type Plan struct {
 	SparseSafe bool
 	NumSides   int
 	MainWidth  int // Row: ncol of main input
-
-	// OuterRank is the common rank of U and V for Outer templates.
-	OuterRank int
 }
 
 // RootKind is the output kind of root q of a MAgg or Horizontal plan; every

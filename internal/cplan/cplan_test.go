@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -30,6 +31,52 @@ func TestPlanHashStability(t *testing.T) {
 	noAgg.Cell = CellNoAgg
 	if mk().Hash() == noAgg.Hash() {
 		t.Fatal("cell type must affect the hash")
+	}
+}
+
+// TestPlanHashCoversEveryField: a plan that differs from another in any one
+// field hashes differently. The plan cache keys compiled operators by this
+// hash, so a field it omits would let one plan run another's operator.
+func TestPlanHashCoversEveryField(t *testing.T) {
+	base := func() *Plan {
+		return &Plan{
+			Type: TemplateHorizontal, Cell: CellRowAgg, Row: RowColAgg, Out: OuterLeftMM,
+			Root:       Binary(matrix.BinMul, Main(0), Side(0, AccessCell, 0)),
+			Roots:      []*CNode{Main(0), Unary(matrix.UnExp, Main(0))},
+			AggOps:     []matrix.AggOp{matrix.AggSum, matrix.AggSum},
+			HKinds:     []CellType{CellFullAgg, CellRowAgg},
+			AggOp:      matrix.AggSum,
+			SparseSafe: true, NumSides: 1, MainWidth: 3,
+		}
+	}
+	change := map[string]func(p *Plan){
+		"Type":       func(p *Plan) { p.Type = TemplateMAgg },
+		"Cell":       func(p *Plan) { p.Cell = CellColAgg },
+		"Row":        func(p *Plan) { p.Row = RowFullAgg },
+		"Out":        func(p *Plan) { p.Out = OuterAgg },
+		"Root":       func(p *Plan) { p.Root = Binary(matrix.BinAdd, Main(0), Side(0, AccessCell, 0)) },
+		"Roots":      func(p *Plan) { p.Roots[1] = Unary(matrix.UnLog, Main(0)) },
+		"AggOps":     func(p *Plan) { p.AggOps[1] = matrix.AggMax },
+		"HKinds":     func(p *Plan) { p.HKinds[1] = CellColAgg },
+		"AggOp":      func(p *Plan) { p.AggOp = matrix.AggMin },
+		"SparseSafe": func(p *Plan) { p.SparseSafe = false },
+		"NumSides":   func(p *Plan) { p.NumSides = 2 },
+		"MainWidth":  func(p *Plan) { p.MainWidth = 4 },
+	}
+	want := base().Hash()
+	typ := reflect.TypeOf(Plan{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		f, ok := change[name]
+		if !ok {
+			t.Errorf("Plan.%s has no change in this test", name)
+			continue
+		}
+		p := base()
+		f(p)
+		if p.Hash() == want {
+			t.Errorf("plans that differ only in %s hash alike", name)
+		}
 	}
 }
 

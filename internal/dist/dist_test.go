@@ -19,7 +19,7 @@ func buildAndOptimize(t *testing.T, mode codegen.Mode, build func() *hop.DAG) *h
 	cfg.Exec.MemBudgetBytes = 1 // force distributed
 	cfg.Exec.Blocksize = 64
 	d, _ := rewrite.Apply(build())
-	return codegen.Optimize(d, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
+	return codegen.Optimize(d, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats())
 }
 
 func distCluster() *Cluster {
@@ -190,7 +190,7 @@ func TestRowTemplateBlocksizeConstraint(t *testing.T) {
 	cfg.Exec.MemBudgetBytes = 1
 	cfg.Exec.Blocksize = 64
 	d, _ := rewrite.Apply(build())
-	d = codegen.Optimize(d, &cfg, codegen.NewPlanCache(true), codegen.NewStats())
+	d = codegen.Optimize(d, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats())
 	for _, h := range hop.TopoOrder(d.Roots()) {
 		if h.Kind == hop.OpSpoof && h.SpoofType == "Row" {
 			t.Fatal("Row template selected despite blocksize violation")
@@ -199,7 +199,7 @@ func TestRowTemplateBlocksizeConstraint(t *testing.T) {
 	// The same plan compiles to a Row operator locally.
 	cfgLocal := codegen.DefaultConfig()
 	dl, _ := rewrite.Apply(build())
-	dl = codegen.Optimize(dl, &cfgLocal, codegen.NewPlanCache(true), codegen.NewStats())
+	dl = codegen.Optimize(dl, &cfgLocal, codegen.NewPlanCacheSized(true, 0), codegen.NewStats())
 	found := false
 	for _, h := range hop.TopoOrder(dl.Roots()) {
 		if h.Kind == hop.OpSpoof && h.SpoofType == "Row" {

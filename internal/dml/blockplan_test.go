@@ -7,10 +7,12 @@ import (
 	"testing"
 
 	"sysml/internal/codegen"
+	"sysml/internal/cplan"
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
 	"sysml/internal/obs"
 	"sysml/internal/par"
+	"sysml/internal/runtime"
 )
 
 // A block that has its plan is found by replaying what its compile learned
@@ -303,5 +305,44 @@ func TestSparsityClassMatchesHop(t *testing.T) {
 				t.Fatalf("%dx%d nnz %d: class %s, hop %s", rows, cols, nnz, got, want)
 			}
 		}
+	}
+}
+
+// TestOuterFlopsCountTheBoundRank: a CPlan does not carry the rank of its
+// Outer product, so the block planned at rank 40 runs the operator compiled
+// for the same script at rank 10. Its actual FLOPs (the audit's and the
+// calibrator's compute term) must count the 40 columns of the bound U.
+func TestOuterFlopsCountTheBoundRank(t *testing.T) {
+	s := newTestSession(codegen.ModeGen)
+	const n = 128
+	x := matrix.Rand(n, n, 0.02, 1, 2, 1)
+	s.Bind("X", x)
+	var ins [][]*matrix.Matrix
+	for i, rank := range []int{10, 40} {
+		u, v := matrix.Rand(n, rank, 1, 0.1, 1, int64(2+i)), matrix.Rand(n, rank, 1, 0.1, 1, int64(4+i))
+		s.Bind("U", u)
+		s.Bind("V", v)
+		if err := s.Run(`s = sum(X * log(U %*% t(V) + 1e-15))`); err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, []*matrix.Matrix{x, u, v})
+	}
+	entry := s.lookup(s.programs[0].stmts[0])
+	if entry == nil {
+		t.Fatal("the rank-40 block has no cached plan")
+	}
+	var outer *hop.Hop
+	for _, h := range hop.TopoOrder(entry.dag.Roots()) {
+		if h.Kind == hop.OpSpoof && h.SpoofType == "Outer" {
+			outer = h
+		}
+	}
+	if outer == nil {
+		t.Fatal("the block plan has no Outer operator")
+	}
+	nodes := float64(outer.Spoof.(*cplan.Operator).Plan.NumNodes())
+	f10, f40 := runtime.ActualFlops(outer, ins[0], nil), runtime.ActualFlops(outer, ins[1], nil)
+	if got, want := f40/f10, (40+nodes)/(10+nodes); math.Abs(got-want) > 1e-12 {
+		t.Errorf("actual FLOPs at rank 40 / at rank 10 = %g, want %g", got, want)
 	}
 }

@@ -80,8 +80,10 @@ type Session struct {
 
 	nnzHints map[string]int64 // sparsity estimates from BindWithNnz, dropped on divergence
 	calibGen uint64           // calibrator generation Config.Costs was last synced to
-	feedback runtime.Feedback // of the block in execution
-	orphans  []*matrix.Matrix // setEnvAll's scratch
+	// predSec and actualSec sum the predicted and measured seconds of the
+	// audited operators of the block in execution.
+	predSec, actualSec float64
+	orphans            []*matrix.Matrix // setEnvAll's scratch
 }
 
 // blockEntry is one planned statement block (or loop predicate): what a
@@ -101,10 +103,9 @@ type Session struct {
 // transient reads that are not also outputs and reads the compression
 // decisions the plan takes for them (compress.go); replanned says the entry
 // was already optimized once more because one of them was compressed.
-// hashes are the compiled operators' plan-cache hashes (invalidated when the
-// entry is discarded, so no view serves a stale operator), calibGen the
-// calibration generation the plan was costed under, prints the block's print
-// statements: string literals and printRefs, names of DAG outputs.
+// calibGen is the calibration generation the plan was costed under, prints
+// the block's print statements: string literals and printRefs, names of DAG
+// outputs.
 type blockEntry struct {
 	id        any
 	log       []access
@@ -112,7 +113,6 @@ type blockEntry struct {
 	sched     *runtime.Schedule
 	prints    [][]any
 	inputs    []*hop.Hop
-	hashes    []uint64
 	calibGen  uint64
 	lru       *list.Element
 	slices    []*hop.Hop
@@ -155,13 +155,25 @@ func (s *Session) execCtx() matrix.Ctx {
 func NewSession(cfg codegen.Config) *Session {
 	return &Session{
 		Config: cfg,
-		Cache:  codegen.NewPlanCacheSized(cfg.PlanCache, cfg.PlanCacheSize),
+		Cache:  newPlanCache(cfg),
 		Stats:  codegen.NewStats(),
 		Env:    runtime.Env{},
 		Out:    os.Stdout,
 		Obs:    obs.NewMetrics(),
 		Audit:  obs.NewAudit(),
 	}
+}
+
+// newPlanCache returns the plan cache a session owns: Config.PlanCacheSize
+// operators, or four per block plan the session keeps when that is 0. A
+// discarded block plan leaves its operators cached for the next equivalent
+// plan; the bound ages them out of a session that keeps seeing new scripts.
+func newPlanCache(cfg codegen.Config) *codegen.PlanCache {
+	size := cfg.PlanCacheSize
+	if size == 0 {
+		size = 4 * MaxBlockPlans
+	}
+	return codegen.NewPlanCacheSized(cfg.PlanCache, size)
 }
 
 // Bind sets an input variable. The matrix stays caller-owned: Close will
@@ -396,12 +408,18 @@ func (s *Session) Scalar(name string) (float64, error) {
 // and returns the concatenated EXPLAIN reports of every optimized block:
 // HOP DAG before/after fusion, memo-table interesting points, evaluated
 // vs. hypothetical plan counts, estimated plan cost, and constructed
-// fused operators. The receiving session is left untouched.
+// fused operators. The receiving session is left untouched: the shadow
+// treats every value it inherits as bound, so it never releases one, and
+// releases its own results before returning.
 func (s *Session) Explain(script string) (string, error) {
 	col := &obs.Collector{}
+	bound := make(map[*matrix.Matrix]bool, len(s.Env))
+	for _, m := range s.Env {
+		bound[m] = true
+	}
 	shadow := &Session{
 		Config:   s.Config,
-		Cache:    codegen.NewPlanCacheSized(s.Config.PlanCache, s.Config.PlanCacheSize),
+		Cache:    newPlanCache(s.Config),
 		Stats:    codegen.NewStats(),
 		Env:      maps.Clone(s.Env),
 		Out:      io.Discard,
@@ -412,9 +430,11 @@ func (s *Session) Explain(script string) (string, error) {
 		Audit:    obs.NewAudit(),
 		Sink:     col,
 		Calib:    s.Calib,
+		bound:    bound,
 		nnzHints: maps.Clone(s.nnzHints),
 		produced: maps.Clone(s.produced),
 	}
+	defer shadow.Reset()
 	before := shadow.Metrics()
 	if err := shadow.Run(script); err != nil {
 		return "", err
@@ -651,7 +671,6 @@ func (s *Session) remember(e *blockEntry) {
 	if !s.Config.ReuseBlockPlans || slices.Contains(e.sites, -1) {
 		return
 	}
-	e.hashes = codegen.PlanHashes(e.dag)
 	if s.blockCache == nil {
 		s.blockCache = map[any][]*blockEntry{}
 	}
@@ -743,30 +762,15 @@ func (s *Session) runBlock(ctx context.Context, root obs.Span, stmts []Stmt) err
 	}
 
 	spe := root.Phase(s.Obs, "execute")
-	opts := runtime.Options{
-		Dist: s.Dist, Ctx: ctx, Metrics: s.Obs, Trace: spe, Audit: s.Audit,
-		Exec: s.execCtx(),
-	}
-	if s.Calib != nil {
-		opts.Calib = s.Calib
-	}
-	if s.Config.Reopt.Enabled {
-		s.feedback = runtime.Feedback{Inputs: s.feedback.Inputs[:0]}
-		if len(s.nnzHints) > 0 {
-			s.feedback.Track = make(map[string]bool, len(s.nnzHints))
-			for name := range s.nnzHints {
-				s.feedback.Track[name] = true
-			}
-		}
-		opts.Feedback = &s.feedback
-	}
-	out, err := entry.sched.Run(s.Env, opts)
+	s.predSec, s.actualSec = 0, 0
+	out, err := entry.sched.Run(s.Env, s.runOptions(ctx, spe))
 	spe.End()
 	if err != nil {
 		return err
 	}
-	if opts.Feedback != nil {
-		s.checkReopt(entry, opts.Feedback)
+	if s.Config.Reopt.Enabled {
+		// Before the outputs rebind: Env still holds what the block read.
+		s.checkReopt(entry)
 	}
 	s.setEnvAll(entry.dag.OutputNames(), out)
 	for _, po := range entry.prints {
@@ -787,6 +791,27 @@ func (s *Session) runBlock(ctx context.Context, root obs.Span, stmts []Stmt) err
 		fmt.Fprintln(s.Out, line)
 	}
 	return nil
+}
+
+// runOptions configures one DAG execution on the session's pools, cluster
+// and metrics, with observe as the sink of its audited operators.
+func (s *Session) runOptions(ctx context.Context, sp obs.Span) runtime.Options {
+	return runtime.Options{
+		Dist: s.Dist, Ctx: ctx, Metrics: s.Obs, Trace: sp, Observe: s.observe,
+		Exec: s.execCtx(),
+	}
+}
+
+// observe takes one audited operator execution: the cost-audit ledger and
+// the calibrator record it, and the block's predicted and measured seconds
+// sum it for the re-optimization check.
+func (s *Session) observe(e obs.AuditEntry) {
+	s.Audit.Record(e)
+	if s.Calib != nil {
+		s.Calib.Observe(e)
+	}
+	s.predSec += e.PredSec
+	s.actualSec += e.ActualSec
 }
 
 // syncCalibration adopts the calibrator's current constants into
@@ -817,11 +842,12 @@ const (
 	reoptTimeFactor = 8
 )
 
-// checkReopt inspects one block execution's feedback for divergence
-// between the optimizer's assumptions and observed reality:
+// checkReopt inspects one block execution for divergence between the
+// optimizer's assumptions and observed reality:
 //
-//   - sparsity: a tracked input's actual nonzero count differs from its
-//     compile-time estimate by more than reoptSparsityFactor. The stale
+//   - sparsity: the actual nonzero count of an input read under a
+//     BindWithNnz hint differs from the estimate its hop was compiled under
+//     by more than reoptSparsityFactor. The stale
 //     hint is dropped and the block's plan discarded, so the next execution
 //     compiles (and optimizes) under the exact count — the divergence
 //     cannot recur.
@@ -833,31 +859,30 @@ const (
 //     change is the constants — with a calibrator attached it is folded in
 //     now rather than at the refit cadence, and a refit that moves them
 //     invalidates every plan of the older generation at its next lookup.
-func (s *Session) checkReopt(entry *blockEntry, fb *runtime.Feedback) {
-	for _, in := range fb.Inputs {
-		cells := in.Rows * in.Cols
-		if cells < reoptMinCells {
-			continue
-		}
-		est := float64(in.EstNnz)
-		if in.EstNnz < 0 {
-			est = float64(cells) // dense assumption
-		}
-		if est < 1 {
-			est = 1
-		}
-		act := float64(in.ActualNnz)
-		if act < 1 {
-			act = 1
-		}
-		if ratio := act / est; ratio > reoptSparsityFactor || ratio < 1.0/reoptSparsityFactor {
-			delete(s.nnzHints, in.Name)
-			s.Obs.Inc("reopt.sparsity")
-			s.invalidateBlock(entry, "reopt.invalidations")
+func (s *Session) checkReopt(entry *blockEntry) {
+	if len(s.nnzHints) > 0 {
+		for _, h := range hop.TopoOrder(entry.dag.Roots()) {
+			if _, hinted := s.nnzHints[h.Name]; h.Kind != hop.OpData || !hinted {
+				continue
+			}
+			cells := h.Rows * h.Cols
+			if cells < reoptMinCells {
+				continue
+			}
+			est := float64(h.Nnz)
+			if h.Nnz < 0 {
+				est = float64(cells) // dense assumption
+			}
+			act := float64(s.Env[h.Name].Nnz())
+			if ratio := max(act, 1) / max(est, 1); ratio > reoptSparsityFactor || ratio < 1.0/reoptSparsityFactor {
+				delete(s.nnzHints, h.Name)
+				s.Obs.Inc("reopt.sparsity")
+				s.invalidateBlock(entry, "reopt.invalidations")
+			}
 		}
 	}
-	if fb.ActualSec >= s.Config.Reopt.MinSec && fb.PredSec > 0 {
-		if ratio := fb.PredSec / fb.ActualSec; ratio > reoptTimeFactor || ratio < 1.0/reoptTimeFactor {
+	if s.actualSec >= s.Config.Reopt.MinSec && s.predSec > 0 {
+		if ratio := s.predSec / s.actualSec; ratio > reoptTimeFactor || ratio < 1.0/reoptTimeFactor {
 			s.Obs.Inc("reopt.time")
 			if s.Calib != nil {
 				s.Calib.Refit()
@@ -867,10 +892,11 @@ func (s *Session) checkReopt(entry *blockEntry, fb *runtime.Feedback) {
 	}
 }
 
-// invalidateBlock discards one cached block plan and invalidates its
-// compiled operators in the plan cache (all views of a shared cache stop
-// serving them), counting it under the caller's reason: a re-optimization
-// ("reopt.invalidations") or an LRU eviction ("block.cache.evictions").
+// invalidateBlock discards one cached block plan, counting it under the
+// caller's reason: a re-optimization ("reopt.invalidations") or an LRU
+// eviction ("block.cache.evictions"). Its compiled operators stay in the
+// plan cache: they are keyed by their CPlans, which the re-optimized plan
+// reuses wherever it derives an equivalent one.
 func (s *Session) invalidateBlock(e *blockEntry, counter string) {
 	if e.lru == nil {
 		return
@@ -882,9 +908,6 @@ func (s *Session) invalidateBlock(e *blockEntry, counter string) {
 		delete(s.blockCache, e.id)
 	} else {
 		s.blockCache[e.id] = plans
-	}
-	if s.Cache != nil {
-		s.Cache.Invalidate(e.hashes...)
 	}
 	s.Obs.Inc(counter)
 }
@@ -929,10 +952,7 @@ func (s *Session) evalScalar(ctx context.Context, root obs.Span, e Expr) (float6
 		s.remember(entry)
 	}
 	sp := root.Child("evalScalar")
-	out, err := entry.sched.Run(s.Env, runtime.Options{
-		Dist: s.Dist, Ctx: ctx, Metrics: s.Obs, Trace: sp, Audit: s.Audit,
-		Exec: s.execCtx(),
-	})
+	out, err := entry.sched.Run(s.Env, s.runOptions(ctx, sp))
 	sp.End()
 	if err != nil {
 		return 0, err

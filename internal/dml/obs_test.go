@@ -144,6 +144,58 @@ func TestExplainLeavesSessionUntouched(t *testing.T) {
 	}
 }
 
+// TestExplainReleasesNothingOfTheSession: the shadow run of Explain may
+// overwrite the caller's Bind'ed input and the session's own results, but
+// must release neither, and must leave none of its results live in the
+// session's buffer pool.
+func TestExplainReleasesNothingOfTheSession(t *testing.T) {
+	session := func() *Session {
+		s := NewSession(codegen.DefaultConfig())
+		s.Out = io.Discard
+		s.Alloc = matrix.NewBufPool(0)
+		s.Bind("X", matrix.Rand(500, 100, 1, 1, 2, 7))
+		if err := s.Run("Y = X * 3"); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	sum := func(s *Session, name string) float64 {
+		t.Helper()
+		if err := s.Run("Z = sum(" + name + ")"); err != nil {
+			t.Fatal(err)
+		}
+		z, _ := s.Scalar("Z")
+		return z
+	}
+	explain := func(s *Session, script string) {
+		t.Helper()
+		if _, err := s.Explain(script); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := session()
+	want := sum(s, "X")
+	explain(s, "X = X + 1")
+	if got := sum(s, "X"); got != want {
+		t.Errorf("after Explain(X = X + 1) the bound X sums to %g, want %g", got, want)
+	}
+
+	s = session()
+	want = sum(s, "Y")
+	explain(s, "Y = X * 3")
+	if got := sum(s, "Y"); got != want {
+		t.Errorf("after Explain(Y = X * 3) the session's Y sums to %g, want %g", got, want)
+	}
+
+	s = session()
+	live := s.Alloc.LiveBytes()
+	explain(s, "A = X * 2\nB = X + 2")
+	if got := s.Alloc.LiveBytes(); got != live {
+		t.Errorf("Explain left %d bytes live in the session's pool", got-live)
+	}
+}
+
 func TestRunContextCancel(t *testing.T) {
 	s := NewSession(codegen.DefaultConfig())
 	s.Out = io.Discard

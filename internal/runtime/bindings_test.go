@@ -534,7 +534,7 @@ func TestOuterBindingsMatchOracle(t *testing.T) {
 				for _, out := range outs {
 					tag := fmt.Sprintf("Outer %s %s, %s driver, sparse side %v", out, name, dn, sparseY)
 					p := &cplan.Plan{Type: cplan.TemplateOuter, Out: out, Root: body, NumSides: 4,
-						SparseSafe: cplan.ProbeSparseSafe(body), OuterRank: rank}
+						SparseSafe: cplan.ProbeSparseSafe(body)}
 					var want *matrix.Matrix
 					switch out {
 					case cplan.OuterRightMM:

@@ -43,54 +43,11 @@ type Options struct {
 	// broadcast/shuffle spans, for timeline export via obs.TraceSink.
 	Trace obs.Span
 
-	// Audit, when non-nil, receives one predicted-vs-measured entry per
-	// executed operator that carries a cost-model prediction
-	// (hop.PredSec > 0, annotated by codegen.AnnotatePredictions).
-	Audit *obs.Audit
-
-	// Calib, when non-nil, receives the same predicted-vs-measured entries
-	// as Audit — the online cost-model calibrator's observation stream.
-	// Declared as an interface so runtime does not depend on codegen.
-	Calib CalibSink
-
-	// Feedback, when non-nil, collects execution observations the
-	// interpreter's re-optimization check consumes: actual nonzero counts
-	// of the tracked bound inputs and the block's summed predicted vs
-	// measured operator seconds.
-	Feedback *Feedback
-}
-
-// CalibSink receives cost-audit observations; satisfied by
-// codegen.Calibrator.
-type CalibSink interface {
-	Observe(obs.AuditEntry)
-}
-
-// Feedback accumulates one DAG execution's divergence evidence. The
-// interpreter allocates it per block run, names the inputs whose sparsity
-// estimates came from hints (Track), and reads the results after the run.
-type Feedback struct {
-	// Track selects which bound-input names to measure; nnz capture costs
-	// a stored-entry scan per tracked input, so only hint-estimated inputs
-	// (the ones that can actually diverge) are tracked.
-	Track map[string]bool
-
-	// Inputs holds one entry per tracked input actually read by the DAG.
-	Inputs []InputFeedback
-
-	// PredSec / ActualSec sum the optimizer-predicted and measured wall
-	// seconds of every operator carrying a prediction.
-	PredSec   float64
-	ActualSec float64
-}
-
-// InputFeedback compares one bound input's compile-time nonzero estimate
-// with the matrix observed at execution.
-type InputFeedback struct {
-	Name       string
-	Rows, Cols int64
-	EstNnz     int64 // estimate the plan was compiled under
-	ActualNnz  int64
+	// Observe, when non-nil, receives one predicted-vs-measured entry per
+	// executed operator that carries a cost-model prediction (hop.PredSec >
+	// 0, annotated by codegen.AnnotatePredictions): the interpreter's cost
+	// audit, calibration and re-optimization evidence.
+	Observe func(obs.AuditEntry)
 }
 
 // StopFn polls for cancellation; the fused-operator skeletons call it once
@@ -227,7 +184,7 @@ func (s *Schedule) Run(env Env, opts Options) ([]*matrix.Matrix, error) {
 			}
 		}
 	}
-	observed := opts.Metrics != nil || opts.Audit != nil || opts.Calib != nil || opts.Feedback != nil
+	observed := opts.Metrics != nil || opts.Observe != nil
 	for p := range s.steps {
 		st := &s.steps[p]
 		h, ins := st.h, st.ins
@@ -329,17 +286,9 @@ func isHorizontalSpoof(h *hop.Hop) bool {
 // observeHop records one executed operator: wall time per operator kind,
 // the cost model's FLOP estimate and the output-byte estimate next to the actual output
 // bytes and measured work, fused-operator invocation counts per template,
-// predicted-vs-measured entries for the audit ledger and the calibrator,
-// and input-sparsity/time feedback for the re-optimization check.
+// and the predicted-vs-measured entry handed to opts.Observe.
 func observeHop(opts *Options, st *step, out *matrix.Matrix, d time.Duration) {
-	h, ins := st.h, st.ins
-	m, audit := opts.Metrics, opts.Audit
-	if fb := opts.Feedback; fb != nil && h.Kind == hop.OpData && fb.Track[h.Name] && out != nil {
-		fb.Inputs = append(fb.Inputs, InputFeedback{
-			Name: h.Name, Rows: h.Rows, Cols: h.Cols,
-			EstNnz: h.Nnz, ActualNnz: int64(out.Nnz()),
-		})
-	}
+	h, ins, m := st.h, st.ins, opts.Metrics
 	actualFlops := ActualFlops(h, ins, out)
 	m.Inc("exec.ops")
 	m.ObserveDuration(st.op, d)
@@ -357,50 +306,41 @@ func observeHop(opts *Options, st *step, out *matrix.Matrix, d time.Duration) {
 	if h.ExecType == hop.ExecDist {
 		m.Inc("exec.dist.ops")
 	}
-	if h.PredSec > 0 {
-		if fb := opts.Feedback; fb != nil {
-			fb.PredSec += h.PredSec
-			fb.ActualSec += d.Seconds()
-		}
-		if audit != nil || opts.Calib != nil {
-			var inBytes, maxIn, outBytes int64
-			for _, in := range ins {
-				b := in.SizeBytes()
-				inBytes += b
-				if b > maxIn {
-					maxIn = b
-				}
-			}
-			if out != nil {
-				outBytes = out.SizeBytes()
-			}
-			dist := h.ExecType == hop.ExecDist && opts.Dist != nil
-			var bcast int64
-			if dist {
-				// The distributed cost model reads the largest input locally
-				// and receives the rest as broadcast side inputs.
-				bcast = inBytes - maxIn
-			}
-			e := obs.AuditEntry{
-				Op:             st.label,
-				Template:       h.SpoofType,
-				PredSec:        h.PredSec,
-				PredFlops:      h.PredFlops,
-				PredBytes:      h.PredBytes,
-				ActualSec:      d.Seconds(),
-				ActualFlops:    actualFlops,
-				ActualBytes:    inBytes + outBytes,
-				ActualInBytes:  inBytes,
-				ActualOutBytes: outBytes,
-				BcastBytes:     bcast,
-				Dist:           dist,
-			}
-			audit.Record(e)
-			if opts.Calib != nil {
-				opts.Calib.Observe(e)
-			}
+	if h.PredSec <= 0 || opts.Observe == nil {
+		return
+	}
+	var inBytes, maxIn, outBytes int64
+	for _, in := range ins {
+		b := in.SizeBytes()
+		inBytes += b
+		if b > maxIn {
+			maxIn = b
 		}
 	}
+	if out != nil {
+		outBytes = out.SizeBytes()
+	}
+	dist := h.ExecType == hop.ExecDist && opts.Dist != nil
+	var bcast int64
+	if dist {
+		// The distributed cost model reads the largest input locally and
+		// receives the rest as broadcast side inputs.
+		bcast = inBytes - maxIn
+	}
+	opts.Observe(obs.AuditEntry{
+		Op:             st.label,
+		Template:       h.SpoofType,
+		PredSec:        h.PredSec,
+		PredFlops:      h.PredFlops,
+		PredBytes:      h.PredBytes,
+		ActualSec:      d.Seconds(),
+		ActualFlops:    actualFlops,
+		ActualBytes:    inBytes + outBytes,
+		ActualInBytes:  inBytes,
+		ActualOutBytes: outBytes,
+		BcastBytes:     bcast,
+		Dist:           dist,
+	})
 }
 
 // storedCells returns the number of stored entries of a matrix — the cells
@@ -427,7 +367,7 @@ func ActualFlops(h *hop.Hop, ins []*matrix.Matrix, out *matrix.Matrix) float64 {
 		if !ok || len(ins) == 0 {
 			return 0
 		}
-		return workCells(op, ins[0])
+		return workCells(op, ins)
 	}
 	switch h.Kind {
 	case hop.OpBinary, hop.OpUnary, hop.OpCumsum:

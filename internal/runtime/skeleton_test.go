@@ -253,7 +253,7 @@ func TestOuterRightMM(t *testing.T) {
 	root := cplan.Binary(matrix.BinMul,
 		cplan.Binary(matrix.BinNeq, cplan.Main(0), cplan.Lit(0)), cplan.Dot())
 	p := &cplan.Plan{Type: cplan.TemplateOuter, Out: cplan.OuterRightMM,
-		Root: root, SparseSafe: cplan.ProbeSparseSafe(root), OuterRank: rank}
+		Root: root, SparseSafe: cplan.ProbeSparseSafe(root)}
 	if !p.SparseSafe {
 		t.Fatal("(X!=0)*dot must be sparse safe")
 	}
@@ -274,7 +274,7 @@ func TestOuterLeftMM(t *testing.T) {
 	rank := 6
 	root := cplan.Binary(matrix.BinMul, cplan.Main(0), cplan.Dot())
 	p := &cplan.Plan{Type: cplan.TemplateOuter, Out: cplan.OuterLeftMM,
-		Root: root, SparseSafe: true, OuterRank: rank}
+		Root: root, SparseSafe: true}
 	op := cplan.Compile(p, "TMP10")
 	x := matrix.Rand(50, 70, 0.12, 1, 2, 25)
 	u := matrix.Rand(50, rank, 1, -1, 1, 26)
@@ -293,7 +293,7 @@ func TestOuterAggAndNoAgg(t *testing.T) {
 	root := cplan.Binary(matrix.BinMul, cplan.Main(0),
 		cplan.Unary(matrix.UnLog, cplan.Binary(matrix.BinAdd, cplan.Dot(), cplan.Lit(1e-15))))
 	p := &cplan.Plan{Type: cplan.TemplateOuter, Out: cplan.OuterAgg,
-		Root: root, SparseSafe: cplan.ProbeSparseSafe(root), OuterRank: rank}
+		Root: root, SparseSafe: cplan.ProbeSparseSafe(root)}
 	if !p.SparseSafe {
 		t.Fatal("X*log(dot+eps) must probe sparse-safe")
 	}
@@ -310,7 +310,7 @@ func TestOuterAggAndNoAgg(t *testing.T) {
 	}
 	// NoAgg keeps X's pattern.
 	p2 := &cplan.Plan{Type: cplan.TemplateOuter, Out: cplan.OuterNoAgg,
-		Root: root, SparseSafe: true, OuterRank: rank}
+		Root: root, SparseSafe: true}
 	op2 := cplan.Compile(p2, "TMP12")
 	got2 := ExecOuter(op2, x, u, v, nil)
 	if !got2.IsSparse() {
@@ -326,7 +326,7 @@ func TestOuterDenseX(t *testing.T) {
 	rank := 4
 	root := cplan.Binary(matrix.BinMul, cplan.Main(0), cplan.Dot())
 	p := &cplan.Plan{Type: cplan.TemplateOuter, Out: cplan.OuterAgg,
-		Root: root, SparseSafe: true, OuterRank: rank}
+		Root: root, SparseSafe: true}
 	op := cplan.Compile(p, "TMP13")
 	x := matrix.Rand(30, 30, 1, -1, 1, 31)
 	u := matrix.Rand(30, rank, 1, -1, 1, 32)

@@ -148,8 +148,9 @@ func multAddCells(b *cplan.Buf, w []float64, o, s int, f, c []float64, r int, le
 // entries where every root reads only those, all cells otherwise) times the
 // operations per cell — for a Row operator its instruction count; else the
 // covered operations across all root expressions plus, per cell of an Outer
-// operator, its rank-r dot product.
-func workCells(op *cplan.Operator, main *matrix.Matrix) float64 {
+// operator, its rank-r dot product (r the columns of U, ins[1]).
+func workCells(op *cplan.Operator, ins []*matrix.Matrix) float64 {
+	main := ins[0]
 	visited := float64(main.Rows) * float64(main.Cols)
 	if main.IsSparse() {
 		if b := cplan.BindMain(op.Plan.SparseSafe, op.Progs, main)[0]; b == cplan.MainNnz || b == cplan.MainCSR {
@@ -159,5 +160,9 @@ func workCells(op *cplan.Operator, main *matrix.Matrix) float64 {
 	if op.Plan.Type == cplan.TemplateRow {
 		return visited * float64(len(op.Progs[0].Instrs))
 	}
-	return visited * float64(op.Plan.OuterRank+op.Plan.NumNodes())
+	rank := 0
+	if op.Plan.Type == cplan.TemplateOuter && len(ins) > 1 {
+		rank = ins[1].Cols
+	}
+	return visited * float64(rank+op.Plan.NumNodes())
 }

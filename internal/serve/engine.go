@@ -1,6 +1,6 @@
 // Package serve is the multi-tenant scoring frontend: a long-lived Engine
 // that owns what used to be process-globals — a worker pool, a buffer
-// pool, and a sharded compiled-plan cache — plus a per-tenant session pool
+// pool, and a shared compiled-plan cache — plus a per-tenant session pool
 // with quotas, and an HTTP server (/v1/run) with request micro-batching
 // and memory-pressure load shedding.
 //
@@ -104,13 +104,13 @@ func WithTenantQuota(q TenantQuota) EngineOption {
 	return func(e *Engine) { e.quota = q }
 }
 
-// WithSharedPlanCache sizes the engine's shared compiled-plan cache:
-// maxEntries total (0 = unbounded) split across shards lock domains. It also
-// makes Engine.NewSession hand out views of this cache, so direct sessions
-// share compiled operators with the serving path.
-func WithSharedPlanCache(maxEntries, shards int) EngineOption {
+// WithSharedPlanCache sizes the engine's shared compiled-plan cache at
+// maxEntries operators (0 = unbounded). It also makes Engine.NewSession hand
+// out views of this cache, so direct sessions share compiled operators with
+// the serving path.
+func WithSharedPlanCache(maxEntries int) EngineOption {
 	return func(e *Engine) {
-		e.cache = codegen.NewSharedPlanCache(e.cfg.PlanCache, maxEntries, shards)
+		e.cache = codegen.NewPlanCacheSized(e.cfg.PlanCache, maxEntries)
 		e.shareSessions = true
 	}
 }
@@ -166,7 +166,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 		if size == 0 {
 			size = defaultPlanCacheSize
 		}
-		e.cache = codegen.NewSharedPlanCache(e.cfg.PlanCache, size, 8)
+		e.cache = codegen.NewPlanCacheSized(e.cfg.PlanCache, size)
 	}
 	return e
 }
@@ -288,7 +288,7 @@ func (e *Engine) newTenantLocked(name string, q TenantQuota) *Tenant {
 		t.alloc = matrix.NewBufPool(q.MemBytes)
 	}
 	if q.MaxPlans > 0 {
-		t.cache = codegen.NewSharedPlanCache(e.cfg.PlanCache, q.MaxPlans, 1)
+		t.cache = codegen.NewPlanCacheSized(e.cfg.PlanCache, q.MaxPlans)
 	}
 	return t
 }
@@ -534,9 +534,6 @@ type TenantStats struct {
 	LiveBytes      int64 `json:"live_bytes"`
 	CacheHits      int64 `json:"plancache_hits"`
 	CacheMisses    int64 `json:"plancache_misses"`
-	// CacheInvalidations counts compiled operators this tenant's
-	// re-optimizations removed from the shared store.
-	CacheInvalidations int64 `json:"plancache_invalidations"`
 	// P50MS/P95MS/P99MS estimate the tenant's total-latency quantiles in
 	// milliseconds over the engine's lifetime (bucket interpolation; 0
 	// until the tenant has served a request).
@@ -555,17 +552,16 @@ func (t *Tenant) Stats() TenantStats {
 	hits, misses, _ := t.cache.Counters()
 	lat := t.eng.obsm.Hist(t.histTotal).Snapshot()
 	return TenantStats{
-		Requests:           t.requests.Load(),
-		Shed:               t.shed.Load(),
-		Batched:            t.batched.Load(),
-		ActiveSessions:     t.Active(),
-		LiveBytes:          t.LiveBytes(),
-		CacheHits:          hits,
-		CacheMisses:        misses,
-		CacheInvalidations: t.cache.Invalidations(),
-		P50MS:              lat.Quantile(0.50) * 1e3,
-		P95MS:              lat.Quantile(0.95) * 1e3,
-		P99MS:              lat.Quantile(0.99) * 1e3,
-		SLOBurn:            t.sloBurn.Load(),
+		Requests:       t.requests.Load(),
+		Shed:           t.shed.Load(),
+		Batched:        t.batched.Load(),
+		ActiveSessions: t.Active(),
+		LiveBytes:      t.LiveBytes(),
+		CacheHits:      hits,
+		CacheMisses:    misses,
+		P50MS:          lat.Quantile(0.50) * 1e3,
+		P95MS:          lat.Quantile(0.95) * 1e3,
+		P99MS:          lat.Quantile(0.99) * 1e3,
+		SLOBurn:        t.sloBurn.Load(),
 	}
 }

@@ -39,13 +39,13 @@ func TestTwoEnginesConcurrentIsolation(t *testing.T) {
 		WithMaxWorkers(2),
 		WithMemoryBudget(64<<20),
 		WithTenantQuota(TenantQuota{MaxSessions: 2}),
-		WithSharedPlanCache(0, 4),
+		WithSharedPlanCache(0),
 	)
 	b := NewEngine(
 		WithMaxWorkers(4),
 		WithMemoryBudget(256<<20),
 		WithTenantQuota(TenantQuota{MaxSessions: 4}),
-		WithSharedPlanCache(0, 8),
+		WithSharedPlanCache(0),
 	)
 	if a.MaxWorkers() != 2 || b.MaxWorkers() != 4 {
 		t.Fatalf("worker caps leaked: a=%d b=%d", a.MaxWorkers(), b.MaxWorkers())
@@ -140,7 +140,7 @@ func TestTenantMemoryQuota(t *testing.T) {
 // TestTenantCacheAccountingIsolation: two tenants sharing the engine plan
 // cache see shared compiled operators but isolated hit/miss counters.
 func TestTenantCacheAccountingIsolation(t *testing.T) {
-	e := NewEngine(WithSharedPlanCache(0, 4))
+	e := NewEngine(WithSharedPlanCache(0))
 	ta, tb := e.Tenant("a"), e.Tenant("b")
 
 	run := func(tn *Tenant) {
@@ -184,7 +184,7 @@ func TestTenantCacheAccountingIsolation(t *testing.T) {
 // TestTenantPrivatePlanQuota: MaxPlans gives the tenant a private bounded
 // cache whose evictions cannot touch other tenants.
 func TestTenantPrivatePlanQuota(t *testing.T) {
-	e := NewEngine(WithSharedPlanCache(0, 4))
+	e := NewEngine(WithSharedPlanCache(0))
 	shared := e.Tenant("shared")
 	private, err := e.TenantWithQuota("private", TenantQuota{MaxSessions: 2, MaxPlans: 1})
 	if err != nil {

@@ -133,18 +133,6 @@ func NegWrite(a, c []float64, ai, ci, n int) {
 	}
 }
 
-// Pow2Write computes c = a*a.
-func Pow2Write(a, c []float64, ai, ci, n int) {
-	for k := 0; k < n; k++ {
-		c[ci+k] = a[ai+k] * a[ai+k]
-	}
-}
-
-// CopyWrite copies a into c.
-func CopyWrite(a, c []float64, ai, ci, n int) {
-	copy(c[ci:ci+n], a[ai:ai+n])
-}
-
 // Fill sets c[ci:ci+n] to v.
 func Fill(c []float64, v float64, ci, n int) {
 	for k := 0; k < n; k++ {

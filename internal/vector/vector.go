@@ -167,17 +167,6 @@ func IndexMax(a []float64, ai, n int) int {
 	return ix
 }
 
-// CountNnz returns the number of non-zero entries in a[ai:ai+n].
-func CountNnz(a []float64, ai, n int) int {
-	c := 0
-	for k := 0; k < n; k++ {
-		if a[ai+k] != 0 {
-			c++
-		}
-	}
-	return c
-}
-
 // MultAdd computes c[ci+k] += bval * a[ai+k] for k in [0,n)
 // (the vectMultAdd primitive used by the Outer template).
 func MultAdd(a []float64, bval float64, c []float64, ai, ci, n int) {
@@ -284,13 +273,6 @@ func multAdd8Go(a []float64, b0, b1, b2, b3, b4, b5, b6, b7 float64, c []float64
 // rounds once like c + a).
 func Add(a, c []float64, ai, ci, n int) {
 	MultAdd(a, 1, c, ai, ci, n)
-}
-
-// AddSparse computes c[ci+j] += avals[k] for each sparse entry (j, avals[k]).
-func AddSparse(avals []float64, aix []int, c []float64, ci int) {
-	for k, j := range aix {
-		c[ci+j] += avals[k]
-	}
 }
 
 // MatMultSparse computes c = a * B for a sparse row a over an n×m dense B.

@@ -79,9 +79,6 @@ func TestSumAggregates(t *testing.T) {
 	if got := IndexMax(a, 0, len(a)); got != 8 {
 		t.Fatalf("IndexMax = %v", got)
 	}
-	if got := CountNnz([]float64{0, 1, 0, 2}, 0, 4); got != 2 {
-		t.Fatalf("CountNnz = %v", got)
-	}
 	if got := IndexMax(nil, 0, 0); got != -1 {
 		t.Fatalf("IndexMax(empty) = %v", got)
 	}
@@ -314,14 +311,7 @@ func TestUnaryWritePrimitives(t *testing.T) {
 	if c[0] != 0.5 {
 		t.Fatal("SigmoidWrite")
 	}
-	Pow2Write(a, c, 0, 0, 4)
-	if c[3] != 6.25 {
-		t.Fatal("Pow2Write")
-	}
-	CopyWrite(a, c, 0, 0, 4)
-	if c[3] != 2.5 {
-		t.Fatal("CopyWrite")
-	}
+	copy(c, a)
 	Fill(c, 7, 1, 2)
 	if c[0] != -1 || c[1] != 7 || c[2] != 7 || c[3] != 2.5 {
 		t.Fatal("Fill")
@@ -337,9 +327,5 @@ func TestAddPrimitives(t *testing.T) {
 	Add([]float64{1, 2, 3, 4}, c, 0, 0, 4)
 	if c[3] != 5 {
 		t.Fatal("Add")
-	}
-	AddSparse([]float64{10}, []int{2}, c, 0)
-	if c[2] != 14 {
-		t.Fatal("AddSparse")
 	}
 }

@@ -129,7 +129,8 @@ func WithSink(sink Sink) Option {
 }
 
 // WithPlanCacheSize bounds the compiled-operator plan cache to n entries
-// (0 = unbounded); the oldest entry is evicted when full.
+// (0 = four per block plan the session keeps); the oldest entry is evicted
+// when full.
 func WithPlanCacheSize(n int) Option {
 	return func(o *sessionOpts) {
 		o.cfg.PlanCache = true
@@ -166,7 +167,7 @@ func newSessionOn(e *Engine, opts ...Option) *Session {
 }
 
 // Engine owns the execution resources that back sessions and serving: a
-// worker pool, a buffer pool with a live-bytes gauge, and a sharded
+// worker pool, a buffer pool with a live-bytes gauge, and a shared
 // compiled-plan cache with per-tenant accounting. Two engines in one
 // process share no mutable state, so service tiers can run side by side
 // with different caps and budgets. Construct with NewEngine; serve over
@@ -205,11 +206,11 @@ func WithMemoryBudget(bytes int64) EngineOption { return serve.WithMemoryBudget(
 // WithTenantQuota sets the default quota for tenants created on first use.
 func WithTenantQuota(q TenantQuota) EngineOption { return serve.WithTenantQuota(q) }
 
-// WithSharedPlanCache sizes the engine's sharded compiled-plan cache and
-// makes Engine.NewSession hand out views of it (shared operators,
-// per-view hit/miss counters).
-func WithSharedPlanCache(maxEntries, shards int) EngineOption {
-	return serve.WithSharedPlanCache(maxEntries, shards)
+// WithSharedPlanCache sizes the engine's compiled-plan cache at maxEntries
+// operators (0 = unbounded) and makes Engine.NewSession hand out views of
+// it (shared operators, per-view hit/miss counters).
+func WithSharedPlanCache(maxEntries int) EngineOption {
+	return serve.WithSharedPlanCache(maxEntries)
 }
 
 // WithEngineConfig replaces the optimizer configuration the engine's
