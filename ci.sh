@@ -45,6 +45,9 @@ GOARCH=arm64 go vet ./internal/vector
 #    invalidation, the shard-count constructor, and the CPlan field its hash
 #    omitted), and the executor hands out one observation callback instead
 #    of the calibration sink and the feedback records.
+#  - One fit of the machine: Fit turns a fit window's audit ledger into a
+#    profile once per host; the online calibrator, its generations, the
+#    plan re-optimization they drove and the engine option that shared it.
 while IFS=';' read -r section pattern exempt what; do
   echo "== $section =="
   spec=('*.go')
@@ -62,6 +65,7 @@ one compressor, flat dictionaries;countDistinct|flatDict|keyBuf;internal/compres
 one metrics surface;distExplainDeltas|distDetail|distFaults|distCompress|printPool|printCompress|printDist;-;a second metrics reader or run-section printer
 one compression state per matrix;attachMu|attachCap|attachTick|releaseHooks|OnRelease|CompressOn;-;the attachment registry or the forced compression mode
 one plan-cache store, one observation callback;cacheShard|shardFor|PlanHashes|NewSharedPlanCache|CalibSink|InputFeedback|OuterRank;-;plan-cache invalidation, the shard layer or the executor's feedback records
+one offline fit into a profile;Calibrator|syncCalibration|calibGen|ObserveCompress|WithCalibration|SaveProfile|reopt\.calib;-;the online calibrator or its generations
 ROWS
 # Only cplan.Program.Exec executes RowInstrs (lower.go emits them, source.go
 # renders them).

@@ -12,12 +12,12 @@
 // chrome://tracing or Perfetto). -audit prints the cost-audit ledger:
 // predicted vs measured cost per fused-operator template. -explain and
 // -audit end with the run report on stderr (BUFFER POOL, COMPRESSED,
-// DISTRIBUTED, CALIBRATION: Session.RunReport over metrics snapshots taken
-// around the run, the sections Session.Explain appends). -calibrate auto
-// fits the cost-model constants online from this run's measurements;
-// -calibrate file additionally loads/saves a per-machine profile JSON (see
-// docs/COST_MODEL.md). Input matrices can be generated inside the script
-// with rand(...); there is no file-based matrix I/O in this reproduction.
+// DISTRIBUTED: Session.RunReport over metrics snapshots taken around the
+// run, the sections Session.Explain appends). -profile p.json prices plans
+// with the constants of a calibration profile written by `fusebench -exp
+// calibrate` (see docs/COST_MODEL.md). Input matrices can be generated
+// inside the script with rand(...); there is no file-based matrix I/O in
+// this reproduction.
 package main
 
 import (
@@ -48,11 +48,10 @@ func main() {
 	faultRate := flag.Float64("faultrate", 0, "per-task transient-failure probability for -dist fault injection")
 	killExec := flag.Int("killexec", -1, "executor id to kill permanently at the first task of the run (-1 disables)")
 	compressFlag := flag.String("compress", "auto", "compressed linear algebra: auto (sampled-ratio heuristic) | off")
-	calibrate := flag.String("calibrate", "off", "cost-model calibration: auto (fit constants online from this run) | off | file (load the -profile JSON, fit online, save back on exit)")
-	profile := flag.String("profile", "", "calibration profile JSON path for -calibrate file")
+	profile := flag.String("profile", "", "calibration profile JSON (fusebench -exp calibrate) whose cost constants price the plans")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: dmlrun [-mode Gen] [-stats] [-explain] [-metrics] [-trace out.json] [-audit] [-calibrate auto|off|file [-profile p.json]] [-dist [-executors N] [-membudget B] [-faultseed S -faultrate P -killexec E]] script.dml")
+		fmt.Fprintln(os.Stderr, "usage: dmlrun [-mode Gen] [-stats] [-explain] [-metrics] [-trace out.json] [-audit] [-profile p.json] [-dist [-executors N] [-membudget B] [-faultseed S -faultrate P -killexec E]] script.dml")
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
@@ -84,29 +83,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -compress %q (want auto|off)\n", *compressFlag)
 		os.Exit(2)
 	}
-	s := dml.NewSession(cfg)
-	var saveProfile string
-	switch *calibrate {
-	case "off":
-	case "auto":
-		s.Calib = codegen.NewCalibrator(cfg.Costs)
-	case "file":
-		if *profile == "" {
-			fmt.Fprintln(os.Stderr, "-calibrate file requires -profile <path>")
-			os.Exit(2)
-		}
-		s.Calib = codegen.NewCalibrator(cfg.Costs)
+	if *profile != "" {
 		if p, err := codegen.LoadProfile(*profile); err == nil {
-			s.Calib.ApplyProfile(p)
-			s.Config.Costs = s.Calib.Model()
+			cfg.Costs = p.CostModel()
 		} else {
-			fmt.Fprintf(os.Stderr, "calibration profile ignored (%v); starting from defaults\n", err)
+			fmt.Fprintf(os.Stderr, "calibration profile ignored (%v); using the paper defaults\n", err)
 		}
-		saveProfile = *profile
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -calibrate %q (want auto|off|file)\n", *calibrate)
-		os.Exit(2)
 	}
+	s := dml.NewSession(cfg)
 	var cluster *dist.Cluster
 	if *useDist {
 		cluster = dist.NewCluster(dist.WithExecutors(*executors))
@@ -146,14 +130,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s\n", ts.Len(), *trace)
-	}
-	if saveProfile != "" {
-		s.Calib.Refit()
-		if err := s.Calib.Profile().Save(saveProfile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote calibration profile to %s\n", saveProfile)
 	}
 	after := s.Metrics()
 	if *audit {

@@ -93,6 +93,34 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
+// TestCalibrateWritesALoadableProfile: the calibrate experiment prints a
+// profile LoadProfile accepts, with compress_bw measured rather than left
+// at the default.
+func TestCalibrateWritesALoadableProfile(t *testing.T) {
+	var out bytes.Buffer
+	if err := Run("calibrate", Options{Scale: 0.05, Reps: 1, Out: &out}); err != nil {
+		t.Fatal(err)
+	}
+	var p codegen.Profile
+	if err := json.Unmarshal(out.Bytes(), &p); err != nil {
+		t.Fatalf("calibrate printed no profile: %v\n%s", err, out.String())
+	}
+	path := filepath.Join(t.TempDir(), "profile.json")
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := codegen.LoadProfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded != p {
+		t.Errorf("loaded %+v, printed %+v", loaded, p)
+	}
+	if p.CompressBW == codegen.DefaultCostModel().CompressBW {
+		t.Error("compress_bw is the default: no compression was timed")
+	}
+}
+
 // TestGateRunner: a failing check fails the run and the report, and the gates
 // after it still run and are reported.
 func TestGateRunner(t *testing.T) {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -8,6 +9,8 @@ import (
 	"time"
 
 	"sysml/internal/codegen"
+	"sysml/internal/compress"
+	"sysml/internal/data"
 	"sysml/internal/dml"
 	"sysml/internal/matrix"
 	"sysml/internal/obs"
@@ -37,8 +40,8 @@ const (
 	recostMaxIter2Ratio = 0.7
 
 	// recostMaxOverheadPct gates the price of the always-on feedback path:
-	// with calibration off (no calibrator attached), re-optimization enabled
-	// vs disabled must differ by less than this on the cellwise microbench.
+	// re-optimization enabled vs disabled must differ by less than this on
+	// the cellwise microbench.
 	recostMaxOverheadPct = 2.0
 )
 
@@ -92,6 +95,59 @@ d = sum(X * Z)`, // multi-aggregate: shared-scan read volume
 	return r
 }
 
+// recostWindow runs the sessions' passes in turn for at least 2*reps rounds
+// and at least budget of wall time.
+func recostWindow(reps int, budget time.Duration, sessions ...*recostSession) {
+	start := time.Now()
+	for i := 0; i < 2*reps || time.Since(start) < budget; i++ {
+		for _, r := range sessions {
+			r.pass()
+		}
+	}
+}
+
+// calibrateCompressions is the number of timed compress.Compress calls whose
+// median rate is a profile's compress_bw.
+const calibrateCompressions = 5
+
+// Calibrate fits this host's calibration profile and prints it as JSON, the
+// file WithProfile and `dmlrun -profile` load. ReadBW, WriteBW, ComputeBW and
+// BroadcastBW are codegen.Fit from the paper defaults over the audit ledger
+// of recost's fit window; compress_bw is the median rate of
+// calibrateCompressions timed compress.Compress calls on data.CodesLike,
+// after one untimed call.
+func Calibrate(o Options) error {
+	defaults := codegen.DefaultCostModel()
+	fit := newRecostSession(o, defaults)
+	recostWindow(max(o.Reps, 3), recostFitBudget, fit)
+	m, groups := codegen.Fit(defaults, fit.s.CostAudit())
+
+	x := data.CodesLike(o.rows(100000), 7)
+	rates := make([]float64, calibrateCompressions)
+	compress.Compress(x, compress.DefaultOptions())
+	for i := range rates {
+		start := time.Now()
+		compress.Compress(x, compress.DefaultOptions())
+		rates[i] = float64(x.SizeBytes()) / time.Since(start).Seconds()
+	}
+	sort.Float64s(rates)
+	m.CompressBW = rates[len(rates)/2]
+
+	p := codegen.Profile{
+		Version: codegen.ProfileVersion, CreatedUnix: time.Now().Unix(), Samples: int64(groups),
+		ReadBW: m.ReadBW, WriteBW: m.WriteBW, FlopRate: m.ComputeBW, BroadcastBW: m.BroadcastBW, CompressBW: m.CompressBW,
+	}
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	out, err := json.MarshalIndent(p, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = o.Out.Write(append(out, '\n'))
+	return err
+}
+
 // groupErrors is the |relative error| of the predicted against the mean
 // measured time of every operator group above the recostMinOpSec floor, by
 // operator, with the mean measured times.
@@ -122,12 +178,13 @@ func medianOf(m map[string]float64) float64 {
 // Recost measures the feedback loop end to end:
 //
 //  1. Calibration: run a mixed-template workload under the paper-default
-//     cost constants for a fit window, fit the calibrator from its audit
-//     ledger, then run the workload under the default and under the fitted
-//     constants in alternation for an evaluation window (host drift hits
-//     both alike). The median over operator groups of |predicted − mean
-//     measured| / mean measured must at least halve (or sit within 10%,
-//     meaning the machine matches the constants), above the noise floor:
+//     cost constants for a fit window, fit the constants from its audit
+//     ledger (codegen.Fit, as Calibrate does), then run the workload under
+//     the default and under the fitted constants in alternation for an
+//     evaluation window (host drift hits both alike). The median over
+//     operator groups of |predicted − mean measured| / mean measured must
+//     at least halve (or sit within 10%, meaning the machine matches the
+//     constants), above the noise floor:
 //     the median by which the groups' mean times moved from the fit window
 //     to the evaluation window under the same constants.
 //  2. Re-optimization: bind a 2%-sparse matrix with a claimed-dense nonzero
@@ -137,7 +194,7 @@ func medianOf(m map[string]float64) float64 {
 //     most 70% of the first's time. That the feedback detects the lie,
 //     invalidates the plan and picks Outer is a Tier-1 test (EXPERIMENTS.md,
 //     "recost").
-//  3. Overhead: with no calibrator attached, enabling re-optimization
+//  3. Overhead: enabling re-optimization
 //     (the shipped default) must cost under 2% versus disabling it on the
 //     cellwise microbench, above what two sessions with it disabled differ
 //     by in the same rotation.
@@ -146,21 +203,12 @@ func Recost(o Options) []Check {
 
 	// --- Gate 1: calibration halves the cost-prediction error. ---
 	defaults := codegen.DefaultCostModel()
-	window := func(budget time.Duration, sessions ...*recostSession) {
-		start := time.Now()
-		for i := 0; i < 2*reps || time.Since(start) < budget; i++ {
-			for _, r := range sessions {
-				r.pass()
-			}
-		}
-	}
 	fit := newRecostSession(o, defaults)
-	window(recostFitBudget, fit)
-	cal := codegen.NewCalibrator(defaults)
-	fitObs := cal.FitSummary(fit.s.CostAudit())
+	recostWindow(reps, recostFitBudget, fit)
+	fitted, fitObs := codegen.Fit(defaults, fit.s.CostAudit())
 	_, fitSec := groupErrors(fit.s.CostAudit())
-	before, after := newRecostSession(o, defaults), newRecostSession(o, cal.Model())
-	window(recostEvalBudget, before, after)
+	before, after := newRecostSession(o, defaults), newRecostSession(o, fitted)
+	recostWindow(reps, recostEvalBudget, before, after)
 	preErr, preSec := groupErrors(before.s.CostAudit())
 	postErr, _ := groupErrors(after.s.CostAudit())
 	drift := map[string]float64{}
@@ -196,7 +244,7 @@ func Recost(o Options) []Check {
 	// scheduler noise can only hurt, not help, the gate.
 	iter2 := interleavedMin(reps, run)[0]
 
-	// --- Gate 3: the feedback path is ~free with calibration off. ---
+	// --- Gate 3: the feedback path is ~free. ---
 	// At 80000 rows an execution streams 192 MB in milliseconds, the scale
 	// the limit was written for; at 10000 rows it took 0.4-0.5 ms, and tens
 	// of µs of host noise decided the check. Every session reads the same

@@ -1,6 +1,7 @@
 package codegen_test
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -29,88 +30,69 @@ func synthEntry(op string, truth codegen.CostModel, readB, writeB, bcastB, flops
 	}
 }
 
-// feedSynthetic streams a mixed diet of read-bound, write-heavy,
-// compute-bound, and broadcast-heavy observations generated from truth.
-func feedSynthetic(c *codegen.Calibrator, truth codegen.CostModel) {
+// synthSummary rolls up a mixed diet of read-bound, write-heavy,
+// compute-bound, and broadcast-heavy executions generated from truth, one
+// operator group per execution.
+func synthSummary(truth codegen.CostModel) obs.AuditSummary {
+	a := obs.NewAudit()
 	for i := 0; i < 9; i++ {
 		scale := 1 + float64(i)/8
-		c.Observe(synthEntry("read", truth, 8e6*scale, 64, 0, 1e5))
-		c.Observe(synthEntry("write", truth, 1e6, 8e6*scale, 0, 1e5))
-		c.Observe(synthEntry("flop", truth, 1e6, 64, 0, 1e8*scale))
-		c.Observe(synthEntry("bcast", truth, 1e6, 64, 4e6*scale, 1e5))
+		a.Record(synthEntry(fmt.Sprint("read", i), truth, 8e6*scale, 64, 0, 1e5))
+		a.Record(synthEntry(fmt.Sprint("write", i), truth, 1e6, 8e6*scale, 0, 1e5))
+		a.Record(synthEntry(fmt.Sprint("flop", i), truth, 1e6, 64, 0, 1e8*scale))
+		a.Record(synthEntry(fmt.Sprint("bcast", i), truth, 1e6, 64, 4e6*scale, 1e5))
 	}
+	return a.Summary()
 }
 
-// TestCalibratorRecoversConstants: fitting a clean synthetic workload must
-// land every constant within 2x of the ground truth that generated it,
-// even though the truth sits 4-8x away from the paper-default prior.
-func TestCalibratorRecoversConstants(t *testing.T) {
-	truth := codegen.CostModel{ReadBW: 8e9, WriteBW: 4e9, ComputeBW: 2e10, BroadcastBW: 1e9}
-	cal := codegen.NewCalibrator(codegen.DefaultCostModel())
-	feedSynthetic(cal, truth)
-	// 32 accepted observations trip the automatic refit; the explicit call
-	// only needs to be a no-op on the already-fitted window.
-	cal.Refit()
-	if cal.Gen() == 0 {
-		t.Fatal("no refit changed the model generation")
+var synthTruth = codegen.CostModel{ReadBW: 8e9, WriteBW: 4e9, ComputeBW: 2e10, BroadcastBW: 1e9}
+
+// TestFitRecoversConstants: fitting a clean synthetic workload must land
+// every constant within 2x of the ground truth that generated it, even
+// though the truth sits 4-8x away from the paper-default prior.
+func TestFitRecoversConstants(t *testing.T) {
+	got, n := codegen.Fit(codegen.DefaultCostModel(), synthSummary(synthTruth))
+	if n != 4*9 {
+		t.Errorf("fit used %d groups, want %d", n, 4*9)
 	}
-	got := cal.Model()
 	check := func(name string, got, want float64) {
 		t.Helper()
 		if r := got / want; r < 0.5 || r > 2 {
 			t.Errorf("%s fitted %.3g, truth %.3g (off %.2fx)", name, got, want, r)
 		}
 	}
-	check("ReadBW", got.ReadBW, truth.ReadBW)
-	check("WriteBW", got.WriteBW, truth.WriteBW)
-	check("ComputeBW", got.ComputeBW, truth.ComputeBW)
-	check("BroadcastBW", got.BroadcastBW, truth.BroadcastBW)
-
-	st := cal.State()
-	if st.Gen == 0 || st.Refits == 0 {
-		t.Errorf("state gen=%d refits=%d after a material refit", st.Gen, st.Refits)
-	}
-	// Warm-up guard: the first observation of each of the 4 labels skipped.
-	if st.Skipped != 4 {
-		t.Errorf("skipped %d observations, want 4 warm-ups", st.Skipped)
-	}
-	if st.Samples != 4*9-4 {
-		t.Errorf("accepted %d observations, want %d", st.Samples, 4*9-4)
-	}
+	check("ReadBW", got.ReadBW, synthTruth.ReadBW)
+	check("WriteBW", got.WriteBW, synthTruth.WriteBW)
+	check("ComputeBW", got.ComputeBW, synthTruth.ComputeBW)
+	check("BroadcastBW", got.BroadcastBW, synthTruth.BroadcastBW)
 }
 
-// TestCalibratorTooFewSamples: below the weighted sample floor the model
-// must stay at the prior and the generation must not move.
-func TestCalibratorTooFewSamples(t *testing.T) {
-	truth := codegen.CostModel{ReadBW: 8e9, WriteBW: 4e9, ComputeBW: 2e10, BroadcastBW: 1e9}
-	cal := codegen.NewCalibrator(codegen.DefaultCostModel())
+// TestFitTooFewSamples: below the weighted sample floor, or with fewer than
+// three distinct observations however heavy, the fit returns the prior.
+func TestFitTooFewSamples(t *testing.T) {
+	few, heavy := obs.NewAudit(), obs.NewAudit()
 	for i := 0; i < 5; i++ {
-		cal.Observe(synthEntry("read", truth, 8e6, 64, 0, 1e5))
+		few.Record(synthEntry(fmt.Sprint("read", i), synthTruth, 8e6, 64, 0, 1e5))
 	}
-	if cal.Refit() {
-		t.Error("refit reported a model change on 4 accepted samples")
+	for i := 0; i < 20; i++ {
+		heavy.Record(synthEntry(fmt.Sprint("read", i%2), synthTruth, 8e6, 64, 0, 1e5))
 	}
-	if got := cal.Model(); got != codegen.DefaultCostModel() {
-		t.Errorf("model moved off the prior on insufficient data: %+v", got)
+	for name, a := range map[string]*obs.Audit{"5 executions": few, "2 groups": heavy} {
+		if got, _ := codegen.Fit(codegen.DefaultCostModel(), a.Summary()); got != codegen.DefaultCostModel() {
+			t.Errorf("%s: model moved off the prior on insufficient data: %+v", name, got)
+		}
 	}
 }
 
 // TestProfileRoundTrip: fitted constants survive Save -> LoadProfile ->
-// ApplyProfile bit-exactly, and the applied profile becomes both model and
-// prior of the receiving calibrator.
+// CostModel bit-exactly.
 func TestProfileRoundTrip(t *testing.T) {
-	truth := codegen.CostModel{ReadBW: 8e9, WriteBW: 4e9, ComputeBW: 2e10, BroadcastBW: 1e9}
-	cal := codegen.NewCalibrator(codegen.DefaultCostModel())
-	feedSynthetic(cal, truth)
-	cal.Refit()
-	p := cal.Profile()
-	if p.Version != codegen.ProfileVersion {
-		t.Fatalf("profile version %d, want %d", p.Version, codegen.ProfileVersion)
+	fitted, n := codegen.Fit(codegen.DefaultCostModel(), synthSummary(synthTruth))
+	p := codegen.Profile{
+		Version: codegen.ProfileVersion, CreatedUnix: time.Now().Unix(), Samples: int64(n),
+		ReadBW: fitted.ReadBW, WriteBW: fitted.WriteBW, FlopRate: fitted.ComputeBW,
+		BroadcastBW: fitted.BroadcastBW, CompressBW: fitted.CompressBW,
 	}
-	if p.Samples == 0 {
-		t.Fatal("profile carries zero samples")
-	}
-
 	path := filepath.Join(t.TempDir(), "profile.json")
 	if err := p.Save(path); err != nil {
 		t.Fatal(err)
@@ -122,64 +104,28 @@ func TestProfileRoundTrip(t *testing.T) {
 	if loaded != p {
 		t.Errorf("round-trip mismatch:\nsaved  %+v\nloaded %+v", p, loaded)
 	}
-
-	fresh := codegen.NewCalibrator(codegen.DefaultCostModel())
-	genBefore := fresh.Gen()
-	if err := fresh.ApplyProfile(loaded); err != nil {
-		t.Fatal(err)
-	}
-	if got := fresh.Model(); got != p.CostModel() {
-		t.Errorf("applied model %+v != profile constants %+v", got, p.CostModel())
-	}
-	st := fresh.State()
-	if st.Prior != p.CostModel() {
-		t.Errorf("profile did not become the fit prior: %+v", st.Prior)
-	}
-	if st.Source != "profile" {
-		t.Errorf("source %q, want \"profile\"", st.Source)
-	}
-	if fresh.Gen() == genBefore {
-		t.Error("applying a profile did not bump the generation")
+	if loaded.CostModel() != fitted {
+		t.Errorf("loaded model %+v != fitted constants %+v", loaded.CostModel(), fitted)
 	}
 }
 
-// TestCompressBWFit: CompressBW stays at its prior until three compressions
-// were timed, then is their median rate, survives a refit of the other
-// constants, never bumps the generation, and lands in the profile.
+// TestCompressBWFit: the ledger holds no compressions, so Fit carries
+// CompressBW over from the prior, whatever the other constants do (the
+// calibrate experiment measures it by timing compress.Compress).
 func TestCompressBWFit(t *testing.T) {
 	prior := codegen.DefaultCostModel()
-	cal := codegen.NewCalibrator(prior)
-	gen := cal.Gen()
-	cal.ObserveCompress(1<<20, 0.01)  // ~105 MB/s
-	cal.ObserveCompress(1<<20, 0.005) // ~210 MB/s
-	cal.ObserveCompress(1<<20, 1e-9)  // below the clock floor: dropped
-	if got := cal.Model().CompressBW; got != prior.CompressBW {
-		t.Fatalf("CompressBW %g left its prior %g after two observations", got, prior.CompressBW)
+	prior.CompressBW = 123e6
+	got, _ := codegen.Fit(prior, synthSummary(synthTruth))
+	if got.CompressBW != prior.CompressBW {
+		t.Errorf("Fit moved CompressBW to %g, prior %g", got.CompressBW, prior.CompressBW)
 	}
-	cal.ObserveCompress(1<<20, 0.02) // ~52 MB/s
-	want := float64(1<<20) / 0.01
-	if got := cal.Model().CompressBW; got != want {
-		t.Fatalf("CompressBW %g, want the median rate %g", got, want)
-	}
-	feedSynthetic(cal, codegen.CostModel{ReadBW: 8e9, WriteBW: 4e9, ComputeBW: 2e10, BroadcastBW: 1e9})
-	cal.Refit()
-	if got := cal.Model().CompressBW; got != want {
-		t.Errorf("refit moved CompressBW to %g", got)
-	}
-	if p := cal.Profile(); p.CompressBW != want {
-		t.Errorf("profile carries compress_bw %g, want %g", p.CompressBW, want)
-	}
-	fresh := codegen.NewCalibrator(prior)
-	fresh.ObserveCompress(1<<20, 0.01)
-	fresh.ObserveCompress(1<<20, 0.01)
-	fresh.ObserveCompress(1<<20, 0.01)
-	if fresh.Gen() != gen {
-		t.Error("a compression rate bumped the plan generation")
+	if got.ReadBW == prior.ReadBW {
+		t.Error("the fit left ReadBW at its prior: the check shows nothing")
 	}
 }
 
 // TestLoadProfileRejects: unreadable files, corrupt JSON, schema version
-// mismatches, implausible constants, and stale profiles must all fail
+// mismatches, implausible constants, and stale or future-stamped profiles must all fail
 // LoadProfile so callers fall back to defaults.
 func TestLoadProfileRejects(t *testing.T) {
 	dir := t.TempDir()
@@ -231,6 +177,11 @@ func TestLoadProfileRejects(t *testing.T) {
 			p.CreatedUnix = time.Now().Add(-codegen.ProfileMaxAge - time.Hour).Unix()
 			return p.Save(path)
 		}},
+		{"future", func(path string) error {
+			p := good
+			p.CreatedUnix = time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC).Unix() // would never go stale
+			return p.Save(path)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -240,11 +191,6 @@ func TestLoadProfileRejects(t *testing.T) {
 			}
 			if _, err := codegen.LoadProfile(path); err == nil {
 				t.Fatalf("LoadProfile accepted a %s profile", tc.name)
-			}
-			// The fallback a rejecting caller takes: defaults, untouched.
-			cal := codegen.NewCalibrator(codegen.DefaultCostModel())
-			if cal.Model() != codegen.DefaultCostModel() {
-				t.Error("fallback calibrator does not publish the defaults")
 			}
 		})
 	}

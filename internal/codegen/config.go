@@ -107,20 +107,20 @@ type Config struct {
 	// Reopt controls mid-script re-optimization: when an input's observed
 	// sparsity diverges from its estimate beyond the configured threshold,
 	// the interpreter invalidates the block's cached plan and re-optimizes
-	// with the corrected estimate; when a block's wall time diverges from its
-	// prediction, it has an attached calibrator refit the cost constants.
+	// with the corrected estimate; a block whose wall time diverges from its
+	// prediction is counted (reopt.time) and keeps its plan.
 	Reopt ReoptConfig
 }
 
 // ReoptConfig switches mid-script re-optimization (see docs/COST_MODEL.md
 // for its fixed divergence factors and how they interact with the plan
-// cache and the calibration generation counter).
+// cache).
 type ReoptConfig struct {
 	// Enabled turns the divergence checks on; when false the interpreter
-	// never revisits a cached block plan (pre-calibration behavior).
+	// never revisits a cached block plan.
 	Enabled bool
 
-	// MinSec is the wall-time floor of the time-divergence check:
+	// MinSec is the wall-time floor of the time-divergence counter:
 	// sub-millisecond blocks are dominated by dispatch, not plan quality.
 	MinSec float64
 }

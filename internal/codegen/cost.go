@@ -149,7 +149,7 @@ func NewCoster(cfg *Config, m *Memo, p *Partition) *Coster {
 	}
 	minScale := 1.0
 	mc := c.cfg.Costs
-	// The fastest rate an input is read at: ReadBW, unless a calibration put
+	// The fastest rate an input is read at: ReadBW, unless a profile put
 	// the broadcast of a distributed operator's sides above it.
 	c.readBW = math.Max(mc.ReadBW, mc.BroadcastBW)
 	for i := range ids {

@@ -311,7 +311,7 @@ func TestSparsityClassMatchesHop(t *testing.T) {
 // TestOuterFlopsCountTheBoundRank: a CPlan does not carry the rank of its
 // Outer product, so the block planned at rank 40 runs the operator compiled
 // for the same script at rank 10. Its actual FLOPs (the audit's and the
-// calibrator's compute term) must count the 40 columns of the bound U.
+// fit's compute term) must count the 40 columns of the bound U.
 func TestOuterFlopsCountTheBoundRank(t *testing.T) {
 	s := newTestSession(codegen.ModeGen)
 	const n = 128

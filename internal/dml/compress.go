@@ -3,7 +3,6 @@ package dml
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"sysml/internal/codegen"
 	"sysml/internal/compress"
@@ -151,16 +150,13 @@ func (s *Session) sample(m *matrix.Matrix) (est compress.Estimate, ok bool) {
 	return est, true
 }
 
-// compressAndAttach compresses m, times it for the calibrator's CompressBW,
-// and attaches the result unless the full input turned out incompressible
-// where the sample had looked compressible (the decline is cached, so the
-// attempt is not repeated).
+// compressAndAttach compresses m and attaches the result unless the full
+// input turned out incompressible where the sample had looked compressible
+// (the decline is cached, so the attempt is not repeated).
 func (s *Session) compressAndAttach(m *matrix.Matrix) *compress.CMatrix {
-	start := time.Now()
 	opts := compress.DefaultOptions()
 	opts.Pool = s.Par
 	cm := compress.Compress(m, opts)
-	s.Calib.ObserveCompress(m.SizeBytes(), time.Since(start).Seconds())
 	realRatio := float64(m.SizeBytes()) / float64(cm.SizeBytes())
 	if realRatio < 1.2 {
 		compress.Decline(m, fmt.Sprintf("actual ratio %.2f too low", realRatio))

@@ -55,14 +55,6 @@ type Session struct {
 	// non-nil for sessions built via NewSession; nil disables auditing.
 	Audit *obs.Audit
 
-	// Calib, when non-nil, is the online cost-model calibrator: it receives
-	// every audited execution observation, and whenever its fitted
-	// constants change generation the session adopts them into
-	// Config.Costs and re-optimizes cached block plans lazily on their
-	// next use. A serving engine shares one calibrator across all tenant
-	// sessions (the per-machine profile is an engine-level property).
-	Calib *codegen.Calibrator
-
 	// Blocks counts compiled statement blocks (optimized HOP DAGs);
 	// BlockCacheHits counts reuses of previously optimized blocks.
 	Blocks         int64
@@ -79,7 +71,6 @@ type Session struct {
 	produced map[*matrix.Matrix]struct{}
 
 	nnzHints map[string]int64 // sparsity estimates from BindWithNnz, dropped on divergence
-	calibGen uint64           // calibrator generation Config.Costs was last synced to
 	// predSec and actualSec sum the predicted and measured seconds of the
 	// audited operators of the block in execution.
 	predSec, actualSec float64
@@ -103,9 +94,8 @@ type Session struct {
 // transient reads that are not also outputs and reads the compression
 // decisions the plan takes for them (compress.go); replanned says the entry
 // was already optimized once more because one of them was compressed.
-// calibGen is the calibration generation the plan was costed under, prints
-// the block's print statements: string literals and printRefs, names of DAG
-// outputs.
+// prints holds the block's print statements: string literals and printRefs,
+// names of DAG outputs.
 type blockEntry struct {
 	id        any
 	log       []access
@@ -113,7 +103,6 @@ type blockEntry struct {
 	sched     *runtime.Schedule
 	prints    [][]any
 	inputs    []*hop.Hop
-	calibGen  uint64
 	lru       *list.Element
 	slices    []*hop.Hop
 	sites     []int
@@ -429,7 +418,6 @@ func (s *Session) Explain(script string) (string, error) {
 		Obs:      obs.NewMetrics(),
 		Audit:    obs.NewAudit(),
 		Sink:     col,
-		Calib:    s.Calib,
 		bound:    bound,
 		nnzHints: maps.Clone(s.nnzHints),
 		produced: maps.Clone(s.produced),
@@ -446,7 +434,7 @@ func (s *Session) Explain(script string) (string, error) {
 			b.WriteString(e.Text)
 		}
 	}
-	// The shadow shares this session's pools, cluster, calibrator and input
+	// The shadow shares this session's pools, cluster and input
 	// bindings, so the run sections show what this run caused, and
 	// compressed attachments and broadcast handles it made warm the real
 	// session.
@@ -483,9 +471,6 @@ func (s *Session) Metrics() obs.Snapshot {
 	snap.Counters["block.reused"] = s.BlockCacheHits
 	snap.Gauges["block.cache.size"] = float64(s.blockLRU.Len())
 	snap.Gauges["program.cache.size"] = float64(len(s.programs))
-	if s.Calib != nil {
-		s.Calib.WriteMetrics(snap)
-	}
 	s.Par.WriteMetrics(snap)
 	s.Alloc.WriteMetrics(snap)
 	if d, ok := s.Dist.(metricsWriter); ok {
@@ -610,7 +595,7 @@ func (s *Session) lookup(id any) *blockEntry {
 // its rewritten HOP DAG: an entry that is not planned yet.
 func (s *Session) compile(stmts []Stmt, cond Expr) (*blockEntry, error) {
 	c := newBlockCompiler(s.Env, s.nnzHints)
-	e := &blockEntry{id: cond, calibGen: s.calibGen}
+	e := &blockEntry{id: cond}
 	if cond == nil {
 		e.id = stmts[0]
 	}
@@ -685,19 +670,11 @@ func (s *Session) remember(e *blockEntry) {
 // recording a trace span per phase and emitting an EXPLAIN report for every
 // fresh optimization when a sink is attached.
 func (s *Session) runBlock(ctx context.Context, root obs.Span, stmts []Stmt) error {
-	s.syncCalibration()
 	// Look the block's cached plan up while the sizes, sparsity and constants
 	// it was compiled for are unchanged (SystemML recompiles only dirty
-	// blocks). An entry optimized under an older calibration generation is
-	// discarded here — lazily, on its next use — and re-optimized under the
-	// current constants.
+	// blocks).
 	spc := root.Phase(s.Obs, "compile")
 	entry := s.lookup(stmts[0])
-	if entry != nil && entry.calibGen != s.calibGen {
-		s.invalidateBlock(entry, "reopt.invalidations")
-		s.Obs.Inc("reopt.calib")
-		entry = nil
-	}
 	var fresh *blockEntry
 	var err error
 	if entry == nil {
@@ -802,31 +779,13 @@ func (s *Session) runOptions(ctx context.Context, sp obs.Span) runtime.Options {
 	}
 }
 
-// observe takes one audited operator execution: the cost-audit ledger and
-// the calibrator record it, and the block's predicted and measured seconds
-// sum it for the re-optimization check.
+// observe takes one audited operator execution: the cost-audit ledger
+// records it, and the block's predicted and measured seconds sum it for the
+// re-optimization check.
 func (s *Session) observe(e obs.AuditEntry) {
 	s.Audit.Record(e)
-	if s.Calib != nil {
-		s.Calib.Observe(e)
-	}
 	s.predSec += e.PredSec
 	s.actualSec += e.ActualSec
-}
-
-// syncCalibration adopts the calibrator's current constants into
-// Config.Costs when the calibration generation advanced. Cached block
-// plans optimized under the old generation are invalidated lazily when
-// next looked up (see runBlock), so re-optimization cost is only paid for
-// blocks that actually run again.
-func (s *Session) syncCalibration() {
-	if s.Calib == nil {
-		return
-	}
-	if gen := s.Calib.Gen(); gen != s.calibGen {
-		s.calibGen = gen
-		s.Config.Costs = s.Calib.Model()
-	}
 }
 
 // The divergence factors of mid-script re-optimization (Config.Reopt).
@@ -838,7 +797,7 @@ const (
 	// plan choice).
 	reoptMinCells = 256
 	// reoptTimeFactor: a block's measured time beyond this factor of its
-	// prediction, in either direction, is evidence for the calibrator.
+	// prediction, in either direction, counts as a time divergence.
 	reoptTimeFactor = 8
 )
 
@@ -853,12 +812,10 @@ const (
 //     cannot recur.
 //   - time: the block's measured operator seconds diverge from the
 //     predicted seconds by more than reoptTimeFactor, on a block that ran
-//     at least Reopt.MinSec. Estimates don't
-//     change by themselves: re-optimizing under the same constants
-//     re-derives the same plan, so the plan stays. What the evidence can
-//     change is the constants — with a calibrator attached it is folded in
-//     now rather than at the refit cadence, and a refit that moves them
-//     invalidates every plan of the older generation at its next lookup.
+//     at least Reopt.MinSec. It is counted (reopt.time) and the plan
+//     stays: re-optimizing under the same constants re-derives the same
+//     plan. Wrong constants are mended by fitting a profile
+//     (docs/COST_MODEL.md §5), not at run time.
 func (s *Session) checkReopt(entry *blockEntry) {
 	if len(s.nnzHints) > 0 {
 		for _, h := range hop.TopoOrder(entry.dag.Roots()) {
@@ -884,10 +841,6 @@ func (s *Session) checkReopt(entry *blockEntry) {
 	if s.actualSec >= s.Config.Reopt.MinSec && s.predSec > 0 {
 		if ratio := s.predSec / s.actualSec; ratio > reoptTimeFactor || ratio < 1.0/reoptTimeFactor {
 			s.Obs.Inc("reopt.time")
-			if s.Calib != nil {
-				s.Calib.Refit()
-				s.syncCalibration()
-			}
 		}
 	}
 }

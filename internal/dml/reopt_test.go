@@ -133,25 +133,24 @@ func tooFast() codegen.CostModel {
 	return m
 }
 
-func timeTriggerSession(calib *codegen.Calibrator) *Session {
+func timeTriggerSession() *Session {
 	cfg := codegen.DefaultConfig()
 	cfg.Reopt.MinSec = 0
 	cfg.Costs = tooFast()
 	s := newTestSessionCfg(cfg)
-	s.Calib = calib
 	s.Bind("X", matrix.Rand(2000, 16, 1, -1, 1, 4))
 	s.Bind("Y", matrix.Rand(2000, 16, 1, -1, 1, 5))
 	return s
 }
 
-// TestReoptTimeKeepsThePlan: without a calibrator the constants cannot move,
+// TestReoptTimeKeepsThePlan: the constants cannot move at run time,
 // so re-optimizing a block whose time diverged could only derive its plan
 // again. The trigger counts the divergence and leaves the plan cached: the
 // optimizer's work repeats exactly from run to run, whatever the clock says.
 func TestReoptTimeKeepsThePlan(t *testing.T) {
 	var first [3]int64
 	for run := 0; run < 3; run++ {
-		s := timeTriggerSession(nil)
+		s := timeTriggerSession()
 		if err := s.Run(timeDivergent); err != nil {
 			t.Fatal(err)
 		}
@@ -173,30 +172,6 @@ func TestReoptTimeKeepsThePlan(t *testing.T) {
 		} else if got != first {
 			t.Errorf("run %d: blocks, plans evaluated, operators compiled = %v, first run %v", run, got, first)
 		}
-	}
-}
-
-// TestReoptTimeRefitsTheCalibrator: with a calibrator the divergence is
-// evidence about the constants. It is folded in at once; when the refit
-// moves them, the plans of the older generation are re-optimized at their
-// next lookup (reopt.calib), never by the trigger itself.
-func TestReoptTimeRefitsTheCalibrator(t *testing.T) {
-	s := timeTriggerSession(codegen.NewCalibrator(tooFast()))
-	for i := 0; i < 8; i++ {
-		if err := s.Run(timeDivergent); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := s.Metrics()
-	if snap.Counters["reopt.time"] == 0 || snap.Counters["calib.refits"] == 0 {
-		t.Fatalf("reopt.time = %d, calib.refits = %d: the divergence did not reach the calibrator",
-			snap.Counters["reopt.time"], snap.Counters["calib.refits"])
-	}
-	if snap.Counters["calib.gen"] == 0 {
-		t.Fatal("constants a thousand times too fast survived the refits")
-	}
-	if calibs, invals := snap.Counters["reopt.calib"], snap.Counters["reopt.invalidations"]; calibs == 0 || invals != calibs {
-		t.Errorf("reopt.calib = %d, reopt.invalidations = %d: plans are discarded by a new generation only", calibs, invals)
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 // skipped or executed over a compressed input, followed by where the
 // session's cached plans' compression decisions stand; DISTRIBUTED when a
 // cluster is attached, with FAULTS while it has a fault plan. Levels — the
-// compression ratio, the executor counts, and the CALIBRATION section of an
-// attached calibrator — are read from after.
+// compression ratio and the executor counts — are read from after.
 func (s *Session) RunReport(before, after obs.Snapshot) string {
 	var b strings.Builder
 	d := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
@@ -96,28 +95,5 @@ func (s *Session) RunReport(before, after obs.Snapshot) string {
 		}
 	}
 
-	// Cost-model calibration state: the constants the run's plans were
-	// priced under, next to the paper-default priors.
-	if gen, ok := after.Counters["calib.gen"]; ok {
-		source := ""
-		for name := range after.Gauges {
-			if v, ok := strings.CutPrefix(name, `calib.source{source="`); ok {
-				source = strings.TrimSuffix(v, `"}`)
-			}
-		}
-		c := after.Counters
-		b.WriteString("\nCALIBRATION\n")
-		fmt.Fprintf(&b, "  source: %s  generation: %d  refits: %d\n", source, gen, c["calib.refits"])
-		fmt.Fprintf(&b, "  observations:       %d accepted, %d skipped (warm-up/floor)\n", c["calib.samples"], c["calib.skipped"])
-		for _, k := range [][3]string{
-			{"read bandwidth:    ", "read_bw", "B/s"},
-			{"write bandwidth:   ", "write_bw", "B/s"},
-			{"flop rate:         ", "flop_rate", "FLOP/s"},
-			{"broadcast bandwidth:", "broadcast_bw", "B/s"},
-			{"compression rate:  ", "compress_bw", "B/s"},
-		} {
-			fmt.Fprintf(&b, "  %s %.3g %s (prior %.3g)\n", k[0], after.Gauges["calib."+k[1]], k[2], after.Gauges["calib.prior."+k[1]])
-		}
-	}
 	return b.String()
 }

@@ -31,7 +31,7 @@ type AuditEntry struct {
 
 	// ActualInBytes / ActualOutBytes split ActualBytes into the read and
 	// write sides of the operator — the quantities the cost model charges at
-	// ReadBW and WriteBW respectively — so the calibrator can fit the two
+	// ReadBW and WriteBW respectively — so codegen.Fit can fit the two
 	// bandwidths independently.
 	ActualInBytes  int64
 	ActualOutBytes int64
@@ -168,7 +168,7 @@ type AuditGroup struct {
 	ActualBytes int64
 
 	// Read/write/broadcast byte splits (sums, like ActualBytes) and the
-	// number of distributed observations — the calibrator's fit inputs.
+	// number of distributed observations — codegen.Fit's inputs.
 	ActualInBytes  int64
 	ActualOutBytes int64
 	BcastBytes     int64

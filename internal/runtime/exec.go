@@ -46,7 +46,7 @@ type Options struct {
 	// Observe, when non-nil, receives one predicted-vs-measured entry per
 	// executed operator that carries a cost-model prediction (hop.PredSec >
 	// 0, annotated by codegen.AnnotatePredictions): the interpreter's cost
-	// audit, calibration and re-optimization evidence.
+	// audit and re-optimization evidence.
 	Observe func(obs.AuditEntry)
 }
 

@@ -11,104 +11,102 @@ import (
 	"sysml/internal/matrix"
 )
 
-// TestEngineSharedCalibration: tenant sessions acquired concurrently all
-// feed one engine-level calibrator (the -race stress of the feedback
-// loop), and the fitted constants survive SaveProfile -> WithCalibration
-// into a second engine.
-func TestEngineSharedCalibration(t *testing.T) {
-	e := NewEngine(
-		WithMaxWorkers(4),
-		WithTenantQuota(TenantQuota{MaxSessions: 2}),
-		WithCalibration(""),
-	)
-	cal := e.Calibrator()
-	if cal == nil {
-		t.Fatal("WithCalibration did not attach a calibrator")
+// writeProfile saves a valid profile whose constants differ from the
+// paper defaults and returns its path and constants.
+func writeProfile(t *testing.T) (string, codegen.CostModel) {
+	t.Helper()
+	p := codegen.Profile{
+		Version: codegen.ProfileVersion, CreatedUnix: time.Now().Unix(), Samples: 12,
+		ReadBW: 8e9, WriteBW: 4e9, FlopRate: 2e10, BroadcastBW: 1e9, CompressBW: 2e8,
 	}
-
-	const tenants, reps = 4, 6
-	var wg sync.WaitGroup
-	for ti := 0; ti < tenants; ti++ {
-		wg.Add(1)
-		go func(ti int) {
-			defer wg.Done()
-			tn := e.Tenant(fmt.Sprintf("tenant-%d", ti))
-			for r := 0; r < reps; r++ {
-				s, err := tn.Acquire(time.Second)
-				if err != nil {
-					t.Errorf("acquire: %v", err)
-					return
-				}
-				if s.Calib != cal {
-					t.Error("session does not share the engine calibrator")
-				}
-				ec := matrix.Ctx{Par: s.Par, Buf: s.Alloc}
-				s.Env["X"] = ec.Rand(512, 64, 1, -1, 1, int64(ti))
-				s.Env["Y"] = ec.Rand(512, 64, 1, -1, 1, int64(ti)+1)
-				if err := s.Run(`s = sum(X * Y)`); err != nil {
-					t.Errorf("run: %v", err)
-				}
-				tn.Release(s)
-			}
-		}(ti)
-	}
-	wg.Wait()
-
-	st := cal.State()
-	if st.Samples+st.Skipped == 0 {
-		t.Fatal("no session execution reached the shared calibrator")
-	}
-	snap := e.Metrics()
-	if snap.Counters["calib.samples"] != st.Samples {
-		t.Errorf("engine metrics report %d calib samples, calibrator has %d",
-			snap.Counters["calib.samples"], st.Samples)
-	}
-
-	// Persist and reload into a fresh engine: the loaded profile must become
-	// the second engine's published constants.
 	path := filepath.Join(t.TempDir(), "profile.json")
-	cal.Refit()
-	if err := e.SaveProfile(path); err != nil {
+	if err := p.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	p, err := codegen.LoadProfile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := NewEngine(WithCalibration(path))
-	if got := e2.Calibrator().Model(); got != p.CostModel() {
-		t.Errorf("second engine model %+v, profile %+v", got, p.CostModel())
-	}
-	if st := e2.Calibrator().State(); st.Source != "profile" {
-		t.Errorf("second engine calibration source %q, want \"profile\"", st.Source)
-	}
-	s := e2.NewSession(codegen.DefaultConfig())
-	if s.Config.Costs != p.CostModel() {
-		t.Error("session did not inherit the loaded profile constants")
+	return path, p.CostModel()
+}
+
+// TestEngineSharedCalibration: every tenant session of a WithProfile engine
+// — acquired concurrently, reused after Release — and every Engine.NewSession
+// session starts with the profile's constants, whether WithProfile comes
+// before or after WithConfig.
+func TestEngineSharedCalibration(t *testing.T) {
+	path, want := writeProfile(t)
+	cfg := codegen.DefaultConfig()
+	cfg.Costs.ReadBW = 1e9 // a configured constant the profile overrides
+	for name, opts := range map[string][]EngineOption{
+		"profile last":  {WithMaxWorkers(4), WithTenantQuota(TenantQuota{MaxSessions: 2}), WithConfig(cfg), WithProfile(path)},
+		"profile first": {WithProfile(path), WithMaxWorkers(4), WithTenantQuota(TenantQuota{MaxSessions: 2}), WithConfig(cfg)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(opts...)
+			const tenants, reps = 4, 3
+			var wg sync.WaitGroup
+			for ti := 0; ti < tenants; ti++ {
+				wg.Add(1)
+				go func(ti int) {
+					defer wg.Done()
+					tn := e.Tenant(fmt.Sprintf("tenant-%d", ti))
+					for r := 0; r < reps; r++ {
+						s, err := tn.Acquire(time.Second)
+						if err != nil {
+							t.Errorf("acquire: %v", err)
+							return
+						}
+						if s.Config.Costs != want {
+							t.Errorf("tenant session costs %+v, profile %+v", s.Config.Costs, want)
+						}
+						ec := matrix.Ctx{Par: s.Par, Buf: s.Alloc}
+						s.Env["X"] = ec.Rand(512, 64, 1, -1, 1, int64(ti))
+						s.Env["Y"] = ec.Rand(512, 64, 1, -1, 1, int64(ti)+1)
+						if err := s.Run(`s = sum(X * Y)`); err != nil {
+							t.Errorf("run: %v", err)
+						}
+						tn.Release(s)
+					}
+				}(ti)
+			}
+			wg.Wait()
+			if s := e.NewSession(codegen.DefaultConfig()); s.Config.Costs != want {
+				t.Errorf("Engine.NewSession costs %+v, profile %+v", s.Config.Costs, want)
+			}
+		})
 	}
 }
 
 // TestEngineCalibrationBadProfile: an unreadable profile path must not
-// poison the engine — it silently starts from the defaults.
+// poison the engine — its sessions keep the configured constants.
 func TestEngineCalibrationBadProfile(t *testing.T) {
-	e := NewEngine(WithCalibration(filepath.Join(t.TempDir(), "missing.json")))
-	cal := e.Calibrator()
-	if cal == nil {
-		t.Fatal("engine dropped the calibrator on a bad profile path")
+	e := NewEngine(WithProfile(filepath.Join(t.TempDir(), "missing.json")))
+	s, err := e.Tenant("a").Acquire(time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := cal.Model(); got != codegen.DefaultCostModel() {
-		t.Errorf("bad profile changed the model: %+v", got)
+	if s.Config.Costs != codegen.DefaultCostModel() {
+		t.Errorf("bad profile changed the tenant session's model: %+v", s.Config.Costs)
+	}
+	cfg := codegen.DefaultConfig()
+	cfg.Costs.ReadBW = 1e9
+	if s := e.NewSession(cfg); s.Config.Costs != cfg.Costs {
+		t.Errorf("bad profile replaced the caller's constants: %+v", s.Config.Costs)
 	}
 }
 
-// TestEngineNoCalibration: without WithCalibration the engine has no
-// calibrator and SaveProfile refuses.
+// TestEngineNoCalibration: without WithProfile the engine's sessions run
+// the configured constants: the engine's for tenants, the caller's for
+// Engine.NewSession.
 func TestEngineNoCalibration(t *testing.T) {
-	e := NewEngine()
-	if e.Calibrator() != nil {
-		t.Error("engine grew a calibrator without WithCalibration")
+	cfg := codegen.DefaultConfig()
+	cfg.Costs.ComputeBW = 1e10
+	e := NewEngine(WithConfig(cfg))
+	s, err := e.Tenant("a").Acquire(time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := e.SaveProfile("x.json"); err == nil {
-		t.Error("SaveProfile succeeded without a calibrator")
+	if s.Config.Costs != cfg.Costs {
+		t.Errorf("tenant session costs %+v, engine config %+v", s.Config.Costs, cfg.Costs)
+	}
+	if s := e.NewSession(codegen.DefaultConfig()); s.Config.Costs != codegen.DefaultCostModel() {
+		t.Errorf("Engine.NewSession replaced the caller's constants: %+v", s.Config.Costs)
 	}
 }

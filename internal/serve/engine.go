@@ -69,13 +69,9 @@ type Engine struct {
 	// counters, plan cache, pools) into its snapshot.
 	obsm *obs.Metrics
 
-	// calib, when non-nil (WithCalibration), is the engine-level shared
-	// cost-model calibrator: every tenant session streams its execution
-	// observations into it and adopts its fitted constants. One engine =
-	// one machine profile.
-	calib *codegen.Calibrator
-	// calibPath, when set, is where SaveProfile persists the fitted profile.
-	calibPath string
+	// profile is the WithProfile path while its constants are cfg.Costs:
+	// NewEngine clears it when the file does not load.
+	profile string
 }
 
 // EngineOption configures an Engine at construction time.
@@ -121,21 +117,13 @@ func WithConfig(cfg codegen.Config) EngineOption {
 	return func(e *Engine) { e.cfg = cfg }
 }
 
-// WithCalibration attaches an engine-level cost-model calibrator shared by
-// every tenant session. When path is non-empty, a valid non-stale profile
-// at that location seeds the constants (an unreadable, corrupt, or stale
-// profile is ignored — the calibrator starts from the paper defaults and
-// re-measures); the path is also the default SaveProfile destination.
-func WithCalibration(path string) EngineOption {
-	return func(e *Engine) {
-		e.calib = codegen.NewCalibrator(e.cfg.Costs)
-		e.calibPath = path
-		if path != "" {
-			if p, err := codegen.LoadProfile(path); err == nil {
-				e.calib.ApplyProfile(p)
-			}
-		}
-	}
+// WithProfile prices every session of the engine with the cost-model
+// constants of the calibration profile at path (see docs/COST_MODEL.md §5).
+// NewEngine loads it after every other option, so WithConfig cannot
+// override it; an unreadable, corrupt, implausible or stale profile is
+// ignored and the sessions keep the configured constants.
+func WithProfile(path string) EngineOption {
+	return func(e *Engine) { e.profile = path }
 }
 
 // WithSLOTarget sets a per-request total-latency SLO. Requests whose
@@ -160,6 +148,13 @@ func NewEngine(opts ...EngineOption) *Engine {
 	e := &Engine{cfg: codegen.DefaultConfig(), tenants: map[string]*Tenant{}, obsm: obs.NewMetrics()}
 	for _, opt := range opts {
 		opt(e)
+	}
+	if e.profile != "" {
+		if p, err := codegen.LoadProfile(e.profile); err == nil {
+			e.cfg.Costs = p.CostModel()
+		} else {
+			e.profile = ""
+		}
 	}
 	if e.cache == nil {
 		size := e.cfg.PlanCacheSize
@@ -206,7 +201,8 @@ func (e *Engine) OverBudget() bool { return e.budget > 0 && e.LiveBytes() > e.bu
 // NewSession creates a standalone script session on this engine's worker
 // and buffer pools. Under WithSharedPlanCache the session gets a view of
 // the engine's plan cache (shared operators, private counters); otherwise
-// a private cache per the engine config, exactly like dml.NewSession.
+// a private cache per the engine config, exactly like dml.NewSession. Under
+// WithProfile the session starts with the profile's constants.
 func (e *Engine) NewSession(cfg codegen.Config) *dml.Session {
 	s := dml.NewSession(cfg)
 	s.Par = e.par
@@ -214,31 +210,10 @@ func (e *Engine) NewSession(cfg codegen.Config) *dml.Session {
 	if e.shareSessions {
 		s.Cache = e.cache.View()
 	}
-	if e.calib != nil {
-		s.Calib = e.calib
-		s.Config.Costs = e.calib.Model()
+	if e.profile != "" {
+		s.Config.Costs = e.cfg.Costs
 	}
 	return s
-}
-
-// Calibrator returns the engine's shared cost-model calibrator (nil
-// without WithCalibration).
-func (e *Engine) Calibrator() *codegen.Calibrator { return e.calib }
-
-// SaveProfile persists the calibrator's current constants to path (the
-// WithCalibration path when path is empty). It is an error without an
-// attached calibrator or when neither path is set.
-func (e *Engine) SaveProfile(path string) error {
-	if e.calib == nil {
-		return errors.New("serve: engine has no calibrator (use WithCalibration)")
-	}
-	if path == "" {
-		path = e.calibPath
-	}
-	if path == "" {
-		return errors.New("serve: no profile path configured")
-	}
-	return e.calib.Profile().Save(path)
 }
 
 // Tenant returns the named tenant, creating it under the engine's default
@@ -328,9 +303,6 @@ func (e *Engine) Metrics() obs.Snapshot {
 	snap.Counters["serve.requests"] = e.Requests()
 	snap.Counters["serve.shed"] = e.Shed()
 	e.cache.WriteTotalMetrics(snap)
-	if e.calib != nil {
-		e.calib.WriteMetrics(snap)
-	}
 	e.par.WriteMetrics(snap)
 	e.alloc.WriteMetrics(snap)
 	// Engine-level overrides: live bytes span every tenant's private pool,
@@ -480,10 +452,6 @@ func (t *Tenant) newSession() *dml.Session {
 	s.Par = t.eng.par
 	s.Alloc = t.alloc
 	s.Cache = t.cache
-	if t.eng.calib != nil {
-		s.Calib = t.eng.calib
-		s.Config.Costs = t.eng.calib.Model()
-	}
 	return s
 }
 

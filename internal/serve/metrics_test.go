@@ -19,11 +19,11 @@ import (
 // histogram), recorded before each component came to write its own. The
 // benchmark reads plancache.*, compress.exec.*, compress.auto.declined and
 // phase.* by name and Prometheus scrapes the rest, so a name may be added
-// but never disappear.
+// but disappears only with the component that writes it.
 var (
 	sessionMetricNames = []string{
-		"c block.cache.misses", "c block.optimized", "c block.reused", "c calib.gen", "c calib.refits",
-		"c calib.samples", "c calib.skipped", "c codegen.cplans.constructed", "c codegen.dags.optimized",
+		"c block.cache.misses", "c block.optimized", "c block.reused",
+		"c codegen.cplans.constructed", "c codegen.dags.optimized",
 		"c codegen.operators.compiled", "c codegen.plancache.hits", "c codegen.plans.evaluated",
 		"c compress.auto.compressed", "c compress.auto.sampled", "c compress.exec.fallback",
 		"c dist.bcast.hits", "c dist.bcast.invalidations", "c dist.bcast.misses", "c dist.bcast.reship.bytes",
@@ -35,8 +35,7 @@ var (
 		"c plancache.evictions", "c plancache.hits", "c plancache.invalidations", "c plancache.misses",
 		"c pool.bytes.recycled", "c pool.gets", "c pool.hits", "c pool.misses", "c pool.puts", "c spoof.Cell",
 		"c spoof.Row", "c spoof.bind.view", "c spoof.invocations",
-		"g block.cache.size", "g calib.broadcast_bw", "g calib.compress_bw", "g calib.flop_rate",
-		"g calib.read_bw", "g calib.write_bw", "g codegen.compile.seconds", "g codegen.time.seconds",
+		"g block.cache.size", "g codegen.compile.seconds", "g codegen.time.seconds",
 		"g compress.ratio", "g dist.bcast.hitrate", "g dist.net.seconds", "g par.utilization",
 		"g plancache.hitrate", "g plancache.size", "g pool.bytes.live", "g pool.bytes.parked", "g pool.hitrate",
 		"g program.cache.size",
@@ -44,11 +43,10 @@ var (
 		"h phase.compile", "h phase.compress", "h phase.execute", "h phase.optimize", "h phase.parse",
 	}
 	engineMetricNames = []string{
-		"c calib.gen", "c calib.refits", "c calib.samples", "c calib.skipped", "c plancache.evictions",
+		"c plancache.evictions",
 		"c plancache.hits", "c plancache.invalidations", "c plancache.misses", "c pool.discards", "c pool.gets",
 		"c pool.hits", "c pool.misses", "c pool.puts", "c serve.requests", "c serve.shed",
 		`c serve.tenant.batched{tenant="a"}`, `c serve.tenant.requests{tenant="a"}`, `c serve.tenant.shed{tenant="a"}`,
-		"g calib.broadcast_bw", "g calib.compress_bw", "g calib.flop_rate", "g calib.read_bw", "g calib.write_bw",
 		"g par.workers", "g plancache.size", "g pool.bytes.budget", "g pool.bytes.live", "g pool.bytes.parked",
 		`g serve.tenant.active{tenant="a"}`, "g serve.tenants",
 	}
@@ -83,8 +81,8 @@ func checkMetrics(t *testing.T, surface string, snap obs.Snapshot, names []strin
 	}
 }
 
-// TestMetricNamesAreAContract runs a session with a faulty cluster, a
-// calibrator and private pools, and a calibrated engine with one tenant:
+// TestMetricNamesAreAContract runs a session with a faulty cluster and
+// private pools, and an engine with one tenant:
 // every recorded name is still returned, and what each component writes is
 // the value the component reports itself.
 func TestMetricNamesAreAContract(t *testing.T) {
@@ -97,7 +95,6 @@ func TestMetricNamesAreAContract(t *testing.T) {
 	cfg.Reopt.MinSec = math.Inf(1) // no time trigger: the names must not depend on the host's speed
 	s := dml.NewSession(cfg)
 	s.Dist = cl
-	s.Calib = codegen.NewCalibrator(cfg.Costs)
 	s.Alloc = matrix.NewBufPool(1 << 26)
 	s.Par = par.NewPool(2)
 	s.Out = io.Discard
@@ -111,14 +108,13 @@ func TestMetricNamesAreAContract(t *testing.T) {
 	if err := s.Run("y = abs(X %*% v)\nz = colSums(X * 2)\nr = X * t(v)\nq = sum(X ^ 2)\nprint(sum(y) + sum(z) + sum(r) + q)"); err != nil {
 		t.Fatal(err)
 	}
-	pu, cs, pr := s.Alloc.Stats(), s.Calib.State(), s.Par.Stats()
+	pu, pr := s.Alloc.Stats(), s.Par.Stats()
 	ph, pm, pe := s.Cache.Counters()
 	bh, bm, bi := cl.BroadcastCacheStats()
 	ft := cl.FaultStats()
 	checkMetrics(t, "Session", s.Metrics(), sessionMetricNames, map[string]float64{
 		"pool.gets": float64(pu.Gets), "pool.hits": float64(pu.Hits), "pool.puts": float64(pu.Puts),
 		"pool.bytes.recycled": float64(pu.BytesRecycled), "pool.bytes.parked": float64(pu.BytesParked),
-		"calib.samples": float64(cs.Samples), "calib.gen": float64(cs.Gen), "calib.read_bw": cs.Model.ReadBW,
 		"par.calls": float64(pr.Calls), "par.goroutines": float64(pr.Goroutines),
 		"plancache.hits": float64(ph), "plancache.misses": float64(pm), "plancache.evictions": float64(pe),
 		"plancache.size": float64(s.Cache.Size()), "block.optimized": float64(s.Blocks),
@@ -129,7 +125,7 @@ func TestMetricNamesAreAContract(t *testing.T) {
 		"dist.degraded": float64(ft.Degraded),
 	})
 
-	e := NewEngine(WithMaxWorkers(2), WithMemoryBudget(1<<26), WithCalibration(""))
+	e := NewEngine(WithMaxWorkers(2), WithMemoryBudget(1<<26))
 	tn := e.Tenant("a")
 	sess, err := tn.Acquire(time.Second)
 	if err != nil {
@@ -144,7 +140,6 @@ func TestMetricNamesAreAContract(t *testing.T) {
 	ta := e.Tenants()["a"] // the only tenant: its view's counters are the totals
 	checkMetrics(t, "Engine", e.Metrics(), engineMetricNames, map[string]float64{
 		"plancache.hits": float64(ta.CacheHits), "plancache.misses": float64(ta.CacheMisses),
-		"calib.samples":   float64(e.Calibrator().State().Samples),
 		"pool.bytes.live": float64(e.LiveBytes()), "pool.bytes.budget": 1 << 26, "par.workers": 2,
 	})
 }

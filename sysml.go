@@ -217,23 +217,11 @@ func WithSharedPlanCache(maxEntries int) EngineOption {
 // tenant sessions run under (default DefaultConfig).
 func WithEngineConfig(cfg Config) EngineOption { return serve.WithConfig(cfg) }
 
-// WithCalibration attaches an engine-level shared cost-model calibrator:
-// every tenant session streams its measured operator executions into it,
-// the fitted ReadBW/WriteBW/FlopRate/BroadcastBW constants flow back into
-// plan costing, and cached plans re-optimize when the constants change.
-// When path is non-empty, a valid profile there seeds the constants and
-// Engine.SaveProfile persists the fit back; see docs/COST_MODEL.md for the
-// profile format and divergence thresholds.
-func WithCalibration(path string) EngineOption { return serve.WithCalibration(path) }
-
-// Calibrator fits the cost model's hardware constants from measured
-// executions; attach one to a Session (Session.Calib) or an engine
-// (WithCalibration).
-type Calibrator = codegen.Calibrator
-
-// NewCalibrator returns a calibrator whose prior is the given cost model's
-// constants (typically DefaultConfig().Costs).
-func NewCalibrator(base codegen.CostModel) *Calibrator { return codegen.NewCalibrator(base) }
+// WithProfile prices every session of the engine with the constants of the
+// calibration profile at path, written by `fusebench -exp calibrate`; an
+// unreadable or invalid profile is ignored. See docs/COST_MODEL.md for the
+// profile format.
+func WithProfile(path string) EngineOption { return serve.WithProfile(path) }
 
 // CalibrationProfile is the persisted per-machine calibration result: the
 // fitted cost-model constants plus provenance.
