@@ -48,6 +48,11 @@ GOARCH=arm64 go vet ./internal/vector
 #  - One fit of the machine: Fit turns a fit window's audit ledger into a
 #    profile once per host; the online calibrator, its generations, the
 #    plan re-optimization they drove and the engine option that shared it.
+#  - One compression rule: a value that enters the session is sampled at its
+#    first read, one the script produced never is; the plan-aware benefit
+#    inequality for produced values, its read histories, the consumer
+#    question it asked the runtime, its cost constant and timed
+#    compressions, its re-plan and its skip counter.
 while IFS=';' read -r section pattern exempt what; do
   echo "== $section =="
   spec=('*.go')
@@ -66,6 +71,7 @@ one metrics surface;distExplainDeltas|distDetail|distFaults|distCompress|printPo
 one compression state per matrix;attachMu|attachCap|attachTick|releaseHooks|OnRelease|CompressOn;-;the attachment registry or the forced compression mode
 one plan-cache store, one observation callback;cacheShard|shardFor|PlanHashes|NewSharedPlanCache|CalibSink|InputFeedback|OuterRank;-;plan-cache invalidation, the shard layer or the executor's feedback records
 one offline fit into a profile;Calibrator|syncCalibration|calibGen|ObserveCompress|WithCalibration|SaveProfile|reopt\.calib;-;the online calibrator or its generations
+one compression rule;readPlan|readHistory|compressProduced|planReads|CompressedConsumer|CompressBW|calibrateCompressions|reopt\.compress|compress\.plan\.skipped;-;the compression policy for script-produced values
 ROWS
 # Only cplan.Program.Exec executes RowInstrs (lower.go emits them, source.go
 # renders them).

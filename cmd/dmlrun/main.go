@@ -51,7 +51,7 @@ func main() {
 	profile := flag.String("profile", "", "calibration profile JSON (fusebench -exp calibrate) whose cost constants price the plans")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: dmlrun [-mode Gen] [-stats] [-explain] [-metrics] [-trace out.json] [-audit] [-profile p.json] [-dist [-executors N] [-membudget B] [-faultseed S -faultrate P -killexec E]] script.dml")
+		fmt.Fprintln(os.Stderr, "usage: dmlrun [-mode Gen] [-stats] [-explain] [-metrics] [-trace out.json] [-audit] [-compress auto|off] [-profile p.json] [-dist [-executors N] [-membudget B] [-faultseed S -faultrate P -killexec E]] script.dml")
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))

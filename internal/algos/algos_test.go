@@ -222,10 +222,7 @@ func TestAutoEncoderReusesBlockPlans(t *testing.T) {
 
 // TestAlgorithmsSampleOnlyTheirInputs: in all six algorithms the ratio
 // estimator runs on the bound inputs only — once each, when first read. No
-// value the scripts produce is sampled: most have no operator that could
-// use a compressed form (t(X) under matrix products, the 150000x1 vectors
-// that are sides of Row operators), and the ones that have (MLogreg's P under
-// sum(P*P)) are rewritten before the plan reads them a second time.
+// value the scripts produce is sampled.
 func TestAlgorithmsSampleOnlyTheirInputs(t *testing.T) {
 	overrides := map[string]map[string]float64{
 		"L2SVM": {"maxiter": 3}, "MLogreg": {"maxiter": 2, "inneriter": 3, "k": 3},
@@ -253,9 +250,6 @@ func TestAlgorithmsSampleOnlyTheirInputs(t *testing.T) {
 		c := s.Metrics().Counters
 		if got := c["compress.auto.sampled"]; got > candidates {
 			t.Errorf("%s: estimator ran %d times for %d candidate inputs", a.Name, got, candidates)
-		}
-		if a.Name != "AutoEncoder" && c["compress.plan.skipped"] == 0 {
-			t.Errorf("%s: no read of a script-produced value was counted as skipped", a.Name)
 		}
 	}
 }

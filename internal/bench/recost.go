@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"sysml/internal/codegen"
-	"sysml/internal/compress"
-	"sysml/internal/data"
 	"sysml/internal/dml"
 	"sysml/internal/matrix"
 	"sysml/internal/obs"
@@ -106,36 +104,18 @@ func recostWindow(reps int, budget time.Duration, sessions ...*recostSession) {
 	}
 }
 
-// calibrateCompressions is the number of timed compress.Compress calls whose
-// median rate is a profile's compress_bw.
-const calibrateCompressions = 5
-
 // Calibrate fits this host's calibration profile and prints it as JSON, the
-// file WithProfile and `dmlrun -profile` load. ReadBW, WriteBW, ComputeBW and
+// file WithProfile and `dmlrun -profile` load: ReadBW, WriteBW, ComputeBW and
 // BroadcastBW are codegen.Fit from the paper defaults over the audit ledger
-// of recost's fit window; compress_bw is the median rate of
-// calibrateCompressions timed compress.Compress calls on data.CodesLike,
-// after one untimed call.
+// of recost's fit window.
 func Calibrate(o Options) error {
 	defaults := codegen.DefaultCostModel()
 	fit := newRecostSession(o, defaults)
 	recostWindow(max(o.Reps, 3), recostFitBudget, fit)
 	m, groups := codegen.Fit(defaults, fit.s.CostAudit())
-
-	x := data.CodesLike(o.rows(100000), 7)
-	rates := make([]float64, calibrateCompressions)
-	compress.Compress(x, compress.DefaultOptions())
-	for i := range rates {
-		start := time.Now()
-		compress.Compress(x, compress.DefaultOptions())
-		rates[i] = float64(x.SizeBytes()) / time.Since(start).Seconds()
-	}
-	sort.Float64s(rates)
-	m.CompressBW = rates[len(rates)/2]
-
 	p := codegen.Profile{
 		Version: codegen.ProfileVersion, CreatedUnix: time.Now().Unix(), Samples: int64(groups),
-		ReadBW: m.ReadBW, WriteBW: m.WriteBW, FlopRate: m.ComputeBW, BroadcastBW: m.BroadcastBW, CompressBW: m.CompressBW,
+		ReadBW: m.ReadBW, WriteBW: m.WriteBW, FlopRate: m.ComputeBW, BroadcastBW: m.BroadcastBW,
 	}
 	if err := p.Validate(); err != nil {
 		return err

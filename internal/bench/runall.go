@@ -53,7 +53,7 @@ var Experiments = []struct {
 	{"phases", "Phase attribution: compile, compress, codegen vs kernel time per mode and per algorithm",
 		show(PhaseAttribution, PhaseAttributionAlgorithms)},
 	{"regret", "Plan regret: the batch_mix programs under five interleaved modes, t(Gen)/best and a class per regretted program", show(Regret)},
-	{"calibrate", "Calibration profile of this host as JSON: the cost constants fitted from recost's fit window, compress_bw timed", Calibrate},
+	{"calibrate", "Calibration profile of this host as JSON: the cost constants fitted from recost's fit window", Calibrate},
 	{"ablation", "Ablations: linearization order, MAgg fusion, dominance pruning",
 		show(AblationOrder, AblationMAgg, AblationDominance)},
 	{"gates", "Every CI gate in ci.sh's order: one table, one BENCH.json, failing when any check fails", func(o Options) error {

@@ -17,9 +17,7 @@ import (
 // an unknown factor each, and mis-costed plans follow. Fit derives them once
 // per machine from the cost-audit ledger of a streaming microbenchmark; the
 // result persists as a small JSON Profile (written by `fusebench -exp
-// calibrate`) that sessions and engines load at start. A fifth constant,
-// CompressBW, is the median rate of timed compressions, measured by the same
-// experiment.
+// calibrate`) that sessions and engines load at start.
 
 // Fit tuning constants. The floors guard the fit against clock noise.
 const (
@@ -63,7 +61,7 @@ type calObs struct {
 // per-execution mean volumes, weighted by its count. It returns the fitted
 // model and the number of usable groups; below calibMinSamples weighted
 // observations (or three distinct ones, the floor for a three-parameter
-// fit) the model is prior. CompressBW is carried over from prior.
+// fit) the model is prior.
 //
 // Method: weighted least squares on the additive surrogate
 // sec ≈ readB/R + writeB/W + flops/C with relative-error weights and a ridge
@@ -72,7 +70,8 @@ type calObs struct {
 // outliers; BroadcastBW from the median residual rate of distributed
 // observations; and a final median rescale under the model's true
 // tw + max(tr, tc) form so the median signed error of the fit window is
-// centered at zero.
+// centered at zero (BroadcastBW only rescales when it was fitted: a window
+// without broadcast bytes leaves it at the prior).
 func Fit(prior CostModel, s obs.AuditSummary) (CostModel, int) {
 	var obsv []calObs
 	var totalWeight float64
@@ -165,7 +164,8 @@ func Fit(prior CostModel, s obs.AuditSummary) (CostModel, int) {
 			rates = append(rates, resid/o.bcastB)
 		}
 	}
-	if len(rates) >= calibMinDistObs {
+	fitB := len(rates) >= calibMinDistObs
+	if fitB {
 		xb = median(rates)
 	}
 
@@ -186,7 +186,9 @@ func Fit(prior CostModel, s obs.AuditSummary) (CostModel, int) {
 			for j := 0; j < 3; j++ {
 				x[j] *= med
 			}
-			xb *= med
+			if fitB {
+				xb *= med
+			}
 		}
 	}
 
@@ -195,7 +197,6 @@ func Fit(prior CostModel, s obs.AuditSummary) (CostModel, int) {
 		WriteBW:     clampRate(1/x[1], prior.WriteBW),
 		ComputeBW:   clampRate(1/x[2], prior.ComputeBW),
 		BroadcastBW: clampRate(1/xb, prior.BroadcastBW),
-		CompressBW:  prior.CompressBW,
 	}, len(obsv)
 }
 
@@ -257,9 +258,9 @@ func solve3(a [3][3]float64, b [3]float64) ([3]float64, bool) {
 // against the scalar Go vector primitives, whose flop rate is 4-6x below
 // that of the AVX2+FMA kernels, so loading one would price every
 // compute-bound operator several times too dear. Version 3 added
-// compress_bw, which a version 2 file does not carry; version 4 profiles
-// time the compressor that codes columns through per-column tables, 5-12x
-// faster than the one whose rate a version 3 file carries.
+// compress_bw and version 4 re-timed it; the field is gone, but the four
+// fitted constants of a version 4 file mean what they meant, so it still
+// loads (encoding/json ignores compress_bw).
 const ProfileVersion = 4
 
 // ProfileMaxAge is the staleness bound: profiles older than this are
@@ -267,7 +268,7 @@ const ProfileVersion = 4
 // months-old fit is worse than re-measuring).
 const ProfileMaxAge = 90 * 24 * time.Hour
 
-// Profile is the persisted per-machine calibration result: the five fitted
+// Profile is the persisted per-machine calibration result: the four fitted
 // cost-model constants plus provenance (schema version, creation time,
 // sample count). See docs/COST_MODEL.md for the on-disk contract.
 type Profile struct {
@@ -278,13 +279,12 @@ type Profile struct {
 	WriteBW     float64 `json:"write_bw"`
 	FlopRate    float64 `json:"flop_rate"`
 	BroadcastBW float64 `json:"broadcast_bw"`
-	CompressBW  float64 `json:"compress_bw"`
 }
 
 // CostModel converts the profile to optimizer constants.
 func (p Profile) CostModel() CostModel {
 	return CostModel{ReadBW: p.ReadBW, WriteBW: p.WriteBW, ComputeBW: p.FlopRate,
-		BroadcastBW: p.BroadcastBW, CompressBW: p.CompressBW}
+		BroadcastBW: p.BroadcastBW}
 }
 
 // Validate checks the profile's schema version and that every constant is
@@ -299,7 +299,6 @@ func (p Profile) Validate() error {
 	}{
 		{"read_bw", p.ReadBW}, {"write_bw", p.WriteBW},
 		{"flop_rate", p.FlopRate}, {"broadcast_bw", p.BroadcastBW},
-		{"compress_bw", p.CompressBW},
 	} {
 		if math.IsNaN(c.v) || c.v < calibMinRate || c.v > calibMaxRate {
 			return fmt.Errorf("calibration profile %s %g outside [%g, %g]", c.name, c.v, float64(calibMinRate), float64(calibMaxRate))

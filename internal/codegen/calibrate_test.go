@@ -31,16 +31,18 @@ func synthEntry(op string, truth codegen.CostModel, readB, writeB, bcastB, flops
 }
 
 // synthSummary rolls up a mixed diet of read-bound, write-heavy,
-// compute-bound, and broadcast-heavy executions generated from truth, one
-// operator group per execution.
-func synthSummary(truth codegen.CostModel) obs.AuditSummary {
+// compute-bound, and (with bcast) broadcast-heavy executions generated from
+// truth, one operator group per execution.
+func synthSummary(truth codegen.CostModel, bcast bool) obs.AuditSummary {
 	a := obs.NewAudit()
 	for i := 0; i < 9; i++ {
 		scale := 1 + float64(i)/8
 		a.Record(synthEntry(fmt.Sprint("read", i), truth, 8e6*scale, 64, 0, 1e5))
 		a.Record(synthEntry(fmt.Sprint("write", i), truth, 1e6, 8e6*scale, 0, 1e5))
 		a.Record(synthEntry(fmt.Sprint("flop", i), truth, 1e6, 64, 0, 1e8*scale))
-		a.Record(synthEntry(fmt.Sprint("bcast", i), truth, 1e6, 64, 4e6*scale, 1e5))
+		if bcast {
+			a.Record(synthEntry(fmt.Sprint("bcast", i), truth, 1e6, 64, 4e6*scale, 1e5))
+		}
 	}
 	return a.Summary()
 }
@@ -51,7 +53,7 @@ var synthTruth = codegen.CostModel{ReadBW: 8e9, WriteBW: 4e9, ComputeBW: 2e10, B
 // every constant within 2x of the ground truth that generated it, even
 // though the truth sits 4-8x away from the paper-default prior.
 func TestFitRecoversConstants(t *testing.T) {
-	got, n := codegen.Fit(codegen.DefaultCostModel(), synthSummary(synthTruth))
+	got, n := codegen.Fit(codegen.DefaultCostModel(), synthSummary(synthTruth, true))
 	if n != 4*9 {
 		t.Errorf("fit used %d groups, want %d", n, 4*9)
 	}
@@ -87,11 +89,11 @@ func TestFitTooFewSamples(t *testing.T) {
 // TestProfileRoundTrip: fitted constants survive Save -> LoadProfile ->
 // CostModel bit-exactly.
 func TestProfileRoundTrip(t *testing.T) {
-	fitted, n := codegen.Fit(codegen.DefaultCostModel(), synthSummary(synthTruth))
+	fitted, n := codegen.Fit(codegen.DefaultCostModel(), synthSummary(synthTruth, true))
 	p := codegen.Profile{
 		Version: codegen.ProfileVersion, CreatedUnix: time.Now().Unix(), Samples: int64(n),
 		ReadBW: fitted.ReadBW, WriteBW: fitted.WriteBW, FlopRate: fitted.ComputeBW,
-		BroadcastBW: fitted.BroadcastBW, CompressBW: fitted.CompressBW,
+		BroadcastBW: fitted.BroadcastBW,
 	}
 	path := filepath.Join(t.TempDir(), "profile.json")
 	if err := p.Save(path); err != nil {
@@ -109,15 +111,14 @@ func TestProfileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompressBWFit: the ledger holds no compressions, so Fit carries
-// CompressBW over from the prior, whatever the other constants do (the
-// calibrate experiment measures it by timing compress.Compress).
-func TestCompressBWFit(t *testing.T) {
+// TestFitKeepsBroadcastPriorWithoutBroadcasts: a ledger of local groups
+// holds no broadcast byte, so BroadcastBW is not fitted and stays exactly
+// at the prior, whatever the median rescale does to the other constants.
+func TestFitKeepsBroadcastPriorWithoutBroadcasts(t *testing.T) {
 	prior := codegen.DefaultCostModel()
-	prior.CompressBW = 123e6
-	got, _ := codegen.Fit(prior, synthSummary(synthTruth))
-	if got.CompressBW != prior.CompressBW {
-		t.Errorf("Fit moved CompressBW to %g, prior %g", got.CompressBW, prior.CompressBW)
+	got, _ := codegen.Fit(prior, synthSummary(synthTruth, false))
+	if got.BroadcastBW != prior.BroadcastBW {
+		t.Errorf("Fit moved BroadcastBW to %g without a broadcast, prior %g", got.BroadcastBW, prior.BroadcastBW)
 	}
 	if got.ReadBW == prior.ReadBW {
 		t.Error("the fit left ReadBW at its prior: the check shows nothing")
@@ -132,7 +133,7 @@ func TestLoadProfileRejects(t *testing.T) {
 	now := time.Now().Unix()
 	good := codegen.Profile{
 		Version: codegen.ProfileVersion, CreatedUnix: now, Samples: 10,
-		ReadBW: 8e9, WriteBW: 4e9, FlopRate: 2e10, BroadcastBW: 1e9, CompressBW: 1e8,
+		ReadBW: 8e9, WriteBW: 4e9, FlopRate: 2e10, BroadcastBW: 1e9,
 	}
 	cases := []struct {
 		name    string
@@ -149,12 +150,12 @@ func TestLoadProfileRejects(t *testing.T) {
 		}},
 		{"without-compress-bw", func(path string) error {
 			p := good
-			p.Version, p.CompressBW = 2, 0 // a version 2 file
+			p.Version = 2 // a file written before compress_bw was added
 			return p.Save(path)
 		}},
 		{"old-compressor-rate", func(path string) error {
 			p := good
-			p.Version = 3 // compress_bw timed the map-based compressor
+			p.Version = 3 // its compress_bw timed the map-based compressor
 			return p.Save(path)
 		}},
 		{"fitted-against-scalar-kernels", func(path string) error {
@@ -201,5 +202,24 @@ func TestLoadProfileRejects(t *testing.T) {
 	}
 	if _, err := codegen.LoadProfile(path); err != nil {
 		t.Fatalf("valid profile rejected: %v", err)
+	}
+}
+
+// TestLoadProfileIgnoresDroppedField: a version 4 file written while profiles
+// carried compress_bw still loads, with its four constants as written.
+func TestLoadProfileIgnoresDroppedField(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v4.json")
+	text := fmt.Sprintf(`{"version": 4, "created_unix": %d, "samples": 10, "read_bw": 8e9,
+		"write_bw": 4e9, "flop_rate": 2e10, "broadcast_bw": 1e9, "compress_bw": 8.1e8}`, time.Now().Unix())
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := codegen.LoadProfile(path)
+	if err != nil {
+		t.Fatalf("version 4 profile with compress_bw rejected: %v", err)
+	}
+	want := codegen.CostModel{ReadBW: 8e9, WriteBW: 4e9, ComputeBW: 2e10, BroadcastBW: 1e9}
+	if p.CostModel() != want {
+		t.Errorf("loaded %+v, want %+v", p.CostModel(), want)
 	}
 }

@@ -19,16 +19,11 @@ func Optimize(d *hop.DAG, cfg *Config, cache *PlanCache, stats *Stats) *hop.DAG 
 	return OptimizeTraced(d, cfg, cache, stats, nil, obs.Span{})
 }
 
-// OptimizeReport is Optimize with an optional EXPLAIN record: when rep is
-// non-nil it is filled with the plan choices of this DAG (see PlanReport).
-func OptimizeReport(d *hop.DAG, cfg *Config, cache *PlanCache, stats *Stats, rep *PlanReport) *hop.DAG {
-	return OptimizeTraced(d, cfg, cache, stats, rep, obs.Span{})
-}
-
-// OptimizeTraced is OptimizeReport under a trace span: when sp has a sink
-// attached, the optimizer emits one child span per partition enumeration
-// and one for operator construction, so plan-search time shows up in the
-// trace timeline.
+// OptimizeTraced is Optimize with an optional EXPLAIN record, under a trace
+// span: when rep is non-nil it is filled with the plan choices of this DAG
+// (see PlanReport); when sp has a sink attached, the optimizer emits one
+// child span per partition enumeration and one for operator construction,
+// so plan-search time shows up in the trace timeline.
 func OptimizeTraced(d *hop.DAG, cfg *Config, cache *PlanCache, stats *Stats, rep *PlanReport, sp obs.Span) *hop.DAG {
 	start := time.Now()
 	defer func() {

@@ -157,22 +157,17 @@ type CostModel struct {
 	WriteBW     float64 // bytes/s peak write
 	ComputeBW   float64 // FLOP/s peak
 	BroadcastBW float64 // bytes/s for distributed side-input broadcast
-	CompressBW  float64 // bytes/s compress.Compress turns a matrix into column groups at
 }
 
 // DefaultCostModel mirrors the paper's per-node constants (32 GB/s read,
 // 115 GFLOP/s) with a write bandwidth of half the read bandwidth and a
-// broadcast bandwidth an order of magnitude below local reads. CompressBW
-// has no counterpart in the paper: compress.Compress codes a column through
-// a table keyed on the bits of its values on every core, 160-990 MB/s on the
-// reference host (two cores).
+// broadcast bandwidth an order of magnitude below local reads.
 func DefaultCostModel() CostModel {
 	return CostModel{
 		ReadBW:      32e9,
 		WriteBW:     16e9,
 		ComputeBW:   115.2e9,
 		BroadcastBW: 1.25e9, // ~10 Gb Ethernet
-		CompressBW:  500e6,
 	}
 }
 

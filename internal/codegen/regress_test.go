@@ -7,6 +7,7 @@ import (
 	"sysml/internal/codegen"
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
+	"sysml/internal/obs"
 	"sysml/internal/rewrite"
 )
 
@@ -117,7 +118,7 @@ func TestDistributedOperatorIsPricedOnItsOwnInputs(t *testing.T) {
 	cfg := codegen.DefaultConfig()
 	cfg.Exec.MemBudgetBytes = 1 << 20
 	rep := &codegen.PlanReport{}
-	d = codegen.OptimizeReport(d, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats(), rep)
+	d = codegen.OptimizeTraced(d, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats(), rep, obs.Span{})
 	op := d.Outputs["P"]
 	if op.Kind != hop.OpSpoof || op.SpoofType != "Outer" || op.ExecType != hop.ExecDist {
 		t.Fatalf("want one distributed Outer operator:\n%s", hop.Explain(d.Roots()))

@@ -13,7 +13,7 @@ import (
 // HOP DAG before and after fusion, the per-partition search-space summary
 // (memo-table interesting points, evaluated vs. hypothetical plans,
 // estimated cost of the chosen plan), and the fused operators that were
-// constructed. It is filled by OptimizeReport and rendered by String.
+// constructed. It is filled by OptimizeTraced and rendered by String.
 type PlanReport struct {
 	Mode       string
 	HopsBefore string
@@ -76,8 +76,8 @@ type OperatorReport struct {
 
 // CompressedInput is one read the compression pass considered: Verdict says
 // what was decided and why, e.g. "compressed 4.35× (DDC×12 RLE×3, 12345
-// bytes)", "estimated ratio 1.86 < 3.00", "no compressed consumer", "second
-// read pending", "benefit 0.4 ms < cost 11 ms (...)".
+// bytes)", "estimated ratio 1.86 < 3.00", "produced by the script", "not
+// sampled".
 type CompressedInput struct {
 	Name       string
 	Rows, Cols int64

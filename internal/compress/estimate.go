@@ -12,8 +12,6 @@ type Estimate struct {
 	DenseBytes int64
 	// CompressedBytes is the estimated compressed size.
 	CompressedBytes int64
-	// SampledRows is how many rows the estimator actually inspected.
-	SampledRows int
 }
 
 // DefaultSampleRows is the default row-sample size for EstimateRatio.
@@ -49,7 +47,6 @@ func EstimateRatio(m *matrix.Matrix, sampleRows int) Estimate {
 		sampled = append(sampled, r)
 	}
 	n := len(sampled)
-	est.SampledRows = n
 	scale := float64(m.Rows) / float64(n)
 
 	var total int64

@@ -2,7 +2,6 @@ package dml
 
 import (
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -145,130 +144,76 @@ func codesTable(rows, cols int, seed int64) *matrix.Matrix {
 	return m
 }
 
-// counters reads the compression counters of a session.
-func compressCounters(s *Session) (sampled, compressed, declined, skipped, hits int64) {
+// compressCounters reads the compression counters of a session.
+func compressCounters(s *Session) (sampled, compressed, declined int64) {
 	c := s.Metrics().Counters
-	return c["compress.auto.sampled"], c["compress.auto.compressed"], c["compress.auto.declined"],
-		c["compress.plan.skipped"], c["compress.exec.hit"]
+	return c["compress.auto.sampled"], c["compress.auto.compressed"], c["compress.auto.declined"]
 }
 
-// TestProducedLoopInvariantIsCompressedWhenItPays: Xc = round(X) is produced
-// by the script and then read by one plan, sum(Xc^2), in every iteration.
-// The plan has a compressed consumer for it, so the second read samples it
-// (once), and the reads after that compress it when, at the cost model's
-// ReadBW and CompressBW, they have earned the compression back: at the
-// defaults (ReadBW/CompressBW = 64) and this table's estimate (ratio 3.81,
-// 278 sampled rows) (64496 + 580000) / (580000 − 152231) × 64 = 96.4, so
-// from read 97 on. From then on the aggregate runs over the dictionaries.
-func TestProducedLoopInvariantIsCompressedWhenItPays(t *testing.T) {
-	script := func(iters int) string {
-		return `
+// TestProducedValuesAreNeverSampled: Xc = round(X) is produced by the script
+// and then read 800 times by one plan, sum(Xc^2), which could run over its
+// dictionaries; Y is produced anew in every iteration and read by the block
+// after it. Neither reaches the estimator, and EXPLAIN says why, while the
+// bound X is sampled at its first read and compressed as before. The result
+// is the one without compression.
+func TestProducedValuesAreNeverSampled(t *testing.T) {
+	script := `
 		Xc = round(X)
 		s = 0
 		i = 0
-		while (i < ` + strconv.Itoa(iters) + `) {
+		while (i < 800) {
+			Y = Xc + i
+			if (i >= 0) {
+				s = s + sum(Y ^ 2)
+			}
 			s = s + sum(Xc ^ 2)
 			i = i + 1
 		}`
-	}
-	run := func(iters int, mode codegen.CompressMode) *Session {
+	run := func(mode codegen.CompressMode) *Session {
 		t.Helper()
 		cfg := codegen.DefaultConfig()
 		cfg.Compress = mode
 		cfg.Reopt.MinSec = math.Inf(1)
 		s := newTestSessionCfg(cfg)
 		s.Bind("X", codesTable(2500, 29, 21))
-		if err := s.Run(script(iters)); err != nil {
+		if err := s.Run(script); err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
 
-	// Too few reads to pay for it: sampled at the second read, never
-	// compressed, and EXPLAIN says what the inequality read.
-	short := run(40, codegen.CompressAuto)
-	sampled, compressed, declined, _, _ := compressCounters(short)
-	if sampled != 2 || compressed != 1 || declined != 0 { // X and Xc sampled, X compressed
-		t.Errorf("40 reads: sampled %d, compressed %d, declined %d; want 2, 1, 0", sampled, compressed, declined)
+	auto := run(codegen.CompressAuto)
+	if sampled, compressed, declined := compressCounters(auto); sampled != 1 || compressed != 1 || declined != 0 {
+		t.Errorf("sampled %d, compressed %d, declined %d; want X alone sampled and compressed", sampled, compressed, declined)
 	}
-	xc, _ := short.Get("Xc")
-	if compress.Of(xc) != nil {
-		t.Error("Xc was compressed after 40 reads")
+	if x := auto.Env["X"]; compress.Of(x) == nil {
+		t.Error("the bound X was not compressed")
 	}
-	// The loop body is the plan that ran last (the predicate after it).
-	body := short.blockLRU.Front().Next().Value.(*blockEntry)
-	if v := short.verdict(findRead(body.reads, "Xc")); !strings.HasPrefix(v, "benefit ") {
-		t.Errorf("verdict %q, want the benefit/cost inequality", v)
+	for _, name := range []string{"Xc", "Y"} {
+		if m, _ := auto.Get(name); compress.Of(m) != nil {
+			t.Errorf("%s was compressed", name)
+		}
+	}
+	verdicts := map[string]string{}
+	for e := auto.blockLRU.Front(); e != nil; e = e.Next() {
+		for _, ci := range auto.compressReport(e.Value.(*blockEntry).inputs) {
+			verdicts[ci.Name] = ci.Verdict
+		}
+	}
+	for _, name := range []string{"Xc", "Y"} {
+		if v := verdicts[name]; v != "produced by the script" {
+			t.Errorf("%s: verdict %q", name, v)
+		}
+	}
+	if v := verdicts["X"]; !strings.HasPrefix(v, "compressed ") {
+		t.Errorf("X: verdict %q, want its compressed form", v)
 	}
 
-	long := run(800, codegen.CompressAuto)
-	sampled, compressed, _, _, hits := compressCounters(long)
-	if sampled != 2 || compressed != 2 {
-		t.Errorf("800 reads: sampled %d, compressed %d; want 2 and 2 (one estimate per value)", sampled, compressed)
-	}
-	xc, _ = long.Get("Xc")
-	if compress.Of(xc) == nil {
-		t.Fatal("Xc was not compressed after 800 reads")
-	}
-	if hits < 650 || hits > 750 { // round(X) over compressed X, then the reads from 97 on
-		t.Errorf("compress.exec.hit = %d, want the aggregate over the dictionaries from about read 97 on", hits)
-	}
-	if n := long.Metrics().Counters["reopt.compress"]; n != 1 {
-		t.Errorf("the reading plan was re-planned %d times under the annotation, want once", n)
-	}
-	off := run(800, codegen.CompressOff)
-	a, _ := long.Scalar("s")
+	off := run(codegen.CompressOff)
+	a, _ := auto.Scalar("s")
 	b, _ := off.Scalar("s")
 	if math.Abs(a-b) > 1e-9*math.Abs(b) {
-		t.Errorf("s = %v with the value compressed mid-loop, %v without compression", a, b)
-	}
-}
-
-// TestProducedValuesWithoutSecondReadOrConsumerAreNeverSampled: a value
-// rewritten every iteration is never read twice by the plan that reads it,
-// and a transpose that only feeds matrix products has no operator that
-// could use a compressed form; neither reaches the estimator.
-func TestProducedValuesWithoutSecondReadOrConsumerAreNeverSampled(t *testing.T) {
-	cfg := codegen.DefaultConfig()
-	cfg.Reopt.MinSec = math.Inf(1)
-	s := newTestSessionCfg(cfg)
-	s.Bind("X", matrix.Rand(3000, 8, 1, -1, 1, 31)) // sampled once, declined
-	s.Bind("U", matrix.Rand(3000, 4, 1, -1, 1, 32)) // sampled once, declined
-	err := s.Run(`
-		Xt = t(X)
-		acc = 0
-		i = 0
-		while (i < 6) {
-			Y = X + i
-			if (i >= 0) {
-				acc = acc + sum(Y ^ 2)
-			}
-			G = Xt %*% U
-			acc = acc + sum(G)
-			i = i + 1
-		}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, compressed, declined, skipped, _ := compressCounters(s)
-	if sampled != 2 || compressed != 0 || declined != 2 {
-		t.Errorf("sampled %d, compressed %d, declined %d; want the two bound inputs sampled and declined, nothing else", sampled, compressed, declined)
-	}
-	if skipped < 12 { // Y and Xt, six reads each
-		t.Errorf("compress.plan.skipped = %d, want the reads of Y and Xt counted", skipped)
-	}
-	for e := s.blockLRU.Front(); e != nil; e = e.Next() {
-		entry := e.Value.(*blockEntry)
-		if r := findRead(entry.reads, "Xt"); r != nil {
-			if v := s.verdict(r); v != "no compressed consumer" {
-				t.Errorf("Xt: verdict %q", v)
-			}
-		}
-		if r := findRead(entry.reads, "Y"); r != nil {
-			if v := s.verdict(r); v != "second read pending" {
-				t.Errorf("Y: verdict %q", v)
-			}
-		}
+		t.Errorf("s = %v with X compressed, %v without compression", a, b)
 	}
 }
 
@@ -286,8 +231,8 @@ func TestOutsideInputsAreSampledAtFirstRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sampled, _, declined, skipped, _ := compressCounters(s); sampled != 1 || declined != 1 || skipped != 0 {
-		t.Errorf("bound input: sampled %d, declined %d, skipped %d; want 1, 1, 0", sampled, declined, skipped)
+	if sampled, _, declined := compressCounters(s); sampled != 1 || declined != 1 {
+		t.Errorf("bound input: sampled %d, declined %d; want 1, 1", sampled, declined)
 	}
 
 	r := newTestSession(codegen.ModeGen)
@@ -298,8 +243,8 @@ func TestOutsideInputsAreSampledAtFirstRead(t *testing.T) {
 		}
 		r.Reset()
 	}
-	if sampled, compressed, _, skipped, _ := compressCounters(r); sampled != 3 || compressed != 3 || skipped != 0 {
-		t.Errorf("request inputs: sampled %d, compressed %d, skipped %d; want 3, 3, 0", sampled, compressed, skipped)
+	if sampled, compressed, _ := compressCounters(r); sampled != 3 || compressed != 3 {
+		t.Errorf("request inputs: sampled %d, compressed %d; want 3, 3", sampled, compressed)
 	}
 }
 

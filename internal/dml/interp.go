@@ -65,9 +65,9 @@ type Session struct {
 	programs   []program               // parsed scripts, most recently run first, at most MaxPrograms
 	bound      map[*matrix.Matrix]bool // matrices handed in via Bind (caller-owned)
 	// produced holds the compression candidates the script itself produced
-	// (setEnvAll wrote them as new results) and that are still bound: their
-	// compression is decided by the block plans that read them (compress.go).
-	// A value Bind or a serving request put into Env is in no such set.
+	// (setEnvAll wrote them as new results) and that are still bound: the
+	// compression pass skips them (compress.go). A value Bind or a serving
+	// request put into Env is in no such set.
 	produced map[*matrix.Matrix]struct{}
 
 	nnzHints map[string]int64 // sparsity estimates from BindWithNnz, dropped on divergence
@@ -91,23 +91,20 @@ type Session struct {
 // The plan has parameters: slices are the DAG's partial row-range index hops
 // in topological order, sites the accRows of log that give each its current
 // bounds (X[lo:hi,] in a mini-batch loop is one plan). inputs are the
-// transient reads that are not also outputs and reads the compression
-// decisions the plan takes for them (compress.go); replanned says the entry
-// was already optimized once more because one of them was compressed.
+// transient reads that are not also outputs, which the compression pass
+// decides (compress.go).
 // prints holds the block's print statements: string literals and printRefs,
 // names of DAG outputs.
 type blockEntry struct {
-	id        any
-	log       []access
-	dag       *hop.DAG
-	sched     *runtime.Schedule
-	prints    [][]any
-	inputs    []*hop.Hop
-	lru       *list.Element
-	slices    []*hop.Hop
-	sites     []int
-	reads     []*readPlan
-	replanned bool
+	id     any
+	log    []access
+	dag    *hop.DAG
+	sched  *runtime.Schedule
+	prints [][]any
+	inputs []*hop.Hop
+	lru    *list.Element
+	slices []*hop.Hop
+	sites  []int
 }
 
 type printRef string
@@ -687,22 +684,12 @@ func (s *Session) runBlock(ctx context.Context, root obs.Span, stmts []Stmt) err
 
 	// Compression pass: reuse or decide compressed forms of the block's
 	// reads and annotate their OpData hops, so that a block optimized below
-	// sees compressed sizes in its read terms. A cached plan that compressed
-	// a script-produced value just now is optimized once more, under the
-	// annotation, and keeps the value's read history.
+	// sees compressed sizes in its read terms.
 	spz := root.Phase(s.Obs, "compress")
 	if entry == nil {
-		s.compressPass(fresh.inputs, nil)
-	} else if s.compressPass(entry.inputs, entry) && !entry.replanned {
-		s.invalidateBlock(entry, "reopt.invalidations")
-		s.Obs.Inc("reopt.compress")
-		if fresh, err = s.compile(stmts, nil); err != nil {
-			spz.End()
-			return err
-		}
-		s.annotateReads(fresh.inputs)
-		fresh.reads, fresh.replanned = entry.reads, true
-		entry = nil
+		s.compressPass(fresh.inputs)
+	} else {
+		s.compressPass(entry.inputs)
 	}
 	spz.End()
 
@@ -719,11 +706,8 @@ func (s *Session) runBlock(ctx context.Context, root obs.Span, stmts []Stmt) err
 		entry.dag = codegen.OptimizeTraced(entry.dag, &s.Config, s.Cache, s.Stats, rep, spo)
 		s.Blocks++
 		s.remember(entry)
-		if s.Config.ReuseBlockPlans || rep != nil {
-			entry.reads = s.planReads(entry.dag, entry.reads)
-		}
 		if rep != nil {
-			rep.Compressed = s.compressReport(entry.reads)
+			rep.Compressed = s.compressReport(entry.inputs)
 		}
 		if s.Config.ReuseBlockPlans {
 			s.Obs.Inc("block.cache.misses")

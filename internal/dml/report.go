@@ -13,9 +13,9 @@ import (
 // RunReport renders what one run did from two Metrics snapshots taken
 // around it — the one renderer of the run sections, behind Session.Explain
 // and dmlrun alike. Counters are reported as the run's differences: the
-// BUFFER POOL section always; COMPRESSED when the run compressed, declined,
-// skipped or executed over a compressed input, followed by where the
-// session's cached plans' compression decisions stand; DISTRIBUTED when a
+// BUFFER POOL section always; COMPRESSED when the run compressed, declined
+// or executed over a compressed input, followed by where the session's
+// cached plans' compression decisions stand; DISTRIBUTED when a
 // cluster is attached, with FAULTS while it has a fault plan. Levels — the
 // compression ratio and the executor counts — are read from after.
 func (s *Session) RunReport(before, after obs.Snapshot) string {
@@ -33,11 +33,11 @@ func (s *Session) RunReport(before, after obs.Snapshot) string {
 	fmt.Fprintf(&b, "  bytes recycled:     %d (hit rate %.1f%%)\n", d("pool.bytes.recycled"), rate)
 
 	hit, fb := d("compress.exec.hit"), d("compress.exec.fallback")
-	ac, ad, skipped := d("compress.auto.compressed"), d("compress.auto.declined"), d("compress.plan.skipped")
-	if hit+fb+ac+ad+skipped > 0 {
+	ac, ad := d("compress.auto.compressed"), d("compress.auto.declined")
+	if hit+fb+ac+ad > 0 {
 		b.WriteString("\nCOMPRESSED (this run)\n")
-		fmt.Fprintf(&b, "  inputs compressed:  %d (declined %d from %d estimates, %d reads never sampled)\n",
-			ac, ad, d("compress.auto.sampled"), skipped)
+		fmt.Fprintf(&b, "  inputs compressed:  %d (declined %d from %d estimates)\n",
+			ac, ad, d("compress.auto.sampled"))
 		if r, ok := after.Gauges["compress.ratio"]; ok {
 			fmt.Fprintf(&b, "  compression ratio:  %.2f\n", r)
 		}
@@ -47,7 +47,7 @@ func (s *Session) RunReport(before, after obs.Snapshot) string {
 		seen := map[string]bool{}
 		var lines []string
 		for e := s.blockLRU.Front(); e != nil; e = e.Next() {
-			for _, ci := range s.compressReport(e.Value.(*blockEntry).reads) {
+			for _, ci := range s.compressReport(e.Value.(*blockEntry).inputs) {
 				if line := ci.String(); !seen[line] {
 					seen[line] = true
 					lines = append(lines, line)

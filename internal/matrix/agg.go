@@ -40,16 +40,18 @@ func (ctx Ctx) aggAll(op AggOp, a *Matrix) float64 {
 				s = vector.Sum(vals, 0, len(vals))
 			}
 		} else {
-			nc, _ := ctx.Par.Chunks(len(a.dense), 4096)
-			partial := make([]float64, nc)
-			ctx.Par.ForIndexed(len(a.dense), 4096, func(w, lo, hi int) {
-				if op == AggSumSq {
-					partial[w] += vector.SumSq(a.dense, lo, hi-lo)
-				} else {
-					partial[w] += vector.Sum(a.dense, lo, hi-lo)
-				}
-			})
-			s = vector.Sum(partial, 0, len(partial))
+			// The cells as one column: foldRows merges the partials in
+			// order, so the sum does not depend on which worker took which
+			// chunk.
+			sum := vector.Sum
+			if op == AggSumSq {
+				sum = vector.SumSq
+			}
+			acc := []float64{0}
+			ctx.foldRows(len(a.dense), 1, acc,
+				func(part []float64, lo, hi int) { part[0] = sum(a.dense, lo, hi-lo) },
+				func(part []float64) { acc[0] += part[0] })
+			s = acc[0]
 		}
 		if op == AggMean {
 			return s / float64(nCells)

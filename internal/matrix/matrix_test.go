@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"sysml/internal/par"
 )
 
 func mustDense(rows, cols int, vals ...float64) *Matrix {
@@ -314,6 +316,22 @@ func TestAggregationsSparse(t *testing.T) {
 	}
 	if got := Agg(AggMax, DirRow, sp); !got.EqualsApprox(mustDense(2, 1, 0, 3), 0) {
 		t.Fatal("sparse rowMaxs must see zeros")
+	}
+}
+
+// TestFullSumIsDeterministic: a dense sum over several workers folds its
+// partials in one fixed order, whichever worker claimed which chunk, so
+// repeating it reproduces the result bit for bit.
+func TestFullSumIsDeterministic(t *testing.T) {
+	ctx := Ctx{Par: par.NewPool(4)}
+	a := Rand(500, 100, 1, 1, 2, 7)
+	for _, op := range []AggOp{AggSum, AggSumSq} {
+		want := ctx.aggAll(op, a)
+		for rep := 0; rep < 300; rep++ {
+			if got := ctx.aggAll(op, a); got != want {
+				t.Fatalf("%v: repetition %d gave %v, the first %v", op, rep, got, want)
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package runtime
 import (
 	"sysml/internal/compress"
 	"sysml/internal/cplan"
-	"sysml/internal/hop"
 	"sysml/internal/matrix"
 	"sysml/internal/vector"
 )
@@ -16,41 +15,6 @@ import (
 // genexec work into O(distinct) (paper Fig. 9, Gen-over-CLA). Ineligible
 // bodies fall back transparently to the dense skeletons; the executor
 // attributes the decision via the compress.exec.hit/fallback counters.
-
-// CompressedConsumer reports whether operator h of an optimized DAG would
-// use a compressed form of its input in, were one attached — the question
-// the interpreter asks when it plans a block, before anything is sampled: a
-// fused operator that runs over the dictionaries of its main input
-// (compressedUsable), a basic aggregate served from them
-// (compressedAggUsable), or, with a distributed backend (dist), an operator
-// that ships in as a broadcast side — the cost model's split, the largest
-// input is read where it lies — in which case shipped is true and what the
-// compressed form saves is wire bytes.
-//
-// The Row skeleton needs one dictionary-coded group over every column
-// (rowGroupUsable), which co-coding, pairing columns, can only produce for
-// a main input of at most two.
-func CompressedConsumer(h, in *hop.Hop, dist bool) (ok, shipped bool) {
-	if h.ExecType == hop.ExecDist && dist {
-		for _, other := range h.Inputs {
-			if other.OutputSizeBytes() > in.OutputSizeBytes() {
-				return true, true
-			}
-		}
-		return false, false
-	}
-	switch h.Kind {
-	case hop.OpSpoof:
-		op, isOp := h.Spoof.(*cplan.Operator)
-		if !isOp || h.Inputs[0] != in {
-			return false, false
-		}
-		return op.Compressed && (op.Plan.Type != cplan.TemplateRow || in.Cols <= 2), false
-	case hop.OpAggUnary:
-		return compressedAggUsable(h.AggOp, h.AggDir), false
-	}
-	return false, false
-}
 
 // compressedUsable combines the plan-level eligibility the operator was
 // compiled with and the invocation-level conditions the skeleton needs (Row

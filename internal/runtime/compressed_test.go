@@ -252,54 +252,3 @@ func TestCompressedBasicAgg(t *testing.T) {
 		t.Fatal("row aggregates need per-row evaluation, must decline")
 	}
 }
-
-// TestCompressedConsumer: which planned operators would use a compressed
-// form of a read — the plan-time mirror of the skeleton dispatch.
-func TestCompressedConsumer(t *testing.T) {
-	d := hop.NewDAG()
-	x := d.Read("X", 5000, 8, -1)
-	y := d.Read("Y", 5000, 8, -1)
-	v := d.Read("v", 5000, 1, -1)
-	// The question is answered from the verdict the operator was compiled with.
-	eligible := cplan.Compile(&cplan.Plan{Type: cplan.TemplateCell, Cell: cplan.CellFullAgg, AggOp: matrix.AggSum,
-		Root: cplan.Binary(matrix.BinMul, cplan.Main(0), cplan.Main(0))}, "TMPe")
-	perCell := cplan.Compile(&cplan.Plan{Type: cplan.TemplateCell, Cell: cplan.CellFullAgg, AggOp: matrix.AggSum, NumSides: 1,
-		Root: cplan.Binary(matrix.BinMul, cplan.Main(0), cplan.Side(0, cplan.AccessCell, 0))}, "TMPc")
-	rowOp := cplan.Compile(&cplan.Plan{Type: cplan.TemplateRow, Row: cplan.RowRowAgg,
-		Root: cplan.Agg(matrix.AggSum, cplan.Main(8)), MainWidth: 8}, "TMPr")
-	if eligible.NotCompressed != "" || perCell.Compressed || perCell.NotCompressed == "" {
-		t.Fatalf("verdicts: eligible %q, per cell %v %q", eligible.NotCompressed, perCell.Compressed, perCell.NotCompressed)
-	}
-
-	for _, tc := range []struct {
-		name        string
-		h, in       *hop.Hop
-		dist        bool
-		ok, shipped bool
-	}{
-		{"eligible cell body over its main", d.NewSpoof("Cell", eligible, 1, 1, -1, x), x, false, true, false},
-		{"per-cell side declines", d.NewSpoof("Cell", perCell, 1, 1, -1, x, y), x, false, false, false},
-		{"a side of an eligible body", d.NewSpoof("Cell", perCell, 1, 1, -1, x, y), y, false, false, false},
-		{"row body over 8 columns has no single group", d.NewSpoof("Row", rowOp, 5000, 1, -1, x), x, false, false, false},
-		{"row body over a column vector", d.NewSpoof("Row", rowOp, 5000, 1, -1, v), v, false, true, false},
-		{"full aggregate", d.Agg(matrix.AggSum, matrix.DirAll, x), x, false, true, false},
-		{"row aggregate", d.Agg(matrix.AggSum, matrix.DirRow, x), x, false, false, false},
-		{"matrix product", d.MatMult(d.Transpose(x), y), y, false, false, false},
-	} {
-		if ok, shipped := CompressedConsumer(tc.h, tc.in, tc.dist); ok != tc.ok || shipped != tc.shipped {
-			t.Errorf("%s: got (%v, %v), want (%v, %v)", tc.name, ok, shipped, tc.ok, tc.shipped)
-		}
-	}
-	// A distributed operator ships every input but its largest.
-	mm := d.MatMult(x, d.Read("W", 8, 4, -1))
-	mm.ExecType = hop.ExecDist
-	if ok, shipped := CompressedConsumer(mm, mm.Inputs[1], true); !ok || !shipped {
-		t.Errorf("broadcast side of a distributed product: got (%v, %v)", ok, shipped)
-	}
-	if ok, _ := CompressedConsumer(mm, x, true); ok {
-		t.Error("the partitioned input of a distributed product is not shipped")
-	}
-	if ok, _ := CompressedConsumer(mm, mm.Inputs[1], false); ok {
-		t.Error("without a backend the product runs locally and reads dense")
-	}
-}

@@ -17,7 +17,7 @@ func writeProfile(t *testing.T) (string, codegen.CostModel) {
 	t.Helper()
 	p := codegen.Profile{
 		Version: codegen.ProfileVersion, CreatedUnix: time.Now().Unix(), Samples: 12,
-		ReadBW: 8e9, WriteBW: 4e9, FlopRate: 2e10, BroadcastBW: 1e9, CompressBW: 2e8,
+		ReadBW: 8e9, WriteBW: 4e9, FlopRate: 2e10, BroadcastBW: 1e9,
 	}
 	path := filepath.Join(t.TempDir(), "profile.json")
 	if err := p.Save(path); err != nil {
