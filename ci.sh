@@ -53,6 +53,9 @@ GOARCH=arm64 go vet ./internal/vector
 #    inequality for produced values, its read histories, the consumer
 #    question it asked the runtime, its cost constant and timed
 #    compressions, its re-plan and its skip counter.
+#  - One parallel fold: a reduction keeps one partial per fixed chunk and
+#    merges them in chunk order; the per-worker region and its capped twin,
+#    whose partials depended on which worker claimed which chunk.
 while IFS=';' read -r section pattern exempt what; do
   echo "== $section =="
   spec=('*.go')
@@ -72,6 +75,7 @@ one compression state per matrix;attachMu|attachCap|attachTick|releaseHooks|OnRe
 one plan-cache store, one observation callback;cacheShard|shardFor|PlanHashes|NewSharedPlanCache|CalibSink|InputFeedback|OuterRank;-;plan-cache invalidation, the shard layer or the executor's feedback records
 one offline fit into a profile;Calibrator|syncCalibration|calibGen|ObserveCompress|WithCalibration|SaveProfile|reopt\.calib;-;the online calibrator or its generations
 one compression rule;readPlan|readHistory|compressProduced|planReads|CompressedConsumer|CompressBW|calibrateCompressions|reopt\.compress|compress\.plan\.skipped;-;the compression policy for script-produced values
+one parallel fold;ForIndexed(Limit)?\(;-;a per-worker parallel region
 ROWS
 # Only cplan.Program.Exec executes RowInstrs (lower.go emits them, source.go
 # renders them).
@@ -101,10 +105,11 @@ go test -race -timeout 120s ./...
 
 # The concurrency-heavy packages must not depend on the core count: a join
 # that only works with spare cores, or a batching test that only coalesces
-# when the scheduler cooperates, fails here.
+# when the scheduler cooperates, fails here. The kernels' reductions do not
+# depend on scheduling either, and their property tests hold at every count.
 for procs in 1 2 4 8; do
-  echo "== go test -short, GOMAXPROCS=$procs (par dist runtime serve compress) =="
-  GOMAXPROCS=$procs go test -short -timeout 120s ./internal/par ./internal/dist ./internal/runtime ./internal/serve ./internal/compress
+  echo "== go test -short, GOMAXPROCS=$procs (par dist runtime serve compress matrix) =="
+  GOMAXPROCS=$procs go test -short -timeout 120s ./internal/par ./internal/dist ./internal/runtime ./internal/serve ./internal/compress ./internal/matrix
 done
 
 # Every assembly kernel against its Go twin on generated shapes, offsets and

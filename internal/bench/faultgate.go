@@ -38,7 +38,7 @@ const (
 func panelMatMultReference(cl *dist.Cluster, a, b *matrix.Matrix) *matrix.Matrix {
 	out := matrix.NewDense(a.Rows, b.Cols)
 	ps := cl.Panels(a.Rows)
-	par.ForIndexedLimit(len(ps), 1, cl.NumExecutors, func(_, lo, hi int) {
+	par.ForLimit(len(ps), 1, cl.NumExecutors, func(lo, hi int) {
 		for _, p := range ps[lo:hi] {
 			matrix.MatMultInto(out.RowView(p[0], p[1]), a.RowView(p[0], p[1]), b)
 		}

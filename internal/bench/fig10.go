@@ -63,9 +63,11 @@ func PerCellSum(root *cplan.CNode, interpreted bool) func(x *matrix.Matrix, side
 	}
 	return func(x *matrix.Matrix, sides []*matrix.Matrix) float64 {
 		proto, d, cols := cplan.NewCtx(sides), x.Dense(), x.Cols
-		nw, _ := par.Chunks(x.Rows, 64)
+		// One partial per participant, the loop the figure always timed:
+		// the sum is a comparator's, checked within a tolerance.
+		nw, _ := par.Default.Chunks(x.Rows, 64)
 		partials := make([]float64, nw)
-		par.ForIndexed(x.Rows, 64, func(w, lo, hi int) {
+		par.Default.Fold(x.Rows, 64, func(w, _, lo, hi int) {
 			ctx, acc := proto.Clone(), 0.0
 			for i := lo; i < hi; i++ {
 				for j, a := range d[i*cols : (i+1)*cols] {

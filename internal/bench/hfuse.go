@@ -68,16 +68,17 @@ func hfusePlan() *cplan.Plan {
 
 // hfuseIdeal is the hand-written ideal fused loop the merged operator is
 // measured against: one parallel pass producing column sums, the squared
-// sum, and the mapped output.
+// sum, and the mapped output. It keeps one partial per participant, the
+// loop the gate has always measured; its results are discarded.
 func hfuseIdeal(x *matrix.Matrix) {
 	rows, cols := x.Rows, x.Cols
 	xd := x.Dense()
 	y := matrix.NewDenseUninit(rows, cols)
 	yd := y.Dense()
-	nw, _ := par.Chunks(rows, 16)
+	nw, _ := par.Default.Chunks(rows, 16)
 	colP := make([][]float64, nw)
 	sumP := make([]float64, nw)
-	par.ForIndexed(rows, 16, func(w, lo, hi int) {
+	par.Default.Fold(rows, 16, func(w, _, lo, hi int) {
 		cp := colP[w]
 		if cp == nil {
 			cp = make([]float64, cols)

@@ -25,10 +25,11 @@ type PlanReport struct {
 	// reason.
 	Horizontal []HorizontalGroup
 	// Compressed lists the reads of this block the interpreter's compression
-	// pass considered, each with what was decided about it and why (filled
-	// by the interpreter after the plan is chosen: the decision for a value
-	// the script produced depends on the plan's operators). Non-empty
-	// Compressed also switches the operator lines to include per-operator
+	// pass considered, each with what was decided about it and why. The
+	// interpreter builds it from the block's inputs after the plan is
+	// chosen; only a value that entered the session is a candidate, since
+	// one the script produced is never compressed. Non-empty Compressed
+	// also switches the operator lines to include per-operator
 	// compressed-eligibility.
 	Compressed []CompressedInput
 	// Plan-cache activity attributable to this Optimize call (deltas of the

@@ -421,7 +421,7 @@ func (c *Cluster) schedule(sp obs.Span, ps [][2]int, fn func(panel, lo, hi int))
 	// back after its executor left (it died holding the task) is claimed in
 	// the next round.
 	for {
-		par.ForIndexedLimit(len(live), 1, len(live), func(_, lo, hi int) {
+		par.ForLimit(len(live), 1, len(live), func(lo, hi int) {
 			for _, e := range live[lo:hi] {
 				r.executorLoop(e)
 			}

@@ -48,7 +48,7 @@ func (ctx Ctx) aggAll(op AggOp, a *Matrix) float64 {
 				sum = vector.SumSq
 			}
 			acc := []float64{0}
-			ctx.foldRows(len(a.dense), 1, acc,
+			ctx.foldRows(len(a.dense), 16384, 1, acc,
 				func(part []float64, lo, hi int) { part[0] = sum(a.dense, lo, hi-lo) },
 				func(part []float64) { acc[0] += part[0] })
 			s = acc[0]
@@ -130,6 +130,7 @@ func (ctx Ctx) aggCols(op AggOp, a *Matrix) *Matrix {
 	n := a.Cols
 	out := ctx.NewDense(1, n)
 	od := out.dense
+	grain := max(64, 16384/max(n, 1))
 	switch {
 	case a.Rows == 0 || n == 0:
 	case op == AggMin || op == AggMax:
@@ -138,7 +139,7 @@ func (ctx Ctx) aggCols(op AggOp, a *Matrix) *Matrix {
 		if op == AggMax {
 			k = vector.OpMax
 		}
-		ctx.foldRows(a.Rows, n, od, func(part []float64, lo, hi int) {
+		ctx.foldRows(a.Rows, grain, n, od, func(part []float64, lo, hi int) {
 			copy(part, ad[lo*n:(lo+1)*n])
 			for i := lo + 1; i < hi; i++ {
 				vector.Binary(k, part, ad, part, 0, i*n, 0, n)
@@ -156,7 +157,7 @@ func (ctx Ctx) aggCols(op AggOp, a *Matrix) *Matrix {
 			}
 		}
 	default:
-		ctx.foldRows(a.Rows, n, od, func(part []float64, lo, hi int) {
+		ctx.foldRows(a.Rows, grain, n, od, func(part []float64, lo, hi int) {
 			switch {
 			case op == AggSumSq:
 				sq := make([]float64, n)
@@ -181,27 +182,24 @@ func (ctx Ctx) aggCols(op AggOp, a *Matrix) *Matrix {
 	return out
 }
 
-// foldRows folds the rows of an n-column matrix into od: fold reduces rows
-// [lo, hi) into a partial of its own (zeroed), merge folds a partial into
-// od, the first one by copy. Chunks are fixed by the row count and merged
-// in row order, so the result does not depend on scheduling.
-func (ctx Ctx) foldRows(rows, n int, od []float64, fold func(part []float64, lo, hi int), merge func(part []float64)) {
-	nc, _ := ctx.Par.Chunks(rows, max(64, 16384/n))
+// foldRows folds rows [0, rows) into the n cells of od (zeroed): fold
+// reduces rows [lo, hi) into a partial of its own (zeroed), merge folds a
+// partial into od, the first one by copy. The partials are those of
+// Par.Fold's chunks, merged in chunk order, so the result does not depend
+// on scheduling.
+func (ctx Ctx) foldRows(rows, grain, n int, od []float64, fold func(part []float64, lo, hi int), merge func(part []float64)) {
+	_, nc := ctx.Par.Chunks(rows, grain)
 	if nc <= 1 {
 		fold(od, 0, rows)
 		return
 	}
-	size := (rows + nc - 1) / nc
-	parts := make([]float64, nc*n)
-	ctx.Par.For(nc, 1, func(lo, hi int) {
-		for c := lo; c < hi && c*size < rows; c++ {
-			fold(parts[c*n:(c+1)*n], c*size, min(rows, (c+1)*size))
-		}
-	})
+	parts := ctx.Buf.Get(nc * n)
+	ctx.Par.Fold(rows, grain, func(_, c, lo, hi int) { fold(parts[c*n:(c+1)*n], lo, hi) })
 	copy(od, parts[:n])
-	for c := 1; c*size < rows; c++ {
+	for c := 1; c < nc; c++ {
 		merge(parts[c*n : (c+1)*n])
 	}
+	ctx.Buf.Put(parts)
 }
 
 // RowIndexMax returns rowIndexMax(A) on the default execution context.

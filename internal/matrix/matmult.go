@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"sysml/internal/vector"
 )
@@ -76,25 +75,10 @@ func (ctx Ctx) matMultDenseDense(a, b, c *Matrix) {
 	if m <= mmSplitMaxRows && k >= mmSplitMinK {
 		// Few long rows (t(X) %*% W with X tall and narrow): the rows alone
 		// cannot occupy the workers, so split the common dimension and sum
-		// per-worker partial products.
-		nw, _ := ctx.Par.Chunks(k, mmSplitMinK/2)
-		partials := make([][]float64, nw)
-		ctx.Par.ForIndexed(k, mmSplitMinK/2, func(w, lo, hi int) {
-			part := cd
-			if w > 0 {
-				if partials[w] == nil {
-					partials[w] = ctx.Buf.Get(m * n)
-				}
-				part = partials[w]
-			}
+		// the chunks' partial products in order.
+		ctx.foldRows(k, mmSplitMinK/2, m*n, cd, func(part []float64, lo, hi int) {
 			vector.MatMultAdd(ad, bd, part, lo, k, lo*n, 0, m, hi-lo, n)
-		})
-		for _, part := range partials {
-			if part != nil {
-				vector.Add(part, cd, 0, 0, m*n)
-				ctx.Buf.Put(part)
-			}
-		}
+		}, func(part []float64) { vector.Add(part, cd, 0, 0, m*n) })
 		return
 	}
 	ctx.Par.For(m, mmRowGrain, func(lo, hi int) {
@@ -174,9 +158,9 @@ func (ctx Ctx) matMultSparseSparse(a, b *Matrix) *Matrix {
 	return out
 }
 
-// spa is a per-worker sparse accumulator (dense row accumulator with a
+// spa is a participant's sparse accumulator (dense row accumulator with a
 // touched-column list and per-row generation marks), reused across all
-// chunks a worker claims.
+// chunks it claims.
 type spa struct {
 	acc     []float64
 	mark    []int
@@ -194,30 +178,29 @@ func newSPA(n int, bp *BufPool) *spa {
 
 func (s *spa) release() { s.bp.Put(s.acc) }
 
-// matMultSparseSparseSparseOut builds a CSR product: each worker scatters
-// B-rows into its dense row accumulator, gathers the touched columns in
-// sorted order, and appends finished rows to a per-chunk CSR fragment; the
-// fragments are stitched in row order at the end.
+// matMultSparseSparseSparseOut builds a CSR product: each participant
+// scatters B-rows into its dense row accumulator, gathers the touched
+// columns in sorted order, and appends finished rows to the CSR fragment of
+// the chunk; the fragments are stitched in chunk order, which is row order.
 func (ctx Ctx) matMultSparseSparseSparseOut(a, b *Matrix) *Matrix {
 	n := b.Cols
 	as, bs := a.sparse, b.sparse
 	type frag struct {
-		lo, hi int
+		lo     int
 		rowPtr []int // nnz per row, later prefix-summed globally
 		cols   []int
 		vals   []float64
 	}
-	var mu sync.Mutex
-	var frags []*frag
-	nw, _ := ctx.Par.Chunks(a.Rows, mmRowGrain)
-	spas := make([]*spa, nw)
-	ctx.Par.ForIndexed(a.Rows, mmRowGrain, func(w, lo, hi int) {
+	nw, nc := ctx.Par.Chunks(a.Rows, mmRowGrain)
+	spas, frags := make([]*spa, nw), make([]frag, nc)
+	ctx.Par.Fold(a.Rows, mmRowGrain, func(w, c, lo, hi int) {
 		s := spas[w]
 		if s == nil {
 			s = newSPA(n, ctx.Buf)
 			spas[w] = s
 		}
-		f := &frag{lo: lo, hi: hi, rowPtr: make([]int, 0, hi-lo)}
+		f := &frags[c]
+		f.lo, f.rowPtr = lo, make([]int, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			avals, acols := as.Row(i)
 			s.touched = s.touched[:0]
@@ -244,16 +227,12 @@ func (ctx Ctx) matMultSparseSparseSparseOut(a, b *Matrix) *Matrix {
 			}
 			f.rowPtr = append(f.rowPtr, nnz)
 		}
-		mu.Lock()
-		frags = append(frags, f)
-		mu.Unlock()
 	})
 	for _, s := range spas {
 		if s != nil {
 			s.release()
 		}
 	}
-	sort.Slice(frags, func(i, j int) bool { return frags[i].lo < frags[j].lo })
 	csr := &CSR{RowPtr: make([]int, a.Rows+1)}
 	total := 0
 	for _, f := range frags {
@@ -276,7 +255,7 @@ const (
 	// tsmmRowGrain is the minimum number of input rows per parallel chunk.
 	tsmmRowGrain = 16
 
-	// tsmmPartialCapBytes caps the total memory spent on per-worker
+	// tsmmPartialCapBytes caps the total memory spent on per-chunk
 	// upper-triangle accumulators; beyond it TSMM runs single-threaded
 	// (the result itself would dominate memory anyway).
 	tsmmPartialCapBytes = 64 << 20
@@ -286,8 +265,10 @@ const (
 func TSMM(x *Matrix) *Matrix { return Ctx{}.TSMM(x) }
 
 // TSMM computes t(X) %*% X exploiting symmetry of the result: only the
-// upper triangle is accumulated — in parallel into per-worker accumulators
-// drawn from the buffer pool — then reduced and mirrored in parallel.
+// upper triangle is accumulated — in parallel, one triangle per chunk drawn
+// from the buffer pool — then reduced in chunk order and mirrored in
+// parallel. There is one chunk per participant, so each triangle stays in
+// cache across its rows.
 // The dense kernel is rank-4 row-blocked (MultAdd4): four input rows per
 // pass over the triangle, so each output element is loaded and stored once
 // per four updates.
@@ -295,33 +276,27 @@ func (ctx Ctx) TSMM(x *Matrix) *Matrix {
 	n := x.Cols
 	out := ctx.NewDense(n, n)
 	od := out.dense
-	nw, _ := ctx.Par.Chunks(x.Rows, tsmmRowGrain)
-	if nw > 1 && int64(nw)*int64(n)*int64(n)*8 <= tsmmPartialCapBytes {
-		partials := make([][]float64, nw)
-		ctx.Par.ForIndexed(x.Rows, tsmmRowGrain, func(w, lo, hi int) {
-			part := partials[w]
-			if part == nil {
-				part = ctx.Buf.Get(n * n)
-				partials[w] = part
-			}
-			tsmmUpper(x, part, lo, hi)
+	workers := ctx.Par.MaxWorkers()
+	grain := max(tsmmRowGrain, (x.Rows+workers-1)/workers)
+	_, nc := ctx.Par.Chunks(x.Rows, grain)
+	if nc > 1 && int64(nc)*int64(n)*int64(n)*8 <= tsmmPartialCapBytes {
+		partials := make([][]float64, nc)
+		ctx.Par.Fold(x.Rows, grain, func(_, c, lo, hi int) {
+			partials[c] = ctx.Buf.Get(n * n)
+			tsmmUpper(x, partials[c], lo, hi)
 		})
-		// Reduce per-worker triangles into the output, parallel over rows
-		// (row i owns the triangle segment [i, n)).
+		// Reduce the triangles into the output in chunk order, parallel
+		// over rows (row i owns the triangle segment [i, n)).
 		ctx.Par.For(n, 32, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				off := i*n + i
 				for _, part := range partials {
-					if part != nil {
-						vector.Add(part, od, off, off, n-i)
-					}
+					vector.Add(part, od, off, off, n-i)
 				}
 			}
 		})
 		for _, part := range partials {
-			if part != nil {
-				ctx.Buf.Put(part)
-			}
+			ctx.Buf.Put(part)
 		}
 	} else {
 		tsmmUpper(x, od, 0, x.Rows)

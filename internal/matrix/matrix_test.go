@@ -335,6 +335,49 @@ func TestFullSumIsDeterministic(t *testing.T) {
 	}
 }
 
+// sameBits reports whether a and b are dense matrices of one shape whose
+// cells agree bit for bit.
+func sameBits(a, b *Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || a.IsSparse() || b.IsSparse() {
+		return false
+	}
+	for i, v := range a.dense {
+		if math.Float64bits(v) != math.Float64bits(b.dense[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReductionsAgreeAcrossRuns: on a pool of four participants every run of
+// a parallel reduction returns bitwise the same result, whichever
+// participant claimed which chunk (TestFullSumIsDeterministic covers the
+// full sum).
+func TestReductionsAgreeAcrossRuns(t *testing.T) {
+	ctx := Ctx{Par: par.NewPool(4)}
+	x := Rand(20000, 20, 1, -1, 1, 7)
+	xt, y := ctx.Transpose(x), Rand(20000, 5, 1, -1, 1, 8)
+	wide := Rand(2000, 100, 1, -1, 1, 9)
+	for _, c := range []struct {
+		name string
+		run  func() *Matrix
+	}{
+		{"TSMM", func() *Matrix { return ctx.TSMM(x) }},
+		{"split-K t(X) %*% Y", func() *Matrix { return ctx.MatMult(xt, y) }},
+		{"colSums", func() *Matrix { return ctx.Agg(AggSum, DirCol, wide) }},
+		{"colMins", func() *Matrix { return ctx.Agg(AggMin, DirCol, wide) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			first := c.run()
+			for rep := 1; rep < 50; rep++ {
+				if !sameBits(c.run(), first) {
+					t.Fatalf("run %d differs from run 0", rep)
+				}
+			}
+		})
+	}
+}
+
 func TestRowIndexMax(t *testing.T) {
 	a := mustDense(2, 3, 1, 9, 2, 8, 3, 4)
 	got := RowIndexMax(a)

@@ -11,11 +11,16 @@
 // dynamically: a worker that finishes its chunk early simply claims the
 // next one.
 //
+// Reductions have one contract, Fold: the chunk boundaries are fixed by the
+// item count, the grain and the worker cap, each chunk's partial is indexed
+// by the chunk, and the partials merge in chunk order. Which participant
+// claimed which chunk therefore never reaches a result.
+//
 // Parallelism is instance-scoped: a Pool owns its worker cap, its task
 // channel and workers, and its utilization counters, so independent engines
 // hosted in one process can be capped independently without sharing any
-// mutable state. The package-level For/ForIndexed/... helpers delegate to
-// the process-wide Default pool, preserving the original API.
+// mutable state. The package-level For and ForLimit delegate to the
+// process-wide Default pool.
 package par
 
 import (
@@ -48,7 +53,7 @@ const chunkFactor = 4
 // process lifetime. This makes enqueue-after-shutdown races impossible.
 type Pool struct {
 	// maxWorkers caps the number of participants of a parallel region. It
-	// is read on every For/ForIndexed/Chunks call and written by
+	// is read on every For/Fold/Chunks call and written by
 	// SetMaxWorkers (tests, concurrent engines), hence atomic.
 	maxWorkers atomic.Int64
 
@@ -59,7 +64,7 @@ type Pool struct {
 	tasks   chan *region
 	workers int
 
-	// Utilization counters: every For/ForIndexed call is counted, along
+	// Utilization counters: every For/Fold/ForLimit call is counted, along
 	// with the pool workers it engaged (0 for calls that ran sequentially).
 	statCalls      atomic.Int64
 	statGoroutines atomic.Int64
@@ -115,7 +120,7 @@ func MaxWorkers() int { return Default.MaxWorkers() }
 
 // Usage is a snapshot of a pool's parallel-for utilization counters.
 type Usage struct {
-	Calls      int64 // For/ForIndexed invocations
+	Calls      int64 // For, Fold and ForLimit invocations
 	Goroutines int64 // pool workers engaged across all parallel calls
 	Sequential int64 // calls that ran inline on the caller's goroutine
 }
@@ -189,7 +194,7 @@ func (p *Pool) ensureWorkers(n int) {
 // from next until all nchunks are taken. The region is complete when all
 // nchunks have been executed, not when every enqueued helper has shown up.
 type region struct {
-	fn      func(worker, lo, hi int)
+	fn      func(w, c, lo, hi int)
 	n       int
 	chunk   int
 	nchunks int64
@@ -218,7 +223,7 @@ func (p *Panic) Error() string {
 // first one is kept, the chunks still unclaimed are skipped, and every
 // chunk counts as run, so that the join completes and dispatch can raise
 // the panic where the region was called.
-func (r *region) call(worker, lo, hi int) {
+func (r *region) call(w, c, lo, hi int) {
 	if r.failed.Load() != nil {
 		return
 	}
@@ -231,7 +236,7 @@ func (r *region) call(worker, lo, hi int) {
 			r.failed.CompareAndSwap(nil, p)
 		}
 	}()
-	r.fn(worker, lo, hi)
+	r.fn(w, c, lo, hi)
 }
 
 // help is run by a pool worker: claim a participant id and drain chunks.
@@ -242,7 +247,7 @@ func (r *region) help() {
 	r.run(int(r.ids.Add(1)))
 }
 
-func (r *region) run(worker int) {
+func (r *region) run(w int) {
 	for {
 		c := r.next.Add(1) - 1
 		if c >= r.nchunks {
@@ -253,21 +258,17 @@ func (r *region) run(worker int) {
 		if hi > r.n {
 			hi = r.n
 		}
-		r.call(worker, lo, hi)
+		r.call(w, int(c), lo, hi)
 		if r.ran.Add(1) == r.nchunks {
 			close(r.done)
 		}
 	}
 }
 
-// plan computes the chunking of n items: the participant count, the chunk
-// size, and the chunk count. Chunks are at least one grain; the chunk
-// count targets chunkFactor chunks per participant for dynamic balance.
-func (p *Pool) plan(n, grain int) (workers, chunk, nchunks int) {
-	w := int(p.maxWorkers.Load())
-	return planFor(n, grain, w)
-}
-
+// planFor computes the chunking of n items for at most limit participants:
+// the participant count, the chunk size, and the chunk count. Chunks are at
+// least one grain; the chunk count targets chunkFactor chunks per
+// participant for dynamic balance.
 func planFor(n, grain, limit int) (workers, chunk, nchunks int) {
 	if grain <= 0 {
 		grain = DefaultGrain
@@ -305,7 +306,7 @@ func planFor(n, grain, limit int) (workers, chunk, nchunks int) {
 // each other in a cycle. If fn panicked in a chunk, on whatever goroutine,
 // dispatch panics with a *Panic once every chunk is accounted for: no
 // helper still touches the caller's buffers while the caller unwinds.
-func (p *Pool) dispatch(n int, workers, chunk, nchunks int, fn func(worker, lo, hi int)) {
+func (p *Pool) dispatch(n int, workers, chunk, nchunks int, fn func(w, c, lo, hi int)) {
 	p.ensureWorkers(workers - 1)
 	r := &region{fn: fn, n: n, chunk: chunk, nchunks: int64(nchunks), done: make(chan struct{})}
 	engaged := 1 // the caller
@@ -329,87 +330,68 @@ func (p *Pool) dispatch(n int, workers, chunk, nchunks int, fn func(worker, lo, 
 // fn must be safe for concurrent invocation on disjoint ranges.
 func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
 	p = p.orDefault()
-	if n <= 0 {
-		return
-	}
-	workers, chunk, nchunks := p.plan(n, grain)
-	p.statCalls.Add(1)
-	if workers <= 1 {
-		p.statSequential.Add(1)
-		fn(0, n)
-		return
-	}
-	p.dispatch(n, workers, chunk, nchunks, func(_, lo, hi int) { fn(lo, hi) })
+	p.ForLimit(n, grain, int(p.maxWorkers.Load()), fn)
 }
 
-// ForIndexed is like For but also passes a zero-based worker index, which
-// callers use to select per-worker state (scratch buffers, partial
-// aggregates). Worker indexes are dense in [0, count) where count is
-// reported by Chunks for preallocation.
-//
-// Unlike a static partition, a worker may be invoked several times with
-// distinct disjoint ranges (dynamic chunk claiming): per-worker state must
-// therefore be initialized lazily on first use and accumulated across
-// invocations, never reset per invocation.
-func (p *Pool) ForIndexed(n, grain int, fn func(worker, lo, hi int)) {
+// Fold is For for reductions: fn also gets the participant w running the
+// chunk, in [0, workers), and the chunk's index c, in [0, chunks), where
+// Chunks reports both counts. Chunk c is always the same range of [0, n)
+// for a given n, grain and worker cap, whichever participant claims it.
+// A reduction keeps one partial per c and merges the partials in order of
+// c, so its result does not depend on scheduling; state indexed by w is
+// for reuse across chunks only (registers, scratch), since a participant
+// runs any number of chunks, in any order.
+func (p *Pool) Fold(n, grain int, fn func(w, c, lo, hi int)) {
 	p = p.orDefault()
-	if n <= 0 {
-		return
+	if workers, chunk, nchunks := p.start(n, grain, int(p.maxWorkers.Load())); workers > 1 {
+		p.dispatch(n, workers, chunk, nchunks, fn)
+	} else if workers == 1 {
+		fn(0, 0, 0, n)
 	}
-	workers, chunk, nchunks := p.plan(n, grain)
-	p.statCalls.Add(1)
-	if workers <= 1 {
-		p.statSequential.Add(1)
-		fn(0, 0, n)
-		return
-	}
-	p.dispatch(n, workers, chunk, nchunks, fn)
 }
 
-// Chunks reports how many workers ForIndexed will use for n items with the
-// given grain — the size needed for per-worker state arrays — along with
-// the dynamic chunk size (ranges handed to each fn invocation).
-func (p *Pool) Chunks(n, grain int) (count, size int) {
+// Chunks reports the participants and chunks of Fold over n items with
+// the given grain: the sizes of per-participant and per-chunk state.
+func (p *Pool) Chunks(n, grain int) (workers, chunks int) {
 	p = p.orDefault()
 	if n <= 0 {
 		return 0, 0
 	}
-	count, size, _ = p.plan(n, grain)
-	return count, size
+	workers, _, chunks = planFor(n, grain, int(p.maxWorkers.Load()))
+	return workers, chunks
 }
 
-// ForIndexedLimit is ForIndexed with an explicit participant cap: at most
-// limit workers (including the caller) run fn, regardless of the pool's
+// ForLimit is For with an explicit participant cap: at most limit
+// participants (including the caller) run fn, regardless of the pool's
 // SetMaxWorkers cap. Unlike the pool cap it may exceed GOMAXPROCS: callers
 // like the simulated distributed backend model external concurrency
-// (executors), where oversubscribing cores is exactly the point. Worker
-// indexes are dense in [0, count).
-func (p *Pool) ForIndexedLimit(n, grain, limit int, fn func(worker, lo, hi int)) {
+// (executors), where oversubscribing cores is exactly the point.
+func (p *Pool) ForLimit(n, grain, limit int, fn func(lo, hi int)) {
 	p = p.orDefault()
-	if n <= 0 {
-		return
+	if workers, chunk, nchunks := p.start(n, grain, limit); workers > 1 {
+		p.dispatch(n, workers, chunk, nchunks, func(_, _, lo, hi int) { fn(lo, hi) })
+	} else if workers == 1 {
+		fn(0, n)
 	}
-	workers, chunk, nchunks := planFor(n, grain, limit)
+}
+
+// start plans a region of n items for at most limit participants and
+// counts it: no participant for no items, and one, the caller running
+// [0, n) inline, when one suffices.
+func (p *Pool) start(n, grain, limit int) (workers, chunk, nchunks int) {
+	if n <= 0 {
+		return 0, 0, 0
+	}
+	workers, chunk, nchunks = planFor(n, grain, limit)
 	p.statCalls.Add(1)
 	if workers <= 1 {
 		p.statSequential.Add(1)
-		fn(0, 0, n)
-		return
 	}
-	p.dispatch(n, workers, chunk, nchunks, fn)
+	return workers, chunk, nchunks
 }
 
 // For executes fn over chunked ranges of [0, n) on the Default pool.
 func For(n, grain int, fn func(lo, hi int)) { Default.For(n, grain, fn) }
 
-// ForIndexed is For with a zero-based worker index, on the Default pool.
-func ForIndexed(n, grain int, fn func(worker, lo, hi int)) { Default.ForIndexed(n, grain, fn) }
-
-// Chunks reports the Default pool's worker count and chunk size for n items.
-func Chunks(n, grain int) (count, size int) { return Default.Chunks(n, grain) }
-
-// ForIndexedLimit is ForIndexed with an explicit participant cap, on the
-// Default pool.
-func ForIndexedLimit(n, grain, limit int, fn func(worker, lo, hi int)) {
-	Default.ForIndexedLimit(n, grain, limit, fn)
-}
+// ForLimit is For with an explicit participant cap, on the Default pool.
+func ForLimit(n, grain, limit int, fn func(lo, hi int)) { Default.ForLimit(n, grain, limit, fn) }

@@ -56,19 +56,22 @@ func TestForSmallRunsSequential(t *testing.T) {
 	}
 }
 
+// TestForIndexedWorkerIndexes: the participant index Fold hands fn stays in
+// [0, workers), the caller (participant 0) runs chunks, and the chunks cover
+// the range.
 func TestForIndexedWorkerIndexes(t *testing.T) {
 	old := SetMaxWorkers(4)
 	defer SetMaxWorkers(old)
-	nc, size := Chunks(1000, 10)
-	if nc < 1 || size < 1 {
-		t.Fatalf("Chunks(1000,10) = %d,%d", nc, size)
+	workers, chunks := Default.Chunks(1000, 10)
+	if workers < 1 || chunks < workers {
+		t.Fatalf("Chunks(1000,10) = %d,%d", workers, chunks)
 	}
 	var mu sync.Mutex
 	used := map[int]int{}
 	var total int64
-	ForIndexed(1000, 10, func(w, lo, hi int) {
-		if w < 0 || w >= nc {
-			t.Errorf("worker index %d outside [0,%d)", w, nc)
+	Default.Fold(1000, 10, func(w, _, lo, hi int) {
+		if w < 0 || w >= workers {
+			t.Errorf("worker index %d outside [0,%d)", w, workers)
 		}
 		mu.Lock()
 		used[w]++
@@ -78,22 +81,23 @@ func TestForIndexedWorkerIndexes(t *testing.T) {
 	if total != 1000 {
 		t.Fatalf("covered %d of 1000", total)
 	}
-	// Worker 0 (the caller) always participates; a worker may be invoked
-	// several times under dynamic chunk claiming.
+	// Participant 0 (the caller) always runs chunks; a participant may run
+	// several under dynamic chunk claiming.
 	if used[0] == 0 {
 		t.Fatal("caller (worker 0) claimed no chunks")
 	}
 }
 
-// TestForIndexedAccumulation exercises the documented per-worker state
-// contract: lazily initialized, accumulated across invocations.
+// TestForIndexedAccumulation: state indexed by the participant w is never
+// touched by two chunks at once, so a participant may accumulate into it
+// across the chunks it runs.
 func TestForIndexedAccumulation(t *testing.T) {
 	old := SetMaxWorkers(8)
 	defer SetMaxWorkers(old)
 	n := 100_000
-	nw, _ := Chunks(n, 64)
-	partials := make([]int64, nw)
-	ForIndexed(n, 64, func(w, lo, hi int) {
+	workers, _ := Default.Chunks(n, 64)
+	partials := make([]int64, workers)
+	Default.Fold(n, 64, func(w, _, lo, hi int) {
 		var s int64
 		for i := lo; i < hi; i++ {
 			s += int64(i)
@@ -110,15 +114,51 @@ func TestForIndexedAccumulation(t *testing.T) {
 	}
 }
 
+// TestFoldContract: every chunk runs once, over the range its index
+// fixes, c is in [0, chunks) and w in [0, workers), as Chunks reports them.
+func TestFoldContract(t *testing.T) {
+	for _, limit := range []int{1, 4, 8} {
+		p := NewPool(limit)
+		for _, n := range []int{1, 7, 1000, 100_000} {
+			workers, chunks := p.Chunks(n, 10)
+			if workers < 1 || workers > limit || chunks < workers {
+				t.Fatalf("limit %d n %d: Chunks = %d, %d", limit, n, workers, chunks)
+			}
+			ranges := make([][2]int, chunks)
+			runs := make([]atomic.Int32, chunks)
+			p.Fold(n, 10, func(w, c, lo, hi int) {
+				if w < 0 || w >= workers || c < 0 || c >= chunks {
+					t.Errorf("limit %d n %d: w %d c %d outside [0,%d) x [0,%d)", limit, n, w, c, workers, chunks)
+					return
+				}
+				runs[c].Add(1)
+				ranges[c] = [2]int{lo, hi}
+			})
+			next := 0
+			for c := range ranges {
+				if runs[c].Load() != 1 {
+					t.Fatalf("limit %d n %d: chunk %d ran %d times", limit, n, c, runs[c].Load())
+				}
+				if ranges[c][0] != next || ranges[c][1] <= next {
+					t.Fatalf("limit %d n %d: chunk %d is %v after %d", limit, n, c, ranges[c], next)
+				}
+				next = ranges[c][1]
+			}
+			if next != n {
+				t.Fatalf("limit %d n %d: chunks cover [0,%d)", limit, n, next)
+			}
+		}
+	}
+}
+
 func TestSetMaxWorkers(t *testing.T) {
 	old := SetMaxWorkers(1)
 	defer SetMaxWorkers(old)
 	if MaxWorkers() != 1 {
 		t.Fatal("SetMaxWorkers(1) not applied")
 	}
-	chunks, _ := Chunks(1_000_000, 1)
-	if chunks != 1 {
-		t.Fatalf("with 1 worker expected 1 chunk, got %d", chunks)
+	if workers, chunks := Default.Chunks(1_000_000, 1); workers != 1 || chunks != 1 {
+		t.Fatalf("with 1 worker expected 1 participant and 1 chunk, got %d, %d", workers, chunks)
 	}
 	SetMaxWorkers(0) // reset to GOMAXPROCS
 	if MaxWorkers() < 1 {
@@ -193,7 +233,7 @@ func TestNestedDepth3(t *testing.T) {
 		go func() {
 			defer close(done)
 			for rep := 0; rep < 20; rep++ {
-				p.ForIndexedLimit(outer, 1, 6, func(_, lo, hi int) {
+				p.ForLimit(outer, 1, 6, func(lo, hi int) {
 					for i := lo; i < hi; i++ {
 						p.For(mid, 8, func(mlo, mhi int) {
 							for j := mlo; j < mhi; j++ {
@@ -271,16 +311,14 @@ func panicOffCaller(caller string) func(lo, hi int) {
 }
 
 // TestPanicInHelperChunkReachesCaller: a panic in a chunk that a pool worker
-// claimed comes out of For/ForIndexed/ForIndexedLimit on the caller's
+// claimed comes out of For/Fold/ForLimit on the caller's
 // goroutine, with the worker's stack, and the pool runs the next region.
 func TestPanicInHelperChunkReachesCaller(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	regions := map[string]func(p *Pool, fn func(lo, hi int)){
-		"For":        func(p *Pool, fn func(lo, hi int)) { p.For(4096, 16, fn) },
-		"ForIndexed": func(p *Pool, fn func(lo, hi int)) { p.ForIndexed(4096, 16, func(_, lo, hi int) { fn(lo, hi) }) },
-		"ForIndexedLimit": func(p *Pool, fn func(lo, hi int)) {
-			p.ForIndexedLimit(4096, 16, 6, func(_, lo, hi int) { fn(lo, hi) })
-		},
+		"For":      func(p *Pool, fn func(lo, hi int)) { p.For(4096, 16, fn) },
+		"Fold":     func(p *Pool, fn func(lo, hi int)) { p.Fold(4096, 16, func(_, _, lo, hi int) { fn(lo, hi) }) },
+		"ForLimit": func(p *Pool, fn func(lo, hi int)) { p.ForLimit(4096, 16, 6, fn) },
 	}
 	for _, procs := range []int{1, 2, 4, 8} {
 		runtime.GOMAXPROCS(procs)
@@ -317,7 +355,7 @@ func TestPanicNestedDepth2(t *testing.T) {
 		p := NewPool(4)
 		var inner atomic.Int64
 		v := recovered(func() {
-			p.ForIndexedLimit(2, 1, 2, func(_, lo, hi int) {
+			p.ForLimit(2, 1, 2, func(lo, hi int) {
 				inner.Add(1)
 				p.For(4096, 16, panicOffCaller(goid()))
 			})

@@ -4,7 +4,6 @@ import (
 	"sysml/internal/compress"
 	"sysml/internal/cplan"
 	"sysml/internal/matrix"
-	"sysml/internal/vector"
 )
 
 // Compressed fused skeleton: when the main input carries an attached
@@ -84,8 +83,12 @@ func execDict(ec matrix.Ctx, progs []*cplan.Program, cm *compress.CMatrix, sides
 		default:
 			outs[q], ps.parts[q] = matrix.NewScalar(cplan.AggInit(p.Agg)), 1
 		}
+		ps.width += ps.parts[q]
 	}
+	// One participant runs the groups as one chunk.
 	st := ps.newWorker()
+	ps.acc = ps.ec.Buf.GetUninit(ps.width)
+	defer ps.ec.PutBuf(ps.acc)
 	defer ps.release(st)
 	var table []float64
 	for gi, g := range cm.Groups {
@@ -97,6 +100,7 @@ func execDict(ec matrix.Ctx, progs []*cplan.Program, cm *compress.CMatrix, sides
 		nd := len(counts)
 		ps.cols, ps.wts = len(cols), counts
 		var codes []int32
+		ps.chunk(st, 0)
 		for q, p := range progs {
 			if dictSpan != nil {
 				dictSpan(gi, nd*len(cols))
@@ -108,8 +112,6 @@ func execDict(ec matrix.Ctx, progs []*cplan.Program, cm *compress.CMatrix, sides
 					table = make([]float64, nd*ow)
 				}
 				ps.dsts[q] = table[:nd*ow]
-			} else {
-				vector.Fill(st.acc[q], cplan.AggInit(p.Agg), 0, len(st.acc[q]))
 			}
 			ps.runRoot(st, q, 0, nd)
 			switch {

@@ -8,17 +8,22 @@ import (
 
 // The tile pass is the one skeleton loop behind every template: the main
 // input streams through the programs of an operator's roots a tile of rows
-// at a time, in parallel over row chunks, and a sink per root takes the
-// result rows of each tile —
+// at a time, in parallel over the row chunks of par.Pool.Fold, and a sink
+// per root takes the result rows of each tile —
 //
 //	rows      NoAgg: kept (written in place where the program can)
 //	rowAgg    RowAgg: each folded into one value
-//	colAgg    ColAgg: folded into per-worker column partials (sum, min, max;
+//	colAgg    ColAgg: folded into the chunk's column partial (sum, min, max;
 //	          a sum weighed by the occurrence count of each row under the
 //	          dictionary binding), or with T into t(main tile) %*% result
-//	fullAgg   FullAgg: folded into one per-worker partial
+//	fullAgg   FullAgg: folded into the chunk's one-cell partial
 //	products  Outer: f(X, UV') %*% V row by row, t(f(X, UV')) %*% U into
-//	          per-worker partials
+//	          the chunk's partial
+//
+// Registers, side cursors and scratch belong to a participant and are
+// reused across the chunks it claims; partials belong to a chunk, and the
+// partials of a root merge in chunk order, so a result does not depend on
+// which participant ran which chunk.
 //
 // A Cell, Row or Outer operator has one root, MAgg roots are all full
 // aggregates, Horizontal roots mix the kinds (Plan.HKinds); every root finds
@@ -41,19 +46,21 @@ type pass struct {
 	cols  int         // of main: the width a cell body's registers take
 	dsts  [][]float64 // per root: where kept rows and row aggregates go
 	parts []int       // per root: the length of its fold partial, 0 for none
+	width int         // cells of one chunk's partials: the sum of parts, in whole cache lines once run
+	acc   []float64   // every chunk's partials, chunk c's at c*width
 	wts   []float64   // dictionary binding: how many rows of the matrix each main row stands for
 	// product, the sink of an Outer matrix product, takes the values of the
 	// root's body at the cells of b's tile: row t at w[o+t*s:].
 	product func(st *worker, b *cplan.Buf, w []float64, o, s int)
 }
 
-// worker is one worker's state: side cursors, one set of registers per root,
-// one partial per folding root, and scratch for the sinks.
+// worker is one participant's state: side cursors, one set of registers per
+// root, the partials of the chunk it runs, and scratch for the sinks.
 type worker struct {
 	ctx  *cplan.Ctx
 	bufs []*cplan.Buf
-	caps [][2]int // per root: rows and columns of its steps
-	acc  [][]float64
+	caps [][2]int    // per root: rows and columns of its steps
+	acc  [][]float64 // per root: its partial in the chunk being run
 	tmp  []float64
 }
 
@@ -71,8 +78,8 @@ func newPass(ec matrix.Ctx, sparseSafe bool, progs []*cplan.Program, main *matri
 	return ps
 }
 
-// newWorker allocates a worker's registers, sized by each program's layout,
-// and its partials.
+// newWorker allocates a participant's registers, sized by each program's
+// layout.
 func (ps *pass) newWorker() *worker {
 	st := &worker{ctx: ps.ctx.Clone(), bufs: make([]*cplan.Buf, len(ps.progs)),
 		caps: make([][2]int, len(ps.progs)), acc: make([][]float64, len(ps.progs))}
@@ -80,21 +87,44 @@ func (ps *pass) newWorker() *worker {
 		rows, cols := p.TileSize(ps.cols, ps.binds[q])
 		st.caps[q] = [2]int{rows, cols}
 		st.bufs[q] = p.GetBuf(ps.binds[q], ps.main, rows, cols, ps.ec.Buf.GetUninit)
-		if n := ps.parts[q]; n > 0 {
-			st.acc[q] = ps.ec.Buf.GetUninit(n)
-			vector.Fill(st.acc[q], cplan.AggInit(p.Agg), 0, n)
-		}
 	}
 	return st
 }
 
-// release returns a worker's registers, partials and scratch to their pools.
+// release returns a participant's registers and scratch to their pools.
 func (ps *pass) release(st *worker) {
 	ps.ec.PutBuf(st.tmp)
 	for q, b := range st.bufs {
 		ps.ec.PutBuf(ps.progs[q].PutBuf(b))
-		if st.acc[q] != nil {
-			ps.ec.PutBuf(st.acc[q])
+	}
+}
+
+// chunk points st's partials at those of chunk c and sets them to the
+// identity of each root's aggregation.
+func (ps *pass) chunk(st *worker, c int) {
+	o := c * ps.width
+	for q, n := range ps.parts {
+		st.acc[q] = ps.acc[o : o+n]
+		vector.Fill(st.acc[q], cplan.AggInit(ps.progs[q].Agg), 0, n)
+		o += n
+	}
+}
+
+// merged folds the chunks' partials of root q into od in chunk order (the
+// identity of the aggregation where no chunk ran).
+func (ps *pass) merged(q int, od []float64) {
+	agg, n, o := ps.progs[q].Agg, len(od), 0
+	for _, m := range ps.parts[:q] {
+		o += m
+	}
+	vector.Fill(od, cplan.AggInit(agg), 0, n)
+	for ; o < len(ps.acc); o += ps.width {
+		if agg == matrix.AggSum {
+			vector.Add(ps.acc, od, o, 0, n)
+			continue
+		}
+		for j, v := range ps.acc[o : o+n] {
+			od[j] = cplan.AggMerge(agg, od[j], v)
 		}
 	}
 }
@@ -112,8 +142,8 @@ func (ps *pass) scratch(st *worker, n int) []float64 {
 	return st.tmp[:n]
 }
 
-// run streams main through the roots and returns the workers' states (nil
-// for a worker that claimed no chunk), whose partials the caller merges.
+// run streams main through the roots into the chunks' partials and returns
+// the participants' states (nil for one that claimed no chunk).
 func (ps *pass) run() []*worker {
 	rows, perRow := ps.main.Rows, ps.cols
 	if ps.binds[0] == cplan.MainNnz {
@@ -141,14 +171,18 @@ func (ps *pass) run() []*worker {
 	tile = max(tile, 1)
 	// A cell of an Outer body costs a rank-r dot product on top of the body.
 	grain := max(grainCells/(perRow*(1+ps.ctx.Rank/4)), 1)
-	nw, _ := ps.ec.Par.Chunks(rows, grain)
+	nw, nc := ps.ec.Par.Chunks(rows, grain)
 	states := make([]*worker, nw)
-	ps.ec.Par.ForIndexed(rows, grain, func(w, lo, hi int) {
-		// Per-worker state is lazily initialized and accumulated: a worker
-		// id may be handed several chunks by the pool.
+	// One buffer, chunk after chunk. Each chunk's partials start a cache
+	// line apart: participants on neighbouring chunks would otherwise write
+	// one line on every step.
+	ps.width = (ps.width + 7) &^ 7
+	ps.acc = ps.ec.Buf.GetUninit(nc * ps.width)
+	ps.ec.Par.Fold(rows, grain, func(w, c, lo, hi int) {
 		if states[w] == nil {
 			states[w] = ps.newWorker()
 		}
+		ps.chunk(states[w], c)
 		for i0 := lo; i0 < hi && !ps.stop.stopped(); i0 += tile { // one poll per tile
 			for q := range ps.progs {
 				ps.runRoot(states[w], q, i0, min(i0+tile, hi))
@@ -325,25 +359,6 @@ func foldCols(agg matrix.AggOp, a []float64, ao, as, rows, n int, part, wts []fl
 	}
 }
 
-// merged folds the workers' partials of root q into one (the identity of
-// the aggregation where no worker ran).
-func (ps *pass) merged(states []*worker, q int, od []float64) {
-	agg := ps.progs[q].Agg
-	vector.Fill(od, cplan.AggInit(agg), 0, len(od))
-	for _, st := range states {
-		if st == nil {
-			continue
-		}
-		if agg == matrix.AggSum {
-			vector.Add(st.acc[q], od, 0, 0, len(od))
-			continue
-		}
-		for j, v := range st.acc[q][:len(od)] {
-			od[j] = cplan.AggMerge(agg, od[j], v)
-		}
-	}
-}
-
 // execPass runs the roots of op over main and returns one output per root
 // and the binding taken. With outer set — the products of the Outer
 // template — the values of the one NoAgg root are not an output: the sink
@@ -379,10 +394,11 @@ func execPass(ec matrix.Ctx, op *cplan.Operator, main *matrix.Matrix, ctx *cplan
 		if outs[q] != nil {
 			ps.dsts[q] = outs[q].Dense()
 		}
+		ps.width += ps.parts[q]
 	}
 	states := ps.run()
 
-	// Merge the workers' partials into the folding outputs and wrap up.
+	// Merge the chunks' partials into the folding outputs and wrap up.
 	bind := BindView
 	if main.IsSparse() {
 		bind = BindNnz // but for a root that densifies its tiles
@@ -391,13 +407,13 @@ func execPass(ec matrix.Ctx, op *cplan.Operator, main *matrix.Matrix, ctx *cplan
 		switch {
 		case ps.parts[q] == 1:
 			var v [1]float64
-			ps.merged(states, q, v[:])
+			ps.merged(q, v[:])
 			outs[q] = matrix.NewScalar(v[0])
 		case ps.parts[q] > 0 && outer == nil:
 			outs[q] = ec.NewDenseUninit(ps.parts[q]/p.OutCols(cols), p.OutCols(cols))
-			ps.merged(states, q, outs[q].Dense())
+			ps.merged(q, outs[q].Dense())
 		case ps.parts[q] > 0:
-			ps.merged(states, q, outer.out.Dense())
+			ps.merged(q, outer.out.Dense())
 		case p.Kind == cplan.CellNoAgg && nnz && outer == nil:
 			ms := main.Sparse()
 			outs[q] = matrix.NewSparseCSR(rows, cols, &matrix.CSR{
@@ -418,5 +434,6 @@ func execPass(ec matrix.Ctx, op *cplan.Operator, main *matrix.Matrix, ctx *cplan
 		}
 		ps.release(st)
 	}
+	ps.ec.PutBuf(ps.acc)
 	return outs, bind
 }

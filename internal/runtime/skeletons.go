@@ -77,8 +77,8 @@ func ExecOuter(op *cplan.Operator, x, u, v *matrix.Matrix, sides []*matrix.Matri
 }
 
 // outerSink is a matrix product of the Outer template: the sink of the
-// body's values, the length of its per-worker partial (0: rows of out are
-// written by one worker each) and the product.
+// body's values, the length of its per-chunk partial (0: rows of out are
+// written by one chunk each) and the product.
 type outerSink struct {
 	sink func(st *worker, b *cplan.Buf, w []float64, o, s int)
 	part int
@@ -88,8 +88,8 @@ type outerSink struct {
 // execOuter is the tile pass with one more leaf register, U_i·V_j per
 // visited cell: the full aggregate and the map are the Cell kinds of the
 // same name, and the two matrix products consume the body's values a tile
-// at a time — W %*% V into the rows of the tile, t(W) %*% U into a partial
-// per worker, its rows being the columns of the tile.
+// at a time — W %*% V into the rows of the tile, t(W) %*% U into the
+// partial of the tile's chunk, its rows being the columns of the tile.
 func execOuter(ec matrix.Ctx, op *cplan.Operator, x, u, v *matrix.Matrix, sides []*matrix.Matrix, stop StopFn) (*matrix.Matrix, Binding) {
 	ctx := cplan.NewCtx(sides, op.Progs...)
 	ctx.U, ctx.V, ctx.Rank = u.ToDense().Dense(), v.ToDense().Dense(), u.Cols

@@ -825,8 +825,8 @@ func (p *panicOnce) Invalidate(*matrix.Matrix) {
 	}
 	helperIn := make(chan struct{})
 	var once sync.Once
-	p.pool.ForIndexed(4096, 16, func(worker, lo, hi int) {
-		if worker != 0 { // 0 is the region's caller
+	p.pool.Fold(4096, 16, func(w, _, lo, hi int) {
+		if w != 0 { // 0 is the region's caller
 			once.Do(func() { close(helperIn) })
 			panic("kernel bug")
 		}
