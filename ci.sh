@@ -56,6 +56,9 @@ GOARCH=arm64 go vet ./internal/vector
 #  - One parallel fold: a reduction keeps one partial per fixed chunk and
 #    merges them in chunk order; the per-worker region and its capped twin,
 #    whose partials depended on which worker claimed which chunk.
+#  - One priced compressed transfer: the cluster charges WireSizeBytes and
+#    serializes nothing; the encoder, the decoder with its reader and the
+#    decoder's fuzz target.
 while IFS=';' read -r section pattern exempt what; do
   echo "== $section =="
   spec=('*.go')
@@ -76,6 +79,7 @@ one plan-cache store, one observation callback;cacheShard|shardFor|PlanHashes|Ne
 one offline fit into a profile;Calibrator|syncCalibration|calibGen|ObserveCompress|WithCalibration|SaveProfile|reopt\.calib;-;the online calibrator or its generations
 one compression rule;readPlan|readHistory|compressProduced|planReads|CompressedConsumer|CompressBW|calibrateCompressions|reopt\.compress|compress\.plan\.skipped;-;the compression policy for script-produced values
 one parallel fold;ForIndexed(Limit)?\(;-;a per-worker parallel region
+one priced compressed transfer;^func (Encode|Decode)\(|wireReader|wireMagic|FuzzWireDecode;-;a compressed wire codec
 ROWS
 # Only cplan.Program.Exec executes RowInstrs (lower.go emits them, source.go
 # renders them).
@@ -121,15 +125,10 @@ go test -run '^$' -fuzz FuzzKernels -fuzztime 20s ./internal/vector
 echo "== fuzz (FuzzParse, 20 s) =="
 go test -run '^$' -fuzz FuzzParse -fuzztime 20s ./internal/dml
 
-# Compress on salted small matrices (NaN, ±Inf, ±0): bit-exact round trips,
-# directly and through the wire, and the same groups on one and two workers.
+# Compress on salted small matrices (NaN, ±Inf, ±0): bit-exact round trips
+# through Decompress, and the same groups on one and two workers.
 echo "== fuzz (FuzzCompress, 20 s) =="
 go test -run '^$' -fuzz FuzzCompress -fuzztime 20s ./internal/compress
-
-# Decode on arbitrary payloads: never a panic, no allocation the payload
-# cannot back, and what it accepts re-encodes to itself.
-echo "== fuzz (FuzzWireDecode, 20 s) =="
-go test -run '^$' -fuzz FuzzWireDecode -fuzztime 20s ./internal/compress
 
 echo "== benchmark checker tests (go test -short) =="
 (cd benchmark && go test -short -timeout 120s ./...)

@@ -10,10 +10,11 @@ import (
 
 // A matrix carries its compression state itself (Matrix.CompressState):
 // nothing, a decline verdict, or an attached compressed form. The runtime
-// executes fused operators over an attached form and the dist backend ships
-// its encoded bytes. A decline (auto-compression sampled the matrix and
-// passed) is cached so that the estimator runs once per binding and not once
-// per loop iteration. Both last exactly as long as the matrix: Release
+// executes fused operators over an attached form and the dist backend
+// charges a transfer of the matrix at its priced size (WireSizeBytes). A
+// decline (auto-compression sampled the matrix and passed, or the script
+// produced it) is cached so that the estimator runs once per binding and
+// not once per loop iteration. Both last exactly as long as the matrix: Release
 // clears the state with the storage, and a dropped matrix takes its form
 // with it. A lookup is one atomic load.
 

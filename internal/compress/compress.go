@@ -36,17 +36,16 @@ type ColGroup interface {
 type CMatrix struct {
 	Rows, Cols int
 	Groups     []ColGroup
-	// size is SizeBytes as Compress computed it once: the interpreter asks
-	// on every block that reads the matrix, and a wide OLE matrix (784
-	// groups of 255 offset lists) takes 0.5 ms to add up. Zero for a matrix
-	// assembled by hand or decoded from the wire, which is summed per call.
+	// size is SizeBytes, summed once by Compress: the interpreter asks on
+	// every block that reads the matrix, and a wide OLE matrix (784 groups
+	// of 255 offset lists) takes 0.5 ms to add up.
 	size int64
 }
 
 // dictionary is what the dictionary-coded groups share: their columns, their
 // distinct tuples as one flat array in code order (tuple k is
 // dict[k*len(cols):(k+1)*len(cols)]) and the occurrence count of each.
-// ForEachDistinct, ValueAt, Dict and the wire format read the array as it is.
+// ForEachDistinct, ValueAt and Dict read the array as it is.
 type dictionary struct {
 	cols   []int
 	dict   []float64
@@ -116,8 +115,8 @@ func (g *RLEGroup) SizeBytes() int64 {
 
 // OLEGroup is offset-list encoding: per non-zero dictionary tuple, the
 // sorted list of row offsets holding it. The all-zero tuple is the
-// dictionary's last, counting the rows no list holds; SizeBytes and the
-// wire format leave it out, it is implicit. This is the CLA encoding of
+// dictionary's last, counting the rows no list holds; SizeBytes and
+// WireSizeBytes leave it out, it is implicit. This is the CLA encoding of
 // choice for sparse columns.
 type OLEGroup struct {
 	dictionary
@@ -279,7 +278,9 @@ func Compress(m *matrix.Matrix, opts Options) *CMatrix {
 		t.dict, t.counts, flat = flat[:len(t.dict):len(t.dict)], flat[len(t.dict):n:n], flat[n:]
 	}
 	cm := &CMatrix{Rows: m.Rows, Cols: m.Cols, Groups: groups}
-	cm.size = cm.SizeBytes()
+	for _, g := range groups {
+		cm.size += g.SizeBytes()
+	}
 	return cm
 }
 
@@ -524,16 +525,7 @@ func encode(gc []int, dict []float64, codes []uint16) ColGroup {
 }
 
 // SizeBytes returns the compressed size of the matrix.
-func (cm *CMatrix) SizeBytes() int64 {
-	if cm.size != 0 {
-		return cm.size
-	}
-	var s int64
-	for _, g := range cm.Groups {
-		s += g.SizeBytes()
-	}
-	return s
-}
+func (cm *CMatrix) SizeBytes() int64 { return cm.size }
 
 // CompressionRatio returns uncompressed dense bytes over compressed bytes.
 func (cm *CMatrix) CompressionRatio() float64 {

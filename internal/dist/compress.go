@@ -7,14 +7,15 @@ import (
 	"sysml/internal/matrix"
 )
 
-// Compressed wire codec: broadcasts and shuffle partials ship in compressed
-// form when that is smaller than the dense block. A side input carrying an
-// attached compressed form (internal/compress.Attach, made by the
-// interpreter's auto-compress pass) ships as its serialized column groups;
-// a partial without an attachment is priced by the dictionary codec
-// (compress.DenseWireBytes), which only claims a win for low-cardinality
-// payloads. Computation is unaffected — like the rest of this backend, only
-// the traffic accounting is simulated.
+// Compressed wire codec: a broadcast or a shuffle partial is charged its
+// compressed size when that is smaller than the dense block. A side input
+// carrying an attached compressed form (internal/compress.Attach, made by
+// the interpreter's auto-compress pass) is charged the priced size of its
+// column groups (compress.WireSizeBytes); a partial without an attachment
+// is priced by the dictionary codec (compress.DenseWireBytes), which only
+// claims a win for low-cardinality payloads. Nothing is serialized:
+// computation is unaffected, and like the rest of this backend, only the
+// traffic accounting is simulated.
 
 // SetCompressedWire toggles the compressed wire codec and returns the
 // previous setting. The bench CLA gates disable it to measure the dense
@@ -37,9 +38,9 @@ func (c *Cluster) CompressedWireStats() (bcastBytes, bcastSaved, shuffleBytes, s
 		atomic.LoadInt64(&c.cwShuffleBytes), atomic.LoadInt64(&c.cwShufSaved)
 }
 
-// wireBytes returns the bytes one copy of m costs on the wire and whether
-// that is a compressed encoding. An attached compressed form wins when its
-// serialized size beats the matrix's storage; otherwise the dictionary
+// wireBytes returns the bytes one copy of m is charged on the wire and
+// whether that is a compressed size. An attached compressed form wins when
+// its priced size beats the matrix's storage; otherwise the dictionary
 // codec prices the dense payload and only claims a win when it is smaller.
 func (c *Cluster) wireBytes(m *matrix.Matrix) (int64, bool) {
 	if atomic.LoadInt32(&c.cwOff) != 0 {

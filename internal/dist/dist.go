@@ -425,8 +425,8 @@ func (c *Cluster) broadcastAll(sides []*matrix.Matrix, sp obs.Span) {
 			cached++
 			continue
 		}
-		// Ship the compressed form when the wire codec wins: every
-		// executor receives the serialized column groups (or the
+		// Charge the compressed size when the wire codec wins: every
+		// executor is charged the priced column groups (or the
 		// dictionary-coded payload) instead of the dense block.
 		if wire, compressed := c.wireBytes(s); compressed {
 			if ship := wire * int64(c.executors()); ship < full {

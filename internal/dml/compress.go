@@ -14,8 +14,9 @@ import (
 // session from outside (Bind, or a serving request writing Env directly) is
 // sampled when it is first read: compressInput, the ratio estimator and,
 // above compressMinRatio, the compression, with the verdict cached on the
-// matrix. A value the script produced (setEnvAll wrote it) is never sampled
-// or compressed. An attached compressed form annotates the read's hop, so
+// matrix. A value the script produced (setEnvAll wrote it) carries the
+// decline "produced by the script" from the start and is never sampled or
+// compressed. An attached compressed form annotates the read's hop, so
 // that a block optimized afterwards prices the read at its compressed size.
 
 // compressMinBytes is the dense size below which compression is never
@@ -36,10 +37,10 @@ func (s *Session) compressCandidate(m *matrix.Matrix) bool {
 // compressPass is the interpreter's compression pass over one block about
 // to run. Every transient read that is not also a block output (reads; the
 // binding survives the block, so a compressed form amortizes across
-// executions) either carries an attached compressed form already, is
-// script-produced and skipped, or is decided by compressInput. The size of
-// an attached form is written into the read's hop, and the block's
-// compression ratio is published.
+// executions) either carries an attached compressed form already, carries
+// a decline (script-produced values among them), or is decided by
+// compressInput. The size of an attached form is written into the read's
+// hop, and the block's compression ratio is published.
 func (s *Session) compressPass(reads []*hop.Hop) {
 	if s.Config.Compress == codegen.CompressOff {
 		return
@@ -50,7 +51,7 @@ func (s *Session) compressPass(reads []*hop.Hop) {
 		if !s.compressCandidate(m) {
 			continue
 		}
-		if _, produced := s.produced[m]; !produced && compress.Of(m) == nil {
+		if compress.Of(m) == nil {
 			s.compressInput(m)
 		}
 		if cm := compress.Of(m); cm != nil {
@@ -102,9 +103,6 @@ func (s *Session) verdict(name string) string {
 	}
 	if reason, declined := compress.DeclineReason(m); declined {
 		return reason
-	}
-	if _, produced := s.produced[m]; produced {
-		return "produced by the script"
 	}
 	return "not sampled"
 }

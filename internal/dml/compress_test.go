@@ -152,7 +152,8 @@ func compressCounters(s *Session) (sampled, compressed, declined int64) {
 
 // TestProducedValuesAreNeverSampled: Xc = round(X) is produced by the script
 // and then read 800 times by one plan, sum(Xc^2), which could run over its
-// dictionaries. It never reaches the estimator, and EXPLAIN says why, while
+// dictionaries. It never reaches the estimator, in this session or in a
+// second one it is bound into, and EXPLAIN says why, while
 // the bound X is sampled at its first read and compressed as before. The
 // result is the one without compression.
 func TestProducedValuesAreNeverSampled(t *testing.T) {
@@ -198,6 +199,17 @@ func TestProducedValuesAreNeverSampled(t *testing.T) {
 	}
 	if v := verdicts["X"]; !strings.HasPrefix(v, "compressed ") {
 		t.Errorf("X: verdict %q, want its compressed form", v)
+	}
+	// The verdict is the matrix's own: bound into a second session, Xc is
+	// not sampled there either.
+	xc, _ := auto.Get("Xc")
+	second := newTestSessionCfg(auto.Config)
+	second.Bind("Y", xc)
+	if err := second.Run(`z = sum(Y ^ 2)`); err != nil {
+		t.Fatal(err)
+	}
+	if sampled, _, _ := compressCounters(second); sampled != 0 {
+		t.Errorf("Xc bound into a second session was sampled %d times", sampled)
 	}
 
 	off := run(codegen.CompressOff)

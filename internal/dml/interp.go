@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"sysml/internal/codegen"
+	"sysml/internal/compress"
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
 	"sysml/internal/obs"
@@ -64,11 +65,6 @@ type Session struct {
 	blockLRU   list.List               // of *blockEntry, most recently used first
 	programs   []program               // parsed scripts, most recently run first, at most MaxPrograms
 	bound      map[*matrix.Matrix]bool // matrices handed in via Bind (caller-owned)
-	// produced holds the compression candidates the script itself produced
-	// (setEnvAll wrote them as new results) and that are still bound: the
-	// compression pass skips them (compress.go). A value Bind or a serving
-	// request put into Env is in no such set.
-	produced map[*matrix.Matrix]struct{}
 
 	nnzHints map[string]int64 // sparsity estimates from BindWithNnz, dropped on divergence
 	// predSec and actualSec sum the predicted and measured seconds of the
@@ -209,7 +205,6 @@ func (s *Session) setEnv(name string, m *matrix.Matrix) {
 			s.Dist.Invalidate(old)
 		}
 		if !s.bound[old] && !s.envRefs(name, old) {
-			delete(s.produced, old)
 			old.Release()
 		}
 	}
@@ -223,16 +218,14 @@ func (s *Session) setEnv(name string, m *matrix.Matrix) {
 // per-assignment could recycle storage a pending binding still needs.
 //
 // A compression candidate among the outputs that no variable held before
-// the block is a value the script produced; an output that passes an
-// existing binding on (Y = X) stays what it was.
+// the block is a value the script produced, and carries that verdict on the
+// matrix (compress.go); an output that passes an existing binding on
+// (Y = X) stays what it was.
 func (s *Session) setEnvAll(names []string, out []*matrix.Matrix) {
 	if s.Config.Compress != codegen.CompressOff {
 		for _, m := range out {
-			if s.compressCandidate(m) && !s.envRefs("", m) {
-				if s.produced == nil {
-					s.produced = map[*matrix.Matrix]struct{}{}
-				}
-				s.produced[m] = struct{}{}
+			if s.compressCandidate(m) && m.CompressState() == nil && !s.envRefs("", m) {
+				compress.Decline(m, "produced by the script")
 			}
 		}
 	}
@@ -251,7 +244,6 @@ func (s *Session) setEnvAll(names []string, out []*matrix.Matrix) {
 	}
 	for _, old := range orphans {
 		if !s.envRefs("", old) {
-			delete(s.produced, old)
 			old.Release()
 		}
 	}
@@ -283,7 +275,6 @@ func (s *Session) Reset() {
 		delete(s.Env, name)
 	}
 	s.bound = nil
-	s.produced = nil
 }
 
 // Close is Reset plus dropping the block plans and parsed scripts: full
@@ -417,7 +408,6 @@ func (s *Session) Explain(script string) (string, error) {
 		Sink:     col,
 		bound:    bound,
 		nnzHints: maps.Clone(s.nnzHints),
-		produced: maps.Clone(s.produced),
 	}
 	defer shadow.Reset()
 	before := shadow.Metrics()
