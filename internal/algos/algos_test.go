@@ -2,6 +2,7 @@ package algos
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"regexp"
 	"strings"
@@ -397,6 +398,44 @@ func TestBroadcastRegionsFuse(t *testing.T) {
 		}
 		if n := s.Metrics().Counter("spoof.bind.fill"); n > 0 {
 			t.Errorf("%s: %d fused operators over dense inputs ran under spoof.bind.fill", c.a.Name, n)
+		}
+	}
+}
+
+// TestOuterLeavesTheRatingsShapedProductUnwritten is Table 5's ALS-CG row at
+// test size: over a sparse ratings matrix, Gen's plan keeps U %*% t(V) inside
+// sparsity-exploiting Outer operators and writes no dense rows×cols
+// intermediate, while Gen-FNR, which materializes every value with several
+// consumers, writes one. The cost-audit ledger sums what the operators of one
+// label wrote (ActualOutBytes): a label under one dense result's bytes in
+// total wrote no such result, and every other value of this script is a
+// factor, a vector or a scalar.
+func TestOuterLeavesTheRatingsShapedProductUnwritten(t *testing.T) {
+	const rows, cols = 300, 400
+	x := data.AmazonLike(rows, cols, 41)
+	for _, c := range []struct {
+		mode  codegen.Mode
+		wrote bool
+	}{{codegen.ModeGen, false}, {codegen.ModeGenFNR, true}} {
+		cfg := codegen.DefaultConfig()
+		cfg.Mode = c.mode
+		in := map[string]*matrix.Matrix{
+			"X":  x,
+			"U0": matrix.Rand(rows, 4, 1, 0.01, 0.1, 42),
+			"V0": matrix.Rand(cols, 4, 1, 0.01, 0.1, 43),
+		}
+		s, err := ALSCG.Run(cfg, in, map[string]float64{"maxiter": 1, "rank": 2}, nil, &bytes.Buffer{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var written []string
+		for _, g := range s.CostAudit().Groups {
+			if g.ActualOutBytes >= rows*cols*8 {
+				written = append(written, fmt.Sprintf("%s: %d B in %d runs", g.Op, g.ActualOutBytes, g.Count))
+			}
+		}
+		if (len(written) > 0) != c.wrote {
+			t.Errorf("%v: operators that wrote a dense %dx%d result's bytes: %q", c.mode, rows, cols, written)
 		}
 	}
 }
