@@ -59,6 +59,9 @@ GOARCH=arm64 go vet ./internal/vector
 #  - One priced compressed transfer: the cluster charges WireSizeBytes and
 #    serializes nothing; the encoder, the decoder with its reader and the
 #    decoder's fuzz target.
+#  - The model picks the template: one recursion prices each node's
+#    candidate templates and opens the cheapest; the type bonus and the
+#    row-aggregate rule that picked by score, and the second costing walk.
 while IFS=';' read -r section pattern exempt what; do
   echo "== $section =="
   spec=('*.go')
@@ -80,6 +83,7 @@ one offline fit into a profile;Calibrator|syncCalibration|calibGen|ObserveCompre
 one compression rule;readPlan|readHistory|compressProduced|planReads|CompressedConsumer|CompressBW|calibrateCompressions|reopt\.compress|compress\.plan\.skipped;-;the compression policy for script-produced values
 one parallel fold;ForIndexed(Limit)?\(;-;a per-worker parallel region
 one priced compressed transfer;^func (Encode|Decode)\(|wireReader|wireMagic|FuzzWireDecode;-;a compressed wire codec
+the model picks the template;typePreference|overRowAggregate|addOpCost|costNode;-;a template-choice rule beside the model
 ROWS
 # Only cplan.Program.Exec executes RowInstrs (lower.go emits them, source.go
 # renders them).

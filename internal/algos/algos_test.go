@@ -335,14 +335,15 @@ func TestGenMatchesBaseOnEveryStorage(t *testing.T) {
 // TestBroadcastRegionsFuse: element-wise regions over row and column vectors
 // are fused whatever the vector (construction used to decline the Cell plans
 // among them, because it costed the per-cell closures they would have run).
-// A vector that enters the region from outside makes a Cell operator that
-// reads it as one row for all (a uniform register, nothing is filled) —
-// KMeans' distances, n×5 over the 1×5 centroid norms. A
-// column vector computed next to the matrix it is combined with is a row
-// aggregate, and the Row template, which fuses the aggregate too, goes first
-// (Coster.overRowAggregate): MLogreg's softmax is two Row operators that
-// read nothing but X %*% B, with no rowMaxs or rowSums left beside them,
-// and KMeans' P / rowSums(P) is one.
+// A vector that enters the region from outside is read as one row for all (a
+// uniform register, nothing is filled) — KMeans' distances, n×5 over the 1×5
+// centroid norms, one Row operator with the product X %*% t(C) they are
+// combined with, and no basic subtraction left over the norms. A column
+// vector computed next to the matrix it is combined with is a row aggregate,
+// and the model prices the Row template, which fuses the aggregate too, below
+// Cell operators that need every such vector materialized and a pass each:
+// MLogreg's softmax is two Row operators that read nothing but X %*% B, with
+// no rowMaxs or rowSums left beside them, and KMeans' P / rowSums(P) is one.
 func TestBroadcastRegionsFuse(t *testing.T) {
 	for _, c := range []struct {
 		a          Algorithm
@@ -352,7 +353,7 @@ func TestBroadcastRegionsFuse(t *testing.T) {
 		{MLogreg, map[string]float64{"maxiter": 2, "inneriter": 2, "k": 3},
 			[]string{"Row TMP# 1 inputs, 400x2 output"}, []string{" ua(Rmax) ", " ua(Rsum) "}},
 		{KMeans, map[string]float64{"maxiter": 2},
-			[]string{"Cell TMP# 2 inputs, 400x5 output", "Row TMP# 1 inputs, 400x5 output"}, []string{" ua(Rsum) "}},
+			[]string{"Row TMP# 3 inputs, 400x5 output", "Row TMP# 1 inputs, 400x5 output"}, []string{" ua(Rsum) ", " b(-) "}},
 	} {
 		s := dml.NewSession(codegen.DefaultConfig())
 		s.Out = &bytes.Buffer{}

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"sysml/internal/algos"
@@ -125,8 +124,7 @@ func Fig12Enumeration(o Options) *Table {
 			t.Add(s.algo.Name, "ERR: "+errAll.Error())
 			continue
 		}
-		hyp := new(big).SetBig(sessAll.Stats.HypotheticalPlans)
-		row = append(row, hyp.String())
+		row = append(row, sessAll.Stats.HypotheticalPlans.String())
 
 		cfgPart := codegen.DefaultConfig()
 		cfgPart.EnableCostPrune = false
@@ -149,22 +147,4 @@ func Fig12Enumeration(o Options) *Table {
 		t.Add(row...)
 	}
 	return t
-}
-
-// big pretty-prints large plan counts as powers of ten.
-type big struct{ f float64 }
-
-func (b *big) SetBig(v interface{ BitLen() int }) *big {
-	b.f = float64(v.BitLen()-1) * math.Log10(2)
-	if v.BitLen() == 0 {
-		b.f = 0
-	}
-	return b
-}
-
-func (b *big) String() string {
-	if b.f < 6 {
-		return fmt.Sprintf("%.0f", math.Pow(10, b.f))
-	}
-	return fmt.Sprintf("~1e%.0f", b.f)
 }

@@ -158,17 +158,22 @@ func overhead(name string, base, new time.Duration, limit float64, detail string
 		Limit: limit, Cmp: "<", Unit: "%", Detail: fmt.Sprintf("%s%.3f → %.3f ms", detail, msec(base), msec(new))}
 }
 
-// medianOverhead is the overhead check of the median of three interleavedMin
-// trials of base against new, as recost's feedback check reads it: on a
-// shared host one trial's minimum can catch a quiet moment the other variant
-// never saw, and one such trial must not decide the check.
-func medianOverhead(name string, rounds int, base, new func(), limit float64, detail string) Check {
-	trials := make([]Check, 3)
-	for i := range trials {
-		d := interleavedMin(rounds, base, new)
-		trials[i] = overhead(name, d[0], d[1], limit, detail)
-	}
+// medianTrial runs a wall-time check three times and returns the trial of
+// median reading, as recost's feedback check reads it: on a shared host one
+// trial's minimum can catch a quiet moment the other variant never saw, and
+// one such trial must not decide the check.
+func medianTrial(trial func() Check) Check {
+	trials := []Check{trial(), trial(), trial()}
 	slices.SortFunc(trials, func(a, b Check) int { return cmp.Compare(a.Measured, b.Measured) })
 	trials[1].Detail += ", median of 3 trials"
 	return trials[1]
+}
+
+// medianOverhead is the overhead check of base against new over rounds
+// interleaved rounds, the median of three trials (medianTrial).
+func medianOverhead(name string, rounds int, base, new func(), limit float64, detail string) Check {
+	return medianTrial(func() Check {
+		d := interleavedMin(rounds, base, new)
+		return overhead(name, d[0], d[1], limit, detail)
+	})
 }

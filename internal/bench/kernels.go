@@ -63,9 +63,11 @@ func asmChecks(reps int) []Check {
 	}
 	var checks []Check
 	for k, tw := range twins[0] {
-		goNS, asmNS := perCall(tw)
-		c := ratio("assembly primitives", goNS, asmNS, asmMinSpeedup, "ns",
-			fmt.Sprintf("%s n=%d, Go loop vs asm: ", tw.Name, asmGateN))
+		c := medianTrial(func() Check {
+			goNS, asmNS := perCall(tw)
+			return ratio("assembly primitives", goNS, asmNS, asmMinSpeedup, "ns",
+				fmt.Sprintf("%s n=%d, Go loop vs asm: ", tw.Name, asmGateN))
+		})
 		for i, n := range sizes[1:] {
 			g, a := perCall(twins[i+1][k])
 			c.Detail += fmt.Sprintf("; n=%d %.2fx", n, g/a)
@@ -73,9 +75,11 @@ func asmChecks(reps int) []Check {
 		checks = append(checks, c)
 	}
 	for _, tw := range vector.TileTwins() {
-		goNS, asmNS := perCall(tw)
-		checks = append(checks, ratio("assembly primitives", goNS, asmNS, asmMinSpeedup, "ns",
-			fmt.Sprintf("%s (%.1f GB/s), Go loop vs asm: ", tw.Name, float64(tw.Bytes)/asmNS)))
+		checks = append(checks, medianTrial(func() Check {
+			goNS, asmNS := perCall(tw)
+			return ratio("assembly primitives", goNS, asmNS, asmMinSpeedup, "ns",
+				fmt.Sprintf("%s (%.1f GB/s), Go loop vs asm: ", tw.Name, float64(tw.Bytes)/asmNS))
+		}))
 	}
 	return checks
 }
@@ -141,7 +145,8 @@ func mmSeqReference(a, b *matrix.Matrix) *matrix.Matrix {
 //
 // The baselines of gates 1 and 3 call vector.MultAdd, which has an assembly
 // kernel too: both sides of those gates got faster, what the gates measure
-// is still the blocking.
+// is still the blocking. Gates 1 and 4 read the median of three trials
+// (medianTrial), as the overhead checks of the fault and cla gates do.
 func Kernels(o Options) []Check {
 	reps := max(o.Reps, 3)
 	oldProcs := runtime.GOMAXPROCS(8)
@@ -153,8 +158,10 @@ func Kernels(o Options) []Check {
 
 	// --- Gate 1: TSMM, 8 workers vs the sequential reference. ---
 	x := matrix.Rand(o.rows(2000), 200, 1, -1, 1, 1)
-	tsmm := interleavedMin(reps, func() { matrix.TSMM(x).Release() }, func() { tsmmSeqReference(x).Release() })
-	checks := []Check{ratio("TSMM speedup", msec(tsmm[1]), msec(tsmm[0]), tsmmMinSpeedup, "ms", "seq vs 8 workers: ")}
+	checks := []Check{medianTrial(func() Check {
+		d := interleavedMin(reps, func() { matrix.TSMM(x).Release() }, func() { tsmmSeqReference(x).Release() })
+		return ratio("TSMM speedup", msec(d[1]), msec(d[0]), tsmmMinSpeedup, "ms", "seq vs 8 workers: ")
+	})}
 
 	// --- Gate 2: allocation reduction on the cellwise microbench. ---
 	// Base mode materializes every intermediate of sum(X*Y*Z), which the

@@ -20,7 +20,7 @@ type constructor struct {
 	stats *Stats
 	rep   *PlanReport // optional EXPLAIN record (nil when not observing)
 
-	coster *Coster // reused for its entry-pick rule
+	coster *Coster // the choices of the model under q (Coster.choose)
 	// wanted holds the hops the plan materializes, as construction finds
 	// them: partition roots, the leaves of every built operator, the inputs
 	// of every hop left a basic operator.
@@ -42,7 +42,7 @@ func construct(d *hop.DAG, m *Memo, parts []*Partition, q map[Edge]bool,
 		wanted:        map[int64]bool{},
 		siblingMerged: map[int64]bool{},
 	}
-	c.coster.assign(q)
+	c.coster.choose(q)
 	order := hop.TopoOrder(d.Roots())
 	c.combineSiblings(order)
 	for _, r := range all.Roots {
@@ -65,14 +65,14 @@ func (c *constructor) nextClass() string {
 // build constructs a fused operator at a materialized hop when a valid
 // entry is selected, and marks what the result reads as materialized.
 func (c *constructor) build(h *hop.Hop) {
-	// The preferred entry first; when its template cannot express the
-	// region (or a gate declines it), the other templates' entries.
-	for _, entry := range c.coster.pickEntries(h) {
-		region := c.collect(h, entry)
+	// The cheapest candidate first; when its template cannot express the
+	// region, the other templates' candidates (Coster.pickEntries).
+	for _, p := range c.coster.pickEntries(h) {
+		region := c.collect(h, p.e)
 		if len(region.covered) < 2 {
 			continue
 		}
-		if c.buildAndSplice(h, entry, region) {
+		if c.buildAndSplice(h, p.e, region) {
 			c.want(region.leaves)
 			return
 		}
@@ -114,7 +114,7 @@ func (c *constructor) collectInto(h *hop.Hop, entry Entry, r *region) {
 	r.covered[h.ID] = true
 	for j, in := range h.Inputs {
 		if entry.Inputs[j] >= 0 && !c.q[Edge{h.ID, in.ID}] {
-			if childEntry, ok := c.coster.pickEntryCompat(in, entry.Type); ok {
+			if childEntry, ok := c.coster.contAt(in, entry.Type); ok {
 				c.collectInto(in, childEntry, r)
 				continue
 			}
@@ -236,16 +236,7 @@ func (c *constructor) buildCellPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.
 	aggOp := matrix.AggSum
 	exprRoot := h
 	if h.Kind == hop.OpAggUnary {
-		switch h.AggDir {
-		case matrix.DirAll:
-			cellType = cplan.CellFullAgg
-		case matrix.DirRow:
-			cellType = cplan.CellRowAgg
-		case matrix.DirCol:
-			cellType = cplan.CellColAgg
-		}
-		aggOp = h.AggOp
-		exprRoot = h.Inputs[0]
+		cellType, aggOp, exprRoot = cellAggType(h.AggDir), h.AggOp, h.Inputs[0]
 		if !r.covered[exprRoot.ID] {
 			return nil, nil
 		}
@@ -269,6 +260,17 @@ func (c *constructor) buildCellPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.
 		SparseSafe: cplan.ProbeSparseSafe(root),
 	}
 	return plan, b.inputs()
+}
+
+// cellAggType is the kind of cell operator that aggregates in direction dir.
+func cellAggType(dir matrix.AggDir) cplan.CellType {
+	switch dir {
+	case matrix.DirRow:
+		return cplan.CellRowAgg
+	case matrix.DirCol:
+		return cplan.CellColAgg
+	}
+	return cplan.CellFullAgg
 }
 
 func pickMain(leaves []*hop.Hop, rows, cols int64) *hop.Hop {
@@ -580,13 +582,18 @@ func (b *rowBuilder) leaf(x *hop.Hop) (*cplan.CNode, bool) {
 
 // ------------------------------------------------------------- Outer ---
 
+// outerProduct reports whether x is an outer product U %*% t(V) of small
+// rank that an Outer operator can open with.
+func outerProduct(x *hop.Hop) bool {
+	return x.Kind == hop.OpMatMult && x.Inputs[0].Cols <= outerMaxRank &&
+		x.Inputs[0].Cols == x.Inputs[1].Rows && x.Cells() > x.Inputs[0].Cols*x.Inputs[0].Cols
+}
+
 func (c *constructor) buildOuterPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.Hop) {
 	// Locate the covered opening outer-product multiplication.
 	var mm *hop.Hop
 	for id := range r.covered {
-		x := c.memo.Hop(id)
-		if x.Kind == hop.OpMatMult && x.Inputs[0].Cols <= outerMaxRank &&
-			x.Inputs[0].Cols == x.Inputs[1].Rows && x.Cells() > x.Inputs[0].Cols*x.Inputs[0].Cols {
+		if x := c.memo.Hop(id); outerProduct(x) {
 			if mm == nil || x.Cells() > mm.Cells() {
 				mm = x
 			}

@@ -1,7 +1,7 @@
 package codegen
 
 import (
-	"fmt"
+	"cmp"
 	"math"
 	"slices"
 
@@ -9,6 +9,18 @@ import (
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
 )
+
+// fusedFlops is what one hop computes inside a fused operator, before the
+// operator's sparsity exploitation (sparsityScale) scales it: a product is
+// counted over dense rows, so that the sparsity of its left input, which
+// the scale holds when that input drives the operator, counts once.
+func fusedFlops(h *hop.Hop) float64 {
+	if h.Kind == hop.OpMatMult {
+		a, b := h.Inputs[0], h.Inputs[1]
+		return 2 * float64(a.Rows) * float64(b.Cols) * float64(a.Cols)
+	}
+	return flops(h)
+}
 
 // flops estimates the floating-point operations of one HOP.
 func flops(h *hop.Hop) float64 {
@@ -32,51 +44,13 @@ func flops(h *hop.Hop) float64 {
 // multi-output operator class, wider per-row state) is not worth paying.
 const hfuseMinGain = 1e-5
 
-// horizontalSavings models what merging k siblings over one shared main
-// input saves: the k-1 redundant scans of the main input that separate
-// execution would perform.
-func horizontalSavings(m CostModel, k int, mainBytes float64) float64 {
-	return float64(k-1) * mainBytes / m.ReadBW
-}
-
-// horizontalMixPenalty charges the sparse-safety mixing cost of a merged
-// scan: the fused skeleton iterates non-zeros only when every root is
-// sparse-safe, so merging a sparse-safe sibling with an unsafe one forces
-// the safe sibling's ops over all cells instead of stored entries. Zero
-// for dense mains and for groups with uniform sparse-safety.
-func horizontalMixPenalty(m CostModel, main *hop.Hop, safe []bool, numOps []int) float64 {
-	if !main.IsSparse() {
-		return 0
-	}
-	cells := float64(main.Cells())
-	nnz := cells * main.Sparsity()
-	mergedVisited := nnz
-	for _, s := range safe {
-		if !s {
-			mergedVisited = cells
-			break
-		}
-	}
-	var penalty float64
-	for i, s := range safe {
-		visited := cells
-		if s {
-			visited = nnz
-		}
-		penalty += (mergedVisited - visited) * float64(numOps[i]) / m.ComputeBW
-	}
-	return penalty
-}
-
-// declineReason renders a horizontal cost-gate decline deterministically
-// for the EXPLAIN report.
-func declineReason(saved, gate float64) string {
-	return fmt.Sprintf("modeled saving %.3g s below gate %.3g s", saved, gate)
-}
-
 // Coster evaluates the analytical cost model (§4.3) for a plan partition
 // under an interesting-point assignment q: C(Pi|q) = Σ_p Tw + max(Tr, Tc),
-// with cost vectors per fused operator capturing shared reads and CSEs.
+// with cost vectors per fused operator capturing shared reads and CSEs. One
+// recursion (price) prices the candidates of a node and chooses the template
+// that opens its operator; a plan's price sums, once per node the plan
+// makes, the chosen operator (charge); construction reads the same choices
+// (choose).
 type Coster struct {
 	cfg  *Config
 	part *Partition
@@ -91,36 +65,82 @@ type Coster struct {
 	// The lower bound's q-independent terms (LowerBound) and, per point,
 	// the node it materializes.
 	lbWrite, lbRead, lbCompute, readBW float64
-	ptTo                               []int32
+	ptTo, roots                        []int32
 
 	// Scratch of the plan being priced. Marks on the nodes compare against
 	// plan and opSeq, which only grow, so nothing is cleared between plans.
 	plan, opSeq int64
-	ins         []int32 // inputs of the operators being opened, innermost last
+	ins         []int32 // inputs of the operator being walked
 	uses        []int32 // inputs of the current operator, an entry per consumer: index<<2, | 1 unless it walks their rows (else it reads a sparse one by element), | 2 unless a zero there is a zero here
+	qbits       uint64  // q as bits, when the partition has at most 64 points
+	dep         uint64  // the points the current walk read (qbits positions)
 	covered     int     // hops of the current operator
-	total       float64
-	budget      float64
-	exceeded    bool
+	nonCell     int     // of them, those that are not element-wise
+	product     int32   // of them, the largest outer product (outerProduct), or -1
+	cands       []sibling
 }
 
 // cnode is one hop as the coster sees it.
 type cnode struct {
-	h      *hop.Hop
-	g      *Group
-	inPart bool
-	root   bool    // materialized under every plan (part.Roots)
-	ins    []int32 // h.Inputs as indexes into Coster.nodes (partition nodes only)
-	pts    []int32 // per input, its edge's index into part.Points, or -1
-	flops  float64
+	h       *hop.Hop
+	inPart  bool
+	root    bool    // materialized under every plan (part.Roots)
+	order   []Entry // the memo entries by template type, most fusion references first
+	ins     []int32 // h.Inputs as indexes into Coster.nodes (partition nodes only)
+	pts     []int32 // per input, its edge's index into part.Points, or -1
+	uses    []int8  // per input, its Coster.uses bits, or -1 for none
+	ptMask  uint64  // the points on its input edges (at most 64 points)
+	parents []int32 // consumers in the partition
+	flops   float64
+	bytes   float64 // h.ReadSizeBytes()
+	bare    opRec   // h as a basic operator, over ins
 
-	sparseIn bool // some input is sparse (typePreference)
-	rowAgg   int8 // overRowAggregate: 0 not computed, 1 no, 2 yes
+	priced  int64                         // plan that price and picks hold for
+	price   float64                       // the node's operator and the inputs only it makes
+	picks   []pick                        // the candidates: the cheapest, which opens the operator, first
+	walks   [cplan.TemplateOuter + 1]walk // per template type, its candidate's operator
+	charged int64                         // plan whose price holds the node's operator
+	mat     int64                         // plan that materializes a point into the node
+	inOp    int64                         // operator that last covered the node
+	asInput int64                         // operator that last read the node
+	bounded int64                         // LowerBound call that last counted the node
+}
 
-	costed  int64 // plan that priced the node as an operator root
-	inOp    int64 // operator that last covered the node
-	asInput int64 // operator that last read the node
-	bounded int64 // LowerBound call that last counted the node
+// pick is one candidate at a node: the entry that opens its operator, its
+// index into the node's order, and its price with the inputs only it makes.
+type pick struct {
+	e   Entry
+	o   int
+	sec float64
+}
+
+// walk is the operator a candidate opened when it was last walked: a walk
+// reads q only at the points dep, so it holds for every plan that assigns
+// them key.
+type walk struct {
+	o        int // the entry, as an index into order; -1 before the first walk
+	dep, key uint64
+	op       opRec
+	ins      []int32
+}
+
+// opRec is one operator as a plan's price and a sibling merge see it: its
+// price, its flops before sparsity exploitation, the hops it covers and how
+// many of them are not element-wise, and whether its body skips the zeros of
+// its main input.
+type opRec struct {
+	sec, fl      float64
+	ops, nonCell int
+	safe         bool
+}
+
+// op is the operator the plan opens at n and its inputs.
+func (n *cnode) op() (*opRec, []int32) {
+	if len(n.picks) > 0 {
+		w := &n.walks[n.picks[0].e.Type]
+		return &w.op, w.ins
+	}
+	return &n.bare, n.ins
 }
 
 // NewCoster prepares a coster for one partition.
@@ -136,7 +156,7 @@ func NewCoster(cfg *Config, m *Memo, p *Partition) *Coster {
 		if !ok {
 			i = int32(len(c.nodes))
 			c.at[h.ID] = i
-			c.nodes = append(c.nodes, cnode{h: h, g: m.Get(h.ID), inPart: p.Nodes[h.ID], flops: flops(h)})
+			c.nodes = append(c.nodes, cnode{h: h, inPart: p.Nodes[h.ID], flops: flops(h), bytes: float64(h.ReadSizeBytes())})
 		}
 		return i
 	}
@@ -154,28 +174,62 @@ func NewCoster(cfg *Config, m *Memo, p *Partition) *Coster {
 	c.readBW = math.Max(mc.ReadBW, mc.BroadcastBW)
 	for i := range ids {
 		h := c.nodes[i].h
-		ins, pts := make([]int32, len(h.Inputs)), make([]int32, len(h.Inputs))
+		ins, pts, uses := make([]int32, len(h.Inputs)), make([]int32, len(h.Inputs)), make([]int8, len(h.Inputs))
 		for j, in := range h.Inputs {
-			ins[j], pts[j] = add(in), -1
+			ins[j], pts[j], uses[j] = add(in), -1, -1
 			if k, ok := pt[Edge{h.ID, in.ID}]; ok {
 				pts[j] = k
+				if k < 64 {
+					c.nodes[i].ptMask |= 1 << k
+				}
+			}
+			// A matrix product, its transpose or a sum walks the rows of its
+			// input. Element-by-element consumers run over a tile; over a
+			// sparse input they keep a Row operator from binding it as
+			// sparse rows, and a cell operator from skipping its zeros unless
+			// a zero there makes a zero here.
+			if walks := rowSparseCapableUse(h); walks || in.IsSparse() {
+				uses[j] = 0
+				if !walks {
+					uses[j] |= 1
+				}
+				if !zeroAtZero(h, j) {
+					uses[j] |= 2
+				}
 			}
 			if in.IsSparse() {
-				c.nodes[i].sparseIn = true
 				minScale = math.Min(minScale, in.Sparsity())
 			}
+			if int(ins[j]) < len(ids) {
+				c.nodes[ins[j]].parents = append(c.nodes[ins[j]].parents, int32(i))
+			}
 		}
-		c.nodes[i].ins, c.nodes[i].pts = ins, pts
+		n := &c.nodes[i]
+		n.ins, n.pts, n.uses = ins, pts, uses
+		n.order = slices.Clone(m.Get(h.ID).Entries)
+		slices.SortStableFunc(n.order, func(a, b Entry) int {
+			return cmp.Or(cmp.Compare(a.Type, b.Type), cmp.Compare(b.RefCount(), a.RefCount()))
+		})
+		n.picks = make([]pick, 0, cplan.TemplateOuter+1)
+		for t := range n.walks {
+			n.walks[t].o = -1
+		}
+		inBytes, largest := readBytes(h.Inputs)
+		n.bare = opRec{sec: opSec(mc, h, inBytes, largest, n.flops), fl: n.flops, ops: 1, nonCell: 1, safe: true}
+		if h.Kind == hop.OpBinary || h.Kind == hop.OpUnary {
+			n.bare.nonCell, n.bare.safe = 0, zeroAtZero(h, 0)
+		}
 		if h.IsSparse() {
 			minScale = math.Min(minScale, h.Sparsity())
 		}
-		c.lbCompute += c.nodes[i].flops
+		c.lbCompute += n.flops
 	}
 	c.lbCompute *= minScale / mc.ComputeBW
 	for _, id := range p.Inputs {
 		c.lbRead += float64(m.Hop(id).ReadSizeBytes()) / c.readBW
 	}
 	for _, r := range p.Roots {
+		c.roots = append(c.roots, c.at[r])
 		c.nodes[c.at[r]].root = true
 		c.lbWrite += float64(m.Hop(r).OutputSizeBytes()) / mc.WriteBW
 	}
@@ -186,33 +240,176 @@ func NewCoster(cfg *Config, m *Memo, p *Partition) *Coster {
 	return c
 }
 
-// PlanCost computes C(Pi|q); costing stops early (returning +Inf) once the
-// partial costs exceed budget (pass +Inf to disable the cutoff).
+// PlanCost computes C(Pi|q), or +Inf where that exceeds budget.
 func (c *Coster) PlanCost(q map[Edge]bool, budget float64) float64 {
-	c.assign(q)
+	for i, e := range c.part.Points {
+		c.q[i] = q[e]
+	}
 	return c.cost(c.q, budget)
 }
 
-// assign sets the assignment the entry-pick rule reads from a set of edges.
-func (c *Coster) assign(q map[Edge]bool) {
-	for i, e := range c.part.Points {
-		c.q[i] = q[e]
+// choose prices the plan of q and every node of the partition under it, so
+// that each node's candidates (pickEntries) hold before construction
+// changes the DAG.
+func (c *Coster) choose(q map[Edge]bool) {
+	c.PlanCost(q, math.Inf(1))
+	for i := range c.nodes {
+		c.price(int32(i))
 	}
 }
 
 // cost is PlanCost for an assignment by point index (q is not retained past
-// the next call).
+// the next call): the operator of every node the plan makes, once — the
+// partition's roots, the targets of materialized points and, from them down,
+// the inputs of every operator it opens — less what its sibling merges save.
 func (c *Coster) cost(q []bool, budget float64) float64 {
-	c.q = q
+	c.q, c.qbits = q, 0
 	c.plan++
-	c.total, c.budget, c.exceeded = 0, budget, false
-	for _, r := range c.part.Roots {
-		c.costNode(c.at[r])
-		if c.exceeded {
-			return math.Inf(1)
+	for k, on := range q {
+		if on {
+			c.nodes[c.ptTo[k]].mat = c.plan
+			c.qbits |= 1 << k
 		}
 	}
-	return c.total
+	total := 0.0
+	for _, r := range c.roots {
+		total += c.charge(r)
+	}
+	for k, on := range q {
+		if on {
+			total += c.charge(c.ptTo[k])
+		}
+	}
+	if total -= c.siblingSavings(); total > budget {
+		return math.Inf(1)
+	}
+	return total
+}
+
+// charge is the price of the operator the plan opens at node i and of the
+// operators that make its inputs, each node counted once per plan.
+func (c *Coster) charge(i int32) float64 {
+	n := &c.nodes[i]
+	if !n.inPart || n.charged == c.plan {
+		return 0
+	}
+	n.charged = c.plan
+	c.price(i)
+	op, ins := n.op()
+	sec := op.sec
+	for _, x := range ins {
+		sec += c.charge(x)
+	}
+	return sec
+}
+
+// price chooses the operator that opens at node i under c.q and returns what
+// it costs a plan that makes i: the operator itself, plus the price of each
+// input that only this operator makes. An input the plan makes anyway — a
+// partition root, the target of a materialized point, an input of the
+// partition — adds nothing here. The candidates are, per template type, the
+// valid entry with the most fusion references; the cheapest opens the
+// operator, ties going to the lower TemplateType (Cell, Row, MAgg, Outer).
+// A candidate that fuses nothing, and a node with no valid entry, is a
+// basic operator.
+func (c *Coster) price(i int32) float64 {
+	n := &c.nodes[i]
+	if !n.inPart || n.priced == c.plan {
+		return n.price
+	}
+	n.priced = c.plan
+	n.picks = n.picks[:0]
+	for o, e := range n.order {
+		// A MAgg entry is built as the Cell full aggregate it equals.
+		if k := len(n.picks); (k == 0 || n.picks[k-1].e.Type != e.Type && (e.Type != cplan.TemplateMAgg || n.picks[0].e.Type != cplan.TemplateCell)) && c.valid(n, o) {
+			n.picks = n.picks[:k+1]
+			n.picks[k].e, n.picks[k].o = e, o
+		}
+	}
+	if len(n.picks) == 0 {
+		n.price = n.bare.sec + c.inputs(n.ins)
+		return n.price
+	}
+	b := 0
+	for k := range n.picks {
+		p := &n.picks[k]
+		w := c.open(i, p)
+		if p.sec = w.op.sec + c.inputs(w.ins); p.sec < n.picks[b].sec {
+			b = k
+		}
+	}
+	// The cheapest to the front, the others after it in type order.
+	best := n.picks[b]
+	copy(n.picks[1:b+1], n.picks[:b])
+	n.picks[0], n.price = best, best.sec
+	return n.price
+}
+
+// inputs is the price of the nodes among ins that the plan makes only for
+// the operator reading them.
+func (c *Coster) inputs(ins []int32) (sec float64) {
+	for _, x := range ins {
+		if n := &c.nodes[x]; n.inPart && !n.root && n.mat != c.plan {
+			sec += c.price(x)
+		}
+	}
+	return sec
+}
+
+// open walks the operator that candidate p opens at node i, unless the
+// node's last walk of it holds for the plan: its price (opSec and
+// rowMainSec) and inputs. One that fuses nothing, or that construction could
+// not build as an Outer operator, is the basic operator.
+func (c *Coster) open(i int32, p *pick) *walk {
+	w := &c.nodes[i].walks[p.e.Type]
+	if len(c.q) <= 64 && w.o == p.o && w.key == c.qbits&w.dep {
+		return w
+	}
+	c.opSeq++
+	c.ins, c.uses, c.covered, c.nonCell, c.product, c.dep = w.ins[:0], c.uses[:0], 0, 0, -1, 0
+	fl := c.addToOp(i, &p.e, c.opSeq)
+	w.o, w.dep, w.key, w.ins = p.o, c.dep, c.qbits&c.dep, c.ins
+	if c.covered < 2 || p.e.Type == cplan.TemplateOuter && !c.outerMain(w.ins) {
+		w.op, w.ins = c.nodes[i].bare, append(w.ins[:0], c.nodes[i].ins...)
+		return w
+	}
+	// Operator cost: write output once, read distinct inputs, compute.
+	var inBytes, largest float64
+	var main *hop.Hop
+	mainAt := int32(-1)
+	for _, in := range w.ins {
+		x, b := c.nodes[in].h, c.nodes[in].bytes
+		inBytes, largest = inBytes+b, math.Max(largest, b)
+		if m := mainInput(main, x); m != main {
+			main, mainAt = m, in
+		}
+	}
+	t := p.e.Type
+	denseMain, uses := false, 0
+	for _, u := range c.uses {
+		if u>>2 == mainAt {
+			denseMain = denseMain || u&1 == 1 && t == cplan.TemplateRow || u&2 == 2 && t != cplan.TemplateRow
+			uses += int(1 - u&1)
+		}
+	}
+	sec := rowMainSec(c.cfg.Costs, t, main, denseMain, uses) +
+		opSec(c.cfg.Costs, c.nodes[i].h, inBytes, largest, fl*sparsityScale(t, main, denseMain))
+	w.op = opRec{sec: sec, fl: fl, ops: c.covered, nonCell: c.nonCell, safe: !denseMain}
+	return w
+}
+
+// outerMain reports whether an Outer operator over ins has what
+// buildOuterPlan needs: an outer product whose left factor it reads, and an
+// input of the product's shape other than its factors to drive it.
+func (c *Coster) outerMain(ins []int32) bool {
+	if c.product < 0 || c.nodes[c.nodes[c.product].ins[0]].inOp == c.opSeq {
+		return false
+	}
+	mm := c.nodes[c.product].h
+	return slices.ContainsFunc(ins, func(x int32) bool {
+		y := c.nodes[x].h
+		return y.Rows == mm.Rows && y.Cols == mm.Cols && !slices.Contains(mm.Inputs, y)
+	})
 }
 
 // rowSparseCapableUse reports whether consumer h reads its input the way a
@@ -268,81 +465,28 @@ func rowMainSec(m CostModel, t cplan.TemplateType, main *hop.Hop, denseMain bool
 	return sec + float64(max(uses-1, 0))*walk/m.ReadBW
 }
 
-func (c *Coster) costNode(i int32) {
-	n := &c.nodes[i]
-	if c.exceeded || n.costed == c.plan {
-		return
-	}
-	n.costed = c.plan
-	if !n.inPart {
-		// Input node: produced outside the partition; its read is accounted
-		// by the consuming operator.
-		return
-	}
-	h := n.h
-	entry, _, ok := c.pick(n, -1, -1)
-	base := len(c.ins)
-	var fl float64
-	if ok {
-		// Open a fused operator at h. One that fuses nothing is left a
-		// basic operator, as construction leaves it.
-		c.opSeq++
-		c.uses, c.covered = c.uses[:0], 0
-		fl = c.addToOp(i, entry, c.opSeq)
-		ok = c.covered > 1
-	}
-	if !ok {
-		c.ins = c.ins[:base]
-		inBytes, largest := readBytes(h.Inputs)
-		c.addOpCost(h, inBytes, largest, n.flops)
-		for _, in := range n.ins {
-			c.costNode(in)
-		}
-		return
-	}
-	// Operator cost: write output once, read distinct inputs, compute.
-	var inBytes, largest float64
-	var main *hop.Hop
-	mainAt := int32(-1)
-	for _, in := range c.ins[base:] {
-		x := c.nodes[in].h
-		b := float64(x.ReadSizeBytes())
-		inBytes, largest = inBytes+b, math.Max(largest, b)
-		if m := mainInput(main, x); m != main {
-			main, mainAt = m, in
-		}
-	}
-	denseMain, uses := false, 0
-	for _, u := range c.uses {
-		if u>>2 == mainAt {
-			denseMain = denseMain || u&1 == 1 && entry.Type == cplan.TemplateRow || u&2 == 2 && entry.Type != cplan.TemplateRow
-			uses += int(1 - u&1)
-		}
-	}
-	c.total += rowMainSec(c.cfg.Costs, entry.Type, main, denseMain, uses)
-	c.addOpCost(h, inBytes, largest, fl*sparsityScale(entry.Type, main, denseMain))
-	// Recurse into materialized inputs of the fused operator.
-	for k, end := base, len(c.ins); k < end; k++ {
-		c.costNode(c.ins[k])
-	}
-	c.ins = c.ins[:base]
-}
-
 // addToOp accumulates node i into the fused operator op following the memo
 // entry's fusion references, and returns the flops it added; a hop reached
 // over multiple paths within the same fused operator counts once, while
 // overlapping operators still count redundant compute.
-func (c *Coster) addToOp(i int32, entry Entry, op int64) float64 {
+func (c *Coster) addToOp(i int32, entry *Entry, op int64) float64 {
 	n := &c.nodes[i]
 	if n.inOp == op {
 		return 0
 	}
 	n.inOp = op
 	c.covered++
-	fl := n.flops
+	c.dep |= n.ptMask
+	if n.h.Kind != hop.OpBinary && n.h.Kind != hop.OpUnary {
+		c.nonCell++
+	}
+	if outerProduct(n.h) && (c.product < 0 || n.h.Cells() > c.nodes[c.product].h.Cells()) {
+		c.product = i
+	}
+	fl := fusedFlops(n.h)
 	for j, in := range n.ins {
 		if entry.Inputs[j] >= 0 && !c.materialized(n, j) {
-			if child, _, ok := c.pick(&c.nodes[in], int(entry.Type), -1); ok {
+			if child := c.cont(&c.nodes[in], entry.Type); child != nil {
 				fl += c.addToOp(in, child, op)
 				continue
 			}
@@ -352,20 +496,8 @@ func (c *Coster) addToOp(i int32, entry Entry, op int64) float64 {
 			x.asInput = op
 			c.ins = append(c.ins, in)
 		}
-		// A matrix product, its transpose or a sum walks the rows of its
-		// input. Element-by-element consumers run over a tile; over a
-		// sparse input they keep a Row operator from binding it as sparse
-		// rows, and a cell operator from skipping its zeros unless a zero
-		// there makes a zero here.
-		if walks := rowSparseCapableUse(n.h); walks || x.h.IsSparse() {
-			u := in << 2
-			if !walks {
-				u |= 1
-			}
-			if !zeroAtZero(n.h, j) {
-				u |= 2
-			}
-			c.uses = append(c.uses, u)
+		if u := n.uses[j]; u >= 0 {
+			c.uses = append(c.uses, in<<2|int32(u))
 		}
 	}
 	return fl
@@ -398,13 +530,6 @@ func readBytes(ins []*hop.Hop) (total, largest float64) {
 		total, largest = total+b, math.Max(largest, b)
 	}
 	return total, largest
-}
-
-func (c *Coster) addOpCost(h *hop.Hop, inBytes, largest, fl float64) {
-	c.total += opSec(c.cfg.Costs, h, inBytes, largest, fl)
-	if c.total > c.budget {
-		c.exceeded = true
-	}
 }
 
 // mainInput folds in into the running choice of a fused operator's main
@@ -440,143 +565,50 @@ func sparsityScale(t cplan.TemplateType, main *hop.Hop, denseMain bool) float64 
 	}
 }
 
-// pickEntry selects the best memo entry at h under the assignment, or
-// (zero, false) to execute h as a basic operator. The deterministic rule
-// prefers sparsity-exploiting templates, then maximal fusion references.
-func (c *Coster) pickEntry(h *hop.Hop) (Entry, bool) {
-	return c.pickEntryCompat(h, -1)
+// pickEntries returns the candidates at h under the assignment construction
+// chose with (choose): the first, the cheapest, opens h's operator, the
+// others, in TemplateType order, are what construction falls back to when a
+// template cannot express the region. None for a basic operator.
+func (c *Coster) pickEntries(h *hop.Hop) []pick {
+	if i, ok := c.at[h.ID]; ok {
+		return c.nodes[i].picks
+	}
+	return nil
 }
 
-// pickEntries returns the best valid entry of every template type at h,
-// best first: pickEntry's choice followed by the alternatives construction
-// falls back to when the preferred template cannot express the region.
-func (c *Coster) pickEntries(h *hop.Hop) []Entry {
-	i, ok := c.at[h.ID]
-	if !ok || c.nodes[i].g == nil {
-		return nil
-	}
-	n := &c.nodes[i]
-	var out []Entry
-	var scores []float64
-	for _, t := range n.g.Types() {
-		if e, score, ok := c.pick(n, -1, int(t)); ok {
-			k := len(out)
-			for k > 0 && scores[k-1] < score {
-				k--
-			}
-			out, scores = slices.Insert(out, k, e), slices.Insert(scores, k, score)
+// valid reports whether n.order[o] fuses over no edge q materializes.
+func (c *Coster) valid(n *cnode, o int) bool {
+	for j, in := range n.order[o].Inputs {
+		if in >= 0 && c.materialized(n, j) {
+			return false
 		}
 	}
-	return out
+	return true
 }
 
-// pickEntryCompat is pickEntry among the entries that can continue an
-// enclosing operator of type t (any entry for t < 0).
-func (c *Coster) pickEntryCompat(h *hop.Hop, t cplan.TemplateType) (Entry, bool) {
-	i, ok := c.at[h.ID]
-	if !ok {
-		return Entry{}, false
-	}
-	e, _, ok := c.pick(&c.nodes[i], int(t), -1)
-	return e, ok
-}
-
-// pick scores the entries of n valid under q. wantType >= 0 restricts to
-// entries that can continue an enclosing operator of that type; onlyType
-// >= 0 restricts to that template type.
-func (c *Coster) pick(n *cnode, wantType, onlyType int) (Entry, float64, bool) {
-	best := Entry{}
-	bestScore := math.Inf(-1)
-	found := false
-	if n.g == nil || !n.inPart {
-		return best, bestScore, false
-	}
-	for _, e := range n.g.Entries {
-		if onlyType >= 0 && int(e.Type) != onlyType {
-			continue
-		}
-		if wantType >= 0 {
-			// Continuing inside an operator of type wantType: same type or
-			// mergeable Cell plans, and only open plans can be extended.
-			if e.Closed != StatusOpen {
-				continue
-			}
-			if int(e.Type) != wantType && e.Type != cplan.TemplateCell {
-				continue
-			}
-		}
-		valid := true
-		for j := range n.pts {
-			if e.Inputs[j] >= 0 && c.materialized(n, j) {
-				valid = false
+// cont is the entry that continues an enclosing operator of type t at n: an
+// open, valid entry of type t, else of Cell (Cell plans merge into every
+// template), with the most fusion references; nil if there is none.
+func (c *Coster) cont(n *cnode, t cplan.TemplateType) (e *Entry) {
+	c.dep |= n.ptMask
+	for o := range n.order {
+		if x := &n.order[o]; x.Closed == StatusOpen && (x.Type == t || e == nil && x.Type == cplan.TemplateCell) && c.valid(n, o) {
+			if e = x; x.Type == t {
 				break
 			}
 		}
-		if !valid {
-			continue
-		}
-		score := float64(e.RefCount())*10 + c.typePreference(e.Type, n)
-		if wantType >= 0 && int(e.Type) == wantType {
-			// Continuing the enclosing operator's own template keeps its
-			// chain (e.g. the Dot of an Outer plan) intact; merged Cell
-			// plans only win for side expressions without same-type plans.
-			score += 5
-		}
-		if score > bestScore {
-			best, bestScore, found = e, score, true
-		}
 	}
-	return best, bestScore, found
+	return e
 }
 
-// typePreference breaks ties between templates: sparsity-exploiting Outer
-// templates first when the inputs are sparse, then MAgg, Row, Cell — except
-// over a row aggregate of the partition (overRowAggregate), where Row goes
-// first.
-func (c *Coster) typePreference(t cplan.TemplateType, n *cnode) float64 {
-	switch t {
-	case cplan.TemplateOuter:
-		if n.sparseIn {
-			return 4
-		}
-		return 1.5
-	case cplan.TemplateMAgg:
-		return 2
-	case cplan.TemplateRow:
-		if n.h.Cols > 1 && c.overRowAggregate(n) {
-			return 3.5
-		}
-		return 2.5
-	default:
-		return 3 // Cell: the canonical template for element-wise chains
-	}
-}
-
-// overRowAggregate reports whether the element-wise chain at n, inside the
-// partition, reaches a row aggregate (M / rowSums(exp(M - rowMaxs(M)))): only
-// a Row operator fuses the aggregate with the matrix it is combined with, in
-// one pass over M, where Cell operators need every such vector materialized
-// and a pass each. Over a vector that enters the partition from outside
-// both templates cover the same operators.
-func (c *Coster) overRowAggregate(n *cnode) bool {
-	if n.rowAgg == 0 {
-		n.rowAgg = 1
-		h := n.h
-		switch {
-		case !n.inPart:
-		case h.Kind == hop.OpAggUnary:
-			if h.AggDir == matrix.DirRow {
-				n.rowAgg = 2
-			}
-		case h.Kind == hop.OpBinary || h.Kind == hop.OpUnary:
-			for _, in := range n.ins {
-				if x := &c.nodes[in]; x.h.Rows == h.Rows && c.overRowAggregate(x) {
-					n.rowAgg = 2
-				}
-			}
+// contAt is cont for the hop h.
+func (c *Coster) contAt(h *hop.Hop, t cplan.TemplateType) (Entry, bool) {
+	if i, ok := c.at[h.ID]; ok {
+		if e := c.cont(&c.nodes[i], t); e != nil {
+			return *e, true
 		}
 	}
-	return n.rowAgg == 2
+	return Entry{}, false
 }
 
 // LowerBound bounds from below the cost of every plan that materializes at

@@ -26,9 +26,10 @@ func predictHop(cfg *Config, h *hop.Hop, fl float64) {
 }
 
 // predictSpoof annotates a freshly spliced fused operator with the cost
-// vector of its covered region: summed covered-HOP FLOPs, distinct input
-// bytes, the template's sparsity scale and, for a Row operator, the walk
-// per consumer of the main input and the densification the coster charges.
+// vector of its covered region: summed covered-HOP FLOPs (fusedFlops),
+// distinct input bytes, the template's sparsity scale and, for a Row
+// operator, the walk per consumer of the main input and the densification
+// the coster charges.
 func (c *constructor) predictSpoof(spoof *hop.Hop, t cplan.TemplateType, regions []*region) {
 	var main *hop.Hop
 	for _, in := range spoof.Inputs {
@@ -39,7 +40,7 @@ func (c *constructor) predictSpoof(spoof *hop.Hop, t cplan.TemplateType, regions
 	for _, r := range regions {
 		for id := range r.covered {
 			if x := c.memo.Hop(id); x != nil {
-				fl += flops(x)
+				fl += fusedFlops(x)
 				if rowSparseCapableUse(x) && slices.Contains(x.Inputs, main) {
 					uses++
 				}

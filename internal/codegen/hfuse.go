@@ -2,6 +2,8 @@ package codegen
 
 import (
 	"cmp"
+	"fmt"
+	"math"
 	"slices"
 
 	"sysml/internal/cplan"
@@ -13,191 +15,262 @@ import (
 // e.g. colSums(X), sum(X^2), and a cellwise map over X — into one
 // multi-output operator: one pass over X producing several outputs. It is
 // the paper's multi-aggregate combining (§2.2, Fig. 1c), generalized beyond
-// full aggregates. One pass, combineSiblings, runs before the vertical
-// construction walk, with one candidate rule, one grouping rule, one cost gate
-// and one builder; merged members are marked so the walk does not build them
-// again. A group of full aggregates only becomes a MAgg operator, the paper's
-// 1×k SpoofMultiAggregate layout; any other group becomes a Horizontal
-// operator, each root keeping its own output kind (cplan.Plan.HKinds).
+// full aggregates. The plan search prices it (Coster.siblingSavings) and
+// construction builds it (combineSiblings, before the vertical construction
+// walk) with one candidate rule (Coster.sibling) and one grouping rule and
+// cost gate (siblingGroups); merged members are marked so the walk does not
+// build them again. A group of full aggregates only becomes a MAgg operator,
+// the paper's 1×k SpoofMultiAggregate layout; any other group becomes a
+// Horizontal operator, each root keeping its own output kind
+// (cplan.Plan.HKinds).
 
 // hfuseMaxGroup caps the sibling group size: each extra root adds per-row
 // register and buffer pressure, and past a handful of outputs the shared
 // scan no longer dominates.
 const hfuseMaxGroup = 4
 
-// hfuseCand is one sibling candidate: a cell-bound consumer of a dominant
-// main input. expr is the fused cell expression below the output kind
-// (nil when the candidate aggregates the main input directly, in which
-// case the root is just Main(0)).
-type hfuseCand struct {
-	h      *hop.Hop
-	kind   cplan.CellType
-	agg    matrix.AggOp
-	region *region
-	main   *hop.Hop
-	expr   *hop.Hop
+// sibling is one operator a merged scan can take in: h reads the cells of
+// main (full: h is a full aggregate), and its body covers ops hops and skips
+// the zeros of main (safe) or not.
+type sibling struct {
+	h, main    *hop.Hop
+	full, safe bool
+	ops        int
 }
 
-// combineSiblings finds sibling groups over the whole DAG and splices one
-// multi-output operator per profitable group. It sweeps the DAG (order, a
+// mergeable returns the cells a merged scan would compute for h — an
+// aggregate's input, the result of an element-wise h — or nil where h can
+// join none (the cell skeleton folds sums, minima and maxima only).
+func mergeable(h *hop.Hop) *hop.Hop {
+	switch h.Kind {
+	case hop.OpAggUnary:
+		if x := h.Inputs[0]; x.Cols > 1 && !x.IsScalar() && h.AggOp != matrix.AggMean {
+			return x
+		}
+	case hop.OpBinary, hop.OpUnary:
+		if h.Cols > 1 && !h.IsScalar() {
+			return h
+		}
+	}
+	return nil
+}
+
+// scans lists the inputs of h that a merged scan covering h could read as
+// its main input: the input of an aggregate, an input of an element-wise h of
+// h's own shape. Plans of two partitions that scan the same input can merge
+// (BuildPartitions searches them as one), plans on the two sides of a cut set
+// cannot (FindCutSets).
+func scans(h *hop.Hop) []*hop.Hop {
+	switch x := mergeable(h); {
+	case x == nil:
+		return nil
+	case h.Kind == hop.OpAggUnary:
+		return []*hop.Hop{x}
+	}
+	return slices.DeleteFunc(slices.Clone(h.Inputs), func(in *hop.Hop) bool { return in.Rows != h.Rows || in.Cols != h.Cols })
+}
+
+// siblingGroups is the grouping rule of sibling merges, the one construction
+// and the plan search both call. In the order of cands (hop IDs), the first
+// candidate not yet merged leads a group of the later ones with its main
+// input that consume no member (the merge would create a cycle through the
+// spoof), at most hfuseMaxGroup of them. DisableHFuse leaves only the full
+// aggregates to group, and DisableMAgg drops the groups that hold nothing
+// else. A group goes to merge, which reports whether it merged it, when the
+// k−1 scans of the main input it saves clear hfuseMinGain and the mix
+// penalty: over a sparse main, a member whose body is not sparse-safe drives
+// the merged scan over every cell, the safe members' operations over the
+// zeros too. decline, if not nil, hears every group the gate stops.
+func siblingGroups(cfg *Config, cands []sibling, merge func(g []int, full bool) bool, decline func(g []int, saved, gate float64)) {
+	merged := make([]bool, len(cands))
+	out := func(a int) bool { return merged[a] || cfg.DisableHFuse && !cands[a].full }
+	for a, lead := range cands {
+		if out(a) {
+			continue
+		}
+		g := []int{a}
+		for b := a + 1; b < len(cands) && len(g) < hfuseMaxGroup; b++ {
+			if !out(b) && cands[b].main == lead.main && !slices.ContainsFunc(g, func(m int) bool {
+				return dependsOn(cands[b].h, cands[m].h) || dependsOn(cands[m].h, cands[b].h)
+			}) {
+				g = append(g, b)
+			}
+		}
+		gate, safeOps, full, mixed := hfuseMinGain, 0, true, false
+		for _, m := range g {
+			full = full && cands[m].full
+			if cands[m].safe {
+				safeOps += cands[m].ops
+			} else {
+				mixed = true
+			}
+		}
+		if len(g) < 2 || full && cfg.DisableMAgg {
+			continue
+		}
+		x, mc := lead.main, cfg.Costs
+		if mixed && x.IsSparse() {
+			gate += float64(x.Cells()) * (1 - x.Sparsity()) * float64(safeOps) / mc.ComputeBW
+		}
+		if saved := float64(len(g)-1) * float64(x.ReadSizeBytes()) / mc.ReadBW; saved <= gate {
+			if decline != nil {
+				decline(g, saved, gate)
+			}
+		} else if merge(g, full) {
+			for _, m := range g {
+				merged[m] = true
+			}
+		}
+	}
+}
+
+// siblingSavings is what the sibling merges of the plan being priced save
+// under the model: for each group siblingGroups merges, its members'
+// operators less the one scan that replaces them, which writes what they
+// write, reads each of their inputs once and computes what they compute.
+func (c *Coster) siblingSavings() (saved float64) {
+	c.cands = c.cands[:0]
+	for i := range c.nodes {
+		if s, ok := c.sibling(int32(i)); ok {
+			c.cands = append(c.cands, s)
+		}
+	}
+	if !slices.ContainsFunc(c.cands, func(a sibling) bool {
+		return slices.ContainsFunc(c.cands, func(b sibling) bool { return a.h != b.h && a.main == b.main })
+	}) {
+		return 0 // no group to form
+	}
+	m := c.cfg.Costs
+	siblingGroups(c.cfg, c.cands, func(g []int, _ bool) bool {
+		var sec, out, in, fl float64
+		safe := true
+		c.opSeq++
+		for _, a := range g {
+			n := &c.nodes[c.at[c.cands[a].h.ID]]
+			op, ins := n.op()
+			sec, out, fl, safe = sec+op.sec, out+float64(n.h.OutputSizeBytes()), fl+op.fl, safe && op.safe
+			for _, x := range ins {
+				if xn := &c.nodes[x]; xn.asInput != c.opSeq {
+					xn.asInput, in = c.opSeq, in+xn.bytes
+				}
+			}
+		}
+		scale := sparsityScale(cplan.TemplateMAgg, c.cands[g[0]].main, !safe)
+		saved += sec - out/m.WriteBW - math.Max(in/m.ReadBW, fl*scale/m.ComputeBW)
+		return true
+	}, nil)
+	return saved
+}
+
+// sibling classifies node i as a sibling candidate under the plan c.q holds:
+// the plan makes i, no consumer's operator fuses it, and the operator the
+// plan opens at i — a Cell operator, or any over an aggregate's input, or
+// none for a bare aggregate — is a cell body over an input of the shape it
+// scans (the main input, sparse first): element-wise hops below the root,
+// every other input a scalar, a row or a column of that shape.
+func (c *Coster) sibling(i int32) (sibling, bool) {
+	n := &c.nodes[i]
+	h, x := n.h, mergeable(n.h)
+	if x == nil || n.charged != c.plan {
+		return sibling{}, false
+	}
+	agg := 0
+	if h.Kind == hop.OpAggUnary {
+		agg = 1
+	} else if len(n.picks) == 0 || n.picks[0].e.Type != cplan.TemplateCell {
+		return sibling{}, false
+	}
+	op, ins := n.op()
+	var main *hop.Hop
+	for _, in := range ins {
+		if y := c.nodes[in].h; y.Rows == x.Rows && y.Cols == x.Cols && (main == nil || y.IsSparse() && !main.IsSparse()) {
+			main = y
+		}
+	}
+	if main == nil || op.nonCell > agg {
+		return sibling{}, false
+	}
+	for _, in := range ins {
+		if y := c.nodes[in].h; y != main && y.Kind != hop.OpLiteral {
+			if _, ok := accessFor(y, main.Rows, main.Cols); !ok {
+				return sibling{}, false
+			}
+		}
+	}
+	for _, pi := range n.parents {
+		if p := &c.nodes[pi]; p.charged == c.plan && len(p.picks) > 0 {
+			for j, in := range p.ins {
+				if e := p.picks[0].e; in == i && e.Inputs[j] >= 0 && !c.materialized(p, j) {
+					if c.cont(n, e.Type) != nil {
+						return sibling{}, false
+					}
+				}
+			}
+		}
+	}
+	return sibling{h: h, main: main, full: agg == 1 && h.AggDir == matrix.DirAll, safe: op.safe, ops: op.ops}, true
+}
+
+// combineSiblings merges the sibling groups over the whole DAG (order, a
 // topological order of it) rather than the plan partitions because bare
 // aggregates over a shared leaf (e.g. colSums(X)) carry no fusion reference
-// and therefore appear in no partition. A group is candidates with the same
-// main input that do not consume each other, at most hfuseMaxGroup of them,
-// led by the first unmerged candidate in hop-ID (creation) order.
-// DisableHFuse leaves only the full aggregates to group, and DisableMAgg
-// drops the groups that hold nothing else.
+// and therefore appear in no partition: a partition node is a candidate as
+// the plan search sees it (Coster.sibling), any other hop as a bare
+// aggregate over a matrix.
 func (c *constructor) combineSiblings(order []*hop.Hop) {
 	byID := slices.Clone(order)
 	slices.SortFunc(byID, func(a, b *hop.Hop) int { return cmp.Compare(a.ID, b.ID) })
-	var cands []hfuseCand
+	var cands []sibling
 	for _, h := range byID {
-		cand, ok := c.hfuseCandidate(h)
-		if !ok || c.verticallyClaimed(h) || c.cfg.DisableHFuse && cand.kind != cplan.CellFullAgg {
-			continue
-		}
-		cands = append(cands, cand)
-	}
-	for i, lead := range cands {
-		if c.siblingMerged[lead.h.ID] {
-			continue
-		}
-		group := []hfuseCand{lead}
-		for _, cj := range cands[i+1:] {
-			if len(group) == hfuseMaxGroup {
-				break
+		if i, ok := c.coster.at[h.ID]; ok && c.coster.nodes[i].inPart {
+			if s, ok := c.coster.sibling(i); ok {
+				cands = append(cands, s)
 			}
-			// Members that transitively consume each other cannot share one
-			// scan (the merge would create a cycle through the spoof).
-			if !c.siblingMerged[cj.h.ID] && cj.main == lead.main && !slices.ContainsFunc(group, func(g hfuseCand) bool {
-				return dependsOn(cj.h, g.h) || dependsOn(g.h, cj.h)
-			}) {
-				group = append(group, cj)
-			}
-		}
-		full := !slices.ContainsFunc(group, func(g hfuseCand) bool { return g.kind != cplan.CellFullAgg })
-		if len(group) < 2 || full && c.cfg.DisableMAgg || !c.buildSiblingGroup(lead.main, group, full) {
-			continue
-		}
-		for _, g := range group {
-			c.siblingMerged[g.h.ID] = true
+		} else if x := mergeable(h); x != nil && h.Kind == hop.OpAggUnary && x.Kind != hop.OpLiteral {
+			cands = append(cands, sibling{h: h, main: x, full: h.AggDir == matrix.DirAll, safe: true, ops: 1})
 		}
 	}
+	siblingGroups(c.cfg, cands,
+		func(g []int, full bool) bool { return c.buildSiblingGroup(cands, g, full) },
+		func(g []int, saved, gate float64) {
+			c.recordHorizontal(cands, g, false, fmt.Sprintf("modeled saving %.3g s below gate %.3g s", saved, gate))
+		})
 }
 
-// hfuseCandidate classifies one hop as a sibling candidate: an aggregate
-// (full, row, or column) over a fusable cell expression or straight over a
-// matrix, or a NoAgg cellwise map with a Cell-template entry.
-func (c *constructor) hfuseCandidate(h *hop.Hop) (hfuseCand, bool) {
-	switch h.Kind {
-	case hop.OpAggUnary:
-		kind := cplan.CellFullAgg
-		switch h.AggDir {
-		case matrix.DirRow:
-			kind = cplan.CellRowAgg
-		case matrix.DirCol:
-			kind = cplan.CellColAgg
-		}
-		expr := h.Inputs[0]
-		if expr.Cols <= 1 || expr.IsScalar() || h.AggOp == matrix.AggMean {
-			return hfuseCand{}, false // the cell skeleton folds sums, minima and maxima only
-		}
-		if entry, ok := c.coster.pickEntry(h); ok {
-			r := c.collect(h, entry)
-			if r.covered[expr.ID] {
-				main := pickMain(r.leaves, expr.Rows, expr.Cols)
-				if main == nil {
-					return hfuseCand{}, false
-				}
-				return hfuseCand{h: h, kind: kind, agg: h.AggOp, region: r, main: main, expr: expr}, true
-			}
-		}
-		// Bare aggregate over a materialized matrix (e.g. colSums(X)): it
-		// joins a sibling group with root Main(0).
-		if expr.Kind == hop.OpLiteral {
-			return hfuseCand{}, false
-		}
-		r := &region{covered: map[int64]bool{h.ID: true}, leafSet: map[int64]bool{}}
-		r.addLeaf(expr)
-		return hfuseCand{h: h, kind: kind, agg: h.AggOp, region: r, main: expr}, true
-
-	case hop.OpBinary, hop.OpUnary:
-		if h.Cols <= 1 || h.IsScalar() {
-			return hfuseCand{}, false
-		}
-		entry, ok := c.coster.pickEntry(h)
-		if !ok || entry.Type != cplan.TemplateCell {
-			return hfuseCand{}, false
-		}
-		r := c.collect(h, entry)
-		main := pickMain(r.leaves, h.Rows, h.Cols)
-		if main == nil {
-			return hfuseCand{}, false
-		}
-		return hfuseCand{h: h, kind: cplan.CellNoAgg, agg: matrix.AggSum, region: r, main: main, expr: h}, true
-	}
-	return hfuseCand{}, false
-}
-
-// verticallyClaimed reports whether some parent's selected plan fuses h
-// into its own region: stealing h into a sibling group would break the
-// larger vertical fusion the enumerator already paid for, so such
-// candidates are left alone. Mirrors the collectInto fuse rule (a
-// non-materialized fusion reference with a compatible child entry).
-func (c *constructor) verticallyClaimed(h *hop.Hop) bool {
-	for _, p := range h.Parents {
-		entry, ok := c.coster.pickEntry(p)
-		if !ok {
-			continue
-		}
-		for j, in := range p.Inputs {
-			if in != h || j >= len(entry.Inputs) || entry.Inputs[j] < 0 ||
-				c.q[Edge{p.ID, h.ID}] {
-				continue
-			}
-			if _, ok := c.coster.pickEntryCompat(h, entry.Type); ok {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// buildSiblingGroup constructs, cost-gates, compiles, and splices one
-// sibling group: a MAgg operator when every member is a full aggregate
-// (full), its 1×k output read through Index extractors, a Horizontal one
-// otherwise, each output read through its SpoofOut extractor. On any
-// construction failure it returns false and the members stay available for
-// vertical fusion; on a cost-gate decline the decision is recorded in the
-// EXPLAIN report.
-func (c *constructor) buildSiblingGroup(main *hop.Hop, group []hfuseCand, full bool) bool {
+// buildSiblingGroup constructs, compiles, and splices one sibling group
+// that siblingGroups let through: a MAgg operator when every member is a
+// full aggregate (full), its 1×k output read through Index extractors, a
+// Horizontal one otherwise, each output read through its SpoofOut extractor.
+// On any construction failure it returns false and the members stay
+// available for vertical fusion.
+func (c *constructor) buildSiblingGroup(cands []sibling, g []int, full bool) bool {
+	main := cands[g[0]].main
 	b := newCellBody(main, nil, main.Rows, main.Cols)
 	plan := &cplan.Plan{Type: cplan.TemplateHorizontal}
-	numOps := make([]int, len(group))
-	safe := make([]bool, len(group))
-	regions := make([]*region, len(group))
-	for i, it := range group {
-		root := cplan.Main(0)
-		if it.expr != nil && it.expr != main {
-			var ok bool
-			if root, ok = b.build(it.expr, it.region); !ok {
-				return false
-			}
+	regions := make([]*region, len(g))
+	for i, m := range g {
+		it := cands[m]
+		// The member's region: its operator's, or a bare aggregate's.
+		r := &region{covered: map[int64]bool{it.h.ID: true}, leafSet: map[int64]bool{}}
+		r.addLeaf(main)
+		if picks := c.coster.pickEntries(it.h); len(picks) > 0 {
+			r = c.collect(it.h, picks[0].e)
+		}
+		kind, agg, expr := cplan.CellNoAgg, matrix.AggSum, it.h
+		if it.h.Kind == hop.OpAggUnary {
+			kind, agg, expr = cellAggType(it.h.AggDir), it.h.AggOp, it.h.Inputs[0]
+		}
+		root, ok := b.build(expr, r)
+		if !ok {
+			return false
 		}
 		plan.Roots = append(plan.Roots, root)
-		plan.AggOps = append(plan.AggOps, it.agg)
-		plan.HKinds = append(plan.HKinds, it.kind)
-		numOps[i], safe[i], regions[i] = len(it.region.covered), cplan.ProbeSparseSafe(root), it.region
-	}
-	m := c.cfg.Costs
-	saved := horizontalSavings(m, len(group), float64(main.ReadSizeBytes()))
-	gate := hfuseMinGain + horizontalMixPenalty(m, main, safe, numOps)
-	if saved <= gate {
-		c.recordHorizontal(main, group, false, declineReason(saved, gate))
-		return false
+		plan.AggOps = append(plan.AggOps, agg)
+		plan.HKinds = append(plan.HKinds, kind)
+		regions[i] = r
 	}
 	plan.NumSides, plan.SparseSafe = len(b.env.sides), cplan.ProbeSparseSafe(plan.Roots...)
-	k := int64(len(group))
+	k := int64(len(g))
 	cols := int64(1) // a Horizontal operator's own result is a dummy scalar
 	if full {
 		plan.Type, plan.HKinds, cols = cplan.TemplateMAgg, nil, k
@@ -210,56 +283,30 @@ func (c *constructor) buildSiblingGroup(main *hop.Hop, group []hfuseCand, full b
 	c.record(plan.Type.String(), op, len(inputs), 1, k, hit)
 	spoof := c.d.NewSpoof(plan.Type.String(), op, 1, cols, cols, inputs...)
 	c.predictSpoof(spoof, plan.Type, regions)
-	for i, it := range group {
+	for i, m := range g {
+		it := cands[m]
 		if full {
 			c.splice(it.h, c.d.Index(spoof, 0, 1, int64(i), int64(i)+1))
 		} else {
 			c.splice(it.h, c.d.SpoofOut(spoof, i, it.h.Rows, it.h.Cols, it.h.Nnz))
 		}
+		// Continue fusing below the merged group's materialized inputs.
+		c.want(regions[i].leaves)
+		c.siblingMerged[it.h.ID] = true
 	}
-	c.recordHorizontal(main, group, true, "")
-	// Continue fusing below the merged group's materialized inputs.
-	for _, it := range group {
-		c.want(it.region.leaves)
-	}
-	// Member interiors that stay live — block outputs, or consumers outside
-	// the merged regions — still need their own plans: their partition
-	// roots were claimed by the merge, so the main sweep would not build them.
-	coveredAll := map[int64]bool{}
-	for _, it := range group {
-		for id := range it.region.covered {
-			coveredAll[id] = true
-		}
-	}
-	outIDs := map[int64]bool{}
-	for _, name := range c.d.OutputNames() {
-		if o := c.d.Outputs[name]; o != nil {
-			outIDs[o.ID] = true
-		}
-	}
-	for _, it := range group {
-		for id := range it.region.covered {
-			x := c.memo.Hop(id)
-			if id == it.h.ID || x == nil {
-				continue
-			}
-			if outIDs[id] || slices.ContainsFunc(x.Parents, func(p *hop.Hop) bool { return !coveredAll[p.ID] }) {
-				c.wanted[id] = true
-			}
-		}
-	}
+	c.recordHorizontal(cands, g, true, "")
 	return true
 }
 
 // recordHorizontal appends one sibling-group decision to the EXPLAIN
 // report's HORIZONTAL section.
-func (c *constructor) recordHorizontal(main *hop.Hop, group []hfuseCand, merged bool, reason string) {
+func (c *constructor) recordHorizontal(cands []sibling, g []int, merged bool, reason string) {
 	if c.rep == nil {
 		return
 	}
-	g := HorizontalGroup{Main: main.String(), Merged: merged, Reason: reason}
-	for _, it := range group {
-		g.Members = append(g.Members, it.h.String())
+	rec := HorizontalGroup{Main: cands[g[0]].main.String(), Merged: merged, Reason: reason}
+	for _, m := range g {
+		rec.Members = append(rec.Members, cands[m].h.String())
 	}
-	c.rep.Horizontal = append(c.rep.Horizontal, g)
+	c.rep.Horizontal = append(c.rep.Horizontal, rec)
 }

@@ -75,6 +75,19 @@ func BuildPartitions(m *Memo, roots []*hop.Hop) []*Partition {
 	for _, r := range refs {
 		union(r.from, r.to)
 	}
+	// Plans that scan the same input can merge into one scan of it
+	// (siblingGroups), which the search prices: such plans are searched as
+	// one partition, so that each saving counts once.
+	scanned := map[int64]int64{}
+	for id, g := range m.Groups {
+		for _, x := range scans(g.Hop) {
+			if other, ok := scanned[x.ID]; ok {
+				union(id, other)
+			} else {
+				scanned[x.ID] = id
+			}
+		}
+	}
 	// Group nodes by component.
 	comps := map[int64]*Partition{}
 	for id := range m.Groups {
@@ -228,10 +241,12 @@ type CutSet struct {
 // FindCutSets returns the valid cut sets ordered by ascending score (Eq. 5).
 // Candidates are the targets of the interesting points, alone and in pairs.
 // One is valid if nothing below it is reachable from the partition's roots
-// around it: then no operator opened above the barrier covers a node below
-// it once its points are materialized, none opened below covers one above,
-// and no node is materialized on behalf of both sides, so the cost of a plan
-// is a sum of a term in S1's points and a term in S2's (§4.4).
+// around it and no input is scanned on both sides (scans): then no operator
+// opened above the barrier covers a node below it once its points are
+// materialized, none opened below covers one above, no node is materialized
+// on behalf of both sides and no sibling merge takes in operators of both,
+// so the cost of a plan is a sum of a term in S1's points and a term in S2's
+// (§4.4).
 func FindCutSets(m *Memo, p *Partition) []CutSet {
 	n := len(p.Points)
 	if n < 3 {
@@ -273,7 +288,11 @@ func FindCutSets(m *Memo, p *Partition) []CutSet {
 		}
 	}
 	var out []CutSet
-	above, below := map[int64]bool{}, map[int64]bool{}
+	above, below, scanned := map[int64]bool{}, map[int64]bool{}, map[int64]bool{}
+	scanning := map[int64][]*hop.Hop{}
+	for id := range p.Nodes {
+		scanning[id] = scans(m.Hop(id))
+	}
 	for _, barrier := range candidates {
 		clear(above)
 		clear(below)
@@ -286,6 +305,21 @@ func FindCutSets(m *Memo, p *Partition) []CutSet {
 		valid := true
 		for id := range below {
 			valid = valid && !above[id]
+		}
+		// A merged scan of an input must not take in plans of both sides.
+		for _, t := range barrier {
+			below[t] = true
+		}
+		clear(scanned)
+		for id := range above {
+			for _, x := range scanning[id] {
+				scanned[x.ID] = scanned[x.ID] || !below[id]
+			}
+		}
+		for id := range below {
+			for _, x := range scanning[id] {
+				valid = valid && !scanned[x.ID]
+			}
 		}
 		var cs, s1, s2 []int
 		for j, pt := range p.Points {
