@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"sysml/internal/cplan"
@@ -273,10 +274,12 @@ func cellAggType(dir matrix.AggDir) cplan.CellType {
 	return cplan.CellFullAgg
 }
 
-func pickMain(leaves []*hop.Hop, rows, cols int64) *hop.Hop {
+// pickMain returns the leaf of shape rows×cols that drives a cell-bound
+// operator, sparse first, leaving out the hops in except.
+func pickMain(leaves []*hop.Hop, rows, cols int64, except ...*hop.Hop) *hop.Hop {
 	var main *hop.Hop
 	for _, l := range leaves {
-		if l.Rows == rows && l.Cols == cols {
+		if l.Rows == rows && l.Cols == cols && !slices.Contains(except, l) {
 			if main == nil || (l.IsSparse() && !main.IsSparse()) {
 				main = l
 			}
@@ -582,74 +585,72 @@ func (b *rowBuilder) leaf(x *hop.Hop) (*cplan.CNode, bool) {
 
 // ------------------------------------------------------------- Outer ---
 
-// outerProduct reports whether x is an outer product U %*% t(V) of small
-// rank that an Outer operator can open with.
-func outerProduct(x *hop.Hop) bool {
+// largerProduct reports whether x is an outer product U %*% t(V) of small
+// rank that an Outer operator opens with in place of mm: of the covered
+// ones, that with the most cells, the lowest ID on ties.
+func largerProduct(x, mm *hop.Hop) bool {
 	return x.Kind == hop.OpMatMult && x.Inputs[0].Cols <= outerMaxRank &&
-		x.Inputs[0].Cols == x.Inputs[1].Rows && x.Cells() > x.Inputs[0].Cols*x.Inputs[0].Cols
+		x.Inputs[0].Cols == x.Inputs[1].Rows && x.Cells() > x.Inputs[0].Cols*x.Inputs[0].Cols &&
+		(mm == nil || x.Cells() > mm.Cells() || x.Cells() == mm.Cells() && x.ID < mm.ID)
+}
+
+// outerShape is what an Outer operator rooted at h needs, checked by
+// buildOuterPlan and by the plan search before it prices one (Coster.open):
+// an opening product mm whose left factor U it reads, a root variant — a full
+// aggregate, t(O) %*% U, O %*% V where mm's right factor is t(V), or a cell
+// expression — whose body root is covered, and a driver among the leaves, an
+// input of mm's shape other than its factors (sparse first). main is nil
+// where no Outer operator can be built.
+func outerShape(h, mm *hop.Hop, covered func(*hop.Hop) bool, leaves []*hop.Hop) (out cplan.OuterType, root, main *hop.Hop) {
+	if mm == nil || covered(mm.Inputs[0]) {
+		return 0, nil, nil
+	}
+	u, vt := mm.Inputs[0], mm.Inputs[1]
+	var v *hop.Hop // nil unless vt is t(V): construction transposes any other
+	if vt.Kind == hop.OpTranspose {
+		v = vt.Inputs[0]
+	}
+	out, root = cplan.OuterNoAgg, h
+	switch {
+	case h.Kind == hop.OpAggUnary && h.AggDir == matrix.DirAll:
+		out, root = cplan.OuterAgg, h.Inputs[0]
+	case h.Kind == hop.OpMatMult && h != mm:
+		left, right := h.Inputs[0], h.Inputs[1]
+		switch {
+		case covered(left) && left.Kind == hop.OpTranspose && right == u:
+			out, root = cplan.OuterLeftMM, left.Inputs[0]
+		case covered(left) && v != nil && right == v:
+			out, root = cplan.OuterRightMM, left
+		default:
+			return 0, nil, nil
+		}
+	}
+	if !covered(root) || root != mm && root.Kind != hop.OpBinary && root.Kind != hop.OpUnary {
+		return 0, nil, nil
+	}
+	return out, root, pickMain(leaves, mm.Rows, mm.Cols, u, v, vt)
 }
 
 func (c *constructor) buildOuterPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.Hop) {
 	// Locate the covered opening outer-product multiplication.
 	var mm *hop.Hop
 	for id := range r.covered {
-		if x := c.memo.Hop(id); outerProduct(x) {
-			if mm == nil || x.Cells() > mm.Cells() {
-				mm = x
-			}
+		if x := c.memo.Hop(id); largerProduct(x, mm) {
+			mm = x
 		}
 	}
-	if mm == nil || r.covered[mm.Inputs[0].ID] {
-		return nil, nil
-	}
-	u := mm.Inputs[0]
-	vt := mm.Inputs[1]
-	var v *hop.Hop
-	if vt.Kind == hop.OpTranspose {
-		v = vt.Inputs[0]
-	} else {
-		// Materialize the transpose of the right factor as V.
-		v = c.d.Transpose(vt)
-	}
-	// Output variant from the root operator.
-	outType := cplan.OuterNoAgg
-	exprRoot := h
-	switch {
-	case h.Kind == hop.OpAggUnary && h.AggDir == matrix.DirAll:
-		outType = cplan.OuterAgg
-		exprRoot = h.Inputs[0]
-	case h.Kind == hop.OpMatMult && h != mm:
-		left, right := h.Inputs[0], h.Inputs[1]
-		switch {
-		case r.covered[left.ID] && left.Kind == hop.OpTranspose && right == u:
-			outType = cplan.OuterLeftMM
-			exprRoot = left.Inputs[0]
-		case r.covered[left.ID] && right == v:
-			outType = cplan.OuterRightMM
-			exprRoot = left
-		default:
-			return nil, nil
-		}
-	}
-	if !r.covered[exprRoot.ID] {
-		return nil, nil
-	}
-	// Main X: the sparse driver among leaves with the outer dimensions.
-	var mainX *hop.Hop
-	for _, l := range r.leaves {
-		if l == u || l == v || l == vt {
-			continue
-		}
-		if l.Rows == mm.Rows && l.Cols == mm.Cols {
-			if mainX == nil || (l.IsSparse() && !mainX.IsSparse()) {
-				mainX = l
-			}
-		}
-	}
+	outType, exprRoot, mainX := outerShape(h, mm, func(x *hop.Hop) bool { return r.covered[x.ID] }, r.leaves)
 	if mainX == nil {
 		// No main input of the outer dimensions: the operator would run
 		// densely over them; basic execution serves that instead.
 		return nil, nil
+	}
+	u, v := mm.Inputs[0], mm.Inputs[1]
+	if v.Kind == hop.OpTranspose {
+		v = v.Inputs[0]
+	} else {
+		// Materialize the transpose of the right factor as V.
+		v = c.d.Transpose(v)
 	}
 	b := newCellBody(mainX, mm, mm.Rows, mm.Cols)
 	root, ok := b.build(exprRoot, r)

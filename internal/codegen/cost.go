@@ -70,14 +70,13 @@ type Coster struct {
 	// Scratch of the plan being priced. Marks on the nodes compare against
 	// plan and opSeq, which only grow, so nothing is cleared between plans.
 	plan, opSeq int64
-	ins         []int32 // inputs of the operator being walked
-	uses        []int32 // inputs of the current operator, an entry per consumer: index<<2, | 1 unless it walks their rows (else it reads a sparse one by element), | 2 unless a zero there is a zero here
-	qbits       uint64  // q as bits, when the partition has at most 64 points
-	dep         uint64  // the points the current walk read (qbits positions)
-	covered     int     // hops of the current operator
-	nonCell     int     // of them, those that are not element-wise
-	product     int32   // of them, the largest outer product (outerProduct), or -1
+	ins         []int32  // inputs of the operator being walked
+	uses        []int32  // inputs of the current operator, an entry per consumer: index<<2, | 1 unless it walks their rows (else it reads a sparse one by element), | 2 unless a zero there is a zero here
+	covered     int      // hops of the current operator
+	nonCell     int      // of them, those that are not element-wise
+	product     *hop.Hop // of them, the outer product an Outer operator opens with (largerProduct)
 	cands       []sibling
+	hbuf        []*hop.Hop // scratch of hops
 }
 
 // cnode is one hop as the coster sees it.
@@ -89,9 +88,9 @@ type cnode struct {
 	ins     []int32 // h.Inputs as indexes into Coster.nodes (partition nodes only)
 	pts     []int32 // per input, its edge's index into part.Points, or -1
 	uses    []int8  // per input, its Coster.uses bits, or -1 for none
-	ptMask  uint64  // the points on its input edges (at most 64 points)
 	parents []int32 // consumers in the partition
 	flops   float64
+	fused   float64 // fusedFlops(h)
 	bytes   float64 // h.ReadSizeBytes()
 	bare    opRec   // h as a basic operator, over ins
 
@@ -106,22 +105,17 @@ type cnode struct {
 	bounded int64                         // LowerBound call that last counted the node
 }
 
-// pick is one candidate at a node: the entry that opens its operator, its
-// index into the node's order, and its price with the inputs only it makes.
+// pick is one candidate at a node: the entry that opens its operator and
+// its price with the inputs only it makes.
 type pick struct {
 	e   Entry
-	o   int
 	sec float64
 }
 
-// walk is the operator a candidate opened when it was last walked: a walk
-// reads q only at the points dep, so it holds for every plan that assigns
-// them key.
+// walk is the operator a candidate opens under the plan being priced.
 type walk struct {
-	o        int // the entry, as an index into order; -1 before the first walk
-	dep, key uint64
-	op       opRec
-	ins      []int32
+	op  opRec
+	ins []int32
 }
 
 // opRec is one operator as a plan's price and a sibling merge see it: its
@@ -156,7 +150,7 @@ func NewCoster(cfg *Config, m *Memo, p *Partition) *Coster {
 		if !ok {
 			i = int32(len(c.nodes))
 			c.at[h.ID] = i
-			c.nodes = append(c.nodes, cnode{h: h, inPart: p.Nodes[h.ID], flops: flops(h), bytes: float64(h.ReadSizeBytes())})
+			c.nodes = append(c.nodes, cnode{h: h, inPart: p.Nodes[h.ID], flops: flops(h), fused: fusedFlops(h), bytes: float64(h.ReadSizeBytes())})
 		}
 		return i
 	}
@@ -179,9 +173,6 @@ func NewCoster(cfg *Config, m *Memo, p *Partition) *Coster {
 			ins[j], pts[j], uses[j] = add(in), -1, -1
 			if k, ok := pt[Edge{h.ID, in.ID}]; ok {
 				pts[j] = k
-				if k < 64 {
-					c.nodes[i].ptMask |= 1 << k
-				}
 			}
 			// A matrix product, its transpose or a sum walks the rows of its
 			// input. Element-by-element consumers run over a tile; over a
@@ -211,9 +202,6 @@ func NewCoster(cfg *Config, m *Memo, p *Partition) *Coster {
 			return cmp.Or(cmp.Compare(a.Type, b.Type), cmp.Compare(b.RefCount(), a.RefCount()))
 		})
 		n.picks = make([]pick, 0, cplan.TemplateOuter+1)
-		for t := range n.walks {
-			n.walks[t].o = -1
-		}
 		inBytes, largest := readBytes(h.Inputs)
 		n.bare = opRec{sec: opSec(mc, h, inBytes, largest, n.flops), fl: n.flops, ops: 1, nonCell: 1, safe: true}
 		if h.Kind == hop.OpBinary || h.Kind == hop.OpUnary {
@@ -263,12 +251,11 @@ func (c *Coster) choose(q map[Edge]bool) {
 // partition's roots, the targets of materialized points and, from them down,
 // the inputs of every operator it opens — less what its sibling merges save.
 func (c *Coster) cost(q []bool, budget float64) float64 {
-	c.q, c.qbits = q, 0
+	c.q = q
 	c.plan++
 	for k, on := range q {
 		if on {
 			c.nodes[c.ptTo[k]].mat = c.plan
-			c.qbits |= 1 << k
 		}
 	}
 	total := 0.0
@@ -310,8 +297,8 @@ func (c *Coster) charge(i int32) float64 {
 // partition — adds nothing here. The candidates are, per template type, the
 // valid entry with the most fusion references; the cheapest opens the
 // operator, ties going to the lower TemplateType (Cell, Row, MAgg, Outer).
-// A candidate that fuses nothing, and a node with no valid entry, is a
-// basic operator.
+// A candidate construction could not build (open) is none, and a node
+// without candidates is a basic operator.
 func (c *Coster) price(i int32) float64 {
 	n := &c.nodes[i]
 	if !n.inPart || n.priced == c.plan {
@@ -322,21 +309,22 @@ func (c *Coster) price(i int32) float64 {
 	for o, e := range n.order {
 		// A MAgg entry is built as the Cell full aggregate it equals.
 		if k := len(n.picks); (k == 0 || n.picks[k-1].e.Type != e.Type && (e.Type != cplan.TemplateMAgg || n.picks[0].e.Type != cplan.TemplateCell)) && c.valid(n, o) {
-			n.picks = n.picks[:k+1]
-			n.picks[k].e, n.picks[k].o = e, o
+			n.picks = append(n.picks, pick{e: e})
 		}
 	}
-	if len(n.picks) == 0 {
+	k, b := 0, 0
+	for _, p := range n.picks {
+		if w := c.open(i, &p); w != nil {
+			p.sec = w.op.sec + c.inputs(w.ins)
+			if n.picks[k] = p; p.sec < n.picks[b].sec {
+				b = k
+			}
+			k++
+		}
+	}
+	if n.picks = n.picks[:k]; k == 0 {
 		n.price = n.bare.sec + c.inputs(n.ins)
 		return n.price
-	}
-	b := 0
-	for k := range n.picks {
-		p := &n.picks[k]
-		w := c.open(i, p)
-		if p.sec = w.op.sec + c.inputs(w.ins); p.sec < n.picks[b].sec {
-			b = k
-		}
 	}
 	// The cheapest to the front, the others after it in type order.
 	best := n.picks[b]
@@ -356,22 +344,24 @@ func (c *Coster) inputs(ins []int32) (sec float64) {
 	return sec
 }
 
-// open walks the operator that candidate p opens at node i, unless the
-// node's last walk of it holds for the plan: its price (opSec and
-// rowMainSec) and inputs. One that fuses nothing, or that construction could
-// not build as an Outer operator, is the basic operator.
+// open walks the operator that candidate p opens at node i: its price
+// (opSec and rowMainSec) and inputs. It is nil where construction would not
+// build it: an operator that fuses nothing, an Outer operator without
+// outerShape.
 func (c *Coster) open(i int32, p *pick) *walk {
 	w := &c.nodes[i].walks[p.e.Type]
-	if len(c.q) <= 64 && w.o == p.o && w.key == c.qbits&w.dep {
-		return w
-	}
 	c.opSeq++
-	c.ins, c.uses, c.covered, c.nonCell, c.product, c.dep = w.ins[:0], c.uses[:0], 0, 0, -1, 0
+	c.ins, c.uses, c.covered, c.nonCell, c.product = w.ins[:0], c.uses[:0], 0, 0, nil
 	fl := c.addToOp(i, &p.e, c.opSeq)
-	w.o, w.dep, w.key, w.ins = p.o, c.dep, c.qbits&c.dep, c.ins
-	if c.covered < 2 || p.e.Type == cplan.TemplateOuter && !c.outerMain(w.ins) {
-		w.op, w.ins = c.nodes[i].bare, append(w.ins[:0], c.nodes[i].ins...)
-		return w
+	if w.ins = c.ins; c.covered < 2 {
+		return nil
+	}
+	if p.e.Type == cplan.TemplateOuter {
+		seq := c.opSeq
+		covered := func(x *hop.Hop) bool { k, ok := c.at[x.ID]; return ok && c.nodes[k].inOp == seq }
+		if _, _, main := outerShape(c.nodes[i].h, c.product, covered, c.hops(w.ins)); main == nil {
+			return nil
+		}
 	}
 	// Operator cost: write output once, read distinct inputs, compute.
 	var inBytes, largest float64
@@ -398,18 +388,13 @@ func (c *Coster) open(i int32, p *pick) *walk {
 	return w
 }
 
-// outerMain reports whether an Outer operator over ins has what
-// buildOuterPlan needs: an outer product whose left factor it reads, and an
-// input of the product's shape other than its factors to drive it.
-func (c *Coster) outerMain(ins []int32) bool {
-	if c.product < 0 || c.nodes[c.nodes[c.product].ins[0]].inOp == c.opSeq {
-		return false
+// hops is the hops of the nodes ins, valid until the next call.
+func (c *Coster) hops(ins []int32) []*hop.Hop {
+	c.hbuf = c.hbuf[:0]
+	for _, x := range ins {
+		c.hbuf = append(c.hbuf, c.nodes[x].h)
 	}
-	mm := c.nodes[c.product].h
-	return slices.ContainsFunc(ins, func(x int32) bool {
-		y := c.nodes[x].h
-		return y.Rows == mm.Rows && y.Cols == mm.Cols && !slices.Contains(mm.Inputs, y)
-	})
+	return c.hbuf
 }
 
 // rowSparseCapableUse reports whether consumer h reads its input the way a
@@ -476,14 +461,13 @@ func (c *Coster) addToOp(i int32, entry *Entry, op int64) float64 {
 	}
 	n.inOp = op
 	c.covered++
-	c.dep |= n.ptMask
 	if n.h.Kind != hop.OpBinary && n.h.Kind != hop.OpUnary {
 		c.nonCell++
 	}
-	if outerProduct(n.h) && (c.product < 0 || n.h.Cells() > c.nodes[c.product].h.Cells()) {
-		c.product = i
+	if largerProduct(n.h, c.product) {
+		c.product = n.h
 	}
-	fl := fusedFlops(n.h)
+	fl := n.fused
 	for j, in := range n.ins {
 		if entry.Inputs[j] >= 0 && !c.materialized(n, j) {
 			if child := c.cont(&c.nodes[in], entry.Type); child != nil {
@@ -590,7 +574,6 @@ func (c *Coster) valid(n *cnode, o int) bool {
 // open, valid entry of type t, else of Cell (Cell plans merge into every
 // template), with the most fusion references; nil if there is none.
 func (c *Coster) cont(n *cnode, t cplan.TemplateType) (e *Entry) {
-	c.dep |= n.ptMask
 	for o := range n.order {
 		if x := &n.order[o]; x.Closed == StatusOpen && (x.Type == t || e == nil && x.Type == cplan.TemplateCell) && c.valid(n, o) {
 			if e = x; x.Type == t {

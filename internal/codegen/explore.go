@@ -19,6 +19,7 @@ type Explorer struct {
 // populated memo table.
 func Explore(roots []*hop.Hop, cfg *Config) *Memo {
 	e := &Explorer{cfg: cfg, memo: NewMemo(), tmpls: templates(cfg)}
+	e.memo.cfg = cfg
 	for _, r := range roots {
 		e.explore(r)
 	}

@@ -55,19 +55,41 @@ func mergeable(h *hop.Hop) *hop.Hop {
 	return nil
 }
 
-// scans lists the inputs of h that a merged scan covering h could read as
-// its main input: the input of an aggregate, an input of an element-wise h of
-// h's own shape. Plans of two partitions that scan the same input can merge
-// (BuildPartitions searches them as one), plans on the two sides of a cut set
-// cannot (FindCutSets).
-func scans(h *hop.Hop) []*hop.Hop {
-	switch x := mergeable(h); {
-	case x == nil:
-		return nil
-	case h.Kind == hop.OpAggUnary:
-		return []*hop.Hop{x}
+// mergeableScans maps each memo group in nodes (nil: every group) to the
+// inputs a merged scan covering it could read as its main input (the input
+// of an aggregate, an input of an element-wise hop of its own shape) and
+// that enough of the groups scan for a merge of them to clear
+// siblingGroups' gate, counting, under DisableHFuse, only full aggregates.
+// Plans of two partitions that scan such an input are searched as one
+// (BuildPartitions), and no cut set splits them (FindCutSets).
+func mergeableScans(m *Memo, nodes map[int64]bool) map[int64][]*hop.Hop {
+	cfg, by := m.cfg, map[*hop.Hop][]int64{}
+	for id, g := range m.Groups {
+		h := g.Hop
+		if mergeable(h) == nil || nodes != nil && !nodes[id] || cfg.DisableHFuse && (h.Kind != hop.OpAggUnary || h.AggDir != matrix.DirAll || cfg.DisableMAgg) {
+			continue
+		}
+		for _, in := range h.Inputs {
+			if in.Rows == h.Rows && in.Cols == h.Cols || h.Kind == hop.OpAggUnary {
+				by[in] = append(by[in], id)
+			}
+		}
 	}
-	return slices.DeleteFunc(slices.Clone(h.Inputs), func(in *hop.Hop) bool { return in.Rows != h.Rows || in.Cols != h.Cols })
+	out := map[int64][]*hop.Hop{}
+	for x, hs := range by {
+		if len(hs) > 1 && mergeSaving(cfg, x, min(len(hs), hfuseMaxGroup)) > hfuseMinGain {
+			for _, id := range hs {
+				out[id] = append(out[id], x)
+			}
+		}
+	}
+	return out
+}
+
+// mergeSaving is what one merged scan of x saves k operators that each scan
+// it.
+func mergeSaving(cfg *Config, x *hop.Hop, k int) float64 {
+	return float64(k-1) * float64(x.ReadSizeBytes()) / cfg.Costs.ReadBW
 }
 
 // siblingGroups is the grouping rule of sibling merges, the one construction
@@ -112,7 +134,7 @@ func siblingGroups(cfg *Config, cands []sibling, merge func(g []int, full bool) 
 		if mixed && x.IsSparse() {
 			gate += float64(x.Cells()) * (1 - x.Sparsity()) * float64(safeOps) / mc.ComputeBW
 		}
-		if saved := float64(len(g)-1) * float64(x.ReadSizeBytes()) / mc.ReadBW; saved <= gate {
+		if saved := mergeSaving(cfg, x, len(g)); saved <= gate {
 			if decline != nil {
 				decline(g, saved, gate)
 			}
@@ -181,12 +203,7 @@ func (c *Coster) sibling(i int32) (sibling, bool) {
 		return sibling{}, false
 	}
 	op, ins := n.op()
-	var main *hop.Hop
-	for _, in := range ins {
-		if y := c.nodes[in].h; y.Rows == x.Rows && y.Cols == x.Cols && (main == nil || y.IsSparse() && !main.IsSparse()) {
-			main = y
-		}
-	}
+	main := pickMain(c.hops(ins), x.Rows, x.Cols)
 	if main == nil || op.nonCell > agg {
 		return sibling{}, false
 	}

@@ -111,6 +111,7 @@ type Memo struct {
 	Groups  map[int64]*Group
 	visited map[int64]bool
 	hops    map[int64]*hop.Hop
+	cfg     *Config // what Explore ran with; the partitions read the merge gate's costs
 }
 
 // NewMemo returns an empty memo table.

@@ -79,8 +79,8 @@ func BuildPartitions(m *Memo, roots []*hop.Hop) []*Partition {
 	// (siblingGroups), which the search prices: such plans are searched as
 	// one partition, so that each saving counts once.
 	scanned := map[int64]int64{}
-	for id, g := range m.Groups {
-		for _, x := range scans(g.Hop) {
+	for id, xs := range mergeableScans(m, nil) {
+		for _, x := range xs {
 			if other, ok := scanned[x.ID]; ok {
 				union(id, other)
 			} else {
@@ -241,7 +241,7 @@ type CutSet struct {
 // FindCutSets returns the valid cut sets ordered by ascending score (Eq. 5).
 // Candidates are the targets of the interesting points, alone and in pairs.
 // One is valid if nothing below it is reachable from the partition's roots
-// around it and no input is scanned on both sides (scans): then no operator
+// around it and no input is scanned on both sides (mergeableScans): then no operator
 // opened above the barrier covers a node below it once its points are
 // materialized, none opened below covers one above, no node is materialized
 // on behalf of both sides and no sibling merge takes in operators of both,
@@ -289,10 +289,7 @@ func FindCutSets(m *Memo, p *Partition) []CutSet {
 	}
 	var out []CutSet
 	above, below, scanned := map[int64]bool{}, map[int64]bool{}, map[int64]bool{}
-	scanning := map[int64][]*hop.Hop{}
-	for id := range p.Nodes {
-		scanning[id] = scans(m.Hop(id))
-	}
+	scanning := mergeableScans(m, p.Nodes)
 	for _, barrier := range candidates {
 		clear(above)
 		clear(below)

@@ -132,3 +132,34 @@ func TestDistributedOperatorIsPricedOnItsOwnInputs(t *testing.T) {
 		t.Errorf("the search prices the operator's partition at %.4g s, EXPLAIN predicts %.4g s", searched.EstCost, op.PredSec)
 	}
 }
+
+// TestOuterCandidateIsPricedAsBuilt: t((U %*% t(V)) * X) %*% W with W not U.
+// The Outer template fuses the left product over any narrow W, but an Outer
+// operator computes t(O) %*% U only over its product's left factor, so
+// construction cannot build one here (outerShape). Priced as an Outer
+// operator anyway, the search chose a plan at less than half of what the
+// operators construction built in its place predict: the plan Gen builds
+// must be the one the search priced.
+func TestOuterCandidateIsPricedAsBuilt(t *testing.T) {
+	d := hop.NewDAG()
+	u, v, w := d.Read("U", 2000, 10, -1), d.Read("V", 2000, 10, -1), d.Read("W", 2000, 10, -1)
+	o := d.Binary(matrix.BinMul, d.MatMult(u, d.Transpose(v)), d.Read("X", 2000, 2000, 40000))
+	d.Output("R", d.MatMult(d.Transpose(o), w))
+	d, _ = rewrite.Apply(d)
+	cfg := codegen.DefaultConfig()
+	rep := &codegen.PlanReport{}
+	d = codegen.OptimizeTraced(d, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats(), rep, obs.Span{})
+	var searched codegen.PartitionReport
+	for _, p := range rep.Partitions {
+		if p.Nodes > searched.Nodes {
+			searched = p
+		}
+	}
+	built := 0.0
+	for _, h := range hop.TopoOrder(d.Roots()) {
+		built += h.PredSec
+	}
+	if math.Abs(searched.EstCost-built) > 0.01*built {
+		t.Errorf("the search prices the plan at %.4g s, the operators Gen built predict %.4g s:\n%s", searched.EstCost, built, hop.Explain(d.Roots()))
+	}
+}
