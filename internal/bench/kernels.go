@@ -37,8 +37,9 @@ const (
 	asmGateN      = 64
 )
 
-// asmChecks times the three primitives the profile leans on at n = 10, 64 and
-// 784 (the feature counts of the syn, autoencoder-hidden and Mnist inputs),
+// asmChecks times the primitives the profile leans on (vector.KernelTwins)
+// at n = 10, 64 and 784 (the feature counts of the syn, autoencoder-hidden
+// and Mnist inputs),
 // gating n = 64 and reporting the others in its detail, and one kernel per
 // family of the narrow Row bodies at a tile's shape (vector.TileTwins, N =
 // cells per call, with the GB/s the primitive moves): vector's own portable
@@ -136,12 +137,13 @@ func mmSeqReference(a, b *matrix.Matrix) *matrix.Matrix {
 //     the lineage-aware executor recycles every dead intermediate).
 //  3. Dense matmult, single worker: blocked kernel vs unblocked reference
 //     (gate: < 2% regression; blocking should win outright).
-//  4. Vector primitives: dot, rank-4 update and narrow product at n = 10,
-//     64, 784, and the tile kernels of the narrow Row bodies (row sum and
-//     row scaling at 1024x2 and 1024x5, a comparison and exp over 4096
-//     cells), exported primitive vs its portable Go loop (gate: >= 2x at
-//     n = 64 and for every tile kernel, so an assembly dispatch that
-//     silently fails is a red build).
+//  4. Vector primitives: dot, rank-4 update, the dense, short-row and
+//     CSR-row products and the indexed dot at n = 10, 64, 784
+//     (vector.KernelTwins), and the tile kernels of the narrow Row bodies
+//     (row sum and row scaling at 1024x2 and 1024x5, a comparison and exp
+//     over 4096 cells), exported primitive vs its portable Go loop (gate:
+//     >= 2x at n = 64 and for every tile kernel, so an assembly dispatch
+//     that silently fails is a red build).
 //
 // The baselines of gates 1 and 3 call vector.MultAdd, which has an assembly
 // kernel too: both sides of those gates got faster, what the gates measure

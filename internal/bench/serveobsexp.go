@@ -38,13 +38,13 @@ func serveObsRound(o Options, addr, tenant string, n int) []time.Duration {
 
 // ServeObs measures the cost of serving-path observability: identical
 // engines behind two servers — flight recorder + request tracing on
-// (defaults) vs disabled — in interleaved rounds (the minimum p99 per
-// variant de-noises scheduler interference). The always-on path must add
-// less than max(5% of the disabled p99, 0.5 ms) to p99. That a sampled record
-// keeps the span tree down to the operators is a Tier-1 test (EXPERIMENTS.md,
-// "serveobs").
+// (defaults) vs disabled. A trial fires one round at each server and reads
+// the p99 of both; the check reads the median of three trials (medianTrial),
+// the trial protocol of every wall-time check. The always-on path must add
+// less than max(5% of the disabled p99, 0.5 ms) to p99. That a sampled
+// record keeps the span tree down to the operators is a Tier-1 test
+// (EXPERIMENTS.md, "serveobs").
 func ServeObs(o Options) []Check {
-	rounds := 3
 	perRound := 200
 	if o.Reps > 3 {
 		perRound = 200 * o.Reps / 3
@@ -69,17 +69,19 @@ func ServeObs(o Options) []Check {
 	serveObsRound(o, srvOn.Addr(), "obs-on", 10)
 	serveObsRound(o, srvOff.Addr(), "obs-off", 10)
 
-	on, off := -1.0, -1.0
-	for r := 0; r < rounds; r++ {
-		if p := percentileMS(serveObsRound(o, srvOn.Addr(), "obs-on", perRound), 0.99); on < 0 || p < on {
-			on = p
+	trial := 0
+	return []Check{medianTrial(func() Check {
+		// The variant that goes first alternates from one trial to the next.
+		var on, off float64
+		if trial++; trial%2 == 1 {
+			on = percentileMS(serveObsRound(o, srvOn.Addr(), "obs-on", perRound), 0.99)
+			off = percentileMS(serveObsRound(o, srvOff.Addr(), "obs-off", perRound), 0.99)
+		} else {
+			off = percentileMS(serveObsRound(o, srvOff.Addr(), "obs-off", perRound), 0.99)
+			on = percentileMS(serveObsRound(o, srvOn.Addr(), "obs-on", perRound), 0.99)
 		}
-		if p := percentileMS(serveObsRound(o, srvOff.Addr(), "obs-off", perRound), 0.99); off < 0 || p < off {
-			off = p
-		}
-	}
-	return []Check{{Name: "flight-recorder p99 overhead", Measured: on - off, Baseline: off,
-		Limit: max(serveObsMaxOverhead*off, serveObsSlackMS), Cmp: "<", Unit: "ms",
-		Detail: fmt.Sprintf("min p99 of %d rounds × %d requests: off %.3f → on %.3f ms (%+.1f%%)",
-			rounds, perRound, off, on, 100*(on-off)/off)}}
+		return Check{Name: "flight-recorder p99 overhead", Measured: on - off, Baseline: off,
+			Limit: max(serveObsMaxOverhead*off, serveObsSlackMS), Cmp: "<", Unit: "ms",
+			Detail: fmt.Sprintf("p99 of %d requests: off %.3f → on %.3f ms (%+.1f%%)", perRound, off, on, 100*(on-off)/off)}
+	})}
 }

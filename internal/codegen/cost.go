@@ -76,7 +76,14 @@ type Coster struct {
 	nonCell     int      // of them, those that are not element-wise
 	product     *hop.Hop // of them, the outer product an Outer operator opens with (largerProduct)
 	cands       []sibling
+	candAt      []int32 // node of each of cands
+	groups      groupBuf
 	hbuf        []*hop.Hop // scratch of hops
+
+	// The pair relation of sibling candidates (relate), computed the first
+	// time a plan has candidates to group.
+	relIdx  []int32
+	related [][]bool
 }
 
 // cnode is one hop as the coster sees it.

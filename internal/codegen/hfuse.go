@@ -92,32 +92,40 @@ func mergeSaving(cfg *Config, x *hop.Hop, k int) float64 {
 	return float64(k-1) * float64(x.ReadSizeBytes()) / cfg.Costs.ReadBW
 }
 
+// groupBuf is the scratch of siblingGroups, which the plan search reuses
+// from one priced plan to the next.
+type groupBuf struct {
+	merged []bool
+	g      []int
+}
+
 // siblingGroups is the grouping rule of sibling merges, the one construction
 // and the plan search both call. In the order of cands (hop IDs), the first
 // candidate not yet merged leads a group of the later ones with its main
-// input that consume no member (the merge would create a cycle through the
-// spoof), at most hfuseMaxGroup of them. DisableHFuse leaves only the full
+// input that are not related to a member — one consumes the other, so the
+// merge would create a cycle through the spoof — at most hfuseMaxGroup of
+// them. DisableHFuse leaves only the full
 // aggregates to group, and DisableMAgg drops the groups that hold nothing
 // else. A group goes to merge, which reports whether it merged it, when the
 // k−1 scans of the main input it saves clear hfuseMinGain and the mix
 // penalty: over a sparse main, a member whose body is not sparse-safe drives
 // the merged scan over every cell, the safe members' operations over the
 // zeros too. decline, if not nil, hears every group the gate stops.
-func siblingGroups(cfg *Config, cands []sibling, merge func(g []int, full bool) bool, decline func(g []int, saved, gate float64)) {
-	merged := make([]bool, len(cands))
+func siblingGroups(cfg *Config, cands []sibling, related func(a, b int) bool, buf *groupBuf, merge func(g []int, full bool) bool, decline func(g []int, saved, gate float64)) {
+	buf.merged = append(buf.merged[:0], make([]bool, len(cands))...)
+	merged := buf.merged
 	out := func(a int) bool { return merged[a] || cfg.DisableHFuse && !cands[a].full }
 	for a, lead := range cands {
 		if out(a) {
 			continue
 		}
-		g := []int{a}
+		g := append(buf.g[:0], a)
 		for b := a + 1; b < len(cands) && len(g) < hfuseMaxGroup; b++ {
-			if !out(b) && cands[b].main == lead.main && !slices.ContainsFunc(g, func(m int) bool {
-				return dependsOn(cands[b].h, cands[m].h) || dependsOn(cands[m].h, cands[b].h)
-			}) {
+			if !out(b) && cands[b].main == lead.main && !slices.ContainsFunc(g, func(m int) bool { return related(b, m) }) {
 				g = append(g, b)
 			}
 		}
+		buf.g = g
 		gate, safeOps, full, mixed := hfuseMinGain, 0, true, false
 		for _, m := range g {
 			full = full && cands[m].full
@@ -151,10 +159,10 @@ func siblingGroups(cfg *Config, cands []sibling, merge func(g []int, full bool) 
 // operators less the one scan that replaces them, which writes what they
 // write, reads each of their inputs once and computes what they compute.
 func (c *Coster) siblingSavings() (saved float64) {
-	c.cands = c.cands[:0]
+	c.cands, c.candAt = c.cands[:0], c.candAt[:0]
 	for i := range c.nodes {
 		if s, ok := c.sibling(int32(i)); ok {
-			c.cands = append(c.cands, s)
+			c.cands, c.candAt = append(c.cands, s), append(c.candAt, int32(i))
 		}
 	}
 	if !slices.ContainsFunc(c.cands, func(a sibling) bool {
@@ -162,8 +170,12 @@ func (c *Coster) siblingSavings() (saved float64) {
 	}) {
 		return 0 // no group to form
 	}
+	if c.related == nil {
+		c.relate()
+	}
 	m := c.cfg.Costs
-	siblingGroups(c.cfg, c.cands, func(g []int, _ bool) bool {
+	related := func(a, b int) bool { return c.related[c.relIdx[c.candAt[a]]][c.relIdx[c.candAt[b]]] }
+	siblingGroups(c.cfg, c.cands, related, &c.groups, func(g []int, _ bool) bool {
 		var sec, out, in, fl float64
 		safe := true
 		c.opSeq++
@@ -182,6 +194,47 @@ func (c *Coster) siblingSavings() (saved float64) {
 		return true
 	}, nil)
 	return saved
+}
+
+// relate computes, once per partition, which two of the nodes that can be
+// sibling candidates are related (one consumes the other): c.relIdx numbers
+// the mergeable nodes (-1 for any other node) and c.related is
+// their pair relation.
+func (c *Coster) relate() {
+	c.relIdx = make([]int32, len(c.nodes))
+	var ms []int32
+	for i := range c.nodes {
+		c.relIdx[i] = -1
+		if mergeable(c.nodes[i].h) != nil {
+			c.relIdx[i] = int32(len(ms))
+			ms = append(ms, int32(i))
+		}
+	}
+	k := len(ms)
+	c.related = make([][]bool, k)
+	for i, row := 0, make([]bool, k*k); i < k; i++ {
+		c.related[i] = row[i*k : (i+1)*k]
+	}
+	seen := map[int64]bool{}
+	var below func(h *hop.Hop, from int)
+	below = func(h *hop.Hop, from int) {
+		if seen[h.ID] {
+			return
+		}
+		seen[h.ID] = true
+		if i, ok := c.at[h.ID]; ok {
+			if to := int(c.relIdx[i]); to >= 0 && to != from {
+				c.related[from][to], c.related[to][from] = true, true
+			}
+		}
+		for _, in := range h.Inputs {
+			below(in, from)
+		}
+	}
+	for from, i := range ms {
+		clear(seen)
+		below(c.nodes[i].h, from)
+	}
 }
 
 // sibling classifies node i as a sibling candidate under the plan c.q holds:
@@ -247,7 +300,8 @@ func (c *constructor) combineSiblings(order []*hop.Hop) {
 			cands = append(cands, sibling{h: h, main: x, full: h.AggDir == matrix.DirAll, safe: true, ops: 1})
 		}
 	}
-	siblingGroups(c.cfg, cands,
+	related := func(a, b int) bool { return dependsOn(cands[a].h, cands[b].h) || dependsOn(cands[b].h, cands[a].h) }
+	siblingGroups(c.cfg, cands, related, &groupBuf{},
 		func(g []int, full bool) bool { return c.buildSiblingGroup(cands, g, full) },
 		func(g []int, saved, gate float64) {
 			c.recordHorizontal(cands, g, false, fmt.Sprintf("modeled saving %.3g s below gate %.3g s", saved, gate))

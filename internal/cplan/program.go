@@ -445,22 +445,21 @@ func (b *Buf) gather(sv *SideView, ri, cj int, dst []float64) {
 	}
 }
 
-// dots writes U_i·V_j for every cell of the tile to dst.
+// dots writes U_i·V_j for every cell of the tile to dst: a call per row,
+// U_i against the tile's consecutive rows of V, or against the rows the
+// stored cells' column indexes name.
 func (b *Buf) dots(ctx *Ctx, dst []float64) {
 	b.Filled = true
 	u, v, r := ctx.U, ctx.V, ctx.Rank
 	if b.Bind != MainNnz {
-		for k := range dst[:b.N*b.W] {
-			dst[k] = vector.DotProduct(u, v, (b.I+k/b.W)*r, (b.C+k%b.W)*r, r)
+		for t := 0; t < b.N; t++ {
+			vector.DotRows(v, u, dst[t*b.W:], b.C*r, r, (b.I+t)*r, b.W, r)
 		}
 		return
 	}
 	for i := b.I; i < b.I+b.NR; i++ {
 		lo, hi := b.Seg(i)
-		out := dst[lo-b.K0 : hi-b.K0]
-		for k, j := range b.CSR.ColIdx[lo:hi] {
-			out[k] = vector.DotProduct(u, v, i*r, j*r, r)
-		}
+		vector.DotRowsAt(v, u, dst[lo-b.K0:hi-b.K0], b.CSR.ColIdx[lo:hi], i*r, r)
 	}
 }
 
@@ -577,6 +576,7 @@ func (p *Program) Exec(ctx *Ctx, b *Buf, out []float64) {
 			sm := ctx.Sides[in.Side].m
 			bd, k, m := sm.Dense(), sm.Rows, sm.Cols
 			d := b.vec(in.Dst)
+			clear(d[:rows*m])
 			if in.Src1 == 0 && b.Bind == MainCSR {
 				for t := 0; t < rows; t++ {
 					vals, cix := b.CSR.Row(b.I + t)
@@ -584,7 +584,6 @@ func (p *Program) Exec(ctx *Ctx, b *Buf, out []float64) {
 				}
 				continue
 			}
-			clear(d[:rows*m])
 			vector.MatMultAdd(b.Vec[in.Src1], bd, d, b.Off[in.Src1], b.Str[in.Src1], 0, 0, rows, k, m)
 		case RIdxV:
 			w := p.VecWidths[in.Dst]

@@ -99,7 +99,11 @@ func execOuter(ec matrix.Ctx, op *cplan.Operator, x, u, v *matrix.Matrix, sides 
 	case cplan.OuterRightMM: // C (m×r): C_i += w_ij * V_j
 		sink = &outerSink{out: ec.NewDense(x.Rows, r)}
 		sink.sink = func(_ *worker, b *cplan.Buf, w []float64, o, s int) {
-			multAddCells(b, w, o, s, ctx.V, sink.out.Dense(), r, false)
+			if b.Bind != cplan.MainNnz {
+				vector.MatMultAdd(w, ctx.V, sink.out.Dense(), o, s, b.C*r, b.I*r, b.N, b.W, r)
+				return
+			}
+			multAddCells(b, w, o, ctx.V, sink.out.Dense(), r, false)
 		}
 	case cplan.OuterLeftMM: // C (n×r): C_j += w_ij * U_i
 		sink = &outerSink{out: ec.NewDenseUninit(x.Cols, r), part: x.Cols * r}
@@ -108,7 +112,7 @@ func execOuter(ec matrix.Ctx, op *cplan.Operator, x, u, v *matrix.Matrix, sides 
 				vector.TMatMultAdd(w, ctx.U, st.acc[0], o, s, b.I*r, r, b.C*r, b.N, b.W, r)
 				return
 			}
-			multAddCells(b, w, o, s, ctx.U, st.acc[0], r, true)
+			multAddCells(b, w, o, ctx.U, st.acc[0], r, true)
 		}
 	}
 	outs, bind := execPass(ec, op, x, ctx, stop, sink)
@@ -118,27 +122,18 @@ func execOuter(ec matrix.Ctx, op *cplan.Operator, x, u, v *matrix.Matrix, sides 
 	return outs[0], bind
 }
 
-// multAddCells accumulates c_i += w_ij * f_j over the cells (i, j) of b's tile
-// — with left set c_j += w_ij * f_i — where w_ij is the body's value there
-// (row t of the tile at w[o+t*s:]) and c and f have rows of r cells.
-func multAddCells(b *cplan.Buf, w []float64, o, s int, f, c []float64, r int, left bool) {
-	if b.Bind != cplan.MainNnz {
-		for t := 0; t < b.N; t++ {
-			for j, wij := range w[o+t*s:][:b.W] {
-				vector.MultAdd(f, wij, c, (b.C+j)*r, (b.I+t)*r, r)
-			}
-		}
-		return
-	}
+// multAddCells accumulates c_i += w_ij * f_j over the stored cells (i, j)
+// of b's span — with left set c_j += w_ij * f_i — where w_ij is the body's
+// value there (at w[o:], one per cell) and c and f have rows of r cells: a
+// CSR-row call per row segment.
+func multAddCells(b *cplan.Buf, w []float64, o int, f, c []float64, r int, left bool) {
 	for i := b.I; i < b.I+b.NR; i++ {
 		lo, hi := b.Seg(i)
-		vals := w[o+lo-b.K0:]
-		for k, j := range b.CSR.ColIdx[lo:hi] {
-			if left {
-				vector.MultAdd(f, vals[k], c, i*r, j*r, r)
-			} else {
-				vector.MultAdd(f, vals[k], c, j*r, i*r, r)
-			}
+		vals, cix := w[o+lo-b.K0:o+hi-b.K0], b.CSR.ColIdx[lo:hi]
+		if left {
+			vector.OuterMultAddSparse(vals, cix, f, c, i*r, 0, r)
+		} else {
+			vector.MatMultSparse(vals, cix, f, c, 0, i*r, r)
 		}
 	}
 }

@@ -46,10 +46,13 @@ func narrow8Asm(a *float64, arow, ak int, b *float64, bstride int, c *float64, c
 func dotRowsAsm(chunks int, a *float64, astride int, v, d *float64, rows int, mask, tail *[4]int64)
 
 //go:noescape
+func dotIdxAsm(chunks int, a *float64, astride int, v, d *float64, rows int, mask, tail *[4]int64, ix *int, last int) (done int)
+
+//go:noescape
 func tDotAsm(chunks int, a *float64, astride int, b *float64, bstride int, c *float64, rows int, mask *[4]int64)
 
 // The CSR-row kernels take a row's values and column indexes and a dense
-// operand of 1 < m < narrowCols columns, and jump to the kernel of that m.
+// operand of 1 < m <= csrCols columns, and jump to the kernel of that m.
 // They return nnz, or the position of the first index whose row of the
 // indexed operand would start past last (index × m > last, unsigned).
 

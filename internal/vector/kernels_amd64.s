@@ -3,7 +3,7 @@
 // first), reads and writes exactly [p, p+n), and has a portable Go twin
 // that it is tested against. Unaligned loads throughout; tails of 1-3
 // elements run scalar VEX code in the reductions and rank-k updates, the
-// CSR-row kernels read and write rows of 2-7 cells as exact pieces of 4, 2
+// CSR-row kernels read and write rows of 2-16 cells as exact pieces of 4, 2
 // and 1 lanes, and masked loads and stores cover the tails everywhere else
 // (the narrow products, the tile kernels, exp/log/sigmoid), so no kernel
 // touches an element it was not given.
@@ -537,7 +537,10 @@ done: \
 // in Y0-Y7 for the whole call; four rows per pass, each summed in one
 // accumulator (Y8-Y11), then a transposing reduction and one add to d for
 // the four. A last group of fewer than four rows reads its first row in
-// place of the missing ones and adds under the mask in Y14.
+// place of the missing ones and adds under the mask in Y14. PRO ends the
+// prologue, PTRS points R8-R11 at a group's rows and NEXT moves past them,
+// and END follows the last return: the rows are consecutive (ROWS4) or
+// named by indexes (IDXROWS4).
 #define VLOAD(off, r, r2) VMOVUPD off(SI), r
 #define VLOADM(off, r, r2) VMASKMOVPD off(SI), Y15, r
 #define DOT4(off, r, r2) \
@@ -554,7 +557,7 @@ done: \
 	VMASKMOVPD  off(R11), Y15, Y13; \
 	VFMADD231PD Y12, r, Y10; \
 	VFMADD231PD Y13, r, Y11
-#define DOTROWS(CH) \
+#define DOTROWS(CH, PRO, PTRS, NEXT, END) \
 	MOVQ    a+8(FP), R13; \
 	MOVQ    astride+16(FP), AX; \
 	SHLQ    $3, AX; \
@@ -566,8 +569,9 @@ done: \
 	MOVQ    tail+56(FP), CX; \
 	VMOVDQU (CX), Y14; \
 	CH(VLOAD, VLOADM); \
+	PRO; \
 group: \
-	ROWPTRS(R13, AX); \
+	PTRS; \
 	VXORPD     Y8, Y8, Y8; \
 	VXORPD     Y9, Y9, Y9; \
 	VXORPD     Y10, Y10, Y10; \
@@ -586,7 +590,7 @@ group: \
 	JLT        last; \
 	VADDPD     (DI), Y8, Y8; \
 	VMOVUPD    Y8, (DI); \
-	LEAQ       (R13)(AX*4), R13; \
+	NEXT; \
 	ADDQ       $32, DI; \
 	SUBQ       $4, BX; \
 	JGT        group; \
@@ -596,6 +600,47 @@ last: \
 	VMASKMOVPD (DI), Y14, Y9; \
 	VADDPD     Y9, Y8, Y8; \
 	VMASKMOVPD Y8, Y14, (DI); \
+	VZEROUPPER; \
+	RET; \
+	END
+#define ROWS4 ROWPTRS(R13, AX)
+#define NEXTROWS4 LEAQ (R13)(AX*4), R13
+
+// The indexed form reads the indexes at SI, four per group, and stops at
+// bad, returning the rows done, when a row would start past the last one
+// (R12 bytes past R13; unsigned: a negative index is past it too).
+#define IDXPRO \
+	MOVQ ix+64(FP), SI; \
+	MOVQ last+72(FP), R12; \
+	SHLQ $3, R12; \
+	MOVQ BX, ret+80(FP)
+#define IDXROW(off, r) \
+	MOVQ  off(SI), r; \
+	IMULQ AX, r; \
+	CMPQ  r, R12; \
+	JA    bad; \
+	ADDQ  R13, r
+#define IDXROWS4 \
+	IDXROW(0, R8); \
+	MOVQ R8, R9; \
+	MOVQ R8, R10; \
+	MOVQ R8, R11; \
+	CMPQ BX, $2; \
+	JLT  ready; \
+	IDXROW(8, R9); \
+	CMPQ BX, $3; \
+	JLT  ready; \
+	IDXROW(16, R10); \
+	CMPQ BX, $4; \
+	JLT  ready; \
+	IDXROW(24, R11); \
+ready:
+#define NEXTIDX4 ADDQ $32, SI
+#define IDXEND \
+bad: \
+	MOVQ rows+40(FP), CX; \
+	SUBQ BX, CX; \
+	MOVQ CX, ret+80(FP); \
 	VZEROUPPER; \
 	RET
 
@@ -662,57 +707,84 @@ sum: \
 	VZEROUPPER; \
 	RET
 
-// The CSR-row kernels, one per 1 < m < 8 (the width of the dense operand): a
-// row of m cells is read and written as exact pieces of 4, 2 and 1 lanes
-// (Pm(Y, X, S, ry, rx, rs) applies Y, X and S to them, with the registers
-// of each), never wider, so that rows m apart do not overlap and a store
-// forwards to the next load. MULm(r) turns row index r into the index of
-// the row's first element.
+// The CSR-row kernels, one per 1 < m <= 16 (the width of the dense
+// operand): a row of m cells is read and written as exact pieces of 4, 2 and
+// 1 lanes (Pm(Y, X, S, ry, rx, rs) applies Y, X and S to them, with the
+// registers of each), never wider, so that rows m apart do not overlap and a
+// store forwards to the next load. From m = 8 a row is two to four pieces
+// of 4 and a tail, in the fixed registers Y0-Y3, X4 and X5 (Pm ignores ry,
+// rx and rs). MULm(r) turns row index r into the index of the row's first
+// element.
 #define P2(Y, X, S, ry, rx, rs) X(0, rx)
 #define P3(Y, X, S, ry, rx, rs) X(0, rx); S(16, rs)
 #define P4(Y, X, S, ry, rx, rs) Y(0, ry)
 #define P5(Y, X, S, ry, rx, rs) Y(0, ry); S(32, rs)
 #define P6(Y, X, S, ry, rx, rs) Y(0, ry); X(32, rx)
 #define P7(Y, X, S, ry, rx, rs) Y(0, ry); X(32, rx); S(48, rs)
+#define P8(Y, X, S, ry, rx, rs) Y(0, Y0); Y(32, Y1)
+#define P9(Y, X, S, ry, rx, rs) P8(Y, X, S, ry, rx, rs); S(64, X4)
+#define P10(Y, X, S, ry, rx, rs) P8(Y, X, S, ry, rx, rs); X(64, X4)
+#define P11(Y, X, S, ry, rx, rs) P10(Y, X, S, ry, rx, rs); S(80, X5)
+#define P12(Y, X, S, ry, rx, rs) P8(Y, X, S, ry, rx, rs); Y(64, Y2)
+#define P13(Y, X, S, ry, rx, rs) P12(Y, X, S, ry, rx, rs); S(96, X4)
+#define P14(Y, X, S, ry, rx, rs) P12(Y, X, S, ry, rx, rs); X(96, X4)
+#define P15(Y, X, S, ry, rx, rs) P14(Y, X, S, ry, rx, rs); S(112, X5)
+#define P16(Y, X, S, ry, rx, rs) P12(Y, X, S, ry, rx, rs); Y(96, Y3)
 #define MUL2(r) ADDQ r, r
 #define MUL3(r) LEAQ (r)(r*2), r
 #define MUL4(r) SHLQ $2, r
 #define MUL5(r) LEAQ (r)(r*4), r
 #define MUL6(r) LEAQ (r)(r*2), r; ADDQ r, r
 #define MUL7(r) IMUL3Q $7, r, r
+#define MUL8(r) SHLQ $3, r
+#define MUL9(r) IMUL3Q $9, r, r
+#define MUL10(r) IMUL3Q $10, r, r
+#define MUL11(r) IMUL3Q $11, r, r
+#define MUL12(r) IMUL3Q $12, r, r
+#define MUL13(r) IMUL3Q $13, r, r
+#define MUL14(r) IMUL3Q $14, r, r
+#define MUL15(r) IMUL3Q $15, r, r
+#define MUL16(r) SHLQ $4, r
 
 // CELL reads cell AX of the row (index at SI, value at R10), leaves the
 // element index of its row in R8 and stops at bad when that is past the
 // last row, R11 (unsigned: a negative index is past it too), and its value
 // broadcast in Y8.
-#define CELL(MUL) \
+#define CELL(MUL, bad) \
 	MOVQ         (SI)(AX*8), R8; \
 	MUL(R8); \
 	CMPQ         R8, R11; \
 	JA           bad; \
 	VBROADCASTSD (R10)(AX*8), Y8
 
-// SPMAT is c[0:m) = the sum over the row's cells of value times its row of
-// B (at BX): four cells per pass into four sets of sums (Y0-Y3, X4-X7,
-// X12-X15 for the pieces of 4, 2 and 1 lanes), then the sets are added.
+// SPMAT is c[0:m) += the sum over the row's cells of value times its row
+// of B (at BX): four cells per pass into four sets of sums (Y0-Y3, X4-X7,
+// X12-X15 for the pieces of 4, 2 and 1 lanes), then the sets are added,
+// and the sum is added to c. SPMATW, for m >= 8, keeps one set of sums.
 #define MY(off, r) VFMADD231PD off(BX)(R8*8), Y8, r
 #define MX(off, r) VFMADD231PD off(BX)(R8*8), X8, r
 #define MS(off, r) VFMADD231SD off(BX)(R8*8), X8, r
+#define AV(off, r) \
+	VADDPD  off(DI), r, r; \
+	VMOVUPD r, off(DI)
+#define AS(off, r) \
+	VADDSD off(DI), r, r; \
+	VMOVSD r, off(DI)
 #define FY(off, r) \
-	VADDPD  Y1, Y0, Y0; \
-	VADDPD  Y3, Y2, Y2; \
-	VADDPD  Y2, Y0, Y0; \
-	VMOVUPD Y0, off(DI)
+	VADDPD Y1, Y0, Y0; \
+	VADDPD Y3, Y2, Y2; \
+	VADDPD Y2, Y0, Y0; \
+	AV(off, Y0)
 #define FX(off, r) \
-	VADDPD  X5, X4, X4; \
-	VADDPD  X7, X6, X6; \
-	VADDPD  X6, X4, X4; \
-	VMOVUPD X4, off(DI)
+	VADDPD X5, X4, X4; \
+	VADDPD X7, X6, X6; \
+	VADDPD X6, X4, X4; \
+	AV(off, X4)
 #define FS(off, r) \
 	VADDSD X13, X12, X12; \
 	VADDSD X15, X14, X14; \
 	VADDSD X14, X12, X12; \
-	VMOVSD X12, off(DI)
+	AS(off, X12)
 #define Z(off, r) VXORPD r, r, r
 #define SPMAT(P, MUL) \
 	MOVQ vals+8(FP), R10; \
@@ -729,16 +801,16 @@ sum: \
 	ANDQ   $-4, R9; \
 	JMP    c4; \
 b4: \
-	CELL(MUL); \
+	CELL(MUL, bad); \
 	P(MY, MX, MS, Y0, X4, X12); \
 	INCQ AX; \
-	CELL(MUL); \
+	CELL(MUL, bad); \
 	P(MY, MX, MS, Y1, X5, X13); \
 	INCQ AX; \
-	CELL(MUL); \
+	CELL(MUL, bad); \
 	P(MY, MX, MS, Y2, X6, X14); \
 	INCQ AX; \
-	CELL(MUL); \
+	CELL(MUL, bad); \
 	P(MY, MX, MS, Y3, X7, X15); \
 	INCQ AX; \
 c4: \
@@ -746,7 +818,7 @@ c4: \
 	JLT  b4; \
 	JMP  c1; \
 b1: \
-	CELL(MUL); \
+	CELL(MUL, bad); \
 	P(MY, MX, MS, Y0, X4, X12); \
 	INCQ AX; \
 c1: \
@@ -759,24 +831,48 @@ bad: \
 	VZEROUPPER; \
 	RET
 
+#define SPMATW(P, MUL) \
+	MOVQ vals+8(FP), R10; \
+	MOVQ ix+16(FP), SI; \
+	MOVQ nnz+24(FP), CX; \
+	MOVQ b+32(FP), BX; \
+	MOVQ last+40(FP), R11; \
+	P(Z, Z, Z, Y0, X4, X5); \
+	XORQ AX, AX; \
+cell: \
+	CELL(MUL, bad); \
+	P(MY, MX, MS, Y0, X4, X5); \
+	INCQ AX; \
+	CMPQ AX, CX; \
+	JLT  cell; \
+	MOVQ c+48(FP), DI; \
+	P(AV, AV, AS, Y0, X4, X5); \
+bad: \
+	MOVQ AX, ret+56(FP); \
+	VZEROUPPER; \
+	RET
+
 // SPOUTER is, for each cell of the row, its row of C (at DI) += value times
 // b (pieces in Y9, X10, X11): a load, FMA and store per piece and cell. The
-// cells' rows are distinct, so the cells are independent.
+// cells' rows are distinct, so the cells are independent. The next cell's
+// index and value are read before the cell's stores (its row in R9, its
+// value in Y7), so that no read of them waits on a store whose address
+// matches theirs in the low 12 bits.
 #define LY(off, r) VMOVUPD off(BX), r
 #define LX(off, r) VMOVUPD off(BX), r
 #define LS(off, r) VMOVSD off(BX), r
 #define OY(off, r) \
-	VMOVUPD     off(DI)(R8*8), Y12; \
-	VFMADD231PD r, Y8, Y12; \
-	VMOVUPD     Y12, off(DI)(R8*8)
+	VMOVUPD     off(DI)(R9*8), Y12; \
+	VFMADD231PD r, Y7, Y12; \
+	VMOVUPD     Y12, off(DI)(R9*8)
 #define OX(off, r) \
-	VMOVUPD     off(DI)(R8*8), X13; \
-	VFMADD231PD r, X8, X13; \
-	VMOVUPD     X13, off(DI)(R8*8)
+	VMOVUPD     off(DI)(R9*8), X13; \
+	VFMADD231PD r, X7, X13; \
+	VMOVUPD     X13, off(DI)(R9*8)
 #define OS(off, r) \
-	VMOVSD      off(DI)(R8*8), X14; \
-	VFMADD231SD r, X8, X14; \
-	VMOVSD      X14, off(DI)(R8*8)
+	VMOVSD      off(DI)(R9*8), X14; \
+	VFMADD231SD r, X7, X14; \
+	VMOVSD      X14, off(DI)(R9*8)
 #define SPOUTER(P, MUL) \
 	MOVQ vals+8(FP), R10; \
 	MOVQ ix+16(FP), SI; \
@@ -786,13 +882,19 @@ bad: \
 	MOVQ c+48(FP), DI; \
 	P(LY, LX, LS, Y9, X10, X11); \
 	XORQ AX, AX; \
-cell: \
-	CELL(MUL); \
+	CELL(MUL, done); \
+next: \
+	MOVQ    R8, R9; \
+	VMOVAPD Y8, Y7; \
+	INCQ    AX; \
+	CMPQ    AX, CX; \
+	JGE     last; \
+	CELL(MUL, last); \
 	P(OY, OX, OS, Y9, X10, X11); \
-	INCQ AX; \
-	CMPQ AX, CX; \
-	JLT  cell; \
-bad: \
+	JMP     next; \
+last: \
+	P(OY, OX, OS, Y9, X10, X11); \
+done: \
 	MOVQ AX, ret+56(FP); \
 	VZEROUPPER; \
 	RET
@@ -801,7 +903,7 @@ bad: \
 // table tab: it finds its arguments where the entry point found them.
 #define VARIANT(tab, off, sym, body) \
 	DATA tab+off(SB)/8, $sym(SB); \
-	TEXT sym(SB), NOSPLIT, $0-64; \
+	TEXT sym(SB), NOSPLIT, $0-88; \
 	body
 
 // NSTEP8 is one step of the common dimension for the output row at p in
@@ -1148,6 +1250,17 @@ TEXT ·dotRowsAsm(SB), NOSPLIT, $0-64
 	MOVQ -8(BX)(AX*8), BX
 	JMP  BX
 
+// func dotIdxAsm(chunks int, a *float64, astride int, v, d *float64, rows int, mask, tail *[4]int64, ix *int, last int) (done int)
+// dotRowsAsm over the rows of A whose indexes are at ix, the last row's
+// first element at last; returns rows, or the position of the group of
+// four that holds the first index past the last row, the groups before it
+// done.
+TEXT ·dotIdxAsm(SB), NOSPLIT, $0-88
+	MOVQ chunks+0(FP), AX
+	LEAQ dotidxtab<>(SB), BX
+	MOVQ -8(BX)(AX*8), BX
+	JMP  BX
+
 // func tDotAsm(chunks int, a *float64, astride int, b *float64, bstride int, c *float64, rows int, mask *[4]int64)
 // c[0:m) += t(A) %*% b: A is rows x m, astride apart, m cells in chunks of
 // four lanes, the last one under mask; b has one value per row, bstride
@@ -1159,7 +1272,7 @@ TEXT ·tDotAsm(SB), NOSPLIT, $0-64
 	JMP  BX
 
 // func spMatAsm(m int, vals *float64, ix *int, nnz int, b *float64, last int, c *float64) (done int)
-// c[0:m) = the CSR row (vals, ix) %*% B, B's rows m apart, 1 < m < 8;
+// c[0:m) += the CSR row (vals, ix) %*% B, B's rows m apart, 1 < m <= 16;
 // returns nnz, or the position of the first index past the last row (its
 // first element at last) having written nothing.
 TEXT ·spMatAsm(SB), NOSPLIT, $0-64
@@ -1169,7 +1282,7 @@ TEXT ·spMatAsm(SB), NOSPLIT, $0-64
 	JMP  BX
 
 // func spOuterAsm(m int, vals *float64, ix *int, nnz int, b *float64, last int, c *float64) (done int)
-// Row ix[k] of C (rows m apart, 1 < m < 8) += vals[k] * b[0:m) for each
+// Row ix[k] of C (rows m apart, 1 < m <= 16) += vals[k] * b[0:m) for each
 // cell; returns nnz, or the position of the first index past the last row,
 // the cells before it done.
 TEXT ·spOuterAsm(SB), NOSPLIT, $0-64
@@ -1346,18 +1459,27 @@ TEXT ·sigmoidAsm(SB), NOSPLIT, $0-48
 TEXT ·logAsm(SB), NOSPLIT, $0-48
 	UNARY(·logTab(SB), LOGOF)
 
-// The kernels behind dotRowsAsm and tDotAsm, by number of chunks, and behind
-// spMatAsm and spOuterAsm, by m. Up to four chunks tDot's odd rows sum into
-// a second set of registers.
-VARIANT(dottab<>, 0, ·dotRows1<>, DOTROWS(CH1))
-VARIANT(dottab<>, 8, ·dotRows2<>, DOTROWS(CH2))
-VARIANT(dottab<>, 16, ·dotRows3<>, DOTROWS(CH3))
-VARIANT(dottab<>, 24, ·dotRows4<>, DOTROWS(CH4))
-VARIANT(dottab<>, 32, ·dotRows5<>, DOTROWS(CH5))
-VARIANT(dottab<>, 40, ·dotRows6<>, DOTROWS(CH6))
-VARIANT(dottab<>, 48, ·dotRows7<>, DOTROWS(CH7))
-VARIANT(dottab<>, 56, ·dotRows8<>, DOTROWS(CH8))
+// The kernels behind dotRowsAsm, dotIdxAsm and tDotAsm, by number of
+// chunks, and behind spMatAsm and spOuterAsm, by m. Up to four chunks tDot's
+// odd rows sum into a second set of registers.
+VARIANT(dottab<>, 0, ·dotRows1<>, DOTROWS(CH1, NONE, ROWS4, NEXTROWS4, NONE))
+VARIANT(dottab<>, 8, ·dotRows2<>, DOTROWS(CH2, NONE, ROWS4, NEXTROWS4, NONE))
+VARIANT(dottab<>, 16, ·dotRows3<>, DOTROWS(CH3, NONE, ROWS4, NEXTROWS4, NONE))
+VARIANT(dottab<>, 24, ·dotRows4<>, DOTROWS(CH4, NONE, ROWS4, NEXTROWS4, NONE))
+VARIANT(dottab<>, 32, ·dotRows5<>, DOTROWS(CH5, NONE, ROWS4, NEXTROWS4, NONE))
+VARIANT(dottab<>, 40, ·dotRows6<>, DOTROWS(CH6, NONE, ROWS4, NEXTROWS4, NONE))
+VARIANT(dottab<>, 48, ·dotRows7<>, DOTROWS(CH7, NONE, ROWS4, NEXTROWS4, NONE))
+VARIANT(dottab<>, 56, ·dotRows8<>, DOTROWS(CH8, NONE, ROWS4, NEXTROWS4, NONE))
 GLOBL dottab<>(SB), RODATA, $64
+VARIANT(dotidxtab<>, 0, ·dotIdx1<>, DOTROWS(CH1, IDXPRO, IDXROWS4, NEXTIDX4, IDXEND))
+VARIANT(dotidxtab<>, 8, ·dotIdx2<>, DOTROWS(CH2, IDXPRO, IDXROWS4, NEXTIDX4, IDXEND))
+VARIANT(dotidxtab<>, 16, ·dotIdx3<>, DOTROWS(CH3, IDXPRO, IDXROWS4, NEXTIDX4, IDXEND))
+VARIANT(dotidxtab<>, 24, ·dotIdx4<>, DOTROWS(CH4, IDXPRO, IDXROWS4, NEXTIDX4, IDXEND))
+VARIANT(dotidxtab<>, 32, ·dotIdx5<>, DOTROWS(CH5, IDXPRO, IDXROWS4, NEXTIDX4, IDXEND))
+VARIANT(dotidxtab<>, 40, ·dotIdx6<>, DOTROWS(CH6, IDXPRO, IDXROWS4, NEXTIDX4, IDXEND))
+VARIANT(dotidxtab<>, 48, ·dotIdx7<>, DOTROWS(CH7, IDXPRO, IDXROWS4, NEXTIDX4, IDXEND))
+VARIANT(dotidxtab<>, 56, ·dotIdx8<>, DOTROWS(CH8, IDXPRO, IDXROWS4, NEXTIDX4, IDXEND))
+GLOBL dotidxtab<>(SB), RODATA, $64
 VARIANT(tdottab<>, 0, ·tDot1<>, TDOT(CH1, TFOLD))
 VARIANT(tdottab<>, 8, ·tDot2<>, TDOT(CH2, TFOLD))
 VARIANT(tdottab<>, 16, ·tDot3<>, TDOT(CH3, TFOLD))
@@ -1373,11 +1495,29 @@ VARIANT(spmattab<>, 16, ·spMat4<>, SPMAT(P4, MUL4))
 VARIANT(spmattab<>, 24, ·spMat5<>, SPMAT(P5, MUL5))
 VARIANT(spmattab<>, 32, ·spMat6<>, SPMAT(P6, MUL6))
 VARIANT(spmattab<>, 40, ·spMat7<>, SPMAT(P7, MUL7))
-GLOBL spmattab<>(SB), RODATA, $48
+VARIANT(spmattab<>, 48, ·spMat8<>, SPMATW(P8, MUL8))
+VARIANT(spmattab<>, 56, ·spMat9<>, SPMATW(P9, MUL9))
+VARIANT(spmattab<>, 64, ·spMat10<>, SPMATW(P10, MUL10))
+VARIANT(spmattab<>, 72, ·spMat11<>, SPMATW(P11, MUL11))
+VARIANT(spmattab<>, 80, ·spMat12<>, SPMATW(P12, MUL12))
+VARIANT(spmattab<>, 88, ·spMat13<>, SPMATW(P13, MUL13))
+VARIANT(spmattab<>, 96, ·spMat14<>, SPMATW(P14, MUL14))
+VARIANT(spmattab<>, 104, ·spMat15<>, SPMATW(P15, MUL15))
+VARIANT(spmattab<>, 112, ·spMat16<>, SPMATW(P16, MUL16))
+GLOBL spmattab<>(SB), RODATA, $120
 VARIANT(spoutertab<>, 0, ·spOuter2<>, SPOUTER(P2, MUL2))
 VARIANT(spoutertab<>, 8, ·spOuter3<>, SPOUTER(P3, MUL3))
 VARIANT(spoutertab<>, 16, ·spOuter4<>, SPOUTER(P4, MUL4))
 VARIANT(spoutertab<>, 24, ·spOuter5<>, SPOUTER(P5, MUL5))
 VARIANT(spoutertab<>, 32, ·spOuter6<>, SPOUTER(P6, MUL6))
 VARIANT(spoutertab<>, 40, ·spOuter7<>, SPOUTER(P7, MUL7))
-GLOBL spoutertab<>(SB), RODATA, $48
+VARIANT(spoutertab<>, 48, ·spOuter8<>, SPOUTER(P8, MUL8))
+VARIANT(spoutertab<>, 56, ·spOuter9<>, SPOUTER(P9, MUL9))
+VARIANT(spoutertab<>, 64, ·spOuter10<>, SPOUTER(P10, MUL10))
+VARIANT(spoutertab<>, 72, ·spOuter11<>, SPOUTER(P11, MUL11))
+VARIANT(spoutertab<>, 80, ·spOuter12<>, SPOUTER(P12, MUL12))
+VARIANT(spoutertab<>, 88, ·spOuter13<>, SPOUTER(P13, MUL13))
+VARIANT(spoutertab<>, 96, ·spOuter14<>, SPOUTER(P14, MUL14))
+VARIANT(spoutertab<>, 104, ·spOuter15<>, SPOUTER(P15, MUL15))
+VARIANT(spoutertab<>, 112, ·spOuter16<>, SPOUTER(P16, MUL16))
+GLOBL spoutertab<>(SB), RODATA, $120

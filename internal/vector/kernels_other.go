@@ -27,6 +27,9 @@ func narrow8Asm(a *float64, arow, ak int, b *float64, bstride int, c *float64, c
 func dotRowsAsm(chunks int, a *float64, astride int, v, d *float64, rows int, mask, tail *[4]int64) {
 	panic("vector: no assembly kernels")
 }
+func dotIdxAsm(chunks int, a *float64, astride int, v, d *float64, rows int, mask, tail *[4]int64, ix *int, last int) int {
+	panic("vector: no assembly kernels")
+}
 func tDotAsm(chunks int, a *float64, astride int, b *float64, bstride int, c *float64, rows int, mask *[4]int64) {
 	panic("vector: no assembly kernels")
 }

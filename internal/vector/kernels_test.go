@@ -306,9 +306,17 @@ func product(t *testing.T, rng *rand.Rand, rows, k, n, slack, off int, salt []fl
 	b := newOperand((off+5)&7, k*n, nan, fill)
 	c0 := newOperand((off+2)&7, rows*n, marker, fill)
 	got, want := c0.clone(), c0.clone()
-	narrow(a.buf, b.buf, got.buf, a.off, astride, 1, b.off, n, got.off, rows, k, n)
+	strips(a.buf, b.buf, got.buf, a.off, astride, 1, b.off, n, got.off, n, rows, k, n)
 	matMultAddGo(a.buf, b.buf, want.buf, a.off, astride, b.off, want.off, rows, k, n)
-	checkVec(t, what("A%*%B"), got, want, scale(a, b, func(i, kk int) int { return a.off + i*astride + kk }, n, c0), k+1)
+	sc := scale(a, b, func(i, kk int) int { return a.off + i*astride + kk }, n, c0)
+	if n >= narrowCols {
+		// The narrow kernels sum from +0 and add the sum to C, the wide Go
+		// loop and the rank-4 kernel add each product to C: a zero's sign
+		// is not compared (MatMultAdd leaves it unspecified).
+		sc0 := sc
+		sc = func(p int) float64 { return sc0(p) + 5e-324 }
+	}
+	checkVec(t, what("A%*%B"), got, want, sc, k+1)
 
 	if n == 1 {
 		// One column over rows of at most shortRow cells is the short-row
@@ -318,7 +326,7 @@ func product(t *testing.T, rng *rand.Rand, rows, k, n, slack, off int, salt []fl
 		got, want = c0.clone(), c0.clone()
 		MatMultAdd(a.buf, b.buf, got.buf, a.off, astride, b.off, got.off, rows, k, n)
 		matMultAddGo(a.buf, b.buf, want.buf, a.off, astride, b.off, want.off, rows, k, n)
-		sc := scale(a, b, func(i, kk int) int { return a.off + i*astride + kk }, n, c0)
+		sc = scale(a, b, func(i, kk int) int { return a.off + i*astride + kk }, n, c0)
 		checkVec(t, what("MatMultAdd"), got, want, func(p int) float64 { return sc(p) + 5e-324 }, k+1)
 		got, want = c0.clone(), c0.clone()
 		DotRows(a.buf, b.buf, got.vals(), a.off, astride, b.off, rows, k)
@@ -330,7 +338,7 @@ func product(t *testing.T, rng *rand.Rand, rows, k, n, slack, off int, salt []fl
 	}
 
 	// C (rows x n) += t(A) (A is k x rows, stride rows+slack) %*% B (k x n,
-	// stride n+slack, or 0: one row repeated): the narrow kernel, or with
+	// stride n+slack, or 0: one row repeated): the narrow kernels, or with
 	// one column TMatMultAdd (the short-row kernel up to shortRow outputs,
 	// the rank-4 update past them; no zero skip in either) against the Go
 	// loops.
@@ -342,7 +350,7 @@ func product(t *testing.T, rng *rand.Rand, rows, k, n, slack, off int, salt []fl
 		if n == 1 {
 			TMatMultAdd(a.buf, b.buf, got.buf, a.off, astride, b.off, bstride, got.off, k, rows, n)
 		} else {
-			narrow(a.buf, b.buf, got.buf, a.off, 1, astride, b.off, bstride, got.off, rows, k, n)
+			strips(a.buf, b.buf, got.buf, a.off, 1, astride, b.off, bstride, got.off, n, rows, k, n)
 		}
 		tMatMultAddGo(a.buf, b.buf, want.buf, a.off, astride, b.off, bstride, want.off, k, rows, n)
 		// The kernel sums from +0 and adds the sum to C, like narrowRows4;
@@ -377,13 +385,13 @@ func csr(t *testing.T, rng *rand.Rand, nnz, m, off int, salt []float64) {
 	MatMultSparse(vals.vals(), ix, b.buf, got.buf, b.off, got.off, m)
 	matMultSparseGo(vals.vals(), ix, b.buf, want.buf, b.off, want.off, m)
 	scale := func(j int) float64 {
-		terms := []float64{}
+		terms := []float64{c0.vals()[j]}
 		for k, i := range ix {
 			terms = append(terms, prod(vals.vals()[k], b.vals()[i*m+j]))
 		}
 		return magnitude(terms...) + 5e-324
 	}
-	checkVec(t, what("X%*%B"), got, want, scale, nnz)
+	checkVec(t, what("X%*%B"), got, want, scale, nnz+1)
 	bv := newOperand((off+1)&7, m, nan, fill)
 	c0 = newOperand((off+6)&7, n*m, marker, fill)
 	got, want = c0.clone(), c0.clone()
@@ -399,13 +407,30 @@ func csr(t *testing.T, rng *rand.Rand, nnz, m, off int, salt []float64) {
 	if !vals.intact(nan) || !b.intact(nan) || !bv.intact(nan) {
 		t.Fatalf("%s: a kernel wrote to a source", what("csr"))
 	}
+	if m > shortRow {
+		return
+	}
+	// The Outer template's dot: d[t] = row ix[t] of B . bv.
+	d0 := newOperand((off+2)&7, nnz, marker, fill)
+	got, want = d0.clone(), d0.clone()
+	DotRowsAt(b.buf[b.off:b.off+n*m], bv.buf, got.vals(), ix, bv.off, m)
+	for t, i := range ix {
+		want.vals()[t] = dotProductGo(b.vals(), bv.buf, i*m, bv.off, m)
+	}
+	checkVec(t, what("DotRowsAt"), got, want, func(p int) float64 {
+		terms := []float64{}
+		for j := 0; j < m; j++ {
+			terms = append(terms, prod(b.vals()[ix[p]*m+j], bv.vals()[j]))
+		}
+		return magnitude(terms...) + 5e-324
+	}, m)
 }
 
 func TestCSRKernelsDifferential(t *testing.T) {
 	needAsm(t)
 	rng := rand.New(rand.NewSource(32))
 	for nnz := 0; nnz <= 40; nnz++ { // both sides of asmMin, every remainder of four
-		for m := 1; m < narrowCols; m++ {
+		for m := 1; m <= csrCols+1; m++ { // every kernel, and the widths on either side
 			csr(t, rng, nnz, m, (nnz+m)&7, nil)
 			csr(t, rng, nnz, m, nnz&7, special)
 		}
@@ -416,9 +441,10 @@ func TestCSRKernelsDifferential(t *testing.T) {
 // against the rows of the dense operand and stop at the first one outside
 // them; the Go loop then takes the row, so an index its arithmetic accepts
 // (negative, over an offset B) gives its result, and one it does not
-// panics there.
+// panics there. DotRowsAt's kernel stops at the group of four that holds
+// it, and the Go loop panics on it.
 func TestCSRKernelsHandOverABadIndex(t *testing.T) {
-	for m := 1; m < narrowCols; m++ {
+	for m := 1; m <= csrCols+1; m++ {
 		vals := make([]float64, 2*asmMin) // past the cutoff of every kernel
 		ix := make([]int, 2*asmMin)
 		for k := range ix {
@@ -429,7 +455,7 @@ func TestCSRKernelsHandOverABadIndex(t *testing.T) {
 		for i := range b {
 			b[i] = float64(i%7) - 3
 		}
-		got, want := make([]float64, m), make([]float64, m)
+		got, want := make([]float64, max(m, len(ix))), make([]float64, max(m, len(ix)))
 		MatMultSparse(vals, ix, b, got, 2*m, 0, m)
 		matMultSparseGo(vals, ix, b, want, 2*m, 0, m)
 		for i := range want {
@@ -437,11 +463,22 @@ func TestCSRKernelsHandOverABadIndex(t *testing.T) {
 				t.Fatalf("MatMultSparse m=%d: [%d] = %v, Go loop %v", m, i, got[i], want[i])
 			}
 		}
+		// The outer product over an offset C: the kernel does the cells
+		// before the negative index, the Go loop the rest.
+		cg, cw := make([]float64, 24*m), make([]float64, 24*m)
+		OuterMultAddSparse(vals, ix, b, cg, 0, 2*m, m)
+		outerMultAddSparseGo(vals, ix, b, cw, 0, 2*m, m)
+		for i := range cw {
+			if cg[i] != cw[i] {
+				t.Fatalf("OuterMultAddSparse m=%d: [%d] = %v, Go loop %v", m, i, cg[i], cw[i])
+			}
+		}
 		ix[5] = 40
 		c := make([]float64, 24*m)
 		for name, call := range map[string]func(){
 			"MatMultSparse":      func() { MatMultSparse(vals, ix, b, got, 0, 0, m) },
 			"OuterMultAddSparse": func() { OuterMultAddSparse(vals, ix, b, c, 0, 0, m) },
+			"DotRowsAt":          func() { DotRowsAt(b, b, got, ix, 0, m) },
 		} {
 			func() {
 				defer func() {
@@ -455,12 +492,15 @@ func TestCSRKernelsHandOverABadIndex(t *testing.T) {
 	}
 }
 
+// TestNarrowProductDifferential: every width up to two strips and a tail,
+// rows and common dimensions around the groups of four, then random shapes
+// that cross the kTile and mTile panels of the strips.
 func TestNarrowProductDifferential(t *testing.T) {
 	needAsm(t)
 	rng := rand.New(rand.NewSource(16))
 	for rows := 1; rows <= 11; rows++ { // full groups of four and every remainder
 		for k := 1; k <= 12; k++ { // even and odd common dimensions
-			for n := 1; n < narrowCols; n++ {
+			for n := 1; n <= 2*narrowCols+1; n++ {
 				product(t, rng, rows, k, n, (rows+k)%3, (rows*k+n)&7, nil)
 			}
 		}
@@ -470,7 +510,11 @@ func TestNarrowProductDifferential(t *testing.T) {
 		if i%3 != 0 {
 			salt = nil
 		}
-		product(t, rng, 1+rng.Intn(40), 1+rng.Intn(130), 1+rng.Intn(narrowCols-1), rng.Intn(4), rng.Intn(8), salt)
+		rows, k := 1+rng.Intn(40), 1+rng.Intn(130)
+		if i%10 == 0 {
+			rows, k = 1+rng.Intn(2*mTile+5), kTile+rng.Intn(kTile+9)
+		}
+		product(t, rng, rows, k, 1+rng.Intn(3*narrowCols), rng.Intn(4), rng.Intn(8), salt)
 	}
 }
 
@@ -834,6 +878,10 @@ func TestWrappersCheckBounds(t *testing.T) {
 		"negative stride": func() { BinaryRows(OpAdd, long, 32, -2, long, 0, 2, long, 0, 8, 2) },
 		"MatMultAdd A":    func() { MatMultAdd(long, long, long, 0, 10, 0, 0, 7, 10, 2) },
 		"MatMultAdd C":    func() { MatMultAdd(long, long, short, 0, 8, 0, 0, 8, 8, 2) },
+		"MatMultAdd wide": func() { MatMultAdd(long, long, short, 0, 4, 0, 0, 1, 4, 16) },
+		"TMatMultAdd C":   func() { TMatMultAdd(long, long, short, 0, 8, 0, 16, 0, 4, 1, 16) },
+		"DotRowsAt u":     func() { DotRowsAt(long, short, long, []int{0, 1}, 8, 8) },
+		"DotRowsAt d":     func() { DotRowsAt(long, long, short[:1], []int{0, 1}, 0, 8) },
 		"TMatMultAdd B":   func() { TMatMultAdd(long, short, long, 0, 4, 0, 2, 0, 8, 4, 2) },
 	}
 	for name, call := range calls {
@@ -885,8 +933,9 @@ func TestExportedMatchPortable(t *testing.T) {
 }
 
 // FuzzKernels decodes a shape, offsets and values from the input and runs
-// the one-dimensional kernels, the narrow product (with the short-row
-// kernels at one column), the CSR-row kernels (rows of 0-40 stored cells),
+// the one-dimensional kernels, the narrow product in strips (with the
+// short-row kernels at one column), the CSR-row kernels and DotRowsAt (rows
+// of 0-40 stored cells),
 // the tile kernels (maps, comparisons, row reductions) and exp/log/sigmoid
 // against their twins.
 // Values come from raw bit patterns, so NaNs, infinities, denormals and
@@ -901,7 +950,7 @@ func FuzzKernels(f *testing.F) {
 			return
 		}
 		n, so, do := int(in[0])%131, int(in[1])&7, int(in[2])&7
-		rows, k, w := 1+int(in[3])%36, 1+int(in[4])%40, 1+int(in[5])%(narrowCols-1)
+		rows, k, w := 1+int(in[3])%36, 1+int(in[4])%40, 1+int(in[5])%(csrCols+1)
 		var salt []float64
 		if in[6]&1 == 1 {
 			salt = append(salt, special...)

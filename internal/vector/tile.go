@@ -6,9 +6,11 @@ package vector
 // both run the same blocked loops.
 
 const (
-	// narrowCols: below this output width a row's outputs are accumulated
-	// in locals and stored once (no store-to-load dependency per k, no
-	// per-row primitive call).
+	// narrowCols is the width of the narrow kernels: up to it a product's
+	// output rows are accumulated in registers over the whole common
+	// dimension and stored once (no store-to-load dependency per k, no
+	// per-row primitive call); a wider product runs them in strips of
+	// narrowCols columns.
 	narrowCols = 8
 
 	// shortRow: a row of at most this many cells fits in eight YMM
@@ -16,30 +18,37 @@ const (
 	// (t(X) %*% y) for a whole call.
 	shortRow = 32
 
-	// kTile and nTile block the wide product: the inner loops touch a
-	// kTile×nTile panel of B (128×1024 doubles = 1 MB, sized for L2) while
-	// streaming rows of A and C.
+	// kTile and mTile block a product of strips: the strips of one panel
+	// read the same kTile×mTile panel of A (128×64 doubles = 64 KB, L2),
+	// and C is loaded and stored once per kTile steps. Rank-4 updates (the
+	// portable wide loop, and the rows past a product's last group of
+	// four) reuse a kTile×nTile panel of B (128×1024 doubles = 1 MB, L2)
+	// across the rows of a block instead.
 	kTile = 128
+	mTile = 64
 	nTile = 1024
+
+	// pageCells is the doubles of a 4 KB page.
+	pageCells = 512
 )
 
 // MatMultAdd accumulates C += A %*% B for a block of rows: A is rows×k at
 // a[ai] with row stride astride, B is k×n row-major at b[bi], C is rows×n
 // row-major at c[ci]. Callers zero C for a plain product.
 //
-// The narrow product (n < narrowCols), Go loop and kernel alike, multiplies
-// every element: a zero in A is not skipped, so it meets an Inf or NaN in B
-// as NaN. (The wide product goes through MultAdd, which skips a zero
-// multiplier.) The sign of a zero result is not specified: the kernel sums
-// from +0 and adds the sum to C, the Go loop of t(A) %*% B adds into C.
-// One column over rows of at most shortRow cells is DotRows' kernel.
+// Every product multiplies every element, at any width, kernel and Go loop
+// alike: a zero in A is not skipped, so it meets an Inf or NaN in B as NaN.
+// The sign of a zero result is not specified: the kernels sum from +0 and
+// add the sum to C, the Go loops add into C. One column over rows of at
+// most shortRow cells is DotRows' kernel; any other width runs the narrow
+// kernels (strips).
 func MatMultAdd(a, b, c []float64, ai, astride, bi, ci, rows, k, n int) {
-	if n < narrowCols && useAsm && rows > 0 && k > 0 {
+	if useAsm && rows > 0 && k > 0 && n > 0 {
 		if n == 1 && k <= shortRow {
 			dotRows(a, b, c, ai, astride, bi, ci, rows, k)
 			return
 		}
-		narrow(a, b, c, ai, astride, 1, bi, n, ci, rows, k, n)
+		strips(a, b, c, ai, astride, 1, bi, n, ci, n, rows, k, n)
 		return
 	}
 	matMultAddGo(a, b, c, ai, astride, bi, ci, rows, k, n)
@@ -69,14 +78,32 @@ func matMultAddGo(a, b, c []float64, ai, astride, bi, ci, rows, k, n int) {
 				k4 := kk
 				for ; k4+4 <= kmax; k4 += 4 {
 					bo := bi + k4*n + jj
-					MultAdd4(b, a[ao+k4], a[ao+k4+1], a[ao+k4+2], a[ao+k4+3],
+					multAdd4Go(b, a[ao+k4], a[ao+k4+1], a[ao+k4+2], a[ao+k4+3],
 						c, bo, bo+n, bo+2*n, bo+3*n, co, jn)
 				}
 				for ; k4 < kmax; k4++ {
-					MultAdd(b, a[ao+k4], c, bi+k4*n+jj, co, jn)
+					multAddGo(b, a[ao+k4], c, bi+k4*n+jj, co, jn)
 				}
 			}
 		}
+	}
+}
+
+// DotRowsAt writes d[t] = the inner product of row ix[t] of V (rows of k
+// cells, k apart) with u[ui:ui+k], t in [0, len(ix)): the dot of the Outer
+// template, U_i·V_j over the stored cells of a row. Rows of at most shortRow
+// cells take one kernel call, which reads the indexed rows in place, u in
+// registers, four rows per reduction; longer rows take a DotProduct call
+// each.
+func DotRowsAt(v, u, d []float64, ix []int, ui, k int) {
+	done := 0
+	if k <= shortRow && useAsm && len(ix) > 0 && k > 0 && len(v) >= k {
+		_, _ = u[ui+k-1], d[len(ix)-1]
+		clear(d[:len(ix)])
+		done = dotIdxAsm((k+3)/4, &v[0], k, &u[ui], &d[0], len(ix), chunkMask(k), tailMask(len(ix)), &ix[0], len(v)-k)
+	}
+	for t, j := range ix[done:] {
+		d[done+t] = DotProduct(v, u, j*k, ui, k)
 	}
 }
 
@@ -113,21 +140,77 @@ func chunkMask(k int) *[4]int64 { return (*[4]int64)(laneMask[3-(k-1)&3:]) }
 // laneMask[4-w:] is the VMASKMOVPD mask of the first w of four lanes.
 var laneMask = [8]int64{-1, -1, -1, -1, 0, 0, 0, 0}
 
-// narrow runs the assembly narrow product C (rows×n at c[ci], n <
-// narrowCols) += A %*% B, A's element (i, kk) at a[ai+i*arow+kk*ak], B's
-// row kk at b[bi+kk*bstride]: one kernel call, the 5-7 column kernel
-// sharing each broadcast of A between two lane groups, after checking the
-// last element of every operand.
-func narrow(a, b, c []float64, ai, arow, ak, bi, bstride, ci, rows, k, n int) {
-	if arow < 0 || ak < 0 || bstride < 0 {
-		panic("vector: negative stride")
-	}
-	_, _, _ = a[ai+(rows-1)*arow+(k-1)*ak], b[bi+(k-1)*bstride+n-1], c[ci+rows*n-1]
-	if n > 4 {
-		narrow8Asm(&a[ai], arow, ak, &b[bi], bstride, &c[ci], n, rows, k, (*[4]int64)(laneMask[8-n:]))
+// strips runs C (rows×n, rows cstride apart at c[ci]) += A %*% B through
+// the narrow kernels, A's element (i, kk) at a[ai+i*arow+kk*ak], B's row kk
+// at b[bi+kk*bstride]: one call up to narrowCols columns, strips of
+// narrowCols columns past it, over panels of kTile steps and mTile rows.
+// The rows past the last group of four take rank-4 updates over a
+// kTile×nTile panel of B instead, since a kernel's group would compute one
+// of them again in place of each missing row; so does every row of a
+// product of fewer than eight rows over B rows a page or more apart, which
+// a strip reads one line per page, a read that one group does not amortize
+// when B is not in cache (1.2-1.5× the rank-4 updates at 6 rows of 784×512,
+// 0.5-0.9× at 784×64).
+func strips(a, b, c []float64, ai, arow, ak, bi, bstride, ci, cstride, rows, k, n int) {
+	if n <= narrowCols {
+		narrow(a, b, c, ai, arow, ak, bi, bstride, ci, cstride, rows, k, n)
 		return
 	}
-	narrowAsm(&a[ai], arow, ak, &b[bi], bstride, &c[ci], n, rows, k, (*[4]int64)(laneMask[4-n:]))
+	groups := rows &^ 3
+	if rows < 8 && bstride >= pageCells {
+		groups = 0
+	}
+	for kk := 0; kk < k; kk += kTile {
+		kn := min(kTile, k-kk)
+		for i := 0; i < groups; i += mTile {
+			ao, co := ai+i*arow+kk*ak, ci+i*cstride
+			for j := 0; j < n; j += narrowCols {
+				narrow(a, b, c, ao, arow, ak, bi+kk*bstride+j, bstride, co+j, cstride,
+					min(mTile, groups-i), kn, min(narrowCols, n-j))
+			}
+		}
+		for jj := 0; jj < n; jj += nTile {
+			for i := groups; i < rows; i++ {
+				rank4(a, b, c, ai+i*arow+kk*ak, ak, bi+kk*bstride+jj, bstride, ci+i*cstride+jj, kn, min(nTile, n-jj))
+			}
+		}
+	}
+}
+
+// rank4 accumulates c[ci:ci+n) += the sum over t < k of w[wi+t*ws] times
+// the row of r at r[ri+t*rs:], a product with one output row: a rank-4
+// kernel call per four rows of r, each read once, no weight skipped (n >=
+// asmMin).
+func rank4(w, r, c []float64, wi, ws, ri, rs, ci, k, n int) {
+	if ws < 0 || rs < 0 {
+		panic("vector: negative stride")
+	}
+	_, _, _ = w[wi+(k-1)*ws], r[ri+(k-1)*rs+n-1], c[ci+n-1]
+	t := 0
+	for ; t+4 <= k; t += 4 {
+		wo, ro := wi+t*ws, ri+t*rs
+		multAdd4Asm(&r[ro], &r[ro+rs], &r[ro+2*rs], &r[ro+3*rs],
+			w[wo], w[wo+ws], w[wo+2*ws], w[wo+3*ws], &c[ci], n)
+	}
+	for ; t < k; t++ {
+		multAddAsm(&r[ri+t*rs], w[wi+t*ws], &c[ci], n)
+	}
+}
+
+// narrow runs the assembly narrow product C (rows×n, rows cstride apart at
+// c[ci], n <= narrowCols) += A %*% B, A and B as in strips: one kernel
+// call, the 5-8 column kernel sharing each broadcast of A between two lane
+// groups, after checking the last element of every operand.
+func narrow(a, b, c []float64, ai, arow, ak, bi, bstride, ci, cstride, rows, k, n int) {
+	if arow < 0 || ak < 0 || bstride < 0 || cstride < 0 {
+		panic("vector: negative stride")
+	}
+	_, _, _ = a[ai+(rows-1)*arow+(k-1)*ak], b[bi+(k-1)*bstride+n-1], c[ci+(rows-1)*cstride+n-1]
+	if n > 4 {
+		narrow8Asm(&a[ai], arow, ak, &b[bi], bstride, &c[ci], cstride, rows, k, (*[4]int64)(laneMask[8-n:]))
+		return
+	}
+	narrowAsm(&a[ai], arow, ak, &b[bi], bstride, &c[ci], cstride, rows, k, (*[4]int64)(laneMask[4-n:]))
 }
 
 // narrowRows4 accumulates four rows of C (4×n at c[0], n < narrowCols) +=
@@ -216,47 +299,37 @@ func narrowRow(arow, b, c []float64, n int) {
 // rows×m at a[ai] with row stride astride, B is rows×n at b[bi] with row
 // stride bstride (0 repeats one row), C is m×n row-major at c[ci]. This is
 // the tile form of the Row template's t(X) %*% W accumulation
-// (vectOuterMultAdd once per row), taking four rows per pass. For n <
-// narrowCols it is a narrow product (see MatMultAdd): with one column and
-// rows of at most shortRow cells, one kernel call keeps the m sums in
-// registers for the whole block.
+// (vectOuterMultAdd once per row), under MatMultAdd's contract: from two
+// columns the narrow kernels with A read down its columns (strips), and
+// with one column and rows of at most shortRow cells one kernel call keeps
+// the m sums in registers for the whole block.
 func TMatMultAdd(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n int) {
-	if n < narrowCols && useAsm && rows > 0 && m > 0 {
+	if useAsm && rows > 0 && m > 0 && n > 0 {
 		if n > 1 {
-			// t(A) %*% B is the narrow product with A read down its columns.
-			narrow(a, b, c, ai, 1, astride, bi, bstride, ci, m, rows, n)
+			strips(a, b, c, ai, 1, astride, bi, bstride, ci, n, m, rows, n)
+			return
+		}
+		if m > shortRow {
+			// Longer rows: rank-4 updates. (tDotAsm per panel of shortRow
+			// outputs strides across pages and is slower on wide blocks.)
+			rank4(b, a, c, bi, bstride, ai, astride, ci, rows, m)
 			return
 		}
 		if astride < 0 || bstride < 0 {
 			panic("vector: negative stride")
 		}
 		_, _, _ = a[ai+(rows-1)*astride+m-1], b[bi+(rows-1)*bstride], c[ci+m-1]
-		if m <= shortRow {
-			tDotAsm((m+3)/4, &a[ai], astride, &b[bi], bstride, &c[ci], rows, chunkMask(m))
-			return
-		}
-		// Longer rows: a rank-4 update per four rows (m > asmMin), without
-		// MultAdd4's zero skip. (tDotAsm per panel of shortRow outputs
-		// strides across pages and is slower on wide blocks.)
-		i := 0
-		for ; i+4 <= rows; i += 4 {
-			ao, bo := ai+i*astride, bi+i*bstride
-			multAdd4Asm(&a[ao], &a[ao+astride], &a[ao+2*astride], &a[ao+3*astride],
-				b[bo], b[bo+bstride], b[bo+2*bstride], b[bo+3*bstride], &c[ci], m)
-		}
-		for ; i < rows; i++ {
-			multAddAsm(&a[ai+i*astride], b[bi+i*bstride], &c[ci], m)
-		}
+		tDotAsm((m+3)/4, &a[ai], astride, &b[bi], bstride, &c[ci], rows, chunkMask(m))
 		return
 	}
 	tMatMultAddGo(a, b, c, ai, astride, bi, bstride, ci, rows, m, n)
 }
 
+// tMatMultAddGo is TMatMultAdd's portable loop: four rows per rank-4
+// update, no multiplier skipped.
 func tMatMultAddGo(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n int) {
 	i := 0
 	if n == 1 {
-		// Four rows per rank-4 update, no multiplier skipped: a narrow
-		// product.
 		for ; i+4 <= rows; i += 4 {
 			ao, bo := ai+i*astride, bi+i*bstride
 			multAdd4Go(a, b[bo], b[bo+bstride], b[bo+2*bstride], b[bo+3*bstride],
@@ -269,15 +342,6 @@ func tMatMultAddGo(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n i
 	}
 	for ; i+4 <= rows; i += 4 {
 		ao, bo := ai+i*astride, bi+i*bstride
-		if n >= narrowCols {
-			for j := 0; j < m; j++ {
-				MultAdd4(b, a[ao+j], a[ao+astride+j], a[ao+2*astride+j], a[ao+3*astride+j],
-					c, bo, bo+bstride, bo+2*bstride, bo+3*bstride, ci+j*n, n)
-			}
-			continue
-		}
-		// Narrow B rows: the rank-4 update inline, without a call per
-		// column of A.
 		b0, b1 := b[bo:bo+n], b[bo+bstride:bo+bstride+n]
 		b2, b3 := b[bo+2*bstride:bo+2*bstride+n], b[bo+3*bstride:bo+3*bstride+n]
 		for j := 0; j < m; j++ {
@@ -289,14 +353,7 @@ func tMatMultAddGo(a, b, c []float64, ai, astride, bi, bstride, ci, rows, m, n i
 		}
 	}
 	for ; i < rows; i++ {
-		ao, bo := ai+i*astride, bi+i*bstride
-		if n >= narrowCols {
-			OuterMultAdd(a, b, c, ao, bo, ci, m, n)
-			continue
-		}
-		// As the blocks of four and the kernel: no skip of a zero in A, so
-		// 0 * Inf is NaN in every row.
-		bb := b[bo : bo+n]
+		ao, bb := ai+i*astride, b[bi+i*bstride:bi+i*bstride+n]
 		for j := 0; j < m; j++ {
 			v := a[ao+j]
 			cc := c[ci+j*n : ci+j*n+n]

@@ -7,26 +7,28 @@
 // here are written with 8-fold unrolling like their Java counterparts.
 //
 // The primitives that hold the profile (reductions, rank-k updates, the
-// narrow products, the element-wise maps and comparisons, row reductions of
-// narrow tiles, exp/log/sigmoid) have two implementations: the portable Go
-// loop named xxxGo, which is also the reference in tests, and an AVX2+FMA
+// products, the element-wise maps and comparisons, row reductions of narrow
+// tiles, exp/log/sigmoid) have two implementations: the portable Go loop
+// named xxxGo, which is also the reference in tests, and an AVX2+FMA
 // assembly kernel (kernels_amd64.s). The exported function picks the kernel
-// when useAsm is set and the call has at least asmMin elements — three
-// families take it at any size: the one-column narrow products over rows
-// of at most shortRow cells (X %*% v and t(X) %*% y keep the short
-// dimension in registers for a whole block of rows), the reductions of
-// rows narrower than narrowCols (RowReduce: one call covers a tile of rows)
-// and exp/log/sigmoid (a result must not depend on the length of the call
-// it was part of); the CSR-row kernels take rows of asmMin stored cells
-// and more, against 2-7 dense columns. It checks the last index of every
-// operand before it hands raw pointers over, because the kernels check
-// nothing (the CSR-row kernels check each column index and hand a row they
-// cannot finish back to the Go loop). FMA and four-lane summation change
-// low-order bits against the Go loops, never NaN-ness: the rank-k updates
-// return early when every multiplier is zero, before the dispatch, and the
-// narrow products — dense (MatMultAdd, TMatMultAdd, DotRows) and CSR rows
-// against fewer than narrowCols columns — skip nothing in either form. The element-wise maps,
-// comparisons, minima and maxima are the same bits in both forms.
+// when useAsm is set and the call has at least asmMin elements — four
+// families take it at any size: the dense products (MatMultAdd,
+// TMatMultAdd, DotRows, DotRowsAt: the narrow kernels keep up to narrowCols
+// output columns of four rows in registers, in strips past that, and the
+// short-row kernels the short dimension), the reductions of rows narrower
+// than narrowCols (RowReduce: one call covers a tile of rows), the CSR-row
+// kernels from narrowCols columns (their rows of asmMin stored cells and
+// more below it, against 2-16 dense columns), and exp/log/sigmoid (a result
+// must not depend on the length of the call it was part of). It checks the
+// last index of every operand before it hands raw pointers over, because
+// the kernels check nothing (the CSR-row kernels and DotRowsAt check each
+// index and hand what they cannot finish back to the Go loop). FMA and
+// four-lane summation change low-order bits against the Go loops, never
+// NaN-ness: a product multiplies every element at every width, dense or
+// CSR, kernel or Go loop (only MultAdd4, TSMM's rank-4 update, returns
+// early when every multiplier is zero, before the dispatch). The
+// element-wise maps, comparisons, minima and maxima are the same bits in
+// both forms.
 //
 // Conventions: dense vectors are slices with an explicit offset and length so
 // that rows of a row-major matrix can be addressed without sub-slicing;
@@ -167,12 +169,9 @@ func IndexMax(a []float64, ai, n int) int {
 	return ix
 }
 
-// MultAdd computes c[ci+k] += bval * a[ai+k] for k in [0,n)
-// (the vectMultAdd primitive used by the Outer template).
+// MultAdd computes c[ci+k] += bval * a[ai+k] for k in [0,n) (the
+// vectMultAdd primitive), a zero bval included.
 func MultAdd(a []float64, bval float64, c []float64, ai, ci, n int) {
-	if bval == 0 {
-		return
-	}
 	if useAsm && n >= asmMin {
 		_, _ = a[ai+n-1], c[ci+n-1]
 		multAddAsm(&a[ai], bval, &c[ci], n)
@@ -275,13 +274,30 @@ func Add(a, c []float64, ai, ci, n int) {
 	MultAdd(a, 1, c, ai, ci, n)
 }
 
-// MatMultSparse computes c = a * B for a sparse row a over an n×m dense B.
-// Narrow outputs (1 < m < narrowCols) take one kernel call per row (each
-// stored cell broadcast once against its row of B), or, with fewer than
-// asmMin stored cells or one column, accumulate in locals two columns per
-// pass; neither skips a stored zero.
+// csrCols is the widest dense operand of the CSR-row kernels.
+const csrCols = 16
+
+// csrKernel reports whether a CSR row of nnz stored cells against a dense
+// operand of m columns takes a CSR-row kernel: from two columns up to
+// csrCols, rows of asmMin cells and more, or of any length from narrowCols
+// columns, where a row's call replaces a call per cell.
+func csrKernel(nnz, m int) bool {
+	return useAsm && 1 < m && m <= csrCols && (nnz >= asmMin || nnz > 0 && m >= narrowCols)
+}
+
+// MatMultSparse accumulates c += a %*% B for a sparse row a over an n×m
+// dense B. The CSR-row kernel (csrKernel) broadcasts each stored cell once
+// against its row of B, the m sums in registers, and adds them to c once;
+// the Go loop accumulates in locals two columns per pass, or adds the rows
+// of B one by one from narrowCols columns. Neither skips a stored zero.
 func MatMultSparse(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
-	if useAsm && len(aix) >= asmMin && 1 < m && m < narrowCols && csrRow(false, avals, aix, b, c, bi, ci, m) > 0 {
+	switch {
+	case csrKernel(len(aix), m) && csrRow(false, avals, aix, b, c, bi, ci, m) > 0:
+		return
+	case useAsm && m > csrCols:
+		for k, i := range aix {
+			MultAdd(b, avals[k], c, bi+i*m, ci, m)
+		}
 		return
 	}
 	matMultSparseGo(avals, aix, b, c, bi, ci, m)
@@ -289,11 +305,8 @@ func MatMultSparse(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
 
 func matMultSparseGo(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
 	if m >= narrowCols {
-		for j := 0; j < m; j++ {
-			c[ci+j] = 0
-		}
 		for k, i := range aix {
-			MultAdd(b, avals[k], c, bi+i*m, ci, m)
+			multAddGo(b, avals[k], c, bi+i*m, ci, m)
 		}
 		return
 	}
@@ -305,22 +318,21 @@ func matMultSparseGo(avals []float64, aix []int, b, c []float64, bi, ci, m int) 
 			c0 += avals[k] * bb[0]
 			c1 += avals[k] * bb[1]
 		}
-		c[ci+j], c[ci+j+1] = c0, c1
+		c[ci+j] += c0
+		c[ci+j+1] += c1
 	}
 	if j < m {
 		var c0 float64
 		for k, i := range aix {
 			c0 += avals[k] * b[bi+i*m+j]
 		}
-		c[ci+j] = c0
+		c[ci+j] += c0
 	}
 }
 
-// csrRow runs a CSR-row kernel on a row of at least asmMin stored cells
-// (the callers check, so that a short row costs no call) against a dense
-// operand of 1 < m < narrowCols columns (the callers check m too):
-// c[ci:ci+m) = the row %*% B (B's rows m apart at b[bi]), or with outer C's
-// rows (m apart at c[ci]) += each cell times b[bi:bi+m). It returns the
+// csrRow runs a CSR-row kernel on a row that csrKernel let through:
+// c[ci:ci+m) += the row %*% B (B's rows m apart at b[bi]), or with outer
+// C's rows (m apart at c[ci]) += each cell times b[bi:bi+m). It returns the
 // cells done: all, or 0 where the Go loop takes the row, or with outer
 // those before the first index outside C, which the Go loop takes from
 // there.
@@ -345,42 +357,21 @@ func csrRow(outer bool, avals []float64, aix []int, b, c []float64, bi, ci, m in
 	return n
 }
 
-// OuterMultAdd accumulates the outer product a (len n) ⊗ b (len m) into the
-// row-major n×m matrix c (the vectOuterMultAdd primitive).
-func OuterMultAdd(a, b, c []float64, ai, bi, ci, n, m int) {
-	if m < 8 {
-		for i := 0; i < n; i++ {
-			av := a[ai+i]
-			if av == 0 {
-				continue
-			}
-			co := ci + i*m
-			for j := 0; j < m; j++ {
-				c[co+j] += av * b[bi+j]
-			}
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		MultAdd(b, a[ai+i], c, bi, ci+i*m, m)
-	}
-}
-
-// OuterMultAddSparse accumulates a sparse row (avals, aix) ⊗ b into c. For
-// m < narrowCols it is the narrow product with the row as A: one kernel call
-// per row from two columns, or with fewer than asmMin stored cells or one
-// column the Go loop, and no stored zero skipped; wider b go through MultAdd
-// per stored cell.
+// OuterMultAddSparse accumulates a sparse row (avals, aix) ⊗ b into c
+// (the vectOuterMultAdd primitive over a sparse row): the narrow product
+// with the row as A. The CSR-row kernel (csrKernel) keeps b in registers
+// and adds each cell's multiple of it to its row of C; no stored zero is
+// skipped.
 func OuterMultAddSparse(avals []float64, aix []int, b, c []float64, bi, ci, m int) {
-	if m >= narrowCols {
+	done := 0
+	switch {
+	case csrKernel(len(aix), m):
+		done = csrRow(true, avals, aix, b, c, bi, ci, m)
+	case useAsm && m > csrCols:
 		for k, i := range aix {
 			MultAdd(b, avals[k], c, bi, ci+i*m, m)
 		}
 		return
-	}
-	done := 0
-	if useAsm && len(aix) >= asmMin && m > 1 {
-		done = csrRow(true, avals, aix, b, c, bi, ci, m)
 	}
 	outerMultAddSparseGo(avals[done:], aix[done:], b, c, bi, ci, m)
 }

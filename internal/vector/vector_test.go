@@ -99,10 +99,17 @@ func TestMultAdd(t *testing.T) {
 	}
 }
 
-// TestTileProducts checks the tile kernels against naive loops over narrow
-// and wide outputs, row counts around the 4-row blocking, a padded row
-// stride of A, and the broadcast (stride 0) right operand of TMatMultAdd.
+// TestTileProducts checks the tile kernels, dispatched and portable,
+// against naive loops over narrow outputs, strips of wide ones and their
+// tails, row counts around the 4-row blocking and past an mTile panel,
+// common dimensions past a kTile panel, a padded row stride of A, and the
+// broadcast (stride 0) right operand of TMatMultAdd.
 func TestTileProducts(t *testing.T) {
+	t.Run("dispatched", testTileProducts)
+	t.Run("portable", func(t *testing.T) { Portable(func() { testTileProducts(t) }) })
+}
+
+func testTileProducts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	fill := func(n int) []float64 {
 		v := make([]float64, n)
@@ -111,9 +118,9 @@ func TestTileProducts(t *testing.T) {
 		}
 		return v
 	}
-	for _, rows := range []int{1, 3, 4, 5, 9} {
-		for _, k := range []int{1, 3, 10, 131} {
-			for _, n := range []int{1, 2, 3, 5, 7, 8, 13} {
+	for _, rows := range []int{1, 3, 4, 5, 9, 70} {
+		for _, k := range []int{1, 3, 10, 131, 300} {
+			for _, n := range []int{1, 2, 3, 5, 7, 8, 9, 10, 13, 16, 17, 64} {
 				astride := k + 2
 				a, b := fill(rows*astride+1), fill(k*n+1)
 				got, want := fill(rows*n), make([]float64, rows*n)
@@ -172,16 +179,8 @@ func TestTileProducts(t *testing.T) {
 }
 
 func TestOuterMultAdd(t *testing.T) {
-	a := []float64{1, 2}
 	b := []float64{3, 4, 5}
-	c := make([]float64, 6)
-	OuterMultAdd(a, b, c, 0, 0, 0, 2, 3)
 	want := []float64{3, 4, 5, 6, 8, 10}
-	for i := range want {
-		if c[i] != want[i] {
-			t.Fatalf("OuterMultAdd = %v, want %v", c, want)
-		}
-	}
 	c2 := make([]float64, 6)
 	OuterMultAddSparse([]float64{1, 2}, []int{0, 1}, b, c2, 0, 0, 3)
 	for i := range want {
