@@ -440,3 +440,34 @@ func TestOuterLeavesTheRatingsShapedProductUnwritten(t *testing.T) {
 		}
 	}
 }
+
+// TestKMeansKeepsEmptyClustersTied is the Airline-like KMeans of Table 4:
+// integer features far from the random start, so some of the five clusters
+// are empty after the first step and their centroids are equal. Equal
+// centroids stay exactly tied only if every row of t(P) %*% X takes the same
+// arithmetic: one that comes out an ulp apart takes every point of the
+// others or loses every point to them, and Gen and Base, whose products tile
+// differently, break the tie differently and move to different clusterings.
+func TestKMeansKeepsEmptyClustersTied(t *testing.T) {
+	for xs := int64(0); xs < 2; xs++ {
+		x := data.AirlineLike(500, 23002+xs)
+		for seed := int64(23011); seed < 23019; seed++ {
+			in := map[string]*matrix.Matrix{"X": x, "C0": matrix.Rand(5, x.Cols, 1, -1, 1, seed)}
+			var ref *matrix.Matrix
+			for _, mode := range []codegen.Mode{codegen.ModeBase, codegen.ModeGen} {
+				cfg := codegen.DefaultConfig()
+				cfg.Mode = mode
+				s, err := KMeans.Run(cfg, in, map[string]float64{"maxiter": 4}, nil, &bytes.Buffer{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, _ := s.Get("C")
+				if ref == nil {
+					ref = c
+				} else if !c.EqualsApprox(ref, 1e-9) {
+					t.Errorf("X seed %d, C0 seed %d: Gen's centroids differ from Base's", 23002+xs, seed)
+				}
+			}
+		}
+	}
+}

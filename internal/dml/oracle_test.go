@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"sysml/internal/codegen"
 	"sysml/internal/matrix"
 )
 
@@ -181,7 +182,10 @@ func TestCSRProductsMatchTheOracle(t *testing.T) {
 // over the stored cells of a CSR X — at rank 10 (a wide CSR-row kernel)
 // and 17 (past them), with a stored NaN and a stored +Inf in X. Each output
 // is a script of its own, which Gen runs as one Outer operator (a W that
-// several outputs read is written once and read by a Row operator).
+// several outputs read is written once and read by a Row operator); the
+// cost audit of a Gen run shows that operator, so a plan that picks
+// another template fails here instead of leaving the Outer kernels
+// untested.
 func TestOuterProductsMatchTheOracle(t *testing.T) {
 	const rows, cols = 130, 90
 	x := matrix.Rand(rows, cols, 0.08, 1, 5, 7).ToDense()
@@ -215,8 +219,19 @@ func TestOuterProductsMatchTheOracle(t *testing.T) {
 			"R": {"R = (X * (U %*% t(V))) %*% V", mm(w, V, true)},
 			"T": {"T = t(X * (U %*% t(V))) %*% U", mm(w.t(), U, true)},
 		} {
-			res := runModes(t, o.script, map[string]*matrix.Matrix{"X": xs, "U": u, "V": v}, name)
+			in := map[string]*matrix.Matrix{"X": xs, "U": u, "V": v}
+			res := runModes(t, o.script, in, name)
 			checkOracle(t, fmt.Sprintf("rank %d", r), res, map[string]dense{name: o.want})
+			s := newTestSession(codegen.ModeGen)
+			for n, m := range in {
+				s.Bind(n, m)
+			}
+			if err := s.Run(o.script); err != nil {
+				t.Fatal(err)
+			}
+			if ta := s.CostAudit().Templates["Outer"]; ta.Count == 0 {
+				t.Errorf("rank %d, %s: Gen ran no Outer operator; templates = %+v", r, name, s.CostAudit().Templates)
+			}
 		}
 	}
 }

@@ -1172,8 +1172,8 @@ store:
 	RET
 
 // func narrow8Asm(a *float64, arow, ak int, b *float64, bstride int, c *float64, cstride, rows, k int, hi *[4]int64)
-// narrowAsm for 5-7 output columns in one pass: lanes 0-3 whole and lanes
-// 4-6 under the mask hi share each broadcast of an A element. Four output
+// narrowAsm for 5-8 output columns in one pass: lanes 0-3 whole and lanes
+// 4-7 under the mask hi share each broadcast of an A element. Four output
 // rows at a time, their eight sums in registers over the whole common
 // dimension (eight FMA chains, one step of it per pass); C's loads, stores
 // and spare rows as in narrowAsm.

@@ -21,15 +21,12 @@ const (
 	// kTile and mTile block a product of strips: the strips of one panel
 	// read the same kTile×mTile panel of A (128×64 doubles = 64 KB, L2),
 	// and C is loaded and stored once per kTile steps. Rank-4 updates (the
-	// portable wide loop, and the rows past a product's last group of
-	// four) reuse a kTile×nTile panel of B (128×1024 doubles = 1 MB, L2)
-	// across the rows of a block instead.
+	// portable wide loop, and a product of fewer than four rows) reuse a
+	// kTile×nTile panel of B (128×1024 doubles = 1 MB, L2) across the rows
+	// of a block instead.
 	kTile = 128
 	mTile = 64
 	nTile = 1024
-
-	// pageCells is the doubles of a 4 KB page.
-	pageCells = 512
 )
 
 // MatMultAdd accumulates C += A %*% B for a block of rows: A is rows×k at
@@ -144,34 +141,32 @@ var laneMask = [8]int64{-1, -1, -1, -1, 0, 0, 0, 0}
 // the narrow kernels, A's element (i, kk) at a[ai+i*arow+kk*ak], B's row kk
 // at b[bi+kk*bstride]: one call up to narrowCols columns, strips of
 // narrowCols columns past it, over panels of kTile steps and mTile rows.
-// The rows past the last group of four take rank-4 updates over a
-// kTile×nTile panel of B instead, since a kernel's group would compute one
-// of them again in place of each missing row; so does every row of a
-// product of fewer than eight rows over B rows a page or more apart, which
-// a strip reads one line per page, a read that one group does not amortize
-// when B is not in cache (1.2-1.5× the rank-4 updates at 6 rows of 784×512,
-// 0.5-0.9× at 784×64).
+// Every row of one call takes the same arithmetic, so equal rows of A give
+// equal rows of C bit for bit (KMeans' tied centroids stay tied): from four
+// rows up every row runs in the kernel's groups, a last group of one to
+// three rows included, and a product of fewer than four rows takes rank-4
+// updates over a kTile×nTile panel of B for every row, since a kernel's
+// group would compute its first row again in place of each missing row.
 func strips(a, b, c []float64, ai, arow, ak, bi, bstride, ci, cstride, rows, k, n int) {
 	if n <= narrowCols {
 		narrow(a, b, c, ai, arow, ak, bi, bstride, ci, cstride, rows, k, n)
 		return
 	}
-	groups := rows &^ 3
-	if rows < 8 && bstride >= pageCells {
-		groups = 0
-	}
 	for kk := 0; kk < k; kk += kTile {
 		kn := min(kTile, k-kk)
-		for i := 0; i < groups; i += mTile {
+		if rows < 4 {
+			for jj := 0; jj < n; jj += nTile {
+				for i := 0; i < rows; i++ {
+					rank4(a, b, c, ai+i*arow+kk*ak, ak, bi+kk*bstride+jj, bstride, ci+i*cstride+jj, kn, min(nTile, n-jj))
+				}
+			}
+			continue
+		}
+		for i := 0; i < rows; i += mTile {
 			ao, co := ai+i*arow+kk*ak, ci+i*cstride
 			for j := 0; j < n; j += narrowCols {
 				narrow(a, b, c, ao, arow, ak, bi+kk*bstride+j, bstride, co+j, cstride,
-					min(mTile, groups-i), kn, min(narrowCols, n-j))
-			}
-		}
-		for jj := 0; jj < n; jj += nTile {
-			for i := groups; i < rows; i++ {
-				rank4(a, b, c, ai+i*arow+kk*ak, ak, bi+kk*bstride+jj, bstride, ci+i*cstride+jj, kn, min(nTile, n-jj))
+					min(mTile, rows-i), kn, min(narrowCols, n-j))
 			}
 		}
 	}

@@ -178,6 +178,60 @@ func testTileProducts(t *testing.T) {
 	}
 }
 
+// TestEqualRowsGiveEqualRows: within one product every output row takes the
+// same arithmetic, so rows of A that are equal give rows of C that are equal
+// bit for bit, at every row count and at widths past one strip. KMeans
+// relies on it: empty clusters get equal centroids, which split their points
+// evenly only while the distances to them stay exactly tied.
+func TestEqualRowsGiveEqualRows(t *testing.T) {
+	t.Run("dispatched", testEqualRows)
+	t.Run("portable", func(t *testing.T) { Portable(func() { testEqualRows(t) }) })
+}
+
+func testEqualRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for rows := 1; rows <= 9; rows++ {
+		for _, k := range []int{131, 300} {
+			for _, n := range []int{9, 10, 17} {
+				// A (rows×k) %*% B: every row of A is the same row.
+				row := make([]float64, k)
+				for i := range row {
+					row[i] = float64(rng.Intn(2000)) * (rng.Float64() + 0.5)
+				}
+				a := make([]float64, rows*k)
+				for i := 0; i < rows; i++ {
+					copy(a[i*k:], row)
+				}
+				b := make([]float64, k*n)
+				for i := range b {
+					b[i] = rng.Float64()/3 + 0.1
+				}
+				c := make([]float64, rows*n)
+				MatMultAdd(a, b, c, 0, k, 0, 0, rows, k, n)
+				// t(A') %*% B with A' k×rows, every column the same: C is rows×n.
+				at := make([]float64, k*rows)
+				for kk := 0; kk < k; kk++ {
+					for i := 0; i < rows; i++ {
+						at[kk*rows+i] = row[kk]
+					}
+				}
+				ct := make([]float64, rows*n)
+				TMatMultAdd(at, b, ct, 0, rows, 0, n, 0, k, rows, n)
+				for i := 1; i < rows; i++ {
+					for j := 0; j < n; j++ {
+						if c[i*n+j] != c[j] {
+							t.Fatalf("MatMultAdd rows=%d k=%d n=%d: C[%d,%d] = %.17g, C[0,%d] = %.17g", rows, k, n, i, j, c[i*n+j], j, c[j])
+						}
+						if ct[i*n+j] != ct[j] {
+							t.Fatalf("TMatMultAdd m=%d k=%d n=%d: C[%d,%d] = %.17g, C[0,%d] = %.17g", rows, k, n, i, j, ct[i*n+j], j, ct[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestOuterMultAdd(t *testing.T) {
 	b := []float64{3, 4, 5}
 	want := []float64{3, 4, 5, 6, 8, 10}
