@@ -62,6 +62,9 @@ GOARCH=arm64 go vet ./internal/vector
 #  - The model picks the template: one recursion prices each node's
 #    candidate templates and opens the cheapest; the type bonus and the
 #    row-aggregate rule that picked by score, and the second costing walk.
+#  - One fold order for every worker cap: a region's chunks are fixed by
+#    the item count and the grain alone; the chunks-per-participant factor
+#    that sized them from the worker cap.
 while IFS=';' read -r section pattern exempt what; do
   echo "== $section =="
   spec=('*.go')
@@ -84,6 +87,7 @@ one compression rule;readPlan|readHistory|compressProduced|planReads|CompressedC
 one parallel fold;ForIndexed(Limit)?\(;-;a per-worker parallel region
 one priced compressed transfer;^func (Encode|Decode)\(|wireReader|wireMagic|FuzzWireDecode;-;a compressed wire codec
 the model picks the template;typePreference|overRowAggregate|addOpCost|costNode;-;a template-choice rule beside the model
+one fold order for every worker cap;chunkFactor;-;the cap-sized chunk plan
 ROWS
 # Only cplan.Program.Exec executes RowInstrs (lower.go emits them, source.go
 # renders them).

@@ -11,6 +11,7 @@ import (
 	"sysml/internal/hop"
 	"sysml/internal/matrix"
 	"sysml/internal/obs"
+	"sysml/internal/par"
 	"sysml/internal/rewrite"
 	"sysml/internal/runtime"
 )
@@ -214,15 +215,23 @@ func sameWithin(got, want *matrix.Matrix, eps float64) bool {
 }
 
 // checkModes runs the DAG of (seed, sh) unoptimized — the basic operators —
-// and optimized under every fusing mode, and compares every output.
+// and optimized under every fusing mode, and compares every output with the
+// basic operators' within eps and with the reference evaluator's within
+// 1e-9.
 func checkModes(t *testing.T, seed int64, sh dagShape, eps float64, metrics *obs.Metrics) {
 	t.Helper()
 	build, env := randomDAGOf(seed, sh)
 	defer compress.Drop(env["A"])
+	oracle := refEval(build, env)
 	refDAG, _ := rewrite.Apply(build)
 	ref, err := runtime.ExecuteDAG(refDAG, env, runtime.Options{})
 	if err != nil {
 		t.Fatalf("seed %d %+v: reference: %v", seed, sh, err)
+	}
+	for name, want := range oracle {
+		if !sameWithin(ref[name], want, 1e-9) {
+			t.Errorf("seed %d %+v: basic operators: output %q differs from the reference evaluator", seed, sh, name)
+		}
 	}
 	for _, mode := range []codegen.Mode{codegen.ModeFused, codegen.ModeGen, codegen.ModeGenFA, codegen.ModeGenFNR} {
 		d2, env2 := randomDAGOf(seed, sh) // fresh DAG (same structure), fresh parents
@@ -239,7 +248,7 @@ func checkModes(t *testing.T, seed int64, sh dagShape, eps float64, metrics *obs
 			t.Fatalf("seed %d %+v mode %v: %v\n%s", seed, sh, mode, err, hop.Explain(dd.Roots()))
 		}
 		for name, want := range ref {
-			if !sameWithin(got[name], want, eps) {
+			if !sameWithin(got[name], want, eps) || !sameWithin(got[name], oracle[name], 1e-9) {
 				t.Errorf("seed %d %+v mode %v: output %q differs\n%s",
 					seed, sh, mode, name, hop.Explain(dd.Roots()))
 			}
@@ -303,4 +312,77 @@ func TestRandomDAGShapesStoragesAndSalt(t *testing.T) {
 			t.Errorf("no generated DAG counted %s", name)
 		}
 	}
+}
+
+// TestRandomDAGsAgreeAcrossWorkerCaps: one plan gives the same bits on 1, 2,
+// 4 or 8 workers. 200 generated DAGs — 2, 7 and 100 columns, a main stored
+// dense, as CSR or with a compressed form attached, with and without the
+// NaN/Inf salt, rows enough for several chunks of every reduction — run
+// unoptimized and under every fusing mode, each plan on pools capped at 1,
+// 2, 4 and 8 participants (caps, not OS threads); every output equals the
+// cap-1 run bit for bit.
+func TestRandomDAGsAgreeAcrossWorkerCaps(t *testing.T) {
+	pools := []*par.Pool{par.NewPool(1), par.NewPool(2), par.NewPool(4), par.NewPool(8)}
+	for seed := int64(0); seed < 40; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { // parallel subtests, one per seed
+			t.Parallel()
+			agreeAcrossCaps(t, 300+seed, pools)
+		})
+	}
+}
+
+// agreeAcrossCaps runs the DAGs of seed, one per storage of the main, under
+// every mode on every pool, and compares each output with the first pool's.
+func agreeAcrossCaps(t *testing.T, seed int64, pools []*par.Pool) {
+	for _, st := range []struct {
+		storage string
+		salt    bool
+	}{{"dense", false}, {"dense", true}, {"csr", false}, {"cla", false}, {"cla", true}} {
+		cols := []int{2, 7, 100}[seed%3]
+		sh := dagShape{rows: 20000/cols + 3, cols: cols, storage: st.storage, salt: st.salt, minmax: true}
+		_, env := randomDAGOf(seed, sh)
+		for _, mode := range []codegen.Mode{codegen.ModeBase, codegen.ModeFused, codegen.ModeGen, codegen.ModeGenFA, codegen.ModeGenFNR} {
+			d, env2 := randomDAGOf(seed, sh) // fresh DAG (same structure), fresh parents
+			compress.Drop(env2["A"])
+			d, _ = rewrite.Apply(d)
+			if mode != codegen.ModeBase {
+				cfg := codegen.DefaultConfig()
+				cfg.Mode = mode
+				d = codegen.Optimize(d, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats())
+			}
+			var ref map[string]*matrix.Matrix
+			for _, pool := range pools {
+				got, err := runtime.ExecuteDAG(d, env, runtime.Options{Exec: matrix.Ctx{Par: pool}})
+				if err != nil {
+					t.Fatalf("seed %d %+v mode %v: %v", seed, sh, mode, err)
+				}
+				if ref == nil {
+					ref = got
+					continue
+				}
+				for name, want := range ref {
+					if d := bitsDiffer(got[name], want); d != "" {
+						t.Errorf("seed %d %+v mode %v cap %d: output %q: %s", seed, sh, mode, pool.MaxWorkers(), name, d)
+					}
+				}
+			}
+		}
+		compress.Drop(env["A"])
+	}
+}
+
+// bitsDiffer names the first cell where got and want differ in their bits,
+// or returns "".
+func bitsDiffer(got, want *matrix.Matrix) string {
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		return fmt.Sprintf("%dx%d against %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i := 0; i < want.Rows; i++ {
+		for j := 0; j < want.Cols; j++ {
+			if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+				return fmt.Sprintf("[%d,%d] = %v, %v at cap 1", i, j, g, w)
+			}
+		}
+	}
+	return ""
 }

@@ -38,9 +38,9 @@ import (
 	rt "sysml/internal/runtime"
 )
 
-// panelsPerExecutor is the target number of map tasks per executor,
-// mirroring internal/par's chunkFactor: enough chunks that a straggling
-// panel load-balances, few enough that per-task overhead stays cold.
+// panelsPerExecutor is the target number of map tasks per executor:
+// enough chunks that a straggling panel load-balances, few enough that
+// per-task overhead stays cold.
 const panelsPerExecutor = 4
 
 // bcastCacheMaxEntries bounds the broadcast handle cache; beyond it the
@@ -84,7 +84,6 @@ type Cluster struct {
 	fault           *FaultPlan
 	faultOpSeq      int64 // operator sequence number (injection hash input)
 	faultTaskStarts int64 // global task-attempt counter (kill trigger)
-	killFired       int32
 
 	// Permanently killed executors. deadCount mirrors len(deadExec)
 	// atomically so the common all-alive case never takes the lock.
@@ -322,10 +321,9 @@ func (c *Cluster) ExecHop(h *hop.Hop, inputs []*matrix.Matrix, sp obs.Span) (*ma
 
 // Panels splits [0, rows) into map-task row ranges. The split starts from
 // the distributed blocksize and re-chunks toward panelsPerExecutor tasks
-// per executor (mirroring internal/par's chunks-per-worker rule): fewer
-// blocks than executors split below the blocksize so every executor gets
-// work; thousands of tiny blocks coalesce into multi-block tasks so task
-// dispatch does not dominate.
+// per executor: fewer blocks than executors split below the blocksize so
+// every executor gets work; thousands of tiny blocks coalesce into
+// multi-block tasks so task dispatch does not dominate.
 func (c *Cluster) Panels(rows int) [][2]int {
 	bs := c.Blocksize
 	if bs < 1 {

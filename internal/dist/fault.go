@@ -270,14 +270,13 @@ func (c *Cluster) execDead(e int) bool {
 }
 
 // maybeKill fires the plan's scheduled executor kill when the global
-// task-attempt counter crosses KillAtTask. Exactly one caller wins the
-// CAS; it marks the executor dead and re-ships the broadcast blocks that
-// died with it.
+// task-attempt counter crosses KillAtTask. The first caller past it marks
+// the executor dead; every caller past it returns only once the death is
+// visible, so no kernel of a later attempt runs while the victim counts as
+// alive. The caller that fired it re-ships the broadcast blocks that died
+// with the executor.
 func (c *Cluster) maybeKill(p *FaultPlan, attemptIndex int64) {
-	if !p.killArmed() || attemptIndex < p.KillAtTask {
-		return
-	}
-	if !atomic.CompareAndSwapInt32(&c.killFired, 0, 1) {
+	if !p.killArmed() || attemptIndex < p.KillAtTask || atomic.LoadInt64(&c.deadCount) > 0 {
 		return
 	}
 	e := p.KillExecutor
@@ -285,14 +284,16 @@ func (c *Cluster) maybeKill(p *FaultPlan, attemptIndex int64) {
 		e = n - 1
 	}
 	c.execMu.Lock()
-	if c.deadExec == nil {
-		c.deadExec = map[int]bool{}
+	fire := c.deadExec == nil // a plan kills one executor per cluster lifetime
+	if fire {
+		c.deadExec = map[int]bool{e: true}
+		atomic.AddInt64(&c.deadCount, 1)
 	}
-	c.deadExec[e] = true
 	c.execMu.Unlock()
-	atomic.AddInt64(&c.deadCount, 1)
-	atomic.AddInt64(&c.ftKills, 1)
-	c.reshipBroadcasts()
+	if fire {
+		atomic.AddInt64(&c.ftKills, 1)
+		c.reshipBroadcasts()
+	}
 }
 
 // reshipBroadcasts accounts the broadcast recovery after an executor kill:

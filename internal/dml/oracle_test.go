@@ -140,7 +140,9 @@ func TestDenseProductsMatchTheOracle(t *testing.T) {
 // columns (the wide CSR-row kernels and one width past them). A stored NaN
 // and a stored +Inf reach the results; a NaN or an infinity that only an
 // implicit zero meets (an empty column of X against a row of B, an empty
-// row of X against a row of D) does not.
+// row of X against a row of D) does not. X as the right operand, A %*% X
+// with A dense: A's zero column meets X's stored +Inf as NaN, as every
+// element of a dense operand is multiplied.
 func TestCSRProductsMatchTheOracle(t *testing.T) {
 	const rows, cols, empty = 300, 40, 4
 	x := matrix.Rand(rows, cols, 0.3, 0.5, 2, 3).ToDense()
@@ -165,14 +167,19 @@ func TestCSRProductsMatchTheOracle(t *testing.T) {
 		for i := 2; i < rows; i += 7 {
 			d.Set(i, (i/7)%m, salt[i%3])
 		}
-		res := runModes(t, "P = X %*% B\nQ = t(X) %*% D\nH = t(X) %*% (D * (X %*% B))",
-			map[string]*matrix.Matrix{"X": xs, "B": b, "D": d}, "P", "Q", "H")
-		X, B, D := denseOf(x), denseOf(b), denseOf(d)
+		a := matrix.Rand(m, rows, 1, -1, 1, 6).ToDense()
+		for i := 0; i < m; i++ {
+			a.Set(i, 20, 0) // against X[20, 12] = +Inf
+		}
+		res := runModes(t, "P = X %*% B\nQ = t(X) %*% D\nH = t(X) %*% (D * (X %*% B))\nL = A %*% X",
+			map[string]*matrix.Matrix{"X": xs, "B": b, "D": d, "A": a}, "P", "Q", "H", "L")
+		X, B, D, A := denseOf(x), denseOf(b), denseOf(d), denseOf(a)
 		mul := func(x, y float64) float64 { return x * y }
 		checkOracle(t, fmt.Sprintf("m=%d", m), res, map[string]dense{
 			"P": mm(X, B, true),
 			"Q": mm(X.t(), D, true),
 			"H": mm(X.t(), cells(D, mm(X, B, true), mul), true),
+			"L": mm(A, X, false),
 		})
 	}
 }

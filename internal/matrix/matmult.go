@@ -106,15 +106,26 @@ func (ctx Ctx) matMultSparseDense(a, b, c *Matrix) {
 	})
 }
 
+// matMultDenseSparse accumulates A %*% B into the zeroed c. A zero of A
+// meets a stored Inf or NaN of B as NaN. Against a row of B that stores
+// neither it adds only ±0 to a sum that starts at +0, which leaves the
+// sum's bits as they are, so that row is skipped. A row whose sum is finite
+// stores neither (one that overflows is multiplied, which is also exact).
 func (ctx Ctx) matMultDenseSparse(a, b, c *Matrix) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	ad, bs, cd := a.dense, b.sparse, c.dense
+	finite := make([]bool, k)
+	for kk := range finite {
+		vals, _ := bs.Row(kk)
+		s := vector.Sum(vals, 0, len(vals))
+		finite[kk] = s-s == 0
+	}
 	ctx.Par.For(m, mmRowGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ai, ci := i*k, i*n
 			for kk := 0; kk < k; kk++ {
 				av := ad[ai+kk]
-				if av == 0 {
+				if av == 0 && finite[kk] {
 					continue
 				}
 				vals, cols := bs.Row(kk)
@@ -265,10 +276,10 @@ const (
 func TSMM(x *Matrix) *Matrix { return Ctx{}.TSMM(x) }
 
 // TSMM computes t(X) %*% X exploiting symmetry of the result: only the
-// upper triangle is accumulated — in parallel, one triangle per chunk drawn
-// from the buffer pool — then reduced in chunk order and mirrored in
-// parallel. There is one chunk per participant, so each triangle stays in
-// cache across its rows.
+// upper triangle is accumulated — in parallel, one triangle per chunk of
+// Par.Fold drawn from the buffer pool — then reduced in chunk order and
+// mirrored in parallel. Whether the triangles fit under
+// tsmmPartialCapBytes, and so which path runs, depends on the shape alone.
 // The dense kernel is rank-4 row-blocked (MultAdd4): four input rows per
 // pass over the triangle, so each output element is loaded and stored once
 // per four updates.
@@ -276,12 +287,10 @@ func (ctx Ctx) TSMM(x *Matrix) *Matrix {
 	n := x.Cols
 	out := ctx.NewDense(n, n)
 	od := out.dense
-	workers := ctx.Par.MaxWorkers()
-	grain := max(tsmmRowGrain, (x.Rows+workers-1)/workers)
-	_, nc := ctx.Par.Chunks(x.Rows, grain)
+	_, nc := ctx.Par.Chunks(x.Rows, tsmmRowGrain)
 	if nc > 1 && int64(nc)*int64(n)*int64(n)*8 <= tsmmPartialCapBytes {
 		partials := make([][]float64, nc)
-		ctx.Par.Fold(x.Rows, grain, func(_, c, lo, hi int) {
+		ctx.Par.Fold(x.Rows, tsmmRowGrain, func(_, c, lo, hi int) {
 			partials[c] = ctx.Buf.Get(n * n)
 			tsmmUpper(x, partials[c], lo, hi)
 		})

@@ -204,6 +204,43 @@ func TestMatMultAllFormats(t *testing.T) {
 	}
 }
 
+// TestDenseSparseProductMultipliesEveryZero: a dense A %*% CSR B equals,
+// bit for bit, the loop that multiplies every cell of A with every stored
+// cell of B in order: a zero of A meets B's stored +Inf and NaN as NaN, and
+// the rows of B the kernel skips for a zero of A (negative values among
+// them, whose products are -0) leave the sums as they are. Row 5 of B sums
+// past the largest float and is multiplied.
+func TestDenseSparseProductMultipliesEveryZero(t *testing.T) {
+	a := Rand(37, 50, 0.5, -2, 2, 11).ToDense()
+	b := Rand(50, 20, 0.3, -2, 2, 12).ToDense()
+	b.Set(3, 4, math.Inf(1))
+	b.Set(9, 0, math.NaN())
+	b.Set(5, 1, 1e308)
+	b.Set(5, 2, 1e308)
+	for i := 0; i < a.Rows; i++ {
+		a.Set(i, 3, 0)
+	}
+	bs := b.ToSparse()
+	got := MatMult(a, bs)
+	for i := 0; i < a.Rows; i++ {
+		want := make([]float64, bs.Cols)
+		for k := 0; k < a.Cols; k++ {
+			vals, cols := bs.Sparse().Row(k)
+			for p, j := range cols {
+				want[j] += a.At(i, k) * vals[p]
+			}
+		}
+		for j, w := range want {
+			if g := got.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("[%d,%d] = %v, the loop %v", i, j, g, w)
+			}
+		}
+	}
+	if !math.IsNaN(got.At(0, 4)) {
+		t.Fatalf("a zero against +Inf gave %v", got.At(0, 4))
+	}
+}
+
 func TestMatMultVector(t *testing.T) {
 	a := Rand(50, 7, 1, -1, 1, 42)
 	v := Rand(7, 1, 1, -1, 1, 43)

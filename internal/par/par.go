@@ -5,16 +5,17 @@
 //
 // Parallel regions run on persistent worker pools (goroutines started
 // lazily and kept alive for the process lifetime) instead of spawning fresh
-// goroutines per call. Work is split into more chunks than workers and
+// goroutines per call. Work is split into up to foldChunks chunks and
 // participants claim chunks through an atomic counter, so skewed work —
 // ragged sparse rows, uneven row-template iterations — load-balances
 // dynamically: a worker that finishes its chunk early simply claims the
 // next one.
 //
 // Reductions have one contract, Fold: the chunk boundaries are fixed by the
-// item count, the grain and the worker cap, each chunk's partial is indexed
-// by the chunk, and the partials merge in chunk order. Which participant
-// claimed which chunk therefore never reaches a result.
+// item count and the grain alone, each chunk's partial is indexed by the
+// chunk, and the partials merge in chunk order. Neither the worker cap nor
+// which participant claimed which chunk therefore reaches a result: one
+// plan gives the same bits on 1, 2, 4 or 8 workers.
 //
 // Parallelism is instance-scoped: a Pool owns its worker cap, its task
 // channel and workers, and its utilization counters, so independent engines
@@ -37,11 +38,11 @@ import (
 // than one grain runs on the calling goroutine.
 const DefaultGrain = 1024
 
-// chunkFactor is the target number of dynamically claimed chunks per
-// participant. Values above 1 trade slightly more dispatch overhead for
-// load balancing of skewed chunks; 4 keeps the claim counter cold while
-// bounding the idle tail at ~1/4 of a worker's share.
-const chunkFactor = 4
+// foldChunks is the number of chunks a region of at least that many grains
+// is cut into, whatever the worker cap: four chunks per participant at a cap
+// of 2, which bounds the idle tail of skewed chunks at ~1/4 of a worker's
+// share, and one each at a cap of 8.
+const foldChunks = 8
 
 // Pool is an independent parallel-execution domain: a worker cap, a
 // persistent set of helper goroutines, and utilization counters. Pools are
@@ -265,35 +266,17 @@ func (r *region) run(w int) {
 	}
 }
 
-// planFor computes the chunking of n items for at most limit participants:
-// the participant count, the chunk size, and the chunk count. Chunks are at
-// least one grain; the chunk count targets chunkFactor chunks per
-// participant for dynamic balance.
-func planFor(n, grain, limit int) (workers, chunk, nchunks int) {
+// planFor computes the chunking of n items: the chunk size and count, at
+// least one grain per chunk and at most chunks of them, and the participants,
+// at most limit. The chunks depend on n, grain and chunks alone.
+func planFor(n, grain, limit, chunks int) (workers, chunk, nchunks int) {
 	if grain <= 0 {
 		grain = DefaultGrain
 	}
-	if limit < 1 {
-		limit = 1
-	}
-	maxChunks := (n + grain - 1) / grain
-	workers = limit
-	if workers > maxChunks {
-		workers = maxChunks
-	}
-	if workers <= 1 {
-		return 1, n, 1
-	}
-	nchunks = workers * chunkFactor
-	if nchunks > maxChunks {
-		nchunks = maxChunks
-	}
+	nchunks = min((n+grain-1)/grain, chunks)
 	chunk = (n + nchunks - 1) / nchunks
 	nchunks = (n + chunk - 1) / chunk
-	if nchunks < workers {
-		workers = nchunks
-	}
-	return workers, chunk, nchunks
+	return max(min(limit, nchunks), 1), chunk, nchunks
 }
 
 // dispatch runs fn over the chunks of [0, n) on the worker pool, with the
@@ -336,28 +319,26 @@ func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
 // Fold is For for reductions: fn also gets the participant w running the
 // chunk, in [0, workers), and the chunk's index c, in [0, chunks), where
 // Chunks reports both counts. Chunk c is always the same range of [0, n)
-// for a given n, grain and worker cap, whichever participant claims it.
-// A reduction keeps one partial per c and merges the partials in order of
-// c, so its result does not depend on scheduling; state indexed by w is
-// for reuse across chunks only (registers, scratch), since a participant
-// runs any number of chunks, in any order.
+// for a given n and grain, whichever participant claims it and whatever the
+// worker cap; one participant runs the chunks in order. A reduction keeps
+// one partial per c and merges the partials in order of c, so its result
+// depends neither on scheduling nor on the cap; state indexed by w is for
+// reuse across chunks only (registers, scratch), since a participant runs
+// any number of chunks, in any order.
 func (p *Pool) Fold(n, grain int, fn func(w, c, lo, hi int)) {
 	p = p.orDefault()
-	if workers, chunk, nchunks := p.start(n, grain, int(p.maxWorkers.Load())); workers > 1 {
-		p.dispatch(n, workers, chunk, nchunks, fn)
-	} else if workers == 1 {
-		fn(0, 0, 0, n)
-	}
+	p.run(n, grain, int(p.maxWorkers.Load()), foldChunks, fn)
 }
 
 // Chunks reports the participants and chunks of Fold over n items with
-// the given grain: the sizes of per-participant and per-chunk state.
+// the given grain: the sizes of per-participant and per-chunk state. The
+// chunk count depends on n and grain alone.
 func (p *Pool) Chunks(n, grain int) (workers, chunks int) {
 	p = p.orDefault()
 	if n <= 0 {
 		return 0, 0
 	}
-	workers, _, chunks = planFor(n, grain, int(p.maxWorkers.Load()))
+	workers, _, chunks = planFor(n, grain, int(p.maxWorkers.Load()), foldChunks)
 	return workers, chunks
 }
 
@@ -365,29 +346,31 @@ func (p *Pool) Chunks(n, grain int) (workers, chunks int) {
 // participants (including the caller) run fn, regardless of the pool's
 // SetMaxWorkers cap. Unlike the pool cap it may exceed GOMAXPROCS: callers
 // like the simulated distributed backend model external concurrency
-// (executors), where oversubscribing cores is exactly the point.
+// (executors), where oversubscribing cores is exactly the point. It is not
+// a reduction, so it cuts as many chunks as it has participants when those
+// are more than foldChunks: one simulated executor each.
 func (p *Pool) ForLimit(n, grain, limit int, fn func(lo, hi int)) {
 	p = p.orDefault()
-	if workers, chunk, nchunks := p.start(n, grain, limit); workers > 1 {
-		p.dispatch(n, workers, chunk, nchunks, func(_, _, lo, hi int) { fn(lo, hi) })
-	} else if workers == 1 {
-		fn(0, n)
-	}
+	p.run(n, grain, limit, max(foldChunks, limit), func(_, _, lo, hi int) { fn(lo, hi) })
 }
 
-// start plans a region of n items for at most limit participants and
-// counts it: no participant for no items, and one, the caller running
-// [0, n) inline, when one suffices.
-func (p *Pool) start(n, grain, limit int) (workers, chunk, nchunks int) {
+// run plans n items into at most chunks chunks for at most limit
+// participants, counts the call, and runs it: on the pool, or, at one
+// participant, chunk after chunk on the caller.
+func (p *Pool) run(n, grain, limit, chunks int, fn func(w, c, lo, hi int)) {
 	if n <= 0 {
-		return 0, 0, 0
+		return
 	}
-	workers, chunk, nchunks = planFor(n, grain, limit)
+	workers, chunk, nchunks := planFor(n, grain, limit, chunks)
 	p.statCalls.Add(1)
-	if workers <= 1 {
-		p.statSequential.Add(1)
+	if workers > 1 {
+		p.dispatch(n, workers, chunk, nchunks, fn)
+		return
 	}
-	return workers, chunk, nchunks
+	p.statSequential.Add(1)
+	for c := 0; c < nchunks; c++ {
+		fn(0, c, c*chunk, min((c+1)*chunk, n))
+	}
 }
 
 // For executes fn over chunked ranges of [0, n) on the Default pool.

@@ -151,18 +151,81 @@ func TestFoldContract(t *testing.T) {
 	}
 }
 
+// TestSetMaxWorkers: the cap sets the participants and nothing else; every
+// cap sees the same chunks of [0, n), one participant running them in
+// order on the caller.
 func TestSetMaxWorkers(t *testing.T) {
 	old := SetMaxWorkers(1)
 	defer SetMaxWorkers(old)
 	if MaxWorkers() != 1 {
 		t.Fatal("SetMaxWorkers(1) not applied")
 	}
-	if workers, chunks := Default.Chunks(1_000_000, 1); workers != 1 || chunks != 1 {
-		t.Fatalf("with 1 worker expected 1 participant and 1 chunk, got %d, %d", workers, chunks)
+	for _, n := range []int{1, 7, 1000, 1_000_000} {
+		var want [][2]int
+		for _, limit := range []int{1, 2, 3, 4, 8, 16} {
+			SetMaxWorkers(limit)
+			workers, chunks := Default.Chunks(n, 10)
+			if workers != min(limit, chunks) || chunks != min((n+9)/10, foldChunks) {
+				t.Fatalf("cap %d n %d: Chunks = %d, %d", limit, n, workers, chunks)
+			}
+			got := make([][2]int, chunks)
+			var order []int
+			var mu sync.Mutex
+			Default.Fold(n, 10, func(_, c, lo, hi int) {
+				mu.Lock()
+				got[c] = [2]int{lo, hi}
+				order = append(order, c)
+				mu.Unlock()
+			})
+			if want == nil {
+				want = got
+				for c := range order {
+					if order[c] != c {
+						t.Fatalf("n %d: one participant ran chunks in order %v", n, order)
+					}
+				}
+			}
+			for c := range want {
+				if got[c] != want[c] {
+					t.Fatalf("cap %d n %d: chunk %d is %v, %v at cap 1", limit, n, c, got[c], want[c])
+				}
+			}
+		}
 	}
 	SetMaxWorkers(0) // reset to GOMAXPROCS
 	if MaxWorkers() < 1 {
 		t.Fatal("reset failed")
+	}
+}
+
+// TestForLimitRunsOneParticipantPerExecutor: ForLimit over one item per
+// simulated executor runs every item on a participant of its own, past
+// foldChunks too.
+func TestForLimitRunsOneParticipantPerExecutor(t *testing.T) {
+	for _, execs := range []int{3, 6, 12} {
+		var in, peak atomic.Int32
+		release := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			NewPool(1).ForLimit(execs, 1, execs, func(lo, hi int) {
+				if hi-lo != 1 {
+					t.Errorf("executors %d: a participant got [%d,%d)", execs, lo, hi)
+				}
+				if n := in.Add(1); n == int32(execs) {
+					close(release)
+				}
+				select {
+				case <-release:
+				case <-time.After(10 * time.Second):
+				}
+				peak.Store(max(peak.Load(), in.Load()))
+			})
+		}()
+		<-done
+		if peak.Load() != int32(execs) {
+			t.Fatalf("executors %d: %d ran at once", execs, peak.Load())
+		}
 	}
 }
 
