@@ -65,6 +65,10 @@ GOARCH=arm64 go vet ./internal/vector
 #  - One fold order for every worker cap: a region's chunks are fixed by
 #    the item count and the grain alone; the chunks-per-participant factor
 #    that sized them from the worker cap.
+#  - One main-input rule, one sibling relation: the search, the builders and
+#    the cost audit take a fused operator's main input from operatorMain;
+#    the most-cells rule the search and the audit used beside the builders'
+#    rules, and the per-pair dependency walk beside the relation of a list.
 while IFS=';' read -r section pattern exempt what; do
   echo "== $section =="
   spec=('*.go')
@@ -88,6 +92,7 @@ one parallel fold;ForIndexed(Limit)?\(;-;a per-worker parallel region
 one priced compressed transfer;^func (Encode|Decode)\(|wireReader|wireMagic|FuzzWireDecode;-;a compressed wire codec
 the model picks the template;typePreference|overRowAggregate|addOpCost|costNode;-;a template-choice rule beside the model
 one fold order for every worker cap;chunkFactor;-;the cap-sized chunk plan
+one main-input rule, one sibling relation;func (mainInput|dependsOn)\(;-;a second main-input rule or the per-pair dependency walk
 ROWS
 # Only cplan.Program.Exec executes RowInstrs (lower.go emits them, source.go
 # renders them).

@@ -1,10 +1,12 @@
 package algos
 
 import (
+	"io"
 	"testing"
 
 	"sysml/internal/codegen"
 	"sysml/internal/data"
+	"sysml/internal/dist"
 	"sysml/internal/dml"
 	"sysml/internal/matrix"
 	"sysml/internal/par"
@@ -84,4 +86,54 @@ func TestFig8GenReadsXOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTable6FuseAllBroadcastsMore (Table 6): MLogreg over an S-like sparse X
+// with the operators over X forced onto the cluster (a memory budget of half
+// of X, as bench.Table6Distributed sets it). Gen-FA eagerly fuses vector
+// operations the driver could compute into the distributed operators, which
+// broadcast their inputs to every executor: it broadcasts more bytes than Gen.
+// The result and the bytes are the same at caps 1 and 2.
+func TestTable6FuseAllBroadcastsMore(t *testing.T) {
+	defer par.SetMaxWorkers(par.MaxWorkers())
+	x := data.Sparse(2000, 500, 0.05, 72)
+	in := map[string]*matrix.Matrix{"X": x, "Yfull": data.MultiClassIndicator(x, 3, 82)}
+	ov := map[string]float64{"maxiter": 3, "inneriter": 3, "k": 3}
+	var bcast [2]int64
+	for m, mode := range []codegen.Mode{codegen.ModeGen, codegen.ModeGenFA} {
+		var want *matrix.Matrix
+		for _, w := range []int{1, 2} {
+			par.SetMaxWorkers(w)
+			cfg := codegen.DefaultConfig()
+			cfg.Mode = mode
+			cfg.Exec.MemBudgetBytes = x.SizeBytes() / 2
+			cl := dist.NewCluster()
+			cl.Blocksize = 1000
+			s := dml.NewSession(cfg)
+			s.Dist, s.Out, s.Par = cl, io.Discard, par.NewPool(w)
+			for name, v := range in {
+				s.Bind(name, v)
+			}
+			for _, vs := range []map[string]float64{MLogreg.Scalars, ov} {
+				for name, v := range vs {
+					s.BindScalar(name, v)
+				}
+			}
+			if err := s.Run(MLogreg.Script); err != nil {
+				t.Fatalf("%v at cap %d: %v", mode, w, err)
+			}
+			got, _ := s.Get("B")
+			if w == 1 {
+				want, bcast[m] = got, cl.BytesBroadcast()
+				continue
+			}
+			if d := bitsDiffer(got, want); d != "" || cl.BytesBroadcast() != bcast[m] {
+				t.Errorf("%v at cap 2: B differs from cap 1 (%s) or %d bytes broadcast, %d at cap 1", mode, d, cl.BytesBroadcast(), bcast[m])
+			}
+		}
+	}
+	if bcast[1] <= bcast[0] {
+		t.Errorf("Gen-FA broadcasts %d bytes, Gen %d", bcast[1], bcast[0])
+	}
+	t.Logf("bytes broadcast: Gen %d, Gen-FA %d", bcast[0], bcast[1])
 }

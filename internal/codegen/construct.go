@@ -95,6 +95,8 @@ type region struct {
 	leafSet map[int64]bool
 }
 
+func (r *region) covers(x *hop.Hop) bool { return r.covered[x.ID] }
+
 func (r *region) addLeaf(h *hop.Hop) {
 	if !r.leafSet[h.ID] {
 		r.leafSet[h.ID] = true
@@ -155,7 +157,7 @@ func (c *constructor) buildAndSplice(h *hop.Hop, entry Entry, r *region) bool {
 	spoof := c.d.NewSpoof(plan.Type.String(), op, h.Rows, h.Cols, h.Nnz, inputs...)
 	spoof.ExecType = h.ExecType
 	c.predictSpoof(spoof, entry.Type, []*region{r})
-	c.splice(h, spoof)
+	splice(c.d, h, spoof)
 	return true
 }
 
@@ -187,13 +189,15 @@ func (c *constructor) record(template string, op *cplan.Operator, inputs int, ro
 	})
 }
 
-func (c *constructor) splice(h, spoof *hop.Hop) {
+// splice puts spoof in the place of h in d: every consumer of h and every
+// output that names it reads spoof instead.
+func splice(d *hop.DAG, h, spoof *hop.Hop) {
 	for _, p := range append([]*hop.Hop(nil), h.Parents...) {
 		p.ReplaceInput(h, spoof)
 	}
-	for _, name := range c.d.OutputNames() {
-		if c.d.Outputs[name] == h {
-			c.d.Outputs[name] = spoof
+	for _, name := range d.OutputNames() {
+		if d.Outputs[name] == h {
+			d.Outputs[name] = spoof
 		}
 	}
 }
@@ -242,8 +246,7 @@ func (c *constructor) buildCellPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.
 			return nil, nil
 		}
 	}
-	// Main input: a leaf with the output's dimensions, preferring sparse.
-	main := pickMain(r.leaves, exprRoot.Rows, exprRoot.Cols)
+	main := operatorMain(cplan.TemplateCell, h, nil, r, r.leaves)
 	if main == nil {
 		return nil, nil
 	}
@@ -274,8 +277,55 @@ func cellAggType(dir matrix.AggDir) cplan.CellType {
 	return cplan.CellFullAgg
 }
 
-// pickMain returns the leaf of shape rows×cols that drives a cell-bound
-// operator, sparse first, leaving out the hops in except.
+// cover is the set of hops one fused operator covers: a region under
+// construction, or the operator the plan search walks (Coster).
+type cover interface{ covers(x *hop.Hop) bool }
+
+// operatorMain is the main input of the fused operator of template t rooted
+// at h, the one rule of the builders, the plan search (Coster.open) and the
+// cost audit (predictSpoof): the input the operator iterates over and whose
+// sparsity it exploits. Row walks X of t(X) %*% W and t(cumsum(t(X))), else
+// the leaf of most cells with the iterated row count; Outer reads an input of
+// its opening product's shape; any other a leaf of its cell space's shape,
+// sparse first. leaves are in the order the operator's walk meets them.
+// nil where the template builds no operator.
+func operatorMain(t cplan.TemplateType, h, product *hop.Hop, covered cover, leaves []*hop.Hop) *hop.Hop {
+	switch t {
+	case cplan.TemplateRow:
+		var x *hop.Hop
+		switch {
+		case rowCumsum(h):
+			x = h.Inputs[0].Inputs[0].Inputs[0]
+		case h.Kind == hop.OpMatMult && h.Inputs[0].Kind == hop.OpTranspose && covered.covers(h.Inputs[0]):
+			x = h.Inputs[0].Inputs[0]
+		default:
+			rows := rowMainRows(h)
+			for _, l := range leaves {
+				if l.Rows == rows && l.Cols > 1 && (x == nil || l.Cells() > x.Cells()) {
+					x = l
+				}
+			}
+			return x
+		}
+		if covered.covers(x) {
+			return nil // no Row plan transposes what it computes: t(f(X))
+		}
+		return x
+	case cplan.TemplateOuter:
+		if _, root := outerShape(h, product, covered); root == nil {
+			return nil
+		}
+		// Not a factor of the product (V of a factor t(V) is never its shape).
+		return pickMain(leaves, product.Rows, product.Cols, product.Inputs[0], product.Inputs[1])
+	}
+	if h.Kind == hop.OpAggUnary {
+		h = h.Inputs[0]
+	}
+	return pickMain(leaves, h.Rows, h.Cols)
+}
+
+// pickMain returns the leaf of shape rows×cols, sparse first, leaving out
+// the hops in except.
 func pickMain(leaves []*hop.Hop, rows, cols int64, except ...*hop.Hop) *hop.Hop {
 	var main *hop.Hop
 	for _, l := range leaves {
@@ -286,6 +336,12 @@ func pickMain(leaves []*hop.Hop, rows, cols int64, except ...*hop.Hop) *hop.Hop 
 		}
 	}
 	return main
+}
+
+// rowCumsum reports whether h is t(cumsum(t(X))), the row-wise running sum
+// a Row operator computes over the rows of X (§3.2).
+func rowCumsum(h *hop.Hop) bool {
+	return h.Kind == hop.OpTranspose && h.Inputs[0].Kind == hop.OpCumsum && h.Inputs[0].Inputs[0].Kind == hop.OpTranspose
 }
 
 // cellBody builds the bodies of one cell-bound operator (Cell, MAgg,
@@ -352,63 +408,26 @@ func (b *cellBody) node(x *hop.Hop, r *region) (*cplan.CNode, bool) {
 	return nil, false
 }
 
-// dependsOn reports whether hop a transitively consumes hop b.
-func dependsOn(a, b *hop.Hop) bool {
-	seen := map[int64]bool{}
-	var dfs func(h *hop.Hop) bool
-	dfs = func(h *hop.Hop) bool {
-		if h == b {
-			return true
-		}
-		if seen[h.ID] {
-			return false
-		}
-		seen[h.ID] = true
-		for _, in := range h.Inputs {
-			if dfs(in) {
-				return true
-			}
-		}
-		return false
-	}
-	return dfs(a)
-}
-
 // -------------------------------------------------------------- Row ----
 
 func (c *constructor) buildRowPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.Hop) {
-	mainRows := rowMainRows(h)
-	if mainRows <= 0 {
+	main := operatorMain(cplan.TemplateRow, h, nil, r, r.leaves)
+	if main == nil {
 		return nil, nil
 	}
-	// Main: the row-iterated matrix. For t(X)%*%W the transpose child; else
-	// the largest leaf with matching row count.
-	var main *hop.Hop
-	rowType := cplan.RowNoAgg
-	exprRoot := h
-	// t(cumsum(t(X))): the row-wise running-sum special form (§3.2).
-	if h.Kind == hop.OpTranspose && h.Inputs[0].Kind == hop.OpCumsum &&
-		h.Inputs[0].Inputs[0].Kind == hop.OpTranspose {
-		x := h.Inputs[0].Inputs[0].Inputs[0]
-		if r.covered[x.ID] {
-			return nil, nil
-		}
+	if rowCumsum(h) {
 		plan := &cplan.Plan{
 			Type:      cplan.TemplateRow,
 			Row:       cplan.RowNoAgg,
-			Root:      cplan.CumsumNode(cplan.Main(int(x.Cols))),
-			MainWidth: int(x.Cols),
+			Root:      cplan.CumsumNode(cplan.Main(int(main.Cols))),
+			MainWidth: int(main.Cols),
 		}
-		return plan, []*hop.Hop{x}
+		return plan, []*hop.Hop{main}
 	}
+	rowType, exprRoot := cplan.RowNoAgg, h
 	switch {
 	case h.Kind == hop.OpMatMult && h.Inputs[0].Kind == hop.OpTranspose && r.covered[h.Inputs[0].ID]:
-		main = h.Inputs[0].Inputs[0]
-		if r.covered[main.ID] {
-			return nil, nil // t(f(X)) left expressions not supported
-		}
-		rowType = cplan.RowColAggT
-		exprRoot = h.Inputs[1]
+		rowType, exprRoot = cplan.RowColAggT, h.Inputs[1]
 	case h.Kind == hop.OpAggUnary:
 		switch h.AggDir {
 		case matrix.DirAll:
@@ -419,55 +438,25 @@ func (c *constructor) buildRowPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.H
 			rowType = cplan.RowRowAgg
 		}
 		exprRoot = h.Inputs[0]
-	case h.Kind == hop.OpMatMult:
-		// X %*% v (RowAgg via dot) or X %*% V (NoAgg): handled by node
-		// construction; the root stays h.
-		rowType = cplan.RowNoAgg
-		if h.Cols == 1 {
-			rowType = cplan.RowRowAgg
-		}
-	}
-	if main == nil {
-		for _, l := range r.leaves {
-			if l.Rows == mainRows && l.Cols > 1 {
-				if main == nil || l.Cells() > main.Cells() {
-					main = l
-				}
-			}
-		}
-	}
-	if main == nil {
-		return nil, nil
+	case h.Kind == hop.OpMatMult && h.Cols == 1:
+		// X %*% v: a row aggregate via the dot product; X %*% V stays NoAgg.
+		rowType = cplan.RowRowAgg
 	}
 	env := newSideEnv()
-	b := &rowBuilder{c: c, r: r, main: main, env: env, mainWidth: int(main.Cols)}
-	var root *cplan.CNode
-	var ok bool
-	if rowType == cplan.RowColAggT {
-		root, ok = b.build(exprRoot)
-	} else if h.Kind == hop.OpAggUnary {
-		root, ok = b.build(exprRoot)
-		if ok && (rowType == cplan.RowFullAgg || rowType == cplan.RowRowAgg) && root.Vector {
-			root = cplan.Agg(h.AggOp, root)
-		}
-		if ok && rowType == cplan.RowColAgg && !root.Vector {
-			return nil, nil
-		}
-	} else {
-		root, ok = b.build(h)
-		if ok && rowType == cplan.RowRowAgg && root.Vector {
-			return nil, nil
-		}
-		if ok && rowType == cplan.RowNoAgg && !root.Vector {
-			// Scalar per row (e.g. y * (X %*% w)): a row-agg shaped output.
-			if h.Cols != 1 {
-				return nil, nil
-			}
-			rowType = cplan.RowRowAgg
-		}
-	}
-	if !ok {
+	b := &rowBuilder{c: c, r: r, main: main, env: env, mainWidth: int(main.Cols), memo: map[int64]*cplan.CNode{}}
+	root, ok := b.build(exprRoot)
+	agg := h.Kind == hop.OpAggUnary
+	switch {
+	case !ok, rowType == cplan.RowColAgg && !root.Vector, !agg && rowType == cplan.RowRowAgg && root.Vector:
 		return nil, nil
+	case agg && rowType != cplan.RowColAgg && root.Vector:
+		root = cplan.Agg(h.AggOp, root)
+	case rowType == cplan.RowNoAgg && !root.Vector:
+		// Scalar per row (e.g. y * (X %*% w)): a row-agg shaped output.
+		if h.Cols != 1 {
+			return nil, nil
+		}
+		rowType = cplan.RowRowAgg
 	}
 	plan := &cplan.Plan{
 		Type:      cplan.TemplateRow,
@@ -476,7 +465,7 @@ func (c *constructor) buildRowPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.H
 		NumSides:  len(env.sides),
 		MainWidth: b.mainWidth,
 	}
-	if h.Kind == hop.OpAggUnary && (h.AggOp == matrix.AggMin || h.AggOp == matrix.AggMax) {
+	if agg && (h.AggOp == matrix.AggMin || h.AggOp == matrix.AggMax) {
 		// The skeleton folds the result rows of a column or full aggregate
 		// by the aggregate's own function (sums, and the row sums of squares, add).
 		plan.AggOp = h.AggOp
@@ -496,9 +485,6 @@ type rowBuilder struct {
 // build memoizes per hop so CSEs inside the fused operator share one CNode
 // (and therefore one register after program compilation).
 func (b *rowBuilder) build(x *hop.Hop) (*cplan.CNode, bool) {
-	if b.memo == nil {
-		b.memo = map[int64]*cplan.CNode{}
-	}
 	if n, ok := b.memo[x.ID]; ok {
 		return n, true
 	}
@@ -594,16 +580,14 @@ func largerProduct(x, mm *hop.Hop) bool {
 		(mm == nil || x.Cells() > mm.Cells() || x.Cells() == mm.Cells() && x.ID < mm.ID)
 }
 
-// outerShape is what an Outer operator rooted at h needs, checked by
-// buildOuterPlan and by the plan search before it prices one (Coster.open):
-// an opening product mm whose left factor U it reads, a root variant — a full
-// aggregate, t(O) %*% U, O %*% V where mm's right factor is t(V), or a cell
-// expression — whose body root is covered, and a driver among the leaves, an
-// input of mm's shape other than its factors (sparse first). main is nil
-// where no Outer operator can be built.
-func outerShape(h, mm *hop.Hop, covered func(*hop.Hop) bool, leaves []*hop.Hop) (out cplan.OuterType, root, main *hop.Hop) {
-	if mm == nil || covered(mm.Inputs[0]) {
-		return 0, nil, nil
+// outerShape is what an Outer operator rooted at h needs besides its driver
+// (operatorMain): an opening product mm whose left factor U it reads, and a
+// root variant — a full aggregate, t(O) %*% U, O %*% V where mm's right
+// factor is t(V), or a cell expression — whose body root is covered. root is
+// nil where no Outer operator can be built.
+func outerShape(h, mm *hop.Hop, covered cover) (out cplan.OuterType, root *hop.Hop) {
+	if mm == nil || covered.covers(mm.Inputs[0]) {
+		return 0, nil
 	}
 	u, vt := mm.Inputs[0], mm.Inputs[1]
 	var v *hop.Hop // nil unless vt is t(V): construction transposes any other
@@ -617,18 +601,18 @@ func outerShape(h, mm *hop.Hop, covered func(*hop.Hop) bool, leaves []*hop.Hop) 
 	case h.Kind == hop.OpMatMult && h != mm:
 		left, right := h.Inputs[0], h.Inputs[1]
 		switch {
-		case covered(left) && left.Kind == hop.OpTranspose && right == u:
+		case covered.covers(left) && left.Kind == hop.OpTranspose && right == u:
 			out, root = cplan.OuterLeftMM, left.Inputs[0]
-		case covered(left) && v != nil && right == v:
+		case covered.covers(left) && v != nil && right == v:
 			out, root = cplan.OuterRightMM, left
 		default:
-			return 0, nil, nil
+			return 0, nil
 		}
 	}
-	if !covered(root) || root != mm && root.Kind != hop.OpBinary && root.Kind != hop.OpUnary {
-		return 0, nil, nil
+	if !covered.covers(root) || root != mm && root.Kind != hop.OpBinary && root.Kind != hop.OpUnary {
+		return 0, nil
 	}
-	return out, root, pickMain(leaves, mm.Rows, mm.Cols, u, v, vt)
+	return out, root
 }
 
 func (c *constructor) buildOuterPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop.Hop) {
@@ -639,12 +623,13 @@ func (c *constructor) buildOuterPlan(h *hop.Hop, r *region) (*cplan.Plan, []*hop
 			mm = x
 		}
 	}
-	outType, exprRoot, mainX := outerShape(h, mm, func(x *hop.Hop) bool { return r.covered[x.ID] }, r.leaves)
+	mainX := operatorMain(cplan.TemplateOuter, h, mm, r, r.leaves)
 	if mainX == nil {
 		// No main input of the outer dimensions: the operator would run
 		// densely over them; basic execution serves that instead.
 		return nil, nil
 	}
+	outType, exprRoot := outerShape(h, mm, r)
 	u, v := mm.Inputs[0], mm.Inputs[1]
 	if v.Kind == hop.OpTranspose {
 		v = v.Inputs[0]

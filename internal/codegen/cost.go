@@ -232,6 +232,7 @@ func NewCoster(cfg *Config, m *Memo, p *Partition) *Coster {
 	for i, e := range p.Points {
 		c.ptTo[i] = c.at[e.To]
 	}
+	c.hbuf = make([]*hop.Hop, 0, len(c.nodes)) // hops never outgrows it
 	return c
 }
 
@@ -353,35 +354,31 @@ func (c *Coster) inputs(ins []int32) (sec float64) {
 
 // open walks the operator that candidate p opens at node i: its price
 // (opSec and rowMainSec) and inputs. It is nil where construction would not
-// build it: an operator that fuses nothing, an Outer operator without
-// outerShape.
+// build it: an operator that fuses nothing or has no main input
+// (operatorMain).
 func (c *Coster) open(i int32, p *pick) *walk {
 	w := &c.nodes[i].walks[p.e.Type]
 	c.opSeq++
 	c.ins, c.uses, c.covered, c.nonCell, c.product = w.ins[:0], c.uses[:0], 0, 0, nil
 	fl := c.addToOp(i, &p.e, c.opSeq)
+	t := p.e.Type
 	if w.ins = c.ins; c.covered < 2 {
 		return nil
 	}
-	if p.e.Type == cplan.TemplateOuter {
-		seq := c.opSeq
-		covered := func(x *hop.Hop) bool { k, ok := c.at[x.ID]; return ok && c.nodes[k].inOp == seq }
-		if _, _, main := outerShape(c.nodes[i].h, c.product, covered, c.hops(w.ins)); main == nil {
-			return nil
-		}
+	main := operatorMain(t, c.nodes[i].h, c.product, c, c.hops(w.ins))
+	if main == nil {
+		return nil
 	}
 	// Operator cost: write output once, read distinct inputs, compute.
 	var inBytes, largest float64
-	var main *hop.Hop
 	mainAt := int32(-1)
 	for _, in := range w.ins {
 		x, b := c.nodes[in].h, c.nodes[in].bytes
 		inBytes, largest = inBytes+b, math.Max(largest, b)
-		if m := mainInput(main, x); m != main {
-			main, mainAt = m, in
+		if x == main {
+			mainAt = in
 		}
 	}
-	t := p.e.Type
 	denseMain, uses := false, 0
 	for _, u := range c.uses {
 		if u>>2 == mainAt {
@@ -393,6 +390,12 @@ func (c *Coster) open(i int32, p *pick) *walk {
 		opSec(c.cfg.Costs, c.nodes[i].h, inBytes, largest, fl*sparsityScale(t, main, denseMain))
 	w.op = opRec{sec: sec, fl: fl, ops: c.covered, nonCell: c.nonCell, safe: !denseMain}
 	return w
+}
+
+// covers reports whether x is a hop of the operator open walks.
+func (c *Coster) covers(x *hop.Hop) bool {
+	k, ok := c.at[x.ID]
+	return ok && c.nodes[k].inOp == c.opSeq
 }
 
 // hops is the hops of the nodes ins, valid until the next call.
@@ -521,17 +524,6 @@ func readBytes(ins []*hop.Hop) (total, largest float64) {
 		total, largest = total+b, math.Max(largest, b)
 	}
 	return total, largest
-}
-
-// mainInput folds in into the running choice of a fused operator's main
-// input as the cost model sees it: the input with the most cells (lowest ID
-// on ties).
-func mainInput(main, in *hop.Hop) *hop.Hop {
-	if main == nil || in.Cells() > main.Cells() ||
-		(in.Cells() == main.Cells() && in.ID < main.ID) {
-		return in
-	}
-	return main
 }
 
 // sparsityScale returns the factor by which sparsity exploitation scales a

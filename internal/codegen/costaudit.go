@@ -16,25 +16,24 @@ import (
 // back into CostParams.
 
 // predictHop fills h's prediction fields from the model inputs: fl FLOPs
-// after sparsity exploitation and the bytes of h's inputs, priced by the
-// function that prices plans (opSec).
-func predictHop(cfg *Config, h *hop.Hop, fl float64) {
-	inBytes, largest := readBytes(h.Inputs)
+// after sparsity exploitation and the bytes of ins, priced by the function
+// that prices plans (opSec).
+func predictHop(cfg *Config, h *hop.Hop, ins []*hop.Hop, fl float64) {
+	inBytes, largest := readBytes(ins)
 	h.PredSec = opSec(cfg.Costs, h, inBytes, largest, fl)
 	h.PredFlops = fl
 	h.PredBytes = int64(inBytes) + h.OutputSizeBytes()
 }
 
 // predictSpoof annotates a freshly spliced fused operator with the cost
-// vector of its covered region: summed covered-HOP FLOPs (fusedFlops),
-// distinct input bytes, the template's sparsity scale and, for a Row
-// operator, the walk per consumer of the main input and the densification
-// the coster charges.
+// vector of its covered region: summed covered-HOP FLOPs (fusedFlops), the
+// bytes of its distinct inputs and of the literals its bodies inline (which
+// the search reads as inputs, as a basic operator does), the template's
+// sparsity scale over its main input (the first: every builder puts
+// operatorMain's choice there) and, for a Row operator, the walk per consumer
+// of the main input and the densification the coster charges.
 func (c *constructor) predictSpoof(spoof *hop.Hop, t cplan.TemplateType, regions []*region) {
-	var main *hop.Hop
-	for _, in := range spoof.Inputs {
-		main = mainInput(main, in)
-	}
+	main, ins := spoof.Inputs[0], slices.Clone(spoof.Inputs)
 	var fl float64
 	uses := 0
 	for _, r := range regions {
@@ -44,13 +43,18 @@ func (c *constructor) predictSpoof(spoof *hop.Hop, t cplan.TemplateType, regions
 				if rowSparseCapableUse(x) && slices.Contains(x.Inputs, main) {
 					uses++
 				}
+				for _, in := range x.Inputs {
+					if in.Kind == hop.OpLiteral && !slices.Contains(ins, in) {
+						ins = append(ins, in)
+					}
+				}
 			}
 		}
 	}
 	op, _ := spoof.Spoof.(*cplan.Operator)
 	denseMain := op != nil && (op.Plan.Type == cplan.TemplateRow && !op.Progs[0].MainSparseCapable() ||
 		op.Plan.Type != cplan.TemplateRow && !op.Plan.SparseSafe)
-	predictHop(c.cfg, spoof, fl*sparsityScale(t, main, denseMain))
+	predictHop(c.cfg, spoof, ins, fl*sparsityScale(t, main, denseMain))
 	spoof.PredSec += rowMainSec(c.cfg.Costs, t, main, denseMain, uses)
 }
 
@@ -77,7 +81,7 @@ func AnnotatePredictions(d *hop.DAG, cfg *Config) {
 		if h.PredSec > 0 {
 			return
 		}
-		predictHop(cfg, h, flops(h))
+		predictHop(cfg, h, h.Inputs, flops(h))
 	}
 	for _, r := range d.Roots() {
 		walk(r)

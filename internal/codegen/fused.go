@@ -14,7 +14,6 @@ import (
 // sum(X*log(UV'+eps)). Anything else runs as basic operators.
 func applyFusedPatterns(d *hop.DAG, cfg *Config, cache *PlanCache, stats *Stats) {
 	fc := &fusedCompiler{d: d, cfg: cfg, cache: cache, stats: stats}
-	// Iterate to fixpoint over a snapshot per round: patterns do not nest.
 	for _, h := range hop.TopoOrder(d.Roots()) {
 		fc.try(h)
 	}
@@ -25,7 +24,6 @@ type fusedCompiler struct {
 	cfg   *Config
 	cache *PlanCache
 	stats *Stats
-	done  map[int64]bool
 }
 
 func (f *fusedCompiler) compileAndSplice(h *hop.Hop, p *cplan.Plan, inputs []*hop.Hop) bool {
@@ -36,28 +34,12 @@ func (f *fusedCompiler) compileAndSplice(h *hop.Hop, p *cplan.Plan, inputs []*ho
 	f.stats.CPlansConstructed++
 	spoof := f.d.NewSpoof(p.Type.String(), op, h.Rows, h.Cols, h.Nnz, inputs...)
 	spoof.ExecType = h.ExecType
-	for _, par := range append([]*hop.Hop(nil), h.Parents...) {
-		par.ReplaceInput(h, spoof)
-	}
-	for _, name := range f.d.OutputNames() {
-		if f.d.Outputs[name] == h {
-			f.d.Outputs[name] = spoof
-		}
-	}
+	splice(f.d, h, spoof)
 	return true
 }
 
-func (f *fusedCompiler) try(h *hop.Hop) {
-	if f.tryMMChain(h) {
-		return
-	}
-	if f.tryTernaryAgg(h) {
-		return
-	}
-	if f.tryWdivmm(h) {
-		return
-	}
-	f.tryWsloss(h)
+func (f *fusedCompiler) try(h *hop.Hop) bool {
+	return f.tryMMChain(h) || f.tryTernaryAgg(h) || f.tryWdivmm(h) || f.tryWsloss(h)
 }
 
 // tryMMChain matches t(X) %*% (X %*% v), the hand-coded matrix-vector

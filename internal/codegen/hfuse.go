@@ -197,44 +197,48 @@ func (c *Coster) siblingSavings() (saved float64) {
 }
 
 // relate computes, once per partition, which two of the nodes that can be
-// sibling candidates are related (one consumes the other): c.relIdx numbers
-// the mergeable nodes (-1 for any other node) and c.related is
-// their pair relation.
+// sibling candidates are related: c.relIdx numbers the mergeable nodes (-1
+// for any other node) and c.related is their pair relation.
 func (c *Coster) relate() {
 	c.relIdx = make([]int32, len(c.nodes))
-	var ms []int32
+	var ms []*hop.Hop
 	for i := range c.nodes {
 		c.relIdx[i] = -1
-		if mergeable(c.nodes[i].h) != nil {
+		if h := c.nodes[i].h; mergeable(h) != nil {
 			c.relIdx[i] = int32(len(ms))
-			ms = append(ms, int32(i))
+			ms = append(ms, h)
 		}
 	}
-	k := len(ms)
-	c.related = make([][]bool, k)
-	for i, row := 0, make([]bool, k*k); i < k; i++ {
-		c.related[i] = row[i*k : (i+1)*k]
+	c.related = relation(ms)
+}
+
+// relation is the pair relation of hs: rel[a][b] when one of hs[a] and hs[b]
+// consumes the other, which a merge of the two would turn into a cycle
+// through the spoof. One walk below each member finds it.
+func relation(hs []*hop.Hop) [][]bool {
+	k := len(hs)
+	rel, row := make([][]bool, k), make([]bool, k*k)
+	type mark struct{ walk, member int } // per hop, both plus one
+	marks := make(map[*hop.Hop]mark, k)
+	for i, h := range hs {
+		rel[i], marks[h] = row[i*k:(i+1)*k], mark{member: i + 1}
 	}
-	seen := map[int64]bool{}
 	var below func(h *hop.Hop, from int)
 	below = func(h *hop.Hop, from int) {
-		if seen[h.ID] {
-			return
-		}
-		seen[h.ID] = true
-		if i, ok := c.at[h.ID]; ok {
-			if to := int(c.relIdx[i]); to >= 0 && to != from {
-				c.related[from][to], c.related[to][from] = true, true
+		if m := marks[h]; m.walk != from+1 {
+			marks[h] = mark{from + 1, m.member}
+			if to := m.member - 1; to >= 0 && to != from {
+				rel[from][to], rel[to][from] = true, true
+			}
+			for _, in := range h.Inputs {
+				below(in, from)
 			}
 		}
-		for _, in := range h.Inputs {
-			below(in, from)
-		}
 	}
-	for from, i := range ms {
-		clear(seen)
-		below(c.nodes[i].h, from)
+	for from, h := range hs {
+		below(h, from)
 	}
+	return rel
 }
 
 // sibling classifies node i as a sibling candidate under the plan c.q holds:
@@ -256,7 +260,7 @@ func (c *Coster) sibling(i int32) (sibling, bool) {
 		return sibling{}, false
 	}
 	op, ins := n.op()
-	main := pickMain(c.hops(ins), x.Rows, x.Cols)
+	main := operatorMain(cplan.TemplateHorizontal, h, nil, c, c.hops(ins))
 	if main == nil || op.nonCell > agg {
 		return sibling{}, false
 	}
@@ -300,8 +304,12 @@ func (c *constructor) combineSiblings(order []*hop.Hop) {
 			cands = append(cands, sibling{h: h, main: x, full: h.AggDir == matrix.DirAll, safe: true, ops: 1})
 		}
 	}
-	related := func(a, b int) bool { return dependsOn(cands[a].h, cands[b].h) || dependsOn(cands[b].h, cands[a].h) }
-	siblingGroups(c.cfg, cands, related, &groupBuf{},
+	hs := make([]*hop.Hop, len(cands))
+	for i, s := range cands {
+		hs[i] = s.h
+	}
+	rel := relation(hs)
+	siblingGroups(c.cfg, cands, func(a, b int) bool { return rel[a][b] }, &groupBuf{},
 		func(g []int, full bool) bool { return c.buildSiblingGroup(cands, g, full) },
 		func(g []int, saved, gate float64) {
 			c.recordHorizontal(cands, g, false, fmt.Sprintf("modeled saving %.3g s below gate %.3g s", saved, gate))
@@ -357,9 +365,9 @@ func (c *constructor) buildSiblingGroup(cands []sibling, g []int, full bool) boo
 	for i, m := range g {
 		it := cands[m]
 		if full {
-			c.splice(it.h, c.d.Index(spoof, 0, 1, int64(i), int64(i)+1))
+			splice(c.d, it.h, c.d.Index(spoof, 0, 1, int64(i), int64(i)+1))
 		} else {
-			c.splice(it.h, c.d.SpoofOut(spoof, i, it.h.Rows, it.h.Cols, it.h.Nnz))
+			splice(c.d, it.h, c.d.SpoofOut(spoof, i, it.h.Rows, it.h.Cols, it.h.Nnz))
 		}
 		// Continue fusing below the merged group's materialized inputs.
 		c.want(regions[i].leaves)

@@ -163,3 +163,28 @@ func TestOuterCandidateIsPricedAsBuilt(t *testing.T) {
 		t.Errorf("the search prices the plan at %.4g s, the operators Gen built predict %.4g s:\n%s", searched.EstCost, built, hop.Explain(d.Roots()))
 	}
 }
+
+// TestRowCandidateIsPricedAsBuilt: t(U) %*% max(B, B) with U dense and B
+// sparse (random DAG 928). The Row operator walks the rows of U and reads B
+// as a side. The search took B, the input of most cells, for its main input,
+// charged a densification of B (max is not zero at zero) and priced the
+// operator at 3.3× what the built one predicts, so Gen materialized
+// max(B, B) at 2.95× Gen-FA's plan. The search and the builders choose the
+// main input by one rule (operatorMain).
+func TestRowCandidateIsPricedAsBuilt(t *testing.T) {
+	d := hop.NewDAG()
+	b := d.Read("B", 2000, 7, 2140)
+	d.Output("R", d.MatMult(d.Transpose(d.Read("U", 2000, 6, -1)), d.Binary(matrix.BinMax, b, b)))
+	d, _ = rewrite.Apply(d)
+	cfg := codegen.DefaultConfig()
+	cfg.Mode = codegen.ModeGenFA
+	rep := &codegen.PlanReport{}
+	d = codegen.OptimizeTraced(d, &cfg, codegen.NewPlanCacheSized(true, 0), codegen.NewStats(), rep, obs.Span{})
+	op := d.Outputs["R"]
+	if op.SpoofType != "Row" || len(rep.Partitions) != 1 {
+		t.Fatalf("want one Row operator of one partition:\n%s", hop.Explain(d.Roots()))
+	}
+	if searched := rep.Partitions[0].EstCost; math.Abs(searched-op.PredSec) > 0.01*op.PredSec {
+		t.Errorf("the search prices the Row operator at %.4g s, the built one predicts %.4g s", searched, op.PredSec)
+	}
+}

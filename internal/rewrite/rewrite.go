@@ -10,6 +10,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sysml/internal/hop"
@@ -33,6 +34,16 @@ func Apply(d *hop.DAG) (*hop.DAG, Stats) {
 	}
 	for _, name := range d.OutputNames() {
 		r.out.Output(name, r.rewrite(d.Outputs[name]))
+	}
+	// A node CSE merged into an equal one, or a simplification replaced, is
+	// no consumer of its inputs.
+	order := hop.TopoOrder(r.out.Roots())
+	live := make(map[*hop.Hop]bool, len(order))
+	for _, h := range order {
+		live[h] = true
+	}
+	for _, h := range order {
+		h.Parents = slices.DeleteFunc(h.Parents, func(p *hop.Hop) bool { return !live[p] })
 	}
 	return r.out, r.stats
 }

@@ -93,6 +93,12 @@ func TestCSE(t *testing.T) {
 	if s1.Inputs[0].NumConsumers() != 2 {
 		t.Fatalf("merged node consumers = %d", s1.Inputs[0].NumConsumers())
 	}
+	// The duplicate CSE dropped is no consumer of X and Y.
+	for _, in := range s1.Inputs[0].Inputs {
+		if in.NumConsumers() != 1 {
+			t.Errorf("%s has %d consumers, want the merged product alone", in, in.NumConsumers())
+		}
+	}
 }
 
 func TestSumTransposeRewrite(t *testing.T) {
